@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.phy.propagation import PropagationModel
+from repro.util.validation import check_finite_array
 
 #: Rows per block when assembling large matrices; bounds the transient
 #: delta tensor to ``_BLOCK_ROWS * n * 2`` floats regardless of ``n``.
@@ -92,6 +93,8 @@ def received_power_matrix(
             f"tx_power_mw must have one entry per node: got {tx.shape} powers "
             f"for {pos.shape[0]} nodes"
         )
+    check_finite_array("positions", pos)
+    check_finite_array("tx_power_mw", tx)
     if np.any(tx <= 0):
         raise ValueError("transmit powers must be strictly positive")
     out = gain_matrix(pos, model, dtype=dtype)

@@ -24,11 +24,12 @@ dense pipeline bit-for-bit, the differential anchor of the sparse stack.
 The far field is not dropped: :func:`far_field_floor_mw` folds it into a
 per-node noise-floor budget installed through the same ``budget_mw``
 machinery the sharded engine's guard margins use (PR 3), so finite-cutoff
-models *over*-provision rather than ignore remote interference.  The
-recorded idealization: the floor assumes at most one concurrent far-field
-transmitter per carrier-sense disk — the densest packing the SINR constraint
-itself admits — integrated over the continuum beyond the cutoff (see
-DESIGN.md §13).
+models budget for remote interference rather than ignore it.  The recorded
+idealization: the floor assumes at most one concurrent far-field
+transmitter per carrier-sense disk, integrated over the continuum beyond
+the cutoff.  It is a static mean-field estimate, not a bound: measured
+against the exact model it *under*-provisions at scale (DESIGN.md §13,
+ROADMAP open item 1).
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ import numpy as np
 from repro.phy.propagation import PropagationModel
 from repro.phy.radio import RadioConfig
 from repro.phy.spatial import GridIndex
+from repro.util.validation import check_finite_array
 
 
 class SparsePowerMatrix:
@@ -48,9 +50,13 @@ class SparsePowerMatrix:
 
     Storage is one sorted ``int64`` key array (``key = i * n + j``) plus the
     matching value array — row-major order, so each row is one contiguous
-    key run (the CSR view ``indptr``/:meth:`neighbors` falls out of a single
+    key run (the CSR view ``indptr``/:meth:`row` falls out of a single
     vectorized ``searchsorted``).  Entries never stored read as exactly
     ``0.0``.
+
+    Indexing searches the global key array; consumers that walk whole rows
+    (slot packing, graph construction) read :meth:`row` / :meth:`entries`
+    instead, which are plain slices of the storage.
 
     Supported indexing (everything the SINR/feasibility kernels do):
 
@@ -111,10 +117,26 @@ class SparsePowerMatrix:
         """
         return self._keys.size == self.n * self.n
 
+    def row(self, node: int) -> tuple[np.ndarray, np.ndarray]:
+        """One CSR row: ``(cols, vals)`` of the stored entries of ``P[node, :]``.
+
+        Columns ascend (and include the node itself — the diagonal is
+        always stored); both arrays are contiguous *views* into the
+        matrix's storage, so a row read costs no copy and no key search.
+        Treat them as read-only.
+        """
+        lo, hi = self.indptr[node], self.indptr[node + 1]
+        return self._cols[lo:hi], self._vals[lo:hi]
+
     def neighbors(self, node: int) -> np.ndarray:
         """Stored column indices of one row, ascending (includes the node
-        itself — the diagonal is always stored)."""
-        return self._cols[self.indptr[node] : self.indptr[node + 1]]
+        itself) — the first half of :meth:`row`."""
+        return self.row(node)[0]
+
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every stored entry as ``(rows, cols, vals)``, in row-major order."""
+        rows = np.repeat(np.arange(self.n, dtype=np.intp), np.diff(self.indptr))
+        return rows, self._cols, self._vals
 
     def column_sums(self, rows: np.ndarray) -> np.ndarray:
         """``(n,)`` per-column sums over the listed rows' stored entries.
@@ -210,6 +232,8 @@ def build_sparse_power(
         raise ValueError(f"positions must be (n, 2), got {pos.shape}")
     if tx.shape != (n,):
         raise ValueError(f"tx_power_mw must have shape ({n},), got {tx.shape}")
+    check_finite_array("positions", pos)
+    check_finite_array("tx_power_mw", tx)
     if np.any(tx <= 0):
         raise ValueError("transmit powers must be strictly positive")
     if cutoff_m <= 0:

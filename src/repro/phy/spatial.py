@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.util.validation import check_positive
+from repro.util.validation import check_finite_array, check_positive
 
 
 @dataclass(frozen=True)
@@ -58,6 +58,7 @@ class GridIndex:
         pos = np.asarray(self.positions, dtype=float)
         if pos.ndim != 2 or pos.shape[1] != 2:
             raise ValueError(f"positions must be (n, 2), got {pos.shape}")
+        check_finite_array("positions", pos)
         check_positive("cell_size", self.cell_size)
         object.__setattr__(self, "positions", pos)
         cells = np.floor(pos / self.cell_size).astype(np.int64)

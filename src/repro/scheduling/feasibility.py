@@ -13,8 +13,6 @@ matrix per test.
 
 from __future__ import annotations
 
-from itertools import chain
-
 import numpy as np
 
 from repro.phy.interference import PhysicalInterferenceModel
@@ -276,6 +274,19 @@ def slots_can_add(
     return cand_ok & ~shared_per_slot & ~member_bad
 
 
+#: Initial slot-axis capacity of the sparse arena's per-node slot tables
+#: (doubles on demand, like the member-row columns).
+_SLOT_CAPACITY = 16
+
+
+def _stored(cols: np.ndarray, vals: np.ndarray, col: int):
+    """``P[i, col]`` read off CSR row ``i`` = ``(cols, vals)``; absent is 0.0."""
+    k = cols.searchsorted(col)
+    if k < cols.size and cols[k] == col:
+        return vals[k]
+    return 0.0
+
+
 class SlotArena:
     """All slots of a schedule under construction, in flat numpy columns.
 
@@ -292,19 +303,30 @@ class SlotArena:
     * dense — the exact :func:`slots_can_add` formula over all member rows
       (same bincount segment sums, same order, bit-identical);
     * sparse (auto-selected when the model's power is a
-      :class:`~repro.phy.sparse.SparsePowerMatrix`) — member rows are first
-      pruned to those with a stored (near-field) interaction with the
-      candidate, via per-node postings.  Pruned rows contribute *exactly*
-      ``0.0`` to every sum and — because every admitted member is feasible
-      at admission time and additions only recheck — can never flip a
-      member-bad or shared-node predicate, so the pruned verdict is
-      bit-identical to the dense one.  That member-feasibility invariant
-      holds for every arena by construction: the only unconditional insert,
-      :meth:`open_slot`'s first member, is screened standalone by the
-      greedy caller.
+      :class:`~repro.phy.sparse.SparsePowerMatrix`) — per-node *slot
+      tables* of shape ``(n, slot_capacity)``, the slot axis doubling on
+      demand.  For node ``v`` and slot ``j`` they hold the member row that
+      receives / transmits at ``v`` (``-1`` if none) and the running data /
+      ACK power landing on ``v`` from slot ``j``'s members, accumulated in
+      admission order as each member's CSR row is scattered in.  A test
+      then reads the candidate's two CSR rows and nothing else of the
+      power matrix: its own interference sums sit in the tables, node
+      sharing is a table lookup, and the only members rechecked are those
+      with an endpoint in the candidate's rows — O(degree × slots) per
+      candidate, no key search.  Everything skipped is *exactly* ``0.0``
+      in the dense sums, and a member the candidate's rows do not reach
+      receives no contribution, so — because every admitted member is
+      feasible at admission time and additions only recheck — it cannot
+      flip: the verdict is bit-identical to the dense one.  That
+      member-feasibility invariant holds for every arena by construction:
+      the only unconditional insert, :meth:`open_slot`'s first member, is
+      screened standalone by the greedy caller.  The tables assume one
+      member per node per slot, which :meth:`add` enforces.
 
     All powers in mW; thresholds from the bound interference model, exactly
-    as :class:`SlotState`.
+    as :class:`SlotState`.  ``tests/property/test_scheduling_properties.py``
+    pins sparse-arena ≡ dense-arena ≡ :class:`SlotState` verdicts step by
+    step over random admission sequences.
     """
 
     def __init__(self, model: PhysicalInterferenceModel, capacity: int = 256):
@@ -320,13 +342,23 @@ class SlotArena:
         self._mrcv = np.empty(cap, dtype=np.intp)
         self._di = np.empty(cap, dtype=float)
         self._ai = np.empty(cap, dtype=float)
+        self._columns = ["_slot_id", "_msnd", "_mrcv", "_di", "_ai"]
         self._m = 0
         self.n_slots = 0
         self._slot_rows: list[list[int]] = []
-        # Sparse pruning structure: node -> rows where it is an endpoint,
-        # plus a reusable row-dedup scratch (False outside _near_rows).
-        self._postings: dict[int, list[int]] = {}
-        self._row_seen = np.zeros(cap, dtype=bool)
+        if self._use_sparse:
+            # Each member's own data / ACK signal power, stored once at
+            # admission instead of re-read on every test.
+            self._sig_d = np.empty(cap, dtype=float)
+            self._sig_a = np.empty(cap, dtype=float)
+            self._columns += ["_sig_d", "_sig_a"]
+            shape = (model.power.n, _SLOT_CAPACITY)
+            # Slot tables: member row receiving / transmitting at [v, j] ...
+            self._rx_row = np.full(shape, -1, dtype=np.int32)
+            self._tx_row = np.full(shape, -1, dtype=np.int32)
+            # ... and data / ACK power landing on v from slot j's members.
+            self._data_on = np.zeros(shape, dtype=float)
+            self._ack_on = np.zeros(shape, dtype=float)
 
     def __len__(self) -> int:
         return self.n_slots
@@ -344,20 +376,36 @@ class SlotArena:
         if self._m < self._slot_id.size:
             return
         cap = self._slot_id.size * 2
-        for name in ("_slot_id", "_msnd", "_mrcv", "_di", "_ai"):
+        for name in self._columns:
             old = getattr(self, name)
             new = np.empty(cap, dtype=old.dtype)
             new[: self._m] = old[: self._m]
             setattr(self, name, new)
-        self._row_seen = np.zeros(cap, dtype=bool)
+
+    def _ensure_slot_capacity(self) -> None:
+        width = self._rx_row.shape[1]
+        if self.n_slots < width:
+            return
+        for name, empty in (
+            ("_rx_row", -1),
+            ("_tx_row", -1),
+            ("_data_on", 0.0),
+            ("_ack_on", 0.0),
+        ):
+            old = getattr(self, name)
+            new = np.full((old.shape[0], 2 * width), empty, dtype=old.dtype)
+            new[:, :width] = old
+            setattr(self, name, new)
 
     def open_slot(self, sender: int, receiver: int) -> int:
         """Append a fresh slot seeded with one member; return its index.
 
         The insert is unconditional — callers screen the link standalone
         first (greedy does, batched), which is what keeps the
-        member-feasibility invariant the sparse pruning relies on.
+        member-feasibility invariant the sparse path relies on.
         """
+        if self._use_sparse:
+            self._ensure_slot_capacity()
         j = self.n_slots
         self.n_slots += 1
         self._slot_rows.append([])
@@ -371,11 +419,20 @@ class SlotArena:
         grow element-wise by the newcomer's contribution, and the
         newcomer's own sums accumulate over members in admission order
         (single-bucket ``bincount`` — C-loop sequential, the same order the
-        scalar loop adds in).
+        scalar loop adds in; on the sparse path the slot tables have been
+        running that very sum since the slot opened).
+
+        Raises ``ValueError`` on the sparse path if an endpoint already
+        sends or receives in the slot: the slot tables hold one member per
+        node per slot.
         """
         p = self._power
         rows = self._slot_rows[slot]
-        if rows:
+        self._ensure_capacity()
+        row = self._m
+        if self._use_sparse:
+            new_di, new_ai = self._scatter(slot, row, sender, receiver)
+        elif rows:
             r = np.asarray(rows, dtype=np.intp)
             ms = self._msnd[r]
             mr = self._mrcv[r]
@@ -404,8 +461,6 @@ class SlotArena:
         else:
             new_di = 0.0
             new_ai = 0.0
-        self._ensure_capacity()
-        row = self._m
         self._slot_id[row] = slot
         self._msnd[row] = sender
         self._mrcv[row] = receiver
@@ -413,47 +468,73 @@ class SlotArena:
         self._ai[row] = new_ai
         self._m += 1
         rows.append(row)
-        if self._use_sparse:
-            self._postings.setdefault(int(sender), []).append(row)
-            self._postings.setdefault(int(receiver), []).append(row)
 
-    def _near_rows(self, sender: int, receiver: int) -> np.ndarray:
-        """Member rows with a stored (near-field) interaction with the
-        candidate — every row the dense formula could read a nonzero power
-        for, plus any row sharing one of the candidate's endpoints (the
-        diagonal is stored, so endpoint nodes are their own neighbors and
-        their postings are always included).
+    def _scatter(
+        self, slot: int, row: int, sender: int, receiver: int
+    ) -> tuple[float, float]:
+        """Sparse half of :meth:`add`: fold the newcomer (member ``row``)
+        into the slot tables in O(degree) and return its own data / ACK
+        interference sums, which the tables already hold."""
+        rx = self._rx_row
+        tx = self._tx_row
+        if max(rx[sender, slot], tx[sender, slot]) >= 0 or (
+            max(rx[receiver, slot], tx[receiver, slot]) >= 0
+        ):
+            raise ValueError(
+                f"link {sender}->{receiver} shares a node with a member of slot {slot}"
+            )
+        cs, vs = self._power.row(sender)
+        cr, vr = self._power.row(receiver)
+        new_di = float(self._data_on[receiver, slot])
+        new_ai = float(self._ack_on[sender, slot])
+        # Members whose receiver hears the newcomer's data / whose sender
+        # hears its ACK: at most one row per node, so the rows are unique.
+        hit = rx[cs, slot]
+        near = hit >= 0
+        self._di[hit[near]] += vs[near]
+        hit = tx[cr, slot]
+        near = hit >= 0
+        self._ai[hit[near]] += vr[near]
+        self._data_on[cs, slot] += vs
+        self._ack_on[cr, slot] += vr
+        rx[receiver, slot] = row
+        tx[sender, slot] = row
+        self._sig_d[row] = _stored(cs, vs, receiver)
+        self._sig_a[row] = _stored(cr, vr, sender)
+        return new_di, new_ai
 
-        Duplicate rows — the two neighbor lists overlap, and a row can have
-        both endpoints near — are deduplicated through a reusable boolean
-        scratch instead of ``np.unique``'s sort; the result is the same
-        ascending (admission-order) row array."""
-        post = self._postings
-        p = self._power
-        runs = []
-        for v in p.neighbors(sender).tolist():
-            r = post.get(v)
-            if r is not None:
-                runs.append(r)
-        for v in p.neighbors(receiver).tolist():
-            r = post.get(v)
-            if r is not None:
-                runs.append(r)
-        if not runs:
-            return np.empty(0, dtype=np.intp)
-        cand = np.fromiter(chain.from_iterable(runs), dtype=np.intp)
-        seen = self._row_seen
-        seen[cand] = True
-        rows = np.flatnonzero(seen[: self._m])
-        seen[cand] = False
-        return rows
+    def _veto_members(
+        self,
+        ok: np.ndarray,
+        table: np.ndarray,
+        cols: np.ndarray,
+        vals: np.ndarray,
+        sig: np.ndarray,
+        interf: np.ndarray,
+    ) -> None:
+        """Clear ``ok[j]`` where a slot-``j`` member listening at one of
+        ``cols`` (per ``table``) would drop below threshold with ``vals``
+        added to its interference — :func:`slots_can_add`'s member check,
+        on the rows the candidate's CSR row reaches."""
+        # Whole table rows (slots not opened yet hold no member), flat: a
+        # 1-D nonzero plus one divmod beats the 2-D nonzero several-fold.
+        near = table.take(cols, axis=0).ravel()
+        flat = (near >= 0).nonzero()[0]
+        if flat.size == 0:
+            return
+        rows = near[flat]
+        at, slot = np.divmod(flat, table.shape[1])
+        noise = self._noise
+        if self._budget is not None:
+            noise = noise + self._budget[cols[at]]
+        bad = sig[rows] < self._beta * (noise + (interf[rows] + vals[at]))
+        ok[slot[bad]] = False
 
     def can_add_all(self, sender: int, receiver: int) -> np.ndarray:
         """One candidate against every slot: ``out[j] == slot j can admit``.
 
-        Bit-identical to :func:`slots_can_add` over equivalent states —
-        the differential suite pins dense-vs-sparse and arena-vs-SlotState
-        agreement.
+        Bit-identical to :func:`slots_can_add` over equivalent states, on
+        either path.
         """
         n = self.n_slots
         out = np.zeros(n, dtype=bool)
@@ -467,23 +548,32 @@ class SlotArena:
         ack_noise = noise if budget is None else noise + budget[sender]
 
         if self._use_sparse:
-            rows = self._near_rows(sender, receiver)
-            sid = self._slot_id[rows]
-            msnd = self._msnd[rows]
-            mrcv = self._mrcv[rows]
-            di = self._di[rows]
-            ai = self._ai[rows]
-        else:
-            m = self._m
-            sid = self._slot_id[:m]
-            msnd = self._msnd[:m]
-            mrcv = self._mrcv[:m]
-            di = self._di[:m]
-            ai = self._ai[:m]
+            cs, vs = p.row(sender)
+            cr, vr = p.row(receiver)
+            rx = self._rx_row
+            tx = self._tx_row
+            new_data_interf = self._data_on[receiver, :n]
+            new_ack_interf = self._ack_on[sender, :n]
+            ok = ~(_stored(cs, vs, receiver) < beta * (data_noise + new_data_interf))
+            ok &= ~(_stored(cr, vr, sender) < beta * (ack_noise + new_ack_interf))
+            busy = np.maximum(rx[sender, :n], tx[sender, :n])
+            np.maximum(busy, rx[receiver, :n], out=busy)
+            np.maximum(busy, tx[receiver, :n], out=busy)
+            ok &= busy < 0
+            self._veto_members(ok, rx, cs, vs, self._sig_d, self._di)
+            self._veto_members(ok, tx, cr, vr, self._sig_a, self._ai)
+            return ok
+
+        m = self._m
+        sid = self._slot_id[:m]
+        msnd = self._msnd[:m]
+        mrcv = self._mrcv[:m]
+        di = self._di[:m]
+        ai = self._ai[:m]
 
         if sid.size == 0:
-            # No (near) members anywhere: every slot reduces to the
-            # standalone check, exactly as the zero segment sums would.
+            # No members anywhere: every slot reduces to the standalone
+            # check, exactly as the zero segment sums would.
             alone = not (
                 p[sender, receiver] < beta * data_noise
                 or p[receiver, sender] < beta * ack_noise

@@ -5,8 +5,10 @@ distributedly.  Edges are considered in a fixed order; each edge is
 allocated greedily to the earliest slots of the current schedule that remain
 feasible with it, opening new slots at the end until its demand is met.
 
-Polynomial time: with :class:`~repro.scheduling.feasibility.SlotState`
-bookkeeping each (link, slot) test costs O(k) in the slot's occupancy.
+Polynomial time: slots live in one
+:class:`~repro.scheduling.feasibility.SlotArena`, which tests a link against
+*every* open slot in one batched pass — O(total members) on a dense power
+matrix, O(degree × slots) from the link's two CSR rows on a sparse one.
 """
 
 from __future__ import annotations
@@ -58,9 +60,10 @@ def greedy_physical(
 
     schedule = Schedule(link_set=links)
     # Flat-column slot store: same verdicts as a SlotState list driven
-    # through slots_can_add (bit-identical, pinned by the unit suite), but
-    # without the per-candidate member-array rebuild — and with near-field
-    # pruning when the model's power matrix is sparse.
+    # through slots_can_add (bit-identical, pinned by the arena suite in
+    # tests/property/test_scheduling_properties.py), but without the
+    # per-candidate member-array rebuild — and from per-node slot tables,
+    # with no power-matrix search, when the model's power matrix is sparse.
     arena = SlotArena(model)
 
     demanded = [int(k) for k in order if int(links.demand[int(k)]) > 0]

@@ -70,10 +70,8 @@ def communication_csr(
     if noise_mw <= 0 or beta <= 0:
         raise ValueError("noise_mw and beta must be positive")
     n = power.n
-    keys = power._keys
-    vals = power._vals
-    rows = (keys // n).astype(np.intp)
-    cols = (keys % n).astype(np.intp)
+    rows, cols, vals = power.entries()
+    keys = rows.astype(np.int64) * n + cols  # ascending: entries are row-major
     if budget_mw is None:
         threshold = beta * noise_mw
         qual = (vals >= threshold) & (rows != cols)

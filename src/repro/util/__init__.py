@@ -7,6 +7,7 @@ package import-light (propagation models import validation helpers from it).
 
 from repro.util.rng import ensure_rng, spawn, spawn_many
 from repro.util.validation import (
+    check_finite_array,
     check_positive,
     check_non_negative,
     check_probability,
@@ -17,6 +18,7 @@ __all__ = [
     "ensure_rng",
     "spawn",
     "spawn_many",
+    "check_finite_array",
     "check_positive",
     "check_non_negative",
     "check_probability",

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from typing import Any
 
+import numpy as np
+
 
 def check_positive(name: str, value: float) -> float:
     """Raise :class:`ValueError` unless ``value`` is a finite number > 0."""
@@ -57,6 +59,17 @@ def check_integer_in_range(
     if maximum is not None and value > maximum:
         raise ValueError(f"{name} must be <= {maximum}, got {value}")
     return int(value)
+
+
+def check_finite_array(name: str, values: np.ndarray) -> None:
+    """Raise :class:`ValueError` if ``values`` holds a NaN or an infinity.
+
+    The phy boundary's guard: comparisons against NaN are all False, so a
+    non-finite position or power slips through every ``x <= 0`` range check
+    and, downstream, passes every ``~(signal < threshold)`` admission test.
+    """
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} must be finite (no NaN or inf)")
 
 
 def _check_finite_number(name: str, value: Any) -> None:

@@ -1,6 +1,11 @@
-"""Property tests: greedy schedules, routing forests, demand conservation."""
+"""Property tests: greedy schedules, routing forests, demand conservation,
+and the slot arena's dense / sparse / SlotState agreement."""
+
+import math
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.phy.gain import received_power_matrix
@@ -8,7 +13,10 @@ from repro.phy.interference import PhysicalInterferenceModel
 from repro.phy.propagation import LogDistancePathLoss
 from repro.phy.radio import RadioConfig
 from repro.routing.demand import aggregate_demand, uniform_node_demand
+from repro.phy.sparse import SparsePowerMatrix, sparse_gain_model
 from repro.routing.forest import build_routing_forest
+from repro.scheduling import feasibility
+from repro.scheduling.feasibility import SlotArena, SlotState
 from repro.scheduling.greedy_physical import greedy_physical
 from repro.scheduling.links import LinkSet, forest_link_set
 from repro.scheduling.metrics import improvement_over_linear, verify_schedule
@@ -104,3 +112,165 @@ def test_link_demand_at_least_own_demand(instance):
     for k in range(links.n_links):
         head = int(links.heads[k])
         assert links.demand[k] >= demand[head]
+
+
+def standalone_pairs(model):
+    """(heads, tails) of every ordered node pair that decodes alone."""
+    n = model.n_nodes
+    heads, tails = np.divmod(np.arange(n * n), n)
+    alone = SlotState(model).feasible_with(heads, tails)
+    return heads[alone], tails[alone]
+
+
+@st.composite
+def admission_instance(draw):
+    """A random deployment under one sparse and one equivalent dense model,
+    plus a sequence of standalone-feasible links with demands."""
+    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
+    n = draw(st.integers(min_value=6, max_value=36))
+    cutoff = draw(st.sampled_from([None, 150.0, math.inf]))  # None: CS radius
+    budget_kind = draw(st.sampled_from(["none", "floor", "extra"]))
+    n_links = draw(st.integers(min_value=1, max_value=24))
+    rng = np.random.default_rng(seed)
+    radio = RadioConfig()
+    positions = rng.uniform(0, np.sqrt(n) * 45.0, size=(n, 2))
+    tx = 10 ** (12.0 / 10.0) * rng.uniform(0.7, 1.3, size=n)
+    sparse = sparse_gain_model(
+        positions,
+        tx,
+        LogDistancePathLoss(alpha=3.0),
+        radio,
+        cutoff_m=cutoff,
+        far_field="none" if budget_kind == "none" else "packing",
+    )
+    budget = sparse.floor_mw
+    if budget_kind == "extra":
+        extra = rng.uniform(0.0, 2.0 * radio.noise_mw, size=n)
+        budget = extra if budget is None else budget + extra
+    sparse_model = PhysicalInterferenceModel(sparse.power, radio, budget)
+    dense_model = PhysicalInterferenceModel(sparse.power.toarray(), radio, budget)
+    heads, tails = standalone_pairs(dense_model)
+    if heads.size == 0:
+        return None
+    pick = rng.choice(heads.size, size=min(n_links, heads.size), replace=False)
+    demands = rng.integers(1, 4, size=pick.size)
+    return sparse_model, dense_model, heads[pick], tails[pick], demands
+
+
+@given(admission_instance())
+@settings(max_examples=60, deadline=None)
+def test_arena_sparse_dense_slotstate_agree_step_by_step(instance):
+    if instance is None:
+        return
+    sparse_model, dense_model, heads, tails, demands = instance
+    sparse = SlotArena(sparse_model)
+    dense = SlotArena(dense_model)
+    # Same sparse path from the smallest capacities: both the member-row
+    # axis and the slot axis regrow again and again.
+    with mock.patch.object(feasibility, "_SLOT_CAPACITY", 1):
+        regrown = SlotArena(sparse_model, capacity=1)
+    arenas = (sparse, dense, regrown)
+    states: list[SlotState] = []
+    for s, r, demand in zip(heads.tolist(), tails.tolist(), demands.tolist()):
+        expected = np.array([st_.can_add(s, r) for st_ in states], dtype=bool)
+        for arena in arenas:
+            np.testing.assert_array_equal(arena.can_add_all(s, r), expected)
+        remaining = demand
+        for j in np.flatnonzero(expected)[:remaining].tolist():
+            for arena in arenas:
+                arena.add(j, s, r)
+            states[j].add(s, r)
+            remaining -= 1
+        for _ in range(remaining):
+            for arena in arenas:
+                arena.open_slot(s, r)
+            states.append(SlotState(dense_model))
+            states[-1].add(s, r)
+        for j, state in enumerate(states):
+            for arena in arenas:
+                snd, rcv = arena.members(j)
+                assert snd.tolist() == state.senders
+                assert rcv.tolist() == state.receivers
+    assert all(len(arena) == len(states) for arena in arenas)
+
+
+def test_arena_regrows_both_axes_without_changing_a_verdict():
+    """Deterministic companion of the Hypothesis suite: a star of links
+    around one hub (every pair shares the hub, so each play needs its own
+    slot) overflows the initial row capacity *and* the initial slot
+    capacity, then spokes elsewhere pack into those slots."""
+    radio = RadioConfig()
+    rng = np.random.default_rng(5)
+    n = 30
+    positions = rng.uniform(0, 250.0, size=(n, 2))
+    positions[0] = (125.0, 125.0)
+    tx = 10 ** (12.0 / 10.0) * rng.uniform(0.7, 1.3, size=n)
+    sparse = sparse_gain_model(
+        positions, tx, LogDistancePathLoss(alpha=3.0), radio, cutoff_m=150.0
+    )
+    sparse_model = sparse.interference_model(radio)
+    dense_model = PhysicalInterferenceModel(
+        sparse.power.toarray(), radio, sparse.floor_mw
+    )
+    pairs = list(zip(*(a.tolist() for a in standalone_pairs(dense_model))))
+    hub_links = [(s, r) for s, r in pairs if r == 0]
+    other = [(s, r) for s, r in pairs if s and r]
+    assert hub_links
+    plays = hub_links * (feasibility._SLOT_CAPACITY // len(hub_links) + 2) + other[::3]
+    sparse_arena = SlotArena(sparse_model, capacity=4)
+    dense_arena = SlotArena(dense_model, capacity=4)
+    states: list[SlotState] = []
+    for s, r in plays:
+        expected = [state.can_add(s, r) for state in states]
+        assert sparse_arena.can_add_all(s, r).tolist() == expected
+        assert dense_arena.can_add_all(s, r).tolist() == expected
+        if any(expected):
+            j = expected.index(True)
+            sparse_arena.add(j, s, r)
+            dense_arena.add(j, s, r)
+        else:
+            j = sparse_arena.open_slot(s, r)
+            assert dense_arena.open_slot(s, r) == j
+            states.append(SlotState(dense_model))
+        states[j].add(s, r)
+    assert sparse_arena.n_slots > feasibility._SLOT_CAPACITY
+    assert sparse_arena.n_members > 4
+
+
+def test_sparse_arena_add_rejects_a_busy_endpoint():
+    radio = RadioConfig()
+    positions = np.array([[0.0, 0.0], [30.0, 0.0], [60.0, 0.0], [400.0, 0.0], [430.0, 0.0]])
+    tx = np.full(5, 10 ** (12.0 / 10.0))
+    sparse = sparse_gain_model(positions, tx, LogDistancePathLoss(alpha=3.0), radio)
+    arena = SlotArena(sparse.interference_model(radio))
+    slot = arena.open_slot(0, 1)
+    for s, r in [(1, 2), (2, 1), (0, 2), (2, 0), (0, 1)]:
+        with pytest.raises(ValueError, match="shares a node"):
+            arena.add(slot, s, r)
+    assert arena.n_members == 1
+    # The failed adds left no trace: a disjoint link still gets in.
+    assert arena.can_add_all(3, 4).tolist() == [True]
+    arena.add(slot, 3, 4)
+    assert [a.tolist() for a in arena.members(slot)] == [[0, 3], [1, 4]]
+
+
+@pytest.mark.parametrize("candidate", [(1, 2), (2, 0)])
+def test_arena_vetoes_node_sharing_even_where_no_power_says_so(candidate):
+    """Member 0->1 and a candidate through node 1 (resp. 0) whose every
+    cross power is zero — the diagonal included — so only the half-duplex
+    rule can refuse it: the slot tables must, like the dense scan."""
+    s, r = candidate
+    dense = np.zeros((3, 3))
+    dense[0, 1] = dense[1, 0] = dense[s, r] = dense[r, s] = 1.0
+    keys = np.flatnonzero(dense.ravel() > 0)
+    keys = np.union1d(keys, np.arange(3) * 3 + np.arange(3))  # stored zero diagonal
+    power = SparsePowerMatrix(3, keys, dense.ravel()[keys])
+    radio = RadioConfig()
+    state = SlotState(PhysicalInterferenceModel(dense, radio))
+    assert state.can_add(s, r)
+    state.add(0, 1)
+    assert not state.can_add(s, r)
+    for matrix in (power, dense):
+        arena = SlotArena(PhysicalInterferenceModel(matrix, radio))
+        arena.open_slot(0, 1)
+        assert arena.can_add_all(s, r).tolist() == [False]

@@ -22,6 +22,7 @@ from repro.phy.sparse import (
     interference_radius_m,
     sparse_gain_model,
 )
+from repro.phy.spatial import GridIndex
 from repro.routing import build_routing_forest, planned_gateways
 from repro.routing.forest import build_routing_forest_csr
 from repro.scheduling.greedy_physical import greedy_physical
@@ -114,6 +115,32 @@ class TestSparsePowerMatrix:
             np.testing.assert_array_equal(np.sort(got), np.sort(expected))
             assert node in got  # diagonal always stored
 
+    def test_row_is_the_stored_entries_ascending_as_views(self, sparse_and_dense):
+        sparse, _ = sparse_and_dense
+        ref = sparse.toarray()
+        for node in (0, 7, sparse.n - 1):
+            cols, vals = sparse.row(node)
+            # Every stored power is positive here, so the row's nonzeros
+            # are exactly its stored entries — diagonal included.
+            np.testing.assert_array_equal(cols, np.flatnonzero(ref[node]))
+            np.testing.assert_array_equal(vals, ref[node, cols])
+            assert node in cols
+            assert np.all(np.diff(cols) > 0)
+            np.testing.assert_array_equal(sparse.neighbors(node), cols)
+            # Views into the matrix's storage, not copies.
+            assert cols.base is not None and vals.base is not None
+            assert np.shares_memory(cols, sparse.row(node)[0])
+            assert np.shares_memory(vals, sparse.row(node)[1])
+
+    def test_entries_lists_every_stored_triple_row_major(self, sparse_and_dense):
+        sparse, _ = sparse_and_dense
+        rows, cols, vals = sparse.entries()
+        assert rows.size == cols.size == vals.size == sparse.nnz
+        assert np.all(np.diff(rows.astype(np.int64) * sparse.n + cols) > 0)
+        rebuilt = np.zeros(sparse.shape)
+        rebuilt[rows, cols] = vals
+        np.testing.assert_array_equal(rebuilt, sparse.toarray())
+
     def test_unsupported_indexing_fails_loudly(self, sparse_and_dense):
         sparse, _ = sparse_and_dense
         with pytest.raises(TypeError, match="pair indexing"):
@@ -155,6 +182,52 @@ class TestSparsePowerMatrix:
         positions, tx = deployment
         with pytest.raises(ValueError, match="cutoff_m"):
             build_sparse_power(positions, tx, MODEL, 0.0)
+
+
+class TestNonFiniteInputs:
+    """NaN compares False against everything, so it slips through every
+    ``x <= 0`` range check and then passes every ``~(signal < threshold)``
+    admission test: the phy boundary has to refuse it by name."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_build_sparse_power_rejects_non_finite_positions(self, deployment, bad):
+        positions, tx = deployment
+        broken = positions.copy()
+        broken[3, 1] = bad
+        for cutoff_m in (80.0, float("inf")):
+            with pytest.raises(ValueError, match="positions must be finite"):
+                build_sparse_power(broken, tx, MODEL, cutoff_m)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_build_sparse_power_rejects_non_finite_powers(self, deployment, bad):
+        positions, tx = deployment
+        broken = tx.copy()
+        broken[5] = bad
+        for cutoff_m in (80.0, float("inf")):
+            with pytest.raises(ValueError, match="tx_power_mw must be finite"):
+                build_sparse_power(positions, broken, MODEL, cutoff_m)
+        with pytest.raises(ValueError, match="tx_power_mw must be finite"):
+            sparse_gain_model(positions, broken, MODEL, RADIO, cutoff_m=80.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_grid_index_rejects_non_finite_positions(self, deployment, bad):
+        positions, _ = deployment
+        broken = positions.copy()
+        broken[0, 0] = bad
+        with pytest.raises(ValueError, match="positions must be finite"):
+            GridIndex(broken, cell_size=50.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_received_power_matrix_rejects_non_finite_inputs(self, deployment, bad):
+        positions, tx = deployment
+        broken = positions.copy()
+        broken[2, 0] = bad
+        with pytest.raises(ValueError, match="positions must be finite"):
+            received_power_matrix(broken, tx, MODEL)
+        powers = tx.copy()
+        powers[2] = bad
+        with pytest.raises(ValueError, match="tx_power_mw must be finite"):
+            received_power_matrix(positions, powers, MODEL)
 
 
 class TestFarField:
