@@ -207,6 +207,35 @@ def test_fdd_full_run_64(benchmark, scenario):
 
 
 @pytest.mark.benchmark(group="protocols")
+def test_fdd_resolves_per_admission_not_per_step(scenario):
+    """FDD's simulation cost follows admissions, not steps — as a count.
+
+    The paper's FDD tries ~one link per construction step and almost every
+    step admits nobody; the fault-free runtime resolves a whole run of such
+    steps in one batched kernel call.  A round may therefore cost one call
+    per admission plus the O(log pool) calls in which the look-ahead chunk
+    doubles — never one per step.  Counted on ``ProtocolResult``, so the
+    guard repeats exactly on any host; the air-time tally is untouched
+    (the differential suites pin it against the per-step reference).
+    """
+    runtime = FastRuntime.for_network(scenario.network, PAPER_PROTOCOL)
+    result = run_fdd(
+        scenario.links, runtime, PAPER_PROTOCOL, rng=1, record_rounds=True
+    )
+    assert result.terminated
+    admissions = sum(
+        len(r.members) - len(r.controllers) for r in result.round_records
+    )
+    pool = int((scenario.links.demand > 0).sum())
+    doublings = 1 + int(np.ceil(np.log2(pool)))
+    assert result.resolve_calls <= admissions + result.rounds * doublings
+    assert result.trials_evaluated >= result.tally.steps
+    # ~a pool's worth of steps per round, a handful of calls per round.
+    assert result.tally.steps >= 10 * result.rounds
+    assert result.resolve_calls <= 4 * result.rounds
+
+
+@pytest.mark.benchmark(group="protocols")
 def test_pdd_full_run_64(benchmark, scenario):
     config = PAPER_PROTOCOL.with_p(0.2)
 

@@ -20,12 +20,13 @@ This gives FDD-quality schedules at an execution time between PDD and FDD.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
 from repro.core.config import NO_FAULTS, FaultConfig, ProtocolConfig
 from repro.core.protocol import ProtocolResult, run_on_network, run_protocol
 from repro.core.runtime import Runtime
-from repro.core.states import NodeState
 from repro.phy.interference import PhysicalInterferenceModel
 from repro.scheduling.links import LinkSet
 from repro.topology.network import Network
@@ -34,40 +35,34 @@ from repro.topology.network import Network
 AFDD_REFRESH_SCREAMS = 2
 
 
-class _AfddSelector:
-    """Stateful SelectActive: full election once per slot, cheap refreshes.
+def afdd_select_active(
+    dormant: np.ndarray, runtime: Runtime, rng: np.random.Generator
+) -> Iterator[np.ndarray]:
+    """Full election for a round's first active, cheap refreshes after.
 
     The selection *outcome* is identical to FDD (max-ID dormant node); only
     the booked communication cost differs, because followers can continue
     the bitwise elimination from the previous winner's prefix instead of
     restarting it.
     """
-
-    def __init__(self) -> None:
-        self._slot_has_election = False
-
-    def reset_slot(self) -> None:
-        self._slot_has_election = False
-
-    def __call__(
-        self, state: np.ndarray, runtime: Runtime, rng: np.random.Generator
-    ) -> np.ndarray:
-        dormant = state == NodeState.DORMANT
-        if not self._slot_has_election:
-            self._slot_has_election = True
-            return runtime.leader_elect(dormant)
+    ids = getattr(runtime, "ids", None)
+    if ids is None:
+        yield from runtime.elect_each(dormant)
+        return
+    pool = dormant.copy()
+    winners = runtime.leader_elect(pool)
+    while True:
+        activated = np.flatnonzero(winners)
+        pool[activated] = False
+        yield activated
 
         # Refresh pass: same winner as a full election, reduced cost.
-        ids = getattr(runtime, "ids", None)
-        if ids is None:
-            return runtime.leader_elect(dormant)
-        winners = np.zeros(state.shape[0], dtype=bool)
-        if dormant.any():
-            candidates = np.flatnonzero(dormant)
+        winners = np.zeros(pool.shape[0], dtype=bool)
+        if pool.any():
+            candidates = np.flatnonzero(pool)
             winners[candidates[np.argmax(ids[candidates])]] = True
         for _ in range(AFDD_REFRESH_SCREAMS):
             runtime.scream(winners)
-        return winners
 
 
 def run_afdd(
@@ -81,24 +76,8 @@ def run_afdd(
 
     The produced schedule equals FDD's; the step tally is smaller.
     """
-    selector = _AfddSelector()
-
-    def select_active(
-        state: np.ndarray, rt: Runtime, generator: np.random.Generator
-    ) -> np.ndarray:
-        # A fresh slot is detectable by the absence of ALLOCATED/ACTIVE/
-        # TRIED nodes: everything was reset to DORMANT around the controller.
-        in_progress = (
-            (state == NodeState.ALLOCATED)
-            | (state == NodeState.ACTIVE)
-            | (state == NodeState.TRIED)
-        )
-        if not in_progress.any():
-            selector.reset_slot()
-        return selector(state, rt, generator)
-
     return run_protocol(
-        links, runtime, config, select_active, rng=rng, record_rounds=record_rounds
+        links, runtime, config, afdd_select_active, rng=rng, record_rounds=record_rounds
     )
 
 

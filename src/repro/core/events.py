@@ -47,16 +47,16 @@ class StepTally:
     veto_steps: int = 0
     multi_winner_elections: int = 0
 
-    def add_scream(self, k: int) -> None:
-        """Record one SCREAM invocation of K slots."""
-        self.scream_calls += 1
-        self.scream_slots += k
+    def add_scream(self, k: int, count: int = 1) -> None:
+        """Record ``count`` SCREAM invocations of K slots each."""
+        self.scream_calls += count
+        self.scream_slots += count * k
 
-    def add_handshake(self) -> None:
-        """Record one two-way handshake step (data + ACK sub-slots)."""
-        self.handshakes += 1
-        self.data_subslots += 1
-        self.ack_subslots += 1
+    def add_handshake(self, count: int = 1) -> None:
+        """Record ``count`` two-way handshake steps (data + ACK sub-slots)."""
+        self.handshakes += count
+        self.data_subslots += count
+        self.ack_subslots += count
 
     def add_sync(self, count: int = 1) -> None:
         self.syncs += count

@@ -8,6 +8,11 @@ matrices while preserving per-slot semantics:
   equals the slot-by-slot flood exactly;
 * faulty SCREAMs run the flood slot by slot with Bernoulli detection misses;
 * handshakes evaluate the exact two-sub-slot SINR model;
+* on the fault-free substrate a whole chunk of construction steps is
+  resolved by one batched handshake kernel, and a saturated substrate's
+  election order is read off the sorted IDs (see ``resolve_trials`` /
+  ``elect_each``; the per-step defaults in
+  :class:`~repro.core.runtime.Runtime` are their reference);
 * every primitive books the synchronized steps it would occupy on air.
 
 This is the standard protocol-simulation fidelity level: behaviour is
@@ -16,6 +21,9 @@ at a small fraction of the cost.
 """
 
 from __future__ import annotations
+
+from itertools import chain, repeat
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -26,6 +34,11 @@ from repro.phy.interference import PhysicalInterferenceModel
 from repro.topology.diameter import hop_distance_matrix
 from repro.topology.network import Network
 from repro.util.rng import ensure_rng
+
+
+#: Most elements one ``(trials, L, L)`` handshake gather may hold (8 MiB of
+#: float64); see :meth:`FastRuntime.resolve_trials`.
+_GATHER_ELEMENTS = 1 << 20
 
 
 class FastRuntime(Runtime):
@@ -39,7 +52,11 @@ class FastRuntime(Runtime):
         config: ProtocolConfig,
         faults: FaultConfig = NO_FAULTS,
         rng: np.random.Generator | int | None = None,
+        sens_dist: np.ndarray | None = None,
     ):
+        """``sens_dist`` optionally hands in the all-pairs hop distances of
+        ``sens_adj`` (``Network.sens_hop_distance`` caches them); given a
+        bare adjacency they are recomputed here."""
         super().__init__()
         self._model = model
         self._sens_adj = np.asarray(sens_adj, dtype=bool)
@@ -58,27 +75,35 @@ class FastRuntime(Runtime):
         if self._sens_adj.shape != (model.n_nodes, model.n_nodes):
             raise ValueError("sens_adj shape must match the model's node count")
 
-        self._sens_dist: np.ndarray | None = None
         self._within_k: np.ndarray | None = None
         self._saturated = False
         if faults.is_faultless:
-            self._sens_dist = hop_distance_matrix(self._sens_adj)
+            if sens_dist is None:
+                sens_dist = hop_distance_matrix(self._sens_adj)
             # Boolean K-hop reachability: one OR-reduction per fault-free
             # SCREAM instead of a float min — SCREAMs are the innermost
             # protocol operation (id_bits per election), so this matrix is
             # the difference between overhead-bound and size-bound cost.
-            self._within_k = self._sens_dist <= config.k
+            self._within_k = sens_dist <= config.k
             # K at least the substrate's interference diameter: every SCREAM
             # saturates, so elections resolve in closed form (see
             # leader_elect).  Small regional substrates saturate long before
             # a backbone does — the property that makes sharded protocol
             # simulation scale.
             self._saturated = bool(self._within_k.all())
+        # Fault-free primitives draw no randomness and keep no state, so
+        # construction steps commute and can be resolved a chunk at a time;
+        # a faulty substrate must advance its fault RNG stream in paper
+        # order.  The batched kernel needs a dense power matrix.
+        self.batches_trials = faults.is_faultless and isinstance(
+            model.power, np.ndarray
+        )
         # Per-bit contribution masks for leader elections, most significant
         # bit first; ids are fixed per runtime, so the shifts happen once.
         self._id_bit_masks = [
             (self._ids >> j) & 1 == 1 for j in range(config.id_bits - 1, -1, -1)
         ]
+        self._by_id = np.argsort(-self._ids, kind="stable")
 
     @classmethod
     def for_network(
@@ -107,6 +132,7 @@ class FastRuntime(Runtime):
             config=config,
             faults=faults,
             rng=rng,
+            sens_dist=network.sens_hop_distance if faults.is_faultless else None,
         )
 
     @property
@@ -149,11 +175,7 @@ class FastRuntime(Runtime):
         if part.shape != self._ids.shape:
             raise ValueError("participating mask must have one entry per node")
         active_ids = self._ids[part]
-        if active_ids.size and int(active_ids.max()) >= (1 << self.config.id_bits):
-            raise ValueError(
-                f"id_bits={self.config.id_bits} cannot represent participating "
-                f"id {int(active_ids.max())}"
-            )
+        self._check_id_width(active_ids)
         bits = len(self._id_bit_masks)
         alive = int(part.sum())
         # The shortcuts below are exact only on the fault-free substrate;
@@ -171,8 +193,7 @@ class FastRuntime(Runtime):
             # max-ID elimination.  Either way the full id_bits SCREAMs are
             # still charged: the shortcut is the simulator's, not the
             # protocol's.
-            for _ in range(bits):
-                self.tally.add_scream(self.config.k)
+            self.tally.add_scream(self.config.k, bits)
             if alive == 0:
                 return np.zeros_like(part)
             winners = part & (self._ids == int(active_ids.max()))
@@ -191,8 +212,7 @@ class FastRuntime(Runtime):
                     # The survivor set can no longer change (contributors
                     # are always alive participants); charge the remaining
                     # SCREAMs without simulating them.
-                    for _ in range(bits - done):
-                        self.tally.add_scream(self.config.k)
+                    self.tally.add_scream(self.config.k, bits - done)
                     break
             winners = part & ~voted_out
         if int(winners.sum()) > 1:
@@ -211,3 +231,102 @@ class FastRuntime(Runtime):
         if snd.size == 0:
             return np.zeros(0, dtype=bool)
         return self._model.handshake_mask(snd, rcv)
+
+    def _check_id_width(self, contending_ids: np.ndarray) -> None:
+        if contending_ids.size and int(contending_ids.max()) >= (1 << self.config.id_bits):
+            raise ValueError(
+                f"id_bits={self.config.id_bits} cannot represent participating "
+                f"id {int(contending_ids.max())}"
+            )
+
+    def elect_each(self, pool: np.ndarray) -> Iterator[np.ndarray]:
+        """Closed-form election order on a saturated fault-free substrate.
+
+        There every election is won by exactly the contenders holding the
+        maximum ID (see :meth:`leader_elect`), so the sequence of winners
+        is the pool in decreasing-ID order — one stable sort instead of one
+        election per step.  Each election still books its ``id_bits``
+        SCREAMs as it is drawn.
+        """
+        if not self._saturated:
+            yield from super().elect_each(pool)
+            return
+        # IDs are fixed per runtime: the pool in decreasing-ID order is a
+        # filter of the whole substrate's (ascending node index among equals).
+        contenders = self._by_id[np.asarray(pool, dtype=bool)[self._by_id]]
+        ids = self._ids[contenders]
+        self._check_id_width(ids[:1])
+        # Equal IDs win together; once the pool is spent, elections go on
+        # electing nobody.
+        cuts = [0, *(np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist(), ids.size]
+        elected = (contenders[a:b] for a, b in zip(cuts, cuts[1:]))
+        for winners in chain(elected, repeat(contenders[:0])):
+            self.tally.elections += 1
+            self.tally.add_scream(self.config.k, self.config.id_bits)
+            if winners.size > 1:
+                self.tally.multi_winner_elections += 1
+            yield winners
+
+    def resolve_trials(
+        self,
+        confirmed: np.ndarray,
+        trials: Sequence[np.ndarray],
+        tail_of: np.ndarray,
+        dormant: np.ndarray,
+        seal_on_idle: bool,
+    ) -> tuple[int, np.ndarray]:
+        """All listed construction steps in one batched handshake kernel.
+
+        Same contract, results and tally as the per-step default; only
+        valid where steps commute (``batches_trials``), elsewhere this *is*
+        the default.  Each trial's link set is the confirmed members plus
+        its own actives in ascending node order — the order the default
+        hands to :meth:`handshake` — padded to a common width.
+        """
+        if not self.batches_trials:
+            return super().resolve_trials(
+                confirmed, trials, tail_of, dormant, seal_on_idle
+            )
+        n = self.n_nodes
+        sizes = np.fromiter(map(len, trials), dtype=np.intp, count=len(trials))
+        width = confirmed.size + int(sizes.max())
+        # Wide trials (a PDD step on a large pool) bound the batch, not the
+        # memory: what does not fit one gather is left for the next call.
+        n_trials = min(len(trials), max(1, _GATHER_ELEMENTS // max(1, width * width)))
+        trials, sizes = trials[:n_trials], sizes[:n_trials]
+        # Ragged trials (PDD coins, multi-winner elections) pad with the
+        # out-of-range node n, which sorts behind every real member.
+        nodes = np.full((n_trials, width), n, dtype=np.intp)
+        nodes[:, : confirmed.size] = confirmed
+        actives = nodes[:, confirmed.size :]
+        actives[np.arange(actives.shape[1]) < sizes[:, None]] = np.concatenate(trials)
+        nodes.sort(axis=1)
+        valid = nodes < n
+        senders = np.where(valid, nodes, 0)
+        success = self._model.handshake_trials(senders, tail_of[senders], valid)
+
+        # (Padding: ``success`` is False there and node n is never confirmed.)
+        is_confirmed = np.zeros(n + 1, dtype=bool)
+        is_confirmed[confirmed] = True
+        is_confirmed = is_confirmed[nodes]
+        objecting = is_confirmed & ~success
+        vetoed = objecting.any(axis=1)
+        if self._saturated:
+            hears_veto = vetoed[:, None]
+        else:
+            # Truncated K: a veto SCREAM reaches only the actives within K
+            # sensitivity hops of an objecting member.
+            reach = self._within_k[senders[:, :, None], senders[:, None, :]]
+            hears_veto = (reach & objecting[:, :, None]).any(axis=1)
+        joins = success & ~is_confirmed & ~hears_veto
+
+        admits = joins.any(axis=1)
+        last = int(admits.argmax())
+        if not admits[last]:
+            last = n_trials - 1
+        done = last + 1
+        self.tally.add_sync(2 * done)
+        self.tally.add_handshake(done)
+        self.tally.add_scream(self.config.k, 2 * done)
+        self.tally.veto_steps += int(np.count_nonzero(vetoed[:done]))
+        return done, nodes[last, joins[last]]

@@ -10,28 +10,28 @@ by slot — at the cost of one full election per construction step.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
 from repro.core.config import NO_FAULTS, FaultConfig, ProtocolConfig
 from repro.core.protocol import ProtocolResult, run_on_network, run_protocol
 from repro.core.runtime import Runtime
-from repro.core.states import NodeState
 from repro.phy.interference import PhysicalInterferenceModel
 from repro.scheduling.links import LinkSet
 from repro.topology.network import Network
 
 
 def fdd_select_active(
-    state: np.ndarray, runtime: Runtime, rng: np.random.Generator
-) -> np.ndarray:
-    """Elect a single new active among the DORMANT nodes.
+    dormant: np.ndarray, runtime: Runtime, rng: np.random.Generator
+) -> Iterator[np.ndarray]:
+    """Elect a single new active among the DORMANT nodes, step after step.
 
-    Runs a full leader election (id_bits SCREAMs) regardless of the dormant
-    pool size — including when the pool is empty, which is how FDD nodes
-    discover that the slot is saturated.
+    Every step runs a full leader election (id_bits SCREAMs) regardless of
+    the dormant pool size — including when the pool is empty, which is how
+    FDD nodes discover that the slot is saturated.
     """
-    dormant = state == NodeState.DORMANT
-    return runtime.leader_elect(dormant)
+    return runtime.elect_each(dormant)
 
 
 def run_fdd(

@@ -9,12 +9,13 @@ retries within the round), costing some schedule quality.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
 from repro.core.config import NO_FAULTS, FaultConfig, ProtocolConfig
 from repro.core.protocol import ProtocolResult, run_on_network, run_protocol
 from repro.core.runtime import Runtime
-from repro.core.states import NodeState
 from repro.phy.interference import PhysicalInterferenceModel
 from repro.scheduling.links import LinkSet
 from repro.topology.network import Network
@@ -24,11 +25,14 @@ def make_pdd_select_active(p_active: float):
     """Build PDD's probabilistic SelectActive strategy."""
 
     def select_active(
-        state: np.ndarray, runtime: Runtime, rng: np.random.Generator
-    ) -> np.ndarray:
-        dormant = state == NodeState.DORMANT
-        coins = rng.random(state.shape[0]) < p_active
-        return dormant & coins
+        dormant: np.ndarray, runtime: Runtime, rng: np.random.Generator
+    ) -> Iterator[np.ndarray]:
+        pool = dormant.copy()
+        while True:
+            coins = rng.random(pool.shape[0]) < p_active
+            activated = np.flatnonzero(pool & coins)
+            pool[activated] = False
+            yield activated
 
     return select_active
 

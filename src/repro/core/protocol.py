@@ -14,7 +14,8 @@ ambiguities and our resolutions are documented in DESIGN.md §2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from itertools import islice
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -26,9 +27,16 @@ from repro.scheduling.links import LinkSet
 from repro.scheduling.schedule import Schedule, Slot
 from repro.util.rng import ensure_rng
 
-#: SelectActive strategy: given (state array, runtime, rng), return the mask
-#: of nodes that turn ACTIVE this step.  Must only select DORMANT nodes.
-SelectActiveFn = Callable[[np.ndarray, Runtime, np.random.Generator], np.ndarray]
+#: SelectActive strategy: given (DORMANT mask at the start of the round,
+#: runtime, rng), lazily yield the nodes (indices, ascending) that turn ACTIVE
+#: in each successive construction step, booking whatever air time selecting
+#: them costs.  Every activated node leaves DORMANT for the rest of the round
+#: whatever its handshake does, so the sequence is a function of the pool
+#: alone; it must never end (the loop cuts it where the slot seals) and must
+#: only select nodes still in the pool.
+SelectActiveFn = Callable[
+    [np.ndarray, Runtime, np.random.Generator], Iterator[np.ndarray]
+]
 
 #: Observer hook: called as ``observer(event, state_snapshot)`` at protocol
 #: checkpoints.  Events: "election", "slot-reset", "select", "handshake",
@@ -36,9 +44,19 @@ SelectActiveFn = Callable[[np.ndarray, Runtime, np.random.Generator], np.ndarray
 #: observers cannot perturb the run.
 ObserverFn = Callable[[str, np.ndarray], None]
 
+# Plain ints for the state codes: comparing a numpy array against an IntEnum
+# member converts it on every call, which is measurable in the round loop.
+DORMANT, CONTROL, ACTIVE, ALLOCATED, TRIED, COMPLETE, TERMINATE = map(int, NodeState)
+
 #: Hard cap on slot-construction steps; hitting it indicates a logic error
 #: (with any p_active > 0 every dormant node is eventually selected).
 MAX_STEPS_PER_SLOT = 100_000
+
+#: Trials handed to the first ``resolve_trials`` call of a round when the
+#: runtime lets the loop draw ahead; the chunk then doubles after every call
+#: that admitted nobody.  A batched resolve costs about as much as a few
+#: dozen of its trials, so starting narrower only adds calls.
+_FIRST_CHUNK = 32
 
 
 @dataclass
@@ -56,9 +74,15 @@ class ProtocolResult:
 
     schedule: Schedule
     tally: StepTally
-    rounds: int
-    terminated: bool
+    rounds: int = 0
+    terminated: bool = False
     round_records: list[RoundRecord] = field(default_factory=list)
+    #: Simulator cost, not air time (that is ``tally``): how many times the
+    #: runtime was asked to resolve construction steps, and how many steps
+    #: it was shown in total (a step refused behind an admission is shown
+    #: again, so this can exceed ``tally.steps``).
+    resolve_calls: int = 0
+    trials_evaluated: int = 0
 
     @property
     def schedule_length(self) -> int:
@@ -108,17 +132,17 @@ def run_protocol(
     _check_link_ids(links, runtime)
 
     link_of_node = np.full(n, -1, dtype=np.intp)
-    for k, head in enumerate(links.heads):
-        link_of_node[head] = k
+    link_of_node[links.heads] = np.arange(links.n_links, dtype=np.intp)
+    tail_of = np.full(n, -1, dtype=np.intp)
+    tail_of[links.heads] = links.tails
 
-    state = np.full(n, NodeState.COMPLETE, dtype=np.int8)
+    state = np.full(n, COMPLETE, dtype=np.int8)
     remaining = np.zeros(n, dtype=np.int64)
     with_demand = links.heads[links.demand > 0]
-    state[with_demand] = NodeState.DORMANT
+    state[with_demand] = DORMANT
     remaining[with_demand] = links.demand[links.demand > 0]
 
-    schedule = Schedule(link_set=links)
-    records: list[RoundRecord] = []
+    result = ProtocolResult(schedule=Schedule(link_set=links), tally=runtime.tally)
     max_rounds = (
         config.max_rounds
         if config.max_rounds is not None
@@ -126,18 +150,16 @@ def run_protocol(
     )
 
     released = True
-    terminated = False
-    rounds = 0
-    while rounds < max_rounds:
+    while result.rounds < max_rounds:
         if released:
-            participating = state != NodeState.COMPLETE
+            participating = state != COMPLETE
             winners = runtime.leader_elect(participating)
-            state[winners] = NodeState.CONTROL
+            state[winners] = CONTROL
             runtime.sync()
             term_view = runtime.scream(winners)
             if not term_view.any():
-                state[:] = NodeState.TERMINATE
-                terminated = True
+                state[:] = TERMINATE
+                result.terminated = True
                 if observer is not None:
                     observer("terminate", state.copy())
                 break
@@ -145,155 +167,135 @@ def run_protocol(
                 observer("election", state.copy())
 
         members, steps = _greedy_schedule_slot(
-            state,
-            links,
-            link_of_node,
-            runtime,
-            config,
-            select_active,
-            generator,
-            observer,
+            state, tail_of, runtime, config, select_active, generator, observer, result
         )
-        rounds += 1
+        result.rounds += 1
         runtime.tally.rounds += 1
-        slot = Slot(links=[int(link_of_node[m]) for m in members])
-        schedule.slots.append(slot)
+        result.schedule.slots.append(Slot(links=link_of_node[members].tolist()))
 
         remaining[members] -= 1
-        controllers = np.flatnonzero(state == NodeState.CONTROL)
-        allocated = members[state[members] == NodeState.ALLOCATED]
-        state[allocated[remaining[allocated] <= 0]] = NodeState.COMPLETE
+        controllers = np.flatnonzero(state == CONTROL)
+        allocated = members[state[members] == ALLOCATED]
+        state[allocated[remaining[allocated] <= 0]] = COMPLETE
 
         # Control-release SCREAM: the controller(s) scream satisfaction.
+        satisfied = remaining[controllers] <= 0
         release_inputs = np.zeros(n, dtype=bool)
-        release_inputs[controllers[remaining[controllers] <= 0]] = True
+        release_inputs[controllers[satisfied]] = True
         runtime.sync()
-        release_view = runtime.scream(release_inputs)
-        released = bool(release_view.any())
+        released = bool(runtime.scream(release_inputs).any())
         if released:
-            done = controllers[remaining[controllers] <= 0]
-            pending = controllers[remaining[controllers] > 0]
-            state[done] = NodeState.COMPLETE
-            state[pending] = NodeState.DORMANT
+            state[controllers[satisfied]] = COMPLETE
+            state[controllers[~satisfied]] = DORMANT
         if observer is not None:
             observer("demand-update", state.copy())
 
         if record_rounds:
-            records.append(
+            result.round_records.append(
                 RoundRecord(
-                    controllers=tuple(int(c) for c in controllers),
-                    members=tuple(int(m) for m in members),
+                    controllers=tuple(controllers.tolist()),
+                    members=tuple(members.tolist()),
                     steps=steps,
                 )
             )
 
-    return ProtocolResult(
-        schedule=schedule,
-        tally=runtime.tally,
-        rounds=rounds,
-        terminated=terminated,
-        round_records=records,
-    )
+    return result
 
 
 def _greedy_schedule_slot(
     state: np.ndarray,
-    links: LinkSet,
-    link_of_node: np.ndarray,
+    tail_of: np.ndarray,
     runtime: Runtime,
     config: ProtocolConfig,
     select_active: SelectActiveFn,
     rng: np.random.Generator,
-    observer: ObserverFn | None = None,
+    observer: ObserverFn | None,
+    result: ProtocolResult,
 ) -> tuple[np.ndarray, int]:
     """Grow one slot greedily; return (member nodes, construction steps).
 
     Implements the ``GreedyScheduleSlot`` subroutine: every node outside
-    COMPLETE/CONTROL returns to DORMANT, then steps of
-    SelectActive -> handshake -> SCREAM veto -> SCREAM seal-check repeat
-    until no further actives can arise.
-    """
-    # Enum member lookups go through the metaclass and are measurable inside
-    # this innermost loop; bind the state codes once.
-    DORMANT = int(NodeState.DORMANT)
-    CONTROL = int(NodeState.CONTROL)
-    ACTIVE = int(NodeState.ACTIVE)
-    ALLOCATED = int(NodeState.ALLOCATED)
-    TRIED = int(NodeState.TRIED)
-    COMPLETE = int(NodeState.COMPLETE)
+    COMPLETE/CONTROL returns to DORMANT, then construction steps
+    (SelectActive -> handshake -> SCREAM veto -> SCREAM seal-check, see
+    :meth:`Runtime.resolve_trials`) repeat until the slot seals.
 
+    The loop *plans, then resolves*.  Which nodes a step activates, and
+    after which step the slot seals, depend only on the DORMANT pool —
+    never on a handshake (DESIGN.md §2) — so the strategy's activations
+    are drawn ahead and handed to the runtime a chunk at a time; the
+    runtime executes them up to the first that admits somebody, and what
+    is left is resolved again against the grown slot.
+    """
     reset = (state != COMPLETE) & (state != CONTROL)
     state[reset] = DORMANT
     if observer is not None:
         observer("slot-reset", state.copy())
 
-    heads, tails = links.heads, links.tails
+    # The nodes just reset are exactly the round's DORMANT pool.
+    plan = _until_sealed(
+        select_active(reset, runtime, rng), int(reset.sum()), config.seal_on_idle_step
+    )
+    # Drawing ahead reorders the plan's SCREAMs relative to the trials';
+    # an observer expects its checkpoints in paper order, too.
+    ahead = observer is None and runtime.batches_trials
+    width = _FIRST_CHUNK if ahead else 1
+    pending: list[np.ndarray] = []
+    confirmed = np.flatnonzero(state == CONTROL)
     steps = 0
     while True:
-        steps += 1
+        pending.extend(islice(plan, width - len(pending)))
+        if not pending:
+            break
+        dormant = state == DORMANT
+        if observer is not None:
+            state[pending[0]] = ACTIVE
+            observer("select", state.copy())
+
+        done, joined = runtime.resolve_trials(
+            confirmed, pending, tail_of, dormant, config.seal_on_idle_step
+        )
+        result.resolve_calls += 1
+        result.trials_evaluated += len(pending)
+        state[np.concatenate(pending[:done])] = TRIED
+        del pending[:done]
+        steps += done
+        if joined.size:
+            state[joined] = ALLOCATED
+            confirmed = np.sort(np.concatenate([confirmed, joined]))
+        elif ahead:
+            # A whole chunk of refusals: the slot is filling up, look
+            # further ahead next time.  Growth is geometric, so a round
+            # makes O(log pool) calls that admit nobody, and an admission
+            # re-shows at most the chunk it sat in.
+            width *= 2
+        if observer is not None:
+            observer("resolve", state.copy())
+
+    runtime.tally.steps += steps
+    if observer is not None:
+        observer("seal", state.copy())
+    return confirmed, steps
+
+
+def _until_sealed(
+    activations: Iterator[np.ndarray], n_dormant: int, seal_on_idle: bool
+) -> Iterator[np.ndarray]:
+    """Cut a strategy's endless activation stream where the slot seals.
+
+    By default the slot seals after the step that empties the DORMANT pool
+    (at least one step is always taken); under ``seal_on_idle`` after the
+    first step that activates nobody.
+    """
+    for steps, activated in enumerate(activations, start=1):
         if steps > MAX_STEPS_PER_SLOT:
             raise RuntimeError(
                 "slot construction exceeded the step cap; "
                 "SelectActive appears unable to drain the dormant pool"
             )
-        runtime.tally.steps += 1
-
-        activated = select_active(state, runtime, rng)
-        state[activated] = ACTIVE
-        if observer is not None:
-            observer("select", state.copy())
-
-        # Handshake time step: every tentative/confirmed slot member
-        # exercises its link concurrently.
-        runtime.sync()
-        hs_nodes = np.flatnonzero(
-            (state == CONTROL) | (state == ALLOCATED) | (state == ACTIVE)
-        )
-        link_idx = link_of_node[hs_nodes]
-        success = runtime.handshake(heads[link_idx], tails[link_idx])
-        failed_nodes = hs_nodes[~success]
-
-        # Verification time step: confirmed members (ALLOCATED|CONTROL)
-        # scream their own handshake failure — veto power.
-        veto_inputs = np.zeros(state.shape[0], dtype=bool)
-        confirmed_failed = failed_nodes[
-            (state[failed_nodes] == ALLOCATED) | (state[failed_nodes] == CONTROL)
-        ]
-        veto_inputs[confirmed_failed] = True
-        veto = runtime.scream(veto_inputs)
-        if confirmed_failed.size:
-            runtime.tally.veto_steps += 1
-
-        # Actives resolve: join unless their own handshake failed or they
-        # hear a veto (DESIGN.md §2 on the pseudocode's HSfail overwrite).
-        # failed_nodes is a subset of hs_nodes, so membership tests reuse
-        # the per-node failure mask instead of np.isin's sort-based path.
-        active_nodes = np.flatnonzero(state == ACTIVE)
-        failed_mask = np.zeros(state.shape[0], dtype=bool)
-        failed_mask[failed_nodes] = True
-        fail = failed_mask[active_nodes] | veto[active_nodes]
-        state[active_nodes[fail]] = TRIED
-        state[active_nodes[~fail]] = ALLOCATED
-        if observer is not None:
-            observer("resolve", state.copy())
-
-        # Seal-check SCREAM (DESIGN.md §2 on `stillActives`): by default a
-        # node contributes "I could still become active" (DORMANT); the
-        # alternative reading contributes "I was active this step".
-        if config.seal_on_idle_step:
-            contrib = np.zeros(state.shape[0], dtype=bool)
-            contrib[active_nodes] = True
-        else:
-            contrib = state == DORMANT
-        runtime.sync()
-        still = runtime.scream(contrib)
-        if not still.any():
-            if observer is not None:
-                observer("seal", state.copy())
-            break
-
-    members = np.flatnonzero((state == ALLOCATED) | (state == CONTROL))
-    return members, steps
+        yield activated
+        n_dormant -= activated.size
+        if activated.size == 0 if seal_on_idle else n_dormant == 0:
+            return
 
 
 def run_on_network(

@@ -200,6 +200,49 @@ class PhysicalInterferenceModel:
             success[data_ok] = ack_sinr >= beta
         return success
 
+    def handshake_trials(
+        self, senders: np.ndarray, receivers: np.ndarray, valid: np.ndarray
+    ) -> np.ndarray:
+        """Batched :meth:`handshake_mask` over independent what-if link sets.
+
+        ``senders`` / ``receivers`` / ``valid`` are ``(trials, L)`` arrays;
+        row ``t`` lists one concurrent link set, padded to the common width
+        with ``valid[t] == False`` entries (whose indices may be anything in
+        range).  Row ``t`` of the result equals
+        ``handshake_mask(senders[t, valid[t]], receivers[t, valid[t]])`` —
+        bit for bit, not merely to rounding: the ``(trials, L, L)`` gather
+        is reduced over its sender axis row by row, the order in which
+        :func:`~repro.phy.sinr.sinr_for_links` sums its ``(L, L)`` mesh, and
+        padding rows (and, in the ACK sub-slot, rows of links whose data
+        packet failed) contribute an exact ``0.0``, which leaves every
+        partial sum unchanged.  Padding entries report ``False``.
+
+        Dense power matrices only: the sparse backend's scatter-add kernels
+        sum in a different order, so callers keep the per-set path there.
+        """
+        snd = np.asarray(senders, dtype=np.intp)
+        rcv = np.asarray(receivers, dtype=np.intp)
+        live = np.asarray(valid, dtype=bool)
+        beta = self.radio.beta
+        data_noise = ack_noise = self.radio.noise_mw
+        if self.budget_mw is not None:
+            data_noise = data_noise + self.budget_mw[rcv]
+            ack_noise = ack_noise + self.budget_mw[snd]
+
+        def decodes(tx, rx, on_air, noise):
+            # incident[t, i, k]: power at link k's receiver from link i's
+            # transmitter, zeroed for transmitters that are not on the air.
+            incident = self.power[tx[:, :, None], rx[:, None, :]] * on_air[:, :, None]
+            signal = self.power[tx, rx]
+            sinr = signal / (noise + (incident.sum(axis=1) - signal))
+            # Half-duplex: a receiver that transmits in the sub-slot is deaf.
+            deaf = ((tx[:, :, None] == rx[:, None, :]) & on_air[:, :, None]).any(axis=1)
+            return on_air & ~deaf & (sinr >= beta)
+
+        # Conditional ACKs: only links whose data decoded answer.
+        data_ok = decodes(snd, rcv, live, data_noise)
+        return decodes(rcv, snd, data_ok, ack_noise)
+
     def feasible_with_addition(
         self,
         senders: np.ndarray,

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from repro.core.config import ProtocolConfig
+from repro.core.fast_runtime import FastRuntime
+from repro.core.runtime import Runtime
 from repro.routing import (
     aggregate_demand,
     build_routing_forest,
@@ -71,3 +73,19 @@ def small_config() -> ProtocolConfig:
 def paper_config() -> ProtocolConfig:
     """The paper's constants (Section VI-A)."""
     return ProtocolConfig(k=5, smbytes=15, id_bits=8)
+
+
+class StepwiseRuntime(FastRuntime):
+    """FastRuntime's primitives under the :class:`Runtime` round defaults.
+
+    The reference the batched ``resolve_trials`` / closed-form ``elect_each``
+    are differenced against: one construction step at a time, in paper
+    order, on the same vectorized scream / leader_elect / handshake.
+    """
+
+    elect_each = Runtime.elect_each
+    resolve_trials = Runtime.resolve_trials
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.batches_trials = False

@@ -4,9 +4,12 @@ The vectorized runtime used by all experiments must be indistinguishable —
 schedules AND step tallies — from the ground-truth per-node packet engine.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.core.afdd import run_afdd
 from repro.core.fast_runtime import FastRuntime
 from repro.core.fdd import run_fdd
 from repro.core.pdd import run_pdd
@@ -23,49 +26,41 @@ def _schedules_equal(a, b) -> bool:
     )
 
 
-def test_fdd_agreement(grid16, grid16_links, small_config):
-    fast = run_fdd(
-        grid16_links,
-        FastRuntime.for_network(grid16, small_config),
-        small_config,
-        rng=9,
-    )
-    packet = run_fdd(
-        grid16_links,
-        PacketRuntime.for_network(grid16, small_config),
-        small_config,
-        rng=9,
+def _assert_runs_agree(run, network, links, config, rng):
+    """The packet engine executes every construction step on the medium,
+    one at a time; the fast runtime plans a round and resolves it in
+    batches.  Schedules, tallies and per-round diagnostics must not tell."""
+    fast, packet = (
+        run(links, cls.for_network(network, config), config, rng=rng, record_rounds=True)
+        for cls in (FastRuntime, PacketRuntime)
     )
     assert _schedules_equal(fast, packet)
     assert fast.tally.as_dict() == packet.tally.as_dict()
+    assert fast.round_records == packet.round_records
+    assert fast.resolve_calls < packet.resolve_calls == packet.tally.steps
+
+
+def test_fdd_agreement(grid16, grid16_links, small_config):
+    _assert_runs_agree(run_fdd, grid16, grid16_links, small_config, rng=9)
+
+
+@pytest.mark.parametrize("seal_on_idle", [False, True], ids=["seal-dormant", "seal-idle"])
+def test_afdd_agreement(grid16, grid16_links, small_config, seal_on_idle):
+    config = replace(small_config, seal_on_idle_step=seal_on_idle)
+    _assert_runs_agree(run_afdd, grid16, grid16_links, config, rng=9)
 
 
 @pytest.mark.parametrize("p_active", [0.3, 0.8])
 def test_pdd_agreement(grid16, grid16_links, small_config, p_active):
     config = small_config.with_p(p_active)
-    fast = run_pdd(
-        grid16_links, FastRuntime.for_network(grid16, config), config, rng=17
-    )
-    packet = run_pdd(
-        grid16_links, PacketRuntime.for_network(grid16, config), config, rng=17
-    )
-    assert _schedules_equal(fast, packet)
-    assert fast.tally.as_dict() == packet.tally.as_dict()
+    _assert_runs_agree(run_pdd, grid16, grid16_links, config, rng=17)
 
 
 def test_agreement_on_uniform_heterogeneous_network(uniform32, small_config):
     """Heterogeneous powers make the sensitivity graph asymmetric; the
     runtimes must still agree."""
     _, links = make_links(uniform32, 2, seed=23)
-    config = small_config
-    fast = run_fdd(
-        links, FastRuntime.for_network(uniform32, config), config, rng=5
-    )
-    packet = run_fdd(
-        links, PacketRuntime.for_network(uniform32, config), config, rng=5
-    )
-    assert _schedules_equal(fast, packet)
-    assert fast.tally.as_dict() == packet.tally.as_dict()
+    _assert_runs_agree(run_fdd, uniform32, links, small_config, rng=5)
 
 
 def test_scream_primitive_agreement(grid16, small_config):

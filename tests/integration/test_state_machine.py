@@ -84,10 +84,21 @@ def test_every_round_has_the_expected_event_skeleton(setup):
         config,
         fdd_select_active,
         rng=3,
+        record_rounds=True,
         observer=validator,
     )
     events = validator.events()
     assert events[-1] == "terminate"
+    # Planning a round ahead must not show: checkpoints still arrive one
+    # construction step at a time, in paper order.
+    expected = []
+    for record in result.round_records:
+        expected += ["slot-reset"]
+        expected += ["select", "resolve"] * record.steps
+        expected += ["seal", "demand-update"]
+    # ("election" precedes a round only when control was released.)
+    assert [e for e in events if e != "election"] == expected + ["terminate"]
+    assert events.count("select") == result.tally.steps
     assert events.count("demand-update") == result.rounds
     assert events.count("slot-reset") == result.rounds
     assert events.count("seal") == result.rounds
