@@ -5,6 +5,7 @@ library: SINR feasibility tests, incremental slot bookkeeping, SCREAM
 floods, leader elections, the centralized scheduler, and full protocol runs.
 """
 
+import sys
 import time
 
 import numpy as np
@@ -245,3 +246,121 @@ def test_pdd_full_run_64(benchmark, scenario):
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     assert result.terminated
+
+
+@pytest.mark.benchmark(group="traffic")
+def test_rate_path_evaluates_schedules_not_slots(monkeypatch):
+    """A rate-aware epoch costs SINR kernel calls per *schedule pass*, not
+    per slot — as a count, not a wall clock.
+
+    The perf ledger's ``sessions_patch_8x8`` pipeline (8x8 mesh, flow
+    sessions, ``greedy_rate`` in a patch-policy ``ScheduleCache``, priced
+    control, multi-rate serving), 1 + 11 epochs, with every call the
+    interference oracle makes into ``repro.phy.sinr`` counted.  One *pass*
+    is a data/ACK pair of ``sinr_for_link_sets`` calls.  An epoch served
+    from a hit or a patch may make at most: the cached-rate read, the
+    standalone rates, the pass-3 capacity re-read and the serving
+    annotation (4 passes), plus one pass per deficit link — and **no**
+    per-slot ``sinr_for_links`` call at all.  (Evaluating slot by slot
+    the same epochs made ~820 ``link_sinrs`` pairs each.)  Per-slot calls
+    remain only inside ``greedy_rate``'s candidate walk, which builds each
+    *distinct* slot once: at most one per link, however long the schedule.
+    """
+    from repro import (
+        ControlPlaneModel,
+        EpochConfig,
+        FlowConfig,
+        FlowWorkload,
+        RateTable,
+        ScheduleCache,
+        make_controller,
+        rate_aware_scheduler,
+        run_epochs,
+    )
+    from repro.phy import interference
+    from repro.traffic import incremental
+
+    # (The package re-exports the function under the module's own name.)
+    greedy_rate_module = sys.modules["repro.scheduling.greedy_rate"]
+
+    network = grid_network(8, 8, density_per_km2=1000.0)
+    forest = build_routing_forest(
+        network.comm_adj, planned_gateways(8, 8, 4), rng=spawn(20080617, "forest")
+    )
+    links = forest_link_set(forest, np.zeros(network.n_nodes, dtype=np.int64))
+    model = network.model
+    table = RateTable.geometric(network.radio.beta)
+
+    calls = {"sets": 0, "per_slot": 0, "deficits": 0, "built": 0}
+
+    def counting(fn, key):
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(
+        interference, "sinr_for_link_sets", counting(interference.sinr_for_link_sets, "sets")
+    )
+    monkeypatch.setattr(
+        interference, "sinr_for_links", counting(interference.sinr_for_links, "per_slot")
+    )
+    monkeypatch.setattr(
+        incremental, "slots_can_add", counting(incremental.slots_can_add, "deficits")
+    )
+    monkeypatch.setattr(
+        greedy_rate_module, "SlotState", counting(greedy_rate_module.SlotState, "built")
+    )
+
+    packs = []
+    base = rate_aware_scheduler(model, table)
+
+    def packer(demand_links, epoch):
+        built = calls["built"]
+        planned = base(demand_links, epoch)
+        packs.append((calls["built"] - built, planned.schedule.length))
+        return planned
+
+    workload = FlowWorkload(
+        links,
+        FlowConfig.for_offered_rate(0.0145, links.n_links, 300),
+        controller=make_controller("knee-tracker"),
+        seed=spawn(7, "sessions"),
+    )
+    cache = ScheduleCache(
+        packer, policy="patch", model=model, epoch_slots=300, rate_table=table
+    )
+    epochs = []
+
+    def on_epoch(record, queues):
+        workload.observe(record, queues)
+        epochs.append((record, dict(calls)))
+
+    run_epochs(
+        links,
+        workload,
+        cache,
+        EpochConfig(epoch_slots=300, n_epochs=12, reschedule_policy="patch", rate_table=table),
+        model=model,
+        on_epoch=on_epoch,
+        control=ControlPlaneModel.default_priced(),
+    )
+
+    before = dict.fromkeys(calls, 0)
+    reused = 0
+    for record, after in epochs:
+        spent = {key: after[key] - before[key] for key in calls}
+        before = after
+        if record.cache_hit or record.patched:
+            reused += 1
+            assert spent["per_slot"] == 0
+            assert spent["sets"] <= 2 * (4 + spent["deficits"])
+        if record.cache_hit:
+            assert spent["sets"] == 2  # the serving annotation alone
+    assert reused >= 6 and cache.stats.patches >= 4
+
+    assert packs
+    for built, length in packs:
+        assert built <= links.n_links
+        assert length >= 3 * built  # replication is live: most slots are copies

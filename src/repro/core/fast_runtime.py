@@ -31,14 +31,10 @@ from repro.core.config import NO_FAULTS, FaultConfig, ProtocolConfig
 from repro.core.runtime import Runtime
 from repro.core.scream import scream_flood
 from repro.phy.interference import PhysicalInterferenceModel
+from repro.phy.sinr import _GATHER_ELEMENTS
 from repro.topology.diameter import hop_distance_matrix
 from repro.topology.network import Network
 from repro.util.rng import ensure_rng
-
-
-#: Most elements one ``(trials, L, L)`` handshake gather may hold (8 MiB of
-#: float64); see :meth:`FastRuntime.resolve_trials`.
-_GATHER_ELEMENTS = 1 << 20
 
 
 class FastRuntime(Runtime):

@@ -20,11 +20,23 @@ handshakes, and the schedule verifier.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from repro.phy.radio import RadioConfig
-from repro.phy.sinr import carrier_sense_power, sinr_for_links, sinr_with_candidates
+from repro.phy.sinr import (
+    carrier_sense_power,
+    mesh_sinrs,
+    sinr_for_link_sets,
+    sinr_for_links,
+    sinr_with_candidates,
+)
+
+
+def _split(flat: np.ndarray, ends: list[int]) -> list[np.ndarray]:
+    """Cut ``flat`` into consecutive pieces ending at ``ends``."""
+    return [flat[a:b] for a, b in zip([0, *ends], ends)]
 
 
 @dataclass(frozen=True)
@@ -148,6 +160,53 @@ class PhysicalInterferenceModel:
         """Per-link packets-per-slot under a ``RateTable`` (base-tier floor)."""
         return table.rates[self.link_tiers(senders, receivers, table)]
 
+    def _slot_sinrs_flat(
+        self, heads: np.ndarray, tails: np.ndarray, slots
+    ) -> tuple[np.ndarray, list[int]]:
+        """:meth:`slot_sinrs` before the split: all members' values in slot
+        order, and each slot's end offset into them."""
+        sizes = np.fromiter(map(len, slots), dtype=np.intp, count=len(slots))
+        ends = np.cumsum(sizes).tolist()
+        total = ends[-1] if ends else 0
+        if total == 0:
+            return np.empty(0, dtype=float), ends
+        valid = np.arange(sizes.max()) < sizes[:, None]
+        members = np.zeros(valid.shape, dtype=np.intp)
+        members[valid] = np.fromiter(
+            chain.from_iterable(slots), dtype=np.intp, count=total
+        )
+        snd = np.asarray(heads, dtype=np.intp)[members]
+        rcv = np.asarray(tails, dtype=np.intp)[members]
+        noise = self.radio.noise_mw
+        data = sinr_for_link_sets(self.power, snd, rcv, valid, noise, self.budget_mw)
+        ack = sinr_for_link_sets(self.power, rcv, snd, valid, noise, self.budget_mw)
+        return np.minimum(data, ack)[valid], ends
+
+    def slot_sinrs(
+        self, heads: np.ndarray, tails: np.ndarray, slots
+    ) -> list[np.ndarray]:
+        """``min(data, ACK)`` SINR per member of every slot of a schedule.
+
+        ``heads[k] -> tails[k]`` is link ``k``; ``slots`` is a sequence of
+        link-index sequences, one independent concurrent set each (a whole
+        schedule, a round, or what-if member lists).  Entry ``t`` of the
+        result is bit-identical to ``np.minimum(*link_sinrs(heads[slots[t]],
+        tails[slots[t]]))`` — but each sub-slot of the whole list costs one
+        :func:`~repro.phy.sinr.sinr_for_link_sets` call, not one
+        :func:`~repro.phy.sinr.sinr_for_links` call per slot.  Empty slots
+        yield empty arrays.
+        """
+        return _split(*self._slot_sinrs_flat(heads, tails, slots))
+
+    def slot_rates(
+        self, heads: np.ndarray, tails: np.ndarray, slots, table
+    ) -> list[np.ndarray]:
+        """Per-slot packets-per-slot arrays under a ``RateTable`` (base-tier
+        floor): :meth:`link_rates` of every slot, from one
+        :meth:`slot_sinrs` pass and one tier lookup."""
+        worst, ends = self._slot_sinrs_flat(heads, tails, slots)
+        return _split(table.rates[np.maximum(table.tier_for(worst), 0)], ends)
+
     def feasible_mask(
         self, senders: np.ndarray, receivers: np.ndarray
     ) -> np.ndarray:
@@ -210,15 +269,14 @@ class PhysicalInterferenceModel:
         with ``valid[t] == False`` entries (whose indices may be anything in
         range).  Row ``t`` of the result equals
         ``handshake_mask(senders[t, valid[t]], receivers[t, valid[t]])`` —
-        bit for bit, not merely to rounding: the ``(trials, L, L)`` gather
-        is reduced over its sender axis row by row, the order in which
-        :func:`~repro.phy.sinr.sinr_for_links` sums its ``(L, L)`` mesh, and
-        padding rows (and, in the ACK sub-slot, rows of links whose data
-        packet failed) contribute an exact ``0.0``, which leaves every
-        partial sum unchanged.  Padding entries report ``False``.
+        bit for bit, by the padding argument of
+        :func:`~repro.phy.sinr.sinr_for_link_sets`, whose mesh this runs on
+        for both sub-slots: links whose data packet failed are simply
+        padding in the ACK sub-slot.  Padding entries report ``False``.
 
-        Dense power matrices only: the sparse backend's scatter-add kernels
-        sum in a different order, so callers keep the per-set path there.
+        The protocol's hot path, so it enters the mesh directly: dense power
+        matrices only, and the caller bounds ``trials * L * L``
+        (:meth:`~repro.core.fast_runtime.FastRuntime.resolve_trials` does).
         """
         snd = np.asarray(senders, dtype=np.intp)
         rcv = np.asarray(receivers, dtype=np.intp)
@@ -228,20 +286,10 @@ class PhysicalInterferenceModel:
         if self.budget_mw is not None:
             data_noise = data_noise + self.budget_mw[rcv]
             ack_noise = ack_noise + self.budget_mw[snd]
-
-        def decodes(tx, rx, on_air, noise):
-            # incident[t, i, k]: power at link k's receiver from link i's
-            # transmitter, zeroed for transmitters that are not on the air.
-            incident = self.power[tx[:, :, None], rx[:, None, :]] * on_air[:, :, None]
-            signal = self.power[tx, rx]
-            sinr = signal / (noise + (incident.sum(axis=1) - signal))
-            # Half-duplex: a receiver that transmits in the sub-slot is deaf.
-            deaf = ((tx[:, :, None] == rx[:, None, :]) & on_air[:, :, None]).any(axis=1)
-            return on_air & ~deaf & (sinr >= beta)
-
-        # Conditional ACKs: only links whose data decoded answer.
-        data_ok = decodes(snd, rcv, live, data_noise)
-        return decodes(rcv, snd, data_ok, ack_noise)
+        # Padding and deaf receivers report SINR 0.0 < beta.  Conditional
+        # ACKs: only links whose data decoded answer.
+        data_ok = mesh_sinrs(self.power, snd, rcv, live, data_noise) >= beta
+        return mesh_sinrs(self.power, rcv, snd, data_ok, ack_noise) >= beta
 
     def feasible_with_addition(
         self,

@@ -3,7 +3,9 @@
 The core operation of the whole system: given the received-power matrix and a
 set of concurrent transmissions, compute each receiver's SINR.  Everything —
 the centralized scheduler, the distributed handshakes, the schedule verifier —
-funnels through :func:`sinr_for_links`.
+funnels through :func:`sinr_for_links`, or through :func:`sinr_for_link_sets`,
+which evaluates many independent sets (a whole schedule, a batch of what-if
+handshakes) in one pass and equals it row by row, bit for bit.
 """
 
 from __future__ import annotations
@@ -17,6 +19,24 @@ def _sparse_fast(power) -> bool:
     the exact mesh path so its floating-point summation *order*, not just
     its values, reproduces the dense pipeline bit-for-bit."""
     return bool(getattr(power, "is_sparse_power", False)) and not power.value_dense
+
+
+def _checked_budget(power, budget_mw) -> np.ndarray | None:
+    """``budget_mw`` as a float array with one entry per node, or ``None``.
+
+    Entries must be non-negative; that invariant is enforced where budgets
+    are built (PhysicalInterferenceModel.__post_init__), not re-scanned
+    here — the kernels sit inside every handshake.
+    """
+    if budget_mw is None:
+        return None
+    budget = np.asarray(budget_mw, dtype=float)
+    if budget.ndim != 1 or budget.shape[0] != power.shape[0]:
+        raise ValueError(
+            f"budget_mw must have one entry per node ({power.shape[0]},), "
+            f"got shape {budget.shape}"
+        )
+    return budget
 
 
 def sinr_for_links(
@@ -67,18 +87,8 @@ def sinr_for_links(
         return np.empty(0, dtype=float)
     if noise_mw <= 0:
         raise ValueError(f"noise_mw must be positive, got {noise_mw}")
-    noise = noise_mw
-    if budget_mw is not None:
-        budget = np.asarray(budget_mw, dtype=float)
-        if budget.ndim != 1 or budget.shape[0] != power.shape[0]:
-            raise ValueError(
-                f"budget_mw must have one entry per node ({power.shape[0]},), "
-                f"got shape {budget.shape}"
-            )
-        # Entries must be non-negative; that invariant is enforced where
-        # budgets are built (PhysicalInterferenceModel.__post_init__), not
-        # re-scanned here — this function sits inside every handshake.
-        noise = noise_mw + budget[rcv]
+    budget = _checked_budget(power, budget_mw)
+    noise = noise_mw if budget is None else noise_mw + budget[rcv]
 
     if _sparse_fast(power):
         # Near-field path: total power landing on each receiver is a
@@ -107,6 +117,93 @@ def sinr_for_links(
     transmitting[snd] = True
     sinr[transmitting[rcv]] = 0.0
     return sinr
+
+
+def mesh_sinrs(power, tx, rx, on, noise) -> np.ndarray:
+    """One gather of :func:`sinr_for_link_sets`: ``(S, L)`` index arrays and
+    an ``on`` mask in, ``(S, L)`` SINRs out, the ``(S, L, L)`` mesh in
+    between.  ``noise`` is a scalar or an ``(S, L)`` array (budgeted).
+    Unvalidated and unbounded — the entry for callers that have already
+    done both (:meth:`PhysicalInterferenceModel.handshake_trials`)."""
+    on_air = on[:, :, None]
+    # incident[t, i, k]: power at link k's receiver from link i's
+    # transmitter, an exact 0.0 for transmitters that are padding.
+    incident = power[tx[:, :, None], rx[:, None, :]] * on_air
+    signal = np.asarray(power[tx, rx], dtype=float)
+    sinr = signal / (noise + (incident.sum(axis=1) - signal))
+    # Half-duplex: a receiver that transmits in its own set is deaf.
+    deaf = ((tx[:, :, None] == rx[:, None, :]) & on_air).any(axis=1)
+    return np.where(on & ~deaf, sinr, 0.0)
+
+
+#: Most elements one ``(sets, L, L)`` gather of :func:`sinr_for_link_sets`
+#: may hold (8 MiB of float64); batches that need more are cut along the
+#: set axis.
+_GATHER_ELEMENTS = 1 << 20
+
+
+def sinr_for_link_sets(
+    power: np.ndarray,
+    senders: np.ndarray,
+    receivers: np.ndarray,
+    valid: np.ndarray,
+    noise_mw: float,
+    budget_mw: np.ndarray | None = None,
+) -> np.ndarray:
+    """:func:`sinr_for_links` over many independent link sets in one pass.
+
+    ``senders`` / ``receivers`` / ``valid`` are ``(S, L)`` arrays; row ``t``
+    lists one concurrent link set (one sub-slot of one slot), padded to the
+    common width with ``valid[t] == False`` entries anywhere in the row
+    (their indices may be anything in range).  Sets never interfere with
+    each other.  Row ``t`` of the result equals
+    ``sinr_for_links(power, senders[t, valid[t]], receivers[t, valid[t]],
+    noise_mw, budget_mw)`` **bit for bit**, not merely to rounding: the
+    ``(S, L, L)`` gather is reduced over its sender axis row after row —
+    the order in which :func:`sinr_for_links` sums its ``(L, L)`` mesh —
+    and a padding row contributes an exact ``0.0``, which leaves every
+    partial sum unchanged.  Padding entries (and deaf receivers, as
+    always) report SINR ``0.0``.
+
+    The gather is bounded: sets are evaluated at most
+    ``_GATHER_ELEMENTS // L**2`` at a time (a single set wider than that is
+    gathered alone, exactly the mesh :func:`sinr_for_links` would build),
+    so a whole schedule can be handed in whatever its length.  A genuinely
+    sparse :class:`~repro.phy.sparse.SparsePowerMatrix` keeps the per-set
+    scatter-add kernel, whose summation order the mesh cannot reproduce.
+    """
+    snd = np.asarray(senders, dtype=np.intp)
+    rcv = np.asarray(receivers, dtype=np.intp)
+    live = np.asarray(valid, dtype=bool)
+    if snd.ndim != 2 or snd.shape != rcv.shape or snd.shape != live.shape:
+        raise ValueError("senders, receivers and valid must share one (S, L) shape")
+    if noise_mw <= 0:
+        raise ValueError(f"noise_mw must be positive, got {noise_mw}")
+    budget = _checked_budget(power, budget_mw)
+    n_sets, width = snd.shape
+    if snd.size == 0:
+        return np.zeros(snd.shape, dtype=float)
+
+    if _sparse_fast(power):
+        sinr = np.zeros(snd.shape, dtype=float)
+        for t in range(n_sets):
+            on = live[t]
+            sinr[t, on] = sinr_for_links(power, snd[t, on], rcv[t, on], noise_mw, budget)
+        return sinr
+
+    step = max(1, _GATHER_ELEMENTS // (width * width))
+    return np.concatenate(
+        [
+            mesh_sinrs(
+                power,
+                snd[lo : lo + step],
+                rcv[lo : lo + step],
+                live[lo : lo + step],
+                noise_mw if budget is None else noise_mw + budget[rcv[lo : lo + step]],
+            )
+            for lo in range(0, n_sets, step)
+        ]
+    )
 
 
 def sinr_with_candidates(
@@ -147,13 +244,8 @@ def sinr_with_candidates(
         raise ValueError(f"noise_mw must be positive, got {noise_mw}")
     member_noise: float | np.ndarray = noise_mw
     cand_noise: float | np.ndarray = noise_mw
-    if budget_mw is not None:
-        budget = np.asarray(budget_mw, dtype=float)
-        if budget.ndim != 1 or budget.shape[0] != power.shape[0]:
-            raise ValueError(
-                f"budget_mw must have one entry per node ({power.shape[0]},), "
-                f"got shape {budget.shape}"
-            )
+    budget = _checked_budget(power, budget_mw)
+    if budget is not None:
         member_noise = noise_mw + budget[rcv]
         cand_noise = noise_mw + budget[cr]
 

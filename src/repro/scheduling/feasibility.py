@@ -178,8 +178,7 @@ class SlotState:
         """Per-member MCS tier (base-tier floor) under a ``RateTable``.
 
         Member order matches :attr:`senders` — the last entry is the most
-        recently added link, which rate-aware packers use to read the rate
-        actually granted to an insertion.
+        recently added link.
         """
         snd, rcv = self.members()
         if snd.size == 0:
@@ -624,15 +623,22 @@ class SlotArena:
         return cand_ok & ~shared_per_slot & ~member_bad
 
 
+def infeasible_slots(
+    schedule: Schedule, model: PhysicalInterferenceModel
+) -> list[int]:
+    """Indices of the slots some member of which fails ``SINR >= β`` (data
+    or ACK) under the exact model — the whole schedule in one SINR pass."""
+    links = schedule.link_set
+    sinrs = model.slot_sinrs(links.heads, links.tails, [s.links for s in schedule.slots])
+    beta = model.radio.beta
+    return [t for t, worst in enumerate(sinrs) if not (worst >= beta).all()]
+
+
 def schedule_is_feasible(
     schedule: Schedule, model: PhysicalInterferenceModel
 ) -> bool:
     """Is every slot of the schedule feasible under the exact model?"""
-    for t in range(schedule.length):
-        snd, rcv = schedule.slot_members(t)
-        if snd.size and not model.is_feasible(snd, rcv):
-            return False
-    return True
+    return not infeasible_slots(schedule, model)
 
 
 def schedule_rates(
@@ -643,11 +649,7 @@ def schedule_rates(
     Stateless — no hysteresis; the epoch engines carry selection state in
     :class:`repro.traffic.epoch.RateAnnotator` instead.
     """
-    rates = []
-    for t in range(schedule.length):
-        snd, rcv = schedule.slot_members(t)
-        if snd.size == 0:
-            rates.append(np.empty(0, dtype=np.int64))
-        else:
-            rates.append(model.link_rates(snd, rcv, table))
-    return rates
+    links = schedule.link_set
+    return model.slot_rates(
+        links.heads, links.tails, [s.links for s in schedule.slots], table
+    )

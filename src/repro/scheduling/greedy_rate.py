@@ -38,11 +38,9 @@ def standalone_rates(
     grant more.  Stateless ``rate_for`` — a link below the base threshold
     even alone reports 0, i.e. it is not a communication edge.
     """
-    rates = np.zeros(links.n_links, dtype=np.int64)
-    for k in range(links.n_links):
-        data, ack = model.link_sinrs(links.heads[k : k + 1], links.tails[k : k + 1])
-        rates[k] = table.rate_for(np.minimum(data, ack))[0]
-    return rates
+    singles = np.arange(links.n_links)[:, None]
+    worst = np.array(model.slot_sinrs(links.heads, links.tails, singles), dtype=float)
+    return table.rate_for(worst.reshape(-1))
 
 
 def greedy_rate(
@@ -57,6 +55,14 @@ def greedy_rate(
     packets-per-slot strictly increases.  The admitted set's final rates are
     then charged against the members' residual demands and the next slot
     opens for whatever demand remains.
+
+    Which slot gets built depends on the residuals only through the
+    *pending set* ``{k : residual[k] > 0}`` — the walk skips exhausted links
+    and never reads a positive residual's size.  So once a slot with granted
+    rates ``g`` is built, it is rebuilt verbatim until a member runs out:
+    ``repeat = min_k ceil(residual[k] / g[k])`` copies in all, appended and
+    charged in one step.  Each distinct slot retires at least one link, so
+    a call builds at most ``n_links`` of them however long the schedule.
 
     Raises
     ------
@@ -92,18 +98,18 @@ def greedy_rate(
             # Feasible — but does it grow the slot's capacity?  Rates of
             # the would-be member set, evaluated concurrently.
             snd, rcv = state.members()
-            candidate = int(
-                model.link_rates(
-                    np.append(snd, sender), np.append(rcv, receiver), table
-                ).sum()
+            rates = model.link_rates(
+                np.append(snd, sender), np.append(rcv, receiver), table
             )
+            candidate = int(rates.sum())
             if candidate <= total_rate:
                 continue
             state.add(sender, receiver)
             slot.add(k)
-            total_rate = candidate
-        granted = state.member_rates(table)
-        for k, rate in zip(slot.links, granted):
-            residual[k] = max(0, residual[k] - int(rate))
+            granted, total_rate = rates, candidate
+        members = slot.as_array()
+        repeat = int((-(-residual[members] // granted)).min())
+        residual[members] = np.maximum(0, residual[members] - repeat * granted)
         schedule.slots.append(slot)
+        schedule.slots.extend(Slot(list(slot.links)) for _ in range(repeat - 1))
     return schedule

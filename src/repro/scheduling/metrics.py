@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.phy.interference import PhysicalInterferenceModel
+from repro.scheduling.feasibility import infeasible_slots
 from repro.scheduling.schedule import Schedule
 
 
@@ -62,22 +63,19 @@ def verify_schedule(
     state), so it catches any bookkeeping bug in the schedulers as well as
     genuine protocol failures under degraded SCREAM conditions.
     """
-    bad_slots: list[int] = []
+    bad_slots = set(infeasible_slots(schedule, model))
     for t in range(schedule.length):
         snd, rcv = schedule.slot_members(t)
-        if snd.size and not model.is_feasible(snd, rcv):
-            bad_slots.append(t)
         if np.unique(np.concatenate([snd, rcv])).size != snd.size + rcv.size:
             # A node appearing twice in a slot (two roles) cannot happen for
             # half-duplex radios; flag the slot.
-            if t not in bad_slots:
-                bad_slots.append(t)
+            bad_slots.add(t)
 
     allocations = schedule.allocations()
     shortfall = np.flatnonzero(allocations < schedule.link_set.demand)
     return VerificationReport(
         feasible=not bad_slots,
         demand_satisfied=shortfall.size == 0,
-        infeasible_slots=tuple(bad_slots),
+        infeasible_slots=tuple(sorted(bad_slots)),
         shortfall_links=tuple(int(k) for k in shortfall),
     )

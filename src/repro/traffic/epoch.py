@@ -479,20 +479,20 @@ class RateAnnotator:
     def annotate(
         self, slot_links: list[np.ndarray]
     ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Per-slot (tiers, rates) arrays for one round, updating state."""
+        """Per-slot (tiers, rates) arrays for one round, updating state.
+
+        The round's SINRs come from one schedule-wide pass (slots are
+        independent); hysteresis is still applied slot by slot, in order —
+        a link that sits in several slots of the round carries the tier it
+        was granted in one slot into the next.
+        """
         table = self.table
+        sinrs = self._model.slot_sinrs(self._heads, self._tails, slot_links)
         tiers: list[np.ndarray] = []
         rates: list[np.ndarray] = []
-        for idx in slot_links:
-            if idx.size == 0:
-                t = np.empty(0, dtype=np.int64)
-            else:
-                data, ack = self._model.link_sinrs(
-                    self._heads[idx], self._tails[idx]
-                )
-                selected = table.select(np.minimum(data, ack), self._prev[idx])
-                t = np.maximum(selected, 0)
-                self._prev[idx] = t
+        for idx, worst in zip(slot_links, sinrs):
+            t = np.maximum(table.select(worst, self._prev[idx]), 0)
+            self._prev[idx] = t
             tiers.append(t)
             rates.append(table.rates[t])
         return tiers, rates
@@ -755,7 +755,8 @@ def run_epochs(
             slot_links = [s.as_array() for s in planned.schedule.slots[:playable]]
             slot_tiers = slot_rates = None
             if annotator is not None:
-                slot_tiers, slot_rates = annotator.annotate(slot_links)
+                with phase(obs, "epoch.annotate", engine="epoch", epoch=epoch):
+                    slot_tiers, slot_rates = annotator.annotate(slot_links)
             plays_before = queues.plays_total
             with phase(obs, "epoch.serve", engine="epoch", epoch=epoch):
                 served = play_schedule(

@@ -43,12 +43,14 @@ re-run-every-epoch knee sits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from repro.obs import phase
 from repro.phy.interference import PhysicalInterferenceModel
 from repro.scheduling.feasibility import SlotState, slots_can_add
+from repro.scheduling.greedy_rate import standalone_rates
 from repro.scheduling.links import LinkSet
 from repro.scheduling.schedule import Schedule, Slot
 from repro.traffic.epoch import EpochSchedule, EpochSchedulerFn
@@ -192,18 +194,14 @@ def patch_schedule(
 
     # Value of every cached membership, in packets (all ones when rate-
     # blind).  Computed against the *cached* member sets once, up front.
+    heads, tails = links.heads, links.tails
     if table is None:
         cached_rates = [np.ones(len(slot), dtype=np.int64) for slot in cached.slots]
     else:
-        cached_rates = []
-        for slot in cached.slots:
-            idx = slot.as_array()
-            if idx.size == 0:
-                cached_rates.append(np.empty(0, dtype=np.int64))
-            else:
-                cached_rates.append(
-                    model.link_rates(links.heads[idx], links.tails[idx], table)
-                )
+        cached_rates = model.slot_rates(
+            heads, tails, [slot.links for slot in cached.slots], table
+        )
+        alone = standalone_rates(links, model, table)
 
     # 1. Keep memberships until each link's demand is covered, earliest
     #    slots first (greedy packed the earliest slots densest; trimming
@@ -224,7 +222,7 @@ def patch_schedule(
         state = SlotState(model)
         new_slot = Slot()
         for k, rate in kept:
-            state.add(int(links.heads[k]), int(links.tails[k]))
+            state.add(int(heads[k]), int(tails[k]))
             new_slot.add(k)
             keep_budget[k] -= rate
             allocated[k] += rate
@@ -240,9 +238,22 @@ def patch_schedule(
         slot.add(k)
         states.append(state)
         slots.append(slot)
-        if table is None:
-            return 1
-        return int(state.member_rates(table)[0])
+        # Alone in its slot the link is granted its standalone rate (the
+        # screen established membership, so the base tier is the floor).
+        return 1 if table is None else max(int(alone[k]), table.base_rate)
+
+    def cover_with_fresh_slots(k: int, remaining: int) -> bool:
+        """Open singleton slots for ``k`` until ``remaining`` packets are
+        covered; False when the patch must be abandoned."""
+        sender, receiver = int(heads[k]), int(tails[k])
+        while remaining > 0:
+            granted = open_fresh_slot(k, sender, receiver)
+            if granted is None:
+                return False
+            remaining -= granted
+            if max_length is not None and len(slots) > max_length:
+                return False  # packing degraded past the playable window
+        return True
 
     # 2. Greedily insert each link's remaining demand (largest deficit
     #    first: the hardest-to-serve links get first pick of the room),
@@ -250,29 +261,35 @@ def patch_schedule(
     deficit = demand - allocated
     for k in sorted(np.flatnonzero(deficit > 0), key=lambda k: -int(deficit[k])):
         k = int(k)
-        sender, receiver = int(links.heads[k]), int(links.tails[k])
+        sender, receiver = int(heads[k]), int(tails[k])
         remaining = int(deficit[k])
         if states:
-            # One batched admission pass (slots are independent, so the
-            # verdicts computed before this link's insertions match the
-            # incremental slot-by-slot scan).  A slot already containing
-            # ``k`` shares both endpoints and is rejected by the mask.
-            for j in np.flatnonzero(slots_can_add(states, sender, receiver)):
+            # One batched admission pass and one batched rate read, both
+            # before this link's insertions: slots are independent, so
+            # neither a verdict nor the rate a slot would grant ``k``
+            # depends on ``k`` joining another slot.  Every grant is at
+            # least one packet, so the first ``remaining`` admitting slots
+            # are all this link can use.  A slot already containing ``k``
+            # shares both endpoints and is rejected by the mask.
+            admits = np.flatnonzero(slots_can_add(states, sender, receiver))[:remaining]
+            if table is None:
+                grants = [1] * admits.size
+            else:
+                # The newest member is last in each what-if member list.
+                grants = [
+                    int(rates[-1])
+                    for rates in model.slot_rates(
+                        heads, tails, [[*slots[j].links, k] for j in admits], table
+                    )
+                ]
+            for j, granted in zip(admits, grants):
                 if remaining <= 0:
                     break
-                state, slot = states[j], slots[j]
-                state.add(sender, receiver)
-                slot.add(k)
-                # The newest member is last in the state's member order.
-                granted = 1 if table is None else int(state.member_rates(table)[-1])
+                states[j].add(sender, receiver)
+                slots[j].add(k)
                 remaining -= granted
-        while remaining > 0:
-            granted = open_fresh_slot(k, sender, receiver)
-            if granted is None:
-                return None
-            remaining -= granted
-            if max_length is not None and len(slots) > max_length:
-                return None  # packing degraded past the playable window
+        if not cover_with_fresh_slots(k, remaining):
+            return None
 
     # 3. Rate top-up: pass 2's insertions may have demoted tiers of
     #    memberships whose packets were already counted.  Re-read capacity
@@ -280,23 +297,19 @@ def patch_schedule(
     #    (which degrade nothing), so a single round suffices.
     if table is not None:
         capacity = np.zeros(links.n_links, dtype=np.int64)
-        for state, slot in zip(states, slots):
-            for k, rate in zip(slot.links, state.member_rates(table)):
-                capacity[k] += int(rate)
+        if slots:
+            members = [slot.links for slot in slots]
+            np.add.at(
+                capacity,
+                np.fromiter(chain.from_iterable(members), dtype=np.intp),
+                np.concatenate(model.slot_rates(heads, tails, members, table)),
+            )
         shortfall = demand - capacity
         for k in sorted(
             np.flatnonzero(shortfall > 0), key=lambda k: -int(shortfall[k])
         ):
-            k = int(k)
-            sender, receiver = int(links.heads[k]), int(links.tails[k])
-            remaining = int(shortfall[k])
-            while remaining > 0:
-                granted = open_fresh_slot(k, sender, receiver)
-                if granted is None:
-                    return None
-                remaining -= granted
-                if max_length is not None and len(slots) > max_length:
-                    return None
+            if not cover_with_fresh_slots(int(k), int(shortfall[k])):
+                return None
 
     if max_length is not None and len(slots) > max_length:
         return None

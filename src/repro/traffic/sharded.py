@@ -1067,7 +1067,8 @@ def run_epochs_sharded(
                 round_slots = combined[:playable]
                 slot_tiers = slot_rates = None
                 if annotator is not None:
-                    slot_tiers, slot_rates = annotator.annotate(round_slots)
+                    with phase(obs, "epoch.annotate", engine="sharded", epoch=epoch):
+                        slot_tiers, slot_rates = annotator.annotate(round_slots)
                 plays_before = queues.plays_total
                 with phase(obs, "epoch.serve", engine="sharded", epoch=epoch):
                     served = play_schedule(

@@ -89,3 +89,175 @@ class StepwiseRuntime(FastRuntime):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.batches_trials = False
+
+
+# --------------------------------------------------------------------------
+# Per-slot references of the rate-aware passes.  The library evaluates whole
+# schedules in one batched SINR kernel and replicates greedy_rate's slots by
+# run length; these are the bodies it replaced — one ``sinr_for_links`` pair
+# per slot, one slot built per slot emitted — kept as the references the
+# whole-path identity suite differences against.
+# --------------------------------------------------------------------------
+
+
+def stepwise_standalone_rates(links, model, table):
+    rates = np.zeros(links.n_links, dtype=np.int64)
+    for k in range(links.n_links):
+        data, ack = model.link_sinrs(links.heads[k : k + 1], links.tails[k : k + 1])
+        rates[k] = table.rate_for(np.minimum(data, ack))[0]
+    return rates
+
+
+def stepwise_greedy_rate(links, model, table):
+    """``greedy_rate`` building every slot it emits; returns the slot lists."""
+    from repro.scheduling.feasibility import SlotState
+
+    alone = stepwise_standalone_rates(links, model, table)
+    order = np.lexsort((-links.heads, -alone))
+    residual = links.demand.astype(np.int64).copy()
+    slots = []
+    while residual.sum() > 0:
+        state = SlotState(model)
+        slot = []
+        total_rate = 0
+        for k in order:
+            k = int(k)
+            if residual[k] <= 0:
+                continue
+            sender, receiver = int(links.heads[k]), int(links.tails[k])
+            if len(state) == 0:
+                if not state.can_add(sender, receiver):
+                    raise ValueError(
+                        f"link {sender}->{receiver} is infeasible even alone; "
+                        "it is not a valid communication edge"
+                    )
+            elif not state.can_add(sender, receiver):
+                continue
+            snd, rcv = state.members()
+            candidate = int(
+                model.link_rates(
+                    np.append(snd, sender), np.append(rcv, receiver), table
+                ).sum()
+            )
+            if candidate <= total_rate:
+                continue
+            state.add(sender, receiver)
+            slot.append(k)
+            total_rate = candidate
+        for k, rate in zip(slot, state.member_rates(table)):
+            residual[k] = max(0, residual[k] - int(rate))
+        slots.append(slot)
+    return slots
+
+
+def stepwise_patch_schedule(cached, links, model, max_length=None, table=None):
+    """``patch_schedule`` reading every rate slot by slot and every grant
+    after its insertion; returns the slot lists, or ``None``."""
+    from repro.scheduling.feasibility import SlotState, slots_can_add
+
+    demand = np.asarray(links.demand, dtype=np.int64)
+    if table is None:
+        cached_rates = [np.ones(len(slot), dtype=np.int64) for slot in cached.slots]
+    else:
+        cached_rates = [
+            model.link_rates(links.heads[slot.links], links.tails[slot.links], table)
+            if len(slot)
+            else np.empty(0, dtype=np.int64)
+            for slot in cached.slots
+        ]
+
+    keep_budget = demand.copy()
+    states, slots = [], []
+    allocated = np.zeros(links.n_links, dtype=np.int64)
+    for slot, slot_rates in zip(cached.slots, cached_rates):
+        kept = [
+            (k, int(rate))
+            for k, rate in zip(slot.links, slot_rates)
+            if keep_budget[k] > 0
+        ]
+        if not kept:
+            continue
+        state = SlotState(model)
+        for k, rate in kept:
+            state.add(int(links.heads[k]), int(links.tails[k]))
+            keep_budget[k] -= rate
+            allocated[k] += rate
+        states.append(state)
+        slots.append([k for k, _ in kept])
+
+    def open_fresh_slot(k, sender, receiver):
+        state = SlotState(model)
+        if not state.try_add(sender, receiver):
+            return None
+        states.append(state)
+        slots.append([k])
+        return 1 if table is None else int(state.member_rates(table)[0])
+
+    deficit = demand - allocated
+    for k in sorted(np.flatnonzero(deficit > 0), key=lambda k: -int(deficit[k])):
+        k = int(k)
+        sender, receiver = int(links.heads[k]), int(links.tails[k])
+        remaining = int(deficit[k])
+        if states:
+            for j in np.flatnonzero(slots_can_add(states, sender, receiver)):
+                if remaining <= 0:
+                    break
+                states[j].add(sender, receiver)
+                slots[j].append(k)
+                remaining -= (
+                    1 if table is None else int(states[j].member_rates(table)[-1])
+                )
+        while remaining > 0:
+            granted = open_fresh_slot(k, sender, receiver)
+            if granted is None:
+                return None
+            remaining -= granted
+            if max_length is not None and len(slots) > max_length:
+                return None
+
+    if table is not None:
+        capacity = np.zeros(links.n_links, dtype=np.int64)
+        for state, slot in zip(states, slots):
+            for k, rate in zip(slot, state.member_rates(table)):
+                capacity[k] += int(rate)
+        shortfall = demand - capacity
+        for k in sorted(np.flatnonzero(shortfall > 0), key=lambda k: -int(shortfall[k])):
+            k = int(k)
+            sender, receiver = int(links.heads[k]), int(links.tails[k])
+            remaining = int(shortfall[k])
+            while remaining > 0:
+                granted = open_fresh_slot(k, sender, receiver)
+                if granted is None:
+                    return None
+                remaining -= granted
+                if max_length is not None and len(slots) > max_length:
+                    return None
+
+    if max_length is not None and len(slots) > max_length:
+        return None
+    return slots
+
+
+class StepwiseRateAnnotator:
+    """``RateAnnotator`` evaluating one slot's SINR at a time."""
+
+    def __init__(self, links, model, table):
+        self.table = table
+        self._model = model
+        self._heads = links.heads
+        self._tails = links.tails
+        self._prev = np.full(links.n_links, -1, dtype=np.int64)
+
+    def annotate(self, slot_links):
+        tiers, rates = [], []
+        for idx in slot_links:
+            if idx.size == 0:
+                t = np.empty(0, dtype=np.int64)
+            else:
+                data, ack = self._model.link_sinrs(self._heads[idx], self._tails[idx])
+                selected = self.table.select(np.minimum(data, ack), self._prev[idx])
+                t = np.maximum(selected, 0)
+                self._prev[idx] = t
+            tiers.append(t)
+            rates.append(self.table.rates[t])
+        return tiers, rates
