@@ -22,7 +22,7 @@ from repro.phy.interference import PhysicalInterferenceModel
 from repro.phy.sparse import SparsePowerMatrix, sparse_gain_model
 from repro.routing import build_routing_forest, planned_gateways
 from repro.routing.forest import build_routing_forest_csr
-from repro.scheduling.feasibility import SlotState
+from repro.scheduling.feasibility import SlotArena, SlotState, feasible_alone
 from repro.scheduling.greedy_physical import greedy_physical
 from repro.scheduling.links import forest_link_set
 from repro.topology.commgraph import communication_csr
@@ -181,7 +181,7 @@ def test_sparse_packing_reads_rows_not_keys(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(SparsePowerMatrix, "__getitem__", counted)
-        SlotState(model).feasible_with(links.heads, links.tails)
+        feasible_alone(model, links.heads, links.tails)
         screen_reads = len(reads)
         assert screen_reads > 0  # the counter is live
         del reads[:]
@@ -260,11 +260,13 @@ def test_rate_path_evaluates_schedules_not_slots(monkeypatch):
     is a data/ACK pair of ``sinr_for_link_sets`` calls.  An epoch served
     from a hit or a patch may make at most: the cached-rate read, the
     standalone rates, the pass-3 capacity re-read and the serving
-    annotation (4 passes), plus one pass per deficit link — and **no**
-    per-slot ``sinr_for_links`` call at all.  (Evaluating slot by slot
+    annotation (4 passes), plus one pass per deficit link (one
+    ``SlotArena.can_add_all`` each) — and **no** per-slot
+    ``sinr_for_links`` call at all.  (Evaluating slot by slot
     the same epochs made ~820 ``link_sinrs`` pairs each.)  Per-slot calls
     remain only inside ``greedy_rate``'s candidate walk, which builds each
     *distinct* slot once: at most one per link, however long the schedule.
+    A ``patch_schedule`` call builds one ``SlotArena`` and no ``SlotState``.
     """
     from repro import (
         ControlPlaneModel,
@@ -291,7 +293,7 @@ def test_rate_path_evaluates_schedules_not_slots(monkeypatch):
     model = network.model
     table = RateTable.geometric(network.radio.beta)
 
-    calls = {"sets": 0, "per_slot": 0, "deficits": 0, "built": 0}
+    calls = {"sets": 0, "per_slot": 0, "deficits": 0, "built": 0, "arenas": 0, "states": 0}
 
     def counting(fn, key):
         def counted(*args, **kwargs):
@@ -307,8 +309,20 @@ def test_rate_path_evaluates_schedules_not_slots(monkeypatch):
         interference, "sinr_for_links", counting(interference.sinr_for_links, "per_slot")
     )
     monkeypatch.setattr(
-        incremental, "slots_can_add", counting(incremental.slots_can_add, "deficits")
+        SlotArena, "can_add_all", counting(SlotArena.can_add_all, "deficits")
     )
+    monkeypatch.setattr(incremental, "SlotArena", counting(SlotArena, "arenas"))
+    monkeypatch.setattr(SlotState, "__init__", counting(SlotState.__init__, "states"))
+    patch_schedule = incremental.patch_schedule
+    patches = []
+
+    def patching(*args, **kwargs):
+        arenas, states = calls["arenas"], calls["states"]
+        patched = patch_schedule(*args, **kwargs)
+        patches.append((calls["arenas"] - arenas, calls["states"] - states))
+        return patched
+
+    monkeypatch.setattr(incremental, "patch_schedule", patching)
     monkeypatch.setattr(
         greedy_rate_module, "SlotState", counting(greedy_rate_module.SlotState, "built")
     )
@@ -359,6 +373,8 @@ def test_rate_path_evaluates_schedules_not_slots(monkeypatch):
         if record.cache_hit:
             assert spent["sets"] == 2  # the serving annotation alone
     assert reused >= 6 and cache.stats.patches >= 4
+    assert len(patches) >= cache.stats.patches
+    assert set(patches) == {(1, 0)}  # (arenas, SlotStates) built per patch
 
     assert packs
     for built, length in packs:

@@ -15,10 +15,9 @@ snapshot, asserts the PR's headlines on the 16x16 grid at 4 shards:
   ``traffic.fanout_efficiency`` on ``sharded_24x24`` watches it);
 * the measured stability knee stays within one sweep step of the
   monolithic knee;
-* the batched SINR admission kernels (``slots_can_add`` /
-  ``PhysicalInterferenceModel.feasible_with``) agree verdict-for-verdict
-  with the incremental per-candidate scan on a real bench-scale grid, so
-  the vectorized schedulers build identical schedules;
+* the batched SINR admission kernel (the dense ``SlotArena``) agrees
+  verdict-for-verdict with the scalar ``SlotState.can_add`` scan on a real
+  bench-scale grid, so the vectorized schedulers build identical schedules;
 * the degenerate 1-shard partition reproduces the monolithic engine
   epoch-for-epoch for every reschedule policy (the equivalence harness
   that keeps the refactor honest).
@@ -31,7 +30,7 @@ from repro.core.fdd import fdd_on_network
 from repro.experiments.common import PAPER_PROTOCOL, ExperimentProfile
 from repro.experiments.sharded import sharded_experiment
 from repro.routing import build_routing_forest, planned_gateways
-from repro.scheduling.feasibility import SlotState, slots_can_add
+from repro.scheduling.feasibility import SlotArena, SlotState
 from repro.scheduling.links import forest_link_set
 from repro.topology.network import grid_network
 from repro.traffic import (
@@ -142,50 +141,48 @@ def test_sharded_engine_speedup_and_knee_fidelity(benchmark, bench_profile, save
 
 @pytest.mark.benchmark(group="traffic")
 def test_batched_admission_kernels_match_incremental_scan():
-    """The vectorized SINR admission kernels equal the per-candidate scan.
+    """The dense slot arena equals the scalar per-slot scan.
 
-    On a bench-scale 16x16 grid: build a stack of populated slots, then
-    check every (candidate, slot) admission verdict three ways — the
-    incremental ``SlotState.can_add`` scan, the candidate-batched
-    ``SlotState.feasible_with``, and the slot-batched ``slots_can_add`` —
-    plus the model-level ``feasible_with`` against its per-candidate
-    ``feasible_with_addition``.  Exact equality (not allclose): the greedy
-    scheduler, deficit patcher, and reconciliation packer all consult these
-    kernels, so any verdict flip would change schedules.
+    On a bench-scale 16x16 grid: build a stack of populated slots — once
+    as ``SlotState`` objects, once in a ``SlotArena`` — then check every
+    (candidate, slot) admission verdict both ways: the incremental
+    ``SlotState.can_add`` scan and one ``SlotArena.can_add_all`` pass per
+    candidate.  Exact equality (not allclose): the greedy scheduler,
+    deficit patcher, and reconciliation packer all consult the arena, so
+    any verdict flip would change schedules.
     """
     network = grid_network(16, 16, density_per_km2=1000.0)
     gateways = planned_gateways(16, 16, 4)
     forest = build_routing_forest(network.comm_adj, gateways, rng=spawn(11, "bk"))
     links = forest_link_set(forest, np.zeros(network.n_nodes, dtype=np.int64))
     model = network.model
+    assert not getattr(model.power, "is_sparse_power", False)  # the dense branch
     heads, tails = links.heads, links.tails
 
     order = np.random.default_rng(20080617).permutation(links.n_links)
     states: list[SlotState] = []
+    arena = SlotArena(model)
     for k in order[:48]:
         sender, receiver = int(heads[k]), int(tails[k])
-        if not any(st.try_add(sender, receiver) for st in states):
+        for j, st in enumerate(states):
+            if st.try_add(sender, receiver):
+                arena.add(j, sender, receiver)
+                break
+        else:
             fresh = SlotState(model)
             if fresh.try_add(sender, receiver):
                 states.append(fresh)
+                arena.open_slot(sender, receiver)
     assert len(states) >= 2 and any(len(st) >= 2 for st in states)
 
-    cand = order[48:168]
-    cs, cr = heads[cand], tails[cand]
-    for st in states:
-        scan = np.array([st.can_add(int(s), int(r)) for s, r in zip(cs, cr)])
-        assert np.array_equal(st.feasible_with(cs, cr), scan)
-        snd, rcv = st.members()
-        model_scan = np.array(
-            [
-                model.feasible_with_addition(snd, rcv, int(s), int(r))
-                for s, r in zip(cs, cr)
-            ]
-        )
-        assert np.array_equal(model.feasible_with(snd, rcv, cs, cr), model_scan)
-    for s, r in zip(cs[:40], cr[:40]):
-        per_slot = np.array([st.can_add(int(s), int(r)) for st in states])
-        assert np.array_equal(slots_can_add(states, int(s), int(r)), per_slot)
+    admitted = 0
+    for k in order[48:168]:
+        sender, receiver = int(heads[k]), int(tails[k])
+        per_slot = np.array([st.can_add(sender, receiver) for st in states])
+        assert np.array_equal(arena.can_add_all(sender, receiver), per_slot)
+        admitted += int(per_slot.sum())
+    assert admitted  # the grid holds verdicts of both kinds
+    assert admitted < 120 * len(states)
 
 
 @pytest.mark.benchmark(group="traffic")

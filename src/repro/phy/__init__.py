@@ -16,10 +16,7 @@ from repro.phy.propagation import (
 from repro.phy.radio import RadioConfig, RateTable
 from repro.phy.gain import received_power_matrix, gain_matrix
 from repro.phy.sinr import sinr_for_links, min_sinr_margin, rates_for_links
-from repro.phy.interference import (
-    PhysicalInterferenceModel,
-    link_feasible_alone,
-)
+from repro.phy.interference import PhysicalInterferenceModel
 from repro.phy.spatial import GridIndex
 from repro.phy.sparse import (
     SparsePowerMatrix,
@@ -47,7 +44,6 @@ __all__ = [
     "min_sinr_margin",
     "rates_for_links",
     "PhysicalInterferenceModel",
-    "link_feasible_alone",
     "GridIndex",
     "SparsePowerMatrix",
     "SparseGainModel",

@@ -30,7 +30,6 @@ from repro.phy.sinr import (
     mesh_sinrs,
     sinr_for_link_sets,
     sinr_for_links,
-    sinr_with_candidates,
 )
 
 
@@ -291,55 +290,6 @@ class PhysicalInterferenceModel:
         data_ok = mesh_sinrs(self.power, snd, rcv, live, data_noise) >= beta
         return mesh_sinrs(self.power, rcv, snd, data_ok, ack_noise) >= beta
 
-    def feasible_with_addition(
-        self,
-        senders: np.ndarray,
-        receivers: np.ndarray,
-        new_sender: int,
-        new_receiver: int,
-    ) -> bool:
-        """Would adding ``new_sender -> new_receiver`` keep the slot feasible?
-
-        Convenience used by the centralized greedy scheduler; equivalent to
-        re-testing the union (SINR feasibility is not incremental — adding a
-        link changes every other link's interference, so the full set must be
-        re-evaluated).
-        """
-        snd = np.append(np.asarray(senders, dtype=np.intp), new_sender)
-        rcv = np.append(np.asarray(receivers, dtype=np.intp), new_receiver)
-        return self.is_feasible(snd, rcv)
-
-    def feasible_with(
-        self,
-        senders: np.ndarray,
-        receivers: np.ndarray,
-        cand_senders: np.ndarray,
-        cand_receivers: np.ndarray,
-    ) -> np.ndarray:
-        """Batched :meth:`feasible_with_addition`: one bool per candidate.
-
-        ``out[c]`` answers "would the slot ``senders/receivers`` stay
-        feasible if candidate ``c`` (alone) joined it?" for every candidate
-        in one pair of gain-matrix slices (data and ACK sub-slots) instead
-        of ``n_c`` full re-evaluations.  Candidates are hypothetical
-        *alternatives*, not a batch admitted together.
-        """
-        beta = self.radio.beta
-        noise = self.radio.noise_mw
-        cand_data, member_data = sinr_with_candidates(
-            self.power, senders, receivers, cand_senders, cand_receivers,
-            noise, budget_mw=self.budget_mw,
-        )
-        cand_ack, member_ack = sinr_with_candidates(
-            self.power, receivers, senders, cand_receivers, cand_senders,
-            noise, budget_mw=self.budget_mw,
-        )
-        ok = (cand_data >= beta) & (cand_ack >= beta)
-        if member_data.shape[1]:
-            ok &= (member_data >= beta).all(axis=1)
-            ok &= (member_ack >= beta).all(axis=1)
-        return ok
-
     def sense_mask(self, transmitters: np.ndarray) -> np.ndarray:
         """Which nodes carrier-sense activity given concurrent transmitters?
 
@@ -354,26 +304,3 @@ class PhysicalInterferenceModel:
             total = carrier_sense_power(self.power, tx, self.n_nodes)
             total[tx] = np.inf  # own transmission always "sensed"
         return total >= self.radio.cs_threshold_mw
-
-
-def link_feasible_alone(
-    model: PhysicalInterferenceModel, sender: int, receiver: int
-) -> bool:
-    """Does the link decode with zero interference (both directions)?
-
-    This is the communication-graph membership test of Section II: an edge
-    exists iff the data packet and the ACK both clear ``β`` against noise
-    alone (plus the model's far-field budget at each receiving node, when
-    one is installed).
-    """
-    p = model.power
-    noise = model.radio.noise_mw
-    beta = model.radio.beta
-    data_noise = ack_noise = noise
-    if model.budget_mw is not None:
-        data_noise = noise + model.budget_mw[receiver]
-        ack_noise = noise + model.budget_mw[sender]
-    return bool(
-        p[sender, receiver] / data_noise >= beta
-        and p[receiver, sender] / ack_noise >= beta
-    )

@@ -206,89 +206,6 @@ def sinr_for_link_sets(
     )
 
 
-def sinr_with_candidates(
-    power: np.ndarray,
-    senders: np.ndarray,
-    receivers: np.ndarray,
-    cand_senders: np.ndarray,
-    cand_receivers: np.ndarray,
-    noise_mw: float,
-    budget_mw: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batched what-if SINRs: each candidate joins the member set *alone*.
-
-    The kernel behind the batched admission paths: given one sub-slot's
-    current members ``senders[k] -> receivers[k]`` and ``n_c`` candidate
-    links ``cand_senders[c] -> cand_receivers[c]``, evaluate every
-    hypothetical slot ``members + {candidate c}`` in one pass of
-    gain-matrix slices instead of ``n_c`` calls to :func:`sinr_for_links`.
-    Candidates are independent of each other — candidate ``c`` never
-    interferes with candidate ``c'``.
-
-    Returns ``(cand_sinr, member_sinr)`` where ``cand_sinr[c]`` is the
-    candidate's own SINR against the members' interference and
-    ``member_sinr[c, k]`` is member ``k``'s SINR with candidate ``c``
-    transmitting.  Half-duplex deafness (receiver transmits in the
-    hypothetical slot) zeroes entries exactly as :func:`sinr_for_links`
-    would.  ``budget_mw`` follows the same per-receiving-node convention.
-    """
-    snd = np.asarray(senders, dtype=np.intp)
-    rcv = np.asarray(receivers, dtype=np.intp)
-    cs = np.asarray(cand_senders, dtype=np.intp)
-    cr = np.asarray(cand_receivers, dtype=np.intp)
-    if snd.shape != rcv.shape or snd.ndim != 1:
-        raise ValueError("senders and receivers must be equal-length 1-D arrays")
-    if cs.shape != cr.shape or cs.ndim != 1:
-        raise ValueError("candidate senders and receivers must be equal-length 1-D arrays")
-    if noise_mw <= 0:
-        raise ValueError(f"noise_mw must be positive, got {noise_mw}")
-    member_noise: float | np.ndarray = noise_mw
-    cand_noise: float | np.ndarray = noise_mw
-    budget = _checked_budget(power, budget_mw)
-    if budget is not None:
-        member_noise = noise_mw + budget[rcv]
-        cand_noise = noise_mw + budget[cr]
-
-    transmitting = np.zeros(power.shape[0], dtype=bool)
-    transmitting[snd] = True
-
-    fast = _sparse_fast(power) and snd.size > 0
-    totals = power.column_sums(snd) if fast else None
-
-    # Candidate SINR: signal over members' aggregate interference.
-    cand_signal = np.asarray(power[cs, cr], dtype=float).copy()
-    if fast:
-        cand_interf = totals[cr]
-    elif snd.size:
-        cand_interf = power[np.ix_(snd, cr)].sum(axis=0)
-    else:
-        cand_interf = np.zeros(cs.shape[0], dtype=float)
-    cand_sinr = cand_signal / (cand_noise + cand_interf)
-    cand_sinr[transmitting[cr] | (cr == cs)] = 0.0
-
-    # Member SINRs: base interference plus the candidate's contribution
-    # (the candidate cross term is genuinely per-pair — no aggregate
-    # shortcut — so the mesh stays in both paths).
-    if fast:
-        signal = np.asarray(power[snd, rcv], dtype=float)
-        base_interf = totals[rcv] - signal
-        member_interf = base_interf[None, :] + power[np.ix_(cs, rcv)]
-        member_sinr = signal[None, :] / (member_noise + member_interf)
-        deaf = transmitting[rcv][None, :] | (rcv[None, :] == cs[:, None])
-        member_sinr[deaf] = 0.0
-    elif snd.size:
-        incident = power[np.ix_(snd, rcv)]
-        signal = np.diagonal(incident).astype(float, copy=True)
-        base_interf = incident.sum(axis=0) - signal
-        member_interf = base_interf[None, :] + power[np.ix_(cs, rcv)]
-        member_sinr = signal[None, :] / (member_noise + member_interf)
-        deaf = transmitting[rcv][None, :] | (rcv[None, :] == cs[:, None])
-        member_sinr[deaf] = 0.0
-    else:
-        member_sinr = np.empty((cs.shape[0], 0), dtype=float)
-    return cand_sinr, member_sinr
-
-
 def min_sinr_margin(
     power: np.ndarray,
     senders: np.ndarray,

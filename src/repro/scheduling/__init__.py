@@ -1,16 +1,18 @@
 """STDMA scheduling substrate: schedules, feasibility, centralized baselines.
 
 Contains the schedule data model shared by all algorithms, the incremental
-SINR feasibility bookkeeping, the centralized GreedyPhysical algorithm of
-Brar et al. (MobiCom 2006) — the baseline the paper compares against — and
-the worst-case serialized schedule used as the normalization in the paper's
-schedule-length figures.
+SINR slot-admission test (scalar reference and batched arena), the
+centralized GreedyPhysical algorithm of Brar et al. (MobiCom 2006) — the
+baseline the paper compares against — and the worst-case serialized
+schedule used as the normalization in the paper's schedule-length figures.
 """
 
 from repro.scheduling.links import LinkSet, forest_link_set
 from repro.scheduling.schedule import Schedule, Slot
 from repro.scheduling.feasibility import (
+    SlotArena,
     SlotState,
+    feasible_alone,
     schedule_is_feasible,
     schedule_rates,
 )
@@ -36,7 +38,9 @@ __all__ = [
     "forest_link_set",
     "Schedule",
     "Slot",
+    "SlotArena",
     "SlotState",
+    "feasible_alone",
     "schedule_is_feasible",
     "schedule_rates",
     "order_by_id",

@@ -1,14 +1,25 @@
-"""Incremental SINR feasibility bookkeeping for slot construction.
+"""The slot-admission test, its scalar reference and its batched form.
 
-Testing "can link e join this slot?" from scratch costs O(k²) in the number
-of member links; greedy schedulers perform that test once per (link, slot)
-pair, which dominates the centralized algorithm's running time.
-:class:`SlotState` maintains per-member interference sums so each test is
-O(k) and each accepted addition is O(k).
+The paper has one admission test (Section II): may link e join this slot —
+does every member, and the newcomer, keep data and ACK ``SINR >= β``?
+Re-deriving it from scratch costs O(k²) in the slot's members; the
+implementations here keep per-member interference sums instead, so a test
+is O(k) and an accepted addition O(k).  Three remain, all bit-identical:
 
-The arithmetic mirrors :mod:`repro.phy.interference` exactly — a property
-test asserts the two always agree — but avoids rebuilding the full incidence
-matrix per test.
+* :class:`SlotState` — one slot, one candidate at a time, plain Python
+  loops.  The reference the arena is differenced against, and what
+  ``optimal`` (re-seeds a slot per branch-and-bound node) and
+  ``greedy_rate`` (one slot, one candidate at a time) run on.
+* :class:`SlotArena`, dense — one candidate against *every* slot of a
+  schedule in one numpy pass over flat member columns.
+* :class:`SlotArena`, sparse — the same verdicts from per-node slot tables,
+  selected when the model's power is a ``SparsePowerMatrix``.
+
+``greedy_physical``, ``patch_schedule`` and ``reconcile_round`` build their
+slots in an arena; :func:`feasible_alone` is the standalone screen (a slot
+of one) they all apply before opening a fresh slot.  The arithmetic mirrors
+:mod:`repro.phy.interference` exactly — property tests assert the two
+always agree — without rebuilding an incidence matrix per test.
 """
 
 from __future__ import annotations
@@ -33,7 +44,6 @@ class SlotState:
     """
 
     def __init__(self, model: PhysicalInterferenceModel):
-        self._model = model
         self._power = model.power
         self._noise = model.radio.noise_mw
         self._beta = model.radio.beta
@@ -102,49 +112,6 @@ class SlotState:
                 return False
         return True
 
-    def feasible_with(
-        self, cand_senders: np.ndarray, cand_receivers: np.ndarray
-    ) -> np.ndarray:
-        """Batched :meth:`can_add`: one bool per candidate, state untouched.
-
-        Vectorizes over candidates while looping over members, so every
-        float accumulation happens in exactly :meth:`can_add`'s member
-        order — the verdicts are bit-identical, which the batched greedy
-        and patch paths rely on.  Candidates are alternatives evaluated
-        independently, not a set admitted together.
-        """
-        cs = np.asarray(cand_senders, dtype=np.intp)
-        cr = np.asarray(cand_receivers, dtype=np.intp)
-        if cs.shape != cr.shape or cs.ndim != 1:
-            raise ValueError("candidate senders and receivers must be equal-length 1-D arrays")
-        p = self._power
-        noise = self._noise
-        beta = self._beta
-        budget = self._budget
-
-        ok = cs != cr
-        shared = np.zeros(cs.shape, dtype=bool)
-        new_data_interf = np.zeros(cs.shape, dtype=float)
-        new_ack_interf = np.zeros(cs.shape, dtype=float)
-        for s_k, r_k in zip(self.senders, self.receivers):
-            shared |= (cs == s_k) | (cs == r_k) | (cr == s_k) | (cr == r_k)
-            new_data_interf += p[s_k, cr]
-            new_ack_interf += p[r_k, cs]
-        ok &= ~shared
-        data_noise = noise if budget is None else noise + budget[cr]
-        ack_noise = noise if budget is None else noise + budget[cs]
-        ok &= ~(p[cs, cr] < beta * (data_noise + new_data_interf))
-        ok &= ~(p[cr, cs] < beta * (ack_noise + new_ack_interf))
-
-        for k, (s_k, r_k) in enumerate(zip(self.senders, self.receivers)):
-            data_interf = self._data_interf[k] + p[cs, r_k]
-            member_data_noise = noise if budget is None else noise + budget[r_k]
-            ok &= ~(p[s_k, r_k] < beta * (member_data_noise + data_interf))
-            ack_interf = self._ack_interf[k] + p[cr, s_k]
-            member_ack_noise = noise if budget is None else noise + budget[s_k]
-            ok &= ~(p[r_k, s_k] < beta * (member_ack_noise + ack_interf))
-        return ok
-
     def add(self, sender: int, receiver: int) -> None:
         """Add the link unconditionally, updating interference sums."""
         p = self._power
@@ -167,110 +134,31 @@ class SlotState:
             return True
         return False
 
-    def is_feasible(self) -> bool:
-        """Re-check the whole member set against the exact model."""
-        snd, rcv = self.members()
-        if snd.size == 0:
-            return True
-        return self._model.is_feasible(snd, rcv)
 
-    def member_tiers(self, table) -> np.ndarray:
-        """Per-member MCS tier (base-tier floor) under a ``RateTable``.
-
-        Member order matches :attr:`senders` — the last entry is the most
-        recently added link.
-        """
-        snd, rcv = self.members()
-        if snd.size == 0:
-            return np.empty(0, dtype=np.int64)
-        return self._model.link_tiers(snd, rcv, table)
-
-    def member_rates(self, table) -> np.ndarray:
-        """Per-member packets-per-slot under a ``RateTable`` (>= base rate)."""
-        snd, rcv = self.members()
-        if snd.size == 0:
-            return np.empty(0, dtype=np.int64)
-        return self._model.link_rates(snd, rcv, table)
-
-    def rate_sum(self, table) -> int:
-        """Total packets per slot the current member set carries."""
-        return int(self.member_rates(table).sum())
-
-
-def slots_can_add(
-    states: list[SlotState], sender: int, receiver: int
+def feasible_alone(
+    model: PhysicalInterferenceModel, senders: np.ndarray, receivers: np.ndarray
 ) -> np.ndarray:
-    """One candidate against many slots: ``out[j] == states[j].can_add(...)``.
+    """One bool per link: does ``senders[k] -> receivers[k]`` decode alone?
 
-    The transpose of :meth:`SlotState.feasible_with` — vectorizes the
-    per-(link, slot) admission test over the *slot* axis.  All member
-    arrays are concatenated once and the per-slot interference sums fall
-    out of ``np.bincount`` segment sums, whose C loop accumulates weights
-    in input order — the same member order :meth:`SlotState.can_add` sums
-    in, keeping the verdicts bit-identical.  Empty slots reduce to the
-    standalone check, exactly as ``can_add`` on a fresh state does.
-
-    All states must be bound to the same interference model (one power
-    matrix / noise / β / budget); the schedulers that batch through here
-    build every slot from a single model.
+    The communication-graph membership test of Section II — data packet and
+    ACK both clear ``β`` against noise (plus the model's budget at each
+    receiving node) with nobody else on the air — and the verdict
+    :meth:`SlotState.can_add` gives on an empty slot, bit for bit.  A link
+    that fails it fails every admission test, so it can only ever be
+    served by a slot of its own.
     """
-    n = len(states)
-    out = np.zeros(n, dtype=bool)
-    if n == 0:
-        return out
-    if sender == receiver:
-        return out
-    st0 = states[0]
-    p = st0._power
-    noise = st0._noise
-    beta = st0._beta
-    budget = st0._budget
-
-    sid: list[int] = []
-    ms: list[int] = []
-    mr: list[int] = []
-    di: list[float] = []
-    ai: list[float] = []
-    for j, state in enumerate(states):
-        count = len(state.senders)
-        sid.extend([j] * count)
-        ms.extend(state.senders)
-        mr.extend(state.receivers)
-        di.extend(state._data_interf)
-        ai.extend(state._ack_interf)
-
-    data_noise = noise if budget is None else noise + budget[receiver]
-    ack_noise = noise if budget is None else noise + budget[sender]
-    if not sid:
-        # Every slot is empty: the verdict is the standalone check.
-        alone = not (
-            p[sender, receiver] < beta * data_noise
-            or p[receiver, sender] < beta * ack_noise
-        )
-        out[:] = alone
-        return out
-
-    slot_id = np.asarray(sid, dtype=np.intp)
-    msnd = np.asarray(ms, dtype=np.intp)
-    mrcv = np.asarray(mr, dtype=np.intp)
-    data_interf = np.asarray(di, dtype=float)
-    ack_interf = np.asarray(ai, dtype=float)
-
-    shared = (msnd == sender) | (msnd == receiver) | (mrcv == sender) | (mrcv == receiver)
-    shared_per_slot = np.bincount(slot_id, weights=shared, minlength=n) > 0
-
-    new_data_interf = np.bincount(slot_id, weights=p[msnd, receiver], minlength=n)
-    new_ack_interf = np.bincount(slot_id, weights=p[mrcv, sender], minlength=n)
-    cand_ok = ~(p[sender, receiver] < beta * (data_noise + new_data_interf))
-    cand_ok &= ~(p[receiver, sender] < beta * (ack_noise + new_ack_interf))
-
-    member_data_noise = noise if budget is None else noise + budget[mrcv]
-    member_ack_noise = noise if budget is None else noise + budget[msnd]
-    bad = p[msnd, mrcv] < beta * (member_data_noise + (data_interf + p[sender, mrcv]))
-    bad |= p[mrcv, msnd] < beta * (member_ack_noise + (ack_interf + p[receiver, msnd]))
-    member_bad = np.bincount(slot_id, weights=bad, minlength=n) > 0
-
-    return cand_ok & ~shared_per_slot & ~member_bad
+    snd = np.asarray(senders, dtype=np.intp)
+    rcv = np.asarray(receivers, dtype=np.intp)
+    p = model.power
+    beta = model.radio.beta
+    data_noise = ack_noise = model.radio.noise_mw
+    if model.budget_mw is not None:
+        data_noise = data_noise + model.budget_mw[rcv]
+        ack_noise = ack_noise + model.budget_mw[snd]
+    ok = snd != rcv
+    ok &= ~(p[snd, rcv] < beta * data_noise)
+    ok &= ~(p[rcv, snd] < beta * ack_noise)
+    return ok
 
 
 #: Initial slot-axis capacity of the sparse arena's per-node slot tables
@@ -289,18 +177,17 @@ def _stored(cols: np.ndarray, vals: np.ndarray, col: int):
 class SlotArena:
     """All slots of a schedule under construction, in flat numpy columns.
 
-    :func:`slots_can_add` is bit-exact but rebuilds its concatenated member
-    arrays from Python lists on *every* call — an O(total members) tax that
-    caps the sparse backend's win, since the rebuild dominates once the
-    arithmetic is pruned.  The arena keeps the same five columns
-    (``slot_id``, member sender/receiver, data/ACK interference sums)
-    persistently, appended in admission order with capacity doubling, so a
-    batched admission test touches no Python-level per-member work.
+    Five columns (``slot_id``, member sender / receiver, data / ACK
+    interference sums) are kept persistently, appended in admission order
+    with capacity doubling, so a batched admission test does no
+    Python-level per-member work.
 
     Two test paths, one verdict:
 
-    * dense — the exact :func:`slots_can_add` formula over all member rows
-      (same bincount segment sums, same order, bit-identical);
+    * dense — :meth:`SlotState.can_add` over all member rows at once: the
+      per-slot interference sums are ``np.bincount`` segment sums, whose C
+      loop accumulates weights in input order — the member order the
+      scalar loop sums in, so the verdicts are bit-identical;
     * sparse (auto-selected when the model's power is a
       :class:`~repro.phy.sparse.SparsePowerMatrix`) — per-node *slot
       tables* of shape ``(n, slot_capacity)``, the slot axis doubling on
@@ -317,10 +204,14 @@ class SlotArena:
       receives no contribution, so — because every admitted member is
       feasible at admission time and additions only recheck — it cannot
       flip: the verdict is bit-identical to the dense one.  That
-      member-feasibility invariant holds for every arena by construction:
-      the only unconditional insert, :meth:`open_slot`'s first member, is
-      screened standalone by the greedy caller.  The tables assume one
-      member per node per slot, which :meth:`add` enforces.
+      member-feasibility invariant is the callers' to keep, since
+      :meth:`open_slot` and :meth:`add` insert unconditionally: greedy
+      packing and fresh slots screen with :func:`feasible_alone`, a patch
+      seeds slots only with subsets of feasible cached slots (removals
+      lower interference), and ``reconcile_round`` masks the verdict of
+      the one kind of slot that breaks it (a link infeasible even alone).
+      The tables assume one member per node per slot, which :meth:`add`
+      enforces.
 
     All powers in mW; thresholds from the bound interference model, exactly
     as :class:`SlotState`.  ``tests/property/test_scheduling_properties.py``
@@ -399,8 +290,8 @@ class SlotArena:
     def open_slot(self, sender: int, receiver: int) -> int:
         """Append a fresh slot seeded with one member; return its index.
 
-        The insert is unconditional — callers screen the link standalone
-        first (greedy does, batched), which is what keeps the
+        The insert is unconditional — callers screen the link with
+        :func:`feasible_alone` first, which is what keeps the
         member-feasibility invariant the sparse path relies on.
         """
         if self._use_sparse:
@@ -513,8 +404,8 @@ class SlotArena:
     ) -> None:
         """Clear ``ok[j]`` where a slot-``j`` member listening at one of
         ``cols`` (per ``table``) would drop below threshold with ``vals``
-        added to its interference — :func:`slots_can_add`'s member check,
-        on the rows the candidate's CSR row reaches."""
+        added to its interference — the dense path's member check, on the
+        rows the candidate's CSR row reaches."""
         # Whole table rows (slots not opened yet hold no member), flat: a
         # 1-D nonzero plus one divmod beats the 2-D nonzero several-fold.
         near = table.take(cols, axis=0).ravel()
@@ -532,8 +423,8 @@ class SlotArena:
     def can_add_all(self, sender: int, receiver: int) -> np.ndarray:
         """One candidate against every slot: ``out[j] == slot j can admit``.
 
-        Bit-identical to :func:`slots_can_add` over equivalent states, on
-        either path.
+        Bit-identical to ``[state.can_add(sender, receiver) for state in
+        states]`` over equivalent :class:`SlotState` objects, on either path.
         """
         n = self.n_slots
         out = np.zeros(n, dtype=bool)
@@ -569,16 +460,6 @@ class SlotArena:
         mrcv = self._mrcv[:m]
         di = self._di[:m]
         ai = self._ai[:m]
-
-        if sid.size == 0:
-            # No members anywhere: every slot reduces to the standalone
-            # check, exactly as the zero segment sums would.
-            alone = not (
-                p[sender, receiver] < beta * data_noise
-                or p[receiver, sender] < beta * ack_noise
-            )
-            out[:] = alone
-            return out
 
         shared = (msnd == sender) | (msnd == receiver) | (mrcv == sender) | (mrcv == receiver)
         shared_per_slot = np.bincount(sid, weights=shared, minlength=n) > 0

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from repro.phy.interference import PhysicalInterferenceModel
-from repro.scheduling.feasibility import SlotArena, SlotState
+from repro.scheduling.feasibility import SlotArena, feasible_alone
 from repro.scheduling.links import LinkSet
 from repro.scheduling.orderings import EDGE_ORDERINGS
 from repro.scheduling.schedule import Schedule, Slot
@@ -59,11 +59,11 @@ def greedy_physical(
     order = order_fn(links, model)
 
     schedule = Schedule(link_set=links)
-    # Flat-column slot store: same verdicts as a SlotState list driven
-    # through slots_can_add (bit-identical, pinned by the arena suite in
-    # tests/property/test_scheduling_properties.py), but without the
-    # per-candidate member-array rebuild — and from per-node slot tables,
-    # with no power-matrix search, when the model's power matrix is sparse.
+    # Flat-column slot store: the verdicts of a SlotState per slot
+    # (bit-identical, pinned by the arena suite in
+    # tests/property/test_scheduling_properties.py), one numpy pass per
+    # link — from per-node slot tables, with no power-matrix search, when
+    # the model's power matrix is sparse.
     arena = SlotArena(model)
 
     demanded = [int(k) for k in order if int(links.demand[int(k)]) > 0]
@@ -75,7 +75,7 @@ def greedy_physical(
     # slot — catching the first such link (in allocation order) up front
     # reproduces the incremental loop's error exactly.
     idx = np.asarray(demanded, dtype=np.intp)
-    alone = SlotState(model).feasible_with(links.heads[idx], links.tails[idx])
+    alone = feasible_alone(model, links.heads[idx], links.tails[idx])
     if not alone.all():
         bad = int(idx[int(np.flatnonzero(~alone)[0])])
         raise ValueError(

@@ -610,6 +610,22 @@ def finish_run_obs(obs: Obs | None, trace: TrafficTrace, engine: str) -> None:
         obs.counter("traffic.diverged", 1, engine=engine)
 
 
+def bind_workload(generator: TrafficGenerator, ledger, obs: Obs | None) -> None:
+    """(Re)bind a workload's optional ``bind_control`` / ``bind_obs`` hooks.
+
+    Session workloads (:class:`~repro.traffic.flows.FlowWorkload`) price
+    their signalling into the run's control ledger and book into its obs
+    handle; plain generators have neither hook and are left alone.  Both
+    engines call this on every run — with ``None`` handles on unpriced /
+    unobserved runs — so a workload reused across runs never keeps
+    charging a previous run's ledger.
+    """
+    for hook, handle in (("bind_control", ledger), ("bind_obs", obs)):
+        bind = getattr(generator, hook, None)
+        if bind is not None:
+            bind(handle)
+
+
 def run_epochs(
     links: LinkSet,
     generator: TrafficGenerator,
@@ -678,12 +694,7 @@ def run_epochs(
     if cache is not None:
         cache.bind_control(ledger, forest_depths(links) if ledger else None)
         cache.bind_obs(obs, engine="epoch")
-    bind = getattr(generator, "bind_control", None)
-    if bind is not None:
-        bind(ledger)
-    bind_obs = getattr(generator, "bind_obs", None)
-    if bind_obs is not None:
-        bind_obs(obs)
+    bind_workload(generator, ledger, obs)
     annotator = None
     if cfg.rate_table is not None:
         if model is None:

@@ -19,8 +19,8 @@ recomputation (cf. arXiv:1106.1590, arXiv:1208.0902):
   schedule in place: links whose backlog emptied are dropped from their
   slots (removal can only reduce interference, so feasibility is
   preserved), and newly backlogged links are greedily inserted into
-  existing slots wherever the incremental SINR feasibility check
-  (:class:`~repro.scheduling.feasibility.SlotState`) still passes.  Only
+  existing slots wherever the incremental SINR admission test
+  (:class:`~repro.scheduling.feasibility.SlotArena`) still passes.  Only
   when some newly backlogged link fits no slot does the cache fall back to
   a full re-run of the wrapped scheduler (paying its overhead once).
 
@@ -49,7 +49,7 @@ import numpy as np
 
 from repro.obs import phase
 from repro.phy.interference import PhysicalInterferenceModel
-from repro.scheduling.feasibility import SlotState, slots_can_add
+from repro.scheduling.feasibility import SlotArena, feasible_alone
 from repro.scheduling.greedy_rate import standalone_rates
 from repro.scheduling.links import LinkSet
 from repro.scheduling.schedule import Schedule, Slot
@@ -159,8 +159,8 @@ def patch_schedule(
        so trimming never cuts below the new demand.
     2. *Insert under-allocated links*: newly backlogged links, and links
        whose demand grew past their cached capacity, are added greedily
-       to the earliest slots where :meth:`SlotState.can_add` says the slot
-       — including its ACK traffic — stays SINR-feasible (at most one
+       to the earliest slots where :meth:`SlotArena.can_add_all` says the
+       slot — including its ACK traffic — stays SINR-feasible (at most one
        membership per slot, mirroring the greedy invariant), with new
        slots opened at the end for whatever the packed slots cannot
        absorb, exactly as the greedy algorithm itself overflows.  Each
@@ -205,10 +205,11 @@ def patch_schedule(
 
     # 1. Keep memberships until each link's demand is covered, earliest
     #    slots first (greedy packed the earliest slots densest; trimming
-    #    from the tail preserves that structure), then rebuild per-slot
-    #    feasibility state.
+    #    from the tail preserves that structure), seeding one arena slot
+    #    per surviving cached slot — untested, in cached order, so every
+    #    interference sum accumulates as it did when the slot was built.
     keep_budget = demand.copy()
-    states: list[SlotState] = []
+    arena = SlotArena(model)
     slots: list[Slot] = []
     allocated = np.zeros(links.n_links, dtype=np.int64)
     for slot, slot_rates in zip(cached.slots, cached_rates):
@@ -219,38 +220,33 @@ def patch_schedule(
         ]
         if not kept:
             continue
-        state = SlotState(model)
         new_slot = Slot()
         for k, rate in kept:
-            state.add(int(heads[k]), int(tails[k]))
+            if len(new_slot):
+                arena.add(len(slots), int(heads[k]), int(tails[k]))
+            else:
+                arena.open_slot(int(heads[k]), int(tails[k]))
             new_slot.add(k)
             keep_budget[k] -= rate
             allocated[k] += rate
-        states.append(state)
         slots.append(new_slot)
 
-    def open_fresh_slot(k: int, sender: int, receiver: int) -> int | None:
-        """Append a singleton slot for ``k``; return its granted rate."""
-        state = SlotState(model)
-        if not state.try_add(sender, receiver):
-            return None  # infeasible even alone: not a communication edge
-        slot = Slot()
-        slot.add(k)
-        states.append(state)
-        slots.append(slot)
-        # Alone in its slot the link is granted its standalone rate (the
-        # screen established membership, so the base tier is the floor).
-        return 1 if table is None else max(int(alone[k]), table.base_rate)
+    fits_alone = feasible_alone(model, heads, tails)
 
     def cover_with_fresh_slots(k: int, remaining: int) -> bool:
         """Open singleton slots for ``k`` until ``remaining`` packets are
         covered; False when the patch must be abandoned."""
-        sender, receiver = int(heads[k]), int(tails[k])
+        if remaining > 0 and not fits_alone[k]:
+            return False  # infeasible even alone: not a communication edge
+        # Alone in its slot the link is granted its standalone rate (the
+        # screen established membership, so the base tier is the floor).
+        grant = 1 if table is None else max(int(alone[k]), table.base_rate)
         while remaining > 0:
-            granted = open_fresh_slot(k, sender, receiver)
-            if granted is None:
-                return False
-            remaining -= granted
+            arena.open_slot(int(heads[k]), int(tails[k]))
+            slot = Slot()
+            slot.add(k)
+            slots.append(slot)
+            remaining -= grant
             if max_length is not None and len(slots) > max_length:
                 return False  # packing degraded past the playable window
         return True
@@ -263,31 +259,30 @@ def patch_schedule(
         k = int(k)
         sender, receiver = int(heads[k]), int(tails[k])
         remaining = int(deficit[k])
-        if states:
-            # One batched admission pass and one batched rate read, both
-            # before this link's insertions: slots are independent, so
-            # neither a verdict nor the rate a slot would grant ``k``
-            # depends on ``k`` joining another slot.  Every grant is at
-            # least one packet, so the first ``remaining`` admitting slots
-            # are all this link can use.  A slot already containing ``k``
-            # shares both endpoints and is rejected by the mask.
-            admits = np.flatnonzero(slots_can_add(states, sender, receiver))[:remaining]
-            if table is None:
-                grants = [1] * admits.size
-            else:
-                # The newest member is last in each what-if member list.
-                grants = [
-                    int(rates[-1])
-                    for rates in model.slot_rates(
-                        heads, tails, [[*slots[j].links, k] for j in admits], table
-                    )
-                ]
-            for j, granted in zip(admits, grants):
-                if remaining <= 0:
-                    break
-                states[j].add(sender, receiver)
-                slots[j].add(k)
-                remaining -= granted
+        # One batched admission pass and one batched rate read, both before
+        # this link's insertions: slots are independent, so neither a
+        # verdict nor the rate a slot would grant ``k`` depends on ``k``
+        # joining another slot.  Every grant is at least one packet, so the
+        # first ``remaining`` admitting slots are all this link can use.  A
+        # slot already containing ``k`` shares both endpoints and is
+        # rejected by the mask.
+        admits = np.flatnonzero(arena.can_add_all(sender, receiver))[:remaining]
+        if table is None:
+            grants = [1] * admits.size
+        else:
+            # The newest member is last in each what-if member list.
+            grants = [
+                int(rates[-1])
+                for rates in model.slot_rates(
+                    heads, tails, [[*slots[j].links, k] for j in admits], table
+                )
+            ]
+        for j, granted in zip(admits, grants):
+            if remaining <= 0:
+                break
+            arena.add(int(j), sender, receiver)
+            slots[j].add(k)
+            remaining -= granted
         if not cover_with_fresh_slots(k, remaining):
             return None
 

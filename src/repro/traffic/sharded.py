@@ -57,7 +57,7 @@ from repro.core.controlplane import ControlLedger, ControlPlaneModel, forest_dep
 from repro.obs import DeliveryStream, Obs, phase
 from repro.obs import spans as obs_spans
 from repro.phy.interference import PhysicalInterferenceModel
-from repro.scheduling.feasibility import SlotState, slots_can_add
+from repro.scheduling.feasibility import SlotArena, feasible_alone
 from repro.scheduling.links import LinkSet
 from repro.topology.regions import GridTiling
 from repro.traffic.epoch import (
@@ -67,6 +67,7 @@ from repro.traffic.epoch import (
     EpochSchedulerFn,
     RateAnnotator,
     TrafficTrace,
+    bind_workload,
     book_epoch_obs,
     book_rate_obs,
     finish_run_obs,
@@ -487,7 +488,7 @@ def reconcile_round(
     Each combined slot is re-checked under the exact (unbudgeted) global
     model.  While a slot is infeasible, one failing link is peeled out;
     every peeled membership is then re-packed greedily into *overflow*
-    slots appended to the round — :class:`SlotState` feasibility first, a
+    slots appended to the round — :class:`SlotArena` admission first, a
     dedicated slot as the last resort — i.e. the residual budget violations
     are serialized rather than dropped, at the price of a longer round.
 
@@ -550,34 +551,31 @@ def reconcile_round(
 
     # Serialize the peeled memberships: earliest overflow slot that stays
     # feasible, or a fresh one.  Ascending link order keeps the packing
-    # deterministic whatever order the violations surfaced in.  A ``None``
-    # state marks a *closed* slot: its link fails SINR even alone under the
-    # exact model (it was being served on faith by its shard), so a
-    # dedicated slot is the closest serialization — and nothing may join
-    # it, since its interference was never evaluated.  The admission tests
-    # run through the batched :func:`slots_can_add` kernel — one pass over
-    # the open slots per membership, bit-identical to the per-slot scan.
-    states: list[SlotState | None] = []
+    # deterministic whatever order the violations surfaced in.  A *closed*
+    # slot holds a link that fails SINR even alone under the exact model
+    # (it was being served on faith by its shard), so a dedicated slot is
+    # the closest serialization — and nothing may join it: it sits in the
+    # arena like any other slot, but its member breaks the arena's
+    # member-feasibility invariant, so its verdict is masked out.  A slot
+    # already holding ``k`` (a link peeled twice) shares both endpoints
+    # with the candidate and is rejected by the admission test itself.
+    peeled.sort()
+    fits_alone = feasible_alone(model, heads[peeled], tails[peeled])
+    arena = SlotArena(model)
+    closed: list[int] = []
     overflow: list[list[int]] = []
-    for k in sorted(peeled):
+    for k, alone_ok in zip(peeled, fits_alone):
         sender, receiver = int(heads[k]), int(tails[k])
-        open_idx = [j for j, state in enumerate(states) if state is not None]
-        placed = False
-        if open_idx:
-            mask = slots_can_add(
-                [states[j] for j in open_idx], sender, receiver
-            )
-            for pos in np.flatnonzero(mask):
-                j = open_idx[int(pos)]
-                if k in overflow[j]:
-                    continue
-                states[j].add(sender, receiver)
-                overflow[j].append(k)
-                placed = True
-                break
-        if not placed:
-            state = SlotState(model)
-            states.append(state if state.try_add(sender, receiver) else None)
+        admits = arena.can_add_all(sender, receiver)
+        admits[closed] = False
+        if admits.any():
+            j = int(admits.argmax())
+            arena.add(j, sender, receiver)
+            overflow[j].append(k)
+        else:
+            j = arena.open_slot(sender, receiver)
+            if not alone_ok:
+                closed.append(j)
             overflow.append([k])
     kept_slots.extend(np.asarray(slot, dtype=np.intp) for slot in overflow)
     return kept_slots, len(peeled)
@@ -820,12 +818,7 @@ def run_epochs_sharded(
             cache.bind_obs(obs, engine="sharded", shard=shard.index)
         schedulers.append(scheduler)
         caches.append(cache)
-    bind = getattr(generator, "bind_control", None)
-    if bind is not None:
-        bind(ledger)
-    bind_obs = getattr(generator, "bind_obs", None)
-    if bind_obs is not None:
-        bind_obs(obs)
+    bind_workload(generator, ledger, obs)
     if ledger is not None:
         ledger.bind_obs(obs)
 

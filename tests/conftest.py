@@ -96,7 +96,9 @@ class StepwiseRuntime(FastRuntime):
 # schedules in one batched SINR kernel and replicates greedy_rate's slots by
 # run length; these are the bodies it replaced — one ``sinr_for_links`` pair
 # per slot, one slot built per slot emitted — kept as the references the
-# whole-path identity suite differences against.
+# whole-path identity suite differences against.  Admission verdicts come
+# from the scalar ``SlotState`` oracle only, never from the batched arena
+# the library packs with.
 # --------------------------------------------------------------------------
 
 
@@ -144,7 +146,7 @@ def stepwise_greedy_rate(links, model, table):
             state.add(sender, receiver)
             slot.append(k)
             total_rate = candidate
-        for k, rate in zip(slot, state.member_rates(table)):
+        for k, rate in zip(slot, model.link_rates(*state.members(), table)):
             residual[k] = max(0, residual[k] - int(rate))
         slots.append(slot)
     return slots
@@ -153,7 +155,7 @@ def stepwise_greedy_rate(links, model, table):
 def stepwise_patch_schedule(cached, links, model, max_length=None, table=None):
     """``patch_schedule`` reading every rate slot by slot and every grant
     after its insertion; returns the slot lists, or ``None``."""
-    from repro.scheduling.feasibility import SlotState, slots_can_add
+    from repro.scheduling.feasibility import SlotState
 
     demand = np.asarray(links.demand, dtype=np.int64)
     if table is None:
@@ -191,7 +193,7 @@ def stepwise_patch_schedule(cached, links, model, max_length=None, table=None):
             return None
         states.append(state)
         slots.append([k])
-        return 1 if table is None else int(state.member_rates(table)[0])
+        return 1 if table is None else int(model.link_rates(*state.members(), table)[0])
 
     deficit = demand - allocated
     for k in sorted(np.flatnonzero(deficit > 0), key=lambda k: -int(deficit[k])):
@@ -199,13 +201,15 @@ def stepwise_patch_schedule(cached, links, model, max_length=None, table=None):
         sender, receiver = int(links.heads[k]), int(links.tails[k])
         remaining = int(deficit[k])
         if states:
-            for j in np.flatnonzero(slots_can_add(states, sender, receiver)):
+            for j in np.flatnonzero([st.can_add(sender, receiver) for st in states]):
                 if remaining <= 0:
                     break
                 states[j].add(sender, receiver)
                 slots[j].append(k)
                 remaining -= (
-                    1 if table is None else int(states[j].member_rates(table)[-1])
+                    1
+                    if table is None
+                    else int(model.link_rates(*states[j].members(), table)[-1])
                 )
         while remaining > 0:
             granted = open_fresh_slot(k, sender, receiver)
@@ -218,7 +222,7 @@ def stepwise_patch_schedule(cached, links, model, max_length=None, table=None):
     if table is not None:
         capacity = np.zeros(links.n_links, dtype=np.int64)
         for state, slot in zip(states, slots):
-            for k, rate in zip(slot, state.member_rates(table)):
+            for k, rate in zip(slot, model.link_rates(*state.members(), table)):
                 capacity[k] += int(rate)
         shortfall = demand - capacity
         for k in sorted(np.flatnonzero(shortfall > 0), key=lambda k: -int(shortfall[k])):

@@ -1,7 +1,9 @@
 """Property tests: greedy schedules, routing forests, demand conservation,
-and the slot arena's dense / sparse / SlotState agreement."""
+the slot arena's dense / sparse / SlotState agreement, and the patcher's
+sparse / dense agreement on top of it."""
 
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -11,17 +13,19 @@ from hypothesis import given, settings, strategies as st
 from repro.phy.gain import received_power_matrix
 from repro.phy.interference import PhysicalInterferenceModel
 from repro.phy.propagation import LogDistancePathLoss
-from repro.phy.radio import RadioConfig
+from repro.phy.radio import RadioConfig, RateTable
 from repro.routing.demand import aggregate_demand, uniform_node_demand
 from repro.phy.sparse import SparsePowerMatrix, sparse_gain_model
 from repro.routing.forest import build_routing_forest
 from repro.scheduling import feasibility
-from repro.scheduling.feasibility import SlotArena, SlotState
+from repro.scheduling.feasibility import SlotArena, SlotState, feasible_alone
 from repro.scheduling.greedy_physical import greedy_physical
+from repro.scheduling.greedy_rate import greedy_rate
 from repro.scheduling.links import LinkSet, forest_link_set
 from repro.scheduling.metrics import improvement_over_linear, verify_schedule
 from repro.scheduling.orderings import EDGE_ORDERINGS
 from repro.topology.commgraph import communication_adjacency, is_connected
+from repro.traffic.incremental import patch_schedule
 
 
 @st.composite
@@ -118,7 +122,7 @@ def standalone_pairs(model):
     """(heads, tails) of every ordered node pair that decodes alone."""
     n = model.n_nodes
     heads, tails = np.divmod(np.arange(n * n), n)
-    alone = SlotState(model).feasible_with(heads, tails)
+    alone = feasible_alone(model, heads, tails)
     return heads[alone], tails[alone]
 
 
@@ -157,41 +161,135 @@ def admission_instance(draw):
     return sparse_model, dense_model, heads[pick], tails[pick], demands
 
 
+def three_arenas(sparse_model, dense_model):
+    """Sparse, dense, and the sparse path again from the smallest
+    capacities: both the member-row axis and the slot axis regrow again and
+    again."""
+    with mock.patch.object(feasibility, "_SLOT_CAPACITY", 1):
+        regrown = SlotArena(sparse_model, capacity=1)
+    return SlotArena(sparse_model), SlotArena(dense_model), regrown
+
+
+def assert_arenas_equal_states(arenas, states):
+    """Same slots, same members in the same order, and — bit for bit — the
+    same interference sums ``SlotState.add`` accumulated."""
+    for arena in arenas:
+        assert len(arena) == len(states)
+        for j, state in enumerate(states):
+            snd, rcv = arena.members(j)
+            assert snd.tolist() == state.senders
+            assert rcv.tolist() == state.receivers
+            rows = arena._slot_rows[j]
+            assert arena._di[rows].tolist() == state._data_interf
+            assert arena._ai[rows].tolist() == state._ack_interf
+
+
+def admit_like_greedy(arenas, states, model, s, r, demand):
+    """One link's greedy allocation: a verdict per slot, the first
+    ``demand`` admitting slots, fresh singletons for the rest — with the
+    arenas checked against the ``SlotState`` list before and after."""
+    expected = np.array([state.can_add(s, r) for state in states], dtype=bool)
+    for arena in arenas:
+        np.testing.assert_array_equal(arena.can_add_all(s, r), expected)
+    admitting = np.flatnonzero(expected)[:demand].tolist()
+    for j in admitting:
+        for arena in arenas:
+            arena.add(j, s, r)
+        states[j].add(s, r)
+    for _ in range(demand - len(admitting)):
+        for arena in arenas:
+            assert arena.open_slot(s, r) == len(states)
+        states.append(SlotState(model))
+        states[-1].add(s, r)
+    assert_arenas_equal_states(arenas, states)
+
+
 @given(admission_instance())
 @settings(max_examples=60, deadline=None)
 def test_arena_sparse_dense_slotstate_agree_step_by_step(instance):
     if instance is None:
         return
     sparse_model, dense_model, heads, tails, demands = instance
-    sparse = SlotArena(sparse_model)
-    dense = SlotArena(dense_model)
-    # Same sparse path from the smallest capacities: both the member-row
-    # axis and the slot axis regrow again and again.
-    with mock.patch.object(feasibility, "_SLOT_CAPACITY", 1):
-        regrown = SlotArena(sparse_model, capacity=1)
-    arenas = (sparse, dense, regrown)
+    arenas = three_arenas(sparse_model, dense_model)
     states: list[SlotState] = []
     for s, r, demand in zip(heads.tolist(), tails.tolist(), demands.tolist()):
-        expected = np.array([st_.can_add(s, r) for st_ in states], dtype=bool)
-        for arena in arenas:
-            np.testing.assert_array_equal(arena.can_add_all(s, r), expected)
-        remaining = demand
-        for j in np.flatnonzero(expected)[:remaining].tolist():
+        admit_like_greedy(arenas, states, dense_model, s, r, demand)
+
+
+@given(admission_instance(), st.integers(min_value=0, max_value=2**31 - 1))
+@settings(max_examples=100, deadline=None)
+def test_arena_seeded_without_testing_then_patched_agrees_step_by_step(instance, seed):
+    """The access pattern of a patch: slots seeded *untested* with several
+    members each (``open_slot`` + ``add``, subsets of a feasible round in
+    its order, as pass 1 trims a cached schedule), then deficit links
+    tested, admitted and overflowed into fresh singletons."""
+    if instance is None:
+        return
+    sparse_model, dense_model, heads, tails, demands = instance
+    links = list(zip(heads.tolist(), tails.tolist(), demands.tolist()))
+    rng = np.random.default_rng(seed)
+    # A feasible cached round, packed by the scalar oracle alone ...
+    cached: list[SlotState] = []
+    for s, r, demand in links:
+        fits = [state for state in cached if state.can_add(s, r)][:demand]
+        fresh = [SlotState(dense_model) for _ in range(demand - len(fits))]
+        for state in fits + fresh:
+            state.add(s, r)
+        cached += fresh
+    # ... of which random memberships survive, in cached order.
+    arenas = three_arenas(sparse_model, dense_model)
+    states: list[SlotState] = []
+    for slot in cached:
+        kept = [m for m in zip(slot.senders, slot.receivers) if rng.random() < 0.7]
+        if not kept:
+            continue
+        states.append(SlotState(dense_model))
+        for s, r in kept:
             for arena in arenas:
-                arena.add(j, s, r)
-            states[j].add(s, r)
-            remaining -= 1
-        for _ in range(remaining):
-            for arena in arenas:
-                arena.open_slot(s, r)
-            states.append(SlotState(dense_model))
+                if len(states[-1]):
+                    arena.add(len(states) - 1, s, r)
+                else:
+                    arena.open_slot(s, r)
             states[-1].add(s, r)
-        for j, state in enumerate(states):
-            for arena in arenas:
-                snd, rcv = arena.members(j)
-                assert snd.tolist() == state.senders
-                assert rcv.tolist() == state.receivers
-    assert all(len(arena) == len(states) for arena in arenas)
+        assert_arenas_equal_states(arenas, states)
+    for k in rng.permutation(len(links)).tolist():
+        s, r, _ = links[k]
+        admit_like_greedy(arenas, states, dense_model, s, r, int(rng.integers(1, 4)))
+
+
+@given(
+    admission_instance(),
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.booleans(),
+    st.sampled_from([None, 12, 60]),
+)
+@settings(max_examples=100, deadline=None)
+def test_patch_schedule_sparse_model_matches_dense_model(instance, seed, rated, max_length):
+    """``patch_schedule`` through the sparse arena ≡ through the dense one
+    (same power values via ``toarray()``, same budget), slot list for slot
+    list, rate-blind and under a ``RateTable``."""
+    if instance is None:
+        return
+    sparse_model, dense_model, heads, tails, demands = instance
+    links = LinkSet(heads=heads, tails=tails, demand=demands, ids=np.arange(heads.size))
+    table = RateTable.geometric(dense_model.radio.beta) if rated else None
+    if rated:
+        cached = greedy_rate(links, dense_model, table)
+    else:
+        cached = greedy_physical(links, dense_model)
+    # Demand drifts: some links empty, some shrink, some grow.
+    rng = np.random.default_rng(seed)
+    drift = rng.integers(-3, 6, links.n_links) * (rng.random(links.n_links) < 0.7)
+    moved = replace(links, demand=np.maximum(links.demand + drift, 0))
+    patched = [
+        patch_schedule(cached, moved, model, max_length=max_length, table=table)
+        for model in (sparse_model, dense_model)
+    ]
+    lists = [p if p is None else [slot.links for slot in p.slots] for p in patched]
+    assert lists[0] == lists[1]
+    if max_length is None:
+        assert lists[0] is not None  # every link decodes alone: nothing to abandon
+        assert rated or patched[0].satisfies_demand()
 
 
 def test_arena_regrows_both_axes_without_changing_a_verdict():

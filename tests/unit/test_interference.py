@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.phy.gain import received_power_matrix
-from repro.phy.interference import PhysicalInterferenceModel, link_feasible_alone
+from repro.phy.interference import PhysicalInterferenceModel
 from repro.phy.propagation import LogDistancePathLoss
 from repro.phy.radio import RadioConfig
 
@@ -37,13 +37,6 @@ def test_feasible_mask_is_per_link(model):
 def test_far_links_coexist(model):
     # 0->1 and 5->4 are 180+ m apart: should be concurrently feasible.
     assert model.is_feasible(np.array([0, 5]), np.array([1, 4]))
-
-
-def test_feasible_with_addition_matches_union(model):
-    base_s, base_r = np.array([0]), np.array([1])
-    added = model.feasible_with_addition(base_s, base_r, 5, 4)
-    union = model.is_feasible(np.array([0, 5]), np.array([1, 4]))
-    assert added == union
 
 
 def test_ack_direction_enforced(model):
@@ -87,16 +80,6 @@ def test_sense_mask_transmitters_always_sense(model):
 
 def test_sense_mask_empty(model):
     assert not model.sense_mask(np.array([])).any()
-
-
-def test_link_feasible_alone_matches_graph_rule(model):
-    p = model.power
-    radio = model.radio
-    expected = (
-        p[0, 1] / radio.noise_mw >= radio.beta
-        and p[1, 0] / radio.noise_mw >= radio.beta
-    )
-    assert link_feasible_alone(model, 0, 1) == expected
 
 
 def test_rejects_non_square_power():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.routing import aggregate_demand, build_routing_forest, planned_gateways
-from repro.scheduling.feasibility import SlotState, schedule_is_feasible
+from repro.scheduling.feasibility import SlotState, feasible_alone, schedule_is_feasible
 from repro.scheduling.greedy_physical import greedy_physical
 from repro.scheduling.linear import linear_schedule
 from repro.scheduling.links import LinkSet, forest_link_set
@@ -110,7 +110,24 @@ class TestSlotState:
             if exact and added < 6:
                 state.add(s, r)
                 added += 1
-        assert state.is_feasible()
+        assert model.is_feasible(*state.members())
+
+    def test_feasible_alone_matches_graph_rule(self, grid16):
+        """The standalone screen is the communication-graph edge rule, the
+        verdict of an empty slot, and tightens with a budget."""
+        model = grid16.model
+        n = grid16.n_nodes
+        snd, rcv = (a.ravel() for a in np.meshgrid(np.arange(n), np.arange(n)))
+        alone = feasible_alone(model, snd, rcv)
+        assert np.array_equal(alone.reshape(n, n), grid16.comm_adj)
+        assert alone.tolist() == [
+            SlotState(model).can_add(int(s), int(r)) for s, r in zip(snd, rcv)
+        ]
+        # A budget at one node silences exactly the links that end there.
+        budget = np.zeros(n)
+        budget[5] = 1e6 * model.radio.noise_mw
+        drowned = feasible_alone(model.with_budget(budget), snd, rcv)
+        assert np.array_equal(drowned, alone & (snd != 5) & (rcv != 5))
 
     def test_try_add_only_keeps_feasible(self, grid16):
         model = grid16.model
@@ -276,13 +293,3 @@ class TestGreedyRate:
             grid16_links.heads[:1], grid16_links.tails[:1], table
         )
         assert rates[0] == alone[0]
-
-    def test_member_rates_follow_slot_state(self, grid16, grid16_links):
-        from repro.scheduling.feasibility import SlotState
-
-        table = self.table(grid16.model.radio.beta)
-        state = SlotState(grid16.model)
-        state.add(int(grid16_links.heads[0]), int(grid16_links.tails[0]))
-        alone = int(state.member_rates(table)[0])
-        assert state.rate_sum(table) == alone
-        assert alone >= 1

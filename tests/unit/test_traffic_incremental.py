@@ -545,3 +545,45 @@ class TestPatchScheduleWithRateTable:
             patch_schedule(cached, grown, model, max_length=2, table=self.table(model))
             is None
         )
+
+    def test_whatif_rates_are_read_for_no_more_slots_than_the_deficit(
+        self, mesh, monkeypatch
+    ):
+        """Every grant is at least one packet, so a deficit of ``d`` packets
+        can use at most the first ``d`` admitting slots — the what-if rate
+        read stops there, however many slots would take the link."""
+        from repro.phy.interference import PhysicalInterferenceModel
+        from repro.scheduling.feasibility import SlotArena
+
+        links, model = mesh.links, mesh.network.model
+        table = self.table(model)
+        k = links.n_links - 1
+        without = links.demand.copy()
+        without[k] = 0
+        cached = greedy_physical(replace(links, demand=without), model)
+        arena = SlotArena(model)
+        for slot in cached.slots:
+            first, *rest = slot.links
+            j = arena.open_slot(int(links.heads[first]), int(links.tails[first]))
+            for m in rest:
+                arena.add(j, int(links.heads[m]), int(links.tails[m]))
+        takers = int(arena.can_add_all(int(links.heads[k]), int(links.tails[k])).sum())
+        assert takers > 2
+
+        reads = []
+        slot_rates = PhysicalInterferenceModel.slot_rates
+
+        def recording(self, heads, tails, slots, table):
+            slots = [list(slot) for slot in slots]
+            reads.append(slots)
+            return slot_rates(self, heads, tails, slots, table)
+
+        monkeypatch.setattr(PhysicalInterferenceModel, "slot_rates", recording)
+        with_two = without.copy()
+        with_two[k] = 2
+        patched = patch_schedule(cached, replace(links, demand=with_two), model, table=table)
+        assert patched is not None
+        whatif = [
+            slots for slots in reads if slots and all(s[-1] == k and len(s) > 1 for s in slots)
+        ]
+        assert len(whatif) == 1 and len(whatif[0]) == 2

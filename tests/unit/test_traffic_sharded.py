@@ -245,6 +245,74 @@ def test_reconcile_round_keeps_standalone_infeasible_links_alone(mesh):
             assert model.is_feasible(links.heads[slot], links.tails[slot])
 
 
+def test_reconcile_round_never_lets_a_link_join_a_closed_slot_it_cannot_hear():
+    """On a sparse model the closed slot's member can sit beyond the
+    candidate's stored rows, where the slot tables see no reason to refuse
+    it — only the closed-slot mask keeps the dead link alone."""
+    from repro.phy.propagation import LogDistancePathLoss
+    from repro.phy.radio import RadioConfig
+    from repro.phy.sparse import sparse_gain_model
+    from repro.scheduling.feasibility import SlotArena
+    from repro.scheduling.links import LinkSet
+
+    radio = RadioConfig()
+    # Dead link 0->1 (140 m: no SINR even alone), and a kilometre away a
+    # relay chain 2->3->4 whose two hops cannot share a slot (node 3).
+    positions = np.array(
+        [[0.0, 0.0], [140.0, 0.0], [1000.0, 0.0], [1030.0, 0.0], [1060.0, 0.0]]
+    )
+    sparse = sparse_gain_model(
+        positions,
+        np.full(5, 10 ** (12.0 / 10.0)),
+        LogDistancePathLoss(alpha=3.0),
+        radio,
+        cutoff_m=150.0,
+        far_field="none",
+    )
+    links = LinkSet(
+        heads=np.array([0, 2, 3]),
+        tails=np.array([1, 3, 4]),
+        demand=np.array([1, 1, 1]),
+        ids=np.array([10, 11, 12]),
+    )
+    for model in (
+        sparse.interference_model(radio),
+        PhysicalInterferenceModel(sparse.power.toarray(), radio),
+    ):
+        assert not SlotState(model).can_add(0, 1)
+        kept, moved = reconcile_round([np.array([0, 1, 2])], links, model)
+        assert moved == 2  # the dead link, then one of the two hops
+        assert [slot.tolist() for slot in kept] == [[2], [0], [1]]
+    # The mask is load-bearing: left to the slot tables alone, the far
+    # hop 2->3 would have been waved into the dead link's slot.
+    unmasked = SlotArena(sparse.interference_model(radio))
+    unmasked.open_slot(0, 1)
+    assert unmasked.can_add_all(2, 3).tolist() == [True]
+
+
+def test_reconcile_round_gives_a_link_peeled_twice_two_overflow_slots(mesh):
+    """Demand 2: the same link peeled out of two slots of one round lands
+    in two *different* overflow slots — a slot that already holds it shares
+    both endpoints with it, which the admission test itself refuses."""
+    links, model = mesh.links, mesh.network.model
+    pairs = _shared_node_pairs(links)
+    a, b = pairs[0]
+    # A later link that coexists with ``a`` — and heads a conflict of its own.
+    c, d = next(
+        (c, d)
+        for c, d in pairs
+        if c > a
+        and c != b
+        and model.is_feasible(links.heads[[a, c]], links.tails[[a, c]])
+    )
+    combined = [np.array([a, b]), np.array([a, b]), np.array([c, d])]
+    kept, moved = reconcile_round(combined, links, model)
+    assert moved == 3  # position breaks the tied (deaf) margins: a, a, c
+    # Ascending link order: a opens an overflow slot, its second membership
+    # is refused there and opens another, c joins the *earliest* of the two.
+    assert [slot.tolist() for slot in kept] == [[b], [b], [d], [a, c], [a]]
+
+
 def _shared_node_pairs(links):
     """(a, b) link pairs with ``tails[a] == heads[b]`` — half-duplex
     conflicts, guaranteed to fail together in one slot with tied margins."""
