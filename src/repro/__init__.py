@@ -108,7 +108,6 @@ from repro.traffic import (
     rate_aware_scheduler,
     RateAnnotator,
     ShardPlan,
-    ShardedTrafficTrace,
     partition_links,
     plan_for_network,
     run_epochs_sharded,
@@ -208,7 +207,6 @@ __all__ = [
     "rate_aware_scheduler",
     "RateAnnotator",
     "ShardPlan",
-    "ShardedTrafficTrace",
     "partition_links",
     "plan_for_network",
     "run_epochs_sharded",

@@ -220,7 +220,6 @@ class SlotArena:
     """
 
     def __init__(self, model: PhysicalInterferenceModel, capacity: int = 256):
-        self._model = model
         self._power = model.power
         self._noise = model.radio.noise_mw
         self._beta = model.radio.beta

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -53,6 +53,9 @@ from repro.topology.network import Network
 from repro.traffic.generators import TrafficGenerator
 from repro.traffic.queues import LinkQueues
 from repro.util.rng import freeze_root, spawn
+
+if TYPE_CHECKING:  # sharded.py imports this module
+    from repro.traffic.sharded import ShardPlan
 
 
 @dataclass(frozen=True)
@@ -105,9 +108,6 @@ class EpochConfig:
         to :data:`repro.traffic.incremental.DEFAULT_DRIFT_THRESHOLD`).
         The cache scales it by the cached schedule's service headroom —
         see :class:`repro.traffic.incremental.ScheduleCache`.
-    drift_metric:
-        ``"l1"`` or ``"linf"`` — see
-        :data:`repro.traffic.incremental.DRIFT_METRICS`.
     rate_table:
         Optional :class:`~repro.phy.radio.RateTable` switching the serving
         contract from fixed-rate (every scheduled membership forwards one
@@ -135,7 +135,6 @@ class EpochConfig:
     divergence_factor: float | None = None
     reschedule_policy: str = "always"
     drift_threshold: float | None = None  # None -> DEFAULT_DRIFT_THRESHOLD
-    drift_metric: str = "l1"
     rate_table: RateTable | None = None
     retain_records: str = "full"
 
@@ -153,7 +152,6 @@ class EpochConfig:
         # Imported lazily: incremental.py imports EpochSchedule from here.
         from repro.traffic.incremental import (
             DEFAULT_DRIFT_THRESHOLD,
-            DRIFT_METRICS,
             RESCHEDULE_POLICIES,
         )
 
@@ -166,11 +164,6 @@ class EpochConfig:
             object.__setattr__(self, "drift_threshold", DEFAULT_DRIFT_THRESHOLD)
         if self.drift_threshold < 0:
             raise ValueError("drift_threshold must be non-negative")
-        if self.drift_metric not in DRIFT_METRICS:
-            raise ValueError(
-                f"drift_metric must be one of {sorted(DRIFT_METRICS)}, "
-                f"got {self.drift_metric!r}"
-            )
         if self.retain_records not in ("full", "stream"):
             raise ValueError(
                 f"retain_records must be 'full' or 'stream', "
@@ -242,6 +235,8 @@ class TrafficTrace:
     #: In-band control-plane account of the run, or ``None`` when the
     #: engine ran unpriced (no ``control=`` model given).
     ledger: ControlLedger | None = None
+    #: The plan a sharded run scheduled along; ``None`` on monolithic runs.
+    plan: ShardPlan | None = None
     # O(1) running aggregates, maintained by :meth:`book`.  In streaming
     # mode (``config.retain_records == "stream"``) they are the *only*
     # account of the run; in full mode the properties below keep reading
@@ -395,10 +390,9 @@ class TrafficTrace:
 def overhead_to_slots(overhead_seconds: float, config: EpochConfig) -> int:
     """Whole data slots a scheduler's air time consumes, clamped to the epoch.
 
-    Shared by the monolithic and sharded loops: a scheduler slower than the
-    epoch consumes the whole epoch and serves nothing — never a negative
-    remainder, never a modulo wrap, and the recorded overhead never exceeds
-    ``epoch_slots``.
+    A scheduler slower than the epoch consumes the whole epoch and serves
+    nothing — never a negative remainder, never a modulo wrap, and the
+    recorded overhead never exceeds ``epoch_slots``.
     """
     return min(math.ceil(overhead_seconds / config.slot_seconds), config.epoch_slots)
 
@@ -415,11 +409,10 @@ def priced_overhead_slots(
     the ledger) serialize on the same air as the scheduler's own execution,
     so their seconds add to ``base_seconds`` before the slot conversion;
     ``control_slots`` is the resulting increment over the unpriced charge.
-    Shared by the monolithic and sharded loops.  With no ledger — or a
-    ledger whose model prices every class at zero — the charge is exactly
-    the pre-pricing ``overhead_to_slots(base_seconds)``: a zero charge adds
-    ``0.0`` seconds, which is the bit-identity behind the differential
-    tests.
+    With no ledger — or a ledger whose model prices every class at zero —
+    the charge is exactly the pre-pricing ``overhead_to_slots(base_seconds)``:
+    a zero charge adds ``0.0`` seconds, which is the bit-identity behind the
+    differential tests.
     """
     base_slots = overhead_to_slots(base_seconds, config)
     if ledger is None:
@@ -433,8 +426,7 @@ def trace_diverged(trace: TrafficTrace, config: EpochConfig) -> bool:
 
     True when ``config.divergence_factor`` is set and the latest recorded
     backlog exceeds that multiple of the mean per-epoch arrivals so far —
-    the early-stop signature of an unstable operating point, shared by the
-    monolithic and sharded loops.
+    the early-stop signature of an unstable operating point.
     """
     last = trace.last_record
     if config.divergence_factor is None or last is None:
@@ -508,8 +500,7 @@ def play_schedule(
 ) -> int:
     """Play a schedule cyclically over one epoch's remaining data slots.
 
-    The single serving primitive shared by the monolithic loop and the
-    sharded engine (:mod:`repro.traffic.sharded`), so the two serve queues
+    The epoch loop's single serving primitive, so both engines serve queues
     with identical semantics: slots ``overhead_slots .. epoch_slots - 1``
     each serve every backlogged member link, cycling through ``slot_links``
     (per-slot arrays of link indices) from its first entry.  Each play
@@ -615,15 +606,214 @@ def bind_workload(generator: TrafficGenerator, ledger, obs: Obs | None) -> None:
 
     Session workloads (:class:`~repro.traffic.flows.FlowWorkload`) price
     their signalling into the run's control ledger and book into its obs
-    handle; plain generators have neither hook and are left alone.  Both
-    engines call this on every run — with ``None`` handles on unpriced /
-    unobserved runs — so a workload reused across runs never keeps
+    handle; plain generators have neither hook and are left alone.  The
+    epoch loop calls this on every run — with ``None`` handles on unpriced
+    / unobserved runs — so a workload reused across runs never keeps
     charging a previous run's ledger.
     """
     for hook, handle in (("bind_control", ledger), ("bind_obs", obs)):
         bind = getattr(generator, hook, None)
         if bind is not None:
             bind(handle)
+
+
+@dataclass
+class ScheduledRound:
+    """A scheduling stage's answer for one epoch with demand: what to play.
+
+    ``slots`` holds link-index arrays for (at least) the first
+    ``epoch_slots`` of the round's ``length`` slots — all an epoch can play;
+    ``cpu_s`` / ``critical_s`` / ``wall_s`` are its increments of the three
+    :class:`TrafficTrace` timing fields.  The defaults are an idle epoch.
+    """
+
+    slots: list[np.ndarray] = field(default_factory=list)
+    length: int = 0
+    overhead_seconds: float = 0.0
+    cpu_s: float | None = None
+    critical_s: float | None = None
+    wall_s: float = 0.0
+    cache_hit: bool = False
+    patched: bool = False
+    drift: float = 0.0
+    reconciled: int = 0
+
+
+def configured_scheduler(
+    scheduler: EpochSchedulerFn,
+    cfg: EpochConfig,
+    model: PhysicalInterferenceModel | None,
+    ledger: ControlLedger | None,
+    depths: np.ndarray | None,
+    obs: Obs | None,
+    **labels,
+) -> EpochSchedulerFn:
+    """``scheduler`` as ``cfg`` wants it called: wrapped in a fresh
+    :class:`~repro.traffic.incremental.ScheduleCache` over ``model`` unless
+    the policy is ``"always"`` (a cache passed in is used as-is, whatever the
+    policy says), and any cache bound to this run."""
+    # Imported here: incremental.py imports EpochSchedule from this module.
+    from repro.traffic.incremental import ScheduleCache
+
+    if not isinstance(scheduler, ScheduleCache):
+        if cfg.reschedule_policy == "always":
+            return scheduler
+        scheduler = ScheduleCache(
+            scheduler,
+            policy=cfg.reschedule_policy,
+            drift_threshold=cfg.drift_threshold,
+            model=model,
+            epoch_slots=cfg.epoch_slots,
+            rate_table=cfg.rate_table,
+        )
+    # (Re)bind unconditionally: this run's control model — priced, free, or
+    # absent — governs the run, so a cache reused from an earlier run must
+    # not keep charging that run's ledger.
+    scheduler.bind_control(ledger, depths)
+    scheduler.bind_obs(obs, **labels)
+    return scheduler
+
+
+def merge_decisions(asked: list[EpochSchedulerFn]) -> tuple[bool, bool, float]:
+    """An epoch's ``(cache_hit, patched, drift)`` from the last decisions of
+    the schedulers it asked, cached or not."""
+    made = [getattr(scheduler, "last_decision", None) for scheduler in asked]
+    made = [d for d in made if d is not None]
+    # A hit epoch means *every* asked scheduler answered from cache — a
+    # partially cached shard set (factories may cache only some shards)
+    # can't claim a hit while uncached shards paid for recomputes.
+    hit = bool(made) and len(made) == len(asked) and all(d.hit for d in made)
+    finite = [d.drift for d in made if math.isfinite(d.drift)]
+    return hit, not hit and any(d.patched for d in made), max(finite, default=0.0)
+
+
+def epoch_loop(
+    links: LinkSet,
+    generator: TrafficGenerator,
+    stage: Callable[[np.ndarray, int], ScheduledRound],
+    cfg: EpochConfig,
+    ledger: ControlLedger | None,
+    rate_model: PhysicalInterferenceModel | None,
+    on_epoch: Callable[[EpochRecord, LinkQueues], None] | None,
+    obs: Obs | None,
+    engine: str,
+    plan: ShardPlan | None = None,
+    classify: Callable[[int], object] | None = None,
+) -> TrafficTrace:
+    """The closed arrival/reschedule/serve loop behind both engines.
+
+    Owns everything they share (DESIGN.md §6) and asks ``stage``,
+    ``(snapshot, epoch) ->`` :class:`ScheduledRound`, for the one thing they
+    do differently.  The stage may charge ``ledger`` for its epoch: the
+    round is priced after it returns.  Slots are rate-annotated under
+    ``rate_model``; ``engine`` labels every span and metric; ``plan`` and
+    ``classify`` (the delivery class of a source link, for streamed delay
+    aggregates) are the sharded engine's.
+    """
+    if ledger is not None:
+        ledger.bind_obs(obs)
+    bind_workload(generator, ledger, obs)
+    annotator = None
+    if cfg.rate_table is not None:
+        if rate_model is None:
+            raise ValueError(
+                "config.rate_table needs the interference oracle: pass model= "
+                "so served slots can be rate-annotated from their SINR"
+            )
+        annotator = RateAnnotator(links, rate_model, cfg.rate_table)
+    stream = None
+    if obs is not None and obs.stream_deliveries:
+        stream = DeliveryStream(classify=classify)
+    queues = LinkQueues(links, delivery_stream=stream)
+    trace = TrafficTrace(config=cfg, queues=queues, ledger=ledger, plan=plan)
+    if obs_spans.CPU_CLOCK is not None:
+        trace.scheduling_seconds = 0.0
+        trace.critical_path_seconds = 0.0
+    # Wall-clock needs only perf_counter, which is always available.
+    trace.scheduling_wall_seconds = 0.0
+    T = cfg.epoch_slots
+
+    for epoch in range(cfg.n_epochs):
+        start = epoch * T
+        with phase(obs, "epoch.arrivals", engine=engine, epoch=epoch):
+            arrived = queues.arrive(generator.arrivals(epoch, T), start)
+
+        snapshot = queues.backlog.copy()
+        if cfg.demand_cap is not None:
+            np.minimum(snapshot, cfg.demand_cap, out=snapshot)
+        served = 0
+        delivered_before = queues.delivered_total
+        overhead_slots = control_slots = 0
+        planned = ScheduledRound()
+
+        if snapshot.sum() > 0:
+            try:
+                planned = stage(snapshot, epoch)
+            except Exception as err:
+                # Arrivals for this epoch are already booked; nothing may
+                # read these queues as if the epoch completed.
+                queues.mark_unusable(str(err))
+                raise
+            if planned.cpu_s is not None and trace.scheduling_seconds is not None:
+                trace.scheduling_seconds += planned.cpu_s
+                trace.critical_path_seconds += planned.critical_s
+            trace.scheduling_wall_seconds += planned.wall_s
+            with phase(obs, "epoch.control", engine=engine, epoch=epoch):
+                overhead_slots, control_slots = priced_overhead_slots(
+                    planned.overhead_seconds, ledger, epoch, cfg
+                )
+            # Only the first T - overhead slots can ever play (the cyclic
+            # index stays below the window when the round is longer).
+            slot_links = planned.slots[: T - overhead_slots]
+            slot_tiers = slot_rates = None
+            if annotator is not None:
+                with phase(obs, "epoch.annotate", engine=engine, epoch=epoch):
+                    slot_tiers, slot_rates = annotator.annotate(slot_links)
+            plays_before = queues.plays_total
+            with phase(obs, "epoch.serve", engine=engine, epoch=epoch):
+                served = play_schedule(
+                    queues, slot_links, start, T, overhead_slots, slot_rates
+                )
+            book_rate_obs(
+                obs, slot_tiers, served, queues.plays_total - plays_before, engine
+            )
+        elif ledger is not None:
+            # No demand, hence no scheduler run — but control messages
+            # booked to this epoch (e.g. session signaling into an idle
+            # mesh) still consumed air.
+            overhead_slots, control_slots = priced_overhead_slots(
+                0.0, ledger, epoch, cfg
+            )
+
+        record = trace.book(
+            EpochRecord(
+                epoch=epoch,
+                arrivals=arrived,
+                served=served,
+                delivered=queues.delivered_total - delivered_before,
+                backlog_end=queues.total_backlog(),
+                demand_scheduled=int(snapshot.sum()),
+                schedule_length=planned.length,
+                overhead_slots=overhead_slots,
+                cache_hit=planned.cache_hit,
+                patched=planned.patched,
+                drift=planned.drift,
+                control_slots=control_slots,
+                control_messages=(
+                    ledger.messages_for(epoch) if ledger is not None else 0
+                ),
+                n_shards=1 if plan is None else plan.n_shards,
+                reconciled=planned.reconciled,
+            )
+        )
+        book_epoch_obs(obs, record, engine=engine)
+        if on_epoch is not None:
+            on_epoch(record, queues)
+        if trace_diverged(trace, cfg):
+            trace.diverged = True
+            break
+    finish_run_obs(obs, trace, engine=engine)
+    return trace
 
 
 def run_epochs(
@@ -667,154 +857,47 @@ def run_epochs(
     recorder, or an active JSONL recorder (the differential tests pin
     this).  The caller owns the handle: call ``obs.export()`` after the
     run(s) to flush the JSONL file.
-    """
-    # Imported here, not at module top: incremental.py imports EpochSchedule
-    # from this module.
-    from repro.traffic.incremental import ScheduleCache
 
+    A scheduler that raises aborts the run with its own exception and leaves
+    the queues marked unusable: that epoch's arrivals were never served.
+    """
     cfg = config or EpochConfig()
     ledger = ControlLedger(control) if control is not None else None
-    if ledger is not None:
-        ledger.bind_obs(obs)
-    cache = scheduler if isinstance(scheduler, ScheduleCache) else None
-    if cache is None and cfg.reschedule_policy != "always":
-        cache = ScheduleCache(
-            scheduler,
-            policy=cfg.reschedule_policy,
-            drift_threshold=cfg.drift_threshold,
-            metric=cfg.drift_metric,
-            model=model,
-            epoch_slots=cfg.epoch_slots,
-            rate_table=cfg.rate_table,
-        )
-        scheduler = cache
-    # (Re)bind unconditionally: this run's control model — priced, free, or
-    # absent — governs the run, so a cache or workload reused from an
-    # earlier run must not keep charging that run's ledger.
-    if cache is not None:
-        cache.bind_control(ledger, forest_depths(links) if ledger else None)
-        cache.bind_obs(obs, engine="epoch")
-    bind_workload(generator, ledger, obs)
-    annotator = None
-    if cfg.rate_table is not None:
-        if model is None:
-            raise ValueError(
-                "config.rate_table needs the interference oracle: pass model= "
-                "so served slots can be rate-annotated from their SINR"
-            )
-        annotator = RateAnnotator(links, model, cfg.rate_table)
-    stream = (
-        DeliveryStream()
-        if obs is not None and obs.stream_deliveries
-        else None
+    depths = forest_depths(links) if ledger is not None else None
+    scheduler = configured_scheduler(
+        scheduler, cfg, model, ledger, depths, obs, engine="epoch"
     )
-    queues = LinkQueues(links, delivery_stream=stream)
-    trace = TrafficTrace(config=cfg, queues=queues, ledger=ledger)
-    if obs_spans.CPU_CLOCK is not None:
-        trace.scheduling_seconds = 0.0
-        trace.critical_path_seconds = 0.0
-    trace.scheduling_wall_seconds = 0.0
-    T = cfg.epoch_slots
 
-    for epoch in range(cfg.n_epochs):
-        start = epoch * T
-        with phase(obs, "epoch.arrivals", engine="epoch", epoch=epoch):
-            arrived = queues.arrive(generator.arrivals(epoch, T), start)
-
-        snapshot = queues.backlog.copy()
-        if cfg.demand_cap is not None:
-            np.minimum(snapshot, cfg.demand_cap, out=snapshot)
-        served = 0
-        delivered_before = queues.delivered_total
-        overhead_slots = 0
-        control_slots = 0
-        schedule_length = 0
-        cache_hit = False
-        patched = False
-        drift = 0.0
-
-        if snapshot.sum() > 0:
-            demand_links = replace(links, demand=snapshot)
-            # A measuring span replaces the historical ad-hoc clock pair:
-            # its thread-CPU delta (not wall — the sharded engine times
-            # each shard on its own worker thread, where wall time would
-            # also charge the GIL waits of the *other* shards) feeds the
-            # public trace fields, and at spans level it is recorded too.
-            with phase(
-                obs, "epoch.schedule", measure=True, engine="epoch", epoch=epoch
-            ) as sched_span:
-                planned = scheduler(demand_links, epoch)
-            if sched_span.cpu_s is not None and trace.scheduling_seconds is not None:
-                trace.scheduling_seconds += sched_span.cpu_s
-                trace.critical_path_seconds += sched_span.cpu_s
-            if sched_span.wall_s is not None:
-                trace.scheduling_wall_seconds += sched_span.wall_s
-            if cache is not None and cache.last_decision is not None:
-                decision = cache.last_decision
-                cache_hit = decision.hit
-                patched = decision.patched
-                drift = decision.drift if math.isfinite(decision.drift) else 0.0
-            schedule_length = planned.schedule.length
-            with phase(obs, "epoch.control", engine="epoch", epoch=epoch):
-                overhead_slots, control_slots = priced_overhead_slots(
-                    planned.overhead_seconds, ledger, epoch, cfg
-                )
-            # Only the first T - overhead slots can ever play (the cyclic
-            # index stays below the window when the schedule is longer), so
-            # don't materialize arrays for the unplayable tail.
-            playable = T - overhead_slots
-            slot_links = [s.as_array() for s in planned.schedule.slots[:playable]]
-            slot_tiers = slot_rates = None
-            if annotator is not None:
-                with phase(obs, "epoch.annotate", engine="epoch", epoch=epoch):
-                    slot_tiers, slot_rates = annotator.annotate(slot_links)
-            plays_before = queues.plays_total
-            with phase(obs, "epoch.serve", engine="epoch", epoch=epoch):
-                served = play_schedule(
-                    queues, slot_links, start, T, overhead_slots, slot_rates
-                )
-            book_rate_obs(
-                obs,
-                slot_tiers,
-                served,
-                queues.plays_total - plays_before,
-                engine="epoch",
-            )
-        elif ledger is not None:
-            # No demand, hence no scheduler run — but control messages
-            # booked to this epoch (e.g. session signaling into an idle
-            # mesh) still consumed air.
-            overhead_slots, control_slots = priced_overhead_slots(
-                0.0, ledger, epoch, cfg
-            )
-
-        record = trace.book(
-            EpochRecord(
-                epoch=epoch,
-                arrivals=arrived,
-                served=served,
-                delivered=queues.delivered_total - delivered_before,
-                backlog_end=queues.total_backlog(),
-                demand_scheduled=int(snapshot.sum()),
-                schedule_length=schedule_length,
-                overhead_slots=overhead_slots,
-                cache_hit=cache_hit,
-                patched=patched,
-                drift=drift,
-                control_slots=control_slots,
-                control_messages=(
-                    ledger.messages_for(epoch) if ledger is not None else 0
-                ),
-            )
+    def stage(snapshot: np.ndarray, epoch: int) -> ScheduledRound:
+        demand_links = replace(links, demand=snapshot)
+        # A measuring span replaces the historical ad-hoc clock pair: its
+        # thread-CPU delta (not wall — the sharded engine times each shard
+        # on its own worker thread, where wall time would also charge the
+        # GIL waits of the *other* shards) feeds the public trace fields,
+        # and at spans level it is recorded too.
+        with phase(
+            obs, "epoch.schedule", measure=True, engine="epoch", epoch=epoch
+        ) as span:
+            planned = scheduler(demand_links, epoch)
+        cache_hit, patched, drift = merge_decisions([scheduler])
+        # One scheduler, one controller: its CPU is the critical path.  An
+        # epoch plays at most epoch_slots slots, so don't materialize
+        # arrays for a longer schedule's tail.
+        return ScheduledRound(
+            slots=[s.as_array() for s in planned.schedule.slots[: cfg.epoch_slots]],
+            length=planned.schedule.length,
+            overhead_seconds=planned.overhead_seconds,
+            cpu_s=span.cpu_s,
+            critical_s=span.cpu_s,
+            wall_s=span.wall_s,
+            cache_hit=cache_hit,
+            patched=patched,
+            drift=drift,
         )
-        book_epoch_obs(obs, record, engine="epoch")
-        if on_epoch is not None:
-            on_epoch(record, queues)
-        if trace_diverged(trace, cfg):
-            trace.diverged = True
-            break
-    finish_run_obs(obs, trace, engine="epoch")
-    return trace
+
+    return epoch_loop(
+        links, generator, stage, cfg, ledger, model, on_epoch, obs, engine="epoch"
+    )
 
 
 # --------------------------------------------------------------------------

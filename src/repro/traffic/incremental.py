@@ -12,7 +12,7 @@ recomputation (cf. arXiv:1106.1590, arXiv:1208.0902):
   :data:`~repro.traffic.epoch.EpochSchedulerFn`.  It snapshots the demand
   vector each time the wrapped scheduler runs, and on later epochs measures
   the *drift* of the new backlog snapshot from that baseline (normalized
-  L1 or L-infinity distance).  While drift stays under a configurable
+  L1 distance, :func:`drift_l1`).  While drift stays under a configurable
   threshold the cached :class:`~repro.traffic.epoch.EpochSchedule` is
   reused at **zero protocol overhead** — no SCREAMs, no control air time.
 * On a cache miss the ``patch`` policy first tries to *repair* the cached
@@ -82,24 +82,6 @@ def drift_l1(current: np.ndarray, baseline: np.ndarray) -> float:
     cur = np.asarray(current, dtype=np.int64)
     base = np.asarray(baseline, dtype=np.int64)
     return float(np.abs(cur - base).sum() / max(base.sum(), 1))
-
-
-def drift_linf(current: np.ndarray, baseline: np.ndarray) -> float:
-    """Normalized L-infinity distance: worst per-link change over the
-    baseline's largest backlog, ``max|current - baseline| / max(max(baseline), 1)``.
-
-    Sensitive to a single link's demand moving even when the aggregate is
-    quiet — the right metric when one hot link dominates feasibility.
-    """
-    cur = np.asarray(current, dtype=np.int64)
-    base = np.asarray(baseline, dtype=np.int64)
-    if cur.size == 0:
-        return 0.0
-    return float(np.abs(cur - base).max() / max(base.max(), 1))
-
-
-#: Drift metrics selectable through :class:`~repro.traffic.epoch.EpochConfig`.
-DRIFT_METRICS = {"l1": drift_l1, "linf": drift_linf}
 
 
 @dataclass(frozen=True)
@@ -323,10 +305,8 @@ class ScheduleCache:
         ``"drift-threshold"`` or ``"patch"`` (see :data:`RESCHEDULE_POLICIES`;
         ``"always"`` is the epoch loop *not* using a cache).
     drift_threshold:
-        Reuse the cached schedule while the drift metric stays at or under
+        Reuse the cached schedule while :func:`drift_l1` stays at or under
         this value.  0 reuses only on byte-identical snapshots.
-    metric:
-        Key into :data:`DRIFT_METRICS` (``"l1"`` or ``"linf"``).
     model:
         Physical-interference model, required by the ``patch`` policy for
         its SINR feasibility checks.
@@ -362,7 +342,6 @@ class ScheduleCache:
         base: EpochSchedulerFn,
         policy: str = "drift-threshold",
         drift_threshold: float = DEFAULT_DRIFT_THRESHOLD,
-        metric: str = "l1",
         model: PhysicalInterferenceModel | None = None,
         epoch_slots: int | None = None,
         rate_table=None,
@@ -373,8 +352,6 @@ class ScheduleCache:
             )
         if drift_threshold < 0:
             raise ValueError("drift_threshold must be non-negative")
-        if metric not in DRIFT_METRICS:
-            raise ValueError(f"metric must be one of {sorted(DRIFT_METRICS)}")
         if policy == "patch" and model is None:
             raise ValueError("the 'patch' policy needs a PhysicalInterferenceModel")
         if epoch_slots is not None and epoch_slots <= 0:
@@ -382,7 +359,6 @@ class ScheduleCache:
         self._base = base
         self.policy = policy
         self.drift_threshold = float(drift_threshold)
-        self._drift = DRIFT_METRICS[metric]
         self._model = model
         self._epoch_slots = epoch_slots
         self._rate_table = rate_table
@@ -464,7 +440,7 @@ class ScheduleCache:
                     "demand snapshot shape changed between epochs; "
                     "ScheduleCache requires a fixed link universe"
                 )
-            drift = self._drift(snapshot, self._baseline)
+            drift = drift_l1(snapshot, self._baseline)
             if drift <= self.effective_threshold():
                 self.stats.hits += 1
                 self._book("hits")

@@ -48,14 +48,13 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import wait as futures_wait
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from repro.core.controlplane import ControlLedger, ControlPlaneModel, forest_depths
-from repro.obs import DeliveryStream, Obs, phase
-from repro.obs import spans as obs_spans
+from repro.obs import Obs, phase
 from repro.phy.interference import PhysicalInterferenceModel
 from repro.scheduling.feasibility import SlotArena, feasible_alone
 from repro.scheduling.links import LinkSet
@@ -65,15 +64,11 @@ from repro.traffic.epoch import (
     EpochRecord,
     EpochSchedule,
     EpochSchedulerFn,
-    RateAnnotator,
+    ScheduledRound,
     TrafficTrace,
-    bind_workload,
-    book_epoch_obs,
-    book_rate_obs,
-    finish_run_obs,
-    play_schedule,
-    priced_overhead_slots,
-    trace_diverged,
+    configured_scheduler,
+    epoch_loop,
+    merge_decisions,
 )
 from repro.traffic.generators import TrafficGenerator
 from repro.traffic.queues import LinkQueues
@@ -163,9 +158,13 @@ class ShardPlan:
         )
 
 
-def affordable_budget(
-    links: LinkSet, model: PhysicalInterferenceModel, headroom_fraction: float = 0.5
-) -> np.ndarray:
+#: Share of a link's standalone SINR headroom a guard budget may claim; the
+#: rest is left for the in-shard interference the scheduler itself will pack
+#: around the link.
+BUDGET_HEADROOM_FRACTION = 0.5
+
+
+def affordable_budget(links: LinkSet, model: PhysicalInterferenceModel) -> np.ndarray:
     """Largest far-field budget (mW) each node can carry without breaking a link.
 
     A guard margin must never render a communication edge unschedulable:
@@ -173,13 +172,10 @@ def affordable_budget(
     ``P[u, v] >= beta * (N + budget[v])`` (data) and symmetrically for the
     ACK at ``u``.  The affordable budget at node ``x`` is therefore the
     minimum, over every link that *receives* at ``x`` (data at tails, ACKs
-    at heads), of ``P_signal / beta - N`` — scaled by ``headroom_fraction``
-    to leave the rest of the margin for the in-shard interference the
-    scheduler itself will pack around the link.  Negative headroom (a link
-    below threshold even without budget) clamps to 0.
+    at heads), of ``P_signal / beta - N`` — scaled by
+    :data:`BUDGET_HEADROOM_FRACTION`.  Negative headroom (a link below
+    threshold even without budget) clamps to 0.
     """
-    if not 0.0 < headroom_fraction <= 1.0:
-        raise ValueError("headroom_fraction must be in (0, 1]")
     power = model.power
     noise = model.radio.noise_mw
     beta = model.radio.beta
@@ -191,7 +187,7 @@ def affordable_budget(
         afford, links.heads, power[links.tails, links.heads] / beta - noise
     )
     afford[~np.isfinite(afford)] = 0.0  # nodes no link receives at
-    return np.clip(headroom_fraction * afford, 0.0, None)
+    return np.clip(BUDGET_HEADROOM_FRACTION * afford, 0.0, None)
 
 
 def partition_links(
@@ -581,22 +577,15 @@ def reconcile_round(
     return kept_slots, len(peeled)
 
 
-@dataclass
-class ShardedTrafficTrace(TrafficTrace):
-    """A :class:`~repro.traffic.epoch.TrafficTrace` plus its shard plan."""
-
-    plan: ShardPlan | None = None
-
-
 class ShardScheduleError(RuntimeError):
     """One shard's scheduler raised mid-epoch.
 
     Annotates the underlying failure with *which* shard and epoch so a
     multi-shard fan-out (thread or process pool) doesn't abort the run
     anonymously.  :func:`run_epochs_sharded` raises it before any serving
-    mutates the epoch's served/delivered accounting and marks the run's
-    queues unusable (arrivals were already booked, so the half-mutated
-    state must not be read as a trace).
+    mutates the epoch's served/delivered accounting, and the epoch loop
+    marks the run's queues unusable (arrivals were already booked, so the
+    half-mutated state must not be read as a trace).
     """
 
     def __init__(self, shard_index: int, epoch: int, cause: BaseException):
@@ -699,17 +688,17 @@ def run_epochs_sharded(
     control: ControlPlaneModel | None = None,
     obs: Obs | None = None,
     executor: str = "thread",
-) -> ShardedTrafficTrace:
+) -> TrafficTrace:
     """Run the closed traffic loop with per-shard scheduling; return its trace.
 
-    Per epoch: arrivals enter the global queues; the capped backlog snapshot
-    is split along the plan; every shard with demand runs its scheduler
-    (concurrently when ``max_workers > 1``) on its budgeted oracle; the
-    shard schedules are superposed slot-by-slot and reconciled
-    (:func:`reconcile_round`, rate-aware when ``config.rate_table`` is
-    set); the reconciled round serves the global queues through the same
-    :func:`~repro.traffic.epoch.play_schedule` primitive as the monolithic
-    loop.
+    The loop is :func:`~repro.traffic.epoch.run_epochs`'s — same arrivals,
+    pricing, serving, records, and the same ``on_epoch`` / ``control`` /
+    ``obs`` contracts, documented there — with a different scheduling stage:
+    the capped backlog snapshot is split along the plan; every shard with
+    demand runs its scheduler (concurrently when ``max_workers > 1``) on its
+    budgeted oracle; the shard schedules are superposed slot-by-slot and
+    reconciled (:func:`reconcile_round`, rate-aware when
+    ``config.rate_table`` is set); the trace carries the ``plan``.
 
     ``executor`` selects the fan-out backend.  ``"thread"`` (the default)
     runs shard schedulers on a thread pool — zero serialization cost, but
@@ -738,32 +727,23 @@ def run_epochs_sharded(
     oracle; an epoch records ``cache_hit`` when every shard it asked hit,
     and ``patched`` when any shard patched (and not all hit).
 
-    ``on_epoch`` mirrors :func:`~repro.traffic.epoch.run_epochs`: the
-    feedback channel admission controllers observe, called with every
-    appended record and the live global queues.
+    What ``control`` prices here on top of the monolithic charges (retiring
+    the free-central-post-pass idealization of DESIGN.md §8): on every
+    multi-shard epoch whose round is actually (re)reconciled, each demanded
+    boundary link books one ``report`` message (shards tell the reconciler
+    what they scheduled near their edges) and every membership the pass
+    serializes books one ``reconcile`` announcement.  The charges ride the
+    epoch's overhead *on the critical path* — coordination air serializes
+    even when the regional computations ran concurrently.
 
-    ``control`` opts the run into in-band control-plane pricing
-    (:mod:`repro.core.controlplane`), retiring the free-central-post-pass
-    idealization of DESIGN.md §8: on every multi-shard epoch whose round is
-    actually (re)reconciled, each demanded boundary link books one
-    ``report`` message (shards tell the reconciler what they scheduled near
-    their edges) and every membership the pass serializes books one
-    ``reconcile`` announcement.  The charges ride the epoch's overhead *on
-    the critical path* — coordination air serializes even when the regional
-    computations ran concurrently.  Per-shard schedule caches price their
-    patch distribution too, and a session workload with a ``bind_control``
-    hook books its signaling; with all prices zero the run is bit-identical
-    to ``control=None``.
+    A shard scheduler that raises — or a pool worker that dies — aborts the
+    run with :class:`ShardScheduleError` naming the shard and epoch.
     """
-    from repro.traffic.incremental import ScheduleCache
-
     cfg = config or EpochConfig()
     if max_workers < 1:
         raise ValueError("max_workers must be >= 1")
     if executor not in ("thread", "process"):
-        raise ValueError(
-            f"executor must be 'thread' or 'process', got {executor!r}"
-        )
+        raise ValueError(f"executor must be 'thread' or 'process', got {executor!r}")
     ledger = ControlLedger(control) if control is not None else None
     depths = forest_depths(plan.links) if ledger is not None else None
 
@@ -781,337 +761,199 @@ def run_epochs_sharded(
         futures_wait(
             [process_pool.submit(_process_warmup) for _ in range(max_workers)]
         )
-
-    schedulers: list[EpochSchedulerFn] = []
-    caches: list[ScheduleCache | None] = []
-    proxies: list[_PoolShardScheduler | None] = []
-    for shard in plan.shards:
-        shard_model = model.with_budget(shard.budget_mw)
-        if process_pool is not None:
-            # The factory runs inside the workers; the parent sees only
-            # this dispatching stand-in (cache wrapping below still
-            # happens here, so caching decisions stay deterministic).
-            scheduler: EpochSchedulerFn = _PoolShardScheduler(
-                process_pool, shard.index
-            )
-        else:
-            scheduler = scheduler_factory(shard, shard_model)
-        proxies.append(scheduler if isinstance(scheduler, _PoolShardScheduler) else None)
-        cache = scheduler if isinstance(scheduler, ScheduleCache) else None
-        if cache is None and cfg.reschedule_policy != "always":
-            cache = ScheduleCache(
-                scheduler,
-                policy=cfg.reschedule_policy,
-                drift_threshold=cfg.drift_threshold,
-                metric=cfg.drift_metric,
-                model=shard_model,
-                epoch_slots=cfg.epoch_slots,
-                rate_table=cfg.rate_table,
-            )
-            scheduler = cache
-        if cache is not None:
-            # (Re)bound every run — see run_epochs: a reused cache must not
-            # keep charging a previous run's ledger.
-            cache.bind_control(
-                ledger, depths[shard.link_indices] if ledger is not None else None
-            )
-            cache.bind_obs(obs, engine="sharded", shard=shard.index)
-        schedulers.append(scheduler)
-        caches.append(cache)
-    bind_workload(generator, ledger, obs)
-    if ledger is not None:
-        ledger.bind_obs(obs)
-
-    annotator = None
-    if cfg.rate_table is not None:
-        # Rate tiers are selected under the *union* of the shard guard
-        # budgets (elementwise max over nodes): a boundary node's serving
-        # rate honours the same far-field margin its scheduling honoured,
-        # whichever shard charged it — guard budgets cost rate tiers, not
-        # just feasibility.  Budget-free plans (and the degenerate 1-shard
-        # plan) fall through to the exact model, keeping the n_shards=1
-        # path bit-identical to the monolithic engine.
-        union_budget = None
-        for shard in plan.shards:
-            if shard.budget_mw is not None:
-                union_budget = (
-                    shard.budget_mw.copy()
-                    if union_budget is None
-                    else np.maximum(union_budget, shard.budget_mw)
-                )
-        annotator = RateAnnotator(
-            plan.links, model.with_budget(union_budget), cfg.rate_table
-        )
-
-    stream = None
-    if obs is not None and obs.stream_deliveries:
-        # Region classifier: global link index -> owning shard index, so the
-        # streaming aggregates keep the per-region breakdown the full
-        # delivery log would have supported.
-        owner = np.zeros(plan.links.n_links, dtype=np.intp)
-        for shard in plan.shards:
-            owner[shard.link_indices] = shard.index
-        stream = DeliveryStream(classify=lambda source: f"shard{owner[source]}")
-    queues = LinkQueues(plan.links, delivery_stream=stream)
-    trace = ShardedTrafficTrace(config=cfg, queues=queues, plan=plan, ledger=ledger)
-    if obs_spans.CPU_CLOCK is not None:
-        trace.scheduling_seconds = 0.0
-        trace.critical_path_seconds = 0.0
-    # Wall-clock needs only perf_counter, which is always available.
-    trace.scheduling_wall_seconds = 0.0
-    T = cfg.epoch_slots
     # The thread pool fans the dispatch out even under the process
     # backend: each orchestration thread runs the (cheap) cache decision,
     # then blocks on its worker's future, releasing the GIL.
     pool = ThreadPoolExecutor(max_workers=max_workers) if max_workers > 1 else None
+
+    schedulers: list[EpochSchedulerFn] = []
+    proxies: list[_PoolShardScheduler | None] = []
+    # Rate tiers are selected under the *union* of the shard guard budgets
+    # (elementwise max over nodes): a boundary node's serving rate honours
+    # the same far-field margin its scheduling honoured, whichever shard
+    # charged it — guard budgets cost rate tiers, not just feasibility.
+    # Budget-free plans (and the degenerate 1-shard plan) fall through to
+    # the exact model, keeping the n_shards=1 path bit-identical to the
+    # monolithic engine.
+    budgets = [s.budget_mw for s in plan.shards if s.budget_mw is not None]
+    union_budget = np.maximum.reduce(budgets) if budgets else None
+    # Region classifier: global link index -> owning shard index, so
+    # streamed delivery aggregates keep the per-region breakdown the full
+    # delivery log would have supported.
+    owner = np.zeros(plan.links.n_links, dtype=np.intp)
+    for shard in plan.shards:
+        shard_model = model.with_budget(shard.budget_mw)
+        proxy = None
+        if process_pool is not None:
+            # The factory runs inside the workers; the parent sees only
+            # this dispatching stand-in (cache wrapping below still
+            # happens here, so caching decisions stay deterministic).
+            proxy = _PoolShardScheduler(process_pool, shard.index)
+        proxies.append(proxy)
+        scheduler = configured_scheduler(
+            proxy or scheduler_factory(shard, shard_model),
+            cfg,
+            shard_model,
+            ledger,
+            depths[shard.link_indices] if depths is not None else None,
+            obs,
+            engine="sharded",
+            shard=shard.index,
+        )
+        schedulers.append(scheduler)
+        owner[shard.link_indices] = shard.index
     # Reconciled-round memo: when every asked shard answers from its cache,
     # each returned exactly what it returned last epoch, so the superposed
     # round — and its reconciliation — are identical too.  Keyed on the
     # asked-shard set; holds (key, combined slots, reconciled count).
     round_memo: tuple[tuple[int, ...], list[np.ndarray], int] | None = None
 
-    try:
-        for epoch in range(cfg.n_epochs):
-            start = epoch * T
-            with phase(obs, "epoch.arrivals", engine="sharded", epoch=epoch):
-                arrived = queues.arrive(generator.arrivals(epoch, T), start)
+    def stage(snapshot: np.ndarray, epoch: int) -> ScheduledRound:
+        nonlocal round_memo
 
-            snapshot = queues.backlog.copy()
-            if cfg.demand_cap is not None:
-                np.minimum(snapshot, cfg.demand_cap, out=snapshot)
-            served = 0
-            delivered_before = queues.delivered_total
-            overhead_slots = 0
-            control_slots = 0
-            schedule_length = 0
-            cache_hit = False
-            patched = False
-            drift = 0.0
-            reconciled = 0
-
-            if snapshot.sum() > 0:
-                asked = [
-                    s for s in plan.shards if snapshot[s.link_indices].sum() > 0
-                ]
-
-                def run_shard(shard: LinkShard) -> tuple[EpochSchedule, float | None]:
-                    demand_links = replace(
-                        shard.links, demand=snapshot[shard.link_indices]
-                    )
-                    # Per-thread CPU time: what this shard's controller
-                    # computed, independent of how many sibling shards were
-                    # time-slicing the same simulation host.  The span runs
-                    # on the worker thread, so its CPU clock is the shard's;
-                    # under the process backend the child's process-CPU
-                    # seconds are merged in on top of the (small) dispatch
-                    # cost, so the trace timing fields stay comparable.
-                    proxy = proxies[shard.index]
-                    if proxy is not None:
-                        proxy.last_cpu_s = None
-                    with phase(
-                        obs,
-                        "sharded.schedule",
-                        measure=True,
-                        engine="sharded",
-                        epoch=epoch,
-                        shard=shard.index,
-                    ) as span:
-                        try:
-                            result = schedulers[shard.index](demand_links, epoch)
-                        except Exception as exc:
-                            raise ShardScheduleError(
-                                shard.index, epoch, exc
-                            ) from exc
-                        if proxy is not None and proxy.last_cpu_s is not None:
-                            span.add_cpu(proxy.last_cpu_s)
-                    return result, span.cpu_s
-
-                wall0 = time.perf_counter()
+        def run_shard(shard: LinkShard) -> tuple[EpochSchedule, float | None]:
+            demand_links = replace(shard.links, demand=snapshot[shard.link_indices])
+            # Per-thread CPU time: what this shard's controller computed,
+            # independent of how many sibling shards were time-slicing the same
+            # simulation host.  The span runs on the worker thread, so its CPU
+            # clock is the shard's; under the process backend the child's
+            # process-CPU seconds are merged in on top of the (small) dispatch
+            # cost, so the trace timing fields stay comparable.
+            proxy = proxies[shard.index]
+            if proxy is not None:
+                proxy.last_cpu_s = None
+            with phase(
+                obs,
+                "sharded.schedule",
+                measure=True,
+                engine="sharded",
+                epoch=epoch,
+                shard=shard.index,
+            ) as span:
                 try:
-                    if pool is not None:
-                        timed = list(pool.map(run_shard, asked))
-                    else:
-                        timed = [run_shard(shard) for shard in asked]
-                except ShardScheduleError as err:
-                    # Arrivals for this epoch are already booked; nothing
-                    # may read these queues as if the epoch completed.
-                    queues.mark_unusable(str(err))
-                    raise
-                trace.scheduling_wall_seconds += time.perf_counter() - wall0
-                planned = [p for p, _ in timed]
-                # Sum = compute the simulation performed; max = wall-clock
-                # of the epoch's scheduling phase when every region runs on
-                # its own controller (how a federated deployment, or a
-                # multi-worker host, actually experiences it).
-                secs = [sec for _, sec in timed if sec is not None]
-                if secs and trace.scheduling_seconds is not None:
-                    trace.scheduling_seconds += sum(secs)
-                    trace.critical_path_seconds += max(secs)
+                    result = schedulers[shard.index](demand_links, epoch)
+                except Exception as exc:
+                    raise ShardScheduleError(shard.index, epoch, exc) from exc
+                if proxy is not None and proxy.last_cpu_s is not None:
+                    span.add_cpu(proxy.last_cpu_s)
+            return result, span.cpu_s
 
-                decisions = [
-                    caches[s.index].last_decision
-                    for s in asked
-                    if caches[s.index] is not None
+        asked = [s for s in plan.shards if snapshot[s.link_indices].sum() > 0]
+        wall0 = time.perf_counter()
+        if pool is not None:
+            timed = list(pool.map(run_shard, asked))
+        else:
+            timed = [run_shard(shard) for shard in asked]
+        wall_s = time.perf_counter() - wall0
+        planned = [p for p, _ in timed]
+        # Sum = compute the simulation performed; max = wall-clock of the
+        # epoch's scheduling phase when every region runs on its own
+        # controller (how a federated deployment, or a multi-worker host,
+        # actually experiences it).
+        secs = [sec for _, sec in timed if sec is not None]
+
+        cache_hit, patched, drift = merge_decisions(
+            [schedulers[s.index] for s in asked]
+        )
+        asked_key = tuple(s.index for s in asked)
+        if (
+            plan.n_shards > 1
+            and cache_hit
+            and round_memo is not None
+            and round_memo[0] == asked_key
+        ):
+            # Every asked shard answered verbatim from cache, so the
+            # superposed round is bit-identical to last epoch's: reuse its
+            # reconciliation instead of recomputing it.  No fresh
+            # coordination means no fresh coordination air — "no message" is
+            # the keep-current-round signal, so a priced run books nothing
+            # here either.
+            combined, reconciled = round_memo[1], round_memo[2]
+        else:
+            # Superpose in shard order: combined slot t is the union of
+            # every shard's slot t (shards shorter than the round contribute
+            # nothing to its tail — each link still appears exactly
+            # demand-many times per round).
+            round_len = max(p.schedule.length for p in planned)
+            combined = []
+            for t in range(round_len):
+                parts = [
+                    shard.link_indices[p.schedule.slots[t].as_array()]
+                    for shard, p in zip(asked, planned)
+                    if t < p.schedule.length
                 ]
-                decisions = [d for d in decisions if d is not None]
-                # A hit epoch means *every* asked shard answered from cache
-                # — a partially cached shard set (factories may cache only
-                # some shards) can't claim a hit while uncached shards paid
-                # for recomputes.
-                all_hit = (
-                    bool(decisions)
-                    and len(decisions) == len(asked)
-                    and all(d.hit for d in decisions)
-                )
-                if decisions:
-                    cache_hit = all_hit
-                    patched = not cache_hit and any(d.patched for d in decisions)
-                    finite = [d.drift for d in decisions if math.isfinite(d.drift)]
-                    drift = max(finite) if finite else 0.0
-
-                asked_key = tuple(s.index for s in asked)
-                from_memo = (
-                    plan.n_shards > 1
-                    and all_hit
-                    and round_memo is not None
-                    and round_memo[0] == asked_key
-                )
-                if from_memo:
-                    # Every asked shard answered verbatim from cache, so the
-                    # superposed round is bit-identical to last epoch's:
-                    # reuse its reconciliation instead of recomputing it.
-                    # No fresh coordination means no fresh coordination air
-                    # — "no message" is the keep-current-round signal, so a
-                    # priced run books nothing here either.
-                    combined, reconciled = round_memo[1], round_memo[2]
+                if len(parts) == 1:
+                    # Possibly empty — kept either way: the monolithic stage
+                    # hands the loop a scheduler's empty slots too, and
+                    # 1-shard equivalence must preserve that.
+                    combined.append(parts[0])
                 else:
-                    # Superpose in shard order: combined slot t is the union
-                    # of every shard's slot t (shards shorter than the round
-                    # contribute nothing to its tail — each link still
-                    # appears exactly demand-many times per round).
-                    round_len = max(p.schedule.length for p in planned)
-                    combined = []
-                    for t in range(round_len):
-                        parts = [
-                            shard.link_indices[p.schedule.slots[t].as_array()]
-                            for shard, p in zip(asked, planned)
-                            if t < p.schedule.length
-                        ]
-                        if len(parts) == 1:
-                            # Possibly empty — kept either way: the
-                            # monolithic loop cycles through a scheduler's
-                            # empty slots too, and 1-shard equivalence must
-                            # preserve that.
-                            combined.append(parts[0])
-                        else:
-                            combined.append(np.concatenate(parts))
-                    # Reconcile on every multi-shard plan, even when a
-                    # single shard happened to carry all of this epoch's
-                    # demand: the exact-model re-check is cheap and also
-                    # catches infeasible slots from a degraded regional
-                    # protocol.  The 1-shard (monolithic-equivalent) plan is
-                    # the only one served verbatim.
-                    if plan.n_shards > 1:
-                        with phase(
-                            obs, "sharded.reconcile", engine="sharded", epoch=epoch
-                        ):
-                            combined, reconciled = reconcile_round(
-                                combined, plan.links, model, table=cfg.rate_table
-                            )
-                        if ledger is not None:
-                            # Boundary reports: every demanded boundary link
-                            # of an asked shard tells the reconciler what its
-                            # shard scheduled near the edge.  Serialized
-                            # round: one announcement per membership moved
-                            # into overflow slots.  Both charged to this
-                            # epoch's critical path below.
-                            reports = sum(
-                                int(
-                                    (
-                                        snapshot[s.link_indices[s.boundary]] > 0
-                                    ).sum()
-                                )
-                                for s in asked
-                            )
-                            ledger.charge(epoch, "sharded", "report", reports)
-                            ledger.charge(
-                                epoch, "sharded", "reconcile", reconciled
-                            )
-                    # The memo hands these exact arrays back to later
-                    # epochs' serving; freeze them so any accidental
-                    # mutation between replays raises instead of silently
-                    # corrupting the memoized round.  (Every entry is a
-                    # fresh fancy-index / concatenate / delete result, so
-                    # nothing else aliases them.)
-                    for arr in combined:
-                        arr.flags.writeable = False
-                round_memo = (asked_key, combined, reconciled)
-
-                schedule_length = len(combined)
-                # Shards compute concurrently (max, not sum); the epoch's
-                # control messages serialize on shared air, so they ride the
-                # critical path on top of the slowest shard.
-                overhead_seconds = max(p.overhead_seconds for p in planned)
-                with phase(obs, "epoch.control", engine="sharded", epoch=epoch):
-                    overhead_slots, control_slots = priced_overhead_slots(
-                        overhead_seconds, ledger, epoch, cfg
+                    combined.append(np.concatenate(parts))
+            reconciled = 0
+            # Reconcile on every multi-shard plan, even when a single shard
+            # happened to carry all of this epoch's demand: the exact-model
+            # re-check is cheap and also catches infeasible slots from a
+            # degraded regional protocol.  The 1-shard (monolithic-
+            # equivalent) plan is the only one served verbatim.
+            if plan.n_shards > 1:
+                with phase(obs, "sharded.reconcile", engine="sharded", epoch=epoch):
+                    combined, reconciled = reconcile_round(
+                        combined, plan.links, model, table=cfg.rate_table
                     )
-                playable = T - overhead_slots
-                round_slots = combined[:playable]
-                slot_tiers = slot_rates = None
-                if annotator is not None:
-                    with phase(obs, "epoch.annotate", engine="sharded", epoch=epoch):
-                        slot_tiers, slot_rates = annotator.annotate(round_slots)
-                plays_before = queues.plays_total
-                with phase(obs, "epoch.serve", engine="sharded", epoch=epoch):
-                    served = play_schedule(
-                        queues, round_slots, start, T, overhead_slots, slot_rates
+                if ledger is not None:
+                    # Boundary reports: every demanded boundary link of an
+                    # asked shard tells the reconciler what its shard
+                    # scheduled near the edge.  Serialized round: one
+                    # announcement per membership moved into overflow slots.
+                    # Both ride this epoch's critical path when the loop
+                    # prices the round.
+                    reports = sum(
+                        int((snapshot[s.link_indices[s.boundary]] > 0).sum())
+                        for s in asked
                     )
-                book_rate_obs(
-                    obs,
-                    slot_tiers,
-                    served,
-                    queues.plays_total - plays_before,
-                    engine="sharded",
-                )
-            elif ledger is not None:
-                # No demand, no shard asked — but booked control messages
-                # (e.g. session signaling into an idle mesh) still cost air.
-                overhead_slots, control_slots = priced_overhead_slots(
-                    0.0, ledger, epoch, cfg
-                )
+                    ledger.charge(epoch, "sharded", "report", reports)
+                    ledger.charge(epoch, "sharded", "reconcile", reconciled)
+            # The memo hands these exact arrays back to later epochs'
+            # serving; freeze them so any accidental mutation between
+            # replays raises instead of silently corrupting the memoized
+            # round.  (Every entry is a fresh fancy-index / concatenate /
+            # delete result, so nothing else aliases them.)
+            for arr in combined:
+                arr.flags.writeable = False
+        round_memo = (asked_key, combined, reconciled)
 
-            record = trace.book(
-                EpochRecord(
-                    epoch=epoch,
-                    arrivals=arrived,
-                    served=served,
-                    delivered=queues.delivered_total - delivered_before,
-                    backlog_end=queues.total_backlog(),
-                    demand_scheduled=int(snapshot.sum()),
-                    schedule_length=schedule_length,
-                    overhead_slots=overhead_slots,
-                    cache_hit=cache_hit,
-                    patched=patched,
-                    drift=drift,
-                    control_slots=control_slots,
-                    control_messages=(
-                        ledger.messages_for(epoch) if ledger is not None else 0
-                    ),
-                    n_shards=plan.n_shards,
-                    reconciled=reconciled,
-                )
-            )
-            book_epoch_obs(obs, record, engine="sharded")
-            if on_epoch is not None:
-                on_epoch(record, queues)
-            if trace_diverged(trace, cfg):
-                trace.diverged = True
-                break
+        return ScheduledRound(
+            slots=combined,
+            length=len(combined),
+            # Shards compute concurrently (max, not sum); the epoch's
+            # control messages serialize on shared air, so the loop's
+            # pricing adds them on top of the slowest shard.
+            overhead_seconds=max(p.overhead_seconds for p in planned),
+            cpu_s=sum(secs) if secs else None,
+            critical_s=max(secs) if secs else None,
+            wall_s=wall_s,
+            cache_hit=cache_hit,
+            patched=patched,
+            drift=drift,
+            reconciled=reconciled,
+        )
+
+    try:
+        return epoch_loop(
+            plan.links,
+            generator,
+            stage,
+            cfg,
+            ledger,
+            model.with_budget(union_budget),
+            on_epoch,
+            obs,
+            engine="sharded",
+            plan=plan,
+            classify=lambda source: f"shard{owner[source]}",
+        )
     finally:
         if pool is not None:
             pool.shutdown(wait=False)
         if process_pool is not None:
             process_pool.shutdown(wait=False, cancel_futures=True)
-    finish_run_obs(obs, trace, engine="sharded")
-    return trace

@@ -13,15 +13,22 @@ seconds.  These tests pin the contract:
 * everything the pool must ship — :class:`LinkShard`, both scheduler
   factories — survives a pickle round-trip and still builds working,
   deterministic schedulers;
-* a shard scheduler blowing up surfaces as :class:`ShardScheduleError`
-  naming the shard and epoch, *before* the epoch's serving mutates the
-  delivery accounting, and poisons the queues against further use;
+* a shard scheduler blowing up — or a pool worker killed outright —
+  surfaces as :class:`ShardScheduleError` naming the shard and epoch,
+  *before* the epoch's serving mutates the delivery accounting, poisons
+  the queues against further use and shuts both pools down; the
+  monolithic engine fails the same way through the same loop, re-raising
+  the scheduler's own exception;
 * memoized rounds replay bit-identically: the slot arrays the round memo
   hands back are frozen, so the engine would raise (instead of silently
   corrupting later replays) if any serving path wrote to them.
 """
 
+import faulthandler
+import os
 import pickle
+from concurrent.futures.process import BrokenProcessPool
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -36,27 +43,34 @@ from repro.traffic import (
     PoissonArrivals,
     ShardScheduleError,
     plan_for_network,
+    run_epochs,
     run_epochs_sharded,
     sharded_centralized_factory,
     sharded_distributed_factory,
 )
+from repro.traffic import sharded as sharded_engine
 from repro.traffic.epoch import centralized_scheduler
 from repro.util.rng import spawn
 
 
 class ExplodingFactory:
-    """Picklable factory whose shard-1 scheduler raises at ``fail_epoch``."""
+    """Picklable factory whose shard-1 scheduler fails at ``fail_epoch``: it
+    raises, or with ``kill`` takes its whole process down on the spot (what
+    an OOM-killed pool worker looks like from the parent)."""
 
-    def __init__(self, fail_epoch: int):
+    def __init__(self, fail_epoch: int, kill: bool = False):
         self.fail_epoch = fail_epoch
+        self.kill = kill
 
     def __call__(self, shard, shard_model):
         inner = centralized_scheduler(shard_model)
-        fail_epoch = self.fail_epoch
+        fail_epoch, kill = self.fail_epoch, self.kill
         fail_here = shard.index == 1
 
         def scheduler(links, epoch):
             if fail_here and epoch >= fail_epoch:
+                if kill:
+                    os._exit(1)
                 raise ValueError("synthetic shard meltdown")
             return inner(links, epoch)
 
@@ -183,34 +197,89 @@ def test_pool_payloads_pickle_round_trip(mesh):
             assert a.as_array().tolist() == b.as_array().tolist()
 
 
-@pytest.mark.parametrize("executor,workers", [("thread", 2), ("process", 2)])
+@pytest.fixture
+def pool_log(monkeypatch):
+    """Record every pool the sharded engine opens and every one it shuts."""
+    log = SimpleNamespace(opened=[], closed=[])
+
+    def recorded(base):
+        class Recorded(base):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                log.opened.append(base.__name__)
+
+            def shutdown(self, *args, **kwargs):
+                log.closed.append(base.__name__)
+                super().shutdown(*args, **kwargs)
+
+        return Recorded
+
+    for name in ("ThreadPoolExecutor", "ProcessPoolExecutor"):
+        monkeypatch.setattr(
+            sharded_engine, name, recorded(getattr(sharded_engine, name))
+        )
+    return log
+
+
+@pytest.mark.parametrize("mode", ["thread", "process", "process-killed", "monolithic"])
 def test_shard_scheduler_exception_is_annotated_and_poisons_queues(
-    mesh, executor, workers
+    mesh, mode, pool_log
 ):
     network, gateways, links = mesh
-    plan = plan_for_network(links, network, n_shards=4, interference_radius_m=80.0)
     config = EpochConfig(epoch_slots=150, n_epochs=5, divergence_factor=4.0)
+    generator = _generator(network, gateways, rate=0.02)
     seen = {}
 
     def on_epoch(record, queues):
         seen["queues"] = queues
         seen["epoch"] = record.epoch
 
-    with pytest.raises(ShardScheduleError) as err:
-        run_epochs_sharded(
-            plan,
-            _generator(network, gateways, rate=0.02),
-            ExplodingFactory(fail_epoch=2),
-            network.model,
-            config,
-            max_workers=workers,
-            executor=executor,
-            on_epoch=on_epoch,
+    if mode == "monolithic":
+        # Same loop, same poison point — but the scheduler's own exception
+        # type comes through, not a shard annotation.
+        scheduler = ExplodingFactory(fail_epoch=2)(
+            SimpleNamespace(index=1), network.model
         )
-    assert err.value.shard_index == 1
-    assert err.value.epoch == 2
-    assert "shard 1" in str(err.value) and "epoch 2" in str(err.value)
-    assert "synthetic shard meltdown" in str(err.value)
+        with pytest.raises(ValueError, match="synthetic shard meltdown"):
+            run_epochs(links, generator, scheduler, config, on_epoch=on_epoch)
+        assert pool_log.opened == []
+    else:
+        plan = plan_for_network(
+            links, network, n_shards=4, interference_radius_m=80.0
+        )
+        killed = mode == "process-killed"
+        # A dead worker must fail the run, never hang it: if this test is
+        # still going after two minutes, dump every stack and abort.
+        faulthandler.dump_traceback_later(120, exit=True)
+        try:
+            with pytest.raises(ShardScheduleError) as err:
+                run_epochs_sharded(
+                    plan,
+                    generator,
+                    ExplodingFactory(fail_epoch=2, kill=killed),
+                    network.model,
+                    config,
+                    max_workers=2,
+                    executor="thread" if mode == "thread" else "process",
+                    on_epoch=on_epoch,
+                )
+        finally:
+            faulthandler.cancel_dump_traceback_later()
+        assert err.value.epoch == 2
+        if killed:
+            # The pool breaks as a whole: shard 0's in-flight task fails with
+            # its sibling's worker, and pool.map reports the first in order.
+            assert err.value.shard_index in (0, 1)
+            assert isinstance(err.value.__cause__, BrokenProcessPool)
+        else:
+            assert err.value.shard_index == 1
+            assert "shard 1" in str(err.value) and "epoch 2" in str(err.value)
+            assert "synthetic shard meltdown" in str(err.value)
+        # Whatever was opened was shut: the dispatch threads always, the
+        # worker processes under the process backend.
+        expected = ["ProcessPoolExecutor"] * (mode != "thread") + ["ThreadPoolExecutor"]
+        assert pool_log.opened == expected
+        assert sorted(pool_log.closed) == expected
 
     # Epochs before the meltdown completed normally...
     assert seen["epoch"] == 1

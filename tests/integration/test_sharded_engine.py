@@ -5,18 +5,25 @@
   delivered, overhead, cache decisions, per-packet delays) for every
   reschedule policy — the harness that keeps the refactor honest.  The
   FDD variant of the same harness lives in
-  ``benchmarks/test_bench_sharded.py``.
+  ``benchmarks/test_bench_sharded.py``.  The same runs, observed at spans
+  level, pin that the two entry points really share one loop: identical
+  shared-stage spans and ``traffic.*`` metrics up to the ``engine`` label.
 * Determinism: identical traces for ``max_workers=1`` vs ``max_workers=4``
   given the same seed — parallelism never changes results.
 * Multi-shard sanity: conservation, feasible reconciled rounds, and
   shard-aware accounting on a real 4-shard run.
 """
 
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.core.fdd import fdd_on_network
 from repro.experiments.common import PAPER_PROTOCOL, grid_scenario
+from repro.obs import BufferRecorder, Obs, ObsConfig
+from repro.phy.radio import RateTable
 from repro.traffic import (
     EpochConfig,
     PoissonArrivals,
@@ -60,22 +67,47 @@ def _generator(mesh, rate=0.012, seed=11):
     )
 
 
-@pytest.mark.parametrize("policy", RESCHEDULE_POLICIES)
-def test_single_shard_equivalence_all_policies(mesh, policy):
-    """n_shards=1 replays the monolithic loop exactly, per policy."""
-    model = mesh.network.model
-    config = EpochConfig(
-        epoch_slots=150,
-        n_epochs=6,
-        divergence_factor=4.0,
-        reschedule_policy=policy,
+#: The stages the epoch loop itself runs, whichever engine calls it.
+SHARED_STAGE_SPANS = ("epoch.arrivals", "epoch.control", "epoch.annotate", "epoch.serve")
+
+
+def _spans_obs():
+    obs = Obs.create(ObsConfig(level="spans"))
+    obs.recorder = BufferRecorder()
+    return obs
+
+
+def _loop_observables(obs):
+    """What the shared loop emitted, with the ``engine`` label dropped: the
+    multiset of its stage spans and every ``traffic.*`` counter / gauge."""
+
+    def sans_engine(labels):
+        return tuple(sorted((k, str(v)) for k, v in labels.items() if k != "engine"))
+
+    spans = Counter(
+        (span.name, sans_engine(span.labels))
+        for span in obs.recorder.spans
+        if span.name in SHARED_STAGE_SPANS
     )
+    metrics = sorted(
+        (row["kind"], row["name"], sans_engine(row["labels"]), row["value"])
+        for row in obs.registry.rows()
+        if row["name"].startswith("traffic.") and row["kind"] in ("counter", "gauge")
+    )
+    return spans, metrics
+
+
+def _mono_and_single_shard(mesh, config):
+    """The same run through both entry points, each under a spans-level Obs."""
+    model = mesh.network.model
+    mono_obs, shard_obs = _spans_obs(), _spans_obs()
     mono = run_epochs(
         mesh.links,
         _generator(mesh),
         centralized_scheduler(model, overhead_seconds=0.3),
         config,
         model=model,
+        obs=mono_obs,
     )
     plan = plan_for_network(mesh.links, mesh.network, n_shards=1,
                             interference_radius_m=80.0)
@@ -83,7 +115,22 @@ def test_single_shard_equivalence_all_policies(mesh, policy):
     def factory(shard, shard_model):
         return centralized_scheduler(shard_model, overhead_seconds=0.3)
 
-    shard = run_epochs_sharded(plan, _generator(mesh), factory, model, config)
+    shard = run_epochs_sharded(
+        plan, _generator(mesh), factory, model, config, obs=shard_obs
+    )
+    return mono, shard, _loop_observables(mono_obs), _loop_observables(shard_obs)
+
+
+@pytest.mark.parametrize("policy", RESCHEDULE_POLICIES)
+def test_single_shard_equivalence_all_policies(mesh, policy):
+    """n_shards=1 replays the monolithic loop exactly, per policy."""
+    config = EpochConfig(
+        epoch_slots=150,
+        n_epochs=6,
+        divergence_factor=4.0,
+        reschedule_policy=policy,
+    )
+    mono, shard, mono_seen, shard_seen = _mono_and_single_shard(mesh, config)
 
     assert _functional(shard) == _functional(mono)
     assert shard.diverged == mono.diverged
@@ -92,6 +139,21 @@ def test_single_shard_equivalence_all_policies(mesh, policy):
     assert np.array_equal(shard.queues.backlog, mono.queues.backlog)
     assert all(r.reconciled == 0 for r in shard.records)
     shard.queues.check_conservation()
+
+    # One loop, two stages: everything the loop itself emits is the same.
+    spans, metrics = shard_seen
+    assert (spans, metrics) == mono_seen
+    assert {name for name, _ in spans} == set(SHARED_STAGE_SPANS) - {"epoch.annotate"}
+    assert any(name == "traffic.delivered" and value > 0 for _, name, _, value in metrics)
+
+    # Multi-rate serving adds the loop's annotate stage; same identity.
+    table = RateTable.geometric(mesh.network.radio.beta)
+    mono, shard, mono_seen, shard_seen = _mono_and_single_shard(
+        mesh, replace(config, rate_table=table)
+    )
+    assert shard.records == mono.records
+    assert shard_seen == mono_seen
+    assert {name for name, _ in shard_seen[0]} == set(SHARED_STAGE_SPANS)
 
 
 @pytest.mark.parametrize("workers", [2, 4])

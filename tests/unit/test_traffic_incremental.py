@@ -25,7 +25,6 @@ from repro.traffic import (
     backlog_slope,
     centralized_scheduler,
     drift_l1,
-    drift_linf,
     is_borderline,
     majority_stable,
     patch_schedule,
@@ -50,23 +49,16 @@ class TestDriftMetrics:
     def test_identical_vectors_have_zero_drift(self):
         b = np.array([3, 0, 5, 1])
         assert drift_l1(b, b) == 0.0
-        assert drift_linf(b, b) == 0.0
 
     def test_l1_normalizes_by_baseline_mass(self):
         base = np.array([4, 4, 4, 4])  # mass 16
         current = np.array([4, 4, 4, 12])  # moved 8
         assert drift_l1(current, base) == pytest.approx(0.5)
 
-    def test_linf_normalizes_by_baseline_peak(self):
-        base = np.array([2, 10, 0])
-        current = np.array([7, 10, 0])  # worst per-link change 5, peak 10
-        assert drift_linf(current, base) == pytest.approx(0.5)
-
     def test_zero_baseline_uses_unit_floor(self):
         base = np.zeros(3, dtype=int)
         current = np.array([2, 0, 0])
         assert drift_l1(current, base) == pytest.approx(2.0)
-        assert drift_linf(current, base) == pytest.approx(2.0)
 
     def test_drift_is_symmetric_in_the_difference(self):
         base = np.array([5, 5])
@@ -243,8 +235,6 @@ class TestEpochLoopIntegration:
     def test_config_rejects_unknown_policy_and_metric(self):
         with pytest.raises(ValueError, match="reschedule_policy"):
             EpochConfig(reschedule_policy="never")
-        with pytest.raises(ValueError, match="drift_metric"):
-            EpochConfig(drift_metric="l7")
         with pytest.raises(ValueError, match="drift_threshold"):
             EpochConfig(drift_threshold=-0.5)
 
