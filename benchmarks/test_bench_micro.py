@@ -7,6 +7,7 @@ floods, leader elections, the centralized scheduler, and full protocol runs.
 
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,13 @@ from repro.core.scream import scream_flood
 from repro.experiments.common import PAPER_PROTOCOL, grid_scenario
 from repro.phy.sinr import sinr_for_links
 from repro.phy.interference import PhysicalInterferenceModel
-from repro.phy.sparse import SparsePowerMatrix, sparse_gain_model
+from repro.phy.sparse import (
+    SparsePowerMatrix,
+    build_sparse_power,
+    interference_radius_m,
+    sparse_gain_model,
+)
+from repro.phy.spatial import GridIndex
 from repro.routing import build_routing_forest, planned_gateways
 from repro.routing.forest import build_routing_forest_csr
 from repro.scheduling.feasibility import SlotArena, SlotState, feasible_alone
@@ -28,6 +35,7 @@ from repro.scheduling.links import forest_link_set
 from repro.topology.commgraph import communication_csr
 from repro.topology.network import grid_network
 from repro.util.rng import spawn
+from tests.conftest import stencil_pairs_within
 
 
 @pytest.fixture(scope="module")
@@ -195,6 +203,43 @@ def test_sparse_packing_reads_rows_not_keys(monkeypatch):
     assert [slot.links for slot in schedule.slots] == [
         slot.links for slot in dense_schedule.slots
     ]
+
+
+@pytest.mark.benchmark(group="micro")
+def test_power_harvest_examines_half_the_stencil_in_bounded_memory():
+    """The near-field harvest, guarded by counts: candidates and bytes.
+
+    On the ``sparse_10k`` deployment (100x100 grid, carrier-sense cutoff,
+    one index cell per cutoff): (1) the half-plane join plan tests each
+    unordered stencil pair once, so it examines at most 0.6x the candidate
+    pairs of the full-stencil cell loop it replaced (the reference in
+    ``tests/conftest.py``; ~2.2 M there) — yet stores the same entries;
+    (2) ``build_sparse_power`` peaks, by ``tracemalloc``, below 3x the
+    bytes of the matrix it returns: candidates are expanded a chunk at a
+    time and the harvested pairs are freed before the key sort.
+    """
+    network = grid_network(100, 100, density_per_km2=1000.0)
+    cutoff = interference_radius_m(network.tx_power_mw, network.propagation, network.radio)
+    index = GridIndex(network.positions, cell_size=cutoff)
+
+    _, b_lo, b_hi = index._partner_runs(cutoff)
+    examined = int((b_hi - b_lo).sum())
+    heads, tails, stencil_examined = stencil_pairs_within(network.positions, cutoff, cutoff)
+    assert examined <= 0.6 * stencil_examined, (examined, stencil_examined)
+
+    tracemalloc.start()
+    try:
+        power = build_sparse_power(
+            network.positions, network.tx_power_mw, network.propagation, cutoff, index=index
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    stored = power._keys.nbytes + power._vals.nbytes + power._cols.nbytes
+    assert peak <= 3 * stored, f"peak {peak / 2**20:.1f} MiB vs stored {stored / 2**20:.1f} MiB"
+    n = power.n
+    expected = np.concatenate([heads.astype(np.int64) * n + tails, np.arange(n) * (n + 1)])
+    assert np.array_equal(power._keys, np.sort(expected))
 
 
 @pytest.mark.benchmark(group="protocols")

@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
 
 
 @dataclass(frozen=True)
@@ -50,6 +49,10 @@ def mean_ci(samples, confidence: float = 0.95) -> ConfidenceInterval:
     mean = float(arr.mean())
     if arr.size == 1:
         return ConfidenceInterval(mean, 0.0, confidence, 1)
+    # Imported here, not at module level: scipy.stats costs ~0.4 s and
+    # ~40 MiB to load, which every `import repro` would otherwise pay.
+    from scipy import stats as sps
+
     sem = float(arr.std(ddof=1) / np.sqrt(arr.size))
     t_crit = float(sps.t.ppf(0.5 + confidence / 2.0, df=arr.size - 1))
     return ConfidenceInterval(mean, t_crit * sem, confidence, int(arr.size))

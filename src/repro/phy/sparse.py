@@ -245,26 +245,26 @@ def build_sparse_power(
         )
 
     if math.isinf(cutoff_m):
-        heads = np.repeat(np.arange(n, dtype=np.intp), n)
-        tails = np.tile(np.arange(n, dtype=np.intp), n)
-        off = heads != tails
-        heads, tails = heads[off], tails[off]
+        i, j = np.triu_indices(n, k=1)
+        dx, dy = (pos[i] - pos[j]).T
+        d2 = dx * dx + dy * dy
     else:
         if index is None:
             index = GridIndex(pos, cell_size=float(cutoff_m))
-        heads, tails = index.pairs_within(float(cutoff_m))
-    dist = np.sqrt(((pos[heads] - pos[tails]) ** 2).sum(axis=1))
-    keys = np.concatenate(
-        [
-            heads.astype(np.int64) * n + tails,
-            np.arange(n, dtype=np.int64) * n + np.arange(n, dtype=np.int64),
-        ]
-    )
-    vals = np.concatenate(
-        [tx[heads] * model.gain(dist), tx * model.gain(np.zeros(n))]
-    )
+        i, j, d2 = (
+            np.concatenate(part) for part in zip(*index.near_pairs(float(cutoff_m)))
+        )
+    # One gain per unordered pair serves both directions: the law sees only
+    # the distance, and P[tx, rx] = power(tx) * gain.
+    gain = model.gain(np.sqrt(d2))
+    i, j = i.astype(np.int64, copy=False), j.astype(np.int64, copy=False)
+    diag = np.arange(n, dtype=np.int64)
+    keys = np.concatenate([i * n + j, j * n + i, diag * n + diag])
+    vals = np.concatenate([tx[i] * gain, tx[j] * gain, tx * model.gain(np.zeros(n))])
+    del i, j, d2, gain  # as large as the result; free them before the sort
     order = np.argsort(keys)
-    return SparsePowerMatrix(n, keys[order], vals[order])
+    keys, vals = keys[order], vals[order]
+    return SparsePowerMatrix(n, keys, vals)
 
 
 def interference_radius_m(

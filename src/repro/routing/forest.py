@@ -14,6 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
+from repro.topology.commgraph import csr_neighbors_of
 from repro.util.rng import ensure_rng
 
 
@@ -171,9 +172,9 @@ def build_routing_forest_csr(
     Neighbor lists come sorted from
     :func:`~repro.topology.commgraph.communication_csr`, so each node's
     parent-candidate array matches the dense ``np.flatnonzero`` order, and
-    nodes are visited in the same ascending order: the RNG stream is
-    consumed identically and the two builders return equal forests for
-    equal graphs (pinned by the unit suite).
+    nodes draw in the same ascending order: the RNG stream is consumed
+    identically and the two builders return equal forests for equal graphs
+    (pinned by the unit suite).
     """
     n = indptr.shape[0] - 1
     gws = np.asarray(gateways, dtype=np.intp)
@@ -187,24 +188,26 @@ def build_routing_forest_csr(
 
     depth = np.full(n, -1, dtype=np.intp)
     depth[gws] = 0
-    frontier = np.unique(gws)
+    frontier = gws
     level = 0
     while frontier.size:
-        spans = [indices[indptr[v] : indptr[v + 1]] for v in frontier]
-        reached = np.unique(np.concatenate(spans)) if spans else frontier[:0]
-        reached = reached[depth[reached] < 0]
+        reached = csr_neighbors_of(indptr, indices, frontier)
+        frontier = reached[depth[reached] < 0]
         level += 1
-        depth[reached] = level
-        frontier = reached
+        depth[frontier] = level
     if np.any(depth < 0):
         unreachable = np.flatnonzero(depth < 0).tolist()
         raise ValueError(f"nodes {unreachable} cannot reach any gateway")
 
+    # Parent candidates of every node at once: its neighbors one level up,
+    # in neighbor (ascending) order.  One bounded draw per non-gateway node,
+    # in node order, consumes the generator exactly as the dense builder's
+    # per-node ``generator.choice(candidates)`` does.
+    rows = np.repeat(np.arange(n, dtype=np.intp), np.diff(indptr))
+    up = depth[indices] == depth[rows] - 1
+    counts = np.bincount(rows[up], minlength=n)
+    heads = np.flatnonzero(depth > 0)
+    picks = generator.integers(0, counts[heads])
     parent = np.full(n, -1, dtype=np.intp)
-    for v in range(n):
-        if depth[v] == 0:
-            continue
-        neigh = indices[indptr[v] : indptr[v + 1]]
-        candidates = neigh[depth[neigh] == depth[v] - 1]
-        parent[v] = int(generator.choice(candidates))
+    parent[heads] = indices[up][(np.cumsum(counts) - counts)[heads] + picks]
     return RoutingForest(parent=parent, depth=depth, gateways=np.sort(gws))

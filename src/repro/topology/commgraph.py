@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.util.ranges import expand_ranges
+
 
 def communication_adjacency(
     power: np.ndarray, noise_mw: float, beta: float
@@ -99,10 +101,7 @@ def csr_neighbors_of(
 ) -> np.ndarray:
     """Unique neighbors (ascending) of a node set in a CSR adjacency."""
     f = np.asarray(nodes, dtype=np.intp)
-    if f.size == 0:
-        return np.empty(0, dtype=np.intp)
-    spans = [indices[indptr[v] : indptr[v + 1]] for v in f]
-    return np.unique(np.concatenate(spans)) if spans else np.empty(0, dtype=np.intp)
+    return np.unique(indices[expand_ranges(indptr[f], indptr[f + 1])[1]])
 
 
 def is_connected_csr(indptr: np.ndarray, indices: np.ndarray) -> bool:

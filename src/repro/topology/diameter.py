@@ -10,8 +10,6 @@ bounds of Theorems 2 and 3 live in :mod:`repro.analysis.bounds`.
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
 
 
 def hop_distance_matrix(adjacency: np.ndarray) -> np.ndarray:
@@ -25,6 +23,11 @@ def hop_distance_matrix(adjacency: np.ndarray) -> np.ndarray:
         raise ValueError(f"adjacency must be square, got shape {adj.shape}")
     if adj.shape[0] == 0:
         return np.zeros((0, 0))
+    # Imported here, not at module level: scipy costs ~0.25 s and ~25 MiB to
+    # load, and the sparse set-up path never calls this function.
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import shortest_path
+
     sparse = csr_matrix(adj.astype(np.int8))
     return shortest_path(sparse, method="D", directed=True, unweighted=True)
 

@@ -265,3 +265,113 @@ class StepwiseRateAnnotator:
             tiers.append(t)
             rates.append(self.table.rates[t])
         return tiers, rates
+
+
+# --------------------------------------------------------------------------
+# Loop references of the sparse set-up path.  The library harvests near
+# pairs in one half-plane pass over the cell-sorted nodes, assembles the
+# power matrix from one gain per unordered pair, and draws every forest
+# parent in one ``generator.integers`` call; these are the bodies that
+# replaced — a Python loop over occupied cells joining each against its
+# full stencil, a second position gather and an argsort of the directed
+# pair list, and one ``generator.choice`` per node — kept as the references
+# the set-up differential suite compares keys, values, parents and the
+# generator's post-state against.
+# --------------------------------------------------------------------------
+
+
+def stencil_pairs_within(positions, cell_size, radius):
+    """Ordered pairs within ``radius``, lexsorted — by full-stencil cell loop.
+
+    Also returns how many candidate pairs the distance test examined (the
+    count the harvest's candidate guard is measured against).
+    """
+    pos = np.asarray(positions, dtype=float)
+    cells = np.floor(pos / cell_size).astype(np.int64)
+    buckets: dict[tuple[int, int], list[int]] = {}
+    for node, (cx, cy) in enumerate(cells.tolist()):
+        buckets.setdefault((cx, cy), []).append(node)
+    occupied = sorted(buckets)
+    xs = [c[0] for c in occupied]
+    ys = [c[1] for c in occupied]
+    # The stencil never needs to leave the occupied bounding box.
+    reach = int(min(np.ceil(radius / cell_size), max(max(xs) - min(xs), max(ys) - min(ys))))
+    r2 = radius * radius
+    heads, tails, examined = [], [], 0
+    for cx, cy in occupied:
+        left = np.asarray(buckets[(cx, cy)], dtype=np.intp)
+        runs = [
+            buckets[(cx + dx, cy + dy)]
+            for dx in range(-reach, reach + 1)
+            for dy in range(-reach, reach + 1)
+            if (cx + dx, cy + dy) in buckets
+        ]
+        cand = np.concatenate([np.asarray(r, dtype=np.intp) for r in runs])
+        li = np.repeat(left, cand.size)
+        rj = np.tile(cand, left.size)
+        examined += li.size
+        deltas = pos[li] - pos[rj]
+        near = (np.einsum("ij,ij->i", deltas, deltas) <= r2) & (li != rj)
+        heads.append(li[near])
+        tails.append(rj[near])
+    i = np.concatenate(heads)
+    j = np.concatenate(tails)
+    order = np.lexsort((j, i))
+    return i[order], j[order], examined
+
+
+def stencil_build_sparse_power(positions, tx_power_mw, model, cutoff_m, cell_size=None):
+    """``build_sparse_power`` from the directed pair list, as it was."""
+    from repro.phy.sparse import SparsePowerMatrix
+
+    pos = np.asarray(positions, dtype=float)
+    tx = np.asarray(tx_power_mw, dtype=float)
+    n = pos.shape[0]
+    if np.isinf(cutoff_m):
+        heads = np.repeat(np.arange(n, dtype=np.intp), n)
+        tails = np.tile(np.arange(n, dtype=np.intp), n)
+        off = heads != tails
+        heads, tails = heads[off], tails[off]
+    else:
+        heads, tails, _ = stencil_pairs_within(
+            pos, cutoff_m if cell_size is None else cell_size, cutoff_m
+        )
+    dist = np.sqrt(((pos[heads] - pos[tails]) ** 2).sum(axis=1))
+    keys = np.concatenate(
+        [
+            heads.astype(np.int64) * n + tails,
+            np.arange(n, dtype=np.int64) * n + np.arange(n, dtype=np.int64),
+        ]
+    )
+    vals = np.concatenate([tx[heads] * model.gain(dist), tx * model.gain(np.zeros(n))])
+    order = np.argsort(keys)
+    return SparsePowerMatrix(n, keys[order], vals[order])
+
+
+def loop_routing_forest_csr(indptr, indices, gateways, generator):
+    """``build_routing_forest_csr`` with one ``generator.choice`` per node."""
+    from repro.routing.forest import RoutingForest
+
+    n = indptr.shape[0] - 1
+    gws = np.asarray(gateways, dtype=np.intp)
+    depth = np.full(n, -1, dtype=np.intp)
+    depth[gws] = 0
+    frontier = np.unique(gws)
+    level = 0
+    while frontier.size:
+        spans = [indices[indptr[v] : indptr[v + 1]] for v in frontier]
+        reached = np.unique(np.concatenate(spans))
+        reached = reached[depth[reached] < 0]
+        level += 1
+        depth[reached] = level
+        frontier = reached
+    if np.any(depth < 0):
+        raise ValueError("some node cannot reach any gateway")
+    parent = np.full(n, -1, dtype=np.intp)
+    for v in range(n):
+        if depth[v] == 0:
+            continue
+        neigh = indices[indptr[v] : indptr[v + 1]]
+        candidates = neigh[depth[neigh] == depth[v] - 1]
+        parent[v] = int(generator.choice(candidates))
+    return RoutingForest(parent=parent, depth=depth, gateways=np.sort(gws))
