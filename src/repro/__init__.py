@@ -120,14 +120,6 @@ from repro.traffic import (
     find_knee,
 )
 from repro.mote import ScreamExperiment, run_detection_error_sweep, monitor_rssi_trace
-from repro.util.persist import (
-    save_network,
-    load_network,
-    save_link_set,
-    load_link_set,
-    save_schedule,
-    load_schedule,
-)
 
 __version__ = "1.0.0"
 
@@ -221,11 +213,5 @@ __all__ = [
     "ScreamExperiment",
     "run_detection_error_sweep",
     "monitor_rssi_trace",
-    "save_network",
-    "load_network",
-    "save_link_set",
-    "load_link_set",
-    "save_schedule",
-    "load_schedule",
     "__version__",
 ]

@@ -26,17 +26,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from typing import Callable
-
 from .export import JsonlRecorder, fingerprint, validate_run_file
-from .metrics import DEFAULT_QUANTILES, MetricsRegistry, P2Quantile, StreamingHistogram
+from .metrics import MetricsRegistry, P2Quantile, StreamingHistogram
 from .spans import NOOP_SPAN, BufferRecorder, NullRecorder, Recorder, Span
 
 __all__ = [
     "Obs",
     "ObsConfig",
     "phase",
-    "DeliveryStream",
     "MetricsRegistry",
     "StreamingHistogram",
     "P2Quantile",
@@ -54,19 +51,11 @@ LEVELS = ("off", "metrics", "spans")
 
 @dataclass(frozen=True)
 class ObsConfig:
-    """What to instrument and where to put it.
-
-    ``stream_deliveries`` switches :class:`~repro.traffic.queues.LinkQueues`
-    from full per-packet delay-log retention to O(1) streaming aggregates
-    per (flow-class, region) — the default stays full-log, and
-    ``summarize_trace`` falls back to the streaming aggregates only when
-    the logs were not kept.
-    """
+    """What to instrument and where to put it."""
 
     level: str = "spans"
     jsonl_path: str | None = None
     run_name: str = "run"
-    stream_deliveries: bool = False
     config: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -104,10 +93,6 @@ class Obs:
             return None
         return cls(config)
 
-    @property
-    def stream_deliveries(self) -> bool:
-        return self.config.stream_deliveries
-
     # -- metrics pass-throughs ----------------------------------------------
 
     def counter(self, name: str, value: float = 1.0, **labels) -> None:
@@ -135,56 +120,6 @@ class Obs:
         if isinstance(self.recorder, JsonlRecorder):
             return self.recorder.export(self.registry)
         return None
-
-
-class DeliveryStream:
-    """O(1) streaming replacement for the full per-packet delivery logs.
-
-    Opted in via :attr:`ObsConfig.stream_deliveries`: instead of appending
-    every delivered packet's (delay, birth, source) to the
-    :class:`~repro.traffic.queues.LinkQueues` lists, the queues feed each
-    delivery into streaming aggregates — one overall histogram plus one per
-    delivery class (``classify`` maps the packet's source link to a class
-    key; the sharded engine classifies by region, so the per-class series
-    are per-(region) delay distributions).  ``summarize_trace`` reads the
-    overall aggregate when the exact logs were not kept, so
-    :class:`~repro.traffic.stability.StabilityMetrics` delay fields keep
-    their meaning at O(1) memory — the first bite of the ROADMAP's
-    100k-node streaming-accounting item.
-
-    Not thread-safe by design: deliveries happen on the engine's serving
-    thread only (both engines serve the global queues serially).
-    """
-
-    def __init__(
-        self,
-        classify: Callable[[int], object] | None = None,
-        quantiles=DEFAULT_QUANTILES,
-    ):
-        self.classify = classify
-        self.total = StreamingHistogram(quantiles)
-        self.by_class: dict[str, StreamingHistogram] = {}
-        self._quantiles = quantiles
-
-    def record(self, delay: int, source: int) -> None:
-        self.total.add(delay)
-        if self.classify is not None:
-            key = str(self.classify(source))
-            hist = self.by_class.get(key)
-            if hist is None:
-                hist = self.by_class[key] = StreamingHistogram(self._quantiles)
-            hist.add(delay)
-
-    @property
-    def count(self) -> int:
-        return self.total.count
-
-    @property
-    def mean(self) -> float:
-        return self.total.mean if self.total.count else float("nan")
-
-    def quantile(self, q: float) -> float:
-        return self.total.quantile(q)
 
 
 def phase(obs: Obs | None, name: str, measure: bool = False, **labels):

@@ -254,19 +254,6 @@ class MetricsRegistry:
                 hist = self._histograms[key] = StreamingHistogram(self._quantiles)
             hist.add_many(values)
 
-    def adopt_histogram(
-        self, name: str, hist: StreamingHistogram, **labels
-    ) -> None:
-        """Register an externally-maintained histogram as a series.
-
-        P² summaries cannot be merged after the fact, so a streaming
-        aggregate built outside the registry (the delivery stream a
-        :class:`~repro.traffic.queues.LinkQueues` feeds packet-by-packet)
-        is adopted by reference and snapshotted at export like any other
-        series."""
-        with self._lock:
-            self._histograms[(name, label_key(labels))] = hist
-
     # -- reads ---------------------------------------------------------------
 
     def counter_value(self, name: str, **labels) -> float:

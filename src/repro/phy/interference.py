@@ -128,30 +128,24 @@ class PhysicalInterferenceModel:
         return data, ack
 
     def link_tiers(
-        self,
-        senders: np.ndarray,
-        receivers: np.ndarray,
-        table,
-        floor_base: bool = True,
+        self, senders: np.ndarray, receivers: np.ndarray, table
     ) -> np.ndarray:
         """Per-link MCS tier for a concurrent link set under a ``RateTable``.
 
         A link's tier is governed by the *weaker* of its two sub-slots —
         ``min(data SINR, ack SINR)`` — since a faster modulation is useless
-        if the ACK cannot keep up.  With ``floor_base`` (the default for
-        serving paths) tiers are clamped to >= 0: slot membership was
-        established by the scheduling contract (``SINR >= β``, possibly
-        under a *different* budget than this oracle carries — reconciled
-        overflow slots and boundary links can sit below ``β`` here), and
-        the seed semantics serve one packet regardless, so the base tier is
-        the floor.  The degenerate table therefore yields rate 1 for every
-        member — the bit-identity anchor of the differential suite.
+        if the ACK cannot keep up.  Tiers are clamped to >= 0: slot
+        membership was established by the scheduling contract
+        (``SINR >= β``, possibly under a *different* budget than this
+        oracle carries — reconciled overflow slots and boundary links can
+        sit below ``β`` here), and the seed semantics serve one packet
+        regardless, so the base tier is the floor.  The degenerate table
+        therefore yields rate 1 for every member — the bit-identity anchor
+        of the differential suite.
         """
         data, ack = self.link_sinrs(senders, receivers)
         tiers = table.tier_for(np.minimum(data, ack))
-        if floor_base:
-            tiers = np.maximum(tiers, 0)
-        return tiers.astype(np.int64)
+        return np.maximum(tiers, 0).astype(np.int64)
 
     def link_rates(
         self, senders: np.ndarray, receivers: np.ndarray, table

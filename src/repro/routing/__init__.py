@@ -13,7 +13,6 @@ from repro.routing.gateways import (
 )
 from repro.routing.forest import RoutingForest, build_routing_forest
 from repro.routing.demand import uniform_node_demand, aggregate_demand, total_demand
-from repro.routing.placement import kcenter_gateways, coverage_radius, optimal_gateways
 
 __all__ = [
     "planned_gateways",
@@ -24,7 +23,4 @@ __all__ = [
     "uniform_node_demand",
     "aggregate_demand",
     "total_demand",
-    "kcenter_gateways",
-    "coverage_radius",
-    "optimal_gateways",
 ]

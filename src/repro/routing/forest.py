@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.topology.commgraph import csr_neighbors_of
+from repro.topology.commgraph import adjacency_csr, csr_neighbors_of
 from repro.util.rng import ensure_rng
 
 
@@ -126,38 +126,7 @@ def build_routing_forest(
 
     Raises :class:`ValueError` if some node cannot reach any gateway.
     """
-    adj = np.asarray(comm_adj, dtype=bool)
-    n = adj.shape[0]
-    gws = np.asarray(gateways, dtype=np.intp)
-    if gws.size == 0:
-        raise ValueError("at least one gateway is required")
-    if np.unique(gws).size != gws.size:
-        raise ValueError("gateway indices must be distinct")
-    if np.any((gws < 0) | (gws >= n)):
-        raise IndexError("gateway index out of range")
-    generator = ensure_rng(rng)
-
-    depth = np.full(n, -1, dtype=np.intp)
-    depth[gws] = 0
-    frontier = np.zeros(n, dtype=bool)
-    frontier[gws] = True
-    level = 0
-    while frontier.any():
-        reached = adj[frontier].any(axis=0) & (depth < 0)
-        level += 1
-        depth[reached] = level
-        frontier = reached
-    if np.any(depth < 0):
-        unreachable = np.flatnonzero(depth < 0).tolist()
-        raise ValueError(f"nodes {unreachable} cannot reach any gateway")
-
-    parent = np.full(n, -1, dtype=np.intp)
-    for v in range(n):
-        if depth[v] == 0:
-            continue
-        candidates = np.flatnonzero(adj[v] & (depth == depth[v] - 1))
-        parent[v] = int(generator.choice(candidates))
-    return RoutingForest(parent=parent, depth=depth, gateways=np.sort(gws))
+    return build_routing_forest_csr(*adjacency_csr(comm_adj), gateways, rng)
 
 
 def build_routing_forest_csr(
@@ -166,15 +135,13 @@ def build_routing_forest_csr(
     gateways: np.ndarray,
     rng: np.random.Generator | int | None = None,
 ) -> RoutingForest:
-    """:func:`build_routing_forest` over a CSR adjacency — without the dense
-    matrix, with the *identical* random forest.
+    """:func:`build_routing_forest` over a CSR adjacency, without the dense
+    matrix.
 
-    Neighbor lists come sorted from
-    :func:`~repro.topology.commgraph.communication_csr`, so each node's
-    parent-candidate array matches the dense ``np.flatnonzero`` order, and
-    nodes draw in the same ascending order: the RNG stream is consumed
-    identically and the two builders return equal forests for equal graphs
-    (pinned by the unit suite).
+    Neighbor lists are sorted (:func:`~repro.topology.commgraph.communication_csr`,
+    :func:`~repro.topology.commgraph.adjacency_csr`) and nodes draw in
+    ascending order, so equal graphs and equal generators give equal forests
+    whichever form the graph arrives in.
     """
     n = indptr.shape[0] - 1
     gws = np.asarray(gateways, dtype=np.intp)
@@ -201,8 +168,8 @@ def build_routing_forest_csr(
 
     # Parent candidates of every node at once: its neighbors one level up,
     # in neighbor (ascending) order.  One bounded draw per non-gateway node,
-    # in node order, consumes the generator exactly as the dense builder's
-    # per-node ``generator.choice(candidates)`` does.
+    # in node order, consumes the generator exactly as a per-node
+    # ``generator.choice(candidates)`` would.
     rows = np.repeat(np.arange(n, dtype=np.intp), np.diff(indptr))
     up = depth[indices] == depth[rows] - 1
     counts = np.bincount(rows[up], minlength=n)

@@ -13,7 +13,9 @@ is O(k) and an accepted addition O(k).  Three remain, all bit-identical:
 * :class:`SlotArena`, dense — one candidate against *every* slot of a
   schedule in one numpy pass over flat member columns.
 * :class:`SlotArena`, sparse — the same verdicts from per-node slot tables,
-  selected when the model's power is a ``SparsePowerMatrix``.
+  selected when the model's power is a ``SparsePowerMatrix``.  Reading
+  dense power through these tables was measured (DESIGN.md §3): −32 % on
+  ``sessions_patch_8x8``'s ``decodable_tx_per_s``, so both branches stay.
 
 ``greedy_physical``, ``patch_schedule`` and ``reconcile_round`` build their
 slots in an arena; :func:`feasible_alone` is the standalone screen (a slot

@@ -120,21 +120,20 @@ def is_connected_csr(indptr: np.ndarray, indices: np.ndarray) -> bool:
     return bool(visited.all())
 
 
-def is_connected(adjacency: np.ndarray) -> bool:
-    """Is the (undirected) graph connected?  BFS from node 0."""
+def adjacency_csr(adjacency: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(indptr, indices)`` of a dense boolean adjacency, each node's
+    neighbors ascending — the order ``np.flatnonzero(adj[v])`` yields."""
     adj = np.asarray(adjacency, dtype=bool)
     n = adj.shape[0]
-    if n == 0:
-        return True
-    visited = np.zeros(n, dtype=bool)
-    frontier = np.zeros(n, dtype=bool)
-    frontier[0] = True
-    visited[0] = True
-    while frontier.any():
-        reached = adj[frontier].any(axis=0) & ~visited
-        visited |= reached
-        frontier = reached
-    return bool(visited.all())
+    rows, cols = np.nonzero(adj)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr, cols
+
+
+def is_connected(adjacency: np.ndarray) -> bool:
+    """Is the (undirected) graph connected?  BFS from node 0."""
+    return is_connected_csr(*adjacency_csr(adjacency))
 
 
 def degree_sequence(adjacency: np.ndarray) -> np.ndarray:

@@ -453,12 +453,6 @@ class RegionalControllers(AdmissionController):
     The regional :meth:`observe` hands sub-controllers a regional view of
     the record rather than the record itself, so cap logic written against
     global signals works unchanged per region.
-
-    Composes with ``ObsConfig.stream_deliveries``: when the queues feed a
-    region-classified :class:`~repro.obs.DeliveryStream` instead of the
-    full delivery log, per-region delivered counts are differenced from
-    the stream's per-class aggregates (see :meth:`_delivered_deltas`) —
-    same numbers, O(1) memory.
     """
 
     name = "regional"
@@ -485,9 +479,6 @@ class RegionalControllers(AdmissionController):
         # attributes only the epoch's *new* served/delivered work.
         self._delivered_seen = 0
         self._served_seen = np.zeros(len(self.regional), dtype=np.int64)
-        # Streaming-mode cursors: per-region delivered counts last read from
-        # the DeliveryStream's per-class aggregates.
-        self._delivered_seen_stream = np.zeros(len(self.regional), dtype=np.int64)
 
     def fresh(self) -> "RegionalControllers":
         return RegionalControllers(self.plan, self.factory)
@@ -513,48 +504,6 @@ class RegionalControllers(AdmissionController):
             flow, _RegionalSession(session, self, region)
         )
 
-    def _delivered_deltas(self, queues: LinkQueues) -> np.ndarray:
-        """This epoch's per-region delivered counts.
-
-        Full-log mode splits the new tail of the source-tagged delivery log
-        by region.  Streaming mode (``ObsConfig.stream_deliveries``) has no
-        log; instead the :class:`~repro.obs.DeliveryStream`'s per-class
-        aggregates are differenced against per-region cursors — the sharded
-        engine classifies deliveries as ``"shard{index}"``, exactly the
-        plan's shard indices, so the per-class counts *are* the cumulative
-        per-region delivered totals.  A stream without a classifier cannot
-        be attributed and still fails loudly.
-        """
-        n_regions = len(self.regional)
-        stream = queues.delivery_stream
-        if stream is not None:
-            if stream.classify is None:
-                raise RuntimeError(
-                    "RegionalControllers under stream_deliveries needs a "
-                    "region-classified DeliveryStream (the sharded engine "
-                    "installs one); an unclassified stream keeps no "
-                    "per-region aggregates to attribute deliveries from"
-                )
-            counts = np.zeros(n_regions, dtype=np.int64)
-            for shard in self.plan.shards:
-                hist = stream.by_class.get(f"shard{shard.index}")
-                if hist is not None:
-                    counts[shard.index] = hist.count
-            delivered = counts - self._delivered_seen_stream
-            self._delivered_seen_stream = counts
-            return delivered
-        # Exact delivered attribution: the queues tag every delivery with
-        # its entry link, so the new tail of the delivery log splits by the
-        # region that admitted the injecting flow (no emission-share proxy).
-        new_sources = queues.sources[self._delivered_seen :]
-        self._delivered_seen = len(queues.sources)
-        if new_sources:
-            return np.bincount(
-                self._shard_of_link[np.asarray(new_sources, dtype=np.intp)],
-                minlength=n_regions,
-            )
-        return np.zeros(n_regions, dtype=np.int64)
-
     def observe(self, record, queues: LinkQueues, session: FlowWorkload) -> None:
         backlog = queues.backlog
         n_regions = len(self.regional)
@@ -563,7 +512,15 @@ class RegionalControllers(AdmissionController):
             k = self._by_head.get(int(node))
             if k is not None:
                 emitted[self._shard_of_link[k]] += count
-        delivered = self._delivered_deltas(queues)
+        # Exact delivered attribution: the queues tag every delivery with
+        # its entry link, so the new tail of the delivery log splits by the
+        # region that admitted the injecting flow (no emission-share proxy).
+        new_sources = queues.sources[self._delivered_seen :]
+        self._delivered_seen = len(queues.sources)
+        delivered = np.bincount(
+            self._shard_of_link[np.asarray(new_sources, dtype=np.intp)],
+            minlength=n_regions,
+        )
         # Exact served attribution: difference the per-link served counters
         # over each region's own links.
         served_cum = np.array(
@@ -652,9 +609,7 @@ def flow_delays(session: FlowWorkload, queues: LinkQueues) -> dict[int, float]:
     group — the delivered packets that entered at one source link in one
     epoch — attributes its *mean* delay to every flow that emitted into
     it, weighted by the flow's share of the group's emissions.  Flows none
-    of whose packets were delivered yet are absent from the result.  Under
-    ``ObsConfig.stream_deliveries`` the per-delivery log is not retained,
-    so the result is empty (and the SLA percentile below is nan).
+    of whose packets were delivered yet are absent from the result.
     """
     groups: dict[tuple[int, int], list[int]] = {}
     epoch_slots = session._epoch_slots

@@ -40,7 +40,7 @@ import numpy as np
 from repro.core.config import ProtocolConfig
 from repro.core.controlplane import ControlLedger, ControlPlaneModel, forest_depths
 from repro.core.timing import TimingModel
-from repro.obs import DeliveryStream, Obs, phase
+from repro.obs import Obs, phase
 from repro.obs import spans as obs_spans
 from repro.phy.interference import PhysicalInterferenceModel
 from repro.phy.radio import RateTable
@@ -119,13 +119,12 @@ class EpochConfig:
         behaviour (the multirate differential suite pins the latter).
     retain_records:
         ``"full"`` (the default) keeps every :class:`EpochRecord` on the
-        trace; ``"stream"`` keeps only O(1) running aggregates plus the
-        latest record — the ``stream_deliveries`` memory trade (PR 6)
-        applied to the record list itself, so a million-epoch run has
-        bounded RSS.  Aggregate properties (totals, cache rates, the
-        divergence guard) read identically in both modes;
-        :meth:`TrafficTrace.backlog_series` needs the full list and fails
-        loudly in streaming mode.
+        trace; ``"stream"`` keeps only the O(1) running aggregates plus
+        the latest record, so a million-epoch run has bounded RSS.  The
+        aggregate properties (totals, cache rates, the divergence guard)
+        read the same account in both modes;
+        :meth:`TrafficTrace.backlog_series` needs the list and fails
+        loudly without it.
     """
 
     epoch_slots: int = 300
@@ -237,22 +236,25 @@ class TrafficTrace:
     ledger: ControlLedger | None = None
     #: The plan a sharded run scheduled along; ``None`` on monolithic runs.
     plan: ShardPlan | None = None
-    # O(1) running aggregates, maintained by :meth:`book`.  In streaming
-    # mode (``config.retain_records == "stream"``) they are the *only*
-    # account of the run; in full mode the properties below keep reading
-    # the record list, so traces assembled by hand (tests, adapters that
-    # append to ``records`` directly) behave exactly as before.
-    _n_booked: int = field(default=0, repr=False)
-    _arrivals: int = field(default=0, repr=False)
-    _delivered: int = field(default=0, repr=False)
-    _overhead_slots: int = field(default=0, repr=False)
-    _control_slots: int = field(default=0, repr=False)
-    _control_messages: int = field(default=0, repr=False)
-    _cache_hits: int = field(default=0, repr=False)
-    _patched: int = field(default=0, repr=False)
-    _requests: int = field(default=0, repr=False)
-    _reconciled: int = field(default=0, repr=False)
-    _last_record: EpochRecord | None = field(default=None, repr=False)
+    # O(1) running aggregates, maintained by :meth:`book` — the single
+    # account behind every total below.
+    _n_booked: int = field(default=0, init=False, repr=False)
+    _arrivals: int = field(default=0, init=False, repr=False)
+    _delivered: int = field(default=0, init=False, repr=False)
+    _overhead_slots: int = field(default=0, init=False, repr=False)
+    _control_slots: int = field(default=0, init=False, repr=False)
+    _control_messages: int = field(default=0, init=False, repr=False)
+    _cache_hits: int = field(default=0, init=False, repr=False)
+    _patched: int = field(default=0, init=False, repr=False)
+    _requests: int = field(default=0, init=False, repr=False)
+    _reconciled: int = field(default=0, init=False, repr=False)
+    _last_record: EpochRecord | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        # A record list handed to the constructor is booked like any other.
+        handed, self.records = self.records, []
+        for record in handed:
+            self.book(record)
 
     @property
     def streaming(self) -> bool:
@@ -260,7 +262,7 @@ class TrafficTrace:
         return self.config.retain_records == "stream"
 
     def book(self, record: EpochRecord) -> EpochRecord:
-        """Account one epoch's record; the engines' single booking point.
+        """Account one epoch's record; the single booking point.
 
         Updates the O(1) aggregates and remembers the record as
         :attr:`last_record`; appends to :attr:`records` only in full mode.
@@ -284,13 +286,11 @@ class TrafficTrace:
     @property
     def last_record(self) -> EpochRecord | None:
         """The most recent epoch record, whatever the retention mode."""
-        if self._last_record is not None:
-            return self._last_record
-        return self.records[-1] if self.records else None
+        return self._last_record
 
     @property
     def n_epochs_run(self) -> int:
-        return self._n_booked if self.streaming else len(self.records)
+        return self._n_booked
 
     @property
     def total_slots(self) -> int:
@@ -298,50 +298,36 @@ class TrafficTrace:
 
     @property
     def delivered_total(self) -> int:
-        if self.streaming:
-            return self._delivered
-        return sum(r.delivered for r in self.records)
+        return self._delivered
 
     @property
     def arrivals_total(self) -> int:
-        if self.streaming:
-            return self._arrivals
-        return sum(r.arrivals for r in self.records)
+        return self._arrivals
 
     @property
     def overhead_slots_total(self) -> int:
         """Protocol overhead paid across the run, in data slots."""
-        if self.streaming:
-            return self._overhead_slots
-        return sum(r.overhead_slots for r in self.records)
+        return self._overhead_slots
 
     @property
     def control_slots_total(self) -> int:
         """Data slots of overhead attributable to priced control messages."""
-        if self.streaming:
-            return self._control_slots
-        return sum(r.control_slots for r in self.records)
+        return self._control_slots
 
     @property
     def control_messages_total(self) -> int:
         """Control messages booked across the run (counted even when free)."""
-        if self.streaming:
-            return self._control_messages
-        return sum(r.control_messages for r in self.records)
+        return self._control_messages
 
     @property
     def cache_hits(self) -> int:
         """Epochs served from the schedule cache (reused verbatim)."""
-        if self.streaming:
-            return self._cache_hits
-        return sum(1 for r in self.records if r.cache_hit)
+        return self._cache_hits
 
     @property
     def patched_epochs(self) -> int:
         """Epochs served by a patched (locally repaired) schedule."""
-        if self.streaming:
-            return self._patched
-        return sum(1 for r in self.records if r.patched)
+        return self._patched
 
     @property
     def cache_hit_rate(self) -> float:
@@ -352,20 +338,14 @@ class TrafficTrace:
         penalized for the epochs it asked nothing of the cache (matches
         :attr:`~repro.traffic.incremental.CacheStats.hit_rate`).
         """
-        if self.streaming:
-            requests = self._requests
-        else:
-            requests = sum(1 for r in self.records if r.demand_scheduled > 0)
-        if requests == 0:
+        if self._requests == 0:
             return 0.0
-        return (self.cache_hits + self.patched_epochs) / requests
+        return (self._cache_hits + self._patched) / self._requests
 
     @property
     def reconciled_total(self) -> int:
         """Memberships serialized by cross-shard reconciliation (0 monolithic)."""
-        if self.streaming:
-            return self._reconciled
-        return sum(r.reconciled for r in self.records)
+        return self._reconciled
 
     def backlog_series(self) -> np.ndarray:
         if self.streaming:
@@ -572,31 +552,12 @@ def book_rate_obs(
 
 
 def finish_run_obs(obs: Obs | None, trace: TrafficTrace, engine: str) -> None:
-    """End-of-run bookings: delay distributions and run-level gauges.
-
-    In full-log mode the exact per-packet delays feed a fresh registry
-    histogram; in streaming mode (``ObsConfig.stream_deliveries``) the
-    queues' :class:`~repro.obs.DeliveryStream` aggregates — overall and
-    per region class — are adopted by reference instead (P² summaries
-    cannot be merged after the fact).
-    """
+    """End-of-run bookings: the delay distribution and run-level gauges."""
     if obs is None or trace.queues is None:
         return
-    stream = trace.queues.delivery_stream
-    if stream is not None:
-        obs.registry.adopt_histogram(
-            "traffic.delay_slots", stream.total, engine=engine, region="all"
-        )
-        for key, hist in stream.by_class.items():
-            obs.registry.adopt_histogram(
-                "traffic.delay_slots", hist, engine=engine, region=key
-            )
-    else:
-        delays = trace.queues.delay_array()
-        if delays.size:
-            obs.observe_many(
-                "traffic.delay_slots", delays, engine=engine, region="all"
-            )
+    delays = trace.queues.delay_array()
+    if delays.size:
+        obs.observe_many("traffic.delay_slots", delays, engine=engine, region="all")
     if trace.diverged:
         obs.counter("traffic.diverged", 1, engine=engine)
 
@@ -698,7 +659,6 @@ def epoch_loop(
     obs: Obs | None,
     engine: str,
     plan: ShardPlan | None = None,
-    classify: Callable[[int], object] | None = None,
 ) -> TrafficTrace:
     """The closed arrival/reschedule/serve loop behind both engines.
 
@@ -706,9 +666,8 @@ def epoch_loop(
     ``(snapshot, epoch) ->`` :class:`ScheduledRound`, for the one thing they
     do differently.  The stage may charge ``ledger`` for its epoch: the
     round is priced after it returns.  Slots are rate-annotated under
-    ``rate_model``; ``engine`` labels every span and metric; ``plan`` and
-    ``classify`` (the delivery class of a source link, for streamed delay
-    aggregates) are the sharded engine's.
+    ``rate_model``; ``engine`` labels every span and metric; ``plan`` is
+    the sharded engine's.
     """
     if ledger is not None:
         ledger.bind_obs(obs)
@@ -721,10 +680,7 @@ def epoch_loop(
                 "so served slots can be rate-annotated from their SINR"
             )
         annotator = RateAnnotator(links, rate_model, cfg.rate_table)
-    stream = None
-    if obs is not None and obs.stream_deliveries:
-        stream = DeliveryStream(classify=classify)
-    queues = LinkQueues(links, delivery_stream=stream)
+    queues = LinkQueues(links)
     trace = TrafficTrace(config=cfg, queues=queues, ledger=ledger, plan=plan)
     if obs_spans.CPU_CLOCK is not None:
         trace.scheduling_seconds = 0.0
@@ -935,7 +891,6 @@ def centralized_scheduler(
 def rate_aware_scheduler(
     model: PhysicalInterferenceModel,
     table: RateTable,
-    overhead_seconds: float = 0.0,
 ) -> EpochSchedulerFn:
     """GreedyRate re-run on every epoch's backlog snapshot.
 
@@ -949,7 +904,7 @@ def rate_aware_scheduler(
     """
 
     def schedule(links: LinkSet, epoch: int) -> EpochSchedule:
-        return EpochSchedule(greedy_rate(links, model, table), overhead_seconds)
+        return EpochSchedule(greedy_rate(links, model, table))
 
     return schedule
 

@@ -156,20 +156,6 @@ class FlowConfig:
         Token-bucket depth, in slots' worth of tokens at the flow's rate.
     max_size_factor:
         Truncation of the size distribution, as a multiple of ``mean_size``.
-    retry_attempts:
-        How many times a blocked session re-offers itself before giving up
-        for good (0, the default, is the historical leave-forever
-        behaviour).  A session only counts toward ``sessions_blocked`` — and
-        hence the blocking probability — once every attempt is exhausted.
-    retry_backoff:
-        Geometric back-off base: the ``k``-th retry (k = 1, 2, ...) waits
-        ``ceil(retry_base_epochs * retry_backoff**(k - 1))`` epochs after
-        the ``k``-th rejection — the first retry waits the base delay, and
-        each further rejection multiplies it — so repeatedly rejected
-        sessions thin out instead of hammering a saturated controller
-        every epoch.
-    retry_base_epochs:
-        Epochs before the first retry.
     """
 
     session_rate: float = 4.0
@@ -180,9 +166,6 @@ class FlowConfig:
     elastic_rate: float = 0.05
     burst_slots: float = 50.0
     max_size_factor: float = 20.0
-    retry_attempts: int = 0
-    retry_backoff: float = 2.0
-    retry_base_epochs: int = 1
 
     def __post_init__(self) -> None:
         if self.session_rate < 0:
@@ -199,12 +182,6 @@ class FlowConfig:
             raise ValueError("burst_slots must be positive")
         if self.max_size_factor < 1.0:
             raise ValueError("max_size_factor must be >= 1")
-        if self.retry_attempts < 0:
-            raise ValueError("retry_attempts must be non-negative")
-        if self.retry_backoff < 1.0:
-            raise ValueError("retry_backoff must be >= 1 (delays never shrink)")
-        if self.retry_base_epochs < 1:
-            raise ValueError("retry_base_epochs must be >= 1")
 
     def offered_rate(self, n_sources: int, epoch_slots: int) -> float:
         """Long-run offered load in packets per source node per slot —
@@ -331,7 +308,7 @@ class FlowWorkload(TrafficGenerator):
 
         Called by the epoch engines when run with a ``control=``
         :class:`~repro.core.controlplane.ControlPlaneModel`.  Once bound,
-        every session offer (first attempts and retries alike) books one
+        every session offer books one
         ``signal`` message (the admit/deny exchange), every throttled
         elastic flow-epoch books one more (the throttle update), and every
         consumed feedback epoch books the observable-collection ``report``
@@ -403,19 +380,13 @@ class FlowWorkload(TrafficGenerator):
         self._epoch_slots: int | None = None
         self._observed = False
         self._next_fid = 0
-        # All sessions ever admitted, in admission order (not fid order:
-        # a session admitted on a retry lands after later-drawn fids).
+        # All sessions ever admitted, in admission order.
         self.flows: list[Flow] = []
         self.active: list[Flow] = []
         self.sessions_offered = 0
         self.sessions_blocked = 0
         self.packets_emitted = 0
         self.packets_throttled = 0
-        #: Blocked sessions awaiting their geometric-backoff re-offer:
-        #: ``[due_epoch, attempts_made, flow]``, kept in fid order.
-        self._retries: list[list] = []
-        self.retries_attempted = 0  # re-offers made (excludes first offers)
-        self.retry_admitted = 0  # sessions admitted on a retry
         #: Incremental admitted-rate aggregates: total, per class, and per
         #: (region, class) when the controller groups flows spatially.
         #: Maintained at admission/departure so :meth:`admitted_rate` is
@@ -451,27 +422,17 @@ class FlowWorkload(TrafficGenerator):
 
         # 1. Session arrivals, admission-checked one by one (arrival order
         #    is the tie-break when the remaining cap fits only some).
-        #    Due retries go first — they have been waiting longest — in fid
-        #    order, then this epoch's fresh sessions; neither path consumes
-        #    randomness for retries, so the arrival stream stays a pure
-        #    function of the seed whatever the controller decides.
         self._signals = 0  # admit/deny + throttle messages booked this epoch
-        offered_before = self.sessions_offered + self.retries_attempted
+        offered_before = self.sessions_offered
         blocked_before = self.sessions_blocked
         with phase(self._obs, "admission.decide", epoch=epoch):
-            due = [entry for entry in self._retries if entry[0] <= epoch]
-            if due:
-                self._retries = [e for e in self._retries if e[0] > epoch]
-                for _due_epoch, attempts, flow in due:
-                    self.retries_attempted += 1
-                    self._offer(flow, epoch, attempts)
             n_new = int(rng.poisson(cfg.session_rate))
             for _ in range(n_new):
                 flow = self._draw_flow(rng, epoch)
                 self.sessions_offered += 1
-                self._offer(flow, epoch, 0)
+                self._offer(flow)
         if self._obs is not None:
-            offered = self.sessions_offered + self.retries_attempted - offered_before
+            offered = self.sessions_offered - offered_before
             if offered:
                 self._obs.counter("admission.offered", offered)
             blocked = self.sessions_blocked - blocked_before
@@ -543,27 +504,12 @@ class FlowWorkload(TrafficGenerator):
     # -- Session-level accounting ------------------------------------------
 
     @property
-    def sessions_pending_retry(self) -> int:
-        """Blocked sessions still holding a scheduled re-offer (neither
-        admitted nor finally blocked yet)."""
-        return len(self._retries)
-
-    @property
     def sessions_admitted(self) -> int:
-        return (
-            self.sessions_offered
-            - self.sessions_blocked
-            - self.sessions_pending_retry
-        )
+        return self.sessions_offered - self.sessions_blocked
 
     @property
     def blocking_probability(self) -> float:
-        """Fraction of offered sessions finally rejected (Erlang's B).
-
-        With retries enabled a session only counts as blocked once every
-        attempt is exhausted; sessions still awaiting a re-offer count
-        neither way until they resolve (``sessions_pending_retry``).
-        """
+        """Fraction of offered sessions rejected (Erlang's B)."""
         if self.sessions_offered == 0:
             return 0.0
         return self.sessions_blocked / self.sessions_offered
@@ -598,44 +544,25 @@ class FlowWorkload(TrafficGenerator):
         return max(self._rate_by_region.get((region, klass), 0.0), 0.0)
 
     def summary(self) -> str:
-        text = (
+        return (
             f"FlowWorkload(sessions={self.sessions_offered} offered, "
             f"{self.sessions_blocked} blocked ({self.blocking_probability:.0%}), "
             f"{len(self.active)} active, emitted={self.packets_emitted}, "
-            f"throttled={self.packets_throttled}"
+            f"throttled={self.packets_throttled})"
         )
-        if self.retries_attempted or self.sessions_pending_retry:
-            text += (
-                f", retries={self.retries_attempted} "
-                f"({self.retry_admitted} admitted, "
-                f"{self.sessions_pending_retry} pending)"
-            )
-        return text + ")"
 
     # -- internals ----------------------------------------------------------
 
-    def _offer(self, flow: Flow, epoch: int, attempts_made: int) -> bool:
-        """One admission attempt: admit, or schedule a backoff retry, or
-        give up.  Every attempt is one admit/deny signaling exchange."""
+    def _offer(self, flow: Flow) -> None:
+        """One admission attempt — one admit/deny signaling exchange: the
+        session is admitted, or blocked for good."""
         self._signals += 1
         if self.controller.admit(flow, self):
             self.flows.append(flow)
             self.active.append(flow)
             self._book_admit(flow)
-            if attempts_made:
-                self.retry_admitted += 1
-            return True
-        if attempts_made < self.config.retry_attempts:
-            delay = int(
-                np.ceil(
-                    self.config.retry_base_epochs
-                    * self.config.retry_backoff**attempts_made
-                )
-            )
-            self._retries.append([epoch + delay, attempts_made + 1, flow])
         else:
             self.sessions_blocked += 1
-        return False
 
     def _book_admit(self, flow: Flow) -> None:
         self._rate_total += flow.rate

@@ -27,26 +27,21 @@ from repro.scheduling.links import LinkSet
 class LinkQueues:
     """FIFO queues, one per directed link of a forest :class:`LinkSet`.
 
+    Every delivered packet is logged as one entry of the aligned
+    ``delays`` / ``births`` / ``sources`` lists — the single account of
+    deliveries that per-flow delay attribution and the regional
+    controllers' delivered counts read.
+
     Parameters
     ----------
     links:
         A *forest* link set (one link per head node): relaying needs the
         unique next link up the tree, which is looked up through
         ``links.link_of_head``.
-    delivery_stream:
-        Optional O(1) streaming sink (:class:`~repro.obs.DeliveryStream`)
-        for delivered packets.  When given, deliveries are recorded as
-        ``stream.record(delay, source_link)`` **instead of** appending to
-        the ``delays``/``births``/``sources`` logs, which then stay empty —
-        the memory trade behind ``ObsConfig.stream_deliveries``.  Consumers
-        that need the exact logs (per-flow delay attribution, regional
-        delivered-share accounting) must not run in streaming mode; they
-        check :attr:`delivery_stream` and fail loudly.
     """
 
-    def __init__(self, links: LinkSet, delivery_stream=None):
+    def __init__(self, links: LinkSet):
         self.links = links
-        self.delivery_stream = delivery_stream
         n = links.n_links
         self._by_head = links.link_of_head  # raises for non-forest link sets
         # next_link[k]: the link whose head is k's tail, or -1 when the tail
@@ -170,28 +165,19 @@ class LinkQueues:
                 for _ in range(int(count)):
                     birth, source = self._pop(int(k))
                     moves.append((nxt, birth, source))
-        stream = self.delivery_stream
         for nxt, birth, source in moves:
             if nxt < 0:
                 self.delivered_total += 1
-                if stream is not None:
-                    stream.record(int(time) - birth + 1, source)
-                else:
-                    self.delays.append(int(time) - birth + 1)
-                    self.births.append(birth)
-                    self.sources.append(source)
+                self.delays.append(int(time) - birth + 1)
+                self.births.append(birth)
+                self.sources.append(source)
             else:
                 self._push(nxt, birth, 1, source)
         self.served_total += len(moves)
         return len(moves)
 
     def delay_array(self) -> np.ndarray:
-        """Delays of all delivered packets so far, in slots.
-
-        Empty in streaming mode (``delivery_stream`` set) whatever was
-        delivered — the exact per-packet log was deliberately not kept;
-        read the stream's aggregates instead.
-        """
+        """Delays of all delivered packets so far, in slots."""
         return np.asarray(self.delays, dtype=np.int64)
 
     def check_conservation(self) -> None:

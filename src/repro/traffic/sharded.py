@@ -777,10 +777,6 @@ def run_epochs_sharded(
     # monolithic engine.
     budgets = [s.budget_mw for s in plan.shards if s.budget_mw is not None]
     union_budget = np.maximum.reduce(budgets) if budgets else None
-    # Region classifier: global link index -> owning shard index, so
-    # streamed delivery aggregates keep the per-region breakdown the full
-    # delivery log would have supported.
-    owner = np.zeros(plan.links.n_links, dtype=np.intp)
     for shard in plan.shards:
         shard_model = model.with_budget(shard.budget_mw)
         proxy = None
@@ -801,7 +797,6 @@ def run_epochs_sharded(
             shard=shard.index,
         )
         schedulers.append(scheduler)
-        owner[shard.link_indices] = shard.index
     # Reconciled-round memo: when every asked shard answers from its cache,
     # each returned exactly what it returned last epoch, so the superposed
     # round — and its reconciliation — are identical too.  Keyed on the
@@ -950,7 +945,6 @@ def run_epochs_sharded(
             obs,
             engine="sharded",
             plan=plan,
-            classify=lambda source: f"shard{owner[source]}",
         )
     finally:
         if pool is not None:

@@ -130,19 +130,19 @@ def series_slope(series) -> float:
     return float(coef[1]) if coef.size > 1 else 0.0
 
 
-def backlog_slope(trace: TrafficTrace, tail_fraction: float = 0.5) -> float:
-    """Least-squares slope (packets/epoch) of the trailing backlog series."""
+def backlog_slope(trace: TrafficTrace) -> float:
+    """Least-squares slope (packets/epoch) over the trailing half of the
+    backlog series."""
     series = trace.backlog_series()
     if series.size < 2:
         return 0.0
-    start = int(series.size * (1.0 - tail_fraction))
-    tail = series[start:]
+    tail = series[series.size // 2 :]
     if tail.size < 2:
         tail = series
     return series_slope(tail)
 
 
-def stability_margin(trace: TrafficTrace, tolerance: float = STABILITY_TOLERANCE) -> float:
+def stability_margin(trace: TrafficTrace) -> float:
     """How decisively the instability test resolves, as a ratio.
 
     Instability requires the backlog slope to clear its threshold *and* the
@@ -156,28 +156,29 @@ def stability_margin(trace: TrafficTrace, tolerance: float = STABILITY_TOLERANCE
     if trace.last_record is None:
         return 0.0
     arrivals_per_epoch = trace.arrivals_total / trace.n_epochs_run
-    slope_ratio = backlog_slope(trace) / max(tolerance * arrivals_per_epoch, 1.0)
+    slope_ratio = backlog_slope(trace) / max(
+        STABILITY_TOLERANCE * arrivals_per_epoch, 1.0
+    )
     gate_ratio = trace.last_record.backlog_end / max(
         BACKLOG_GATE_FRACTION * arrivals_per_epoch, 1.0
     )
     return min(slope_ratio, gate_ratio)
 
 
-def is_stable(trace: TrafficTrace, tolerance: float = STABILITY_TOLERANCE) -> bool:
+def is_stable(trace: TrafficTrace) -> bool:
     """Bounded-backlog check.
 
     Unstable when the epoch loop's divergence guard fired, or when the
-    trailing backlog slope exceeds ``tolerance`` of the per-epoch arrivals
+    trailing backlog slope exceeds :data:`STABILITY_TOLERANCE` of the
+    per-epoch arrivals
     *and* the final backlog has actually accumulated past the
     :data:`BACKLOG_GATE_FRACTION` magnitude gate.
     """
-    return stability_margin(trace, tolerance) <= 1.0
+    return stability_margin(trace) <= 1.0
 
 
 def is_borderline(
-    trace: TrafficTrace,
-    tolerance: float = STABILITY_TOLERANCE,
-    hysteresis: float = BORDERLINE_HYSTERESIS,
+    trace: TrafficTrace, hysteresis: float = BORDERLINE_HYSTERESIS
 ) -> bool:
     """Is this verdict close enough to the threshold to flip with the
     arrival sample path?
@@ -188,24 +189,21 @@ def is_borderline(
     """
     if hysteresis < 1.0:
         raise ValueError("hysteresis must be >= 1")
-    margin = stability_margin(trace, tolerance)
+    margin = stability_margin(trace)
     return 1.0 / hysteresis <= margin <= hysteresis
 
 
-def majority_stable(
-    traces: Sequence[TrafficTrace], tolerance: float = STABILITY_TOLERANCE
-) -> bool:
+def majority_stable(traces: Sequence[TrafficTrace]) -> bool:
     """Majority :func:`is_stable` verdict over independent sample paths."""
     if not traces:
         raise ValueError("majority_stable needs at least one trace")
-    votes = sum(1 for t in traces if is_stable(t, tolerance))
+    votes = sum(1 for t in traces if is_stable(t))
     return votes * 2 > len(traces)
 
 
 def summarize_trace(
     trace: TrafficTrace,
     offered_rate: float,
-    tolerance: float = STABILITY_TOLERANCE,
     session=None,
 ) -> StabilityMetrics:
     """Collapse a trace into one stability-region data point.
@@ -222,14 +220,6 @@ def summarize_trace(
     )
     mean_delay = float(delays.mean()) if delays.size else float("nan")
     p99_delay = float(np.percentile(delays, 99)) if delays.size else float("nan")
-    if not delays.size and trace.queues is not None:
-        # Streaming-deliveries mode (ObsConfig.stream_deliveries): the full
-        # delivery log was never retained, but the O(1) stream carries the
-        # same aggregates — mean exactly, p99 as a P² estimate.
-        stream = getattr(trace.queues, "delivery_stream", None)
-        if stream is not None and stream.count:
-            mean_delay = stream.mean
-            p99_delay = stream.quantile(0.99)
     throughput = trace.delivered_total / slots
     service_rate = 1.0
     if trace.queues is not None and trace.queues.plays_total > 0:
@@ -254,7 +244,7 @@ def summarize_trace(
         p99_delay=p99_delay,
         backlog_final=(trace.last_record.backlog_end if trace.last_record is not None else 0),
         backlog_slope=backlog_slope(trace),
-        stable=is_stable(trace, tolerance),
+        stable=is_stable(trace),
         overhead_slots=trace.overhead_slots_total / epochs,
         cache_hit_rate=trace.cache_hit_rate,
         mean_service_rate=service_rate,
@@ -291,7 +281,6 @@ def _accepts_seed_index(run_at: Callable) -> bool:
 def stability_sweep(
     rates: Sequence[float],
     run_at: Callable[..., TrafficTrace],
-    tolerance: float = STABILITY_TOLERANCE,
     confirm_seeds: int = 1,
     hysteresis: float = BORDERLINE_HYSTERESIS,
 ) -> list[StabilityMetrics]:
@@ -321,14 +310,14 @@ def stability_sweep(
     points: list[StabilityMetrics] = []
     for rate in swept:
         trace = run_at(rate, seed_index=0) if confirm_seeds > 1 else run_at(rate)
-        point = summarize_trace(trace, rate, tolerance)
-        if confirm_seeds > 1 and is_borderline(trace, tolerance, hysteresis):
+        point = summarize_trace(trace, rate)
+        if confirm_seeds > 1 and is_borderline(trace, hysteresis):
             traces = [trace] + [
                 run_at(rate, seed_index=k) for k in range(1, confirm_seeds)
             ]
             point = replace(
                 point,
-                stable=majority_stable(traces, tolerance),
+                stable=majority_stable(traces),
                 confirm_seeds=confirm_seeds,
             )
         points.append(point)
@@ -354,7 +343,6 @@ def stability_knee(points: Sequence[StabilityMetrics]) -> float | None:
 def find_knee(
     rates: Sequence[float],
     run_at: Callable[..., TrafficTrace],
-    tolerance: float = STABILITY_TOLERANCE,
     confirm_seeds: int = CONFIRM_SEEDS,
     hysteresis: float = BORDERLINE_HYSTERESIS,
 ) -> tuple[float | None, list[StabilityMetrics]]:
@@ -364,5 +352,5 @@ def find_knee(
     points (``confirm_seeds`` independent arrival seeds) and returns
     ``(knee, points)``.
     """
-    points = stability_sweep(rates, run_at, tolerance, confirm_seeds, hysteresis)
+    points = stability_sweep(rates, run_at, confirm_seeds, hysteresis)
     return stability_knee(points), points

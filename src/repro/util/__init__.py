@@ -1,9 +1,4 @@
-"""Shared utilities: reproducible RNG management and argument validation.
-
-Persistence helpers live in :mod:`repro.util.persist`; they are re-exported
-from the top-level :mod:`repro` package rather than here to keep this
-package import-light (propagation models import validation helpers from it).
-"""
+"""Shared utilities: reproducible RNG management and argument validation."""
 
 from repro.util.rng import ensure_rng, spawn, spawn_many
 from repro.util.validation import (

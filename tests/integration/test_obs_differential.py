@@ -9,9 +9,6 @@ refactors were locked down (zero-price == unpriced, 1-shard == monolithic):
   with an active spans-level ``Obs`` — JSONL recorder streaming to disk —
   produces ``EpochRecord``s, delay logs, and final backlogs identical to
   the un-instrumented run, epoch for epoch;
-* **streaming deliveries** — ``ObsConfig.stream_deliveries`` drops the
-  per-packet logs but pins the same ``StabilityMetrics``: exact fields
-  equal, P² p99 within its documented 5% of the exact percentile;
 * **no silent zeros** — with the thread-CPU clock unavailable the trace
   timing fields are ``None`` and tables render ``~``, never a fake 0.0;
 * **overhead guard** — the null-recorder path stays under 5% thread-CPU
@@ -162,62 +159,6 @@ class TestBitIdentityAllEnginesAllPolicies:
         assert inst_wl.sessions_offered == base_wl.sessions_offered
         assert inst_wl.sessions_blocked == base_wl.sessions_blocked
         assert validate_run_file(obs.export()) == []
-
-
-class TestStreamingDeliveries:
-    def test_streaming_pins_metrics(self, mesh):
-        model = mesh.network.model
-        config = _config("always", n_epochs=5)
-
-        def run(obs):
-            return run_epochs(
-                mesh.links,
-                _generator(mesh),
-                centralized_scheduler(model, overhead_seconds=0.3),
-                config,
-                model=model,
-                obs=obs,
-            )
-
-        base = run(None)
-        obs = Obs.create(ObsConfig(level="metrics", stream_deliveries=True))
-        streamed = run(obs)
-
-        assert streamed.records == base.records
-        # Full logs were replaced by the O(1) stream...
-        assert streamed.queues.delay_array().size == 0
-        stream = streamed.queues.delivery_stream
-        exact = base.queues.delay_array()
-        assert stream.count == exact.size
-        # ...and the StabilityMetrics keep their meaning: exact fields
-        # equal.  The tail is a P² estimate; its 5% bound is a large-n
-        # guarantee (unit-tested at n=20k), so on this few-hundred-sample
-        # run we only pin it loosely.
-        m_base = summarize_trace(base, 0.012)
-        m_stream = summarize_trace(streamed, 0.012)
-        assert m_stream.throughput == m_base.throughput
-        assert m_stream.mean_delay == pytest.approx(m_base.mean_delay)
-        assert m_stream.p99_delay == pytest.approx(m_base.p99_delay, rel=0.15)
-        assert m_stream.stable == m_base.stable
-        assert m_stream.backlog_slope == m_base.backlog_slope
-
-    def test_regional_controllers_refuse_unclassified_stream(self, mesh):
-        """A classified stream is consumable (see the sharded streaming
-        differential); a stream with no region classifier keeps no
-        per-region aggregates and must still fail loudly."""
-        from repro.traffic.admission import RegionalControllers
-        from repro.traffic.queues import LinkQueues
-        from repro.obs import DeliveryStream
-
-        plan = plan_for_network(
-            mesh.links, mesh.network, n_shards=4, interference_radius_m=80.0
-        )
-        regional = RegionalControllers(
-            plan, lambda shard: make_controller("knee-tracker")
-        )
-        queues = LinkQueues(mesh.links, delivery_stream=DeliveryStream())
-        with pytest.raises(RuntimeError, match="region-classified"):
-            regional.observe(None, queues, _workload(mesh))
 
 
 class TestNoSilentZeros:

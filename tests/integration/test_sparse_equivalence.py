@@ -13,18 +13,15 @@ unpriced, 1-shard == monolithic, instrumented == bare):
   parallel implementation.
 * **streaming accounting** — ``retain_records="stream"`` keeps O(1) state
   instead of the per-epoch record list; every aggregate the experiments
-  read must match the full-log run exactly, and the one query streaming
-  cannot answer (``backlog_series``) must fail loudly.  Regional admission
-  controllers consume per-region deltas from the sharded engine's
-  classified :class:`~repro.obs.DeliveryStream` — their observations must
-  match the full-delivery-log attribution packet for packet.
+  read must match the full-log run — and a trace assembled by hand from
+  the full run's records — exactly, and the one query streaming cannot
+  answer (``backlog_series``) must fail loudly.
 """
 
 import numpy as np
 import pytest
 
 from repro.experiments.common import grid_scenario
-from repro.obs import Obs, ObsConfig
 from repro.phy.sparse import sparse_gain_model
 from repro.traffic import (
     EpochConfig,
@@ -32,13 +29,13 @@ from repro.traffic import (
     FlowWorkload,
     PoissonArrivals,
     RESCHEDULE_POLICIES,
+    TrafficTrace,
     centralized_scheduler,
     make_controller,
     plan_for_network,
     run_epochs,
     run_epochs_sharded,
 )
-from repro.traffic.admission import AdmissionController, RegionalControllers
 from repro.util.rng import spawn
 
 
@@ -171,9 +168,14 @@ AGGREGATES = (
 
 
 def _assert_stream_matches_full(full, streamed):
+    by_hand = TrafficTrace(full.config, records=list(full.records))
     for name in AGGREGATES:
         assert getattr(streamed, name) == getattr(full, name), name
+        assert getattr(by_hand, name) == getattr(full, name), name
     assert streamed.last_record == full.last_record
+    assert by_hand.last_record == full.last_record
+    assert by_hand.records == full.records
+    np.testing.assert_array_equal(by_hand.backlog_series(), full.backlog_series())
     assert streamed.records == []
     assert full.records != []
     with pytest.raises(RuntimeError, match="retain_records"):
@@ -217,76 +219,3 @@ class TestStreamingRecords:
             )
 
         _assert_stream_matches_full(run("full"), run("stream"))
-
-
-class _Recorder(AdmissionController):
-    """Captures every regional observation for cross-run comparison."""
-
-    needs_feedback = True
-
-    def __init__(self):
-        self.seen = []
-
-    def fresh(self):
-        return _Recorder()
-
-    def observe(self, record, queues, session):
-        self.seen.append(record)
-
-
-class TestRegionalControllersOnStream:
-    def test_streamed_attribution_matches_full_log(self, mesh):
-        """Satellite: per-region delivered/served/backlog sequences that
-        RegionalControllers hand their controllers must be identical
-        whether they difference the classified DeliveryStream's per-class
-        aggregates (``stream_deliveries``) or split the full source-tagged
-        delivery log."""
-        plan = plan_for_network(
-            mesh.links, mesh.network, n_shards=4, interference_radius_m=80.0
-        )
-
-        def factory(shard, shard_model):
-            return centralized_scheduler(shard_model, overhead_seconds=0.3)
-
-        def run(obs):
-            controller = RegionalControllers(plan, lambda shard: _Recorder())
-            wl = _workload(mesh, controller=controller, rate=0.02)
-            trace = run_epochs_sharded(
-                plan,
-                wl,
-                factory,
-                mesh.network.model,
-                _config("always", n_epochs=6),
-                on_epoch=wl.observe,
-                obs=obs,
-            )
-            return trace, controller
-
-        base, base_ctl = run(None)
-        streamed, stream_ctl = run(
-            Obs.create(ObsConfig(level="metrics", stream_deliveries=True))
-        )
-
-        assert streamed.records == base.records
-        # The stream replaced the full per-packet log...
-        assert streamed.queues.delay_array().size == 0
-        assert base.queues.delay_array().size > 0
-        # ...yet every regional controller saw the exact same history.
-        assert len(stream_ctl.regional) == len(base_ctl.regional)
-        for s_ctl, b_ctl in zip(stream_ctl.regional, base_ctl.regional):
-            assert [r.delivered for r in s_ctl.seen] == [
-                r.delivered for r in b_ctl.seen
-            ]
-            assert [r.served for r in s_ctl.seen] == [
-                r.served for r in b_ctl.seen
-            ]
-            assert [r.backlog_end for r in s_ctl.seen] == [
-                r.backlog_end for r in b_ctl.seen
-            ]
-        # Attribution is genuinely spatial in both modes.
-        delivering = sum(
-            1
-            for c in base_ctl.regional
-            if sum(r.delivered for r in c.seen) > 0
-        )
-        assert delivering > 1

@@ -133,13 +133,6 @@ class TestMetricsRegistry:
         hist = reg.histogram("traffic.delay_slots", region="all")
         assert hist.count == 1000
 
-    def test_adopt_histogram_by_reference(self):
-        reg = MetricsRegistry()
-        hist = StreamingHistogram()
-        reg.adopt_histogram("traffic.delay_slots", hist, region="shard0")
-        hist.add(42.0)
-        assert reg.histogram("traffic.delay_slots", region="shard0").count == 1
-
     def test_rows_typed(self):
         reg = MetricsRegistry()
         reg.counter("a", 1)

@@ -293,123 +293,25 @@ class _AdmitAfter(AdmissionController):
         return session._next_epoch - 1 >= self.epoch
 
 
-class TestBlockedSessionRetries:
-    def _workload(self, retry_attempts, controller, session_rate=2.0, seed=5, **cfg):
-        links = chain_links(6)
-        config = FlowConfig(
-            session_rate=session_rate,
-            retry_attempts=retry_attempts,
-            retry_base_epochs=1,
-            retry_backoff=2.0,
-            **cfg,
+class TestBlockedSessions:
+    def test_a_blocked_session_is_blocked_for_good(self):
+        # The doors open at epoch 2: what was turned away before then never
+        # comes back, what is offered afterwards gets in.
+        wl = FlowWorkload(
+            chain_links(6),
+            FlowConfig(session_rate=2.0),
+            controller=_AdmitAfter(2),
+            seed=5,
         )
-        return FlowWorkload(links, config, controller=controller, seed=seed)
-
-    def test_retry_config_validation(self):
-        with pytest.raises(ValueError, match="retry_attempts"):
-            FlowConfig(retry_attempts=-1)
-        with pytest.raises(ValueError, match="retry_backoff"):
-            FlowConfig(retry_backoff=0.5)
-        with pytest.raises(ValueError, match="retry_base_epochs"):
-            FlowConfig(retry_base_epochs=0)
-
-    def test_no_retries_is_the_historical_block_forever(self):
-        wl = self._workload(0, _AdmitAfter(10))
-        for epoch in range(4):
+        offered_after = []
+        for epoch in range(6):
             wl.arrivals(epoch, 100)
-        assert wl.sessions_offered > 0
-        assert wl.sessions_blocked == wl.sessions_offered
-        assert wl.sessions_pending_retry == 0
-        assert wl.retries_attempted == 0
-        assert wl.blocking_probability == 1.0
-
-    def test_blocked_sessions_come_back_and_get_admitted(self):
-        # Everything offered in epochs 0-1 is rejected at first attempt but
-        # retried (delays 1 then 2 epochs); the doors open at epoch 2, so
-        # every retry landing at epoch >= 2 is admitted on its comeback.
-        wl = self._workload(3, _AdmitAfter(2))
-        for epoch in range(8):
-            wl.arrivals(epoch, 100)
-        assert wl.retries_attempted > 0
-        assert wl.retry_admitted > 0
-        assert wl.sessions_blocked == 0, "every session should make it in on retry"
-        assert wl.sessions_pending_retry == 0
-        assert wl.sessions_admitted == wl.sessions_offered
-        assert wl.blocking_probability == 0.0
-
-    def test_exhausted_attempts_finally_count_as_blocked(self):
-        # Doors never open: with 2 retries each session is offered 3 times
-        # total and only then booked as blocked.
-        wl = self._workload(2, _AdmitAfter(10**6), session_rate=3.0)
-        offered_epoch0 = 0
-        for epoch in range(10):
-            wl.arrivals(epoch, 100)
-            if epoch == 0:
-                offered_epoch0 = wl.sessions_offered
-                # First attempts failed but nothing is blocked yet.
-                assert wl.sessions_blocked == 0
-                assert wl.sessions_pending_retry == offered_epoch0
-        # Long after every backoff (1 + 2 epochs) has expired, the early
-        # sessions have exhausted their three attempts.
-        assert wl.sessions_blocked > 0
-        assert (
-            wl.sessions_offered
-            == wl.sessions_admitted + wl.sessions_blocked + wl.sessions_pending_retry
-        )
-        assert wl.retries_attempted > 0
-        assert wl.blocking_probability == wl.sessions_blocked / wl.sessions_offered
-        assert "retries" in wl.summary()
-
-    def test_geometric_backoff_schedules_the_due_epochs(self):
-        wl = self._workload(3, _AdmitAfter(10**6), session_rate=4.0)
-        wl.arrivals(0, 100)
-        assert wl.sessions_offered > 0
-        # First rejection at epoch 0 -> retry due at epoch 1 (base 1).
-        assert all(due == 1 and attempts == 1 for due, attempts, _ in wl._retries)
-        wl.arrivals(1, 100)
-        # Epoch-0 sessions rejected again at epoch 1 -> due 1 + ceil(1*2^1)
-        # = 3; epoch-1 newcomers enter the queue at their first delay.
-        assert any(a == 2 for _, a, _ in wl._retries)
-        assert all(due == 3 for due, a, _ in wl._retries if a == 2)
-        assert all(due == 2 for due, a, _ in wl._retries if a == 1)
-        wl.arrivals(2, 100)
-        wl.arrivals(3, 100)
-        # Third rejection of the originals at epoch 3 -> due 3 + ceil(1*2^2) = 7.
-        assert any(a == 3 for _, a, _ in wl._retries)
-        assert all(due == 7 for due, a, _ in wl._retries if a == 3)
-
-    def test_retries_lower_measured_blocking_under_a_cap_with_churn(self):
-        """Short flows depart and free cap headroom; retried sessions pick
-        it up, so the final blocking probability drops vs no-retry."""
-
-        def run(retry_attempts):
-            wl = self._workload(
-                retry_attempts,
-                StaticCap(cap=0.2),
-                session_rate=3.0,
-                seed=7,
-                mean_size=4,
-                max_size_factor=1.0,
-                cbr_fraction=0.0,
-                elastic_rate=0.05,
-            )
-            for epoch in range(30):
-                wl.arrivals(epoch, 100)
-            return wl
-
-        base = run(0)
-        retried = run(4)
-        assert base.sessions_blocked > 0
-        assert retried.retry_admitted > 0
-        assert retried.blocking_probability < base.blocking_probability
-
-    def test_reset_clears_retry_state(self):
-        wl = self._workload(3, _AdmitAfter(10**6))
-        wl.arrivals(0, 100)
-        wl.reset()
-        assert wl.sessions_pending_retry == 0
-        assert wl.retries_attempted == 0
-        assert wl.retry_admitted == 0
+            offered_after.append(wl.sessions_offered)
+        assert 0 < offered_after[1] < offered_after[-1]
+        assert wl.sessions_blocked == offered_after[1]
+        assert wl.sessions_admitted == offered_after[-1] - offered_after[1]
+        assert wl.sessions_admitted == len(wl.flows)
+        assert wl.blocking_probability == offered_after[1] / offered_after[-1]
 
 
 class TestAdmittedRateAggregates:

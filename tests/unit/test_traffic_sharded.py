@@ -440,7 +440,7 @@ def test_all_zero_demand_trace_has_zero_hit_rate():
     from repro.traffic import EpochRecord
 
     trace = TrafficTrace(config=EpochConfig())
-    trace.records.append(
+    trace.book(
         EpochRecord(
             epoch=0, arrivals=0, served=0, delivered=0, backlog_end=0,
             demand_scheduled=0, schedule_length=0, overhead_slots=0,
