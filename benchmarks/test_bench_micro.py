@@ -162,9 +162,12 @@ def test_sparse_packing_reads_rows_not_keys(monkeypatch):
     the whole forest may make exactly the reads of its one batched
     standalone screen: ``SlotArena.can_add_all`` / ``add`` answer
     everything else from the candidate's two CSR rows and the slot tables,
-    so they add **zero**.  The count repeats exactly on any host, unlike a
-    wall-clock ratio; and the schedule must be the one the dense arena
-    packs on the densified matrix.
+    so they add **zero** — and so do the verify-and-repair rounds that
+    follow on this truncated matrix, which work from positions, not from
+    stored powers.  The count repeats exactly on any host, unlike a
+    wall-clock ratio; and the packing must be the one the dense arena
+    produces on the densified matrix (compared on the recipe-free twin of
+    the matrix, whose schedule is emitted as packed).
     """
     network = grid_network(50, 50, density_per_km2=1000.0)
     radio = network.radio
@@ -198,9 +201,12 @@ def test_sparse_packing_reads_rows_not_keys(monkeypatch):
 
     assert links.n_links == network.n_nodes - 25
     assert schedule.satisfies_demand()
+    assert schedule.truth.repaired_tx > 0  # the repair ran inside the count
+    bare = SparsePowerMatrix(network.n_nodes, sgm.power.keys, sgm.power.entries()[2])
+    packed = greedy_physical(links, PhysicalInterferenceModel(bare, radio, sgm.floor_mw))
     dense_model = PhysicalInterferenceModel(sgm.power.toarray(), radio, sgm.floor_mw)
     dense_schedule = greedy_physical(links, dense_model)
-    assert [slot.links for slot in schedule.slots] == [
+    assert [slot.links for slot in packed.slots] == [
         slot.links for slot in dense_schedule.slots
     ]
 

@@ -13,6 +13,9 @@ Beyond the snapshot, asserts the PR's headlines at the 10^4-node point:
   grows ~x16, sparse ~x4), and at 10^4 nodes the dense peak RSS is >= 5x
   the sparse peak.
 
+* every schedule the sparse backend played is truth-feasible: the exact
+  per-slot re-check finds 0 violations at both sizes.
+
 Timings and RSS are host facts, so the committed snapshot masks them
 (``scale.VOLATILE_COLUMNS``); the assertions read the live measurements.
 """
@@ -94,3 +97,11 @@ def test_scale_sweep_memory_and_wall_budgets(benchmark, bench_profile, save_tabl
         assert point["epochs"] == bench_profile.scale_epochs
         assert point["schedule_len"] > 0
         assert point["delivered"] > 0
+
+    # --- Every schedule the sparse backend played decodes under the exact
+    # model (the harness's own re-check, repro.phy.truth) — and it took
+    # repairs to get there: the floor alone under-provisions at this scale.
+    for point in points:
+        if point["backend"] == "sparse":
+            assert point["truth_violations"] == 0, point
+            assert point["repaired_tx"] > 0, point

@@ -1,6 +1,6 @@
 """Run-file summarizer: the human-facing end of the JSONL export.
 
-``python -m repro.obs summarize run.jsonl`` renders three tables from one
+``python -m repro.obs summarize run.jsonl`` renders four tables from one
 run file:
 
 * **per-phase time** — spans aggregated by name: call count, total wall
@@ -10,6 +10,10 @@ run file:
 * **control-air attribution** — the ``control.messages`` /
   ``control.seconds`` counters the :class:`~repro.core.controlplane.ControlLedger`
   books per (layer, message class).
+* **exact-model truth** — the ``truth.*`` counters the epoch loop books
+  from the schedulers' verify-and-repair reports: members that failed the
+  exact SINR check as packed, memberships re-packed, repair rounds (the
+  kept margins are the ``sinr.margin`` row of the next table).
 * **SLA quantiles** — every histogram series (delay distributions and
   friends): count, mean, min/max, and the tracked P² quantiles.
 
@@ -109,6 +113,22 @@ def _control_table(rows: list[dict]) -> TextTable:
     return table
 
 
+def _truth_table(rows: list[dict]) -> TextTable:
+    table = TextTable(
+        ["counter", "labels", "value"], title="Exact-model truth (verify-and-repair)"
+    )
+    counters = [
+        r
+        for r in rows
+        if r.get("type") == "metric"
+        and r.get("kind") == "counter"
+        and r["name"].startswith("truth.")
+    ]
+    for r in sorted(counters, key=lambda r: (r["name"], _labels_text(r.get("labels", {})))):
+        table.add_row(r["name"], _labels_text(r.get("labels", {})), int(r["value"]))
+    return table
+
+
 def _quantile_table(rows: list[dict]) -> TextTable:
     hists = [
         r for r in rows if r.get("type") == "metric" and r.get("kind") == "histogram"
@@ -152,6 +172,8 @@ def summarize_run(path: str | Path) -> str:
         _phase_table(rows).render(),
         "",
         _control_table(rows).render(),
+        "",
+        _truth_table(rows).render(),
         "",
         _quantile_table(rows).render(),
     ]

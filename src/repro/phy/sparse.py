@@ -28,8 +28,17 @@ models budget for remote interference rather than ignore it.  The recorded
 idealization: the floor assumes at most one concurrent far-field
 transmitter per carrier-sense disk, integrated over the continuum beyond
 the cutoff.  It is a static mean-field estimate, not a bound: measured
-against the exact model it *under*-provisions at scale (DESIGN.md §13,
-ROADMAP open item 1).
+against the exact model it *under*-provisions at scale.  So the floor is a
+packing *heuristic* and the guarantee lives elsewhere: a matrix built by
+:func:`build_sparse_power` keeps a reference to the geometry it was
+harvested from, and ``greedy_physical`` checks every slot it packs on a
+truncated matrix with the exact per-slot kernel of :mod:`repro.phy.truth`,
+peeling and re-packing what does not decode.  The schedules it emits are
+truth-feasible whatever the floor says; the number of memberships it had
+to re-pack is the floor's measured error (29 % of them at 10⁴ nodes, 56 %
+at 10⁵; DESIGN.md §13).  A floor that is an upper *bound* per slot, so repairs
+become rare, and rates read off the verified SINR are still open (ROADMAP
+item 1c/1d).
 """
 
 from __future__ import annotations
@@ -42,6 +51,7 @@ import numpy as np
 from repro.phy.propagation import PropagationModel
 from repro.phy.radio import RadioConfig
 from repro.phy.spatial import GridIndex
+from repro.phy.truth import Geometry
 from repro.util.validation import check_finite_array
 
 
@@ -97,6 +107,11 @@ class SparsePowerMatrix:
         #: precomputed so :meth:`neighbors` and :meth:`column_sums` are
         #: slice reads, not per-call arithmetic.
         self._cols = (keys - (keys // self.n) * self.n).astype(np.intp)
+        #: The recipe the entries were harvested from (a reference, set by
+        #: :func:`build_sparse_power`): what lets :mod:`repro.phy.truth`
+        #: evaluate the entries a finite cutoff left out.  ``None`` for a
+        #: hand-built matrix, which is then all there is to know.
+        self.geometry: Geometry | None = None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -105,6 +120,12 @@ class SparsePowerMatrix:
     @property
     def nnz(self) -> int:
         return int(self._keys.size)
+
+    @property
+    def keys(self) -> np.ndarray:
+        """The sorted ``i * n + j`` key of every stored entry, row-major —
+        aligned with :meth:`entries`.  Treat as read-only."""
+        return self._keys
 
     @property
     def value_dense(self) -> bool:
@@ -264,7 +285,9 @@ def build_sparse_power(
     del i, j, d2, gain  # as large as the result; free them before the sort
     order = np.argsort(keys)
     keys, vals = keys[order], vals[order]
-    return SparsePowerMatrix(n, keys, vals)
+    power = SparsePowerMatrix(n, keys, vals)
+    power.geometry = Geometry(pos, tx, model)
+    return power
 
 
 def interference_radius_m(

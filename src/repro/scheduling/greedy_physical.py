@@ -9,6 +9,8 @@ Polynomial time: slots live in one
 :class:`~repro.scheduling.feasibility.SlotArena`, which tests a link against
 *every* open slot in one batched pass — O(total members) on a dense power
 matrix, O(degree × slots) from the link's two CSR rows on a sparse one.
+On a *truncated* sparse matrix the packing is followed by verify-and-repair
+rounds under the exact model (:func:`_repair`), O(members²) per slot.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from typing import Callable
 import numpy as np
 
 from repro.phy.interference import PhysicalInterferenceModel
+from repro.phy.truth import Geometry, TruthReport, peel_slot
 from repro.scheduling.feasibility import SlotArena, feasible_alone
 from repro.scheduling.links import LinkSet
 from repro.scheduling.orderings import EDGE_ORDERINGS
@@ -45,8 +48,18 @@ def greedy_physical(
     Returns
     -------
     Schedule
-        A feasible schedule satisfying every link's demand.  Links with zero
-        demand receive no slots.
+        A schedule in which every link appears in exactly ``demand`` slots
+        (links with zero demand in none) and every slot is feasible under
+        ``model``.  When ``model.power`` is a truncated sparse matrix that
+        knows its geometry (``build_sparse_power`` at a finite cutoff),
+        every slot also decodes under the *exact* physical model, not just
+        under the truncation plus its far-field budget: packed slots are
+        verified with :mod:`repro.phy.truth`, members that fail are peeled
+        and re-packed into fresh slots until none does, and the report
+        (violations found, memberships re-packed, rounds, kept margins)
+        is the schedule's ``truth``.  Dense models, ``cutoff=inf`` and
+        hand-built sparse matrices are exact or carry no recipe; their
+        ``truth`` is ``None``.
 
     Raises
     ------
@@ -59,13 +72,6 @@ def greedy_physical(
     order = order_fn(links, model)
 
     schedule = Schedule(link_set=links)
-    # Flat-column slot store: the verdicts of a SlotState per slot
-    # (bit-identical, pinned by the arena suite in
-    # tests/property/test_scheduling_properties.py), one numpy pass per
-    # link — from per-node slot tables, with no power-matrix search, when
-    # the model's power matrix is sparse.
-    arena = SlotArena(model)
-
     demanded = [int(k) for k in order if int(links.demand[int(k)]) > 0]
     if not demanded:
         return schedule
@@ -83,8 +89,35 @@ def greedy_physical(
             "even alone; it is not a valid communication edge"
         )
 
+    schedule.slots = _pack(links, model, demanded, links.demand)
+    # A property of the input, not an option: only a truncated matrix that
+    # knows its recipe can — and needs to — be checked against the truth.
+    geometry = getattr(model.power, "geometry", None)
+    if geometry is not None and not model.power.value_dense:
+        schedule.truth = _repair(schedule, model, demanded, geometry)
+    return schedule
+
+
+def _pack(
+    links: LinkSet,
+    model: PhysicalInterferenceModel,
+    demanded: list[int],
+    demand: np.ndarray,
+) -> list[Slot]:
+    """Greedy first-fit of ``demand[k]`` memberships per link ``k``, links
+    taken in ``demanded`` order (each already screened alone), into fresh
+    slots."""
+    # Flat-column slot store: the verdicts of a SlotState per slot
+    # (bit-identical, pinned by the arena suite in
+    # tests/property/test_scheduling_properties.py), one numpy pass per
+    # link — from per-node slot tables, with no power-matrix search, when
+    # the model's power matrix is sparse.
+    arena = SlotArena(model)
+    slots: list[Slot] = []
     for k in demanded:
-        remaining = int(links.demand[k])
+        remaining = int(demand[k])
+        if remaining <= 0:
+            continue
         sender = int(links.heads[k])
         receiver = int(links.tails[k])
         # One batched admission pass over the existing slots: adding this
@@ -95,12 +128,54 @@ def greedy_physical(
                 if remaining <= 0:
                     break
                 arena.add(int(j), sender, receiver)
-                schedule.slots[j].add(k)
+                slots[j].add(k)
                 remaining -= 1
         while remaining > 0:
             arena.open_slot(sender, receiver)
             slot = Slot()
             slot.add(k)
-            schedule.slots.append(slot)
+            slots.append(slot)
             remaining -= 1
-    return schedule
+    return slots
+
+
+def _repair(
+    schedule: Schedule,
+    model: PhysicalInterferenceModel,
+    demanded: list[int],
+    geometry: Geometry,
+) -> TruthReport:
+    """Make a packed schedule decode under the exact model, in place.
+
+    Rounds of verify -> peel -> re-pack: every slot not yet verified is
+    evaluated by :func:`repro.phy.truth.peel_slot`, which removes members
+    lowest margin first until the rest decode; the removed memberships are
+    packed by the same greedy, under the same model, into *fresh* slots
+    appended to the schedule, which the next round verifies.  A verified
+    slot keeps at least one member, so each round re-packs strictly fewer
+    memberships than the last and the loop ends.
+    """
+    links = schedule.link_set
+    noise, beta = model.radio.noise_mw, model.radio.beta
+    margins: list[np.ndarray] = []
+    violations = repaired = rounds = 0
+    unverified = schedule.slots
+    while unverified:
+        peeled = np.zeros(links.n_links, dtype=np.int64)
+        for slot in unverified:
+            members = slot.as_array()
+            kept, margin, found = peel_slot(
+                geometry, links.heads[members], links.tails[members], noise, beta
+            )
+            violations += found
+            margins.append(margin)
+            if kept.size < members.size:
+                peeled[np.delete(members, kept)] += 1
+                slot.links = members[kept].tolist()
+        if not peeled.any():
+            break
+        rounds += 1
+        repaired += int(peeled.sum())
+        unverified = _pack(links, model, demanded, peeled)
+        schedule.slots.extend(unverified)
+    return TruthReport(violations, np.concatenate(margins), repaired, rounds)

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.phy.truth import TruthReport
 from repro.scheduling.links import LinkSet
 
 
@@ -42,6 +43,9 @@ class Schedule:
 
     link_set: LinkSet
     slots: list[Slot] = field(default_factory=list)
+    #: The exact-model report of the scheduler's verify-and-repair pass,
+    #: when it ran one (``greedy_physical`` on a truncated power matrix).
+    truth: TruthReport | None = field(default=None, compare=False, repr=False)
 
     @property
     def length(self) -> int:

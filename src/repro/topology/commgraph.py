@@ -73,7 +73,7 @@ def communication_csr(
         raise ValueError("noise_mw and beta must be positive")
     n = power.n
     rows, cols, vals = power.entries()
-    keys = rows.astype(np.int64) * n + cols  # ascending: entries are row-major
+    keys = power.keys  # ascending: entries are row-major
     if budget_mw is None:
         threshold = beta * noise_mw
         qual = (vals >= threshold) & (rows != cols)

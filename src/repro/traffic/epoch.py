@@ -44,6 +44,7 @@ from repro.obs import Obs, phase
 from repro.obs import spans as obs_spans
 from repro.phy.interference import PhysicalInterferenceModel
 from repro.phy.radio import RateTable
+from repro.phy.truth import TruthReport
 from repro.scheduling.greedy_physical import greedy_physical
 from repro.scheduling.greedy_rate import greedy_rate
 from repro.scheduling.linear import linear_schedule
@@ -551,6 +552,25 @@ def book_rate_obs(
         obs.observe("rate.delivered", served / plays, engine=engine)
 
 
+def book_truth_obs(obs: Obs | None, reports: list[TruthReport], engine: str) -> None:
+    """Book what the schedulers' exact-model verify-and-repair passes found.
+
+    ``truth.violations`` (members that failed ``SINR >= β`` as packed),
+    ``truth.repaired_tx`` (memberships re-packed) and ``truth.repair_rounds``
+    counters under the engine's scheduling phase, and every kept member's
+    margin into the ``sinr.margin`` histogram.  The reports are what the
+    repair computed anyway; no-op with obs off, always passive.
+    """
+    if obs is None:
+        return
+    labels = {"engine": engine, "phase": f"{engine}.schedule"}
+    for report in reports:
+        obs.counter("truth.violations", report.violations, **labels)
+        obs.counter("truth.repaired_tx", report.repaired_tx, **labels)
+        obs.counter("truth.repair_rounds", report.repair_rounds, **labels)
+        obs.observe_many("sinr.margin", report.margins, **labels)
+
+
 def finish_run_obs(obs: Obs | None, trace: TrafficTrace, engine: str) -> None:
     """End-of-run bookings: the delay distribution and run-level gauges."""
     if obs is None or trace.queues is None:
@@ -585,7 +605,9 @@ class ScheduledRound:
     ``slots`` holds link-index arrays for (at least) the first
     ``epoch_slots`` of the round's ``length`` slots — all an epoch can play;
     ``cpu_s`` / ``critical_s`` / ``wall_s`` are its increments of the three
-    :class:`TrafficTrace` timing fields.  The defaults are an idle epoch.
+    :class:`TrafficTrace` timing fields; ``truth`` holds the exact-model
+    reports of the schedules it was built from (those that carry one).  The
+    defaults are an idle epoch.
     """
 
     slots: list[np.ndarray] = field(default_factory=list)
@@ -598,6 +620,12 @@ class ScheduledRound:
     patched: bool = False
     drift: float = 0.0
     reconciled: int = 0
+    truth: list[TruthReport] = field(default_factory=list)
+
+
+def schedule_truth(schedules: list[Schedule]) -> list[TruthReport]:
+    """The exact-model reports riding on ``schedules``."""
+    return [s.truth for s in schedules if s.truth is not None]
 
 
 def configured_scheduler(
@@ -714,6 +742,8 @@ def epoch_loop(
                 trace.scheduling_seconds += planned.cpu_s
                 trace.critical_path_seconds += planned.critical_s
             trace.scheduling_wall_seconds += planned.wall_s
+            if not planned.cache_hit:  # a replayed schedule was booked when built
+                book_truth_obs(obs, planned.truth, engine)
             with phase(obs, "epoch.control", engine=engine, epoch=epoch):
                 overhead_slots, control_slots = priced_overhead_slots(
                     planned.overhead_seconds, ledger, epoch, cfg
@@ -849,6 +879,7 @@ def run_epochs(
             cache_hit=cache_hit,
             patched=patched,
             drift=drift,
+            truth=schedule_truth([planned.schedule]),
         )
 
     return epoch_loop(

@@ -69,6 +69,7 @@ from repro.traffic.epoch import (
     configured_scheduler,
     epoch_loop,
     merge_decisions,
+    schedule_truth,
 )
 from repro.traffic.generators import TrafficGenerator
 from repro.traffic.queues import LinkQueues
@@ -931,6 +932,7 @@ def run_epochs_sharded(
             patched=patched,
             drift=drift,
             reconciled=reconciled,
+            truth=schedule_truth([p.schedule for p in planned]),
         )
 
     try:
