@@ -5,6 +5,7 @@ library: SINR feasibility tests, incremental slot bookkeeping, SCREAM
 floods, leader elections, the centralized scheduler, and full protocol runs.
 """
 
+import importlib
 import sys
 import time
 import tracemalloc
@@ -35,7 +36,7 @@ from repro.scheduling.links import forest_link_set
 from repro.topology.commgraph import communication_csr
 from repro.topology.network import grid_network
 from repro.util.rng import spawn
-from tests.conftest import stencil_pairs_within
+from tests.conftest import serial_pack, stencil_pairs_within
 
 
 @pytest.fixture(scope="module")
@@ -152,6 +153,23 @@ def test_sparse_sinr_kernel_agreement_and_speedup():
     )
 
 
+def _sparse_forest(side):
+    """The E13 pipeline on a ``side`` x ``side`` grid: default (carrier-sense)
+    cutoff and floor, demand 1 on every forest link."""
+    network = grid_network(side, side, density_per_km2=1000.0)
+    radio = network.radio
+    sgm = sparse_gain_model(
+        network.positions, network.tx_power_mw, network.propagation, radio
+    )
+    indptr, indices = communication_csr(
+        sgm.power, radio.noise_mw, radio.beta, budget_mw=sgm.floor_mw
+    )
+    gateways = planned_gateways(side, side, (side // 10) ** 2)
+    forest = build_routing_forest_csr(indptr, indices, gateways, rng=spawn(17, "mk"))
+    links = forest_link_set(forest, np.ones(network.n_nodes, dtype=np.int64))
+    return links, sgm.interference_model(radio)
+
+
 @pytest.mark.benchmark(group="micro")
 def test_sparse_packing_reads_rows_not_keys(monkeypatch):
     """The sparse pack path is key-search free — as a count, not a ratio.
@@ -160,28 +178,17 @@ def test_sparse_packing_reads_rows_not_keys(monkeypatch):
     floor, demand 1 on every forest link) every ``SparsePowerMatrix``
     indexing call is counted through a patched ``__getitem__``.  Packing
     the whole forest may make exactly the reads of its one batched
-    standalone screen: ``SlotArena.can_add_all`` / ``add`` answer
-    everything else from the candidate's two CSR rows and the slot tables,
-    so they add **zero** — and so do the verify-and-repair rounds that
-    follow on this truncated matrix, which work from positions, not from
-    stored powers.  The count repeats exactly on any host, unlike a
+    standalone screen: ``SlotArena.first_fit`` answers everything else
+    from the candidates' CSR rows (one ``rows`` gather per pass, the signal
+    entries picked out of it) and the slot tables, so it adds **zero** —
+    and so do the verify-and-repair rounds that follow on this truncated
+    matrix, which work from positions, not from stored powers.  The count repeats exactly on any host, unlike a
     wall-clock ratio; and the packing must be the one the dense arena
     produces on the densified matrix (compared on the recipe-free twin of
     the matrix, whose schedule is emitted as packed).
     """
-    network = grid_network(50, 50, density_per_km2=1000.0)
-    radio = network.radio
-    sgm = sparse_gain_model(
-        network.positions, network.tx_power_mw, network.propagation, radio
-    )
-    model = sgm.interference_model(radio)
-    indptr, indices = communication_csr(
-        sgm.power, radio.noise_mw, radio.beta, budget_mw=sgm.floor_mw
-    )
-    forest = build_routing_forest_csr(
-        indptr, indices, planned_gateways(50, 50, 25), rng=spawn(17, "mk")
-    )
-    links = forest_link_set(forest, np.ones(network.n_nodes, dtype=np.int64))
+    links, model = _sparse_forest(50)
+    power, radio, floor = model.power, model.radio, model.budget_mw
 
     reads = []
     key_search = SparsePowerMatrix.__getitem__
@@ -199,16 +206,55 @@ def test_sparse_packing_reads_rows_not_keys(monkeypatch):
         schedule = greedy_physical(links, model)
         assert len(reads) == screen_reads
 
-    assert links.n_links == network.n_nodes - 25
+    assert links.n_links == power.n - 25
     assert schedule.satisfies_demand()
     assert schedule.truth.repaired_tx > 0  # the repair ran inside the count
-    bare = SparsePowerMatrix(network.n_nodes, sgm.power.keys, sgm.power.entries()[2])
-    packed = greedy_physical(links, PhysicalInterferenceModel(bare, radio, sgm.floor_mw))
-    dense_model = PhysicalInterferenceModel(sgm.power.toarray(), radio, sgm.floor_mw)
+    bare = SparsePowerMatrix(power.n, power.keys, power.entries()[2])
+    packed = greedy_physical(links, PhysicalInterferenceModel(bare, radio, floor))
+    dense_model = PhysicalInterferenceModel(power.toarray(), radio, floor)
     dense_schedule = greedy_physical(links, dense_model)
     assert [slot.links for slot in packed.slots] == [
         slot.links for slot in dense_schedule.slots
     ]
+
+
+@pytest.mark.benchmark(group="micro")
+def test_sparse_packing_admits_waves_not_links(monkeypatch):
+    """The sparse packer pays per *wave*, not per link — as a count.
+
+    On a 60x60 grid (3600 nodes, several carrier-sense neighbourhoods
+    across) every admission pass — one ``SlotArena.first_fit`` call — is
+    counted with the candidates it tests, repair rounds included.  Links
+    whose neighbourhoods are disjoint share a pass, so there are at most a
+    third as many passes as candidates (measured: 1127 passes for 4605
+    candidates); a silent fall-back to one candidate per pass fails here,
+    on any host, where a timer would flap.  On the 20x20 smoke mesh one
+    neighbourhood spans the deployment and a wave is barely wider than a
+    link, so there only the schedule is pinned, as it is on the 60x60: equal
+    to the one-link-at-a-time loop's (``tests/conftest.py::serial_pack``).
+    """
+    packer = importlib.import_module("repro.scheduling.greedy_physical")
+    for side in (20, 60):
+        links, model = _sparse_forest(side)
+        passes = []
+        first_fit = SlotArena.first_fit
+
+        def counted(self, senders, receivers, need):
+            passes.append(len(senders))
+            return first_fit(self, senders, receivers, need)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(SlotArena, "first_fit", counted)
+            schedule = greedy_physical(links, model)
+        with monkeypatch.context() as patch:
+            patch.setattr(packer, "_pack", serial_pack)
+            serial = greedy_physical(links, model)
+        assert [slot.links for slot in schedule.slots] == [
+            slot.links for slot in serial.slots
+        ]
+        assert sum(passes) == links.n_links + schedule.truth.repaired_tx
+        if side == 60:
+            assert 3 * len(passes) <= sum(passes), (len(passes), sum(passes))
 
 
 @pytest.mark.benchmark(group="micro")

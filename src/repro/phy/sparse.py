@@ -52,6 +52,7 @@ from repro.phy.propagation import PropagationModel
 from repro.phy.radio import RadioConfig
 from repro.phy.spatial import GridIndex
 from repro.phy.truth import Geometry
+from repro.util.ranges import expand_ranges
 from repro.util.validation import check_finite_array
 
 
@@ -159,27 +160,31 @@ class SparsePowerMatrix:
         rows = np.repeat(np.arange(self.n, dtype=np.intp), np.diff(self.indptr))
         return rows, self._cols, self._vals
 
+    def rows(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Several CSR rows in one gather: ``(owner, cols, vals)``.
+
+        The stored entries of ``P[nodes[0], :]``, ``P[nodes[1], :]``, ...
+        laid end to end, each row as :meth:`row` returns it; ``owner[t]``
+        is the position in ``nodes`` of the row entry ``t`` came from
+        (ascending, repeated nodes repeat their row).  Copies, unlike
+        :meth:`row`'s views.
+        """
+        idx = np.asarray(nodes, dtype=np.intp)
+        owner, flat = expand_ranges(self.indptr[idx], self.indptr[idx + 1])
+        return owner, self._cols[flat], self._vals[flat]
+
     def column_sums(self, rows: np.ndarray) -> np.ndarray:
         """``(n,)`` per-column sums over the listed rows' stored entries.
 
         The sparse analogue of ``P[rows, :].sum(axis=0)`` in
-        ``O(sum of row populations)`` — a vectorized multi-span gather of
-        the rows' CSR segments followed by one ``bincount`` scatter-add.
+        ``O(sum of row populations)`` — the rows' CSR segments from
+        :meth:`rows` followed by one ``bincount`` scatter-add.
         Repeated rows contribute repeatedly, exactly as the dense slice
         would.  Summation order differs from the dense (pairwise) reduction,
         so bit-identity-sensitive callers gate on :attr:`value_dense`.
         """
-        idx = np.asarray(rows, dtype=np.intp)
-        starts = self.indptr[idx]
-        lens = self.indptr[idx + 1] - starts
-        total = int(lens.sum())
-        if total == 0:
-            return np.zeros(self.n, dtype=float)
-        offsets = np.cumsum(lens) - lens
-        flat = np.arange(total, dtype=np.intp) + np.repeat(starts - offsets, lens)
-        return np.bincount(
-            self._cols[flat], weights=self._vals[flat], minlength=self.n
-        )
+        _, cols, vals = self.rows(rows)
+        return np.bincount(cols, weights=vals, minlength=self.n)
 
     def _gather(self, rows, cols) -> np.ndarray | float:
         # The multiply broadcasts scalar/array/ix_-mesh combinations without

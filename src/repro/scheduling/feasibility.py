@@ -16,6 +16,13 @@ is O(k) and an accepted addition O(k).  Three remain, all bit-identical:
   selected when the model's power is a ``SparsePowerMatrix``.  Reading
   dense power through these tables was measured (DESIGN.md §3): −32 % on
   ``sessions_patch_8x8``'s ``decodable_tx_per_s``, so both branches stay.
+  The tables are read by two kernels: one candidate at a time
+  (``can_add_all`` / ``add``) and a batch of candidates per pass
+  (``can_add_many`` / ``add_many``; ``first_fit`` is the two on one
+  gather), which ``greedy_physical`` feeds a *wave* of mutually
+  unreachable links.  A batch of one through the second
+  costs +30 % per test and +80 % per admission (DESIGN.md §3), so the
+  one-at-a-time callers keep the first.
 
 ``greedy_physical``, ``patch_schedule`` and ``reconcile_round`` build their
 slots in an arena; :func:`feasible_alone` is the standalone screen (a slot
@@ -213,7 +220,10 @@ class SlotArena:
       lower interference), and ``reconcile_round`` masks the verdict of
       the one kind of slot that breaks it (a link infeasible even alone).
       The tables assume one member per node per slot, which :meth:`add`
-      enforces.
+      enforces.  :meth:`can_add_many` / :meth:`add_many` are the same test
+      and the same fold for a batch of links in one pass over the same
+      tables (stored stacked, data side over ACK side, so one gather of
+      the batch's CSR rows serves both).
 
     All powers in mW; thresholds from the bound interference model, exactly
     as :class:`SlotState`.  ``tests/property/test_scheduling_properties.py``
@@ -231,25 +241,40 @@ class SlotArena:
         self._slot_id = np.empty(cap, dtype=np.intp)
         self._msnd = np.empty(cap, dtype=np.intp)
         self._mrcv = np.empty(cap, dtype=np.intp)
-        self._di = np.empty(cap, dtype=float)
-        self._ai = np.empty(cap, dtype=float)
-        self._columns = ["_slot_id", "_msnd", "_mrcv", "_di", "_ai"]
         self._m = 0
         self.n_slots = 0
         self._slot_rows: list[list[int]] = []
         if self._use_sparse:
-            # Each member's own data / ACK signal power, stored once at
-            # admission instead of re-read on every test.
-            self._sig_d = np.empty(cap, dtype=float)
-            self._sig_a = np.empty(cap, dtype=float)
-            self._columns += ["_sig_d", "_sig_a"]
-            shape = (model.power.n, _SLOT_CAPACITY)
-            # Slot tables: member row receiving / transmitting at [v, j] ...
-            self._rx_row = np.full(shape, -1, dtype=np.int32)
-            self._tx_row = np.full(shape, -1, dtype=np.int32)
-            # ... and data / ACK power landing on v from slot j's members.
-            self._data_on = np.zeros(shape, dtype=float)
-            self._ack_on = np.zeros(shape, dtype=float)
+            n = model.power.n
+            # Stacked storage, data side first: the batched kernel walks
+            # both sides in one pass, the one-candidate kernel reads the
+            # per-side views :meth:`_bind` names.  Member interference sums
+            # and each member's own signal power (stored once at admission
+            # instead of re-read on every test) ...
+            self._interf = np.empty((2, cap), dtype=float)
+            self._sig = np.empty((2, cap), dtype=float)
+            self._columns = ["_slot_id", "_msnd", "_mrcv", "_interf", "_sig"]
+            # ... and slot tables over *listening cells*: cell v hears data
+            # at node v, cell n + v hears ACKs at node v.  Member row
+            # listening at [cell, j] ...
+            shape = (2 * n, _SLOT_CAPACITY)
+            self._listener = np.full(shape, -1, dtype=np.int32)
+            # ... and power landing on the cell from slot j's members.
+            self._landing = np.zeros(shape, dtype=float)
+            self._cell_budget = None if self._budget is None else np.tile(self._budget, 2)
+            self._bind()
+        else:
+            self._di = np.empty(cap, dtype=float)
+            self._ai = np.empty(cap, dtype=float)
+            self._columns = ["_slot_id", "_msnd", "_mrcv", "_di", "_ai"]
+
+    def _bind(self) -> None:
+        """Name the per-side views of the stacked sparse storage."""
+        n = self._power.n
+        self._di, self._ai = self._interf
+        self._sig_d, self._sig_a = self._sig
+        self._rx_row, self._tx_row = self._listener[:n], self._listener[n:]
+        self._data_on, self._ack_on = self._landing[:n], self._landing[n:]
 
     def __len__(self) -> int:
         return self.n_slots
@@ -263,30 +288,33 @@ class SlotArena:
         rows = np.asarray(self._slot_rows[slot], dtype=np.intp)
         return self._msnd[rows], self._mrcv[rows]
 
-    def _ensure_capacity(self) -> None:
-        if self._m < self._slot_id.size:
+    def _ensure_capacity(self, extra: int = 1) -> None:
+        cap = self._slot_id.size
+        if self._m + extra <= cap:
             return
-        cap = self._slot_id.size * 2
+        while cap < self._m + extra:
+            cap *= 2
         for name in self._columns:
             old = getattr(self, name)
-            new = np.empty(cap, dtype=old.dtype)
-            new[: self._m] = old[: self._m]
+            new = np.empty(old.shape[:-1] + (cap,), dtype=old.dtype)
+            new[..., : self._m] = old[..., : self._m]
             setattr(self, name, new)
+        if self._use_sparse:
+            self._bind()
 
-    def _ensure_slot_capacity(self) -> None:
-        width = self._rx_row.shape[1]
-        if self.n_slots < width:
+    def _ensure_slot_capacity(self, n_slots: int) -> None:
+        width = self._listener.shape[1]
+        if n_slots <= width:
             return
-        for name, empty in (
-            ("_rx_row", -1),
-            ("_tx_row", -1),
-            ("_data_on", 0.0),
-            ("_ack_on", 0.0),
-        ):
+        grown = width
+        while grown < n_slots:
+            grown *= 2
+        for name, empty in (("_listener", -1), ("_landing", 0.0)):
             old = getattr(self, name)
-            new = np.full((old.shape[0], 2 * width), empty, dtype=old.dtype)
+            new = np.full((old.shape[0], grown), empty, dtype=old.dtype)
             new[:, :width] = old
             setattr(self, name, new)
+        self._bind()
 
     def open_slot(self, sender: int, receiver: int) -> int:
         """Append a fresh slot seeded with one member; return its index.
@@ -296,7 +324,7 @@ class SlotArena:
         member-feasibility invariant the sparse path relies on.
         """
         if self._use_sparse:
-            self._ensure_slot_capacity()
+            self._ensure_slot_capacity(self.n_slots + 1)
         j = self.n_slots
         self.n_slots += 1
         self._slot_rows.append([])
@@ -503,6 +531,160 @@ class SlotArena:
         member_bad = np.bincount(sid, weights=bad, minlength=n) > 0
 
         return cand_ok & ~shared_per_slot & ~member_bad
+
+    def _reach(self, snd: np.ndarray, rcv: np.ndarray):
+        """Where a batch of links lands power, and where it listens.
+
+        Both transmissions of every link in one CSR gather — the data
+        packets (from ``snd``) then the ACKs (from ``rcv``).  Per stored
+        entry: ``link`` (position in the batch), ``side`` (0 data, 1 ACK),
+        the listening ``cell`` it lands on and the power ``vals``.  Per
+        transmission, same order: the cell where its own link ``listens``
+        for it (the data at the receiver, the ACK at the sender) and the
+        signal power ``sig`` it arrives there with (absent is 0.0).
+        """
+        n = self._power.n
+        owner, cell, vals = self._power.rows(np.concatenate((snd, rcv)))
+        side = (owner >= snd.size).astype(np.intp)
+        link = owner - snd.size * side
+        cell += n * side
+        listens = np.concatenate((rcv, snd + n))
+        hit = cell == listens[owner]
+        sig = np.zeros(listens.size)
+        sig[owner[hit]] = vals[hit]
+        return link, side, cell, vals, listens, sig
+
+    def can_add_many(self, senders, receivers) -> np.ndarray:
+        """Sparse arena: ``B`` candidates against every slot in one pass;
+        ``out[b, j] == slot j can admit senders[b] -> receivers[b]``.
+
+        Every candidate is tested against the arena as it stands, not
+        against the other candidates: row ``b`` is
+        ``can_add_all(senders[b], receivers[b])``, bit for bit.
+        """
+        snd = np.asarray(senders, dtype=np.intp)
+        rcv = np.asarray(receivers, dtype=np.intp)
+        return self._verdicts(snd, rcv, self._reach(snd, rcv))
+
+    def _verdicts(self, snd: np.ndarray, rcv: np.ndarray, reach) -> np.ndarray:
+        """:meth:`can_add_many` given the batch's :meth:`_reach`."""
+        n = self.n_slots
+        link, side, cell, vals, listens, sig = reach
+        beta = self._beta
+        noise = self._noise
+        if self._budget is not None:
+            noise = (noise + self._cell_budget[listens])[:, None]
+        # The candidates' own data / ACK SINR under what already lands on
+        # their listening cells ...
+        own = ~(sig[:, None] < beta * (noise + self._landing[listens, :n]))
+        ok = own[: snd.size] & own[snd.size :]
+        ok &= (snd != rcv)[:, None]
+        # ... no endpoint already sending or receiving in the slot ...
+        ends = np.concatenate((listens, snd, rcv + self._power.n))
+        ok &= self._listener[ends, :n].reshape(4, snd.size, n).max(axis=0) < 0
+        # ... and every member listening where a candidate lands power
+        # still above threshold with that power added (the flat nonzero +
+        # divmod of :meth:`_veto_members`, both sides at once).
+        near = self._listener[cell, :n].ravel()
+        flat = (near >= 0).nonzero()[0]
+        if flat.size:
+            rows = near[flat]
+            at, slot = np.divmod(flat, n)
+            noise = self._noise
+            if self._budget is not None:
+                noise = noise + self._cell_budget[cell[at]]
+            interf = self._interf[side[at], rows] + vals[at]
+            bad = self._sig[side[at], rows] < beta * (noise + interf)
+            ok[link[at[bad]], slot[bad]] = False
+        return ok
+
+    def add_many(self, slots, senders, receivers) -> None:
+        """Sparse arena: admit link ``i`` to ``slots[i]`` unconditionally,
+        the whole batch in one pass — :meth:`add` of each in turn, bit for
+        bit, with member rows appended in batch order.
+
+        A slot index past the end opens that slot (and any before it).
+        The batch must write each ``(cell, slot)`` of the tables once:
+        links that share a slot need pairwise-disjoint CSR neighbourhoods
+        (the stored columns of their endpoints' rows).  One link into
+        several slots always qualifies; greedy packing admits a whole
+        *wave* of links (:mod:`repro.scheduling.greedy_physical`).
+
+        Raises ``ValueError``, before anything is written, if an endpoint
+        already sends or receives in its slot.
+        """
+        slot = np.asarray(slots, dtype=np.intp)
+        snd = np.asarray(senders, dtype=np.intp)
+        rcv = np.asarray(receivers, dtype=np.intp)
+        self._fold(slot, snd, rcv, self._reach(snd, rcv))
+
+    def _fold(self, slot: np.ndarray, snd: np.ndarray, rcv: np.ndarray, reach) -> None:
+        """:meth:`add_many` given the batch's :meth:`_reach`."""
+        top = max(int(slot.max()) + 1, self.n_slots)
+        self._ensure_slot_capacity(top)
+        link, side, cell, vals, listens, sig = reach
+        ends = np.concatenate((listens, snd, rcv + self._power.n)).reshape(4, -1)
+        busy = self._listener[ends, slot] >= 0
+        if busy.any():
+            i = int(busy.any(axis=0).argmax())
+            raise ValueError(
+                f"link {snd[i]}->{rcv[i]} shares a node with a member of slot {slot[i]}"
+            )
+        self._ensure_capacity(slot.size)
+        self._slot_rows.extend([] for _ in range(top - self.n_slots))
+        self.n_slots = top
+        rows = np.arange(self._m, self._m + slot.size)
+        new = slice(self._m, self._m + slot.size)
+        listens = listens.reshape(2, -1)
+        at = slot[link]
+        # The newcomers' own sums are what the tables hold at their cells;
+        # members listening where they land power grow by it (one member
+        # per cell and slot, so the targets are unique); the tables take
+        # their rows.
+        self._interf[:, new] = self._landing[listens, slot]
+        heard = self._listener[cell, at]
+        near = (heard >= 0).nonzero()[0]
+        self._interf[side[near], heard[near]] += vals[near]
+        self._landing[cell, at] += vals
+        self._listener[listens, slot] = rows
+        self._sig[:, new] = sig.reshape(2, -1)
+        self._slot_id[new] = slot
+        self._msnd[new] = snd
+        self._mrcv[new] = rcv
+        self._m = new.stop
+        for j, row in zip(slot.tolist(), rows.tolist()):
+            self._slot_rows[j].append(row)
+
+    def first_fit(self, senders, receivers, need) -> tuple[np.ndarray, np.ndarray]:
+        """Sparse arena: one greedy step for a whole batch — test it
+        (:meth:`can_add_many`), give link ``b`` its first ``need[b] >= 1``
+        admitting slots and, for what it is still short of, the fresh slots
+        ``n_slots, n_slots + 1, ...`` (shared by the batch), and admit
+        (:meth:`add_many`, whose precondition is the caller's to meet).
+
+        Returns the memberships made, ``(link, slot)`` arrays.
+        """
+        snd = np.asarray(senders, dtype=np.intp)
+        rcv = np.asarray(receivers, dtype=np.intp)
+        need = np.asarray(need, dtype=np.intp)
+        n = self.n_slots
+        reach = self._reach(snd, rcv)
+        ok = self._verdicts(snd, rcv, reach)
+        ok &= ok.cumsum(axis=1) <= need[:, None]
+        link, slot = ok.nonzero()
+        short = need - np.bincount(link, minlength=snd.size)
+        if short.any():
+            fresh = np.repeat(np.arange(snd.size), short)
+            link = np.concatenate((link, fresh))
+            first = np.cumsum(short) - short
+            slot = np.concatenate((slot, n + np.arange(fresh.size) - first[fresh]))
+        if (need == 1).all():
+            # One membership each: the gather serves again.
+            slot = slot[np.argsort(link)]
+            self._fold(slot, snd, rcv, reach)
+            return np.arange(snd.size), slot
+        self.add_many(slot, snd[link], rcv[link])
+        return link, slot
 
 
 def infeasible_slots(

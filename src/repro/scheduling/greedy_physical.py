@@ -9,6 +9,12 @@ Polynomial time: slots live in one
 :class:`~repro.scheduling.feasibility.SlotArena`, which tests a link against
 *every* open slot in one batched pass — O(total members) on a dense power
 matrix, O(degree × slots) from the link's two CSR rows on a sparse one.
+On a sparse matrix the links are not even taken one at a time: the
+allocation order only matters between links that can hear each other, so
+:func:`_waves` groups the candidates into *waves* of links whose CSR
+neighbourhoods are pairwise disjoint and :func:`_pack_waves` tests and
+admits a wave per pass — the schedule of the one-at-a-time loop, to the
+bit, at a fraction of its numpy calls (DESIGN.md §3, "The wave rule").
 On a *truncated* sparse matrix the packing is followed by verify-and-repair
 rounds under the exact model (:func:`_repair`), O(members²) per slot.
 """
@@ -72,18 +78,18 @@ def greedy_physical(
     order = order_fn(links, model)
 
     schedule = Schedule(link_set=links)
-    demanded = [int(k) for k in order if int(links.demand[int(k)]) > 0]
-    if not demanded:
+    order = np.asarray(order, dtype=np.intp)
+    demanded = order[links.demand[order] > 0]
+    if demanded.size == 0:
         return schedule
 
     # Batched standalone screen: a link that cannot decode alone fails
     # every per-slot test and would raise the moment it opened a fresh
     # slot — catching the first such link (in allocation order) up front
     # reproduces the incremental loop's error exactly.
-    idx = np.asarray(demanded, dtype=np.intp)
-    alone = feasible_alone(model, links.heads[idx], links.tails[idx])
+    alone = feasible_alone(model, links.heads[demanded], links.tails[demanded])
     if not alone.all():
-        bad = int(idx[int(np.flatnonzero(~alone)[0])])
+        bad = int(demanded[int(np.flatnonzero(~alone)[0])])
         raise ValueError(
             f"link {int(links.heads[bad])}->{int(links.tails[bad])} is infeasible "
             "even alone; it is not a valid communication edge"
@@ -101,48 +107,117 @@ def greedy_physical(
 def _pack(
     links: LinkSet,
     model: PhysicalInterferenceModel,
-    demanded: list[int],
+    demanded: np.ndarray,
     demand: np.ndarray,
 ) -> list[Slot]:
     """Greedy first-fit of ``demand[k]`` memberships per link ``k``, links
     taken in ``demanded`` order (each already screened alone), into fresh
     slots."""
+    demanded = demanded[demand[demanded] > 0]
     # Flat-column slot store: the verdicts of a SlotState per slot
     # (bit-identical, pinned by the arena suite in
     # tests/property/test_scheduling_properties.py), one numpy pass per
-    # link — from per-node slot tables, with no power-matrix search, when
-    # the model's power matrix is sparse.
+    # link on a dense power matrix, one per wave of links on a sparse one.
     arena = SlotArena(model)
-    slots: list[Slot] = []
-    for k in demanded:
-        remaining = int(demand[k])
-        if remaining <= 0:
-            continue
-        sender = int(links.heads[k])
-        receiver = int(links.tails[k])
+    heads = links.heads[demanded]
+    tails = links.tails[demanded]
+    want = demand[demanded]
+    if getattr(model.power, "is_sparse_power", False):
+        return _pack_waves(arena, model.power, demanded, heads, tails, want)
+    slots: list[list[int]] = []
+    for k, sender, receiver, remaining in zip(
+        demanded.tolist(), heads.tolist(), tails.tolist(), want.tolist()
+    ):
         # One batched admission pass over the existing slots: adding this
         # link to slot j never changes slot j' (slots are independent), so
         # the precomputed verdicts match the incremental slot-by-slot scan.
         if arena.n_slots:
-            for j in np.flatnonzero(arena.can_add_all(sender, receiver)):
-                if remaining <= 0:
-                    break
-                arena.add(int(j), sender, receiver)
-                slots[j].add(k)
-                remaining -= 1
-        while remaining > 0:
+            admits = np.flatnonzero(arena.can_add_all(sender, receiver))[:remaining]
+            for j in admits.tolist():
+                arena.add(j, sender, receiver)
+                slots[j].append(k)
+            remaining -= admits.size
+        for _ in range(remaining):
             arena.open_slot(sender, receiver)
-            slot = Slot()
-            slot.add(k)
-            slots.append(slot)
-            remaining -= 1
-    return slots
+            slots.append([k])
+    return [Slot(links=members) for members in slots]
+
+
+#: Candidates whose CSR rows :func:`_waves` gathers at a time (bounds the
+#: gather at ~chunk x 2 x degree entries whatever the link count).
+_WAVE_CHUNK = 512
+
+
+def _waves(power, heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
+    """Wave number of each candidate link, in allocation order.
+
+    With ``N(k)`` the stored columns of the CSR rows of link ``k``'s two
+    endpoints — every node that hears it, the endpoints included since a
+    link that decodes alone has both its signal entries stored — a
+    candidate's wave is one more than the latest wave stamped on any node
+    of ``N(k)``, and it stamps them all in turn.  So two links share a wave
+    only if their ``N`` are disjoint, and two links whose ``N`` intersect
+    sit in increasing waves in their allocation order.
+    """
+    stamp = np.zeros(power.n, dtype=np.intp)
+    waves: list[int] = []
+    for lo in range(0, heads.size, _WAVE_CHUNK):
+        ends = np.stack((heads[lo : lo + _WAVE_CHUNK], tails[lo : lo + _WAVE_CHUNK]), 1)
+        owner, cols, _ = power.rows(ends.ravel())
+        bounds = np.searchsorted(owner, np.arange(0, ends.size + 1, 2)).tolist()
+        for a, b in zip(bounds, bounds[1:]):
+            near = cols[a:b]
+            wave = int(stamp[near].max()) + 1
+            stamp[near] = wave
+            waves.append(wave)
+    return np.asarray(waves, dtype=np.intp)
+
+
+def _pack_waves(
+    arena: SlotArena,
+    power,
+    demanded: np.ndarray,
+    heads: np.ndarray,
+    tails: np.ndarray,
+    want: np.ndarray,
+) -> list[Slot]:
+    """:func:`_pack` on the sparse arena, a wave of candidates per pass.
+
+    What an admission test of link ``k`` reads of the arena (the slot
+    tables at ``N(k)`` and the sums of members listening there) and what
+    admitting it writes (the same cells) both lie inside ``N(k)``
+    (:func:`_waves`), so links with disjoint ``N`` neither see nor disturb
+    one another in any slot: tested together and admitted together they
+    get the verdicts, slots and interference sums the one-at-a-time loop
+    gives them, and waves taken in order respect every dependency that
+    loop has.  A fresh slot holds only wave-mates, so every member still
+    short joins the same fresh slots ``n, n+1, ...``, as it would have
+    found them opened by the wave-mate ahead of it.  A value-dense matrix
+    puts every node in every ``N``: one candidate per wave, the serial loop.
+    """
+    wave = _waves(power, heads, tails)
+    turn = np.argsort(wave, kind="stable")
+    heads, tails, want = heads[turn], tails[turn], want[turn]
+    ends = np.searchsorted(wave[turn], np.arange(1, wave.max() + 2)).tolist()
+    who: list[np.ndarray] = []
+    where: list[np.ndarray] = []
+    for a, b in zip(ends, ends[1:]):
+        cand, slot = arena.first_fit(heads[a:b], tails[a:b], want[a:b])
+        who.append(cand + a)
+        where.append(slot)
+    # Each slot lists its links in allocation order, as the serial loop
+    # appends them.
+    who_all = turn[np.concatenate(who)]
+    where_all = np.concatenate(where)
+    ids = demanded[who_all[np.lexsort((who_all, where_all))]].tolist()
+    cuts = np.cumsum(np.bincount(where_all, minlength=arena.n_slots)).tolist()
+    return [Slot(links=ids[a:b]) for a, b in zip([0] + cuts, cuts)]
 
 
 def _repair(
     schedule: Schedule,
     model: PhysicalInterferenceModel,
-    demanded: list[int],
+    demanded: np.ndarray,
     geometry: Geometry,
 ) -> TruthReport:
     """Make a packed schedule decode under the exact model, in place.

@@ -375,3 +375,28 @@ def loop_routing_forest_csr(indptr, indices, gateways, generator):
         candidates = neigh[depth[neigh] == depth[v] - 1]
         parent[v] = int(generator.choice(candidates))
     return RoutingForest(parent=parent, depth=depth, gateways=np.sort(gws))
+
+
+def serial_pack(links, model, demanded, demand, new_arena=None):
+    """``greedy_physical._pack`` one link at a time: a verdict per open slot,
+    the first ``demand[k]`` admitting slots, fresh singletons for the rest.
+    The loop the sparse packer ran before it admitted links a wave at a
+    time, kept as its oracle (on the one-candidate arena kernel, which the
+    arena suite pins to ``SlotState``)."""
+    from repro.scheduling.feasibility import SlotArena
+    from repro.scheduling.schedule import Slot
+
+    arena = (new_arena or SlotArena)(model)
+    slots = []
+    for k in np.asarray(demanded).tolist():
+        remaining = int(demand[k])
+        sender, receiver = int(links.heads[k]), int(links.tails[k])
+        if remaining > 0 and arena.n_slots:
+            for j in np.flatnonzero(arena.can_add_all(sender, receiver))[:remaining]:
+                arena.add(int(j), sender, receiver)
+                slots[j].add(k)
+                remaining -= 1
+        for _ in range(remaining):
+            arena.open_slot(sender, receiver)
+            slots.append(Slot(links=[k]))
+    return slots

@@ -132,6 +132,18 @@ class TestSparsePowerMatrix:
             assert np.shares_memory(cols, sparse.row(node)[0])
             assert np.shares_memory(vals, sparse.row(node)[1])
 
+    def test_rows_is_row_after_row_with_its_owner(self, sparse_and_dense):
+        sparse, _ = sparse_and_dense
+        for nodes in ([7], [sparse.n - 1, 0, 7, 0], []):
+            owner, cols, vals = sparse.rows(nodes)
+            each = [sparse.row(node) for node in nodes]
+            lens = [c.size for c, _ in each]
+            np.testing.assert_array_equal(owner, np.repeat(np.arange(len(nodes)), lens))
+            np.testing.assert_array_equal(cols, np.concatenate([c for c, _ in each] + [[]]))
+            np.testing.assert_array_equal(vals, np.concatenate([v for _, v in each] + [[]]))
+            # Copies: the caller may shift the columns in place.
+            assert not any(np.shares_memory(cols, c) for c, _ in each)
+
     def test_entries_lists_every_stored_triple_row_major(self, sparse_and_dense):
         sparse, _ = sparse_and_dense
         rows, cols, vals = sparse.entries()
