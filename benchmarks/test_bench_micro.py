@@ -346,6 +346,60 @@ def test_pdd_full_run_64(benchmark, scenario):
 
 
 @pytest.mark.benchmark(group="traffic")
+def _sessions_mesh():
+    """Links, model and rate table of the perf ledger's ``sessions_patch_8x8``."""
+    from repro import RateTable
+
+    network = grid_network(8, 8, density_per_km2=1000.0)
+    forest = build_routing_forest(
+        network.comm_adj, planned_gateways(8, 8, 4), rng=spawn(20080617, "forest")
+    )
+    links = forest_link_set(forest, np.zeros(network.n_nodes, dtype=np.int64))
+    return links, network.model, RateTable.geometric(network.radio.beta)
+
+
+def _run_sessions(links, model, table, packer, n_epochs, on_record):
+    """That workload's closed loop — flow sessions, ``packer`` in a
+    patch-policy ``ScheduleCache``, priced control, multi-rate serving —
+    calling ``on_record`` after every epoch; returns the cache."""
+    from repro import (
+        ControlPlaneModel,
+        EpochConfig,
+        FlowConfig,
+        FlowWorkload,
+        ScheduleCache,
+        make_controller,
+        run_epochs,
+    )
+
+    workload = FlowWorkload(
+        links,
+        FlowConfig.for_offered_rate(0.0145, links.n_links, 300),
+        controller=make_controller("knee-tracker"),
+        seed=spawn(7, "sessions"),
+    )
+    cache = ScheduleCache(
+        packer, policy="patch", model=model, epoch_slots=300, rate_table=table
+    )
+
+    def on_epoch(record, queues):
+        workload.observe(record, queues)
+        on_record(record)
+
+    run_epochs(
+        links,
+        workload,
+        cache,
+        EpochConfig(
+            epoch_slots=300, n_epochs=n_epochs, reschedule_policy="patch", rate_table=table
+        ),
+        model=model,
+        on_epoch=on_epoch,
+        control=ControlPlaneModel.default_priced(),
+    )
+    return cache
+
+
 def test_rate_path_evaluates_schedules_not_slots(monkeypatch):
     """A rate-aware epoch costs SINR kernel calls per *schedule pass*, not
     per slot — as a count, not a wall clock.
@@ -365,30 +419,14 @@ def test_rate_path_evaluates_schedules_not_slots(monkeypatch):
     *distinct* slot once: at most one per link, however long the schedule.
     A ``patch_schedule`` call builds one ``SlotArena`` and no ``SlotState``.
     """
-    from repro import (
-        ControlPlaneModel,
-        EpochConfig,
-        FlowConfig,
-        FlowWorkload,
-        RateTable,
-        ScheduleCache,
-        make_controller,
-        rate_aware_scheduler,
-        run_epochs,
-    )
+    from repro import rate_aware_scheduler
     from repro.phy import interference
     from repro.traffic import incremental
 
     # (The package re-exports the function under the module's own name.)
     greedy_rate_module = sys.modules["repro.scheduling.greedy_rate"]
 
-    network = grid_network(8, 8, density_per_km2=1000.0)
-    forest = build_routing_forest(
-        network.comm_adj, planned_gateways(8, 8, 4), rng=spawn(20080617, "forest")
-    )
-    links = forest_link_set(forest, np.zeros(network.n_nodes, dtype=np.int64))
-    model = network.model
-    table = RateTable.geometric(network.radio.beta)
+    links, model, table = _sessions_mesh()
 
     calls = {"sets": 0, "per_slot": 0, "deficits": 0, "built": 0, "arenas": 0, "states": 0}
 
@@ -433,29 +471,9 @@ def test_rate_path_evaluates_schedules_not_slots(monkeypatch):
         packs.append((calls["built"] - built, planned.schedule.length))
         return planned
 
-    workload = FlowWorkload(
-        links,
-        FlowConfig.for_offered_rate(0.0145, links.n_links, 300),
-        controller=make_controller("knee-tracker"),
-        seed=spawn(7, "sessions"),
-    )
-    cache = ScheduleCache(
-        packer, policy="patch", model=model, epoch_slots=300, rate_table=table
-    )
     epochs = []
-
-    def on_epoch(record, queues):
-        workload.observe(record, queues)
-        epochs.append((record, dict(calls)))
-
-    run_epochs(
-        links,
-        workload,
-        cache,
-        EpochConfig(epoch_slots=300, n_epochs=12, reschedule_policy="patch", rate_table=table),
-        model=model,
-        on_epoch=on_epoch,
-        control=ControlPlaneModel.default_priced(),
+    cache = _run_sessions(
+        links, model, table, packer, 12, lambda record: epochs.append((record, dict(calls)))
     )
 
     before = dict.fromkeys(calls, 0)
@@ -477,3 +495,63 @@ def test_rate_path_evaluates_schedules_not_slots(monkeypatch):
     for built, length in packs:
         assert built <= links.n_links
         assert length >= 3 * built  # replication is live: most slots are copies
+
+
+def test_serve_plays_schedules_not_slots(monkeypatch):
+    """Serving an epoch costs calls per *forest level*, not per slot — as a
+    count, not a wall clock.
+
+    On the same ``sessions_patch_8x8`` pipeline, every ``play_schedule``
+    call of the loop is first replayed on two copies of its queues, over the
+    epoch as it is (300 slots) and over one ten times as long, with every
+    Python and C function call underneath counted by ``sys.setprofile``.
+    The counts must be equal — the round is expanded and served in whole-
+    array passes, so a longer epoch is longer arrays — and bounded by a
+    constant per forest level.  (Slot by slot, the same epochs made ~300
+    ``serve_slot`` calls each, ~3 000 on the long epoch.)
+    """
+    import copy
+
+    from repro import rate_aware_scheduler
+    from repro.core.controlplane import forest_depths
+    from repro.traffic import epoch as epoch_module
+
+    links, model, table = _sessions_mesh()
+    play_schedule = epoch_module.play_schedule
+
+    def calls_under(*args):
+        count = 0
+
+        def profiler(frame, event, arg):
+            nonlocal count
+            count += event in ("call", "c_call")
+
+        sys.setprofile(profiler)
+        try:
+            served = play_schedule(*args)
+        finally:
+            sys.setprofile(None)
+        return count, served
+
+    counts = []
+
+    def counting(queues, slot_links, start, epoch_slots, overhead_slots, slot_rates):
+        short, served_short = calls_under(
+            copy.deepcopy(queues), slot_links, start, epoch_slots, overhead_slots, slot_rates
+        )
+        long, served_long = calls_under(
+            copy.deepcopy(queues), slot_links, start, 10 * epoch_slots, overhead_slots, slot_rates
+        )
+        served = play_schedule(queues, slot_links, start, epoch_slots, overhead_slots, slot_rates)
+        assert served == served_short <= served_long
+        counts.append((short, long, len(slot_links)))
+        return served
+
+    monkeypatch.setattr(epoch_module, "play_schedule", counting)
+    _run_sessions(links, model, table, rate_aware_scheduler(model, table), 12, lambda record: None)
+
+    depth = int(forest_depths(links).max())
+    assert len(counts) >= 10 and max(n_slots for _, _, n_slots in counts) >= 100
+    for short, long, _ in counts:
+        assert short == long
+        assert short <= 80 + 100 * depth  # measured: 63 + 87 per level

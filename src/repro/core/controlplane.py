@@ -288,20 +288,16 @@ def forest_depths(links) -> np.ndarray:
     (one link per head node, acyclic toward the gateways), the same
     contract :class:`~repro.traffic.queues.LinkQueues` enforces.
     """
-    next_link = links.next_links()  # raises for non-forest link sets
-    n = links.n_links
-    # Memoized walk: each link's depth is 1 + its next link's, so every
-    # link is visited once (O(n) total, not O(n x depth) on deep chains).
-    depths = np.full(n, -1, dtype=np.int64)
-    for k in range(n):
-        path: list[int] = []
-        current = k
-        while current >= 0 and depths[current] < 0:
-            path.append(current)
-            if len(path) > n:
-                raise ValueError("routing loop detected while measuring depths")
-            current = int(next_link[current])
-        base = 0 if current < 0 else int(depths[current])
-        for offset, link in enumerate(reversed(path), start=1):
-            depths[link] = base + offset
-    return depths
+    hop = links.next_links()  # raises for non-forest link sets
+    # Pointer jumping: ``depths[k]`` counts the links from ``k`` up to, not
+    # including, ``hop[k]``, and every pass doubles that reach — log2(depth)
+    # numpy passes, however deep the chains.
+    depths = np.ones(links.n_links, dtype=np.int64)
+    for _ in range(links.n_links.bit_length() + 1):
+        live = np.flatnonzero(hop >= 0)
+        if live.size == 0:
+            return depths
+        via = hop[live]
+        depths[live] += depths[via]
+        hop[live] = hop[via]
+    raise ValueError("routing loop detected while measuring depths")

@@ -31,11 +31,7 @@ from repro.phy.sinr import (
     sinr_for_link_sets,
     sinr_for_links,
 )
-
-
-def _split(flat: np.ndarray, ends: list[int]) -> list[np.ndarray]:
-    """Cut ``flat`` into consecutive pieces ending at ``ends``."""
-    return [flat[a:b] for a, b in zip([0, *ends], ends)]
+from repro.util.ranges import split_at
 
 
 @dataclass(frozen=True)
@@ -189,7 +185,7 @@ class PhysicalInterferenceModel:
         :func:`~repro.phy.sinr.sinr_for_links` call per slot.  Empty slots
         yield empty arrays.
         """
-        return _split(*self._slot_sinrs_flat(heads, tails, slots))
+        return split_at(*self._slot_sinrs_flat(heads, tails, slots))
 
     def slot_rates(
         self, heads: np.ndarray, tails: np.ndarray, slots, table
@@ -198,7 +194,7 @@ class PhysicalInterferenceModel:
         floor): :meth:`link_rates` of every slot, from one
         :meth:`slot_sinrs` pass and one tier lookup."""
         worst, ends = self._slot_sinrs_flat(heads, tails, slots)
-        return _split(table.rates[np.maximum(table.tier_for(worst), 0)], ends)
+        return split_at(table.rates[np.maximum(table.tier_for(worst), 0)], ends)
 
     def feasible_mask(
         self, senders: np.ndarray, receivers: np.ndarray

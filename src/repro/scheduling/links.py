@@ -63,17 +63,27 @@ class LinkSet:
         return int(self.demand.sum())
 
     @cached_property
+    def link_of_node(self) -> np.ndarray:
+        """Index of the link each node heads, -1 where it heads none.
+
+        Only defined for forest link sets (one link per head node)."""
+        links = np.arange(self.n_links, dtype=np.intp)
+        n_nodes = int(max(self.heads.max(initial=0), self.tails.max(initial=0))) + 1
+        of_node = np.full(n_nodes, -1, dtype=np.intp)
+        of_node[self.heads] = links
+        twice = np.flatnonzero(of_node[self.heads] != links)
+        if twice.size:
+            raise ValueError(
+                f"node {int(self.heads[twice[0]])} heads more than one link; "
+                "per-head lookup is only defined for forest link sets"
+            )
+        return of_node
+
+    @cached_property
     def link_of_head(self) -> dict[int, int]:
-        """Map head node index -> link index."""
-        mapping: dict[int, int] = {}
-        for k, h in enumerate(self.heads):
-            if int(h) in mapping:
-                raise ValueError(
-                    f"node {int(h)} heads more than one link; per-head lookup "
-                    "is only defined for forest link sets"
-                )
-            mapping[int(h)] = k
-        return mapping
+        """Map head node index -> link index (forest link sets only)."""
+        self.link_of_node  # the forest check
+        return dict(zip(self.heads.tolist(), range(self.n_links)))
 
     def next_links(self) -> np.ndarray:
         """Per-link index of the next link up the forest, -1 at gateways.
@@ -81,15 +91,12 @@ class LinkSet:
         ``next_links()[k]`` is the link whose head is link ``k``'s tail —
         the unique relay hop toward the gateway — or ``-1`` when the tail
         is a gateway.  Only defined for forest link sets (delegates the
-        contract check to :meth:`link_of_head`).  The single next-hop
+        contract check to :meth:`link_of_node`).  The single next-hop
         derivation shared by queue relaying
         (:class:`~repro.traffic.queues.LinkQueues`) and control-plane
         depth pricing (:func:`~repro.core.controlplane.forest_depths`).
         """
-        by_head = self.link_of_head
-        return np.array(
-            [by_head.get(int(t), -1) for t in self.tails], dtype=np.intp
-        )
+        return self.link_of_node[self.tails]
 
     def subset(self, indices: np.ndarray) -> "LinkSet":
         """A new LinkSet containing only the given link indices."""

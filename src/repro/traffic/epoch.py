@@ -53,6 +53,7 @@ from repro.scheduling.schedule import Schedule
 from repro.topology.network import Network
 from repro.traffic.generators import TrafficGenerator
 from repro.traffic.queues import LinkQueues
+from repro.util.ranges import split_at
 from repro.util.rng import freeze_root, spawn
 
 if TYPE_CHECKING:  # sharded.py imports this module
@@ -455,20 +456,34 @@ class RateAnnotator:
         """Per-slot (tiers, rates) arrays for one round, updating state.
 
         The round's SINRs come from one schedule-wide pass (slots are
-        independent); hysteresis is still applied slot by slot, in order —
-        a link that sits in several slots of the round carries the tier it
-        was granted in one slot into the next.
+        independent).  Hysteresis runs in slot order — a link that sits in
+        several slots of the round carries the tier it was granted in one
+        slot into the next — so tiers are selected by occurrence rank: every
+        link's first appearance in one ``select``, then every second, …: as
+        many passes as the busiest link has slots, not one per slot — and a
+        table without hysteresis never reads the memory, so one pass.
         """
+        if not slot_links:
+            return [], []
         table = self.table
         sinrs = self._model.slot_sinrs(self._heads, self._tails, slot_links)
-        tiers: list[np.ndarray] = []
-        rates: list[np.ndarray] = []
-        for idx, worst in zip(slot_links, sinrs):
-            t = np.maximum(table.select(worst, self._prev[idx]), 0)
-            self._prev[idx] = t
-            tiers.append(t)
-            rates.append(table.rates[t])
-        return tiers, rates
+        members = np.concatenate(slot_links).astype(np.intp, copy=False)
+        worst = np.concatenate(sinrs)
+        passes = [slice(None)]  # a repeated link keeps its last slot's tier
+        if table.hysteresis != 1.0 and members.size:
+            # nth[i]: how many earlier entries of the round list member i's link.
+            by_link = np.argsort(members, kind="stable")
+            runs = np.flatnonzero(np.r_[True, np.diff(members[by_link]) != 0, True])
+            nth = np.empty(members.size, dtype=np.intp)
+            nth[by_link] = np.arange(members.size) - np.repeat(runs[:-1], np.diff(runs))
+            ends = np.cumsum(np.bincount(nth)).tolist()
+            passes = split_at(np.argsort(nth, kind="stable"), ends)
+        tiers = np.empty(members.size, dtype=np.int64)
+        for now in passes:
+            granted = np.maximum(table.select(worst[now], self._prev[members[now]]), 0)
+            self._prev[members[now]] = tiers[now] = granted
+        ends = np.cumsum([len(idx) for idx in slot_links]).tolist()
+        return split_at(tiers, ends), split_at(table.rates[tiers], ends)
 
 
 def play_schedule(
@@ -488,19 +503,10 @@ def play_schedule(
     forwards one packet per member (the seed contract) unless
     ``slot_rates`` — per-slot packets-per-slot arrays aligned with
     ``slot_links``, from :meth:`RateAnnotator.annotate` — grants more.
-    Returns the packet-hops served.
+    One :meth:`LinkQueues.play` call, whose cost follows the forest's depth
+    and not ``epoch_slots``.  Returns the packet-hops served.
     """
-    served = 0
-    if slot_links:
-        n = len(slot_links)
-        for t in range(overhead_slots, epoch_slots):
-            i = (t - overhead_slots) % n
-            served += queues.serve_slot(
-                slot_links[i],
-                start + t,
-                rates=None if slot_rates is None else slot_rates[i],
-            )
-    return served
+    return queues.play(slot_links, start, epoch_slots, overhead_slots, slot_rates)
 
 
 def book_epoch_obs(obs: Obs | None, record: EpochRecord, engine: str) -> None:

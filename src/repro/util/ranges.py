@@ -1,4 +1,4 @@
-"""Vectorised expansion of many index ranges at once.
+"""Vectorised expansion of many index ranges at once, and the cut back.
 
 Grid-cell runs and frontier neighbor lists are both "for every
 ``t``, the indices ``lo[t] .. hi[t]-1``"; expanding them with one
@@ -23,3 +23,8 @@ def expand_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarra
     ends = np.cumsum(lens)
     flat = np.arange(owner.size, dtype=np.intp) + np.repeat(lo - (ends - lens), lens)
     return owner, flat
+
+
+def split_at(flat: np.ndarray, ends: list[int]) -> list[np.ndarray]:
+    """Cut ``flat`` into consecutive pieces ending at ``ends`` (views)."""
+    return [flat[a:b] for a, b in zip([0, *ends], ends)]

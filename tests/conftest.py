@@ -400,3 +400,68 @@ def serial_pack(links, model, demanded, demand, new_arena=None):
             arena.open_slot(sender, receiver)
             slots.append(Slot(links=[k]))
     return slots
+
+
+# --------------------------------------------------------------------------
+# Brute-force oracle of the serving kernel.  ``LinkQueues.play`` serves a
+# whole epoch level by level in closed form; this is the definition it must
+# equal: one deque of packets per link, one slot at a time, pop every
+# transmission of the slot first and push the relays after.
+# --------------------------------------------------------------------------
+
+
+class SlotwiseQueues:
+    """``LinkQueues`` by definition: per-link deques of ``(birth, source)``
+    packets, served slot by slot (counters and delivery log as the
+    library's; malformed input is the library's business, not the oracle's)."""
+
+    def __init__(self, links):
+        from collections import deque
+
+        by_head = {int(h): k for k, h in enumerate(links.heads)}
+        self.n_links = links.n_links
+        self.by_head = by_head
+        self.next_link = [by_head.get(int(t), -1) for t in links.tails]
+        self.fifo = [deque() for _ in range(links.n_links)]
+        self.served_by_link = np.zeros(links.n_links, dtype=np.int64)
+        self.arrivals_total = self.delivered_total = 0
+        self.served_total = self.plays_total = 0
+        self.delays, self.births, self.sources = [], [], []
+
+    @property
+    def backlog(self):
+        return np.array([len(fifo) for fifo in self.fifo], dtype=np.int64)
+
+    def arrive(self, node_arrivals, time):
+        for node in np.flatnonzero(node_arrivals):
+            k = self.by_head[int(node)]
+            self.fifo[k].extend([(int(time), k)] * int(node_arrivals[node]))
+            self.arrivals_total += int(node_arrivals[node])
+
+    def serve_slot(self, link_indices, time, rates=None):
+        moves = []
+        for position, k in enumerate(int(k) for k in link_indices):
+            rate = 1 if rates is None else int(rates[position])
+            count = min(rate, len(self.fifo[k]))
+            moves += [(self.next_link[k], *self.fifo[k].popleft()) for _ in range(count)]
+            self.served_by_link[k] += count
+            self.plays_total += count > 0
+        for nxt, birth, source in moves:
+            if nxt >= 0:
+                self.fifo[nxt].append((birth, source))
+                continue
+            self.delivered_total += 1
+            self.delays.append(int(time) - birth + 1)
+            self.births.append(birth)
+            self.sources.append(source)
+        self.served_total += len(moves)
+        return len(moves)
+
+    def play(self, slot_links, start, epoch_slots, overhead_slots, slot_rates=None):
+        served = 0
+        for t in range(overhead_slots, epoch_slots if slot_links else 0):
+            i = (t - overhead_slots) % len(slot_links)
+            served += self.serve_slot(
+                slot_links[i], start + t, None if slot_rates is None else slot_rates[i]
+            )
+        return served

@@ -230,17 +230,19 @@ def test_annotator_tiers_rates_and_memory_match_slot_by_slot(meshes, case, n_rou
 
 def test_annotator_memory_advances_within_a_round(meshes):
     """The case the batched round must not flatten: one link in many slots
-    of a round, under a table whose upgrades need margin."""
+    of a round, under a table whose upgrades need margin — tiers are granted
+    an occurrence at a time, and the third must see what the second got."""
     network, links = meshes[0]
     links = replace(links, demand=np.full(links.n_links, 20))
-    table = TABLES["hysteresis"](network.radio.beta)
-    schedule = greedy_rate(links, network.model, table)
-    slots = [slot.as_array() for slot in schedule.slots]
-    assert np.bincount(np.concatenate(slots)).max() > 1
-    batched = RateAnnotator(links, network.model, table)
-    stepwise = StepwiseRateAnnotator(links, network.model, table)
-    for round_slots in (slots, slots[::-1], slots[::2]):
-        got_tiers, got_rates = batched.annotate(round_slots)
-        want_tiers, want_rates = stepwise.annotate(round_slots)
-        assert all(map(np.array_equal, got_tiers + got_rates, want_tiers + want_rates))
-        assert np.array_equal(batched._prev, stepwise._prev)
+    for hysteresis in (1.15, 1.3):
+        table = RateTable.geometric(network.radio.beta, sinr_step=1.5, hysteresis=hysteresis)
+        schedule = greedy_rate(links, network.model, table)
+        slots = [slot.as_array() for slot in schedule.slots]
+        assert np.bincount(np.concatenate(slots)).max() >= 3
+        batched = RateAnnotator(links, network.model, table)
+        stepwise = StepwiseRateAnnotator(links, network.model, table)
+        for round_slots in (slots, slots[::-1], slots[::2]):
+            got_tiers, got_rates = batched.annotate(round_slots)
+            want_tiers, want_rates = stepwise.annotate(round_slots)
+            assert all(map(np.array_equal, got_tiers + got_rates, want_tiers + want_rates))
+            assert np.array_equal(batched._prev, stepwise._prev)

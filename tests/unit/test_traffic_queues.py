@@ -77,11 +77,19 @@ class TestServing:
         queues.serve_slot(np.array([0]), time=20)
         assert queues.delays == [11, 16]  # births 0 then 5, FIFO
 
-    def test_batches_coalesce_by_birth(self):
+    def test_same_birth_packets_leave_in_fifo_order(self):
+        """A batch of same-birth packets is one queue entry per packet: they
+        leave one per play, ahead of everything that arrived after them."""
         queues = LinkQueues(chain_links())
         queues.arrive(np.array([0, 5, 0]), time=0)
-        assert len(queues._fifo[0]) == 1  # one batch of five
-        assert queues.backlog[0] == 5
+        queues.arrive(np.array([0, 1, 1]), time=3)
+        assert queues.backlog[0] == 6
+        for t in range(4, 10):
+            assert queues.serve_slot(np.array([0, 1]), time=t) == (2 if t == 4 else 1)
+        assert queues.births == [0, 0, 0, 0, 0, 3]  # node 2's packet still queued
+        assert queues.delays == [5, 6, 7, 8, 9, 7]
+        assert queues.sources == [0] * 6
+        np.testing.assert_array_equal(queues.backlog, [1, 0])
 
 
 class TestConservation:
@@ -202,3 +210,45 @@ class TestRateServing:
         queues.arrive(np.array([0, 1, 0]), time=0)
         with pytest.raises(ValueError, match="negative"):
             queues.serve_slot(np.array([0]), time=0, rates=np.array([-1]))
+
+
+class TestMalformedRoundsLeaveQueuesUntouched:
+    """Every rejection happens before the first packet moves."""
+
+    @pytest.mark.parametrize(
+        "slot, rates, error, match",
+        [
+            ([0, 0], None, ValueError, "slot 0 lists link 0 more than once"),
+            ([1, 0, 1], [1, 1, 1], ValueError, "slot 0 lists link 1 more than once"),
+            ([0, 1], [1], ValueError, "align"),
+            ([0, 1], [2, -1], ValueError, "negative"),
+            ([0, 2], None, IndexError, "out of bounds"),
+        ],
+    )
+    @pytest.mark.parametrize("backlog", [1, 3])
+    def test_rejected_before_mutation(self, slot, rates, error, match, backlog):
+        queues = LinkQueues(chain_links())
+        queues.arrive(np.array([0, backlog, backlog]), time=0)
+        rates = None if rates is None else np.array(rates)
+        with pytest.raises(error, match=match):
+            queues.serve_slot(np.array(slot), 0, rates=rates)
+        with pytest.raises(error, match=match.replace("slot 0", "slot 1")):
+            queues.play(
+                [np.array([1]), np.array(slot)],
+                0,
+                10,
+                2,
+                None if rates is None else [np.array([1]), rates],
+            )
+        np.testing.assert_array_equal(queues.backlog, [backlog, backlog])
+        np.testing.assert_array_equal(queues.served_by_link, [0, 0])
+        assert queues.served_total == queues.plays_total == queues.delivered_total == 0
+        assert queues.delays == [] and queues.unusable_reason is None
+        # ... and the queues still serve.
+        assert queues.serve_slot(np.array([0, 1]), 0) == 2
+        queues.check_conservation()
+
+    def test_duplicate_in_a_slot_the_window_never_reaches_is_not_played(self):
+        queues = LinkQueues(chain_links())
+        queues.arrive(np.array([0, 2, 0]), time=0)
+        assert queues.play([np.array([0]), np.array([1, 1])], 0, 1, 0) == 1
