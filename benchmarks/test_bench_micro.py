@@ -408,16 +408,17 @@ def test_rate_path_evaluates_schedules_not_slots(monkeypatch):
     sessions, ``greedy_rate`` in a patch-policy ``ScheduleCache``, priced
     control, multi-rate serving), 1 + 11 epochs, with every call the
     interference oracle makes into ``repro.phy.sinr`` counted.  One *pass*
-    is a data/ACK pair of ``sinr_for_link_sets`` calls.  An epoch served
-    from a hit or a patch may make at most: the cached-rate read, the
+    is one ``sinr_for_link_sets`` call (both sub-slots of every slot).  An
+    epoch served from a patch may make at most: the cached-rate read, the
     standalone rates, the pass-3 capacity re-read and the serving
     annotation (4 passes), plus one pass per deficit link (one
     ``SlotArena.can_add_all`` each) — and **no** per-slot
     ``sinr_for_links`` call at all.  (Evaluating slot by slot
-    the same epochs made ~820 ``link_sinrs`` pairs each.)  Per-slot calls
+    the same epochs made ~820 ``link_sinrs`` pairs each.)  A hit makes
+    none: the annotator remembers the round it replays.  Per-slot calls
     remain only inside ``greedy_rate``'s candidate walk, which builds each
     *distinct* slot once: at most one per link, however long the schedule.
-    A ``patch_schedule`` call builds one ``SlotArena`` and no ``SlotState``.
+    A patch builds one ``SlotArena`` and no ``SlotState``.
     """
     from repro import rate_aware_scheduler
     from repro.phy import interference
@@ -448,16 +449,16 @@ def test_rate_path_evaluates_schedules_not_slots(monkeypatch):
     )
     monkeypatch.setattr(incremental, "SlotArena", counting(SlotArena, "arenas"))
     monkeypatch.setattr(SlotState, "__init__", counting(SlotState.__init__, "states"))
-    patch_schedule = incremental.patch_schedule
+    patch = incremental._patch
     patches = []
 
     def patching(*args, **kwargs):
         arenas, states = calls["arenas"], calls["states"]
-        patched = patch_schedule(*args, **kwargs)
+        patched = patch(*args, **kwargs)
         patches.append((calls["arenas"] - arenas, calls["states"] - states))
         return patched
 
-    monkeypatch.setattr(incremental, "patch_schedule", patching)
+    monkeypatch.setattr(incremental, "_patch", patching)
     monkeypatch.setattr(
         greedy_rate_module, "SlotState", counting(greedy_rate_module.SlotState, "built")
     )
@@ -484,9 +485,9 @@ def test_rate_path_evaluates_schedules_not_slots(monkeypatch):
         if record.cache_hit or record.patched:
             reused += 1
             assert spent["per_slot"] == 0
-            assert spent["sets"] <= 2 * (4 + spent["deficits"])
+            assert spent["sets"] <= 4 + spent["deficits"]
         if record.cache_hit:
-            assert spent["sets"] == 2  # the serving annotation alone
+            assert spent["sets"] == 0
     assert reused >= 6 and cache.stats.patches >= 4
     assert len(patches) >= cache.stats.patches
     assert set(patches) == {(1, 0)}  # (arenas, SlotStates) built per patch
@@ -495,6 +496,107 @@ def test_rate_path_evaluates_schedules_not_slots(monkeypatch):
     for built, length in packs:
         assert built <= links.n_links
         assert length >= 3 * built  # replication is live: most slots are copies
+
+
+def test_patch_seeds_slots_not_members(monkeypatch):
+    """A patch costs what changed, not what exists — as counts, not a wall
+    clock.
+
+    On the same ``sessions_patch_8x8`` pipeline, 1 + 19 epochs, with every
+    arena call a patch makes logged and every member handed to the SINR
+    kernel (``_slot_sinrs_flat``) counted:
+
+    * pass 1 re-seeds the kept slots with one ``SlotArena.seed`` call —
+      no ``open_slot`` and no per-member ``add`` before the first admission
+      test; fresh slots are seeded too, and a deficit link is admitted into
+      all its slots by one ``add``;
+    * the kernel sees, per patch, only the members of distinct slots that
+      the previous patch's schedule does not hold — the cached schedule's
+      when it was recomputed, the patched schedule's new slots and the
+      what-if lists (each the slot a tested link would join, plus it);
+    * an epoch answered by a cache hit evaluates no member at all: the
+      annotator remembers the round it replays.
+    """
+    from repro import rate_aware_scheduler
+    from repro.phy.interference import SlotSinrMemo
+    from repro.traffic import incremental
+
+    links, model, table = _sessions_mesh()
+    log: list = []
+    handed = {"members": 0}
+
+    def logged(name):
+        method = getattr(SlotArena, name)
+
+        def call(arena, *args):
+            log.append((name, args))
+            return method(arena, *args)
+
+        monkeypatch.setattr(SlotArena, name, call)
+
+    for name in ("seed", "open_slot", "add", "can_add_all"):
+        logged(name)
+    flat = PhysicalInterferenceModel._slot_sinrs_flat
+
+    def counted(self, heads, tails, slots):
+        handed["members"] += sum(map(len, slots))
+        return flat(self, heads, tails, slots)
+
+    monkeypatch.setattr(PhysicalInterferenceModel, "_slot_sinrs_flat", counted)
+    requested: list = []
+    read = SlotSinrMemo.__call__
+    monkeypatch.setattr(
+        SlotSinrMemo, "__call__", lambda memo, keys: requested.extend(keys) or read(memo, keys)
+    )
+
+    def tuples(schedule):
+        return set() if schedule is None else {tuple(slot.links) for slot in schedule.slots}
+
+    patch = incremental._patch
+    patches = []
+
+    def patching(cached, links, model, max_length, table, sinrs, alone):
+        del log[:], requested[:]
+        held = set(sinrs._seen)  # what the previous patch's schedule left
+        before = handed["members"]
+        patched = patch(cached, links, model, max_length, table, sinrs, alone)
+        fresh = tuples(cached) | tuples(patched)
+        patches.append((list(log), set(requested), fresh, held, handed["members"] - before))
+        return patched
+
+    monkeypatch.setattr(incremental, "_patch", patching)
+    epochs = []
+    _run_sessions(
+        links,
+        model,
+        table,
+        rate_aware_scheduler(model, table),
+        20,
+        lambda record: epochs.append((record, handed["members"])),
+    )
+
+    assert len(patches) >= 8
+    for calls, keys, fresh, held, members in patches:
+        names = [name for name, _ in calls]
+        assert "open_slot" not in names
+        first_test = names.index("can_add_all") if "can_add_all" in names else len(names)
+        assert names[:first_test] == ["seed"]
+        assert names.count("add") <= names.count("can_add_all")
+        # Every key read is a slot of the cached or patched schedule, or a
+        # what-if: some tested link appended to a slot.
+        candidates = {tuple(map(int, args)) for name, args in calls if name == "can_add_all"}
+        for key in keys - fresh:
+            assert (int(links.heads[key[-1]]), int(links.tails[key[-1]])) in candidates
+        assert members <= sum(len(key) for key in keys - held)
+
+    before = 0
+    hits = 0
+    for record, after in epochs:
+        if record.cache_hit:
+            hits += 1
+            assert after == before
+        before = after
+    assert hits >= 1
 
 
 def test_serve_plays_schedules_not_slots(monkeypatch):

@@ -166,10 +166,11 @@ class PhysicalInterferenceModel:
         )
         snd = np.asarray(heads, dtype=np.intp)[members]
         rcv = np.asarray(tails, dtype=np.intp)[members]
-        noise = self.radio.noise_mw
-        data = sinr_for_link_sets(self.power, snd, rcv, valid, noise, self.budget_mw)
-        ack = sinr_for_link_sets(self.power, rcv, snd, valid, noise, self.budget_mw)
-        return np.minimum(data, ack)[valid], ends
+        # Both sub-slots in one batch of independent sets: the data sets, then
+        # the ACK sets (sender and receiver swapped).
+        tx, rx, on = np.vstack((snd, rcv)), np.vstack((rcv, snd)), np.vstack((valid, valid))
+        both = sinr_for_link_sets(self.power, tx, rx, on, self.radio.noise_mw, self.budget_mw)
+        return np.minimum(both[: len(slots)], both[len(slots) :])[valid], ends
 
     def slot_sinrs(
         self, heads: np.ndarray, tails: np.ndarray, slots
@@ -294,3 +295,35 @@ class PhysicalInterferenceModel:
             total = carrier_sense_power(self.power, tx, self.n_nodes)
             total[tx] = np.inf  # own transmission always "sensed"
         return total >= self.radio.cs_threshold_mw
+
+
+class SlotSinrMemo:
+    """:meth:`PhysicalInterferenceModel.slot_sinrs` evaluating each distinct
+    slot once, keyed by its ordered member tuple (link indices into
+    ``heads`` / ``tails``).  A remembered entry is what a fresh call would
+    return, bit for bit: a slot's row of ``sinr_for_link_sets`` equals
+    ``sinr_for_links`` on that slot whatever else shares the batch.  Bound
+    to one model (a budgeted oracle gets its own memo); :meth:`keep` drops
+    all but the slots still in play, so it holds O(schedule) entries.
+    """
+
+    def __init__(self, model: PhysicalInterferenceModel, heads, tails):
+        self._model = model
+        self._heads = heads
+        self._tails = tails
+        self._seen: dict[tuple[int, ...], np.ndarray] = {}
+
+    def __call__(self, keys: list[tuple[int, ...]]) -> list[np.ndarray]:
+        """``min(data, ACK)`` SINR per member of every keyed slot, the
+        slots not seen before evaluated in one batch."""
+        seen = self._seen
+        missing = list(dict.fromkeys(key for key in keys if key not in seen))
+        if missing:
+            worst, ends = self._model._slot_sinrs_flat(self._heads, self._tails, missing)
+            seen.update(zip(missing, split_at(worst, ends)))
+        return [seen[key] for key in keys]
+
+    def keep(self, keys) -> None:
+        """Forget every entry but those of ``keys``."""
+        seen = self._seen
+        self._seen = {key: seen[key] for key in keys if key in seen}

@@ -33,6 +33,8 @@ always agree — without rebuilding an incidence matrix per test.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from repro.phy.interference import PhysicalInterferenceModel
@@ -214,7 +216,7 @@ class SlotArena:
       feasible at admission time and additions only recheck — it cannot
       flip: the verdict is bit-identical to the dense one.  That
       member-feasibility invariant is the callers' to keep, since
-      :meth:`open_slot` and :meth:`add` insert unconditionally: greedy
+      :meth:`seed` and :meth:`add` insert unconditionally: greedy
       packing and fresh slots screen with :func:`feasible_alone`, a patch
       seeds slots only with subsets of feasible cached slots (removals
       lower interference), and ``reconcile_round`` masks the verdict of
@@ -317,76 +319,130 @@ class SlotArena:
         self._bind()
 
     def open_slot(self, sender: int, receiver: int) -> int:
-        """Append a fresh slot seeded with one member; return its index.
+        """Append a fresh slot seeded with one member; return its index
+        (:meth:`seed` of one slot).
 
         The insert is unconditional — callers screen the link with
         :func:`feasible_alone` first, which is what keeps the
         member-feasibility invariant the sparse path relies on.
         """
-        if self._use_sparse:
-            self._ensure_slot_capacity(self.n_slots + 1)
         j = self.n_slots
-        self.n_slots += 1
-        self._slot_rows.append([])
-        self.add(j, sender, receiver)
+        self.seed([j], [sender], [receiver])
         return j
 
-    def add(self, slot: int, sender: int, receiver: int) -> None:
-        """Admit the link to a slot unconditionally (caller pre-approved).
+    def seed(self, slot_of, senders, receivers) -> None:
+        """Append whole slots, untested: link ``senders[i] -> receivers[i]``
+        joins slot ``slot_of[i]``, which runs ``n_slots, n_slots + 1, ...``
+        without gaps, each slot's members in admission order.
 
-        Mirrors :meth:`SlotState.add` bit-for-bit: existing members' sums
-        grow element-wise by the newcomer's contribution, and the
-        newcomer's own sums accumulate over members in admission order
-        (single-bucket ``bincount`` — C-loop sequential, the same order the
-        scalar loop adds in; on the sparse path the slot tables have been
-        running that very sum since the slot opened).
+        Bit for bit :meth:`open_slot` of each slot's first member and
+        :meth:`add` of the rest, in turn.  There member ``p``'s sums are the
+        left fold ``0.0 + x_0 + x_1 + ...`` of the other members' powers in
+        admission order: the ``bincount`` at its admission, then one ``+=``
+        per later member.  Dense, that fold is one ``(slots, K, K)`` gather
+        with the diagonal and the padding set to an exact ``0.0``, summed
+        column by column — ``x + 0.0 == x`` for the non-negative partial
+        sums.  Sparse, each member is folded into the slot tables in turn.
+        """
+        slots = np.asarray(slot_of, dtype=np.intp).tolist()
+        if not slots:
+            return
+        first = self.n_slots
+        self.n_slots = slots[-1] + 1
+        self._slot_rows.extend([] for _ in range(self.n_slots - first))
+        if self._use_sparse:
+            self._ensure_slot_capacity(self.n_slots)
+            for j, s, r in zip(slots, *np.asarray([senders, receivers]).tolist()):
+                self.add(j, s, r)
+            return
+        self._ensure_capacity(len(slots))
+        if len(slots) == self.n_slots - first:  # singletons hear nobody
+            self._append(slots, senders, receivers, 0.0, 0.0)
+            return
+        snd = np.asarray(senders, dtype=np.intp)
+        rcv = np.asarray(receivers, dtype=np.intp)
+        at = np.asarray(slots, dtype=np.intp) - first
+        sizes = np.bincount(at)
+        width = int(sizes.max())
+        # Slot j's member at position p is grid[j, p]; padding reads member
+        # 0 and is masked out with the diagonal (a member's own signal).
+        pos = np.arange(at.size) - (np.cumsum(sizes) - sizes)[at]
+        grid = np.zeros((sizes.size, width), dtype=np.intp)
+        grid[at, pos] = np.arange(at.size)
+        live = np.arange(width) < sizes[:, None]
+        pair = live[:, None, :] & live[:, :, None] & ~np.eye(width, dtype=bool)
+        gs, gr = snd[grid], rcv[grid]
+        # [j, p, q]: member q's data at member p's receiver, its ACK at p's sender.
+        p = self._power
+        data = np.where(pair, p[gs[:, None, :], gr[:, :, None]], 0.0)
+        ack = np.where(pair, p[gr[:, None, :], gs[:, :, None]], 0.0)
+        di = np.zeros(grid.shape)
+        ai = np.zeros(grid.shape)
+        for q in range(width):
+            di += data[:, :, q]
+            ai += ack[:, :, q]
+        self._append(slots, snd, rcv, di[at, pos], ai[at, pos])
+
+    def _append(self, slots: list[int], senders, receivers, di, ai) -> None:
+        """Write one member row per entry of ``slots`` (capacity ensured)."""
+        new = slice(self._m, self._m + len(slots))
+        self._slot_id[new] = slots
+        self._msnd[new] = senders
+        self._mrcv[new] = receivers
+        self._di[new] = di
+        self._ai[new] = ai
+        self._m = new.stop
+        for j, row in zip(slots, range(new.start, new.stop)):
+            self._slot_rows[j].append(row)
+
+    def add(self, slot, sender: int, receiver: int) -> None:
+        """Admit the link to a slot, or to several distinct slots at once,
+        unconditionally (caller pre-approved).
+
+        Mirrors :meth:`SlotState.add` per slot, bit for bit: existing
+        members' sums grow element-wise by the newcomer's contribution, and
+        the newcomer's own sums accumulate over members in admission order
+        (a ``bincount`` keyed by slot — C-loop sequential per bin, the order
+        the scalar loop adds in; on the sparse path the slot tables have
+        been running that very sum since the slot opened).
 
         Raises ``ValueError`` on the sparse path if an endpoint already
-        sends or receives in the slot: the slot tables hold one member per
-        node per slot.
+        sends or receives in a slot (before writing to that slot): the slot
+        tables hold one member per node per slot.
         """
-        p = self._power
-        rows = self._slot_rows[slot]
-        self._ensure_capacity()
-        row = self._m
+        into = np.atleast_1d(slot).tolist()
+        self._ensure_capacity(len(into))
         if self._use_sparse:
-            new_di, new_ai = self._scatter(slot, row, sender, receiver)
-        elif rows:
-            r = np.asarray(rows, dtype=np.intp)
-            ms = self._msnd[r]
-            mr = self._mrcv[r]
-            # One fused gather for all four member/newcomer power reads —
-            # a pure gather, so splitting it differently never changes a
-            # value, and the bincount sums below keep their exact order.
-            k = r.size
-            grows = np.empty(4 * k, dtype=np.intp)
-            gcols = np.empty(4 * k, dtype=np.intp)
-            grows[:k] = sender
-            gcols[:k] = mr
-            grows[k : 2 * k] = receiver
-            gcols[k : 2 * k] = ms
-            grows[2 * k : 3 * k] = ms
-            gcols[2 * k : 3 * k] = receiver
-            grows[3 * k :] = mr
-            gcols[3 * k :] = sender
-            vals = p[grows, gcols]
-            self._di[r] += vals[:k]
-            self._ai[r] += vals[k : 2 * k]
-            zero = np.zeros(k, dtype=np.intp)
-            new_di = float(
-                np.bincount(zero, weights=vals[2 * k : 3 * k], minlength=1)[0]
-            )
-            new_ai = float(np.bincount(zero, weights=vals[3 * k :], minlength=1)[0])
-        else:
-            new_di = 0.0
-            new_ai = 0.0
-        self._slot_id[row] = slot
-        self._msnd[row] = sender
-        self._mrcv[row] = receiver
-        self._di[row] = new_di
-        self._ai[row] = new_ai
-        self._m += 1
-        rows.append(row)
+            for j in into:
+                sums = self._scatter(j, self._m, sender, receiver)
+                self._append([j], sender, receiver, *sums)
+            return
+        held = [self._slot_rows[j] for j in into]
+        sizes = [len(rows) for rows in held]
+        k = sum(sizes)
+        r = np.fromiter(chain.from_iterable(held), dtype=np.intp, count=k)
+        ms = self._msnd[r]
+        mr = self._mrcv[r]
+        # One fused gather for all four member/newcomer power reads — a
+        # pure gather, so splitting it differently never changes a value,
+        # and the bincount sums below keep their exact order.
+        grows = np.empty(4 * k, dtype=np.intp)
+        gcols = np.empty(4 * k, dtype=np.intp)
+        grows[:k] = sender
+        gcols[:k] = mr
+        grows[k : 2 * k] = receiver
+        gcols[k : 2 * k] = ms
+        grows[2 * k : 3 * k] = ms
+        gcols[2 * k : 3 * k] = receiver
+        grows[3 * k :] = mr
+        gcols[3 * k :] = sender
+        vals = self._power[grows, gcols]
+        self._di[r] += vals[:k]
+        self._ai[r] += vals[k : 2 * k]
+        key = np.repeat(np.arange(len(into)), sizes)
+        new_di = np.bincount(key, weights=vals[2 * k : 3 * k], minlength=len(into))
+        new_ai = np.bincount(key, weights=vals[3 * k :], minlength=len(into))
+        self._append(into, sender, receiver, new_di, new_ai)
 
     def _scatter(
         self, slot: int, row: int, sender: int, receiver: int

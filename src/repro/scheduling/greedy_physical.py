@@ -133,13 +133,13 @@ def _pack(
         # the precomputed verdicts match the incremental slot-by-slot scan.
         if arena.n_slots:
             admits = np.flatnonzero(arena.can_add_all(sender, receiver))[:remaining]
+            arena.add(admits, sender, receiver)
             for j in admits.tolist():
-                arena.add(j, sender, receiver)
                 slots[j].append(k)
             remaining -= admits.size
-        for _ in range(remaining):
-            arena.open_slot(sender, receiver)
-            slots.append([k])
+        fresh = len(slots) + np.arange(remaining)
+        arena.seed(fresh, [sender] * remaining, [receiver] * remaining)
+        slots.extend([k] for _ in range(remaining))
     return [Slot(links=members) for members in slots]
 
 

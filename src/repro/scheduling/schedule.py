@@ -9,6 +9,7 @@ member link, so a link with demand ``d`` must appear in ``d`` distinct slots.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -23,7 +24,7 @@ class Slot:
     links: list[int] = field(default_factory=list)
 
     def __contains__(self, link_index: int) -> bool:
-        return link_index in set(self.links)
+        return link_index in self.links
 
     def __len__(self) -> int:
         return len(self.links)
@@ -60,11 +61,10 @@ class Schedule:
 
     def allocations(self) -> np.ndarray:
         """Number of slots in which each link appears (per link index)."""
-        counts = np.zeros(self.link_set.n_links, dtype=np.int64)
-        for slot in self.slots:
-            for k in slot.links:
-                counts[k] += 1
-        return counts
+        members = np.fromiter(
+            chain.from_iterable(slot.links for slot in self.slots), dtype=np.intp
+        )
+        return np.bincount(members, minlength=self.link_set.n_links).astype(np.int64)
 
     def satisfies_demand(self) -> bool:
         """Does every link appear in at least ``demand`` slots?"""

@@ -42,7 +42,7 @@ from repro.core.controlplane import ControlLedger, ControlPlaneModel, forest_dep
 from repro.core.timing import TimingModel
 from repro.obs import Obs, phase
 from repro.obs import spans as obs_spans
-from repro.phy.interference import PhysicalInterferenceModel
+from repro.phy.interference import PhysicalInterferenceModel, SlotSinrMemo
 from repro.phy.radio import RateTable
 from repro.phy.truth import TruthReport
 from repro.scheduling.greedy_physical import greedy_physical
@@ -445,9 +445,7 @@ class RateAnnotator:
         table: RateTable,
     ):
         self.table = table
-        self._model = model
-        self._heads = links.heads
-        self._tails = links.tails
+        self._sinrs = SlotSinrMemo(model, links.heads, links.tails)
         self._prev = np.full(links.n_links, -1, dtype=np.int64)
 
     def annotate(
@@ -456,7 +454,10 @@ class RateAnnotator:
         """Per-slot (tiers, rates) arrays for one round, updating state.
 
         The round's SINRs come from one schedule-wide pass (slots are
-        independent).  Hysteresis runs in slot order — a link that sits in
+        independent) over the slots the previous round did not hold: a
+        memo keyed by member tuple keeps the latest round's values, so a
+        replayed schedule costs no SINR evaluation at all.  Hysteresis
+        runs in slot order — a link that sits in
         several slots of the round carries the tier it was granted in one
         slot into the next — so tiers are selected by occurrence rank: every
         link's first appearance in one ``select``, then every second, …: as
@@ -466,9 +467,10 @@ class RateAnnotator:
         if not slot_links:
             return [], []
         table = self.table
-        sinrs = self._model.slot_sinrs(self._heads, self._tails, slot_links)
+        keys = [tuple(idx.tolist()) for idx in slot_links]
+        worst = np.concatenate(self._sinrs(keys))
+        self._sinrs.keep(keys)
         members = np.concatenate(slot_links).astype(np.intp, copy=False)
-        worst = np.concatenate(sinrs)
         passes = [slice(None)]  # a repeated link keeps its last slot's tier
         if table.hysteresis != 1.0 and members.size:
             # nth[i]: how many earlier entries of the round list member i's link.

@@ -48,12 +48,13 @@ from itertools import chain
 import numpy as np
 
 from repro.obs import phase
-from repro.phy.interference import PhysicalInterferenceModel
+from repro.phy.interference import PhysicalInterferenceModel, SlotSinrMemo
 from repro.scheduling.feasibility import SlotArena, feasible_alone
 from repro.scheduling.greedy_rate import standalone_rates
 from repro.scheduling.links import LinkSet
 from repro.scheduling.schedule import Schedule, Slot
 from repro.traffic.epoch import EpochSchedule, EpochSchedulerFn
+from repro.util.ranges import split_at
 
 #: Rescheduling policies understood by the epoch loop.
 #:
@@ -167,78 +168,81 @@ def patch_schedule(
     the epoch's playable window could not even serve every link once.  The
     cached schedule is never mutated.
     """
+    sinrs = alone = None
+    if table is not None:
+        sinrs = SlotSinrMemo(model, links.heads, links.tails)
+        alone = standalone_rates(links, model, table)
+    return _patch(cached, links, model, max_length, table, sinrs, alone)
+
+
+def _patch(cached, links, model, max_length, table, sinrs, alone) -> Schedule | None:
+    """:func:`patch_schedule` reading SINRs through the memo ``sinrs`` and
+    fresh-slot grants from ``alone`` (both unused without a ``table``)."""
     if cached.link_set.n_links != links.n_links:
         raise ValueError(
             f"cannot patch a schedule for {cached.link_set.n_links} links "
             f"onto a {links.n_links}-link set; the link universe must be fixed"
         )
     demand = np.asarray(links.demand, dtype=np.int64)
-
-    # Value of every cached membership, in packets (all ones when rate-
-    # blind).  Computed against the *cached* member sets once, up front.
     heads, tails = links.heads, links.tails
-    if table is None:
-        cached_rates = [np.ones(len(slot), dtype=np.int64) for slot in cached.slots]
-    else:
-        cached_rates = model.slot_rates(
-            heads, tails, [slot.links for slot in cached.slots], table
-        )
-        alone = standalone_rates(links, model, table)
+
+    def rates(keys: list[tuple[int, ...]]) -> np.ndarray:
+        """Packets per slot of every membership of ``keys``, flat: all ones
+        when rate-blind, else :meth:`PhysicalInterferenceModel.slot_rates`."""
+        if table is None or not keys:
+            return np.ones(sum(map(len, keys)), dtype=np.int64)
+        return table.rates[np.maximum(table.tier_for(np.concatenate(sinrs(keys))), 0)]
 
     # 1. Keep memberships until each link's demand is covered, earliest
     #    slots first (greedy packed the earliest slots densest; trimming
-    #    from the tail preserves that structure), seeding one arena slot
-    #    per surviving cached slot — untested, in cached order, so every
-    #    interference sum accumulates as it did when the slot was built.
-    keep_budget = demand.copy()
+    #    from the tail preserves that structure).  Each membership is worth
+    #    its *cached* slot's rate — and every rate is >= 1, so a link keeps
+    #    the prefix of its slot-ordered memberships whose exclusive running
+    #    value is still short of its demand: one stable sort and a
+    #    segmented cumsum.  The survivors seed the arena in one call —
+    #    untested, in cached order, so every interference sum accumulates
+    #    as it did when the slot was built.
+    keys = [tuple(slot.links) for slot in cached.slots]
+    member = np.fromiter(chain.from_iterable(keys), dtype=np.intp)
+    value = rates(keys)
+    by_link = np.argsort(member, kind="stable")
+    before = np.cumsum(value[by_link]) - value[by_link]
+    first = np.diff(member[by_link], prepend=-1) != 0
+    before -= before[first][np.cumsum(first) - 1]
+    keep = np.empty(member.size, dtype=bool)
+    keep[by_link] = before < demand[member[by_link]]
+    allocated = np.bincount(member[keep], value[keep], links.n_links).astype(np.int64)
+    of_slot = np.repeat(np.arange(len(keys)), [len(key) for key in keys])
+    held = np.unique(of_slot[keep], return_counts=True)[1]  # per surviving slot
+    kept = member[keep]
     arena = SlotArena(model)
-    slots: list[Slot] = []
-    allocated = np.zeros(links.n_links, dtype=np.int64)
-    for slot, slot_rates in zip(cached.slots, cached_rates):
-        kept = [
-            (k, int(rate))
-            for k, rate in zip(slot.links, slot_rates)
-            if keep_budget[k] > 0
-        ]
-        if not kept:
-            continue
-        new_slot = Slot()
-        for k, rate in kept:
-            if len(new_slot):
-                arena.add(len(slots), int(heads[k]), int(tails[k]))
-            else:
-                arena.open_slot(int(heads[k]), int(tails[k]))
-            new_slot.add(k)
-            keep_budget[k] -= rate
-            allocated[k] += rate
-        slots.append(new_slot)
+    arena.seed(np.repeat(np.arange(held.size), held), heads[kept], tails[kept])
+    slots = [Slot(members) for members in split_at(kept.tolist(), np.cumsum(held).tolist())]
 
     fits_alone = feasible_alone(model, heads, tails)
 
     def cover_with_fresh_slots(k: int, remaining: int) -> bool:
-        """Open singleton slots for ``k`` until ``remaining`` packets are
-        covered; False when the patch must be abandoned."""
-        if remaining > 0 and not fits_alone[k]:
+        """Open the ``⌈remaining / grant⌉`` singleton slots ``k`` needs;
+        False when the patch must be abandoned."""
+        if remaining <= 0:
+            return True
+        if not fits_alone[k]:
             return False  # infeasible even alone: not a communication edge
         # Alone in its slot the link is granted its standalone rate (the
         # screen established membership, so the base tier is the floor).
         grant = 1 if table is None else max(int(alone[k]), table.base_rate)
-        while remaining > 0:
-            arena.open_slot(int(heads[k]), int(tails[k]))
-            slot = Slot()
-            slot.add(k)
-            slots.append(slot)
-            remaining -= grant
-            if max_length is not None and len(slots) > max_length:
-                return False  # packing degraded past the playable window
+        fresh = -(-remaining // grant)
+        if max_length is not None and len(slots) + fresh > max_length:
+            return False  # packing degraded past the playable window
+        arena.seed(len(slots) + np.arange(fresh), [heads[k]] * fresh, [tails[k]] * fresh)
+        slots.extend(Slot([k]) for _ in range(fresh))
         return True
 
     # 2. Greedily insert each link's remaining demand (largest deficit
     #    first: the hardest-to-serve links get first pick of the room),
     #    opening fresh slots for the overflow.
     deficit = demand - allocated
-    for k in sorted(np.flatnonzero(deficit > 0), key=lambda k: -int(deficit[k])):
-        k = int(k)
+    for k in sorted(np.flatnonzero(deficit > 0).tolist(), key=lambda k: -int(deficit[k])):
         sender, receiver = int(heads[k]), int(tails[k])
         remaining = int(deficit[k])
         # One batched admission pass and one batched rate read, both before
@@ -248,23 +252,19 @@ def patch_schedule(
         # first ``remaining`` admitting slots are all this link can use.  A
         # slot already containing ``k`` shares both endpoints and is
         # rejected by the mask.
-        admits = np.flatnonzero(arena.can_add_all(sender, receiver))[:remaining]
-        if table is None:
-            grants = [1] * admits.size
-        else:
-            # The newest member is last in each what-if member list.
-            grants = [
-                int(rates[-1])
-                for rates in model.slot_rates(
-                    heads, tails, [[*slots[j].links, k] for j in admits], table
-                )
-            ]
+        admits = np.flatnonzero(arena.can_add_all(sender, receiver))[:remaining].tolist()
+        # The newest member is last in each what-if member list.
+        whatif = [(*slots[j].links, k) for j in admits]
+        grants = rates(whatif)[np.cumsum([len(key) for key in whatif], dtype=np.intp) - 1]
+        into = []
         for j, granted in zip(admits, grants):
             if remaining <= 0:
                 break
-            arena.add(int(j), sender, receiver)
+            into.append(j)
             slots[j].add(k)
-            remaining -= granted
+            remaining -= int(granted)
+        if into:
+            arena.add(into, sender, receiver)
         if not cover_with_fresh_slots(k, remaining):
             return None
 
@@ -273,19 +273,13 @@ def patch_schedule(
     #    from the final member sets; cover any shortfall with fresh slots
     #    (which degrade nothing), so a single round suffices.
     if table is not None:
-        capacity = np.zeros(links.n_links, dtype=np.int64)
-        if slots:
-            members = [slot.links for slot in slots]
-            np.add.at(
-                capacity,
-                np.fromiter(chain.from_iterable(members), dtype=np.intp),
-                np.concatenate(model.slot_rates(heads, tails, members, table)),
-            )
-        shortfall = demand - capacity
+        keys = [tuple(slot.links) for slot in slots]
+        members = np.fromiter(chain.from_iterable(keys), dtype=np.intp)
+        shortfall = demand - np.bincount(members, rates(keys), links.n_links).astype(np.int64)
         for k in sorted(
-            np.flatnonzero(shortfall > 0), key=lambda k: -int(shortfall[k])
+            np.flatnonzero(shortfall > 0).tolist(), key=lambda k: -int(shortfall[k])
         ):
-            if not cover_with_fresh_slots(int(k), int(shortfall[k])):
+            if not cover_with_fresh_slots(k, int(shortfall[k])):
                 return None
 
     if max_length is not None and len(slots) > max_length:
@@ -362,6 +356,9 @@ class ScheduleCache:
         self._model = model
         self._epoch_slots = epoch_slots
         self._rate_table = rate_table
+        # The patches' SINR memo and standalone rates (see _patch).
+        self._sinrs: SlotSinrMemo | None = None
+        self._alone: np.ndarray | None = None
         self._cached: EpochSchedule | None = None
         self._baseline: np.ndarray | None = None
         self._ledger = None
@@ -425,6 +422,21 @@ class ScheduleCache:
         headroom = self._epoch_slots / self._cached.schedule.length
         return self.drift_threshold * max(1.0, headroom)
 
+    def _patch(self, links: LinkSet) -> Schedule | None:
+        """:func:`patch_schedule` of the cached schedule, every SINR read
+        through this cache's memo, which then keeps only the patched
+        schedule's slots; standalone rates are computed once."""
+        table = self._rate_table
+        if table is not None and self._sinrs is None:  # the link universe is fixed
+            self._sinrs = SlotSinrMemo(self._model, links.heads, links.tails)
+            self._alone = standalone_rates(links, self._model, table)
+        args = (self._model, self._epoch_slots, table, self._sinrs, self._alone)
+        patched = _patch(self._cached.schedule, links, *args)
+        kept = [] if patched is None else patched.slots
+        if self._sinrs is not None:
+            self._sinrs.keep(tuple(slot.links) for slot in kept)
+        return patched
+
     def _book(self, outcome: str) -> None:
         if self._obs is not None:
             self._obs.counter("cache.requests", 1, **self._obs_labels)
@@ -452,13 +464,7 @@ class ScheduleCache:
                 with phase(
                     self._obs, "incremental.patch", epoch=epoch, **self._obs_labels
                 ):
-                    patched = patch_schedule(
-                        self._cached.schedule,
-                        links,
-                        self._model,
-                        max_length=self._epoch_slots,
-                        table=self._rate_table,
-                    )
+                    patched = self._patch(links)
                 if patched is not None:
                     planned = EpochSchedule(patched, overhead_seconds=0.0)
                     if self._ledger is not None:

@@ -1,0 +1,228 @@
+"""The slot arena's bulk entries against the one-member calls they replace.
+
+``SlotArena.seed`` appends whole slots in one pass and ``SlotArena.add``
+admits one link into several slots at once.  Both are execution orders, not
+new arithmetic: the arena they leave must be the one ``open_slot`` + ``add``
+of every member in turn leaves — every dense column (slot id, sender,
+receiver, data / ACK interference sums) to the bit, every slot's member
+list, and every later admission verdict.  On a sparse power matrix the same
+entry points fold member by member into the slot tables, and must agree
+with the dense arena and the scalar ``SlotState`` oracle.
+
+The dense fold is only order-sensitive once a sum has eight terms (numpy
+sums shorter runs sequentially whatever the method), so slots here hold up
+to eight members and the scalar oracle is checked after every step.
+Folding the newcomer's own sums in ``add`` pairwise (``ndarray.sum`` per
+slot) instead of by ``bincount`` fails
+``test_add_into_several_slots_equals_add_per_slot``; reducing the gather of
+``seed`` with ``sum(axis=2)`` instead of column by column fails both dense
+tests.
+"""
+
+import math
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from repro.phy.interference import PhysicalInterferenceModel
+from repro.phy.propagation import LogDistancePathLoss
+from repro.phy.radio import RadioConfig
+from repro.phy.sparse import sparse_gain_model
+from repro.scheduling import feasibility
+from repro.scheduling.feasibility import SlotArena, SlotState, feasible_alone
+
+COLUMNS = ("_slot_id", "_msnd", "_mrcv", "_di", "_ai")
+
+
+@st.composite
+def bulk_instance(draw):
+    """A random deployment with heterogeneous transmit power, one sparse and
+    one equivalent dense model (optionally budgeted), and slots of 1-8
+    node-disjoint links each, in admission order."""
+    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
+    n = draw(st.integers(min_value=16, max_value=40))
+    cutoff = draw(st.sampled_from([None, 150.0, math.inf]))  # None: CS radius
+    budget_kind = draw(st.sampled_from(["none", "floor", "extra"]))
+    sizes = draw(st.lists(st.integers(min_value=1, max_value=8), min_size=1, max_size=8))
+    rng = np.random.default_rng(seed)
+    radio = RadioConfig()
+    positions = rng.uniform(0, np.sqrt(n) * 45.0, size=(n, 2))
+    tx = 10 ** (12.0 / 10.0) * rng.uniform(0.5, 1.5, size=n)
+    sparse = sparse_gain_model(
+        positions,
+        tx,
+        LogDistancePathLoss(alpha=3.0),
+        radio,
+        cutoff_m=cutoff,
+        far_field="none" if budget_kind == "none" else "packing",
+    )
+    budget = sparse.floor_mw
+    if budget_kind == "extra":
+        extra = rng.uniform(0.0, 2.0 * radio.noise_mw, size=n)
+        budget = extra if budget is None else budget + extra
+    sparse_model = PhysicalInterferenceModel(sparse.power, radio, budget)
+    dense_model = PhysicalInterferenceModel(sparse.power.toarray(), radio, budget)
+    slots = []
+    for size in sizes:
+        nodes = rng.choice(n, size=2 * size, replace=False).tolist()
+        slots.append(list(zip(nodes[:size], nodes[size:])))
+    return sparse_model, dense_model, slots, rng
+
+
+def flat(slots, first):
+    """``seed`` arguments for ``slots`` appended after ``first`` open slots."""
+    slot_of = [first + j for j, members in enumerate(slots) for _ in members]
+    senders = [s for members in slots for s, _ in members]
+    receivers = [r for members in slots for _, r in members]
+    return slot_of, senders, receivers
+
+
+def one_at_a_time(arena, slots):
+    """``open_slot`` for each slot's first member, ``add`` for the rest."""
+    for (s, r), *rest in slots:
+        j = arena.open_slot(s, r)
+        for s, r in rest:
+            arena.add(j, s, r)
+
+
+def bits(values):
+    return np.ascontiguousarray(values, dtype=float).view(np.int64).tolist()
+
+
+def assert_same_arena(ours, theirs, candidates):
+    """Every column to the bit, every slot's members, every verdict."""
+    assert (ours.n_slots, ours.n_members) == (theirs.n_slots, theirs.n_members)
+    m = ours.n_members
+    for name in COLUMNS:
+        assert bits(getattr(ours, name)[:m]) == bits(getattr(theirs, name)[:m]), name
+    assert ours._slot_rows == theirs._slot_rows
+    for j in range(ours.n_slots):
+        for a, b in zip(ours.members(j), theirs.members(j)):
+            assert a.tolist() == b.tolist()
+    for s, r in candidates:
+        assert ours.can_add_all(s, r).tolist() == theirs.can_add_all(s, r).tolist()
+
+
+def assert_sums_equal_states(arena, states):
+    """Same slots and members as the scalar oracle, and — bit for bit — the
+    interference sums ``SlotState.add`` accumulated."""
+    assert len(arena) == len(states)
+    for j, state in enumerate(states):
+        snd, rcv = arena.members(j)
+        assert (snd.tolist(), rcv.tolist()) == (state.senders, state.receivers)
+        rows = arena._slot_rows[j]
+        assert bits(arena._di[rows]) == bits(state._data_interf)
+        assert bits(arena._ai[rows]) == bits(state._ack_interf)
+
+
+def states_for(model, slots):
+    states = []
+    for members in slots:
+        states.append(SlotState(model))
+        for s, r in members:
+            states[-1].add(s, r)
+    return states
+
+
+def candidates_for(slots, rng, n):
+    """Every member link again, and as many random node pairs."""
+    links = [link for members in slots for link in members]
+    pairs = rng.integers(0, n, size=(len(links), 2)).tolist()
+    return links + [tuple(pair) for pair in pairs]
+
+
+@given(bulk_instance(), st.integers(min_value=0, max_value=3), st.sampled_from([1, 3, 256]))
+@settings(max_examples=100, deadline=None)
+def test_seed_equals_open_slot_then_add_in_turn(instance, opened, capacity):
+    """Dense: ``seed`` after ``opened`` slots built one member at a time
+    (capacity 1 regrows the columns inside the seed)."""
+    _, model, slots, rng = instance
+    before, bulk = slots[:opened], slots[opened:]
+    one, many = SlotArena(model, capacity=capacity), SlotArena(model, capacity=capacity)
+    for arena in (one, many):
+        one_at_a_time(arena, before)
+    one_at_a_time(one, bulk)
+    many.seed(*flat(bulk, many.n_slots))
+    assert_same_arena(many, one, candidates_for(slots, rng, model.n_nodes))
+    assert_sums_equal_states(many, states_for(model, slots))
+
+
+@given(bulk_instance(), st.sampled_from([1, 3, 256]))
+@settings(max_examples=100, deadline=None)
+def test_add_into_several_slots_equals_add_per_slot(instance, capacity):
+    """Dense: one link into several distinct slots, in any order, in one
+    call ≡ one ``add`` per slot in that order ≡ ``SlotState.add`` per slot
+    (whose own sum over a full slot is the first with eight terms)."""
+    _, model, slots, rng = instance
+    one, many = SlotArena(model, capacity=capacity), SlotArena(model, capacity=capacity)
+    for arena in (one, many):
+        arena.seed(*flat(slots, 0))
+    states = states_for(model, slots)
+    candidates = candidates_for(slots, rng, model.n_nodes)
+    for s, r in candidates[: 2 * len(slots)]:
+        into = rng.permutation(one.n_slots)[: rng.integers(1, one.n_slots + 1)].tolist()
+        for j in into:
+            one.add(j, s, r)
+            states[j].add(s, r)
+        many.add(into, s, r)
+        assert_same_arena(many, one, candidates[:4])
+        assert_sums_equal_states(many, states)
+    assert_same_arena(many, one, candidates)
+
+
+def feasible_round(model, slots):
+    """``slots`` cut down to what first-fit packing under the scalar oracle
+    admits: every link that decodes alone, into the first slot that keeps
+    every member feasible — the kind of round a patch seeds from."""
+    links = [link for members in slots for link in members]
+    heads, tails = (np.array(side, dtype=np.intp) for side in zip(*links))
+    packed: list[SlotState] = []
+    for s, r, alone in zip(heads.tolist(), tails.tolist(), feasible_alone(model, heads, tails)):
+        if not alone:
+            continue
+        for state in packed:
+            if state.try_add(s, r):
+                break
+        else:
+            packed.append(SlotState(model))
+            packed[-1].add(s, r)
+    return packed
+
+
+@given(bulk_instance(), st.integers(min_value=0, max_value=2**31 - 1))
+@settings(max_examples=100, deadline=None)
+def test_sparse_bulk_entries_agree_with_dense_and_slotstate(instance, seed):
+    """The patch access pattern through the bulk entries on all three arenas
+    (sparse, dense, sparse regrown from capacity 1 on both axes): feasible
+    slots thinned at random are seeded in one call, then links are admitted
+    into several admitting slots at once — sums ≡ ``SlotState`` after each."""
+    sparse_model, dense_model, slots, _ = instance
+    rng = np.random.default_rng(seed)
+    packed = feasible_round(dense_model, slots)
+    states = []
+    for state in packed:
+        kept = [m for m in zip(state.senders, state.receivers) if rng.random() < 0.7]
+        if kept:
+            states.append(SlotState(dense_model))
+            for s, r in kept:
+                states[-1].add(s, r)
+    with mock.patch.object(feasibility, "_SLOT_CAPACITY", 1):
+        regrown = SlotArena(sparse_model, capacity=1)
+    arenas = [SlotArena(sparse_model), SlotArena(dense_model), regrown]
+    seeded = [list(zip(state.senders, state.receivers)) for state in states]
+    for arena in arenas:
+        arena.seed(*flat(seeded, 0))
+        assert_sums_equal_states(arena, states)
+    for state in packed:
+        for s, r in zip(state.senders, state.receivers):
+            expected = [st.can_add(s, r) for st in states]
+            for arena in arenas:
+                assert arena.can_add_all(s, r).tolist() == expected
+            into = np.flatnonzero(expected)[: rng.integers(1, 4)].tolist()
+            if into:
+                for j in into:
+                    states[j].add(s, r)
+                for arena in arenas:
+                    arena.add(into, s, r)
+                    assert_sums_equal_states(arena, states)

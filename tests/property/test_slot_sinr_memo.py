@@ -1,0 +1,197 @@
+"""SINR reuse: a remembered slot is a fresh evaluation, bit for bit.
+
+``SlotSinrMemo`` keys ``min(data, ACK)`` SINRs by a slot's ordered member
+tuple; ``ScheduleCache`` holds one across its patches (cached rates, what-if
+grants, top-up) and ``RateAnnotator`` one across rounds.  Reuse is exact
+because a slot's row of the batched kernel equals the one-slot kernel
+whatever else shares the batch — so an entry first computed in a wide batch
+must equal a fresh call on that slot alone; the key is the *ordered* tuple,
+the memo belongs to one model, and it keeps only the latest schedule.
+"""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.phy.interference import PhysicalInterferenceModel, SlotSinrMemo
+from repro.phy.propagation import LogDistancePathLoss
+from repro.phy.radio import RadioConfig, RateTable
+from repro.phy.sparse import sparse_gain_model
+from repro.scheduling.greedy_rate import greedy_rate
+from repro.topology.network import uniform_network
+from repro.traffic.epoch import EpochSchedule, RateAnnotator
+from repro.traffic.incremental import ScheduleCache, patch_schedule
+from tests.conftest import make_links
+
+
+def bits(values):
+    return np.ascontiguousarray(values, dtype=float).view(np.int64).tolist()
+
+
+class Counting:
+    """Counts the slots and members every ``_slot_sinrs_flat`` call gets."""
+
+    def __init__(self, monkeypatch):
+        self.slots = self.members = 0
+        flat = PhysicalInterferenceModel._slot_sinrs_flat
+
+        def counted(model, heads, tails, slots):
+            self.slots += len(slots)
+            self.members += sum(map(len, slots))
+            return flat(model, heads, tails, slots)
+
+        monkeypatch.setattr(PhysicalInterferenceModel, "_slot_sinrs_flat", counted)
+
+
+@st.composite
+def memo_instance(draw):
+    """A model (dense, sparse, value-dense sparse; budgeted or not), random
+    links on it, and two batches of slots of 1-6 links sharing some slots."""
+    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
+    kind = draw(st.sampled_from(["dense", "sparse", "value-dense"]))
+    budgeted = draw(st.booleans())
+    rng = np.random.default_rng(seed)
+    n = 30
+    radio = RadioConfig()
+    sparse = sparse_gain_model(
+        rng.uniform(0, np.sqrt(n) * 45.0, size=(n, 2)),
+        10 ** (12.0 / 10.0) * rng.uniform(0.5, 1.5, size=n),
+        LogDistancePathLoss(alpha=3.0),
+        radio,
+        cutoff_m=math.inf if kind == "value-dense" else 150.0,
+    )
+    power = sparse.power.toarray() if kind == "dense" else sparse.power
+    budget = rng.uniform(0.0, 2.0 * radio.noise_mw, size=n) if budgeted else None
+    model = PhysicalInterferenceModel(power, radio, budget)
+    heads, tails = rng.integers(0, n, size=(2, 40))
+    tails = np.where(tails == heads, (tails + 1) % n, tails)
+
+    def batch(size):
+        return [
+            tuple(rng.choice(40, size=int(rng.integers(1, 7)), replace=False).tolist())
+            for _ in range(size)
+        ]
+
+    first = batch(draw(st.integers(min_value=1, max_value=12)))
+    shared = [first[i] for i in rng.permutation(len(first))[: rng.integers(0, len(first) + 1)]]
+    second = batch(draw(st.integers(min_value=0, max_value=6))) + shared
+    second += [(int(k),) for k in rng.integers(0, 40, size=2)]  # singletons
+    rng.shuffle(second)
+    return model, heads, tails, first, second
+
+
+@given(memo_instance())
+@settings(max_examples=80, deadline=None)
+def test_reused_entries_are_bitwise_fresh_evaluations(instance):
+    """Slots first seen in one batch and read again from another (of a
+    different width) hold exactly what a one-slot call returns."""
+    model, heads, tails, first, second = instance
+    memo = SlotSinrMemo(model, heads, tails)
+    memo(first)
+    for key, worst in zip(second, memo(second)):
+        fresh = model.slot_sinrs(heads, tails, [list(key)])[0]
+        assert bits(worst) == bits(fresh)
+        data, ack = model.link_sinrs(heads[list(key)], tails[list(key)])
+        assert bits(worst) == bits(np.minimum(data, ack))
+
+
+def test_each_distinct_slot_is_evaluated_once_and_reordering_misses(monkeypatch):
+    network = uniform_network(40, density_per_km2=600, rng=3)
+    _, links = make_links(network, 2, seed=23)
+    counted = Counting(monkeypatch)
+    memo = SlotSinrMemo(network.model, links.heads, links.tails)
+    memo([(0, 5), (0, 5), (7,)])
+    assert (counted.slots, counted.members) == (2, 3)  # duplicates evaluated once
+    memo([(7,), (0, 5)])
+    assert (counted.slots, counted.members) == (2, 3)  # all remembered
+    reordered = memo([(5, 0)])[0]
+    assert (counted.slots, counted.members) == (3, 5)  # another key
+    assert bits(reordered) == bits(network.model.slot_sinrs(links.heads, links.tails, [[5, 0]])[0])
+
+
+def test_a_budgeted_model_never_reads_another_models_entries(monkeypatch):
+    network = uniform_network(40, density_per_km2=600, rng=3)
+    _, links = make_links(network, 2, seed=23)
+    budget = np.random.default_rng(5).random(network.n_nodes) * network.radio.noise_mw
+    budgeted = network.model.with_budget(budget)
+    keys = [(0, 5), (7,), (3, 9, 12)]
+    exact = SlotSinrMemo(network.model, links.heads, links.tails)
+    first = exact(keys)
+    counted = Counting(monkeypatch)
+    guarded = SlotSinrMemo(budgeted, links.heads, links.tails)
+    second = guarded(keys)
+    assert counted.slots == len(keys)  # nothing shared between the two memos
+    fresh = budgeted.slot_sinrs(links.heads, links.tails, [list(key) for key in keys])
+    assert all(bits(a) == bits(b) for a, b in zip(second, fresh))
+    assert any((a > b).any() for a, b in zip(first, second))  # budgets cost SINR
+
+
+@pytest.fixture(scope="module")
+def mesh():
+    network = uniform_network(40, density_per_km2=600, rng=3)
+    return network, make_links(network, 2, seed=23)[1]
+
+
+@given(st.integers(min_value=0, max_value=2**31 - 1), st.sampled_from([None, 50]))
+@settings(max_examples=25, deadline=None)
+def test_cache_patches_equal_fresh_patches_and_memo_keeps_the_latest_schedule(
+    mesh, seed, max_length
+):
+    """A patch-policy cache reused across many drifting epochs patches
+    exactly what a fresh ``patch_schedule`` of its cached schedule gives,
+    while its memo never holds more than the latest schedule's slots."""
+    network, links = mesh
+    model = network.model
+    table = RateTable.geometric(network.radio.beta)
+    rng = np.random.default_rng(seed)
+
+    def scheduler(demand_links, epoch):
+        return EpochSchedule(greedy_rate(demand_links, model, table))
+
+    cache = ScheduleCache(
+        scheduler,
+        policy="patch",
+        drift_threshold=0.0,
+        model=model,
+        epoch_slots=max_length,
+        rate_table=table,
+    )
+    demand = np.minimum(links.demand, 4)
+    for epoch in range(12):
+        current = replace(links, demand=demand)
+        before = cache._cached
+        planned = cache(current, epoch)
+        if cache.last_decision.patched:
+            fresh = patch_schedule(before.schedule, current, model, max_length, table)
+            assert [s.links for s in planned.schedule.slots] == [s.links for s in fresh.slots]
+        if cache._sinrs is not None:
+            latest = {tuple(s.links) for s in planned.schedule.slots}
+            assert set(cache._sinrs._seen) <= latest
+        drift = rng.integers(-2, 3, links.n_links) * (rng.random(links.n_links) < 0.5)
+        demand = np.clip(demand + drift, 0, 6)
+        demand[rng.integers(links.n_links)] += 1  # never all-zero
+    assert max_length is not None or cache.stats.patches >= 3  # a window can refuse them all
+
+
+def test_annotator_memo_keeps_the_latest_round(mesh, monkeypatch):
+    """A replayed round evaluates nothing; a changed one only its new slots;
+    and the memo never outgrows the latest round."""
+    network, links = mesh
+    table = RateTable.geometric(network.radio.beta)
+    schedule = greedy_rate(links, network.model, table)
+    slots = [slot.as_array() for slot in schedule.slots]
+    annotator = RateAnnotator(links, network.model, table)
+    counted = Counting(monkeypatch)
+    annotator.annotate(slots)
+    distinct = {tuple(idx.tolist()) for idx in slots}
+    assert counted.slots == len(distinct) and len(annotator._sinrs._seen) == len(distinct)
+    annotator.annotate(slots[::-1])
+    assert counted.slots == len(distinct)  # a replay is all hits
+    thinned = slots[:3] + [idx[:1] for idx in slots[3:]]
+    annotator.annotate(thinned)
+    kept = {tuple(idx.tolist()) for idx in thinned}
+    assert counted.slots == len(distinct) + len(kept - distinct)
+    assert set(annotator._sinrs._seen) == kept

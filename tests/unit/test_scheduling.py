@@ -71,6 +71,26 @@ class TestScheduleContainers:
         assert np.array_equal(schedule.allocations(), grid16_links.demand)
         assert schedule.satisfies_demand()
 
+    def test_allocations_count_every_membership_on_random_schedules(self, grid16_links):
+        """One ``bincount`` over the flattened slots ≡ the per-membership
+        loop, on random schedules (empty slots and links in no slot too)."""
+        rng = np.random.default_rng(17)
+        n = grid16_links.n_links
+        for _ in range(50):
+            slots = [
+                Slot(rng.choice(n, size=rng.integers(0, n + 1), replace=False).tolist())
+                for _ in range(rng.integers(0, 12))
+            ]
+            schedule = Schedule(link_set=grid16_links, slots=slots)
+            counts = np.zeros(n, dtype=np.int64)
+            for slot in slots:
+                for k in slot.links:
+                    counts[k] += 1
+            got = schedule.allocations()
+            assert got.dtype == np.int64 and np.array_equal(got, counts)
+            for slot in slots:
+                assert all((k in slot) == (k in set(slot.links)) for k in range(n))
+
     def test_concurrency_of_linear_is_one(self, grid16_links):
         schedule = linear_schedule(grid16_links)
         assert schedule.concurrency() == pytest.approx(1.0)

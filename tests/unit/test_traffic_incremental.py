@@ -542,7 +542,7 @@ class TestPatchScheduleWithRateTable:
         """Every grant is at least one packet, so a deficit of ``d`` packets
         can use at most the first ``d`` admitting slots — the what-if rate
         read stops there, however many slots would take the link."""
-        from repro.phy.interference import PhysicalInterferenceModel
+        from repro.phy.interference import SlotSinrMemo
         from repro.scheduling.feasibility import SlotArena
 
         links, model = mesh.links, mesh.network.model
@@ -561,14 +561,13 @@ class TestPatchScheduleWithRateTable:
         assert takers > 2
 
         reads = []
-        slot_rates = PhysicalInterferenceModel.slot_rates
+        read = SlotSinrMemo.__call__
 
-        def recording(self, heads, tails, slots, table):
-            slots = [list(slot) for slot in slots]
-            reads.append(slots)
-            return slot_rates(self, heads, tails, slots, table)
+        def recording(self, slots):
+            reads.append([list(slot) for slot in slots])
+            return read(self, slots)
 
-        monkeypatch.setattr(PhysicalInterferenceModel, "slot_rates", recording)
+        monkeypatch.setattr(SlotSinrMemo, "__call__", recording)
         with_two = without.copy()
         with_two[k] = 2
         patched = patch_schedule(cached, replace(links, demand=with_two), model, table=table)
