@@ -33,7 +33,6 @@ BENCH = ExperimentProfile(
     # where the >=5x end-to-end win is asserted; the 10^5 point is full-only).
     scale_grid_sides=(50, 100),
     scale_dense_max_nodes=10_000,
-    scale_epochs=2,
     # Every bench run emits its observability run file (spans + metrics)
     # under benchmarks/results/<experiment>.jsonl; CI validates and
     # summarizes them (python -m repro.obs).  Passive by construction —

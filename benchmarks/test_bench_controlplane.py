@@ -20,7 +20,10 @@ asserts the PR's survival headline:
 
 import pytest
 
-from repro.experiments.controlplane import controlplane_experiment
+from repro.experiments.controlplane import (
+    CONTROLPLANE_ADMISSION_FACTOR,
+    controlplane_experiment,
+)
 
 #: Column indices of the E11 table.
 GOODPUT, OVERHEAD, CONTROL_SLOTS, CONTROL_MS, MSGS, BLOCKING, STABLE = (
@@ -48,19 +51,15 @@ def test_control_plane_pricing_preserves_the_headlines(
     )
     save_table("controlplane", table, volatile=("compute (s)",))
 
-    policies = bench_profile.controlplane_policies
-    cached = [p for p in policies if p != "always"]
     factors = bench_profile.controlplane_scale_factors
-    # Per headline: E8 = policies x variants + advantage rows; E9 + E10 = 2
-    # each; price-scale sweep = 2 policies x factors + advantage per factor
-    # + the flip row.
-    assert table.n_rows == (
-        len(policies) * 2 + len(cached) * 2 + 2 + 2 + 3 * len(factors) + 1
-    )
+    # Per headline: E8 = 2 policies x 2 variants + 2 advantage rows; E9 +
+    # E10 = 2 each; price-scale sweep = 2 policies x factors + advantage per
+    # factor + the flip row.
+    assert table.n_rows == 4 + 2 + 2 + 2 + 3 * len(factors) + 1
     rows = _rows(table)
 
     lam = f"λ={bench_profile.controlplane_lambda:g}"
-    tracker_op = f"knee-tracker {bench_profile.controlplane_admission_factor:g}x knee"
+    tracker_op = f"knee-tracker {CONTROLPLANE_ADMISSION_FACTOR:g}x knee"
     e8 = lambda variant, policy: rows[("E8 incremental", variant, f"{policy} {lam}")]
 
     # --- The E8 amortization survives honest pricing (the acceptance bar).

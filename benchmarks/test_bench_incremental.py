@@ -11,7 +11,7 @@ always policy puts it.
 
 import pytest
 
-from repro.experiments.heavy_traffic import incremental_experiment
+from repro.experiments.heavy_traffic import TRAFFIC_POLICIES, incremental_experiment
 
 #: The table's sweep steps, used for the knee-drift tolerance.
 def _sweep_steps(profile):
@@ -39,7 +39,7 @@ def test_incremental_rescheduling_amortizes_overhead(
     save_table("incremental", table)
 
     rates = len(bench_profile.traffic_lambdas)
-    policies = len(bench_profile.traffic_policies)
+    policies = len(TRAFFIC_POLICIES)
     assert table.n_rows == policies * rates + policies
 
     data, knees = _cells(table)

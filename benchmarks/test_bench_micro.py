@@ -603,7 +603,7 @@ def test_serve_plays_schedules_not_slots(monkeypatch):
     """Serving an epoch costs calls per *forest level*, not per slot — as a
     count, not a wall clock.
 
-    On the same ``sessions_patch_8x8`` pipeline, every ``play_schedule``
+    On the same ``sessions_patch_8x8`` pipeline, every ``LinkQueues.play``
     call of the loop is first replayed on two copies of its queues, over the
     epoch as it is (300 slots) and over one ten times as long, with every
     Python and C function call underneath counted by ``sys.setprofile``.
@@ -616,10 +616,10 @@ def test_serve_plays_schedules_not_slots(monkeypatch):
 
     from repro import rate_aware_scheduler
     from repro.core.controlplane import forest_depths
-    from repro.traffic import epoch as epoch_module
+    from repro.traffic.queues import LinkQueues
 
     links, model, table = _sessions_mesh()
-    play_schedule = epoch_module.play_schedule
+    play = LinkQueues.play
 
     def calls_under(*args):
         count = 0
@@ -630,7 +630,7 @@ def test_serve_plays_schedules_not_slots(monkeypatch):
 
         sys.setprofile(profiler)
         try:
-            served = play_schedule(*args)
+            served = play(*args)
         finally:
             sys.setprofile(None)
         return count, served
@@ -644,12 +644,12 @@ def test_serve_plays_schedules_not_slots(monkeypatch):
         long, served_long = calls_under(
             copy.deepcopy(queues), slot_links, start, 10 * epoch_slots, overhead_slots, slot_rates
         )
-        served = play_schedule(queues, slot_links, start, epoch_slots, overhead_slots, slot_rates)
+        served = play(queues, slot_links, start, epoch_slots, overhead_slots, slot_rates)
         assert served == served_short <= served_long
         counts.append((short, long, len(slot_links)))
         return served
 
-    monkeypatch.setattr(epoch_module, "play_schedule", counting)
+    monkeypatch.setattr(LinkQueues, "play", counting)
     _run_sessions(links, model, table, rate_aware_scheduler(model, table), 12, lambda record: None)
 
     depth = int(forest_depths(links).max())

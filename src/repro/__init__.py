@@ -117,7 +117,6 @@ from repro.traffic import (
     summarize_trace,
     stability_sweep,
     stability_knee,
-    find_knee,
 )
 from repro.mote import ScreamExperiment, run_detection_error_sweep, monitor_rssi_trace
 
@@ -208,7 +207,6 @@ __all__ = [
     "summarize_trace",
     "stability_sweep",
     "stability_knee",
-    "find_knee",
     # mote
     "ScreamExperiment",
     "run_detection_error_sweep",

@@ -8,7 +8,7 @@ from repro.analysis.bounds import (
     approximation_bound,
     fdd_step_complexity_bound,
 )
-from repro.analysis.tables import TextTable, format_series
+from repro.analysis.tables import TextTable
 from repro.analysis.asciiplot import AsciiPlot, quick_plot
 
 __all__ = [
@@ -20,7 +20,6 @@ __all__ = [
     "approximation_bound",
     "fdd_step_complexity_bound",
     "TextTable",
-    "format_series",
     "AsciiPlot",
     "quick_plot",
 ]

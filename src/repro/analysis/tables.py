@@ -72,12 +72,6 @@ class TextTable:
         return self.render()
 
 
-def format_series(name: str, xs: Sequence[Any], ys: Sequence[Any]) -> str:
-    """One figure series as ``name: (x, y) (x, y) ...`` for compact logs."""
-    pairs = " ".join(f"({_fmt(x)}, {_fmt(y)})" for x, y in zip(xs, ys))
-    return f"{name}: {pairs}"
-
-
 def _fmt(value: Any) -> str:
     if value is None:
         # Unmeasured (e.g. a timing field on a host without a thread-CPU

@@ -55,9 +55,6 @@ class ProtocolConfig:
         if self.max_rounds is not None:
             check_integer_in_range("max_rounds", self.max_rounds, minimum=1)
 
-    def with_k(self, k: int) -> "ProtocolConfig":
-        return replace(self, k=k)
-
     def with_p(self, p_active: float) -> "ProtocolConfig":
         return replace(self, p_active=p_active)
 

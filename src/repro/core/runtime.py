@@ -146,9 +146,3 @@ class Runtime(ABC):
             if joined.size:
                 return done, joined
         return len(trials), joined
-
-    def reset_tally(self) -> StepTally:
-        """Return the current tally and start a fresh one."""
-        finished = self.tally
-        self.tally = StepTally()
-        return finished

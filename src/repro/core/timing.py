@@ -22,7 +22,7 @@ SCREAM size and Interference Diameter".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.core.events import StepTally
 from repro.util.validation import check_non_negative, check_positive
@@ -117,14 +117,6 @@ class TimingModel:
             + tally.ack_subslots * self.ack_subslot_s
             + tally.syncs * self.sync_s
         )
-
-    def with_scream_bytes(self, scream_bytes: int) -> "TimingModel":
-        """Re-priced model with a different SCREAM size (same execution)."""
-        return replace(self, scream_bytes=scream_bytes)
-
-    def with_skew(self, skew_bound_s: float) -> "TimingModel":
-        """Re-priced model with a different clock-skew bound."""
-        return replace(self, skew_bound_s=skew_bound_s)
 
 
 def reprice_scream_slots(tally: StepTally, old_k: int, new_k: int) -> StepTally:

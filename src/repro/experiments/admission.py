@@ -33,7 +33,10 @@ import math
 from repro.analysis.tables import TextTable
 from repro.core.fdd import fdd_on_network
 from repro.experiments.common import (
+    ADMISSION_KNEE_RATE,
     PAPER_PROTOCOL,
+    TRAFFIC_DENSITY,
+    TRAFFIC_SLOT_SECONDS,
     ExperimentProfile,
     finish_obs,
     obs_for,
@@ -51,6 +54,14 @@ from repro.traffic import (
 )
 from repro.util.rng import spawn
 
+#: The E10 flow-session population shape: mean transfer size (packets),
+#: CBR share of sessions, elastic sessions' per-slot rate, and the Pareto
+#: size cap as a multiple of the mean.
+ADMISSION_MEAN_FLOW_SIZE = 30
+ADMISSION_CBR_FRACTION = 0.3
+ADMISSION_ELASTIC_RATE = 0.08
+ADMISSION_MAX_SIZE_FACTOR = 10.0
+
 
 def session_config(profile: ExperimentProfile, rate: float, n_sources: int) -> FlowConfig:
     """The E10 session population offering ``rate`` pkt/node/slot."""
@@ -58,18 +69,18 @@ def session_config(profile: ExperimentProfile, rate: float, n_sources: int) -> F
         rate,
         n_sources,
         profile.traffic_epoch_slots,
-        mean_size=profile.admission_mean_flow_size,
-        cbr_fraction=profile.admission_cbr_fraction,
-        elastic_rate=profile.admission_elastic_rate,
-        max_size_factor=profile.admission_max_size_factor,
+        mean_size=ADMISSION_MEAN_FLOW_SIZE,
+        cbr_fraction=ADMISSION_CBR_FRACTION,
+        elastic_rate=ADMISSION_ELASTIC_RATE,
+        max_size_factor=ADMISSION_MAX_SIZE_FACTOR,
     )
 
 
-def build_controller(profile: ExperimentProfile, name: str, n_sources: int):
+def build_controller(name: str, n_sources: int):
     """Instantiate a controller by name, sizing the static cap from the
     E7-measured knee (the one controller that is *told* λ*)."""
     if name == "static-cap":
-        return make_controller(name, cap=profile.admission_knee_rate * n_sources)
+        return make_controller(name, cap=ADMISSION_KNEE_RATE * n_sources)
     return make_controller(name)
 
 
@@ -90,7 +101,7 @@ def admission_point(
     workload = FlowWorkload(
         links,
         session_config(profile, rate, n_sources),
-        controller=build_controller(profile, controller_name, n_sources),
+        controller=build_controller(controller_name, n_sources),
         seed=spawn(profile.seed, *key),
     )
     trace = run_epochs(
@@ -116,11 +127,11 @@ def admission_experiment(profile: ExperimentProfile) -> TextTable:
     config = EpochConfig(
         epoch_slots=profile.traffic_epoch_slots,
         n_epochs=profile.admission_epochs,
-        slot_seconds=profile.traffic_slot_seconds,
+        slot_seconds=TRAFFIC_SLOT_SECONDS,
         divergence_factor=8.0,
         demand_cap=max(1, profile.traffic_epoch_slots // 10),
     )
-    knee = profile.admission_knee_rate
+    knee = ADMISSION_KNEE_RATE
 
     table = TextTable(
         [
@@ -136,9 +147,9 @@ def admission_experiment(profile: ExperimentProfile) -> TextTable:
             "stable",
         ],
         title="Admission control at the stability knee — FDD (overhead-priced) "
-        f"on the 8x8 planned grid, density {profile.traffic_density:g}/km^2, "
+        f"on the 8x8 planned grid, density {TRAFFIC_DENSITY:g}/km^2, "
         f"flow sessions (Poisson churn, Pareto sizes, "
-        f"{profile.admission_cbr_fraction:.0%} CBR), "
+        f"{ADMISSION_CBR_FRACTION:.0%} CBR), "
         f"knee lambda*={knee:g} from E7, "
         f"T={profile.traffic_epoch_slots} slots/epoch, "
         f"{profile.admission_epochs} epochs",

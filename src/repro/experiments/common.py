@@ -8,7 +8,7 @@ diameter (K) 5, results with 95% confidence intervals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,16 +55,6 @@ class ExperimentProfile:
     traffic_lambdas: tuple[float, ...] = (0.006, 0.0145, 0.019)
     traffic_epochs: int = 10
     traffic_epoch_slots: int = 300
-    traffic_slot_seconds: float = 0.04
-    traffic_density: float = 1000.0
-    #: Independent arrival seeds for majority-resolving borderline stability
-    #: verdicts (de-flakes operating points at utilization ~ 1).
-    traffic_confirm_seeds: int = 3
-    #: Rescheduling policies compared on the incremental-rescheduling axis.
-    traffic_policies: tuple[str, ...] = ("always", "drift-threshold", "patch")
-    #: Base drift threshold for the caching policies (headroom-scaled);
-    #: None uses the library default (incremental.DEFAULT_DRIFT_THRESHOLD).
-    traffic_drift_threshold: float | None = None
     #: Multi-region grids swept by the sharded-engine experiment (E9), with
     #: one arrival-rate sweep per grid (knees sit lower on deeper trees).
     sharded_grids: tuple[tuple[int, int], ...] = ((16, 16), (24, 24))
@@ -72,21 +62,10 @@ class ExperimentProfile:
         (0.0015, 0.002, 0.0025, 0.003),
         (0.0008, 0.0012, 0.0016),
     )
-    #: Spatial shards (grid tiles) and pool workers for E9.
-    sharded_shards: int = 4
-    sharded_workers: int = 4
-    #: Fan-out backend for the sharded sweep: "process" actually cashes the
-    #: critical-path parallelism as wall-clock (GIL-free workers); the E9
-    #: harness cross-checks one operating point per grid against "thread"
-    #: for bit-identity whichever backend is selected here.
-    sharded_executor: str = "process"
-    #: Boundary-link detection radius and guard margin (x noise) for E9.
-    sharded_radius_m: float = 80.0
-    sharded_guard_factor: float = 1.0
     sharded_epochs: int = 8
     #: E10 admission-control axis: offered load as multiples of the
-    #: uncontrolled FDD knee measured by E7 (``admission_knee_rate``), the
-    #: controllers compared, and the flow-session population shape.
+    #: uncontrolled FDD knee measured by E7 (:data:`ADMISSION_KNEE_RATE`)
+    #: and the controllers compared.
     admission_controllers: tuple[str, ...] = (
         "none",
         "static-cap",
@@ -94,37 +73,15 @@ class ExperimentProfile:
         "backpressure",
     )
     admission_load_factors: tuple[float, ...] = (1.0, 1.5, 2.0, 3.0)
-    admission_knee_rate: float = 0.019  # E7's FDD knee on the 8x8 grid
     admission_epochs: int = 12
-    admission_mean_flow_size: int = 30
-    admission_cbr_fraction: float = 0.3
-    admission_elastic_rate: float = 0.08
-    admission_max_size_factor: float = 10.0
-    #: E11 in-band control-plane pricing: payload bytes per message class
-    #: (0 disables a class — the free idealization), the E8-revisit arrival
-    #: rate and policies, the E9-revisit sharded rate, and the E10-revisit
-    #: overload factor.  See repro.core.controlplane and DESIGN.md §10.
-    controlplane_patch_bytes: float = 8.0
-    controlplane_report_bytes: float = 12.0
-    controlplane_reconcile_bytes: float = 10.0
-    controlplane_signal_bytes: float = 6.0
+    #: E11 in-band control-plane pricing: the E8-revisit arrival rate.  See
+    #: repro.core.controlplane and DESIGN.md §10.
     controlplane_lambda: float = 0.0145
-    controlplane_policies: tuple[str, ...] = ("always", "patch")
-    controlplane_admission_factor: float = 2.0
-    #: E12 adaptive multi-rate links (repro.phy.radio.RateTable): the MCS
-    #: ladder swept against the seed's fixed-rate contract.  The defaults —
-    #: 3 tiers, x2 SINR and x2 rate per tier, 1 dB hysteresis margin — are
-    #: calibrated to the 8x8 grid at density 1000/km^2, where standalone
-    #: link margins span ~1.2-3.4x beta: tiers at beta/2beta/4beta give
-    #: ~45% of links one tier of headroom while the classic 6 dB ladder
-    #: would never engage.  The lambda sweep brackets E7's fixed-rate FDD
-    #: knee (0.019) from below and above so the knee *shift* is visible.
+    #: E12 adaptive multi-rate links: the lambda sweep brackets E7's
+    #: fixed-rate FDD knee (0.019) from below and above so the knee *shift*
+    #: is visible.  The MCS ladder is repro.experiments.multirate's.
     multirate_lambdas: tuple[float, ...] = (0.0145, 0.019, 0.0265, 0.034)
     multirate_epochs: int = 10
-    multirate_tiers: int = 3
-    multirate_sinr_step: float = 2.0
-    multirate_rate_step: float = 2.0
-    multirate_hysteresis: float = 1.25
     #: E11 sensitivity satellite: factors applied via ControlPlaneModel.scaled
     #: to the E8-revisit pricing, looking for where patching's amortized
     #: overhead win flips sign.  Honest prices are milliseconds of air per
@@ -135,17 +92,11 @@ class ExperimentProfile:
     #: E13 scale sweep (repro.experiments.scale): square grid side lengths
     #: (node count = side^2; 316^2 ~ 10^5 nodes), the node-count ceiling for
     #: the dense O(n^2) baseline (beyond it only the sparse backend runs —
-    #: the dense gain matrix alone is 8 GB at 10^5 nodes), deployment
-    #: density, epochs/slots for the served workload, offered arrivals
-    #: (packets per node per *epoch*), and gateway spacing (one gateway per
-    #: ``stride x stride`` block of the grid).
+    #: the dense gain matrix alone is 8 GB at 10^5 nodes), and slots per
+    #: epoch of the served workload.
     scale_grid_sides: tuple[int, ...] = (50, 100, 224, 316)
     scale_dense_max_nodes: int = 10_000
-    scale_density_per_km2: float = 1000.0
-    scale_epochs: int = 2
     scale_epoch_slots: int = 500
-    scale_arrival_rate: float = 1.0
-    scale_gateway_stride: int = 10
     #: Observability (repro.obs): instrumentation level for the engine runs
     #: an experiment performs ("off" | "metrics" | "spans") and, when set,
     #: the directory its JSONL run file (``<experiment>.jsonl``) is written
@@ -187,6 +138,26 @@ QUICK = ExperimentProfile(
 
 #: The paper's protocol constants (Section VI-A).
 PAPER_PROTOCOL = ProtocolConfig(k=5, smbytes=15, id_bits=8)
+
+#: The closed-loop traffic experiments (E7-E13): slot duration (seconds),
+#: deployment density of their planned grids (nodes/km^2), and the
+#: independent arrival seeds that majority-resolve borderline stability
+#: verdicts (de-flakes operating points at utilization ~ 1).
+TRAFFIC_SLOT_SECONDS = 0.04
+TRAFFIC_DENSITY = 1000.0
+TRAFFIC_CONFIRM_SEEDS = 3
+
+#: Spatial shards (grid tiles) and pool workers of the sharded engine runs
+#: (E9, E11's E9 revisit), with their boundary-link detection radius (m)
+#: and guard margin (x noise).
+SHARDED_SHARDS = 4
+SHARDED_WORKERS = 4
+SHARDED_RADIUS_M = 80.0
+SHARDED_GUARD_FACTOR = 1.0
+
+#: E7's FDD knee on the 8x8 grid (pkt/node/slot): the unit of E10's
+#: offered loads and of E11's E10-revisit overload.
+ADMISSION_KNEE_RATE = 0.019
 
 
 def obs_for(profile: ExperimentProfile, experiment: str, **extra):
@@ -268,22 +239,18 @@ def grid_scenario(
 
 
 def uniform_scenario(
-    density_per_km2: float,
-    rep: int,
-    seed: int = DEFAULT_SEED,
-    n_nodes: int = 64,
-    n_gateways: int = 4,
-    demand_range: tuple[int, int] = (1, 10),
+    density_per_km2: float, rep: int, seed: int = DEFAULT_SEED
 ) -> Scenario:
-    """The unplanned scenario: uniform placement, heterogeneous power,
-    random gateways."""
+    """The unplanned scenario: 64 nodes, uniform placement, heterogeneous
+    power, 4 random gateways, per-node demand ~ U[1, 10]."""
+    n_nodes = 64
     network = uniform_network(
         n_nodes,
         density_per_km2=density_per_km2,
         rng=spawn(seed, "uniform-net", int(density_per_km2), rep),
     )
     gws = random_gateways(
-        n_nodes, n_gateways, spawn(seed, "uniform-gw", int(density_per_km2), rep)
+        n_nodes, 4, spawn(seed, "uniform-gw", int(density_per_km2), rep)
     )
     forest = build_routing_forest(
         network.comm_adj,
@@ -293,8 +260,8 @@ def uniform_scenario(
     demand = uniform_node_demand(
         n_nodes,
         spawn(seed, "uniform-demand", int(density_per_km2), rep),
-        low=demand_range[0],
-        high=demand_range[1],
+        low=1,
+        high=10,
         gateways=gws,
     )
     links = forest_link_set(forest, aggregate_demand(forest, demand))

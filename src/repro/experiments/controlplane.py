@@ -38,7 +38,13 @@ from repro.core.controlplane import ControlPlaneModel
 from repro.core.fdd import fdd_on_network
 from repro.experiments.admission import build_controller, session_config
 from repro.experiments.common import (
+    ADMISSION_KNEE_RATE,
     PAPER_PROTOCOL,
+    SHARDED_GUARD_FACTOR,
+    SHARDED_RADIUS_M,
+    SHARDED_SHARDS,
+    SHARDED_WORKERS,
+    TRAFFIC_SLOT_SECONDS,
     ExperimentProfile,
     finish_obs,
     obs_for,
@@ -57,34 +63,27 @@ from repro.traffic import (
 )
 from repro.util.rng import spawn
 
-
-def control_model(profile: ExperimentProfile) -> ControlPlaneModel:
-    """The profile's honest control-plane prices (E11's ``priced`` variant)."""
-    return ControlPlaneModel(
-        patch_bytes=profile.controlplane_patch_bytes,
-        report_bytes=profile.controlplane_report_bytes,
-        reconcile_bytes=profile.controlplane_reconcile_bytes,
-        signal_bytes=profile.controlplane_signal_bytes,
-    )
-
+#: Overload of the E10 revisit, as a multiple of the E7 knee.
+CONTROLPLANE_ADMISSION_FACTOR = 2.0
 
 #: The two variants every headline is measured under: the retired free
 #: idealization (all prices zero — bit-identical to the historical
-#: engines) and the profile's honest prices.
+#: engines) and the honest prices of :meth:`ControlPlaneModel.default_priced`.
 VARIANTS = ("free", "priced")
 
 
-def _variant_model(profile: ExperimentProfile, variant: str) -> ControlPlaneModel:
+def _variant_model(variant: str) -> ControlPlaneModel:
     # The free variant runs with an all-zero model (not control=None) so
     # the ledger still *counts* the messages the idealization was not
     # paying for — the "control msgs" column is what free really ignored.
     if variant == "priced":
-        return control_model(profile)
+        return ControlPlaneModel.default_priced()
     return ControlPlaneModel()
 
 
 def controlplane_experiment(profile: ExperimentProfile) -> TextTable:
     """E11: the E8/E9/E10 headlines, free idealization vs honest pricing."""
+    priced = ControlPlaneModel.default_priced()
     table = TextTable(
         [
             "headline",
@@ -102,10 +101,10 @@ def controlplane_experiment(profile: ExperimentProfile) -> TextTable:
         title="In-band control-plane pricing — the E8/E9/E10 headlines re-measured "
         "with patch deltas, boundary/observable reports, reconciliation rounds, "
         "and session signaling charged to the data air "
-        f"(patch={profile.controlplane_patch_bytes:g}B, "
-        f"report={profile.controlplane_report_bytes:g}B, "
-        f"reconcile={profile.controlplane_reconcile_bytes:g}B, "
-        f"signal={profile.controlplane_signal_bytes:g}B per message)",
+        f"(patch={priced.patch_bytes:g}B, "
+        f"report={priced.report_bytes:g}B, "
+        f"reconcile={priced.reconcile_bytes:g}B, "
+        f"signal={priced.signal_bytes:g}B per message)",
     )
 
     obs = obs_for(profile, "controlplane")
@@ -149,12 +148,11 @@ def _e8_rows(profile: ExperimentProfile, table: TextTable, obs=None) -> None:
     base_config = EpochConfig(
         epoch_slots=profile.traffic_epoch_slots,
         n_epochs=profile.traffic_epochs,
-        slot_seconds=profile.traffic_slot_seconds,
+        slot_seconds=TRAFFIC_SLOT_SECONDS,
         divergence_factor=4.0,
-        drift_threshold=profile.traffic_drift_threshold,
     )
     amortized: dict[tuple[str, str], float] = {}
-    for policy in profile.controlplane_policies:
+    for policy in ("always", "patch"):
         config = replace(base_config, reschedule_policy=policy)
         for variant in VARIANTS:
             scheduler = distributed_scheduler(
@@ -169,7 +167,7 @@ def _e8_rows(profile: ExperimentProfile, table: TextTable, obs=None) -> None:
                 scheduler,
                 config,
                 model=network.model,
-                control=_variant_model(profile, variant),
+                control=_variant_model(variant),
                 obs=obs,
             )
             point = summarize_trace(trace, rate)
@@ -177,29 +175,25 @@ def _e8_rows(profile: ExperimentProfile, table: TextTable, obs=None) -> None:
             _add_row(
                 table, "E8 incremental", variant, f"{policy} λ={rate:g}", point, trace
             )
-    # The surviving advantage: always-reschedule overhead over the cached
+    # The surviving advantage: always-reschedule overhead over the patch
     # policy's, per variant (how much of the E8 amortization pricing eats).
-    if "always" in profile.controlplane_policies:
-        for policy in profile.controlplane_policies:
-            if policy == "always":
-                continue
-            for variant in VARIANTS:
-                ratio = amortized[("always", variant)] / max(
-                    amortized[(policy, variant)], 1e-9
-                )
-                table.add_row(
-                    "E8 incremental",
-                    variant,
-                    f"always/{policy} advantage",
-                    "-",
-                    f"{ratio:.1f}x",
-                    "-",
-                    "-",
-                    "-",
-                    "-",
-                    "-",
-                    "-",
-                )
+    for variant in VARIANTS:
+        ratio = amortized[("always", variant)] / max(
+            amortized[("patch", variant)], 1e-9
+        )
+        table.add_row(
+            "E8 incremental",
+            variant,
+            "always/patch advantage",
+            "-",
+            f"{ratio:.1f}x",
+            "-",
+            "-",
+            "-",
+            "-",
+            "-",
+            "-",
+        )
 
 
 def _price_scale_rows(profile: ExperimentProfile, table: TextTable, obs=None) -> None:
@@ -223,9 +217,8 @@ def _price_scale_rows(profile: ExperimentProfile, table: TextTable, obs=None) ->
     base_config = EpochConfig(
         epoch_slots=profile.traffic_epoch_slots,
         n_epochs=profile.traffic_epochs,
-        slot_seconds=profile.traffic_slot_seconds,
+        slot_seconds=TRAFFIC_SLOT_SECONDS,
         divergence_factor=4.0,
-        drift_threshold=profile.traffic_drift_threshold,
     )
     amortized: dict[tuple[str, float], float] = {}
     for policy in ("always", "patch"):
@@ -243,7 +236,7 @@ def _price_scale_rows(profile: ExperimentProfile, table: TextTable, obs=None) ->
                 scheduler,
                 config,
                 model=network.model,
-                control=control_model(profile).scaled(factor),
+                control=ControlPlaneModel.default_priced().scaled(factor),
                 obs=obs,
             )
             point = summarize_trace(trace, rate)
@@ -300,14 +293,14 @@ def _e9_rows(profile: ExperimentProfile, table: TextTable, obs=None) -> None:
     plan = plan_for_network(
         links,
         network,
-        n_shards=profile.sharded_shards,
-        interference_radius_m=profile.sharded_radius_m,
-        guard_factor=profile.sharded_guard_factor,
+        n_shards=SHARDED_SHARDS,
+        interference_radius_m=SHARDED_RADIUS_M,
+        guard_factor=SHARDED_GUARD_FACTOR,
     )
     config = EpochConfig(
         epoch_slots=profile.traffic_epoch_slots,
         n_epochs=profile.sharded_epochs,
-        slot_seconds=profile.traffic_slot_seconds,
+        slot_seconds=TRAFFIC_SLOT_SECONDS,
         divergence_factor=4.0,
     )
     for variant in VARIANTS:
@@ -324,8 +317,8 @@ def _e9_rows(profile: ExperimentProfile, table: TextTable, obs=None) -> None:
             factory,
             network.model,
             config,
-            max_workers=profile.sharded_workers,
-            control=_variant_model(profile, variant),
+            max_workers=SHARDED_WORKERS,
+            control=_variant_model(variant),
             obs=obs,
         )
         point = summarize_trace(trace, rate)
@@ -342,13 +335,13 @@ def _e9_rows(profile: ExperimentProfile, table: TextTable, obs=None) -> None:
 def _e10_rows(profile: ExperimentProfile, table: TextTable, obs=None) -> None:
     """Knee-tracker admission with priced signaling and observables."""
     network, gateways, links = _grid_mesh(profile)
-    factor = profile.controlplane_admission_factor
-    rate = profile.admission_knee_rate * factor
+    factor = CONTROLPLANE_ADMISSION_FACTOR
+    rate = ADMISSION_KNEE_RATE * factor
     n_sources = links.n_links
     config = EpochConfig(
         epoch_slots=profile.traffic_epoch_slots,
         n_epochs=profile.admission_epochs,
-        slot_seconds=profile.traffic_slot_seconds,
+        slot_seconds=TRAFFIC_SLOT_SECONDS,
         divergence_factor=8.0,
         demand_cap=max(1, profile.traffic_epoch_slots // 10),
     )
@@ -362,7 +355,7 @@ def _e10_rows(profile: ExperimentProfile, table: TextTable, obs=None) -> None:
         workload = FlowWorkload(
             links,
             session_config(profile, rate, n_sources),
-            controller=build_controller(profile, "knee-tracker", n_sources),
+            controller=build_controller("knee-tracker", n_sources),
             seed=spawn(profile.seed, "admission-wl"),
         )
         trace = run_epochs(
@@ -371,7 +364,7 @@ def _e10_rows(profile: ExperimentProfile, table: TextTable, obs=None) -> None:
             scheduler,
             config,
             on_epoch=workload.observe,
-            control=_variant_model(profile, variant),
+            control=_variant_model(variant),
             obs=obs,
         )
         point = summarize_trace(trace, rate, session=workload)

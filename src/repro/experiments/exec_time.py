@@ -42,11 +42,9 @@ class ProtocolTallies:
 
 
 def collect_tallies(
-    profile: ExperimentProfile,
-    density: float = 5000.0,
-    pdd_probability: float = 0.2,
+    profile: ExperimentProfile, density: float = 5000.0
 ) -> ProtocolTallies:
-    """Run FDD and PDD once per repetition; keep their step tallies."""
+    """Run FDD and PDD (p=0.2) once per repetition; keep their step tallies."""
     fdd_tallies: list[StepTally] = []
     pdd_tallies: list[StepTally] = []
     for rep in range(profile.repetitions):
@@ -60,7 +58,7 @@ def collect_tallies(
         pdd = pdd_on_network(
             scenario.network,
             scenario.links,
-            PAPER_PROTOCOL.with_p(pdd_probability),
+            PAPER_PROTOCOL.with_p(0.2),
             rng=spawn(profile.seed, "exec-pdd", rep),
         )
         fdd_tallies.append(fdd.tally)
@@ -132,20 +130,17 @@ def clock_skew_experiment(
     return table
 
 
-def skew_tolerance(
-    tally: StepTally,
-    recompute_period_s: float = 60.0,
-    overhead_fraction: float = 0.05,
-    scream_bytes: int = 15,
-) -> float:
-    """Largest skew bound keeping execution under a budget fraction.
+def skew_tolerance(tally: StepTally) -> float:
+    """Largest skew bound keeping execution under 5% of a minute.
 
     The paper's headline claim: with once-a-minute schedule recomputation,
     PDD stays under 5% overhead up to ~100 µs skew, FDD up to ~10 µs.
-    Solves ``execution_time(skew) <= overhead_fraction * recompute_period``
-    for the skew bound (execution time is affine in the skew).
+    Solves ``execution_time(skew) <= 0.05 * 60 s`` for the skew bound
+    (execution time is affine in the skew), with the paper's 15-byte
+    SCREAMs.
     """
-    budget = overhead_fraction * recompute_period_s
+    budget = 0.05 * 60.0
+    scream_bytes = PAPER_PROTOCOL.smbytes
     base = TimingModel(scream_bytes=scream_bytes, skew_bound_s=0.0).execution_time(
         tally
     )

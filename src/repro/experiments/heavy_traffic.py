@@ -17,7 +17,7 @@ expected ordering is
 because spatial reuse raises capacity and distributed computation costs a
 slice of every epoch.  Borderline operating points (utilization ~ 1, where
 a single arrival sample path decides the verdict) are re-evaluated over
-``traffic_confirm_seeds`` independent seeds and majority-resolved, so the
+``TRAFFIC_CONFIRM_SEEDS`` independent seeds and majority-resolved, so the
 reported knees are properties of the scheduler, not of one lucky draw.
 
 *E8 (incremental rescheduling)* — the same FDD closed loop under the three
@@ -43,6 +43,9 @@ from repro.analysis.tables import TextTable
 from repro.core.fdd import fdd_on_network
 from repro.experiments.common import (
     PAPER_PROTOCOL,
+    TRAFFIC_CONFIRM_SEEDS,
+    TRAFFIC_DENSITY,
+    TRAFFIC_SLOT_SECONDS,
     ExperimentProfile,
     finish_obs,
     obs_for,
@@ -63,10 +66,13 @@ from repro.traffic import (
 )
 from repro.util.rng import spawn
 
+#: Rescheduling policies compared on E8's incremental-rescheduling axis.
+TRAFFIC_POLICIES = ("always", "drift-threshold", "patch")
+
 
 def _grid_mesh(profile: ExperimentProfile):
     """The planned 8x8 grid, its gateways, and the forest link set."""
-    network = grid_network(8, 8, density_per_km2=profile.traffic_density)
+    network = grid_network(8, 8, density_per_km2=TRAFFIC_DENSITY)
     gateways = planned_gateways(8, 8, 4)
     forest = build_routing_forest(
         network.comm_adj, gateways, rng=spawn(profile.seed, "traffic-forest")
@@ -99,7 +105,7 @@ def heavy_traffic_experiment(profile: ExperimentProfile) -> TextTable:
     config = EpochConfig(
         epoch_slots=profile.traffic_epoch_slots,
         n_epochs=profile.traffic_epochs,
-        slot_seconds=profile.traffic_slot_seconds,
+        slot_seconds=TRAFFIC_SLOT_SECONDS,
         divergence_factor=4.0,
     )
     schedulers = [
@@ -128,9 +134,9 @@ def heavy_traffic_experiment(profile: ExperimentProfile) -> TextTable:
             "stable",
         ],
         title="Heavy-traffic stability regions — 8x8 planned grid, "
-        f"density {profile.traffic_density:g}/km^2, Poisson arrivals, "
+        f"density {TRAFFIC_DENSITY:g}/km^2, Poisson arrivals, "
         f"T={profile.traffic_epoch_slots} slots/epoch, borderline verdicts "
-        f"majority-resolved over {profile.traffic_confirm_seeds} seeds",
+        f"majority-resolved over {TRAFFIC_CONFIRM_SEEDS} seeds",
     )
     knees: list[tuple[str, float | None]] = []
     for name, scheduler in schedulers:
@@ -142,7 +148,7 @@ def heavy_traffic_experiment(profile: ExperimentProfile) -> TextTable:
         points = stability_sweep(
             profile.traffic_lambdas,
             run_at,
-            confirm_seeds=profile.traffic_confirm_seeds,
+            confirm_seeds=TRAFFIC_CONFIRM_SEEDS,
         )
         knees.append((name, stability_knee(points)))
         for point in points:
@@ -171,7 +177,7 @@ def incremental_experiment(profile: ExperimentProfile) -> TextTable:
     """E8: rescheduling-policy axis — caching and patching vs re-run-always.
 
     Runs the overhead-priced FDD protocol on the planned 8x8 grid under
-    each ``reschedule_policy`` in ``profile.traffic_policies``, sweeping
+    each ``reschedule_policy`` in :data:`TRAFFIC_POLICIES`, sweeping
     the same arrival rates as E7, and prices the amortization: overhead
     slots actually paid, hit rate, and the per-policy stability knee.
     """
@@ -180,9 +186,8 @@ def incremental_experiment(profile: ExperimentProfile) -> TextTable:
     base_config = EpochConfig(
         epoch_slots=profile.traffic_epoch_slots,
         n_epochs=profile.traffic_epochs,
-        slot_seconds=profile.traffic_slot_seconds,
+        slot_seconds=TRAFFIC_SLOT_SECONDS,
         divergence_factor=4.0,
-        drift_threshold=profile.traffic_drift_threshold,
     )
 
     table = TextTable(
@@ -198,13 +203,13 @@ def incremental_experiment(profile: ExperimentProfile) -> TextTable:
             "stable",
         ],
         title="Incremental epoch rescheduling — FDD on the 8x8 planned grid, "
-        f"density {profile.traffic_density:g}/km^2, Poisson arrivals, "
+        f"density {TRAFFIC_DENSITY:g}/km^2, Poisson arrivals, "
         f"T={profile.traffic_epoch_slots} slots/epoch, base drift threshold "
         f"{base_config.drift_threshold:g} (headroom-scaled)",
     )
     knees: list[tuple[str, float | None]] = []
     base_traces: dict[tuple[str, float], TrafficTrace] = {}
-    for policy in profile.traffic_policies:
+    for policy in TRAFFIC_POLICIES:
         config = replace(base_config, reschedule_policy=policy)
 
         def run_at(rate: float, seed_index: int = 0, config=config) -> TrafficTrace:
@@ -227,7 +232,7 @@ def incremental_experiment(profile: ExperimentProfile) -> TextTable:
         points = stability_sweep(
             profile.traffic_lambdas,
             run_at,
-            confirm_seeds=profile.traffic_confirm_seeds,
+            confirm_seeds=TRAFFIC_CONFIRM_SEEDS,
         )
         knees.append((policy, stability_knee(points)))
         for point in points:

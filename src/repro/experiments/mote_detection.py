@@ -36,15 +36,14 @@ def mote_error_experiment(profile: ExperimentProfile) -> TextTable:
     return table
 
 
-def mote_rssi_experiment(
-    profile: ExperimentProfile, smbytes: int = 24, n_rounds: int = 5
-) -> TextTable:
-    """E2 — moving average of monitor RSSI for 24-byte SCREAMs.
+def mote_rssi_experiment(profile: ExperimentProfile) -> TextTable:
+    """E2 — moving average of monitor RSSI for 24-byte SCREAMs, 5 rounds.
 
     Summarizes the trace the paper plots: the averaged RSSI sits at the
     noise floor between screams and rises cleanly above the -60 dBm
     threshold once per 100 ms period.
     """
+    smbytes, n_rounds = 24, 5
     times, values = monitor_rssi_trace(
         smbytes=smbytes, n_rounds=n_rounds, rng=spawn(profile.seed, "mote-rssi")
     )
@@ -64,12 +63,3 @@ def mote_rssi_experiment(
     table.add_row("above-threshold episodes", episodes)
     table.add_row("expected episodes", n_rounds)
     return table
-
-
-def mote_rssi_series(
-    profile: ExperimentProfile, smbytes: int = 24, n_rounds: int = 3
-) -> tuple[np.ndarray, np.ndarray]:
-    """Raw (time, moving-average) series for plotting/inspection."""
-    return monitor_rssi_trace(
-        smbytes=smbytes, n_rounds=n_rounds, rng=spawn(profile.seed, "mote-rssi")
-    )

@@ -19,9 +19,8 @@ heavy-traffic stability axis (E7) under three contracts:
 
 The headline is the **knee shift**: how far up the arrival-rate axis the
 stability knee moves when link-rate headroom is exploited.  The MCS ladder
-comes from the profile's ``multirate_*`` knobs (see
-:class:`~repro.experiments.common.ExperimentProfile` for the grid
-calibration behind the defaults).
+comes from the ``MULTIRATE_*`` constants below (see there for the grid
+calibration behind them).
 
 Recorded idealization: tier selection is *instantaneous and free* — the
 annotator reads each slot's concurrent SINR directly, with hysteresis as
@@ -39,6 +38,9 @@ from repro.analysis.tables import TextTable
 from repro.core.fdd import fdd_on_network
 from repro.experiments.common import (
     PAPER_PROTOCOL,
+    TRAFFIC_CONFIRM_SEEDS,
+    TRAFFIC_DENSITY,
+    TRAFFIC_SLOT_SECONDS,
     ExperimentProfile,
     finish_obs,
     obs_for,
@@ -56,34 +58,40 @@ from repro.traffic import (
 )
 from repro.util.rng import spawn
 
-
-def profile_rate_table(profile: ExperimentProfile, beta: float) -> RateTable:
-    """The MCS ladder E12 sweeps, from the profile's ``multirate_*`` knobs."""
-    return RateTable.geometric(
-        beta,
-        n_tiers=profile.multirate_tiers,
-        sinr_step=profile.multirate_sinr_step,
-        rate_step=profile.multirate_rate_step,
-        hysteresis=profile.multirate_hysteresis,
-    )
+#: The MCS ladder (repro.phy.radio.RateTable) swept against the seed's
+#: fixed-rate contract: 3 tiers, x2 SINR and x2 rate per tier, 1 dB
+#: hysteresis margin.  Calibrated to the 8x8 grid at density 1000/km^2,
+#: where standalone link margins span ~1.2-3.4x beta: tiers at
+#: beta/2beta/4beta give ~45% of links one tier of headroom while the
+#: classic 6 dB ladder would never engage.
+MULTIRATE_TIERS = 3
+MULTIRATE_SINR_STEP = 2.0
+MULTIRATE_RATE_STEP = 2.0
+MULTIRATE_HYSTERESIS = 1.25
 
 
 def multirate_experiment(profile: ExperimentProfile) -> TextTable:
     """E12: stability sweep under fixed-rate vs multi-rate serving contracts."""
     network, gateways, links = _grid_mesh(profile)
-    table_mcs = profile_rate_table(profile, network.model.radio.beta)
+    table_mcs = RateTable.geometric(
+        network.model.radio.beta,
+        n_tiers=MULTIRATE_TIERS,
+        sinr_step=MULTIRATE_SINR_STEP,
+        rate_step=MULTIRATE_RATE_STEP,
+        hysteresis=MULTIRATE_HYSTERESIS,
+    )
     obs = obs_for(
         profile,
         "multirate",
         tiers=table_mcs.n_tiers,
-        sinr_step=profile.multirate_sinr_step,
-        rate_step=profile.multirate_rate_step,
-        hysteresis=profile.multirate_hysteresis,
+        sinr_step=MULTIRATE_SINR_STEP,
+        rate_step=MULTIRATE_RATE_STEP,
+        hysteresis=MULTIRATE_HYSTERESIS,
     )
     base_config = EpochConfig(
         epoch_slots=profile.traffic_epoch_slots,
         n_epochs=profile.multirate_epochs,
-        slot_seconds=profile.traffic_slot_seconds,
+        slot_seconds=TRAFFIC_SLOT_SECONDS,
         divergence_factor=4.0,
     )
 
@@ -121,10 +129,10 @@ def multirate_experiment(profile: ExperimentProfile) -> TextTable:
             "stable",
         ],
         title="Adaptive multi-rate links — 8x8 planned grid, density "
-        f"{profile.traffic_density:g}/km^2, MCS tiers pkt@SINR {tiers_text} "
-        f"(hysteresis x{profile.multirate_hysteresis:g}), "
+        f"{TRAFFIC_DENSITY:g}/km^2, MCS tiers pkt@SINR {tiers_text} "
+        f"(hysteresis x{MULTIRATE_HYSTERESIS:g}), "
         f"T={profile.traffic_epoch_slots} slots/epoch, borderline verdicts "
-        f"majority-resolved over {profile.traffic_confirm_seeds} seeds",
+        f"majority-resolved over {TRAFFIC_CONFIRM_SEEDS} seeds",
     )
     knees: list[tuple[str, float | None]] = []
     for name, scheduler, rate_table in variants:
@@ -141,7 +149,7 @@ def multirate_experiment(profile: ExperimentProfile) -> TextTable:
         points = stability_sweep(
             profile.multirate_lambdas,
             run_at,
-            confirm_seeds=profile.traffic_confirm_seeds,
+            confirm_seeds=TRAFFIC_CONFIRM_SEEDS,
         )
         knees.append((name, stability_knee(points)))
         for point in points:

@@ -19,10 +19,10 @@ wall* ((setup + engine) / epochs — the number a deployment planner re-running
 the pipeline each reconfiguration actually waits), peak RSS, schedule length,
 packets delivered, and the exact-physics verdict on what was played.
 
-Every point runs in its own spawned subprocess so ``ru_maxrss`` is that
-point's genuine high-water mark (the parent's peak would be contaminated by
-whichever earlier point was largest); a do-nothing child calibrates the
-interpreter + import baseline that is subtracted out.
+Every point runs in its own spawned subprocess so its peak RSS (the child's
+own ``VmHWM``) is that point's genuine high-water mark (the parent's peak
+would be contaminated by whichever earlier point was largest); a do-nothing
+child calibrates the interpreter + import baseline that is subtracted out.
 
 Honesty note on schedule length: each backend builds its forest from its own
 communication graph and schedules under its own oracle.  At a finite cutoff
@@ -48,13 +48,17 @@ from __future__ import annotations
 
 import math
 import multiprocessing as mp
-import resource
 import time
 
 import numpy as np
 
 from repro.analysis.tables import TextTable
-from repro.experiments.common import ExperimentProfile, finish_obs, obs_for
+from repro.experiments.common import (
+    TRAFFIC_SLOT_SECONDS,
+    ExperimentProfile,
+    finish_obs,
+    obs_for,
+)
 from repro.routing import build_routing_forest, planned_gateways
 from repro.routing.forest import build_routing_forest_csr
 from repro.scheduling.links import forest_link_set
@@ -70,10 +74,18 @@ from repro.traffic import (
 )
 from repro.util.rng import spawn
 
+#: Deployment density (nodes/km^2), epochs of the served workload, offered
+#: arrivals (packets per node per *epoch*), and gateway spacing (one
+#: gateway per ``stride x stride`` block of the grid) of every sweep point.
+SCALE_DENSITY_PER_KM2 = 1000.0
+SCALE_EPOCHS = 2
+SCALE_ARRIVAL_RATE = 1.0
+SCALE_GATEWAY_STRIDE = 10
 
-def _gateway_count(side: int, profile: ExperimentProfile) -> int:
+
+def _gateway_count(side: int) -> int:
     """One gateway per ``stride x stride`` block, at least one."""
-    return max(1, side // profile.scale_gateway_stride) ** 2
+    return max(1, side // SCALE_GATEWAY_STRIDE) ** 2
 
 
 def _truth_checked(scheduler, network, tally: dict):
@@ -120,9 +132,9 @@ def _run_point(side: int, backend: str, profile: ExperimentProfile, obs=None) ->
     infeasible under the floored oracle, and the scheduler rejects links
     that cannot decode even alone).
     """
-    network = grid_network(side, side, density_per_km2=profile.scale_density_per_km2)
+    network = grid_network(side, side, density_per_km2=SCALE_DENSITY_PER_KM2)
     n = network.n_nodes
-    gateways = planned_gateways(side, side, _gateway_count(side, profile))
+    gateways = planned_gateways(side, side, _gateway_count(side))
     forest_rng = spawn(profile.seed, "scale-forest", side)
 
     t0 = time.perf_counter()
@@ -150,14 +162,14 @@ def _run_point(side: int, backend: str, profile: ExperimentProfile, obs=None) ->
     links = forest_link_set(forest, np.zeros(n, dtype=np.int64))
     generator = PoissonArrivals(
         n,
-        profile.scale_arrival_rate / profile.scale_epoch_slots,
+        SCALE_ARRIVAL_RATE / profile.scale_epoch_slots,
         gateways=gateways,
         seed=spawn(profile.seed, "scale-gen", side),
     )
     config = EpochConfig(
         epoch_slots=profile.scale_epoch_slots,
-        n_epochs=profile.scale_epochs,
-        slot_seconds=profile.traffic_slot_seconds,
+        n_epochs=SCALE_EPOCHS,
+        slot_seconds=TRAFFIC_SLOT_SECONDS,
         demand_cap=1,
         retain_records="stream",
     )
@@ -185,11 +197,24 @@ def _run_point(side: int, backend: str, profile: ExperimentProfile, obs=None) ->
     }
 
 
+def _peak_rss_kib() -> int:
+    """This process's own peak RSS in KiB: ``VmHWM`` from /proc/self/status.
+
+    Not ``ru_maxrss``: Linux carries the parent's high-water mark across
+    fork + exec, so a spawned child of a 600 MiB parent reads 600 MiB from
+    its first instruction.
+    """
+    with open("/proc/self/status") as status:
+        return next(
+            int(line.split()[1]) for line in status if line.startswith("VmHWM:")
+        )
+
+
 def _child_point(side, backend, profile, conn) -> None:  # pragma: no cover - subprocess
     """Subprocess body: run one point, ship the dict + peak RSS back."""
     try:
         result = _run_point(side, backend, profile)
-        result["rss_kib"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        result["rss_kib"] = _peak_rss_kib()
         conn.send(result)
     except Exception as exc:
         conn.send({"error": f"{type(exc).__name__}: {exc}"})
@@ -200,7 +225,7 @@ def _child_point(side, backend, profile, conn) -> None:  # pragma: no cover - su
 def _child_baseline(conn) -> None:  # pragma: no cover - subprocess
     """Subprocess body: peak RSS of interpreter + imports alone."""
     try:
-        conn.send(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+        conn.send(_peak_rss_kib())
     finally:
         conn.close()
 
@@ -208,8 +233,10 @@ def _child_baseline(conn) -> None:  # pragma: no cover - subprocess
 def _in_subprocess(target, args) -> object:
     """Run ``target(*args, conn)`` in a spawned child; return what it sends.
 
-    ``spawn`` (not ``fork``) so the child's ``ru_maxrss`` starts from a
-    fresh interpreter instead of inheriting the parent's high-water mark.
+    ``spawn`` (not ``fork``) so the child is a fresh interpreter that holds
+    none of the parent's pages.  Its ``ru_maxrss`` still starts at the
+    parent's high-water mark — Linux keeps it across fork + exec — which is
+    why the children report :func:`_peak_rss_kib` instead.
     """
     ctx = mp.get_context("spawn")
     parent_conn, child_conn = ctx.Pipe(duplex=False)
@@ -286,9 +313,9 @@ def scale_table(points: list[dict], profile: ExperimentProfile) -> TextTable:
             "repaired tx",
         ],
         title="Sparse interference at scale — grid deployments at density "
-        f"{profile.scale_density_per_km2:g}/km^2, "
-        f"{profile.scale_epochs} epochs x {profile.scale_epoch_slots} slots, "
-        f"{profile.scale_arrival_rate:g} pkt/node/epoch, dense baseline up to "
+        f"{SCALE_DENSITY_PER_KM2:g}/km^2, "
+        f"{SCALE_EPOCHS} epochs x {profile.scale_epoch_slots} slots, "
+        f"{SCALE_ARRIVAL_RATE:g} pkt/node/epoch, dense baseline up to "
         f"{profile.scale_dense_max_nodes} nodes "
         "(epoch wall = (setup + engine) / epochs)",
     )

@@ -10,7 +10,6 @@ low end in the planned scenario.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from repro.analysis.stats import mean_ci
@@ -26,16 +25,6 @@ from repro.experiments.common import (
 )
 from repro.scheduling import greedy_physical, improvement_over_linear, verify_schedule
 from repro.util.rng import spawn
-
-
-@dataclass
-class QualityCell:
-    """One (algorithm, density) aggregate."""
-
-    improvements: list[float]
-
-    def summary(self) -> str:
-        return str(mean_ci(self.improvements))
 
 
 def _run_cell(

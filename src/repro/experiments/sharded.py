@@ -15,12 +15,12 @@ every region has its own controller), the *wall-clock* the simulation
 host actually spent in the scheduling fan-out, and the links serialized
 by reconciliation.  Summary rows give each engine's stability knee and
 the sharded speedups — including the **wall speedup**, the one number a
-``ProcessPoolExecutor`` backend (``profile.sharded_executor``) changes:
+``ProcessPoolExecutor`` backend (:data:`SHARDED_EXECUTOR`) changes:
 compute/critical-path ratios are properties of the decomposition and hold
 on any host, while the wall ratio only approaches the critical-path ratio
 when workers genuinely run in parallel.  One operating point per grid is
-re-run on the *other* backend and checked record-identical, so the sweep
-itself proves executor equivalence every time it runs.
+re-run on the ``thread`` backend and checked record-identical, so the
+sweep itself proves executor equivalence every time it runs.
 
 Expected headlines: on the 16x16 grid the sharded engine cuts the
 critical-path scheduling wall-clock by well over 2x while keeping the
@@ -43,6 +43,13 @@ from repro.core.config import ProtocolConfig
 from repro.core.fdd import fdd_on_network
 from repro.experiments.common import (
     PAPER_PROTOCOL,
+    SHARDED_GUARD_FACTOR,
+    SHARDED_RADIUS_M,
+    SHARDED_SHARDS,
+    SHARDED_WORKERS,
+    TRAFFIC_CONFIRM_SEEDS,
+    TRAFFIC_DENSITY,
+    TRAFFIC_SLOT_SECONDS,
     ExperimentProfile,
     finish_obs,
     obs_for,
@@ -64,6 +71,12 @@ from repro.traffic import (
 )
 from repro.util.rng import spawn
 
+#: Fan-out backend for the sharded sweep: "process" actually cashes the
+#: critical-path parallelism as wall-clock (GIL-free workers); the E9
+#: harness cross-checks one operating point per grid against "thread" for
+#: bit-identity.
+SHARDED_EXECUTOR = "process"
+
 
 def backbone_protocol(network) -> ProtocolConfig:
     """The paper's protocol constants sized for a whole backbone.
@@ -82,7 +95,7 @@ def backbone_protocol(network) -> ProtocolConfig:
 
 def _grid_case(profile: ExperimentProfile, rows: int, cols: int):
     """Network, gateways, forest links, and protocol config for one grid."""
-    network = grid_network(rows, cols, density_per_km2=profile.traffic_density)
+    network = grid_network(rows, cols, density_per_km2=TRAFFIC_DENSITY)
     gateways = planned_gateways(rows, cols, 4)
     forest = build_routing_forest(
         network.comm_adj, gateways, rng=spawn(profile.seed, "sharded-forest", rows)
@@ -115,9 +128,9 @@ def sharded_experiment(profile: ExperimentProfile) -> TextTable:
             "stable",
         ],
         title="Sharded multi-region epoch engine — FDD per region vs one "
-        f"backbone protocol, density {profile.traffic_density:g}/km^2, "
-        f"{profile.sharded_shards} shards, guard {profile.sharded_guard_factor:g}x "
-        f"noise at radius {profile.sharded_radius_m:g} m, "
+        f"backbone protocol, density {TRAFFIC_DENSITY:g}/km^2, "
+        f"{SHARDED_SHARDS} shards, guard {SHARDED_GUARD_FACTOR:g}x "
+        f"noise at radius {SHARDED_RADIUS_M:g} m, "
         f"T={profile.traffic_epoch_slots} slots/epoch, "
         f"{profile.sharded_epochs} epochs",
     )
@@ -128,14 +141,14 @@ def sharded_experiment(profile: ExperimentProfile) -> TextTable:
         plan = plan_for_network(
             links,
             network,
-            n_shards=profile.sharded_shards,
-            interference_radius_m=profile.sharded_radius_m,
-            guard_factor=profile.sharded_guard_factor,
+            n_shards=SHARDED_SHARDS,
+            interference_radius_m=SHARDED_RADIUS_M,
+            guard_factor=SHARDED_GUARD_FACTOR,
         )
         config = EpochConfig(
             epoch_slots=profile.traffic_epoch_slots,
             n_epochs=profile.sharded_epochs,
-            slot_seconds=profile.traffic_slot_seconds,
+            slot_seconds=TRAFFIC_SLOT_SECONDS,
             divergence_factor=4.0,
         )
 
@@ -159,7 +172,7 @@ def sharded_experiment(profile: ExperimentProfile) -> TextTable:
             )
 
         def run_sharded(
-            rate: float, seed_index: int = 0, executor: str | None = None
+            rate: float, seed_index: int = 0, executor: str = SHARDED_EXECUTOR
         ) -> TrafficTrace:
             factory = sharded_distributed_factory(
                 network,
@@ -173,8 +186,8 @@ def sharded_experiment(profile: ExperimentProfile) -> TextTable:
                 factory,
                 network.model,
                 config,
-                max_workers=profile.sharded_workers,
-                executor=executor or profile.sharded_executor,
+                max_workers=SHARDED_WORKERS,
+                executor=executor,
                 obs=obs,
             )
 
@@ -196,7 +209,7 @@ def sharded_experiment(profile: ExperimentProfile) -> TextTable:
             points = stability_sweep(
                 lambdas,
                 run_and_keep,
-                confirm_seeds=profile.traffic_confirm_seeds,
+                confirm_seeds=TRAFFIC_CONFIRM_SEEDS,
             )
             knees[engine] = stability_knee(points)
             # Timing fields are None on hosts without a thread-CPU clock
@@ -270,19 +283,17 @@ def sharded_experiment(profile: ExperimentProfile) -> TextTable:
             "-",
         )
 
-        # Executor equivalence: re-run one operating point on the backend the
-        # sweep did NOT use and require a record-identical trace.  The process
-        # pool must be an implementation detail of *where* schedulers run,
-        # never of *what* they produce.
+        # Executor equivalence: re-run one operating point on the thread
+        # backend and require a record-identical trace.  The process pool
+        # must be an implementation detail of *where* schedulers run, never
+        # of *what* they produce.
         check_rate = lambdas[0]
-        other = "thread" if profile.sharded_executor == "process" else "process"
-        cross = run_sharded(check_rate, executor=other)
+        cross = run_sharded(check_rate, executor="thread")
         base = kept["sharded"][check_rate]
         if cross.records != base.records:
             raise AssertionError(
                 f"sharded engine diverged across executors on {grid} at "
-                f"lambda={check_rate:g}: {other!r} != "
-                f"{profile.sharded_executor!r}"
+                f"lambda={check_rate:g}: 'thread' != {SHARDED_EXECUTOR!r}"
             )
     finish_obs(obs)
     return table

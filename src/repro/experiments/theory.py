@@ -136,19 +136,14 @@ def fdd_equivalence_experiment(profile: ExperimentProfile) -> TextTable:
     return table
 
 
-def impossibility_demo(
-    k_values: tuple[int, ...] = (1, 2, 3, 5, 8),
-    n_nodes: int = 64,
-    spacing_m: float = 40.0,
-    margin: float = 0.005,
-) -> TextTable:
+def impossibility_demo() -> TextTable:
     """T3 — the Theorem 1 construction, numerically.
 
-    A line network: the observed link ``l`` sits at the left end, stretched
-    to have an SINR margin of only ``margin`` above the threshold (the
-    theorem permits arbitrary node distribution); a block of concurrent far
-    transmitters occupies the right half, beyond any constant k-hop
-    neighborhood of ``l``.  Each far transmitter alone is irrelevant to
+    A line network of 64 nodes 40 m apart: the observed link ``l`` sits at
+    the left end, stretched to have an SINR margin of only 0.5 % above the
+    threshold (the theorem permits arbitrary node distribution); a block of
+    concurrent far transmitters occupies the right half, beyond any
+    constant k-hop neighborhood of ``l``.  Each far transmitter alone is irrelevant to
     ``l`` — far below carrier sensing, shifting its SINR by thousandths of
     a dB — but their *aggregate* pushes ``l`` below the threshold.  Any
     algorithm deciding ``l``'s slot membership from k-hop information alone
@@ -160,6 +155,7 @@ def impossibility_demo(
     from repro.phy.gain import received_power_matrix
     from repro.phy.sinr import sinr_for_links
 
+    n_nodes, spacing_m, margin = 64, 40.0, 0.005
     radio = RadioConfig()
     propagation = LogDistancePathLoss(alpha=radio.alpha)
     positions = line_positions(n_nodes, spacing_m)
@@ -229,7 +225,7 @@ def impossibility_demo(
     table.add_row("threshold beta (dB)", f"{10 * np.log10(radio.beta):.4f}")
     feasible_flip = alone >= radio.beta > with_far
     table.add_row("feasibility flips with far block", "yes" if feasible_flip else "no")
-    for k in k_values:
+    for k in (1, 2, 3, 5, 8):
         table.add_row(
             f"k={k}-local decision possible",
             "no (far block beyond k hops)" if hop_dist > k else "yes",

@@ -31,9 +31,6 @@ class TransmissionInterval:
     def end_s(self) -> float:
         return self.start_s + self.duration_s
 
-    def active_at(self, t: float) -> bool:
-        return self.start_s <= t < self.end_s
-
 
 def rssi_dbm(
     sample_times: np.ndarray,

@@ -37,8 +37,8 @@ __all__ = [
     "label_key",
 ]
 
-#: Quantiles a histogram tracks by default: the median plus the two SLA
-#: tails the delay analyses report.
+#: Quantiles every histogram tracks: the median plus the two SLA tails the
+#: delay analyses report.
 DEFAULT_QUANTILES = (0.5, 0.99, 0.999)
 
 
@@ -135,15 +135,12 @@ class StreamingHistogram:
 
     __slots__ = ("count", "mean", "min", "max", "_quantiles")
 
-    def __init__(self, quantiles: Iterable[float] = DEFAULT_QUANTILES):
-        qs = tuple(float(q) for q in quantiles)
-        if not qs:
-            raise ValueError("a histogram needs at least one tracked quantile")
+    def __init__(self):
         self.count = 0
         self.mean = 0.0
         self.min = float("inf")
         self.max = float("-inf")
-        self._quantiles = {q: P2Quantile(q) for q in qs}
+        self._quantiles = {q: P2Quantile(q) for q in DEFAULT_QUANTILES}
 
     def add(self, value: float) -> None:
         x = float(value)
@@ -185,10 +182,6 @@ class StreamingHistogram:
             for x in samples:
                 add(x)
 
-    @property
-    def tracked_quantiles(self) -> tuple[float, ...]:
-        return tuple(self._quantiles)
-
     def quantile(self, q: float) -> float:
         """The estimate for a *tracked* quantile (KeyError otherwise)."""
         return self._quantiles[float(q)].value
@@ -219,8 +212,7 @@ class MetricsRegistry:
     engines emit.
     """
 
-    def __init__(self, quantiles: Iterable[float] = DEFAULT_QUANTILES):
-        self._quantiles = tuple(float(q) for q in quantiles)
+    def __init__(self):
         self._counters: dict[tuple[str, tuple], float] = {}
         self._gauges: dict[tuple[str, tuple], float] = {}
         self._histograms: dict[tuple[str, tuple], StreamingHistogram] = {}
@@ -243,7 +235,7 @@ class MetricsRegistry:
         with self._lock:
             hist = self._histograms.get(key)
             if hist is None:
-                hist = self._histograms[key] = StreamingHistogram(self._quantiles)
+                hist = self._histograms[key] = StreamingHistogram()
             hist.add(value)
 
     def observe_many(self, name: str, values: Iterable[float], **labels) -> None:
@@ -251,7 +243,7 @@ class MetricsRegistry:
         with self._lock:
             hist = self._histograms.get(key)
             if hist is None:
-                hist = self._histograms[key] = StreamingHistogram(self._quantiles)
+                hist = self._histograms[key] = StreamingHistogram()
             hist.add_many(values)
 
     # -- reads ---------------------------------------------------------------
@@ -264,14 +256,6 @@ class MetricsRegistry:
 
     def histogram(self, name: str, **labels) -> StreamingHistogram | None:
         return self._histograms.get((name, label_key(labels)))
-
-    def counters_named(self, name: str) -> list[tuple[dict, float]]:
-        """Every ``(labels, value)`` series of one counter name."""
-        return [
-            (dict(key[1]), value)
-            for key, value in sorted(self._counters.items())
-            if key[0] == name
-        ]
 
     @property
     def n_series(self) -> int:

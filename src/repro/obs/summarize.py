@@ -30,7 +30,7 @@ from repro.analysis.tables import TextTable
 
 from .export import load_run_file
 
-__all__ = ["summarize_run", "render_summary"]
+__all__ = ["summarize_run"]
 
 
 def _labels_text(labels: dict) -> str:
@@ -178,8 +178,3 @@ def summarize_run(path: str | Path) -> str:
         _quantile_table(rows).render(),
     ]
     return "\n".join(lines)
-
-
-def render_summary(paths: list[str | Path]) -> str:
-    """Summarize several run files, separated by blank lines."""
-    return "\n\n".join(summarize_run(p) for p in paths)

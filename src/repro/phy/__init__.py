@@ -15,7 +15,7 @@ from repro.phy.propagation import (
 )
 from repro.phy.radio import RadioConfig, RateTable
 from repro.phy.gain import received_power_matrix, gain_matrix
-from repro.phy.sinr import sinr_for_links, min_sinr_margin, rates_for_links
+from repro.phy.sinr import sinr_for_links
 from repro.phy.interference import PhysicalInterferenceModel
 from repro.phy.spatial import GridIndex
 from repro.phy.sparse import (
@@ -41,8 +41,6 @@ __all__ = [
     "received_power_matrix",
     "gain_matrix",
     "sinr_for_links",
-    "min_sinr_margin",
-    "rates_for_links",
     "PhysicalInterferenceModel",
     "GridIndex",
     "SparsePowerMatrix",

@@ -5,15 +5,11 @@ These matrices are the central physical object in the reproduction: entry
 collects when node ``i`` transmits at its configured power.  Every SINR
 computation, carrier-sense test, and graph construction reads from them.
 
-Two scaling controls, both opt-in and default-neutral:
-
-* ``dtype=np.float32`` halves the dense footprint for mid-size sweeps that
-  don't need the sparse path (verdict-identity on the reference grid is
-  pinned by the unit suite — float32 mantissas dwarf the SINR margins
-  there, but it is an approximation and stays opt-in);
-* distance-law matrices are assembled in row blocks, so the transient
-  ``(n, n, 2)`` delta tensor (3× the matrix itself) never materializes —
-  peak memory is the output plus one thin block.
+Matrices are float64 and distance-law ones are assembled in row blocks,
+so the transient ``(n, n, 2)`` delta tensor (3× the matrix itself) never
+materializes — peak memory is the output plus one thin block.  Deployments
+too large for an ``(n, n)`` matrix take the sparse path
+(:mod:`repro.phy.sparse`).
 """
 
 from __future__ import annotations
@@ -28,20 +24,13 @@ from repro.util.validation import check_finite_array
 _BLOCK_ROWS = 2048
 
 
-def distance_matrix(
-    positions: np.ndarray, dtype: np.dtype | type = np.float64
-) -> np.ndarray:
-    """Euclidean distance matrix from an ``(n, 2)`` position array.
-
-    Distances are always computed in float64 and rounded once into
-    ``dtype`` on store, so a float32 matrix is the rounding of the exact
-    one, not the result of accumulating error in float32 arithmetic.
-    """
+def distance_matrix(positions: np.ndarray) -> np.ndarray:
+    """Euclidean distance matrix from an ``(n, 2)`` position array."""
     pos = np.asarray(positions, dtype=float)
     if pos.ndim != 2 or pos.shape[1] != 2:
         raise ValueError(f"positions must have shape (n, 2), got {pos.shape}")
     n = pos.shape[0]
-    out = np.empty((n, n), dtype=dtype)
+    out = np.empty((n, n))
     for lo in range(0, n, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, n)
         deltas = pos[lo:hi, None, :] - pos[None, :, :]
@@ -49,11 +38,7 @@ def distance_matrix(
     return out
 
 
-def gain_matrix(
-    positions: np.ndarray,
-    model: PropagationModel,
-    dtype: np.dtype | type = np.float64,
-) -> np.ndarray:
+def gain_matrix(positions: np.ndarray, model: PropagationModel) -> np.ndarray:
     """Channel power-gain matrix ``G[i, j]`` for all node pairs.
 
     Models carrying per-pair state (frozen shadowing, replayed archives)
@@ -67,11 +52,10 @@ def gain_matrix(
         raise ValueError(f"positions must have shape (n, 2), got {pos.shape}")
     pair_gain = getattr(model, "pair_gain", None)
     if pair_gain is not None:
-        # Per-pair state is identified by the full index grid; evaluate
-        # dense and round once into the requested storage dtype.
-        return np.asarray(pair_gain(distance_matrix(pos)), dtype=dtype)
+        # Per-pair state is identified by the full index grid: evaluate dense.
+        return np.asarray(pair_gain(distance_matrix(pos)), dtype=float)
     n = pos.shape[0]
-    out = np.empty((n, n), dtype=dtype)
+    out = np.empty((n, n))
     for lo in range(0, n, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, n)
         deltas = pos[lo:hi, None, :] - pos[None, :, :]
@@ -83,7 +67,6 @@ def received_power_matrix(
     positions: np.ndarray,
     tx_power_mw: np.ndarray,
     model: PropagationModel,
-    dtype: np.dtype | type = np.float64,
 ) -> np.ndarray:
     """Received-power matrix ``P[i, j] = tx_power[i] * gain(i, j)`` in mW."""
     tx = np.asarray(tx_power_mw, dtype=float)
@@ -97,6 +80,6 @@ def received_power_matrix(
     check_finite_array("tx_power_mw", tx)
     if np.any(tx <= 0):
         raise ValueError("transmit powers must be strictly positive")
-    out = gain_matrix(pos, model, dtype=dtype)
+    out = gain_matrix(pos, model)
     out *= tx[:, None]  # in place: gain_matrix's return is ours to reuse
     return out

@@ -9,7 +9,7 @@ quantities in one immutable value object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,10 +76,6 @@ class RadioConfig:
         range ``γ·r``.
         """
         return self.decode_power_mw / (self.cs_gamma**self.alpha)
-
-    def with_cs_gamma(self, cs_gamma: float) -> "RadioConfig":
-        """Return a copy with a different carrier-sense range ratio."""
-        return replace(self, cs_gamma=cs_gamma)
 
 
 @dataclass(frozen=True)

@@ -206,51 +206,6 @@ def sinr_for_link_sets(
     )
 
 
-def min_sinr_margin(
-    power: np.ndarray,
-    senders: np.ndarray,
-    receivers: np.ndarray,
-    noise_mw: float,
-    beta: float,
-    budget_mw: np.ndarray | None = None,
-) -> float:
-    """Smallest ``SINR / beta`` over the link set (>= 1 means all decode).
-
-    Useful as a scalar "how close to infeasible is this slot" diagnostic in
-    experiments and property tests.  Returns ``inf`` for an empty link set.
-    ``budget_mw`` is the same per-node far-field budget as
-    :func:`sinr_for_links`; margin diagnostics on budgeted shards must pass
-    it or they overstate headroom (budgeted noise lowers every SINR).
-    """
-    sinr = sinr_for_links(power, senders, receivers, noise_mw, budget_mw)
-    if sinr.size == 0:
-        return float("inf")
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    return float(sinr.min() / beta)
-
-
-def rates_for_links(
-    power: np.ndarray,
-    senders: np.ndarray,
-    receivers: np.ndarray,
-    noise_mw: float,
-    table,
-    budget_mw: np.ndarray | None = None,
-) -> np.ndarray:
-    """Achievable packets-per-slot per link under a :class:`RateTable`.
-
-    The rate-returning sibling of :func:`sinr_for_links`: the same
-    vectorized SINR pass followed by a single ``searchsorted`` tier lookup
-    (``table.rate_for``).  Stateless — SINR below the base tier yields rate
-    0, exactly the old infeasibility verdict; callers that have already
-    established slot membership and want the base-MCS floor use
-    :meth:`repro.phy.interference.PhysicalInterferenceModel.link_tiers`.
-    """
-    sinr = sinr_for_links(power, senders, receivers, noise_mw, budget_mw)
-    return table.rate_for(sinr)
-
-
 def carrier_sense_power(
     power: np.ndarray, transmitters: np.ndarray, n_nodes: int
 ) -> np.ndarray:

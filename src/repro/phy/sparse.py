@@ -38,7 +38,7 @@ truth-feasible whatever the floor says; the number of memberships it had
 to re-pack is the floor's measured error (29 % of them at 10⁴ nodes, 56 %
 at 10⁵; DESIGN.md §13).  A floor that is an upper *bound* per slot, so repairs
 become rare, and rates read off the verified SINR are still open (ROADMAP
-item 1c/1d).
+item 2(a)/(d)).
 """
 
 from __future__ import annotations

@@ -1,16 +1,16 @@
 """Grid-bucket spatial index over node positions.
 
-The sparse interference stack needs one geometric primitive: "which nodes
-sit within radius ``r`` of here?" — asked once per node when the near-field
-entries of a :class:`~repro.phy.sparse.SparsePowerMatrix` are harvested, and
-again by experiments that window deployments.  A uniform grid of square
-cells answers it in O(occupants of the 3x3-ish cell stencil) with nothing
-but lexsort and searchsorted: positions are bucketed once into cells of
-``cell_size`` meters (keyed to the interference radius, so one stencil ring
-covers the query radius), and every query inspects only the *occupied*
-buckets the query disc can touch — found by binary search on the sorted
-occupied-cell keys, so empty cells cost nothing and a fine index queried at
-a coarse radius stays O(occupied cells), not O((radius / cell_size)²).
+The sparse interference stack needs one geometric primitive: "which node
+pairs lie within radius ``r``?" — the near-field entries of a
+:class:`~repro.phy.sparse.SparsePowerMatrix`.  A uniform grid of square
+cells answers it in O(occupants of the 3x3-ish cell stencil) per node with
+nothing but lexsort and searchsorted: positions are bucketed once into
+cells of ``cell_size`` meters (keyed to the interference radius, so one
+stencil ring covers the radius), and every node is tested only against the
+*occupied* buckets its stencil can touch — found by binary search on the
+sorted occupied-cell keys, so empty cells cost nothing and a fine index
+joined at a coarse radius stays O(occupied cells), not
+O((radius / cell_size)²).
 
 Tree indexes (k-d, R-trees) win on wildly non-uniform data; mesh
 deployments are density-bounded by construction (the paper deploys by
@@ -19,9 +19,9 @@ beats tree pointer-chasing — the same structure Halldórsson & Mitra's
 length-class analysis (arXiv:1104.5200) imposes on instances before
 reasoning about them.
 
-Everything is vectorized over numpy arrays; the property suite pins every
-query against brute-force :func:`~repro.phy.gain.distance_matrix` answers,
-including invariance of the results under cell-size changes.
+Everything is vectorized over numpy arrays; the property suite pins the
+pair join against brute-force :func:`~repro.phy.gain.distance_matrix`
+answers, including invariance of the results under cell-size changes.
 """
 
 from __future__ import annotations
@@ -34,8 +34,6 @@ import numpy as np
 from repro.phy.sinr import _GATHER_ELEMENTS
 from repro.util.ranges import expand_ranges
 from repro.util.validation import check_finite_array, check_positive
-
-_INT64 = np.iinfo(np.int64)
 
 
 @dataclass(frozen=True)
@@ -113,69 +111,6 @@ class GridIndex:
         )
         return self._starts[lo], self._starts[hi]
 
-    def _stencil_members(self, cell_x: int, cell_y: int, reach: int) -> np.ndarray:
-        """Node indices in the ``(2*reach+1)²`` stencil around a cell.
-
-        One binary search for the occupied columns the stencil spans, one
-        per column for its rows: cost follows occupancy, not ``reach²``.
-        """
-        x_lo, x_hi, y_lo, y_hi = (
-            min(max(c, _INT64.min), _INT64.max)
-            for c in (cell_x - reach, cell_x + reach, cell_y - reach, cell_y + reach)
-        )
-        cols = np.arange(
-            np.searchsorted(self._col_x, x_lo),
-            np.searchsorted(self._col_x, x_hi, side="right"),
-        )
-        return self._order[expand_ranges(*self._band(cols, y_lo, y_hi))[1]]
-
-    def query_radius(self, point: np.ndarray, radius: float) -> np.ndarray:
-        """Indices of all nodes within ``radius`` of ``point``, ascending.
-
-        Inclusive boundary (``distance <= radius``), matching the
-        brute-force ``distance_matrix(...) <= radius`` predicate the
-        property suite compares against.
-        """
-        check_positive("radius", radius)
-        p = np.asarray(point, dtype=float).reshape(2)
-        reach = int(np.ceil(radius / self.cell_size))
-        cx, cy = (int(c) for c in np.floor(p / self.cell_size))
-        cand = self._stencil_members(cx, cy, reach)
-        deltas = self.positions[cand] - p
-        hit = cand[np.einsum("ij,ij->i", deltas, deltas) <= radius * radius]
-        return np.sort(hit)
-
-    def k_nearest(self, point: np.ndarray, k: int) -> np.ndarray:
-        """The ``k`` nodes nearest to ``point``, nearest first.
-
-        Ties break by node index (ascending), so the answer is a pure
-        function of the deployment — no dependence on bucket layout, which
-        the cell-size-invariance property test relies on.  Doubles the
-        stencil until the k-th candidate provably cannot be beaten by any
-        node outside the searched square.
-        """
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
-        k = min(k, self.n_nodes)
-        p = np.asarray(point, dtype=float).reshape(2)
-        cx, cy = (int(c) for c in np.floor(p / self.cell_size))
-        reach = 1
-        while True:
-            cand = self._stencil_members(cx, cy, reach)
-            if cand.size >= k:
-                deltas = self.positions[cand] - p
-                d2 = np.einsum("ij,ij->i", deltas, deltas)
-                sel = np.lexsort((cand, d2))[:k]
-                # A stencil of ``reach`` rings covers every point within
-                # ``(reach - 1) * cell_size`` of the query cell, whatever
-                # the query's offset inside it.
-                safe = (reach - 1) * self.cell_size
-                if cand.size >= self.n_nodes or (
-                    safe > 0 and float(np.sqrt(d2[sel[-1]])) <= safe
-                ):
-                    return cand[sel]
-            reach *= 2
-
     def _partner_runs(
         self, radius: float
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -241,16 +176,3 @@ class GridIndex:
             t0 = t1
             if t0 >= a.size:
                 return
-
-    def pairs_within(self, radius: float) -> tuple[np.ndarray, np.ndarray]:
-        """All ordered pairs ``(i, j)``, ``i != j``, with ``d(i, j) <= radius``.
-
-        Returned arrays are lexsorted by ``(i, j)`` and symmetric as a set
-        (``(i, j)`` present iff ``(j, i)`` is): :meth:`near_pairs`, both
-        directions, sorted.
-        """
-        a, b, _ = zip(*self.near_pairs(radius))
-        i = np.concatenate(a + b)
-        j = np.concatenate(b + a)
-        order = np.lexsort((j, i))
-        return i[order], j[order]

@@ -61,23 +61,6 @@ class RoutingForest:
         """
         return np.flatnonzero(self.parent >= 0).astype(np.intp)
 
-    @cached_property
-    def root_of(self) -> np.ndarray:
-        """``(n,)`` array: the gateway at the root of each node's tree."""
-        roots = np.full(self.n_nodes, -1, dtype=np.intp)
-        for v in np.argsort(self.depth):
-            p = self.parent[v]
-            roots[v] = v if p < 0 else roots[p]
-        return roots
-
-    def children_lists(self) -> list[list[int]]:
-        """Adjacency lists child[] per node (tree edges pointing down)."""
-        children: list[list[int]] = [[] for _ in range(self.n_nodes)]
-        for v, p in enumerate(self.parent):
-            if p >= 0:
-                children[p].append(v)
-        return children
-
     def route(self, source: int) -> list[int]:
         """The node sequence from ``source`` up to its gateway (inclusive)."""
         if not 0 <= source < self.n_nodes:

@@ -109,12 +109,9 @@ class LinkSet:
         )
 
 
-def forest_link_set(
-    forest: RoutingForest,
-    link_demand: np.ndarray,
-    ids: np.ndarray | None = None,
-) -> LinkSet:
-    """The paper's link set: one edge per non-gateway node, child -> parent.
+def forest_link_set(forest: RoutingForest, link_demand: np.ndarray) -> LinkSet:
+    """The paper's link set: one edge per non-gateway node, child -> parent,
+    each identified by its head node's index.
 
     Parameters
     ----------
@@ -123,9 +120,6 @@ def forest_link_set(
     link_demand:
         ``(n_nodes,)`` aggregated link demands indexed by head node (from
         :func:`repro.routing.demand.aggregate_demand`).
-    ids:
-        Optional ``(n_nodes,)`` unique node identifiers (e.g. MAC addresses);
-        defaults to node indices.
     """
     heads = forest.edge_heads
     demand = np.asarray(link_demand, dtype=np.int64)
@@ -133,16 +127,9 @@ def forest_link_set(
         raise ValueError(
             f"link_demand must have shape ({forest.n_nodes},), got {demand.shape}"
         )
-    node_ids = (
-        np.arange(forest.n_nodes, dtype=np.int64)
-        if ids is None
-        else np.asarray(ids, dtype=np.int64)
-    )
-    if node_ids.shape != (forest.n_nodes,):
-        raise ValueError("ids must have one entry per node")
     return LinkSet(
         heads=heads,
         tails=forest.parent[heads],
         demand=demand[heads],
-        ids=node_ids[heads],
+        ids=heads.astype(np.int64),
     )

@@ -53,12 +53,6 @@ class Schedule:
         """Schedule length ``T``: the number of slots."""
         return len(self.slots)
 
-    def new_slot(self) -> Slot:
-        """Append and return an empty slot."""
-        slot = Slot()
-        self.slots.append(slot)
-        return slot
-
     def allocations(self) -> np.ndarray:
         """Number of slots in which each link appears (per link index)."""
         members = np.fromiter(

@@ -77,11 +77,6 @@ class PacketRuntime(Runtime):
     def ids(self) -> np.ndarray:
         return self._ids
 
-    @property
-    def slots_on_air(self) -> int:
-        """Total medium slots actually resolved (engine ground truth)."""
-        return self._engine.slots_elapsed
-
     def scream(self, inputs: np.ndarray) -> np.ndarray:
         arr = np.asarray(inputs, dtype=bool)
         self.tally.add_scream(self.config.k)

@@ -6,7 +6,7 @@ heterogeneous power), the graphs derived from the physical layer, and the
 interference-diameter machinery of Section IV-B.
 """
 
-from repro.topology.regions import SquareRegion, side_for_density, density_for_side
+from repro.topology.regions import SquareRegion, side_for_density
 from repro.topology.deployment import (
     grid_positions,
     uniform_positions,
@@ -31,7 +31,6 @@ from repro.topology.lattice import (
 __all__ = [
     "SquareRegion",
     "side_for_density",
-    "density_for_side",
     "grid_positions",
     "uniform_positions",
     "line_positions",

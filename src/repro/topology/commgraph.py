@@ -134,8 +134,3 @@ def adjacency_csr(adjacency: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def is_connected(adjacency: np.ndarray) -> bool:
     """Is the (undirected) graph connected?  BFS from node 0."""
     return is_connected_csr(*adjacency_csr(adjacency))
-
-
-def degree_sequence(adjacency: np.ndarray) -> np.ndarray:
-    """Per-node degree of the undirected communication graph."""
-    return np.asarray(adjacency, dtype=bool).sum(axis=1)

@@ -33,12 +33,6 @@ def grid_positions(rows: int, cols: int, region: SquareRegion) -> np.ndarray:
     return np.column_stack([xx.ravel(), yy.ravel()])
 
 
-def grid_step(rows: int, cols: int, region: SquareRegion) -> float:
-    """Lattice step of the grid produced by :func:`grid_positions`."""
-    divisions = max(rows - 1, cols - 1, 1)
-    return region.side / divisions
-
-
 def uniform_positions(
     n: int, region: SquareRegion, rng: np.random.Generator
 ) -> np.ndarray:

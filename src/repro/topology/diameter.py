@@ -45,14 +45,6 @@ def interference_diameter(adjacency: np.ndarray) -> float:
     return float(longest)
 
 
-def eccentricities(adjacency: np.ndarray) -> np.ndarray:
-    """Per-node eccentricity: max hop distance from the node to any other."""
-    dist = hop_distance_matrix(adjacency)
-    if dist.size == 0:
-        return np.zeros(0)
-    return dist.max(axis=1)
-
-
 def neighbor_density(adjacency: np.ndarray) -> float:
     """Average node degree ``ρ(G)`` of an undirected graph (Definition 6)."""
     adj = np.asarray(adjacency, dtype=bool)

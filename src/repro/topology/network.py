@@ -85,11 +85,6 @@ class Network:
         return sensitivity_adjacency(self.power, self.radio.cs_threshold_mw)
 
     @cached_property
-    def comm_hop_distance(self) -> np.ndarray:
-        """All-pairs hop distances in the communication graph."""
-        return hop_distance_matrix(self.comm_adj)
-
-    @cached_property
     def sens_hop_distance(self) -> np.ndarray:
         """All-pairs directed hop distances in the sensitivity graph."""
         return hop_distance_matrix(self.sens_adj)
@@ -120,16 +115,6 @@ class Network:
             raise ValueError("sensitivity graph is not a super-graph of G")
         if not np.isfinite(self.interference_diameter()):
             raise ValueError("sensitivity graph is not strongly connected")
-
-    def comm_graph_nx(self):
-        """The communication graph as a :class:`networkx.Graph`."""
-        import networkx as nx
-
-        graph = nx.Graph()
-        graph.add_nodes_from(range(self.n_nodes))
-        rows, cols = np.nonzero(np.triu(self.comm_adj, k=1))
-        graph.add_edges_from(zip(rows.tolist(), cols.tolist()))
-        return graph
 
 
 def grid_network(

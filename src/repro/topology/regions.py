@@ -30,14 +30,6 @@ def side_for_density(n_nodes: int, density_per_km2: float) -> float:
     return float(np.sqrt(area_m2))
 
 
-def density_for_side(n_nodes: int, side_m: float) -> float:
-    """Density (nodes/km^2) of ``n_nodes`` in a square of side ``side_m``."""
-    if n_nodes <= 0:
-        raise ValueError(f"n_nodes must be positive, got {n_nodes}")
-    check_positive("side_m", side_m)
-    return n_nodes / (side_m**2 / SQ_METERS_PER_SQ_KM)
-
-
 @dataclass(frozen=True)
 class SquareRegion:
     """A square deployment region ``[0, side] x [0, side]`` in meters."""

@@ -635,12 +635,10 @@ def flow_delays(session: FlowWorkload, queues: LinkQueues) -> dict[int, float]:
     }
 
 
-def flow_delay_percentile(
-    session: FlowWorkload, queues: LinkQueues, q: float = 99.0
-) -> float:
-    """The ``q``-th percentile of per-flow mean delays (nan when no flow
-    has a delivered packet yet) — the SLA tail across *users*, not packets."""
+def flow_delay_percentile(session: FlowWorkload, queues: LinkQueues) -> float:
+    """The 99th percentile of per-flow mean delays (nan when no flow has a
+    delivered packet yet) — the SLA tail across *users*, not packets."""
     delays = list(flow_delays(session, queues).values())
     if not delays:
         return float("nan")
-    return float(np.percentile(np.asarray(delays, dtype=float), q))
+    return float(np.percentile(np.asarray(delays, dtype=float), 99.0))

@@ -337,8 +337,8 @@ class TrafficTrace:
 
         Zero-demand epochs never invoke the scheduler, so they count
         neither way — a bursty workload that drains between bursts is not
-        penalized for the epochs it asked nothing of the cache (matches
-        :attr:`~repro.traffic.incremental.CacheStats.hit_rate`).
+        penalized for the epochs it asked nothing of the cache (the
+        account :class:`~repro.traffic.incremental.CacheStats` keeps).
         """
         if self._requests == 0:
             return 0.0
@@ -486,29 +486,6 @@ class RateAnnotator:
             self._prev[members[now]] = tiers[now] = granted
         ends = np.cumsum([len(idx) for idx in slot_links]).tolist()
         return split_at(tiers, ends), split_at(table.rates[tiers], ends)
-
-
-def play_schedule(
-    queues: LinkQueues,
-    slot_links: list[np.ndarray],
-    start: int,
-    epoch_slots: int,
-    overhead_slots: int,
-    slot_rates: list[np.ndarray] | None = None,
-) -> int:
-    """Play a schedule cyclically over one epoch's remaining data slots.
-
-    The epoch loop's single serving primitive, so both engines serve queues
-    with identical semantics: slots ``overhead_slots .. epoch_slots - 1``
-    each serve every backlogged member link, cycling through ``slot_links``
-    (per-slot arrays of link indices) from its first entry.  Each play
-    forwards one packet per member (the seed contract) unless
-    ``slot_rates`` — per-slot packets-per-slot arrays aligned with
-    ``slot_links``, from :meth:`RateAnnotator.annotate` — grants more.
-    One :meth:`LinkQueues.play` call, whose cost follows the forest's depth
-    and not ``epoch_slots``.  Returns the packet-hops served.
-    """
-    return queues.play(slot_links, start, epoch_slots, overhead_slots, slot_rates)
 
 
 def book_epoch_obs(obs: Obs | None, record: EpochRecord, engine: str) -> None:
@@ -765,8 +742,8 @@ def epoch_loop(
                     slot_tiers, slot_rates = annotator.annotate(slot_links)
             plays_before = queues.plays_total
             with phase(obs, "epoch.serve", engine=engine, epoch=epoch):
-                served = play_schedule(
-                    queues, slot_links, start, T, overhead_slots, slot_rates
+                served = queues.play(
+                    slot_links, start, T, overhead_slots, slot_rates
                 )
             book_rate_obs(
                 obs, slot_tiers, served, queues.plays_total - plays_before, engine
@@ -910,11 +887,9 @@ def serialized_scheduler() -> EpochSchedulerFn:
 
 
 def centralized_scheduler(
-    model: PhysicalInterferenceModel,
-    ordering: str = "id",
-    overhead_seconds: float = 0.0,
+    model: PhysicalInterferenceModel, overhead_seconds: float = 0.0
 ) -> EpochSchedulerFn:
-    """GreedyPhysical re-run on every epoch's backlog snapshot.
+    """GreedyPhysical (id ordering) re-run on every epoch's backlog snapshot.
 
     ``overhead_seconds`` lets callers charge a fixed cost for shipping
     backlogs to and schedules from a central controller (0 models a free
@@ -922,7 +897,7 @@ def centralized_scheduler(
     """
 
     def schedule(links: LinkSet, epoch: int) -> EpochSchedule:
-        return EpochSchedule(greedy_physical(links, model, ordering), overhead_seconds)
+        return EpochSchedule(greedy_physical(links, model), overhead_seconds)
 
     return schedule
 
@@ -952,7 +927,6 @@ def distributed_scheduler(
     network: Network,
     protocol: Callable[..., object],
     config: ProtocolConfig | None = None,
-    timing: TimingModel | None = None,
     seed: int | np.random.Generator | None = None,
 ) -> EpochSchedulerFn:
     """A distributed protocol (``fdd_on_network`` / ``pdd_on_network`` /
@@ -964,7 +938,7 @@ def distributed_scheduler(
     schedules distributedly instead of by a free centralized oracle.
     """
     cfg = config or ProtocolConfig()
-    price = timing or TimingModel(scream_bytes=cfg.smbytes)
+    price = TimingModel(scream_bytes=cfg.smbytes)
     root = freeze_root(seed)  # frozen so each epoch's rng is reproducible
 
     def schedule(links: LinkSet, epoch: int) -> EpochSchedule:

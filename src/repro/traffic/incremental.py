@@ -105,13 +105,6 @@ class CacheStats:
     patches: int = 0
     recomputes: int = 0
 
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of requests answered from cache (hit or patch)."""
-        if self.requests == 0:
-            return 0.0
-        return (self.hits + self.patches) / self.requests
-
 
 def patch_schedule(
     cached: Schedule,

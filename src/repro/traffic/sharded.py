@@ -123,10 +123,6 @@ class LinkShard:
     def n_links(self) -> int:
         return self.links.n_links
 
-    @property
-    def n_boundary(self) -> int:
-        return int(self.boundary.sum())
-
 
 @dataclass(frozen=True)
 class ShardPlan:
@@ -305,26 +301,23 @@ class _CentralizedShardFactory:
     whichever process calls the factory and is never pickled.
     """
 
-    ordering: str = "id"
-
     def __call__(
         self, shard: LinkShard, shard_model: PhysicalInterferenceModel
     ) -> EpochSchedulerFn:
         from repro.traffic.epoch import centralized_scheduler
 
-        return centralized_scheduler(shard_model, self.ordering)
+        return centralized_scheduler(shard_model)
 
 
-def sharded_centralized_factory(ordering: str = "id") -> ShardSchedulerFactory:
+def sharded_centralized_factory() -> ShardSchedulerFactory:
     """Per-shard GreedyPhysical on the shard's budgeted oracle."""
-    return _CentralizedShardFactory(ordering)
+    return _CentralizedShardFactory()
 
 
 def sharded_distributed_factory(
     network,
     protocol: Callable[..., object],
     config=None,
-    timing=None,
     seed: int | np.random.Generator | None = None,
 ) -> ShardSchedulerFactory:
     """A distributed protocol (``fdd_on_network`` et al.) per region.
@@ -361,7 +354,7 @@ def sharded_distributed_factory(
     from repro.util.rng import freeze_root
 
     cfg = config or ProtocolConfig()
-    price = timing or TimingModel(scream_bytes=cfg.smbytes)
+    price = TimingModel(scream_bytes=cfg.smbytes)
     root = freeze_root(seed)
     return _DistributedShardFactory(
         network=network, protocol=protocol, cfg=cfg, price=price, root=root

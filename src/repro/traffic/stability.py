@@ -338,19 +338,3 @@ def stability_knee(points: Sequence[StabilityMetrics]) -> float | None:
             break
         knee = point.offered_rate
     return knee
-
-
-def find_knee(
-    rates: Sequence[float],
-    run_at: Callable[..., TrafficTrace],
-    confirm_seeds: int = CONFIRM_SEEDS,
-    hysteresis: float = BORDERLINE_HYSTERESIS,
-) -> tuple[float | None, list[StabilityMetrics]]:
-    """Sweep and locate the knee in one call, de-flaked by default.
-
-    Runs :func:`stability_sweep` with majority confirmation of borderline
-    points (``confirm_seeds`` independent arrival seeds) and returns
-    ``(knee, points)``.
-    """
-    points = stability_sweep(rates, run_at, confirm_seeds, hysteresis)
-    return stability_knee(points), points

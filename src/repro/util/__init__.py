@@ -1,6 +1,6 @@
 """Shared utilities: reproducible RNG management and argument validation."""
 
-from repro.util.rng import ensure_rng, spawn, spawn_many
+from repro.util.rng import ensure_rng, spawn
 from repro.util.validation import (
     check_finite_array,
     check_positive,
@@ -12,7 +12,6 @@ from repro.util.validation import (
 __all__ = [
     "ensure_rng",
     "spawn",
-    "spawn_many",
     "check_finite_array",
     "check_positive",
     "check_non_negative",

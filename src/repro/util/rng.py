@@ -9,7 +9,7 @@ in isolation.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -70,13 +70,6 @@ def spawn(root: int | np.random.Generator | None, *key: int | str) -> np.random.
     return np.random.default_rng(np.random.SeedSequence([entropy, *folded]))
 
 
-def spawn_many(
-    root: int | np.random.Generator | None, count: int, *key: int | str
-) -> list[np.random.Generator]:
-    """Derive ``count`` independent generators sharing a key prefix."""
-    return [spawn(root, *key, i) for i in range(count)]
-
-
 def _fold_key(key: int | str | float | bool) -> int:
     """Map a key component to a stable non-negative 32-bit integer."""
     if isinstance(key, (bool, np.bool_)):
@@ -95,14 +88,6 @@ def _fold_key(key: int | str | float | bool) -> int:
         f"rng key components must be int, float, bool or str, got "
         f"{type(key).__name__}"
     )
-
-
-def iter_seeds(root: int | None, count: int) -> Iterable[int]:
-    """Yield ``count`` deterministic integer seeds derived from ``root``."""
-    base = DEFAULT_SEED if root is None else int(root)
-    seq = np.random.SeedSequence(base)
-    for child in seq.spawn(count):
-        yield int(child.generate_state(1, dtype=np.uint32)[0])
 
 
 def shuffled(rng: np.random.Generator, items: Sequence) -> list:

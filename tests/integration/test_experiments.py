@@ -95,7 +95,7 @@ class TestMote:
         assert errors[-1] < 5.0  # 24 bytes detects reliably
 
     def test_rssi_table_episode_count(self):
-        table = mote_rssi_experiment(TINY, n_rounds=4)
+        table = mote_rssi_experiment(TINY)
         cells = dict(zip(_values(table, "quantity"), _values(table, "value")))
         assert cells["above-threshold episodes"] == cells["expected episodes"]
 
@@ -236,7 +236,6 @@ class TestHeavyTraffic:
             admission_controllers=("none", "static-cap"),
             admission_load_factors=(1.0, 2.0),
             admission_epochs=3,
-            admission_knee_rate=0.01,
         )
         table = admission_experiment(tiny)
         # 2 controllers x 2 offered loads.

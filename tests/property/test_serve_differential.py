@@ -21,7 +21,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.scheduling.links import LinkSet
-from repro.traffic import LinkQueues, play_schedule
+from repro.traffic import LinkQueues
 from tests.conftest import SlotwiseQueues
 
 
@@ -110,7 +110,7 @@ def test_play_equals_slot_by_slot(seed, n_nodes, n_gateways, reach, n_epochs, ep
         # 0-50 slots against a window of 0-40: rounds longer and shorter.
         slots, rates = random_round(rng, links.n_links, int(rng.integers(0, 51)), rated)
         overhead = int(rng.integers(0, epoch_slots + 1))
-        got = play_schedule(kernel, slots, start, epoch_slots, overhead, rates)
+        got = kernel.play(slots, start, epoch_slots, overhead, rates)
         assert got == oracle.play(slots, start, epoch_slots, overhead, rates)
         assert_same_state(kernel, oracle)
         kernel.check_conservation()

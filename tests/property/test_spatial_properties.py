@@ -1,6 +1,6 @@
 """Property tests pinning the GridIndex against brute-force geometry.
 
-Every query the sparse interference stack asks of
+The pair join the sparse interference stack asks of
 :class:`repro.phy.spatial.GridIndex` is checked here against the O(n²)
 answer computed from :func:`repro.phy.gain.distance_matrix`, over random
 deployments *and* random cell sizes — the index must be a pure accelerator,
@@ -33,45 +33,22 @@ def deployment(draw):
     return positions, radius, cell
 
 
-@given(deployment())
-@settings(max_examples=80, deadline=None)
-def test_query_radius_matches_brute_force(case):
-    positions, radius, cell = case
-    index = GridIndex(positions, cell_size=cell)
-    dist = distance_matrix(positions)
-    rng = np.random.default_rng(7)
-    # Query at a node, near a node, and far outside the deployment.
-    queries = [positions[0], positions[0] + rng.uniform(-radius, radius, 2),
-               positions.max(axis=0) + 3 * radius]
-    for q in queries:
-        expected = np.flatnonzero(
-            np.linalg.norm(positions - np.asarray(q), axis=1) <= radius
-        )
-        got = index.query_radius(q, radius)
-        assert np.array_equal(got, expected)
-    # Self-queries include the node itself (distance 0).
-    assert 0 in index.query_radius(positions[0], radius)
-    assert dist.shape == (len(positions), len(positions))
+def _pair_keys(index, radius, n):
+    """``lo * n + hi`` for every pair :meth:`GridIndex.near_pairs` yields,
+    sorted: a canonical form of its unordered pairs."""
+    i, j, _ = (np.concatenate(part) for part in zip(*index.near_pairs(radius)))
+    return np.sort(np.minimum(i, j) * n + np.maximum(i, j))
 
 
 @given(deployment())
 @settings(max_examples=80, deadline=None)
-def test_pairs_within_matches_brute_force_and_is_symmetric(case):
+def test_near_pairs_match_brute_force(case):
+    """Every pair within the radius, once, never a self-pair."""
     positions, radius, cell = case
+    n = len(positions)
     index = GridIndex(positions, cell_size=cell)
-    heads, tails = index.pairs_within(radius)
-
-    dist = distance_matrix(positions)
-    mask = (dist <= radius) & ~np.eye(len(positions), dtype=bool)
-    exp_heads, exp_tails = np.nonzero(mask)
-    assert np.array_equal(heads, exp_heads)
-    assert np.array_equal(tails, exp_tails)
-
-    # Symmetric as a set: (i, j) stored iff (j, i) stored.
-    fwd = set(zip(heads.tolist(), tails.tolist()))
-    assert fwd == {(j, i) for i, j in fwd}
-    # Never a self-pair.
-    assert not np.any(heads == tails)
+    lo, hi = np.nonzero(np.triu(distance_matrix(positions) <= radius, k=1))
+    assert np.array_equal(_pair_keys(index, radius, n), lo * n + hi)
 
 
 @given(deployment())
@@ -79,33 +56,9 @@ def test_pairs_within_matches_brute_force_and_is_symmetric(case):
 def test_answers_invariant_under_cell_size(case):
     """Cell size is a tuning knob, never a semantic one."""
     positions, radius, cell = case
+    n = len(positions)
     coarse = GridIndex(positions, cell_size=cell)
     fine = GridIndex(positions, cell_size=max(cell / 7.3, 0.5))
-    q = positions[0] + 0.25 * radius
     assert np.array_equal(
-        coarse.query_radius(q, radius), fine.query_radius(q, radius)
+        _pair_keys(coarse, radius, n), _pair_keys(fine, radius, n)
     )
-    ch, ct = coarse.pairs_within(radius)
-    fh, ft = fine.pairs_within(radius)
-    assert np.array_equal(ch, fh)
-    assert np.array_equal(ct, ft)
-    k = min(5, len(positions))
-    assert np.array_equal(coarse.k_nearest(q, k), fine.k_nearest(q, k))
-
-
-@given(deployment())
-@settings(max_examples=80, deadline=None)
-def test_k_nearest_matches_brute_force(case):
-    positions, radius, cell = case
-    index = GridIndex(positions, cell_size=cell)
-    rng = np.random.default_rng(11)
-    q = positions[0] + rng.uniform(-cell, cell, 2)
-    deltas = positions - q
-    d2 = np.einsum("ij,ij->i", deltas, deltas)
-    full_order = np.lexsort((np.arange(len(positions)), d2))
-    for k in (1, 3, len(positions)):
-        k = min(k, len(positions))
-        got = index.k_nearest(q, k)
-        assert np.array_equal(got, full_order[:k])
-    # k larger than n clamps to all nodes.
-    assert np.array_equal(index.k_nearest(q, len(positions) + 10), full_order)

@@ -154,21 +154,3 @@ class TestStabilityClassifiers:
             for rate in (0.002, 0.004, 0.008)
         ]
         assert stability_knee(points) == 0.008
-
-    def test_find_knee_all_stable_and_first_unstable_edges(self):
-        from repro.traffic import find_knee
-
-        def run_at(rate, seed_index=0):
-            if rate >= 0.01:  # every swept point sits below this
-                return _trace([200, 400, 600, 800])
-            return _trace([0, 0, 0, 0])
-
-        # Every swept point stable -> the knee is the top of the sweep.
-        knee, points = find_knee((0.002, 0.004), run_at)
-        assert knee == 0.004
-        assert [p.stable for p in points] == [True, True]
-
-        # The first swept point already unstable -> no knee at all.
-        knee, points = find_knee((0.01, 0.02), run_at)
-        assert knee is None
-        assert not points[0].stable

@@ -11,8 +11,8 @@ from repro.analysis.bounds import (
     uniform_id_bound,
 )
 from repro.analysis.stats import mean_ci
-from repro.analysis.tables import TextTable, format_series
-from repro.util.rng import ensure_rng, iter_seeds, spawn, spawn_many
+from repro.analysis.tables import TextTable
+from repro.util.rng import ensure_rng, spawn
 from repro.util.validation import (
     check_integer_in_range,
     check_non_negative,
@@ -96,11 +96,6 @@ class TestTables:
         with pytest.raises(ValueError):
             table.add_row(1)
 
-    def test_format_series(self):
-        out = format_series("s", [1, 2], [3.0, 4.0])
-        assert out.startswith("s:")
-        assert "(1, 3.00)" in out
-
     def test_redacted_masks_volatile_columns_only(self):
         table = TextTable(["k", "wall (s)"], title="T")
         table.add_row("a", 1.23)
@@ -130,12 +125,6 @@ class TestRng:
         b = spawn(42, "y").integers(0, 2**40)
         assert a != b
 
-    def test_spawn_many_count(self):
-        gens = spawn_many(1, 5, "w")
-        assert len(gens) == 5
-        draws = {g.integers(0, 2**40) for g in gens}
-        assert len(draws) == 5
-
     def test_ensure_rng_passthrough(self):
         gen = np.random.default_rng(0)
         assert ensure_rng(gen) is gen
@@ -143,9 +132,6 @@ class TestRng:
     def test_ensure_rng_rejects_junk(self):
         with pytest.raises(TypeError):
             ensure_rng("seed")
-
-    def test_iter_seeds_deterministic(self):
-        assert list(iter_seeds(5, 4)) == list(iter_seeds(5, 4))
 
 
 class TestValidation:

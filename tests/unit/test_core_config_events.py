@@ -13,9 +13,8 @@ class TestProtocolConfig:
         assert config.k == 5
         assert config.smbytes == 15
 
-    def test_with_k_and_with_p(self):
+    def test_with_p(self):
         config = ProtocolConfig()
-        assert config.with_k(9).k == 9
         assert config.with_p(0.7).p_active == 0.7
         assert config.k == 5  # original untouched
 

@@ -1,9 +1,11 @@
 """The run surface, spelled out: a new knob is a visible diff here.
 
-Every independently settable value of the epoch engines doubles the
-configurations the differential suites must span.  A field or keyword that
-appears below needs a caller outside ``tests/`` that sets it to a second
-value (ROADMAP item 3c lists who pins each one that stayed).
+Every independently settable value of the engines and experiment harnesses
+doubles the configurations the differential suites must span.  A field or
+defaulted keyword that appears below needs a caller outside ``tests/`` that
+sets it to a second value (ROADMAP item 3c lists who pins each one that
+stayed); the experiment-harness signatures are pinned too, so a keyword
+only tests would set cannot return unseen.
 """
 
 import dataclasses
@@ -11,8 +13,26 @@ import inspect
 
 import pytest
 
+from repro.experiments.admission import build_controller
+from repro.experiments.common import ExperimentProfile, uniform_scenario
+from repro.experiments.exec_time import collect_tallies, skew_tolerance
+from repro.experiments.mote_detection import mote_rssi_experiment
+from repro.experiments.theory import impossibility_demo
 from repro.obs import ObsConfig
-from repro.traffic import EpochConfig, FlowConfig, run_epochs, run_epochs_sharded
+from repro.obs.metrics import MetricsRegistry, StreamingHistogram
+from repro.phy.gain import distance_matrix, gain_matrix, received_power_matrix
+from repro.scheduling.links import forest_link_set
+from repro.traffic import (
+    EpochConfig,
+    FlowConfig,
+    centralized_scheduler,
+    distributed_scheduler,
+    run_epochs,
+    run_epochs_sharded,
+    sharded_centralized_factory,
+    sharded_distributed_factory,
+)
+from repro.traffic.admission import flow_delay_percentile
 from repro.traffic.epoch import epoch_loop
 from repro.traffic.queues import LinkQueues
 
@@ -38,6 +58,39 @@ CONFIG_FIELDS = {
         "elastic_rate",
         "burst_slots",
         "max_size_factor",
+    ),
+    # What differs between FULL, QUICK and the benchmark profile, or what
+    # the runner's --seed / --obs / --obs-jsonl override; every other sweep
+    # constant lives in the one experiment module that reads it.
+    ExperimentProfile: (
+        "name",
+        "densities",
+        "repetitions",
+        "pdd_probabilities",
+        "mote_screams",
+        "mote_smbytes",
+        "exec_time_sweep",
+        "skew_sweep_s",
+        "id_scaling_sizes",
+        "traffic_lambdas",
+        "traffic_epochs",
+        "traffic_epoch_slots",
+        "sharded_grids",
+        "sharded_lambdas",
+        "sharded_epochs",
+        "admission_controllers",
+        "admission_load_factors",
+        "admission_epochs",
+        "controlplane_lambda",
+        "multirate_lambdas",
+        "multirate_epochs",
+        "controlplane_scale_factors",
+        "scale_grid_sides",
+        "scale_dense_max_nodes",
+        "scale_epoch_slots",
+        "obs_level",
+        "obs_jsonl",
+        "seed",
     ),
 }
 
@@ -77,6 +130,25 @@ KEYWORDS = {
         "plan",
     ),
     LinkQueues.__init__: ("self", "links"),
+    # The dense gain builders store float64 only.
+    distance_matrix: ("positions",),
+    gain_matrix: ("positions", "model"),
+    received_power_matrix: ("positions", "tx_power_mw", "model"),
+    # Experiment harnesses and the adapters they call.
+    collect_tallies: ("profile", "density"),
+    skew_tolerance: ("tally",),
+    mote_rssi_experiment: ("profile",),
+    impossibility_demo: (),
+    uniform_scenario: ("density_per_km2", "rep", "seed"),
+    build_controller: ("name", "n_sources"),
+    distributed_scheduler: ("network", "protocol", "config", "seed"),
+    sharded_distributed_factory: ("network", "protocol", "config", "seed"),
+    centralized_scheduler: ("model", "overhead_seconds"),
+    sharded_centralized_factory: (),
+    forest_link_set: ("forest", "link_demand"),
+    flow_delay_percentile: ("session", "queues"),
+    MetricsRegistry.__init__: ("self",),
+    StreamingHistogram.__init__: ("self",),
 }
 
 

@@ -37,12 +37,6 @@ class TestRadioConfig:
         with pytest.raises(ValueError):
             RadioConfig(beta=0.5)
 
-    def test_with_cs_gamma_returns_modified_copy(self):
-        radio = RadioConfig(cs_gamma=3.0)
-        other = radio.with_cs_gamma(2.0)
-        assert other.cs_gamma == 2.0
-        assert radio.cs_gamma == 3.0
-
 
 class TestPowerVectors:
     def test_uniform_power_value_and_shape(self):

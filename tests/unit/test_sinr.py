@@ -5,7 +5,7 @@ import pytest
 
 from repro.phy.gain import received_power_matrix
 from repro.phy.propagation import LogDistancePathLoss
-from repro.phy.sinr import carrier_sense_power, min_sinr_margin, sinr_for_links
+from repro.phy.sinr import carrier_sense_power, sinr_for_links
 
 NOISE = 1e-9
 
@@ -57,18 +57,6 @@ def test_nonpositive_noise_rejected(line_power):
         sinr_for_links(line_power, np.array([0]), np.array([1]), 0.0)
 
 
-def test_min_sinr_margin_empty_is_infinite(line_power):
-    assert min_sinr_margin(line_power, np.array([]), np.array([]), NOISE, 10.0) == float(
-        "inf"
-    )
-
-
-def test_min_sinr_margin_scales_with_beta(line_power):
-    m10 = min_sinr_margin(line_power, np.array([0]), np.array([1]), NOISE, 10.0)
-    m20 = min_sinr_margin(line_power, np.array([0]), np.array([1]), NOISE, 20.0)
-    assert m10 == pytest.approx(2 * m20)
-
-
 def test_carrier_sense_power_adds(line_power):
     one = carrier_sense_power(line_power, np.array([0]), 4)
     two = carrier_sense_power(line_power, np.array([0, 3]), 4)
@@ -77,37 +65,3 @@ def test_carrier_sense_power_adds(line_power):
 
 def test_carrier_sense_power_empty(line_power):
     assert (carrier_sense_power(line_power, np.array([]), 4) == 0).all()
-
-
-def test_min_sinr_margin_honors_budget(line_power):
-    """The budgeted margin sees the same inflated noise the budgeted
-    feasibility path sees (the E9 guard-budget passthrough)."""
-    senders, receivers = np.array([0]), np.array([1])
-    free = min_sinr_margin(line_power, senders, receivers, NOISE, 10.0)
-    budget = np.full(4, line_power[0, 1])  # drown the link in guard noise
-    budgeted = min_sinr_margin(
-        line_power, senders, receivers, NOISE, 10.0, budget_mw=budget
-    )
-    assert budgeted < free
-    expected = sinr_for_links(
-        line_power, senders, receivers, NOISE, budget_mw=budget
-    )
-    ack = sinr_for_links(line_power, receivers, senders, NOISE, budget_mw=budget)
-    assert budgeted == pytest.approx(min(expected[0], ack[0]) / 10.0)
-
-
-def test_rates_for_links_stateless_lookup(line_power):
-    from repro.phy.radio import RateTable
-    from repro.phy.sinr import rates_for_links
-
-    senders, receivers = np.array([0, 3]), np.array([1, 2])
-    sinr = np.minimum(
-        sinr_for_links(line_power, senders, receivers, NOISE),
-        sinr_for_links(line_power, receivers, senders, NOISE),
-    )
-    beta = float(sinr.max()) / 2.0
-    table = RateTable.geometric(beta)
-    rates = rates_for_links(line_power, senders, receivers, NOISE, table)
-    np.testing.assert_array_equal(rates, table.rate_for(sinr))
-    # Below-base links report 0, not the base rate.
-    assert (rates[sinr < beta] == 0).all()

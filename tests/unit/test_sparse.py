@@ -5,14 +5,13 @@ like* the dense received-power matrix for every access pattern the SINR and
 feasibility kernels use, stores precisely the pairs within the cutoff (plus
 the diagonal), and at ``cutoff=inf`` is value-identical to the dense builder.
 The CSR communication graph and forest builders must reproduce their dense
-twins, and the float32 storage opt-in must not flip a single feasibility
-verdict on the reference grid.
+twins.
 """
 
 import numpy as np
 import pytest
 
-from repro.phy.gain import distance_matrix, gain_matrix, received_power_matrix
+from repro.phy.gain import distance_matrix, received_power_matrix
 from repro.phy.propagation import LogDistancePathLoss
 from repro.phy.radio import RadioConfig
 from repro.phy.sparse import (
@@ -25,8 +24,6 @@ from repro.phy.sparse import (
 from repro.phy.spatial import GridIndex
 from repro.routing import build_routing_forest, planned_gateways
 from repro.routing.forest import build_routing_forest_csr
-from repro.scheduling.greedy_physical import greedy_physical
-from repro.scheduling.links import forest_link_set
 from repro.topology.commgraph import (
     communication_adjacency,
     communication_csr,
@@ -334,40 +331,3 @@ class TestCsrGraphAndForest:
         )
         np.testing.assert_array_equal(csr_forest.parent, dense_forest.parent)
         np.testing.assert_array_equal(csr_forest.depth, dense_forest.depth)
-
-
-class TestFloat32Verdicts:
-    def test_float32_storage_flips_no_verdict_on_the_reference_grid(self):
-        """Satellite: ``dtype=np.float32`` halves the dense footprint; on the
-        paper's 8x8 grid every downstream *decision* — communication edges
-        and the full greedy schedule — must be identical to float64."""
-        network = grid_network(8, 8, density_per_km2=1000.0)
-        p64 = network.power
-        p32 = received_power_matrix(
-            network.positions, network.tx_power_mw, network.propagation,
-            dtype=np.float32,
-        )
-        assert p32.dtype == np.float32
-        np.testing.assert_allclose(p32, p64, rtol=1e-6)
-        assert gain_matrix(
-            network.positions, network.propagation, dtype=np.float32
-        ).dtype == np.float32
-
-        adj64 = communication_adjacency(p64, RADIO.noise_mw, RADIO.beta)
-        adj32 = communication_adjacency(p32, RADIO.noise_mw, RADIO.beta)
-        np.testing.assert_array_equal(adj32, adj64)
-
-        gateways = planned_gateways(8, 8, 4)
-        forest = build_routing_forest(adj64, gateways, rng=spawn(3, "f32"))
-        demand = np.ones(network.n_nodes, dtype=np.int64)
-        demand[gateways] = 0
-        links = forest_link_set(forest, demand)
-        from repro.phy.interference import PhysicalInterferenceModel
-
-        s64 = greedy_physical(links, network.model, "id")
-        s32 = greedy_physical(
-            links, PhysicalInterferenceModel(p32, RADIO), "id"
-        )
-        assert len(s64.slots) == len(s32.slots)
-        for a, b in zip(s64.slots, s32.slots):
-            assert a.links == b.links

@@ -44,12 +44,6 @@ class TestTimingModel:
         # Slope equals guard_factor * total steps.
         assert (t1 - base) == pytest.approx(2.0 * tally.total_steps * 1e-4)
 
-    def test_with_helpers_return_copies(self):
-        t = TimingModel()
-        assert t.with_scream_bytes(60).scream_bytes == 60
-        assert t.with_skew(1e-3).skew_bound_s == 1e-3
-        assert t.scream_bytes == 15
-
     def test_validation(self):
         with pytest.raises(ValueError):
             TimingModel(bitrate_bps=0.0)

@@ -3,23 +3,22 @@
 import numpy as np
 import pytest
 
-from repro.topology.commgraph import communication_adjacency, degree_sequence, is_connected
-from repro.topology.deployment import grid_positions, grid_step, line_positions, uniform_positions
+from repro.topology.commgraph import communication_adjacency, is_connected
+from repro.topology.deployment import grid_positions, line_positions, uniform_positions
 from repro.topology.diameter import (
-    eccentricities,
     hop_distance_matrix,
     interference_diameter,
     neighbor_density,
 )
 from repro.topology.network import grid_network, uniform_network
-from repro.topology.regions import SquareRegion, density_for_side, side_for_density
+from repro.topology.regions import SquareRegion, side_for_density
 from repro.topology.sensitivity import sensitivity_adjacency, supergraph_check
 
 
 class TestRegions:
-    def test_density_side_roundtrip(self):
-        side = side_for_density(64, 2500.0)
-        assert density_for_side(64, side) == pytest.approx(2500.0)
+    def test_side_for_density(self):
+        # 64 nodes at 2500/km^2 cover 0.0256 km^2: a 160 m square.
+        assert side_for_density(64, 2500.0) == pytest.approx(160.0)
 
     def test_diameter_is_diagonal(self):
         region = SquareRegion(side=100.0)
@@ -40,10 +39,6 @@ class TestDeployments:
         assert pos.shape == (64, 2)
         assert pos.min() == 0.0
         assert pos.max() == pytest.approx(70.0)
-
-    def test_grid_step(self):
-        region = SquareRegion(side=70.0)
-        assert grid_step(8, 8, region) == pytest.approx(10.0)
 
     def test_grid_row_major_order(self):
         region = SquareRegion(side=10.0)
@@ -83,12 +78,6 @@ class TestGraphs:
         adj[1, 2] = adj[2, 1] = True
         assert is_connected(adj)
 
-    def test_degree_sequence(self):
-        adj = np.array(
-            [[0, 1, 1], [1, 0, 0], [1, 0, 0]], dtype=bool
-        )
-        assert degree_sequence(adj).tolist() == [2, 1, 1]
-
     def test_sensitivity_supergraph_of_communication(self, grid16):
         assert supergraph_check(grid16.comm_adj, grid16.sens_adj)
 
@@ -118,11 +107,6 @@ class TestDiameter:
         adj = np.zeros((2, 2), dtype=bool)
         assert interference_diameter(adj) == float("inf")
 
-    def test_eccentricities(self):
-        adj = np.zeros((3, 3), dtype=bool)
-        adj[0, 1] = adj[1, 0] = adj[1, 2] = adj[2, 1] = True
-        assert eccentricities(adj).tolist() == [2, 1, 2]
-
     def test_neighbor_density_is_average_degree(self):
         adj = np.array([[0, 1, 1], [1, 0, 0], [1, 0, 0]], dtype=bool)
         assert neighbor_density(adj) == pytest.approx(4 / 3)
@@ -138,11 +122,6 @@ class TestNetwork:
 
     def test_power_matrix_shape(self, grid16):
         assert grid16.power.shape == (16, 16)
-
-    def test_comm_graph_nx_matches_adjacency(self, grid16):
-        graph = grid16.comm_graph_nx()
-        assert graph.number_of_nodes() == 16
-        assert graph.number_of_edges() == int(grid16.comm_adj.sum()) // 2
 
     def test_uniform_network_deterministic_given_seed(self):
         a = uniform_network(16, density_per_km2=3000, rng=7)
