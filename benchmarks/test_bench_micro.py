@@ -30,13 +30,13 @@ from repro.phy.sparse import (
 from repro.phy.spatial import GridIndex
 from repro.routing import build_routing_forest, planned_gateways
 from repro.routing.forest import build_routing_forest_csr
-from repro.scheduling.feasibility import SlotArena, SlotState, feasible_alone
+from repro.scheduling.feasibility import SlotArena, feasible_alone
 from repro.scheduling.greedy_physical import greedy_physical
 from repro.scheduling.links import forest_link_set
 from repro.topology.commgraph import communication_csr
 from repro.topology.network import grid_network
 from repro.util.rng import spawn
-from tests.conftest import serial_pack, stencil_pairs_within
+from tests.conftest import SlotState, serial_pack
 
 
 @pytest.fixture(scope="module")
@@ -264,19 +264,28 @@ def test_power_harvest_examines_half_the_stencil_in_bounded_memory():
     On the ``sparse_10k`` deployment (100x100 grid, carrier-sense cutoff,
     one index cell per cutoff): (1) the half-plane join plan tests each
     unordered stencil pair once, so it examines at most 0.6x the candidate
-    pairs of the full-stencil cell loop it replaced (the reference in
-    ``tests/conftest.py``; ~2.2 M there) — yet stores the same entries;
-    (2) ``build_sparse_power`` peaks, by ``tracemalloc``, below 3x the
-    bytes of the matrix it returns: candidates are expanded a chunk at a
-    time and the harvested pairs are freed before the key sort.
+    pairs of the full-stencil cell loop it replaced (every node against
+    every node of its 3x3 cell block; ~2.2 M) — yet stores exactly the
+    pairs within the cutoff; (2) ``build_sparse_power`` peaks, by
+    ``tracemalloc``, below 3x the bytes of the matrix it returns:
+    candidates are expanded a chunk at a time and the harvested pairs are
+    freed before the key sort.
     """
     network = grid_network(100, 100, density_per_km2=1000.0)
+    positions = network.positions
     cutoff = interference_radius_m(network.tx_power_mw, network.propagation, network.radio)
-    index = GridIndex(network.positions, cell_size=cutoff)
+    index = GridIndex(positions, cell_size=cutoff)
 
     _, b_lo, b_hi = index._partner_runs(cutoff)
     examined = int((b_hi - b_lo).sum())
-    heads, tails, stencil_examined = stencil_pairs_within(network.positions, cutoff, cutoff)
+    # Nodes per cell, padded by an empty ring so the 3x3 box sum never wraps.
+    cells = np.floor(positions / cutoff).astype(np.intp) + 1
+    per_cell = np.zeros(tuple(cells.max(axis=0) + 2), dtype=np.int64)
+    np.add.at(per_cell, tuple(cells.T), 1)
+    block = sum(
+        np.roll(per_cell, (dx, dy), axis=(0, 1)) for dx in (-1, 0, 1) for dy in (-1, 0, 1)
+    )
+    stencil_examined = int((per_cell * block).sum())
     assert examined <= 0.6 * stencil_examined, (examined, stencil_examined)
 
     tracemalloc.start()
@@ -290,8 +299,12 @@ def test_power_harvest_examines_half_the_stencil_in_bounded_memory():
     stored = power._keys.nbytes + power._vals.nbytes + power._cols.nbytes
     assert peak <= 3 * stored, f"peak {peak / 2**20:.1f} MiB vs stored {stored / 2**20:.1f} MiB"
     n = power.n
-    expected = np.concatenate([heads.astype(np.int64) * n + tails, np.arange(n) * (n + 1)])
-    assert np.array_equal(power._keys, np.sort(expected))
+    expected = []
+    for lo in range(0, n, 256):  # brute force, a row block at a time
+        deltas = positions[lo : lo + 256, None, :] - positions[None, :, :]
+        near = np.sqrt((deltas**2).sum(axis=2)) <= cutoff
+        expected.append(np.flatnonzero(near.ravel()) + lo * n)
+    assert np.array_equal(power._keys, np.concatenate(expected))
 
 
 @pytest.mark.benchmark(group="protocols")
@@ -415,10 +428,10 @@ def test_rate_path_evaluates_schedules_not_slots(monkeypatch):
     ``SlotArena.can_add_all`` each) — and **no** per-slot
     ``sinr_for_links`` call at all.  (Evaluating slot by slot
     the same epochs made ~820 ``link_sinrs`` pairs each.)  A hit makes
-    none: the annotator remembers the round it replays.  Per-slot calls
-    remain only inside ``greedy_rate``'s candidate walk, which builds each
-    *distinct* slot once: at most one per link, however long the schedule.
-    A patch builds one ``SlotArena`` and no ``SlotState``.
+    none: the annotator remembers the round it replays.  A recompute makes
+    no per-slot call either: ``greedy_rate`` judges each admission with one
+    what-if batch and builds each *distinct* slot once — at most one per
+    link, however long the schedule.  A patch builds one ``SlotArena``.
     """
     from repro import rate_aware_scheduler
     from repro.phy import interference
@@ -429,7 +442,7 @@ def test_rate_path_evaluates_schedules_not_slots(monkeypatch):
 
     links, model, table = _sessions_mesh()
 
-    calls = {"sets": 0, "per_slot": 0, "deficits": 0, "built": 0, "arenas": 0, "states": 0}
+    calls = {"sets": 0, "per_slot": 0, "deficits": 0, "built": 0, "arenas": 0}
 
     def counting(fn, key):
         def counted(*args, **kwargs):
@@ -448,19 +461,18 @@ def test_rate_path_evaluates_schedules_not_slots(monkeypatch):
         SlotArena, "can_add_all", counting(SlotArena.can_add_all, "deficits")
     )
     monkeypatch.setattr(incremental, "SlotArena", counting(SlotArena, "arenas"))
-    monkeypatch.setattr(SlotState, "__init__", counting(SlotState.__init__, "states"))
     patch = incremental._patch
     patches = []
 
     def patching(*args, **kwargs):
-        arenas, states = calls["arenas"], calls["states"]
+        arenas = calls["arenas"]
         patched = patch(*args, **kwargs)
-        patches.append((calls["arenas"] - arenas, calls["states"] - states))
+        patches.append(calls["arenas"] - arenas)
         return patched
 
     monkeypatch.setattr(incremental, "_patch", patching)
     monkeypatch.setattr(
-        greedy_rate_module, "SlotState", counting(greedy_rate_module.SlotState, "built")
+        greedy_rate_module, "_build_slot", counting(greedy_rate_module._build_slot, "built")
     )
 
     packs = []
@@ -482,15 +494,15 @@ def test_rate_path_evaluates_schedules_not_slots(monkeypatch):
     for record, after in epochs:
         spent = {key: after[key] - before[key] for key in calls}
         before = after
+        assert spent["per_slot"] == 0
         if record.cache_hit or record.patched:
             reused += 1
-            assert spent["per_slot"] == 0
             assert spent["sets"] <= 4 + spent["deficits"]
         if record.cache_hit:
             assert spent["sets"] == 0
     assert reused >= 6 and cache.stats.patches >= 4
     assert len(patches) >= cache.stats.patches
-    assert set(patches) == {(1, 0)}  # (arenas, SlotStates) built per patch
+    assert set(patches) == {1}  # arenas built per patch
 
     assert packs
     for built, length in packs:

@@ -30,7 +30,7 @@ from repro.core.fdd import fdd_on_network
 from repro.experiments.common import PAPER_PROTOCOL, ExperimentProfile
 from repro.experiments.sharded import sharded_experiment
 from repro.routing import build_routing_forest, planned_gateways
-from repro.scheduling.feasibility import SlotArena, SlotState
+from repro.scheduling.feasibility import SlotArena
 from repro.scheduling.links import forest_link_set
 from repro.topology.network import grid_network
 from repro.traffic import (
@@ -43,6 +43,7 @@ from repro.traffic import (
     sharded_distributed_factory,
 )
 from repro.util.rng import spawn
+from tests.conftest import SlotState
 
 FUNCTIONAL_FIELDS = (
     "epoch",

@@ -32,8 +32,6 @@ from repro.phy import (
     RadioConfig,
     RateTable,
     LogDistancePathLoss,
-    LogNormalShadowing,
-    FreeSpace,
     PhysicalInterferenceModel,
 )
 from repro.topology import (
@@ -88,7 +86,6 @@ from repro.traffic import (
     ConstantBitRate,
     PoissonArrivals,
     ParetoOnOff,
-    DiurnalLoad,
     FlowConfig,
     FlowWorkload,
     KneeTracker,
@@ -127,8 +124,6 @@ __all__ = [
     "RadioConfig",
     "RateTable",
     "LogDistancePathLoss",
-    "LogNormalShadowing",
-    "FreeSpace",
     "PhysicalInterferenceModel",
     # topology
     "Network",
@@ -178,7 +173,6 @@ __all__ = [
     "ConstantBitRate",
     "PoissonArrivals",
     "ParetoOnOff",
-    "DiurnalLoad",
     "FlowConfig",
     "FlowWorkload",
     "KneeTracker",

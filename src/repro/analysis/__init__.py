@@ -9,7 +9,7 @@ from repro.analysis.bounds import (
     fdd_step_complexity_bound,
 )
 from repro.analysis.tables import TextTable
-from repro.analysis.asciiplot import AsciiPlot, quick_plot
+from repro.analysis.asciiplot import AsciiPlot
 
 __all__ = [
     "mean_ci",
@@ -21,5 +21,4 @@ __all__ = [
     "fdd_step_complexity_bound",
     "TextTable",
     "AsciiPlot",
-    "quick_plot",
 ]

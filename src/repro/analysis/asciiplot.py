@@ -129,13 +129,3 @@ class AsciiPlot:
 
     def __str__(self) -> str:
         return self.render()
-
-
-def quick_plot(
-    name_to_series: dict[str, tuple], title: str | None = None, **kwargs
-) -> str:
-    """One-call plot: ``quick_plot({"FDD": (xs, ys), ...}, log_y=True)``."""
-    plot = AsciiPlot(title=title, **kwargs)
-    for name, (xs, ys) in name_to_series.items():
-        plot.add_series(name, xs, ys)
-    return plot.render()

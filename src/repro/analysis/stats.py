@@ -20,17 +20,6 @@ class ConfidenceInterval:
     confidence: float
     n: int
 
-    @property
-    def low(self) -> float:
-        return self.mean - self.half_width
-
-    @property
-    def high(self) -> float:
-        return self.mean + self.half_width
-
-    def contains(self, value: float) -> bool:
-        return self.low <= value <= self.high
-
     def __str__(self) -> str:
         return f"{self.mean:.2f} ± {self.half_width:.2f}"
 

@@ -141,7 +141,8 @@ def run_arbitrary_link_set(
             wave, runtime, cfg, rng=spawn(root, "protocol", wave_idx)
         )
         waves.append(result)
-        total_tally = total_tally.merged_with(result.tally)
+        for name, count in vars(result.tally).items():
+            setattr(total_tally, name, getattr(total_tally, name) + count)
 
         for slot in result.schedule.slots:
             members = [wave_global[w] for w in slot.links]

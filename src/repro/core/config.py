@@ -4,11 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.util.validation import (
-    check_integer_in_range,
-    check_non_negative,
-    check_probability,
-)
+from repro.util.validation import check_integer_in_range, check_probability
 
 
 @dataclass(frozen=True)

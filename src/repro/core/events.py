@@ -10,7 +10,7 @@ under different SCREAM sizes and clock-skew bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -65,13 +65,6 @@ class StepTally:
     def total_steps(self) -> int:
         """All synchronized time steps of any kind."""
         return self.scream_slots + self.data_subslots + self.ack_subslots + self.syncs
-
-    def merged_with(self, other: "StepTally") -> "StepTally":
-        """A new tally with the element-wise sum of both tallies."""
-        merged = StepTally()
-        for name in vars(self):
-            setattr(merged, name, getattr(self, name) + getattr(other, name))
-        return merged
 
     def as_dict(self) -> dict[str, int]:
         return dict(vars(self))

@@ -59,7 +59,7 @@ def fdd_on_network(
     faults: FaultConfig = NO_FAULTS,
     rng: np.random.Generator | int | None = None,
     record_rounds: bool = False,
-    model: "PhysicalInterferenceModel | None" = None,
+    model: PhysicalInterferenceModel | None = None,
 ) -> ProtocolResult:
     """Convenience wrapper: run FDD over a fresh FastRuntime on ``network``.
 

@@ -67,7 +67,7 @@ def pdd_on_network(
     faults: FaultConfig = NO_FAULTS,
     rng: np.random.Generator | int | None = None,
     record_rounds: bool = False,
-    model: "PhysicalInterferenceModel | None" = None,
+    model: PhysicalInterferenceModel | None = None,
 ) -> ProtocolResult:
     """Convenience wrapper: run PDD over a fresh FastRuntime on ``network``.
 

@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.analysis.stats import mean_ci
 from repro.analysis.tables import TextTable
-from repro.core.config import ProtocolConfig
 from repro.core.fdd import fdd_on_network
 from repro.core.pdd import pdd_on_network
 from repro.experiments.common import (

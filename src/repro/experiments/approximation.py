@@ -9,8 +9,6 @@ unplanned instances, against the theorem's closed-form bound for the same n.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.analysis.bounds import approximation_bound
 from repro.analysis.stats import mean_ci
 from repro.analysis.tables import TextTable

@@ -30,7 +30,6 @@ control-plane cost, not workload luck.
 
 from __future__ import annotations
 
-import math
 from dataclasses import replace
 
 from repro.analysis.tables import TextTable

@@ -46,7 +46,6 @@ dense; the differential suite pins that, this sweep prices the finite case.
 
 from __future__ import annotations
 
-import math
 import multiprocessing as mp
 import time
 

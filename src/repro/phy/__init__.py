@@ -7,12 +7,7 @@ instantiate it on concrete topologies.
 """
 
 from repro.phy.units import dbm_to_mw, mw_to_dbm, db_to_linear, linear_to_db
-from repro.phy.propagation import (
-    PropagationModel,
-    FreeSpace,
-    LogDistancePathLoss,
-    LogNormalShadowing,
-)
+from repro.phy.propagation import PropagationModel, LogDistancePathLoss
 from repro.phy.radio import RadioConfig, RateTable
 from repro.phy.gain import received_power_matrix, gain_matrix
 from repro.phy.sinr import sinr_for_links
@@ -33,9 +28,7 @@ __all__ = [
     "db_to_linear",
     "linear_to_db",
     "PropagationModel",
-    "FreeSpace",
     "LogDistancePathLoss",
-    "LogNormalShadowing",
     "RadioConfig",
     "RateTable",
     "received_power_matrix",

@@ -39,21 +39,14 @@ def distance_matrix(positions: np.ndarray) -> np.ndarray:
 
 
 def gain_matrix(positions: np.ndarray, model: PropagationModel) -> np.ndarray:
-    """Channel power-gain matrix ``G[i, j]`` for all node pairs.
-
-    Models carrying per-pair state (frozen shadowing, replayed archives)
-    expose ``pair_gain`` and are queried through it; pure distance-law
-    models are evaluated on the distance matrix.  The diagonal (self-gain,
-    zero distance) clamps to the reference gain and is never used for
-    communication.
+    """Channel power-gain matrix ``G[i, j]`` for all node pairs: the
+    distance law evaluated on the distance matrix, a row block at a time.
+    The diagonal (self-gain, zero distance) clamps to the reference gain and
+    is never used for communication.
     """
     pos = np.asarray(positions, dtype=float)
     if pos.ndim != 2 or pos.shape[1] != 2:
         raise ValueError(f"positions must have shape (n, 2), got {pos.shape}")
-    pair_gain = getattr(model, "pair_gain", None)
-    if pair_gain is not None:
-        # Per-pair state is identified by the full index grid: evaluate dense.
-        return np.asarray(pair_gain(distance_matrix(pos)), dtype=float)
     n = pos.shape[0]
     out = np.empty((n, n))
     for lo in range(0, n, _BLOCK_ROWS):

@@ -166,11 +166,21 @@ class PhysicalInterferenceModel:
         )
         snd = np.asarray(heads, dtype=np.intp)[members]
         rcv = np.asarray(tails, dtype=np.intp)[members]
-        # Both sub-slots in one batch of independent sets: the data sets, then
-        # the ACK sets (sender and receiver swapped).
-        tx, rx, on = np.vstack((snd, rcv)), np.vstack((rcv, snd)), np.vstack((valid, valid))
+        return self.set_sinrs(snd, rcv, valid)[valid], ends
+
+    def set_sinrs(
+        self, senders: np.ndarray, receivers: np.ndarray, valid: np.ndarray
+    ) -> np.ndarray:
+        """``min(data, ACK)`` SINR of every entry of ``(S, L)`` padded link
+        sets (row ``t`` one concurrent set, padding reads ``0.0``): both
+        sub-slots in one :func:`~repro.phy.sinr.sinr_for_link_sets` batch,
+        the data sets then the ACK sets (sender and receiver swapped)."""
+        tx = np.vstack((senders, receivers))
+        rx = np.vstack((receivers, senders))
+        on = np.vstack((valid, valid))
         both = sinr_for_link_sets(self.power, tx, rx, on, self.radio.noise_mw, self.budget_mw)
-        return np.minimum(both[: len(slots)], both[len(slots) :])[valid], ends
+        n_sets = len(senders)
+        return np.minimum(both[:n_sets], both[n_sets:])
 
     def slot_sinrs(
         self, heads: np.ndarray, tails: np.ndarray, slots

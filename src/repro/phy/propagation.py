@@ -2,19 +2,15 @@
 
 The paper's simulations use a log-distance ("log-normal propagation model"
 in the paper's wording) path-loss model with exponent 3; the analysis assumes
-any *deterministic* path model.  We provide:
+any *deterministic* path model.  :class:`LogDistancePathLoss` is that
+model; :class:`PropagationModel` is what the gain builders require of one:
 
-* :class:`FreeSpace` — exponent-2 log-distance, mostly for tests;
-* :class:`LogDistancePathLoss` — the deterministic model used in experiments;
-* :class:`LogNormalShadowing` — log-distance plus a per-link log-normal
-  shadowing term.  Shadowing is *frozen* per node pair (symmetric, seeded), so
-  a topology's gains are stable across the lifetime of a schedule and
-  experiments remain reproducible.
-
-All models expose ``gain(distances)``: the dimensionless channel power gain
-(received power = transmit power x gain).  Gains are capped at the reference
-gain (a receiver never collects more power than at the reference distance;
-this also regularizes the d -> 0 singularity of the pure power law).
+* ``gain(distances)`` — the dimensionless channel power gain (received
+  power = transmit power x gain).  Gains are capped at the reference gain (a
+  receiver never collects more power than at the reference distance; this
+  also regularizes the d -> 0 singularity of the pure power law);
+* ``range_for_snr(tx, noise, beta)`` — its inverse at an SNR, which sizes
+  deployments and the sparse backend's cutoff from the same law.
 
 A ``reference_loss_db`` term models the fixed loss at the reference distance
 (antenna and first-meter loss; ~40 dB at 2.4 GHz with unity-gain antennas),
@@ -33,10 +29,14 @@ from repro.util.validation import check_non_negative, check_positive
 
 @runtime_checkable
 class PropagationModel(Protocol):
-    """Anything that maps pairwise distances to channel power gains."""
+    """A distance law: pairwise distances to channel power gains, and back."""
 
     def gain(self, distances: np.ndarray) -> np.ndarray:
         """Return dimensionless power gain for each pairwise distance (m)."""
+        ...
+
+    def range_for_snr(self, tx_power_mw: float, noise_mw: float, beta: float) -> float:
+        """Distance (m) at which the SNR (no interference) drops to ``beta``."""
         ...
 
 
@@ -64,13 +64,11 @@ class LogDistancePathLoss:
         reference_distance: float = 1.0,
         reference_loss_db: float = 40.0,
     ):
-        from repro.util.validation import check_non_negative as _cnn
-
         self.alpha = check_positive("alpha", alpha)
         self.reference_distance = check_positive(
             "reference_distance", reference_distance
         )
-        self.reference_loss_db = _cnn("reference_loss_db", reference_loss_db)
+        self.reference_loss_db = check_non_negative("reference_loss_db", reference_loss_db)
         self._reference_gain = 10.0 ** (-self.reference_loss_db / 10.0)
 
     def gain(self, distances: np.ndarray) -> np.ndarray:
@@ -99,107 +97,4 @@ class LogDistancePathLoss:
             f"LogDistancePathLoss(alpha={self.alpha}, "
             f"reference_distance={self.reference_distance}, "
             f"reference_loss_db={self.reference_loss_db})"
-        )
-
-
-class FreeSpace(LogDistancePathLoss):
-    """Free-space propagation: log-distance with exponent 2."""
-
-    def __init__(
-        self, reference_distance: float = 1.0, reference_loss_db: float = 40.0
-    ):
-        super().__init__(
-            alpha=2.0,
-            reference_distance=reference_distance,
-            reference_loss_db=reference_loss_db,
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"FreeSpace(reference_distance={self.reference_distance}, "
-            f"reference_loss_db={self.reference_loss_db})"
-        )
-
-
-class LogNormalShadowing:
-    """Log-distance path loss with frozen per-link log-normal shadowing.
-
-    ``gain_dB(u, v) = -10 alpha log10(d/d0) + X_{u,v}`` where
-    ``X_{u,v} ~ Normal(0, sigma_db)`` is drawn once per unordered node pair
-    (symmetric: ``X_{u,v} == X_{v,u}``), so the channel is reciprocal and a
-    topology's link set does not fluctuate between protocol rounds.
-
-    This model only supports the *matrix* form (`pair_gain`), since the
-    shadowing term is identified by node indices, not by distance alone.
-    The scalar :meth:`gain` method returns the median (no shadowing) gain and
-    exists so the class still satisfies :class:`PropagationModel` for range
-    estimation purposes.
-    """
-
-    def __init__(
-        self,
-        alpha: float = 3.0,
-        sigma_db: float = 4.0,
-        reference_distance: float = 1.0,
-        reference_loss_db: float = 40.0,
-        rng: np.random.Generator | int | None = None,
-    ):
-        from repro.util.rng import ensure_rng
-
-        self.alpha = check_positive("alpha", alpha)
-        self.sigma_db = check_non_negative("sigma_db", sigma_db)
-        self.reference_distance = check_positive(
-            "reference_distance", reference_distance
-        )
-        self.reference_loss_db = check_non_negative(
-            "reference_loss_db", reference_loss_db
-        )
-        self._median = LogDistancePathLoss(alpha, reference_distance, reference_loss_db)
-        self._rng = ensure_rng(rng)
-        self._frozen_db: np.ndarray | None = None
-
-    def gain(self, distances: np.ndarray) -> np.ndarray:
-        """Median gain (shadowing has zero mean in dB)."""
-        return self._median.gain(distances)
-
-    def range_for_snr(self, tx_power_mw: float, noise_mw: float, beta: float) -> float:
-        """Median-gain SNR range (see :meth:`LogDistancePathLoss.range_for_snr`)."""
-        return self._median.range_for_snr(tx_power_mw, noise_mw, beta)
-
-    def pair_gain(self, distance_matrix: np.ndarray) -> np.ndarray:
-        """Gain matrix with symmetric frozen shadowing for ``n`` nodes.
-
-        ``distance_matrix`` must be a square ``(n, n)`` array.  The
-        shadowing realization is drawn once, on the first call, and reused
-        by every later call (one model instance belongs to one deployment);
-        the diagonal is returned at the reference gain (self-reception is
-        never used by callers but keeping it finite avoids special cases).
-        """
-        d = np.asarray(distance_matrix, dtype=float)
-        if d.ndim != 2 or d.shape[0] != d.shape[1]:
-            raise ValueError(f"distance_matrix must be square, got shape {d.shape}")
-        n = d.shape[0]
-        base = self._median.gain(d)
-        if self.sigma_db == 0.0:
-            return base
-        if self._frozen_db is None:
-            draws = self._rng.normal(0.0, self.sigma_db, size=(n, n))
-            symmetric_db = np.triu(draws, k=1)
-            self._frozen_db = symmetric_db + symmetric_db.T
-        if self._frozen_db.shape != (n, n):
-            raise ValueError(
-                f"this shadowing model is frozen for {self._frozen_db.shape[0]} "
-                f"nodes and cannot serve {n}; create a fresh model per deployment"
-            )
-        shadowed = base * np.power(10.0, self._frozen_db / 10.0)
-        # Keep the physical cap: never amplify above the reference gain.
-        reference_gain = self._median._reference_gain
-        shadowed = np.minimum(shadowed, reference_gain)
-        np.fill_diagonal(shadowed, reference_gain)
-        return shadowed
-
-    def __repr__(self) -> str:
-        return (
-            f"LogNormalShadowing(alpha={self.alpha}, sigma_db={self.sigma_db}, "
-            f"reference_distance={self.reference_distance})"
         )

@@ -9,7 +9,7 @@ quantities in one immutable value object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

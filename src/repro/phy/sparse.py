@@ -246,10 +246,7 @@ def build_sparse_power(
     reference gain and carrier-sense paths read it).  ``cutoff_m=inf``
     stores *every* entry — no memory win, but the resulting matrix is
     value-identical to :func:`~repro.phy.gain.received_power_matrix`, which
-    is the bit-identity harness of the differential suite.  Models carrying
-    per-pair state (``pair_gain`` — frozen shadowing) are rejected: their
-    gains are identified by index pairs, not distance, and need the dense
-    builder.
+    is the bit-identity harness of the differential suite.
     """
     pos = np.asarray(positions, dtype=float)
     tx = np.asarray(tx_power_mw, dtype=float)
@@ -264,11 +261,6 @@ def build_sparse_power(
         raise ValueError("transmit powers must be strictly positive")
     if cutoff_m <= 0:
         raise ValueError(f"cutoff_m must be positive, got {cutoff_m}")
-    if getattr(model, "pair_gain", None) is not None:
-        raise ValueError(
-            "sparse storage needs a pure distance-law model; per-pair state "
-            "(pair_gain, e.g. frozen shadowing) requires the dense builder"
-        )
 
     if math.isinf(cutoff_m):
         i, j = np.triu_indices(n, k=1)
@@ -307,16 +299,10 @@ def interference_radius_m(
     ``range_for_snr`` inversion, so cutoff and gains come from one law.
     """
     tx = np.asarray(tx_power_mw, dtype=float)
-    range_for_snr = getattr(model, "range_for_snr", None)
-    if range_for_snr is None:
-        raise ValueError(
-            "propagation model must expose range_for_snr to derive the "
-            "interference radius"
-        )
     # tx * gain(d) = cs_threshold  <=>  SNR over noise_mw equals
     # cs_threshold / noise_mw = beta / gamma^alpha.
     beta_eff = radio.cs_threshold_mw / radio.noise_mw
-    return float(range_for_snr(float(tx.max()), radio.noise_mw, beta_eff))
+    return float(model.range_for_snr(float(tx.max()), radio.noise_mw, beta_eff))
 
 
 def far_field_floor_mw(

@@ -1,7 +1,7 @@
 """STDMA scheduling substrate: schedules, feasibility, centralized baselines.
 
-Contains the schedule data model shared by all algorithms, the incremental
-SINR slot-admission test (scalar reference and batched arena), the
+Contains the schedule data model shared by all algorithms, the SINR
+slot-admission test (the what-if kernel and the incremental arena), the
 centralized GreedyPhysical algorithm of Brar et al. (MobiCom 2006) — the
 baseline the paper compares against — and the worst-case serialized
 schedule used as the normalization in the paper's schedule-length figures.
@@ -11,7 +11,6 @@ from repro.scheduling.links import LinkSet, forest_link_set
 from repro.scheduling.schedule import Schedule, Slot
 from repro.scheduling.feasibility import (
     SlotArena,
-    SlotState,
     feasible_alone,
     schedule_is_feasible,
     schedule_rates,
@@ -39,7 +38,6 @@ __all__ = [
     "Schedule",
     "Slot",
     "SlotArena",
-    "SlotState",
     "feasible_alone",
     "schedule_is_feasible",
     "schedule_rates",

@@ -1,34 +1,35 @@
-"""The slot-admission test, its scalar reference and its batched form.
+"""The slot-admission test, in its SINR-kernel and its incremental forms.
 
 The paper has one admission test (Section II): may link e join this slot —
 does every member, and the newcomer, keep data and ACK ``SINR >= β``?
-Re-deriving it from scratch costs O(k²) in the slot's members; the
-implementations here keep per-member interference sums instead, so a test
-is O(k) and an accepted addition O(k).  Three remain, all bit-identical:
+Two implementations remain in the library:
 
-* :class:`SlotState` — one slot, one candidate at a time, plain Python
-  loops.  The reference the arena is differenced against, and what
-  ``optimal`` (re-seeds a slot per branch-and-bound node) and
-  ``greedy_rate`` (one slot, one candidate at a time) run on.
-* :class:`SlotArena`, dense — one candidate against *every* slot of a
-  schedule in one numpy pass over flat member columns.
-* :class:`SlotArena`, sparse — the same verdicts from per-node slot tables,
-  selected when the model's power is a ``SparsePowerMatrix``.  Reading
-  dense power through these tables was measured (DESIGN.md §3): −32 % on
+* :func:`what_if_sinrs` — the test as the exact model states it: every
+  member's SINR with the candidate on the air, from the batched kernel
+  (:func:`~repro.phy.sinr.sinr_for_link_sets`) that ``feasible_mask`` and
+  the audit judge schedules with.  One call covers a whole row of
+  candidates against one slot, and the same SINRs give the rate tiers
+  ``greedy_rate`` maximizes; ``optimal`` runs it per search node.
+* :class:`SlotArena` — per-member interference sums kept across
+  admissions, so a test is O(k) in the slot's members instead of the
+  kernel's O(k²), one candidate against *every* slot of a schedule at
+  once.  Dense power is read through flat member columns; a
+  ``SparsePowerMatrix`` through per-node slot tables.  Reading dense power
+  through the tables was measured (DESIGN.md §3): −32 % on
   ``sessions_patch_8x8``'s ``decodable_tx_per_s``, so both branches stay.
   The tables are read by two kernels: one candidate at a time
   (``can_add_all`` / ``add``) and a batch of candidates per pass
   (``can_add_many`` / ``add_many``; ``first_fit`` is the two on one
   gather), which ``greedy_physical`` feeds a *wave* of mutually
-  unreachable links.  A batch of one through the second
-  costs +30 % per test and +80 % per admission (DESIGN.md §3), so the
-  one-at-a-time callers keep the first.
+  unreachable links.  A batch of one through the second costs +30 % per
+  test and +80 % per admission (DESIGN.md §3), so the one-at-a-time
+  callers keep the first.
 
 ``greedy_physical``, ``patch_schedule`` and ``reconcile_round`` build their
 slots in an arena; :func:`feasible_alone` is the standalone screen (a slot
-of one) they all apply before opening a fresh slot.  The arithmetic mirrors
-:mod:`repro.phy.interference` exactly — property tests assert the two
-always agree — without rebuilding an incidence matrix per test.
+of one) they all apply before opening a fresh slot.  The arena's verdicts
+are pinned, bit for bit, to a scalar per-slot oracle in the test suite,
+and its slots to the exact model by the schedule audits.
 """
 
 from __future__ import annotations
@@ -41,111 +42,6 @@ from repro.phy.interference import PhysicalInterferenceModel
 from repro.scheduling.schedule import Schedule
 
 
-class SlotState:
-    """Mutable feasibility state of one slot under construction.
-
-    Tracks, for every member link ``k`` (sender ``s_k``, receiver ``r_k``):
-
-    * ``data_interf[k]`` — total interference power at ``r_k`` from the
-      *other* members' data transmissions;
-    * ``ack_interf[k]`` — total interference power at ``s_k`` from the
-      other members' ACK transmissions.
-
-    All powers in mW; thresholds from the bound interference model.
-    """
-
-    def __init__(self, model: PhysicalInterferenceModel):
-        self._power = model.power
-        self._noise = model.radio.noise_mw
-        self._beta = model.radio.beta
-        # Per-node far-field noise budget (sharded guard margins); None for
-        # the exact monolithic model.  Receiving nodes pay their budget on
-        # top of the thermal noise in every check below.
-        self._budget = model.budget_mw
-        self.senders: list[int] = []
-        self.receivers: list[int] = []
-        self._data_interf: list[float] = []
-        self._ack_interf: list[float] = []
-
-    def __len__(self) -> int:
-        return len(self.senders)
-
-    def members(self) -> tuple[np.ndarray, np.ndarray]:
-        """(senders, receivers) arrays of the current members."""
-        return (
-            np.asarray(self.senders, dtype=np.intp),
-            np.asarray(self.receivers, dtype=np.intp),
-        )
-
-    def can_add(self, sender: int, receiver: int) -> bool:
-        """Would the slot stay feasible if ``sender -> receiver`` joined?
-
-        Checks the new link's own data and ACK SINR against the members'
-        interference, and every member's updated SINR against the new link's
-        contribution.  The slot state is not modified.
-
-        Links sharing a node with a member are rejected outright: a
-        half-duplex node cannot transmit and receive in the same sub-slot
-        (this mirrors the SINR-level masking in
-        :func:`repro.phy.sinr.sinr_for_links`).
-        """
-        p = self._power
-        noise = self._noise
-        beta = self._beta
-        budget = self._budget
-
-        if sender == receiver:
-            return False
-        for s_k, r_k in zip(self.senders, self.receivers):
-            if sender in (s_k, r_k) or receiver in (s_k, r_k):
-                return False
-
-        new_data_interf = 0.0
-        new_ack_interf = 0.0
-        for s_k, r_k in zip(self.senders, self.receivers):
-            new_data_interf += p[s_k, receiver]
-            new_ack_interf += p[r_k, sender]
-        data_noise = noise if budget is None else noise + budget[receiver]
-        ack_noise = noise if budget is None else noise + budget[sender]
-        if p[sender, receiver] < beta * (data_noise + new_data_interf):
-            return False
-        if p[receiver, sender] < beta * (ack_noise + new_ack_interf):
-            return False
-
-        for k, (s_k, r_k) in enumerate(zip(self.senders, self.receivers)):
-            data_interf = self._data_interf[k] + p[sender, r_k]
-            member_data_noise = noise if budget is None else noise + budget[r_k]
-            if p[s_k, r_k] < beta * (member_data_noise + data_interf):
-                return False
-            ack_interf = self._ack_interf[k] + p[receiver, s_k]
-            member_ack_noise = noise if budget is None else noise + budget[s_k]
-            if p[r_k, s_k] < beta * (member_ack_noise + ack_interf):
-                return False
-        return True
-
-    def add(self, sender: int, receiver: int) -> None:
-        """Add the link unconditionally, updating interference sums."""
-        p = self._power
-        new_data_interf = 0.0
-        new_ack_interf = 0.0
-        for k, (s_k, r_k) in enumerate(zip(self.senders, self.receivers)):
-            self._data_interf[k] += p[sender, r_k]
-            self._ack_interf[k] += p[receiver, s_k]
-            new_data_interf += p[s_k, receiver]
-            new_ack_interf += p[r_k, sender]
-        self.senders.append(int(sender))
-        self.receivers.append(int(receiver))
-        self._data_interf.append(new_data_interf)
-        self._ack_interf.append(new_ack_interf)
-
-    def try_add(self, sender: int, receiver: int) -> bool:
-        """Add the link iff the slot stays feasible; report success."""
-        if self.can_add(sender, receiver):
-            self.add(sender, receiver)
-            return True
-        return False
-
-
 def feasible_alone(
     model: PhysicalInterferenceModel, senders: np.ndarray, receivers: np.ndarray
 ) -> np.ndarray:
@@ -153,10 +49,9 @@ def feasible_alone(
 
     The communication-graph membership test of Section II — data packet and
     ACK both clear ``β`` against noise (plus the model's budget at each
-    receiving node) with nobody else on the air — and the verdict
-    :meth:`SlotState.can_add` gives on an empty slot, bit for bit.  A link
-    that fails it fails every admission test, so it can only ever be
-    served by a slot of its own.
+    receiving node) with nobody else on the air — and the arena's verdict
+    on an empty slot, bit for bit.  A link that fails it fails every
+    admission test, so it can only ever be served by a slot of its own.
     """
     snd = np.asarray(senders, dtype=np.intp)
     rcv = np.asarray(receivers, dtype=np.intp)
@@ -170,6 +65,29 @@ def feasible_alone(
     ok &= ~(p[snd, rcv] < beta * data_noise)
     ok &= ~(p[rcv, snd] < beta * ack_noise)
     return ok
+
+
+def what_if_sinrs(
+    model: PhysicalInterferenceModel, heads, tails, members, candidates
+) -> tuple[np.ndarray, np.ndarray]:
+    """The slot ``members`` (link indices into ``heads -> tails``, in
+    order) with each of ``candidates`` added, every candidate its own
+    what-if set, all in one batched kernel call.
+
+    Returns ``(free, sinrs)``: the candidates that share no node with a
+    member, in order — with ``β > 1`` their SINRs would refuse them anyway
+    (a shared sender or receiver cannot clear ``β`` twice, a node that
+    sends is deaf), so dropping them first only shrinks the batch — and
+    ``sinrs[c]``, the ``min(data, ACK)`` SINR of every member and then of
+    ``free[c]``.  Candidate ``c`` may join iff ``sinrs[c]`` all clear ``β``.
+    """
+    busy = np.zeros(model.n_nodes, dtype=bool)
+    busy[heads[members]] = busy[tails[members]] = True
+    free = candidates[~(busy[heads[candidates]] | busy[tails[candidates]])]
+    sets = np.empty((free.size, len(members) + 1), dtype=np.intp)
+    sets[:, :-1] = members
+    sets[:, -1] = free
+    return free, model.set_sinrs(heads[sets], tails[sets], np.ones(sets.shape, dtype=bool))
 
 
 #: Initial slot-axis capacity of the sparse arena's per-node slot tables
@@ -195,10 +113,11 @@ class SlotArena:
 
     Two test paths, one verdict:
 
-    * dense — :meth:`SlotState.can_add` over all member rows at once: the
-      per-slot interference sums are ``np.bincount`` segment sums, whose C
+    * dense — the scalar per-slot test (each member's interference a left
+      fold over the others in admission order) over all member rows at
+      once: the per-slot sums are ``np.bincount`` segment sums, whose C
       loop accumulates weights in input order — the member order the
-      scalar loop sums in, so the verdicts are bit-identical;
+      scalar fold sums in, so the verdicts are bit-identical;
     * sparse (auto-selected when the model's power is a
       :class:`~repro.phy.sparse.SparsePowerMatrix`) — per-node *slot
       tables* of shape ``(n, slot_capacity)``, the slot axis doubling on
@@ -227,10 +146,10 @@ class SlotArena:
       tables (stored stacked, data side over ACK side, so one gather of
       the batch's CSR rows serves both).
 
-    All powers in mW; thresholds from the bound interference model, exactly
-    as :class:`SlotState`.  ``tests/property/test_scheduling_properties.py``
-    pins sparse-arena ≡ dense-arena ≡ :class:`SlotState` verdicts step by
-    step over random admission sequences.
+    All powers in mW; thresholds from the bound interference model.
+    ``tests/property/test_scheduling_properties.py`` pins sparse-arena ≡
+    dense-arena ≡ the scalar oracle of ``tests/conftest.py`` verdict by
+    verdict over random admission sequences.
     """
 
     def __init__(self, model: PhysicalInterferenceModel, capacity: int = 256):
@@ -399,7 +318,7 @@ class SlotArena:
         """Admit the link to a slot, or to several distinct slots at once,
         unconditionally (caller pre-approved).
 
-        Mirrors :meth:`SlotState.add` per slot, bit for bit: existing
+        The scalar per-slot fold, bit for bit: existing
         members' sums grow element-wise by the newcomer's contribution, and
         the newcomer's own sums accumulate over members in admission order
         (a ``bincount`` keyed by slot — C-loop sequential per bin, the order
@@ -508,8 +427,8 @@ class SlotArena:
     def can_add_all(self, sender: int, receiver: int) -> np.ndarray:
         """One candidate against every slot: ``out[j] == slot j can admit``.
 
-        Bit-identical to ``[state.can_add(sender, receiver) for state in
-        states]`` over equivalent :class:`SlotState` objects, on either path.
+        Bit-identical, on either path, to the scalar per-slot test run
+        slot by slot.
         """
         n = self.n_slots
         out = np.zeros(n, dtype=bool)

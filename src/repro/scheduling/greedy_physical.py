@@ -114,7 +114,7 @@ def _pack(
     taken in ``demanded`` order (each already screened alone), into fresh
     slots."""
     demanded = demanded[demand[demanded] > 0]
-    # Flat-column slot store: the verdicts of a SlotState per slot
+    # Flat-column slot store: the verdicts of the scalar per-slot test
     # (bit-identical, pinned by the arena suite in
     # tests/property/test_scheduling_properties.py), one numpy pass per
     # link on a dense power matrix, one per wave of links on a sparse one.

@@ -24,9 +24,17 @@ from __future__ import annotations
 import numpy as np
 
 from repro.phy.interference import PhysicalInterferenceModel
-from repro.scheduling.feasibility import SlotState
+from repro.scheduling.feasibility import what_if_sinrs
 from repro.scheduling.links import LinkSet
 from repro.scheduling.schedule import Schedule, Slot
+
+
+def _alone_sinrs(links: LinkSet, model: PhysicalInterferenceModel) -> np.ndarray:
+    """Each link's ``min(data, ACK)`` SINR with nobody else on the air."""
+    n = links.n_links
+    return model.set_sinrs(
+        links.heads[:, None], links.tails[:, None], np.ones((n, 1), dtype=bool)
+    )[:, 0]
 
 
 def standalone_rates(
@@ -38,9 +46,7 @@ def standalone_rates(
     grant more.  Stateless ``rate_for`` — a link below the base threshold
     even alone reports 0, i.e. it is not a communication edge.
     """
-    singles = np.arange(links.n_links)[:, None]
-    worst = np.array(model.slot_sinrs(links.heads, links.tails, singles), dtype=float)
-    return table.rate_for(worst.reshape(-1))
+    return table.rate_for(_alone_sinrs(links, model))
 
 
 def greedy_rate(
@@ -51,10 +57,16 @@ def greedy_rate(
     Slot-centric greedy: candidates are visited in a fixed priority order
     (standalone rate descending, then head ID descending — the fast links
     seed slots, FDD's tie-break settles the rest) and a candidate is
-    admitted iff the slot stays SINR-feasible **and** its total
-    packets-per-slot strictly increases.  The admitted set's final rates are
-    then charged against the members' residual demands and the next slot
-    opens for whatever demand remains.
+    admitted iff it shares no node with a member, every member's and its
+    own ``min(data, ACK)`` SINR stays ``>= β``, **and** the slot's total
+    packets-per-slot (base-tier floor) strictly increases.  The admitted
+    set's final rates are then charged against the members' residual
+    demands and the next slot opens for whatever demand remains.
+
+    Each admission is one :func:`~repro.scheduling.feasibility.what_if_sinrs`
+    call over every candidate still ahead in the walk: the first row that
+    passes is the next member, exactly the one a candidate-at-a-time walk
+    would reach, and its SINRs are the rates the test compares.
 
     Which slot gets built depends on the residuals only through the
     *pending set* ``{k : residual[k] > 0}`` — the walk skips exhausted links
@@ -71,45 +83,49 @@ def greedy_rate(
         communication edge), mirroring
         :func:`~repro.scheduling.greedy_physical.greedy_physical`.
     """
-    alone = standalone_rates(links, model, table)
+    worst = _alone_sinrs(links, model)
     # lexsort keys: last key is primary.
-    order = np.lexsort((-links.heads, -alone))
+    order = np.lexsort((-links.heads, -table.rate_for(worst)))
     residual = links.demand.astype(np.int64).copy()
 
     schedule = Schedule(link_set=links)
     while residual.sum() > 0:
-        state = SlotState(model)
-        slot = Slot()
-        total_rate = 0
-        for k in order:
-            k = int(k)
-            if residual[k] <= 0:
-                continue
-            sender = int(links.heads[k])
-            receiver = int(links.tails[k])
-            if len(state) == 0:
-                if not state.can_add(sender, receiver):
-                    raise ValueError(
-                        f"link {sender}->{receiver} is infeasible even alone; "
-                        "it is not a valid communication edge"
-                    )
-            elif not state.can_add(sender, receiver):
-                continue
-            # Feasible — but does it grow the slot's capacity?  Rates of
-            # the would-be member set, evaluated concurrently.
-            snd, rcv = state.members()
-            rates = model.link_rates(
-                np.append(snd, sender), np.append(rcv, receiver), table
-            )
-            candidate = int(rates.sum())
-            if candidate <= total_rate:
-                continue
-            state.add(sender, receiver)
-            slot.add(k)
-            granted, total_rate = rates, candidate
-        members = slot.as_array()
+        members, granted = _build_slot(
+            links, model, table, worst, order[residual[order] > 0]
+        )
         repeat = int((-(-residual[members] // granted)).min())
         residual[members] = np.maximum(0, residual[members] - repeat * granted)
-        schedule.slots.append(slot)
-        schedule.slots.extend(Slot(list(slot.links)) for _ in range(repeat - 1))
+        schedule.slots.extend(Slot(list(members)) for _ in range(repeat))
     return schedule
+
+
+def _build_slot(links, model, table, worst, pending) -> tuple[list[int], np.ndarray]:
+    """One slot of the walk over ``pending`` (priority order): its members
+    in admission order and their granted rates.  ``worst`` is every link's
+    ``min(data, ACK)`` SINR alone."""
+    heads, tails = links.heads, links.tails
+    beta = model.radio.beta
+    first = int(pending[0])
+    if not worst[first] >= beta:
+        raise ValueError(
+            f"link {heads[first]}->{tails[first]} is infeasible even alone; "
+            "it is not a valid communication edge"
+        )
+    members = [first]
+    granted = table.rates[np.maximum(table.tier_for(worst[first : first + 1]), 0)]
+    total_rate = int(granted.sum())
+    # A link that fails alone fails every what-if: never a candidate.
+    ahead = pending[1:]
+    ahead = ahead[worst[ahead] >= beta]
+    while ahead.size:
+        ahead, sinrs = what_if_sinrs(model, heads, tails, members, ahead)
+        rates = table.rates[np.maximum(table.tier_for(sinrs), 0)]
+        totals = rates.sum(axis=1)
+        admits = (sinrs >= beta).all(axis=1) & (totals > total_rate)
+        if not admits.any():
+            break
+        i = int(admits.argmax())
+        members.append(int(ahead[i]))
+        granted, total_rate = rates[i], int(totals[i])
+        ahead = ahead[i + 1 :]
+    return members, granted

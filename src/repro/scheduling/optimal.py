@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.phy.interference import PhysicalInterferenceModel
-from repro.scheduling.feasibility import SlotState
+from repro.scheduling.feasibility import what_if_sinrs
 from repro.scheduling.links import LinkSet
 from repro.scheduling.schedule import Schedule, Slot
 
@@ -59,24 +59,23 @@ def enumerate_maximal_feasible_sets(
             f"instance too large for exact enumeration "
             f"({links.n_links} links > {MAX_LINKS})"
         )
+    beta = model.radio.beta
     feasible_sets: list[frozenset[int]] = []
 
-    def extend(state: SlotState, chosen: list[int], start: int) -> None:
+    def extend(chosen: list[int], start: int) -> None:
         if len(feasible_sets) > MAX_CONFIGURATIONS:
             raise ValueError("configuration space too large; reduce the instance")
-        extended = False
-        for k in range(start, links.n_links):
-            if state.can_add(int(links.heads[k]), int(links.tails[k])):
-                extended = True
-                branch = SlotState(model)
-                for c in chosen:
-                    branch.add(int(links.heads[c]), int(links.tails[c]))
-                branch.add(int(links.heads[k]), int(links.tails[k]))
-                extend(branch, chosen + [k], k + 1)
-        if not extended and chosen:
+        # Every later link the set admits, judged in one what-if batch.
+        free, sinrs = what_if_sinrs(
+            model, links.heads, links.tails, chosen, np.arange(start, links.n_links)
+        )
+        admitted = free[(sinrs >= beta).all(axis=1)].tolist()
+        for k in admitted:
+            extend(chosen + [k], k + 1)
+        if not admitted and chosen:
             feasible_sets.append(frozenset(chosen))
 
-    extend(SlotState(model), [], 0)
+    extend([], 0)
     # Keep only maximal sets (a non-maximal set can appear when its
     # extensions all use earlier indices).
     maximal = [

@@ -60,9 +60,3 @@ class ClockModel:
             return 1.0
         overshoot = min(-margin, burst_s)
         return 1.0 - overshoot / burst_s
-
-    def detection_reliable(
-        self, sender: int, listener: int, burst_s: float, guard_s: float
-    ) -> bool:
-        """Is the burst fully contained in the listener's window?"""
-        return self.overlap_fraction(sender, listener, burst_s, guard_s) >= 1.0

@@ -64,7 +64,7 @@ class Medium:
         model: PhysicalInterferenceModel,
         rng: np.random.Generator | None = None,
         cs_miss_prob: float = 0.0,
-        clock: "ClockModel | None" = None,
+        clock: ClockModel | None = None,
         guard_s: float = 0.0,
         burst_s: float = 0.0,
     ):

@@ -22,11 +22,7 @@ from repro.phy.propagation import LogDistancePathLoss, PropagationModel
 from repro.phy.radio import RadioConfig, heterogeneous_tx_power, uniform_tx_power
 from repro.topology.commgraph import communication_adjacency, is_connected
 from repro.topology.deployment import grid_positions, uniform_positions
-from repro.topology.diameter import (
-    hop_distance_matrix,
-    interference_diameter,
-    neighbor_density,
-)
+from repro.topology.diameter import hop_distance_matrix, neighbor_density
 from repro.topology.regions import SquareRegion
 from repro.topology.sensitivity import sensitivity_adjacency, supergraph_check
 from repro.util.rng import ensure_rng

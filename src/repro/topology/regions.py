@@ -40,23 +40,9 @@ class SquareRegion:
         check_positive("side", self.side)
 
     @property
-    def area_m2(self) -> float:
-        return self.side**2
-
-    @property
     def diameter(self) -> float:
         """Euclidean diameter (Definition 11): the diagonal for a square."""
         return self.side * np.sqrt(2.0)
-
-    def contains(self, positions: np.ndarray) -> np.ndarray:
-        """Boolean mask of which positions fall inside the region."""
-        pos = np.asarray(positions, dtype=float)
-        return (
-            (pos[:, 0] >= 0)
-            & (pos[:, 0] <= self.side)
-            & (pos[:, 1] >= 0)
-            & (pos[:, 1] <= self.side)
-        )
 
     @classmethod
     def for_density(cls, n_nodes: int, density_per_km2: float) -> "SquareRegion":
@@ -100,10 +86,6 @@ class GridTiling:
             )
 
     @property
-    def n_tiles(self) -> int:
-        return self.nx * self.ny
-
-    @property
     def tile_width(self) -> float:
         return self.region.side / self.nx
 
@@ -120,8 +102,8 @@ class GridTiling:
     def tile_of(self, positions: np.ndarray) -> np.ndarray:
         """Tile index (``iy * nx + ix``) of each ``(m, 2)`` position.
 
-        Positions outside the region are clamped into the boundary tiles,
-        mirroring :meth:`SquareRegion.contains`'s closed-boundary reading.
+        Positions outside the region are clamped into the boundary tiles
+        (the region's boundary is closed).
         """
         pos = np.atleast_2d(np.asarray(positions, dtype=float))
         ix = np.clip((pos[:, 0] / self.tile_width).astype(np.intp), 0, self.nx - 1)

@@ -164,10 +164,8 @@ class AdmissionController:
 
     Subclasses override :meth:`admit` (session arrival -> admit/reject),
     :meth:`throttle` (per-epoch elastic emission factor in [0, 1]) and
-    :meth:`observe` (the feedback hook).  :meth:`fresh` returns an
-    unobserved clone for sweeps that must not leak controller state across
-    operating points; :meth:`reset` clears in-place (called by
-    :meth:`FlowWorkload.reset`).
+    :meth:`observe` (the feedback hook); :meth:`reset` clears observed state
+    in place (called by :meth:`FlowWorkload.reset`).
     """
 
     name = "none"
@@ -181,10 +179,6 @@ class AdmissionController:
 
     def reset(self) -> None:
         """Forget all observed state (the workload rewound to epoch 0)."""
-
-    def fresh(self) -> "AdmissionController":
-        """A new controller of the same kind and knobs, with no history."""
-        return type(self)()
 
     def admit(self, flow: Flow, session: FlowWorkload) -> bool:
         return True
@@ -264,9 +258,6 @@ class StaticCap(_CapController):
             raise ValueError("cap must be non-negative")
         super().__init__(cap)
 
-    def fresh(self) -> "StaticCap":
-        return StaticCap(self.cap)
-
 
 class KneeTracker(_CapController):
     """AIMD on the admitted-rate cap: estimate the knee from observables.
@@ -336,15 +327,6 @@ class KneeTracker(_CapController):
         self._cooldown = 0
         self.cap_history: list[float] = []
 
-    def fresh(self) -> "KneeTracker":
-        return KneeTracker(
-            self.window,
-            self.increase,
-            self.decrease,
-            self.drain_horizon,
-            self.cap_floor,
-        )
-
     def observe(self, record, queues: LinkQueues, session: FlowWorkload) -> None:
         # Delivered packets per *slot of the epoch*: the records do not
         # carry the epoch length, but the workload saw it in arrivals().
@@ -411,9 +393,6 @@ class Backpressure(AdmissionController):
     def reset(self) -> None:
         self._hot: np.ndarray | None = None
 
-    def fresh(self) -> "Backpressure":
-        return Backpressure(self.hot_fraction, self.slowdown, self.gate_packets)
-
     def observe(self, record, queues: LinkQueues, session: FlowWorkload) -> None:
         backlog = queues.backlog
         hot = np.zeros(backlog.shape[0], dtype=bool)
@@ -479,9 +458,6 @@ class RegionalControllers(AdmissionController):
         # attributes only the epoch's *new* served/delivered work.
         self._delivered_seen = 0
         self._served_seen = np.zeros(len(self.regional), dtype=np.int64)
-
-    def fresh(self) -> "RegionalControllers":
-        return RegionalControllers(self.plan, self.factory)
 
     def _region_of(self, flow: Flow) -> int:
         return int(self._shard_of_link[flow.route[0]])

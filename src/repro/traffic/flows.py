@@ -34,7 +34,7 @@ guard (`controller="none"` ≡ the uncontrolled engine) exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -124,10 +124,6 @@ class Flow:
         if self.size <= 0:
             raise ValueError("flow size must be positive")
         self.remaining = int(self.size)
-
-    @property
-    def active(self) -> bool:
-        return self.remaining > 0
 
 
 @dataclass(frozen=True)
@@ -356,18 +352,6 @@ class FlowWorkload(TrafficGenerator):
             return 0.0
         return self.config.offered_rate(self._sources.size, self._epoch_slots)
 
-    def scaled(self, factor: float) -> "FlowWorkload":
-        """A fresh workload (and fresh controller state) with the session
-        arrival rate scaled — more users, identical per-user behaviour."""
-        if factor < 0:
-            raise ValueError("scale factor must be non-negative")
-        return FlowWorkload(
-            self.links,
-            replace(self.config, session_rate=self.config.session_rate * factor),
-            controller=self.controller.fresh(),
-            seed=self._entropy,
-        )
-
     def reset(self) -> None:
         """Rewind to epoch 0: empty flow table, fresh stats and controller.
 
@@ -542,14 +526,6 @@ class FlowWorkload(TrafficGenerator):
             )
             return max(total, 0.0)
         return max(self._rate_by_region.get((region, klass), 0.0), 0.0)
-
-    def summary(self) -> str:
-        return (
-            f"FlowWorkload(sessions={self.sessions_offered} offered, "
-            f"{self.sessions_blocked} blocked ({self.blocking_probability:.0%}), "
-            f"{len(self.active)} active, emitted={self.packets_emitted}, "
-            f"throttled={self.packets_throttled})"
-        )
 
     # -- internals ----------------------------------------------------------
 

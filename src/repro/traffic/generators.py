@@ -40,8 +40,7 @@ class TrafficGenerator:
 
     Subclasses implement :meth:`arrivals`; everything downstream (queues,
     epoch loop, stability sweeps) only needs that method plus
-    :attr:`mean_rate` and :meth:`scaled` (used by rate sweeps to move along
-    the load axis without re-plumbing constructor arguments).
+    :attr:`mean_rate`.
     """
 
     def __init__(
@@ -79,9 +78,6 @@ class TrafficGenerator:
         """
         raise NotImplementedError
 
-    def scaled(self, factor: float) -> "TrafficGenerator":
-        """A fresh generator of the same kind with every rate scaled."""
-        raise NotImplementedError
 
     def _rng(self, *key: int | str) -> np.random.Generator:
         return spawn(self._entropy, type(self).__name__, *key)
@@ -101,78 +97,12 @@ class ConstantBitRate(TrafficGenerator):
             np.int64
         )
 
-    def scaled(self, factor: float) -> "ConstantBitRate":
-        return ConstantBitRate(
-            self.n_nodes, self.rates * factor, gateways=self._gateways, seed=self._entropy
-        )
-
 
 class PoissonArrivals(TrafficGenerator):
     """Memoryless arrivals: ``Poisson(rate * n_slots)`` packets per epoch."""
 
     def arrivals(self, epoch: int, n_slots: int) -> np.ndarray:
         return self._rng(epoch).poisson(self.rates * n_slots).astype(np.int64)
-
-    def scaled(self, factor: float) -> "PoissonArrivals":
-        return PoissonArrivals(
-            self.n_nodes, self.rates * factor, gateways=self._gateways, seed=self._entropy
-        )
-
-
-class DiurnalLoad(TrafficGenerator):
-    """Non-homogeneous Poisson with a sinusoidal daily load profile.
-
-    The instantaneous rate of node ``v`` at slot ``t`` is::
-
-        rate[v] * (1 + amplitude * sin(2 pi (t / period_slots + phase)))
-
-    integrated exactly over each epoch window, so :attr:`mean_rate` is the
-    long-run average and ``amplitude`` controls the peak-to-trough swing
-    (``amplitude <= 1`` keeps the rate non-negative).
-    """
-
-    def __init__(
-        self,
-        n_nodes: int,
-        rate: float | np.ndarray,
-        gateways: np.ndarray | None = None,
-        seed: int | np.random.Generator | None = None,
-        amplitude: float = 0.5,
-        period_slots: int = 2_000,
-        phase: float = 0.0,
-    ):
-        super().__init__(n_nodes, rate, gateways, seed)
-        if not 0.0 <= amplitude <= 1.0:
-            raise ValueError("amplitude must be in [0, 1]")
-        if period_slots <= 0:
-            raise ValueError("period_slots must be positive")
-        self.amplitude = float(amplitude)
-        self.period_slots = int(period_slots)
-        self.phase = float(phase)
-
-    def _integrated_profile(self, start: int, end: int) -> float:
-        """Integral of the (unit-rate) modulation over ``[start, end)`` slots."""
-        omega = 2.0 * np.pi / self.period_slots
-
-        def antiderivative(t: float) -> float:
-            return t - (self.amplitude / omega) * np.cos(omega * t + 2.0 * np.pi * self.phase)
-
-        return antiderivative(end) - antiderivative(start)
-
-    def arrivals(self, epoch: int, n_slots: int) -> np.ndarray:
-        mass = self._integrated_profile(epoch * n_slots, (epoch + 1) * n_slots)
-        return self._rng(epoch).poisson(self.rates * mass).astype(np.int64)
-
-    def scaled(self, factor: float) -> "DiurnalLoad":
-        return DiurnalLoad(
-            self.n_nodes,
-            self.rates * factor,
-            gateways=self._gateways,
-            seed=self._entropy,
-            amplitude=self.amplitude,
-            period_slots=self.period_slots,
-            phase=self.phase,
-        )
 
 
 class ParetoOnOff(TrafficGenerator):
@@ -256,14 +186,3 @@ class ParetoOnOff(TrafficGenerator):
                 fresh = self._sojourn(self._on)
                 self._remaining = np.where(flip, fresh, self._remaining)
         return counts
-
-    def scaled(self, factor: float) -> "ParetoOnOff":
-        return ParetoOnOff(
-            self.n_nodes,
-            self.rates * factor,
-            gateways=self._gateways,
-            seed=self._entropy,
-            alpha=self.alpha,
-            mean_on_slots=self.mean_on_slots,
-            mean_off_slots=self.mean_off_slots,
-        )

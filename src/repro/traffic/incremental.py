@@ -399,11 +399,6 @@ class ScheduleCache:
         self._obs = obs
         self._obs_labels = labels
 
-    def invalidate(self) -> None:
-        """Forget the cached schedule (the next call recomputes)."""
-        self._cached = None
-        self._baseline = None
-
     def effective_threshold(self) -> float:
         """The drift threshold after headroom scaling (see ``epoch_slots``)."""
         if (

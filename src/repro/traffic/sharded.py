@@ -471,7 +471,6 @@ def reconcile_round(
     combined: list[np.ndarray],
     links: LinkSet,
     model: PhysicalInterferenceModel,
-    table=None,
 ) -> tuple[list[np.ndarray], int]:
     """Detect and serialize cross-shard violations in a superposed round.
 
@@ -482,16 +481,8 @@ def reconcile_round(
     dedicated slot as the last resort — i.e. the residual budget violations
     are serialized rather than dropped, at the price of a longer round.
 
-    Without a ``table`` the peel order is lowest SINR margin first (ties
-    broken by position, deterministically).  With a
-    :class:`~repro.phy.radio.RateTable` the victim is the failing link
-    whose removal costs the slot the *fewest delivered packets* — the
-    leave-one-out rate loss under the table, which accounts both for the
-    victim's own rate and for the tier upgrades its removal buys the
-    survivors; margin (then position) breaks ties.  The degenerate
-    single-tier table makes every removal cost exactly one packet, so the
-    selection collapses to the margin order bit-for-bit — the equivalence
-    anchor ``test_multirate_equivalence.py`` locks down.
+    The peel order is lowest SINR margin first (ties broken by position,
+    deterministically).
 
     Returns the reconciled slot arrays and the number of memberships moved.
     """
@@ -509,28 +500,7 @@ def reconcile_round(
             if (margin >= 1.0).all():
                 break
             failing = np.flatnonzero(margin < 1.0)
-            if table is None:
-                worst = failing[int(np.argmin(margin[failing]))]
-            else:
-                total = int(
-                    model.link_rates(heads[members], tails[members], table).sum()
-                )
-
-                def rate_loss(j: int) -> int:
-                    rest = np.delete(members, j)
-                    if rest.size == 0:
-                        return total
-                    kept = int(
-                        model.link_rates(heads[rest], tails[rest], table).sum()
-                    )
-                    return total - kept
-
-                # min() scans ``failing`` in ascending position, so ties on
-                # (loss, margin) resolve to the first position — the same
-                # tie-break argmin applies on the rate-blind path.
-                worst = int(
-                    min(failing, key=lambda j: (rate_loss(int(j)), margin[j]))
-                )
+            worst = failing[int(np.argmin(margin[failing]))]
             peeled.append(int(members[worst]))
             members = np.delete(members, worst)
         if members.size:
@@ -691,8 +661,7 @@ def run_epochs_sharded(
     the capped backlog snapshot is split along the plan; every shard with
     demand runs its scheduler (concurrently when ``max_workers > 1``) on its
     budgeted oracle; the shard schedules are superposed slot-by-slot and
-    reconciled (:func:`reconcile_round`, rate-aware when
-    ``config.rate_table`` is set); the trace carries the ``plan``.
+    reconciled (:func:`reconcile_round`); the trace carries the ``plan``.
 
     ``executor`` selects the fan-out backend.  ``"thread"`` (the default)
     runs shard schedulers on a thread pool — zero serialization cost, but
@@ -702,8 +671,8 @@ def run_epochs_sharded(
     model, each task ships only a demand snapshot + epoch in and an
     :class:`~repro.traffic.epoch.EpochSchedule` + child
     ``time.process_time`` seconds out.  Everything stateful — per-shard
-    :class:`~repro.traffic.incremental.ScheduleCache` instances, the round
-    memo, the :class:`~repro.core.controlplane.ControlLedger` — stays in
+    :class:`~repro.traffic.incremental.ScheduleCache` instances, the
+    :class:`~repro.core.controlplane.ControlLedger` — stays in
     the parent, and shard RNG substreams are pure seed derivations, so
     traces, obs bookings, and control charges are bit-identical across
     backends; only wall-clock differs.  Child CPU is merged into the
@@ -723,10 +692,13 @@ def run_epochs_sharded(
 
     What ``control`` prices here on top of the monolithic charges (retiring
     the free-central-post-pass idealization of DESIGN.md §8): on every
-    multi-shard epoch whose round is actually (re)reconciled, each demanded
-    boundary link books one ``report`` message (shards tell the reconciler
-    what they scheduled near their edges) and every membership the pass
-    serializes books one ``reconcile`` announcement.  The charges ride the
+    multi-shard epoch whose round may differ from the last one, each
+    demanded boundary link books one ``report`` message (shards tell the
+    reconciler what they scheduled near their edges) and every membership
+    the pass serializes books one ``reconcile`` announcement.  An epoch in
+    which every asked shard answered from its cache, and the same shards as
+    last epoch were asked, books neither: its round is last epoch's, and
+    "no message" is the keep-current-round signal.  The charges ride the
     epoch's overhead *on the critical path* — coordination air serializes
     even when the regional computations ran concurrently.
 
@@ -791,14 +763,14 @@ def run_epochs_sharded(
             shard=shard.index,
         )
         schedulers.append(scheduler)
-    # Reconciled-round memo: when every asked shard answers from its cache,
-    # each returned exactly what it returned last epoch, so the superposed
-    # round — and its reconciliation — are identical too.  Keyed on the
-    # asked-shard set; holds (key, combined slots, reconciled count).
-    round_memo: tuple[tuple[int, ...], list[np.ndarray], int] | None = None
+    # The asked-shard set of the last epoch: when every shard asked now
+    # answers from its cache and the set is the same, each returned exactly
+    # what it returned last epoch, so the superposed round and its
+    # reconciliation are last epoch's too.
+    last_asked: tuple[int, ...] | None = None
 
     def stage(snapshot: np.ndarray, epoch: int) -> ScheduledRound:
-        nonlocal round_memo
+        nonlocal last_asked
 
         def run_shard(shard: LinkShard) -> tuple[EpochSchedule, float | None]:
             demand_links = replace(shard.links, demand=snapshot[shard.link_indices])
@@ -845,71 +817,48 @@ def run_epochs_sharded(
             [schedulers[s.index] for s in asked]
         )
         asked_key = tuple(s.index for s in asked)
-        if (
-            plan.n_shards > 1
-            and cache_hit
-            and round_memo is not None
-            and round_memo[0] == asked_key
-        ):
-            # Every asked shard answered verbatim from cache, so the
-            # superposed round is bit-identical to last epoch's: reuse its
-            # reconciliation instead of recomputing it.  No fresh
-            # coordination means no fresh coordination air — "no message" is
-            # the keep-current-round signal, so a priced run books nothing
-            # here either.
-            combined, reconciled = round_memo[1], round_memo[2]
-        else:
-            # Superpose in shard order: combined slot t is the union of
-            # every shard's slot t (shards shorter than the round contribute
-            # nothing to its tail — each link still appears exactly
-            # demand-many times per round).
-            round_len = max(p.schedule.length for p in planned)
-            combined = []
-            for t in range(round_len):
-                parts = [
-                    shard.link_indices[p.schedule.slots[t].as_array()]
-                    for shard, p in zip(asked, planned)
-                    if t < p.schedule.length
-                ]
-                if len(parts) == 1:
-                    # Possibly empty — kept either way: the monolithic stage
-                    # hands the loop a scheduler's empty slots too, and
-                    # 1-shard equivalence must preserve that.
-                    combined.append(parts[0])
-                else:
-                    combined.append(np.concatenate(parts))
-            reconciled = 0
-            # Reconcile on every multi-shard plan, even when a single shard
-            # happened to carry all of this epoch's demand: the exact-model
-            # re-check is cheap and also catches infeasible slots from a
-            # degraded regional protocol.  The 1-shard (monolithic-
-            # equivalent) plan is the only one served verbatim.
-            if plan.n_shards > 1:
-                with phase(obs, "sharded.reconcile", engine="sharded", epoch=epoch):
-                    combined, reconciled = reconcile_round(
-                        combined, plan.links, model, table=cfg.rate_table
-                    )
-                if ledger is not None:
-                    # Boundary reports: every demanded boundary link of an
-                    # asked shard tells the reconciler what its shard
-                    # scheduled near the edge.  Serialized round: one
-                    # announcement per membership moved into overflow slots.
-                    # Both ride this epoch's critical path when the loop
-                    # prices the round.
-                    reports = sum(
-                        int((snapshot[s.link_indices[s.boundary]] > 0).sum())
-                        for s in asked
-                    )
-                    ledger.charge(epoch, "sharded", "report", reports)
-                    ledger.charge(epoch, "sharded", "reconcile", reconciled)
-            # The memo hands these exact arrays back to later epochs'
-            # serving; freeze them so any accidental mutation between
-            # replays raises instead of silently corrupting the memoized
-            # round.  (Every entry is a fresh fancy-index / concatenate /
-            # delete result, so nothing else aliases them.)
-            for arr in combined:
-                arr.flags.writeable = False
-        round_memo = (asked_key, combined, reconciled)
+        replayed = cache_hit and asked_key == last_asked
+        last_asked = asked_key
+        # Superpose in shard order: combined slot t is the union of every
+        # shard's slot t (shards shorter than the round contribute nothing
+        # to its tail — each link still appears exactly demand-many times
+        # per round).
+        round_len = max(p.schedule.length for p in planned)
+        combined = []
+        for t in range(round_len):
+            parts = [
+                shard.link_indices[p.schedule.slots[t].as_array()]
+                for shard, p in zip(asked, planned)
+                if t < p.schedule.length
+            ]
+            if len(parts) == 1:
+                # Possibly empty — kept either way: the monolithic stage
+                # hands the loop a scheduler's empty slots too, and 1-shard
+                # equivalence must preserve that.
+                combined.append(parts[0])
+            else:
+                combined.append(np.concatenate(parts))
+        reconciled = 0
+        # Reconcile on every multi-shard plan, even when a single shard
+        # happened to carry all of this epoch's demand: the exact-model
+        # re-check is cheap and also catches infeasible slots from a
+        # degraded regional protocol.  The 1-shard (monolithic-equivalent)
+        # plan is the only one served verbatim.
+        if plan.n_shards > 1:
+            with phase(obs, "sharded.reconcile", engine="sharded", epoch=epoch):
+                combined, reconciled = reconcile_round(combined, plan.links, model)
+            if ledger is not None and not replayed:
+                # Boundary reports: every demanded boundary link of an
+                # asked shard tells the reconciler what its shard scheduled
+                # near the edge.  Serialized round: one announcement per
+                # membership moved into overflow slots.  Both ride this
+                # epoch's critical path when the loop prices the round.
+                reports = sum(
+                    int((snapshot[s.link_indices[s.boundary]] > 0).sum())
+                    for s in asked
+                )
+                ledger.charge(epoch, "sharded", "report", reports)
+                ledger.charge(epoch, "sharded", "reconcile", reconciled)
 
         return ScheduledRound(
             slots=combined,

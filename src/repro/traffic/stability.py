@@ -286,9 +286,8 @@ def stability_sweep(
 ) -> list[StabilityMetrics]:
     """Evaluate one scheduler across an ascending arrival-rate sweep.
 
-    ``run_at(rate)`` runs the epoch loop at that offered rate (typically by
-    scaling a template generator with
-    :meth:`~repro.traffic.generators.TrafficGenerator.scaled`).
+    ``run_at(rate)`` runs the epoch loop at that offered rate (typically
+    with a generator built for that rate).
 
     With ``confirm_seeds > 1``, ``run_at`` must also accept a keyword
     argument named ``seed_index`` (0 for the base run) that selects an

@@ -9,8 +9,6 @@ in isolation.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 #: Default root seed used by experiments when none is given.
@@ -88,9 +86,3 @@ def _fold_key(key: int | str | float | bool) -> int:
         f"rng key components must be int, float, bool or str, got "
         f"{type(key).__name__}"
     )
-
-
-def shuffled(rng: np.random.Generator, items: Sequence) -> list:
-    """Return a shuffled copy of ``items`` (the input is left untouched)."""
-    order = rng.permutation(len(items))
-    return [items[i] for i in order]

@@ -8,6 +8,7 @@ import pytest
 from repro.core.config import ProtocolConfig
 from repro.core.fast_runtime import FastRuntime
 from repro.core.runtime import Runtime
+from repro.phy.interference import PhysicalInterferenceModel
 from repro.routing import (
     aggregate_demand,
     build_routing_forest,
@@ -92,13 +93,126 @@ class StepwiseRuntime(FastRuntime):
 
 
 # --------------------------------------------------------------------------
+# The scalar slot-admission oracle.  The library judges a what-if with the
+# batched SINR kernel (``what_if_sinrs``) and keeps per-member sums across
+# admissions in ``SlotArena``; this is the one-slot, one-candidate Python
+# loop both are differenced against.
+# --------------------------------------------------------------------------
+
+
+class SlotState:
+    """Mutable feasibility state of one slot under construction.
+
+    Tracks, for every member link ``k`` (sender ``s_k``, receiver ``r_k``):
+
+    * ``data_interf[k]`` — total interference power at ``r_k`` from the
+      *other* members' data transmissions;
+    * ``ack_interf[k]`` — total interference power at ``s_k`` from the
+      other members' ACK transmissions.
+
+    All powers in mW; thresholds from the bound interference model.
+    """
+
+    def __init__(self, model: PhysicalInterferenceModel):
+        self._power = model.power
+        self._noise = model.radio.noise_mw
+        self._beta = model.radio.beta
+        # Per-node far-field noise budget (sharded guard margins); None for
+        # the exact monolithic model.  Receiving nodes pay their budget on
+        # top of the thermal noise in every check below.
+        self._budget = model.budget_mw
+        self.senders: list[int] = []
+        self.receivers: list[int] = []
+        self._data_interf: list[float] = []
+        self._ack_interf: list[float] = []
+
+    def __len__(self) -> int:
+        return len(self.senders)
+
+    def members(self) -> tuple[np.ndarray, np.ndarray]:
+        """(senders, receivers) arrays of the current members."""
+        return (
+            np.asarray(self.senders, dtype=np.intp),
+            np.asarray(self.receivers, dtype=np.intp),
+        )
+
+    def can_add(self, sender: int, receiver: int) -> bool:
+        """Would the slot stay feasible if ``sender -> receiver`` joined?
+
+        Checks the new link's own data and ACK SINR against the members'
+        interference, and every member's updated SINR against the new link's
+        contribution.  The slot state is not modified.
+
+        Links sharing a node with a member are rejected outright: a
+        half-duplex node cannot transmit and receive in the same sub-slot
+        (this mirrors the SINR-level masking in
+        :func:`repro.phy.sinr.sinr_for_links`).
+        """
+        p = self._power
+        noise = self._noise
+        beta = self._beta
+        budget = self._budget
+
+        if sender == receiver:
+            return False
+        for s_k, r_k in zip(self.senders, self.receivers):
+            if sender in (s_k, r_k) or receiver in (s_k, r_k):
+                return False
+
+        new_data_interf = 0.0
+        new_ack_interf = 0.0
+        for s_k, r_k in zip(self.senders, self.receivers):
+            new_data_interf += p[s_k, receiver]
+            new_ack_interf += p[r_k, sender]
+        data_noise = noise if budget is None else noise + budget[receiver]
+        ack_noise = noise if budget is None else noise + budget[sender]
+        if p[sender, receiver] < beta * (data_noise + new_data_interf):
+            return False
+        if p[receiver, sender] < beta * (ack_noise + new_ack_interf):
+            return False
+
+        for k, (s_k, r_k) in enumerate(zip(self.senders, self.receivers)):
+            data_interf = self._data_interf[k] + p[sender, r_k]
+            member_data_noise = noise if budget is None else noise + budget[r_k]
+            if p[s_k, r_k] < beta * (member_data_noise + data_interf):
+                return False
+            ack_interf = self._ack_interf[k] + p[receiver, s_k]
+            member_ack_noise = noise if budget is None else noise + budget[s_k]
+            if p[r_k, s_k] < beta * (member_ack_noise + ack_interf):
+                return False
+        return True
+
+    def add(self, sender: int, receiver: int) -> None:
+        """Add the link unconditionally, updating interference sums."""
+        p = self._power
+        new_data_interf = 0.0
+        new_ack_interf = 0.0
+        for k, (s_k, r_k) in enumerate(zip(self.senders, self.receivers)):
+            self._data_interf[k] += p[sender, r_k]
+            self._ack_interf[k] += p[receiver, s_k]
+            new_data_interf += p[s_k, receiver]
+            new_ack_interf += p[r_k, sender]
+        self.senders.append(int(sender))
+        self.receivers.append(int(receiver))
+        self._data_interf.append(new_data_interf)
+        self._ack_interf.append(new_ack_interf)
+
+    def try_add(self, sender: int, receiver: int) -> bool:
+        """Add the link iff the slot stays feasible; report success."""
+        if self.can_add(sender, receiver):
+            self.add(sender, receiver)
+            return True
+        return False
+
+
+# --------------------------------------------------------------------------
 # Per-slot references of the rate-aware passes.  The library evaluates whole
 # schedules in one batched SINR kernel and replicates greedy_rate's slots by
 # run length; these are the bodies it replaced — one ``sinr_for_links`` pair
 # per slot, one slot built per slot emitted — kept as the references the
 # whole-path identity suite differences against.  Admission verdicts come
-# from the scalar ``SlotState`` oracle only, never from the batched arena
-# the library packs with.
+# from the scalar ``SlotState`` oracle only, never from the what-if kernel
+# or the arena the library packs with.
 # --------------------------------------------------------------------------
 
 
@@ -112,8 +226,6 @@ def stepwise_standalone_rates(links, model, table):
 
 def stepwise_greedy_rate(links, model, table):
     """``greedy_rate`` building every slot it emits; returns the slot lists."""
-    from repro.scheduling.feasibility import SlotState
-
     alone = stepwise_standalone_rates(links, model, table)
     order = np.lexsort((-links.heads, -alone))
     residual = links.demand.astype(np.int64).copy()
@@ -155,8 +267,6 @@ def stepwise_greedy_rate(links, model, table):
 def stepwise_patch_schedule(cached, links, model, max_length=None, table=None):
     """``patch_schedule`` reading every rate slot by slot and every grant
     after its insertion; returns the slot lists, or ``None``."""
-    from repro.scheduling.feasibility import SlotState
-
     demand = np.asarray(links.demand, dtype=np.int64)
     if table is None:
         cached_rates = [np.ones(len(slot), dtype=np.int64) for slot in cached.slots]
@@ -268,84 +378,11 @@ class StepwiseRateAnnotator:
 
 
 # --------------------------------------------------------------------------
-# Loop references of the sparse set-up path.  The library harvests near
-# pairs in one half-plane pass over the cell-sorted nodes, assembles the
-# power matrix from one gain per unordered pair, and draws every forest
-# parent in one ``generator.integers`` call; these are the bodies that
-# replaced — a Python loop over occupied cells joining each against its
-# full stencil, a second position gather and an argsort of the directed
-# pair list, and one ``generator.choice`` per node — kept as the references
-# the set-up differential suite compares keys, values, parents and the
-# generator's post-state against.
+# Loop reference of the forest draw.  The library draws every forest parent
+# in one ``generator.integers`` call; this is the body it replaced — one
+# ``generator.choice`` per node — kept as the reference the set-up
+# differential suite compares parents and the generator's post-state against.
 # --------------------------------------------------------------------------
-
-
-def stencil_pairs_within(positions, cell_size, radius):
-    """Ordered pairs within ``radius``, lexsorted — by full-stencil cell loop.
-
-    Also returns how many candidate pairs the distance test examined (the
-    count the harvest's candidate guard is measured against).
-    """
-    pos = np.asarray(positions, dtype=float)
-    cells = np.floor(pos / cell_size).astype(np.int64)
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for node, (cx, cy) in enumerate(cells.tolist()):
-        buckets.setdefault((cx, cy), []).append(node)
-    occupied = sorted(buckets)
-    xs = [c[0] for c in occupied]
-    ys = [c[1] for c in occupied]
-    # The stencil never needs to leave the occupied bounding box.
-    reach = int(min(np.ceil(radius / cell_size), max(max(xs) - min(xs), max(ys) - min(ys))))
-    r2 = radius * radius
-    heads, tails, examined = [], [], 0
-    for cx, cy in occupied:
-        left = np.asarray(buckets[(cx, cy)], dtype=np.intp)
-        runs = [
-            buckets[(cx + dx, cy + dy)]
-            for dx in range(-reach, reach + 1)
-            for dy in range(-reach, reach + 1)
-            if (cx + dx, cy + dy) in buckets
-        ]
-        cand = np.concatenate([np.asarray(r, dtype=np.intp) for r in runs])
-        li = np.repeat(left, cand.size)
-        rj = np.tile(cand, left.size)
-        examined += li.size
-        deltas = pos[li] - pos[rj]
-        near = (np.einsum("ij,ij->i", deltas, deltas) <= r2) & (li != rj)
-        heads.append(li[near])
-        tails.append(rj[near])
-    i = np.concatenate(heads)
-    j = np.concatenate(tails)
-    order = np.lexsort((j, i))
-    return i[order], j[order], examined
-
-
-def stencil_build_sparse_power(positions, tx_power_mw, model, cutoff_m, cell_size=None):
-    """``build_sparse_power`` from the directed pair list, as it was."""
-    from repro.phy.sparse import SparsePowerMatrix
-
-    pos = np.asarray(positions, dtype=float)
-    tx = np.asarray(tx_power_mw, dtype=float)
-    n = pos.shape[0]
-    if np.isinf(cutoff_m):
-        heads = np.repeat(np.arange(n, dtype=np.intp), n)
-        tails = np.tile(np.arange(n, dtype=np.intp), n)
-        off = heads != tails
-        heads, tails = heads[off], tails[off]
-    else:
-        heads, tails, _ = stencil_pairs_within(
-            pos, cutoff_m if cell_size is None else cell_size, cutoff_m
-        )
-    dist = np.sqrt(((pos[heads] - pos[tails]) ** 2).sum(axis=1))
-    keys = np.concatenate(
-        [
-            heads.astype(np.int64) * n + tails,
-            np.arange(n, dtype=np.int64) * n + np.arange(n, dtype=np.int64),
-        ]
-    )
-    vals = np.concatenate([tx[heads] * model.gain(dist), tx * model.gain(np.zeros(n))])
-    order = np.argsort(keys)
-    return SparsePowerMatrix(n, keys[order], vals[order])
 
 
 def loop_routing_forest_csr(indptr, indices, gateways, generator):

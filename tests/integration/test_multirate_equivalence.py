@@ -185,48 +185,6 @@ def test_degenerate_table_admission_engine_is_bit_identical(mesh):
     assert rated_wl.packets_throttled == bare_wl.packets_throttled
 
 
-def test_degenerate_table_reconcile_peel_is_bit_identical(mesh):
-    """The rate-aware peel inside ``reconcile_round`` collapses to the
-    rate-blind margin order under the degenerate table — on *every* kind of
-    conflicting round: shared-node (half-duplex) pairs, over-packed
-    many-link slots, and already-feasible slots kept verbatim.  This is the
-    reconciliation-local half of the sharded-engine equivalence above: the
-    peel victim selection is the only table-dependent branch in the pass.
-    """
-    from repro.traffic import reconcile_round
-
-    network, _, links = mesh
-    model = network.model
-    rng = np.random.default_rng(23)
-    rounds = [
-        # Singleton slots: nothing to peel either way.
-        [np.array([k], dtype=np.intp) for k in range(3)],
-        # Over-packed slots: random link subsets guaranteed to violate.
-        [
-            np.sort(rng.choice(links.n_links, size=size, replace=False)).astype(
-                np.intp
-            )
-            for size in (4, 7, 10)
-        ],
-        # A whole-round stress: every link in one slot.
-        [np.arange(links.n_links, dtype=np.intp)],
-    ]
-    peeled_any = False
-    for combined in rounds:
-        blind_kept, blind_moved = reconcile_round(
-            [c.copy() for c in combined], links, model
-        )
-        rated_kept, rated_moved = reconcile_round(
-            [c.copy() for c in combined], links, model, table=DEGENERATE
-        )
-        assert blind_moved == rated_moved
-        assert [s.tolist() for s in blind_kept] == [
-            s.tolist() for s in rated_kept
-        ]
-        peeled_any = peeled_any or blind_moved > 0
-    assert peeled_any, "stress rounds never violated — no peel was exercised"
-
-
 def test_rate_table_without_model_fails_loudly(mesh):
     """A rate table needs the interference oracle: forgetting model= must
     raise, not silently serve fixed-rate."""

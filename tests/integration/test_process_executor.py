@@ -1,8 +1,8 @@
 """Differential tests for the sharded engine's process-pool backend.
 
 ``executor="process"`` changes *where* shard schedulers run, never *what*
-they produce: every stateful object (per-shard caches, the round memo, the
-control ledger, the queues) stays in the parent, workers receive only a
+they produce: every stateful object (per-shard caches, the control
+ledger, the queues) stays in the parent, workers receive only a
 demand snapshot + epoch and return an ``EpochSchedule`` + their CPU
 seconds.  These tests pin the contract:
 
@@ -19,9 +19,8 @@ seconds.  These tests pin the contract:
   the queues against further use and shuts both pools down; the
   monolithic engine fails the same way through the same loop, re-raising
   the scheduler's own exception;
-* memoized rounds replay bit-identically: the slot arrays the round memo
-  hands back are frozen, so the engine would raise (instead of silently
-  corrupting later replays) if any serving path wrote to them.
+* rounds answered from every shard's cache replay bit-identically and
+  book no coordination messages.
 """
 
 import faulthandler
@@ -33,6 +32,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro.core.controlplane import ControlPlaneModel
 from repro.core.fdd import fdd_on_network
 from repro.experiments.common import PAPER_PROTOCOL
 from repro.routing import build_routing_forest, planned_gateways
@@ -293,15 +293,14 @@ def test_shard_scheduler_exception_is_annotated_and_poisons_queues(
         queues.serve_slot(np.array([], dtype=np.intp), 0)
 
 
-def test_memoized_rounds_replay_bit_identically(mesh):
-    """Round-memo replays: frozen slot arrays, deterministic serving.
+def test_cached_rounds_replay_bit_identically_and_book_no_coordination(mesh):
+    """Replayed rounds: deterministic serving, no coordination air.
 
     With an effectively infinite drift threshold every epoch after the
-    first answers from cache, so the superposed round is replayed from the
-    memo each time.  The memo stores the *same* array objects it serves
-    from — they are frozen at creation, so this run completing at all
-    proves no serving path mutates them (numpy would raise on write), and
-    a second identical run pins the replay bit-identical end to end.
+    first answers from cache, so the superposed round is last epoch's.  A
+    second identical run pins the replay bit-identical end to end, and on
+    a priced run such an epoch books no ``report`` or ``reconcile``
+    message — the keep-current-round signal is no message.
     """
     network, gateways, links = mesh
     plan = plan_for_network(links, network, n_shards=4, interference_radius_m=80.0)
@@ -321,9 +320,12 @@ def test_memoized_rounds_replay_bit_identically(mesh):
             network.model,
             config,
             max_workers=2,
+            control=ControlPlaneModel.default_priced(),
         )
 
     first, second = run(), run()
-    hits = sum(1 for r in first.records if r.cache_hit)
-    assert hits >= 3, "memo path never exercised — raise the drift threshold"
+    hits = {r.epoch for r in first.records if r.cache_hit}
+    assert len(hits) >= 3, "no replay exercised — raise the drift threshold"
     assert_traces_identical(first, second)
+    booked = {key[0] for key, _ in first.ledger._entries(layer="sharded")}
+    assert booked and not booked & hits

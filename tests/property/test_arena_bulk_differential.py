@@ -30,7 +30,8 @@ from repro.phy.propagation import LogDistancePathLoss
 from repro.phy.radio import RadioConfig
 from repro.phy.sparse import sparse_gain_model
 from repro.scheduling import feasibility
-from repro.scheduling.feasibility import SlotArena, SlotState, feasible_alone
+from repro.scheduling.feasibility import SlotArena, feasible_alone
+from tests.conftest import SlotState
 
 COLUMNS = ("_slot_id", "_msnd", "_mrcv", "_di", "_ai")
 

@@ -156,9 +156,8 @@ def test_runs_end_exactly_when_a_member_runs_out(meshes, monkeypatch):
     # Each run is built once — the replication is exact, not merely safe.
     module = sys.modules["repro.scheduling.greedy_rate"]
     built = []
-    monkeypatch.setattr(
-        module, "SlotState", lambda model, make=module.SlotState: built.append(1) or make(model)
-    )
+    build = module._build_slot
+    monkeypatch.setattr(module, "_build_slot", lambda *args: built.append(1) or build(*args))
     greedy_rate(links, network.model, table)
     assert len(built) == len(runs)
     assert slot_lists(schedule) == stepwise_greedy_rate(links, network.model, table)

@@ -18,7 +18,7 @@ from repro.routing.demand import aggregate_demand, uniform_node_demand
 from repro.phy.sparse import SparsePowerMatrix, sparse_gain_model
 from repro.routing.forest import build_routing_forest
 from repro.scheduling import feasibility
-from repro.scheduling.feasibility import SlotArena, SlotState, feasible_alone
+from repro.scheduling.feasibility import SlotArena, feasible_alone
 from repro.scheduling.greedy_physical import greedy_physical
 from repro.scheduling.greedy_rate import greedy_rate
 from repro.scheduling.links import LinkSet, forest_link_set
@@ -26,6 +26,7 @@ from repro.scheduling.metrics import improvement_over_linear, verify_schedule
 from repro.scheduling.orderings import EDGE_ORDERINGS
 from repro.topology.commgraph import communication_adjacency, is_connected
 from repro.traffic.incremental import patch_schedule
+from tests.conftest import SlotState
 
 
 @st.composite

@@ -1,11 +1,12 @@
-"""The vectorised sparse set-up path ≡ the loops it replaced ≡ brute force.
+"""The vectorised sparse set-up path ≡ brute force (≡ the loop it replaced).
 
 ``GridIndex.near_pairs`` (one half-plane pass over the cell-sorted nodes),
 ``build_sparse_power`` (one gain per unordered pair, one key sort) and
 ``build_routing_forest_csr`` (one ``generator.integers`` draw) are host-speed
-rewrites: stored keys, values, row pointers, forest parents, depths and the
-random generator's state afterwards must equal what the loop references in
-``tests/conftest.py`` produce, and what the dense O(n²) builders produce.
+rewrites.  Harvested pairs, stored keys, values, row pointers and columns
+must equal what the dense O(n²) distance and power matrices give; forest
+parents, depths and the random generator's state afterwards must equal the
+loop reference in ``tests/conftest.py`` and the dense builder.
 """
 
 from unittest import mock
@@ -22,11 +23,7 @@ from repro.phy.sparse import build_sparse_power, interference_radius_m
 from repro.phy.spatial import GridIndex
 from repro.routing.forest import build_routing_forest, build_routing_forest_csr
 from repro.util.ranges import expand_ranges
-from tests.conftest import (
-    loop_routing_forest_csr,
-    stencil_build_sparse_power,
-    stencil_pairs_within,
-)
+from tests.conftest import loop_routing_forest_csr
 
 
 @st.composite
@@ -73,25 +70,23 @@ def shrunk_chunks(gather):
 
 @given(near_field_case())
 @settings(max_examples=150, deadline=None)
-def test_sparse_power_equals_loop_reference_and_brute_force(case):
+def test_sparse_power_equals_brute_force(case):
     positions, tx, model, cutoff, cell, gather = case
     n = len(positions)
     with shrunk_chunks(gather):
         got = build_sparse_power(
             positions, tx, model, cutoff, index=GridIndex(positions, cell_size=cell)
         )
-    ref = stencil_build_sparse_power(positions, tx, model, cutoff, cell_size=cell)
-    assert np.array_equal(got._keys, ref._keys)
-    assert np.array_equal(got._vals, ref._vals)
-    assert np.array_equal(got.indptr, ref.indptr)
-    assert np.array_equal(got._cols, ref._cols)
-
     # Brute force: exactly the pairs of the dense distance matrix, plus the
-    # diagonal, carrying exactly the dense received powers.
+    # diagonal, carrying exactly the dense received powers — and the CSR
+    # rows are the row nonzeros of the densified matrix.
     stored = (distance_matrix(positions) <= cutoff) | np.eye(n, dtype=bool)
     assert np.array_equal(got._keys, np.flatnonzero(stored.ravel()))
     dense = received_power_matrix(positions, tx, model)
     assert np.array_equal(got._vals, dense[stored])
+    rows, cols = np.nonzero(got.toarray())
+    assert np.array_equal(got.indptr, np.searchsorted(rows, np.arange(n + 1)))
+    assert np.array_equal(got._cols, cols)
 
 
 @pytest.mark.parametrize("cell", [2.0, 5.0, 7.5, 40.0])
@@ -107,10 +102,9 @@ def test_pairs_at_exactly_the_cutoff_are_stored(cell):
     )
     dist = distance_matrix(positions)
     assert np.any(dist == 5.0)
-    assert np.array_equal(got._keys, np.flatnonzero((dist <= 5.0).ravel()))
-    ref = stencil_build_sparse_power(positions, tx, model, 5.0, cell_size=cell)
-    assert np.array_equal(got._keys, ref._keys)
-    assert np.array_equal(got._vals, ref._vals)
+    stored = dist <= 5.0
+    assert np.array_equal(got._keys, np.flatnonzero(stored.ravel()))
+    assert np.array_equal(got._vals, received_power_matrix(positions, tx, model)[stored])
 
 
 @given(near_field_case())
@@ -132,11 +126,9 @@ def test_harvest_lists_each_unordered_pair_once_with_its_distance(case):
     assert np.array_equal(d2, delta[:, 0] * delta[:, 0] + delta[:, 1] * delta[:, 1])
     assert np.all(d2 <= cutoff * cutoff)
 
-    ref_heads, ref_tails, _ = stencil_pairs_within(positions, cell, cutoff)
-    upper = ref_heads < ref_tails  # the reference lists both directions
-    assert np.array_equal(
-        np.sort(lo * n + hi), ref_heads[upper] * n + ref_tails[upper]
-    )
+    # Brute force: the upper triangle of the dense distance test.
+    near = np.triu(distance_matrix(positions) <= cutoff, k=1)
+    assert np.array_equal(np.sort(lo * n + hi), np.flatnonzero(near.ravel()))
 
 
 @st.composite

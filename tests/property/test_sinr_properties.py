@@ -8,7 +8,7 @@ from repro.phy.interference import PhysicalInterferenceModel
 from repro.phy.propagation import LogDistancePathLoss
 from repro.phy.radio import RadioConfig
 from repro.phy.sinr import sinr_for_links
-from repro.scheduling.feasibility import SlotState
+from tests.conftest import SlotState
 
 NOISE = 1e-9
 

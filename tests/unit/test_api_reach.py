@@ -1,4 +1,5 @@
-"""Every public function and method in ``src/`` has a caller outside tests.
+"""Every public function and method in ``src/`` has a caller outside tests,
+and every name a ``src/`` module imports is read there.
 
 A name-based AST check: each public top-level function and public method
 defined under ``src/`` must be *used* — named as an identifier, an
@@ -19,6 +20,7 @@ KEPT = {
     "PhysicalInterferenceModel.sense_mask": "carrier-sense reference of the packet medium",
     "schedule_is_feasible": "scalar feasibility oracle of the rate-path suites",
     "schedule_rates": "scalar rate oracle of the rate-path suites",
+    "PhysicalInterferenceModel.link_rates": "per-set rate oracle of the rate-path references",
     "LinkQueues.serve_slot": "one-slot oracle of the serve differential",
     "scream_reach_exactly": "closed-form oracle of the SCREAM flood",
     # Test seams: the only handle a property suite has on a path.
@@ -47,13 +49,6 @@ KEPT = {
     "mw_to_dbm": "unit conversion API",
     "db_to_linear": "unit conversion API",
     "linear_to_db": "unit conversion API",
-    # Test-only today, listed for the next audit.
-    "ConfidenceInterval.contains": "next audit",
-    "SquareRegion.contains": "next audit",
-    "ClockModel.detection_reliable": "next audit",
-    "ScheduleCache.invalidate": "next audit",
-    "shuffled": "next audit",
-    "quick_plot": "next audit",
 }
 
 
@@ -122,3 +117,30 @@ def test_every_kept_entry_is_still_defined_and_still_unreached():
         if qualified not in definitions or definitions[qualified] in used
     )
     assert not stale, f"allowlisted but defined nowhere or reached: {stale}"
+
+
+def test_every_imported_name_is_read():
+    """An import nothing in its module reads is dead weight: drop it.  A
+    package ``__init__`` re-exports through ``__all__``, which counts."""
+    unread = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "__all__" for t in node.targets
+            ):
+                read |= {leaf.value for leaf in ast.walk(node.value) if isinstance(leaf, ast.Constant)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unread += [
+                f"{path.relative_to(ROOT)}:{node.lineno} {name}"
+                for name in names
+                if name not in read
+            ]
+    assert not unread, f"imported but never read: {unread}"

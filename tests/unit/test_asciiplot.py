@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.asciiplot import AsciiPlot, quick_plot
+from repro.analysis.asciiplot import AsciiPlot
 
 
 class TestAsciiPlot:
@@ -62,10 +62,6 @@ class TestAsciiPlot:
         plot = AsciiPlot()
         with pytest.raises(ValueError):
             plot.add_series("s", [1, 2], [1])
-
-    def test_quick_plot(self):
-        text = quick_plot({"a": ([1, 2], [3, 4])}, title="q", width=12, height=4)
-        assert "q" in text and "o=a" in text
 
     def test_constant_series_renders(self):
         plot = AsciiPlot(width=10, height=4)

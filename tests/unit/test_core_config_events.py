@@ -75,18 +75,6 @@ class TestStepTally:
         tally.add_sync(2)
         assert tally.total_steps == 3 + 2 + 2
 
-    def test_merged_with_sums_everything(self):
-        a, b = StepTally(), StepTally()
-        a.add_scream(4)
-        b.add_handshake()
-        b.rounds = 3
-        merged = a.merged_with(b)
-        assert merged.scream_slots == 4
-        assert merged.data_subslots == 1
-        assert merged.rounds == 3
-        # Inputs untouched.
-        assert a.rounds == 0
-
     def test_as_dict_roundtrip(self):
         tally = StepTally()
         tally.add_scream(2)

@@ -2,7 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.phy.gain import distance_matrix, received_power_matrix
+from repro.phy.interference import PhysicalInterferenceModel
+from repro.phy.propagation import LogDistancePathLoss
+from repro.phy.radio import RadioConfig
 from repro.scheduling.greedy_physical import greedy_physical
 from repro.scheduling.links import LinkSet
 from repro.scheduling.metrics import verify_schedule
@@ -20,6 +25,7 @@ from repro.routing import (
 from repro.scheduling import forest_link_set
 from repro.topology.network import grid_network
 from repro.util.rng import spawn
+from tests.conftest import SlotState
 
 
 @pytest.fixture(scope="module")
@@ -124,3 +130,64 @@ class TestOptimal:
             if (length := partition_feasible(assignment)) is not None
         )
         assert result.schedule.length == best
+
+
+def slotstate_maximal_sets(links, model):
+    """The enumeration on the scalar oracle: one ``SlotState`` re-seeded per
+    search node, one ``can_add`` per later link."""
+    heads, tails = links.heads.tolist(), links.tails.tolist()
+    found = []
+
+    def extend(chosen, start):
+        state = SlotState(model)
+        for c in chosen:
+            state.add(heads[c], tails[c])
+        admitted = [k for k in range(start, links.n_links) if state.can_add(heads[k], tails[k])]
+        for k in admitted:
+            extend(chosen + [k], k + 1)
+        if not admitted and chosen:
+            found.append(frozenset(chosen))
+
+    extend([], 0)
+    maximal = [s for s in found if not any(s < other for other in found)]
+    return sorted(set(maximal), key=lambda s: (-len(s), sorted(s)))
+
+
+@st.composite
+def small_instance(draw):
+    """6–12 links inside clusters of 2–4 nodes: endpoints are often shared
+    (same sender, same receiver, a receiver that also sends), and clusters
+    far enough apart to reuse a slot sit beside ones that interfere;
+    optionally budgeted."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    sizes = rng.integers(2, 5, size=draw(st.integers(2, 5)))
+    side = draw(st.floats(100.0, 600.0))
+    centres = np.repeat(rng.uniform(0.0, side, size=(sizes.size, 2)), sizes, axis=0)
+    positions = centres + rng.uniform(-20.0, 20.0, size=centres.shape)
+    n_nodes = len(positions)
+    radio = RadioConfig()
+    power = received_power_matrix(
+        positions, np.full(n_nodes, 31.6), LogDistancePathLoss(alpha=radio.alpha)
+    )
+    model = PhysicalInterferenceModel(power, radio)
+    if draw(st.booleans()):
+        model = model.with_budget(rng.random(n_nodes) * radio.noise_mw * 3)
+    n_links = draw(st.integers(6, 12))
+    # Each link to one of its head's three nearest nodes: short links, and
+    # neighbours picked again and again.
+    heads = rng.integers(n_nodes, size=n_links)
+    nearest = np.argsort(distance_matrix(positions), axis=1)
+    tails = nearest[heads, 1 + rng.integers(3, size=n_links)]
+    links = LinkSet(
+        heads=heads, tails=tails, demand=np.ones(n_links, dtype=np.int64), ids=np.arange(n_links)
+    )
+    return links, model
+
+
+@given(small_instance())
+@settings(max_examples=80, deadline=None)
+def test_kernel_enumeration_equals_the_scalar_oracle(instance):
+    """The what-if kernel judges every search node exactly as the scalar
+    ``SlotState`` walk does: the same maximal feasible sets, in order."""
+    links, model = instance
+    assert enumerate_maximal_feasible_sets(links, model) == slotstate_maximal_sets(links, model)

@@ -1,9 +1,11 @@
-"""Propagation models: power laws, reference loss, frozen shadowing."""
+"""The log-distance propagation model (power law, reference loss, range),
+the protocol the gain builders require, and the gain matrices built on it."""
 
 import numpy as np
 import pytest
 
-from repro.phy.propagation import FreeSpace, LogDistancePathLoss, LogNormalShadowing
+from repro.phy.gain import distance_matrix, gain_matrix, received_power_matrix
+from repro.phy.propagation import LogDistancePathLoss, PropagationModel
 
 
 class TestLogDistance:
@@ -42,66 +44,83 @@ class TestLogDistance:
         with pytest.raises(ValueError):
             LogDistancePathLoss(reference_distance=-1.0)
 
-
-class TestFreeSpace:
-    def test_exponent_is_two(self):
-        model = FreeSpace()
-        g10, g20 = model.gain(np.array([10.0, 20.0]))
-        assert g10 / g20 == pytest.approx(4.0)
-
-
-class TestLogNormalShadowing:
-    def test_zero_sigma_matches_median(self):
-        base = LogDistancePathLoss(alpha=3.0)
-        shadow = LogNormalShadowing(alpha=3.0, sigma_db=0.0, rng=1)
-        d = np.array([[0.0, 30.0], [30.0, 0.0]])
-        assert shadow.pair_gain(d)[0, 1] == pytest.approx(base.gain(d)[0, 1])
-
-    def test_shadowing_is_symmetric(self):
-        shadow = LogNormalShadowing(alpha=3.0, sigma_db=6.0, rng=2)
-        rng = np.random.default_rng(0)
-        pos = rng.uniform(0, 100, size=(8, 2))
-        d = np.sqrt(((pos[:, None] - pos[None, :]) ** 2).sum(-1))
-        gains = shadow.pair_gain(d)
-        assert np.allclose(gains, gains.T)
-
-    def test_shadowing_capped_at_reference_gain(self):
-        shadow = LogNormalShadowing(alpha=3.0, sigma_db=20.0, rng=3)
-        d = np.full((6, 6), 1.5)
-        np.fill_diagonal(d, 0.0)
-        gains = shadow.pair_gain(d)
-        assert (gains <= 1e-4 + 1e-12).all()
-
-    def test_pair_gain_requires_square_matrix(self):
-        shadow = LogNormalShadowing(rng=4)
+    def test_negative_reference_loss_rejected(self):
         with pytest.raises(ValueError):
-            shadow.pair_gain(np.zeros((2, 3)))
+            LogDistancePathLoss(reference_loss_db=-1.0)
 
-    def test_scalar_gain_is_median(self):
-        shadow = LogNormalShadowing(alpha=3.0, sigma_db=8.0, rng=5)
-        base = LogDistancePathLoss(alpha=3.0)
-        assert shadow.gain(np.array(50.0)) == pytest.approx(
-            base.gain(np.array(50.0))
+    @pytest.mark.parametrize("field", ["tx", "noise", "beta"])
+    def test_range_for_snr_rejects_non_positive_inputs(self, field):
+        args = {"tx": 15.85, "noise": 1e-9, "beta": 10.0}
+        args[field] = 0.0
+        with pytest.raises(ValueError):
+            LogDistancePathLoss().range_for_snr(args["tx"], args["noise"], args["beta"])
+
+    def test_documented_default_range(self):
+        """15 dBm, alpha = 3, -90 dBm noise and a 10 dB threshold: ~68 m."""
+        tx = 10 ** (15.0 / 10.0)
+        noise = 10 ** (-90.0 / 10.0)
+        assert LogDistancePathLoss().range_for_snr(tx, noise, 10.0) == pytest.approx(
+            68.1, abs=0.1
         )
 
+    def test_gain_is_non_increasing_and_capped_at_reference_gain(self):
+        model = LogDistancePathLoss(alpha=3.5, reference_distance=2.0, reference_loss_db=37.0)
+        d = np.linspace(0.0, 500.0, 2001)
+        g = model.gain(d)
+        assert (np.diff(g) <= 0).all()
+        assert g.max() == 10 ** (-37.0 / 10.0)
+        assert (g[d <= 2.0] == g.max()).all()
 
-class TestShadowingFreeze:
-    """Regression: the shadowing realization must be drawn exactly once."""
+    def test_gain_keeps_input_shape(self):
+        d = np.arange(12.0).reshape(3, 4) * 10.0
+        assert LogDistancePathLoss().gain(d).shape == (3, 4)
 
-    def test_pair_gain_stable_across_calls(self):
-        shadow = LogNormalShadowing(alpha=3.0, sigma_db=6.0, rng=11)
-        rng = np.random.default_rng(1)
-        pos = rng.uniform(0, 100, size=(6, 2))
-        d = np.sqrt(((pos[:, None] - pos[None, :]) ** 2).sum(-1))
-        first = shadow.pair_gain(d)
-        second = shadow.pair_gain(d)
-        assert np.array_equal(first, second)
+    def test_repr_rebuilds_an_equal_model(self):
+        model = LogDistancePathLoss(alpha=2.5, reference_distance=3.0, reference_loss_db=35.0)
+        again = eval(repr(model), {"LogDistancePathLoss": LogDistancePathLoss})
+        d = np.array([0.0, 1.0, 3.0, 10.0, 250.0])
+        np.testing.assert_array_equal(again.gain(d), model.gain(d))
+        assert repr(again) == repr(model)
 
-    def test_mismatched_node_count_rejected_after_freeze(self):
-        shadow = LogNormalShadowing(alpha=3.0, sigma_db=6.0, rng=12)
-        d6 = np.ones((6, 6)) * 10.0
-        np.fill_diagonal(d6, 0.0)
-        shadow.pair_gain(d6)
-        d4 = np.ones((4, 4)) * 10.0
-        with pytest.raises(ValueError, match="frozen"):
-            shadow.pair_gain(d4)
+
+class TestPropagationProtocol:
+    def test_log_distance_satisfies_the_protocol(self):
+        assert isinstance(LogDistancePathLoss(), PropagationModel)
+
+    def test_a_gain_without_its_inverse_is_not_a_model(self):
+        """The gain builders and the sparse cutoff both read the law: a
+        model must give ``range_for_snr`` as well as ``gain``."""
+
+        class GainOnly:
+            def gain(self, distances):
+                return np.ones_like(distances)
+
+        assert not isinstance(GainOnly(), PropagationModel)
+
+
+class TestGainMatrix:
+    POSITIONS = np.array([[0.0, 0.0], [30.0, 0.0], [0.0, 40.0], [55.0, 70.0]])
+
+    def test_entries_are_the_law_at_pairwise_distance(self):
+        model = LogDistancePathLoss(alpha=3.0)
+        g = gain_matrix(self.POSITIONS, model)
+        np.testing.assert_array_equal(g, model.gain(distance_matrix(self.POSITIONS)))
+        # A 3-4-5 triangle: 1e-4 * (1 / 50) ** 3 at 50 m.
+        assert g[1, 2] == pytest.approx(8e-10, rel=1e-12)
+        assert g[0, 1] == pytest.approx(1e-4 / 30.0**3, rel=1e-12)
+
+    def test_symmetric_with_reference_gain_diagonal(self):
+        model = LogDistancePathLoss(alpha=3.0, reference_loss_db=40.0)
+        g = gain_matrix(self.POSITIONS, model)
+        np.testing.assert_array_equal(g, g.T)
+        assert (np.diag(g) == 1e-4).all()
+
+    def test_received_power_scales_rows_by_transmit_power(self):
+        model = LogDistancePathLoss(alpha=3.0)
+        tx = np.array([1.0, 2.0, 5.0, 31.6])
+        p = received_power_matrix(self.POSITIONS, tx, model)
+        np.testing.assert_array_equal(p, gain_matrix(self.POSITIONS, model) * tx[:, None])
+
+    def test_bad_position_shape_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            gain_matrix(np.zeros((4, 3)), LogDistancePathLoss())

@@ -1,10 +1,15 @@
-"""Scheduling substrate: links, schedules, feasibility state, baselines."""
+"""Scheduling substrate: links, schedules, feasibility state, the what-if
+kernel, baselines."""
 
 import numpy as np
 import pytest
 
 from repro.routing import aggregate_demand, build_routing_forest, planned_gateways
-from repro.scheduling.feasibility import SlotState, feasible_alone, schedule_is_feasible
+from repro.scheduling.feasibility import (
+    feasible_alone,
+    schedule_is_feasible,
+    what_if_sinrs,
+)
 from repro.scheduling.greedy_physical import greedy_physical
 from repro.scheduling.linear import linear_schedule
 from repro.scheduling.links import LinkSet, forest_link_set
@@ -16,6 +21,7 @@ from repro.scheduling.orderings import (
     order_by_length,
 )
 from repro.scheduling.schedule import Schedule, Slot
+from tests.conftest import SlotState, stepwise_greedy_rate
 
 
 class TestLinkSet:
@@ -156,6 +162,94 @@ class TestSlotState:
         # The same sender again violates half-duplex/sharing.
         assert not state.try_add(0, 2)
         assert len(state) == 1
+
+
+class TestWhatIf:
+    """``set_sinrs`` and ``what_if_sinrs``: the kernel verdicts ``greedy_rate``
+    and ``optimal`` admit with."""
+
+    def test_set_sinrs_rows_are_each_sets_link_sinrs(self, grid64, grid64_links):
+        model = grid64.model
+        heads, tails = grid64_links.heads, grid64_links.tails
+        slots = [s.as_array() for s in greedy_physical(grid64_links, model).slots[:12]]
+        width = max(map(len, slots))
+        valid = np.arange(width) < np.array([len(s) for s in slots])[:, None]
+        members = np.zeros(valid.shape, dtype=np.intp)
+        members[valid] = np.concatenate(slots)
+        rows = model.set_sinrs(heads[members], tails[members], valid)
+        for row, on, slot in zip(rows, valid, slots):
+            np.testing.assert_array_equal(
+                row[on], np.minimum(*model.link_sinrs(heads[slot], tails[slot]))
+            )
+            assert (row[~on] == 0.0).all()
+
+    def test_candidates_sharing_a_node_are_dropped(self, grid16, grid16_links):
+        heads, tails = grid16_links.heads, grid16_links.tails
+        members = [0]
+        ends = {int(heads[0]), int(tails[0])}
+        candidates = np.arange(1, grid16_links.n_links)
+        free, sinrs = what_if_sinrs(grid16.model, heads, tails, members, candidates)
+        expected = [
+            k for k in candidates if not {int(heads[k]), int(tails[k])} & ends
+        ]
+        assert free.tolist() == expected
+        assert sinrs.shape == (len(expected), 2)
+
+    def test_rows_are_the_members_then_the_candidate(self, grid64, grid64_links):
+        model = grid64.model
+        heads, tails = grid64_links.heads, grid64_links.tails
+        members = greedy_physical(grid64_links, model).slots[0].links[:3]
+        free, sinrs = what_if_sinrs(
+            model, heads, tails, members, np.arange(grid64_links.n_links)
+        )
+        assert free.size
+        for cand, row in zip(free, sinrs):
+            idx = np.append(members, cand)
+            np.testing.assert_array_equal(
+                row, np.minimum(*model.link_sinrs(heads[idx], tails[idx]))
+            )
+
+    def test_no_candidates_give_an_empty_grid(self, grid16, grid16_links):
+        free, sinrs = what_if_sinrs(
+            grid16.model, grid16_links.heads, grid16_links.tails, [0],
+            np.empty(0, dtype=np.intp),
+        )
+        assert free.size == 0 and sinrs.shape == (0, 2)
+
+    @pytest.mark.parametrize("budgeted", [False, True], ids=["exact", "budgeted"])
+    def test_verdicts_equal_the_scalar_oracle(self, grid64, grid64_links, budgeted):
+        model = grid64.model
+        if budgeted:
+            budget = np.zeros(grid64.n_nodes)
+            budget[::3] = 2.0 * model.radio.noise_mw
+            model = model.with_budget(budget)
+        heads, tails = grid64_links.heads, grid64_links.tails
+        everyone = np.arange(grid64_links.n_links)
+        state, members = SlotState(model), []
+        for k in everyone:
+            if state.try_add(int(heads[k]), int(tails[k])):
+                members.append(int(k))
+            if len(members) == 4:
+                break
+        for prefix in range(1, len(members) + 1):
+            state = SlotState(model)
+            for k in members[:prefix]:
+                state.add(int(heads[k]), int(tails[k]))
+            free, sinrs = what_if_sinrs(model, heads, tails, members[:prefix], everyone)
+            admits = (sinrs >= model.radio.beta).all(axis=1)
+            oracle = [state.can_add(int(heads[k]), int(tails[k])) for k in everyone]
+            assert np.flatnonzero(oracle).tolist() == free[admits].tolist()
+
+    def test_a_budget_only_lowers_sinrs(self, grid64, grid64_links):
+        model = grid64.model
+        budgeted = model.with_budget(np.full(grid64.n_nodes, model.radio.noise_mw))
+        heads, tails = grid64_links.heads, grid64_links.tails
+        members = greedy_physical(grid64_links, model).slots[0].links[:2]
+        candidates = np.arange(grid64_links.n_links)
+        free, exact = what_if_sinrs(model, heads, tails, members, candidates)
+        same, tighter = what_if_sinrs(budgeted, heads, tails, members, candidates)
+        np.testing.assert_array_equal(same, free)
+        assert (tighter < exact).all()
 
 
 class TestGreedyPhysical:
@@ -313,3 +407,50 @@ class TestGreedyRate:
             grid16_links.heads[:1], grid16_links.tails[:1], table
         )
         assert rates[0] == alone[0]
+
+    def test_link_infeasible_alone_raises(self, grid16):
+        from repro.scheduling.greedy_rate import greedy_rate
+
+        far = np.argwhere(~grid16.comm_adj & ~np.eye(grid16.n_nodes, dtype=bool))
+        head, tail = (int(v) for v in far[0])
+        links = LinkSet(
+            heads=np.array([head]), tails=np.array([tail]),
+            demand=np.array([1]), ids=np.array([head]),
+        )
+        with pytest.raises(ValueError, match="infeasible even alone"):
+            greedy_rate(links, grid16.model, self.table(grid16.model.radio.beta))
+
+    def test_base_tier_above_beta_floors_instead_of_refusing(self, grid64, grid64_links):
+        """A table whose tier 0 no link reaches: every member still decodes
+        (SINR >= β) and is served at the base rate, so the slots are the
+        single-rate ones."""
+        from repro.phy.radio import RateTable
+        from repro.scheduling.greedy_rate import greedy_rate
+
+        beta = grid64.model.radio.beta
+        high = RateTable(thresholds=np.array([1e9 * beta]), rates=np.array([1]))
+        rated = greedy_rate(grid64_links, grid64.model, high)
+        single = greedy_rate(grid64_links, grid64.model, RateTable.degenerate(beta))
+        assert [s.links for s in rated.slots] == [s.links for s in single.slots]
+        assert rated.satisfies_demand()
+
+    @pytest.mark.parametrize("budgeted", [False, True], ids=["exact", "budgeted"])
+    def test_slots_equal_the_stepwise_reference(self, grid64, grid64_links, budgeted):
+        from repro.scheduling.greedy_rate import greedy_rate
+
+        model = grid64.model
+        if budgeted:
+            budget = np.zeros(grid64.n_nodes)
+            # Large enough to change the slots, small enough that every
+            # link still decodes alone.
+            budget[::2] = 0.15 * model.radio.noise_mw
+            model = model.with_budget(budget)
+        table = self.table(model.radio.beta)
+        schedule = greedy_rate(grid64_links, model, table)
+        if budgeted:
+            exact = greedy_rate(grid64_links, grid64.model, table)
+            assert [s.links for s in schedule.slots] != [s.links for s in exact.slots]
+        assert [list(s.links) for s in schedule.slots] == stepwise_greedy_rate(
+            grid64_links, model, table
+        )
+        assert schedule_is_feasible(schedule, model)

@@ -118,12 +118,6 @@ class TestClockModel:
         assert 0.0 < partial < 1.0
         assert none == 0.0
 
-    def test_detection_reliable_iff_guard_covers_skew(self):
-        clock = ClockModel(2, 1e-3, np.random.default_rng(4))
-        clock.offsets[:] = [0.0, 8e-4]
-        assert clock.detection_reliable(0, 1, 1e-3, guard_s=1e-3)
-        assert not clock.detection_reliable(0, 1, 1e-3, guard_s=1e-4)
-
 
 class TestMediumWithClockSkew:
     """Emergent uncompensated-skew behaviour at the packet level."""

@@ -174,19 +174,6 @@ class TestSparsePowerMatrix:
         assert sparse.value_dense
         np.testing.assert_array_equal(sparse.toarray(), dense)
 
-    def test_builder_rejects_pair_gain_models(self, deployment):
-        positions, tx = deployment
-
-        class Frozen:
-            def gain(self, d):
-                return np.ones_like(d)
-
-            def pair_gain(self, d):
-                return np.ones_like(d)
-
-        with pytest.raises(ValueError, match="pair_gain"):
-            build_sparse_power(positions, tx, Frozen(), 50.0)
-
     def test_builder_rejects_bad_cutoff(self, deployment):
         positions, tx = deployment
         with pytest.raises(ValueError, match="cutoff_m"):
@@ -250,6 +237,20 @@ class TestFarField:
         beyond = strongest * float(MODEL.gain(np.array([radius * 1.01]))[0])
         assert at >= RADIO.cs_threshold_mw * (1 - 1e-9)
         assert beyond < RADIO.cs_threshold_mw
+
+    def test_cutoff_is_the_laws_own_inverse(self, deployment):
+        """The radius comes from the model's ``range_for_snr`` at the
+        carrier-sense SNR, so cutoff and gains follow one law: a steeper
+        exponent gives a shorter cutoff."""
+        positions, tx = deployment
+        for alpha in (2.5, 3.0, 4.0):
+            model = LogDistancePathLoss(alpha=alpha)
+            radio = RadioConfig(alpha=alpha)
+            assert interference_radius_m(tx, model, radio) == model.range_for_snr(
+                float(tx.max()), radio.noise_mw, radio.cs_threshold_mw / radio.noise_mw
+            )
+        steep = interference_radius_m(tx, LogDistancePathLoss(alpha=4.0), RADIO)
+        assert steep < interference_radius_m(tx, MODEL, RADIO)
 
     def test_floor_properties(self, deployment):
         positions, tx = deployment

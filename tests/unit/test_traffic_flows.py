@@ -120,13 +120,6 @@ class TestFlowWorkload:
         for epoch in range(10):
             assert wl.arrivals(epoch, 100)[0] == 0  # node 0 is the gateway
 
-    def test_scaled_scales_session_rate_only(self):
-        links = chain_links(6)
-        wl = FlowWorkload(links, FlowConfig(session_rate=2.0), seed=5)
-        doubled = wl.scaled(2.0)
-        assert doubled.config.session_rate == pytest.approx(4.0)
-        assert doubled.config.mean_size == wl.config.mean_size
-
     def test_completed_flows_depart(self):
         links = chain_links(4)
         cfg = FlowConfig(
@@ -261,18 +254,6 @@ class TestControllers:
         )
         for epoch in range(3):
             bare.arrivals(epoch, 100)
-
-    def test_fresh_controllers_carry_knobs_but_no_state(self):
-        tracker = KneeTracker(window=5, increase=0.2, decrease=0.5, drain_horizon=9)
-        tracker.cap = 0.7
-        clone = tracker.fresh()
-        assert (clone.window, clone.increase, clone.decrease, clone.drain_horizon) == (
-            5, 0.2, 0.5, 9,
-        )
-        assert clone.cap == float("inf")
-        bp = Backpressure(hot_fraction=0.2, slowdown=0.5, gate_packets=3)
-        clone = bp.fresh()
-        assert (clone.hot_fraction, clone.slowdown, clone.gate_packets) == (0.2, 0.5, 3)
 
 
 class _AdmitAfter(AdmissionController):

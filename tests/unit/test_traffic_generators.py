@@ -6,7 +6,6 @@ import pytest
 from repro.routing import planned_gateways
 from repro.traffic import (
     ConstantBitRate,
-    DiurnalLoad,
     ParetoOnOff,
     PoissonArrivals,
 )
@@ -22,7 +21,7 @@ def total_over(gen, epochs, n_slots):
 class TestDeterminism:
     @pytest.mark.parametrize(
         "factory",
-        [ConstantBitRate, PoissonArrivals, DiurnalLoad, ParetoOnOff],
+        [ConstantBitRate, PoissonArrivals, ParetoOnOff],
         ids=lambda f: f.__name__,
     )
     def test_same_seed_same_arrivals(self, factory):
@@ -34,14 +33,15 @@ class TestDeterminism:
             )
 
     @pytest.mark.parametrize(
-        "factory", [PoissonArrivals, DiurnalLoad], ids=lambda f: f.__name__
+        "factory", [ConstantBitRate, PoissonArrivals], ids=lambda f: f.__name__
     )
     def test_epoch_regenerable_in_isolation(self, factory):
         """Stateless generators: any epoch is a pure function of (seed, epoch)."""
         gen = factory(N, 0.05, gateways=GWS, seed=9)
-        late = gen.arrivals(5, 50)
+        history = [gen.arrivals(e, 50) for e in range(6)]
         fresh = factory(N, 0.05, gateways=GWS, seed=9)
-        np.testing.assert_array_equal(fresh.arrivals(5, 50), late)
+        np.testing.assert_array_equal(fresh.arrivals(5, 50), history[5])
+        np.testing.assert_array_equal(fresh.arrivals(2, 50), history[2])
 
     def test_different_seeds_differ(self):
         a = PoissonArrivals(N, 0.5, gateways=GWS, seed=1).arrivals(0, 100)
@@ -78,38 +78,49 @@ class TestRates:
         measured = total_over(gen, 80, 100) / ((N - GWS.size) * 80 * 100)
         assert measured == pytest.approx(0.05, rel=0.35)  # heavy tail: loose
 
-    def test_diurnal_long_run_mean_and_modulation(self):
-        period = 400
-        gen = DiurnalLoad(
-            N, 0.2, gateways=GWS, seed=5, amplitude=1.0, period_slots=period
-        )
-        epochs, n_slots = 64, 100  # 16 full periods
-        measured = total_over(gen, epochs, n_slots) / ((N - GWS.size) * epochs * n_slots)
-        assert measured == pytest.approx(0.2, rel=0.1)
-        # Peak quarter-period epochs carry more traffic than trough ones.
-        fresh = DiurnalLoad(
-            N, 0.2, gateways=GWS, seed=5, amplitude=1.0, period_slots=period
-        )
-        sums = [int(fresh.arrivals(e, n_slots).sum()) for e in range(4)]
-        assert sums[0] > sums[2]  # rising phase vs falling phase
-
-    def test_scaled_doubles_rate(self):
-        gen = PoissonArrivals(N, 0.1, gateways=GWS, seed=3)
-        doubled = gen.scaled(2.0)
-        assert doubled.mean_rate == pytest.approx(2 * gen.mean_rate)
-        assert type(doubled) is PoissonArrivals
-
 
 class TestGatewaysAndValidation:
     @pytest.mark.parametrize(
         "factory",
-        [ConstantBitRate, PoissonArrivals, DiurnalLoad, ParetoOnOff],
+        [ConstantBitRate, PoissonArrivals, ParetoOnOff],
         ids=lambda f: f.__name__,
     )
     def test_gateways_never_generate(self, factory):
         gen = factory(N, 0.8, gateways=GWS, seed=11)
         for epoch in range(4):
             assert np.all(gen.arrivals(epoch, 50)[GWS] == 0)
+
+    @pytest.mark.parametrize(
+        "factory",
+        [ConstantBitRate, PoissonArrivals, ParetoOnOff],
+        ids=lambda f: f.__name__,
+    )
+    def test_arrivals_are_one_integer_count_per_node(self, factory):
+        counts = factory(N, 0.3, gateways=GWS, seed=4).arrivals(0, 40)
+        assert counts.shape == (N,)
+        assert counts.dtype == np.int64
+        assert (counts >= 0).all()
+
+    def test_mean_rate_averages_sources_only(self):
+        rates = np.linspace(0.0, 0.3, N)
+        gen = PoissonArrivals(N, rates, gateways=GWS, seed=0)
+        sources = np.setdiff1d(np.arange(N), GWS)
+        assert gen.mean_rate == pytest.approx(rates[sources].mean())
+        assert (gen.rates[GWS] == 0).all()
+
+    def test_all_gateway_network_has_zero_mean_rate(self):
+        gen = ConstantBitRate(4, 0.5, gateways=np.arange(4), seed=0)
+        assert gen.mean_rate == 0.0
+        assert int(gen.arrivals(0, 100).sum()) == 0
+
+    def test_per_node_rates_are_honoured(self):
+        rates = np.array([0.0, 0.1, 0.5, 1.0])
+        gen = ConstantBitRate(4, rates, seed=0)
+        np.testing.assert_array_equal(gen.arrivals(0, 20), [0, 2, 10, 20])
+
+    def test_non_positive_node_count_rejected(self):
+        with pytest.raises(ValueError):
+            PoissonArrivals(0, 0.1)
 
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
@@ -128,25 +139,32 @@ class TestGatewaysAndValidation:
         for epoch, expected in enumerate(first):
             np.testing.assert_array_equal(gen.arrivals(epoch, 30), expected)
 
-    def test_diurnal_amplitude_validated(self):
-        with pytest.raises(ValueError):
-            DiurnalLoad(N, 0.1, amplitude=1.5)
-
     def test_pareto_alpha_validated(self):
         with pytest.raises(ValueError):
             ParetoOnOff(N, 0.1, alpha=1.0)
 
+    def test_pareto_sojourns_validated(self):
+        with pytest.raises(ValueError):
+            ParetoOnOff(N, 0.1, mean_on_slots=0.0)
+        with pytest.raises(ValueError):
+            ParetoOnOff(N, 0.1, mean_off_slots=-5.0)
+
+    def test_pareto_peak_rate_is_mean_over_duty_cycle(self):
+        gen = ParetoOnOff(N, 0.05, seed=1, mean_on_slots=20.0, mean_off_slots=60.0)
+        assert gen.duty_cycle == pytest.approx(0.25)
+        np.testing.assert_allclose(gen.peak_rates, 0.2)
+
 
 class TestZeroRateEdges:
-    """scaled(0.0) and zero-rate processes must be silent, not crash."""
+    """Zero-rate processes must be silent, not crash."""
 
     @pytest.mark.parametrize(
         "factory",
-        [ConstantBitRate, PoissonArrivals, DiurnalLoad, ParetoOnOff],
+        [ConstantBitRate, PoissonArrivals, ParetoOnOff],
         ids=lambda f: f.__name__,
     )
-    def test_scaled_to_zero_is_silent(self, factory):
-        gen = factory(N, 0.1, gateways=GWS, seed=3).scaled(0.0)
+    def test_zero_rate_is_silent(self, factory):
+        gen = factory(N, 0.0, gateways=GWS, seed=3)
         assert gen.mean_rate == 0.0
         for epoch in range(4):
             assert int(gen.arrivals(epoch, 50).sum()) == 0
@@ -157,15 +175,3 @@ class TestZeroRateEdges:
         gen = ParetoOnOff(N, 0.0, gateways=GWS, seed=3)
         for epoch in range(5):
             assert int(gen.arrivals(epoch, 200).sum()) == 0
-
-    def test_zero_rate_diurnal_is_silent_at_peak(self):
-        gen = DiurnalLoad(N, 0.0, gateways=GWS, seed=3, amplitude=1.0)
-        for epoch in range(5):
-            assert int(gen.arrivals(epoch, 500).sum()) == 0
-
-    def test_scaled_zero_then_rescaled_recovers_nothing(self):
-        # scaled() must not mutate the original generator's rates.
-        base = PoissonArrivals(N, 0.2, gateways=GWS, seed=3)
-        zero = base.scaled(0.0)
-        assert base.mean_rate == pytest.approx(0.2)
-        assert zero.scaled(5.0).mean_rate == 0.0  # 0 * 5 is still 0

@@ -207,14 +207,6 @@ class TestScheduleCache:
         assert tight.effective_threshold() == pytest.approx(0.2)
         assert roomy.effective_threshold() > 0.2  # many cycles fit: scaled up
 
-    def test_invalidate_forces_recompute(self, mesh):
-        base, calls = _counting_scheduler(mesh.network.model)
-        cache = ScheduleCache(base)
-        cache(mesh.links, 0)
-        cache.invalidate()
-        cache(mesh.links, 1)
-        assert calls == [0, 1]
-
     def test_patch_policy_requires_model(self, mesh):
         base, _ = _counting_scheduler(mesh.network.model)
         with pytest.raises(ValueError, match="PhysicalInterferenceModel"):

@@ -11,7 +11,6 @@ import pytest
 
 from repro.experiments.common import grid_scenario
 from repro.phy.interference import PhysicalInterferenceModel
-from repro.scheduling.feasibility import SlotState
 from repro.topology.regions import GridTiling, SquareRegion, tile_counts_for
 from repro.traffic import (
     EpochConfig,
@@ -25,6 +24,7 @@ from repro.traffic import (
     summarize_trace,
 )
 from repro.traffic.sharded import affordable_budget
+from tests.conftest import SlotState
 
 
 @pytest.fixture(scope="module")
@@ -324,80 +324,6 @@ def _shared_node_pairs(links):
     ]
 
 
-def test_reconcile_round_degenerate_table_matches_rate_blind(mesh):
-    """The degenerate table's rate-aware peel collapses to the margin order
-    bit-for-bit: every removal costs exactly one packet, so the leave-one-out
-    loss is constant and the (loss, margin) key degenerates to margin."""
-    from repro.phy.radio import RateTable
-
-    links, model = mesh.links, mesh.network.model
-    degenerate = RateTable.degenerate(model.radio.beta)
-    pairs = _shared_node_pairs(links)
-    assert pairs
-    a, b = pairs[0]
-    combined = [
-        np.array([a, b], dtype=np.intp),
-        np.arange(min(6, links.n_links), dtype=np.intp),
-    ]
-    blind_kept, blind_moved = reconcile_round(combined, links, model)
-    rated_kept, rated_moved = reconcile_round(
-        combined, links, model, table=degenerate
-    )
-    assert blind_moved == rated_moved
-    assert [s.tolist() for s in blind_kept] == [s.tolist() for s in rated_kept]
-
-
-def test_reconcile_round_rate_aware_peel_prefers_cheaper_loss(mesh):
-    """With a real multi-tier table the peel victim is the failing link whose
-    removal costs the fewest delivered packets — not the lowest-margin one.
-
-    A shared-node pair fails with *tied* margins (both deaf), so the
-    rate-blind peel always evicts the first position; ordering the pair
-    higher-rate-first makes the rate-aware peel evict the *second* (cheaper)
-    link instead, keeping the higher-rate link on the air.
-    """
-    from repro.phy.radio import RateTable
-
-    links, model = mesh.links, mesh.network.model
-    beta = model.radio.beta
-    # Tiers calibrated like E12: standalone margins on this grid span only
-    # a few x beta, so the upgrade thresholds must sit at 2x / 3x beta for
-    # any link to clear them.
-    table = RateTable(
-        thresholds=np.array([beta, 2 * beta, 3 * beta]),
-        rates=np.array([1, 2, 4]),
-    )
-
-    def alone_rate(k):
-        return int(
-            model.link_rates(
-                links.heads[[k]], links.tails[[k]], table
-            )[0]
-        )
-
-    pick = None
-    for a, b in _shared_node_pairs(links):
-        if alone_rate(a) != alone_rate(b):
-            pick = (a, b) if alone_rate(a) > alone_rate(b) else (b, a)
-            break
-    assert pick is not None, "grid has no shared-node pair with distinct rates"
-    hi, lo = pick  # members listed higher-standalone-rate first
-
-    combined = [np.array([hi, lo], dtype=np.intp)]
-    blind_kept, _ = reconcile_round(combined, links, model)
-    rated_kept, rated_moved = reconcile_round(combined, links, model, table=table)
-
-    # Rate-blind: margins tie at zero (both deaf), first position peeled.
-    assert blind_kept[0].tolist() == [lo]
-    # Rate-aware: evicting ``lo`` forfeits fewer packets, so ``hi`` stays.
-    assert rated_kept[0].tolist() == [hi]
-    assert rated_moved == 1
-    # Nothing dropped either way, and every reconciled slot is feasible.
-    assert sorted(k for s in rated_kept for k in s.tolist()) == sorted([hi, lo])
-    for slot in rated_kept:
-        assert model.is_feasible(links.heads[slot], links.tails[slot])
-
-
 # ---------------------------------------------------------------------------
 # TrafficTrace zero/empty edges
 # ---------------------------------------------------------------------------
@@ -432,7 +358,7 @@ def test_zero_epoch_trace_stability_pipeline():
     assert metrics.backlog_final == 0
     assert metrics.overhead_slots == 0.0
     assert metrics.cache_hit_rate == 0.0
-    assert "stable" in str(metrics)
+    assert metrics.stable
 
 
 def test_all_zero_demand_trace_has_zero_hit_rate():
