@@ -247,7 +247,7 @@ def test_sparse_packing_admits_waves_not_links(monkeypatch):
             patch.setattr(SlotArena, "first_fit", counted)
             schedule = greedy_physical(links, model)
         with monkeypatch.context() as patch:
-            patch.setattr(packer, "_pack", serial_pack)
+            patch.setattr(packer, "first_fit_pack", serial_pack)
             serial = greedy_physical(links, model)
         assert [slot.links for slot in schedule.slots] == [
             slot.links for slot in serial.slots

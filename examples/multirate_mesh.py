@@ -65,7 +65,6 @@ def run_point(network, gateways, links, rate, scheduler, rate_table):
     config = EpochConfig(
         epoch_slots=T,
         n_epochs=EPOCHS,
-        slot_seconds=0.04,
         divergence_factor=4.0,
         rate_table=rate_table,
     )

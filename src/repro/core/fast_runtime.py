@@ -31,7 +31,7 @@ from repro.core.config import NO_FAULTS, FaultConfig, ProtocolConfig
 from repro.core.runtime import Runtime
 from repro.core.scream import scream_flood
 from repro.phy.interference import PhysicalInterferenceModel
-from repro.phy.sinr import _GATHER_ELEMENTS
+from repro.phy.sinr import GATHER_ELEMENTS
 from repro.topology.diameter import hop_distance_matrix
 from repro.topology.network import Network
 from repro.util.rng import ensure_rng
@@ -288,7 +288,7 @@ class FastRuntime(Runtime):
         width = confirmed.size + int(sizes.max())
         # Wide trials (a PDD step on a large pool) bound the batch, not the
         # memory: what does not fit one gather is left for the next call.
-        n_trials = min(len(trials), max(1, _GATHER_ELEMENTS // max(1, width * width)))
+        n_trials = min(len(trials), max(1, GATHER_ELEMENTS // max(1, width * width)))
         trials, sizes = trials[:n_trials], sizes[:n_trials]
         # Ragged trials (PDD coins, multi-winner elections) pad with the
         # out-of-range node n, which sorts behind every real member.

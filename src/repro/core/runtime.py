@@ -17,7 +17,7 @@ loop is written against — :meth:`Runtime.elect_each` and
 :meth:`Runtime.resolve_trials`.  Their defaults here execute the paper's
 construction step one at a time through the primitives and are the
 reference semantics; a substrate may override them only with something that
-returns the same values and books the same tally (DESIGN.md §8).
+returns the same values and books the same tally (DESIGN.md §2).
 """
 
 from __future__ import annotations

@@ -31,23 +31,22 @@ from __future__ import annotations
 import math
 
 from repro.analysis.tables import TextTable
-from repro.core.fdd import fdd_on_network
 from repro.experiments.common import (
     ADMISSION_KNEE_RATE,
-    PAPER_PROTOCOL,
     TRAFFIC_DENSITY,
-    TRAFFIC_SLOT_SECONDS,
     ExperimentProfile,
+    epoch_config,
     finish_obs,
+    grid_mesh,
     obs_for,
+    paper_fdd,
 )
-from repro.experiments.heavy_traffic import _grid_mesh
 from repro.traffic import (
     EpochConfig,
     FlowConfig,
     FlowWorkload,
     StabilityMetrics,
-    distributed_scheduler,
+    TrafficTrace,
     make_controller,
     run_epochs,
     summarize_trace,
@@ -84,53 +83,69 @@ def build_controller(name: str, n_sources: int):
     return make_controller(name)
 
 
+def admission_config(profile: ExperimentProfile) -> EpochConfig:
+    """The admission runs' epoch loop (E10, E11's E10 revisit).
+
+    The early-stop guard is looser than E7's (8x vs 4x the mean epoch
+    arrivals): a controller that caps *at* the estimated knee holds the
+    pre-control backlog as a standing, zero-slope queue — bounded, and
+    exactly what the stability verdict should judge, not the guard.  The
+    demand cap bounds the backlog snapshot the scheduler sees in overload:
+    FDD's air time scales with the scheduled demand vector, and cyclic
+    replay re-serves a capped hot link every schedule cycle anyway, so the
+    cap trims protocol overhead in the overloaded regime without costing
+    served capacity (per-link backlogs at stable operating points sit far
+    below it).
+    """
+    return epoch_config(
+        profile,
+        profile.admission_epochs,
+        divergence_factor=8.0,
+        demand_cap=max(1, profile.traffic_epoch_slots // 10),
+    )
+
+
 def admission_point(
     profile: ExperimentProfile,
+    network,
     links,
-    scheduler,
-    config: EpochConfig,
     controller_name: str,
     rate: float,
-    seed_index: int = 0,
+    control=None,
     obs=None,
-) -> tuple[StabilityMetrics, FlowWorkload]:
-    """Run one (controller, offered-rate) operating point; return its
-    metrics (session fields populated) and the finished workload."""
+) -> tuple[StabilityMetrics, TrafficTrace]:
+    """Run one (controller, offered-rate) operating point of sessions
+    under the overhead-priced FDD scheduler, its control priced by
+    ``control``; return its metrics (session fields populated) and trace.
+
+    A fresh scheduler per point on E7's derivation path: identical protocol
+    behaviour, and every controller faces the same arrival sample path
+    (common random numbers — SLA differences are controller policy, not
+    luck).
+    """
     n_sources = links.n_links
-    key = ("admission-wl",) if seed_index == 0 else ("admission-wl", seed_index)
     workload = FlowWorkload(
         links,
         session_config(profile, rate, n_sources),
         controller=build_controller(controller_name, n_sources),
-        seed=spawn(profile.seed, *key),
+        seed=spawn(profile.seed, "admission-wl"),
     )
     trace = run_epochs(
-        links, workload, scheduler, config, on_epoch=workload.observe, obs=obs
+        links,
+        workload,
+        paper_fdd(profile, network),
+        admission_config(profile),
+        on_epoch=workload.observe,
+        control=control,
+        obs=obs,
     )
-    return summarize_trace(trace, rate, session=workload), workload
+    return summarize_trace(trace, rate, session=workload), trace
 
 
 def admission_experiment(profile: ExperimentProfile) -> TextTable:
     """E10: admission controllers vs offered loads past the FDD knee."""
-    network, gateways, links = _grid_mesh(profile)
+    network, _, links = grid_mesh(profile, 8, 8, "traffic-forest")
     obs = obs_for(profile, "admission")
-    # The early-stop guard is looser than E7's (8x vs 4x the mean epoch
-    # arrivals): a controller that caps *at* the estimated knee holds the
-    # pre-control backlog as a standing, zero-slope queue — bounded, and
-    # exactly what the stability verdict should judge, not the guard.
-    # The demand cap bounds the backlog snapshot the scheduler sees in
-    # overload: FDD's air time scales with the scheduled demand vector, and
-    # cyclic replay re-serves a capped hot link every schedule cycle anyway,
-    # so the cap trims protocol overhead in the overloaded regime without
-    # costing served capacity (per-link backlogs at stable operating points
-    # sit far below it).
-    config = EpochConfig(
-        epoch_slots=profile.traffic_epoch_slots,
-        n_epochs=profile.admission_epochs,
-        slot_seconds=TRAFFIC_SLOT_SECONDS,
-        divergence_factor=8.0,
-        demand_cap=max(1, profile.traffic_epoch_slots // 10),
-    )
     knee = ADMISSION_KNEE_RATE
 
     table = TextTable(
@@ -157,18 +172,8 @@ def admission_experiment(profile: ExperimentProfile) -> TextTable:
 
     for name in profile.admission_controllers:
         for factor in profile.admission_load_factors:
-            # A fresh overhead-priced FDD scheduler per operating point, on
-            # E7's derivation path: identical protocol behaviour, and every
-            # controller faces the same arrival sample path (common random
-            # numbers — SLA differences are controller policy, not luck).
-            scheduler = distributed_scheduler(
-                network,
-                fdd_on_network,
-                config=PAPER_PROTOCOL,
-                seed=spawn(profile.seed, "traffic-fdd"),
-            )
-            point, workload = admission_point(
-                profile, links, scheduler, config, name, knee * factor, obs=obs
+            point, _ = admission_point(
+                profile, network, links, name, knee * factor, obs=obs
             )
             p99 = point.flow_p99_delay
             table.add_row(

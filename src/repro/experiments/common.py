@@ -1,4 +1,5 @@
-"""Shared experiment machinery: the paper's scenarios and sweep profiles.
+"""Shared experiment machinery: the paper's scenarios, the sweep profiles,
+and the closed-loop harness E7-E12 build, sweep and tabulate through.
 
 Section VI-A setup: 64 nodes, 4 gateways, per-node demand ~ U[1, 10],
 demand aggregated along nearest-gateway routes, density varied by scaling
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.config import ProtocolConfig
+from repro.core.fdd import fdd_on_network
 from repro.routing import (
     aggregate_demand,
     build_routing_forest,
@@ -22,6 +24,15 @@ from repro.routing import (
 )
 from repro.scheduling.links import LinkSet, forest_link_set
 from repro.topology.network import Network, grid_network, uniform_network
+from repro.traffic import (
+    EpochConfig,
+    PoissonArrivals,
+    StabilityMetrics,
+    TrafficTrace,
+    distributed_scheduler,
+    stability_knee,
+    stability_sweep,
+)
 from repro.util.rng import DEFAULT_SEED, spawn
 
 
@@ -139,13 +150,9 @@ QUICK = ExperimentProfile(
 #: The paper's protocol constants (Section VI-A).
 PAPER_PROTOCOL = ProtocolConfig(k=5, smbytes=15, id_bits=8)
 
-#: The closed-loop traffic experiments (E7-E13): slot duration (seconds),
-#: deployment density of their planned grids (nodes/km^2), and the
-#: independent arrival seeds that majority-resolve borderline stability
-#: verdicts (de-flakes operating points at utilization ~ 1).
-TRAFFIC_SLOT_SECONDS = 0.04
+#: Deployment density of the closed-loop traffic experiments' planned
+#: grids (E7-E12), nodes/km^2.
 TRAFFIC_DENSITY = 1000.0
-TRAFFIC_CONFIRM_SEEDS = 3
 
 #: Spatial shards (grid tiles) and pool workers of the sharded engine runs
 #: (E9, E11's E9 revisit), with their boundary-link detection radius (m)
@@ -271,3 +278,109 @@ def uniform_scenario(
         gateways=gws,
         label=f"uniform d={density_per_km2:g} rep={rep}",
     )
+
+
+# --------------------------------------------------------------------------
+# The closed-loop harness of E7-E12: build, run, sweep, tabulate
+# --------------------------------------------------------------------------
+
+
+def grid_mesh(profile: ExperimentProfile, rows: int, cols: int, *key):
+    """A planned ``rows x cols`` grid at :data:`TRAFFIC_DENSITY`, its four
+    planned gateways, and the forest link set, the forest drawn from
+    ``spawn(profile.seed, *key)``.  The link set only defines the directed
+    links and queues; the epoch loop replaces its demand with the live
+    backlog snapshot."""
+    network = grid_network(rows, cols, density_per_km2=TRAFFIC_DENSITY)
+    gateways = planned_gateways(rows, cols, 4)
+    forest = build_routing_forest(
+        network.comm_adj, gateways, rng=spawn(profile.seed, *key)
+    )
+    links = forest_link_set(forest, np.zeros(network.n_nodes, dtype=np.int64))
+    return network, gateways, links
+
+
+def poisson_arrivals(
+    profile: ExperimentProfile,
+    network: Network,
+    gateways: np.ndarray,
+    rate: float,
+    seed_index: int = 0,
+    key: tuple = ("traffic-gen",),
+) -> PoissonArrivals:
+    """Poisson arrivals for one (rate, seed) operating point.
+
+    Seed index 0 draws from ``spawn(profile.seed, *key)`` for every
+    scheduler (common random numbers: knee differences are scheduler
+    capacity, not workload luck); index ``k > 0`` appends ``k``, the
+    independent sample paths that majority-resolve borderline verdicts.
+    """
+    if seed_index:
+        key = (*key, seed_index)
+    return PoissonArrivals(
+        network.n_nodes, rate, gateways=gateways, seed=spawn(profile.seed, *key)
+    )
+
+
+def paper_fdd(profile: ExperimentProfile, network: Network):
+    """FDD with the paper's protocol constants, re-run every epoch and
+    charged its measured air time: the overhead-priced scheduler of E7, E8
+    and E10-E12, all on one seed stream."""
+    return distributed_scheduler(
+        network,
+        fdd_on_network,
+        config=PAPER_PROTOCOL,
+        seed=spawn(profile.seed, "traffic-fdd"),
+    )
+
+
+def epoch_config(profile: ExperimentProfile, n_epochs: int, **fields) -> EpochConfig:
+    """``n_epochs`` epochs of ``profile.traffic_epoch_slots`` slots, stopped
+    early once the backlog passes 4x the mean epoch arrivals; ``fields``
+    override or add :class:`~repro.traffic.EpochConfig` fields."""
+    fields = {"divergence_factor": 4.0, **fields}
+    return EpochConfig(
+        epoch_slots=profile.traffic_epoch_slots, n_epochs=n_epochs, **fields
+    )
+
+
+def sweep(rates, run_at) -> list[tuple[StabilityMetrics, TrafficTrace]]:
+    """:func:`~repro.traffic.stability_sweep` over ``run_at(rate,
+    seed_index)``, each point paired with its seed-0 run's trace (the one
+    the per-run columns describe)."""
+    traces: dict[float, TrafficTrace] = {}
+
+    def run_and_keep(rate: float, seed_index: int) -> TrafficTrace:
+        trace = run_at(rate, seed_index)
+        if seed_index == 0:
+            traces[rate] = trace
+        return trace
+
+    points = stability_sweep(rates, run_and_keep)
+    return [(point, traces[point.offered_rate]) for point in points]
+
+
+def add_sweep_rows(table, lead: tuple, swept, cells) -> float | None:
+    """One row per swept point — ``lead``, the rate, ``cells(point, trace)``
+    and the verdict, ``yes`` / ``NO`` with ``(k-seed)`` when a majority of
+    ``k`` seeds decided it — and return the sweep's stability knee."""
+    for point, trace in swept:
+        stable = "yes" if point.stable else "NO"
+        if point.confirm_seeds > 1:
+            stable += f" ({point.confirm_seeds}-seed)"
+        table.add_row(*lead, f"{point.offered_rate:g}", *cells(point, trace), stable)
+    return stability_knee([point for point, _ in swept])
+
+
+def add_knee_row(table, lead: tuple, knee: float | None, cells=None) -> None:
+    """The knee summary row: ``lead``, ``knee``, ``cells`` (``-`` in every
+    column by default) and the knee rate (``-`` when even the lowest rate
+    was unstable)."""
+    if cells is None:
+        cells = ["-"] * (len(table.columns) - len(lead) - 2)
+    table.add_row(*lead, "knee", *cells, "-" if knee is None else f"{knee:g}")
+
+
+def seconds_cell(value: float | None) -> str:
+    """A thread-CPU timing cell; ``~`` when the clock was unavailable."""
+    return "~" if value is None else f"{value:.2f}"

@@ -30,31 +30,24 @@ control-plane cost, not workload luck.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.analysis.tables import TextTable
 from repro.core.controlplane import ControlPlaneModel
 from repro.core.fdd import fdd_on_network
-from repro.experiments.admission import build_controller, session_config
+from repro.experiments.admission import admission_point
 from repro.experiments.common import (
     ADMISSION_KNEE_RATE,
-    PAPER_PROTOCOL,
-    SHARDED_GUARD_FACTOR,
-    SHARDED_RADIUS_M,
-    SHARDED_SHARDS,
     SHARDED_WORKERS,
-    TRAFFIC_SLOT_SECONDS,
     ExperimentProfile,
+    epoch_config,
     finish_obs,
+    grid_mesh,
     obs_for,
+    paper_fdd,
+    poisson_arrivals,
+    seconds_cell,
 )
-from repro.experiments.heavy_traffic import _generator, _grid_mesh
-from repro.experiments.sharded import _grid_case, _secs
+from repro.experiments.sharded import backbone_protocol, sharded_plan
 from repro.traffic import (
-    EpochConfig,
-    FlowWorkload,
-    distributed_scheduler,
-    plan_for_network,
     run_epochs,
     run_epochs_sharded,
     sharded_distributed_factory,
@@ -68,16 +61,13 @@ CONTROLPLANE_ADMISSION_FACTOR = 2.0
 #: The two variants every headline is measured under: the retired free
 #: idealization (all prices zero — bit-identical to the historical
 #: engines) and the honest prices of :meth:`ControlPlaneModel.default_priced`.
-VARIANTS = ("free", "priced")
-
-
-def _variant_model(variant: str) -> ControlPlaneModel:
-    # The free variant runs with an all-zero model (not control=None) so
-    # the ledger still *counts* the messages the idealization was not
-    # paying for — the "control msgs" column is what free really ignored.
-    if variant == "priced":
-        return ControlPlaneModel.default_priced()
-    return ControlPlaneModel()
+#: The free variant runs with an all-zero model (not ``control=None``) so
+#: the ledger still *counts* the messages the idealization was not paying
+#: for — the "control msgs" column is what free really ignored.
+VARIANTS = (
+    ("free", ControlPlaneModel()),
+    ("priced", ControlPlaneModel.default_priced()),
+)
 
 
 def controlplane_experiment(profile: ExperimentProfile) -> TextTable:
@@ -107,10 +97,33 @@ def controlplane_experiment(profile: ExperimentProfile) -> TextTable:
     )
 
     obs = obs_for(profile, "controlplane")
-    _e8_rows(profile, table, obs)
+    _e8_rows(profile, table, "E8 incremental", VARIANTS, obs)
     _e9_rows(profile, table, obs)
     _e10_rows(profile, table, obs)
-    _price_scale_rows(profile, table, obs)
+    # Price sensitivity: where does the E8 amortization win flip?  Every
+    # patch delta pays ``patch_bytes x forest depth`` in air, so at *some*
+    # price the announced repairs cost more slots than the re-runs they
+    # avoid.  Each message class is scaled by the profile's factors (64x
+    # the 8-byte default models a ~0.5 kB signed patch bundle); always-
+    # reschedule books no patch messages, so its overhead is price-
+    # invariant and each ratio isolates the patch channel's cost.
+    factors = sorted(profile.controlplane_scale_factors)
+    ratios = _e8_rows(
+        profile,
+        table,
+        "E8 price scale",
+        [(f"{f:g}x", ControlPlaneModel.default_priced().scaled(f)) for f in factors],
+        obs,
+    )
+    flip = next((f for f, ratio in zip(factors, ratios) if ratio < 1.0), None)
+    table.add_row(
+        "E8 price scale",
+        "flip",
+        "advantage < 1 at",
+        "-",
+        "none swept" if flip is None else f"{flip:g}x prices",
+        *["-"] * 6,
+    )
     finish_obs(obs)
     return table
 
@@ -135,152 +148,43 @@ def _add_row(table, headline, variant, point_label, point, trace, blocking="-"):
         f"{air_ms:.2f}",
         f"{point.control_messages:.0f}",
         blocking,
-        _secs(trace.scheduling_seconds),
+        seconds_cell(trace.scheduling_seconds),
         "yes" if point.stable else "NO",
     )
 
 
-def _e8_rows(profile: ExperimentProfile, table: TextTable, obs=None) -> None:
-    """Incremental rescheduling with priced patch distribution."""
-    network, gateways, links = _grid_mesh(profile)
+def _e8_rows(
+    profile: ExperimentProfile, table: TextTable, headline: str, variants, obs=None
+) -> list[float]:
+    """FDD on the 8x8 grid under ``always`` and ``patch`` at the E8-revisit
+    rate, once per ``(label, ControlPlaneModel)`` variant, then each
+    variant's always/patch amortized-overhead ratio (returned too)."""
+    network, gateways, links = grid_mesh(profile, 8, 8, "traffic-forest")
     rate = profile.controlplane_lambda
-    base_config = EpochConfig(
-        epoch_slots=profile.traffic_epoch_slots,
-        n_epochs=profile.traffic_epochs,
-        slot_seconds=TRAFFIC_SLOT_SECONDS,
-        divergence_factor=4.0,
-    )
     amortized: dict[tuple[str, str], float] = {}
     for policy in ("always", "patch"):
-        config = replace(base_config, reschedule_policy=policy)
-        for variant in VARIANTS:
-            scheduler = distributed_scheduler(
-                network,
-                fdd_on_network,
-                config=PAPER_PROTOCOL,
-                seed=spawn(profile.seed, "traffic-fdd"),
-            )
+        config = epoch_config(profile, profile.traffic_epochs, reschedule_policy=policy)
+        for label, control in variants:
             trace = run_epochs(
                 links,
-                _generator(profile, network, gateways, rate, 0),
-                scheduler,
+                poisson_arrivals(profile, network, gateways, rate),
+                paper_fdd(profile, network),
                 config,
                 model=network.model,
-                control=_variant_model(variant),
+                control=control,
                 obs=obs,
             )
             point = summarize_trace(trace, rate)
-            amortized[(policy, variant)] = point.overhead_slots
-            _add_row(
-                table, "E8 incremental", variant, f"{policy} λ={rate:g}", point, trace
-            )
-    # The surviving advantage: always-reschedule overhead over the patch
-    # policy's, per variant (how much of the E8 amortization pricing eats).
-    for variant in VARIANTS:
-        ratio = amortized[("always", variant)] / max(
-            amortized[("patch", variant)], 1e-9
-        )
+            amortized[(policy, label)] = point.overhead_slots
+            _add_row(table, headline, label, f"{policy} λ={rate:g}", point, trace)
+    ratios = []
+    for label, _ in variants:
+        ratio = amortized[("always", label)] / max(amortized[("patch", label)], 1e-9)
         table.add_row(
-            "E8 incremental",
-            variant,
-            "always/patch advantage",
-            "-",
-            f"{ratio:.1f}x",
-            "-",
-            "-",
-            "-",
-            "-",
-            "-",
-            "-",
+            headline, label, "always/patch advantage", "-", f"{ratio:.1f}x", *["-"] * 6
         )
-
-
-def _price_scale_rows(profile: ExperimentProfile, table: TextTable, obs=None) -> None:
-    """Price-sensitivity sweep: where does the E8 amortization win flip?
-
-    The honest default prices leave patching's advantage nearly intact, but
-    the advantage cannot be unconditional: every patch delta pays
-    ``patch_bytes x forest depth`` in air, so at *some* price the announced
-    repairs cost more slots than the re-runs they avoid.  This sweep scales
-    every message class by ``profile.controlplane_scale_factors`` (via
-    :meth:`ControlPlaneModel.scaled` — e.g. 64x the 8-byte default models
-    a ~0.5 kB signed/authenticated patch bundle) and reports the
-    always/patch amortized-overhead ratio at each price point, plus the
-    first factor — if the sweep reaches it — where the ratio drops below
-    1 (patching now *costs* overhead).  Always-reschedule books no patch
-    messages, so its overhead is price-invariant and each ratio isolates
-    the patch channel's cost.
-    """
-    network, gateways, links = _grid_mesh(profile)
-    rate = profile.controlplane_lambda
-    base_config = EpochConfig(
-        epoch_slots=profile.traffic_epoch_slots,
-        n_epochs=profile.traffic_epochs,
-        slot_seconds=TRAFFIC_SLOT_SECONDS,
-        divergence_factor=4.0,
-    )
-    amortized: dict[tuple[str, float], float] = {}
-    for policy in ("always", "patch"):
-        config = replace(base_config, reschedule_policy=policy)
-        for factor in profile.controlplane_scale_factors:
-            scheduler = distributed_scheduler(
-                network,
-                fdd_on_network,
-                config=PAPER_PROTOCOL,
-                seed=spawn(profile.seed, "traffic-fdd"),
-            )
-            trace = run_epochs(
-                links,
-                _generator(profile, network, gateways, rate, 0),
-                scheduler,
-                config,
-                model=network.model,
-                control=ControlPlaneModel.default_priced().scaled(factor),
-                obs=obs,
-            )
-            point = summarize_trace(trace, rate)
-            amortized[(policy, factor)] = point.overhead_slots
-            _add_row(
-                table,
-                "E8 price scale",
-                f"{factor:g}x",
-                f"{policy} λ={rate:g}",
-                point,
-                trace,
-            )
-    flip: float | None = None
-    for factor in sorted(profile.controlplane_scale_factors):
-        ratio = amortized[("always", factor)] / max(
-            amortized[("patch", factor)], 1e-9
-        )
-        table.add_row(
-            "E8 price scale",
-            f"{factor:g}x",
-            "always/patch advantage",
-            "-",
-            f"{ratio:.1f}x",
-            "-",
-            "-",
-            "-",
-            "-",
-            "-",
-            "-",
-        )
-        if flip is None and ratio < 1.0:
-            flip = factor
-    table.add_row(
-        "E8 price scale",
-        "flip",
-        "advantage < 1 at",
-        "-",
-        "none swept" if flip is None else f"{flip:g}x prices",
-        "-",
-        "-",
-        "-",
-        "-",
-        "-",
-        "-",
-    )
+        ratios.append(ratio)
+    return ratios
 
 
 def _e9_rows(profile: ExperimentProfile, table: TextTable, obs=None) -> None:
@@ -288,43 +192,32 @@ def _e9_rows(profile: ExperimentProfile, table: TextTable, obs=None) -> None:
     rows, cols = profile.sharded_grids[0]
     lams = profile.sharded_lambdas[0]
     rate = sorted(lams)[len(lams) // 2]
-    network, gateways, links, protocol_cfg = _grid_case(profile, rows, cols)
-    plan = plan_for_network(
-        links,
-        network,
-        n_shards=SHARDED_SHARDS,
-        interference_radius_m=SHARDED_RADIUS_M,
-        guard_factor=SHARDED_GUARD_FACTOR,
-    )
-    config = EpochConfig(
-        epoch_slots=profile.traffic_epoch_slots,
-        n_epochs=profile.sharded_epochs,
-        slot_seconds=TRAFFIC_SLOT_SECONDS,
-        divergence_factor=4.0,
-    )
-    for variant in VARIANTS:
+    network, gateways, links = grid_mesh(profile, rows, cols, "sharded-forest", rows)
+    plan = sharded_plan(links, network)
+    config = epoch_config(profile, profile.sharded_epochs)
+    protocol_cfg = backbone_protocol(network)
+    for label, control in VARIANTS:
         factory = sharded_distributed_factory(
             network,
             fdd_on_network,
             config=protocol_cfg,
             seed=spawn(profile.seed, "sharded-fdd", rows),
         )
-        generator = _generator(profile, network, gateways, rate, 0)
         trace = run_epochs_sharded(
             plan,
-            generator,
+            poisson_arrivals(profile, network, gateways, rate),
             factory,
             network.model,
             config,
             max_workers=SHARDED_WORKERS,
-            control=_variant_model(variant),
+            control=control,
             obs=obs,
         )
         point = summarize_trace(trace, rate)
         _add_row(
             table,
             "E9 sharded",
-            variant,
+            label,
             f"{rows}x{cols}/{plan.n_shards} shards λ={rate:g}",
             point,
             trace,
@@ -333,44 +226,17 @@ def _e9_rows(profile: ExperimentProfile, table: TextTable, obs=None) -> None:
 
 def _e10_rows(profile: ExperimentProfile, table: TextTable, obs=None) -> None:
     """Knee-tracker admission with priced signaling and observables."""
-    network, gateways, links = _grid_mesh(profile)
+    network, _, links = grid_mesh(profile, 8, 8, "traffic-forest")
     factor = CONTROLPLANE_ADMISSION_FACTOR
     rate = ADMISSION_KNEE_RATE * factor
-    n_sources = links.n_links
-    config = EpochConfig(
-        epoch_slots=profile.traffic_epoch_slots,
-        n_epochs=profile.admission_epochs,
-        slot_seconds=TRAFFIC_SLOT_SECONDS,
-        divergence_factor=8.0,
-        demand_cap=max(1, profile.traffic_epoch_slots // 10),
-    )
-    for variant in VARIANTS:
-        scheduler = distributed_scheduler(
-            network,
-            fdd_on_network,
-            config=PAPER_PROTOCOL,
-            seed=spawn(profile.seed, "traffic-fdd"),
+    for label, control in VARIANTS:
+        point, trace = admission_point(
+            profile, network, links, "knee-tracker", rate, control=control, obs=obs
         )
-        workload = FlowWorkload(
-            links,
-            session_config(profile, rate, n_sources),
-            controller=build_controller("knee-tracker", n_sources),
-            seed=spawn(profile.seed, "admission-wl"),
-        )
-        trace = run_epochs(
-            links,
-            workload,
-            scheduler,
-            config,
-            on_epoch=workload.observe,
-            control=_variant_model(variant),
-            obs=obs,
-        )
-        point = summarize_trace(trace, rate, session=workload)
         _add_row(
             table,
             "E10 admission",
-            variant,
+            label,
             f"knee-tracker {factor:g}x knee",
             point,
             trace,

@@ -32,31 +32,22 @@ centralized scheduling (see DESIGN.md §12).
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.analysis.tables import TextTable
-from repro.core.fdd import fdd_on_network
 from repro.experiments.common import (
-    PAPER_PROTOCOL,
-    TRAFFIC_CONFIRM_SEEDS,
     TRAFFIC_DENSITY,
-    TRAFFIC_SLOT_SECONDS,
     ExperimentProfile,
+    add_knee_row,
+    add_sweep_rows,
+    epoch_config,
     finish_obs,
+    grid_mesh,
     obs_for,
+    paper_fdd,
+    poisson_arrivals,
+    sweep,
 )
-from repro.experiments.heavy_traffic import _generator, _grid_mesh
 from repro.phy.radio import RateTable
-from repro.traffic import (
-    EpochConfig,
-    TrafficTrace,
-    distributed_scheduler,
-    rate_aware_scheduler,
-    run_epochs,
-    stability_knee,
-    stability_sweep,
-)
-from repro.util.rng import spawn
+from repro.traffic import CONFIRM_SEEDS, rate_aware_scheduler, run_epochs
 
 #: The MCS ladder (repro.phy.radio.RateTable) swept against the seed's
 #: fixed-rate contract: 3 tiers, x2 SINR and x2 rate per tier, 1 dB
@@ -72,7 +63,7 @@ MULTIRATE_HYSTERESIS = 1.25
 
 def multirate_experiment(profile: ExperimentProfile) -> TextTable:
     """E12: stability sweep under fixed-rate vs multi-rate serving contracts."""
-    network, gateways, links = _grid_mesh(profile)
+    network, gateways, links = grid_mesh(profile, 8, 8, "traffic-forest")
     table_mcs = RateTable.geometric(
         network.model.radio.beta,
         n_tiers=MULTIRATE_TIERS,
@@ -88,24 +79,9 @@ def multirate_experiment(profile: ExperimentProfile) -> TextTable:
         rate_step=MULTIRATE_RATE_STEP,
         hysteresis=MULTIRATE_HYSTERESIS,
     )
-    base_config = EpochConfig(
-        epoch_slots=profile.traffic_epoch_slots,
-        n_epochs=profile.multirate_epochs,
-        slot_seconds=TRAFFIC_SLOT_SECONDS,
-        divergence_factor=4.0,
-    )
-
-    def fdd_scheduler():
-        return distributed_scheduler(
-            network,
-            fdd_on_network,
-            config=PAPER_PROTOCOL,
-            seed=spawn(profile.seed, "traffic-fdd"),
-        )
-
-    variants: list[tuple[str, object, RateTable | None]] = [
-        ("FDD fixed-rate", fdd_scheduler(), None),
-        ("FDD multi-rate", fdd_scheduler(), table_mcs),
+    variants = [
+        ("FDD fixed-rate", paper_fdd(profile, network), None),
+        ("FDD multi-rate", paper_fdd(profile, network), table_mcs),
         (
             "GreedyRate multi-rate",
             rate_aware_scheduler(network.model, table_mcs),
@@ -132,44 +108,34 @@ def multirate_experiment(profile: ExperimentProfile) -> TextTable:
         f"{TRAFFIC_DENSITY:g}/km^2, MCS tiers pkt@SINR {tiers_text} "
         f"(hysteresis x{MULTIRATE_HYSTERESIS:g}), "
         f"T={profile.traffic_epoch_slots} slots/epoch, borderline verdicts "
-        f"majority-resolved over {TRAFFIC_CONFIRM_SEEDS} seeds",
+        f"majority-resolved over {CONFIRM_SEEDS} seeds",
     )
-    knees: list[tuple[str, float | None]] = []
+    knees = []
     for name, scheduler, rate_table in variants:
-        config = replace(base_config, rate_table=rate_table)
+        config = epoch_config(profile, profile.multirate_epochs, rate_table=rate_table)
 
-        def run_at(
-            rate: float, seed_index: int = 0, scheduler=scheduler, config=config
-        ) -> TrafficTrace:
-            generator = _generator(profile, network, gateways, rate, seed_index)
+        def run_at(rate: float, seed_index: int, scheduler=scheduler, config=config):
+            generator = poisson_arrivals(profile, network, gateways, rate, seed_index)
             return run_epochs(
                 links, generator, scheduler, config, model=network.model, obs=obs
             )
 
-        points = stability_sweep(
-            profile.multirate_lambdas,
-            run_at,
-            confirm_seeds=TRAFFIC_CONFIRM_SEEDS,
+        swept = sweep(profile.multirate_lambdas, run_at)
+        knee = add_sweep_rows(
+            out,
+            (name,),
+            swept,
+            lambda p, t: (
+                f"{p.throughput:.3f}",
+                f"{p.mean_service_rate:.2f}",
+                f"{p.mean_delay:.1f}",
+                f"{p.backlog_slope:+.1f}",
+                f"{p.overhead_slots:.1f}",
+            ),
         )
-        knees.append((name, stability_knee(points)))
-        for point in points:
-            stable = "yes" if point.stable else "NO"
-            if point.confirm_seeds > 1:
-                stable += f" ({point.confirm_seeds}-seed)"
-            out.add_row(
-                name,
-                f"{point.offered_rate:g}",
-                f"{point.throughput:.3f}",
-                f"{point.mean_service_rate:.2f}",
-                f"{point.mean_delay:.1f}",
-                f"{point.backlog_slope:+.1f}",
-                f"{point.overhead_slots:.1f}",
-                stable,
-            )
+        knees.append((name, knee))
     for name, knee in knees:
-        out.add_row(
-            name, "knee", "-", "-", "-", "-", "-", "-" if knee is None else f"{knee:g}"
-        )
+        add_knee_row(out, (name,), knee)
     fixed_knee = knees[0][1]
     greedy_knee = knees[-1][1]
     if fixed_knee is not None and greedy_knee is not None and fixed_knee > 0:

@@ -52,12 +52,7 @@ import time
 import numpy as np
 
 from repro.analysis.tables import TextTable
-from repro.experiments.common import (
-    TRAFFIC_SLOT_SECONDS,
-    ExperimentProfile,
-    finish_obs,
-    obs_for,
-)
+from repro.experiments.common import ExperimentProfile, finish_obs, obs_for
 from repro.routing import build_routing_forest, planned_gateways
 from repro.routing.forest import build_routing_forest_csr
 from repro.scheduling.links import forest_link_set
@@ -168,7 +163,6 @@ def _run_point(side: int, backend: str, profile: ExperimentProfile, obs=None) ->
     config = EpochConfig(
         epoch_slots=profile.scale_epoch_slots,
         n_epochs=SCALE_EPOCHS,
-        slot_seconds=TRAFFIC_SLOT_SECONDS,
         demand_cap=1,
         retain_records="stream",
     )

@@ -36,8 +36,6 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
-import numpy as np
-
 from repro.analysis.tables import TextTable
 from repro.core.config import ProtocolConfig
 from repro.core.fdd import fdd_on_network
@@ -47,27 +45,24 @@ from repro.experiments.common import (
     SHARDED_RADIUS_M,
     SHARDED_SHARDS,
     SHARDED_WORKERS,
-    TRAFFIC_CONFIRM_SEEDS,
     TRAFFIC_DENSITY,
-    TRAFFIC_SLOT_SECONDS,
     ExperimentProfile,
+    add_knee_row,
+    add_sweep_rows,
+    epoch_config,
     finish_obs,
+    grid_mesh,
     obs_for,
+    poisson_arrivals,
+    seconds_cell,
+    sweep,
 )
-from repro.routing import build_routing_forest, planned_gateways
-from repro.scheduling.links import forest_link_set
-from repro.topology.network import grid_network
 from repro.traffic import (
-    EpochConfig,
-    PoissonArrivals,
-    TrafficTrace,
     distributed_scheduler,
     plan_for_network,
     run_epochs,
     run_epochs_sharded,
     sharded_distributed_factory,
-    stability_knee,
-    stability_sweep,
 )
 from repro.util.rng import spawn
 
@@ -76,6 +71,14 @@ from repro.util.rng import spawn
 #: harness cross-checks one operating point per grid against "thread" for
 #: bit-identity.
 SHARDED_EXECUTOR = "process"
+
+#: The trace's scheduling-time fields, in the table's column order:
+#: compute, critical path, wall.
+TIMING_FIELDS = (
+    "scheduling_seconds",
+    "critical_path_seconds",
+    "scheduling_wall_seconds",
+)
 
 
 def backbone_protocol(network) -> ProtocolConfig:
@@ -93,20 +96,17 @@ def backbone_protocol(network) -> ProtocolConfig:
     return replace(PAPER_PROTOCOL, k=k, id_bits=id_bits)
 
 
-def _grid_case(profile: ExperimentProfile, rows: int, cols: int):
-    """Network, gateways, forest links, and protocol config for one grid."""
-    network = grid_network(rows, cols, density_per_km2=TRAFFIC_DENSITY)
-    gateways = planned_gateways(rows, cols, 4)
-    forest = build_routing_forest(
-        network.comm_adj, gateways, rng=spawn(profile.seed, "sharded-forest", rows)
+def sharded_plan(links, network):
+    """E9's spatial partition of ``links``: :data:`SHARDED_SHARDS` tiles,
+    boundary links within :data:`SHARDED_RADIUS_M`, guard budgets at
+    :data:`SHARDED_GUARD_FACTOR` x noise."""
+    return plan_for_network(
+        links,
+        network,
+        n_shards=SHARDED_SHARDS,
+        interference_radius_m=SHARDED_RADIUS_M,
+        guard_factor=SHARDED_GUARD_FACTOR,
     )
-    links = forest_link_set(forest, np.zeros(network.n_nodes, dtype=np.int64))
-    return network, gateways, links, backbone_protocol(network)
-
-
-def _secs(value: float | None) -> str:
-    """Render a thread-CPU timing cell; ``~`` when the clock was unavailable."""
-    return "~" if value is None else f"{value:.2f}"
 
 
 def sharded_experiment(profile: ExperimentProfile) -> TextTable:
@@ -137,30 +137,19 @@ def sharded_experiment(profile: ExperimentProfile) -> TextTable:
 
     for (rows, cols), lambdas in zip(profile.sharded_grids, profile.sharded_lambdas):
         grid = f"{rows}x{cols}"
-        network, gateways, links, protocol_cfg = _grid_case(profile, rows, cols)
-        plan = plan_for_network(
-            links,
-            network,
-            n_shards=SHARDED_SHARDS,
-            interference_radius_m=SHARDED_RADIUS_M,
-            guard_factor=SHARDED_GUARD_FACTOR,
+        network, gateways, links = grid_mesh(
+            profile, rows, cols, "sharded-forest", rows
         )
-        config = EpochConfig(
-            epoch_slots=profile.traffic_epoch_slots,
-            n_epochs=profile.sharded_epochs,
-            slot_seconds=TRAFFIC_SLOT_SECONDS,
-            divergence_factor=4.0,
-        )
+        protocol_cfg = backbone_protocol(network)
+        plan = sharded_plan(links, network)
+        config = epoch_config(profile, profile.sharded_epochs)
 
         def generator(rate: float, seed_index: int):
-            key = ("sharded-gen", rows)
-            if seed_index:
-                key = (*key, seed_index)
-            return PoissonArrivals(
-                network.n_nodes, rate, gateways=gateways, seed=spawn(profile.seed, *key)
+            return poisson_arrivals(
+                profile, network, gateways, rate, seed_index, key=("sharded-gen", rows)
             )
 
-        def run_mono(rate: float, seed_index: int = 0) -> TrafficTrace:
+        def run_mono(rate: float, seed_index: int):
             scheduler = distributed_scheduler(
                 network,
                 fdd_on_network,
@@ -171,9 +160,7 @@ def sharded_experiment(profile: ExperimentProfile) -> TextTable:
                 links, generator(rate, seed_index), scheduler, config, obs=obs
             )
 
-        def run_sharded(
-            rate: float, seed_index: int = 0, executor: str = SHARDED_EXECUTOR
-        ) -> TrafficTrace:
+        def run_sharded(rate: float, seed_index: int, executor: str = SHARDED_EXECUTOR):
             factory = sharded_distributed_factory(
                 network,
                 fdd_on_network,
@@ -191,105 +178,45 @@ def sharded_experiment(profile: ExperimentProfile) -> TextTable:
                 obs=obs,
             )
 
-        knees: dict[str, float | None] = {}
-        compute: dict[str, float | None] = {}
-        critical: dict[str, float | None] = {}
-        wall: dict[str, float | None] = {}
-        kept: dict[str, dict[float, TrafficTrace]] = {}
+        knees, totals, lowest = {}, {}, {}
         for engine, run_at in (("monolithic", run_mono), ("sharded", run_sharded)):
-            base_traces: dict[float, TrafficTrace] = {}
-            kept[engine] = base_traces
-
-            def run_and_keep(rate: float, seed_index: int = 0, run_at=run_at):
-                trace = run_at(rate, seed_index=seed_index)
-                if seed_index == 0:
-                    base_traces[rate] = trace
-                return trace
-
-            points = stability_sweep(
-                lambdas,
-                run_and_keep,
-                confirm_seeds=TRAFFIC_CONFIRM_SEEDS,
-            )
-            knees[engine] = stability_knee(points)
-            # Timing fields are None on hosts without a thread-CPU clock
-            # (satellite rule: never report a silent 0.0 as a measurement).
-            secs = [t.scheduling_seconds for t in base_traces.values()]
-            crit = [t.critical_path_seconds for t in base_traces.values()]
-            walls = [t.scheduling_wall_seconds for t in base_traces.values()]
-            compute[engine] = (
-                sum(secs) if all(s is not None for s in secs) else None
-            )
-            critical[engine] = (
-                sum(crit) if all(s is not None for s in crit) else None
-            )
-            wall[engine] = (
-                sum(walls) if all(s is not None for s in walls) else None
-            )
-            for point in points:
-                trace = base_traces[point.offered_rate]
-                epochs = max(trace.n_epochs_run, 1)
-                stable = "yes" if point.stable else "NO"
-                if point.confirm_seeds > 1:
-                    stable += f" ({point.confirm_seeds}-seed)"
-                table.add_row(
-                    grid,
-                    engine,
-                    f"{point.offered_rate:g}",
-                    f"{point.throughput:.3f}",
-                    f"{point.mean_delay:.1f}",
-                    f"{point.overhead_slots:.1f}",
-                    _secs(trace.scheduling_seconds),
-                    _secs(trace.critical_path_seconds),
-                    _secs(trace.scheduling_wall_seconds),
+            swept = sweep(lambdas, run_at)
+            lowest[engine] = swept[0]
+            # Summed per timing column; None on hosts without a thread-CPU
+            # clock (never report a silent 0.0 as a measurement).
+            columns = [[getattr(t, f) for _, t in swept] for f in TIMING_FIELDS]
+            totals[engine] = [None if None in c else sum(c) for c in columns]
+            knees[engine] = add_sweep_rows(
+                table,
+                (grid, engine),
+                swept,
+                lambda p, t: (
+                    f"{p.throughput:.3f}",
+                    f"{p.mean_delay:.1f}",
+                    f"{p.overhead_slots:.1f}",
+                    *(seconds_cell(getattr(t, f)) for f in TIMING_FIELDS),
                     "-",
-                    f"{trace.reconciled_total / epochs:.1f}",
-                    stable,
-                )
-        for engine in ("monolithic", "sharded"):
-            knee = knees[engine]
-            table.add_row(
-                grid,
-                engine,
-                "knee",
-                "-",
-                "-",
-                "-",
-                _secs(compute[engine]),
-                _secs(critical[engine]),
-                _secs(wall[engine]),
-                "-",
-                "-",
-                "-" if knee is None else f"{knee:g}",
+                    f"{t.reconciled_total / max(t.n_epochs_run, 1):.1f}",
+                ),
             )
-
-        def speedup(totals: dict[str, float | None]) -> str:
-            if totals["monolithic"] is None or totals["sharded"] is None:
-                return "~"
-            return f"{totals['monolithic'] / max(totals['sharded'], 1e-9):.2f}x"
-
+        for engine, knee in knees.items():
+            cells = ["-", "-", "-", *map(seconds_cell, totals[engine]), "-", "-"]
+            add_knee_row(table, (grid, engine), knee, cells)
+        compute, critical, wall = (
+            "~" if mono is None or shard is None else f"{mono / max(shard, 1e-9):.2f}x"
+            for mono, shard in zip(totals["monolithic"], totals["sharded"])
+        )
         table.add_row(
-            grid,
-            "speedup",
-            "-",
-            "-",
-            "-",
-            "-",
-            speedup(compute),
-            speedup(critical),
-            "-",
-            speedup(wall),
-            "-",
-            "-",
+            grid, "speedup", "-", "-", "-", "-", compute, critical, "-", wall, "-", "-"
         )
 
         # Executor equivalence: re-run one operating point on the thread
         # backend and require a record-identical trace.  The process pool
         # must be an implementation detail of *where* schedulers run, never
         # of *what* they produce.
-        check_rate = lambdas[0]
-        cross = run_sharded(check_rate, executor="thread")
-        base = kept["sharded"][check_rate]
+        point, base = lowest["sharded"]
+        check_rate = point.offered_rate
+        cross = run_sharded(check_rate, 0, executor="thread")
         if cross.records != base.records:
             raise AssertionError(
                 f"sharded engine diverged across executors on {grid} at "

@@ -138,8 +138,9 @@ def mesh_sinrs(power, tx, rx, on, noise) -> np.ndarray:
 
 #: Most elements one ``(sets, L, L)`` gather of :func:`sinr_for_link_sets`
 #: may hold (8 MiB of float64); batches that need more are cut along the
-#: set axis.
-_GATHER_ELEMENTS = 1 << 20
+#: set axis.  The spatial harvest, the exact-model kernel and the fast
+#: runtime's trial batches size their chunks from it too.
+GATHER_ELEMENTS = 1 << 20
 
 
 def sinr_for_link_sets(
@@ -166,7 +167,7 @@ def sinr_for_link_sets(
     always) report SINR ``0.0``.
 
     The gather is bounded: sets are evaluated at most
-    ``_GATHER_ELEMENTS // L**2`` at a time (a single set wider than that is
+    ``GATHER_ELEMENTS // L**2`` at a time (a single set wider than that is
     gathered alone, exactly the mesh :func:`sinr_for_links` would build),
     so a whole schedule can be handed in whatever its length.  A genuinely
     sparse :class:`~repro.phy.sparse.SparsePowerMatrix` keeps the per-set
@@ -191,7 +192,7 @@ def sinr_for_link_sets(
             sinr[t, on] = sinr_for_links(power, snd[t, on], rcv[t, on], noise_mw, budget)
         return sinr
 
-    step = max(1, _GATHER_ELEMENTS // (width * width))
+    step = max(1, GATHER_ELEMENTS // (width * width))
     return np.concatenate(
         [
             mesh_sinrs(

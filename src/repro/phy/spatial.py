@@ -31,7 +31,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.phy.sinr import _GATHER_ELEMENTS
+from repro.phy.sinr import GATHER_ELEMENTS
 from repro.util.ranges import expand_ranges
 from repro.util.validation import check_finite_array, check_positive
 
@@ -152,7 +152,7 @@ class GridIndex:
         again.
 
         One pass over the cell-sorted nodes (:meth:`_partner_runs`), with
-        candidates expanded ``_GATHER_ELEMENTS // 8`` at a time (eight
+        candidates expanded ``GATHER_ELEMENTS // 8`` at a time (eight
         same-length temporaries each), so the transient is O(chunk), not
         O(candidates).
         """
@@ -161,7 +161,7 @@ class GridIndex:
         a, b_lo, b_hi = self._partner_runs(radius)
         ends = np.cumsum(b_hi - b_lo)
         xs, ys = np.ascontiguousarray(self.positions[self._order].T)
-        step = _GATHER_ELEMENTS // 8
+        step = GATHER_ELEMENTS // 8
         t0 = 0
         while True:  # at least one (possibly empty) chunk
             done = ends[t0 - 1] if t0 else 0

@@ -30,12 +30,12 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from repro.phy.propagation import PropagationModel
-from repro.phy.sinr import _GATHER_ELEMENTS
+from repro.phy.sinr import GATHER_ELEMENTS
 
 #: Elements per temporary while a gain block is built and summed: 128 KiB of
-#: float64, cache-resident (twice as fast here as ``_GATHER_ELEMENTS``-sized
+#: float64, cache-resident (twice as fast here as ``GATHER_ELEMENTS``-sized
 #: temporaries) and bounded whatever the slot width.
-_CHUNK_ELEMENTS = _GATHER_ELEMENTS >> 6
+_CHUNK_ELEMENTS = GATHER_ELEMENTS >> 6
 
 #: Bin edges (in units of β) of :meth:`TruthReport.histogram`.
 MARGIN_EDGES = (0.0, 0.5, 1.0, 1.25, 1.5, 2.0, 4.0, 8.0, np.inf)

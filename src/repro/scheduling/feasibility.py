@@ -25,11 +25,12 @@ Two implementations remain in the library:
   test and +80 % per admission (DESIGN.md §3), so the one-at-a-time
   callers keep the first.
 
-``greedy_physical``, ``patch_schedule`` and ``reconcile_round`` build their
-slots in an arena; :func:`feasible_alone` is the standalone screen (a slot
-of one) they all apply before opening a fresh slot.  The arena's verdicts
-are pinned, bit for bit, to a scalar per-slot oracle in the test suite,
-and its slots to the exact model by the schedule audits.
+``greedy_physical`` (whose first-fit packer ``reconcile_round`` reuses) and
+``patch_schedule`` build their slots in an arena; :func:`feasible_alone` is
+the standalone screen (a slot of one) they apply before opening a fresh
+slot.  The arena's verdicts are pinned, bit for bit, to a scalar per-slot
+oracle in the test suite, and its slots to the exact model by the schedule
+audits.
 """
 
 from __future__ import annotations
@@ -136,10 +137,9 @@ class SlotArena:
       flip: the verdict is bit-identical to the dense one.  That
       member-feasibility invariant is the callers' to keep, since
       :meth:`seed` and :meth:`add` insert unconditionally: greedy
-      packing and fresh slots screen with :func:`feasible_alone`, a patch
-      seeds slots only with subsets of feasible cached slots (removals
-      lower interference), and ``reconcile_round`` masks the verdict of
-      the one kind of slot that breaks it (a link infeasible even alone).
+      packing (``reconcile_round``'s included) and fresh slots screen with
+      :func:`feasible_alone`, and a patch seeds slots only with subsets of
+      feasible cached slots (removals lower interference).
       The tables assume one member per node per slot, which :meth:`add`
       enforces.  :meth:`can_add_many` / :meth:`add_many` are the same test
       and the same fold for a batch of links in one pass over the same

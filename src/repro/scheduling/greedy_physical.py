@@ -95,7 +95,7 @@ def greedy_physical(
             "even alone; it is not a valid communication edge"
         )
 
-    schedule.slots = _pack(links, model, demanded, links.demand)
+    schedule.slots = first_fit_pack(links, model, demanded, links.demand)
     # A property of the input, not an option: only a truncated matrix that
     # knows its recipe can — and needs to — be checked against the truth.
     geometry = getattr(model.power, "geometry", None)
@@ -104,15 +104,19 @@ def greedy_physical(
     return schedule
 
 
-def _pack(
+def first_fit_pack(
     links: LinkSet,
     model: PhysicalInterferenceModel,
     demanded: np.ndarray,
     demand: np.ndarray,
 ) -> list[Slot]:
     """Greedy first-fit of ``demand[k]`` memberships per link ``k``, links
-    taken in ``demanded`` order (each already screened alone), into fresh
-    slots."""
+    taken in ``demanded`` order, into fresh slots: each membership joins
+    the earliest slots that stay feasible with it, or opens new ones.
+
+    Every link must already pass :func:`feasible_alone` (the arena's
+    member-feasibility invariant); the callers screen first.
+    """
     demanded = demanded[demand[demanded] > 0]
     # Flat-column slot store: the verdicts of the scalar per-slot test
     # (bit-identical, pinned by the arena suite in
@@ -181,7 +185,7 @@ def _pack_waves(
     tails: np.ndarray,
     want: np.ndarray,
 ) -> list[Slot]:
-    """:func:`_pack` on the sparse arena, a wave of candidates per pass.
+    """:func:`first_fit_pack` on the sparse arena, a wave of candidates per pass.
 
     What an admission test of link ``k`` reads of the arena (the slot
     tables at ``N(k)`` and the sums of members listening there) and what
@@ -251,6 +255,6 @@ def _repair(
             break
         rounds += 1
         repaired += int(peeled.sum())
-        unverified = _pack(links, model, demanded, peeled)
+        unverified = first_fit_pack(links, model, demanded, peeled)
         schedule.slots.extend(unverified)
     return TruthReport(violations, np.concatenate(margins), repaired, rounds)

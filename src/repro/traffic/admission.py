@@ -65,14 +65,14 @@ DEFAULT_WINDOW = 4
 #: current cap) and multiplicative back-off on a growth signal.  The probe
 #: is deliberately gentle — overshooting the knee costs epochs of backlog
 #: drain, undershooting only delays goodput.
-DEFAULT_INCREASE = 0.08
-DEFAULT_DECREASE = 0.7
+AIMD_INCREASE = 0.08
+AIMD_DECREASE = 0.7
 
 #: Epochs within which a standing (gated) backlog must be on course to
 #: drain before the knee tracker dips its cap below the capacity estimate.
 #: A standing queue at slope ~ 0 is *bounded* but not free: it taxes every
 #: epoch's scheduler with stale demand and every packet with queueing delay.
-DEFAULT_DRAIN_HORIZON = 16.0
+DRAIN_HORIZON = 16.0
 
 #: Floor (pkt/slot) under the knee tracker's cap.  Both AIMD moves are
 #: multiplicative in the cap, so a cap that ever reached exactly 0 — e.g.
@@ -81,7 +81,7 @@ DEFAULT_DRAIN_HORIZON = 16.0
 #: silent) — could never recover and would block every future session
 #: forever.  The floor keeps a probe trickle admitted: enough to observe
 #: fresh deliveries and re-estimate capacity, the AIMD way out.
-DEFAULT_CAP_FLOOR = 0.05
+CAP_FLOOR = 0.05
 
 #: Backlog-slope test in the style of :mod:`repro.traffic.stability`:
 #: growth above ``GROWTH_TOLERANCE`` of the per-epoch arrivals, with the
@@ -93,6 +93,13 @@ DEFAULT_CAP_FLOOR = 0.05
 #: lock the admitted rate to the fill-phase goodput.
 GROWTH_TOLERANCE = 0.05
 GROWTH_GATE_FRACTION = 1.5
+
+#: Backpressure: a link is *hot* when its backlog sits in the top
+#: ``HOT_FRACTION`` of backlogged links and above ``HOT_GATE_PACKETS``;
+#: elastic flows crossing a hot link emit at ``HOT_SLOWDOWN`` of their rate.
+HOT_FRACTION = 0.1
+HOT_SLOWDOWN = 0.25
+HOT_GATE_PACKETS = 20
 
 
 class _GrowthWindow:
@@ -269,54 +276,32 @@ class KneeTracker(_CapController):
     into a matching window.  Then:
 
     * while the window reads **stable**, a finite cap creeps up by
-      ``increase`` (additive probe, a fraction of itself); an unbounded
-      cap stays out of the way;
+      :data:`AIMD_INCREASE` (additive probe, a fraction of itself); an
+      unbounded cap stays out of the way;
     * on a **growth** signal the cap snaps down to the best delivered
       rate in the window — the demonstrated capacity *is* the knee
       estimate — or, if it already sits at/below that estimate and
       backlog still grows (the estimate was stale: overhead rose, hot
-      spots moved), multiplies down by ``decrease``.  Each decrease is
-      followed by a ``window``-epoch cooldown so the sliding window can
-      flush the pre-decrease growth before it is trusted again;
+      spots moved), multiplies down by :data:`AIMD_DECREASE`.  Each
+      decrease is followed by a ``window``-epoch cooldown so the sliding
+      window can flush the pre-decrease growth before it is trusted again;
     * a **standing** queue — past the gate but not on course to drain
-      within ``drain_horizon`` epochs — also multiplies the cap down:
+      within :data:`DRAIN_HORIZON` epochs — also multiplies the cap down:
       slope ~ 0 with a large resident backlog is bounded, not healthy
       (it taxes every epoch's scheduler with stale demand and every
       packet with queueing delay).
 
-    Everything the tracker reads — arrivals, backlog, delivered counts —
-    is in the per-epoch trace any deployed controller observes; it is
-    never told λ*.
+    No move takes the cap below :data:`CAP_FLOOR`.  Everything the tracker
+    reads — arrivals, backlog, delivered counts — is in the per-epoch trace
+    any deployed controller observes; it is never told λ*.
     """
 
     name = "knee-tracker"
     needs_feedback = True
 
-    def __init__(
-        self,
-        window: int = DEFAULT_WINDOW,
-        increase: float = DEFAULT_INCREASE,
-        decrease: float = DEFAULT_DECREASE,
-        drain_horizon: float = DEFAULT_DRAIN_HORIZON,
-        cap_floor: float = DEFAULT_CAP_FLOOR,
-    ):
-        if not 0.0 < decrease < 1.0:
-            raise ValueError("decrease must be in (0, 1)")
-        if increase < 0:
-            raise ValueError("increase must be non-negative")
-        if drain_horizon <= 0:
-            raise ValueError("drain_horizon must be positive")
-        if cap_floor <= 0:
-            raise ValueError(
-                "cap_floor must be positive: a cap of exactly 0 admits "
-                "nothing, observes nothing, and can never recover"
-            )
+    def __init__(self, window: int = DEFAULT_WINDOW):
         super().__init__(float("inf"))
         self.window = window
-        self.increase = increase
-        self.decrease = decrease
-        self.drain_horizon = drain_horizon
-        self.cap_floor = cap_floor
         self.reset()
 
     def reset(self) -> None:
@@ -341,20 +326,20 @@ class KneeTracker(_CapController):
             # The best delivered rate in the window is the schedule's
             # demonstrated capacity — the knee estimate the cap snaps to.
             anchor = float(np.max(self._delivered))
-            target = anchor if self.cap > anchor else self.cap * self.decrease
-            self.cap = max(target, self.cap_floor)
+            target = anchor if self.cap > anchor else self.cap * AIMD_DECREASE
+            self.cap = max(target, CAP_FLOOR)
             self._cooldown = self.window
         elif np.isfinite(self.cap) and not self._signals.draining_within(
-            self.drain_horizon
+            DRAIN_HORIZON
         ):
             # A standing queue is congestion even at slope ~ 0: it taxes
             # every epoch's scheduler with stale demand (and every packet
             # with queueing delay).  Dip below the knee estimate until the
             # backlog is on course to clear the gate within the horizon.
-            self.cap = max(self.cap * self.decrease, self.cap_floor)
+            self.cap = max(self.cap * AIMD_DECREASE, CAP_FLOOR)
             self._cooldown = self.window
         elif np.isfinite(self.cap):
-            self.cap = self.cap * (1.0 + self.increase)
+            self.cap = self.cap * (1.0 + AIMD_INCREASE)
         self.cap_history.append(self.cap)
 
 
@@ -362,32 +347,19 @@ class Backpressure(AdmissionController):
     """Per-route throttling against the most-backlogged links.
 
     :meth:`observe` snapshots the per-link backlog; a link is *hot* when
-    its backlog sits in the top ``hot_fraction`` of backlogged links and
-    above ``gate_packets``.  Elastic flows whose route crosses a hot link
-    are throttled to ``slowdown``; new sessions routed across a hot link
-    are blocked outright (backpressure at the doorstep: a session that
-    would feed a standing queue should not start).  Flows through quiet
-    regions are untouched — unlike a rate cap, pressure is spatial.
+    its backlog sits in the top :data:`HOT_FRACTION` of backlogged links
+    and above :data:`HOT_GATE_PACKETS`.  Elastic flows whose route crosses
+    a hot link are throttled to :data:`HOT_SLOWDOWN`; new sessions routed
+    across a hot link are blocked outright (backpressure at the doorstep: a
+    session that would feed a standing queue should not start).  Flows
+    through quiet regions are untouched — unlike a rate cap, pressure is
+    spatial.
     """
 
     name = "backpressure"
     needs_feedback = True
 
-    def __init__(
-        self,
-        hot_fraction: float = 0.1,
-        slowdown: float = 0.25,
-        gate_packets: int = 20,
-    ):
-        if not 0.0 < hot_fraction <= 1.0:
-            raise ValueError("hot_fraction must be in (0, 1]")
-        if not 0.0 <= slowdown <= 1.0:
-            raise ValueError("slowdown must be in [0, 1]")
-        if gate_packets < 0:
-            raise ValueError("gate_packets must be non-negative")
-        self.hot_fraction = hot_fraction
-        self.slowdown = slowdown
-        self.gate_packets = gate_packets
+    def __init__(self):
         self.reset()
 
     def reset(self) -> None:
@@ -396,9 +368,9 @@ class Backpressure(AdmissionController):
     def observe(self, record, queues: LinkQueues, session: FlowWorkload) -> None:
         backlog = queues.backlog
         hot = np.zeros(backlog.shape[0], dtype=bool)
-        loaded = backlog > self.gate_packets
+        loaded = backlog > HOT_GATE_PACKETS
         if loaded.any():
-            threshold = np.quantile(backlog[loaded], 1.0 - self.hot_fraction)
+            threshold = np.quantile(backlog[loaded], 1.0 - HOT_FRACTION)
             hot = loaded & (backlog >= threshold)
         self._hot = hot
 
@@ -409,7 +381,7 @@ class Backpressure(AdmissionController):
         return not self._crosses_hot(flow)
 
     def throttle(self, flow: Flow, session: FlowWorkload) -> float:
-        return self.slowdown if self._crosses_hot(flow) else 1.0
+        return HOT_SLOWDOWN if self._crosses_hot(flow) else 1.0
 
 
 class RegionalControllers(AdmissionController):
@@ -550,23 +522,19 @@ class _RegionalSession:
         return self._session.admitted_rate_in_region(self._region, klass)
 
 
-def make_controller(name: str, **knobs) -> AdmissionController:
-    """Build a controller by registry name (:data:`ADMISSION_CONTROLLERS`).
-
-    ``static-cap`` requires ``cap=``; the others accept their constructor
-    knobs (window/increase/decrease for ``knee-tracker``; hot_fraction/
-    slowdown/gate_packets for ``backpressure``).
-    """
+def make_controller(name: str, cap: float | None = None) -> AdmissionController:
+    """Build a controller by registry name (:data:`ADMISSION_CONTROLLERS`);
+    ``static-cap`` requires ``cap`` (aggregate pkt/slot)."""
     if name == "none":
         return NoAdmission()
     if name == "static-cap":
-        if "cap" not in knobs:
+        if cap is None:
             raise ValueError("static-cap needs cap= (aggregate pkt/slot)")
-        return StaticCap(**knobs)
+        return StaticCap(cap)
     if name == "knee-tracker":
-        return KneeTracker(**knobs)
+        return KneeTracker()
     if name == "backpressure":
-        return Backpressure(**knobs)
+        return Backpressure()
     raise ValueError(
         f"unknown admission controller {name!r}; choose from {ADMISSION_CONTROLLERS}"
     )

@@ -13,7 +13,7 @@ Every epoch of ``epoch_slots`` data slots:
 4. the remaining slots of the epoch play the computed schedule cyclically,
    each played slot serving one packet on every member link with backlog.
 
-Slots are "data slots" of ``slot_seconds`` wall-clock seconds each (a slot
+Slots are "data slots" of :data:`SLOT_SECONDS` wall-clock seconds each (a slot
 carries one aggregated traffic burst); the control plane's SCREAM microslots
 are orders of magnitude shorter, which is what makes online rescheduling
 affordable — exactly the paper's argument for recomputing schedules
@@ -73,6 +73,19 @@ class EpochSchedule:
 #: demand vector; ``epoch`` lets distributed schedulers derive per-epoch rngs.
 EpochSchedulerFn = Callable[[LinkSet, int], EpochSchedule]
 
+#: Rescheduling policies understood by the epoch loop.
+#:
+#: * ``"always"``        — re-run the scheduler every epoch (the default);
+#: * ``"drift-threshold"`` — reuse the cached schedule while drift stays under
+#:   the threshold, full re-run otherwise;
+#: * ``"patch"``         — like ``drift-threshold``, but on a miss first try
+#:   to patch the cached schedule and only re-run when patching fails.
+RESCHEDULE_POLICIES = ("always", "drift-threshold", "patch")
+
+#: Wall-clock duration of one data slot (seconds): converts a distributed
+#: scheduler's execution time into whole data slots of overhead.
+SLOT_SECONDS = 0.04
+
 
 @dataclass(frozen=True)
 class EpochConfig:
@@ -84,9 +97,6 @@ class EpochConfig:
         Data slots per epoch (the rescheduling period ``T``).
     n_epochs:
         Epochs to simulate.
-    slot_seconds:
-        Wall-clock duration of one data slot, used to convert a distributed
-        scheduler's execution time into whole data slots of overhead.
     demand_cap:
         Optional per-link cap on the scheduled backlog snapshot (a link can
         serve at most ``epoch_slots`` packets per epoch anyway, so capping
@@ -100,16 +110,11 @@ class EpochConfig:
     reschedule_policy:
         ``"always"`` re-runs the scheduler every epoch (the default);
         ``"drift-threshold"`` reuses the cached schedule while the backlog
-        snapshot's drift stays at or under ``drift_threshold``;
-        ``"patch"`` additionally repairs the cached schedule on a miss
-        before falling back to a full re-run.  See
-        :mod:`repro.traffic.incremental`.
-    drift_threshold:
-        Base normalized drift at or under which the cached schedule is
-        reused (0 reuses only byte-identical snapshots; ``None`` resolves
-        to :data:`repro.traffic.incremental.DEFAULT_DRIFT_THRESHOLD`).
-        The cache scales it by the cached schedule's service headroom —
-        see :class:`repro.traffic.incremental.ScheduleCache`.
+        snapshot's drift stays at or under
+        :data:`~repro.traffic.incremental.DEFAULT_DRIFT_THRESHOLD` (scaled
+        by the schedule's service headroom); ``"patch"`` additionally
+        repairs the cached schedule on a miss before falling back to a full
+        re-run.  See :mod:`repro.traffic.incremental`.
     rate_table:
         Optional :class:`~repro.phy.radio.RateTable` switching the serving
         contract from fixed-rate (every scheduled membership forwards one
@@ -131,11 +136,9 @@ class EpochConfig:
 
     epoch_slots: int = 300
     n_epochs: int = 10
-    slot_seconds: float = 0.04
     demand_cap: int | None = None
     divergence_factor: float | None = None
     reschedule_policy: str = "always"
-    drift_threshold: float | None = None  # None -> DEFAULT_DRIFT_THRESHOLD
     rate_table: RateTable | None = None
     retain_records: str = "full"
 
@@ -144,27 +147,15 @@ class EpochConfig:
             raise ValueError("epoch_slots must be positive")
         if self.n_epochs <= 0:
             raise ValueError("n_epochs must be positive")
-        if self.slot_seconds <= 0:
-            raise ValueError("slot_seconds must be positive")
         if self.demand_cap is not None and self.demand_cap <= 0:
             raise ValueError("demand_cap must be positive when given")
         if self.divergence_factor is not None and self.divergence_factor <= 0:
             raise ValueError("divergence_factor must be positive when given")
-        # Imported lazily: incremental.py imports EpochSchedule from here.
-        from repro.traffic.incremental import (
-            DEFAULT_DRIFT_THRESHOLD,
-            RESCHEDULE_POLICIES,
-        )
-
         if self.reschedule_policy not in RESCHEDULE_POLICIES:
             raise ValueError(
                 f"reschedule_policy must be one of {RESCHEDULE_POLICIES}, "
                 f"got {self.reschedule_policy!r}"
             )
-        if self.drift_threshold is None:
-            object.__setattr__(self, "drift_threshold", DEFAULT_DRIFT_THRESHOLD)
-        if self.drift_threshold < 0:
-            raise ValueError("drift_threshold must be non-negative")
         if self.retain_records not in ("full", "stream"):
             raise ValueError(
                 f"retain_records must be 'full' or 'stream', "
@@ -376,7 +367,7 @@ def overhead_to_slots(overhead_seconds: float, config: EpochConfig) -> int:
     nothing — never a negative remainder, never a modulo wrap, and the
     recorded overhead never exceeds ``epoch_slots``.
     """
-    return min(math.ceil(overhead_seconds / config.slot_seconds), config.epoch_slots)
+    return min(math.ceil(overhead_seconds / SLOT_SECONDS), config.epoch_slots)
 
 
 def priced_overhead_slots(
@@ -635,7 +626,6 @@ def configured_scheduler(
         scheduler = ScheduleCache(
             scheduler,
             policy=cfg.reschedule_policy,
-            drift_threshold=cfg.drift_threshold,
             model=model,
             epoch_slots=cfg.epoch_slots,
             rate_table=cfg.rate_table,

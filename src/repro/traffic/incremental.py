@@ -56,15 +56,6 @@ from repro.scheduling.schedule import Schedule, Slot
 from repro.traffic.epoch import EpochSchedule, EpochSchedulerFn
 from repro.util.ranges import split_at
 
-#: Rescheduling policies understood by the epoch loop.
-#:
-#: * ``"always"``        — re-run the scheduler every epoch (PR-1 behaviour);
-#: * ``"drift-threshold"`` — reuse the cached schedule while drift stays under
-#:   the threshold, full re-run otherwise;
-#: * ``"patch"``         — like ``drift-threshold``, but on a miss first try
-#:   to patch the cached schedule and only re-run when patching fails.
-RESCHEDULE_POLICIES = ("always", "drift-threshold", "patch")
-
 #: Default *base* drift threshold (normalized L1), before headroom scaling.
 #: Chosen from measured drift on the 8x8 grid: with the threshold scaled by
 #: the cached schedule's cycles-per-epoch headroom, 0.35 reuses schedules
@@ -289,11 +280,13 @@ class ScheduleCache:
     base:
         The scheduler to wrap (any epoch scheduler adapter).
     policy:
-        ``"drift-threshold"`` or ``"patch"`` (see :data:`RESCHEDULE_POLICIES`;
-        ``"always"`` is the epoch loop *not* using a cache).
+        ``"drift-threshold"`` or ``"patch"`` (see
+        :data:`~repro.traffic.epoch.RESCHEDULE_POLICIES`; ``"always"`` is
+        the epoch loop *not* using a cache).
     drift_threshold:
         Reuse the cached schedule while :func:`drift_l1` stays at or under
-        this value.  0 reuses only on byte-identical snapshots.
+        this value.  0 reuses only on byte-identical snapshots.  Only the
+        test suites set it; the epoch loop's own caches keep the default.
     model:
         Physical-interference model, required by the ``patch`` policy for
         its SINR feasibility checks.

@@ -56,7 +56,8 @@ import numpy as np
 from repro.core.controlplane import ControlLedger, ControlPlaneModel, forest_depths
 from repro.obs import Obs, phase
 from repro.phy.interference import PhysicalInterferenceModel
-from repro.scheduling.feasibility import SlotArena, feasible_alone
+from repro.scheduling.feasibility import feasible_alone
+from repro.scheduling.greedy_physical import first_fit_pack
 from repro.scheduling.links import LinkSet
 from repro.topology.regions import GridTiling
 from repro.traffic.epoch import (
@@ -476,10 +477,13 @@ def reconcile_round(
 
     Each combined slot is re-checked under the exact (unbudgeted) global
     model.  While a slot is infeasible, one failing link is peeled out;
-    every peeled membership is then re-packed greedily into *overflow*
-    slots appended to the round — :class:`SlotArena` admission first, a
-    dedicated slot as the last resort — i.e. the residual budget violations
-    are serialized rather than dropped, at the price of a longer round.
+    every peeled membership is then re-packed into *overflow* slots
+    appended to the round by greedy_physical's first-fit packer
+    (:func:`~repro.scheduling.greedy_physical.first_fit_pack`) — i.e. the
+    residual budget violations are serialized rather than dropped, at the
+    price of a longer round.  A peeled link that cannot decode even alone
+    raises ``ValueError``; no shard oracle can schedule one, since each is
+    the exact model on the same power entries plus a non-negative budget.
 
     The peel order is lowest SINR margin first (ties broken by position,
     deterministically).
@@ -509,35 +513,21 @@ def reconcile_round(
     if not peeled:
         return kept_slots, 0
 
-    # Serialize the peeled memberships: earliest overflow slot that stays
-    # feasible, or a fresh one.  Ascending link order keeps the packing
-    # deterministic whatever order the violations surfaced in.  A *closed*
-    # slot holds a link that fails SINR even alone under the exact model
-    # (it was being served on faith by its shard), so a dedicated slot is
-    # the closest serialization — and nothing may join it: it sits in the
-    # arena like any other slot, but its member breaks the arena's
-    # member-feasibility invariant, so its verdict is masked out.  A slot
-    # already holding ``k`` (a link peeled twice) shares both endpoints
-    # with the candidate and is rejected by the admission test itself.
-    peeled.sort()
-    fits_alone = feasible_alone(model, heads[peeled], tails[peeled])
-    arena = SlotArena(model)
-    closed: list[int] = []
-    overflow: list[list[int]] = []
-    for k, alone_ok in zip(peeled, fits_alone):
-        sender, receiver = int(heads[k]), int(tails[k])
-        admits = arena.can_add_all(sender, receiver)
-        admits[closed] = False
-        if admits.any():
-            j = int(admits.argmax())
-            arena.add(j, sender, receiver)
-            overflow[j].append(k)
-        else:
-            j = arena.open_slot(sender, receiver)
-            if not alone_ok:
-                closed.append(j)
-            overflow.append([k])
-    kept_slots.extend(np.asarray(slot, dtype=np.intp) for slot in overflow)
+    # Serialize the peeled memberships with greedy_physical's packer, links
+    # in ascending order (deterministic whatever order the violations
+    # surfaced in).  A link peeled twice shares both endpoints with the
+    # overflow slot already holding it, which the admission test refuses.
+    counts = np.bincount(peeled, minlength=links.n_links)
+    order = np.flatnonzero(counts)
+    alone = feasible_alone(model, heads[order], tails[order])
+    if not alone.all():
+        bad = int(order[~alone][0])
+        raise ValueError(
+            f"peeled link {int(heads[bad])}->{int(tails[bad])} is infeasible "
+            "even alone; no shard oracle can have scheduled it"
+        )
+    overflow = first_fit_pack(links, model, order, counts)
+    kept_slots.extend(slot.as_array() for slot in overflow)
     return kept_slots, len(peeled)
 
 
@@ -653,7 +643,7 @@ def run_epochs_sharded(
     obs: Obs | None = None,
     executor: str = "thread",
 ) -> TrafficTrace:
-    """Run the closed traffic loop with per-shard scheduling; return its trace.
+    """Run the traffic loop with per-shard scheduling; return its trace.
 
     The loop is :func:`~repro.traffic.epoch.run_epochs`'s — same arrivals,
     pricing, serving, records, and the same ``on_epoch`` / ``control`` /

@@ -13,14 +13,13 @@ Operating points that sit *at* utilization ≈ 1 are genuinely marginal: their
 verdict flips with the arrival sample path (the FDD λ=0.019 point on the 8×8
 grid did exactly that).  :func:`stability_sweep` therefore re-evaluates
 *borderline* points — those whose instability margin falls inside a
-hysteresis band around the decision threshold — over several independent
+band around the decision threshold — over several independent
 arrival seeds and takes the majority verdict, so a knee is pinned by the
 ensemble rather than by one lucky (or unlucky) sample path.
 """
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -177,20 +176,16 @@ def is_stable(trace: TrafficTrace) -> bool:
     return stability_margin(trace) <= 1.0
 
 
-def is_borderline(
-    trace: TrafficTrace, hysteresis: float = BORDERLINE_HYSTERESIS
-) -> bool:
+def is_borderline(trace: TrafficTrace) -> bool:
     """Is this verdict close enough to the threshold to flip with the
     arrival sample path?
 
-    True when the instability margin falls inside ``[1/hysteresis,
-    hysteresis]`` — the operating point sits near utilization 1, where a
-    single seed's verdict is luck, not capacity.
+    True when the instability margin falls inside ``[1/h, h]`` for
+    ``h =`` :data:`BORDERLINE_HYSTERESIS` — the operating point sits near
+    utilization 1, where a single seed's verdict is luck, not capacity.
     """
-    if hysteresis < 1.0:
-        raise ValueError("hysteresis must be >= 1")
     margin = stability_margin(trace)
-    return 1.0 / hysteresis <= margin <= hysteresis
+    return 1.0 / BORDERLINE_HYSTERESIS <= margin <= BORDERLINE_HYSTERESIS
 
 
 def majority_stable(traces: Sequence[TrafficTrace]) -> bool:
@@ -256,68 +251,29 @@ def summarize_trace(
     )
 
 
-def _accepts_seed_index(run_at: Callable) -> bool:
-    """Can ``run_at`` be called as ``run_at(rate, seed_index=k)``?
-
-    Requires a parameter literally named ``seed_index`` (or ``**kwargs``):
-    merely having a second positional slot is not enough — binding the seed
-    to an unrelated parameter (a closure default, a tolerance) would run
-    every sweep point with a corrupted argument instead of failing loudly.
-    """
-    try:
-        sig = inspect.signature(run_at)
-    except (TypeError, ValueError):  # builtins / C callables: assume not
-        return False
-    params = sig.parameters
-    if any(p.kind == p.VAR_KEYWORD for p in params.values()):
-        return True
-    seed = params.get("seed_index")
-    return seed is not None and seed.kind in (
-        seed.POSITIONAL_OR_KEYWORD,
-        seed.KEYWORD_ONLY,
-    )
-
-
 def stability_sweep(
-    rates: Sequence[float],
-    run_at: Callable[..., TrafficTrace],
-    confirm_seeds: int = 1,
-    hysteresis: float = BORDERLINE_HYSTERESIS,
+    rates: Sequence[float], run_at: Callable[..., TrafficTrace]
 ) -> list[StabilityMetrics]:
     """Evaluate one scheduler across an ascending arrival-rate sweep.
 
-    ``run_at(rate)`` runs the epoch loop at that offered rate (typically
-    with a generator built for that rate).
-
-    With ``confirm_seeds > 1``, ``run_at`` must also accept a keyword
-    argument named ``seed_index`` (0 for the base run) that selects an
-    independent arrival sample path.  Borderline points — see
-    :func:`is_borderline` — are then re-run on ``confirm_seeds - 1`` extra
-    seeds and their verdict replaced by the majority over all runs, so
-    operating points at utilization ≈ 1 no longer flip with a single sample
-    path.  Decisive points are never re-run: the extra cost is paid only at
-    the knee.
+    ``run_at(rate, seed_index=k)`` runs the epoch loop at that offered rate
+    on arrival sample path ``k`` (0 for the base run).  Borderline points
+    — see :func:`is_borderline` — are re-run on seeds ``1 ..
+    CONFIRM_SEEDS - 1`` and their verdict replaced by the majority over
+    all runs, so operating points at utilization ≈ 1 no longer flip with a
+    single sample path.  Decisive points are never re-run: the extra cost
+    is paid only at the knee.
     """
-    if confirm_seeds < 1:
-        raise ValueError("confirm_seeds must be >= 1")
-    if confirm_seeds > 1 and not _accepts_seed_index(run_at):
-        raise TypeError(
-            "confirm_seeds > 1 requires run_at(rate, seed_index=...); the "
-            "seed_index keyword selects the independent arrival sample path"
-        )
-    swept = sorted(float(r) for r in rates)
     points: list[StabilityMetrics] = []
-    for rate in swept:
-        trace = run_at(rate, seed_index=0) if confirm_seeds > 1 else run_at(rate)
+    for rate in sorted(float(r) for r in rates):
+        trace = run_at(rate, seed_index=0)
         point = summarize_trace(trace, rate)
-        if confirm_seeds > 1 and is_borderline(trace, hysteresis):
+        if is_borderline(trace):
             traces = [trace] + [
-                run_at(rate, seed_index=k) for k in range(1, confirm_seeds)
+                run_at(rate, seed_index=k) for k in range(1, CONFIRM_SEEDS)
             ]
             point = replace(
-                point,
-                stable=majority_stable(traces),
-                confirm_seeds=confirm_seeds,
+                point, stable=majority_stable(traces), confirm_seeds=CONFIRM_SEEDS
             )
         points.append(point)
     return points

@@ -415,8 +415,9 @@ def loop_routing_forest_csr(indptr, indices, gateways, generator):
 
 
 def serial_pack(links, model, demanded, demand, new_arena=None):
-    """``greedy_physical._pack`` one link at a time: a verdict per open slot,
-    the first ``demand[k]`` admitting slots, fresh singletons for the rest.
+    """``greedy_physical.first_fit_pack`` one link at a time: a verdict per
+    open slot, the first ``demand[k]`` admitting slots, fresh singletons for
+    the rest.
     The loop the sparse packer ran before it admitted links a wave at a
     time, kept as its oracle (on the one-candidate arena kernel, which the
     arena suite pins to ``SlotState``)."""

@@ -41,6 +41,7 @@ from repro.topology.network import grid_network
 from repro.traffic import (
     EpochConfig,
     PoissonArrivals,
+    ScheduleCache,
     ShardScheduleError,
     plan_for_network,
     run_epochs,
@@ -309,14 +310,23 @@ def test_cached_rounds_replay_bit_identically_and_book_no_coordination(mesh):
         n_epochs=6,
         divergence_factor=4.0,
         reschedule_policy="drift-threshold",
-        drift_threshold=1e9,
     )
+    base = sharded_centralized_factory()
+
+    def cached(shard, model):
+        return ScheduleCache(
+            base(shard, model),
+            policy="drift-threshold",
+            drift_threshold=1e9,
+            model=model,
+            epoch_slots=config.epoch_slots,
+        )
 
     def run():
         return run_epochs_sharded(
             plan,
             _generator(network, gateways, rate=0.02),
-            sharded_centralized_factory(),
+            cached,
             network.model,
             config,
             max_workers=2,

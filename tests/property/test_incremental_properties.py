@@ -62,13 +62,12 @@ def test_zero_threshold_drift_policy_is_equivalent_to_always(mesh, rate, seed):
         generator = PoissonArrivals(
             mesh.network.n_nodes, rate, gateways=mesh.gateways, seed=seed
         )
-        config = EpochConfig(
-            epoch_slots=150,
-            n_epochs=6,
-            reschedule_policy=policy,
-            drift_threshold=0.0,
-        )
+        config = EpochConfig(epoch_slots=150, n_epochs=6, reschedule_policy=policy)
         scheduler = centralized_scheduler(mesh.network.model)
+        if policy != "always":
+            scheduler = ScheduleCache(
+                scheduler, policy=policy, drift_threshold=0.0, epoch_slots=150
+            )
         return run_epochs(mesh.links, generator, scheduler, config)
 
     always = trace_with("always")
@@ -124,12 +123,7 @@ def test_cache_hits_charge_zero_overhead_and_stay_feasible(mesh, rate, seed):
     generator = PoissonArrivals(
         mesh.network.n_nodes, rate, gateways=mesh.gateways, seed=seed
     )
-    config = EpochConfig(
-        epoch_slots=120,
-        n_epochs=6,
-        reschedule_policy="patch",
-        drift_threshold=0.2,
-    )
+    config = EpochConfig(epoch_slots=120, n_epochs=6, reschedule_policy="patch")
     scheduler = ScheduleCache(
         centralized_scheduler(mesh.network.model, overhead_seconds=0.8),
         policy="patch",

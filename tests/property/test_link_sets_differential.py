@@ -107,12 +107,12 @@ def test_gather_cap_bounds_the_mesh_without_changing_a_bit(case, cap):
     power = network.model.power
     uncapped = sinr_for_link_sets(power, senders, receivers, valid, noise, budget)
     spy = SpyPower(power)
-    original = sinr_module._GATHER_ELEMENTS
-    sinr_module._GATHER_ELEMENTS = cap
+    original = sinr_module.GATHER_ELEMENTS
+    sinr_module.GATHER_ELEMENTS = cap
     try:
         capped = sinr_for_link_sets(spy, senders, receivers, valid, noise, budget)
     finally:
-        sinr_module._GATHER_ELEMENTS = original
+        sinr_module.GATHER_ELEMENTS = original
     assert np.array_equal(capped, uncapped)
     width = senders.shape[1]
     assert max(spy.gathers, default=0) <= max(cap, width * width)
@@ -130,7 +130,7 @@ def test_default_cap_cuts_a_long_schedule():
     spy = SpyPower(network.model.power)
     noise = network.radio.noise_mw
     batched = sinr_for_link_sets(spy, senders, receivers, valid, noise)
-    assert max(spy.gathers) <= sinr_module._GATHER_ELEMENTS
+    assert max(spy.gathers) <= sinr_module.GATHER_ELEMENTS
     assert len(spy.gathers) == 4
     for row in (0, 1499, 2999):
         on = valid[row]

@@ -208,7 +208,7 @@ def test_gather_cap_splits_batches_without_changing_results(grid64, monkeypatch)
         )
 
     uncapped, stepwise = run(FastRuntime), run(StepwiseRuntime)
-    monkeypatch.setattr(fast_runtime, "_GATHER_ELEMENTS", 64)
+    monkeypatch.setattr(fast_runtime, "GATHER_ELEMENTS", 64)
     capped = run(FastRuntime)
     assert capped.resolve_calls > uncapped.resolve_calls
     for result in (uncapped, capped):

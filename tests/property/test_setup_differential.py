@@ -64,7 +64,7 @@ def near_field_case(draw):
 def shrunk_chunks(gather):
     """Run the harvest with ``gather // 8`` candidates per chunk."""
     return mock.patch.object(
-        spatial, "_GATHER_ELEMENTS", gather or spatial._GATHER_ELEMENTS
+        spatial, "GATHER_ELEMENTS", gather or spatial.GATHER_ELEMENTS
     )
 
 

@@ -92,7 +92,7 @@ def packed(links, model, ordering, serial, capacity, slot_capacity):
         with mock.patch.object(gp, "SlotArena", recording):
             if serial:
                 oracle = partial(serial_pack, new_arena=recording)
-                with mock.patch.object(gp, "_pack", oracle):
+                with mock.patch.object(gp, "first_fit_pack", oracle):
                     schedule = greedy_physical(links, model, ordering)
             else:
                 schedule = greedy_physical(links, model, ordering)

@@ -1,5 +1,6 @@
 """Every public function and method in ``src/`` has a caller outside tests,
-and every name a ``src/`` module imports is read there.
+every name a ``src/`` module imports is read there, and no ``src/`` module
+imports another's ``_``-prefixed name.
 
 A name-based AST check: each public top-level function and public method
 defined under ``src/`` must be *used* — named as an identifier, an
@@ -144,3 +145,18 @@ def test_every_imported_name_is_read():
                 if name not in read
             ]
     assert not unread, f"imported but never read: {unread}"
+
+
+def test_no_module_imports_a_private_name_of_another():
+    """A name another module needs is part of its owner's surface: make it
+    public there, or move it to where both can reach it."""
+    reached = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("repro"):
+                reached += [
+                    f"{path.relative_to(ROOT)}:{node.lineno} {node.module}.{alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+    assert not reached, f"private names imported across modules: {reached}"

@@ -20,7 +20,12 @@ from repro.traffic import (
     run_epochs,
     serialized_scheduler,
 )
-from repro.traffic.epoch import EpochConfig, overhead_to_slots, priced_overhead_slots
+from repro.traffic.epoch import (
+    SLOT_SECONDS,
+    EpochConfig,
+    overhead_to_slots,
+    priced_overhead_slots,
+)
 
 
 def chain_links(n=5):
@@ -192,14 +197,14 @@ class TestBindingLifecycle:
 
 class TestPricedOverheadSlots:
     def test_no_ledger_matches_the_unpriced_conversion(self):
-        cfg = EpochConfig(epoch_slots=100, slot_seconds=0.04)
+        cfg = EpochConfig(epoch_slots=100)
         assert priced_overhead_slots(0.5, None, 0, cfg) == (
             overhead_to_slots(0.5, cfg),
             0,
         )
 
     def test_zero_priced_ledger_is_bit_identical(self):
-        cfg = EpochConfig(epoch_slots=100, slot_seconds=0.04)
+        cfg = EpochConfig(epoch_slots=100)
         ledger = ControlLedger(ControlPlaneModel())
         ledger.charge(0, "admission", "signal", 10_000)
         assert priced_overhead_slots(0.5, ledger, 0, cfg) == (
@@ -208,11 +213,11 @@ class TestPricedOverheadSlots:
         )
 
     def test_priced_charges_ride_the_overhead_and_attribute_the_increment(self):
-        cfg = EpochConfig(epoch_slots=100, slot_seconds=0.04)
+        cfg = EpochConfig(epoch_slots=100)
         model = ControlPlaneModel.default_priced()
         ledger = ControlLedger(model)
         # Enough messages for ~2.1 slots of control air on top of 0.5 s base.
-        count = int(np.ceil(2.1 * cfg.slot_seconds / model.price_of("report")))
+        count = int(np.ceil(2.1 * SLOT_SECONDS / model.price_of("report")))
         ledger.charge(3, "admission", "report", count)
         total, control = priced_overhead_slots(0.5, ledger, 3, cfg)
         base = overhead_to_slots(0.5, cfg)
@@ -222,7 +227,7 @@ class TestPricedOverheadSlots:
         assert priced_overhead_slots(0.5, ledger, 4, cfg) == (base, 0)
 
     def test_clamped_at_the_epoch_even_under_huge_control_charges(self):
-        cfg = EpochConfig(epoch_slots=50, slot_seconds=0.04)
+        cfg = EpochConfig(epoch_slots=50)
         ledger = ControlLedger(ControlPlaneModel.default_priced())
         ledger.charge(0, "admission", "report", 10_000_000)
         total, control = priced_overhead_slots(1.0, ledger, 0, cfg)

@@ -13,24 +13,39 @@ import inspect
 
 import pytest
 
-from repro.experiments.admission import build_controller
-from repro.experiments.common import ExperimentProfile, uniform_scenario
+from repro.experiments.admission import admission_point, build_controller
+from repro.experiments.common import (
+    ExperimentProfile,
+    epoch_config,
+    grid_mesh,
+    paper_fdd,
+    poisson_arrivals,
+    sweep,
+    uniform_scenario,
+)
 from repro.experiments.exec_time import collect_tallies, skew_tolerance
 from repro.experiments.mote_detection import mote_rssi_experiment
 from repro.experiments.theory import impossibility_demo
 from repro.obs import ObsConfig
 from repro.obs.metrics import MetricsRegistry, StreamingHistogram
 from repro.phy.gain import distance_matrix, gain_matrix, received_power_matrix
+from repro.scheduling.greedy_physical import first_fit_pack
 from repro.scheduling.links import forest_link_set
 from repro.traffic import (
+    Backpressure,
     EpochConfig,
     FlowConfig,
+    KneeTracker,
     centralized_scheduler,
     distributed_scheduler,
+    is_borderline,
+    make_controller,
+    reconcile_round,
     run_epochs,
     run_epochs_sharded,
     sharded_centralized_factory,
     sharded_distributed_factory,
+    stability_sweep,
 )
 from repro.traffic.admission import flow_delay_percentile
 from repro.traffic.epoch import epoch_loop
@@ -40,11 +55,9 @@ CONFIG_FIELDS = {
     EpochConfig: (
         "epoch_slots",
         "n_epochs",
-        "slot_seconds",
         "demand_cap",
         "divergence_factor",
         "reschedule_policy",
-        "drift_threshold",
         "rate_table",
         "retain_records",
     ),
@@ -130,6 +143,18 @@ KEYWORDS = {
         "plan",
     ),
     LinkQueues.__init__: ("self", "links"),
+    # Borderline points are always majority-resolved over CONFIRM_SEEDS
+    # seeds, inside the BORDERLINE_HYSTERESIS band.
+    stability_sweep: ("rates", "run_at"),
+    is_borderline: ("trace",),
+    # Admission controllers: the AIMD / backpressure constants are module
+    # constants; the tracker's window is set by examples/admission_control.py.
+    KneeTracker.__init__: ("self", "window"),
+    Backpressure.__init__: ("self",),
+    make_controller: ("name", "cap"),
+    # The cross-shard re-pack is greedy_physical's first-fit packer.
+    reconcile_round: ("combined", "links", "model"),
+    first_fit_pack: ("links", "model", "demanded", "demand"),
     # The dense gain builders store float64 only.
     distance_matrix: ("positions",),
     gain_matrix: ("positions", "model"),
@@ -141,6 +166,21 @@ KEYWORDS = {
     impossibility_demo: (),
     uniform_scenario: ("density_per_km2", "rep", "seed"),
     build_controller: ("name", "n_sources"),
+    # The closed-loop harness of E7-E12.
+    grid_mesh: ("profile", "rows", "cols", "key"),
+    poisson_arrivals: ("profile", "network", "gateways", "rate", "seed_index", "key"),
+    paper_fdd: ("profile", "network"),
+    epoch_config: ("profile", "n_epochs", "fields"),
+    sweep: ("rates", "run_at"),
+    admission_point: (
+        "profile",
+        "network",
+        "links",
+        "controller_name",
+        "rate",
+        "control",
+        "obs",
+    ),
     distributed_scheduler: ("network", "protocol", "config", "seed"),
     sharded_distributed_factory: ("network", "protocol", "config", "seed"),
     centralized_scheduler: ("model", "overhead_seconds"),

@@ -23,6 +23,7 @@ from repro.traffic import (
     run_epochs,
     serialized_scheduler,
 )
+from repro.traffic.admission import AIMD_DECREASE, CAP_FLOOR, HOT_SLOWDOWN
 from repro.traffic.epoch import EpochRecord
 
 
@@ -188,7 +189,7 @@ class TestControllers:
         tracker.observe(
             record(7, arrivals=100, delivered=50, backlog=1500), queues, wl
         )
-        assert tracker.cap == pytest.approx(0.5 * tracker.decrease)
+        assert tracker.cap == pytest.approx(0.5 * AIMD_DECREASE)
 
     def test_knee_tracker_cap_never_collapses_to_zero(self):
         """A growth signal over a window that delivered *nothing* must not
@@ -205,13 +206,11 @@ class TestControllers:
                 queues,
                 wl,
             )
-        assert tracker.cap == pytest.approx(tracker.cap_floor)
+        assert tracker.cap == pytest.approx(CAP_FLOOR)
         assert tracker.cap > 0
-        with pytest.raises(ValueError, match="cap_floor"):
-            KneeTracker(cap_floor=0.0)
 
     def test_knee_tracker_probes_additively_when_healthy(self):
-        tracker = KneeTracker(window=2, increase=0.1)
+        tracker = KneeTracker(window=2)
         tracker.cap = 1.0
         links = chain_links(4)
         wl = FlowWorkload(links, FlowConfig(), controller=tracker, seed=5)
@@ -225,14 +224,14 @@ class TestControllers:
 
     def test_backpressure_throttles_routes_through_hot_links(self):
         links = chain_links(6)
-        bp = Backpressure(hot_fraction=0.5, slowdown=0.25, gate_packets=10)
+        bp = Backpressure()
         wl = FlowWorkload(links, FlowConfig(), controller=bp, seed=5)
         queues = LinkQueues(links)
         queues.backlog[:] = [100, 0, 0, 0, 0]  # link 0 (into the gateway) hot
         bp.observe(record(), queues, wl)
         through_hot = Flow(0, 5, "elastic", 0.1, 10, 0, route_of(links, 5))
         assert not bp.admit(through_hot, wl)
-        assert bp.throttle(through_hot, wl) == pytest.approx(0.25)
+        assert bp.throttle(through_hot, wl) == pytest.approx(HOT_SLOWDOWN)
 
     def test_feedback_hungry_controller_without_observe_raises(self):
         """A knee tracker whose observe() is never wired must fail loudly,

@@ -32,6 +32,7 @@ from repro.traffic import (
     stability_margin,
     stability_sweep,
 )
+from repro.traffic.epoch import SLOT_SECONDS
 
 
 @pytest.fixture(scope="module")
@@ -224,23 +225,20 @@ class TestScheduleCache:
 
 
 class TestEpochLoopIntegration:
-    def test_config_rejects_unknown_policy_and_metric(self):
+    def test_config_rejects_unknown_policy(self):
         with pytest.raises(ValueError, match="reschedule_policy"):
             EpochConfig(reschedule_policy="never")
-        with pytest.raises(ValueError, match="drift_threshold"):
-            EpochConfig(drift_threshold=-0.5)
 
     def test_cache_hits_recorded_and_charge_zero_overhead(self, mesh):
         generator = ConstantBitRate(
             mesh.network.n_nodes, 0.01, gateways=mesh.gateways, seed=5
         )
-        config = EpochConfig(
-            epoch_slots=200,
-            n_epochs=6,
-            reschedule_policy="drift-threshold",
+        config = EpochConfig(epoch_slots=200, n_epochs=6)
+        scheduler = ScheduleCache(
+            centralized_scheduler(mesh.network.model, overhead_seconds=1.0),
             drift_threshold=10.0,  # everything after epoch 0 hits
+            epoch_slots=200,
         )
-        scheduler = centralized_scheduler(mesh.network.model, overhead_seconds=1.0)
         trace = run_epochs(mesh.links, generator, scheduler, config)
         assert trace.records[0].cache_hit is False
         assert all(r.cache_hit for r in trace.records[1:])
@@ -256,13 +254,12 @@ class TestEpochLoopIntegration:
         generator = ConstantBitRate(
             mesh.network.n_nodes, 0.004, gateways=mesh.gateways, seed=1
         )
-        config = EpochConfig(
-            epoch_slots=100,
-            n_epochs=6,
-            reschedule_policy="drift-threshold",
+        config = EpochConfig(epoch_slots=100, n_epochs=6)
+        scheduler = ScheduleCache(
+            centralized_scheduler(mesh.network.model),
             drift_threshold=10.0,
+            epoch_slots=100,
         )
-        scheduler = centralized_scheduler(mesh.network.model)
         trace = run_epochs(mesh.links, generator, scheduler, config)
         requests = sum(1 for r in trace.records if r.demand_scheduled > 0)
         assert requests < trace.n_epochs_run  # some epochs asked for nothing
@@ -270,26 +267,19 @@ class TestEpochLoopIntegration:
             (trace.cache_hits + trace.patched_epochs) / requests
         )
 
-    def test_drift_threshold_none_resolves_to_library_default(self):
-        from repro.traffic.incremental import DEFAULT_DRIFT_THRESHOLD
-
-        assert EpochConfig().drift_threshold == DEFAULT_DRIFT_THRESHOLD
-        assert EpochConfig(drift_threshold=0.0).drift_threshold == 0.0
-
     def test_patch_epochs_recorded(self, mesh):
         generator = PoissonArrivals(
             mesh.network.n_nodes, 0.02, gateways=mesh.gateways, seed=9
         )
-        config = EpochConfig(
-            epoch_slots=200,
-            n_epochs=6,
-            reschedule_policy="patch",
+        config = EpochConfig(epoch_slots=200, n_epochs=6, reschedule_policy="patch")
+        scheduler = ScheduleCache(
+            centralized_scheduler(mesh.network.model),
+            policy="patch",
             drift_threshold=0.0,  # never hit: always patch (or recompute)
+            model=mesh.network.model,
+            epoch_slots=200,
         )
-        scheduler = centralized_scheduler(mesh.network.model)
-        trace = run_epochs(
-            mesh.links, generator, scheduler, config, model=mesh.network.model
-        )
+        trace = run_epochs(mesh.links, generator, scheduler, config)
         assert trace.patched_epochs > 0
         assert all(
             r.overhead_slots == 0 for r in trace.records if r.patched or r.cache_hit
@@ -306,7 +296,7 @@ class TestEpochLoopIntegration:
         generator = ConstantBitRate(
             mesh.network.n_nodes, 0.05, gateways=mesh.gateways, seed=2
         )
-        config = EpochConfig(epoch_slots=50, n_epochs=3, slot_seconds=0.04)
+        config = EpochConfig(epoch_slots=50, n_epochs=3)
         # 1e6 seconds of protocol time >> 50 slots * 0.04 s.
         scheduler = centralized_scheduler(mesh.network.model, overhead_seconds=1e6)
         trace = run_epochs(mesh.links, generator, scheduler, config)
@@ -321,10 +311,10 @@ class TestEpochLoopIntegration:
         generator = ConstantBitRate(
             mesh.network.n_nodes, 0.05, gateways=mesh.gateways, seed=2
         )
-        config = EpochConfig(epoch_slots=50, n_epochs=3, slot_seconds=0.04)
+        config = EpochConfig(epoch_slots=50, n_epochs=3)
         # 49 slots of overhead: exactly one data slot left per epoch.
         scheduler = centralized_scheduler(
-            mesh.network.model, overhead_seconds=49 * 0.04
+            mesh.network.model, overhead_seconds=49 * SLOT_SECONDS
         )
         trace = run_epochs(mesh.links, generator, scheduler, config)
         assert all(r.overhead_slots == 49 for r in trace.records)
@@ -410,9 +400,6 @@ class TestBorderlineMachinery:
         with pytest.raises(ValueError):
             majority_stable([])
 
-    def test_hysteresis_below_one_rejected(self):
-        with pytest.raises(ValueError, match="hysteresis"):
-            is_borderline(_trace([5, 4, 5, 4]), hysteresis=0.5)
 
 
 class TestSweepConfirmation:
@@ -426,7 +413,7 @@ class TestSweepConfirmation:
             seen.append(seed_index)
             return borderline if seed_index == 0 else stable
 
-        points = stability_sweep([0.01], run_at, confirm_seeds=3)
+        points = stability_sweep([0.01], run_at)
         assert seen == [0, 1, 2]
         assert points[0].stable  # majority overrode the flaky verdict
         assert points[0].confirm_seeds == 3
@@ -438,7 +425,7 @@ class TestSweepConfirmation:
             seen.append(seed_index)
             return _trace([5, 4, 5, 4, 5, 4])
 
-        points = stability_sweep([0.01, 0.02], run_at, confirm_seeds=3)
+        points = stability_sweep([0.01, 0.02], run_at)
         assert seen == [0, 0]  # one run per rate, no confirmations needed
         assert all(p.confirm_seeds == 1 for p in points)
 
@@ -447,7 +434,7 @@ class TestSweepConfirmation:
             return _trace([5, 4, 5, 4])
 
         with pytest.raises(TypeError, match="seed_index"):
-            stability_sweep([0.01], run_at, confirm_seeds=3)
+            stability_sweep([0.01], run_at)
 
     def test_confirm_rejects_misnamed_second_parameter(self):
         """A second positional slot is not enough: binding the seed to an
@@ -458,17 +445,10 @@ class TestSweepConfirmation:
             return _trace([5, 4, 5, 4])
 
         with pytest.raises(TypeError, match="seed_index"):
-            stability_sweep([0.01], run_at, confirm_seeds=3)
+            stability_sweep([0.01], run_at)
 
     def test_confirm_accepts_kwargs_run_at(self):
         def run_at(rate, **kwargs):
-            return _trace([5, 4, 5, 4])
-
-        points = stability_sweep([0.01], run_at, confirm_seeds=3)
-        assert points[0].stable
-
-    def test_single_seed_keeps_legacy_signature(self):
-        def run_at(rate):
             return _trace([5, 4, 5, 4])
 
         points = stability_sweep([0.01], run_at)

@@ -200,59 +200,13 @@ def test_reconcile_round_serializes_violations(mesh):
         assert model.is_feasible(links.heads[slot], links.tails[slot])
 
 
-def test_reconcile_round_keeps_standalone_infeasible_links_alone(mesh):
-    """A link that fails SINR even alone gets a *closed* dedicated slot.
-
-    Nothing may pack after it — its interference was never evaluated — so
-    other serialized links must land in their own (feasible) slots.
-    """
-    network = mesh.network
-    model = network.model
-    # Fabricate a non-communication edge: the two nodes farthest apart.
-    pos = network.positions
-    d2 = ((pos[:, None, :] - pos[None, :, :]) ** 2).sum(-1)
-    far_a, far_b = np.unravel_index(np.argmax(d2), d2.shape)
-    base = mesh.links
-    # Pick two real links not touching the far pair.
-    ok = [
-        k for k in range(base.n_links)
-        if {int(base.heads[k]), int(base.tails[k])}.isdisjoint({int(far_a), int(far_b)})
-    ][:2]
-    from repro.scheduling.links import LinkSet
-
-    links = LinkSet(
-        heads=np.array([far_a, base.heads[ok[0]], base.heads[ok[1]]]),
-        tails=np.array([far_b, base.tails[ok[0]], base.tails[ok[1]]]),
-        demand=np.array([1, 1, 1]),
-        ids=np.array([1000, 1001, 1002]),
-    )
-    state = SlotState(model)
-    assert not state.can_add(int(far_a), int(far_b))  # genuinely infeasible alone
-
-    # All three in one slot: the dead link (SINR 0 => lowest margin) and at
-    # least one sibling get peeled; the dead link's slot must stay closed.
-    combined = [np.array([0, 1, 2], dtype=np.intp)]
-    kept, moved = reconcile_round(combined, links, model)
-    assert moved >= 1
-    flat = sorted(int(k) for slot in kept for k in slot)
-    assert flat == [0, 1, 2]  # serialized, never dropped
-    for slot in kept:
-        if 0 in slot.tolist():
-            assert slot.tolist() == [0], (
-                "nothing may share a slot with a standalone-infeasible link"
-            )
-        else:
-            assert model.is_feasible(links.heads[slot], links.tails[slot])
-
-
-def test_reconcile_round_never_lets_a_link_join_a_closed_slot_it_cannot_hear():
-    """On a sparse model the closed slot's member can sit beyond the
-    candidate's stored rows, where the slot tables see no reason to refuse
-    it — only the closed-slot mask keeps the dead link alone."""
+def test_reconcile_round_raises_on_a_link_infeasible_even_alone():
+    """A peeled link that fails SINR even alone has no slot to go to: the
+    re-pack refuses it, as ``greedy_physical`` does, on the dense and the
+    sparse model alike (no shard oracle can have scheduled one)."""
     from repro.phy.propagation import LogDistancePathLoss
     from repro.phy.radio import RadioConfig
     from repro.phy.sparse import sparse_gain_model
-    from repro.scheduling.feasibility import SlotArena
     from repro.scheduling.links import LinkSet
 
     radio = RadioConfig()
@@ -280,14 +234,12 @@ def test_reconcile_round_never_lets_a_link_join_a_closed_slot_it_cannot_hear():
         PhysicalInterferenceModel(sparse.power.toarray(), radio),
     ):
         assert not SlotState(model).can_add(0, 1)
-        kept, moved = reconcile_round([np.array([0, 1, 2])], links, model)
-        assert moved == 2  # the dead link, then one of the two hops
-        assert [slot.tolist() for slot in kept] == [[2], [0], [1]]
-    # The mask is load-bearing: left to the slot tables alone, the far
-    # hop 2->3 would have been waved into the dead link's slot.
-    unmasked = SlotArena(sparse.interference_model(radio))
-    unmasked.open_slot(0, 1)
-    assert unmasked.can_add_all(2, 3).tolist() == [True]
+        with pytest.raises(ValueError, match="0->1 is infeasible even alone"):
+            reconcile_round([np.array([0, 1, 2])], links, model)
+        # Without the dead link the hop conflict is serialized as before.
+        kept, moved = reconcile_round([np.array([1, 2])], links, model)
+        assert moved == 1
+        assert [slot.tolist() for slot in kept] == [[2], [1]]
 
 
 def test_reconcile_round_gives_a_link_peeled_twice_two_overflow_slots(mesh):
