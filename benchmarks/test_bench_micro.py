@@ -177,15 +177,16 @@ def test_sparse_packing_reads_rows_not_keys(monkeypatch):
     On a 50x50 grid (2500 nodes, the E13 pipeline at the default cutoff and
     floor, demand 1 on every forest link) every ``SparsePowerMatrix``
     indexing call is counted through a patched ``__getitem__``.  Packing
-    the whole forest may make exactly the reads of its one batched
-    standalone screen: ``SlotArena.first_fit`` answers everything else
+    the whole forest may make exactly the reads of its batched standalone
+    screens, one per ``first_fit_pack`` call (the packing and each repair
+    round's re-pack): ``SlotArena.first_fit`` answers everything else
     from the candidates' CSR rows (one ``rows`` gather per pass, the signal
     entries picked out of it) and the slot tables, so it adds **zero** —
-    and so do the verify-and-repair rounds that follow on this truncated
-    matrix, which work from positions, not from stored powers.  The count repeats exactly on any host, unlike a
-    wall-clock ratio; and the packing must be the one the dense arena
-    produces on the densified matrix (compared on the recipe-free twin of
-    the matrix, whose schedule is emitted as packed).
+    and so does verifying on this truncated matrix, which works from
+    positions, not from stored powers.  The count repeats exactly on any
+    host, unlike a wall-clock ratio; and the packing must be the one the
+    dense arena produces on the densified matrix (compared on the
+    recipe-free twin of the matrix, whose schedule is emitted as packed).
     """
     links, model = _sparse_forest(50)
     power, radio, floor = model.power, model.radio, model.budget_mw
@@ -204,7 +205,7 @@ def test_sparse_packing_reads_rows_not_keys(monkeypatch):
         assert screen_reads > 0  # the counter is live
         del reads[:]
         schedule = greedy_physical(links, model)
-        assert len(reads) == screen_reads
+        assert len(reads) == screen_reads * (1 + schedule.truth.repair_rounds)
 
     assert links.n_links == power.n - 25
     assert schedule.satisfies_demand()

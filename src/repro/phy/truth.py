@@ -20,6 +20,13 @@ accumulated in member order, ``signal / (noise + (total - signal))``.  A
 member fails iff that oracle's ``feasible_mask`` fails it
 (``tests/property/test_truth_differential.py``), so a slot this module
 passes cannot sit an ulp on the wrong side of an independent audit.
+
+:func:`peel_slot` reads a slot as its incidence — one
+``(transmitters, listeners)`` power block per sub-slot — so the same peel
+judges a slot by its recipe (:func:`geometry_incidence`) or by a model's
+own entries, noise and budget (:func:`power_incidence`: a dense or
+untruncated matrix, exact already), bit for bit alike on the same powers.
+``greedy_physical.repair`` picks the one that is exact for its model.
 """
 
 from __future__ import annotations
@@ -50,69 +57,86 @@ class Geometry(NamedTuple):
     propagation: PropagationModel
 
 
-def gain_block(
-    geometry: Geometry, senders: np.ndarray, receivers: np.ndarray
-) -> np.ndarray:
-    """``G[i, j] = gain(|s_i - r_j|)`` for one slot's ``k`` members."""
+def geometry_incidence(
+    geometry: Geometry, senders: np.ndarray, receivers: np.ndarray, noise_mw: float
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """The exact ``(data, ack, noise)`` incidence of one slot (see
+    :func:`peel_slot`) from the recipe: one gain block ``G[i, j] =
+    gain(|s_i - r_j|)`` serves both sub-slots (the channel is reciprocal),
+    each scaled by its transmitters' power."""
     sx, sy = geometry.positions[senders].T
     rx, ry = geometry.positions[receivers].T
     k = sx.size
-    out = np.empty((k, k), dtype=float)
+    gain = np.empty((k, k), dtype=float)
     step = max(1, _CHUNK_ELEMENTS // max(k, 1))
     for lo in range(0, k, step):
         dx = sx[lo : lo + step, None] - rx
         dy = sy[lo : lo + step, None] - ry
-        out[lo : lo + step] = geometry.propagation.gain(np.sqrt(dx * dx + dy * dy))
-    return out
+        gain[lo : lo + step] = geometry.propagation.gain(np.sqrt(dx * dx + dy * dy))
+    tx = geometry.tx_power_mw
+    ack = np.empty_like(gain)
+    np.multiply(gain.T, tx[receivers, None], out=ack)
+    gain *= tx[senders, None]
+    return gain, ack, noise_mw
+
+
+def power_incidence(model, senders: np.ndarray, receivers: np.ndarray):
+    """The ``(data, ack, noise)`` incidence of one slot (see
+    :func:`peel_slot`) a ``PhysicalInterferenceModel`` charges: its power
+    entries, and its noise plus any per-node budget at each listener."""
+    power, noise = model.power, model.radio.noise_mw
+    if model.budget_mw is not None:
+        noise = noise + model.budget_mw[np.stack([receivers, senders])]
+    return power[senders[:, None], receivers], power[receivers[:, None], senders], noise
 
 
 def _on_air(
-    gain: np.ndarray,
-    snd: np.ndarray,
-    rcv: np.ndarray,
-    tx_snd: np.ndarray,
-    tx_rcv: np.ndarray,
+    data: np.ndarray, ack: np.ndarray, snd: np.ndarray, rcv: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(signal, total, deaf)`` of a slot, each ``(2, k)``: row 0 is the
     data sub-slot (members' receivers listen), row 1 the ACK sub-slot
     (their senders do).
 
     ``total`` is every member's power landing on each listener — column
-    sums of a ``(transmitters, listeners)`` incidence accumulated
+    sums of each ``(transmitters, listeners)`` block accumulated
     transmitter after transmitter, the order the dense mesh of
-    :func:`~repro.phy.sinr.sinr_for_links` reduces in.  Transmitters come
-    in chunks, so each chunk's reduction starts from the running total
-    (``0.0 + x`` is ``x`` exactly).  ``deaf`` marks listeners that
-    transmit in the same sub-slot (half-duplex).
+    :func:`~repro.phy.sinr.sinr_for_links` reduces in (numpy sums the
+    rows of a C-ordered block in sequence).  Transmitters come in chunks,
+    so each later chunk's reduction starts from the running total.
+    ``deaf`` marks listeners that transmit in the same sub-slot
+    (half-duplex).
     """
-    k = gain.shape[0]
+    k = data.shape[0]
     step = max(1, _CHUNK_ELEMENTS // max(k, 1))
-    total = np.zeros((2, k), dtype=float)
-    rows = np.empty((min(step, k) + 1, k), dtype=float)
-    for lo in range(0, k, step):
-        hi = min(lo + step, k)
-        # Transmitters lo..hi of each sub-slot: senders (rows of the gain
-        # block), then receivers sending ACKs (its columns).
-        for sub, (chunk, tx) in enumerate(
-            ((gain[lo:hi], tx_snd), (gain[:, lo:hi].T, tx_rcv))
-        ):
-            rows[0] = total[sub]
-            np.multiply(chunk, tx[lo:hi, None], out=rows[1 : hi - lo + 1])
-            total[sub] = rows[: hi - lo + 1].sum(axis=0)
-    own = np.diagonal(gain)
-    signal = np.stack([tx_snd * own, tx_rcv * own])
-    return signal, total, np.stack([np.isin(rcv, snd), np.isin(snd, rcv)])
+    signal = np.empty((2, k), dtype=float)
+    total = np.empty((2, k), dtype=float)
+    for sub, block in enumerate((data, ack)):
+        signal[sub] = block.diagonal()
+        total[sub] = block[:step].sum(axis=0)
+        for lo in range(step, k, step):
+            total[sub] = np.vstack((total[sub], block[lo : lo + step])).sum(axis=0)
+    return signal, total, _deaf(snd, rcv)
+
+
+def _deaf(snd: np.ndarray, rcv: np.ndarray, alive=slice(None)) -> np.ndarray:
+    """``(2, k)`` half-duplex mask over the ``alive`` members' transmissions:
+    receivers that send (data sub-slot), senders that receive (ACK)."""
+    on = np.zeros((2, max(snd.max(initial=-1), rcv.max(initial=-1)) + 1), dtype=bool)
+    on[0, snd[alive]] = on[1, rcv[alive]] = True
+    deaf = np.empty((2, snd.size), dtype=bool)
+    deaf[0], deaf[1] = on[0, rcv], on[1, snd]
+    return deaf
 
 
 def _sinrs(
-    signal: np.ndarray, total: np.ndarray, deaf: np.ndarray, noise_mw: float
+    signal: np.ndarray, total: np.ndarray, deaf: np.ndarray, noise_mw
 ) -> np.ndarray:
     sinr = signal / (noise_mw + (total - signal))
     sinr[deaf] = 0.0
     return sinr
 
 
-def _margins(signal, total, deaf, noise_mw: float, beta: float) -> np.ndarray:
+def _margins(signal, total, deaf, noise_mw, beta: float) -> np.ndarray:
     """Per-member ``min(data, ACK) SINR / β``."""
     return _sinrs(signal, total, deaf, noise_mw).min(axis=0) / beta
 
@@ -125,44 +149,53 @@ def link_sinrs(
     on the unbudgeted dense matrix, without the matrix."""
     snd = np.asarray(senders, dtype=np.intp)
     rcv = np.asarray(receivers, dtype=np.intp)
-    tx = geometry.tx_power_mw
-    gain = gain_block(geometry, snd, rcv)
-    data, ack = _sinrs(*_on_air(gain, snd, rcv, tx[snd], tx[rcv]), noise_mw)
-    return data, ack
+    data, ack, noise = geometry_incidence(geometry, snd, rcv, noise_mw)
+    data_sinr, ack_sinr = _sinrs(*_on_air(data, ack, snd, rcv), noise)
+    return data_sinr, ack_sinr
 
 
 def peel_slot(
-    geometry: Geometry,
+    incidence: tuple[np.ndarray, np.ndarray, float | np.ndarray],
     senders: np.ndarray,
     receivers: np.ndarray,
-    noise_mw: float,
     beta: float,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Remove members, lowest margin first, until the slot decodes.
+
+    ``incidence`` is the slot's ``(data, ack, noise)``: the received
+    powers, ``(transmitters, listeners)`` per sub-slot — ``data[i, j]``
+    what receiver ``r_j`` hears from sender ``s_i``, ``ack[j, i]`` what
+    sender ``s_i`` hears from receiver ``r_j``, both C-ordered — and the
+    noise floor, a scalar or ``(2, k)`` per listener (row 0 the receivers,
+    row 1 the senders).
 
     Returns ``(kept, margin, found)``: the ascending positions of the
     members that stay, their ``min(data, ACK) SINR / β`` evaluated from
     scratch on exactly that set (never from decremented sums, so the
     verdict is the one an independent audit reaches), and how many members
     failed before anything was removed.  Ties go to the earliest position.
-    The last member is never removed: alone it has no interferer, and a
-    link that cannot decode even alone is not this function's to drop.
+    A member that cannot decode even alone is removed too (``kept`` is
+    then empty); only a from-scratch evaluation of it alone decides that.
     """
     snd = np.asarray(senders, dtype=np.intp)
     rcv = np.asarray(receivers, dtype=np.intp)
-    tx_snd, tx_rcv = geometry.tx_power_mw[snd], geometry.tx_power_mw[rcv]
-    full = gain_block(geometry, snd, rcv)
+    full_data, full_ack, full_noise = incidence
     kept = np.arange(snd.size)
     found = None
     while True:
-        gain = full if kept.size == snd.size else full[np.ix_(kept, kept)]
-        s, r, ts, tr = snd[kept], rcv[kept], tx_snd[kept], tx_rcv[kept]
-        signal, total, deaf = _on_air(gain, s, r, ts, tr)
-        margin = _margins(signal, total, deaf, noise_mw, beta)
+        data, ack, noise = full_data, full_ack, full_noise
+        if kept.size < snd.size:
+            data, ack = data[kept[:, None], kept], ack[kept[:, None], kept]
+            noise = noise if np.ndim(noise) == 0 else noise[:, kept]
+        s, r = snd[kept], rcv[kept]
+        signal, total, deaf = _on_air(data, ack, s, r)
+        margin = _margins(signal, total, deaf, noise, beta)
         if found is None:
             found = int((margin < 1.0).sum())
-        if kept.size <= 1 or margin.min() >= 1.0:
+        if not (margin < 1.0).any():
             return kept, margin, found
+        if kept.size == 1:
+            return kept[:0], margin[:0], found
         # O(k) per removal off the running totals; the survivors are then
         # re-evaluated from scratch by the next pass of the outer loop.
         shares = bool(deaf.any())
@@ -172,11 +205,11 @@ def peel_slot(
             if margin[worst] >= 1.0:
                 break
             alive[worst] = False
-            total[0] -= ts[worst] * gain[worst]
-            total[1] -= tr[worst] * gain[:, worst]
+            total[0] -= data[worst]
+            total[1] -= ack[worst]
             if shares:
-                deaf = np.stack([np.isin(r, s[alive]), np.isin(s, r[alive])])
-            margin = _margins(signal, total, deaf, noise_mw, beta)
+                deaf = _deaf(s, r, alive)
+            margin = _margins(signal, total, deaf, noise, beta)
             margin[~alive] = np.inf
         kept = kept[alive]
 
@@ -188,8 +221,8 @@ class TruthReport:
     ``violations`` counts members that failed ``SINR >= β`` when their slot
     was first evaluated; ``margins`` holds ``min(data, ACK) SINR / β`` of
     every member of the slots as they stand (after any repair), in slot
-    order.  A verify-and-repair pass (``greedy_physical``) also books the
-    memberships it re-packed and the rounds that took; a plain
+    order.  The verify-and-repair pass (``greedy_physical.repair``) also
+    books the memberships it re-packed and the rounds that took; a plain
     :func:`check_slots` leaves both at 0.
     """
 

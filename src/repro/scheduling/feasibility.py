@@ -25,10 +25,10 @@ Two implementations remain in the library:
   test and +80 % per admission (DESIGN.md §3), so the one-at-a-time
   callers keep the first.
 
-``greedy_physical`` (whose first-fit packer ``reconcile_round`` reuses) and
-``patch_schedule`` build their slots in an arena; :func:`feasible_alone` is
-the standalone screen (a slot of one) they apply before opening a fresh
-slot.  The arena's verdicts are pinned, bit for bit, to a scalar per-slot
+``greedy_physical``'s first-fit packer (which its repair pass, and so the
+sharded engine's reconciliation, reuses) and ``patch_schedule`` build their
+slots in an arena; :func:`feasible_alone` is the standalone screen (a slot
+of one) they apply before opening a fresh slot.  The arena's verdicts are pinned, bit for bit, to a scalar per-slot
 oracle in the test suite, and its slots to the exact model by the schedule
 audits.
 """
@@ -137,7 +137,7 @@ class SlotArena:
       flip: the verdict is bit-identical to the dense one.  That
       member-feasibility invariant is the callers' to keep, since
       :meth:`seed` and :meth:`add` insert unconditionally: greedy
-      packing (``reconcile_round``'s included) and fresh slots screen with
+      packing (its repair pass included) screens with
       :func:`feasible_alone`, and a patch seeds slots only with subsets of
       feasible cached slots (removals lower interference).
       The tables assume one member per node per slot, which :meth:`add`

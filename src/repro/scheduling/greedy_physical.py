@@ -16,7 +16,8 @@ neighbourhoods are pairwise disjoint and :func:`_pack_waves` tests and
 admits a wave per pass — the schedule of the one-at-a-time loop, to the
 bit, at a fraction of its numpy calls (DESIGN.md §3, "The wave rule").
 On a *truncated* sparse matrix the packing is followed by verify-and-repair
-rounds under the exact model (:func:`_repair`), O(members²) per slot.
+rounds under the exact model (:func:`repair`), O(members²) per slot — the
+same pass the sharded engine runs on every superposed round.
 """
 
 from __future__ import annotations
@@ -26,7 +27,13 @@ from typing import Callable
 import numpy as np
 
 from repro.phy.interference import PhysicalInterferenceModel
-from repro.phy.truth import Geometry, TruthReport, peel_slot
+from repro.phy.truth import (
+    Geometry,
+    TruthReport,
+    geometry_incidence,
+    peel_slot,
+    power_incidence,
+)
 from repro.scheduling.feasibility import SlotArena, feasible_alone
 from repro.scheduling.links import LinkSet
 from repro.scheduling.orderings import EDGE_ORDERINGS
@@ -75,32 +82,18 @@ def greedy_physical(
         unsatisfiable.
     """
     order_fn = EDGE_ORDERINGS[ordering] if isinstance(ordering, str) else ordering
-    order = order_fn(links, model)
-
+    order = np.asarray(order_fn(links, model), dtype=np.intp)
     schedule = Schedule(link_set=links)
-    order = np.asarray(order, dtype=np.intp)
-    demanded = order[links.demand[order] > 0]
-    if demanded.size == 0:
+    if not links.demand[order].any():
         return schedule
-
-    # Batched standalone screen: a link that cannot decode alone fails
-    # every per-slot test and would raise the moment it opened a fresh
-    # slot — catching the first such link (in allocation order) up front
-    # reproduces the incremental loop's error exactly.
-    alone = feasible_alone(model, links.heads[demanded], links.tails[demanded])
-    if not alone.all():
-        bad = int(demanded[int(np.flatnonzero(~alone)[0])])
-        raise ValueError(
-            f"link {int(links.heads[bad])}->{int(links.tails[bad])} is infeasible "
-            "even alone; it is not a valid communication edge"
-        )
-
-    schedule.slots = first_fit_pack(links, model, demanded, links.demand)
+    schedule.slots = first_fit_pack(links, model, order, links.demand)
     # A property of the input, not an option: only a truncated matrix that
     # knows its recipe can — and needs to — be checked against the truth.
-    geometry = getattr(model.power, "geometry", None)
-    if geometry is not None and not model.power.value_dense:
-        schedule.truth = _repair(schedule, model, demanded, geometry)
+    if _recipe(model) is not None:
+        slots, schedule.truth = repair(
+            [slot.as_array() for slot in schedule.slots], links, model, order
+        )
+        schedule.slots = [Slot(links=members.tolist()) for members in slots]
     return schedule
 
 
@@ -111,20 +104,30 @@ def first_fit_pack(
     demand: np.ndarray,
 ) -> list[Slot]:
     """Greedy first-fit of ``demand[k]`` memberships per link ``k``, links
-    taken in ``demanded`` order, into fresh slots: each membership joins
-    the earliest slots that stay feasible with it, or opens new ones.
+    taken in ``demanded`` order (at least one with demand), into fresh
+    slots: each membership joins the earliest slots that stay feasible with
+    it, or opens new ones.
 
-    Every link must already pass :func:`feasible_alone` (the arena's
-    member-feasibility invariant); the callers screen first.
+    Raises ``ValueError`` naming the first link, in ``demanded`` order,
+    that cannot decode even alone: it would fail every per-slot test, and
+    the arena only holds members that decode (its member-feasibility
+    invariant).
     """
     demanded = demanded[demand[demanded] > 0]
+    heads = links.heads[demanded]
+    tails = links.tails[demanded]
+    alone = feasible_alone(model, heads, tails)
+    if not alone.all():
+        bad = int(np.flatnonzero(~alone)[0])
+        raise ValueError(
+            f"link {int(heads[bad])}->{int(tails[bad])} is infeasible "
+            "even alone; it is not a valid communication edge"
+        )
     # Flat-column slot store: the verdicts of the scalar per-slot test
     # (bit-identical, pinned by the arena suite in
     # tests/property/test_scheduling_properties.py), one numpy pass per
     # link on a dense power matrix, one per wave of links on a sparse one.
     arena = SlotArena(model)
-    heads = links.heads[demanded]
-    tails = links.tails[demanded]
     want = demand[demanded]
     if getattr(model.power, "is_sparse_power", False):
         return _pack_waves(arena, model.power, demanded, heads, tails, want)
@@ -218,43 +221,62 @@ def _pack_waves(
     return [Slot(links=ids[a:b]) for a, b in zip([0] + cuts, cuts)]
 
 
-def _repair(
-    schedule: Schedule,
+def _recipe(model: PhysicalInterferenceModel) -> Geometry | None:
+    """The geometry a truncated sparse matrix was harvested from, or
+    ``None`` when the model's own entries are all there is (dense,
+    ``cutoff=inf``, hand-built)."""
+    power = model.power
+    geometry = getattr(power, "geometry", None)
+    return None if geometry is None or power.value_dense else geometry
+
+
+def repair(
+    slots: list[np.ndarray],
+    links: LinkSet,
     model: PhysicalInterferenceModel,
-    demanded: np.ndarray,
-    geometry: Geometry,
-) -> TruthReport:
-    """Make a packed schedule decode under the exact model, in place.
+    order: np.ndarray,
+) -> tuple[list[np.ndarray], TruthReport]:
+    """Make ``slots`` (link-index arrays) decode under the exact model.
 
     Rounds of verify -> peel -> re-pack: every slot not yet verified is
     evaluated by :func:`repro.phy.truth.peel_slot`, which removes members
     lowest margin first until the rest decode; the removed memberships are
-    packed by the same greedy, under the same model, into *fresh* slots
-    appended to the schedule, which the next round verifies.  A verified
-    slot keeps at least one member, so each round re-packs strictly fewer
-    memberships than the last and the loop ends.
+    packed by :func:`first_fit_pack`, links in ``order``, under ``model``,
+    into *fresh* slots after the verified ones, which the next round
+    verifies.  The judge is the exact model: the geometry a truncated
+    sparse matrix was harvested from, or else ``model``'s own entries,
+    noise and budget.  A link that cannot decode even alone is peeled and
+    then refused by the packer (``ValueError``), so a verified slot keeps
+    at least one member, each round re-packs strictly fewer memberships
+    than the last, and the loop ends.  Empty slots are dropped.
+
+    Returns the verified slots, in order, and the :class:`TruthReport`.
     """
-    links = schedule.link_set
+    heads, tails = links.heads, links.tails
     noise, beta = model.radio.noise_mw, model.radio.beta
-    margins: list[np.ndarray] = []
+    geometry = _recipe(model)
+    verified: list[np.ndarray] = []
+    margins = [np.empty(0, dtype=float)]
     violations = repaired = rounds = 0
-    unverified = schedule.slots
-    while unverified:
+    while True:
         peeled = np.zeros(links.n_links, dtype=np.int64)
-        for slot in unverified:
-            members = slot.as_array()
-            kept, margin, found = peel_slot(
-                geometry, links.heads[members], links.tails[members], noise, beta
-            )
+        for members in slots:
+            members = np.asarray(members, dtype=np.intp)
+            snd, rcv = heads[members], tails[members]
+            if geometry is None:
+                incidence = power_incidence(model, snd, rcv)
+            else:
+                incidence = geometry_incidence(geometry, snd, rcv, noise)
+            kept, margin, found = peel_slot(incidence, snd, rcv, beta)
             violations += found
             margins.append(margin)
             if kept.size < members.size:
                 peeled[np.delete(members, kept)] += 1
-                slot.links = members[kept].tolist()
+            if kept.size:
+                verified.append(members[kept])
         if not peeled.any():
-            break
+            report = TruthReport(violations, np.concatenate(margins), repaired, rounds)
+            return verified, report
         rounds += 1
         repaired += int(peeled.sum())
-        unverified = first_fit_pack(links, model, demanded, peeled)
-        schedule.slots.extend(unverified)
-    return TruthReport(violations, np.concatenate(margins), repaired, rounds)
+        slots = [slot.as_array() for slot in first_fit_pack(links, model, order, peeled)]

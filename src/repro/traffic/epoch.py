@@ -582,8 +582,9 @@ class ScheduledRound:
     ``epoch_slots`` of the round's ``length`` slots — all an epoch can play;
     ``cpu_s`` / ``critical_s`` / ``wall_s`` are its increments of the three
     :class:`TrafficTrace` timing fields; ``truth`` holds the exact-model
-    reports of the schedules it was built from (those that carry one).  The
-    defaults are an idle epoch.
+    reports of the schedules it was built from (those that carry one) and
+    of the sharded reconciliation that verified it.  The defaults are an
+    idle epoch.
     """
 
     slots: list[np.ndarray] = field(default_factory=list)

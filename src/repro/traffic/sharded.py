@@ -25,10 +25,12 @@ reconciling what the decomposition idealizes away:
   global recomputation.
 * **Reconciliation** — per-shard schedules are superposed slot-by-slot
   into one global round (shards shorter than the round idle in its tail).
-  A cheap post-pass checks each combined slot under the *exact* global
-  model and serializes the residual violations: the lowest-margin failing
-  links are peeled out and re-packed greedily into overflow slots appended
-  to the round (:func:`reconcile_round`).  With an adequate guard margin
+  The combined round then goes through ``greedy_physical``'s exact
+  verify-and-repair pass (:func:`~repro.scheduling.greedy_physical.repair`):
+  each slot is checked under the *exact* global model, the lowest-margin
+  failing links are peeled out and re-packed greedily, in ascending link
+  order, into overflow slots appended to the round, and those are
+  verified in turn.  With an adequate guard margin
   the pass finds little to do; with ``guard_factor=0`` it is the only
   thing standing between the shards and physically infeasible slots.
 
@@ -56,8 +58,7 @@ import numpy as np
 from repro.core.controlplane import ControlLedger, ControlPlaneModel, forest_depths
 from repro.obs import Obs, phase
 from repro.phy.interference import PhysicalInterferenceModel
-from repro.scheduling.feasibility import feasible_alone
-from repro.scheduling.greedy_physical import first_fit_pack
+from repro.scheduling.greedy_physical import repair
 from repro.scheduling.links import LinkSet
 from repro.topology.regions import GridTiling
 from repro.traffic.epoch import (
@@ -468,69 +469,6 @@ class _DistributedShardFactory:
         return schedule
 
 
-def reconcile_round(
-    combined: list[np.ndarray],
-    links: LinkSet,
-    model: PhysicalInterferenceModel,
-) -> tuple[list[np.ndarray], int]:
-    """Detect and serialize cross-shard violations in a superposed round.
-
-    Each combined slot is re-checked under the exact (unbudgeted) global
-    model.  While a slot is infeasible, one failing link is peeled out;
-    every peeled membership is then re-packed into *overflow* slots
-    appended to the round by greedy_physical's first-fit packer
-    (:func:`~repro.scheduling.greedy_physical.first_fit_pack`) — i.e. the
-    residual budget violations are serialized rather than dropped, at the
-    price of a longer round.  A peeled link that cannot decode even alone
-    raises ``ValueError``; no shard oracle can schedule one, since each is
-    the exact model on the same power entries plus a non-negative budget.
-
-    The peel order is lowest SINR margin first (ties broken by position,
-    deterministically).
-
-    Returns the reconciled slot arrays and the number of memberships moved.
-    """
-    heads, tails = links.heads, links.tails
-    beta = model.radio.beta
-    kept_slots: list[np.ndarray] = []
-    peeled: list[int] = []
-    for members in combined:
-        members = np.asarray(members, dtype=np.intp)
-        while members.size:
-            # One SINR evaluation per iteration: the feasibility mask and
-            # the peel-ordering margins come from the same (data, ack) pair.
-            data, ack = model.link_sinrs(heads[members], tails[members])
-            margin = np.minimum(data, ack) / beta
-            if (margin >= 1.0).all():
-                break
-            failing = np.flatnonzero(margin < 1.0)
-            worst = failing[int(np.argmin(margin[failing]))]
-            peeled.append(int(members[worst]))
-            members = np.delete(members, worst)
-        if members.size:
-            kept_slots.append(members)
-
-    if not peeled:
-        return kept_slots, 0
-
-    # Serialize the peeled memberships with greedy_physical's packer, links
-    # in ascending order (deterministic whatever order the violations
-    # surfaced in).  A link peeled twice shares both endpoints with the
-    # overflow slot already holding it, which the admission test refuses.
-    counts = np.bincount(peeled, minlength=links.n_links)
-    order = np.flatnonzero(counts)
-    alone = feasible_alone(model, heads[order], tails[order])
-    if not alone.all():
-        bad = int(order[~alone][0])
-        raise ValueError(
-            f"peeled link {int(heads[bad])}->{int(tails[bad])} is infeasible "
-            "even alone; no shard oracle can have scheduled it"
-        )
-    overflow = first_fit_pack(links, model, order, counts)
-    kept_slots.extend(slot.as_array() for slot in overflow)
-    return kept_slots, len(peeled)
-
-
 class ShardScheduleError(RuntimeError):
     """One shard's scheduler raised mid-epoch.
 
@@ -651,7 +589,7 @@ def run_epochs_sharded(
     the capped backlog snapshot is split along the plan; every shard with
     demand runs its scheduler (concurrently when ``max_workers > 1``) on its
     budgeted oracle; the shard schedules are superposed slot-by-slot and
-    reconciled (:func:`reconcile_round`); the trace carries the ``plan``.
+    reconciled by the exact repair pass; the trace carries the ``plan``.
 
     ``executor`` selects the fan-out backend.  ``"thread"`` (the default)
     runs shard schedulers on a thread pool — zero serialization cost, but
@@ -758,6 +696,9 @@ def run_epochs_sharded(
     # what it returned last epoch, so the superposed round and its
     # reconciliation are last epoch's too.
     last_asked: tuple[int, ...] | None = None
+    # Overflow slots are packed in ascending link order, whatever order the
+    # violations surfaced in.
+    ascending = np.arange(plan.links.n_links)
 
     def stage(snapshot: np.ndarray, epoch: int) -> ScheduledRound:
         nonlocal last_asked
@@ -829,6 +770,7 @@ def run_epochs_sharded(
             else:
                 combined.append(np.concatenate(parts))
         reconciled = 0
+        truth = schedule_truth([p.schedule for p in planned])
         # Reconcile on every multi-shard plan, even when a single shard
         # happened to carry all of this epoch's demand: the exact-model
         # re-check is cheap and also catches infeasible slots from a
@@ -836,7 +778,9 @@ def run_epochs_sharded(
         # plan is the only one served verbatim.
         if plan.n_shards > 1:
             with phase(obs, "sharded.reconcile", engine="sharded", epoch=epoch):
-                combined, reconciled = reconcile_round(combined, plan.links, model)
+                combined, report = repair(combined, plan.links, model, ascending)
+            reconciled = report.repaired_tx
+            truth.append(report)
             if ledger is not None and not replayed:
                 # Boundary reports: every demanded boundary link of an
                 # asked shard tells the reconciler what its shard scheduled
@@ -864,7 +808,7 @@ def run_epochs_sharded(
             patched=patched,
             drift=drift,
             reconciled=reconciled,
-            truth=schedule_truth([p.schedule for p in planned]),
+            truth=truth,
         )
 
     try:

@@ -204,3 +204,27 @@ def test_multi_shard_run_is_conservative_and_accounted(mesh):
     # never exceed the summed compute.
     assert trace.scheduling_seconds > 0.0
     assert 0.0 < trace.critical_path_seconds <= trace.scheduling_seconds + 1e-9
+
+
+def test_multi_shard_run_books_what_its_repair_pass_verified(mesh):
+    """Reconciliation is the exact verify-and-repair pass, and its report is
+    the round's: with no guard margin the pass has violations to repair,
+    the ``truth.*`` counters book exactly the memberships the records say
+    were serialized, and every served membership's margin clears β."""
+    model = mesh.network.model
+    plan = plan_for_network(mesh.links, mesh.network, n_shards=4,
+                            interference_radius_m=80.0, guard_factor=0.0)
+    config = EpochConfig(epoch_slots=150, n_epochs=5, divergence_factor=4.0)
+    obs = Obs.create(ObsConfig(level="metrics"))
+    trace = run_epochs_sharded(
+        plan, _generator(mesh), sharded_centralized_factory(), model, config, obs=obs
+    )
+    labels = {"engine": "sharded", "phase": "sharded.schedule"}
+    registry = obs.registry
+    reconciled = sum(r.reconciled for r in trace.records)
+    assert reconciled > 0
+    assert registry.counter_value("truth.repaired_tx", **labels) == reconciled
+    assert registry.counter_value("truth.violations", **labels) >= reconciled
+    margins = registry.histogram("sinr.margin", **labels)
+    assert margins.count == sum(r.demand_scheduled for r in trace.records)
+    assert margins.min >= 1.0

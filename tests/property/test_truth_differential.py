@@ -21,7 +21,7 @@ from repro.phy.gain import received_power_matrix
 from repro.phy.interference import PhysicalInterferenceModel
 from repro.phy.propagation import LogDistancePathLoss
 from repro.phy.radio import RadioConfig
-from repro.phy.sparse import SparsePowerMatrix, sparse_gain_model
+from repro.phy.sparse import SparsePowerMatrix, build_sparse_power, sparse_gain_model
 from repro.scheduling.feasibility import schedule_is_feasible
 from repro.scheduling.greedy_physical import greedy_physical
 from repro.scheduling.links import LinkSet
@@ -95,19 +95,55 @@ def test_peeled_slot_decodes_under_the_dense_oracle(instance):
     radio = RadioConfig(alpha=alpha)
     geometry = truth.Geometry(positions, tx, propagation)
     with mock.patch.object(truth, "_CHUNK_ELEMENTS", chunk):
-        kept, margin, found = truth.peel_slot(
-            geometry, senders, receivers, radio.noise_mw, radio.beta
-        )
+        incidence = truth.geometry_incidence(geometry, senders, receivers, radio.noise_mw)
+        kept, margin, found = truth.peel_slot(incidence, senders, receivers, radio.beta)
     (data, ack), decodes = _judge(
         positions, tx, propagation, radio, senders[kept], receivers[kept]
     )
     as_packed = _judge(positions, tx, propagation, radio, senders, receivers)[1]
     assert found == int((~as_packed).sum())
-    assert kept.size >= 1 and np.all(np.diff(kept) > 0)
+    assert np.all(np.diff(kept) > 0)
     assert np.array_equal(margin, np.minimum(data, ack) / radio.beta)
-    # Everything kept decodes, except a lone survivor that cannot decode
-    # even alone (nothing left to remove).
-    assert decodes.all() or kept.size == 1
+    # Everything kept decodes; a slot whose last survivor cannot decode even
+    # alone is emptied.
+    assert decodes.all()
+
+
+@given(slot_instance(), st.booleans(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_peel_on_the_model_entries_equals_the_peel_on_the_recipe(instance, sparse, budgeted):
+    """One peel, two judges: on the received-power matrix of the same
+    geometry — dense (the sharded engine's model) or sparse at
+    ``cutoff=inf`` — the peel keeps the same members with the same margins,
+    bit for bit, and a budget is charged at each listener as
+    ``PhysicalInterferenceModel.link_sinrs`` charges it."""
+    positions, tx, alpha, senders, receivers, chunk = instance
+    propagation = LogDistancePathLoss(alpha)
+    radio = RadioConfig(alpha=alpha)
+    if sparse:
+        power = build_sparse_power(positions, tx, propagation, float("inf"))
+    else:
+        power = received_power_matrix(positions, tx, propagation)
+    model = PhysicalInterferenceModel(power, radio)
+    with mock.patch.object(truth, "_CHUNK_ELEMENTS", chunk):
+        by_recipe = truth.peel_slot(
+            truth.geometry_incidence(
+                truth.Geometry(positions, tx, propagation), senders, receivers, radio.noise_mw
+            ),
+            senders, receivers, radio.beta,
+        )
+        if budgeted:
+            model = model.with_budget(np.linspace(0.0, 2.0, positions.shape[0]) * radio.noise_mw)
+        kept, margin, found = truth.peel_slot(
+            truth.power_incidence(model, senders, receivers), senders, receivers, radio.beta
+        )
+    data, ack = model.link_sinrs(senders, receivers)
+    assert found == int((np.minimum(data, ack) < radio.beta).sum())
+    data, ack = model.link_sinrs(senders[kept], receivers[kept])
+    assert np.array_equal(margin, np.minimum(data, ack) / radio.beta)
+    if not budgeted:
+        assert np.array_equal(kept, by_recipe[0])
+        assert np.array_equal(margin, by_recipe[1]) and found == by_recipe[2]
 
 
 @st.composite

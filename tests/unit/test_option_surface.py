@@ -29,7 +29,8 @@ from repro.experiments.theory import impossibility_demo
 from repro.obs import ObsConfig
 from repro.obs.metrics import MetricsRegistry, StreamingHistogram
 from repro.phy.gain import distance_matrix, gain_matrix, received_power_matrix
-from repro.scheduling.greedy_physical import first_fit_pack
+from repro.phy.truth import peel_slot
+from repro.scheduling.greedy_physical import first_fit_pack, repair
 from repro.scheduling.links import forest_link_set
 from repro.traffic import (
     Backpressure,
@@ -40,7 +41,6 @@ from repro.traffic import (
     distributed_scheduler,
     is_borderline,
     make_controller,
-    reconcile_round,
     run_epochs,
     run_epochs_sharded,
     sharded_centralized_factory,
@@ -152,8 +152,11 @@ KEYWORDS = {
     KneeTracker.__init__: ("self", "window"),
     Backpressure.__init__: ("self",),
     make_controller: ("name", "cap"),
-    # The cross-shard re-pack is greedy_physical's first-fit packer.
-    reconcile_round: ("combined", "links", "model"),
+    # One exact verify-and-repair: greedy_physical on a truncated matrix and
+    # the sharded engine's reconciliation; the re-pack is the first-fit
+    # packer, the judge whichever incidence the model has.
+    repair: ("slots", "links", "model", "order"),
+    peel_slot: ("incidence", "senders", "receivers", "beta"),
     first_fit_pack: ("links", "model", "demanded", "demand"),
     # The dense gain builders store float64 only.
     distance_matrix: ("positions",),

@@ -19,10 +19,10 @@ from repro.traffic import (
     is_stable,
     partition_links,
     plan_for_network,
-    reconcile_round,
     stability_margin,
     summarize_trace,
 )
+from repro.scheduling.greedy_physical import repair
 from repro.traffic.sharded import affordable_budget
 from tests.conftest import SlotState
 
@@ -163,20 +163,33 @@ def test_budgeted_model_is_stricter_but_consistent(mesh):
 
 
 # ---------------------------------------------------------------------------
-# Reconciliation
+# Reconciliation: greedy_physical's exact repair pass on a superposed round
 # ---------------------------------------------------------------------------
 
 
-def test_reconcile_round_keeps_feasible_slots_verbatim(mesh):
+def reconcile(combined, links, model):
+    """The sharded stage's call: overflow packed in ascending link order."""
+    slots, report = repair(combined, links, model, np.arange(links.n_links))
+    return slots, report.repaired_tx
+
+
+def test_repair_keeps_feasible_slots_verbatim(mesh):
     model = mesh.network.model
     # Single-link slots are always feasible: nothing to do.
     combined = [np.array([k], dtype=np.intp) for k in range(4)]
-    kept, moved = reconcile_round(combined, mesh.links, model)
-    assert moved == 0
+    kept, report = repair(combined, mesh.links, model, np.arange(mesh.links.n_links))
+    assert report.repaired_tx == report.repair_rounds == report.violations == 0
     assert [k.tolist() for k in kept] == [[0], [1], [2], [3]]
+    assert report.margins.size == 4 and report.margin_min >= 1.0
 
 
-def test_reconcile_round_serializes_violations(mesh):
+def test_repair_drops_empty_slots(mesh):
+    empty = np.empty(0, dtype=np.intp)
+    kept, moved = reconcile([empty, np.array([0]), empty], mesh.links, mesh.network.model)
+    assert moved == 0 and [k.tolist() for k in kept] == [[0]]
+
+
+def test_repair_serializes_violations(mesh):
     links, model = mesh.links, mesh.network.model
     # Find two links sharing a node (parent/child): guaranteed infeasible
     # concurrently (half-duplex), so reconciliation must split them.
@@ -190,7 +203,7 @@ def test_reconcile_round_serializes_violations(mesh):
             break
     assert pair is not None
     combined = [np.array(pair, dtype=np.intp)]
-    kept, moved = reconcile_round(combined, links, model)
+    kept, moved = reconcile(combined, links, model)
     assert moved >= 1
     # Every membership survives, just serialized.
     flat = sorted(int(k) for slot in kept for k in slot)
@@ -200,10 +213,12 @@ def test_reconcile_round_serializes_violations(mesh):
         assert model.is_feasible(links.heads[slot], links.tails[slot])
 
 
-def test_reconcile_round_raises_on_a_link_infeasible_even_alone():
-    """A peeled link that fails SINR even alone has no slot to go to: the
-    re-pack refuses it, as ``greedy_physical`` does, on the dense and the
-    sparse model alike (no shard oracle can have scheduled one)."""
+def test_repair_raises_on_a_link_infeasible_even_alone():
+    """A link that fails SINR even alone has no slot to go to: it is peeled,
+    and the re-pack refuses it, as ``greedy_physical`` does, on the dense
+    model and on the truncated sparse one (judged by its geometry) alike —
+    also when it sits in a slot of its own.  No shard oracle can have
+    scheduled one."""
     from repro.phy.propagation import LogDistancePathLoss
     from repro.phy.radio import RadioConfig
     from repro.phy.sparse import sparse_gain_model
@@ -234,15 +249,16 @@ def test_reconcile_round_raises_on_a_link_infeasible_even_alone():
         PhysicalInterferenceModel(sparse.power.toarray(), radio),
     ):
         assert not SlotState(model).can_add(0, 1)
-        with pytest.raises(ValueError, match="0->1 is infeasible even alone"):
-            reconcile_round([np.array([0, 1, 2])], links, model)
+        for combined in ([np.array([0, 1, 2])], [np.array([1]), np.array([0])]):
+            with pytest.raises(ValueError, match="0->1 is infeasible even alone"):
+                reconcile(combined, links, model)
         # Without the dead link the hop conflict is serialized as before.
-        kept, moved = reconcile_round([np.array([1, 2])], links, model)
+        kept, moved = reconcile([np.array([1, 2])], links, model)
         assert moved == 1
         assert [slot.tolist() for slot in kept] == [[2], [1]]
 
 
-def test_reconcile_round_gives_a_link_peeled_twice_two_overflow_slots(mesh):
+def test_repair_gives_a_link_peeled_twice_two_overflow_slots(mesh):
     """Demand 2: the same link peeled out of two slots of one round lands
     in two *different* overflow slots — a slot that already holds it shares
     both endpoints with it, which the admission test itself refuses."""
@@ -258,7 +274,7 @@ def test_reconcile_round_gives_a_link_peeled_twice_two_overflow_slots(mesh):
         and model.is_feasible(links.heads[[a, c]], links.tails[[a, c]])
     )
     combined = [np.array([a, b]), np.array([a, b]), np.array([c, d])]
-    kept, moved = reconcile_round(combined, links, model)
+    kept, moved = reconcile(combined, links, model)
     assert moved == 3  # position breaks the tied (deaf) margins: a, a, c
     # Ascending link order: a opens an overflow slot, its second membership
     # is refused there and opens another, c joins the *earliest* of the two.

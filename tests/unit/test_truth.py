@@ -57,12 +57,15 @@ class TestLinkSinrs:
         assert data.size == ack.size == 0
 
 
+def _peel(geometry, snd, rcv):
+    incidence = truth.geometry_incidence(geometry, snd, rcv, RADIO.noise_mw)
+    return truth.peel_slot(incidence, snd, rcv, RADIO.beta)
+
+
 class TestPeelSlot:
     def test_clean_slot_is_untouched(self):
         geometry, snd, rcv = _line([0.0, 20.0, 5000.0, 5020.0])
-        kept, margin, found = truth.peel_slot(
-            geometry, snd, rcv, RADIO.noise_mw, RADIO.beta
-        )
+        kept, margin, found = _peel(geometry, snd, rcv)
         assert kept.tolist() == [0, 1] and found == 0
         assert (margin >= 1.0).all()
 
@@ -74,9 +77,7 @@ class TestPeelSlot:
             *truth.link_sinrs(geometry, snd, rcv, RADIO.noise_mw)
         ) / RADIO.beta
         assert as_packed.argmin() == 1 and as_packed[1] < 1.0
-        kept, margin, found = truth.peel_slot(
-            geometry, snd, rcv, RADIO.noise_mw, RADIO.beta
-        )
+        kept, margin, found = _peel(geometry, snd, rcv)
         assert kept.tolist() == [0, 2]
         assert found == int((as_packed < 1.0).sum()) >= 1
         # The kept margins are a from-scratch evaluation of exactly the kept set.
@@ -88,22 +89,23 @@ class TestPeelSlot:
         geometry, snd, rcv = _line([0.0, 40.0, 90.0, 50.0])
         as_packed = np.minimum(*truth.link_sinrs(geometry, snd, rcv, RADIO.noise_mw))
         assert as_packed[0] == as_packed[1] < RADIO.beta
-        kept, _, _ = truth.peel_slot(geometry, snd, rcv, RADIO.noise_mw, RADIO.beta)
+        kept, _, _ = _peel(geometry, snd, rcv)
         assert kept.tolist() == [1]
 
-    def test_last_member_is_never_removed(self):
+    def test_a_member_that_cannot_decode_alone_is_removed(self):
         geometry, snd, rcv = _line([0.0, 5000.0])  # cannot decode even alone
-        kept, margin, found = truth.peel_slot(
-            geometry, snd, rcv, RADIO.noise_mw, RADIO.beta
-        )
-        assert kept.tolist() == [0] and found == 1 and margin[0] < 1.0
+        kept, margin, found = _peel(geometry, snd, rcv)
+        assert kept.size == margin.size == 0 and found == 1
+
+    def test_a_lone_member_that_decodes_stays(self):
+        geometry, snd, rcv = _line([0.0, 20.0, 30.0, 5000.0])
+        kept, margin, found = _peel(geometry, snd, rcv)
+        assert kept.tolist() == [0] and found == 2 and margin[0] >= 1.0
 
     def test_node_sharing_members_are_separated(self):
         positions = np.asarray([[0.0, 0.0], [20.0, 0.0], [40.0, 0.0]])
         geometry = truth.Geometry(positions, np.full(3, 15.8), LogDistancePathLoss())
-        kept, margin, found = truth.peel_slot(
-            geometry, np.asarray([0, 1]), np.asarray([1, 2]), RADIO.noise_mw, RADIO.beta
-        )
+        kept, margin, found = _peel(geometry, np.asarray([0, 1]), np.asarray([1, 2]))
         assert kept.tolist() == [1] and found == 2 and margin[0] >= 1.0
 
 
