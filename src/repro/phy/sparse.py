@@ -36,9 +36,17 @@ truncated matrix with the exact per-slot kernel of :mod:`repro.phy.truth`,
 peeling and re-packing what does not decode.  The schedules it emits are
 truth-feasible whatever the floor says; the number of memberships it had
 to re-pack is the floor's measured error (29 % of them at 10⁴ nodes, 56 %
-at 10⁵; DESIGN.md §13).  A floor that is an upper *bound* per slot, so repairs
-become rare, and rates read off the verified SINR are still open (ROADMAP
-item 2(a)/(d)).
+at 10⁵; DESIGN.md §13).
+
+The under-estimate is kept on purpose.  A floor that is an upper *bound*
+per slot would make repairs rare, but it would also make the schedules
+longer.  Any admission rule that is exact or conservative refuses at least
+what the exact model refuses, so it is held to what exact first-fit
+achieves.  On the ``sparse_10k`` pipeline at 20², 40² and 60² nodes, with
+demand 1 per forest link, exact dense ``greedy_physical`` packs 53 / 114 /
+174 slots, while truncate + repair packs 32 / 39 / 41.  The floor
+over-admits, and the peel removes the lowest-margin members of each slot.
+Rates read off the verified SINR are still open (ROADMAP item 2(d)).
 """
 
 from __future__ import annotations

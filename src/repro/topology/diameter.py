@@ -17,19 +17,39 @@ def hop_distance_matrix(adjacency: np.ndarray) -> np.ndarray:
 
     ``out[u, v]`` is the minimum number of directed edges on a path from
     ``u`` to ``v``; 0 on the diagonal.
+
+    A level-synchronous BFS from every source at once — the all-sources
+    form of :func:`repro.core.scream.scream_flood`'s relay step: one hop
+    turns the frontier into ``(frontier @ adj > 0) & ~reached``.  The
+    product is a float32 matmul of 0/1 entries, whose sums are exact
+    integers below 2**24, so the ``> 0`` test is exact.  Each hop
+    multiplies only the sources still expanding, through the nodes on
+    their frontiers, into the nodes some of them have not reached.
     """
     adj = np.asarray(adjacency, dtype=bool)
     if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
         raise ValueError(f"adjacency must be square, got shape {adj.shape}")
-    if adj.shape[0] == 0:
-        return np.zeros((0, 0))
-    # Imported here, not at module level: scipy costs ~0.25 s and ~25 MiB to
-    # load, and the sparse set-up path never calls this function.
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import shortest_path
-
-    sparse = csr_matrix(adj.astype(np.int8))
-    return shortest_path(sparse, method="D", directed=True, unweighted=True)
+    n = adj.shape[0]
+    reached = np.eye(n, dtype=bool)
+    dist = np.where(reached, 0.0, np.inf)
+    # Hop 1 is the adjacency itself (self-loops excepted).
+    frontier = adj & ~reached
+    weights = adj.astype(np.float32)
+    # A shortest path has at most n - 1 hops.
+    for hop in range(1, n):
+        reached |= frontier
+        dist[frontier] = hop
+        rows = np.flatnonzero(frontier.any(axis=1))
+        unreached = ~reached[rows]
+        cols = np.flatnonzero(unreached.any(axis=0))
+        if cols.size == 0:
+            break
+        via = np.flatnonzero(frontier[rows].any(axis=0))
+        step = frontier[np.ix_(rows, via)].astype(np.float32)
+        hits = (step @ weights[np.ix_(via, cols)] > 0) & unreached[:, cols]
+        frontier = np.zeros_like(reached)
+        frontier[np.ix_(rows, cols)] = hits
+    return dist
 
 
 def interference_diameter(adjacency: np.ndarray) -> float:

@@ -1,11 +1,10 @@
-"""What a fresh interpreter loads on the way to a ready sparse pipeline.
+"""What a fresh interpreter loads on the way to a sparse pipeline or a protocol run.
 
-Every run pays for its imports before it computes anything: scipy alone
-costs ~0.6 s and ~60 MiB, and only ``hop_distance_matrix``
-(``scipy.sparse.csgraph``) and ``mean_ci`` (``scipy.stats``) use it, so both
-import it at call time.  These checks run in a subprocess — the test
-process itself has long since imported everything — and assert on
-``sys.modules``, not on a clock.
+Every run pays for its imports before it computes anything.  The one
+caller of scipy left is ``mean_ci`` (``scipy.stats``, imported at call time,
+its cost quoted there); hop distances and every protocol run are numpy
+only.  These checks run in a subprocess — the test process itself has long
+since imported everything — and assert on ``sys.modules``, not on a clock.
 """
 
 import os
@@ -72,10 +71,36 @@ def test_sparse_setup_loads_no_scipy():
     assert loaded_after(IMPORTS + SPARSE_SETUP) == "[]"
 
 
-def test_scipy_arrives_with_the_first_hop_distance_matrix():
+# Hop distances, one FDD run on the 8x8 grid, and backbone_protocol (the
+# sharded engine's K >= ID(GS) sizing) on 12x12.
+PROTOCOL_PATH = """
+import numpy as np
+from repro import (
+    ProtocolConfig, aggregate_demand, build_routing_forest, fdd_on_network,
+    forest_link_set, grid_network, planned_gateways, uniform_node_demand,
+)
+from repro.experiments.sharded import backbone_protocol
+from repro.topology.diameter import hop_distance_matrix
+
+assert hop_distance_matrix(np.eye(2, dtype=bool)[::-1])[0, 1] == 1
+net = grid_network(8, 8, density_per_km2=2500)
+gateways = planned_gateways(8, 8, 4)
+forest = build_routing_forest(net.comm_adj, gateways, rng=1)
+rng = np.random.default_rng(1)
+demand = uniform_node_demand(net.n_nodes, rng=rng, gateways=gateways)
+links = forest_link_set(forest, aggregate_demand(forest, demand))
+assert fdd_on_network(net, links, ProtocolConfig()).schedule.satisfies_demand()
+assert backbone_protocol(grid_network(12, 12)).k >= 1
+"""
+
+
+def test_protocol_path_loads_no_scipy():
+    assert loaded_after(IMPORTS + PROTOCOL_PATH) == "[]"
+
+
+def test_scipy_arrives_with_the_first_mean_ci_of_two_samples():
     script = IMPORTS + (
-        "import numpy as np\n"
-        "from repro.topology.diameter import hop_distance_matrix\n"
-        "assert hop_distance_matrix(np.eye(2, dtype=bool)[::-1])[0, 1] == 1\n"
+        "from repro.analysis.stats import mean_ci\n"
+        "assert mean_ci([1.0, 2.0]).half_width > 0\n"
     )
     assert loaded_after(script) == "['scipy']"

@@ -32,6 +32,22 @@ def test_flood_equals_reachability_oracle(case):
 
 @given(random_digraph_inputs())
 @settings(max_examples=80, deadline=None)
+def test_hop_distances_equal_scipy_shortest_path(case):
+    """The numpy frontier BFS returns scipy's matrix bit for bit."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import shortest_path
+
+    adj, _, _ = case
+    expected = shortest_path(
+        csr_matrix(adj.astype(np.int8)), method="D", directed=True, unweighted=True
+    )
+    dist = hop_distance_matrix(adj)
+    assert dist.dtype == expected.dtype
+    assert dist.tobytes() == expected.tobytes()
+
+
+@given(random_digraph_inputs())
+@settings(max_examples=80, deadline=None)
 def test_flood_monotone_in_k(case):
     adj, inputs, k = case
     small = scream_flood(adj, inputs, k)

@@ -96,6 +96,35 @@ class TestDiameter:
         assert dist[0, 2] == 2
         assert dist[2, 0] == 1
 
+    @pytest.mark.parametrize(
+        "adj, expected",
+        [
+            (np.zeros((0, 0), dtype=bool), np.zeros((0, 0))),
+            (np.zeros((1, 1), dtype=bool), [[0.0]]),
+            # A self-loop leaves the diagonal at 0.
+            (np.ones((1, 1), dtype=bool), [[0.0]]),
+            (np.array([[1, 1], [0, 1]], dtype=bool), [[0.0, 1.0], [np.inf, 0.0]]),
+            # 0 -> 1 -> 2, and node 3 is reached by nobody and reaches nobody.
+            (
+                np.array(
+                    [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+                    dtype=bool,
+                ),
+                [
+                    [0.0, 1.0, 2.0, np.inf],
+                    [np.inf, 0.0, 1.0, np.inf],
+                    [np.inf, np.inf, 0.0, np.inf],
+                    [np.inf, np.inf, np.inf, 0.0],
+                ],
+            ),
+        ],
+        ids=["n0", "n1", "n1-self-loop", "self-loops", "unreachable-pair"],
+    )
+    def test_edge_cases(self, adj, expected):
+        dist = hop_distance_matrix(adj)
+        assert dist.dtype == np.float64
+        assert np.array_equal(dist, np.asarray(expected, dtype=np.float64))
+
     def test_disconnected_is_infinite(self):
         adj = np.zeros((2, 2), dtype=bool)
         assert interference_diameter(adj) == float("inf")
