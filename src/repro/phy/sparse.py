@@ -42,10 +42,15 @@ The under-estimate is kept on purpose.  A floor that is an upper *bound*
 per slot would make repairs rare, but it would also make the schedules
 longer.  Any admission rule that is exact or conservative refuses at least
 what the exact model refuses, so it is held to what exact first-fit
-achieves.  On the ``sparse_10k`` pipeline at 20², 40² and 60² nodes, with
-demand 1 per forest link, exact dense ``greedy_physical`` packs 53 / 114 /
-174 slots, while truncate + repair packs 32 / 39 / 41.  The floor
-over-admits, and the peel removes the lowest-margin members of each slot.
+achieves *in the same link order* — and that was measured in the
+decreasing-ID order only.  On the ``sparse_10k`` pipeline at 20², 40² and
+60² nodes, with demand 1 per forest link, exact dense ``greedy_physical``
+packs 53 / 114 / 174 slots in that order, while truncate + repair packs
+32 / 39 / 41.  In a random link order (``default_rng(0)`` / ``(1)``
+permutations) exact first-fit packs 30 / 38–44 / 49–51 slots, 0.94–1.24x
+what truncate + repair packs: most of the gap was the order's, not
+exactness's.  The floor over-admits, and the peel removes the
+lowest-margin members of each slot.
 Rates read off the verified SINR are still open (ROADMAP item 2(d)).
 """
 

@@ -1,10 +1,12 @@
 """What a fresh interpreter loads on the way to a sparse pipeline or a protocol run.
 
-Every run pays for its imports before it computes anything.  The one
-caller of scipy left is ``mean_ci`` (``scipy.stats``, imported at call time,
-its cost quoted there); hop distances and every protocol run are numpy
-only.  These checks run in a subprocess — the test process itself has long
-since imported everything — and assert on ``sys.modules``, not on a clock.
+Every run pays for its imports before it computes anything.  Nothing
+under ``src/`` imports scipy: hop distances, every protocol run and the
+confidence intervals of ``mean_ci`` are numpy only (scipy is the oracle of
+some tests, nothing more).  These checks run in a subprocess — the test
+process itself has long since imported everything — and assert on
+``sys.modules``, not on a clock; one runs an experiment with scipy
+unimportable.
 """
 
 import os
@@ -98,9 +100,32 @@ def test_protocol_path_loads_no_scipy():
     assert loaded_after(IMPORTS + PROTOCOL_PATH) == "[]"
 
 
-def test_scipy_arrives_with_the_first_mean_ci_of_two_samples():
+def test_mean_ci_of_two_samples_loads_no_scipy():
     script = IMPORTS + (
         "from repro.analysis.stats import mean_ci\n"
         "assert mean_ci([1.0, 2.0]).half_width > 0\n"
     )
-    assert loaded_after(script) == "['scipy']"
+    assert loaded_after(script) == "[]"
+
+
+# `python -m repro.experiments exec-time --profile quick`, with `import scipy`
+# (and so every `from scipy import ...`) raising ImportError.
+WITHOUT_SCIPY = """
+import runpy, sys
+sys.modules["scipy"] = None
+sys.argv = ["repro.experiments", "exec-time", "--profile", "quick"]
+runpy.run_module("repro.experiments", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_experiment_tables_run_with_scipy_unimportable():
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", WITHOUT_SCIPY],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "±" in done.stdout

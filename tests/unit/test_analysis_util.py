@@ -1,5 +1,7 @@
 """Analysis helpers (stats, bounds, tables) and util (rng, validation)."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from repro.analysis.bounds import (
     grid_id_bound,
     uniform_id_bound,
 )
-from repro.analysis.stats import mean_ci
+from repro.analysis.stats import _t_quantile, mean_ci
 from repro.analysis.tables import TextTable
 from repro.util.rng import ensure_rng, spawn
 from repro.util.validation import (
@@ -36,13 +38,35 @@ class TestStats:
         hits = 0
         for _ in range(200):
             samples = rng.normal(10.0, 2.0, size=12)
-            ci = mean_ci(samples, 0.95)
+            ci = mean_ci(samples)
             hits += abs(ci.mean - 10.0) <= ci.half_width
         assert hits > 170  # ~95% coverage, allow sampling slack
 
-    def test_higher_confidence_wider(self):
+    def test_t_quantile_equals_scipy(self):
+        """The closed-form quantile against scipy, the test's oracle only."""
+        from scipy import stats
+
+        for df in [*range(1, 1001), 10**4, 10**5]:
+            assert _t_quantile(df) == pytest.approx(
+                stats.t.ppf(0.975, df), rel=1e-12, abs=0.0
+            ), df
+
+    def test_half_width_is_t_quantile_times_standard_error(self):
         samples = [1.0, 2.0, 3.0, 4.0]
-        assert mean_ci(samples, 0.99).half_width > mean_ci(samples, 0.9).half_width
+        ci = mean_ci(samples)
+        sem = np.std(samples, ddof=1) / 2.0
+        # t_{0.975} at df = 3: scipy.stats.t.ppf(0.975, 3).
+        assert ci.half_width == pytest.approx(3.1824463052837078 * sem, rel=1e-12, abs=0.0)
+        assert ci.n == 4
+
+    def test_hundred_thousand_samples_under_50_ms(self):
+        samples = np.random.default_rng(0).normal(size=10**5)
+        best = float("inf")
+        for _ in range(3):
+            start = time.process_time()
+            mean_ci(samples)
+            best = min(best, time.process_time() - start)
+        assert best < 0.05
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
