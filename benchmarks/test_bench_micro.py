@@ -9,6 +9,7 @@ import importlib
 import sys
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -320,20 +321,23 @@ def test_fdd_full_run_64(benchmark, scenario):
 
 @pytest.mark.benchmark(group="protocols")
 def test_fdd_resolves_per_admission_not_per_step(scenario):
-    """FDD's simulation cost follows admissions, not steps — as a count.
+    """Truncated-K FDD's simulation cost follows admissions, not steps — as
+    a count.
 
     The paper's FDD tries ~one link per construction step and almost every
     step admits nobody; the fault-free runtime resolves a whole run of such
     steps in one batched kernel call.  A round may therefore cost one call
     per admission plus the O(log pool) calls in which the look-ahead chunk
-    doubles — never one per step.  Counted on ``ProtocolResult``, so the
-    guard repeats exactly on any host; the air-time tally is untouched
-    (the differential suites pin it against the per-step reference).
+    doubles — never one per step.  K=1 does not reach this grid's
+    interference diameter (2), so the run has no closed form and takes the
+    chunked resolver.  Counted on ``ProtocolResult``, so the guard repeats
+    exactly on any host; the air-time tally is untouched (the differential
+    suites pin it against the per-step reference).
     """
-    runtime = FastRuntime.for_network(scenario.network, PAPER_PROTOCOL)
-    result = run_fdd(
-        scenario.links, runtime, PAPER_PROTOCOL, rng=1, record_rounds=True
-    )
+    config = replace(PAPER_PROTOCOL, k=1)
+    runtime = FastRuntime.for_network(scenario.network, config)
+    assert runtime.theorem4_model is None
+    result = run_fdd(scenario.links, runtime, config, rng=1, record_rounds=True)
     assert result.terminated
     admissions = sum(
         len(r.members) - len(r.controllers) for r in result.round_records
@@ -345,6 +349,19 @@ def test_fdd_resolves_per_admission_not_per_step(scenario):
     # ~a pool's worth of steps per round, a handful of calls per round.
     assert result.tally.steps >= 10 * result.rounds
     assert result.resolve_calls <= 4 * result.rounds
+
+
+@pytest.mark.benchmark(group="protocols")
+def test_saturated_fdd_resolves_nothing(scenario):
+    """Saturated, fault-free FDD is Theorem 4's closed form: one first-fit
+    pack, no construction step resolved — while the tally still books
+    every step the protocol spends on air."""
+    runtime = FastRuntime.for_network(scenario.network, PAPER_PROTOCOL)
+    result = run_fdd(scenario.links, runtime, PAPER_PROTOCOL, rng=1)
+    assert result.terminated
+    assert result.resolve_calls == result.trials_evaluated == 0
+    assert result.tally.steps >= 10 * result.rounds
+    assert result.tally.handshakes == result.tally.steps
 
 
 @pytest.mark.benchmark(group="protocols")

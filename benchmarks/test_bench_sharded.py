@@ -2,9 +2,9 @@
 
 Runs the monolithic and sharded engines over the 16x16 and 24x24 grids
 (FDD per region vs one backbone protocol) and records the comparison
-table.  The experiment itself re-runs one operating point per grid on the
-*other* executor backend, so every bench run exercises both the thread
-and the process pool and proves them record-identical.  Beyond the
+table.  The experiment sweeps with a serial fan-out and re-runs one
+operating point per grid on the thread and on the process pool, so every
+bench run exercises both pools and proves them record-identical.  Beyond the
 snapshot, asserts the PR's headlines on the 16x16 grid at 4 shards:
 
 * the sharded engine cuts the *critical-path* scheduling time — the

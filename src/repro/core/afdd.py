@@ -25,7 +25,12 @@ from typing import Iterator
 import numpy as np
 
 from repro.core.config import NO_FAULTS, FaultConfig, ProtocolConfig
-from repro.core.protocol import ProtocolResult, run_on_network, run_protocol
+from repro.core.protocol import (
+    ProtocolResult,
+    run_by_theorem4,
+    run_on_network,
+    run_protocol,
+)
 from repro.core.runtime import Runtime
 from repro.phy.interference import PhysicalInterferenceModel
 from repro.scheduling.links import LinkSet
@@ -74,8 +79,18 @@ def run_afdd(
 ) -> ProtocolResult:
     """Run the AFDD extension on an arbitrary runtime substrate.
 
-    The produced schedule equals FDD's; the step tally is smaller.
+    The produced schedule equals FDD's; the step tally is smaller.  In
+    closed form where FDD's is (:func:`~repro.core.protocol.run_by_theorem4`).
     """
+    result = run_by_theorem4(
+        links,
+        runtime,
+        config,
+        record_rounds=record_rounds,
+        refresh_screams=AFDD_REFRESH_SCREAMS,
+    )
+    if result is not None:
+        return result
     return run_protocol(
         links, runtime, config, afdd_select_active, rng=rng, record_rounds=record_rounds
     )

@@ -9,11 +9,17 @@ matrices while preserving per-slot semantics:
 * faulty SCREAMs run the flood slot by slot with Bernoulli detection misses;
 * handshakes evaluate the exact two-sub-slot SINR model;
 * on the fault-free substrate a whole chunk of construction steps is
-  resolved by one batched handshake kernel, and a saturated substrate's
-  election order is read off the sorted IDs (see ``resolve_trials`` /
-  ``elect_each``; the per-step defaults in
-  :class:`~repro.core.runtime.Runtime` are their reference);
+  resolved by one batched handshake kernel (``resolve_trials``; the
+  per-step default in :class:`~repro.core.runtime.Runtime` is its
+  reference);
 * every primitive books the synchronized steps it would occupy on air.
+
+On a saturated fault-free substrate (K at least the interference diameter)
+a leader election resolves in closed form, and an FDD or AFDD run does not
+step at all: :attr:`FastRuntime.theorem4_model` hands the protocol the
+model on which the whole run is one first-fit pack
+(:func:`repro.core.protocol.run_by_theorem4`, Theorem 4).  What still steps
+here is PDD, the truncated-K ablation and faulty or observed runs.
 
 This is the standard protocol-simulation fidelity level: behaviour is
 bit-identical to the per-node packet engine (asserted by integration tests)
@@ -22,8 +28,7 @@ at a small fraction of the cost.
 
 from __future__ import annotations
 
-from itertools import chain, repeat
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -83,9 +88,10 @@ class FastRuntime(Runtime):
             self._within_k = sens_dist <= config.k
             # K at least the substrate's interference diameter: every SCREAM
             # saturates, so elections resolve in closed form (see
-            # leader_elect).  Small regional substrates saturate long before
-            # a backbone does — the property that makes sharded protocol
-            # simulation scale.
+            # leader_elect) and so do whole FDD runs (theorem4_model).
+            # Small regional substrates saturate long before a backbone
+            # does — the property that makes sharded protocol simulation
+            # scale.
             self._saturated = bool(self._within_k.all())
         # Fault-free primitives draw no randomness and keep no state, so
         # construction steps commute and can be resolved a chunk at a time;
@@ -99,7 +105,6 @@ class FastRuntime(Runtime):
         self._id_bit_masks = [
             (self._ids >> j) & 1 == 1 for j in range(config.id_bits - 1, -1, -1)
         ]
-        self._by_id = np.argsort(-self._ids, kind="stable")
 
     @classmethod
     def for_network(
@@ -138,6 +143,13 @@ class FastRuntime(Runtime):
     @property
     def ids(self) -> np.ndarray:
         return self._ids
+
+    @property
+    def theorem4_model(self) -> PhysicalInterferenceModel | None:
+        """The model, where a saturated fault-free substrate's dense
+        handshakes are the arena's verdicts (Theorem 4); ``None`` on a
+        faulty, truncated-K or sparse substrate."""
+        return self._model if self.batches_trials and self._saturated else None
 
     def scream(self, inputs: np.ndarray) -> np.ndarray:
         """One K-slot SCREAM; exact reachability or faulty flood."""
@@ -234,34 +246,6 @@ class FastRuntime(Runtime):
                 f"id_bits={self.config.id_bits} cannot represent participating "
                 f"id {int(contending_ids.max())}"
             )
-
-    def elect_each(self, pool: np.ndarray) -> Iterator[np.ndarray]:
-        """Closed-form election order on a saturated fault-free substrate.
-
-        There every election is won by exactly the contenders holding the
-        maximum ID (see :meth:`leader_elect`), so the sequence of winners
-        is the pool in decreasing-ID order — one stable sort instead of one
-        election per step.  Each election still books its ``id_bits``
-        SCREAMs as it is drawn.
-        """
-        if not self._saturated:
-            yield from super().elect_each(pool)
-            return
-        # IDs are fixed per runtime: the pool in decreasing-ID order is a
-        # filter of the whole substrate's (ascending node index among equals).
-        contenders = self._by_id[np.asarray(pool, dtype=bool)[self._by_id]]
-        ids = self._ids[contenders]
-        self._check_id_width(ids[:1])
-        # Equal IDs win together; once the pool is spent, elections go on
-        # electing nobody.
-        cuts = [0, *(np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist(), ids.size]
-        elected = (contenders[a:b] for a, b in zip(cuts, cuts[1:]))
-        for winners in chain(elected, repeat(contenders[:0])):
-            self.tally.elections += 1
-            self.tally.add_scream(self.config.k, self.config.id_bits)
-            if winners.size > 1:
-                self.tally.multi_winner_elections += 1
-            yield winners
 
     def resolve_trials(
         self,

@@ -6,6 +6,11 @@ sequentially in decreasing head-ID order.  This makes the computed schedule
 identical to the centralized GreedyPhysical schedule under the decreasing-ID
 edge ordering (Theorem 4) — an equivalence our integration tests assert slot
 by slot — at the cost of one full election per construction step.
+
+The simulator takes the theorem at its word: on a saturated, fault-free
+substrate :func:`run_fdd` packs the links once and derives the step tally
+in closed form (:func:`~repro.core.protocol.run_by_theorem4`), booking the
+same air time as the per-step run without executing its steps.
 """
 
 from __future__ import annotations
@@ -15,7 +20,12 @@ from typing import Iterator
 import numpy as np
 
 from repro.core.config import NO_FAULTS, FaultConfig, ProtocolConfig
-from repro.core.protocol import ProtocolResult, run_on_network, run_protocol
+from repro.core.protocol import (
+    ProtocolResult,
+    run_by_theorem4,
+    run_on_network,
+    run_protocol,
+)
 from repro.core.runtime import Runtime
 from repro.phy.interference import PhysicalInterferenceModel
 from repro.scheduling.links import LinkSet
@@ -41,7 +51,14 @@ def run_fdd(
     rng: np.random.Generator | int | None = None,
     record_rounds: bool = False,
 ) -> ProtocolResult:
-    """Run FDD on an arbitrary runtime substrate."""
+    """Run FDD on an arbitrary runtime substrate.
+
+    In closed form (:func:`~repro.core.protocol.run_by_theorem4`) where the
+    runtime and the links allow it, step by step everywhere else.
+    """
+    result = run_by_theorem4(links, runtime, config, record_rounds=record_rounds)
+    if result is not None:
+        return result
     return run_protocol(
         links,
         runtime,

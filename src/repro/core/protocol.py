@@ -9,6 +9,13 @@ injected as a callable.
 
 The node state machine follows Figure 1 of the paper; the pseudocode
 ambiguities and our resolutions are documented in DESIGN.md §2.
+
+FDD (and AFDD) also have a closed form, :func:`run_by_theorem4`: where
+every SCREAM reaches every node and the steps commute, the whole run is
+Theorem 4's first-fit pack in decreasing-ID order, and its step tally
+follows from the per-round pool sizes.  :func:`run_protocol` is the
+per-step loop every other run takes, and the reference the closed form is
+differenced against.
 """
 
 from __future__ import annotations
@@ -23,7 +30,10 @@ from repro.core.config import NO_FAULTS, FaultConfig, ProtocolConfig
 from repro.core.events import StepTally
 from repro.core.runtime import Runtime
 from repro.core.states import NodeState
+from repro.scheduling.feasibility import SlotArena, feasible_alone
+from repro.scheduling.greedy_physical import first_fit_dense
 from repro.scheduling.links import LinkSet
+from repro.scheduling.orderings import order_by_id
 from repro.scheduling.schedule import Schedule, Slot
 from repro.util.rng import ensure_rng
 
@@ -143,11 +153,7 @@ def run_protocol(
     remaining[with_demand] = links.demand[links.demand > 0]
 
     result = ProtocolResult(schedule=Schedule(link_set=links), tally=runtime.tally)
-    max_rounds = (
-        config.max_rounds
-        if config.max_rounds is not None
-        else 10 * max(links.total_demand, 1) + 10
-    )
+    max_rounds = _max_rounds(links, config)
 
     released = True
     while result.rounds < max_rounds:
@@ -199,6 +205,104 @@ def run_protocol(
                 )
             )
 
+    return result
+
+
+def run_by_theorem4(
+    links: LinkSet,
+    runtime: Runtime,
+    config: ProtocolConfig,
+    record_rounds: bool = False,
+    refresh_screams: int | None = None,
+) -> ProtocolResult | None:
+    """FDD's whole run in closed form, or ``None`` where it has none.
+
+    Theorem 4: FDD's schedule is GreedyPhysical's in decreasing-ID order.
+    On a substrate whose every SCREAM reaches every node and whose steps
+    commute (:attr:`Runtime.theorem4_model`), with every demanded link
+    decoding alone, its head IDs fitting ``id_bits`` and the run ending
+    within ``max_rounds``, the run *is* one dense first-fit pack on the
+    runtime's model (budget included), and every ``StepTally`` field
+    follows from the per-round pool sizes (DESIGN.md §2, "Theorem 4 as a
+    closed form") — no election, SCREAM or handshake is simulated, and
+    ``resolve_calls`` stays 0.  Head IDs are unique (``LinkSet``'s own
+    invariant, tied to the runtime's by ``_check_link_ids``), so every
+    election has one winner.  Where a condition fails the caller runs
+    :func:`run_protocol`, which executes the same run step by step.
+
+    ``refresh_screams`` is the selection cost: ``None`` for FDD (one full
+    election per construction step), AFDD's refresh SCREAMs otherwise (one
+    election per round, then that many SCREAMs per later step).
+    """
+    model = runtime.theorem4_model
+    if model is None:
+        return None
+    _check_link_ids(links, runtime)
+    order = order_by_id(links, model)
+    demanded = order[links.demand[order] > 0]
+    heads, tails = links.heads[demanded], links.tails[demanded]
+    if demanded.size and not (
+        links.ids[demanded[0]] < 1 << config.id_bits  # elections would raise
+        and feasible_alone(model, heads, tails).all()  # FDD ends, the packer raises
+    ):
+        return None
+    slots, last, vetoes = first_fit_dense(
+        SlotArena(model), heads, tails, links.demand[demanded], count_vetoes=True
+    )
+    n_rounds = len(slots)
+    if n_rounds >= _max_rounds(links, config):
+        return None
+
+    # Round r's pool: the links still short at its start (their last
+    # membership is r or later), minus the controller — the largest ID
+    # among them, which heads the slot.
+    rounds = np.arange(n_rounds)
+    pool = np.bincount(last, minlength=n_rounds)[::-1].cumsum()[::-1] - 1
+    steps = pool + 1 if config.seal_on_idle_step else np.maximum(pool, 1)
+    controller = np.array([members[0] for members in slots], dtype=np.intp)
+    # An election opens the run and follows every round that satisfies its
+    # controller; the last one finds nobody and terminates.
+    elections = 1 + int(np.count_nonzero(last[controller] == rounds))
+    total = int(steps.sum())
+    bits = config.id_bits
+    if refresh_screams is None:
+        selections, select_screams = total, bits * total
+    else:
+        selections = n_rounds
+        select_screams = bits * n_rounds + refresh_screams * (total - n_rounds)
+
+    tally = runtime.tally
+    tally.rounds += n_rounds
+    tally.steps += total
+    tally.veto_steps += vetoes
+    tally.elections += selections + elections
+    tally.add_handshake(total)
+    # A step: sync + handshake + veto SCREAM, sync + seal-check SCREAM.  A
+    # round: sync + release SCREAM.  An election: id_bits SCREAMs, then
+    # sync + the controller's SCREAM.
+    tally.add_sync(2 * total + n_rounds + elections)
+    tally.add_scream(
+        config.k, select_screams + 2 * total + n_rounds + (bits + 1) * elections
+    )
+
+    result = ProtocolResult(
+        schedule=Schedule(link_set=links), tally=tally, rounds=n_rounds, terminated=True
+    )
+    if not n_rounds:
+        return result
+    # FDD lists a slot's members by head node, the packer by allocation.
+    members = np.concatenate(slots)
+    slot_of = np.repeat(rounds, [len(m) for m in slots])
+    members = members[np.lexsort((heads[members], slot_of))]
+    link_ids = demanded[members].tolist()
+    cuts = np.searchsorted(slot_of, np.arange(n_rounds + 1)).tolist()
+    result.schedule.slots = [Slot(links=link_ids[a:b]) for a, b in zip(cuts, cuts[1:])]
+    if record_rounds:
+        nodes = heads[members].tolist()
+        result.round_records = [
+            RoundRecord((int(heads[c]),), tuple(nodes[a:b]), int(s))
+            for c, s, a, b in zip(controller, steps, cuts, cuts[1:])
+        ]
     return result
 
 
@@ -337,6 +441,13 @@ def run_on_network(
     return runner(
         links, runtime, cfg, rng=spawn(root, "protocol"), record_rounds=record_rounds
     )
+
+
+def _max_rounds(links: LinkSet, config: ProtocolConfig) -> int:
+    """The ``max_rounds`` safety cap; ``None`` derives ``10 * TD + 10``."""
+    if config.max_rounds is not None:
+        return config.max_rounds
+    return 10 * max(links.total_demand, 1) + 10
 
 
 def _check_link_ids(links: LinkSet, runtime: Runtime) -> None:

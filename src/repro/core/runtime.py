@@ -39,6 +39,12 @@ class Runtime(ABC):
     #: between them, or executes them on a medium, must keep paper order.
     batches_trials = False
 
+    #: The feasibility model on which a whole FDD run is one first-fit pack
+    #: (Theorem 4; :func:`repro.core.protocol.run_by_theorem4`), or ``None``.
+    #: Only a substrate whose primitives commute and whose every SCREAM
+    #: reaches every node can name one.
+    theorem4_model = None
+
     def __init__(self) -> None:
         self.tally = StepTally()
 

@@ -10,25 +10,28 @@ For each grid the harness sweeps arrival rates under both engines and
 reports, per operating point: throughput, delay, protocol air overhead,
 the *scheduling compute* the simulation performed (summed scheduler CPU
 time), the *critical-path* scheduling time (per-epoch maximum over the
-concurrently computing regions — what the scheduling phase costs when
-every region has its own controller), the *wall-clock* the simulation
-host actually spent in the scheduling fan-out, and the links serialized
-by reconciliation.  Summary rows give each engine's stability knee and
-the sharded speedups — including the **wall speedup**, the one number a
-``ProcessPoolExecutor`` backend (:data:`SHARDED_EXECUTOR`) changes:
-compute/critical-path ratios are properties of the decomposition and hold
-on any host, while the wall ratio only approaches the critical-path ratio
-when workers genuinely run in parallel.  One operating point per grid is
-re-run on the ``thread`` backend and checked record-identical, so the
-sweep itself proves executor equivalence every time it runs.
+regions — what the scheduling phase costs when every region has its own
+controller), the *wall-clock* the simulation host actually spent in the
+scheduling fan-out, and the links serialized by reconciliation.  Summary
+rows give each engine's stability knee and the sharded speedups.  The
+sweep fans the regions out one at a time, so each region's CPU is
+measured as its own controller would spend it, not inflated by sibling
+regions time-slicing the host's cores; compute and critical-path ratios
+are then properties of the decomposition.  Whether a pool cashes the
+critical path as wall-clock is a property of the host (ROADMAP item 9;
+the perf ledger's ``traffic.fanout_efficiency``).  One operating point
+per grid is re-run on the ``thread`` and the ``process`` pool and checked
+record-identical, so the sweep itself proves executor equivalence every
+time it runs.
 
 Expected headlines: on the 16x16 grid the sharded engine cuts the
-critical-path scheduling wall-clock by well over 2x while keeping the
-stability knee within one sweep step of the monolithic engine; on the
-24x24 grid the monolithic backbone protocol (K >= ID(GS) = 8, 10-bit
-elections) burns half of every epoch in control air time, so sharding not
-only speeds the simulation up ~7x on the critical path but *extends* the
-stability region — the federated deployment argument in one table.
+critical-path scheduling time by well over 2x (about the inverse of the
+largest region's share of the links, since FDD's simulated cost is one
+first-fit pack) while keeping the stability knee within one sweep step
+of the monolithic engine; on the 24x24 grid the monolithic backbone
+protocol (K >= ID(GS) = 8, 10-bit elections) burns half of every epoch
+in control air time, so sharding *extends* the stability region — the
+federated deployment argument in one table.
 """
 
 from __future__ import annotations
@@ -66,11 +69,14 @@ from repro.traffic import (
 )
 from repro.util.rng import spawn
 
-#: Fan-out backend for the sharded sweep: "process" actually cashes the
-#: critical-path parallelism as wall-clock (GIL-free workers); the E9
-#: harness cross-checks one operating point per grid against "thread" for
-#: bit-identity.
-SHARDED_EXECUTOR = "process"
+#: Pool backends one operating point per grid is re-run on, each required
+#: to reproduce the sweep's trace record for record: where regions compute
+#: never changes what they produce.  The sweep itself fans out serially —
+#: one region at a time, so each region's scheduling CPU, and the
+#: per-epoch maximum that is the critical path, is what the region costs
+#: on a controller of its own rather than what it costs while the other
+#: regions time-slice the same simulation host.
+POOL_EXECUTORS = ("thread", "process")
 
 #: The trace's scheduling-time fields, in the table's column order:
 #: compute, critical path, wall.
@@ -160,7 +166,9 @@ def sharded_experiment(profile: ExperimentProfile) -> TextTable:
                 links, generator(rate, seed_index), scheduler, config, obs=obs
             )
 
-        def run_sharded(rate: float, seed_index: int, executor: str = SHARDED_EXECUTOR):
+        def run_sharded(
+            rate: float, seed_index: int, executor: str = "thread", workers: int = 1
+        ):
             factory = sharded_distributed_factory(
                 network,
                 fdd_on_network,
@@ -173,7 +181,7 @@ def sharded_experiment(profile: ExperimentProfile) -> TextTable:
                 factory,
                 network.model,
                 config,
-                max_workers=SHARDED_WORKERS,
+                max_workers=workers,
                 executor=executor,
                 obs=obs,
             )
@@ -210,17 +218,18 @@ def sharded_experiment(profile: ExperimentProfile) -> TextTable:
             grid, "speedup", "-", "-", "-", "-", compute, critical, "-", wall, "-", "-"
         )
 
-        # Executor equivalence: re-run one operating point on the thread
-        # backend and require a record-identical trace.  The process pool
-        # must be an implementation detail of *where* schedulers run, never
-        # of *what* they produce.
+        # Executor equivalence: re-run one operating point on each pool
+        # backend and require a record-identical trace.  The pools must be
+        # an implementation detail of *where* schedulers run, never of
+        # *what* they produce.
         point, base = lowest["sharded"]
         check_rate = point.offered_rate
-        cross = run_sharded(check_rate, 0, executor="thread")
-        if cross.records != base.records:
-            raise AssertionError(
-                f"sharded engine diverged across executors on {grid} at "
-                f"lambda={check_rate:g}: 'thread' != {SHARDED_EXECUTOR!r}"
-            )
+        for executor in POOL_EXECUTORS:
+            cross = run_sharded(check_rate, 0, executor, SHARDED_WORKERS)
+            if cross.records != base.records:
+                raise AssertionError(
+                    f"sharded engine diverged across executors on {grid} at "
+                    f"lambda={check_rate:g}: {executor!r} pool != serial"
+                )
     finish_obs(obs)
     return table

@@ -65,54 +65,64 @@ class P2Quantile:
         self._rates = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
 
     def add(self, value: float) -> None:
-        x = float(value)
-        self.n += 1
-        if self.n <= 5:
-            self._heights.append(x)
-            self._heights.sort()
-            return
+        self.extend([float(value)])
+
+    def extend(self, values: list[float]) -> None:
+        """:meth:`add` of each of ``values`` in turn — the textbook update,
+        value by value, with the five markers held in locals for the batch
+        (an end-of-run booking feeds a whole delay log through here)."""
         h = self._heights
-        # Locate the cell and bump the markers above it.
-        if x < h[0]:
-            h[0] = x
-            k = 0
-        elif x >= h[4]:
-            h[4] = x
-            k = 3
-        else:
-            k = 0
-            while x >= h[k + 1]:
-                k += 1
-        for i in range(k + 1, 5):
-            self._positions[i] += 1.0
-        for i in range(5):
-            self._desired[i] += self._rates[i]
-        # Adjust the three interior markers toward their desired positions.
-        for i in range(1, 4):
-            d = self._desired[i] - self._positions[i]
-            pos = self._positions
-            if (d >= 1.0 and pos[i + 1] - pos[i] > 1.0) or (
-                d <= -1.0 and pos[i - 1] - pos[i] < -1.0
-            ):
-                step = 1.0 if d >= 1.0 else -1.0
-                candidate = self._parabolic(i, step)
-                if h[i - 1] < candidate < h[i + 1]:
-                    h[i] = candidate
-                else:  # parabolic prediction left the bracket: go linear
-                    h[i] = self._linear(i, step)
-                pos[i] += step
-
-    def _parabolic(self, i: int, d: float) -> float:
-        h, pos = self._heights, self._positions
-        return h[i] + d / (pos[i + 1] - pos[i - 1]) * (
-            (pos[i] - pos[i - 1] + d) * (h[i + 1] - h[i]) / (pos[i + 1] - pos[i])
-            + (pos[i + 1] - pos[i] - d) * (h[i] - h[i - 1]) / (pos[i] - pos[i - 1])
-        )
-
-    def _linear(self, i: int, d: float) -> float:
-        h, pos = self._heights, self._positions
-        j = i + int(d)
-        return h[i] + d * (h[j] - h[i]) / (pos[j] - pos[i])
+        start = 0
+        while self.n < 5 and start < len(values):
+            h.append(values[start])
+            h.sort()
+            self.n += 1
+            start += 1
+        if start == len(values):
+            return
+        self.n += len(values) - start
+        h0, h1, h2, h3, h4 = h
+        p0, p1, p2, p3, p4 = self._positions
+        d0, d1, d2, d3, d4 = self._desired
+        r0, r1, r2, r3, r4 = self._rates
+        for x in values[start:]:
+            # Locate the cell and bump the markers above it.
+            if x < h0:
+                h0 = x
+                p1 += 1.0
+                p2 += 1.0
+                p3 += 1.0
+            elif x >= h4:
+                h4 = x
+            elif not x >= h1:
+                p1 += 1.0
+                p2 += 1.0
+                p3 += 1.0
+            elif not x >= h2:
+                p2 += 1.0
+                p3 += 1.0
+            elif not x >= h3:
+                p3 += 1.0
+            p4 += 1.0
+            d0 += r0
+            d1 += r1
+            d2 += r2
+            d3 += r3
+            d4 += r4
+            # Adjust the three interior markers toward their desired
+            # positions, in order (each sees its left neighbour's move).
+            d = d1 - p1
+            if (d >= 1.0 and p2 - p1 > 1.0) or (d <= -1.0 and p0 - p1 < -1.0):
+                h1, p1 = _move(1.0 if d >= 1.0 else -1.0, h0, h1, h2, p0, p1, p2)
+            d = d2 - p2
+            if (d >= 1.0 and p3 - p2 > 1.0) or (d <= -1.0 and p1 - p2 < -1.0):
+                h2, p2 = _move(1.0 if d >= 1.0 else -1.0, h1, h2, h3, p1, p2, p3)
+            d = d3 - p3
+            if (d >= 1.0 and p4 - p3 > 1.0) or (d <= -1.0 and p2 - p3 < -1.0):
+                h3, p3 = _move(1.0 if d >= 1.0 else -1.0, h2, h3, h4, p2, p3, p4)
+        h[:] = h0, h1, h2, h3, h4
+        self._positions[:] = p0, p1, p2, p3, p4
+        self._desired[:] = d0, d1, d2, d3, d4
 
     @property
     def value(self) -> float:
@@ -123,6 +133,21 @@ class P2Quantile:
             rank = max(0, min(self.n - 1, round(self.q * (self.n - 1))))
             return self._heights[rank]
         return self._heights[2]
+
+
+def _move(d: float, hl: float, h: float, hr: float, pl: float, p: float, pr: float):
+    """(height, position) of an interior P² marker at ``(p, h)`` moved one
+    step ``d`` between its neighbours ``(pl, hl)`` and ``(pr, hr)``: the
+    piecewise-parabolic prediction, or the linear one toward the neighbour
+    it moves to when the parabola leaves the bracket."""
+    candidate = h + d / (pr - pl) * (
+        (p - pl + d) * (hr - h) / (pr - p) + (pr - p - d) * (h - hl) / (p - pl)
+    )
+    if hl < candidate < hr:
+        return candidate, p + d
+    if d > 0.0:
+        return h + d * (hr - h) / (pr - p), p + d
+    return h + d * (hl - h) / (pl - p), p + d
 
 
 class StreamingHistogram:
@@ -160,7 +185,7 @@ class StreamingHistogram:
         batch size, which keeps end-of-run bulk bookings (a whole delay
         array at once) off the per-sample Python path.  Quantile markers
         are order-dependent by construction, so they still see every
-        value — but through a tight bound-method loop.
+        value — one :meth:`P2Quantile.extend` per quantile.
         """
         if isinstance(values, np.ndarray):
             arr = values.astype(float, copy=False).ravel()
@@ -178,9 +203,7 @@ class StreamingHistogram:
             self.max = high
         samples = arr.tolist()
         for est in self._quantiles.values():
-            add = est.add
-            for x in samples:
-                add(x)
+            est.extend(samples)
 
     def quantile(self, q: float) -> float:
         """The estimate for a *tracked* quantile (KeyError otherwise)."""

@@ -434,14 +434,13 @@ class SlotArena:
         out = np.zeros(n, dtype=bool)
         if n == 0 or sender == receiver:
             return out
-        p = self._power
-        noise = self._noise
-        beta = self._beta
-        budget = self._budget
-        data_noise = noise if budget is None else noise + budget[receiver]
-        ack_noise = noise if budget is None else noise + budget[sender]
-
         if self._use_sparse:
+            p = self._power
+            noise = self._noise
+            beta = self._beta
+            budget = self._budget
+            data_noise = noise if budget is None else noise + budget[receiver]
+            ack_noise = noise if budget is None else noise + budget[sender]
             cs, vs = p.row(sender)
             cr, vr = p.row(receiver)
             rx = self._rx_row
@@ -458,6 +457,28 @@ class SlotArena:
             self._veto_members(ok, tx, cr, vr, self._sig_a, self._ai)
             return ok
 
+        sid, shared, cand_data, cand_ack, data_bad, ack_bad = self._dense_terms(
+            sender, receiver
+        )
+        shared_per_slot = np.bincount(sid, weights=shared, minlength=n) > 0
+        member_bad = np.bincount(sid, weights=data_bad | ack_bad, minlength=n) > 0
+        return cand_data & cand_ack & ~shared_per_slot & ~member_bad
+
+    def _dense_terms(self, sender: int, receiver: int):
+        """The dense admission test of one candidate against every slot, in
+        pieces: per member ``sid`` (its slot), ``shared`` (an endpoint in
+        common with the candidate), ``data_bad`` / ``ack_bad`` (its data /
+        ACK below threshold with the candidate on the air); per slot
+        ``cand_data`` / ``cand_ack`` (the candidate's own data / ACK clear
+        it).  :meth:`can_add_all` and :meth:`handshake_verdicts` reduce them
+        per slot."""
+        n = self.n_slots
+        p = self._power
+        noise = self._noise
+        beta = self._beta
+        budget = self._budget
+        data_noise = noise if budget is None else noise + budget[receiver]
+        ack_noise = noise if budget is None else noise + budget[sender]
         m = self._m
         sid = self._slot_id[:m]
         msnd = self._msnd[:m]
@@ -466,7 +487,6 @@ class SlotArena:
         ai = self._ai[:m]
 
         shared = (msnd == sender) | (msnd == receiver) | (mrcv == sender) | (mrcv == receiver)
-        shared_per_slot = np.bincount(sid, weights=shared, minlength=n) > 0
 
         # All six power reads — the candidate pair plus the four member
         # cross terms — in one fused gather (a pure gather: grouping the
@@ -496,16 +516,47 @@ class SlotArena:
 
         new_data_interf = np.bincount(sid, weights=vals[seg[0]], minlength=n)
         new_ack_interf = np.bincount(sid, weights=vals[seg[1]], minlength=n)
-        cand_ok = ~(vals[0] < beta * (data_noise + new_data_interf))
-        cand_ok &= ~(vals[1] < beta * (ack_noise + new_ack_interf))
+        cand_data = ~(vals[0] < beta * (data_noise + new_data_interf))
+        cand_ack = ~(vals[1] < beta * (ack_noise + new_ack_interf))
 
         member_data_noise = noise if budget is None else noise + budget[mrcv]
         member_ack_noise = noise if budget is None else noise + budget[msnd]
-        bad = vals[seg[4]] < beta * (member_data_noise + (di + vals[seg[2]]))
-        bad |= vals[seg[5]] < beta * (member_ack_noise + (ai + vals[seg[3]]))
-        member_bad = np.bincount(sid, weights=bad, minlength=n) > 0
+        data_bad = vals[seg[4]] < beta * (member_data_noise + (di + vals[seg[2]]))
+        ack_bad = vals[seg[5]] < beta * (member_ack_noise + (ai + vals[seg[3]]))
+        return sid, shared, cand_data, cand_ack, data_bad, ack_bad
 
-        return cand_ok & ~shared_per_slot & ~member_bad
+    def handshake_verdicts(self, sender: int, receiver: int) -> tuple[np.ndarray, np.ndarray]:
+        """Dense arena: :meth:`can_add_all` plus, per slot, whether a
+        member would *object* — fail its own two-way handshake with the
+        candidate on the air, as FDD's construction step runs it (every
+        member and the candidate send data; only receivers that decoded
+        answer with an ACK; a node that transmits is deaf).
+
+        A member objects iff its receiver is the candidate's sender (deaf),
+        or some member's data fails, or the candidate's data decodes and
+        then some member's ACK fails.  Otherwise only the members' own ACKs
+        are on the air, which the slot clears as admitted.  The candidate's
+        data cannot decode at a receiver that sends; a receiver shared with
+        a member is no special case (both data terms are real).  Slots
+        that admit have no objection.
+        """
+        if self._use_sparse:
+            raise ValueError("handshake_verdicts needs a dense power matrix")
+        n = self.n_slots
+        sid, shared, cand_data, cand_ack, data_bad, ack_bad = self._dense_terms(
+            sender, receiver
+        )
+
+        def per_slot(flags: np.ndarray) -> np.ndarray:
+            return np.bincount(sid, weights=flags, minlength=n) > 0
+
+        data_objects = per_slot(data_bad)
+        ack_objects = per_slot(ack_bad)
+        admits = cand_data & cand_ack & ~per_slot(shared) & ~data_objects & ~ack_objects
+        deaf_member = per_slot(self._mrcv[: self._m] == sender)
+        deaf_candidate = per_slot(self._msnd[: self._m] == receiver)
+        objects = deaf_member | data_objects | (cand_data & ~deaf_candidate & ack_objects)
+        return admits, objects
 
     def _reach(self, snd: np.ndarray, rcv: np.ndarray):
         """Where a batch of links lands power, and where it listens.

@@ -131,23 +131,61 @@ def first_fit_pack(
     want = demand[demanded]
     if getattr(model.power, "is_sparse_power", False):
         return _pack_waves(arena, model.power, demanded, heads, tails, want)
+    slots, _, _ = first_fit_dense(arena, heads, tails, want, count_vetoes=False)
+    ids = demanded.tolist()
+    return [Slot(links=[ids[p] for p in members]) for members in slots]
+
+
+def first_fit_dense(
+    arena: SlotArena,
+    heads: np.ndarray,
+    tails: np.ndarray,
+    want: np.ndarray,
+    count_vetoes: bool,
+) -> tuple[list[list[int]], np.ndarray, int]:
+    """First-fit of ``want[p]`` memberships per link ``p`` on a dense
+    arena, links taken in the given order, each decoding alone.
+
+    Returns each slot's members (positions in the given order, allocation
+    order), each link's last slot, and — with ``count_vetoes``, else 0 —
+    the vetoes FDD's construction steps would see on the way
+    (:func:`repro.core.protocol.run_by_theorem4`, Theorem 4): link ``p``
+    is tried against every existing slot up to its last membership, and
+    each one that refuses it because a member objects
+    (:meth:`SlotArena.handshake_verdicts`) is one vetoed step.  Without
+    the count, admission is :meth:`SlotArena.can_add_all`, the same
+    verdicts at fewer per-slot reductions.
+    """
     slots: list[list[int]] = []
-    for k, sender, receiver, remaining in zip(
-        demanded.tolist(), heads.tolist(), tails.tolist(), want.tolist()
+    last = np.empty(want.size, dtype=np.intp)
+    vetoes = 0
+    for p, (sender, receiver, need) in enumerate(
+        zip(heads.tolist(), tails.tolist(), want.tolist())
     ):
         # One batched admission pass over the existing slots: adding this
         # link to slot j never changes slot j' (slots are independent), so
         # the precomputed verdicts match the incremental slot-by-slot scan.
         if arena.n_slots:
-            admits = np.flatnonzero(arena.can_add_all(sender, receiver))[:remaining]
-            arena.add(admits, sender, receiver)
-            for j in admits.tolist():
-                slots[j].append(k)
-            remaining -= admits.size
-        fresh = len(slots) + np.arange(remaining)
-        arena.seed(fresh, [sender] * remaining, [receiver] * remaining)
-        slots.extend([k] for _ in range(remaining))
-    return [Slot(links=members) for members in slots]
+            if count_vetoes:
+                admits, objects = arena.handshake_verdicts(sender, receiver)
+            else:
+                admits = arena.can_add_all(sender, receiver)
+            joins = np.flatnonzero(admits)[:need]
+            tried = int(joins[-1]) + 1 if joins.size == need else arena.n_slots
+            if count_vetoes:
+                vetoes += int(np.count_nonzero(objects[:tried]))
+            if joins.size:
+                arena.add(joins, sender, receiver)
+                for j in joins.tolist():
+                    slots[j].append(p)
+                need -= joins.size
+            last[p] = tried - 1
+        if need:
+            fresh = len(slots) + np.arange(need)
+            arena.seed(fresh, [sender] * need, [receiver] * need)
+            slots.extend([p] for _ in range(need))
+            last[p] = len(slots) - 1
+    return slots, last, vetoes
 
 
 #: Candidates whose CSR rows :func:`_waves` gathers at a time (bounds the

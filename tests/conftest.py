@@ -79,12 +79,12 @@ def paper_config() -> ProtocolConfig:
 class StepwiseRuntime(FastRuntime):
     """FastRuntime's primitives under the :class:`Runtime` round defaults.
 
-    The reference the batched ``resolve_trials`` / closed-form ``elect_each``
-    are differenced against: one construction step at a time, in paper
-    order, on the same vectorized scream / leader_elect / handshake.
+    The reference the batched ``resolve_trials`` and FDD's closed form
+    (``run_by_theorem4``) are differenced against: one construction step at
+    a time, in paper order, on the same vectorized scream / leader_elect /
+    handshake.  Steps that do not batch name no ``theorem4_model`` either.
     """
 
-    elect_each = Runtime.elect_each
     resolve_trials = Runtime.resolve_trials
 
     def __init__(self, *args, **kwargs):

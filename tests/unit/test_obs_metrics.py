@@ -78,6 +78,81 @@ class TestP2Quantile:
         assert _relerr(est.value, 500.5) < 0.05
 
 
+class TextbookP2:
+    """Jain & Chlamtac's P² update written out one observation at a time,
+    markers in lists: the oracle of ``P2Quantile.extend``'s unrolled
+    batch loop."""
+
+    def __init__(self, q):
+        self.n, self.h = 0, []
+        self.pos = [1.0, 2.0, 3.0, 4.0, 5.0]
+        self.desired = [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0]
+        self.rates = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
+
+    def add(self, x):
+        h, pos = self.h, self.pos
+        self.n += 1
+        if self.n <= 5:
+            h.append(x)
+            h.sort()
+            return
+        if x < h[0]:
+            h[0], k = x, 0
+        elif x >= h[4]:
+            h[4], k = x, 3
+        else:
+            k = 0
+            while x >= h[k + 1]:
+                k += 1
+        for i in range(k + 1, 5):
+            pos[i] += 1.0
+        for i in range(5):
+            self.desired[i] += self.rates[i]
+        for i in range(1, 4):
+            d = self.desired[i] - pos[i]
+            if (d >= 1.0 and pos[i + 1] - pos[i] > 1.0) or (
+                d <= -1.0 and pos[i - 1] - pos[i] < -1.0
+            ):
+                d = 1.0 if d >= 1.0 else -1.0
+                candidate = h[i] + d / (pos[i + 1] - pos[i - 1]) * (
+                    (pos[i] - pos[i - 1] + d) * (h[i + 1] - h[i]) / (pos[i + 1] - pos[i])
+                    + (pos[i + 1] - pos[i] - d) * (h[i] - h[i - 1]) / (pos[i] - pos[i - 1])
+                )
+                if not h[i - 1] < candidate < h[i + 1]:
+                    j = i + int(d)
+                    candidate = h[i] + d * (h[j] - h[i]) / (pos[j] - pos[i])
+                h[i] = candidate
+                pos[i] += d
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_batched_markers_match_textbook_update(seed):
+    """Bit for bit, whatever the batching: ties (integer delays), ±inf and
+    NaN, streams shorter than five, single adds between batches."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(0, 1500))
+    data = [
+        rng.exponential(30.0, n),
+        rng.integers(0, 6, n).astype(float),
+        np.where(rng.random(n) < 0.02, np.inf, rng.normal(size=n)),
+        np.where(rng.random(n) < 0.02, np.nan, rng.random(n)),
+    ][seed % 4]
+    for q in DEFAULT_QUANTILES:
+        est, ref = P2Quantile(q), TextbookP2(q)
+        for i, piece in enumerate(np.split(data, np.sort(rng.integers(0, n + 1, 5)))):
+            if i % 2:
+                for x in piece:
+                    est.add(x)
+            else:
+                est.extend(piece.tolist())
+            for x in piece.tolist():
+                ref.add(x)
+        assert est.n == ref.n
+        assert repr((est._heights, est._positions, est._desired)) == repr(
+            (ref.h, ref.pos, ref.desired)
+        )
+
+
 class TestStreamingHistogram:
     def test_moments_exact(self):
         rng = np.random.default_rng(7)
