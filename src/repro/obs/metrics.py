@@ -158,7 +158,7 @@ class StreamingHistogram:
     the summary as the plain dict the JSONL exporter emits.
     """
 
-    __slots__ = ("count", "mean", "min", "max", "_quantiles")
+    __slots__ = ("count", "mean", "min", "max", "_quantiles", "_held")
 
     def __init__(self):
         self.count = 0
@@ -166,8 +166,11 @@ class StreamingHistogram:
         self.min = float("inf")
         self.max = float("-inf")
         self._quantiles = {q: P2Quantile(q) for q in DEFAULT_QUANTILES}
+        #: Batches :meth:`add_many` booked that the P² markers have not seen.
+        self._held: list[np.ndarray] = []
 
     def add(self, value: float) -> None:
+        self._fold()
         x = float(value)
         self.count += 1
         self.mean += (x - self.mean) / self.count
@@ -179,16 +182,21 @@ class StreamingHistogram:
             est.add(x)
 
     def add_many(self, values: Iterable[float]) -> None:
-        """Batch feed: moments vectorize; the P² markers stay sequential.
+        """Batch feed: moments vectorize; the P² markers stay sequential,
+        and run when a quantile is read.
 
         The count/mean/min/max merge is O(1) numpy work regardless of
         batch size, which keeps end-of-run bulk bookings (a whole delay
         array at once) off the per-sample Python path.  Quantile markers
         are order-dependent by construction, so they still see every
-        value — one :meth:`P2Quantile.extend` per quantile.
+        value — one :meth:`P2Quantile.extend` per quantile — but only once
+        something reads them (:meth:`quantile`, :meth:`snapshot`, or the
+        next :meth:`add`): a copy of the batch is held until then, so a
+        booking nobody exports costs no marker update.  The markers see
+        the same values in the same order either way, bit for bit.
         """
         if isinstance(values, np.ndarray):
-            arr = values.astype(float, copy=False).ravel()
+            arr = np.array(values, dtype=float).ravel()
         else:
             arr = np.fromiter((float(v) for v in values), dtype=float)
         if not arr.size:
@@ -201,15 +209,24 @@ class StreamingHistogram:
             self.min = low
         if high > self.max:
             self.max = high
-        samples = arr.tolist()
+        self._held.append(arr)
+
+    def _fold(self) -> None:
+        """Feed the held batches through the P² markers, in booking order."""
+        if not self._held:
+            return
+        samples = np.concatenate(self._held).tolist()
+        self._held = []
         for est in self._quantiles.values():
             est.extend(samples)
 
     def quantile(self, q: float) -> float:
         """The estimate for a *tracked* quantile (KeyError otherwise)."""
+        self._fold()
         return self._quantiles[float(q)].value
 
     def snapshot(self) -> dict:
+        self._fold()
         return {
             "count": self.count,
             "mean": self.mean if self.count else float("nan"),
@@ -289,7 +306,10 @@ class MetricsRegistry:
         with self._lock:
             counters = sorted(self._counters.items())
             gauges = sorted(self._gauges.items())
-            histograms = sorted(self._histograms.items())
+            # Snapshot under the lock: it folds held batches into the markers.
+            histograms = [
+                (key, hist.snapshot()) for key, hist in sorted(self._histograms.items())
+            ]
         for (name, labels), value in counters:
             yield {
                 "type": "metric",
@@ -306,11 +326,11 @@ class MetricsRegistry:
                 "labels": dict(labels),
                 "value": value,
             }
-        for (name, labels), hist in histograms:
+        for (name, labels), snapshot in histograms:
             yield {
                 "type": "metric",
                 "kind": "histogram",
                 "name": name,
                 "labels": dict(labels),
-                **hist.snapshot(),
+                **snapshot,
             }

@@ -74,13 +74,13 @@ class SparsePowerMatrix:
 
     Storage is one sorted ``int64`` key array (``key = i * n + j``) plus the
     matching value array — row-major order, so each row is one contiguous
-    key run (the CSR view ``indptr``/:meth:`row` falls out of a single
+    key run (the CSR row pointer ``indptr`` falls out of a single
     vectorized ``searchsorted``).  Entries never stored read as exactly
     ``0.0``.
 
     Indexing searches the global key array; consumers that walk whole rows
-    (slot packing, graph construction) read :meth:`row` / :meth:`entries`
-    instead, which are plain slices of the storage.
+    (slot packing, graph construction) read :meth:`rows` / :meth:`entries`
+    instead, which gather or slice the storage by ``indptr``.
 
     Supported indexing (everything the SINR/feasibility kernels do):
 
@@ -113,13 +113,14 @@ class SparsePowerMatrix:
         self.n = int(n)
         self._keys = keys
         self._vals = vals
-        #: CSR row pointer: row ``i`` owns ``keys[indptr[i]:indptr[i+1]]``.
+        #: CSR row pointer: row ``i`` owns ``keys[indptr[i]:indptr[i+1]]``
+        #: (what :meth:`rows` and :meth:`entries` read rows through).
         self.indptr = np.searchsorted(
             keys, np.arange(self.n + 1, dtype=np.int64) * self.n
         )
         #: Column index per stored entry (the CSR ``indices`` array) —
-        #: precomputed so :meth:`neighbors` and :meth:`column_sums` are
-        #: slice reads, not per-call arithmetic.
+        #: precomputed so :meth:`rows` (and :meth:`neighbors` and
+        #: :meth:`column_sums` through it) is a gather, not per-call arithmetic.
         self._cols = (keys - (keys // self.n) * self.n).astype(np.intp)
         #: The recipe the entries were harvested from (a reference, set by
         #: :func:`build_sparse_power`): what lets :mod:`repro.phy.truth`
@@ -152,21 +153,10 @@ class SparsePowerMatrix:
         """
         return self._keys.size == self.n * self.n
 
-    def row(self, node: int) -> tuple[np.ndarray, np.ndarray]:
-        """One CSR row: ``(cols, vals)`` of the stored entries of ``P[node, :]``.
-
-        Columns ascend (and include the node itself — the diagonal is
-        always stored); both arrays are contiguous *views* into the
-        matrix's storage, so a row read costs no copy and no key search.
-        Treat them as read-only.
-        """
-        lo, hi = self.indptr[node], self.indptr[node + 1]
-        return self._cols[lo:hi], self._vals[lo:hi]
-
     def neighbors(self, node: int) -> np.ndarray:
         """Stored column indices of one row, ascending (includes the node
-        itself) — the first half of :meth:`row`."""
-        return self.row(node)[0]
+        itself — the diagonal is always stored): :meth:`rows` of one node."""
+        return self.rows([node])[1]
 
     def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every stored entry as ``(rows, cols, vals)``, in row-major order."""
@@ -177,10 +167,9 @@ class SparsePowerMatrix:
         """Several CSR rows in one gather: ``(owner, cols, vals)``.
 
         The stored entries of ``P[nodes[0], :]``, ``P[nodes[1], :]``, ...
-        laid end to end, each row as :meth:`row` returns it; ``owner[t]``
-        is the position in ``nodes`` of the row entry ``t`` came from
-        (ascending, repeated nodes repeat their row).  Copies, unlike
-        :meth:`row`'s views.
+        laid end to end, each row's columns ascending; ``owner[t]`` is the
+        position in ``nodes`` of the row entry ``t`` came from (ascending,
+        repeated nodes repeat their row).  Copies, not views.
         """
         idx = np.asarray(nodes, dtype=np.intp)
         owner, flat = expand_ranges(self.indptr[idx], self.indptr[idx + 1])

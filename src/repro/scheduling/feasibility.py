@@ -17,13 +17,11 @@ Two implementations remain in the library:
   ``SparsePowerMatrix`` through per-node slot tables.  Reading dense power
   through the tables was measured (DESIGN.md §3): −32 % on
   ``sessions_patch_8x8``'s ``decodable_tx_per_s``, so both branches stay.
-  The tables are read by two kernels: one candidate at a time
-  (``can_add_all`` / ``add``) and a batch of candidates per pass
+  One kernel reads the tables, a batch of candidates per pass
   (``can_add_many`` / ``add_many``; ``first_fit`` is the two on one
   gather), which ``greedy_physical`` feeds a *wave* of mutually
-  unreachable links.  A batch of one through the second costs +30 % per
-  test and +80 % per admission (DESIGN.md §3), so the one-at-a-time
-  callers keep the first.
+  unreachable links; the one-link entries (``can_add_all``, ``add``,
+  ``seed``) are batches of it.
 
 ``greedy_physical``'s first-fit packer (which its repair pass, and so the
 sharded engine's reconciliation, reuses) and ``patch_schedule`` build their
@@ -96,14 +94,6 @@ def what_if_sinrs(
 _SLOT_CAPACITY = 16
 
 
-def _stored(cols: np.ndarray, vals: np.ndarray, col: int):
-    """``P[i, col]`` read off CSR row ``i`` = ``(cols, vals)``; absent is 0.0."""
-    k = cols.searchsorted(col)
-    if k < cols.size and cols[k] == col:
-        return vals[k]
-    return 0.0
-
-
 class SlotArena:
     """All slots of a schedule under construction, in flat numpy columns.
 
@@ -125,7 +115,7 @@ class SlotArena:
       demand.  For node ``v`` and slot ``j`` they hold the member row that
       receives / transmits at ``v`` (``-1`` if none) and the running data /
       ACK power landing on ``v`` from slot ``j``'s members, accumulated in
-      admission order as each member's CSR row is scattered in.  A test
+      admission order as each member's CSR rows are folded in.  A test
       then reads the candidate's two CSR rows and nothing else of the
       power matrix: its own interference sums sit in the tables, node
       sharing is a table lookup, and the only members rechecked are those
@@ -140,11 +130,12 @@ class SlotArena:
       packing (its repair pass included) screens with
       :func:`feasible_alone`, and a patch seeds slots only with subsets of
       feasible cached slots (removals lower interference).
-      The tables assume one member per node per slot, which :meth:`add`
-      enforces.  :meth:`can_add_many` / :meth:`add_many` are the same test
-      and the same fold for a batch of links in one pass over the same
-      tables (stored stacked, data side over ACK side, so one gather of
-      the batch's CSR rows serves both).
+      The tables assume one member per node per slot, which
+      :meth:`add_many` enforces.  One kernel reads them:
+      :meth:`can_add_many` / :meth:`add_many` test and fold a batch of
+      links in one pass (the tables stored stacked, data side over ACK
+      side, so one gather of the batch's CSR rows serves both), and
+      :meth:`can_add_all`, :meth:`add` and :meth:`seed` are batches of it.
 
     All powers in mW; thresholds from the bound interference model.
     ``tests/property/test_scheduling_properties.py`` pins sparse-arena ≡
@@ -167,11 +158,10 @@ class SlotArena:
         self._slot_rows: list[list[int]] = []
         if self._use_sparse:
             n = model.power.n
-            # Stacked storage, data side first: the batched kernel walks
-            # both sides in one pass, the one-candidate kernel reads the
-            # per-side views :meth:`_bind` names.  Member interference sums
-            # and each member's own signal power (stored once at admission
-            # instead of re-read on every test) ...
+            # Stacked storage, data side first: the kernel walks both sides
+            # in one pass.  Member interference sums and each member's own
+            # signal power (stored once at admission instead of re-read on
+            # every test) ...
             self._interf = np.empty((2, cap), dtype=float)
             self._sig = np.empty((2, cap), dtype=float)
             self._columns = ["_slot_id", "_msnd", "_mrcv", "_interf", "_sig"]
@@ -183,19 +173,10 @@ class SlotArena:
             # ... and power landing on the cell from slot j's members.
             self._landing = np.zeros(shape, dtype=float)
             self._cell_budget = None if self._budget is None else np.tile(self._budget, 2)
-            self._bind()
         else:
             self._di = np.empty(cap, dtype=float)
             self._ai = np.empty(cap, dtype=float)
             self._columns = ["_slot_id", "_msnd", "_mrcv", "_di", "_ai"]
-
-    def _bind(self) -> None:
-        """Name the per-side views of the stacked sparse storage."""
-        n = self._power.n
-        self._di, self._ai = self._interf
-        self._sig_d, self._sig_a = self._sig
-        self._rx_row, self._tx_row = self._listener[:n], self._listener[n:]
-        self._data_on, self._ack_on = self._landing[:n], self._landing[n:]
 
     def __len__(self) -> int:
         return self.n_slots
@@ -220,8 +201,6 @@ class SlotArena:
             new = np.empty(old.shape[:-1] + (cap,), dtype=old.dtype)
             new[..., : self._m] = old[..., : self._m]
             setattr(self, name, new)
-        if self._use_sparse:
-            self._bind()
 
     def _ensure_slot_capacity(self, n_slots: int) -> None:
         width = self._listener.shape[1]
@@ -235,7 +214,6 @@ class SlotArena:
             new = np.full((old.shape[0], grown), empty, dtype=old.dtype)
             new[:, :width] = old
             setattr(self, name, new)
-        self._bind()
 
     def open_slot(self, sender: int, receiver: int) -> int:
         """Append a fresh slot seeded with one member; return its index
@@ -261,19 +239,27 @@ class SlotArena:
         per later member.  Dense, that fold is one ``(slots, K, K)`` gather
         with the diagonal and the padding set to an exact ``0.0``, summed
         column by column — ``x + 0.0 == x`` for the non-negative partial
-        sums.  Sparse, each member is folded into the slot tables in turn.
+        sums.  Sparse, it is one :meth:`add_many` per member position ``p``
+        (the ``p``-th member of every slot), ``p`` ascending: members of
+        distinct slots never write the same ``(cell, slot)``, and each slot
+        folds its members in admission order.  Member rows are then
+        numbered position by position rather than slot by slot.
         """
+        if self._use_sparse:
+            slot = np.asarray(slot_of, dtype=np.intp)
+            snd = np.asarray(senders, dtype=np.intp)
+            rcv = np.asarray(receivers, dtype=np.intp)
+            pos = np.arange(slot.size) - slot.searchsorted(slot)
+            for p in range(int(pos.max(initial=-1)) + 1):
+                at = pos == p
+                self.add_many(slot[at], snd[at], rcv[at])
+            return
         slots = np.asarray(slot_of, dtype=np.intp).tolist()
         if not slots:
             return
         first = self.n_slots
         self.n_slots = slots[-1] + 1
         self._slot_rows.extend([] for _ in range(self.n_slots - first))
-        if self._use_sparse:
-            self._ensure_slot_capacity(self.n_slots)
-            for j, s, r in zip(slots, *np.asarray([senders, receivers]).tolist()):
-                self.add(j, s, r)
-            return
         self._ensure_capacity(len(slots))
         if len(slots) == self.n_slots - first:  # singletons hear nobody
             self._append(slots, senders, receivers, 0.0, 0.0)
@@ -322,20 +308,19 @@ class SlotArena:
         members' sums grow element-wise by the newcomer's contribution, and
         the newcomer's own sums accumulate over members in admission order
         (a ``bincount`` keyed by slot — C-loop sequential per bin, the order
-        the scalar loop adds in; on the sparse path the slot tables have
-        been running that very sum since the slot opened).
+        the scalar loop adds in; on the sparse path, one :meth:`add_many`,
+        the slot tables have been running that very sum since the slot
+        opened).
 
-        Raises ``ValueError`` on the sparse path if an endpoint already
-        sends or receives in a slot (before writing to that slot): the slot
-        tables hold one member per node per slot.
+        Raises ``ValueError`` on the sparse path, before anything is
+        written, if an endpoint already sends or receives in a slot: the
+        slot tables hold one member per node per slot.
         """
         into = np.atleast_1d(slot).tolist()
-        self._ensure_capacity(len(into))
         if self._use_sparse:
-            for j in into:
-                sums = self._scatter(j, self._m, sender, receiver)
-                self._append([j], sender, receiver, *sums)
+            self.add_many(into, [sender] * len(into), [receiver] * len(into))
             return
+        self._ensure_capacity(len(into))
         held = [self._slot_rows[j] for j in into]
         sizes = [len(rows) for rows in held]
         k = sum(sizes)
@@ -363,99 +348,17 @@ class SlotArena:
         new_ai = np.bincount(key, weights=vals[3 * k :], minlength=len(into))
         self._append(into, sender, receiver, new_di, new_ai)
 
-    def _scatter(
-        self, slot: int, row: int, sender: int, receiver: int
-    ) -> tuple[float, float]:
-        """Sparse half of :meth:`add`: fold the newcomer (member ``row``)
-        into the slot tables in O(degree) and return its own data / ACK
-        interference sums, which the tables already hold."""
-        rx = self._rx_row
-        tx = self._tx_row
-        if max(rx[sender, slot], tx[sender, slot]) >= 0 or (
-            max(rx[receiver, slot], tx[receiver, slot]) >= 0
-        ):
-            raise ValueError(
-                f"link {sender}->{receiver} shares a node with a member of slot {slot}"
-            )
-        cs, vs = self._power.row(sender)
-        cr, vr = self._power.row(receiver)
-        new_di = float(self._data_on[receiver, slot])
-        new_ai = float(self._ack_on[sender, slot])
-        # Members whose receiver hears the newcomer's data / whose sender
-        # hears its ACK: at most one row per node, so the rows are unique.
-        hit = rx[cs, slot]
-        near = hit >= 0
-        self._di[hit[near]] += vs[near]
-        hit = tx[cr, slot]
-        near = hit >= 0
-        self._ai[hit[near]] += vr[near]
-        self._data_on[cs, slot] += vs
-        self._ack_on[cr, slot] += vr
-        rx[receiver, slot] = row
-        tx[sender, slot] = row
-        self._sig_d[row] = _stored(cs, vs, receiver)
-        self._sig_a[row] = _stored(cr, vr, sender)
-        return new_di, new_ai
-
-    def _veto_members(
-        self,
-        ok: np.ndarray,
-        table: np.ndarray,
-        cols: np.ndarray,
-        vals: np.ndarray,
-        sig: np.ndarray,
-        interf: np.ndarray,
-    ) -> None:
-        """Clear ``ok[j]`` where a slot-``j`` member listening at one of
-        ``cols`` (per ``table``) would drop below threshold with ``vals``
-        added to its interference — the dense path's member check, on the
-        rows the candidate's CSR row reaches."""
-        # Whole table rows (slots not opened yet hold no member), flat: a
-        # 1-D nonzero plus one divmod beats the 2-D nonzero several-fold.
-        near = table.take(cols, axis=0).ravel()
-        flat = (near >= 0).nonzero()[0]
-        if flat.size == 0:
-            return
-        rows = near[flat]
-        at, slot = np.divmod(flat, table.shape[1])
-        noise = self._noise
-        if self._budget is not None:
-            noise = noise + self._budget[cols[at]]
-        bad = sig[rows] < self._beta * (noise + (interf[rows] + vals[at]))
-        ok[slot[bad]] = False
-
     def can_add_all(self, sender: int, receiver: int) -> np.ndarray:
         """One candidate against every slot: ``out[j] == slot j can admit``.
 
         Bit-identical, on either path, to the scalar per-slot test run
-        slot by slot.
+        slot by slot; sparse, it is :meth:`can_add_many` of one candidate.
         """
         n = self.n_slots
-        out = np.zeros(n, dtype=bool)
         if n == 0 or sender == receiver:
-            return out
+            return np.zeros(n, dtype=bool)
         if self._use_sparse:
-            p = self._power
-            noise = self._noise
-            beta = self._beta
-            budget = self._budget
-            data_noise = noise if budget is None else noise + budget[receiver]
-            ack_noise = noise if budget is None else noise + budget[sender]
-            cs, vs = p.row(sender)
-            cr, vr = p.row(receiver)
-            rx = self._rx_row
-            tx = self._tx_row
-            new_data_interf = self._data_on[receiver, :n]
-            new_ack_interf = self._ack_on[sender, :n]
-            ok = ~(_stored(cs, vs, receiver) < beta * (data_noise + new_data_interf))
-            ok &= ~(_stored(cr, vr, sender) < beta * (ack_noise + new_ack_interf))
-            busy = np.maximum(rx[sender, :n], tx[sender, :n])
-            np.maximum(busy, rx[receiver, :n], out=busy)
-            np.maximum(busy, tx[receiver, :n], out=busy)
-            ok &= busy < 0
-            self._veto_members(ok, rx, cs, vs, self._sig_d, self._di)
-            self._veto_members(ok, tx, cr, vr, self._sig_a, self._ai)
-            return ok
+            return self.can_add_many([sender], [receiver])[0]
 
         sid, shared, cand_data, cand_ack, data_bad, ack_bad = self._dense_terms(
             sender, receiver
@@ -609,8 +512,9 @@ class SlotArena:
         ends = np.concatenate((listens, snd, rcv + self._power.n))
         ok &= self._listener[ends, :n].reshape(4, snd.size, n).max(axis=0) < 0
         # ... and every member listening where a candidate lands power
-        # still above threshold with that power added (the flat nonzero +
-        # divmod of :meth:`_veto_members`, both sides at once).
+        # still above threshold with that power added, both sides at once
+        # (flat: a 1-D nonzero plus one divmod beats the 2-D nonzero
+        # several-fold).
         near = self._listener[cell, :n].ravel()
         flat = (near >= 0).nonzero()[0]
         if flat.size:
@@ -646,7 +550,7 @@ class SlotArena:
 
     def _fold(self, slot: np.ndarray, snd: np.ndarray, rcv: np.ndarray, reach) -> None:
         """:meth:`add_many` given the batch's :meth:`_reach`."""
-        top = max(int(slot.max()) + 1, self.n_slots)
+        top = max(int(slot.max(initial=-1)) + 1, self.n_slots)
         self._ensure_slot_capacity(top)
         link, side, cell, vals, listens, sig = reach
         ends = np.concatenate((listens, snd, rcv + self._power.n)).reshape(4, -1)

@@ -205,6 +205,15 @@ class SlotState:
         return False
 
 
+def interference_sums(arena):
+    """A ``SlotArena``'s member data / ACK interference-sum columns, by
+    member row: the dense arena's ``_di`` / ``_ai``, the two sides of the
+    sparse arena's stacked ``_interf``."""
+    if arena._use_sparse:
+        return tuple(arena._interf)
+    return arena._di, arena._ai
+
+
 # --------------------------------------------------------------------------
 # Per-slot references of the rate-aware passes.  The library evaluates whole
 # schedules in one batched SINR kernel and replicates greedy_rate's slots by
@@ -419,8 +428,10 @@ def serial_pack(links, model, demanded, demand, new_arena=None):
     open slot, the first ``demand[k]`` admitting slots, fresh singletons for
     the rest.
     The loop the sparse packer ran before it admitted links a wave at a
-    time, kept as its oracle (on the one-candidate arena kernel, which the
-    arena suite pins to ``SlotState``)."""
+    time, kept as its oracle.  On a sparse model it runs the batched arena
+    kernel one link per call (``can_add_all`` / ``add`` / ``open_slot``),
+    whose verdicts ``tests/property/test_scheduling_properties.py`` pins to
+    ``SlotState`` (sparse ≡ dense ≡ ``SlotState`` after every step)."""
     from repro.scheduling.feasibility import SlotArena
     from repro.scheduling.schedule import Slot
 

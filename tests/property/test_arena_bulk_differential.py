@@ -6,8 +6,9 @@ new arithmetic: the arena they leave must be the one ``open_slot`` + ``add``
 of every member in turn leaves — every dense column (slot id, sender,
 receiver, data / ACK interference sums) to the bit, every slot's member
 list, and every later admission verdict.  On a sparse power matrix the same
-entry points fold member by member into the slot tables, and must agree
-with the dense arena and the scalar ``SlotState`` oracle.
+entry points are batches of the arena's one sparse kernel (``add_many``:
+``seed`` one batch per member position, a multi-slot ``add`` one batch),
+and must agree with the dense arena and the scalar ``SlotState`` oracle.
 
 The dense fold is only order-sensitive once a sum has eight terms (numpy
 sums shorter runs sequentially whatever the method), so slots here hold up
@@ -31,7 +32,7 @@ from repro.phy.radio import RadioConfig
 from repro.phy.sparse import sparse_gain_model
 from repro.scheduling import feasibility
 from repro.scheduling.feasibility import SlotArena, feasible_alone
-from tests.conftest import SlotState
+from tests.conftest import SlotState, interference_sums
 
 COLUMNS = ("_slot_id", "_msnd", "_mrcv", "_di", "_ai")
 
@@ -113,8 +114,9 @@ def assert_sums_equal_states(arena, states):
         snd, rcv = arena.members(j)
         assert (snd.tolist(), rcv.tolist()) == (state.senders, state.receivers)
         rows = arena._slot_rows[j]
-        assert bits(arena._di[rows]) == bits(state._data_interf)
-        assert bits(arena._ai[rows]) == bits(state._ack_interf)
+        data, ack = interference_sums(arena)
+        assert bits(data[rows]) == bits(state._data_interf)
+        assert bits(ack[rows]) == bits(state._ack_interf)
 
 
 def states_for(model, slots):

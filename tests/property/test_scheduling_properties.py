@@ -26,7 +26,7 @@ from repro.scheduling.metrics import improvement_over_linear, verify_schedule
 from repro.scheduling.orderings import EDGE_ORDERINGS
 from repro.topology.commgraph import communication_adjacency, is_connected
 from repro.traffic.incremental import patch_schedule
-from tests.conftest import SlotState
+from tests.conftest import SlotState, interference_sums
 
 
 @st.composite
@@ -181,8 +181,9 @@ def assert_arenas_equal_states(arenas, states):
             assert snd.tolist() == state.senders
             assert rcv.tolist() == state.receivers
             rows = arena._slot_rows[j]
-            assert arena._di[rows].tolist() == state._data_interf
-            assert arena._ai[rows].tolist() == state._ack_interf
+            data, ack = interference_sums(arena)
+            assert data[rows].tolist() == state._data_interf
+            assert ack[rows].tolist() == state._ack_interf
 
 
 def admit_like_greedy(arenas, states, model, s, r, demand):

@@ -6,8 +6,10 @@ a time — links whose CSR neighbourhoods are pairwise disjoint — through
 an algorithm: the schedule must equal the serial loop's slot for slot and
 list for list, and the arena it leaves behind must hold the same members,
 interference sums and slot tables to the last bit.  The serial loop lives
-on in ``tests/conftest.py::serial_pack`` as the oracle, run on the
-one-candidate kernel that the arena suite pins to ``SlotState``.
+on in ``tests/conftest.py::serial_pack`` as the oracle: the same batched
+kernel one link per call, whose verdicts the arena suite pins to
+``SlotState``.  The kernel's rows are differenced here against the dense
+arena's one-candidate test too.
 """
 
 import importlib
@@ -28,7 +30,7 @@ from repro.scheduling.feasibility import SlotArena, feasible_alone
 from repro.scheduling.greedy_physical import greedy_physical
 from repro.scheduling.links import LinkSet
 from repro.scheduling.orderings import EDGE_ORDERINGS
-from tests.conftest import serial_pack
+from tests.conftest import interference_sums, serial_pack
 
 # ``repro.scheduling.greedy_physical`` the attribute is the function.
 gp = importlib.import_module("repro.scheduling.greedy_physical")
@@ -117,8 +119,9 @@ def arena_state(arena):
         "landing": bits(arena._landing[:, :n]),
         "listener": np.where(listener >= 0, link[listener], -1)[:, :n].tolist(),
     }
-    for name in ("_di", "_ai", "_sig_d", "_sig_a"):
-        state[name] = bits(getattr(arena, name)[rows])
+    for name in ("_interf", "_sig"):
+        data, ack = getattr(arena, name)
+        state[name] = [bits(data[rows]), bits(ack[rows])]
     # Nothing past the open slots, whatever width the tables grew to.
     assert (listener[:, n:] == -1).all() and not arena._landing[:, n:].any()
     return state
@@ -150,9 +153,18 @@ def test_wave_pack_equals_serial_pack(instance, ordering, capacity, slot_capacit
         assert bits(truth.margins) == bits(oracle_truth.margins)
 
 
+def slot_sums(arena):
+    """Every slot's members and their interference sums, dense or sparse."""
+    data, ack = interference_sums(arena)
+    return [
+        (*(side.tolist() for side in arena.members(j)), bits(data[rows]), bits(ack[rows]))
+        for j, rows in enumerate(arena._slot_rows)
+    ]
+
+
 def neighbourhoods(power, heads, tails):
     return [
-        set(power.row(h)[0].tolist()) | set(power.row(t)[0].tolist())
+        set(power.neighbors(h).tolist()) | set(power.neighbors(t).tolist())
         for h, t in zip(heads.tolist(), tails.tolist())
     ]
 
@@ -179,19 +191,23 @@ def test_waves_are_disjoint_and_keep_the_order_of_every_conflict(instance, chunk
 @given(packing_instance())
 @settings(max_examples=60, deadline=None)
 def test_batched_kernel_rows_equal_the_one_candidate_kernel(instance):
-    """``can_add_many`` row by row ≡ ``can_add_all``, and ``add_many`` of one
-    link into several slots ≡ ``add`` / ``open_slot`` of each in turn — on
-    arenas filled by a serial pack, every link replayed as a candidate."""
+    """``can_add_many`` row by row ≡ the dense arena's one-candidate
+    ``can_add_all`` over the same entries, and ``add_many`` of one link into
+    several slots ≡ dense ``add`` / ``open_slot`` of each in turn (members
+    and interference sums to the bit) — on arenas filled by a serial pack,
+    every link replayed as a candidate."""
     if instance is None:
         return
     model, links = instance
-    arenas = [SlotArena(model, capacity=2), SlotArena(model, capacity=2)]
+    dense = PhysicalInterferenceModel(model.power.toarray(), model.radio, model.budget_mw)
+    arenas = [SlotArena(dense, capacity=2), SlotArena(model, capacity=2)]
     demanded = np.flatnonzero(links.demand > 0)
     if demanded.size == 0:
         return
     for arena in arenas:
         serial_pack(links, model, demanded, links.demand, new_arena=lambda _: arena)
     one, many = arenas
+    assert slot_sums(one) == slot_sums(many)
     verdicts = many.can_add_many(links.heads, links.tails)
     assert verdicts.shape == (links.n_links, many.n_slots)
     for k in range(links.n_links):
@@ -206,7 +222,7 @@ def test_batched_kernel_rows_equal_the_one_candidate_kernel(instance):
             one.add(j, s, r)
         assert one.open_slot(s, r) == into[-1]
         many.add_many(into, [s] * len(into), [r] * len(into))
-        assert arena_state(one) == arena_state(many)
+        assert slot_sums(one) == slot_sums(many)
         verdicts = many.can_add_many(links.heads, links.tails)
 
 

@@ -25,7 +25,6 @@ KEPT = {
     "LinkQueues.serve_slot": "one-slot oracle of the serve differential",
     "scream_reach_exactly": "closed-form oracle of the SCREAM flood",
     # Test seams: the only handle a property suite has on a path.
-    "SlotArena.can_add_many": "batched-kernel rows ≡ one-candidate kernel",
     "SlotArena.n_members": "arena ≡ SlotState after every step",
     "ControlPlaneModel.is_free": "zero-price ≡ free-engine differentials",
     "RateTable.is_degenerate": "degenerate table ≡ β-threshold differentials",

@@ -179,6 +179,34 @@ class TestStreamingHistogram:
         hist.add_many(data)
         assert _relerr(hist.quantile(0.99), float(np.quantile(data, 0.99))) < 0.05
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_held_batches_read_as_one_add_per_value(self, seed):
+        """``add_many`` holds its batch until a read folds it: whatever the
+        batching, interleaved adds and reads, the quantile markers are bit
+        for bit those of one ``add`` per value — and mutating a booked
+        array later changes nothing."""
+        rng = np.random.default_rng(seed)
+        data = rng.integers(0, 40, int(rng.integers(0, 400))).astype(float)
+        hist, ref = StreamingHistogram(), StreamingHistogram()
+        cuts = np.sort(rng.integers(0, data.size + 1, 6))
+        for i, piece in enumerate(np.split(data.copy(), cuts)):
+            if i % 3 == 1:
+                for x in piece:
+                    hist.add(x)
+            else:
+                hist.add_many(piece)
+                piece[:] = -1.0
+            if i % 4 == 3:
+                hist.quantile(0.5)
+        for x in data.tolist():
+            ref.add(x)
+        assert repr(hist.snapshot()["quantiles"]) == repr(ref.snapshot()["quantiles"])
+        for q in DEFAULT_QUANTILES:
+            ours, theirs = hist._quantiles[q], ref._quantiles[q]
+            assert repr((ours._heights, ours._positions, ours._desired)) == repr(
+                (theirs._heights, theirs._positions, theirs._desired)
+            )
+
 
 class TestMetricsRegistry:
     def test_counter_accumulates_per_label_set(self):
