@@ -227,10 +227,13 @@ def test_sparse_packing_admits_waves_not_links(monkeypatch):
     On a 60x60 grid (3600 nodes, several carrier-sense neighbourhoods
     across) every admission pass — one ``SlotArena.first_fit`` call — is
     counted with the candidates it tests, repair rounds included.  Links
-    whose neighbourhoods are disjoint share a pass, so there are at most a
-    third as many passes as candidates (measured: 1127 passes for 4605
-    candidates); a silent fall-back to one candidate per pass fails here,
-    on any host, where a timer would flap.  On the 20x20 smoke mesh one
+    whose neighbourhoods are disjoint share a pass, and the default order
+    on this truncated model (decreasing hashed ID) scatters neighbours
+    across the order, so there are at most a tenth as many passes as
+    candidates (measured: 257 passes for 4278 candidates; the raster
+    ``"id"`` order takes 1127 for 4605).  A silent fall-back to one
+    candidate per pass, or to the raster order, fails here on any host,
+    where a timer would flap.  On the 20x20 smoke mesh one
     neighbourhood spans the deployment and a wave is barely wider than a
     link, so there only the schedule is pinned, as it is on the 60x60: equal
     to the one-link-at-a-time loop's (``tests/conftest.py::serial_pack``).
@@ -256,7 +259,7 @@ def test_sparse_packing_admits_waves_not_links(monkeypatch):
         ]
         assert sum(passes) == links.n_links + schedule.truth.repaired_tx
         if side == 60:
-            assert 3 * len(passes) <= sum(passes), (len(passes), sum(passes))
+            assert 10 * len(passes) <= sum(passes), (len(passes), sum(passes))
 
 
 @pytest.mark.benchmark(group="micro")

@@ -35,22 +35,22 @@ harvested from, and ``greedy_physical`` checks every slot it packs on a
 truncated matrix with the exact per-slot kernel of :mod:`repro.phy.truth`,
 peeling and re-packing what does not decode.  The schedules it emits are
 truth-feasible whatever the floor says; the number of memberships it had
-to re-pack is the floor's measured error (29 % of them at 10⁴ nodes, 56 %
-at 10⁵; DESIGN.md §13).
+to re-pack is the floor's measured error (DESIGN.md §13: on the
+``sparse_10k`` epoch, 20 % of them in the hashed link order that
+``greedy_physical`` uses on a truncated matrix, 29 % in the ID order).
 
 The under-estimate is kept on purpose.  A floor that is an upper *bound*
 per slot would make repairs rare, but it would also make the schedules
 longer.  Any admission rule that is exact or conservative refuses at least
 what the exact model refuses, so it is held to what exact first-fit
-achieves *in the same link order* — and that was measured in the
-decreasing-ID order only.  On the ``sparse_10k`` pipeline at 20², 40² and
-60² nodes, with demand 1 per forest link, exact dense ``greedy_physical``
-packs 53 / 114 / 174 slots in that order, while truncate + repair packs
-32 / 39 / 41.  In a random link order (``default_rng(0)`` / ``(1)``
-permutations) exact first-fit packs 30 / 38–44 / 49–51 slots, 0.94–1.24x
-what truncate + repair packs: most of the gap was the order's, not
-exactness's.  The floor over-admits, and the peel removes the
-lowest-margin members of each slot.
+achieves *in the same link order*.  On the ``sparse_10k`` pipeline at 20²,
+40² and 60² nodes, with demand 1 per forest link, exact dense
+``greedy_physical`` packs 53 / 114 / 174 slots in the decreasing-ID order,
+while truncate + repair packs 32 / 39 / 41: most of that gap is the raster
+order's, which chains neighbouring links.  In the decreasing *hashed*-ID
+order, the default on a truncated matrix, exact first-fit packs 26 / 29 /
+45 slots and truncate + repair 31 / 34 / 41 (0.84-1.10x).  The floor
+over-admits, and the peel removes the lowest-margin members of each slot.
 Rates read off the verified SINR are still open (ROADMAP item 2(d)).
 """
 

@@ -17,6 +17,7 @@ from repro.scheduling.feasibility import (
 )
 from repro.scheduling.orderings import (
     order_by_id,
+    order_by_hashed_id,
     order_by_demand,
     order_by_length,
     order_by_interference_number,
@@ -42,6 +43,7 @@ __all__ = [
     "schedule_is_feasible",
     "schedule_rates",
     "order_by_id",
+    "order_by_hashed_id",
     "order_by_demand",
     "order_by_length",
     "order_by_interference_number",

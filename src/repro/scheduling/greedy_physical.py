@@ -40,10 +40,13 @@ from repro.scheduling.orderings import EDGE_ORDERINGS
 from repro.scheduling.schedule import Schedule, Slot
 
 
+OrderFn = Callable[[LinkSet, PhysicalInterferenceModel], np.ndarray]
+
+
 def greedy_physical(
     links: LinkSet,
     model: PhysicalInterferenceModel,
-    ordering: str | Callable[[LinkSet, PhysicalInterferenceModel], np.ndarray] = "id",
+    ordering: str | OrderFn | None = None,
 ) -> Schedule:
     """Compute a feasible schedule with the centralized greedy algorithm.
 
@@ -55,8 +58,14 @@ def greedy_physical(
         Physical interference feasibility oracle.
     ordering:
         Name from :data:`~repro.scheduling.orderings.EDGE_ORDERINGS` or a
-        callable ``(links, model) -> indices``.  The default ``"id"``
-        (decreasing head IDs) is the ordering FDD realizes (Theorem 4).
+        callable ``(links, model) -> indices``, always honoured.  The
+        default ``None`` follows the model: ``"hashed"`` (decreasing hashed
+        head IDs) on a truncated, geometry-backed sparse matrix — the one
+        the exact-model repair below runs on, where the raster order chains
+        neighbouring links into serial waves and over-admits (DESIGN.md
+        §13) — and ``"id"`` (decreasing head IDs) on every exact model.
+        FDD realizes either order (Theorem 4): the node IDs themselves for
+        ``"id"``, the nodes numbered by their hash for ``"hashed"``.
 
     Returns
     -------
@@ -81,15 +90,18 @@ def greedy_physical(
         not a communication-graph edge), which would make its demand
         unsatisfiable.
     """
+    # A property of the input, not an option: only a truncated matrix that
+    # knows its recipe can — and needs to — be checked against the truth.
+    truncated = _recipe(model) is not None
+    if ordering is None:
+        ordering = "hashed" if truncated else "id"
     order_fn = EDGE_ORDERINGS[ordering] if isinstance(ordering, str) else ordering
     order = np.asarray(order_fn(links, model), dtype=np.intp)
     schedule = Schedule(link_set=links)
     if not links.demand[order].any():
         return schedule
     schedule.slots = first_fit_pack(links, model, order, links.demand)
-    # A property of the input, not an option: only a truncated matrix that
-    # knows its recipe can — and needs to — be checked against the truth.
-    if _recipe(model) is not None:
+    if truncated:
         slots, schedule.truth = repair(
             [slot.as_array() for slot in schedule.slots], links, model, order
         )

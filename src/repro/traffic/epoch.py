@@ -880,7 +880,9 @@ def serialized_scheduler() -> EpochSchedulerFn:
 def centralized_scheduler(
     model: PhysicalInterferenceModel, overhead_seconds: float = 0.0
 ) -> EpochSchedulerFn:
-    """GreedyPhysical (id ordering) re-run on every epoch's backlog snapshot.
+    """GreedyPhysical re-run on every epoch's backlog snapshot, in its
+    default order: decreasing ID on an exact model, decreasing hashed ID on
+    a truncated sparse one (:func:`~repro.scheduling.greedy_physical.greedy_physical`).
 
     ``overhead_seconds`` lets callers charge a fixed cost for shipping
     backlogs to and schedules from a central controller (0 models a free

@@ -4,7 +4,10 @@ kernel, baselines."""
 import numpy as np
 import pytest
 
+from repro.phy.interference import PhysicalInterferenceModel
+from repro.phy.sparse import SparsePowerMatrix, sparse_gain_model
 from repro.routing import aggregate_demand, build_routing_forest, planned_gateways
+from repro.routing.forest import build_routing_forest_csr
 from repro.scheduling.feasibility import (
     feasible_alone,
     schedule_is_feasible,
@@ -15,12 +18,16 @@ from repro.scheduling.linear import linear_schedule
 from repro.scheduling.links import LinkSet, forest_link_set
 from repro.scheduling.metrics import improvement_over_linear, verify_schedule
 from repro.scheduling.orderings import (
+    hashed_ids,
     order_by_demand,
+    order_by_hashed_id,
     order_by_id,
     order_by_interference_number,
     order_by_length,
 )
 from repro.scheduling.schedule import Schedule, Slot
+from repro.topology.commgraph import communication_csr
+from repro.topology.network import grid_network
 from tests.conftest import SlotState, stepwise_greedy_rate
 
 
@@ -313,6 +320,71 @@ class TestOrderings:
     def test_order_by_interference_number_permutation(self, grid16, grid16_links):
         order = order_by_interference_number(grid16_links, grid16.model)
         assert sorted(order.tolist()) == list(range(grid16_links.n_links))
+
+    def test_order_by_hashed_id_is_a_permutation(self, grid64, grid64_links):
+        order = order_by_hashed_id(grid64_links, grid64.model)
+        assert sorted(order.tolist()) == list(range(grid64_links.n_links))
+        keys = hashed_ids(grid64_links.ids[order])
+        assert (keys[:-1] > keys[1:]).all()  # decreasing hashed ID
+        assert not np.array_equal(order, order_by_id(grid64_links, grid64.model))
+
+    def test_distinct_ids_get_distinct_hashes(self):
+        ids = np.concatenate(
+            [np.arange(1 << 16), np.random.default_rng(0).integers(0, 1 << 62, 1 << 16)]
+        )
+        ids = np.unique(ids)
+        assert np.unique(hashed_ids(ids)).size == ids.size
+        assert hashed_ids(np.array([1]))[0] == np.uint64(0x9E3779B97F4A7C15)
+
+
+def _sparse_mesh(cutoff_m=None):
+    """The 20x20 sparse pipeline: truncated (recipe) model by default."""
+    net = grid_network(20, 20, density_per_km2=1000.0)
+    sgm = sparse_gain_model(
+        net.positions, net.tx_power_mw, net.propagation, net.radio, cutoff_m=cutoff_m
+    )
+    indptr, indices = communication_csr(
+        sgm.power, net.radio.noise_mw, net.radio.beta, budget_mw=sgm.floor_mw
+    )
+    forest = build_routing_forest_csr(indptr, indices, planned_gateways(20, 20, 4), rng=3)
+    links = forest_link_set(forest, np.ones(net.n_nodes, dtype=np.int64))
+    return net, sgm, links
+
+
+def _slot_lists(schedule):
+    return [slot.links for slot in schedule.slots]
+
+
+class TestDefaultOrdering:
+    """``ordering=None`` is ``"hashed"`` where repair runs, ``"id"`` elsewhere."""
+
+    def test_truncated_model_packs_in_hashed_order(self):
+        net, sgm, links = _sparse_mesh()
+        model = sgm.interference_model(net.radio)
+        default = greedy_physical(links, model)
+        assert default.truth is not None
+        assert _slot_lists(default) == _slot_lists(
+            greedy_physical(links, model, ordering="hashed")
+        )
+        assert _slot_lists(default) != _slot_lists(
+            greedy_physical(links, model, ordering="id")
+        )
+
+    @pytest.mark.parametrize("kind", ["dense", "cutoff-inf", "hand-built"])
+    def test_exact_models_pack_in_id_order(self, kind, grid64, grid64_links):
+        if kind == "dense":
+            links, model = grid64_links, grid64.model
+        else:
+            net, sgm, links = _sparse_mesh(None if kind == "hand-built" else float("inf"))
+            power = sgm.power
+            if kind == "hand-built":  # the truncated entries without their recipe
+                power = SparsePowerMatrix(net.n_nodes, power.keys, power.entries()[2])
+            model = PhysicalInterferenceModel(power, net.radio, sgm.floor_mw)
+        default = greedy_physical(links, model)
+        assert default.truth is None
+        assert _slot_lists(default) == _slot_lists(
+            greedy_physical(links, model, ordering="id")
+        )
 
 
 class TestMetrics:
