@@ -2,17 +2,14 @@
 
 Runs the monolithic and sharded engines over the 16x16 and 24x24 grids
 (FDD per region vs one backbone protocol) and records the comparison
-table.  The experiment sweeps with a serial fan-out and re-runs one
-operating point per grid on the thread and on the process pool, so every
-bench run exercises both pools and proves them record-identical.  Beyond the
+table.  The engine schedules the regions one after another in the
+caller's thread, so each region's CPU is measured alone.  Beyond the
 snapshot, asserts the PR's headlines on the 16x16 grid at 4 shards:
 
 * the sharded engine cuts the *critical-path* scheduling time — the
   per-epoch maximum over the concurrently computing regions, i.e. what the
   scheduling phase costs when every region has its own controller — by at
-  least 2x (whether a host's process pool *cashes* that as wall clock is
-  host noise, not a property of the code: the perf ledger's
-  ``traffic.fanout_efficiency`` on ``sharded_24x24`` watches it);
+  least 2x;
 * the measured stability knee stays within one sweep step of the
   monolithic knee;
 * the batched SINR admission kernel (the dense ``SlotArena``) agrees

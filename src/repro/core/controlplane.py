@@ -158,9 +158,9 @@ class ControlLedger:
         #: epoch -> {(layer, message_class): count}.  Counts are the only
         #: mutable state: every seconds figure is derived on read as
         #: count x price, summed in sorted key order, so ledger readings
-        #: are exactly reproducible whatever order concurrent charges
-        #: landed in (the sharded engine's per-shard caches charge one
-        #: shared ledger from ThreadPool worker threads).  Bucketing per
+        #: are exactly reproducible whatever order charges land in (the
+        #: sharded engine's per-shard caches charge one shared ledger, and
+        #: the lock keeps concurrent callers safe).  Bucketing per
         #: epoch keeps the engines' per-epoch reads proportional to that
         #: epoch's few entries, not the whole run's history.
         self._counts: dict[int, dict[tuple[str, str], int]] = {}
@@ -183,10 +183,9 @@ class ControlLedger:
         """Book ``count`` messages of ``message_class`` from ``layer`` to
         ``epoch``'s control budget; return the seconds charged.
 
-        Thread-safe: concurrent charges (per-shard caches on worker
-        threads) serialize on an internal lock, and since only integer
-        counts accumulate, every derived figure is independent of the
-        arrival order.
+        Thread-safe: concurrent charges serialize on an internal lock, and
+        since only integer counts accumulate, every derived figure is
+        independent of the arrival order.
         """
         if count < 0:
             raise ValueError("message count must be non-negative")

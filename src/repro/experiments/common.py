@@ -154,11 +154,10 @@ PAPER_PROTOCOL = ProtocolConfig(k=5, smbytes=15, id_bits=8)
 #: grids (E7-E12), nodes/km^2.
 TRAFFIC_DENSITY = 1000.0
 
-#: Spatial shards (grid tiles) and pool workers of the sharded engine runs
-#: (E9, E11's E9 revisit), with their boundary-link detection radius (m)
-#: and guard margin (x noise).
+#: Spatial shards (grid tiles) of the sharded engine runs (E9, E11's E9
+#: revisit), with their boundary-link detection radius (m) and guard
+#: margin (x noise).
 SHARDED_SHARDS = 4
-SHARDED_WORKERS = 4
 SHARDED_RADIUS_M = 80.0
 SHARDED_GUARD_FACTOR = 1.0
 

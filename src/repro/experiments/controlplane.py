@@ -36,7 +36,6 @@ from repro.core.fdd import fdd_on_network
 from repro.experiments.admission import admission_point
 from repro.experiments.common import (
     ADMISSION_KNEE_RATE,
-    SHARDED_WORKERS,
     ExperimentProfile,
     epoch_config,
     finish_obs,
@@ -209,7 +208,6 @@ def _e9_rows(profile: ExperimentProfile, table: TextTable, obs=None) -> None:
             factory,
             network.model,
             config,
-            max_workers=SHARDED_WORKERS,
             control=control,
             obs=obs,
         )

@@ -14,15 +14,11 @@ regions — what the scheduling phase costs when every region has its own
 controller), the *wall-clock* the simulation host actually spent in the
 scheduling fan-out, and the links serialized by reconciliation.  Summary
 rows give each engine's stability knee and the sharded speedups.  The
-sweep fans the regions out one at a time, so each region's CPU is
-measured as its own controller would spend it, not inflated by sibling
-regions time-slicing the host's cores; compute and critical-path ratios
-are then properties of the decomposition.  Whether a pool cashes the
-critical path as wall-clock is a property of the host (ROADMAP item 9;
-the perf ledger's ``traffic.fanout_efficiency``).  One operating point
-per grid is re-run on the ``thread`` and the ``process`` pool and checked
-record-identical, so the sweep itself proves executor equivalence every
-time it runs.
+engine schedules the regions one at a time in the caller's thread, so
+each region's CPU is measured as its own controller would spend it, not
+inflated by sibling regions time-slicing the host's cores; compute and
+critical-path ratios are then properties of the decomposition, and the
+wall column is the serial fan-out as the host ran it.
 
 Expected headlines: on the 16x16 grid the sharded engine cuts the
 critical-path scheduling time by well over 2x (about the inverse of the
@@ -47,7 +43,6 @@ from repro.experiments.common import (
     SHARDED_GUARD_FACTOR,
     SHARDED_RADIUS_M,
     SHARDED_SHARDS,
-    SHARDED_WORKERS,
     TRAFFIC_DENSITY,
     ExperimentProfile,
     add_knee_row,
@@ -68,15 +63,6 @@ from repro.traffic import (
     sharded_distributed_factory,
 )
 from repro.util.rng import spawn
-
-#: Pool backends one operating point per grid is re-run on, each required
-#: to reproduce the sweep's trace record for record: where regions compute
-#: never changes what they produce.  The sweep itself fans out serially —
-#: one region at a time, so each region's scheduling CPU, and the
-#: per-epoch maximum that is the critical path, is what the region costs
-#: on a controller of its own rather than what it costs while the other
-#: regions time-slice the same simulation host.
-POOL_EXECUTORS = ("thread", "process")
 
 #: The trace's scheduling-time fields, in the table's column order:
 #: compute, critical path, wall.
@@ -166,9 +152,7 @@ def sharded_experiment(profile: ExperimentProfile) -> TextTable:
                 links, generator(rate, seed_index), scheduler, config, obs=obs
             )
 
-        def run_sharded(
-            rate: float, seed_index: int, executor: str = "thread", workers: int = 1
-        ):
+        def run_sharded(rate: float, seed_index: int):
             factory = sharded_distributed_factory(
                 network,
                 fdd_on_network,
@@ -181,15 +165,12 @@ def sharded_experiment(profile: ExperimentProfile) -> TextTable:
                 factory,
                 network.model,
                 config,
-                max_workers=workers,
-                executor=executor,
                 obs=obs,
             )
 
-        knees, totals, lowest = {}, {}, {}
+        knees, totals = {}, {}
         for engine, run_at in (("monolithic", run_mono), ("sharded", run_sharded)):
             swept = sweep(lambdas, run_at)
-            lowest[engine] = swept[0]
             # Summed per timing column; None on hosts without a thread-CPU
             # clock (never report a silent 0.0 as a measurement).
             columns = [[getattr(t, f) for _, t in swept] for f in TIMING_FIELDS]
@@ -217,19 +198,5 @@ def sharded_experiment(profile: ExperimentProfile) -> TextTable:
         table.add_row(
             grid, "speedup", "-", "-", "-", "-", compute, critical, "-", wall, "-", "-"
         )
-
-        # Executor equivalence: re-run one operating point on each pool
-        # backend and require a record-identical trace.  The pools must be
-        # an implementation detail of *where* schedulers run, never of
-        # *what* they produce.
-        point, base = lowest["sharded"]
-        check_rate = point.offered_rate
-        for executor in POOL_EXECUTORS:
-            cross = run_sharded(check_rate, 0, executor, SHARDED_WORKERS)
-            if cross.records != base.records:
-                raise AssertionError(
-                    f"sharded engine diverged across executors on {grid} at "
-                    f"lambda={check_rate:g}: {executor!r} pool != serial"
-                )
     finish_obs(obs)
     return table

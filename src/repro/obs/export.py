@@ -72,7 +72,7 @@ class JsonlRecorder:
 
     The header is written at construction, spans as they close, metric
     rows and the summary at :meth:`export`.  All writes serialize on a
-    lock (sharded worker threads close spans concurrently).
+    lock, so spans may close on any thread.
     """
 
     def __init__(self, path: str | Path, name: str, config: dict | None = None):

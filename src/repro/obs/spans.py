@@ -104,7 +104,6 @@ class Span:
         "cpu_s",
         "_wall0",
         "_cpu0",
-        "_extra_cpu",
     )
 
     def __init__(self, name: str, recorder: Recorder | None = None, **labels):
@@ -118,15 +117,6 @@ class Span:
         self.cpu_s: float | None = None
         self._wall0 = 0.0
         self._cpu0: float | None = None
-        self._extra_cpu = 0.0
-
-    def add_cpu(self, seconds: float) -> None:
-        """Credit CPU seconds burned outside this thread (e.g. in a pool
-        worker process) to this span.  Folded into ``cpu_s`` at close so
-        per-backend accounting stays comparable; a no-op contribution of
-        0.0 is safe.  When :data:`CPU_CLOCK` is unavailable the span still
-        reports ``None`` — a child-only total would not be comparable."""
-        self._extra_cpu += float(seconds)
 
     def __enter__(self) -> "Span":
         stack = _ACTIVE.stack
@@ -144,7 +134,7 @@ class Span:
         if self._cpu0 is not None:
             clock = CPU_CLOCK
             if clock is not None:
-                self.cpu_s = clock() - self._cpu0 + self._extra_cpu
+                self.cpu_s = clock() - self._cpu0
         stack = _ACTIVE.stack
         if stack and stack[-1] is self:
             stack.pop()
@@ -180,9 +170,6 @@ class _NoopSpan:
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        return None
-
-    def add_cpu(self, seconds: float) -> None:
         return None
 
 

@@ -98,10 +98,9 @@ def greedy_physical(
     order_fn = EDGE_ORDERINGS[ordering] if isinstance(ordering, str) else ordering
     order = np.asarray(order_fn(links, model), dtype=np.intp)
     schedule = Schedule(link_set=links)
-    if not links.demand[order].any():
-        return schedule
-    schedule.slots = first_fit_pack(links, model, order, links.demand)
-    if truncated:
+    if links.demand[order].any():
+        schedule.slots = first_fit_pack(links, model, order, links.demand)
+    if truncated:  # no demand: an empty report, still not ``None``
         slots, schedule.truth = repair(
             [slot.as_array() for slot in schedule.slots], links, model, order
         )

@@ -208,13 +208,12 @@ class TrafficTrace:
 
     ``scheduling_wall_seconds`` is the elapsed (``perf_counter``) time the
     *simulation host* spent in the scheduling phase each epoch, summed over
-    the run — the number a process-pool backend actually improves.  For
-    the monolithic loop it brackets ``scheduling_seconds`` from above
-    (one thread, so wall >= CPU); for the sharded engine it measures the
-    whole fan-out, dispatch and serialization included, and approaches
-    ``critical_path_seconds`` only when the host has enough cores to run
-    every shard concurrently.  Always measured (perf_counter needs no
-    platform support) — ``None`` only on traces predating the field.
+    the run.  It brackets ``scheduling_seconds`` from above (one thread,
+    so wall >= CPU); for the sharded engine it measures the whole serial
+    fan-out, every shard one after another, while ``critical_path_seconds``
+    models the regions computing concurrently.  Always measured
+    (perf_counter needs no platform support) — ``None`` only on traces
+    predating the field.
     """
 
     config: EpochConfig
@@ -833,10 +832,9 @@ def run_epochs(
     def stage(snapshot: np.ndarray, epoch: int) -> ScheduledRound:
         demand_links = replace(links, demand=snapshot)
         # A measuring span replaces the historical ad-hoc clock pair: its
-        # thread-CPU delta (not wall — the sharded engine times each shard
-        # on its own worker thread, where wall time would also charge the
-        # GIL waits of the *other* shards) feeds the public trace fields,
-        # and at spans level it is recorded too.
+        # thread-CPU delta (not wall, which would also charge whatever else
+        # the host ran meanwhile) feeds the public trace fields, and at
+        # spans level it is recorded too.
         with phase(
             obs, "epoch.schedule", measure=True, engine="epoch", epoch=epoch
         ) as span:

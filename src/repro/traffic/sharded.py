@@ -7,8 +7,8 @@ meshes SCREAM is pitched for: greedy scheduling cost grows superlinearly in
 the link count (each (link, slot) feasibility test pays for the slot's
 occupancy), and a real multi-region backbone computes its schedules *per
 region*, not globally.  This module partitions the deployment into spatial
-shards and runs the per-epoch scheduler on each shard concurrently,
-reconciling what the decomposition idealizes away:
+shards and runs the per-epoch scheduler on each shard, reconciling what the
+decomposition idealizes away:
 
 * **Partition** — :func:`partition_links` tiles the deployment region
   (:class:`~repro.topology.regions.GridTiling`) and assigns every link to
@@ -39,17 +39,18 @@ links, a zero budget, and nothing to reconcile — :func:`run_epochs_sharded`
 then reproduces :func:`~repro.traffic.epoch.run_epochs` epoch-for-epoch for
 every reschedule policy (the differential harness in
 ``tests/integration/test_sharded_engine.py`` locks this down).
-Parallelism never changes results either: each shard's scheduler draws from
-its own RNG substream and the superposition is assembled in shard order, so
-``max_workers=4`` traces are identical to ``max_workers=1`` traces.
+
+The regions of a federated mesh compute concurrently in the field; the
+simulation schedules them one after another in the caller's thread and
+models that concurrency as the per-epoch critical path (the maximum of the
+shards' scheduling CPU).  Each shard's scheduler draws from its own RNG
+substream and the superposition is assembled in shard order.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures import wait as futures_wait
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -68,6 +69,7 @@ from repro.traffic.epoch import (
     EpochSchedulerFn,
     ScheduledRound,
     TrafficTrace,
+    centralized_scheduler,
     configured_scheduler,
     epoch_loop,
     merge_decisions,
@@ -287,33 +289,22 @@ def plan_for_network(
 #: A per-shard scheduler builder: receives the shard and its budgeted
 #: feasibility oracle, returns the shard's epoch scheduler.  Builders that
 #: need randomness must derive it from the shard index (e.g.
-#: ``spawn(seed, "shard", shard.index)``) so results are independent of
-#: worker scheduling.
+#: ``spawn(seed, "shard", shard.index)``) so a shard's stream does not
+#: depend on its siblings.
 ShardSchedulerFactory = Callable[
     [LinkShard, PhysicalInterferenceModel], EpochSchedulerFn
 ]
 
 
-@dataclass(frozen=True)
-class _CentralizedShardFactory:
-    """Picklable :data:`ShardSchedulerFactory`: GreedyPhysical per shard.
-
-    A plain class (not a closure) so ``executor="process"`` can ship the
-    factory to pool workers; the per-shard scheduler itself is built inside
-    whichever process calls the factory and is never pickled.
-    """
-
-    def __call__(
-        self, shard: LinkShard, shard_model: PhysicalInterferenceModel
-    ) -> EpochSchedulerFn:
-        from repro.traffic.epoch import centralized_scheduler
-
-        return centralized_scheduler(shard_model)
-
-
 def sharded_centralized_factory() -> ShardSchedulerFactory:
     """Per-shard GreedyPhysical on the shard's budgeted oracle."""
-    return _CentralizedShardFactory()
+
+    def factory(
+        shard: LinkShard, shard_model: PhysicalInterferenceModel
+    ) -> EpochSchedulerFn:
+        return centralized_scheduler(shard_model)
+
+    return factory
 
 
 def sharded_distributed_factory(
@@ -344,55 +335,23 @@ def sharded_distributed_factory(
     Shard link/node indices are remapped to the dense local substrate in
     ascending global order, so the protocol's decreasing-ID edge ordering
     agrees with the global ordering shard-locally.  Each shard draws from
-    its own RNG substream (``("shard", index)``), so traces are
-    independent of worker scheduling; the degenerate 1-shard plan skips
-    the remap entirely and reuses
+    its own RNG substream (``("shard", index)``); the degenerate 1-shard
+    plan skips the remap entirely and reuses
     :func:`~repro.traffic.epoch.distributed_scheduler`'s exact
     ``("epoch", e)`` derivation on the full network, keeping the
     equivalence harness honest.
     """
     from repro.core.config import ProtocolConfig
     from repro.core.timing import TimingModel
-    from repro.util.rng import freeze_root
+    from repro.util.rng import freeze_root, spawn
 
     cfg = config or ProtocolConfig()
     price = TimingModel(scream_bytes=cfg.smbytes)
     root = freeze_root(seed)
-    return _DistributedShardFactory(
-        network=network, protocol=protocol, cfg=cfg, price=price, root=root
-    )
 
-
-@dataclass(frozen=True)
-class _DistributedShardFactory:
-    """Picklable :data:`ShardSchedulerFactory` behind
-    :func:`sharded_distributed_factory`.
-
-    Carries only picklable state (the network, a module-level protocol
-    function, resolved configs, and the *frozen* RNG root — a pure integer
-    whose ``spawn`` derivations are identical in any process), so
-    ``executor="process"`` workers rebuild bit-identical per-shard
-    schedulers from it.
-    """
-
-    network: object
-    protocol: Callable[..., object]
-    cfg: object
-    price: object
-    root: object
-
-    def __call__(
-        self, shard: LinkShard, shard_model: PhysicalInterferenceModel
+    def factory(
+        shard: LinkShard, shard_model: PhysicalInterferenceModel
     ) -> EpochSchedulerFn:
-        from dataclasses import replace as dc_replace
-
-        from repro.util.rng import spawn
-
-        network = self.network
-        protocol = self.protocol
-        cfg = self.cfg
-        price = self.price
-        root = self.root
         if shard.n_shards == 1:
 
             def schedule(links: LinkSet, epoch: int) -> EpochSchedule:
@@ -416,7 +375,7 @@ class _DistributedShardFactory:
         )
         local_of = np.full(network.n_nodes, -1, dtype=np.intp)
         local_of[nodes] = np.arange(nodes.size, dtype=np.intp)
-        subnet = dc_replace(
+        subnet = replace(
             network,
             positions=network.positions[nodes],
             tx_power_mw=network.tx_power_mw[nodes],
@@ -439,7 +398,7 @@ class _DistributedShardFactory:
             local_k = max(1, int(math.ceil(local_id)))
         shard_cfg = cfg
         if local_bits < cfg.id_bits or local_k != cfg.k:
-            shard_cfg = dc_replace(
+            shard_cfg = replace(
                 cfg, id_bits=min(local_bits, cfg.id_bits), k=local_k
             )
         sub_model = subnet.model
@@ -468,16 +427,18 @@ class _DistributedShardFactory:
 
         return schedule
 
+    return factory
+
 
 class ShardScheduleError(RuntimeError):
     """One shard's scheduler raised mid-epoch.
 
     Annotates the underlying failure with *which* shard and epoch so a
-    multi-shard fan-out (thread or process pool) doesn't abort the run
-    anonymously.  :func:`run_epochs_sharded` raises it before any serving
-    mutates the epoch's served/delivered accounting, and the epoch loop
-    marks the run's queues unusable (arrivals were already booked, so the
-    half-mutated state must not be read as a trace).
+    multi-shard run doesn't abort anonymously.  :func:`run_epochs_sharded`
+    raises it before any serving mutates the epoch's served/delivered
+    accounting, and the epoch loop marks the run's queues unusable
+    (arrivals were already booked, so the half-mutated state must not be
+    read as a trace).
     """
 
     def __init__(self, shard_index: int, epoch: int, cause: BaseException):
@@ -486,87 +447,6 @@ class ShardScheduleError(RuntimeError):
         )
         self.shard_index = shard_index
         self.epoch = epoch
-
-
-# ``executor="process"`` worker state: one scheduler per shard, built
-# lazily from the pickled factory on the worker's first task for that
-# shard and reused across epochs (mirroring the parent's per-shard
-# scheduler list).  Module-level because pool initializers cannot return
-# state.
-_WORKER_STATE: dict = {}
-
-
-def _process_worker_init(
-    factory: ShardSchedulerFactory,
-    shards: tuple[LinkShard, ...],
-    model: PhysicalInterferenceModel,
-) -> None:
-    _WORKER_STATE["factory"] = factory
-    _WORKER_STATE["model"] = model
-    _WORKER_STATE["shards"] = {shard.index: shard for shard in shards}
-    _WORKER_STATE["schedulers"] = {}
-
-
-def _process_warmup() -> bool:
-    # Prespawn barrier task (see run_epochs_sharded): held just long
-    # enough that every concurrently submitted warmup lands on a distinct
-    # worker process.
-    time.sleep(0.05)
-    return True
-
-
-def _process_shard_task(
-    shard_index: int, demand: np.ndarray, epoch: int
-) -> tuple[EpochSchedule, float]:
-    """Run one shard's scheduler in a pool worker.
-
-    Ships in only the demand snapshot + epoch; ships out the schedule and
-    the child's ``time.process_time`` delta so the parent can merge real
-    child CPU into its ``sharded.schedule`` span and trace timing fields.
-    """
-    schedulers = _WORKER_STATE["schedulers"]
-    scheduler = schedulers.get(shard_index)
-    if scheduler is None:
-        shard = _WORKER_STATE["shards"][shard_index]
-        model = _WORKER_STATE["model"]
-        scheduler = _WORKER_STATE["factory"](
-            shard, model.with_budget(shard.budget_mw)
-        )
-        schedulers[shard_index] = scheduler
-    links = replace(_WORKER_STATE["shards"][shard_index].links, demand=demand)
-    cpu0 = time.process_time()
-    result = scheduler(links, epoch)
-    return result, time.process_time() - cpu0
-
-
-class _PoolShardScheduler:
-    """Parent-side stand-in for one shard's scheduler under
-    ``executor="process"``.
-
-    Satisfies the ``EpochSchedulerFn`` contract (so per-shard
-    :class:`~repro.traffic.incremental.ScheduleCache` wrapping, control
-    binding, and the epoch loop are oblivious to the backend) by shipping
-    the demand vector to the pool and blocking on the worker's result.
-    The child's process-CPU seconds for the last dispatched call surface
-    via :attr:`last_cpu_s` (``None`` when the cache answered without
-    dispatching).
-    """
-
-    def __init__(self, pool: ProcessPoolExecutor, shard_index: int):
-        self._pool = pool
-        self._shard_index = shard_index
-        self.last_cpu_s: float | None = None
-
-    def __call__(self, links: LinkSet, epoch: int) -> EpochSchedule:
-        future = self._pool.submit(
-            _process_shard_task,
-            self._shard_index,
-            np.asarray(links.demand),
-            epoch,
-        )
-        result, cpu_s = future.result()
-        self.last_cpu_s = cpu_s
-        return result
 
 
 def run_epochs_sharded(
@@ -587,27 +467,18 @@ def run_epochs_sharded(
     pricing, serving, records, and the same ``on_epoch`` / ``control`` /
     ``obs`` contracts, documented there — with a different scheduling stage:
     the capped backlog snapshot is split along the plan; every shard with
-    demand runs its scheduler (concurrently when ``max_workers > 1``) on its
-    budgeted oracle; the shard schedules are superposed slot-by-slot and
-    reconciled by the exact repair pass; the trace carries the ``plan``.
+    demand runs its scheduler on its budgeted oracle, one after another in
+    the caller's thread; the shard schedules are superposed slot-by-slot
+    and reconciled by the exact repair pass; the trace carries the ``plan``.
 
-    ``executor`` selects the fan-out backend.  ``"thread"`` (the default)
-    runs shard schedulers on a thread pool — zero serialization cost, but
-    the GIL caps the *wall-clock* win at whatever numpy releases.
-    ``"process"`` dispatches each recompute to a ``ProcessPoolExecutor``:
-    workers are initialized once with the (picklable) factory, shards, and
-    model, each task ships only a demand snapshot + epoch in and an
-    :class:`~repro.traffic.epoch.EpochSchedule` + child
-    ``time.process_time`` seconds out.  Everything stateful — per-shard
-    :class:`~repro.traffic.incremental.ScheduleCache` instances, the
-    :class:`~repro.core.controlplane.ControlLedger` — stays in
-    the parent, and shard RNG substreams are pure seed derivations, so
-    traces, obs bookings, and control charges are bit-identical across
-    backends; only wall-clock differs.  Child CPU is merged into the
-    parent's ``sharded.schedule`` spans, keeping ``scheduling_seconds`` /
-    ``critical_path_seconds`` comparable per backend (DESIGN.md §8);
-    ``scheduling_wall_seconds`` tracks the fan-out as the host actually
-    experienced it.
+    ``max_workers`` and ``executor`` change nothing.  They are still
+    validated (``max_workers >= 1``; ``executor`` is ``"thread"`` or
+    ``"process"``) for the callers that pass them, such as the perf
+    ledger's ``sharded_24x24`` workload.  The regions' concurrency is
+    modelled, not run: each shard's ``sharded.schedule`` span measures its
+    thread CPU, an epoch's compute is the sum and its critical path the
+    maximum (DESIGN.md §8), and ``scheduling_wall_seconds`` is the wall of
+    the serial fan-out.
 
     *Overhead accounting*: shards compute in parallel in a federated
     deployment, so the epoch is charged the **maximum** of the shard
@@ -630,8 +501,8 @@ def run_epochs_sharded(
     epoch's overhead *on the critical path* — coordination air serializes
     even when the regional computations ran concurrently.
 
-    A shard scheduler that raises — or a pool worker that dies — aborts the
-    run with :class:`ShardScheduleError` naming the shard and epoch.
+    A shard scheduler that raises aborts the run with
+    :class:`ShardScheduleError` naming the shard and epoch.
     """
     cfg = config or EpochConfig()
     if max_workers < 1:
@@ -641,27 +512,7 @@ def run_epochs_sharded(
     ledger = ControlLedger(control) if control is not None else None
     depths = forest_depths(plan.links) if ledger is not None else None
 
-    process_pool: ProcessPoolExecutor | None = None
-    if executor == "process":
-        process_pool = ProcessPoolExecutor(
-            max_workers=max_workers,
-            initializer=_process_worker_init,
-            initargs=(scheduler_factory, plan.shards, model),
-        )
-        # Prespawn every worker now, from the main thread: forking after
-        # the orchestration threads exist risks inheriting their held
-        # locks, and lazy startup would bill fork+init to the first
-        # epoch's measured wall-clock.
-        futures_wait(
-            [process_pool.submit(_process_warmup) for _ in range(max_workers)]
-        )
-    # The thread pool fans the dispatch out even under the process
-    # backend: each orchestration thread runs the (cheap) cache decision,
-    # then blocks on its worker's future, releasing the GIL.
-    pool = ThreadPoolExecutor(max_workers=max_workers) if max_workers > 1 else None
-
     schedulers: list[EpochSchedulerFn] = []
-    proxies: list[_PoolShardScheduler | None] = []
     # Rate tiers are selected under the *union* of the shard guard budgets
     # (elementwise max over nodes): a boundary node's serving rate honours
     # the same far-field margin its scheduling honoured, whichever shard
@@ -673,15 +524,8 @@ def run_epochs_sharded(
     union_budget = np.maximum.reduce(budgets) if budgets else None
     for shard in plan.shards:
         shard_model = model.with_budget(shard.budget_mw)
-        proxy = None
-        if process_pool is not None:
-            # The factory runs inside the workers; the parent sees only
-            # this dispatching stand-in (cache wrapping below still
-            # happens here, so caching decisions stay deterministic).
-            proxy = _PoolShardScheduler(process_pool, shard.index)
-        proxies.append(proxy)
         scheduler = configured_scheduler(
-            proxy or scheduler_factory(shard, shard_model),
+            scheduler_factory(shard, shard_model),
             cfg,
             shard_model,
             ledger,
@@ -703,17 +547,15 @@ def run_epochs_sharded(
     def stage(snapshot: np.ndarray, epoch: int) -> ScheduledRound:
         nonlocal last_asked
 
-        def run_shard(shard: LinkShard) -> tuple[EpochSchedule, float | None]:
+        asked = [s for s in plan.shards if snapshot[s.link_indices].sum() > 0]
+        planned: list[EpochSchedule] = []
+        # Per-shard thread CPU.  Sum = compute the simulation performed;
+        # max = the epoch's scheduling phase when every region runs on its
+        # own controller, as a federated deployment experiences it.
+        secs: list[float] = []
+        wall0 = time.perf_counter()
+        for shard in asked:
             demand_links = replace(shard.links, demand=snapshot[shard.link_indices])
-            # Per-thread CPU time: what this shard's controller computed,
-            # independent of how many sibling shards were time-slicing the same
-            # simulation host.  The span runs on the worker thread, so its CPU
-            # clock is the shard's; under the process backend the child's
-            # process-CPU seconds are merged in on top of the (small) dispatch
-            # cost, so the trace timing fields stay comparable.
-            proxy = proxies[shard.index]
-            if proxy is not None:
-                proxy.last_cpu_s = None
             with phase(
                 obs,
                 "sharded.schedule",
@@ -723,26 +565,12 @@ def run_epochs_sharded(
                 shard=shard.index,
             ) as span:
                 try:
-                    result = schedulers[shard.index](demand_links, epoch)
+                    planned.append(schedulers[shard.index](demand_links, epoch))
                 except Exception as exc:
                     raise ShardScheduleError(shard.index, epoch, exc) from exc
-                if proxy is not None and proxy.last_cpu_s is not None:
-                    span.add_cpu(proxy.last_cpu_s)
-            return result, span.cpu_s
-
-        asked = [s for s in plan.shards if snapshot[s.link_indices].sum() > 0]
-        wall0 = time.perf_counter()
-        if pool is not None:
-            timed = list(pool.map(run_shard, asked))
-        else:
-            timed = [run_shard(shard) for shard in asked]
+            if span.cpu_s is not None:
+                secs.append(span.cpu_s)
         wall_s = time.perf_counter() - wall0
-        planned = [p for p, _ in timed]
-        # Sum = compute the simulation performed; max = wall-clock of the
-        # epoch's scheduling phase when every region runs on its own
-        # controller (how a federated deployment, or a multi-worker host,
-        # actually experiences it).
-        secs = [sec for _, sec in timed if sec is not None]
 
         cache_hit, patched, drift = merge_decisions(
             [schedulers[s.index] for s in asked]
@@ -811,21 +639,15 @@ def run_epochs_sharded(
             truth=truth,
         )
 
-    try:
-        return epoch_loop(
-            plan.links,
-            generator,
-            stage,
-            cfg,
-            ledger,
-            model.with_budget(union_budget),
-            on_epoch,
-            obs,
-            engine="sharded",
-            plan=plan,
-        )
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
-        if process_pool is not None:
-            process_pool.shutdown(wait=False, cancel_futures=True)
+    return epoch_loop(
+        plan.links,
+        generator,
+        stage,
+        cfg,
+        ledger,
+        model.with_budget(union_budget),
+        on_epoch,
+        obs,
+        engine="sharded",
+        plan=plan,
+    )

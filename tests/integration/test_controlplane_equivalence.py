@@ -152,9 +152,9 @@ def test_zero_priced_sharded_engine_is_bit_identical(mesh, policy):
 
 
 def test_priced_sharded_patch_run_is_worker_count_invariant(mesh):
-    """Per-shard caches charge one shared ledger from worker threads; the
-    trace and every ledger reading must be identical at any worker count
-    (integer-count accumulation + lock: no lost or reordered charges)."""
+    """Per-shard caches charge one shared ledger; ``max_workers`` changes
+    nothing, so the trace and every ledger reading are identical at any
+    worker count (integer-count accumulation: no lost or reordered charges)."""
     network, gateways, links = mesh
     config = EpochConfig(
         epoch_slots=200, n_epochs=5, divergence_factor=4.0, reschedule_policy="patch"

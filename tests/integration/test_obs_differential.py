@@ -124,7 +124,6 @@ class TestBitIdentityAllEnginesAllPolicies:
                 factory,
                 model,
                 config,
-                max_workers=2,
                 obs=obs,
             )
 

@@ -8,18 +8,29 @@
   ``benchmarks/test_bench_sharded.py``.  The same runs, observed at spans
   level, pin that the two entry points really share one loop: identical
   shared-stage spans and ``traffic.*`` metrics up to the ``engine`` label.
-* Determinism: identical traces for ``max_workers=1`` vs ``max_workers=4``
-  given the same seed — parallelism never changes results.
+* Serial fan-out: shards run in the caller's thread, so the perf ledger's
+  ``executor="process", max_workers=2`` call opens no pool and returns the
+  keyword-free call's trace — under every reschedule policy, on one shard
+  and on four, at any worker count; both keywords are still validated.
 * Multi-shard sanity: conservation, feasible reconciled rounds, and
   shard-aware accounting on a real 4-shard run.
+* Failure and replay: a raising shard scheduler surfaces as
+  :class:`ShardScheduleError` naming the shard and epoch and poisons the
+  queues (the monolithic engine fails through the same loop, re-raising the
+  scheduler's own exception); rounds answered from every shard's cache
+  replay bit-identically and book no coordination messages.
 """
 
+import concurrent.futures.process
+import concurrent.futures.thread
+import multiprocessing
 from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from repro.core.controlplane import ControlPlaneModel
 from repro.core.fdd import fdd_on_network
 from repro.experiments.common import PAPER_PROTOCOL, grid_scenario
 from repro.obs import BufferRecorder, Obs, ObsConfig
@@ -28,6 +39,8 @@ from repro.traffic import (
     EpochConfig,
     PoissonArrivals,
     RESCHEDULE_POLICIES,
+    ScheduleCache,
+    ShardScheduleError,
     centralized_scheduler,
     plan_for_network,
     run_epochs,
@@ -35,7 +48,6 @@ from repro.traffic import (
     sharded_centralized_factory,
     sharded_distributed_factory,
 )
-from repro.util.rng import spawn
 
 FUNCTIONAL_FIELDS = (
     "epoch",
@@ -156,9 +168,90 @@ def test_single_shard_equivalence_all_policies(mesh, policy):
     assert {name for name, _ in shard_seen[0]} == set(SHARED_STAGE_SPANS)
 
 
+def assert_traces_identical(a, b):
+    assert a.records == b.records
+    assert a.diverged == b.diverged
+    assert np.array_equal(a.queues.delay_array(), b.queues.delay_array())
+    assert np.array_equal(a.queues.backlog, b.queues.backlog)
+    a.queues.check_conservation()
+
+
+@pytest.fixture
+def no_pools(monkeypatch):
+    """Make constructing either ``concurrent.futures`` pool fail the test,
+    however the constructing module bound the class's name."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sharded engine opened a pool")
+
+    for pool in (
+        concurrent.futures.thread.ThreadPoolExecutor,
+        concurrent.futures.process.ProcessPoolExecutor,
+    ):
+        monkeypatch.setattr(pool, "__init__", refuse)
+
+
+def test_pool_keywords_change_nothing_and_open_no_pool(mesh, no_pools):
+    """The perf ledger's ``sharded_24x24`` call, ``executor="process",
+    max_workers=2``, and its thread twin schedule the shards in the
+    caller's thread: no pool, no child process, and the keyword-free
+    call's trace."""
+    plan = plan_for_network(mesh.links, mesh.network, n_shards=4,
+                            interference_radius_m=80.0)
+    config = EpochConfig(epoch_slots=150, n_epochs=4, divergence_factor=4.0)
+
+    def run(**keywords):
+        factory = sharded_distributed_factory(
+            mesh.network, fdd_on_network, config=PAPER_PROTOCOL, seed=29
+        )
+        return run_epochs_sharded(
+            plan, _generator(mesh), factory, mesh.network.model, config,
+            **keywords,
+        )
+
+    base = run()
+    for executor in ("process", "thread"):
+        assert_traces_identical(base, run(max_workers=2, executor=executor))
+    assert multiprocessing.active_children() == []
+
+
+def _run_centralized(mesh, *, n_shards, policy="always", **keywords):
+    plan = plan_for_network(mesh.links, mesh.network, n_shards=n_shards,
+                            interference_radius_m=80.0)
+    config = EpochConfig(epoch_slots=150, n_epochs=4, divergence_factor=4.0,
+                         reschedule_policy=policy)
+    return run_epochs_sharded(
+        plan, _generator(mesh), sharded_centralized_factory(),
+        mesh.network.model, config, **keywords,
+    )
+
+
+@pytest.mark.parametrize("policy", RESCHEDULE_POLICIES)
+def test_pool_keywords_change_nothing_on_every_policy(mesh, policy, no_pools):
+    """Per-shard caches, drift checks and patches see the same serial
+    fan-out whichever executor is named."""
+    base = _run_centralized(mesh, n_shards=4, policy=policy)
+    for executor in ("process", "thread"):
+        assert_traces_identical(
+            base,
+            _run_centralized(mesh, n_shards=4, policy=policy,
+                             max_workers=4, executor=executor),
+        )
+    assert base.scheduling_wall_seconds is not None
+    assert base.scheduling_wall_seconds > 0.0
+
+
+def test_pool_keywords_change_nothing_on_one_shard(mesh, no_pools):
+    """The degenerate 1-shard plan (the monolithic-equivalent path) too."""
+    assert_traces_identical(
+        _run_centralized(mesh, n_shards=1),
+        _run_centralized(mesh, n_shards=1, max_workers=2, executor="process"),
+    )
+
+
 @pytest.mark.parametrize("workers", [2, 4])
-def test_parallel_workers_never_change_results(mesh, workers):
-    """Same seed, different pool sizes: byte-identical traces."""
+def test_parallel_workers_never_change_results(mesh, workers, no_pools):
+    """Same seed, any worker count: byte-identical traces."""
     model = mesh.network.model
     plan = plan_for_network(mesh.links, mesh.network, n_shards=4,
                             interference_radius_m=80.0)
@@ -173,11 +266,14 @@ def test_parallel_workers_never_change_results(mesh, workers):
             max_workers=max_workers,
         )
 
-    serial = run(1)
-    pooled = run(workers)
-    assert serial.records == pooled.records
-    assert np.array_equal(serial.queues.delay_array(), pooled.queues.delay_array())
-    assert np.array_equal(serial.queues.backlog, pooled.queues.backlog)
+    assert_traces_identical(run(1), run(workers))
+
+
+def test_unknown_executor_rejected(mesh):
+    with pytest.raises(ValueError, match="executor"):
+        _run_centralized(mesh, n_shards=2, max_workers=2, executor="fibers")
+    with pytest.raises(ValueError, match="max_workers"):
+        _run_centralized(mesh, n_shards=2, max_workers=0)
 
 
 def test_multi_shard_run_is_conservative_and_accounted(mesh):
@@ -228,3 +324,119 @@ def test_multi_shard_run_books_what_its_repair_pass_verified(mesh):
     margins = registry.histogram("sinr.margin", **labels)
     assert margins.count == sum(r.demand_scheduled for r in trace.records)
     assert margins.min >= 1.0
+
+
+def _exploding_factory(fail_epoch: int):
+    """Shard 1's scheduler raises from ``fail_epoch`` on."""
+
+    def factory(shard, shard_model):
+        inner = centralized_scheduler(shard_model)
+        fail_here = shard.index == 1
+
+        def scheduler(links, epoch):
+            if fail_here and epoch >= fail_epoch:
+                raise ValueError("synthetic shard meltdown")
+            return inner(links, epoch)
+
+        return scheduler
+
+    return factory
+
+
+@pytest.mark.parametrize("engine", ["sharded", "thread", "process", "monolithic"])
+def test_shard_scheduler_exception_is_annotated_and_poisons_queues(
+    mesh, engine, no_pools
+):
+    """``thread`` and ``process`` are the sharded engine called with that
+    (inert) ``executor`` and ``max_workers=2``: the failure is the same."""
+    network = mesh.network
+    config = EpochConfig(epoch_slots=150, n_epochs=5, divergence_factor=4.0)
+    generator = _generator(mesh, rate=0.02)
+    seen = {}
+
+    def on_epoch(record, queues):
+        seen["queues"] = queues
+        seen["epoch"] = record.epoch
+
+    if engine == "monolithic":
+        # Same loop, same poison point — but the scheduler's own exception
+        # type comes through, not a shard annotation.
+        plan = plan_for_network(mesh.links, network, n_shards=2,
+                                interference_radius_m=80.0)
+        scheduler = _exploding_factory(fail_epoch=2)(plan.shards[1], network.model)
+        with pytest.raises(ValueError, match="synthetic shard meltdown"):
+            run_epochs(mesh.links, generator, scheduler, config, on_epoch=on_epoch)
+    else:
+        plan = plan_for_network(mesh.links, network, n_shards=4,
+                                interference_radius_m=80.0)
+        with pytest.raises(ShardScheduleError) as err:
+            run_epochs_sharded(
+                plan,
+                generator,
+                _exploding_factory(fail_epoch=2),
+                network.model,
+                config,
+                on_epoch=on_epoch,
+                **({} if engine == "sharded" else {"max_workers": 2, "executor": engine}),
+            )
+        assert err.value.shard_index == 1 and err.value.epoch == 2
+        assert "shard 1" in str(err.value) and "epoch 2" in str(err.value)
+        assert "synthetic shard meltdown" in str(err.value)
+        assert isinstance(err.value.__cause__, ValueError)
+
+    # Epochs before the meltdown completed normally...
+    assert seen["epoch"] == 1
+    # ...and the half-mutated queues are poisoned against further use: the
+    # failing epoch's arrivals were booked but never served, so extending
+    # the trace would silently violate conservation.
+    queues = seen["queues"]
+    with pytest.raises(RuntimeError, match="unusable"):
+        queues.arrive(np.zeros(network.n_nodes, dtype=np.int64), 0)
+    with pytest.raises(RuntimeError, match="unusable"):
+        queues.serve_slot(np.array([], dtype=np.intp), 0)
+
+
+def test_cached_rounds_replay_bit_identically_and_book_no_coordination(mesh):
+    """Replayed rounds: deterministic serving, no coordination air.
+
+    With an effectively infinite drift threshold every epoch after the
+    first answers from cache, so the superposed round is last epoch's.  A
+    second identical run pins the replay bit-identical end to end, and on
+    a priced run such an epoch books no ``report`` or ``reconcile``
+    message — the keep-current-round signal is no message.
+    """
+    plan = plan_for_network(mesh.links, mesh.network, n_shards=4,
+                            interference_radius_m=80.0)
+    config = EpochConfig(
+        epoch_slots=150,
+        n_epochs=6,
+        divergence_factor=4.0,
+        reschedule_policy="drift-threshold",
+    )
+    base = sharded_centralized_factory()
+
+    def cached(shard, model):
+        return ScheduleCache(
+            base(shard, model),
+            policy="drift-threshold",
+            drift_threshold=1e9,
+            model=model,
+            epoch_slots=config.epoch_slots,
+        )
+
+    def run():
+        return run_epochs_sharded(
+            plan,
+            _generator(mesh, rate=0.02),
+            cached,
+            mesh.network.model,
+            config,
+            control=ControlPlaneModel.default_priced(),
+        )
+
+    first, second = run(), run()
+    hits = {r.epoch for r in first.records if r.cache_hit}
+    assert len(hits) >= 3, "no replay exercised — raise the drift threshold"
+    assert_traces_identical(first, second)
+    booked = {key[0] for key, _ in first.ledger._entries(layer="sharded")}
+    assert booked and not booked & hits

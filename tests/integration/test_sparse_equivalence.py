@@ -126,7 +126,6 @@ class TestCutoffInfBitIdentity:
                 factory,
                 model,
                 _config(policy),
-                max_workers=2,
             )
 
         _assert_identical(run(mesh.network.model), run(sparse_oracle))
@@ -215,7 +214,6 @@ class TestStreamingRecords:
                 factory,
                 mesh.network.model,
                 _config("always", n_epochs=5, retain=retain),
-                max_workers=2,
             )
 
         _assert_stream_matches_full(run("full"), run("stream"))

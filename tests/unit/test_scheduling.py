@@ -370,6 +370,16 @@ class TestDefaultOrdering:
             greedy_physical(links, model, ordering="id")
         )
 
+    def test_truncated_model_reports_truth_without_demand(self):
+        net, sgm, links = _sparse_mesh()
+        idle = LinkSet(links.heads, links.tails, np.zeros_like(links.demand), links.ids)
+        schedule = greedy_physical(idle, sgm.interference_model(net.radio))
+        assert schedule.slots == []
+        report = schedule.truth
+        assert report is not None
+        assert report.violations == report.repaired_tx == report.repair_rounds == 0
+        assert report.margins.size == 0
+
     @pytest.mark.parametrize("kind", ["dense", "cutoff-inf", "hand-built"])
     def test_exact_models_pack_in_id_order(self, kind, grid64, grid64_links):
         if kind == "dense":
