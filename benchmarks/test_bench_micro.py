@@ -445,10 +445,10 @@ def test_rate_path_evaluates_schedules_not_slots(monkeypatch):
     is one ``sinr_for_link_sets`` call (both sub-slots of every slot).  An
     epoch served from a patch may make at most: the cached-rate read, the
     standalone rates, the pass-3 capacity re-read and the serving
-    annotation (4 passes), plus one pass per deficit link (one
-    ``SlotArena.can_add_all`` each) — and **no** per-slot
-    ``sinr_for_links`` call at all.  (Evaluating slot by slot
-    the same epochs made ~820 ``link_sinrs`` pairs each.)  A hit makes
+    annotation (4 passes) — a deficit link's grants come from its
+    admission pass, and **no** per-slot ``sinr_for_links`` call is made
+    at all.  (Evaluating slot by slot the same epochs made ~820
+    ``link_sinrs`` pairs each.)  A hit makes
     none: the annotator remembers the round it replays.  A recompute makes
     no per-slot call either: ``greedy_rate`` judges each admission with one
     what-if batch and builds each *distinct* slot once — at most one per
@@ -463,7 +463,7 @@ def test_rate_path_evaluates_schedules_not_slots(monkeypatch):
 
     links, model, table = _sessions_mesh()
 
-    calls = {"sets": 0, "per_slot": 0, "deficits": 0, "built": 0, "arenas": 0}
+    calls = {"sets": 0, "per_slot": 0, "built": 0, "arenas": 0}
 
     def counting(fn, key):
         def counted(*args, **kwargs):
@@ -477,9 +477,6 @@ def test_rate_path_evaluates_schedules_not_slots(monkeypatch):
     )
     monkeypatch.setattr(
         interference, "sinr_for_links", counting(interference.sinr_for_links, "per_slot")
-    )
-    monkeypatch.setattr(
-        SlotArena, "can_add_all", counting(SlotArena.can_add_all, "deficits")
     )
     monkeypatch.setattr(incremental, "SlotArena", counting(SlotArena, "arenas"))
     patch = incremental._patch
@@ -518,7 +515,7 @@ def test_rate_path_evaluates_schedules_not_slots(monkeypatch):
         assert spent["per_slot"] == 0
         if record.cache_hit or record.patched:
             reused += 1
-            assert spent["sets"] <= 4 + spent["deficits"]
+            assert spent["sets"] <= 4
         if record.cache_hit:
             assert spent["sets"] == 0
     assert reused >= 6 and cache.stats.patches >= 4
@@ -531,32 +528,31 @@ def test_rate_path_evaluates_schedules_not_slots(monkeypatch):
         assert length >= 3 * built  # replication is live: most slots are copies
 
 
-def test_patch_seeds_slots_not_members(monkeypatch):
-    """A patch costs what changed, not what exists — as counts, not a wall
-    clock.
+def test_a_run_evaluates_each_distinct_slot_once(monkeypatch):
+    """A patch costs what changed, not what exists, and a run evaluates
+    each distinct slot once — as counts, not a wall clock.
 
     On the same ``sessions_patch_8x8`` pipeline, 1 + 19 epochs, with every
-    arena call a patch makes logged and every member handed to the SINR
-    kernel (``_slot_sinrs_flat``) counted:
+    arena call a patch makes logged and every slot handed to the SINR
+    kernel (``_slot_sinrs_flat``) recorded:
 
     * pass 1 re-seeds the kept slots with one ``SlotArena.seed`` call —
       no ``open_slot`` and no per-member ``add`` before the first admission
       test; fresh slots are seeded too, and a deficit link is admitted into
       all its slots by one ``add``;
-    * the kernel sees, per patch, only the members of distinct slots that
-      the previous patch's schedule does not hold — the cached schedule's
-      when it was recomputed, the patched schedule's new slots and the
-      what-if lists (each the slot a tested link would join, plus it);
-    * an epoch answered by a cache hit evaluates no member at all: the
-      annotator remembers the round it replays.
+    * no what-if list reaches the kernel: a deficit link's grants come from
+      its admission pass (``SlotArena.admit_sinrs``), so every slot the
+      kernel sees is one the cache held or handed out;
+    * the patch cache and the rate annotator read one memo, so no slot
+      reaches the kernel twice in the run, and an epoch answered by a cache
+      hit evaluates nothing.
     """
     from repro import rate_aware_scheduler
-    from repro.phy.interference import SlotSinrMemo
     from repro.traffic import incremental
 
     links, model, table = _sessions_mesh()
     log: list = []
-    handed = {"members": 0}
+    handed: list = []
 
     def logged(name):
         method = getattr(SlotArena, name)
@@ -567,60 +563,50 @@ def test_patch_seeds_slots_not_members(monkeypatch):
 
         monkeypatch.setattr(SlotArena, name, call)
 
-    for name in ("seed", "open_slot", "add", "can_add_all"):
+    for name in ("seed", "open_slot", "add", "admit_sinrs"):
         logged(name)
     flat = PhysicalInterferenceModel._slot_sinrs_flat
 
-    def counted(self, heads, tails, slots):
-        handed["members"] += sum(map(len, slots))
+    def recording(self, heads, tails, slots):
+        handed.extend(tuple(slot) for slot in slots)
         return flat(self, heads, tails, slots)
 
-    monkeypatch.setattr(PhysicalInterferenceModel, "_slot_sinrs_flat", counted)
-    requested: list = []
-    read = SlotSinrMemo.__call__
-    monkeypatch.setattr(
-        SlotSinrMemo, "__call__", lambda memo, keys: requested.extend(keys) or read(memo, keys)
-    )
-
-    def tuples(schedule):
-        return set() if schedule is None else {tuple(slot.links) for slot in schedule.slots}
+    monkeypatch.setattr(PhysicalInterferenceModel, "_slot_sinrs_flat", recording)
 
     patch = incremental._patch
     patches = []
+    schedules: set = set()  # every slot of every schedule cached or handed out
 
     def patching(cached, links, model, max_length, table, sinrs, alone):
-        del log[:], requested[:]
-        held = set(sinrs._seen)  # what the previous patch's schedule left
-        before = handed["members"]
+        del log[:]
         patched = patch(cached, links, model, max_length, table, sinrs, alone)
-        fresh = tuples(cached) | tuples(patched)
-        patches.append((list(log), set(requested), fresh, held, handed["members"] - before))
+        for schedule in (cached, patched):
+            schedules.update(() if schedule is None else (tuple(s.links) for s in schedule.slots))
+        patches.append(list(log))
         return patched
 
     monkeypatch.setattr(incremental, "_patch", patching)
+    base = rate_aware_scheduler(model, table)
+
+    def packer(demand_links, epoch):
+        planned = base(demand_links, epoch)
+        schedules.update(tuple(s.links) for s in planned.schedule.slots)
+        return planned
+
     epochs = []
     _run_sessions(
-        links,
-        model,
-        table,
-        rate_aware_scheduler(model, table),
-        20,
-        lambda record: epochs.append((record, handed["members"])),
+        links, model, table, packer, 20, lambda record: epochs.append((record, len(handed)))
     )
 
     assert len(patches) >= 8
-    for calls, keys, fresh, held, members in patches:
+    for calls in patches:
         names = [name for name, _ in calls]
         assert "open_slot" not in names
-        first_test = names.index("can_add_all") if "can_add_all" in names else len(names)
+        first_test = names.index("admit_sinrs") if "admit_sinrs" in names else len(names)
         assert names[:first_test] == ["seed"]
-        assert names.count("add") <= names.count("can_add_all")
-        # Every key read is a slot of the cached or patched schedule, or a
-        # what-if: some tested link appended to a slot.
-        candidates = {tuple(map(int, args)) for name, args in calls if name == "can_add_all"}
-        for key in keys - fresh:
-            assert (int(links.heads[key[-1]]), int(links.tails[key[-1]])) in candidates
-        assert members <= sum(len(key) for key in keys - held)
+        assert names.count("add") <= names.count("admit_sinrs")
+    assert handed and len(handed) == len(set(handed))
+    assert set(handed) <= schedules
 
     before = 0
     hits = 0

@@ -307,18 +307,24 @@ class PhysicalInterferenceModel:
         return total >= self.radio.cs_threshold_mw
 
 
+#: Most slots a :class:`SlotSinrMemo` remembers: patches re-create slots of
+#: epochs before (``sessions_patch_8x8``: ~800 in 91 epochs, ~2 500 in 600).
+MEMO_SLOTS = 4096
+
+
 class SlotSinrMemo:
     """:meth:`PhysicalInterferenceModel.slot_sinrs` evaluating each distinct
     slot once, keyed by its ordered member tuple (link indices into
     ``heads`` / ``tails``).  A remembered entry is what a fresh call would
     return, bit for bit: a slot's row of ``sinr_for_link_sets`` equals
     ``sinr_for_links`` on that slot whatever else shares the batch.  Bound
-    to one model (a budgeted oracle gets its own memo); :meth:`keep` drops
-    all but the slots still in play, so it holds O(schedule) entries.
+    to one ``model`` (a budgeted oracle gets its own memo).  Past
+    :data:`MEMO_SLOTS` entries it forgets the oldest, never a slot the
+    current call asks for.
     """
 
     def __init__(self, model: PhysicalInterferenceModel, heads, tails):
-        self._model = model
+        self.model = model
         self._heads = heads
         self._tails = tails
         self._seen: dict[tuple[int, ...], np.ndarray] = {}
@@ -329,11 +335,10 @@ class SlotSinrMemo:
         seen = self._seen
         missing = list(dict.fromkeys(key for key in keys if key not in seen))
         if missing:
-            worst, ends = self._model._slot_sinrs_flat(self._heads, self._tails, missing)
+            worst, ends = self.model._slot_sinrs_flat(self._heads, self._tails, missing)
             seen.update(zip(missing, split_at(worst, ends)))
+        if len(seen) > MEMO_SLOTS:
+            asked = set(keys)
+            for key in [key for key in seen if key not in asked][: len(seen) - MEMO_SLOTS]:
+                del seen[key]
         return [seen[key] for key in keys]
-
-    def keep(self, keys) -> None:
-        """Forget every entry but those of ``keys``."""
-        seen = self._seen
-        self._seen = {key: seen[key] for key in keys if key in seen}

@@ -33,8 +33,6 @@ audits.
 
 from __future__ import annotations
 
-from itertools import chain
-
 import numpy as np
 
 from repro.phy.interference import PhysicalInterferenceModel
@@ -155,7 +153,6 @@ class SlotArena:
         self._mrcv = np.empty(cap, dtype=np.intp)
         self._m = 0
         self.n_slots = 0
-        self._slot_rows: list[list[int]] = []
         if self._use_sparse:
             n = model.power.n
             # Stacked storage, data side first: the kernel walks both sides
@@ -174,6 +171,8 @@ class SlotArena:
             self._landing = np.zeros(shape, dtype=float)
             self._cell_budget = None if self._budget is None else np.tile(self._budget, 2)
         else:
+            # Gathers read ``_flat[row * n + col]``, several-fold faster.
+            self._flat = np.ascontiguousarray(model.power).reshape(-1)
             self._di = np.empty(cap, dtype=float)
             self._ai = np.empty(cap, dtype=float)
             self._columns = ["_slot_id", "_msnd", "_mrcv", "_di", "_ai"]
@@ -187,7 +186,7 @@ class SlotArena:
 
     def members(self, slot: int) -> tuple[np.ndarray, np.ndarray]:
         """(senders, receivers) of one slot, in admission order."""
-        rows = np.asarray(self._slot_rows[slot], dtype=np.intp)
+        rows = np.flatnonzero(self._slot_id[: self._m] == slot)
         return self._msnd[rows], self._mrcv[rows]
 
     def _ensure_capacity(self, extra: int = 1) -> None:
@@ -259,7 +258,6 @@ class SlotArena:
             return
         first = self.n_slots
         self.n_slots = slots[-1] + 1
-        self._slot_rows.extend([] for _ in range(self.n_slots - first))
         self._ensure_capacity(len(slots))
         if len(slots) == self.n_slots - first:  # singletons hear nobody
             self._append(slots, senders, receivers, 0.0, 0.0)
@@ -297,8 +295,6 @@ class SlotArena:
         self._di[new] = di
         self._ai[new] = ai
         self._m = new.stop
-        for j, row in zip(slots, range(new.start, new.stop)):
-            self._slot_rows[j].append(row)
 
     def add(self, slot, sender: int, receiver: int) -> None:
         """Admit the link to a slot, or to several distinct slots at once,
@@ -321,29 +317,24 @@ class SlotArena:
             self.add_many(into, [sender] * len(into), [receiver] * len(into))
             return
         self._ensure_capacity(len(into))
-        held = [self._slot_rows[j] for j in into]
-        sizes = [len(rows) for rows in held]
-        k = sum(sizes)
-        r = np.fromiter(chain.from_iterable(held), dtype=np.intp, count=k)
+        # The target slots' member rows (ascending) and positions in ``into``.
+        where = np.full(self.n_slots, -1)
+        where[into] = np.arange(len(into))
+        key = where[self._slot_id[: self._m]]
+        r = np.flatnonzero(key >= 0)
+        key = key[r]
+        k = r.size
         ms = self._msnd[r]
         mr = self._mrcv[r]
         # One fused gather for all four member/newcomer power reads — a
         # pure gather, so splitting it differently never changes a value,
         # and the bincount sums below keep their exact order.
-        grows = np.empty(4 * k, dtype=np.intp)
-        gcols = np.empty(4 * k, dtype=np.intp)
-        grows[:k] = sender
-        gcols[:k] = mr
-        grows[k : 2 * k] = receiver
-        gcols[k : 2 * k] = ms
-        grows[2 * k : 3 * k] = ms
-        gcols[2 * k : 3 * k] = receiver
-        grows[3 * k :] = mr
-        gcols[3 * k :] = sender
-        vals = self._power[grows, gcols]
+        nodes = self._power.shape[0]
+        to_members = (mr + sender * nodes, ms + receiver * nodes)
+        from_members = (ms * nodes + receiver, mr * nodes + sender)
+        vals = self._flat.take(np.concatenate(to_members + from_members))
         self._di[r] += vals[:k]
         self._ai[r] += vals[k : 2 * k]
-        key = np.repeat(np.arange(len(into)), sizes)
         new_di = np.bincount(key, weights=vals[2 * k : 3 * k], minlength=len(into))
         new_ai = np.bincount(key, weights=vals[3 * k :], minlength=len(into))
         self._append(into, sender, receiver, new_di, new_ai)
@@ -354,18 +345,33 @@ class SlotArena:
         Bit-identical, on either path, to the scalar per-slot test run
         slot by slot; sparse, it is :meth:`can_add_many` of one candidate.
         """
-        n = self.n_slots
-        if n == 0 or sender == receiver:
-            return np.zeros(n, dtype=bool)
         if self._use_sparse:
             return self.can_add_many([sender], [receiver])[0]
+        return self.admit_sinrs(sender, receiver)[0]
 
-        sid, shared, cand_data, cand_ack, data_bad, ack_bad = self._dense_terms(
-            sender, receiver
-        )
-        shared_per_slot = np.bincount(sid, weights=shared, minlength=n) > 0
-        member_bad = np.bincount(sid, weights=data_bad | ack_bad, minlength=n) > 0
-        return cand_data & cand_ack & ~shared_per_slot & ~member_bad
+    def admit_sinrs(self, sender: int, receiver: int) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`can_add_all` and the candidate's ``min(data, ACK)`` SINR
+        in every slot: where it admits, bit for bit the last entry of
+        :func:`what_if_sinrs` over ``members + [candidate]``, the test's sum
+        written as the kernel writes it (own power added, then taken out)."""
+        n = self.n_slots
+        if n == 0 or sender == receiver:
+            return np.zeros(n, dtype=bool), np.zeros(n)
+        if self._use_sparse:
+            snd, rcv = np.array([sender]), np.array([receiver])
+            reach = self._reach(snd, rcv)
+            listens, sig = reach[4:]
+            extra = 0.0 if self._budget is None else self._cell_budget[listens]
+            ok = self._verdicts(snd, rcv, reach)[0]
+            own = sig, np.broadcast_to(self._noise + extra, 2), self._landing[listens, :n]
+        else:
+            terms = self._dense_terms(sender, receiver)
+            sid, shared, cand_data, cand_ack, data_bad, ack_bad, own = terms
+            blocked = np.zeros(n, dtype=bool)
+            blocked[sid[shared | data_bad | ack_bad]] = True
+            ok = cand_data & cand_ack & ~blocked
+        (sd, sa), (zd, za), (idata, iack) = own
+        return ok, np.minimum(sd / (zd + ((idata + sd) - sd)), sa / (za + ((iack + sa) - sa)))
 
     def _dense_terms(self, sender: int, receiver: int):
         """The dense admission test of one candidate against every slot, in
@@ -373,10 +379,9 @@ class SlotArena:
         common with the candidate), ``data_bad`` / ``ack_bad`` (its data /
         ACK below threshold with the candidate on the air); per slot
         ``cand_data`` / ``cand_ack`` (the candidate's own data / ACK clear
-        it).  :meth:`can_add_all` and :meth:`handshake_verdicts` reduce them
-        per slot."""
+        it) and ``own`` (its data / ACK signals, noises and interference).
+        :meth:`admit_sinrs` and :meth:`handshake_verdicts` reduce them."""
         n = self.n_slots
-        p = self._power
         noise = self._noise
         beta = self._beta
         budget = self._budget
@@ -389,33 +394,21 @@ class SlotArena:
         di = self._di[:m]
         ai = self._ai[:m]
 
-        shared = (msnd == sender) | (msnd == receiver) | (mrcv == sender) | (mrcv == receiver)
+        ends = np.zeros(self._power.shape[0], dtype=bool)
+        ends[sender] = ends[receiver] = True
+        shared = ends[msnd] | ends[mrcv]
 
         # All six power reads — the candidate pair plus the four member
         # cross terms — in one fused gather (a pure gather: grouping the
         # lookups differently can never change a value, so the verdicts
         # below stay bit-identical to the unfused formula).
         k = sid.size
-        grows = np.empty(6 * k + 2, dtype=np.intp)
-        gcols = np.empty(6 * k + 2, dtype=np.intp)
-        grows[0] = sender
-        gcols[0] = receiver
-        grows[1] = receiver
-        gcols[1] = sender
+        nodes = self._power.shape[0]
+        srow, rrow = msnd * nodes, mrcv * nodes
+        pair = [sender * nodes + receiver, receiver * nodes + sender]
+        cross = (srow + receiver, rrow + sender, mrcv + sender * nodes, msnd + receiver * nodes)
+        vals = self._flat.take(np.concatenate((pair, *cross, srow + mrcv, rrow + msnd)))
         seg = [slice(i * k + 2, (i + 1) * k + 2) for i in range(6)]
-        grows[seg[0]] = msnd
-        gcols[seg[0]] = receiver
-        grows[seg[1]] = mrcv
-        gcols[seg[1]] = sender
-        grows[seg[2]] = sender
-        gcols[seg[2]] = mrcv
-        grows[seg[3]] = receiver
-        gcols[seg[3]] = msnd
-        grows[seg[4]] = msnd
-        gcols[seg[4]] = mrcv
-        grows[seg[5]] = mrcv
-        gcols[seg[5]] = msnd
-        vals = p[grows, gcols]
 
         new_data_interf = np.bincount(sid, weights=vals[seg[0]], minlength=n)
         new_ack_interf = np.bincount(sid, weights=vals[seg[1]], minlength=n)
@@ -426,7 +419,8 @@ class SlotArena:
         member_ack_noise = noise if budget is None else noise + budget[msnd]
         data_bad = vals[seg[4]] < beta * (member_data_noise + (di + vals[seg[2]]))
         ack_bad = vals[seg[5]] < beta * (member_ack_noise + (ai + vals[seg[3]]))
-        return sid, shared, cand_data, cand_ack, data_bad, ack_bad
+        own = vals[:2], (data_noise, ack_noise), (new_data_interf, new_ack_interf)
+        return sid, shared, cand_data, cand_ack, data_bad, ack_bad, own
 
     def handshake_verdicts(self, sender: int, receiver: int) -> tuple[np.ndarray, np.ndarray]:
         """Dense arena: :meth:`can_add_all` plus, per slot, whether a
@@ -446,7 +440,7 @@ class SlotArena:
         if self._use_sparse:
             raise ValueError("handshake_verdicts needs a dense power matrix")
         n = self.n_slots
-        sid, shared, cand_data, cand_ack, data_bad, ack_bad = self._dense_terms(
+        sid, shared, cand_data, cand_ack, data_bad, ack_bad, _ = self._dense_terms(
             sender, receiver
         )
 
@@ -561,7 +555,6 @@ class SlotArena:
                 f"link {snd[i]}->{rcv[i]} shares a node with a member of slot {slot[i]}"
             )
         self._ensure_capacity(slot.size)
-        self._slot_rows.extend([] for _ in range(top - self.n_slots))
         self.n_slots = top
         rows = np.arange(self._m, self._m + slot.size)
         new = slice(self._m, self._m + slot.size)
@@ -582,8 +575,6 @@ class SlotArena:
         self._msnd[new] = snd
         self._mrcv[new] = rcv
         self._m = new.stop
-        for j, row in zip(slot.tolist(), rows.tolist()):
-            self._slot_rows[j].append(row)
 
     def first_fit(self, senders, receivers, need) -> tuple[np.ndarray, np.ndarray]:
         """Sparse arena: one greedy step for a whole batch — test it

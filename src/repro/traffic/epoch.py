@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -444,9 +445,9 @@ class RateAnnotator:
         """Per-slot (tiers, rates) arrays for one round, updating state.
 
         The round's SINRs come from one schedule-wide pass (slots are
-        independent) over the slots the previous round did not hold: a
-        memo keyed by member tuple keeps the latest round's values, so a
-        replayed schedule costs no SINR evaluation at all.  Hysteresis
+        independent) over the slots the memo (keyed by member tuple, shared
+        with the run's patch cache) does not hold, so a replayed or patched
+        schedule costs no SINR evaluation at all.  Hysteresis
         runs in slot order — a link that sits in
         several slots of the round carries the tier it was granted in one
         slot into the next — so tiers are selected by occurrence rank: every
@@ -457,10 +458,10 @@ class RateAnnotator:
         if not slot_links:
             return [], []
         table = self.table
-        keys = [tuple(idx.tolist()) for idx in slot_links]
-        worst = np.concatenate(self._sinrs(keys))
-        self._sinrs.keep(keys)
         members = np.concatenate(slot_links).astype(np.intp, copy=False)
+        slot_ends = np.cumsum([len(idx) for idx in slot_links]).tolist()
+        keys = list(map(tuple, split_at(members.tolist(), slot_ends)))
+        worst = np.concatenate(self._sinrs(keys))
         passes = [slice(None)]  # a repeated link keeps its last slot's tier
         if table.hysteresis != 1.0 and members.size:
             # nth[i]: how many earlier entries of the round list member i's link.
@@ -474,8 +475,7 @@ class RateAnnotator:
         for now in passes:
             granted = np.maximum(table.select(worst[now], self._prev[members[now]]), 0)
             self._prev[members[now]] = tiers[now] = granted
-        ends = np.cumsum([len(idx) for idx in slot_links]).tolist()
-        return split_at(tiers, ends), split_at(table.rates[tiers], ends)
+        return split_at(tiers, slot_ends), split_at(table.rates[tiers], slot_ends)
 
 
 def book_epoch_obs(obs: Obs | None, record: EpochRecord, engine: str) -> None:
@@ -669,8 +669,9 @@ def epoch_loop(
     ``(snapshot, epoch) ->`` :class:`ScheduledRound`, for the one thing they
     do differently.  The stage may charge ``ledger`` for its epoch: the
     round is priced after it returns.  Slots are rate-annotated under
-    ``rate_model``; ``engine`` labels every span and metric; ``plan`` is
-    the sharded engine's.
+    ``rate_model``, whose memo a stage's ``bind_sinrs`` hook is handed
+    (``None`` without a rate table); ``engine`` labels every span and
+    metric; ``plan`` is the sharded engine's.
     """
     if ledger is not None:
         ledger.bind_obs(obs)
@@ -683,6 +684,8 @@ def epoch_loop(
                 "so served slots can be rate-annotated from their SINR"
             )
         annotator = RateAnnotator(links, rate_model, cfg.rate_table)
+    # One SINR memo per run (ScheduleCache.bind_sinrs), bound like the above.
+    getattr(stage, "bind_sinrs", lambda memo: None)(annotator and annotator._sinrs)
     queues = LinkQueues(links)
     trace = TrafficTrace(config=cfg, queues=queues, ledger=ledger, plan=plan)
     if obs_spans.CPU_CLOCK is not None:
@@ -841,10 +844,12 @@ def run_epochs(
             planned = scheduler(demand_links, epoch)
         cache_hit, patched, drift = merge_decisions([scheduler])
         # One scheduler, one controller: its CPU is the critical path.  An
-        # epoch plays at most epoch_slots slots, so don't materialize
-        # arrays for a longer schedule's tail.
+        # epoch plays at most epoch_slots slots, so only those become arrays
+        # (views of one flat array).
+        played = [slot.links for slot in planned.schedule.slots[: cfg.epoch_slots]]
+        flat = np.fromiter(chain.from_iterable(played), dtype=np.intp)
         return ScheduledRound(
-            slots=[s.as_array() for s in planned.schedule.slots[: cfg.epoch_slots]],
+            slots=split_at(flat, np.cumsum(list(map(len, played))).tolist()),
             length=planned.schedule.length,
             overhead_seconds=planned.overhead_seconds,
             cpu_s=span.cpu_s,
@@ -856,6 +861,7 @@ def run_epochs(
             truth=schedule_truth([planned.schedule]),
         )
 
+    stage.bind_sinrs = getattr(scheduler, "bind_sinrs", lambda memo: None)
     return epoch_loop(
         links, generator, stage, cfg, ledger, model, on_epoch, obs, engine="epoch"
     )

@@ -126,7 +126,7 @@ def patch_schedule(
        so trimming never cuts below the new demand.
     2. *Insert under-allocated links*: newly backlogged links, and links
        whose demand grew past their cached capacity, are added greedily
-       to the earliest slots where :meth:`SlotArena.can_add_all` says the
+       to the earliest slots where :meth:`SlotArena.admit_sinrs` says the
        slot — including its ACK traffic — stays SINR-feasible (at most one
        membership per slot, mirroring the greedy invariant), with new
        slots opened at the end for whatever the packed slots cannot
@@ -170,12 +170,17 @@ def _patch(cached, links, model, max_length, table, sinrs, alone) -> Schedule | 
     demand = np.asarray(links.demand, dtype=np.int64)
     heads, tails = links.heads, links.tails
 
+    def grants(worst: np.ndarray) -> np.ndarray:
+        """Packets per slot at each ``min(data, ACK)`` SINR (as ``slot_rates``)."""
+        if table is None:
+            return np.ones(worst.size, dtype=np.int64)
+        return table.rates[np.maximum(table.tier_for(worst), 0)]
+
     def rates(keys: list[tuple[int, ...]]) -> np.ndarray:
-        """Packets per slot of every membership of ``keys``, flat: all ones
-        when rate-blind, else :meth:`PhysicalInterferenceModel.slot_rates`."""
+        """:func:`grants` of every membership of ``keys``, flat."""
         if table is None or not keys:
             return np.ones(sum(map(len, keys)), dtype=np.int64)
-        return table.rates[np.maximum(table.tier_for(np.concatenate(sinrs(keys))), 0)]
+        return grants(np.concatenate(sinrs(keys)))
 
     # 1. Keep memberships until each link's demand is covered, earliest
     #    slots first (greedy packed the earliest slots densest; trimming
@@ -229,25 +234,18 @@ def _patch(cached, links, model, max_length, table, sinrs, alone) -> Schedule | 
     for k in sorted(np.flatnonzero(deficit > 0).tolist(), key=lambda k: -int(deficit[k])):
         sender, receiver = int(heads[k]), int(tails[k])
         remaining = int(deficit[k])
-        # One batched admission pass and one batched rate read, both before
-        # this link's insertions: slots are independent, so neither a
-        # verdict nor the rate a slot would grant ``k`` depends on ``k``
-        # joining another slot.  Every grant is at least one packet, so the
-        # first ``remaining`` admitting slots are all this link can use.  A
-        # slot already containing ``k`` shares both endpoints and is
-        # rejected by the mask.
-        admits = np.flatnonzero(arena.can_add_all(sender, receiver))[:remaining].tolist()
-        # The newest member is last in each what-if member list.
-        whatif = [(*slots[j].links, k) for j in admits]
-        grants = rates(whatif)[np.cumsum([len(key) for key in whatif], dtype=np.intp) - 1]
-        into = []
-        for j, granted in zip(admits, grants):
-            if remaining <= 0:
-                break
-            into.append(j)
+        # One admission pass, before any insertion (slots are independent),
+        # gives every verdict and the SINR each slot would grant ``k``, which
+        # takes admitting slots until their grants (each >= 1) cover its
+        # deficit.  A slot already holding ``k`` shares its endpoints.
+        admits, worst = arena.admit_sinrs(sender, receiver)
+        admits = np.flatnonzero(admits)[:remaining]
+        granted = np.cumsum(grants(worst[admits]))
+        into = admits[: np.searchsorted(granted, remaining) + 1].tolist()
+        for j in into:
             slots[j].add(k)
-            remaining -= int(granted)
         if into:
+            remaining -= int(granted[len(into) - 1])
             arena.add(into, sender, receiver)
         if not cover_with_fresh_slots(k, remaining):
             return None
@@ -342,7 +340,7 @@ class ScheduleCache:
         self._model = model
         self._epoch_slots = epoch_slots
         self._rate_table = rate_table
-        # The patches' SINR memo and standalone rates (see _patch).
+        # The patches' SINR memo (see bind_sinrs) and standalone rates.
         self._sinrs: SlotSinrMemo | None = None
         self._alone: np.ndarray | None = None
         self._cached: EpochSchedule | None = None
@@ -403,20 +401,23 @@ class ScheduleCache:
         headroom = self._epoch_slots / self._cached.schedule.length
         return self.drift_threshold * max(1.0, headroom)
 
+    def bind_sinrs(self, memo: SlotSinrMemo | None) -> None:
+        """Read patch SINRs through ``memo``, the run's rate annotator's, if
+        it judges slots under this cache's model, else (``None`` too) through
+        the cache's own; :func:`~repro.traffic.epoch.epoch_loop` rebinds it."""
+        shared = memo is not None and memo.model is self._model
+        self._sinrs = memo if shared else None
+
     def _patch(self, links: LinkSet) -> Schedule | None:
         """:func:`patch_schedule` of the cached schedule, every SINR read
-        through this cache's memo, which then keeps only the patched
-        schedule's slots; standalone rates are computed once."""
+        through the memo; standalone rates are computed once."""
         table = self._rate_table
-        if table is not None and self._sinrs is None:  # the link universe is fixed
-            self._sinrs = SlotSinrMemo(self._model, links.heads, links.tails)
+        if table is not None and self._alone is None:  # the link universe is fixed
             self._alone = standalone_rates(links, self._model, table)
+        if table is not None and self._sinrs is None:
+            self._sinrs = SlotSinrMemo(self._model, links.heads, links.tails)
         args = (self._model, self._epoch_slots, table, self._sinrs, self._alone)
-        patched = _patch(self._cached.schedule, links, *args)
-        kept = [] if patched is None else patched.slots
-        if self._sinrs is not None:
-            self._sinrs.keep(tuple(slot.links) for slot in kept)
-        return patched
+        return _patch(self._cached.schedule, links, *args)
 
     def _book(self, outcome: str) -> None:
         if self._obs is not None:

@@ -109,36 +109,29 @@ class StabilityMetrics:
 
 
 def series_slope(series) -> float:
-    """Least-squares slope of a 1-D series (0.0 for degenerate series).
+    """Least-squares slope of a 1-D series against its index.
 
     The single slope implementation behind :func:`backlog_slope` and the
-    admission controllers' sliding windows.  Degenerate inputs (fewer than
-    two points, or a constant series) return exactly 0.0 — and the fit
-    runs through :class:`numpy.polynomial.Polynomial`, whose scaled-domain
-    least squares stays well conditioned where a raw ``np.polyfit`` on a
-    flat tail emits ``RankWarning`` noise.  ``.convert()`` maps the fit
-    back from its scaled domain — and trims an exactly-zero linear term
-    (e.g. a symmetric series like [3, 0, 3]), leaving a 1-coefficient
-    constant: slope 0.
+    admission controllers' sliding windows, in closed form: with ``c =
+    (n-1)/2``, ``Σ (i - c) y_i / Σ (i - c)²``, the denominator ``n (n² -
+    1) / 12`` and the numerator summed as ``Σ_{i < n/2} (i - c) (y_i -
+    y_{n-1-i})``, so a series symmetric about its midpoint (constant, or
+    ``[3, 0, 3]``) reads exactly 0.0, as do series of fewer than two points.
     """
-    tail = np.asarray(series, dtype=float)
-    if tail.size < 2 or np.all(tail == tail[0]):
+    y = np.asarray(series, dtype=float)
+    n = y.size
+    if n < 2:
         return 0.0
-    x = np.arange(tail.size, dtype=float)
-    coef = np.polynomial.Polynomial.fit(x, tail, 1).convert().coef
-    return float(coef[1]) if coef.size > 1 else 0.0
+    centred = np.arange(n // 2) - (n - 1) / 2
+    return float(centred @ (y - y[::-1])[: n // 2] * 12 / (n * (n * n - 1)))
 
 
 def backlog_slope(trace: TrafficTrace) -> float:
     """Least-squares slope (packets/epoch) over the trailing half of the
-    backlog series."""
+    backlog series (all of it when that half is one point)."""
     series = trace.backlog_series()
-    if series.size < 2:
-        return 0.0
     tail = series[series.size // 2 :]
-    if tail.size < 2:
-        tail = series
-    return series_slope(tail)
+    return series_slope(tail if tail.size > 1 else series)
 
 
 def stability_margin(trace: TrafficTrace) -> float:
@@ -148,11 +141,15 @@ def stability_margin(trace: TrafficTrace) -> float:
     final backlog to clear the magnitude gate; the margin is the smaller of
     the two ratios, so values ``> 1`` read unstable, ``< 1`` stable, and
     values near 1 are borderline.  Diverged traces return ``inf`` (the
-    divergence guard only fires on decisive blow-ups); empty traces 0.
+    divergence guard only fires on decisive blow-ups); empty traces, and
+    traces whose backlog emptied in the trailing half, 0: a drained queue
+    accumulated nothing, though a few packets of integer noise (``[0 4 0 1
+    0 3 0 5]`` at 6 arrivals per epoch) clear both floors.
     """
     if trace.diverged:
         return float("inf")
-    if trace.last_record is None:
+    series = trace.backlog_series()
+    if trace.last_record is None or not series[series.size // 2 :].all():
         return 0.0
     arrivals_per_epoch = trace.arrivals_total / trace.n_epochs_run
     slope_ratio = backlog_slope(trace) / max(
@@ -169,7 +166,7 @@ def is_stable(trace: TrafficTrace) -> bool:
 
     Unstable when the epoch loop's divergence guard fired, or when the
     trailing backlog slope exceeds :data:`STABILITY_TOLERANCE` of the
-    per-epoch arrivals
+    per-epoch arrivals, the backlog never emptied in the trailing half,
     *and* the final backlog has actually accumulated past the
     :data:`BACKLOG_GATE_FRACTION` magnitude gate.
     """

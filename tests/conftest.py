@@ -214,6 +214,11 @@ def interference_sums(arena):
     return arena._di, arena._ai
 
 
+def slot_rows(arena, slot):
+    """A ``SlotArena`` slot's member rows, in admission order."""
+    return np.flatnonzero(arena._slot_id[: arena.n_members] == slot)
+
+
 # --------------------------------------------------------------------------
 # Per-slot references of the rate-aware passes.  The library evaluates whole
 # schedules in one batched SINR kernel and replicates greedy_rate's slots by

@@ -26,7 +26,7 @@ from repro.scheduling.metrics import improvement_over_linear, verify_schedule
 from repro.scheduling.orderings import EDGE_ORDERINGS
 from repro.topology.commgraph import communication_adjacency, is_connected
 from repro.traffic.incremental import patch_schedule
-from tests.conftest import SlotState, interference_sums
+from tests.conftest import SlotState, interference_sums, slot_rows
 
 
 @st.composite
@@ -180,7 +180,7 @@ def assert_arenas_equal_states(arenas, states):
             snd, rcv = arena.members(j)
             assert snd.tolist() == state.senders
             assert rcv.tolist() == state.receivers
-            rows = arena._slot_rows[j]
+            rows = slot_rows(arena, j)
             data, ack = interference_sums(arena)
             assert data[rows].tolist() == state._data_interf
             assert ack[rows].tolist() == state._ack_interf

@@ -1,12 +1,13 @@
 """SINR reuse: a remembered slot is a fresh evaluation, bit for bit.
 
 ``SlotSinrMemo`` keys ``min(data, ACK)`` SINRs by a slot's ordered member
-tuple; ``ScheduleCache`` holds one across its patches (cached rates, what-if
-grants, top-up) and ``RateAnnotator`` one across rounds.  Reuse is exact
-because a slot's row of the batched kernel equals the one-slot kernel
-whatever else shares the batch — so an entry first computed in a wide batch
-must equal a fresh call on that slot alone; the key is the *ordered* tuple,
-the memo belongs to one model, and it keeps only the latest schedule.
+tuple; a run's ``RateAnnotator`` holds one, and ``epoch_loop`` hands it to
+the run's patch cache when both judge slots under the same model, so each
+distinct slot is evaluated once per run.  Reuse is exact because a slot's
+row of the batched kernel equals the one-slot kernel whatever else shares
+the batch — so an entry first computed in a wide batch must equal a fresh
+call on that slot alone; the key is the *ordered* tuple, the memo belongs
+to one model, and past ``MEMO_SLOTS`` entries it forgets the oldest.
 """
 
 import math
@@ -16,13 +17,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.phy import interference
 from repro.phy.interference import PhysicalInterferenceModel, SlotSinrMemo
 from repro.phy.propagation import LogDistancePathLoss
 from repro.phy.radio import RadioConfig, RateTable
 from repro.phy.sparse import sparse_gain_model
 from repro.scheduling.greedy_rate import greedy_rate
 from repro.topology.network import uniform_network
-from repro.traffic.epoch import EpochSchedule, RateAnnotator
+from repro.traffic.epoch import EpochConfig, EpochSchedule, RateAnnotator, run_epochs
+from repro.traffic.generators import PoissonArrivals
 from repro.traffic.incremental import ScheduleCache, patch_schedule
 from tests.conftest import make_links
 
@@ -135,14 +138,19 @@ def mesh():
     return network, make_links(network, 2, seed=23)[1]
 
 
-@given(st.integers(min_value=0, max_value=2**31 - 1), st.sampled_from([None, 50]))
+@given(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.sampled_from([None, 50]),
+    st.sampled_from([4, interference.MEMO_SLOTS]),
+)
 @settings(max_examples=25, deadline=None)
-def test_cache_patches_equal_fresh_patches_and_memo_keeps_the_latest_schedule(
-    mesh, seed, max_length
+def test_cache_patches_equal_fresh_patches_and_memo_stays_bounded(
+    mesh, seed, max_length, memo_slots
 ):
     """A patch-policy cache reused across many drifting epochs patches
     exactly what a fresh ``patch_schedule`` of its cached schedule gives,
-    while its memo never holds more than the latest schedule's slots."""
+    whether its memo remembers everything or forgets all but four slots,
+    and the memo never holds more than its bound or one call's slots."""
     network, links = mesh
     model = network.model
     table = RateTable.geometric(network.radio.beta)
@@ -160,25 +168,51 @@ def test_cache_patches_equal_fresh_patches_and_memo_keeps_the_latest_schedule(
         rate_table=table,
     )
     demand = np.minimum(links.demand, 4)
-    for epoch in range(12):
-        current = replace(links, demand=demand)
-        before = cache._cached
-        planned = cache(current, epoch)
-        if cache.last_decision.patched:
-            fresh = patch_schedule(before.schedule, current, model, max_length, table)
-            assert [s.links for s in planned.schedule.slots] == [s.links for s in fresh.slots]
-        if cache._sinrs is not None:
-            latest = {tuple(s.links) for s in planned.schedule.slots}
-            assert set(cache._sinrs._seen) <= latest
-        drift = rng.integers(-2, 3, links.n_links) * (rng.random(links.n_links) < 0.5)
-        demand = np.clip(demand + drift, 0, 6)
-        demand[rng.integers(links.n_links)] += 1  # never all-zero
+    asked = [0]  # distinct slots per memo call
+    read = SlotSinrMemo.__call__
+    with pytest.MonkeyPatch.context() as patcher:
+        patcher.setattr(interference, "MEMO_SLOTS", memo_slots)
+        patcher.setattr(
+            SlotSinrMemo,
+            "__call__",
+            lambda memo, keys: asked.append(len(set(keys))) or read(memo, keys),
+        )
+        for epoch in range(12):
+            current = replace(links, demand=demand)
+            before = cache._cached
+            planned = cache(current, epoch)
+            if cache.last_decision.patched:
+                fresh = patch_schedule(before.schedule, current, model, max_length, table)
+                assert [s.links for s in planned.schedule.slots] == [
+                    s.links for s in fresh.slots
+                ]
+            if cache._sinrs is not None:
+                assert len(cache._sinrs._seen) <= max(memo_slots, max(asked))
+            drift = rng.integers(-2, 3, links.n_links) * (rng.random(links.n_links) < 0.5)
+            demand = np.clip(demand + drift, 0, 6)
+            demand[rng.integers(links.n_links)] += 1  # never all-zero
     assert max_length is not None or cache.stats.patches >= 3  # a window can refuse them all
 
 
-def test_annotator_memo_keeps_the_latest_round(mesh, monkeypatch):
-    """A replayed round evaluates nothing; a changed one only its new slots;
-    and the memo never outgrows the latest round."""
+def test_memo_forgets_the_oldest_past_its_bound_never_a_slot_asked_for(
+    mesh, monkeypatch
+):
+    network, links = mesh
+    monkeypatch.setattr(interference, "MEMO_SLOTS", 3)
+    memo = SlotSinrMemo(network.model, links.heads, links.tails)
+    memo([(0,), (1,), (2,)])
+    memo([(3,), (1,)])
+    assert list(memo._seen) == [(1,), (2,), (3,)]  # (0,) was the oldest
+    memo([(4,), (5,), (6,), (7,)])
+    assert list(memo._seen) == [(4,), (5,), (6,), (7,)]  # one call may overrun
+    counted = Counting(monkeypatch)
+    memo([(7,), (4,)])
+    assert counted.slots == 0
+
+
+def test_annotator_memo_evaluates_each_distinct_slot_once(mesh, monkeypatch):
+    """A replayed round evaluates nothing; a changed one only the slots no
+    earlier round held; going back to an earlier round costs nothing."""
     network, links = mesh
     table = RateTable.geometric(network.radio.beta)
     schedule = greedy_rate(links, network.model, table)
@@ -194,4 +228,58 @@ def test_annotator_memo_keeps_the_latest_round(mesh, monkeypatch):
     annotator.annotate(thinned)
     kept = {tuple(idx.tolist()) for idx in thinned}
     assert counted.slots == len(distinct) + len(kept - distinct)
-    assert set(annotator._sinrs._seen) == kept
+    annotator.annotate(slots)
+    assert counted.slots == len(distinct | kept)  # the first round is remembered
+
+
+def test_a_run_shares_one_memo_between_annotator_and_patch_cache(mesh, monkeypatch):
+    """``epoch_loop`` hands the annotator's memo to a patch cache over the
+    run's own model: across a rate-annotated run no slot reaches the kernel
+    twice.  A cache over another model object keeps a memo of its own, and
+    a run without a rate table unbinds the last run's."""
+    network, links = mesh
+    model = network.model
+    table = RateTable.geometric(network.radio.beta)
+
+    def cache_over(cache_model):
+        def scheduler(demand_links, epoch):
+            return EpochSchedule(greedy_rate(demand_links, cache_model, table))
+
+        return ScheduleCache(
+            scheduler,
+            policy="patch",
+            drift_threshold=0.0,
+            model=cache_model,
+            epoch_slots=300,
+            rate_table=table,
+        )
+
+    def run(cache, rate_table):
+        gateways = np.setdiff1d(np.arange(network.n_nodes), links.heads)
+        arrivals = PoissonArrivals(network.n_nodes, 0.004, gateways=gateways, seed=3)
+        config = EpochConfig(
+            epoch_slots=300, n_epochs=12, reschedule_policy="patch", rate_table=rate_table
+        )
+        return run_epochs(links, arrivals, cache, config, model=model)
+
+    handed = []
+    flat = PhysicalInterferenceModel._slot_sinrs_flat
+
+    def recording(self, heads, tails, slots):
+        handed.extend(tuple(slot) for slot in slots)
+        return flat(self, heads, tails, slots)
+
+    monkeypatch.setattr(PhysicalInterferenceModel, "_slot_sinrs_flat", recording)
+    shared = cache_over(model)
+    trace = run(shared, table)
+    assert trace.patched_epochs >= 3
+    assert handed and len(handed) == len(set(handed))
+    assert shared._sinrs is not None and shared._sinrs.model is model
+    first = shared._sinrs
+
+    other = cache_over(PhysicalInterferenceModel(model.power, model.radio))
+    run(other, table)
+    assert other._sinrs is None or other._sinrs.model is other._model
+
+    run(shared, None)  # no annotator: the cache reads through a memo of its own
+    assert shared._sinrs is not first

@@ -7,9 +7,11 @@ shape.  Plus conservation through the full closed loop and deterministic
 checks of the stability classifiers on synthetic traces.
 """
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.experiments.common import grid_scenario
 from repro.traffic import (
@@ -18,13 +20,16 @@ from repro.traffic import (
     EpochRecord,
     PoissonArrivals,
     TrafficTrace,
+    backlog_slope,
     centralized_scheduler,
     is_stable,
     run_epochs,
     serialized_scheduler,
     stability_knee,
+    stability_margin,
     summarize_trace,
 )
+from repro.traffic.stability import series_slope
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +45,10 @@ def small_mesh():
     seed=st.integers(min_value=0, max_value=2**31 - 1),
     bursty=st.booleans(),
 )
+# Backlog [0 4 0 1 0 3 0 5], 49 arrivals: the trailing slope (1.2) and the
+# final backlog (5 against a gate of 3.06) both read growth, but the queue
+# empties every other epoch.
+@example(rate=0.001, seed=171, bursty=True)
 def test_sufficient_service_keeps_backlog_bounded(small_mesh, rate, seed, bursty):
     """Demand-covering schedules within the epoch budget => bounded backlogs.
 
@@ -127,6 +136,16 @@ class TestStabilityClassifiers:
         # keeps regression noise from reading as instability.
         assert is_stable(_trace([32, 28, 3, 14, 0, 9, 23, 26]))
 
+    def test_a_queue_that_drains_in_the_tail_is_stable(self):
+        # Slope 1.2 pkt/epoch over a 1.0 floor, final backlog 5 over a gate
+        # of 3: a few packets of integer noise, not accumulation.
+        trace = _trace([0, 4, 0, 1, 0, 3, 0, 5], arrivals_per_epoch=6)
+        assert backlog_slope(trace) == pytest.approx(1.2)
+        assert stability_margin(trace) == 0.0
+        assert is_stable(trace)
+        # The same shape that never empties still reads as growth.
+        assert not is_stable(_trace([2, 6, 2, 3, 2, 5, 2, 7], arrivals_per_epoch=6))
+
     def test_divergence_flag_wins(self):
         assert not is_stable(_trace([1, 1, 1], diverged=True))
 
@@ -154,3 +173,42 @@ class TestStabilityClassifiers:
             for rate in (0.002, 0.004, 0.008)
         ]
         assert stability_knee(points) == 0.008
+
+
+def _oracle_slope(y):
+    """The least-squares slope ``numpy.polynomial`` fits (0 for constants)."""
+    if np.all(y == y[0]):
+        return 0.0
+    coef = np.polynomial.Polynomial.fit(np.arange(y.size, dtype=float), y, 1).convert().coef
+    return float(coef[1]) if coef.size > 1 else 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.integers(min_value=0, max_value=10**7),
+            st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+        ),
+        min_size=2,
+        max_size=120,
+    )
+)
+def test_closed_form_slope_matches_the_polynomial_fit(values):
+    """To 1e-12 relative, or 1e-12 of the series' magnitude where the slope
+    is so near 0 that the fit's own rounding dominates (a symmetric series
+    fits ~1e-14 there, the closed form exactly 0.0)."""
+    y = np.asarray(values, dtype=float)
+    scale = float(np.abs(y).max())
+    assert math.isclose(series_slope(y), _oracle_slope(y), rel_tol=1e-12, abs_tol=1e-12 * scale)
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=40),
+    st.booleans(),
+)
+def test_symmetric_and_constant_series_have_exactly_zero_slope(half, odd):
+    mirrored = half + half[-2::-1] if odd else half + half[::-1]
+    assert series_slope(mirrored) == 0.0
+    assert series_slope([half[0]] * len(mirrored)) == 0.0
+    assert series_slope(half[:1]) == 0.0 and series_slope([]) == 0.0

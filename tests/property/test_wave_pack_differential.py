@@ -30,7 +30,7 @@ from repro.scheduling.feasibility import SlotArena, feasible_alone
 from repro.scheduling.greedy_physical import greedy_physical
 from repro.scheduling.links import LinkSet
 from repro.scheduling.orderings import EDGE_ORDERINGS
-from tests.conftest import interference_sums, serial_pack
+from tests.conftest import interference_sums, serial_pack, slot_rows
 
 # ``repro.scheduling.greedy_physical`` the attribute is the function.
 gp = importlib.import_module("repro.scheduling.greedy_physical")
@@ -156,9 +156,10 @@ def test_wave_pack_equals_serial_pack(instance, ordering, capacity, slot_capacit
 def slot_sums(arena):
     """Every slot's members and their interference sums, dense or sparse."""
     data, ack = interference_sums(arena)
+    rows = [slot_rows(arena, j) for j in range(arena.n_slots)]
     return [
-        (*(side.tolist() for side in arena.members(j)), bits(data[rows]), bits(ack[rows]))
-        for j, rows in enumerate(arena._slot_rows)
+        (*(side.tolist() for side in arena.members(j)), bits(data[r]), bits(ack[r]))
+        for j, r in enumerate(rows)
     ]
 
 

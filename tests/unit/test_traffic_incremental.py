@@ -355,8 +355,8 @@ class TestBacklogSlope:
         assert backlog_slope(_trace([42])) == 0.0
 
     def test_symmetric_tail_with_exact_zero_slope(self):
-        # Polynomial.convert() trims an exactly-zero linear term down to a
-        # single coefficient; regression for the IndexError that caused.
+        # A tail symmetric about its midpoint pairs off exactly; the earlier
+        # numpy.polynomial fit trimmed its zero linear term to an IndexError.
         assert backlog_slope(_trace([0, 0, 0, 3, 0, 3])) == 0.0
         assert backlog_slope(_trace([0, 0, 0, 0, 1, 2, 2, 1])) == 0.0
 
@@ -508,19 +508,23 @@ class TestPatchScheduleWithRateTable:
             is None
         )
 
-    def test_whatif_rates_are_read_for_no_more_slots_than_the_deficit(
-        self, mesh, monkeypatch
-    ):
-        """Every grant is at least one packet, so a deficit of ``d`` packets
-        can use at most the first ``d`` admitting slots — the what-if rate
-        read stops there, however many slots would take the link."""
-        from repro.phy.interference import SlotSinrMemo
+    def test_grants_come_from_the_admission_pass_not_whatif_lists(self, monkeypatch):
+        """A joining link's rate in each admitting slot comes from the
+        arena's admission pass: every slot the patch hands the SINR kernel
+        belongs to the cached or the patched schedule, none is a member
+        list with the joining link appended.  On this 6x6 mesh, one packet
+        per link, link 27 fits several slots of the cached schedule and is
+        granted two packets in the first, so a deficit of two takes that
+        slot alone; reading what-if rates for the first ``deficit``
+        admitting slots handed the kernel the second one too."""
+        from repro.phy.interference import PhysicalInterferenceModel
         from repro.scheduling.feasibility import SlotArena
 
-        links, model = mesh.links, mesh.network.model
+        grid = grid_scenario(1000.0, rep=0, rows=6, cols=6, n_gateways=2)
+        links, model = grid.links, grid.network.model
         table = self.table(model)
-        k = links.n_links - 1
-        without = links.demand.copy()
+        k = 27
+        without = np.ones(links.n_links, dtype=np.int64)
         without[k] = 0
         cached = greedy_physical(replace(links, demand=without), model)
         arena = SlotArena(model)
@@ -529,22 +533,20 @@ class TestPatchScheduleWithRateTable:
             j = arena.open_slot(int(links.heads[first]), int(links.tails[first]))
             for m in rest:
                 arena.add(j, int(links.heads[m]), int(links.tails[m]))
-        takers = int(arena.can_add_all(int(links.heads[k]), int(links.tails[k])).sum())
-        assert takers > 2
+        assert int(arena.can_add_all(int(links.heads[k]), int(links.tails[k])).sum()) > 2
 
-        reads = []
-        read = SlotSinrMemo.__call__
+        handed = []
+        flat = PhysicalInterferenceModel._slot_sinrs_flat
 
-        def recording(self, slots):
-            reads.append([list(slot) for slot in slots])
-            return read(self, slots)
+        def recording(self, heads, tails, slots):
+            handed.extend(tuple(slot) for slot in slots)
+            return flat(self, heads, tails, slots)
 
-        monkeypatch.setattr(SlotSinrMemo, "__call__", recording)
+        monkeypatch.setattr(PhysicalInterferenceModel, "_slot_sinrs_flat", recording)
         with_two = without.copy()
         with_two[k] = 2
         patched = patch_schedule(cached, replace(links, demand=with_two), model, table=table)
         assert patched is not None
-        whatif = [
-            slots for slots in reads if slots and all(s[-1] == k and len(s) > 1 for s in slots)
-        ]
-        assert len(whatif) == 1 and len(whatif[0]) == 2
+        schedules = {tuple(s.links) for s in cached.slots + patched.slots}
+        assert handed and set(handed) <= schedules
+        assert sum(k in slot for slot in patched.slots) == 1
