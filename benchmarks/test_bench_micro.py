@@ -443,11 +443,11 @@ def test_rate_path_evaluates_schedules_not_slots(monkeypatch):
     control, multi-rate serving), 1 + 11 epochs, with every call the
     interference oracle makes into ``repro.phy.sinr`` counted.  One *pass*
     is one ``sinr_for_link_sets`` call (both sub-slots of every slot).  An
-    epoch served from a patch may make at most: the cached-rate read, the
-    standalone rates, the pass-3 capacity re-read and the serving
-    annotation (4 passes) — a deficit link's grants come from its
-    admission pass, and **no** per-slot ``sinr_for_links`` call is made
-    at all.  (Evaluating slot by slot the same epochs made ~820
+    epoch served from a patch may make at most the cached-rate read and the
+    pass-3 capacity re-read (2 passes) — a deficit link's grants come from
+    its admission pass, the standalone SINRs come with the run's memo, and
+    the serving annotation reads slots pass 3 has read — and **no**
+    per-slot ``sinr_for_links`` call is made at all.  (Evaluating slot by slot the same epochs made ~820
     ``link_sinrs`` pairs each.)  A hit makes
     none: the annotator remembers the round it replays.  A recompute makes
     no per-slot call either: ``greedy_rate`` judges each admission with one
@@ -515,7 +515,7 @@ def test_rate_path_evaluates_schedules_not_slots(monkeypatch):
         assert spent["per_slot"] == 0
         if record.cache_hit or record.patched:
             reused += 1
-            assert spent["sets"] <= 4
+            assert spent["sets"] <= 2
         if record.cache_hit:
             assert spent["sets"] == 0
     assert reused >= 6 and cache.stats.patches >= 4
@@ -544,8 +544,8 @@ def test_a_run_evaluates_each_distinct_slot_once(monkeypatch):
       its admission pass (``SlotArena.admit_sinrs``), so every slot the
       kernel sees is one the cache held or handed out;
     * the patch cache and the rate annotator read one memo, so no slot
-      reaches the kernel twice in the run, and an epoch answered by a cache
-      hit evaluates nothing.
+      reaches the kernel twice in the run, no one-member slot reaches it
+      at all, and an epoch answered by a cache hit evaluates nothing.
     """
     from repro import rate_aware_scheduler
     from repro.traffic import incremental
@@ -569,17 +569,19 @@ def test_a_run_evaluates_each_distinct_slot_once(monkeypatch):
 
     def recording(self, heads, tails, slots):
         handed.extend(tuple(slot) for slot in slots)
+        kernel_calls.append(len(slots))
         return flat(self, heads, tails, slots)
 
+    kernel_calls: list = []
     monkeypatch.setattr(PhysicalInterferenceModel, "_slot_sinrs_flat", recording)
 
     patch = incremental._patch
     patches = []
     schedules: set = set()  # every slot of every schedule cached or handed out
 
-    def patching(cached, links, model, max_length, table, sinrs, alone):
+    def patching(cached, links, model, max_length, table, sinrs):
         del log[:]
-        patched = patch(cached, links, model, max_length, table, sinrs, alone)
+        patched = patch(cached, links, model, max_length, table, sinrs)
         for schedule in (cached, patched):
             schedules.update(() if schedule is None else (tuple(s.links) for s in schedule.slots))
         patches.append(list(log))
@@ -607,6 +609,10 @@ def test_a_run_evaluates_each_distinct_slot_once(monkeypatch):
         assert names.count("add") <= names.count("admit_sinrs")
     assert handed and len(handed) == len(set(handed))
     assert set(handed) <= schedules
+    # A one-member slot is its link's standalone SINR, which the memo
+    # holds: 18 kernel calls (25 calls and 50 one-member slots before).
+    assert min(map(len, handed)) > 1
+    assert len(kernel_calls) == 18
 
     before = 0
     hits = 0
@@ -656,16 +662,16 @@ def test_serve_plays_schedules_not_slots(monkeypatch):
 
     counts = []
 
-    def counting(queues, slot_links, start, epoch_slots, overhead_slots, slot_rates):
+    def counting(queues, members, ends, start, epoch_slots, overhead_slots, rates):
         short, served_short = calls_under(
-            copy.deepcopy(queues), slot_links, start, epoch_slots, overhead_slots, slot_rates
+            copy.deepcopy(queues), members, ends, start, epoch_slots, overhead_slots, rates
         )
         long, served_long = calls_under(
-            copy.deepcopy(queues), slot_links, start, 10 * epoch_slots, overhead_slots, slot_rates
+            copy.deepcopy(queues), members, ends, start, 10 * epoch_slots, overhead_slots, rates
         )
-        served = play(queues, slot_links, start, epoch_slots, overhead_slots, slot_rates)
+        served = play(queues, members, ends, start, epoch_slots, overhead_slots, rates)
         assert served == served_short <= served_long
-        counts.append((short, long, len(slot_links)))
+        counts.append((short, long, len(ends)))
         return served
 
     monkeypatch.setattr(LinkQueues, "play", counting)

@@ -20,7 +20,6 @@ handshakes, and the schedule verifier.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -31,7 +30,7 @@ from repro.phy.sinr import (
     sinr_for_link_sets,
     sinr_for_links,
 )
-from repro.util.ranges import split_at
+from repro.util.ranges import join, split_at
 
 
 @dataclass(frozen=True)
@@ -154,16 +153,13 @@ class PhysicalInterferenceModel:
     ) -> tuple[np.ndarray, list[int]]:
         """:meth:`slot_sinrs` before the split: all members' values in slot
         order, and each slot's end offset into them."""
-        sizes = np.fromiter(map(len, slots), dtype=np.intp, count=len(slots))
-        ends = np.cumsum(sizes).tolist()
-        total = ends[-1] if ends else 0
-        if total == 0:
+        flat, ends = join(slots)
+        if flat.size == 0:
             return np.empty(0, dtype=float), ends
+        sizes = np.diff([0, *ends])
         valid = np.arange(sizes.max()) < sizes[:, None]
         members = np.zeros(valid.shape, dtype=np.intp)
-        members[valid] = np.fromiter(
-            chain.from_iterable(slots), dtype=np.intp, count=total
-        )
+        members[valid] = flat
         snd = np.asarray(heads, dtype=np.intp)[members]
         rcv = np.asarray(tails, dtype=np.intp)[members]
         return self.set_sinrs(snd, rcv, valid)[valid], ends
@@ -181,6 +177,15 @@ class PhysicalInterferenceModel:
         both = sinr_for_link_sets(self.power, tx, rx, on, self.radio.noise_mw, self.budget_mw)
         n_sets = len(senders)
         return np.minimum(both[:n_sets], both[n_sets:])
+
+    def alone_sinrs(self, heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
+        """Each link's ``min(data, ACK)`` SINR with nobody else on the air:
+        one :meth:`set_sinrs` batch of one-link sets.  Entry ``k`` is what
+        :meth:`slot_sinrs` gives the slot ``[k]``, bit for bit: a lone
+        member's interference is an exact ``0.0``."""
+        heads = np.asarray(heads, dtype=np.intp)[:, None]
+        tails = np.asarray(tails, dtype=np.intp)[:, None]
+        return self.set_sinrs(heads, tails, np.ones(heads.shape, dtype=bool))[:, 0]
 
     def slot_sinrs(
         self, heads: np.ndarray, tails: np.ndarray, slots
@@ -317,8 +322,10 @@ class SlotSinrMemo:
     slot once, keyed by its ordered member tuple (link indices into
     ``heads`` / ``tails``).  A remembered entry is what a fresh call would
     return, bit for bit: a slot's row of ``sinr_for_link_sets`` equals
-    ``sinr_for_links`` on that slot whatever else shares the batch.  Bound
-    to one ``model`` (a budgeted oracle gets its own memo).  Past
+    ``sinr_for_links`` on that slot whatever else shares the batch.  A
+    one-member slot is never evaluated: it reads :attr:`alone`, every
+    link's standalone SINR, computed once with the memo.  Bound to one
+    ``model`` (a budgeted oracle gets its own memo).  Past
     :data:`MEMO_SLOTS` entries it forgets the oldest, never a slot the
     current call asks for.
     """
@@ -327,13 +334,14 @@ class SlotSinrMemo:
         self.model = model
         self._heads = heads
         self._tails = tails
+        self.alone = model.alone_sinrs(heads, tails)
         self._seen: dict[tuple[int, ...], np.ndarray] = {}
 
     def __call__(self, keys: list[tuple[int, ...]]) -> list[np.ndarray]:
         """``min(data, ACK)`` SINR per member of every keyed slot, the
-        slots not seen before evaluated in one batch."""
+        slots of two or more members not seen before evaluated in one batch."""
         seen = self._seen
-        missing = list(dict.fromkeys(key for key in keys if key not in seen))
+        missing = list(dict.fromkeys(k for k in keys if len(k) > 1 and k not in seen))
         if missing:
             worst, ends = self.model._slot_sinrs_flat(self._heads, self._tails, missing)
             seen.update(zip(missing, split_at(worst, ends)))
@@ -341,4 +349,4 @@ class SlotSinrMemo:
             asked = set(keys)
             for key in [key for key in seen if key not in asked][: len(seen) - MEMO_SLOTS]:
                 del seen[key]
-        return [seen[key] for key in keys]
+        return [seen[key] if len(key) > 1 else self.alone[list(key)] for key in keys]

@@ -29,14 +29,6 @@ from repro.scheduling.links import LinkSet
 from repro.scheduling.schedule import Schedule, Slot
 
 
-def _alone_sinrs(links: LinkSet, model: PhysicalInterferenceModel) -> np.ndarray:
-    """Each link's ``min(data, ACK)`` SINR with nobody else on the air."""
-    n = links.n_links
-    return model.set_sinrs(
-        links.heads[:, None], links.tails[:, None], np.ones((n, 1), dtype=bool)
-    )[:, 0]
-
-
 def standalone_rates(
     links: LinkSet, model: PhysicalInterferenceModel, table
 ) -> np.ndarray:
@@ -46,7 +38,7 @@ def standalone_rates(
     grant more.  Stateless ``rate_for`` — a link below the base threshold
     even alone reports 0, i.e. it is not a communication edge.
     """
-    return table.rate_for(_alone_sinrs(links, model))
+    return table.rate_for(model.alone_sinrs(links.heads, links.tails))
 
 
 def greedy_rate(
@@ -83,7 +75,7 @@ def greedy_rate(
         communication edge), mirroring
         :func:`~repro.scheduling.greedy_physical.greedy_physical`.
     """
-    worst = _alone_sinrs(links, model)
+    worst = model.alone_sinrs(links.heads, links.tails)
     # lexsort keys: last key is primary.
     order = np.lexsort((-links.heads, -table.rate_for(worst)))
     residual = links.demand.astype(np.int64).copy()

@@ -36,7 +36,10 @@ def communication_adjacency(
         raise ValueError(f"power must be a square matrix, got shape {p.shape}")
     if noise_mw <= 0 or beta <= 0:
         raise ValueError("noise_mw and beta must be positive")
-    forward = p / noise_mw >= beta
+    # The standalone screen's comparison (``feasible_alone``,
+    # ``communication_csr``): ``p / N >= β`` rounds differently near the
+    # threshold, in either direction.
+    forward = p >= beta * noise_mw
     adjacency = forward & forward.T
     np.fill_diagonal(adjacency, False)
     return adjacency

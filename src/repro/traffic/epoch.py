@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import chain
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -54,7 +53,7 @@ from repro.scheduling.schedule import Schedule
 from repro.topology.network import Network
 from repro.traffic.generators import TrafficGenerator
 from repro.traffic.queues import LinkQueues
-from repro.util.ranges import split_at
+from repro.util.ranges import join, split_at
 from repro.util.rng import freeze_root, spawn
 
 if TYPE_CHECKING:  # sharded.py imports this module
@@ -213,8 +212,7 @@ class TrafficTrace:
     so wall >= CPU); for the sharded engine it measures the whole serial
     fan-out, every shard one after another, while ``critical_path_seconds``
     models the regions computing concurrently.  Always measured
-    (perf_counter needs no platform support) — ``None`` only on traces
-    predating the field.
+    (perf_counter needs no platform support).
     """
 
     config: EpochConfig
@@ -417,11 +415,11 @@ class RateAnnotator:
     Owns the hysteresis memory of :meth:`RateTable.select`: for every link
     it remembers the tier last granted, so a link whose slot SINR hovers on
     a tier edge cannot flap between tiers from one epoch's round to the
-    next.  :meth:`annotate` turns one round's per-slot link-index arrays
-    into per-slot tier and packets-per-slot arrays, evaluating each slot's
-    concurrent SINR through the bound interference oracle (budgeted on
-    sharded runs — guard budgets therefore cost rate tiers, not just
-    feasibility).
+    next.  :meth:`annotate` turns one flat round into the tier and
+    packets-per-slot of every membership, reading each slot's concurrent
+    SINR through the run's :class:`~repro.phy.interference.SlotSinrMemo`
+    (over the budgeted oracle on sharded runs — guard budgets therefore
+    cost rate tiers, not just feasibility).
 
     Tiers are clamped to the base tier: membership was established by the
     ``SINR >= β`` scheduling contract and the seed serves one packet per
@@ -429,20 +427,14 @@ class RateAnnotator:
     1 and serving is bit-identical to the fixed-rate path.
     """
 
-    def __init__(
-        self,
-        links: LinkSet,
-        model: PhysicalInterferenceModel,
-        table: RateTable,
-    ):
+    def __init__(self, sinrs: SlotSinrMemo, table: RateTable):
         self.table = table
-        self._sinrs = SlotSinrMemo(model, links.heads, links.tails)
-        self._prev = np.full(links.n_links, -1, dtype=np.int64)
+        self._sinrs = sinrs
+        self._prev = np.full(sinrs.alone.size, -1, dtype=np.int64)  # one per link
 
-    def annotate(
-        self, slot_links: list[np.ndarray]
-    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Per-slot (tiers, rates) arrays for one round, updating state.
+    def annotate(self, members: np.ndarray, ends: list[int]) -> tuple[np.ndarray, ...]:
+        """(tiers, rates) of every membership of the round ``members`` (slot
+        ``t`` is ``members[ends[t - 1]:ends[t]]``), updating state.
 
         The round's SINRs come from one schedule-wide pass (slots are
         independent) over the slots the memo (keyed by member tuple, shared
@@ -455,13 +447,9 @@ class RateAnnotator:
         many passes as the busiest link has slots, not one per slot — and a
         table without hysteresis never reads the memory, so one pass.
         """
-        if not slot_links:
-            return [], []
         table = self.table
-        members = np.concatenate(slot_links).astype(np.intp, copy=False)
-        slot_ends = np.cumsum([len(idx) for idx in slot_links]).tolist()
-        keys = list(map(tuple, split_at(members.tolist(), slot_ends)))
-        worst = np.concatenate(self._sinrs(keys))
+        keys = list(map(tuple, split_at(members.tolist(), ends)))
+        worst = np.concatenate([np.empty(0), *self._sinrs(keys)])
         passes = [slice(None)]  # a repeated link keeps its last slot's tier
         if table.hysteresis != 1.0 and members.size:
             # nth[i]: how many earlier entries of the round list member i's link.
@@ -469,13 +457,13 @@ class RateAnnotator:
             runs = np.flatnonzero(np.r_[True, np.diff(members[by_link]) != 0, True])
             nth = np.empty(members.size, dtype=np.intp)
             nth[by_link] = np.arange(members.size) - np.repeat(runs[:-1], np.diff(runs))
-            ends = np.cumsum(np.bincount(nth)).tolist()
-            passes = split_at(np.argsort(nth, kind="stable"), ends)
+            ranks = np.cumsum(np.bincount(nth)).tolist()
+            passes = split_at(np.argsort(nth, kind="stable"), ranks)
         tiers = np.empty(members.size, dtype=np.int64)
         for now in passes:
             granted = np.maximum(table.select(worst[now], self._prev[members[now]]), 0)
             self._prev[members[now]] = tiers[now] = granted
-        return split_at(tiers, slot_ends), split_at(table.rates[tiers], slot_ends)
+        return tiers, table.rates[tiers]
 
 
 def book_epoch_obs(obs: Obs | None, record: EpochRecord, engine: str) -> None:
@@ -502,7 +490,7 @@ def book_epoch_obs(obs: Obs | None, record: EpochRecord, engine: str) -> None:
 
 def book_rate_obs(
     obs: Obs | None,
-    slot_tiers: list[np.ndarray] | None,
+    tiers: np.ndarray | None,
     served: int,
     plays: int,
     engine: str,
@@ -510,19 +498,16 @@ def book_rate_obs(
     """Book one epoch's multi-rate serving metrics.
 
     Per-tier ``rate.selected`` counters (how many memberships the round's
-    annotation granted each MCS tier) plus a ``rate.delivered`` histogram
-    observation of the epoch's realized packets per play — exactly 1.0
-    under the degenerate table, drifting upward as links win higher tiers.
-    No-op on fixed-rate runs (``slot_tiers is None``) or with obs off;
-    always passive.
+    annotation granted each MCS tier, ``tiers`` one per membership) plus a
+    ``rate.delivered`` histogram observation of the epoch's realized
+    packets per play — exactly 1.0 under the degenerate table, drifting
+    upward as links win higher tiers.  No-op on fixed-rate runs (``tiers
+    is None``) or with obs off; always passive.
     """
-    if obs is None or slot_tiers is None:
+    if obs is None or tiers is None:
         return
-    occupied = [t for t in slot_tiers if t.size]
-    if occupied:
-        tiers, counts = np.unique(np.concatenate(occupied), return_counts=True)
-        for tier, count in zip(tiers, counts):
-            obs.counter("rate.selected", int(count), engine=engine, tier=int(tier))
+    for tier, count in zip(*np.unique(tiers, return_counts=True)):
+        obs.counter("rate.selected", int(count), engine=engine, tier=int(tier))
     if plays > 0:
         obs.observe("rate.delivered", served / plays, engine=engine)
 
@@ -577,8 +562,10 @@ def bind_workload(generator: TrafficGenerator, ledger, obs: Obs | None) -> None:
 class ScheduledRound:
     """A scheduling stage's answer for one epoch with demand: what to play.
 
-    ``slots`` holds link-index arrays for (at least) the first
-    ``epoch_slots`` of the round's ``length`` slots — all an epoch can play;
+    ``members`` holds the link indices of (at least) the first
+    ``epoch_slots`` of the round's ``length`` slots — all an epoch can play
+    — back to back, slot ``t`` ending at ``ends[t]`` (an empty slot repeats
+    the previous end);
     ``cpu_s`` / ``critical_s`` / ``wall_s`` are its increments of the three
     :class:`TrafficTrace` timing fields; ``truth`` holds the exact-model
     reports of the schedules it was built from (those that carry one) and
@@ -586,7 +573,8 @@ class ScheduledRound:
     idle epoch.
     """
 
-    slots: list[np.ndarray] = field(default_factory=list)
+    members: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.intp))
+    ends: list[int] = field(default_factory=list)
     length: int = 0
     overhead_seconds: float = 0.0
     cpu_s: float | None = None
@@ -611,12 +599,14 @@ def configured_scheduler(
     ledger: ControlLedger | None,
     depths: np.ndarray | None,
     obs: Obs | None,
+    sinrs: SlotSinrMemo | None,
     **labels,
 ) -> EpochSchedulerFn:
     """``scheduler`` as ``cfg`` wants it called: wrapped in a fresh
     :class:`~repro.traffic.incremental.ScheduleCache` over ``model`` unless
     the policy is ``"always"`` (a cache passed in is used as-is, whatever the
-    policy says), and any cache bound to this run."""
+    policy says), and any cache bound to this run: its control ledger, its
+    obs handle and the SINR memo ``sinrs`` its patches may share."""
     # Imported here: incremental.py imports EpochSchedule from this module.
     from repro.traffic.incremental import ScheduleCache
 
@@ -635,6 +625,7 @@ def configured_scheduler(
     # not keep charging that run's ledger.
     scheduler.bind_control(ledger, depths)
     scheduler.bind_obs(obs, **labels)
+    scheduler.bind_sinrs(sinrs)
     return scheduler
 
 
@@ -657,7 +648,7 @@ def epoch_loop(
     stage: Callable[[np.ndarray, int], ScheduledRound],
     cfg: EpochConfig,
     ledger: ControlLedger | None,
-    rate_model: PhysicalInterferenceModel | None,
+    sinrs: SlotSinrMemo | None,
     on_epoch: Callable[[EpochRecord, LinkQueues], None] | None,
     obs: Obs | None,
     engine: str,
@@ -669,23 +660,14 @@ def epoch_loop(
     ``(snapshot, epoch) ->`` :class:`ScheduledRound`, for the one thing they
     do differently.  The stage may charge ``ledger`` for its epoch: the
     round is priced after it returns.  Slots are rate-annotated under
-    ``rate_model``, whose memo a stage's ``bind_sinrs`` hook is handed
-    (``None`` without a rate table); ``engine`` labels every span and
+    ``cfg.rate_table`` through ``sinrs``, the run's SINR memo (``None``
+    exactly when there is no rate table); ``engine`` labels every span and
     metric; ``plan`` is the sharded engine's.
     """
     if ledger is not None:
         ledger.bind_obs(obs)
     bind_workload(generator, ledger, obs)
-    annotator = None
-    if cfg.rate_table is not None:
-        if rate_model is None:
-            raise ValueError(
-                "config.rate_table needs the interference oracle: pass model= "
-                "so served slots can be rate-annotated from their SINR"
-            )
-        annotator = RateAnnotator(links, rate_model, cfg.rate_table)
-    # One SINR memo per run (ScheduleCache.bind_sinrs), bound like the above.
-    getattr(stage, "bind_sinrs", lambda memo: None)(annotator and annotator._sinrs)
+    annotator = None if sinrs is None else RateAnnotator(sinrs, cfg.rate_table)
     queues = LinkQueues(links)
     trace = TrafficTrace(config=cfg, queues=queues, ledger=ledger, plan=plan)
     if obs_spans.CPU_CLOCK is not None:
@@ -728,19 +710,16 @@ def epoch_loop(
                 )
             # Only the first T - overhead slots can ever play (the cyclic
             # index stays below the window when the round is longer).
-            slot_links = planned.slots[: T - overhead_slots]
-            slot_tiers = slot_rates = None
+            ends = planned.ends[: T - overhead_slots]
+            members = planned.members[: ends[-1] if ends else 0]
+            tiers = rates = None
             if annotator is not None:
                 with phase(obs, "epoch.annotate", engine=engine, epoch=epoch):
-                    slot_tiers, slot_rates = annotator.annotate(slot_links)
+                    tiers, rates = annotator.annotate(members, ends)
             plays_before = queues.plays_total
             with phase(obs, "epoch.serve", engine=engine, epoch=epoch):
-                served = queues.play(
-                    slot_links, start, T, overhead_slots, slot_rates
-                )
-            book_rate_obs(
-                obs, slot_tiers, served, queues.plays_total - plays_before, engine
-            )
+                served = queues.play(members, ends, start, T, overhead_slots, rates)
+            book_rate_obs(obs, tiers, served, queues.plays_total - plays_before, engine)
         elif ledger is not None:
             # No demand, hence no scheduler run — but control messages
             # booked to this epoch (e.g. session signaling into an idle
@@ -828,8 +807,18 @@ def run_epochs(
     cfg = config or EpochConfig()
     ledger = ControlLedger(control) if control is not None else None
     depths = forest_depths(links) if ledger is not None else None
+    # One SINR memo per run: the rate annotator's, and the cache's too when
+    # the cache judges slots under the same model.
+    sinrs = None
+    if cfg.rate_table is not None:
+        if model is None:
+            raise ValueError(
+                "config.rate_table needs the interference oracle: pass model= "
+                "so served slots can be rate-annotated from their SINR"
+            )
+        sinrs = SlotSinrMemo(model, links.heads, links.tails)
     scheduler = configured_scheduler(
-        scheduler, cfg, model, ledger, depths, obs, engine="epoch"
+        scheduler, cfg, model, ledger, depths, obs, sinrs, engine="epoch"
     )
 
     def stage(snapshot: np.ndarray, epoch: int) -> ScheduledRound:
@@ -844,12 +833,12 @@ def run_epochs(
             planned = scheduler(demand_links, epoch)
         cache_hit, patched, drift = merge_decisions([scheduler])
         # One scheduler, one controller: its CPU is the critical path.  An
-        # epoch plays at most epoch_slots slots, so only those become arrays
-        # (views of one flat array).
-        played = [slot.links for slot in planned.schedule.slots[: cfg.epoch_slots]]
-        flat = np.fromiter(chain.from_iterable(played), dtype=np.intp)
+        # epoch plays at most epoch_slots slots, so only those are handed on.
+        played = planned.schedule.slots[: cfg.epoch_slots]
+        members, ends = join([slot.links for slot in played])
         return ScheduledRound(
-            slots=split_at(flat, np.cumsum(list(map(len, played))).tolist()),
+            members=members,
+            ends=ends,
             length=planned.schedule.length,
             overhead_seconds=planned.overhead_seconds,
             cpu_s=span.cpu_s,
@@ -861,9 +850,8 @@ def run_epochs(
             truth=schedule_truth([planned.schedule]),
         )
 
-    stage.bind_sinrs = getattr(scheduler, "bind_sinrs", lambda memo: None)
     return epoch_loop(
-        links, generator, stage, cfg, ledger, model, on_epoch, obs, engine="epoch"
+        links, generator, stage, cfg, ledger, sinrs, on_epoch, obs, engine="epoch"
     )
 
 

@@ -43,18 +43,16 @@ re-run-every-epoch knee sits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from repro.obs import phase
 from repro.phy.interference import PhysicalInterferenceModel, SlotSinrMemo
 from repro.scheduling.feasibility import SlotArena, feasible_alone
-from repro.scheduling.greedy_rate import standalone_rates
 from repro.scheduling.links import LinkSet
 from repro.scheduling.schedule import Schedule, Slot
 from repro.traffic.epoch import EpochSchedule, EpochSchedulerFn
-from repro.util.ranges import split_at
+from repro.util.ranges import join, split_at
 
 #: Default *base* drift threshold (normalized L1), before headroom scaling.
 #: Chosen from measured drift on the 8x8 grid: with the threshold scaled by
@@ -152,16 +150,14 @@ def patch_schedule(
     the epoch's playable window could not even serve every link once.  The
     cached schedule is never mutated.
     """
-    sinrs = alone = None
-    if table is not None:
-        sinrs = SlotSinrMemo(model, links.heads, links.tails)
-        alone = standalone_rates(links, model, table)
-    return _patch(cached, links, model, max_length, table, sinrs, alone)
+    sinrs = None if table is None else SlotSinrMemo(model, links.heads, links.tails)
+    return _patch(cached, links, model, max_length, table, sinrs)
 
 
-def _patch(cached, links, model, max_length, table, sinrs, alone) -> Schedule | None:
-    """:func:`patch_schedule` reading SINRs through the memo ``sinrs`` and
-    fresh-slot grants from ``alone`` (both unused without a ``table``)."""
+def _patch(cached, links, model, max_length, table, sinrs) -> Schedule | None:
+    """:func:`patch_schedule` reading every SINR through the memo ``sinrs``
+    (unused without a ``table``), fresh-slot grants from its standalone
+    SINRs."""
     if cached.link_set.n_links != links.n_links:
         raise ValueError(
             f"cannot patch a schedule for {cached.link_set.n_links} links "
@@ -169,6 +165,7 @@ def _patch(cached, links, model, max_length, table, sinrs, alone) -> Schedule | 
         )
     demand = np.asarray(links.demand, dtype=np.int64)
     heads, tails = links.heads, links.tails
+    alone = None if table is None else table.rate_for(sinrs.alone)
 
     def grants(worst: np.ndarray) -> np.ndarray:
         """Packets per slot at each ``min(data, ACK)`` SINR (as ``slot_rates``)."""
@@ -192,7 +189,7 @@ def _patch(cached, links, model, max_length, table, sinrs, alone) -> Schedule | 
     #    untested, in cached order, so every interference sum accumulates
     #    as it did when the slot was built.
     keys = [tuple(slot.links) for slot in cached.slots]
-    member = np.fromiter(chain.from_iterable(keys), dtype=np.intp)
+    member, _ = join(keys)
     value = rates(keys)
     by_link = np.argsort(member, kind="stable")
     before = np.cumsum(value[by_link]) - value[by_link]
@@ -256,7 +253,7 @@ def _patch(cached, links, model, max_length, table, sinrs, alone) -> Schedule | 
     #    (which degrade nothing), so a single round suffices.
     if table is not None:
         keys = [tuple(slot.links) for slot in slots]
-        members = np.fromiter(chain.from_iterable(keys), dtype=np.intp)
+        members, _ = join(keys)
         shortfall = demand - np.bincount(members, rates(keys), links.n_links).astype(np.int64)
         for k in sorted(
             np.flatnonzero(shortfall > 0).tolist(), key=lambda k: -int(shortfall[k])
@@ -340,9 +337,8 @@ class ScheduleCache:
         self._model = model
         self._epoch_slots = epoch_slots
         self._rate_table = rate_table
-        # The patches' SINR memo (see bind_sinrs) and standalone rates.
+        # The patches' SINR memo (see bind_sinrs).
         self._sinrs: SlotSinrMemo | None = None
-        self._alone: np.ndarray | None = None
         self._cached: EpochSchedule | None = None
         self._baseline: np.ndarray | None = None
         self._ledger = None
@@ -402,21 +398,20 @@ class ScheduleCache:
         return self.drift_threshold * max(1.0, headroom)
 
     def bind_sinrs(self, memo: SlotSinrMemo | None) -> None:
-        """Read patch SINRs through ``memo``, the run's rate annotator's, if
-        it judges slots under this cache's model, else (``None`` too) through
-        the cache's own; :func:`~repro.traffic.epoch.epoch_loop` rebinds it."""
+        """Read patch SINRs through ``memo``, the run's, if it judges slots
+        under this cache's model, else (``None`` too) through the cache's
+        own; :func:`~repro.traffic.epoch.configured_scheduler` rebinds it
+        on every run."""
         shared = memo is not None and memo.model is self._model
         self._sinrs = memo if shared else None
 
     def _patch(self, links: LinkSet) -> Schedule | None:
         """:func:`patch_schedule` of the cached schedule, every SINR read
-        through the memo; standalone rates are computed once."""
+        through the memo."""
         table = self._rate_table
-        if table is not None and self._alone is None:  # the link universe is fixed
-            self._alone = standalone_rates(links, self._model, table)
         if table is not None and self._sinrs is None:
             self._sinrs = SlotSinrMemo(self._model, links.heads, links.tails)
-        args = (self._model, self._epoch_slots, table, self._sinrs, self._alone)
+        args = (self._model, self._epoch_slots, table, self._sinrs)
         return _patch(self._cached.schedule, links, *args)
 
     def _book(self, outcome: str) -> None:

@@ -147,27 +147,29 @@ class LinkQueues:
         rates: np.ndarray | None = None,
     ) -> int:
         """Serve one slot — :meth:`play` over a one-slot round at ``time``."""
-        return self.play([link_indices], time, 1, 0, None if rates is None else [rates])
+        return self.play(link_indices, [len(link_indices)], time, 1, 0, rates)
 
     def play(
         self,
-        slot_links: list[np.ndarray],
+        members: np.ndarray,
+        ends: list[int],
         start: int,
         epoch_slots: int,
         overhead_slots: int,
-        slot_rates: list[np.ndarray] | None = None,
+        rates: np.ndarray | None = None,
     ) -> int:
         """Play a round cyclically over one epoch's data slots; return the
         packet-hops served.
 
-        Slots ``overhead_slots .. epoch_slots - 1`` of the epoch starting at
-        slot ``start`` play ``slot_links`` (per-slot arrays of link indices)
-        cyclically from its first entry.  With ``slot_rates=None``
-        (fixed-rate, the seed contract) every backlogged member forwards
-        exactly one packet per play; with per-slot ``slot_rates`` arrays
-        (aligned with ``slot_links``, packets per slot from the link's MCS
-        tier) a member forwards ``min(rate, backlog)`` — the multi-rate
-        serving contract, of which all-ones rates are the fixed-rate case.
+        The round is ``members``, every slot's link indices back to back,
+        slot ``t`` ending at ``ends[t]``.  Slots ``overhead_slots ..
+        epoch_slots - 1`` of the epoch starting at slot ``start`` play it
+        cyclically from its first slot.  With ``rates=None`` (fixed-rate,
+        the seed contract) every backlogged member forwards exactly one
+        packet per play; with ``rates`` (aligned with ``members``, packets
+        per slot from the link's MCS tier) a member forwards ``min(rate,
+        backlog)`` — the multi-rate serving contract, of which all-ones
+        rates are the fixed-rate case.
 
         All transmissions in a slot are simultaneous: a packet relayed in
         slot t joins the next queue for slot t + 1, behind what is already
@@ -187,30 +189,25 @@ class LinkQueues:
         link twice — raises before anything is mutated.
         """
         self._check_usable()
+        members = np.asarray(members, dtype=np.intp)
+        if rates is not None and np.shape(rates) != members.shape:
+            given = np.size(rates)
+            raise ValueError(f"rates must align with members: {given} for {members.size}")
         window = epoch_slots - overhead_slots
         # Only the first ``window`` slots of a longer round ever play.
-        slot_links = slot_links[: max(window, 0)]
-        n = len(slot_links)
-        if n == 0:
-            return 0
-        sizes = np.fromiter(map(len, slot_links), dtype=np.intp, count=n)
-        members = np.concatenate(slot_links).astype(np.intp, copy=False)
-        if slot_rates is None:
+        ends = ends[: max(window, 0)]
+        n = len(ends)
+        members = members[: ends[-1] if n else 0]
+        if rates is None:
             rates = np.ones(members.size, dtype=np.int64)
         else:
-            slot_rates = slot_rates[:window]
-            given = np.fromiter(map(len, slot_rates), dtype=np.intp, count=len(slot_rates))
-            if given.shape != sizes.shape or np.any(given != sizes):
-                raise ValueError(
-                    f"rates must align with link_indices: {given.tolist()} "
-                    f"rates for slots of {sizes.tolist()} links"
-                )
-            rates = np.concatenate(slot_rates).astype(np.int64, copy=False)
+            rates = np.asarray(rates, dtype=np.int64)[: members.size]
             if np.any(rates < 0):
                 raise ValueError("rates must be non-negative")
         link = self._rank[members]  # IndexError for a link that does not exist
         if members.size == 0:
             return 0
+        sizes = np.diff([0, *ends])
 
         # The plays, in the order they happen: (slot time, position in slot).
         slot_of = np.repeat(np.arange(n), sizes)

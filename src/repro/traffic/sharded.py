@@ -58,7 +58,7 @@ import numpy as np
 
 from repro.core.controlplane import ControlLedger, ControlPlaneModel, forest_depths
 from repro.obs import Obs, phase
-from repro.phy.interference import PhysicalInterferenceModel
+from repro.phy.interference import PhysicalInterferenceModel, SlotSinrMemo
 from repro.scheduling.greedy_physical import repair
 from repro.scheduling.links import LinkSet
 from repro.topology.regions import GridTiling
@@ -77,6 +77,7 @@ from repro.traffic.epoch import (
 )
 from repro.traffic.generators import TrafficGenerator
 from repro.traffic.queues import LinkQueues
+from repro.util.ranges import join, split_at
 
 #: Default guard margin: boundary nodes budget one extra noise floor of
 #: far-field interference (effective noise ``2N``, i.e. +3 dB).  Measured on
@@ -522,6 +523,11 @@ def run_epochs_sharded(
     # monolithic engine.
     budgets = [s.budget_mw for s in plan.shards if s.budget_mw is not None]
     union_budget = np.maximum.reduce(budgets) if budgets else None
+    # The run's SINR memo is the annotator's alone: a shard's cache judges
+    # its own links under its own budget, so it reads a memo of its own.
+    sinrs = None
+    if cfg.rate_table is not None:
+        sinrs = SlotSinrMemo(model.with_budget(union_budget), plan.links.heads, plan.links.tails)
     for shard in plan.shards:
         shard_model = model.with_budget(shard.budget_mw)
         scheduler = configured_scheduler(
@@ -531,6 +537,7 @@ def run_epochs_sharded(
             ledger,
             depths[shard.link_indices] if depths is not None else None,
             obs,
+            sinrs=None,
             engine="sharded",
             shard=shard.index,
         )
@@ -578,25 +585,20 @@ def run_epochs_sharded(
         asked_key = tuple(s.index for s in asked)
         replayed = cache_hit and asked_key == last_asked
         last_asked = asked_key
-        # Superpose in shard order: combined slot t is the union of every
-        # shard's slot t (shards shorter than the round contribute nothing
+        # Superpose by slot index: combined slot t is every shard's slot t,
+        # in shard order (shards shorter than the round contribute nothing
         # to its tail — each link still appears exactly demand-many times
-        # per round).
+        # per round).  An empty slot stays a slot, as the monolithic stage
+        # hands the loop a scheduler's empty slots too.
+        members, slot_of = [], []
+        for shard, p in zip(asked, planned):
+            local, cuts = join([slot.links for slot in p.schedule.slots])
+            members.append(shard.link_indices[local])
+            slot_of.append(np.repeat(np.arange(len(cuts)), np.diff([0, *cuts])))
+        slot_of = np.concatenate(slot_of)
+        members = np.concatenate(members)[np.argsort(slot_of, kind="stable")]
         round_len = max(p.schedule.length for p in planned)
-        combined = []
-        for t in range(round_len):
-            parts = [
-                shard.link_indices[p.schedule.slots[t].as_array()]
-                for shard, p in zip(asked, planned)
-                if t < p.schedule.length
-            ]
-            if len(parts) == 1:
-                # Possibly empty — kept either way: the monolithic stage
-                # hands the loop a scheduler's empty slots too, and 1-shard
-                # equivalence must preserve that.
-                combined.append(parts[0])
-            else:
-                combined.append(np.concatenate(parts))
+        ends = np.cumsum(np.bincount(slot_of, minlength=round_len)).tolist()
         reconciled = 0
         truth = schedule_truth([p.schedule for p in planned])
         # Reconcile on every multi-shard plan, even when a single shard
@@ -606,7 +608,8 @@ def run_epochs_sharded(
         # plan is the only one served verbatim.
         if plan.n_shards > 1:
             with phase(obs, "sharded.reconcile", engine="sharded", epoch=epoch):
-                combined, report = repair(combined, plan.links, model, ascending)
+                slots, report = repair(split_at(members, ends), plan.links, model, ascending)
+                members, ends = join(slots)
             reconciled = report.repaired_tx
             truth.append(report)
             if ledger is not None and not replayed:
@@ -623,8 +626,9 @@ def run_epochs_sharded(
                 ledger.charge(epoch, "sharded", "reconcile", reconciled)
 
         return ScheduledRound(
-            slots=combined,
-            length=len(combined),
+            members=members,
+            ends=ends,
+            length=len(ends),
             # Shards compute concurrently (max, not sum); the epoch's
             # control messages serialize on shared air, so the loop's
             # pricing adds them on top of the slowest shard.
@@ -645,7 +649,7 @@ def run_epochs_sharded(
         stage,
         cfg,
         ledger,
-        model.with_budget(union_budget),
+        sinrs,
         on_epoch,
         obs,
         engine="sharded",

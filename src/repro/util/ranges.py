@@ -7,6 +7,8 @@ Grid-cell runs and frontier neighbor lists are both "for every
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 
@@ -28,3 +30,11 @@ def expand_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarra
 def split_at(flat: np.ndarray, ends: list[int]) -> list[np.ndarray]:
     """Cut ``flat`` into consecutive pieces ending at ``ends`` (views)."""
     return [flat[a:b] for a, b in zip([0, *ends], ends)]
+
+
+def join(pieces) -> tuple[np.ndarray, list[int]]:
+    """Index sequences as one ``intp`` array and the ``ends`` that
+    :func:`split_at` cuts it back at (empty pieces included)."""
+    ends = np.cumsum([len(piece) for piece in pieces], dtype=np.intp).tolist()
+    flat = chain.from_iterable(pieces)
+    return np.fromiter(flat, dtype=np.intp, count=ends[-1] if ends else 0), ends

@@ -15,12 +15,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.phy.interference import SlotSinrMemo
 from repro.phy.radio import RateTable
 from repro.scheduling.greedy_physical import greedy_physical
 from repro.scheduling.greedy_rate import greedy_rate, standalone_rates
 from repro.topology.network import uniform_network
 from repro.traffic.epoch import RateAnnotator
 from repro.traffic.incremental import patch_schedule
+from repro.util.ranges import join
 from tests.conftest import (
     StepwiseRateAnnotator,
     make_links,
@@ -213,17 +215,18 @@ def test_annotator_tiers_rates_and_memory_match_slot_by_slot(meshes, case, n_rou
         schedule = greedy_rate(links, model, table)
     except ValueError:
         return
-    batched = RateAnnotator(links, model, table)
+    batched = RateAnnotator(SlotSinrMemo(model, links.heads, links.tails), table)
     stepwise = StepwiseRateAnnotator(links, model, table)
     slots = [slot.as_array() for slot in schedule.slots] + [np.empty(0, dtype=np.intp)]
     for _ in range(n_rounds):
         # Later rounds thin the slots out: SINRs rise, tiers must climb
         # through the hysteresis margin, not jump.
         round_slots = [idx[rng.random(idx.size) < 0.8] for idx in slots]
-        got_tiers, got_rates = batched.annotate(round_slots)
-        want_tiers, want_rates = stepwise.annotate(round_slots)
-        for got, want in zip(got_tiers + got_rates, want_tiers + want_rates):
-            assert np.array_equal(got, want) and got.dtype == want.dtype
+        got = batched.annotate(*join(round_slots))
+        want = map(np.concatenate, stepwise.annotate(round_slots))
+        for got_values, want_values in zip(got, want):
+            assert np.array_equal(got_values, want_values)
+            assert got_values.dtype == want_values.dtype
         assert np.array_equal(batched._prev, stepwise._prev)
 
 
@@ -238,10 +241,11 @@ def test_annotator_memory_advances_within_a_round(meshes):
         schedule = greedy_rate(links, network.model, table)
         slots = [slot.as_array() for slot in schedule.slots]
         assert np.bincount(np.concatenate(slots)).max() >= 3
-        batched = RateAnnotator(links, network.model, table)
+        sinrs = SlotSinrMemo(network.model, links.heads, links.tails)
+        batched = RateAnnotator(sinrs, table)
         stepwise = StepwiseRateAnnotator(links, network.model, table)
         for round_slots in (slots, slots[::-1], slots[::2]):
-            got_tiers, got_rates = batched.annotate(round_slots)
-            want_tiers, want_rates = stepwise.annotate(round_slots)
-            assert all(map(np.array_equal, got_tiers + got_rates, want_tiers + want_rates))
+            got = batched.annotate(*join(round_slots))
+            want = map(np.concatenate, stepwise.annotate(round_slots))
+            assert all(map(np.array_equal, got, want))
             assert np.array_equal(batched._prev, stepwise._prev)

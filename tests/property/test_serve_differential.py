@@ -22,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.scheduling.links import LinkSet
 from repro.traffic import LinkQueues
+from repro.util.ranges import join
 from tests.conftest import SlotwiseQueues
 
 
@@ -110,7 +111,9 @@ def test_play_equals_slot_by_slot(seed, n_nodes, n_gateways, reach, n_epochs, ep
         # 0-50 slots against a window of 0-40: rounds longer and shorter.
         slots, rates = random_round(rng, links.n_links, int(rng.integers(0, 51)), rated)
         overhead = int(rng.integers(0, epoch_slots + 1))
-        got = kernel.play(slots, start, epoch_slots, overhead, rates)
+        members, ends = join(slots)
+        flat_rates = None if rates is None else np.concatenate([np.empty(0, int), *rates])
+        got = kernel.play(members, ends, start, epoch_slots, overhead, flat_rates)
         assert got == oracle.play(slots, start, epoch_slots, overhead, rates)
         assert_same_state(kernel, oracle)
         kernel.check_conservation()
@@ -140,7 +143,7 @@ def test_serve_slot_is_a_one_slot_round(seed, n_nodes, reach, rated):
         rate = None if rates is None else rates[0]
         played = copy.deepcopy(slotted)
         got = slotted.serve_slot(slot, time, rates=rate)
-        assert got == played.play([slot], time, 1, 0, rates)
+        assert got == played.play(slot, [slot.size], time, 1, 0, rate)
         assert got == oracle.serve_slot(slot, time, rate)
         assert_same_state(slotted, played)
         assert_same_state(slotted, oracle)

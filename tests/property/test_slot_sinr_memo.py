@@ -1,13 +1,15 @@
 """SINR reuse: a remembered slot is a fresh evaluation, bit for bit.
 
 ``SlotSinrMemo`` keys ``min(data, ACK)`` SINRs by a slot's ordered member
-tuple; a run's ``RateAnnotator`` holds one, and ``epoch_loop`` hands it to
-the run's patch cache when both judge slots under the same model, so each
+tuple; a run builds one and hands it to its ``RateAnnotator`` and, when
+both judge slots under the same model, to its patch cache, so each
 distinct slot is evaluated once per run.  Reuse is exact because a slot's
 row of the batched kernel equals the one-slot kernel whatever else shares
 the batch — so an entry first computed in a wide batch must equal a fresh
-call on that slot alone; the key is the *ordered* tuple, the memo belongs
-to one model, and past ``MEMO_SLOTS`` entries it forgets the oldest.
+call on that slot alone; a one-member slot is its link's standalone SINR
+and never reaches the kernel; the key is the *ordered* tuple, the memo
+belongs to one model, and past ``MEMO_SLOTS`` entries it forgets the
+oldest.
 """
 
 import math
@@ -27,6 +29,7 @@ from repro.topology.network import uniform_network
 from repro.traffic.epoch import EpochConfig, EpochSchedule, RateAnnotator, run_epochs
 from repro.traffic.generators import PoissonArrivals
 from repro.traffic.incremental import ScheduleCache, patch_schedule
+from repro.util.ranges import join
 from tests.conftest import make_links
 
 
@@ -107,12 +110,27 @@ def test_each_distinct_slot_is_evaluated_once_and_reordering_misses(monkeypatch)
     counted = Counting(monkeypatch)
     memo = SlotSinrMemo(network.model, links.heads, links.tails)
     memo([(0, 5), (0, 5), (7,)])
-    assert (counted.slots, counted.members) == (2, 3)  # duplicates evaluated once
+    assert (counted.slots, counted.members) == (1, 2)  # duplicates once, singletons never
     memo([(7,), (0, 5)])
-    assert (counted.slots, counted.members) == (2, 3)  # all remembered
+    assert (counted.slots, counted.members) == (1, 2)  # all remembered
     reordered = memo([(5, 0)])[0]
-    assert (counted.slots, counted.members) == (3, 5)  # another key
+    assert (counted.slots, counted.members) == (2, 4)  # another key
     assert bits(reordered) == bits(network.model.slot_sinrs(links.heads, links.tails, [[5, 0]])[0])
+
+
+def test_one_member_slots_read_the_standalone_sinrs(monkeypatch):
+    """Every link's lone slot, read from the memo without a kernel call,
+    is what the batched kernel gives it in any batch, bit for bit."""
+    network = uniform_network(40, density_per_km2=600, rng=3)
+    _, links = make_links(network, 2, seed=23)
+    model = network.model.with_budget(np.full(network.n_nodes, network.radio.noise_mw))
+    memo = SlotSinrMemo(model, links.heads, links.tails)
+    lone = [(k,) for k in range(links.n_links)]
+    mixed = lone + [(0, 5), (3, 9, 12)]  # singletons padded to width 3
+    fresh = model.slot_sinrs(links.heads, links.tails, mixed)[: links.n_links]
+    counted = Counting(monkeypatch)
+    assert [bits(v) for v in memo(lone)] == [bits(v) for v in fresh]
+    assert counted.slots == 0 and not memo._seen
 
 
 def test_a_budgeted_model_never_reads_another_models_entries(monkeypatch):
@@ -120,7 +138,7 @@ def test_a_budgeted_model_never_reads_another_models_entries(monkeypatch):
     _, links = make_links(network, 2, seed=23)
     budget = np.random.default_rng(5).random(network.n_nodes) * network.radio.noise_mw
     budgeted = network.model.with_budget(budget)
-    keys = [(0, 5), (7,), (3, 9, 12)]
+    keys = [(0, 5), (7, 2), (3, 9, 12)]
     exact = SlotSinrMemo(network.model, links.heads, links.tails)
     first = exact(keys)
     counted = Counting(monkeypatch)
@@ -200,13 +218,14 @@ def test_memo_forgets_the_oldest_past_its_bound_never_a_slot_asked_for(
     network, links = mesh
     monkeypatch.setattr(interference, "MEMO_SLOTS", 3)
     memo = SlotSinrMemo(network.model, links.heads, links.tails)
-    memo([(0,), (1,), (2,)])
-    memo([(3,), (1,)])
-    assert list(memo._seen) == [(1,), (2,), (3,)]  # (0,) was the oldest
-    memo([(4,), (5,), (6,), (7,)])
-    assert list(memo._seen) == [(4,), (5,), (6,), (7,)]  # one call may overrun
+    pair = [(k, k + 20) for k in range(8)]
+    memo(pair[:3])
+    memo([pair[3], pair[1], (9,)])
+    assert list(memo._seen) == pair[1:4]  # pair 0 was the oldest; (9,) is never kept
+    memo(pair[4:])
+    assert list(memo._seen) == pair[4:]  # one call may overrun
     counted = Counting(monkeypatch)
-    memo([(7,), (4,)])
+    memo([pair[7], pair[4]])
     assert counted.slots == 0
 
 
@@ -217,26 +236,30 @@ def test_annotator_memo_evaluates_each_distinct_slot_once(mesh, monkeypatch):
     table = RateTable.geometric(network.radio.beta)
     schedule = greedy_rate(links, network.model, table)
     slots = [slot.as_array() for slot in schedule.slots]
-    annotator = RateAnnotator(links, network.model, table)
+    memo = SlotSinrMemo(network.model, links.heads, links.tails)
+    annotator = RateAnnotator(memo, table)
     counted = Counting(monkeypatch)
-    annotator.annotate(slots)
-    distinct = {tuple(idx.tolist()) for idx in slots}
-    assert counted.slots == len(distinct) and len(annotator._sinrs._seen) == len(distinct)
-    annotator.annotate(slots[::-1])
-    assert counted.slots == len(distinct)  # a replay is all hits
-    thinned = slots[:3] + [idx[:1] for idx in slots[3:]]
-    annotator.annotate(thinned)
-    kept = {tuple(idx.tolist()) for idx in thinned}
-    assert counted.slots == len(distinct) + len(kept - distinct)
-    annotator.annotate(slots)
-    assert counted.slots == len(distinct | kept)  # the first round is remembered
+
+    def distinct(round_slots):  # the slots the kernel is ever asked for
+        return {tuple(idx.tolist()) for idx in round_slots if idx.size > 1}
+
+    annotator.annotate(*join(slots))
+    assert counted.slots == len(distinct(slots)) == len(memo._seen) > 0
+    annotator.annotate(*join(slots[::-1]))
+    assert counted.slots == len(distinct(slots))  # a replay is all hits
+    thinned = slots[:3] + [idx[:2] for idx in slots[3:]]
+    annotator.annotate(*join(thinned))
+    assert counted.slots == len(distinct(slots) | distinct(thinned))
+    annotator.annotate(*join(slots))
+    assert counted.slots == len(distinct(slots) | distinct(thinned))  # remembered
 
 
 def test_a_run_shares_one_memo_between_annotator_and_patch_cache(mesh, monkeypatch):
-    """``epoch_loop`` hands the annotator's memo to a patch cache over the
-    run's own model: across a rate-annotated run no slot reaches the kernel
-    twice.  A cache over another model object keeps a memo of its own, and
-    a run without a rate table unbinds the last run's."""
+    """``run_epochs`` hands its memo to the annotator and to a patch cache
+    over the run's own model: across a rate-annotated run no slot reaches
+    the kernel twice, and no one-member slot reaches it at all.  A cache
+    over another model object keeps a memo of its own, and a run without a
+    rate table unbinds the last run's."""
     network, links = mesh
     model = network.model
     table = RateTable.geometric(network.radio.beta)
@@ -274,6 +297,7 @@ def test_a_run_shares_one_memo_between_annotator_and_patch_cache(mesh, monkeypat
     trace = run(shared, table)
     assert trace.patched_epochs >= 3
     assert handed and len(handed) == len(set(handed))
+    assert min(map(len, handed)) > 1
     assert shared._sinrs is not None and shared._sinrs.model is model
     first = shared._sinrs
 

@@ -136,7 +136,7 @@ KEYWORDS = {
         "stage",
         "cfg",
         "ledger",
-        "rate_model",
+        "sinrs",
         "on_epoch",
         "obs",
         "engine",

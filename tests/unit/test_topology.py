@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.phy.interference import PhysicalInterferenceModel
+from repro.phy.radio import RadioConfig
+from repro.scheduling.feasibility import feasible_alone
 from repro.topology.commgraph import communication_adjacency, is_connected
 from repro.topology.deployment import grid_positions, line_positions, uniform_positions
 from repro.topology.diameter import (
@@ -62,6 +65,21 @@ class TestGraphs:
         power = np.array([[1.0, 1e-7], [1e-11, 1.0]])
         adj = communication_adjacency(power, noise_mw=1e-9, beta=10.0)
         assert not adj[0, 1] and not adj[1, 0]
+
+    @pytest.mark.parametrize(
+        "power, noise_mw, beta",
+        [
+            (6.999999999999999e-09, 7e-10, 10.0),  # p / N >= β, but p < β·N
+            (2.0999999999999998e-09, 3e-10, 7.0),  # p / N < β, but p >= β·N
+        ],
+    )
+    def test_an_edge_is_a_link_that_decodes_alone(self, power, noise_mw, beta):
+        """At the threshold the dense graph keeps exactly the edges the
+        standalone screen admits, so a forest built on it always packs."""
+        matrix = np.array([[0.0, power], [power, 0.0]])
+        radio = RadioConfig(beta=beta, noise_mw=noise_mw)
+        alone = feasible_alone(PhysicalInterferenceModel(matrix, radio), [0], [1])[0]
+        assert communication_adjacency(matrix, noise_mw, beta)[0, 1] == alone
 
     def test_connectivity_detection(self):
         adj = np.zeros((4, 4), dtype=bool)

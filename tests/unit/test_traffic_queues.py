@@ -234,11 +234,12 @@ class TestMalformedRoundsLeaveQueuesUntouched:
             queues.serve_slot(np.array(slot), 0, rates=rates)
         with pytest.raises(error, match=match.replace("slot 0", "slot 1")):
             queues.play(
-                [np.array([1]), np.array(slot)],
+                np.array([1, *slot]),
+                [1, 1 + len(slot)],
                 0,
                 10,
                 2,
-                None if rates is None else [np.array([1]), rates],
+                None if rates is None else np.r_[1, rates],
             )
         np.testing.assert_array_equal(queues.backlog, [backlog, backlog])
         np.testing.assert_array_equal(queues.served_by_link, [0, 0])
@@ -251,4 +252,4 @@ class TestMalformedRoundsLeaveQueuesUntouched:
     def test_duplicate_in_a_slot_the_window_never_reaches_is_not_played(self):
         queues = LinkQueues(chain_links())
         queues.arrive(np.array([0, 2, 0]), time=0)
-        assert queues.play([np.array([0]), np.array([1, 1])], 0, 1, 0) == 1
+        assert queues.play(np.array([0, 1, 1]), [1, 3], 0, 1, 0) == 1

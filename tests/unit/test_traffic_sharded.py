@@ -6,6 +6,8 @@ accounting (zero-epoch traces must not divide by zero or crash on empty
 arrays anywhere in the summary pipeline).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,15 +16,22 @@ from repro.phy.interference import PhysicalInterferenceModel
 from repro.topology.regions import GridTiling, SquareRegion, tile_counts_for
 from repro.traffic import (
     EpochConfig,
+    EpochSchedule,
+    LinkQueues,
+    PoissonArrivals,
     TrafficTrace,
     backlog_slope,
+    centralized_scheduler,
     is_stable,
     partition_links,
     plan_for_network,
+    run_epochs,
+    run_epochs_sharded,
     stability_margin,
     summarize_trace,
 )
 from repro.scheduling.greedy_physical import repair
+from repro.scheduling.schedule import Slot
 from repro.traffic.sharded import affordable_budget
 from tests.conftest import SlotState
 
@@ -290,6 +299,55 @@ def _shared_node_pairs(links):
         for b in range(links.n_links)
         if a != b and links.tails[a] == links.heads[b]
     ]
+
+
+# ---------------------------------------------------------------------------
+# Superposition
+# ---------------------------------------------------------------------------
+
+
+def test_single_shard_round_keeps_an_empty_slot(mesh, monkeypatch):
+    """A scheduler's empty slot mid-round is a slot of the served round,
+    on one shard as on the monolithic engine: same rounds, same records."""
+    model = mesh.network.model
+
+    def with_gap(scheduler):
+        def schedule(links, epoch):
+            planned = scheduler(links, epoch)
+            slots = list(planned.schedule.slots)
+            slots.insert(1, Slot([]))
+            gapped = replace(planned.schedule, slots=slots)
+            return EpochSchedule(gapped, planned.overhead_seconds)
+
+        return schedule
+
+    rounds = []
+    play = LinkQueues.play
+
+    def recording(queues, members, ends, *args):
+        rounds.append((members.tolist(), list(ends)))
+        return play(queues, members, ends, *args)
+
+    monkeypatch.setattr(LinkQueues, "play", recording)
+    config = EpochConfig(epoch_slots=60, n_epochs=4)
+
+    def arrivals():
+        return PoissonArrivals(mesh.network.n_nodes, 0.01, gateways=mesh.gateways, seed=5)
+
+    mono = run_epochs(
+        mesh.links, arrivals(), with_gap(centralized_scheduler(model)), config, model=model
+    )
+    mono_rounds, rounds[:] = rounds[:], []
+    plan = plan_for_network(mesh.links, mesh.network, n_shards=1, interference_radius_m=60.0)
+    sharded = run_epochs_sharded(
+        plan, arrivals(), lambda shard, m: with_gap(centralized_scheduler(m)), model, config
+    )
+    assert rounds == mono_rounds and len(rounds) == 4
+    assert all(ends[1] == ends[0] > 0 for _, ends in rounds)  # slot 1 is empty
+    assert [r.schedule_length for r in sharded.records] == [
+        r.schedule_length for r in mono.records
+    ]
+    assert [replace(r, n_shards=1) for r in sharded.records] == mono.records
 
 
 # ---------------------------------------------------------------------------
