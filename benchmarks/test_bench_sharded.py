@@ -16,8 +16,8 @@ snapshot, asserts the PR's headlines on the 16x16 grid at 4 shards:
   verdict-for-verdict with the scalar ``SlotState.can_add`` scan on a real
   bench-scale grid, so the vectorized schedulers build identical schedules;
 * the degenerate 1-shard partition reproduces the monolithic engine
-  epoch-for-epoch for every reschedule policy (the equivalence harness
-  that keeps the refactor honest).
+  epoch-for-epoch under the ``"always"`` policy, the one the sharded
+  engine runs (the equivalence harness that keeps the refactor honest).
 """
 
 import numpy as np
@@ -184,25 +184,19 @@ def test_batched_admission_kernels_match_incremental_scan():
 
 
 @pytest.mark.benchmark(group="traffic")
-@pytest.mark.parametrize("policy", ["always", "drift-threshold", "patch"])
-def test_single_shard_reproduces_monolithic_engine(policy):
-    """n_shards=1 differential equivalence for every reschedule policy.
+def test_single_shard_reproduces_monolithic_engine():
+    """n_shards=1 differential equivalence.
 
     FDD (stochastic, overhead-priced) on the paper's 8x8 grid: the sharded
     engine with the degenerate 1-shard partition must reproduce the
     monolithic ``run_epochs`` epoch-for-epoch — backlogs, delivered packets,
-    overhead, cache decisions, and per-packet delays.
+    overhead and per-packet delays.
     """
     network = grid_network(8, 8, density_per_km2=1000.0)
     gateways = planned_gateways(8, 8, 4)
     forest = build_routing_forest(network.comm_adj, gateways, rng=spawn(7, "f"))
     links = forest_link_set(forest, np.zeros(network.n_nodes, dtype=np.int64))
-    config = EpochConfig(
-        epoch_slots=200,
-        n_epochs=5,
-        divergence_factor=4.0,
-        reschedule_policy=policy,
-    )
+    config = EpochConfig(epoch_slots=200, n_epochs=5, divergence_factor=4.0)
 
     def generator():
         return PoissonArrivals(

@@ -158,9 +158,9 @@ class ControlLedger:
         #: epoch -> {(layer, message_class): count}.  Counts are the only
         #: mutable state: every seconds figure is derived on read as
         #: count x price, summed in sorted key order, so ledger readings
-        #: are exactly reproducible whatever order charges land in (the
-        #: sharded engine's per-shard caches charge one shared ledger, and
-        #: the lock keeps concurrent callers safe).  Bucketing per
+        #: are exactly reproducible whatever order charges land in (every
+        #: layer of a run charges one shared ledger, and the lock keeps
+        #: concurrent callers safe).  Bucketing per
         #: epoch keeps the engines' per-epoch reads proportional to that
         #: epoch's few entries, not the whole run's history.
         self._counts: dict[int, dict[tuple[str, str], int]] = {}

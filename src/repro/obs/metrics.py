@@ -246,8 +246,8 @@ class MetricsRegistry:
 
     Addressing is ``registry.counter("traffic.delivered", 3, engine="sharded")``
     — dotted metric name plus free-form labels.  All mutators are
-    thread-safe (every engine stage and per-shard cache books into one
-    shared registry); histogram updates serialize on the
+    thread-safe (every engine stage, cache and ledger of a run books into
+    one shared registry); histogram updates serialize on the
     registry lock, which is fine at the per-epoch/per-delivery rates the
     engines emit.
     """

@@ -20,8 +20,9 @@ affordable — exactly the paper's argument for recomputing schedules
 "whenever traffic demands change".
 
 Step 2 need not re-run the scheduler from scratch: with
-``reschedule_policy`` set to ``"drift-threshold"`` or ``"patch"`` the loop
-routes scheduling through a :class:`~repro.traffic.incremental.ScheduleCache`
+``reschedule_policy`` set to ``"drift-threshold"`` or ``"patch"``,
+:func:`run_epochs` routes scheduling through a
+:class:`~repro.traffic.incremental.ScheduleCache`
 that reuses (or locally repairs) the previous schedule while the backlog
 snapshot has drifted little from the one the schedule was built for —
 cache-hit epochs charge **zero** overhead slots, amortizing a distributed
@@ -114,16 +115,18 @@ class EpochConfig:
         :data:`~repro.traffic.incremental.DEFAULT_DRIFT_THRESHOLD` (scaled
         by the schedule's service headroom); ``"patch"`` additionally
         repairs the cached schedule on a miss before falling back to a full
-        re-run.  See :mod:`repro.traffic.incremental`.
+        re-run.  See :mod:`repro.traffic.incremental`.  The sharded engine
+        runs ``"always"`` only.
     rate_table:
         Optional :class:`~repro.phy.radio.RateTable` switching the serving
         contract from fixed-rate (every scheduled membership forwards one
         packet) to multi-rate: each played membership forwards the packets
         of its SINR-selected MCS tier, with hysteresis damping tier churn
         across epochs (see :class:`RateAnnotator`).  Requires ``model`` to
-        be passed to the run.  ``None`` (the default) and the degenerate
-        single-tier table are both bit-identical to the seed fixed-rate
-        behaviour (the multirate differential suite pins the latter).
+        be passed to the run; the sharded engine rejects a table.  ``None``
+        (the default) and the degenerate single-tier table are both
+        bit-identical to the seed fixed-rate behaviour (the multirate
+        differential suite pins the latter).
     retain_records:
         ``"full"`` (the default) keeps every :class:`EpochRecord` on the
         trace; ``"stream"`` keeps only the O(1) running aggregates plus
@@ -418,8 +421,7 @@ class RateAnnotator:
     next.  :meth:`annotate` turns one flat round into the tier and
     packets-per-slot of every membership, reading each slot's concurrent
     SINR through the run's :class:`~repro.phy.interference.SlotSinrMemo`
-    (over the budgeted oracle on sharded runs — guard budgets therefore
-    cost rate tiers, not just feasibility).
+    (monolithic runs only: the sharded engine serves at fixed rate).
 
     Tiers are clamped to the base tier: membership was established by the
     ``SINR >= β`` scheduling contract and the seed serves one packet per
@@ -592,56 +594,6 @@ def schedule_truth(schedules: list[Schedule]) -> list[TruthReport]:
     return [s.truth for s in schedules if s.truth is not None]
 
 
-def configured_scheduler(
-    scheduler: EpochSchedulerFn,
-    cfg: EpochConfig,
-    model: PhysicalInterferenceModel | None,
-    ledger: ControlLedger | None,
-    depths: np.ndarray | None,
-    obs: Obs | None,
-    sinrs: SlotSinrMemo | None,
-    **labels,
-) -> EpochSchedulerFn:
-    """``scheduler`` as ``cfg`` wants it called: wrapped in a fresh
-    :class:`~repro.traffic.incremental.ScheduleCache` over ``model`` unless
-    the policy is ``"always"`` (a cache passed in is used as-is, whatever the
-    policy says), and any cache bound to this run: its control ledger, its
-    obs handle and the SINR memo ``sinrs`` its patches may share."""
-    # Imported here: incremental.py imports EpochSchedule from this module.
-    from repro.traffic.incremental import ScheduleCache
-
-    if not isinstance(scheduler, ScheduleCache):
-        if cfg.reschedule_policy == "always":
-            return scheduler
-        scheduler = ScheduleCache(
-            scheduler,
-            policy=cfg.reschedule_policy,
-            model=model,
-            epoch_slots=cfg.epoch_slots,
-            rate_table=cfg.rate_table,
-        )
-    # (Re)bind unconditionally: this run's control model — priced, free, or
-    # absent — governs the run, so a cache reused from an earlier run must
-    # not keep charging that run's ledger.
-    scheduler.bind_control(ledger, depths)
-    scheduler.bind_obs(obs, **labels)
-    scheduler.bind_sinrs(sinrs)
-    return scheduler
-
-
-def merge_decisions(asked: list[EpochSchedulerFn]) -> tuple[bool, bool, float]:
-    """An epoch's ``(cache_hit, patched, drift)`` from the last decisions of
-    the schedulers it asked, cached or not."""
-    made = [getattr(scheduler, "last_decision", None) for scheduler in asked]
-    made = [d for d in made if d is not None]
-    # A hit epoch means *every* asked scheduler answered from cache — a
-    # partially cached shard set (factories may cache only some shards)
-    # can't claim a hit while uncached shards paid for recomputes.
-    hit = bool(made) and len(made) == len(asked) and all(d.hit for d in made)
-    finite = [d.drift for d in made if math.isfinite(d.drift)]
-    return hit, not hit and any(d.patched for d in made), max(finite, default=0.0)
-
-
 def epoch_loop(
     links: LinkSet,
     generator: TrafficGenerator,
@@ -804,9 +756,11 @@ def run_epochs(
     A scheduler that raises aborts the run with its own exception and leaves
     the queues marked unusable: that epoch's arrivals were never served.
     """
+    # Imported here: incremental.py imports EpochSchedule from this module.
+    from repro.traffic.incremental import ScheduleCache
+
     cfg = config or EpochConfig()
     ledger = ControlLedger(control) if control is not None else None
-    depths = forest_depths(links) if ledger is not None else None
     # One SINR memo per run: the rate annotator's, and the cache's too when
     # the cache judges slots under the same model.
     sinrs = None
@@ -817,9 +771,22 @@ def run_epochs(
                 "so served slots can be rate-annotated from their SINR"
             )
         sinrs = SlotSinrMemo(model, links.heads, links.tails)
-    scheduler = configured_scheduler(
-        scheduler, cfg, model, ledger, depths, obs, sinrs, engine="epoch"
-    )
+    if not isinstance(scheduler, ScheduleCache) and cfg.reschedule_policy != "always":
+        scheduler = ScheduleCache(
+            scheduler,
+            policy=cfg.reschedule_policy,
+            model=model,
+            epoch_slots=cfg.epoch_slots,
+            rate_table=cfg.rate_table,
+        )
+    if isinstance(scheduler, ScheduleCache):
+        # Bind this run's handles, ``None`` included: this run's control
+        # model — priced, free, or absent — governs the run, so a cache
+        # reused from an earlier run must not keep charging that run's ledger.
+        depths = forest_depths(links) if ledger is not None else None
+        scheduler.bind_control(ledger, depths)
+        scheduler.bind_obs(obs)
+        scheduler.bind_sinrs(sinrs)
 
     def stage(snapshot: np.ndarray, epoch: int) -> ScheduledRound:
         demand_links = replace(links, demand=snapshot)
@@ -831,7 +798,7 @@ def run_epochs(
             obs, "epoch.schedule", measure=True, engine="epoch", epoch=epoch
         ) as span:
             planned = scheduler(demand_links, epoch)
-        cache_hit, patched, drift = merge_decisions([scheduler])
+        decision = getattr(scheduler, "last_decision", None)
         # One scheduler, one controller: its CPU is the critical path.  An
         # epoch plays at most epoch_slots slots, so only those are handed on.
         played = planned.schedule.slots[: cfg.epoch_slots]
@@ -844,9 +811,14 @@ def run_epochs(
             cpu_s=span.cpu_s,
             critical_s=span.cpu_s,
             wall_s=span.wall_s,
-            cache_hit=cache_hit,
-            patched=patched,
-            drift=drift,
+            cache_hit=decision is not None and decision.hit,
+            patched=decision is not None and decision.patched,
+            # A recompute with no cached baseline measured no drift (inf).
+            drift=(
+                decision.drift
+                if decision is not None and math.isfinite(decision.drift)
+                else 0.0
+            ),
             truth=schedule_truth([planned.schedule]),
         )
 

@@ -344,11 +344,10 @@ class ScheduleCache:
         self._ledger = None
         self._depths: np.ndarray | None = None
         self._obs = None
-        self._obs_labels: dict = {}
         self.last_decision: CacheDecision | None = None
         self.stats = CacheStats()
 
-    def bind_control(self, ledger, depths=None) -> None:
+    def bind_control(self, ledger, depths: np.ndarray | None) -> None:
         """Price patch distribution into ``ledger`` (repro.core.controlplane).
 
         Once bound, every successful patch books one ``patch`` message per
@@ -361,30 +360,25 @@ class ScheduleCache:
         signal, and full recomputes already pay the wrapped scheduler's own
         protocol air.
 
-        The engines (re)bind this on every run from their ``control=``
-        model — including ``bind_control(None)`` on unpriced runs, so a
-        cache reused across runs never keeps charging a previous run's
-        ledger.
+        :func:`~repro.traffic.epoch.run_epochs` (re)binds this on every run
+        from its ``control=`` model — ``bind_control(None, None)`` on
+        unpriced runs, so a cache reused across runs never keeps charging a
+        previous run's ledger.
         """
         self._ledger = ledger
-        self._depths = (
-            None
-            if depths is None or ledger is None
-            else np.asarray(depths, dtype=np.int64)
-        )
+        self._depths = depths
 
-    def bind_obs(self, obs, **labels) -> None:
+    def bind_obs(self, obs) -> None:
         """Attach an observability handle (repro.obs); ``None`` unbinds.
 
         Once bound, every request books ``cache.requests`` plus one of
-        ``cache.hits`` / ``cache.patches`` / ``cache.recomputes`` under the
-        given labels (the sharded engine labels per shard), and patch
-        repairs run inside an ``incremental.patch`` span.  Observe-only —
-        the cache's decisions never depend on the handle — and rebound by
-        the engines on every run, like :meth:`bind_control`.
+        ``cache.hits`` / ``cache.patches`` / ``cache.recomputes`` under
+        ``engine="epoch"``, and patch repairs run inside an
+        ``incremental.patch`` span.  Observe-only — the cache's decisions
+        never depend on the handle — and rebound on every run, like
+        :meth:`bind_control`.
         """
         self._obs = obs
-        self._obs_labels = labels
 
     def effective_threshold(self) -> float:
         """The drift threshold after headroom scaling (see ``epoch_slots``)."""
@@ -400,8 +394,8 @@ class ScheduleCache:
     def bind_sinrs(self, memo: SlotSinrMemo | None) -> None:
         """Read patch SINRs through ``memo``, the run's, if it judges slots
         under this cache's model, else (``None`` too) through the cache's
-        own; :func:`~repro.traffic.epoch.configured_scheduler` rebinds it
-        on every run."""
+        own; :func:`~repro.traffic.epoch.run_epochs` rebinds it on every
+        run."""
         shared = memo is not None and memo.model is self._model
         self._sinrs = memo if shared else None
 
@@ -416,8 +410,8 @@ class ScheduleCache:
 
     def _book(self, outcome: str) -> None:
         if self._obs is not None:
-            self._obs.counter("cache.requests", 1, **self._obs_labels)
-            self._obs.counter(f"cache.{outcome}", 1, **self._obs_labels)
+            self._obs.counter("cache.requests", 1, engine="epoch")
+            self._obs.counter(f"cache.{outcome}", 1, engine="epoch")
 
     def __call__(self, links: LinkSet, epoch: int) -> EpochSchedule:
         snapshot = np.array(links.demand, dtype=np.int64, copy=True)
@@ -438,9 +432,7 @@ class ScheduleCache:
                 )
                 return EpochSchedule(self._cached.schedule, overhead_seconds=0.0)
             if self.policy == "patch":
-                with phase(
-                    self._obs, "incremental.patch", epoch=epoch, **self._obs_labels
-                ):
+                with phase(self._obs, "incremental.patch", epoch=epoch, engine="epoch"):
                     patched = self._patch(links)
                 if patched is not None:
                     planned = EpochSchedule(patched, overhead_seconds=0.0)
@@ -450,10 +442,7 @@ class ScheduleCache:
                         # memberships), each relayed depth hops down the
                         # forest from the gateway controller.
                         deltas = np.abs(snapshot - self._baseline)
-                        if self._depths is not None:
-                            messages = int((deltas * self._depths).sum())
-                        else:
-                            messages = int(deltas.sum())
+                        messages = int((deltas * self._depths).sum())
                         self._ledger.charge(epoch, "incremental", "patch", messages)
                     # The patched schedule becomes the new cache entry, with
                     # the current snapshot as its baseline: it was repaired

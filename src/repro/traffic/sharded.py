@@ -34,11 +34,14 @@ decomposition idealizes away:
   the pass finds little to do; with ``guard_factor=0`` it is the only
   thing standing between the shards and physically infeasible slots.
 
-The degenerate 1-shard partition has no internal edges, hence no boundary
+Every region re-runs its scheduler on its own demand each epoch and serves
+at fixed rate: the engine runs the ``"always"`` policy with no rate table
+and rejects any other configuration before the first epoch.  The
+degenerate 1-shard partition has no internal edges, hence no boundary
 links, a zero budget, and nothing to reconcile — :func:`run_epochs_sharded`
-then reproduces :func:`~repro.traffic.epoch.run_epochs` epoch-for-epoch for
-every reschedule policy (the differential harness in
-``tests/integration/test_sharded_engine.py`` locks this down).
+then reproduces :func:`~repro.traffic.epoch.run_epochs` epoch-for-epoch
+(the differential harness in ``tests/integration/test_sharded_engine.py``
+locks this down).
 
 The regions of a federated mesh compute concurrently in the field; the
 simulation schedules them one after another in the caller's thread and
@@ -56,9 +59,9 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.controlplane import ControlLedger, ControlPlaneModel, forest_depths
+from repro.core.controlplane import ControlLedger, ControlPlaneModel
 from repro.obs import Obs, phase
-from repro.phy.interference import PhysicalInterferenceModel, SlotSinrMemo
+from repro.phy.interference import PhysicalInterferenceModel
 from repro.scheduling.greedy_physical import repair
 from repro.scheduling.links import LinkSet
 from repro.topology.regions import GridTiling
@@ -70,9 +73,7 @@ from repro.traffic.epoch import (
     ScheduledRound,
     TrafficTrace,
     centralized_scheduler,
-    configured_scheduler,
     epoch_loop,
-    merge_decisions,
     schedule_truth,
 )
 from repro.traffic.generators import TrafficGenerator
@@ -472,6 +473,13 @@ def run_epochs_sharded(
     the caller's thread; the shard schedules are superposed slot-by-slot
     and reconciled by the exact repair pass; the trace carries the ``plan``.
 
+    Every epoch re-runs each demanded shard's scheduler and serves one
+    packet per membership: ``config.reschedule_policy`` must be
+    ``"always"`` and ``config.rate_table`` ``None``, else ``ValueError``
+    before any arrival is booked.  A factory that returns a scheduler with
+    state of its own (a :class:`~repro.traffic.incremental.ScheduleCache`,
+    say) is called like any other; its records carry no cache decisions.
+
     ``max_workers`` and ``executor`` change nothing.  They are still
     validated (``max_workers >= 1``; ``executor`` is ``"thread"`` or
     ``"process"``) for the callers that pass them, such as the perf
@@ -484,76 +492,40 @@ def run_epochs_sharded(
     *Overhead accounting*: shards compute in parallel in a federated
     deployment, so the epoch is charged the **maximum** of the shard
     overheads, not their sum (for one shard this is exactly the monolithic
-    charge).  *Cache accounting* mirrors the monolithic loop per shard —
-    with ``config.reschedule_policy != "always"`` each shard gets its own
-    :class:`~repro.traffic.incremental.ScheduleCache` over its budgeted
-    oracle; an epoch records ``cache_hit`` when every shard it asked hit,
-    and ``patched`` when any shard patched (and not all hit).
+    charge).
 
     What ``control`` prices here on top of the monolithic charges (retiring
     the free-central-post-pass idealization of DESIGN.md §8): on every
-    multi-shard epoch whose round may differ from the last one, each
-    demanded boundary link books one ``report`` message (shards tell the
-    reconciler what they scheduled near their edges) and every membership
-    the pass serializes books one ``reconcile`` announcement.  An epoch in
-    which every asked shard answered from its cache, and the same shards as
-    last epoch were asked, books neither: its round is last epoch's, and
-    "no message" is the keep-current-round signal.  The charges ride the
-    epoch's overhead *on the critical path* — coordination air serializes
-    even when the regional computations ran concurrently.
+    multi-shard epoch with demand, each demanded boundary link books one
+    ``report`` message (shards tell the reconciler what they scheduled near
+    their edges) and every membership the pass serializes books one
+    ``reconcile`` announcement.  The charges ride the epoch's overhead *on
+    the critical path* — coordination air serializes even when the regional
+    computations ran concurrently.
 
     A shard scheduler that raises aborts the run with
     :class:`ShardScheduleError` naming the shard and epoch.
     """
     cfg = config or EpochConfig()
+    if cfg.reschedule_policy != "always" or cfg.rate_table is not None:
+        raise ValueError(
+            "run_epochs_sharded re-runs every shard each epoch at fixed rate: "
+            "config.reschedule_policy must be 'always' and config.rate_table None"
+        )
     if max_workers < 1:
         raise ValueError("max_workers must be >= 1")
     if executor not in ("thread", "process"):
         raise ValueError(f"executor must be 'thread' or 'process', got {executor!r}")
     ledger = ControlLedger(control) if control is not None else None
-    depths = forest_depths(plan.links) if ledger is not None else None
-
-    schedulers: list[EpochSchedulerFn] = []
-    # Rate tiers are selected under the *union* of the shard guard budgets
-    # (elementwise max over nodes): a boundary node's serving rate honours
-    # the same far-field margin its scheduling honoured, whichever shard
-    # charged it — guard budgets cost rate tiers, not just feasibility.
-    # Budget-free plans (and the degenerate 1-shard plan) fall through to
-    # the exact model, keeping the n_shards=1 path bit-identical to the
-    # monolithic engine.
-    budgets = [s.budget_mw for s in plan.shards if s.budget_mw is not None]
-    union_budget = np.maximum.reduce(budgets) if budgets else None
-    # The run's SINR memo is the annotator's alone: a shard's cache judges
-    # its own links under its own budget, so it reads a memo of its own.
-    sinrs = None
-    if cfg.rate_table is not None:
-        sinrs = SlotSinrMemo(model.with_budget(union_budget), plan.links.heads, plan.links.tails)
-    for shard in plan.shards:
-        shard_model = model.with_budget(shard.budget_mw)
-        scheduler = configured_scheduler(
-            scheduler_factory(shard, shard_model),
-            cfg,
-            shard_model,
-            ledger,
-            depths[shard.link_indices] if depths is not None else None,
-            obs,
-            sinrs=None,
-            engine="sharded",
-            shard=shard.index,
-        )
-        schedulers.append(scheduler)
-    # The asked-shard set of the last epoch: when every shard asked now
-    # answers from its cache and the set is the same, each returned exactly
-    # what it returned last epoch, so the superposed round and its
-    # reconciliation are last epoch's too.
-    last_asked: tuple[int, ...] | None = None
+    schedulers = [
+        scheduler_factory(shard, model.with_budget(shard.budget_mw))
+        for shard in plan.shards
+    ]
     # Overflow slots are packed in ascending link order, whatever order the
     # violations surfaced in.
     ascending = np.arange(plan.links.n_links)
 
     def stage(snapshot: np.ndarray, epoch: int) -> ScheduledRound:
-        nonlocal last_asked
-
         asked = [s for s in plan.shards if snapshot[s.link_indices].sum() > 0]
         planned: list[EpochSchedule] = []
         # Per-shard thread CPU.  Sum = compute the simulation performed;
@@ -579,12 +551,6 @@ def run_epochs_sharded(
                 secs.append(span.cpu_s)
         wall_s = time.perf_counter() - wall0
 
-        cache_hit, patched, drift = merge_decisions(
-            [schedulers[s.index] for s in asked]
-        )
-        asked_key = tuple(s.index for s in asked)
-        replayed = cache_hit and asked_key == last_asked
-        last_asked = asked_key
         # Superpose by slot index: combined slot t is every shard's slot t,
         # in shard order (shards shorter than the round contribute nothing
         # to its tail — each link still appears exactly demand-many times
@@ -612,7 +578,7 @@ def run_epochs_sharded(
                 members, ends = join(slots)
             reconciled = report.repaired_tx
             truth.append(report)
-            if ledger is not None and not replayed:
+            if ledger is not None:
                 # Boundary reports: every demanded boundary link of an
                 # asked shard tells the reconciler what its shard scheduled
                 # near the edge.  Serialized round: one announcement per
@@ -636,9 +602,6 @@ def run_epochs_sharded(
             cpu_s=sum(secs) if secs else None,
             critical_s=max(secs) if secs else None,
             wall_s=wall_s,
-            cache_hit=cache_hit,
-            patched=patched,
-            drift=drift,
             reconciled=reconciled,
             truth=truth,
         )
@@ -649,7 +612,7 @@ def run_epochs_sharded(
         stage,
         cfg,
         ledger,
-        sinrs,
+        None,
         on_epoch,
         obs,
         engine="sharded",

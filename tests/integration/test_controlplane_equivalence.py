@@ -22,13 +22,16 @@ from repro.scheduling.links import forest_link_set
 from repro.topology.network import grid_network
 from repro.traffic import (
     ControlPlaneModel,
+    DEFAULT_GUARD_FACTOR,
     EpochConfig,
     FlowConfig,
     FlowWorkload,
     KneeTracker,
     PoissonArrivals,
+    ScheduleCache,
     centralized_scheduler,
     distributed_scheduler,
+    forest_depths,
     plan_for_network,
     run_epochs,
     run_epochs_sharded,
@@ -119,15 +122,17 @@ def test_zero_priced_run_epochs_is_bit_identical(mesh, policy):
         assert priced.ledger.messages(layer="incremental", message_class="patch") > 0
 
 
-@pytest.mark.parametrize("policy", ["always", "patch"])
-def test_zero_priced_sharded_engine_is_bit_identical(mesh, policy):
+@pytest.mark.parametrize("guard", [DEFAULT_GUARD_FACTOR, 0.0],
+                         ids=["guarded", "unguarded"])
+def test_zero_priced_sharded_engine_is_bit_identical(mesh, guard):
     """run_epochs_sharded on a genuine 4-shard plan (boundary links,
-    reconciliation): the priced-at-zero run reproduces the bare engine."""
+    reconciliation): the priced-at-zero run reproduces the bare engine,
+    also without a guard margin, where the repair pass serializes
+    memberships and the ledger counts them as ``reconcile``."""
     network, gateways, links = mesh
-    config = EpochConfig(
-        epoch_slots=200, n_epochs=5, divergence_factor=4.0, reschedule_policy=policy
-    )
-    plan = plan_for_network(links, network, n_shards=4, interference_radius_m=80.0)
+    config = EpochConfig(epoch_slots=200, n_epochs=5, divergence_factor=4.0)
+    plan = plan_for_network(links, network, n_shards=4, interference_radius_m=80.0,
+                            guard_factor=guard)
     assert plan.n_shards > 1
 
     bare = run_epochs_sharded(
@@ -149,16 +154,19 @@ def test_zero_priced_sharded_engine_is_bit_identical(mesh, policy):
     # Boundary links existed and demanded: the free post-pass was reading
     # reports it never paid for.
     assert priced.ledger.messages(layer="sharded", message_class="report") > 0
+    reconciled = sum(r.reconciled for r in priced.records)
+    assert priced.ledger.messages(layer="sharded", message_class="reconcile") == reconciled
+    if guard == 0.0:
+        assert reconciled > 0
 
 
-def test_priced_sharded_patch_run_is_worker_count_invariant(mesh):
-    """Per-shard caches charge one shared ledger; ``max_workers`` changes
-    nothing, so the trace and every ledger reading are identical at any
-    worker count (integer-count accumulation: no lost or reordered charges)."""
+def test_priced_sharded_run_is_worker_count_invariant(mesh):
+    """``max_workers`` changes nothing, so the trace and every ledger
+    reading are identical at any worker count, and every demanded
+    multi-shard epoch books its boundary reports and the memberships its
+    reconciliation serialized."""
     network, gateways, links = mesh
-    config = EpochConfig(
-        epoch_slots=200, n_epochs=5, divergence_factor=4.0, reschedule_policy="patch"
-    )
+    config = EpochConfig(epoch_slots=200, n_epochs=5, divergence_factor=4.0)
     plan = plan_for_network(links, network, n_shards=4, interference_radius_m=80.0)
 
     def run(workers):
@@ -179,6 +187,71 @@ def test_priced_sharded_patch_run_is_worker_count_invariant(mesh):
     assert serial.ledger.total_messages == threaded.ledger.total_messages > 0
     assert serial.ledger.total_seconds == threaded.ledger.total_seconds
     assert serial.ledger.by_layer() == threaded.ledger.by_layer()
+
+    booked = {
+        (epoch, cls): count
+        for (epoch, _layer, cls), count in serial.ledger._entries(layer="sharded")
+    }
+    demanded = [r for r in serial.records if r.demand_scheduled > 0]
+    assert len(demanded) == len(serial.records)
+    for record in demanded:
+        assert booked[record.epoch, "report"] > 0
+        assert booked.get((record.epoch, "reconcile"), 0) == record.reconciled
+    assert sum(r.reconciled for r in demanded) > 0
+
+
+class _RecordingCache(ScheduleCache):
+    """A schedule cache that keeps every demand snapshot it was asked for
+    and the decision it took on it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.asked = []
+
+    def __call__(self, links, epoch):
+        planned = super().__call__(links, epoch)
+        self.asked.append((np.array(links.demand, copy=True), self.last_decision))
+        return planned
+
+
+@pytest.mark.parametrize("policy", ["drift-threshold", "patch"])
+def test_priced_cache_books_each_patch_edit_times_its_depth(mesh, policy):
+    """``run_epochs`` binds a priced ledger and the forest depths to the
+    cache: a patch books, per link, the change in its demand since the
+    cached baseline times its hop depth from the gateway; hits and
+    recomputes book no ``patch`` message."""
+    network, gateways, links = mesh
+    config = EpochConfig(epoch_slots=200, n_epochs=6, divergence_factor=4.0)
+    cache = _RecordingCache(
+        centralized_scheduler(network.model, overhead_seconds=0.3),
+        policy=policy,
+        drift_threshold=0.5,
+        model=network.model,
+        epoch_slots=config.epoch_slots,
+    )
+    trace = run_epochs(
+        links, _poisson(network, gateways), cache, config, model=network.model,
+        control=ControlPlaneModel.default_priced(),
+    )
+    depths = forest_depths(links)
+    assert depths.min() >= 1
+
+    expected = {}
+    baseline = None
+    for demand, decision in cache.asked:
+        if decision.patched:
+            expected[decision.epoch] = int((np.abs(demand - baseline) * depths).sum())
+        if not decision.hit:
+            baseline = demand
+    booked = {
+        epoch: count
+        for (epoch, _layer, cls), count in trace.ledger._entries(layer="incremental")
+        if cls == "patch"
+    }
+    assert booked == expected
+    assert cache.stats.hits > 0
+    if policy == "patch":
+        assert cache.stats.patches > 0 and sum(booked.values()) > 0
 
 
 def test_zero_priced_admission_engine_is_bit_identical(mesh):

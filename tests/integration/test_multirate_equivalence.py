@@ -3,17 +3,17 @@ until the table actually has tiers.
 
 The load-bearing guarantee of the DESIGN.md §12 refactor is differential:
 under the **degenerate** single-tier :class:`~repro.phy.radio.RateTable`
-(threshold ``β``, rate 1) every engine — ``run_epochs`` under every
-reschedule policy with a live FDD scheduler, ``run_epochs_sharded`` on a
-real multi-shard plan, and the admission engine with an actively
-controlling workload — reproduces its table-less (``rate_table=None``)
-trace bit-for-bit: every :class:`EpochRecord` field, per-packet delays,
-final backlogs.  Slot memberships are scheduled by the ``SINR >= β``
-contract either way; the degenerate table's annotation grants every
-membership exactly one packet per play, which must be *indistinguishable*
-from the seed's rate-less serving path — including through the patching
-cache (demand-matching in packets collapses to membership arithmetic) and
-the sharded engine's guard-budgeted annotator.
+(threshold ``β``, rate 1) every engine that takes a table — ``run_epochs``
+under every reschedule policy with a live FDD scheduler, and the admission
+engine with an actively controlling workload — reproduces its table-less
+(``rate_table=None``) trace bit-for-bit: every :class:`EpochRecord`
+field, per-packet delays, final backlogs.  Slot memberships are scheduled
+by the ``SINR >= β`` contract either way; the degenerate table's
+annotation grants every membership exactly one packet per play, which must
+be *indistinguishable* from the seed's rate-less serving path — including
+through the patching cache (demand-matching in packets collapses to
+membership arithmetic).  The sharded engine serves at fixed rate and
+rejects a table.
 """
 
 import numpy as np
@@ -33,10 +33,7 @@ from repro.traffic import (
     PoissonArrivals,
     centralized_scheduler,
     distributed_scheduler,
-    plan_for_network,
     run_epochs,
-    run_epochs_sharded,
-    sharded_centralized_factory,
 )
 from repro.util.rng import spawn
 
@@ -121,34 +118,6 @@ def test_degenerate_table_run_epochs_is_bit_identical(mesh, policy):
             scheduler(),
             replace(config, rate_table=rate_table),
             model=network.model,
-        )
-
-    assert_traces_identical(run(DEGENERATE), run(None))
-
-
-@pytest.mark.parametrize("policy", ["always", "patch"])
-def test_degenerate_table_sharded_engine_is_bit_identical(mesh, policy):
-    """run_epochs_sharded on a genuine 4-shard plan: the annotator sees the
-    guard-budgeted oracle and per-shard caches patch in packets, yet the
-    degenerate table reproduces the bare engine bit-for-bit."""
-    network, gateways, links = mesh
-    plan = plan_for_network(links, network, n_shards=4, interference_radius_m=80.0)
-    assert plan.n_shards > 1
-
-    def run(rate_table):
-        config = EpochConfig(
-            epoch_slots=200,
-            n_epochs=5,
-            divergence_factor=4.0,
-            reschedule_policy=policy,
-            rate_table=rate_table,
-        )
-        return run_epochs_sharded(
-            plan,
-            _poisson(network, gateways),
-            sharded_centralized_factory(),
-            network.model,
-            config,
         )
 
     assert_traces_identical(run(DEGENERATE), run(None))

@@ -5,7 +5,8 @@ changes a run.  These tests prove it the same way the repo's other
 refactors were locked down (zero-price == unpriced, 1-shard == monolithic):
 
 * **bit-identity** — for every engine (monolithic, incremental-cached,
-  sharded, admission-controlled flows) and every reschedule policy, a run
+  sharded, admission-controlled flows) and every reschedule policy it
+  runs (the sharded engine runs ``"always"`` only), a run
   with an active spans-level ``Obs`` — JSONL recorder streaming to disk —
   produces ``EpochRecord``s, delay logs, and final backlogs identical to
   the un-instrumented run, epoch for epoch;
@@ -26,6 +27,7 @@ from repro.experiments.common import grid_scenario
 from repro.obs import Obs, ObsConfig, validate_run_file
 from repro.obs import spans as obs_spans
 from repro.traffic import (
+    DEFAULT_GUARD_FACTOR,
     EpochConfig,
     FlowConfig,
     FlowWorkload,
@@ -107,32 +109,6 @@ class TestBitIdentityAllEnginesAllPolicies:
         _assert_identical(base, run(obs))
         assert validate_run_file(obs.export()) == []
 
-    def test_sharded(self, mesh, policy, tmp_path):
-        model = mesh.network.model
-        plan = plan_for_network(
-            mesh.links, mesh.network, n_shards=4, interference_radius_m=80.0
-        )
-        config = _config(policy)
-
-        def factory(shard, shard_model):
-            return centralized_scheduler(shard_model, overhead_seconds=0.3)
-
-        def run(obs):
-            return run_epochs_sharded(
-                plan,
-                _generator(mesh),
-                factory,
-                model,
-                config,
-                obs=obs,
-            )
-
-        base = run(None)
-        obs = _spans_obs(tmp_path, f"sharded-{policy}")
-        shard = run(obs)
-        _assert_identical(base, shard)
-        assert validate_run_file(obs.export()) == []
-
     def test_admission_flows(self, mesh, policy, tmp_path):
         model = mesh.network.model
         config = _config(policy)
@@ -158,6 +134,37 @@ class TestBitIdentityAllEnginesAllPolicies:
         assert inst_wl.sessions_offered == base_wl.sessions_offered
         assert inst_wl.sessions_blocked == base_wl.sessions_blocked
         assert validate_run_file(obs.export()) == []
+
+
+@pytest.mark.parametrize("guard", [DEFAULT_GUARD_FACTOR, 0.0],
+                         ids=["guarded", "unguarded"])
+def test_sharded_bit_identity(mesh, tmp_path, guard):
+    model = mesh.network.model
+    plan = plan_for_network(
+        mesh.links, mesh.network, n_shards=4, interference_radius_m=80.0,
+        guard_factor=guard,
+    )
+
+    def factory(shard, shard_model):
+        return centralized_scheduler(shard_model, overhead_seconds=0.3)
+
+    def run(obs):
+        return run_epochs_sharded(
+            plan,
+            _generator(mesh),
+            factory,
+            model,
+            _config(),
+            obs=obs,
+        )
+
+    base = run(None)
+    if guard == 0.0:
+        # Unguarded, the repair pass has cross-shard violations to serialize.
+        assert any(r.reconciled for r in base.records)
+    obs = _spans_obs(tmp_path, f"sharded-{guard:g}")
+    _assert_identical(base, run(obs))
+    assert validate_run_file(obs.export()) == []
 
 
 class TestNoSilentZeros:

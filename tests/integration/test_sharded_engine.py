@@ -1,24 +1,26 @@
 """Integration tests for the sharded multi-region epoch engine.
 
+* Contract: the engine re-runs every shard each epoch at fixed rate, and
+  rejects a caching policy or a rate table before any arrival is booked.
 * Differential equivalence: the sharded engine with ``n_shards=1`` must
   reproduce the monolithic ``run_epochs`` epoch-for-epoch (backlogs,
-  delivered, overhead, cache decisions, per-packet delays) for every
-  reschedule policy — the harness that keeps the refactor honest.  The
+  delivered, overhead, per-packet delays) — the harness that keeps the
+  refactor honest.  The
   FDD variant of the same harness lives in
   ``benchmarks/test_bench_sharded.py``.  The same runs, observed at spans
   level, pin that the two entry points really share one loop: identical
   shared-stage spans and ``traffic.*`` metrics up to the ``engine`` label.
 * Serial fan-out: shards run in the caller's thread, so the perf ledger's
   ``executor="process", max_workers=2`` call opens no pool and returns the
-  keyword-free call's trace — under every reschedule policy, on one shard
-  and on four, at any worker count; both keywords are still validated.
+  keyword-free call's trace — with FDD and centralized shards, on one
+  shard and on four, at any worker count; both keywords are still
+  validated.
 * Multi-shard sanity: conservation, feasible reconciled rounds, and
   shard-aware accounting on a real 4-shard run.
-* Failure and replay: a raising shard scheduler surfaces as
+* Failure: a raising shard scheduler surfaces as
   :class:`ShardScheduleError` naming the shard and epoch and poisons the
   queues (the monolithic engine fails through the same loop, re-raising the
-  scheduler's own exception); rounds answered from every shard's cache
-  replay bit-identically and book no coordination messages.
+  scheduler's own exception).
 """
 
 import concurrent.futures.process
@@ -38,7 +40,6 @@ from repro.phy.radio import RateTable
 from repro.traffic import (
     EpochConfig,
     PoissonArrivals,
-    RESCHEDULE_POLICIES,
     ScheduleCache,
     ShardScheduleError,
     centralized_scheduler,
@@ -109,13 +110,13 @@ def _loop_observables(obs):
     return spans, metrics
 
 
-def _mono_and_single_shard(mesh, config):
+def _mono_and_single_shard(mesh, config, rate=0.012):
     """The same run through both entry points, each under a spans-level Obs."""
     model = mesh.network.model
     mono_obs, shard_obs = _spans_obs(), _spans_obs()
     mono = run_epochs(
         mesh.links,
-        _generator(mesh),
+        _generator(mesh, rate),
         centralized_scheduler(model, overhead_seconds=0.3),
         config,
         model=model,
@@ -128,24 +129,53 @@ def _mono_and_single_shard(mesh, config):
         return centralized_scheduler(shard_model, overhead_seconds=0.3)
 
     shard = run_epochs_sharded(
-        plan, _generator(mesh), factory, model, config, obs=shard_obs
+        plan, _generator(mesh, rate), factory, model, config, obs=shard_obs
     )
     return mono, shard, _loop_observables(mono_obs), _loop_observables(shard_obs)
 
 
-@pytest.mark.parametrize("policy", RESCHEDULE_POLICIES)
-def test_single_shard_equivalence_all_policies(mesh, policy):
-    """n_shards=1 replays the monolithic loop exactly, per policy."""
-    config = EpochConfig(
-        epoch_slots=150,
-        n_epochs=6,
-        divergence_factor=4.0,
-        reschedule_policy=policy,
-    )
-    mono, shard, mono_seen, shard_seen = _mono_and_single_shard(mesh, config)
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"reschedule_policy": "drift-threshold"},
+        {"reschedule_policy": "patch"},
+        {"rate_table": RateTable.degenerate(10.0)},
+        {"rate_table": RateTable.geometric(10.0)},
+    ],
+    ids=["drift-threshold", "patch", "degenerate-table", "geometric-table"],
+)
+def test_caching_and_rate_tables_are_rejected_before_any_arrival(mesh, change):
+    """Every region re-runs its scheduler each epoch at fixed rate: a
+    caching policy or a rate table is refused before the generator is asked
+    for a single arrival."""
+    plan = plan_for_network(mesh.links, mesh.network, n_shards=4,
+                            interference_radius_m=80.0)
+    inner = _generator(mesh)
+    asked = []
+
+    class Recording:
+        def arrivals(self, epoch, n_slots):
+            asked.append(epoch)
+            return inner.arrivals(epoch, n_slots)
+
+    config = replace(EpochConfig(epoch_slots=150, n_epochs=3), **change)
+    with pytest.raises(ValueError, match="fixed rate"):
+        run_epochs_sharded(
+            plan, Recording(), sharded_centralized_factory(), mesh.network.model, config
+        )
+    assert asked == []
+
+
+@pytest.mark.parametrize("rate, diverges", [(0.012, False), (0.1, True)],
+                         ids=["stable", "overloaded"])
+def test_single_shard_equivalence(mesh, rate, diverges):
+    """n_shards=1 replays the monolithic loop exactly, at a stable load and
+    at one whose backlog trips the divergence stop."""
+    config = EpochConfig(epoch_slots=150, n_epochs=6, divergence_factor=4.0)
+    mono, shard, mono_seen, shard_seen = _mono_and_single_shard(mesh, config, rate)
 
     assert _functional(shard) == _functional(mono)
-    assert shard.diverged == mono.diverged
+    assert shard.diverged == mono.diverged == diverges
     assert np.array_equal(shard.backlog_series(), mono.backlog_series())
     assert np.array_equal(shard.queues.delay_array(), mono.queues.delay_array())
     assert np.array_equal(shard.queues.backlog, mono.queues.backlog)
@@ -158,14 +188,95 @@ def test_single_shard_equivalence_all_policies(mesh, policy):
     assert {name for name, _ in spans} == set(SHARED_STAGE_SPANS) - {"epoch.annotate"}
     assert any(name == "traffic.delivered" and value > 0 for _, name, _, value in metrics)
 
-    # Multi-rate serving adds the loop's annotate stage; same identity.
-    table = RateTable.geometric(mesh.network.radio.beta)
-    mono, shard, mono_seen, shard_seen = _mono_and_single_shard(
-        mesh, replace(config, rate_table=table)
+
+#: Loose enough that the light-load runs below reuse schedules as well as
+#: recompute them (the default threshold recomputes every epoch here).
+DRIFT_THRESHOLD = 0.5
+
+
+def _caching_factory(policy, caches):
+    """Each shard's greedy scheduler wrapped in a cache of the factory's
+    own, collected in ``caches``."""
+
+    def factory(shard, shard_model):
+        cache = ScheduleCache(
+            centralized_scheduler(shard_model, overhead_seconds=0.3),
+            policy=policy,
+            drift_threshold=DRIFT_THRESHOLD,
+            model=shard_model,
+            epoch_slots=150,
+        )
+        caches.append(cache)
+        return cache
+
+    return factory
+
+
+@pytest.mark.parametrize("policy", ["drift-threshold", "patch"])
+def test_a_factorys_own_cache_is_just_a_scheduler(mesh, policy):
+    """The engine keeps no cache of its own and reads none: shard caches
+    the factory built reuse and patch schedules, yet every record carries
+    no cache decision and every demanded multi-shard epoch books its
+    boundary reports and exactly its reconciled memberships."""
+    plan = plan_for_network(mesh.links, mesh.network, n_shards=4,
+                            interference_radius_m=80.0)
+    caches = []
+    config = EpochConfig(epoch_slots=150, n_epochs=6, divergence_factor=4.0)
+    trace = run_epochs_sharded(
+        plan, _generator(mesh), _caching_factory(policy, caches),
+        mesh.network.model, config, control=ControlPlaneModel.default_priced(),
     )
-    assert shard.records == mono.records
-    assert shard_seen == mono_seen
-    assert {name for name, _ in shard_seen[0]} == set(SHARED_STAGE_SPANS)
+    trace.queues.check_conservation()
+    assert len(caches) == plan.n_shards
+    assert sum(c.stats.hits + c.stats.patches for c in caches) > 0
+    assert not any(r.cache_hit or r.patched or r.drift for r in trace.records)
+
+    booked = {
+        (epoch, cls): count
+        for (epoch, _layer, cls), count in trace.ledger._entries(layer="sharded")
+    }
+    demanded = [r for r in trace.records if r.demand_scheduled > 0]
+    assert len(demanded) == len(trace.records)
+    for record in demanded:
+        assert booked[record.epoch, "report"] > 0
+        assert booked.get((record.epoch, "reconcile"), 0) == record.reconciled
+
+
+@pytest.mark.parametrize("policy", ["drift-threshold", "patch"])
+def test_one_shard_with_its_own_cache_serves_the_monolithic_cached_rounds(
+    mesh, policy
+):
+    """On one shard, a factory's cache schedules exactly what the same
+    cache handed to ``run_epochs`` schedules: identical served rounds,
+    delays and backlogs; only the monolithic records name the decisions."""
+    model = mesh.network.model
+    config = EpochConfig(epoch_slots=150, n_epochs=6, divergence_factor=4.0)
+    mono_cache = ScheduleCache(
+        centralized_scheduler(model, overhead_seconds=0.3),
+        policy=policy,
+        drift_threshold=DRIFT_THRESHOLD,
+        model=model,
+        epoch_slots=150,
+    )
+    mono = run_epochs(mesh.links, _generator(mesh), mono_cache, config, model=model)
+    plan = plan_for_network(mesh.links, mesh.network, n_shards=1,
+                            interference_radius_m=80.0)
+    caches = []
+    shard = run_epochs_sharded(
+        plan, _generator(mesh), _caching_factory(policy, caches), model, config
+    )
+
+    decisions = ("cache_hit", "patched", "drift")
+    assert mono_cache.stats.hits + mono_cache.stats.patches > 0
+    assert any(r.cache_hit or r.patched for r in mono.records)
+    assert [replace(r, **dict.fromkeys(decisions, None)) for r in shard.records] == [
+        replace(r, **dict.fromkeys(decisions, None))
+        for r in mono.records
+    ]
+    assert not any(r.cache_hit or r.patched or r.drift for r in shard.records)
+    assert caches[0].stats == mono_cache.stats
+    assert np.array_equal(shard.queues.delay_array(), mono.queues.delay_array())
+    assert np.array_equal(shard.queues.backlog, mono.queues.backlog)
 
 
 def assert_traces_identical(a, b):
@@ -215,27 +326,23 @@ def test_pool_keywords_change_nothing_and_open_no_pool(mesh, no_pools):
     assert multiprocessing.active_children() == []
 
 
-def _run_centralized(mesh, *, n_shards, policy="always", **keywords):
+def _run_centralized(mesh, *, n_shards, **keywords):
     plan = plan_for_network(mesh.links, mesh.network, n_shards=n_shards,
                             interference_radius_m=80.0)
-    config = EpochConfig(epoch_slots=150, n_epochs=4, divergence_factor=4.0,
-                         reschedule_policy=policy)
+    config = EpochConfig(epoch_slots=150, n_epochs=4, divergence_factor=4.0)
     return run_epochs_sharded(
         plan, _generator(mesh), sharded_centralized_factory(),
         mesh.network.model, config, **keywords,
     )
 
 
-@pytest.mark.parametrize("policy", RESCHEDULE_POLICIES)
-def test_pool_keywords_change_nothing_on_every_policy(mesh, policy, no_pools):
-    """Per-shard caches, drift checks and patches see the same serial
-    fan-out whichever executor is named."""
-    base = _run_centralized(mesh, n_shards=4, policy=policy)
+def test_pool_keywords_change_nothing_on_centralized_shards(mesh, no_pools):
+    """Per-shard greedy sees the same serial fan-out whichever executor is
+    named."""
+    base = _run_centralized(mesh, n_shards=4)
     for executor in ("process", "thread"):
         assert_traces_identical(
-            base,
-            _run_centralized(mesh, n_shards=4, policy=policy,
-                             max_workers=4, executor=executor),
+            base, _run_centralized(mesh, n_shards=4, max_workers=4, executor=executor)
         )
     assert base.scheduling_wall_seconds is not None
     assert base.scheduling_wall_seconds > 0.0
@@ -394,49 +501,3 @@ def test_shard_scheduler_exception_is_annotated_and_poisons_queues(
         queues.arrive(np.zeros(network.n_nodes, dtype=np.int64), 0)
     with pytest.raises(RuntimeError, match="unusable"):
         queues.serve_slot(np.array([], dtype=np.intp), 0)
-
-
-def test_cached_rounds_replay_bit_identically_and_book_no_coordination(mesh):
-    """Replayed rounds: deterministic serving, no coordination air.
-
-    With an effectively infinite drift threshold every epoch after the
-    first answers from cache, so the superposed round is last epoch's.  A
-    second identical run pins the replay bit-identical end to end, and on
-    a priced run such an epoch books no ``report`` or ``reconcile``
-    message — the keep-current-round signal is no message.
-    """
-    plan = plan_for_network(mesh.links, mesh.network, n_shards=4,
-                            interference_radius_m=80.0)
-    config = EpochConfig(
-        epoch_slots=150,
-        n_epochs=6,
-        divergence_factor=4.0,
-        reschedule_policy="drift-threshold",
-    )
-    base = sharded_centralized_factory()
-
-    def cached(shard, model):
-        return ScheduleCache(
-            base(shard, model),
-            policy="drift-threshold",
-            drift_threshold=1e9,
-            model=model,
-            epoch_slots=config.epoch_slots,
-        )
-
-    def run():
-        return run_epochs_sharded(
-            plan,
-            _generator(mesh, rate=0.02),
-            cached,
-            mesh.network.model,
-            config,
-            control=ControlPlaneModel.default_priced(),
-        )
-
-    first, second = run(), run()
-    hits = {r.epoch for r in first.records if r.cache_hit}
-    assert len(hits) >= 3, "no replay exercised — raise the drift threshold"
-    assert_traces_identical(first, second)
-    booked = {key[0] for key, _ in first.ledger._entries(layer="sharded")}
-    assert booked and not booked & hits

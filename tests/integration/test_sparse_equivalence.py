@@ -8,7 +8,7 @@ unpriced, 1-shard == monolithic, instrumented == bare):
   matrix, so the monolithic, incremental-cached, sharded, and
   admission-controlled engines must produce ``EpochRecord``s, delay logs,
   and backlogs identical to the dense oracle's, for every reschedule
-  policy.  This is the anchor that lets the finite-cutoff configuration be
+  policy each runs (the sharded engine runs ``"always"`` only).  This is the anchor that lets the finite-cutoff configuration be
   trusted as *the same code* with a physically-argued approximation, not a
   parallel implementation.
 * **streaming accounting** — ``retain_records="stream"`` keeps O(1) state
@@ -24,6 +24,7 @@ import pytest
 from repro.experiments.common import grid_scenario
 from repro.phy.sparse import sparse_gain_model
 from repro.traffic import (
+    DEFAULT_GUARD_FACTOR,
     EpochConfig,
     FlowConfig,
     FlowWorkload,
@@ -109,27 +110,6 @@ class TestCutoffInfBitIdentity:
 
         _assert_identical(run(mesh.network.model), run(sparse_oracle))
 
-    def test_sharded(self, mesh, sparse_oracle, policy):
-        """Same plan, same guard budgets — the sparse oracle feeds
-        ``with_budget`` shard models exactly like the dense one."""
-        plan = plan_for_network(
-            mesh.links, mesh.network, n_shards=4, interference_radius_m=80.0
-        )
-
-        def factory(shard, shard_model):
-            return centralized_scheduler(shard_model, overhead_seconds=0.3)
-
-        def run(model):
-            return run_epochs_sharded(
-                plan,
-                _generator(mesh),
-                factory,
-                model,
-                _config(policy),
-            )
-
-        _assert_identical(run(mesh.network.model), run(sparse_oracle))
-
     def test_admission_flows(self, mesh, sparse_oracle, policy):
         def run(model):
             wl = _workload(mesh)
@@ -149,6 +129,30 @@ class TestCutoffInfBitIdentity:
         assert other_wl.blocking_probability == base_wl.blocking_probability
         assert other_wl.sessions_offered == base_wl.sessions_offered
         assert other_wl.sessions_blocked == base_wl.sessions_blocked
+
+
+@pytest.mark.parametrize("guard", [DEFAULT_GUARD_FACTOR, 0.0],
+                         ids=["guarded", "unguarded"])
+def test_sharded_cutoff_inf_bit_identity(mesh, sparse_oracle, guard):
+    """Same plan, same guard budgets — the sparse oracle feeds
+    ``with_budget`` shard models exactly like the dense one, and the repair
+    pass judges its entries exactly like the dense matrix's."""
+    plan = plan_for_network(
+        mesh.links, mesh.network, n_shards=4, interference_radius_m=80.0,
+        guard_factor=guard,
+    )
+
+    def factory(shard, shard_model):
+        return centralized_scheduler(shard_model, overhead_seconds=0.3)
+
+    def run(model):
+        return run_epochs_sharded(plan, _generator(mesh), factory, model, _config())
+
+    base = run(mesh.network.model)
+    if guard == 0.0:
+        # Unguarded, the repair pass has cross-shard violations to serialize.
+        assert any(r.reconciled for r in base.records)
+    _assert_identical(base, run(sparse_oracle))
 
 
 AGGREGATES = (

@@ -3,9 +3,9 @@
 Two laws over randomized operating points:
 
 * **Zero-price identity** — with every message class at 0 bytes, both
-  epoch engines reproduce their unpriced traces epoch-for-epoch under
-  every reschedule policy (hypothesis draws the rate, policy, and arrival
-  seed).
+  epoch engines reproduce their unpriced traces epoch-for-epoch, the
+  monolithic one under every reschedule policy (hypothesis draws the rate,
+  policy or shard count, and arrival seed).
 * **Monotone pricing** — at a light operating point whose demand path is
   price-invariant (the schedule cycles many times per epoch, so a slot or
   two of control overhead never changes what gets served), scaling every
@@ -100,14 +100,13 @@ def test_zero_priced_monolithic_trace_is_identical(mesh, rate, policy, seed):
 
 @given(
     rate=st.floats(min_value=0.003, max_value=0.02),
-    policy=st.sampled_from(RESCHEDULE_POLICIES),
     n_shards=st.sampled_from([1, 4]),
     seed=st.integers(min_value=0, max_value=2**16),
 )
 @settings(max_examples=8, deadline=None)
-def test_zero_priced_sharded_trace_is_identical(mesh, rate, policy, n_shards, seed):
+def test_zero_priced_sharded_trace_is_identical(mesh, rate, n_shards, seed):
     network, gateways, links = mesh
-    config = EpochConfig(epoch_slots=100, n_epochs=3, reschedule_policy=policy)
+    config = EpochConfig(epoch_slots=100, n_epochs=3)
     plan = plan_for_network(
         links, network, n_shards=n_shards, interference_radius_m=80.0
     )

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.experiments.common import grid_scenario
+from repro.obs import BufferRecorder, Obs, ObsConfig
 from repro.scheduling.feasibility import schedule_is_feasible
 from repro.scheduling.greedy_physical import greedy_physical
 from repro.traffic import (
@@ -285,6 +286,38 @@ class TestEpochLoopIntegration:
             r.overhead_slots == 0 for r in trace.records if r.patched or r.cache_hit
         )
         trace.queues.check_conservation()
+
+    def test_cache_books_every_decision_under_the_epoch_engine(self, mesh):
+        """Bound by ``run_epochs``, the cache books one ``cache.requests``
+        and one outcome counter per scheduled epoch, all labelled
+        ``engine="epoch"``, and runs each patch inside an
+        ``incremental.patch`` span; the counters match the records."""
+        generator = PoissonArrivals(
+            mesh.network.n_nodes, 0.02, gateways=mesh.gateways, seed=9
+        )
+        config = EpochConfig(epoch_slots=200, n_epochs=6, reschedule_policy="patch")
+        obs = Obs.create(ObsConfig(level="spans"))
+        obs.recorder = BufferRecorder()
+        trace = run_epochs(
+            mesh.links, generator, centralized_scheduler(mesh.network.model),
+            config, model=mesh.network.model, obs=obs,
+        )
+        registry = obs.registry
+        requests = sum(1 for r in trace.records if r.demand_scheduled > 0)
+        booked = {
+            outcome: registry.counter_value(f"cache.{outcome}", engine="epoch")
+            for outcome in ("requests", "hits", "patches", "recomputes")
+        }
+        assert booked == {
+            "requests": requests,
+            "hits": trace.cache_hits,
+            "patches": trace.patched_epochs,
+            "recomputes": requests - trace.cache_hits - trace.patched_epochs,
+        }
+        assert trace.patched_epochs > 0
+        patch_spans = [s for s in obs.recorder.spans if s.name == "incremental.patch"]
+        assert len(patch_spans) >= trace.patched_epochs
+        assert all(s.labels["engine"] == "epoch" for s in patch_spans)
 
     def test_overhead_at_least_epoch_serves_zero_slots(self, mesh):
         """Regression: an absurdly slow scheduler must serve exactly nothing.

@@ -16,6 +16,16 @@ processes) import it again through ``PYTHONPATH``.  Traced, the entry
 points take about 1.5 min on 2 vCPUs.  What remains is reached only by
 tests or not at all; ROADMAP "Smaller follow-ups" lists the sizeable
 branches that stay and why (gated, input validation, or a kept oracle).
+
+A line trace cannot see a capability whose lines run while it never
+engages.  The sharded engine once wrapped every shard's scheduler for
+caching and merged the shards' cache decisions each epoch: every one of
+those lines executed on every run, yet no entry point passed a policy but
+``"always"``, so the wrapper handed each scheduler back unchanged and no
+decision was ever made.  Before calling a configurable path used, take a
+census of the configurations the callers pass (for the engines:
+``reschedule_policy`` and ``rate_table`` of each ``EpochConfig`` handed to
+``run_epochs`` / ``run_epochs_sharded``).
 """
 
 from __future__ import annotations
