@@ -340,18 +340,19 @@ def test_fdd_resolves_per_admission_not_per_step(scenario):
     config = replace(PAPER_PROTOCOL, k=1)
     runtime = FastRuntime.for_network(scenario.network, config)
     assert runtime.theorem4_model is None
-    result = run_fdd(scenario.links, runtime, config, rng=1, record_rounds=True)
+    result = run_fdd(scenario.links, runtime, config, rng=1)
     assert result.terminated
     admissions = sum(
         len(r.members) - len(r.controllers) for r in result.round_records
     )
     pool = int((scenario.links.demand > 0).sum())
     doublings = 1 + int(np.ceil(np.log2(pool)))
-    assert result.resolve_calls <= admissions + result.rounds * doublings
+    rounds = result.schedule_length
+    assert result.resolve_calls <= admissions + rounds * doublings
     assert result.trials_evaluated >= result.tally.steps
     # ~a pool's worth of steps per round, a handful of calls per round.
-    assert result.tally.steps >= 10 * result.rounds
-    assert result.resolve_calls <= 4 * result.rounds
+    assert result.tally.steps >= 10 * rounds
+    assert result.resolve_calls <= 4 * rounds
 
 
 @pytest.mark.benchmark(group="protocols")
@@ -363,7 +364,7 @@ def test_saturated_fdd_resolves_nothing(scenario):
     result = run_fdd(scenario.links, runtime, PAPER_PROTOCOL, rng=1)
     assert result.terminated
     assert result.resolve_calls == result.trials_evaluated == 0
-    assert result.tally.steps >= 10 * result.rounds
+    assert result.tally.steps >= 10 * result.schedule_length
     assert result.tally.handshakes == result.tally.steps
 
 

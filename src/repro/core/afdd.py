@@ -50,10 +50,7 @@ def afdd_select_active(
     the bitwise elimination from the previous winner's prefix instead of
     restarting it.
     """
-    ids = getattr(runtime, "ids", None)
-    if ids is None:
-        yield from runtime.elect_each(dormant)
-        return
+    ids = runtime.ids
     pool = dormant.copy()
     winners = runtime.leader_elect(pool)
     while True:
@@ -75,7 +72,6 @@ def run_afdd(
     runtime: Runtime,
     config: ProtocolConfig,
     rng: np.random.Generator | int | None = None,
-    record_rounds: bool = False,
 ) -> ProtocolResult:
     """Run the AFDD extension on an arbitrary runtime substrate.
 
@@ -83,17 +79,11 @@ def run_afdd(
     closed form where FDD's is (:func:`~repro.core.protocol.run_by_theorem4`).
     """
     result = run_by_theorem4(
-        links,
-        runtime,
-        config,
-        record_rounds=record_rounds,
-        refresh_screams=AFDD_REFRESH_SCREAMS,
+        links, runtime, config, refresh_screams=AFDD_REFRESH_SCREAMS
     )
     if result is not None:
         return result
-    return run_protocol(
-        links, runtime, config, afdd_select_active, rng=rng, record_rounds=record_rounds
-    )
+    return run_protocol(links, runtime, config, afdd_select_active, rng=rng)
 
 
 def afdd_on_network(
@@ -102,7 +92,6 @@ def afdd_on_network(
     config: ProtocolConfig | None = None,
     faults: FaultConfig = NO_FAULTS,
     rng: np.random.Generator | int | None = None,
-    record_rounds: bool = False,
     model: PhysicalInterferenceModel | None = None,
 ) -> ProtocolResult:
     """Convenience wrapper: run AFDD over a fresh FastRuntime on ``network``.
@@ -117,6 +106,5 @@ def afdd_on_network(
         config=config,
         faults=faults,
         rng=rng,
-        record_rounds=record_rounds,
         model=model,
     )

@@ -49,24 +49,16 @@ def run_fdd(
     runtime: Runtime,
     config: ProtocolConfig,
     rng: np.random.Generator | int | None = None,
-    record_rounds: bool = False,
 ) -> ProtocolResult:
     """Run FDD on an arbitrary runtime substrate.
 
     In closed form (:func:`~repro.core.protocol.run_by_theorem4`) where the
     runtime and the links allow it, step by step everywhere else.
     """
-    result = run_by_theorem4(links, runtime, config, record_rounds=record_rounds)
+    result = run_by_theorem4(links, runtime, config)
     if result is not None:
         return result
-    return run_protocol(
-        links,
-        runtime,
-        config,
-        fdd_select_active,
-        rng=rng,
-        record_rounds=record_rounds,
-    )
+    return run_protocol(links, runtime, config, fdd_select_active, rng=rng)
 
 
 def fdd_on_network(
@@ -75,7 +67,6 @@ def fdd_on_network(
     config: ProtocolConfig | None = None,
     faults: FaultConfig = NO_FAULTS,
     rng: np.random.Generator | int | None = None,
-    record_rounds: bool = False,
     model: PhysicalInterferenceModel | None = None,
 ) -> ProtocolResult:
     """Convenience wrapper: run FDD over a fresh FastRuntime on ``network``.
@@ -90,6 +81,5 @@ def fdd_on_network(
         config=config,
         faults=faults,
         rng=rng,
-        record_rounds=record_rounds,
         model=model,
     )

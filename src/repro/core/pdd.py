@@ -42,7 +42,6 @@ def run_pdd(
     runtime: Runtime,
     config: ProtocolConfig,
     rng: np.random.Generator | int | None = None,
-    record_rounds: bool = False,
 ) -> ProtocolResult:
     """Run PDD on an arbitrary runtime substrate."""
     if config.p_active <= 0.0:
@@ -56,7 +55,6 @@ def run_pdd(
         config,
         make_pdd_select_active(config.p_active),
         rng=rng,
-        record_rounds=record_rounds,
     )
 
 
@@ -66,7 +64,6 @@ def pdd_on_network(
     config: ProtocolConfig | None = None,
     faults: FaultConfig = NO_FAULTS,
     rng: np.random.Generator | int | None = None,
-    record_rounds: bool = False,
     model: PhysicalInterferenceModel | None = None,
 ) -> ProtocolResult:
     """Convenience wrapper: run PDD over a fresh FastRuntime on ``network``.
@@ -81,6 +78,5 @@ def pdd_on_network(
         config=config,
         faults=faults,
         rng=rng,
-        record_rounds=record_rounds,
         model=model,
     )

@@ -84,7 +84,6 @@ class ProtocolResult:
 
     schedule: Schedule
     tally: StepTally
-    rounds: int = 0
     terminated: bool = False
     round_records: list[RoundRecord] = field(default_factory=list)
     #: Simulator cost, not air time (that is ``tally``): how many times the
@@ -105,7 +104,6 @@ def run_protocol(
     config: ProtocolConfig,
     select_active: SelectActiveFn,
     rng: np.random.Generator | int | None = None,
-    record_rounds: bool = False,
     observer: ObserverFn | None = None,
 ) -> ProtocolResult:
     """Execute the distributed scheduling main loop until termination.
@@ -124,8 +122,6 @@ def run_protocol(
         The protocol-specific ``SelectActive`` strategy.
     rng:
         Randomness for the strategy (PDD's coin flips).
-    record_rounds:
-        Keep per-round diagnostics (controllers, members, step counts).
     observer:
         Optional hook receiving (event, state snapshot) at protocol
         checkpoints; used by tests to validate Figure 1's state machine.
@@ -134,8 +130,8 @@ def run_protocol(
     -------
     ProtocolResult
         The computed schedule (one slot per round), consumed step tally, and
-        diagnostics.  ``terminated`` is False only if the ``max_rounds``
-        safety cap fired.
+        per-round diagnostics (controllers, members, step counts).
+        ``terminated`` is False only if the ``max_rounds`` safety cap fired.
     """
     n = runtime.n_nodes
     generator = ensure_rng(rng)
@@ -156,7 +152,7 @@ def run_protocol(
     max_rounds = _max_rounds(links, config)
 
     released = True
-    while result.rounds < max_rounds:
+    while len(result.schedule.slots) < max_rounds:
         if released:
             participating = state != COMPLETE
             winners = runtime.leader_elect(participating)
@@ -175,7 +171,6 @@ def run_protocol(
         members, steps = _greedy_schedule_slot(
             state, tail_of, runtime, config, select_active, generator, observer, result
         )
-        result.rounds += 1
         runtime.tally.rounds += 1
         result.schedule.slots.append(Slot(links=link_of_node[members].tolist()))
 
@@ -196,14 +191,13 @@ def run_protocol(
         if observer is not None:
             observer("demand-update", state.copy())
 
-        if record_rounds:
-            result.round_records.append(
-                RoundRecord(
-                    controllers=tuple(controllers.tolist()),
-                    members=tuple(members.tolist()),
-                    steps=steps,
-                )
+        result.round_records.append(
+            RoundRecord(
+                controllers=tuple(controllers.tolist()),
+                members=tuple(members.tolist()),
+                steps=steps,
             )
+        )
 
     return result
 
@@ -212,7 +206,6 @@ def run_by_theorem4(
     links: LinkSet,
     runtime: Runtime,
     config: ProtocolConfig,
-    record_rounds: bool = False,
     refresh_screams: int | None = None,
 ) -> ProtocolResult | None:
     """FDD's whole run in closed form, or ``None`` where it has none.
@@ -285,9 +278,7 @@ def run_by_theorem4(
         config.k, select_screams + 2 * total + n_rounds + (bits + 1) * elections
     )
 
-    result = ProtocolResult(
-        schedule=Schedule(link_set=links), tally=tally, rounds=n_rounds, terminated=True
-    )
+    result = ProtocolResult(schedule=Schedule(link_set=links), tally=tally, terminated=True)
     if not n_rounds:
         return result
     # FDD lists a slot's members by head node, the packer by allocation.
@@ -297,12 +288,15 @@ def run_by_theorem4(
     link_ids = demanded[members].tolist()
     cuts = np.searchsorted(slot_of, np.arange(n_rounds + 1)).tolist()
     result.schedule.slots = [Slot(links=link_ids[a:b]) for a, b in zip(cuts, cuts[1:])]
-    if record_rounds:
-        nodes = heads[members].tolist()
-        result.round_records = [
-            RoundRecord((int(heads[c]),), tuple(nodes[a:b]), int(s))
-            for c, s, a, b in zip(controller, steps, cuts, cuts[1:])
-        ]
+    nodes = heads[members].tolist()
+    result.round_records = list(
+        map(
+            RoundRecord,
+            [(c,) for c in heads[controller].tolist()],
+            [tuple(nodes[a:b]) for a, b in zip(cuts, cuts[1:])],
+            steps.tolist(),
+        )
+    )
     return result
 
 
@@ -409,7 +403,6 @@ def run_on_network(
     config: ProtocolConfig | None = None,
     faults: FaultConfig = NO_FAULTS,
     rng: np.random.Generator | int | None = None,
-    record_rounds: bool = False,
     model=None,
 ) -> ProtocolResult:
     """Shared body of the ``fdd/pdd/afdd_on_network`` convenience wrappers.
@@ -438,9 +431,7 @@ def run_on_network(
         rng=spawn(root, "runtime"),
         model=model,
     )
-    return runner(
-        links, runtime, cfg, rng=spawn(root, "protocol"), record_rounds=record_rounds
-    )
+    return runner(links, runtime, cfg, rng=spawn(root, "protocol"))
 
 
 def _max_rounds(links: LinkSet, config: ProtocolConfig) -> int:
@@ -452,10 +443,7 @@ def _max_rounds(links: LinkSet, config: ProtocolConfig) -> int:
 
 def _check_link_ids(links: LinkSet, runtime: Runtime) -> None:
     """Links' head IDs must agree with the runtime's node IDs (elections)."""
-    runtime_ids = getattr(runtime, "ids", None)
-    if runtime_ids is None:
-        return
-    expected = np.asarray(runtime_ids)[links.heads]
+    expected = np.asarray(runtime.ids)[links.heads]
     if not np.array_equal(expected, links.ids):
         raise ValueError(
             "LinkSet ids disagree with runtime node ids on head nodes; "

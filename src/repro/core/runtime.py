@@ -53,6 +53,11 @@ class Runtime(ABC):
     def n_nodes(self) -> int:
         """Number of nodes participating in the protocol."""
 
+    @property
+    @abstractmethod
+    def ids(self) -> np.ndarray:
+        """Per-node protocol IDs (what leader elections compare)."""
+
     @abstractmethod
     def scream(self, inputs: np.ndarray) -> np.ndarray:
         """One SCREAM invocation (K slots); returns per-node OR results."""

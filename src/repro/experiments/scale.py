@@ -9,15 +9,26 @@ noise-floor budget, so its footprint and build time scale with ``n``, not
 ``n^2``.
 
 This experiment measures that trade end to end: for each grid side in
-``profile.scale_grid_sides`` it deploys a planned grid at fixed density and
-runs the *same* closed epoch engine (arrivals -> greedy schedule -> serve,
-:func:`repro.traffic.epoch.run_epochs` with streaming record retention) on
-both backends — dense only up to ``profile.scale_dense_max_nodes`` — and
-reports, per point: nonzeros stored, setup wall (gain model + communication
-graph + routing forest), engine wall, scheduling wall, *end-to-end per-epoch
+``profile.scale_grid_sides`` it deploys a planned grid at one lattice step
+(:data:`SCALE_LATTICE_STEP_M`) and runs the *same* closed epoch engine
+(arrivals -> greedy schedule -> serve, :func:`repro.traffic.epoch.run_epochs`
+with streaming record retention) on both backends — dense only up to
+``profile.scale_dense_max_nodes`` — and reports, per point: communication
+edges per node and routing-forest depth (the mesh the point measures),
+nonzeros stored, setup wall (gain model + communication graph + routing
+forest), engine wall, scheduling wall, *end-to-end per-epoch
 wall* ((setup + engine) / epochs — the number a deployment planner re-running
 the pipeline each reconfiguration actually waits), peak RSS, schedule length,
 packets delivered, and the exact-physics verdict on what was played.
+
+Why one step and not one density: ``grid_positions`` spans the region, so
+at fixed density the step is ``31.62 m * side / (side - 1)``, and from
+side ~165 on its diagonal (``sqrt(2) * step``) falls inside the floored
+communication range (~45.0 m): the comm graph doubles its degree, the
+forest halves its depth, and the large points would measure a different
+mesh.  Each side's density is derived from the step instead
+(:func:`scale_density_per_km2`); side 100, the ``sparse_10k`` ledger
+mesh, keeps ``SCALE_DENSITY_PER_KM2`` exactly.
 
 Every point runs in its own spawned subprocess so its peak RSS (the child's
 own ``VmHWM``) is that point's genuine high-water mark (the parent's peak
@@ -60,6 +71,7 @@ from repro.phy import truth
 from repro.phy.sparse import sparse_gain_model
 from repro.topology.commgraph import communication_csr
 from repro.topology.network import grid_network
+from repro.topology.regions import side_for_density
 from repro.traffic import (
     EpochConfig,
     PoissonArrivals,
@@ -68,13 +80,25 @@ from repro.traffic import (
 )
 from repro.util.rng import spawn
 
-#: Deployment density (nodes/km^2), epochs of the served workload, offered
-#: arrivals (packets per node per *epoch*), and gateway spacing (one
-#: gateway per ``stride x stride`` block of the grid) of every sweep point.
+#: Deployment density (nodes/km^2) at side 100, epochs of the served
+#: workload, offered arrivals (packets per node per *epoch*), and gateway
+#: spacing (one gateway per ``stride x stride`` block of the grid) of every
+#: sweep point.
 SCALE_DENSITY_PER_KM2 = 1000.0
 SCALE_EPOCHS = 2
 SCALE_ARRIVAL_RATE = 1.0
 SCALE_GATEWAY_STRIDE = 10
+
+#: Lattice step (m) of every sweep point: side 100's at
+#: ``SCALE_DENSITY_PER_KM2`` (31.94 m), whose diagonal stays outside the
+#: floored communication range.
+SCALE_LATTICE_STEP_M = side_for_density(100 * 100, SCALE_DENSITY_PER_KM2) / 99
+
+
+def scale_density_per_km2(side: int) -> float:
+    """The density at which ``grid_network``'s ``side x side`` lattice (its
+    region spans ``side - 1`` steps) has the step ``SCALE_LATTICE_STEP_M``."""
+    return (1000.0 / SCALE_LATTICE_STEP_M * side / (side - 1)) ** 2
 
 
 def _gateway_count(side: int) -> int:
@@ -126,7 +150,7 @@ def _run_point(side: int, backend: str, profile: ExperimentProfile, obs=None) ->
     infeasible under the floored oracle, and the scheduler rejects links
     that cannot decode even alone).
     """
-    network = grid_network(side, side, density_per_km2=SCALE_DENSITY_PER_KM2)
+    network = grid_network(side, side, density_per_km2=scale_density_per_km2(side))
     n = network.n_nodes
     gateways = planned_gateways(side, side, _gateway_count(side))
     forest_rng = spawn(profile.seed, "scale-forest", side)
@@ -152,6 +176,7 @@ def _run_point(side: int, backend: str, profile: ExperimentProfile, obs=None) ->
     else:
         raise ValueError(f"unknown backend {backend!r}")
     setup_s = time.perf_counter() - t0
+    comm_edges = (indices.size if backend == "sparse" else int(network.comm_adj.sum())) // 2
 
     links = forest_link_set(forest, np.zeros(n, dtype=np.int64))
     generator = PoissonArrivals(
@@ -178,6 +203,8 @@ def _run_point(side: int, backend: str, profile: ExperimentProfile, obs=None) ->
         "n": n,
         "backend": backend,
         "nnz": int(nnz),
+        "edges_per_node": comm_edges / n,
+        "forest_depth": int(forest.depth.max()),
         "setup_s": setup_s,
         "engine_s": engine_s,
         "sched_wall_s": trace.scheduling_wall_seconds - tally["check_s"],
@@ -294,6 +321,8 @@ def scale_table(points: list[dict], profile: ExperimentProfile) -> TextTable:
         [
             "nodes",
             "backend",
+            "edges/node",
+            "forest depth",
             "nnz",
             "setup (s)",
             "engine (s)",
@@ -305,8 +334,8 @@ def scale_table(points: list[dict], profile: ExperimentProfile) -> TextTable:
             "truth violations",
             "repaired tx",
         ],
-        title="Sparse interference at scale — grid deployments at density "
-        f"{SCALE_DENSITY_PER_KM2:g}/km^2, "
+        title="Sparse interference at scale — grid deployments at lattice step "
+        f"{SCALE_LATTICE_STEP_M:.2f} m ({SCALE_DENSITY_PER_KM2:g}/km^2 at 10^4 nodes), "
         f"{SCALE_EPOCHS} epochs x {profile.scale_epoch_slots} slots, "
         f"{SCALE_ARRIVAL_RATE:g} pkt/node/epoch, dense baseline up to "
         f"{profile.scale_dense_max_nodes} nodes "
@@ -324,6 +353,8 @@ def scale_table(points: list[dict], profile: ExperimentProfile) -> TextTable:
             table.add_row(
                 str(point["n"]),
                 backend,
+                f"{point['edges_per_node']:.2f}",
+                str(point["forest_depth"]),
                 str(point["nnz"]),
                 f"{point['setup_s']:.2f}",
                 f"{point['engine_s']:.2f}",
@@ -342,6 +373,8 @@ def scale_table(points: list[dict], profile: ExperimentProfile) -> TextTable:
             table.add_row(
                 str(dense["n"]),
                 "dense/sparse",
+                "-",
+                "-",
                 f"{dense['nnz'] / max(sparse['nnz'], 1):.1f}x",
                 "-",
                 "-",

@@ -122,32 +122,6 @@ class PhysicalInterferenceModel:
         )
         return data, ack
 
-    def link_tiers(
-        self, senders: np.ndarray, receivers: np.ndarray, table
-    ) -> np.ndarray:
-        """Per-link MCS tier for a concurrent link set under a ``RateTable``.
-
-        A link's tier is governed by the *weaker* of its two sub-slots —
-        ``min(data SINR, ack SINR)`` — since a faster modulation is useless
-        if the ACK cannot keep up.  Tiers are clamped to >= 0: slot
-        membership was established by the scheduling contract
-        (``SINR >= β``, possibly under a *different* budget than this
-        oracle carries — reconciled overflow slots and boundary links can
-        sit below ``β`` here), and the seed semantics serve one packet
-        regardless, so the base tier is the floor.  The degenerate table
-        therefore yields rate 1 for every member — the bit-identity anchor
-        of the differential suite.
-        """
-        data, ack = self.link_sinrs(senders, receivers)
-        tiers = table.tier_for(np.minimum(data, ack))
-        return np.maximum(tiers, 0).astype(np.int64)
-
-    def link_rates(
-        self, senders: np.ndarray, receivers: np.ndarray, table
-    ) -> np.ndarray:
-        """Per-link packets-per-slot under a ``RateTable`` (base-tier floor)."""
-        return table.rates[self.link_tiers(senders, receivers, table)]
-
     def _slot_sinrs_flat(
         self, heads: np.ndarray, tails: np.ndarray, slots
     ) -> tuple[np.ndarray, list[int]]:
@@ -202,15 +176,6 @@ class PhysicalInterferenceModel:
         yield empty arrays.
         """
         return split_at(*self._slot_sinrs_flat(heads, tails, slots))
-
-    def slot_rates(
-        self, heads: np.ndarray, tails: np.ndarray, slots, table
-    ) -> list[np.ndarray]:
-        """Per-slot packets-per-slot arrays under a ``RateTable`` (base-tier
-        floor): :meth:`link_rates` of every slot, from one
-        :meth:`slot_sinrs` pass and one tier lookup."""
-        worst, ends = self._slot_sinrs_flat(heads, tails, slots)
-        return split_at(table.rates[np.maximum(table.tier_for(worst), 0)], ends)
 
     def feasible_mask(
         self, senders: np.ndarray, receivers: np.ndarray

@@ -109,8 +109,7 @@ class RateTable:
     SINR below ``thresholds[0]`` maps to tier ``-1`` (no decode, rate 0)
     in the stateless lookups; serving paths that already established slot
     membership clamp to tier 0 instead — the membership contract
-    guarantees the base MCS (see
-    :meth:`~repro.phy.interference.PhysicalInterferenceModel.link_tiers`).
+    guarantees the base MCS (see :meth:`grant`).
     """
 
     thresholds: np.ndarray
@@ -212,6 +211,23 @@ class RateTable:
         tiers = self.tier_for(sinr)
         rates = np.where(tiers >= 0, self.rates[np.maximum(tiers, 0)], 0)
         return rates.astype(np.int64)
+
+    def grant(self, sinr: np.ndarray) -> np.ndarray:
+        """Packets per slot of a slot *member* at each SINR value.
+
+        A member's SINR is the *weaker* of its two sub-slots —
+        ``min(data SINR, ACK SINR)`` — since a faster modulation is useless
+        if the ACK cannot keep up.  Its tier is floored at 0: slot
+        membership was established by the scheduling contract (``SINR >=
+        β``, possibly under a *different* budget than the evaluating
+        oracle carries — reconciled overflow slots and boundary links can
+        sit below ``β`` there), and the seed semantics serve one packet
+        regardless, so the base tier is the floor.  The degenerate table
+        therefore grants every member rate 1 — the bit-identity anchor of
+        the differential suite.  Equals :meth:`rate_for` floored at
+        :attr:`base_rate`.
+        """
+        return self.rates[np.maximum(self.tier_for(sinr), 0)]
 
     def select(self, sinr: np.ndarray, prev_tier: np.ndarray) -> np.ndarray:
         """Hysteresis-aware tier (re)selection.

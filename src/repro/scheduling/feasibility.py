@@ -635,6 +635,5 @@ def schedule_rates(
     :class:`repro.traffic.epoch.RateAnnotator` instead.
     """
     links = schedule.link_set
-    return model.slot_rates(
-        links.heads, links.tails, [s.links for s in schedule.slots], table
-    )
+    slots = [s.links for s in schedule.slots]
+    return [table.grant(worst) for worst in model.slot_sinrs(links.heads, links.tails, slots)]

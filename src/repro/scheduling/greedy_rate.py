@@ -104,14 +104,14 @@ def _build_slot(links, model, table, worst, pending) -> tuple[list[int], np.ndar
             "it is not a valid communication edge"
         )
     members = [first]
-    granted = table.rates[np.maximum(table.tier_for(worst[first : first + 1]), 0)]
+    granted = table.grant(worst[first : first + 1])
     total_rate = int(granted.sum())
     # A link that fails alone fails every what-if: never a candidate.
     ahead = pending[1:]
     ahead = ahead[worst[ahead] >= beta]
     while ahead.size:
         ahead, sinrs = what_if_sinrs(model, heads, tails, members, ahead)
-        rates = table.rates[np.maximum(table.tier_for(sinrs), 0)]
+        rates = table.grant(sinrs)
         totals = rates.sum(axis=1)
         admits = (sinrs >= beta).all(axis=1) & (totals > total_rate)
         if not admits.any():

@@ -79,12 +79,6 @@ class LinkSet:
             )
         return of_node
 
-    @cached_property
-    def link_of_head(self) -> dict[int, int]:
-        """Map head node index -> link index (forest link sets only)."""
-        self.link_of_node  # the forest check
-        return dict(zip(self.heads.tolist(), range(self.n_links)))
-
     def next_links(self) -> np.ndarray:
         """Per-link index of the next link up the forest, -1 at gateways.
 

@@ -419,7 +419,7 @@ class RegionalControllers(AdmissionController):
         if np.any(shard_of_link < 0):
             raise ValueError("the plan does not cover every link")
         self._shard_of_link = shard_of_link
-        self._by_head = plan.links.link_of_head
+        self._link_of_node = plan.links.link_of_node
         self.reset()
 
     def reset(self) -> None:
@@ -456,9 +456,10 @@ class RegionalControllers(AdmissionController):
         backlog = queues.backlog
         n_regions = len(self.regional)
         emitted = np.zeros(n_regions, dtype=np.int64)
+        of_node = self._link_of_node
         for fid, node, count in session.last_emissions:
-            k = self._by_head.get(int(node))
-            if k is not None:
+            k = of_node[node] if node < of_node.size else -1
+            if k >= 0:
                 emitted[self._shard_of_link[k]] += count
         # Exact delivered attribution: the queues tag every delivery with
         # its entry link, so the new tail of the delivery log splits by the

@@ -50,19 +50,18 @@ def route_of(links: LinkSet, node: int) -> np.ndarray:
     """Link indices a packet sourced at ``node`` traverses to its gateway.
 
     Follows the routing forest's child->parent chain through
-    ``links.link_of_head``; the first hop is the node's own link, the last
+    ``links.link_of_node``; the first hop is the node's own link, the last
     is the link into the gateway.  Raises for nodes that head no link
     (gateways source no traffic).
     """
-    by_head = links.link_of_head
-    if int(node) not in by_head:
+    of_node = links.link_of_node
+    k = int(of_node[node]) if 0 <= node < of_node.size else -1
+    if k < 0:
         raise ValueError(f"node {int(node)} heads no link (is it a gateway?)")
     route: list[int] = []
-    current = int(node)
-    while current in by_head:
-        k = by_head[current]
+    while k >= 0:
         route.append(k)
-        current = int(links.tails[k])
+        k = int(of_node[links.tails[k]])
         if len(route) > links.n_links:
             raise ValueError("routing loop detected while tracing a flow route")
     return np.asarray(route, dtype=np.intp)

@@ -165,13 +165,13 @@ def _patch(cached, links, model, max_length, table, sinrs) -> Schedule | None:
         )
     demand = np.asarray(links.demand, dtype=np.int64)
     heads, tails = links.heads, links.tails
-    alone = None if table is None else table.rate_for(sinrs.alone)
+    alone = None if table is None else table.grant(sinrs.alone)
 
     def grants(worst: np.ndarray) -> np.ndarray:
-        """Packets per slot at each ``min(data, ACK)`` SINR (as ``slot_rates``)."""
+        """Packets per slot at each ``min(data, ACK)`` SINR."""
         if table is None:
             return np.ones(worst.size, dtype=np.int64)
-        return table.rates[np.maximum(table.tier_for(worst), 0)]
+        return table.grant(worst)
 
     def rates(keys: list[tuple[int, ...]]) -> np.ndarray:
         """:func:`grants` of every membership of ``keys``, flat."""
@@ -214,9 +214,8 @@ def _patch(cached, links, model, max_length, table, sinrs) -> Schedule | None:
             return True
         if not fits_alone[k]:
             return False  # infeasible even alone: not a communication edge
-        # Alone in its slot the link is granted its standalone rate (the
-        # screen established membership, so the base tier is the floor).
-        grant = 1 if table is None else max(int(alone[k]), table.base_rate)
+        # Alone in its slot the link is granted its standalone rate.
+        grant = 1 if table is None else int(alone[k])
         fresh = -(-remaining // grant)
         if max_length is not None and len(slots) + fresh > max_length:
             return False  # packing degraded past the playable window

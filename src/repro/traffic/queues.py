@@ -40,8 +40,7 @@ class LinkQueues:
     ----------
     links:
         A *forest* link set (one link per head node): relaying needs the
-        unique next link up the tree, which is looked up through
-        ``links.link_of_head``.
+        unique next link up the tree (``links.next_links()``).
     """
 
     def __init__(self, links: LinkSet):

@@ -230,6 +230,12 @@ def slot_rows(arena, slot):
 # --------------------------------------------------------------------------
 
 
+def link_rates(model, senders, receivers, table):
+    """Per-set rate oracle: each member's grant at its ``min(data, ACK)``
+    SINR when exactly ``senders -> receivers`` transmit."""
+    return table.grant(np.minimum(*model.link_sinrs(senders, receivers)))
+
+
 def stepwise_standalone_rates(links, model, table):
     rates = np.zeros(links.n_links, dtype=np.int64)
     for k in range(links.n_links):
@@ -263,8 +269,8 @@ def stepwise_greedy_rate(links, model, table):
                 continue
             snd, rcv = state.members()
             candidate = int(
-                model.link_rates(
-                    np.append(snd, sender), np.append(rcv, receiver), table
+                link_rates(
+                    model, np.append(snd, sender), np.append(rcv, receiver), table
                 ).sum()
             )
             if candidate <= total_rate:
@@ -272,7 +278,7 @@ def stepwise_greedy_rate(links, model, table):
             state.add(sender, receiver)
             slot.append(k)
             total_rate = candidate
-        for k, rate in zip(slot, model.link_rates(*state.members(), table)):
+        for k, rate in zip(slot, link_rates(model, *state.members(), table)):
             residual[k] = max(0, residual[k] - int(rate))
         slots.append(slot)
     return slots
@@ -286,7 +292,7 @@ def stepwise_patch_schedule(cached, links, model, max_length=None, table=None):
         cached_rates = [np.ones(len(slot), dtype=np.int64) for slot in cached.slots]
     else:
         cached_rates = [
-            model.link_rates(links.heads[slot.links], links.tails[slot.links], table)
+            link_rates(model, links.heads[slot.links], links.tails[slot.links], table)
             if len(slot)
             else np.empty(0, dtype=np.int64)
             for slot in cached.slots
@@ -317,7 +323,7 @@ def stepwise_patch_schedule(cached, links, model, max_length=None, table=None):
             return None
         states.append(state)
         slots.append([k])
-        return 1 if table is None else int(model.link_rates(*state.members(), table)[0])
+        return 1 if table is None else int(link_rates(model, *state.members(), table)[0])
 
     deficit = demand - allocated
     for k in sorted(np.flatnonzero(deficit > 0), key=lambda k: -int(deficit[k])):
@@ -333,7 +339,7 @@ def stepwise_patch_schedule(cached, links, model, max_length=None, table=None):
                 remaining -= (
                     1
                     if table is None
-                    else int(model.link_rates(*states[j].members(), table)[-1])
+                    else int(link_rates(model, *states[j].members(), table)[-1])
                 )
         while remaining > 0:
             granted = open_fresh_slot(k, sender, receiver)
@@ -346,7 +352,7 @@ def stepwise_patch_schedule(cached, links, model, max_length=None, table=None):
     if table is not None:
         capacity = np.zeros(links.n_links, dtype=np.int64)
         for state, slot in zip(states, slots):
-            for k, rate in zip(slot, model.link_rates(*state.members(), table)):
+            for k, rate in zip(slot, link_rates(model, *state.members(), table)):
                 capacity[k] += int(rate)
         shortfall = demand - capacity
         for k in sorted(np.flatnonzero(shortfall > 0), key=lambda k: -int(shortfall[k])):

@@ -36,28 +36,27 @@ def test_both_protocols_terminate_with_valid_schedules(
         assert verify_schedule(result.schedule, scenario.network.model).ok
 
 
-def test_every_round_adds_exactly_one_slot(fdd_result, pdd_result):
-    assert fdd_result.rounds == fdd_result.schedule_length
-    assert pdd_result.rounds == pdd_result.schedule_length
+def test_every_round_adds_exactly_one_slot(scenario, fdd_result, pdd_result):
+    for result in (fdd_result, pdd_result):
+        assert len(result.round_records) == result.schedule_length
+        for record, slot in zip(result.round_records, result.schedule.slots):
+            heads = scenario.links.heads[slot.links]
+            assert record.members == tuple(sorted(heads.tolist()))
 
 
 def test_every_slot_contains_its_controller(scenario, paper_config):
-    result = fdd_on_network(
-        scenario.network, scenario.links, paper_config, rng=2, record_rounds=True
-    )
-    link_of_head = scenario.links.link_of_head
+    result = fdd_on_network(scenario.network, scenario.links, paper_config, rng=2)
+    link_of_node = scenario.links.link_of_node
     for record, slot in zip(result.round_records, result.schedule.slots):
         assert record.controllers  # some controller exists every round
         for controller in record.controllers:
-            assert link_of_head[controller] in slot.links
+            assert link_of_node[controller] in slot.links
 
 
 def test_controllers_run_consecutive_slots_until_demand_met(
     scenario, paper_config
 ):
-    result = fdd_on_network(
-        scenario.network, scenario.links, paper_config, rng=3, record_rounds=True
-    )
+    result = fdd_on_network(scenario.network, scenario.links, paper_config, rng=3)
     # Controller sequence: maximal runs of the same controller.  A run ends
     # exactly when the controller's demand is met, so its length equals the
     # demand *remaining* when it took control (its link may have been
@@ -70,11 +69,11 @@ def test_controllers_run_consecutive_slots_until_demand_met(
             runs[-1] = (controller, start, length + 1)
         else:
             runs.append((c, round_idx, 1))
-    link_of_head = scenario.links.link_of_head
+    link_of_node = scenario.links.link_of_node
     controllers_seen = [c for c, _, _ in runs]
     assert len(set(controllers_seen)) == len(controllers_seen)  # no re-control
     for controller, start, run_len in runs:
-        link = link_of_head[controller]
+        link = int(link_of_node[controller])
         already = sum(
             1 for slot in result.schedule.slots[:start] if link in slot.links
         )

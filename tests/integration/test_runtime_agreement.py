@@ -31,7 +31,7 @@ def _assert_runs_agree(run, network, links, config, rng):
     one at a time; the fast runtime plans a round and resolves it in
     batches.  Schedules, tallies and per-round diagnostics must not tell."""
     fast, packet = (
-        run(links, cls.for_network(network, config), config, rng=rng, record_rounds=True)
+        run(links, cls.for_network(network, config), config, rng=rng)
         for cls in (FastRuntime, PacketRuntime)
     )
     assert _schedules_equal(fast, packet)

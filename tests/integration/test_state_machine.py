@@ -84,7 +84,6 @@ def test_every_round_has_the_expected_event_skeleton(setup):
         config,
         fdd_select_active,
         rng=3,
-        record_rounds=True,
         observer=validator,
     )
     events = validator.events()
@@ -99,9 +98,9 @@ def test_every_round_has_the_expected_event_skeleton(setup):
     # ("election" precedes a round only when control was released.)
     assert [e for e in events if e != "election"] == expected + ["terminate"]
     assert events.count("select") == result.tally.steps
-    assert events.count("demand-update") == result.rounds
-    assert events.count("slot-reset") == result.rounds
-    assert events.count("seal") == result.rounds
+    assert events.count("demand-update") == result.schedule_length
+    assert events.count("slot-reset") == result.schedule_length
+    assert events.count("seal") == result.schedule_length
     # Every slot-reset is eventually followed by a seal before the next one.
     resets = [i for i, e in enumerate(events) if e == "slot-reset"]
     seals = [i for i, e in enumerate(events) if e == "seal"]

@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.phy import sinr as sinr_module
 from repro.phy.interference import PhysicalInterferenceModel
-from repro.phy.radio import RateTable
 from repro.phy.sinr import sinr_for_link_sets, sinr_for_links
 from repro.phy.sparse import build_sparse_power
 from repro.topology.network import uniform_network
@@ -194,11 +193,11 @@ def test_sparse_backends_take_their_own_path(case):
     assert_rows_match(near_field, senders, receivers, valid, noise, budget, on_near_field)
 
 
-@given(link_sets_case(), st.sampled_from([1.0, 1.5]))
+@given(link_sets_case())
 @settings(max_examples=80, deadline=None)
-def test_model_slot_calls_match_per_slot_calls(case, sinr_step_scale):
-    """``slot_sinrs`` / ``slot_rates`` over a slot list ≡ ``link_sinrs`` /
-    ``link_rates`` slot by slot — empty slots and the empty list included."""
+def test_model_slot_calls_match_per_slot_calls(case):
+    """``slot_sinrs`` over a slot list ≡ ``link_sinrs`` slot by slot —
+    empty slots and the empty list included."""
     network, senders, _, valid, budget = case
     model = PhysicalInterferenceModel(network.model.power, network.radio, budget)
     n = network.n_nodes
@@ -206,19 +205,15 @@ def test_model_slot_calls_match_per_slot_calls(case, sinr_step_scale):
     heads = np.arange(n)
     tails = (heads + 1 + rng.integers(0, n - 1, n)) % n
     slots = [senders[row, valid[row]].tolist() for row in range(senders.shape[0])]
-    table = RateTable.geometric(network.radio.beta, sinr_step=2.0 * sinr_step_scale)
 
     sinrs = model.slot_sinrs(heads, tails, slots)
-    rates = model.slot_rates(heads, tails, slots, table)
-    assert len(sinrs) == len(rates) == len(slots)
-    for slot, worst, granted in zip(slots, sinrs, rates):
+    assert len(sinrs) == len(slots)
+    for slot, worst in zip(slots, sinrs):
         if not slot:
-            assert worst.size == 0 and granted.size == 0
+            assert worst.size == 0
             continue
         data, ack = model.link_sinrs(heads[slot], tails[slot])
         assert np.array_equal(worst, np.minimum(data, ack))
-        expected = model.link_rates(heads[slot], tails[slot], table)
-        assert np.array_equal(granted, expected) and granted.dtype == expected.dtype
     # Arrays of index arrays are slot lists too.
     singles = model.slot_sinrs(heads, tails, np.arange(n)[:, None])
     assert [s.shape for s in singles] == [(1,)] * n

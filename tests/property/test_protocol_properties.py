@@ -43,7 +43,7 @@ def test_pdd_schedule_valid_and_terminates(case):
     assert result.terminated
     report = verify_schedule(result.schedule, network.model)
     assert report.ok
-    assert result.schedule_length == result.rounds
+    assert result.schedule_length == len(result.round_records)
     assert result.schedule_length <= links.total_demand
 
 

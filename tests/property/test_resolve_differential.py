@@ -190,9 +190,7 @@ def test_whole_run_identity(grid64, sparse40, protocol, seal_on_idle, k):
     for network, gateways, seed in ((grid64, 4, 7), (sparse40, 2, 23)):
         _, links = make_links(network, gateways, seed=seed)
         fast, stepwise = (
-            RUNNERS[protocol](
-                links, cls.for_network(network, config), config, rng=5, record_rounds=True
-            )
+            RUNNERS[protocol](links, cls.for_network(network, config), config, rng=5)
             for cls in (FastRuntime, StepwiseRuntime)
         )
         assert [s.links for s in fast.schedule.slots] == [
@@ -216,9 +214,7 @@ def test_gather_cap_splits_batches_without_changing_results(grid64, monkeypatch)
     _, links = make_links(grid64, 4, seed=7)
 
     def run(cls):
-        return run_pdd(
-            links, cls.for_network(grid64, config), config, rng=5, record_rounds=True
-        )
+        return run_pdd(links, cls.for_network(grid64, config), config, rng=5)
 
     uncapped, stepwise = run(FastRuntime), run(StepwiseRuntime)
     monkeypatch.setattr(fast_runtime, "GATHER_ELEMENTS", 64)
@@ -277,7 +273,6 @@ def _run_both(runner, network, links, model, config, ids, **kw):
             cls.for_network(network, config, ids=ids, model=model, **kw),
             config,
             rng=5,
-            record_rounds=True,
         )
         for cls in (FastRuntime, StepwiseRuntime)
     ]
@@ -289,7 +284,7 @@ def _assert_same_run(fast, stepwise):
     ]
     assert fast.tally.as_dict() == stepwise.tally.as_dict()
     assert fast.round_records == stepwise.round_records
-    assert (fast.rounds, fast.terminated) == (stepwise.rounds, stepwise.terminated)
+    assert fast.terminated == stepwise.terminated
 
 
 @given(fdd_case(), st.sampled_from(["fdd", "afdd"]))
@@ -441,20 +436,19 @@ def test_failed_condition_takes_per_step_path(grid36, condition, protocol):
     elif condition == "max-rounds":
         full = runner(links, FastRuntime.for_network(network, config), config)
         assert full.resolve_calls == 0
-        config = replace(config, max_rounds=full.rounds)  # ends before terminating
+        config = replace(config, max_rounds=full.schedule_length)  # ends before terminating
     elif condition == "observer":
         # ``run_protocol`` itself is the per-step loop, and the only entry
         # that takes an observer.
         events = []
 
-        def runner(links, runtime, config, rng=None, record_rounds=False):
+        def runner(links, runtime, config, rng=None):
             return run_protocol(
                 links,
                 runtime,
                 config,
                 fdd_select_active,
                 rng=rng,
-                record_rounds=record_rounds,
                 observer=lambda event, state: events.append(event),
             )
 

@@ -21,7 +21,6 @@ KEPT = {
     "PhysicalInterferenceModel.sense_mask": "carrier-sense reference of the packet medium",
     "schedule_is_feasible": "scalar feasibility oracle of the rate-path suites",
     "schedule_rates": "scalar rate oracle of the rate-path suites",
-    "PhysicalInterferenceModel.link_rates": "per-set rate oracle of the rate-path references",
     "LinkQueues.serve_slot": "one-slot oracle of the serve differential",
     "scream_reach_exactly": "closed-form oracle of the SCREAM flood",
     # Test seams: the only handle a property suite has on a path.

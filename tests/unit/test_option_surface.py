@@ -3,9 +3,10 @@
 Every independently settable value of the engines and experiment harnesses
 doubles the configurations the differential suites must span.  A field or
 defaulted keyword that appears below needs a caller outside ``tests/`` that
-sets it to a second value (ROADMAP item 3c lists who pins each one that
-stayed); the experiment-harness signatures are pinned too, so a keyword
-only tests would set cannot return unseen.
+sets it to a second value, or an entry in ROADMAP's "Settled" list saying
+why it stays (the test seams); the experiment-harness, protocol and rate
+signatures are pinned too, so a keyword only tests would set cannot return
+unseen.
 """
 
 import dataclasses
@@ -13,6 +14,10 @@ import inspect
 
 import pytest
 
+from repro.core.afdd import afdd_on_network, run_afdd
+from repro.core.fdd import fdd_on_network, run_fdd
+from repro.core.pdd import pdd_on_network, run_pdd
+from repro.core.protocol import run_by_theorem4, run_on_network, run_protocol
 from repro.experiments.admission import admission_point, build_controller
 from repro.experiments.common import (
     ExperimentProfile,
@@ -29,6 +34,7 @@ from repro.experiments.theory import impossibility_demo
 from repro.obs import ObsConfig
 from repro.obs.metrics import MetricsRegistry, StreamingHistogram
 from repro.phy.gain import distance_matrix, gain_matrix, received_power_matrix
+from repro.phy.radio import RateTable
 from repro.phy.truth import peel_slot
 from repro.scheduling.greedy_physical import first_fit_pack, repair
 from repro.scheduling.links import forest_link_set
@@ -158,6 +164,19 @@ KEYWORDS = {
     repair: ("slots", "links", "model", "order"),
     peel_slot: ("incidence", "senders", "receivers", "beta"),
     first_fit_pack: ("links", "model", "demanded", "demand"),
+    # The protocol entry points: every run keeps its round log, and the
+    # observer is run_protocol's alone (the state-machine trace).
+    run_protocol: ("links", "runtime", "config", "select_active", "rng", "observer"),
+    run_by_theorem4: ("links", "runtime", "config", "refresh_screams"),
+    run_on_network: ("network", "links", "runner", "config", "faults", "rng", "model"),
+    run_fdd: ("links", "runtime", "config", "rng"),
+    run_afdd: ("links", "runtime", "config", "rng"),
+    run_pdd: ("links", "runtime", "config", "rng"),
+    fdd_on_network: ("network", "links", "config", "faults", "rng", "model"),
+    afdd_on_network: ("network", "links", "config", "faults", "rng", "model"),
+    pdd_on_network: ("network", "links", "config", "faults", "rng", "model"),
+    # One membership-rate rule: the grant at a member's min(data, ACK) SINR.
+    RateTable.grant: ("self", "sinr"),
     # The dense gain builders store float64 only.
     distance_matrix: ("positions",),
     gain_matrix: ("positions", "model"),

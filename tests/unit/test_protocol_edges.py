@@ -71,7 +71,7 @@ def test_max_rounds_cap_reports_unterminated(grid16, grid16_links):
         grid16_links, FastRuntime.for_network(grid16, config), config, rng=5
     )
     assert not result.terminated
-    assert result.rounds == 2
+    assert result.schedule_length == len(result.round_records) == 2
     report = verify_schedule(result.schedule, grid16.model)
     assert not report.demand_satisfied  # truncated run, and detectably so
 

@@ -126,6 +126,26 @@ class TestRateTableLookup:
             table.rate_for(np.array([5.0, 10.0, 25.0, 80.0])), [0, 1, 2, 4]
         )
 
+    @pytest.mark.parametrize(
+        "table",
+        [
+            RateTable.degenerate(10.0),
+            RateTable.geometric(10.0),
+            RateTable(thresholds=np.array([10.0, 30.0]), rates=np.array([2, 3])),
+        ],
+        ids=["degenerate", "geometric", "base-rate-2"],
+    )
+    def test_grant_is_rate_for_floored_at_base_rate(self, table):
+        """Below, at and between every threshold, and far above the top."""
+        edges = table.thresholds
+        mids = np.sqrt(edges[:-1] * edges[1:])
+        sinr = np.concatenate(([0.0, edges[0] / 2], edges, mids, [edges[-1] * 1e3]))
+        expected = np.maximum(table.rate_for(sinr), table.base_rate)
+        granted = table.grant(sinr)
+        np.testing.assert_array_equal(granted, expected)
+        assert granted.dtype == np.int64
+        assert (granted[:2] == table.base_rate).all()  # members never get 0
+
     def test_select_upgrade_needs_margin(self):
         table = self.make(hysteresis=1.25)
         sinr = np.array([21.0, 25.0, 25.0])

@@ -28,7 +28,7 @@ from repro.scheduling.orderings import (
 from repro.scheduling.schedule import Schedule, Slot
 from repro.topology.commgraph import communication_csr
 from repro.topology.network import grid_network
-from tests.conftest import SlotState, stepwise_greedy_rate
+from tests.conftest import SlotState, link_rates, stepwise_greedy_rate
 
 
 class TestLinkSet:
@@ -67,9 +67,11 @@ class TestLinkSet:
         assert sub.n_links == 2
         assert sub.heads[0] == grid16_links.heads[0]
 
-    def test_link_of_head_lookup(self, grid16_links):
-        for k, head in enumerate(grid16_links.heads):
-            assert grid16_links.link_of_head[int(head)] == k
+    def test_link_of_node_lookup(self, grid16_links):
+        of_node = grid16_links.link_of_node
+        assert of_node[grid16_links.heads].tolist() == list(range(grid16_links.n_links))
+        heads_none = np.setdiff1d(np.arange(of_node.size), grid16_links.heads)
+        assert (of_node[heads_none] == -1).all()
 
 
 class TestScheduleContainers:
@@ -485,8 +487,8 @@ class TestGreedyRate:
         rates = standalone_rates(grid16_links, grid16.model, table)
         assert rates.shape == (grid16_links.n_links,)
         assert (rates >= 1).all()  # every comm edge decodes alone
-        alone = grid16.model.link_rates(
-            grid16_links.heads[:1], grid16_links.tails[:1], table
+        alone = link_rates(
+            grid16.model, grid16_links.heads[:1], grid16_links.tails[:1], table
         )
         assert rates[0] == alone[0]
 

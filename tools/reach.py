@@ -7,7 +7,12 @@ project's own entry points in a checkout under a line tracer — every
 the ``--smoke`` perf ledger of each benchmark workload — and prints, per
 module, the lines of its functions that no run executed::
 
-    python tools/reach.py CLONE [--out DIR]
+    python tools/reach.py CLONE [--out DIR] [--functions]
+
+With ``--functions`` it prints instead every whole function that no run
+called, one a line with its qualified name and line span (first decorator
+to last line; a function nested in one listed is not listed again), and
+their count and summed span last: the census of what only tests call.
 
 Run it on a ``git clone`` of the tree under study: the perf ledger rewrites
 ``bench/out`` in the tree it runs from.  The tracer is
@@ -31,6 +36,7 @@ census of the configurations the callers pass (for the engines:
 from __future__ import annotations
 
 import argparse
+import ast
 import os
 import subprocess
 import sys
@@ -54,8 +60,18 @@ def entry_points(clone: Path, out: Path):
         yield [sys.executable, "bench/run.py", *smoke]
 
 
-def traced_lines(clone: Path, out: Path) -> set[tuple[str, int]]:
-    """``(file, line)`` of every line the entry points executed in ``src/repro``."""
+def _rows(hits: Path, kind: str) -> set[tuple[str, int]]:
+    rows = set()
+    for tsv in hits.glob(f"{kind}-*.tsv"):
+        for row in tsv.read_text().splitlines():
+            name, line = row.rsplit("\t", 1)
+            rows.add((name, int(line)))
+    return rows
+
+
+def trace(clone: Path, out: Path) -> tuple[set[tuple[str, int]], set[tuple[str, int]]]:
+    """``(file, line)`` of every line the entry points executed in
+    ``src/repro``, and ``(file, first line)`` of every code object they called."""
     hits = out / "hits"
     hits.mkdir(parents=True, exist_ok=True)
     env = dict(
@@ -67,12 +83,7 @@ def traced_lines(clone: Path, out: Path) -> set[tuple[str, int]]:
     for command in entry_points(clone, out):
         print("$", " ".join(command[1:]), file=sys.stderr, flush=True)
         subprocess.run(command, cwd=clone, env=env, stdout=subprocess.DEVNULL, check=True)
-    executed = set()
-    for tsv in hits.glob("hits-*.tsv"):
-        for row in tsv.read_text().splitlines():
-            name, line = row.rsplit("\t", 1)
-            executed.add((name, int(line)))
-    return executed
+    return _rows(hits, "hits"), _rows(hits, "calls")
 
 
 def function_lines(path: Path) -> set[int]:
@@ -85,6 +96,41 @@ def function_lines(path: Path) -> set[int]:
                 lines |= {line for *_, line in const.co_lines() if line is not None}
                 stack.append(const)
     return lines
+
+
+def functions(path: Path) -> list[tuple[str, int, int]]:
+    """``(qualified name, first line, last line)`` of every function defined
+    in ``path``, each before those nested in it; the first line is the first
+    decorator's (a code object's ``co_firstlineno``, where its call event
+    is booked)."""
+    found = []
+
+    def visit(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                found.append((prefix + child.name, first, child.end_lineno))
+                visit(child, f"{prefix}{child.name}.<locals>.")
+            else:
+                inner = f"{prefix}{child.name}." if isinstance(child, ast.ClassDef) else prefix
+                visit(child, inner)
+
+    visit(ast.parse(path.read_text()), "")
+    return found
+
+
+def uncalled(clone: Path, called: set[tuple[str, int]]) -> None:
+    """Print every whole function of ``src/repro`` no traced run called."""
+    count = total = 0
+    for path in sorted((clone / "src" / "repro").rglob("*.py")):
+        listed: list[tuple[int, int]] = []
+        for name, first, last in functions(path):
+            if (str(path), first) in called or any(a <= first <= b for a, b in listed):
+                continue
+            listed.append((first, last))
+            count, total = count + 1, total + last - first + 1
+            print(f"{path.relative_to(clone)}:{first}-{last}  {name}")
+    print(f"{count} functions spanning {total} source lines no entry point executed")
 
 
 def spans(lines: list[int]) -> str:
@@ -102,10 +148,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("clone", type=Path, help="checkout to trace (a git clone)")
     parser.add_argument("--out", type=Path, help="scratch directory (default: temporary)")
+    parser.add_argument(
+        "--functions", action="store_true", help="list the whole functions no run called"
+    )
     args = parser.parse_args(argv)
     clone = args.clone.resolve()
     out = (args.out or Path(tempfile.mkdtemp(prefix="reach-"))).resolve()
-    executed = traced_lines(clone, out)
+    executed, called = trace(clone, out)
+    if args.functions:
+        uncalled(clone, called)
+        return 0
     total = 0
     for path in sorted((clone / "src" / "repro").rglob("*.py")):
         missed = sorted(

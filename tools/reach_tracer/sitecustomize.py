@@ -3,7 +3,9 @@ has this directory on ``PYTHONPATH``.
 
 Records ``(file, line)`` of every line executed in a frame whose code lives
 under ``$TRACE_ROOT`` (a function's ``def`` line is its call event) and
-writes them to ``$TRACE_OUT/hits-<pid>.tsv`` when the process exits.
+writes them to ``$TRACE_OUT/hits-<pid>.tsv`` when the process exits; the
+``(file, first line)`` of every code object called there (its first
+decorator's line, or its ``def`` line) goes to ``calls-<pid>.tsv``.
 """
 
 import atexit
@@ -12,7 +14,7 @@ import sys
 import threading
 
 _ROOT, _OUT = os.environ["TRACE_ROOT"], os.environ["TRACE_OUT"]
-_hits = set()
+_hits, _calls = set(), set()
 
 
 def _line(frame, event, arg):
@@ -22,14 +24,17 @@ def _line(frame, event, arg):
 
 
 def _call(frame, event, arg):
-    if frame.f_code.co_filename.startswith(_ROOT):
-        _hits.add((frame.f_code.co_filename, frame.f_lineno))
+    code = frame.f_code
+    if code.co_filename.startswith(_ROOT):
+        _hits.add((code.co_filename, frame.f_lineno))
+        _calls.add((code.co_filename, code.co_firstlineno))
         return _line
 
 
 def _dump(*_):
-    with open(os.path.join(_OUT, f"hits-{os.getpid()}.tsv"), "w") as f:
-        f.writelines(f"{name}\t{line}\n" for name, line in _hits)
+    for kind, rows in (("hits", _hits), ("calls", _calls)):
+        with open(os.path.join(_OUT, f"{kind}-{os.getpid()}.tsv"), "w") as f:
+            f.writelines(f"{name}\t{line}\n" for name, line in rows)
 
 
 sys.settrace(_call)
