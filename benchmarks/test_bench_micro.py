@@ -480,7 +480,7 @@ def test_rate_path_evaluates_schedules_not_slots(monkeypatch):
         interference, "sinr_for_links", counting(interference.sinr_for_links, "per_slot")
     )
     monkeypatch.setattr(incremental, "SlotArena", counting(SlotArena, "arenas"))
-    patch = incremental._patch
+    patch = incremental.patch_schedule
     patches = []
 
     def patching(*args, **kwargs):
@@ -489,7 +489,7 @@ def test_rate_path_evaluates_schedules_not_slots(monkeypatch):
         patches.append(calls["arenas"] - arenas)
         return patched
 
-    monkeypatch.setattr(incremental, "_patch", patching)
+    monkeypatch.setattr(incremental, "patch_schedule", patching)
     monkeypatch.setattr(
         greedy_rate_module, "_build_slot", counting(greedy_rate_module._build_slot, "built")
     )
@@ -538,8 +538,7 @@ def test_a_run_evaluates_each_distinct_slot_once(monkeypatch):
     kernel (``_slot_sinrs_flat``) recorded:
 
     * pass 1 re-seeds the kept slots with one ``SlotArena.seed`` call —
-      no ``open_slot`` and no per-member ``add`` before the first admission
-      test; fresh slots are seeded too, and a deficit link is admitted into
+      no per-member ``add`` before the first admission test; fresh slots are seeded too, and a deficit link is admitted into
       all its slots by one ``add``;
     * no what-if list reaches the kernel: a deficit link's grants come from
       its admission pass (``SlotArena.admit_sinrs``), so every slot the
@@ -564,7 +563,7 @@ def test_a_run_evaluates_each_distinct_slot_once(monkeypatch):
 
         monkeypatch.setattr(SlotArena, name, call)
 
-    for name in ("seed", "open_slot", "add", "admit_sinrs"):
+    for name in ("seed", "add", "admit_sinrs"):
         logged(name)
     flat = PhysicalInterferenceModel._slot_sinrs_flat
 
@@ -576,7 +575,7 @@ def test_a_run_evaluates_each_distinct_slot_once(monkeypatch):
     kernel_calls: list = []
     monkeypatch.setattr(PhysicalInterferenceModel, "_slot_sinrs_flat", recording)
 
-    patch = incremental._patch
+    patch = incremental.patch_schedule
     patches = []
     schedules: set = set()  # every slot of every schedule cached or handed out
 
@@ -588,7 +587,7 @@ def test_a_run_evaluates_each_distinct_slot_once(monkeypatch):
         patches.append(list(log))
         return patched
 
-    monkeypatch.setattr(incremental, "_patch", patching)
+    monkeypatch.setattr(incremental, "patch_schedule", patching)
     base = rate_aware_scheduler(model, table)
 
     def packer(demand_links, epoch):
@@ -604,7 +603,6 @@ def test_a_run_evaluates_each_distinct_slot_once(monkeypatch):
     assert len(patches) >= 8
     for calls in patches:
         names = [name for name, _ in calls]
-        assert "open_slot" not in names
         first_test = names.index("admit_sinrs") if "admit_sinrs" in names else len(names)
         assert names[:first_test] == ["seed"]
         assert names.count("add") <= names.count("admit_sinrs")
@@ -636,7 +634,7 @@ def test_serve_plays_schedules_not_slots(monkeypatch):
     The counts must be equal — the round is expanded and served in whole-
     array passes, so a longer epoch is longer arrays — and bounded by a
     constant per forest level.  (Slot by slot, the same epochs made ~300
-    ``serve_slot`` calls each, ~3 000 on the long epoch.)
+    one-slot serve calls each, ~3 000 on the long epoch.)
     """
     import copy
 

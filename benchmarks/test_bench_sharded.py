@@ -40,7 +40,7 @@ from repro.traffic import (
     sharded_distributed_factory,
 )
 from repro.util.rng import spawn
-from tests.conftest import SlotState
+from tests.conftest import SlotState, open_slot
 
 FUNCTIONAL_FIELDS = (
     "epoch",
@@ -170,7 +170,7 @@ def test_batched_admission_kernels_match_incremental_scan():
             fresh = SlotState(model)
             if fresh.try_add(sender, receiver):
                 states.append(fresh)
-                arena.open_slot(sender, receiver)
+                open_slot(arena, sender, receiver)
     assert len(states) >= 2 and any(len(st) >= 2 for st in states)
 
     admitted = 0

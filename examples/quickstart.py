@@ -34,10 +34,13 @@ def main() -> None:
     print(f"network: {network.n_nodes} nodes, region {network.region.side:.0f} m")
     print(f"  communication graph degree: {network.neighbor_density():.1f}")
     print(f"  interference diameter ID(GS): {network.interference_diameter():.0f}")
+    # The paper's assumptions: G connected, GS a super-graph of G, ID(GS) finite.
+    network.validate()
 
     # 2. Route: every node joins a shortest-path tree toward the gateway.
     gateways = planned_gateways(6, 6, count=4)
     forest = build_routing_forest(network.comm_adj, gateways, rng=spawn(SEED, "f"))
+    forest.validate(network.comm_adj)  # every tree edge is a communication edge
 
     # 3. Demand: U[1, 10] packets per node, aggregated on tree links.
     demand = uniform_node_demand(
@@ -51,6 +54,7 @@ def main() -> None:
     config = ProtocolConfig()
     result = fdd_on_network(network, links, config, rng=spawn(SEED, "p"))
     report = verify_schedule(result.schedule, network.model)
+    assert result.schedule.satisfies_demand()
     print(f"\nFDD: {result.schedule.summary()}")
     print(f"  verification: {report}")
     print(f"  improvement over serialized: {improvement_over_linear(result.schedule):.1f}%")

@@ -44,12 +44,10 @@ from repro.topology import (
 from repro.routing import (
     planned_gateways,
     random_gateways,
-    corner_gateways,
     build_routing_forest,
     RoutingForest,
     uniform_node_demand,
     aggregate_demand,
-    total_demand,
 )
 from repro.scheduling import (
     LinkSet,
@@ -83,7 +81,6 @@ from repro.core.fdd import fdd_on_network
 from repro.core.afdd import afdd_on_network
 from repro.simulation import PacketRuntime
 from repro.traffic import (
-    ConstantBitRate,
     PoissonArrivals,
     ParetoOnOff,
     FlowConfig,
@@ -134,12 +131,10 @@ __all__ = [
     # routing
     "planned_gateways",
     "random_gateways",
-    "corner_gateways",
     "build_routing_forest",
     "RoutingForest",
     "uniform_node_demand",
     "aggregate_demand",
-    "total_demand",
     # scheduling
     "LinkSet",
     "forest_link_set",
@@ -170,7 +165,6 @@ __all__ = [
     "ControlPlaneModel",
     "ControlLedger",
     # traffic
-    "ConstantBitRate",
     "PoissonArrivals",
     "ParetoOnOff",
     "FlowConfig",

@@ -126,6 +126,3 @@ class AsciiPlot:
         )
         lines.append(f"{' ' * label_width}  [{legend}]")
         return "\n".join(lines)
-
-    def __str__(self) -> str:
-        return self.render()

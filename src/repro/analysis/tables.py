@@ -68,9 +68,6 @@ class TextTable:
             lines.append(" | ".join(c.rjust(w) for c, w in zip(row, widths)))
         return "\n".join(lines)
 
-    def __str__(self) -> str:
-        return self.render()
-
 
 def _fmt(value: Any) -> str:
     if value is None:

@@ -17,7 +17,7 @@ Public surface:
 from repro.core.states import NodeState
 from repro.core.events import StepTally
 from repro.core.config import ProtocolConfig, FaultConfig
-from repro.core.scream import scream_flood, scream_exact
+from repro.core.scream import scream_flood
 from repro.core.leader import leader_elect
 from repro.core.runtime import Runtime
 from repro.core.fast_runtime import FastRuntime
@@ -46,7 +46,6 @@ __all__ = [
     "ProtocolConfig",
     "FaultConfig",
     "scream_flood",
-    "scream_exact",
     "leader_elect",
     "Runtime",
     "FastRuntime",

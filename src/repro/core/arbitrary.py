@@ -49,14 +49,6 @@ class ArbitraryResult:
     tally: StepTally
     waves: list[ProtocolResult] = field(default_factory=list)
 
-    @property
-    def schedule_length(self) -> int:
-        return self.schedule.length
-
-    @property
-    def n_waves(self) -> int:
-        return len(self.waves)
-
 
 def _wave_link_set(
     links: LinkSet, remaining: np.ndarray

@@ -105,12 +105,6 @@ class ControlPlaneModel:
             return 0.0
         return self.timing.message_s(payload)
 
-    @property
-    def is_free(self) -> bool:
-        """True when every message class is priced at zero (the retired
-        idealizations, kept addressable for differential tests)."""
-        return all(self.payload_bytes(c) <= 0.0 for c in MESSAGE_CLASSES)
-
     def scaled(self, factor: float) -> "ControlPlaneModel":
         """A model with every payload size scaled by ``factor`` — the
         monotonicity axis the property tests sweep."""
@@ -157,7 +151,7 @@ class ControlLedger:
         self.model = model
         #: epoch -> {(layer, message_class): count}.  Counts are the only
         #: mutable state: every seconds figure is derived on read as
-        #: count x price, summed in sorted key order, so ledger readings
+        #: count x price, summed in a fixed key order, so ledger readings
         #: are exactly reproducible whatever order charges land in (every
         #: layer of a run charges one shared ledger, and the lock keeps
         #: concurrent callers safe).  Bucketing per
@@ -207,17 +201,6 @@ class ControlLedger:
                     )
         return seconds
 
-    def _entries(self, layer=None, message_class=None):
-        """Matching ``((epoch, layer, class), count)`` pairs in sorted key
-        order (so float sums over them are deterministic)."""
-        return [
-            ((epoch, lay, cls), count)
-            for epoch in sorted(self._counts)
-            for (lay, cls), count in sorted(self._counts[epoch].items())
-            if (layer is None or lay == layer)
-            and (message_class is None or cls == message_class)
-        ]
-
     def seconds_for(self, epoch: int) -> float:
         """Control air seconds booked to ``epoch`` so far (0.0 when none)."""
         return sum(
@@ -229,49 +212,23 @@ class ControlLedger:
         """Control messages booked to ``epoch`` so far."""
         return sum(self._counts.get(epoch, {}).values())
 
-    @property
-    def total_seconds(self) -> float:
-        return sum(
-            count * self.model.price_of(key[2]) for key, count in self._entries()
-        )
-
-    @property
-    def total_messages(self) -> int:
-        return sum(count for _key, count in self._entries())
-
     def messages(self, layer: str | None = None, message_class: str | None = None) -> int:
-        """Messages booked, filtered by layer and/or class."""
+        """Messages booked, filtered by layer and/or class; unfiltered, the
+        run's total."""
         return sum(
             count
-            for _key, count in self._entries(layer=layer, message_class=message_class)
+            for bucket in self._counts.values()
+            for (lay, cls), count in bucket.items()
+            if (layer is None or lay == layer)
+            and (message_class is None or cls == message_class)
         )
 
     def seconds(self, layer: str | None = None, message_class: str | None = None) -> float:
-        """Seconds booked, filtered by layer and/or class."""
+        """Seconds booked, filtered by layer and/or class; unfiltered, the
+        run's total."""
+        classes = MESSAGE_CLASSES if message_class is None else (message_class,)
         return sum(
-            count * self.model.price_of(key[2])
-            for key, count in self._entries(layer=layer, message_class=message_class)
-        )
-
-    def by_layer(self) -> dict[str, tuple[int, float]]:
-        """Per-layer ``(messages, seconds)`` attribution."""
-        out: dict[str, list] = {}
-        for key, count in self._entries():
-            agg = out.setdefault(key[1], [0, 0.0])
-            agg[0] += count
-            agg[1] += count * self.model.price_of(key[2])
-        return {layer: (agg[0], agg[1]) for layer, agg in out.items()}
-
-    def summary(self) -> str:
-        parts = ", ".join(
-            f"{layer}={msgs} msgs/{secs * 1e3:.2f} ms"
-            for layer, (msgs, secs) in sorted(self.by_layer().items())
-        )
-        return (
-            f"ControlLedger(total={self.total_messages} msgs, "
-            f"{self.total_seconds * 1e3:.2f} ms"
-            + (f"; {parts}" if parts else "")
-            + ")"
+            self.messages(layer, cls) * self.model.price_of(cls) for cls in classes
         )
 
 

@@ -156,9 +156,8 @@ class FastRuntime(Runtime):
         self.tally.add_scream(self.config.k)
         arr = np.asarray(inputs, dtype=bool)
         if self._within_k is not None:
-            # Fault-free closed form (same result as scream_reach_exactly,
-            # boolean OR instead of float min): v hears iff a source lies
-            # within K directed hops, and sources always hear themselves.
+            # Fault-free closed form of scream_flood: v hears iff a source
+            # lies within K directed hops, and sources always hear themselves.
             if not arr.any():
                 return np.zeros_like(arr)
             return self._within_k[arr].any(axis=0) | arr

@@ -18,15 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def scream_exact(inputs: np.ndarray) -> np.ndarray:
-    """The idealized SCREAM outcome: every node learns ``OR(inputs)``.
-
-    Valid when ``K >= ID(GS)`` and carrier sensing is error-free.
-    """
-    arr = np.asarray(inputs, dtype=bool)
-    return np.full(arr.shape, bool(arr.any()))
-
-
 def scream_flood(
     sens_adj: np.ndarray,
     inputs: np.ndarray,
@@ -75,20 +66,3 @@ def scream_flood(
             heard &= rng.random(relay.shape[0]) >= miss_prob
         relay |= heard
     return relay
-
-
-def scream_reach_exactly(
-    sens_hop_distance: np.ndarray, inputs: np.ndarray, k: int
-) -> np.ndarray:
-    """Closed-form fault-free flood result from precomputed hop distances.
-
-    Equivalent to :func:`scream_flood` with ``miss_prob=0``: node ``v`` ends
-    true iff some true source lies within ``k`` directed hops.  Used by the
-    fast runtime and as the property-test oracle.
-    """
-    dist = np.asarray(sens_hop_distance, dtype=float)
-    src = np.asarray(inputs, dtype=bool)
-    if not src.any():
-        return np.zeros_like(src)
-    reach = dist[src].min(axis=0) <= k
-    return reach | src

@@ -62,12 +62,6 @@ class ExperimentResult:
     error_percent: float
     miss_rate: float
 
-    def __str__(self) -> str:
-        return (
-            f"SMBytes={self.smbytes}: detected {self.detections}/"
-            f"{self.n_screams}, interval error {self.error_percent:.1f}%"
-        )
-
 
 def _round_detection_time(
     exp: ScreamExperiment, rng: np.random.Generator

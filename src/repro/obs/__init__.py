@@ -28,7 +28,7 @@ from pathlib import Path
 
 from .export import JsonlRecorder, fingerprint, validate_run_file
 from .metrics import MetricsRegistry, P2Quantile, StreamingHistogram
-from .spans import NOOP_SPAN, BufferRecorder, NullRecorder, Recorder, Span
+from .spans import NOOP_SPAN, NullRecorder, Recorder, Span
 
 __all__ = [
     "Obs",
@@ -39,7 +39,6 @@ __all__ = [
     "P2Quantile",
     "Recorder",
     "NullRecorder",
-    "BufferRecorder",
     "JsonlRecorder",
     "Span",
     "fingerprint",
@@ -108,10 +107,6 @@ class Obs:
         self.registry.observe_many(name, values, **labels)
 
     # -- spans ---------------------------------------------------------------
-
-    def span(self, name: str, **labels) -> Span:
-        """A recorded span (caller must hold a spans-level Obs)."""
-        return Span(name, recorder=self.recorder, **labels)
 
     # -- export --------------------------------------------------------------
 

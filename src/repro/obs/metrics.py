@@ -220,11 +220,6 @@ class StreamingHistogram:
         for est in self._quantiles.values():
             est.extend(samples)
 
-    def quantile(self, q: float) -> float:
-        """The estimate for a *tracked* quantile (KeyError otherwise)."""
-        self._fold()
-        return self._quantiles[float(q)].value
-
     def snapshot(self) -> dict:
         self._fold()
         return {
@@ -287,19 +282,6 @@ class MetricsRegistry:
             hist.add_many(values)
 
     # -- reads ---------------------------------------------------------------
-
-    def counter_value(self, name: str, **labels) -> float:
-        return self._counters.get((name, label_key(labels)), 0.0)
-
-    def gauge_value(self, name: str, **labels) -> float:
-        return self._gauges.get((name, label_key(labels)), float("nan"))
-
-    def histogram(self, name: str, **labels) -> StreamingHistogram | None:
-        return self._histograms.get((name, label_key(labels)))
-
-    @property
-    def n_series(self) -> int:
-        return len(self._counters) + len(self._gauges) + len(self._histograms)
 
     def rows(self) -> Iterator[dict]:
         """Snapshot every series as the JSONL exporter's metric rows."""

@@ -31,7 +31,6 @@ __all__ = [
     "Span",
     "Recorder",
     "NullRecorder",
-    "BufferRecorder",
     "CPU_CLOCK",
 ]
 
@@ -53,18 +52,6 @@ class NullRecorder:
 
     def record_span(self, span: "Span") -> None:
         pass
-
-
-class BufferRecorder:
-    """Keeps closed spans in memory — the unit tests' recorder."""
-
-    __slots__ = ("spans",)
-
-    def __init__(self):
-        self.spans: list[Span] = []
-
-    def record_span(self, span: "Span") -> None:
-        self.spans.append(span)
 
 
 class _SpanStack(threading.local):

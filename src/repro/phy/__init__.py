@@ -6,7 +6,7 @@ MobiCom 2006) together with the radio propagation models needed to
 instantiate it on concrete topologies.
 """
 
-from repro.phy.units import dbm_to_mw, mw_to_dbm, db_to_linear, linear_to_db
+from repro.phy.units import dbm_to_mw
 from repro.phy.propagation import PropagationModel, LogDistancePathLoss
 from repro.phy.radio import RadioConfig, RateTable
 from repro.phy.gain import received_power_matrix, gain_matrix
@@ -24,9 +24,6 @@ from repro.phy.sparse import (
 
 __all__ = [
     "dbm_to_mw",
-    "mw_to_dbm",
-    "db_to_linear",
-    "linear_to_db",
     "PropagationModel",
     "LogDistancePathLoss",
     "RadioConfig",

@@ -91,10 +91,3 @@ class LogDistancePathLoss:
         if ratio <= 1.0:
             return 0.0
         return self.reference_distance * ratio ** (1.0 / self.alpha)
-
-    def __repr__(self) -> str:
-        return (
-            f"LogDistancePathLoss(alpha={self.alpha}, "
-            f"reference_distance={self.reference_distance}, "
-            f"reference_loss_db={self.reference_loss_db})"
-        )

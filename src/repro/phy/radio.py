@@ -180,21 +180,6 @@ class RateTable:
     def n_tiers(self) -> int:
         return int(self.thresholds.shape[0])
 
-    @property
-    def base_rate(self) -> int:
-        """Packets per slot of the lowest tier (1 for the degenerate table)."""
-        return int(self.rates[0])
-
-    @property
-    def is_degenerate(self) -> bool:
-        """Single tier at rate 1: the bool-feasibility contract."""
-        return self.n_tiers == 1 and self.base_rate == 1
-
-    @property
-    def beta(self) -> float:
-        """The base decode threshold (tier 0's SINR requirement)."""
-        return float(self.thresholds[0])
-
     def tier_for(self, sinr: np.ndarray) -> np.ndarray:
         """Stateless tier per SINR value: highest tier whose threshold is
         cleared, ``-1`` below tier 0 (no decode).
@@ -224,8 +209,8 @@ class RateTable:
         sit below ``β`` there), and the seed semantics serve one packet
         regardless, so the base tier is the floor.  The degenerate table
         therefore grants every member rate 1 — the bit-identity anchor of
-        the differential suite.  Equals :meth:`rate_for` floored at
-        :attr:`base_rate`.
+        the differential suite.  Equals :meth:`rate_for` floored at the
+        lowest tier's rate.
         """
         return self.rates[np.maximum(self.tier_for(sinr), 0)]
 

@@ -153,11 +153,6 @@ class SparsePowerMatrix:
         """
         return self._keys.size == self.n * self.n
 
-    def neighbors(self, node: int) -> np.ndarray:
-        """Stored column indices of one row, ascending (includes the node
-        itself — the diagonal is always stored): :meth:`rows` of one node."""
-        return self.rows([node])[1]
-
     def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every stored entry as ``(rows, cols, vals)``, in row-major order."""
         rows = np.repeat(np.arange(self.n, dtype=np.intp), np.diff(self.indptr))
@@ -204,15 +199,6 @@ class SparsePowerMatrix:
         out = np.where(hit, self._vals[pos], 0.0).reshape(flat.shape)
         return float(out) if out.ndim == 0 else out
 
-    def _dense_rows(self, rows) -> np.ndarray:
-        idx = np.atleast_1d(np.asarray(rows, dtype=np.intp))
-        squeeze = np.ndim(rows) == 0
-        out = np.zeros((idx.size, self.n), dtype=float)
-        for t, r in enumerate(idx):
-            lo, hi = self.indptr[r], self.indptr[r + 1]
-            out[t, self._cols[lo:hi]] = self._vals[lo:hi]
-        return out[0] if squeeze else out
-
     def __getitem__(self, key):
         if not (isinstance(key, tuple) and len(key) == 2):
             raise TypeError(
@@ -223,7 +209,7 @@ class SparsePowerMatrix:
         if isinstance(cols, slice):
             if cols != slice(None):
                 raise TypeError("only full column slices (P[rows, :]) are supported")
-            return self._dense_rows(rows)
+            return self._gather(np.asarray(rows)[..., None], np.arange(self.n))
         if isinstance(rows, slice):
             raise TypeError("row slices (P[:, cols]) are not supported")
         return self._gather(rows, cols)
@@ -362,10 +348,6 @@ class SparseGainModel:
     cutoff_m: float
     floor_mw: np.ndarray | None
     index: GridIndex | None
-
-    @property
-    def n_nodes(self) -> int:
-        return self.power.n
 
     def interference_model(self, radio: RadioConfig):
         """A feasibility oracle over the sparse backend.

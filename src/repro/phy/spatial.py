@@ -94,10 +94,6 @@ class GridIndex:
         object.__setattr__(self, "_cell_col", cell_col)
         object.__setattr__(self, "_flat", cell_col * row_y.size + cell_row)
 
-    @property
-    def n_nodes(self) -> int:
-        return self.positions.shape[0]
-
     def _band(
         self, cols: np.ndarray, y_lo: np.ndarray, y_hi: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:

@@ -44,10 +44,6 @@ from repro.phy.sinr import GATHER_ELEMENTS
 #: temporaries) and bounded whatever the slot width.
 _CHUNK_ELEMENTS = GATHER_ELEMENTS >> 6
 
-#: Bin edges (in units of β) of :meth:`TruthReport.histogram`.
-MARGIN_EDGES = (0.0, 0.5, 1.0, 1.25, 1.5, 2.0, 4.0, 8.0, np.inf)
-
-
 class Geometry(NamedTuple):
     """The recipe of a received-power matrix: ``P[i, j] = tx_power_mw[i] *
     propagation.gain(|positions[i] - positions[j]|)``."""
@@ -230,16 +226,6 @@ class TruthReport:
     margins: np.ndarray
     repaired_tx: int = 0
     repair_rounds: int = 0
-
-    @property
-    def margin_min(self) -> float:
-        """Smallest kept margin (``inf`` for no members); >= 1 means every
-        member decodes."""
-        return float(self.margins.min()) if self.margins.size else float("inf")
-
-    def histogram(self) -> np.ndarray:
-        """Member counts per :data:`MARGIN_EDGES` bin."""
-        return np.histogram(self.margins, bins=MARGIN_EDGES)[0]
 
 
 def check_slots(

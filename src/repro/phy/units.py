@@ -1,4 +1,4 @@
-"""Power unit conversions (dBm <-> mW, dB <-> linear ratio).
+"""Power unit conversion (dBm -> mW).
 
 All internal computations in the library use *linear* milliwatts so that
 interference powers can simply be summed; dBm appears only at configuration
@@ -23,31 +23,3 @@ def dbm_to_mw(dbm):
     return np.power(10.0, np.asarray(dbm, dtype=float) / 10.0).item() if np.isscalar(
         dbm
     ) else np.power(10.0, np.asarray(dbm, dtype=float) / 10.0)
-
-
-def mw_to_dbm(mw):
-    """Convert a power level in milliwatts to dBm (element-wise on arrays).
-
-    >>> mw_to_dbm(1.0)
-    0.0
-    """
-    arr = np.asarray(mw, dtype=float)
-    if np.any(arr <= 0):
-        raise ValueError("power in mW must be strictly positive to express in dBm")
-    out = 10.0 * np.log10(arr)
-    return out.item() if np.isscalar(mw) else out
-
-
-def db_to_linear(db):
-    """Convert a ratio expressed in dB to a linear ratio (element-wise)."""
-    out = np.power(10.0, np.asarray(db, dtype=float) / 10.0)
-    return out.item() if np.isscalar(db) else out
-
-
-def linear_to_db(ratio):
-    """Convert a linear ratio to dB (element-wise)."""
-    arr = np.asarray(ratio, dtype=float)
-    if np.any(arr <= 0):
-        raise ValueError("ratio must be strictly positive to express in dB")
-    out = 10.0 * np.log10(arr)
-    return out.item() if np.isscalar(ratio) else out

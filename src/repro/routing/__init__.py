@@ -9,18 +9,15 @@ link/demand sets the schedulers operate on.
 from repro.routing.gateways import (
     planned_gateways,
     random_gateways,
-    corner_gateways,
 )
 from repro.routing.forest import RoutingForest, build_routing_forest
-from repro.routing.demand import uniform_node_demand, aggregate_demand, total_demand
+from repro.routing.demand import uniform_node_demand, aggregate_demand
 
 __all__ = [
     "planned_gateways",
     "random_gateways",
-    "corner_gateways",
     "RoutingForest",
     "build_routing_forest",
     "uniform_node_demand",
     "aggregate_demand",
-    "total_demand",
 ]

@@ -58,11 +58,3 @@ def aggregate_demand(forest: RoutingForest, node_demand: np.ndarray) -> np.ndarr
     link_demand = aggregated.copy()
     link_demand[forest.gateways] = 0
     return link_demand
-
-
-def total_demand(link_demand: np.ndarray) -> int:
-    """Total traffic demand ``TD``: the length of the serialized schedule."""
-    demand = np.asarray(link_demand)
-    if np.any(demand < 0):
-        raise ValueError("link demands must be non-negative")
-    return int(demand.sum())

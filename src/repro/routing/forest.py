@@ -61,20 +61,6 @@ class RoutingForest:
         """
         return np.flatnonzero(self.parent >= 0).astype(np.intp)
 
-    def route(self, source: int) -> list[int]:
-        """The node sequence from ``source`` up to its gateway (inclusive)."""
-        if not 0 <= source < self.n_nodes:
-            raise IndexError(f"node {source} out of range")
-        path = [source]
-        seen = {source}
-        while self.parent[path[-1]] >= 0:
-            nxt = int(self.parent[path[-1]])
-            if nxt in seen:
-                raise ValueError("routing forest contains a cycle")
-            path.append(nxt)
-            seen.add(nxt)
-        return path
-
     def validate(self, comm_adj: np.ndarray | None = None) -> None:
         """Check structural invariants; raise :class:`ValueError` if violated.
 

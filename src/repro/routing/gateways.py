@@ -36,13 +36,6 @@ def planned_gateways(rows: int, cols: int, count: int = 4) -> np.ndarray:
     return np.array(sorted(set(chosen)), dtype=np.intp)
 
 
-def corner_gateways(rows: int, cols: int, count: int = 4) -> np.ndarray:
-    """Gateways at the grid corners (an alternative planned layout)."""
-    check_integer_in_range("count", count, minimum=1, maximum=4)
-    corners = [0, cols - 1, (rows - 1) * cols, rows * cols - 1]
-    return np.array(sorted(set(corners[:count])), dtype=np.intp)
-
-
 def random_gateways(
     n_nodes: int, count: int, rng: np.random.Generator
 ) -> np.ndarray:

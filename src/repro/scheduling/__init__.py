@@ -9,12 +9,7 @@ schedule used as the normalization in the paper's schedule-length figures.
 
 from repro.scheduling.links import LinkSet, forest_link_set
 from repro.scheduling.schedule import Schedule, Slot
-from repro.scheduling.feasibility import (
-    SlotArena,
-    feasible_alone,
-    schedule_is_feasible,
-    schedule_rates,
-)
+from repro.scheduling.feasibility import SlotArena, feasible_alone
 from repro.scheduling.orderings import (
     order_by_id,
     order_by_hashed_id,
@@ -40,8 +35,6 @@ __all__ = [
     "Slot",
     "SlotArena",
     "feasible_alone",
-    "schedule_is_feasible",
-    "schedule_rates",
     "order_by_id",
     "order_by_hashed_id",
     "order_by_demand",

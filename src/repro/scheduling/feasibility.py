@@ -177,18 +177,6 @@ class SlotArena:
             self._ai = np.empty(cap, dtype=float)
             self._columns = ["_slot_id", "_msnd", "_mrcv", "_di", "_ai"]
 
-    def __len__(self) -> int:
-        return self.n_slots
-
-    @property
-    def n_members(self) -> int:
-        return self._m
-
-    def members(self, slot: int) -> tuple[np.ndarray, np.ndarray]:
-        """(senders, receivers) of one slot, in admission order."""
-        rows = np.flatnonzero(self._slot_id[: self._m] == slot)
-        return self._msnd[rows], self._mrcv[rows]
-
     def _ensure_capacity(self, extra: int = 1) -> None:
         cap = self._slot_id.size
         if self._m + extra <= cap:
@@ -214,24 +202,12 @@ class SlotArena:
             new[:, :width] = old
             setattr(self, name, new)
 
-    def open_slot(self, sender: int, receiver: int) -> int:
-        """Append a fresh slot seeded with one member; return its index
-        (:meth:`seed` of one slot).
-
-        The insert is unconditional — callers screen the link with
-        :func:`feasible_alone` first, which is what keeps the
-        member-feasibility invariant the sparse path relies on.
-        """
-        j = self.n_slots
-        self.seed([j], [sender], [receiver])
-        return j
-
     def seed(self, slot_of, senders, receivers) -> None:
         """Append whole slots, untested: link ``senders[i] -> receivers[i]``
         joins slot ``slot_of[i]``, which runs ``n_slots, n_slots + 1, ...``
         without gaps, each slot's members in admission order.
 
-        Bit for bit :meth:`open_slot` of each slot's first member and
+        Bit for bit a slot opened with its first member alone and
         :meth:`add` of the rest, in turn.  There member ``p``'s sums are the
         left fold ``0.0 + x_0 + x_1 + ...`` of the other members' powers in
         admission order: the ``bincount`` at its admission, then one ``+=``
@@ -617,23 +593,3 @@ def infeasible_slots(
     sinrs = model.slot_sinrs(links.heads, links.tails, [s.links for s in schedule.slots])
     beta = model.radio.beta
     return [t for t, worst in enumerate(sinrs) if not (worst >= beta).all()]
-
-
-def schedule_is_feasible(
-    schedule: Schedule, model: PhysicalInterferenceModel
-) -> bool:
-    """Is every slot of the schedule feasible under the exact model?"""
-    return not infeasible_slots(schedule, model)
-
-
-def schedule_rates(
-    schedule: Schedule, model: PhysicalInterferenceModel, table
-) -> list[np.ndarray]:
-    """Per-slot packets-per-slot arrays (member order) under a ``RateTable``.
-
-    Stateless — no hysteresis; the epoch engines carry selection state in
-    :class:`repro.traffic.epoch.RateAnnotator` instead.
-    """
-    links = schedule.link_set
-    slots = [s.links for s in schedule.slots]
-    return [table.grant(worst) for worst in model.slot_sinrs(links.heads, links.tails, slots)]

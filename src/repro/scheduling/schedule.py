@@ -23,9 +23,6 @@ class Slot:
 
     links: list[int] = field(default_factory=list)
 
-    def __contains__(self, link_index: int) -> bool:
-        return link_index in self.links
-
     def __len__(self) -> int:
         return len(self.links)
 

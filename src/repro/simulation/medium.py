@@ -20,6 +20,7 @@ from typing import Any
 import numpy as np
 
 from repro.phy.interference import PhysicalInterferenceModel
+from repro.phy.sinr import carrier_sense_power
 from repro.simulation.clock import ClockModel
 
 
@@ -113,7 +114,7 @@ class Medium:
         power = self._model.power
         tx_idx = np.asarray(senders, dtype=np.intp)
         if self._overlap is None:
-            total_power = power[tx_idx, :].sum(axis=0)
+            total_power = carrier_sense_power(power, tx_idx, n)
         else:
             total_power = (power[tx_idx, :] * self._overlap[tx_idx, :]).sum(axis=0)
 

@@ -35,12 +35,6 @@ class LatticeCell:
     i: int
     j: int
 
-    def corners(self, step: float) -> np.ndarray:
-        """The four lattice-point corners of the cell, (4, 2)."""
-        base = np.array([self.i, self.j], dtype=float) * step
-        offsets = np.array([[0, 0], [1, 0], [0, 1], [1, 1]], dtype=float) * step
-        return base + offsets
-
 
 def segment_augmentation(
     p: np.ndarray, q: np.ndarray, step: float = 1.0

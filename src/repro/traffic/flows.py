@@ -178,13 +178,6 @@ class FlowConfig:
         if self.max_size_factor < 1.0:
             raise ValueError("max_size_factor must be >= 1")
 
-    def offered_rate(self, n_sources: int, epoch_slots: int) -> float:
-        """Long-run offered load in packets per source node per slot —
-        the lambda axis the stability sweeps plot."""
-        if n_sources <= 0 or epoch_slots <= 0:
-            raise ValueError("n_sources and epoch_slots must be positive")
-        return self.session_rate * self.mean_size / (n_sources * epoch_slots)
-
     @staticmethod
     def for_offered_rate(
         rate: float, n_sources: int, epoch_slots: int, **kwargs
@@ -339,18 +332,6 @@ class FlowWorkload(TrafficGenerator):
 
     # -- TrafficGenerator surface ------------------------------------------
 
-    @property
-    def mean_rate(self) -> float:
-        """Long-run *offered* load in packets per source node per slot.
-
-        Needs the epoch length to convert sessions/epoch into pkt/slot, so
-        it is only defined after the first :meth:`arrivals` call; use
-        :meth:`FlowConfig.offered_rate` for an a-priori value.
-        """
-        if self._epoch_slots is None:
-            return 0.0
-        return self.config.offered_rate(self._sources.size, self._epoch_slots)
-
     def reset(self) -> None:
         """Rewind to epoch 0: empty flow table, fresh stats and controller.
 
@@ -485,10 +466,6 @@ class FlowWorkload(TrafficGenerator):
         self.controller.observe(record, queues, self)
 
     # -- Session-level accounting ------------------------------------------
-
-    @property
-    def sessions_admitted(self) -> int:
-        return self.sessions_offered - self.sessions_blocked
 
     @property
     def blocking_probability(self) -> float:

@@ -39,8 +39,7 @@ class TrafficGenerator:
     """Base class: a per-node packet-arrival process observed per epoch.
 
     Subclasses implement :meth:`arrivals`; everything downstream (queues,
-    epoch loop, stability sweeps) only needs that method plus
-    :attr:`mean_rate`.
+    epoch loop, stability sweeps) only needs that method.
     """
 
     def __init__(
@@ -59,17 +58,6 @@ class TrafficGenerator:
         # makes arrivals(epoch, ...) a pure function of (seed, epoch).
         self._entropy = freeze_root(seed)
 
-    @property
-    def mean_rate(self) -> float:
-        """Mean offered load in packets per node per slot, over sources only
-        (gateways generate nothing and are excluded from the mean)."""
-        sources = np.ones(self.n_nodes, dtype=bool)
-        if self._gateways is not None:
-            sources[self._gateways] = False
-        if not sources.any():
-            return 0.0
-        return float(self.rates[sources].mean())
-
     def arrivals(self, epoch: int, n_slots: int) -> np.ndarray:
         """``(n_nodes,)`` integer packet arrivals during ``epoch``.
 
@@ -83,21 +71,6 @@ class TrafficGenerator:
         return spawn(self._entropy, type(self).__name__, *key)
 
 
-class ConstantBitRate(TrafficGenerator):
-    """Deterministic fluid arrivals: ``rate`` packets per node per slot.
-
-    Fractional rates accumulate exactly — node ``v`` has emitted
-    ``floor(rate[v] * t)`` packets after ``t`` slots — so long-run throughput
-    matches the nominal rate regardless of epoch length.
-    """
-
-    def arrivals(self, epoch: int, n_slots: int) -> np.ndarray:
-        start, end = epoch * n_slots, (epoch + 1) * n_slots
-        return (np.floor(self.rates * end) - np.floor(self.rates * start)).astype(
-            np.int64
-        )
-
-
 class PoissonArrivals(TrafficGenerator):
     """Memoryless arrivals: ``Poisson(rate * n_slots)`` packets per epoch."""
 
@@ -109,7 +82,7 @@ class ParetoOnOff(TrafficGenerator):
     """Bursty heavy-tailed on–off sources (Pareto sojourn times).
 
     Each node alternates between ON phases (emitting ``peak_rate`` packets
-    per slot, fluid-accumulated like :class:`ConstantBitRate`) and silent OFF
+    per slot, fluid-accumulated) and silent OFF
     phases; both sojourn durations are Pareto with shape ``alpha`` (heavy
     tail, finite mean for ``alpha > 1``).  The ``rate`` constructor argument
     is the *long-run average*: ``peak_rate = rate / duty_cycle`` where

@@ -101,6 +101,7 @@ def patch_schedule(
     model: PhysicalInterferenceModel,
     max_length: int | None = None,
     table=None,
+    sinrs: SlotSinrMemo | None = None,
 ) -> Schedule | None:
     """Repair a cached schedule for a new demand vector, or ``None``.
 
@@ -149,15 +150,13 @@ def patch_schedule(
     degrades slot packing relative to a fresh run, and a cycle longer than
     the epoch's playable window could not even serve every link once.  The
     cached schedule is never mutated.
+
+    Under a ``table`` every SINR is read through the memo ``sinrs`` (a
+    fresh one when ``None``; :class:`ScheduleCache` passes the run's), and
+    fresh-slot grants come from its standalone SINRs.
     """
-    sinrs = None if table is None else SlotSinrMemo(model, links.heads, links.tails)
-    return _patch(cached, links, model, max_length, table, sinrs)
-
-
-def _patch(cached, links, model, max_length, table, sinrs) -> Schedule | None:
-    """:func:`patch_schedule` reading every SINR through the memo ``sinrs``
-    (unused without a ``table``), fresh-slot grants from its standalone
-    SINRs."""
+    if table is not None and sinrs is None:
+        sinrs = SlotSinrMemo(model, links.heads, links.tails)
     if cached.link_set.n_links != links.n_links:
         raise ValueError(
             f"cannot patch a schedule for {cached.link_set.n_links} links "
@@ -404,8 +403,9 @@ class ScheduleCache:
         table = self._rate_table
         if table is not None and self._sinrs is None:
             self._sinrs = SlotSinrMemo(self._model, links.heads, links.tails)
-        args = (self._model, self._epoch_slots, table, self._sinrs)
-        return _patch(self._cached.schedule, links, *args)
+        return patch_schedule(
+            self._cached.schedule, links, self._model, self._epoch_slots, table, self._sinrs
+        )
 
     def _book(self, outcome: str) -> None:
         if self._obs is not None:

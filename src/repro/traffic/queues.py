@@ -91,7 +91,7 @@ class LinkQueues:
         """Poison these queues: an engine died between booking arrivals and
         serving them, so the conservation invariant no longer describes a
         completed prefix of epochs.  Every subsequent :meth:`arrive` /
-        :meth:`serve_slot` raises ``RuntimeError`` carrying ``reason``
+        :meth:`play` raises ``RuntimeError`` carrying ``reason``
         rather than quietly extending a corrupt trace."""
         self.unusable_reason = str(reason)
 
@@ -138,15 +138,6 @@ class LinkQueues:
         self.backlog[k] += counts
         self.arrivals_total += total
         return total
-
-    def serve_slot(
-        self,
-        link_indices: np.ndarray,
-        time: int,
-        rates: np.ndarray | None = None,
-    ) -> int:
-        """Serve one slot — :meth:`play` over a one-slot round at ``time``."""
-        return self.play(link_indices, [len(link_indices)], time, 1, 0, rates)
 
     def play(
         self,

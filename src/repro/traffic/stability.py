@@ -81,32 +81,6 @@ class StabilityMetrics:
     admitted_goodput: float = float("nan")  # delivered pkt/slot of admitted flows
     flow_p99_delay: float = float("nan")  # p99 over per-flow mean delays, slots
 
-    def __str__(self) -> str:
-        state = "stable" if self.stable else "UNSTABLE"
-        if self.confirm_seeds > 1:
-            state += f" ({self.confirm_seeds}-seed majority)"
-        text = (
-            f"lambda={self.offered_rate:g}: throughput={self.throughput:.3f} pkt/slot, "
-            f"delay={self.mean_delay:.1f}/{self.p99_delay:.0f} slots (mean/p99), "
-            f"backlog={self.backlog_final} ({self.backlog_slope:+.1f}/epoch, {state}), "
-            f"overhead={self.overhead_slots:.1f} slots/epoch, "
-            f"cache hits={self.cache_hit_rate:.0%}"
-        )
-        if self.mean_service_rate != 1.0:
-            text += f", service rate={self.mean_service_rate:.2f} pkt/play"
-        if self.control_messages > 0:
-            text += (
-                f", control={self.control_slots:.1f} slots/epoch "
-                f"({self.control_messages:.0f} msgs/epoch)"
-            )
-        if not np.isnan(self.blocking_probability):
-            text += (
-                f", blocking={self.blocking_probability:.0%}, "
-                f"goodput={self.admitted_goodput:.3f} pkt/slot, "
-                f"flow p99 delay={self.flow_p99_delay:.0f} slots"
-            )
-        return text
-
 
 def series_slope(series) -> float:
     """Least-squares slope of a 1-D series against its index.

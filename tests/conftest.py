@@ -17,6 +17,7 @@ from repro.routing import (
 )
 from repro.scheduling.links import LinkSet, forest_link_set
 from repro.topology.network import Network, grid_network, uniform_network
+from repro.traffic.generators import TrafficGenerator
 from repro.util.rng import spawn
 
 
@@ -216,7 +217,103 @@ def interference_sums(arena):
 
 def slot_rows(arena, slot):
     """A ``SlotArena`` slot's member rows, in admission order."""
-    return np.flatnonzero(arena._slot_id[: arena.n_members] == slot)
+    return np.flatnonzero(arena._slot_id[: arena._m] == slot)
+
+
+def slot_members(arena, slot):
+    """A ``SlotArena`` slot's ``(senders, receivers)``, in admission order."""
+    rows = slot_rows(arena, slot)
+    return arena._msnd[rows], arena._mrcv[rows]
+
+
+def open_slot(arena, sender, receiver):
+    """Append a fresh ``SlotArena`` slot holding one member; return its
+    index.  Untested, like :meth:`SlotArena.seed`: screen with
+    ``feasible_alone`` first."""
+    j = arena.n_slots
+    arena.seed([j], [sender], [receiver])
+    return j
+
+
+# --------------------------------------------------------------------------
+# Small references the suites read the library against.
+# --------------------------------------------------------------------------
+
+
+def scream_exact(inputs):
+    """The idealized SCREAM outcome: every node learns ``OR(inputs)`` (valid
+    when ``K >= ID(GS)`` and carrier sensing is error-free)."""
+    arr = np.asarray(inputs, dtype=bool)
+    return np.full(arr.shape, bool(arr.any()))
+
+
+def scream_reach_exactly(sens_hop_distance, inputs, k):
+    """Closed-form fault-free flood from hop distances: node ``v`` ends true
+    iff some true source lies within ``k`` directed hops."""
+    dist = np.asarray(sens_hop_distance, dtype=float)
+    src = np.asarray(inputs, dtype=bool)
+    if not src.any():
+        return np.zeros_like(src)
+    return (dist[src].min(axis=0) <= k) | src
+
+
+class ConstantBitRate(TrafficGenerator):
+    """Deterministic fluid arrivals: node ``v`` has emitted
+    ``floor(rate[v] * t)`` packets after ``t`` slots."""
+
+    def arrivals(self, epoch, n_slots):
+        start, end = epoch * n_slots, (epoch + 1) * n_slots
+        return (np.floor(self.rates * end) - np.floor(self.rates * start)).astype(np.int64)
+
+
+class BufferRecorder:
+    """A span recorder that keeps every closed span in memory."""
+
+    def __init__(self):
+        self.spans = []
+
+    def record_span(self, span):
+        self.spans.append(span)
+
+
+def metric(registry, name, **labels):
+    """The exported row of one ``MetricsRegistry`` series, ``None`` when it
+    was never booked."""
+    want = {key: str(value) for key, value in labels.items()}
+    return next(
+        (row for row in registry.rows() if row["name"] == name and row["labels"] == want),
+        None,
+    )
+
+
+def counter_value(registry, name, **labels):
+    """A counter series' value (0.0 when it was never booked)."""
+    row = metric(registry, name, **labels)
+    return 0.0 if row is None else row["value"]
+
+
+def ledger_counts(ledger, layer):
+    """``{(epoch, message class): count}`` a ``ControlLedger`` holds for
+    ``layer``."""
+    return {
+        (epoch, cls): count
+        for epoch, bucket in ledger._counts.items()
+        for (lay, cls), count in bucket.items()
+        if lay == layer
+    }
+
+
+def schedule_rates(schedule, model, table):
+    """Per-slot packets-per-slot arrays (member order) under ``table``,
+    stateless: each member's grant at its slot's ``min(data, ACK)`` SINR."""
+    links = schedule.link_set
+    slots = [s.links for s in schedule.slots]
+    return [table.grant(worst) for worst in model.slot_sinrs(links.heads, links.tails, slots)]
+
+
+def serve_slot(queues, link_indices, time, rates=None):
+    """Serve one slot: ``LinkQueues.play`` over a one-slot round at ``time``."""
+    return queues.play(link_indices, [len(link_indices)], time, 1, 0, rates)
 
 
 # --------------------------------------------------------------------------
@@ -440,7 +537,7 @@ def serial_pack(links, model, demanded, demand, new_arena=None):
     the rest.
     The loop the sparse packer ran before it admitted links a wave at a
     time, kept as its oracle.  On a sparse model it runs the batched arena
-    kernel one link per call (``can_add_all`` / ``add`` / ``open_slot``),
+    kernel one link per call (``can_add_all`` / ``add`` / :func:`open_slot`),
     whose verdicts ``tests/property/test_scheduling_properties.py`` pins to
     ``SlotState`` (sparse ≡ dense ≡ ``SlotState`` after every step)."""
     from repro.scheduling.feasibility import SlotArena
@@ -457,7 +554,7 @@ def serial_pack(links, model, demanded, demand, new_arena=None):
                 slots[j].add(k)
                 remaining -= 1
         for _ in range(remaining):
-            arena.open_slot(sender, receiver)
+            open_slot(arena, sender, receiver)
             slots.append(Slot(links=[k]))
     return slots
 

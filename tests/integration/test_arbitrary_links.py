@@ -45,7 +45,7 @@ def test_wave_count_equals_max_links_per_head(grid16, multi_links):
         grid16, multi_links, ProtocolConfig(k=5, id_bits=7), rng=4
     )
     # Node 5 heads three links -> exactly three waves.
-    assert result.n_waves == 3
+    assert len(result.waves) == 3
 
 
 def test_waves_process_links_in_decreasing_id_order(grid16, multi_links):
@@ -66,7 +66,7 @@ def test_forest_link_set_degenerates_to_single_wave(grid16, grid16_links):
     result = run_arbitrary_link_set(
         grid16, grid16_links, ProtocolConfig(k=5, id_bits=5), rng=6
     )
-    assert result.n_waves == 1
+    assert len(result.waves) == 1
     assert verify_schedule(result.schedule, grid16.model).ok
 
 

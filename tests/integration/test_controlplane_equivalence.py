@@ -38,6 +38,7 @@ from repro.traffic import (
     sharded_centralized_factory,
 )
 from repro.util.rng import spawn
+from tests.conftest import ledger_counts
 
 #: Every behavioural field of an EpochRecord, the new control fields
 #: included — zero-priced runs must report 0 control slots everywhere.
@@ -71,7 +72,7 @@ def assert_traces_identical(priced, bare):
     assert np.array_equal(priced.queues.delay_array(), bare.queues.delay_array())
     assert np.array_equal(priced.queues.backlog, bare.queues.backlog)
     assert all(r.control_slots == 0 for r in priced.records)
-    assert priced.ledger is not None and priced.ledger.total_seconds == 0.0
+    assert priced.ledger is not None and priced.ledger.seconds() == 0.0
     assert bare.ledger is None
     priced.queues.check_conservation()
 
@@ -184,14 +185,13 @@ def test_priced_sharded_run_is_worker_count_invariant(mesh):
     assert [_functional(r) for r in serial.records] == [
         _functional(r) for r in threaded.records
     ]
-    assert serial.ledger.total_messages == threaded.ledger.total_messages > 0
-    assert serial.ledger.total_seconds == threaded.ledger.total_seconds
-    assert serial.ledger.by_layer() == threaded.ledger.by_layer()
+    assert serial.ledger.messages() == threaded.ledger.messages() > 0
+    assert serial.ledger.seconds() == threaded.ledger.seconds()
+    for layer in ("incremental", "admission", "sharded"):
+        assert serial.ledger.messages(layer) == threaded.ledger.messages(layer)
+        assert serial.ledger.seconds(layer) == threaded.ledger.seconds(layer)
 
-    booked = {
-        (epoch, cls): count
-        for (epoch, _layer, cls), count in serial.ledger._entries(layer="sharded")
-    }
+    booked = ledger_counts(serial.ledger, "sharded")
     demanded = [r for r in serial.records if r.demand_scheduled > 0]
     assert len(demanded) == len(serial.records)
     for record in demanded:
@@ -245,7 +245,7 @@ def test_priced_cache_books_each_patch_edit_times_its_depth(mesh, policy):
             baseline = demand
     booked = {
         epoch: count
-        for (epoch, _layer, cls), count in trace.ledger._entries(layer="incremental")
+        for (epoch, cls), count in ledger_counts(trace.ledger, "incremental").items()
         if cls == "patch"
     }
     assert booked == expected
@@ -314,7 +314,7 @@ def test_priced_control_only_ever_adds_overhead(mesh):
         model=network.model,
         control=ControlPlaneModel.default_priced(),
     )
-    assert priced.ledger.total_seconds > 0.0
+    assert priced.ledger.seconds() > 0.0
     assert priced.control_slots_total > 0
     for priced_rec, free_rec in zip(priced.records, free.records):
         assert priced_rec.overhead_slots >= free_rec.overhead_slots

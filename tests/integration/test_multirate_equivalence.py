@@ -83,8 +83,8 @@ def mesh():
     gateways = planned_gateways(8, 8, 4)
     forest = build_routing_forest(network.comm_adj, gateways, rng=spawn(23, "f"))
     links = forest_link_set(forest, np.zeros(network.n_nodes, dtype=np.int64))
-    assert DEGENERATE.is_degenerate
-    assert DEGENERATE.beta == network.model.radio.beta
+    assert DEGENERATE.rates.tolist() == [1]
+    assert DEGENERATE.thresholds.tolist() == [network.model.radio.beta]
     return network, gateways, links
 
 

@@ -35,7 +35,7 @@ import pytest
 from repro.core.controlplane import ControlPlaneModel
 from repro.core.fdd import fdd_on_network
 from repro.experiments.common import PAPER_PROTOCOL, grid_scenario
-from repro.obs import BufferRecorder, Obs, ObsConfig
+from repro.obs import Obs, ObsConfig
 from repro.phy.radio import RateTable
 from repro.traffic import (
     EpochConfig,
@@ -49,6 +49,7 @@ from repro.traffic import (
     sharded_centralized_factory,
     sharded_distributed_factory,
 )
+from tests.conftest import BufferRecorder, counter_value, ledger_counts, metric, serve_slot
 
 FUNCTIONAL_FIELDS = (
     "epoch",
@@ -231,10 +232,7 @@ def test_a_factorys_own_cache_is_just_a_scheduler(mesh, policy):
     assert sum(c.stats.hits + c.stats.patches for c in caches) > 0
     assert not any(r.cache_hit or r.patched or r.drift for r in trace.records)
 
-    booked = {
-        (epoch, cls): count
-        for (epoch, _layer, cls), count in trace.ledger._entries(layer="sharded")
-    }
+    booked = ledger_counts(trace.ledger, "sharded")
     demanded = [r for r in trace.records if r.demand_scheduled > 0]
     assert len(demanded) == len(trace.records)
     for record in demanded:
@@ -426,11 +424,11 @@ def test_multi_shard_run_books_what_its_repair_pass_verified(mesh):
     registry = obs.registry
     reconciled = sum(r.reconciled for r in trace.records)
     assert reconciled > 0
-    assert registry.counter_value("truth.repaired_tx", **labels) == reconciled
-    assert registry.counter_value("truth.violations", **labels) >= reconciled
-    margins = registry.histogram("sinr.margin", **labels)
-    assert margins.count == sum(r.demand_scheduled for r in trace.records)
-    assert margins.min >= 1.0
+    assert counter_value(registry, "truth.repaired_tx", **labels) == reconciled
+    assert counter_value(registry, "truth.violations", **labels) >= reconciled
+    margins = metric(registry, "sinr.margin", **labels)
+    assert margins["count"] == sum(r.demand_scheduled for r in trace.records)
+    assert margins["min"] >= 1.0
 
 
 def _exploding_factory(fail_epoch: int):
@@ -500,4 +498,4 @@ def test_shard_scheduler_exception_is_annotated_and_poisons_queues(
     with pytest.raises(RuntimeError, match="unusable"):
         queues.arrive(np.zeros(network.n_nodes, dtype=np.int64), 0)
     with pytest.raises(RuntimeError, match="unusable"):
-        queues.serve_slot(np.array([], dtype=np.intp), 0)
+        serve_slot(queues, np.array([], dtype=np.intp), 0)

@@ -32,7 +32,7 @@ from repro.phy.radio import RadioConfig
 from repro.phy.sparse import sparse_gain_model
 from repro.scheduling import feasibility
 from repro.scheduling.feasibility import SlotArena, feasible_alone
-from tests.conftest import SlotState, interference_sums, slot_rows
+from tests.conftest import SlotState, interference_sums, open_slot, slot_members, slot_rows
 
 COLUMNS = ("_slot_id", "_msnd", "_mrcv", "_di", "_ai")
 
@@ -83,7 +83,7 @@ def flat(slots, first):
 def one_at_a_time(arena, slots):
     """``open_slot`` for each slot's first member, ``add`` for the rest."""
     for (s, r), *rest in slots:
-        j = arena.open_slot(s, r)
+        j = open_slot(arena, s, r)
         for s, r in rest:
             arena.add(j, s, r)
 
@@ -94,12 +94,12 @@ def bits(values):
 
 def assert_same_arena(ours, theirs, candidates):
     """Every column to the bit, every slot's members, every verdict."""
-    assert (ours.n_slots, ours.n_members) == (theirs.n_slots, theirs.n_members)
-    m = ours.n_members
+    assert (ours.n_slots, ours._m) == (theirs.n_slots, theirs._m)
+    m = ours._m
     for name in COLUMNS:
         assert bits(getattr(ours, name)[:m]) == bits(getattr(theirs, name)[:m]), name
     for j in range(ours.n_slots):
-        for a, b in zip(ours.members(j), theirs.members(j)):
+        for a, b in zip(slot_members(ours, j), slot_members(theirs, j)):
             assert a.tolist() == b.tolist()
     for s, r in candidates:
         assert ours.can_add_all(s, r).tolist() == theirs.can_add_all(s, r).tolist()
@@ -108,9 +108,9 @@ def assert_same_arena(ours, theirs, candidates):
 def assert_sums_equal_states(arena, states):
     """Same slots and members as the scalar oracle, and — bit for bit — the
     interference sums ``SlotState.add`` accumulated."""
-    assert len(arena) == len(states)
+    assert arena.n_slots == len(states)
     for j, state in enumerate(states):
-        snd, rcv = arena.members(j)
+        snd, rcv = slot_members(arena, j)
         assert (snd.tolist(), rcv.tolist()) == (state.senders, state.receivers)
         rows = slot_rows(arena, j)
         data, ack = interference_sums(arena)

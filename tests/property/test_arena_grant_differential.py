@@ -24,6 +24,7 @@ from repro.phy.propagation import LogDistancePathLoss
 from repro.phy.radio import RadioConfig
 from repro.phy.sparse import sparse_gain_model
 from repro.scheduling.feasibility import SlotArena, what_if_sinrs
+from tests.conftest import open_slot
 
 
 def bits(values):
@@ -87,6 +88,6 @@ def test_an_empty_arena_and_a_self_loop_grant_nothing(grid64):
     arena = SlotArena(grid64.model)
     ok, sinr = arena.admit_sinrs(0, 1)
     assert ok.size == sinr.size == 0
-    arena.open_slot(0, 1)
+    open_slot(arena, 0, 1)
     ok, sinr = arena.admit_sinrs(5, 5)
     assert ok.tolist() == [False] and sinr.size == 1

@@ -95,7 +95,7 @@ def test_zero_priced_monolithic_trace_is_identical(mesh, rate, policy, seed):
     )
     assert _functional(priced) == _functional(bare)
     assert np.array_equal(priced.queues.delay_array(), bare.queues.delay_array())
-    assert priced.ledger.total_seconds == 0.0
+    assert priced.ledger.seconds() == 0.0
 
 
 @given(
@@ -129,7 +129,7 @@ def test_zero_priced_sharded_trace_is_identical(mesh, rate, n_shards, seed):
     )
     assert _functional(priced) == _functional(bare)
     assert np.array_equal(priced.queues.backlog, bare.queues.backlog)
-    assert priced.ledger.total_seconds == 0.0
+    assert priced.ledger.seconds() == 0.0
 
 
 @given(
@@ -173,8 +173,8 @@ def test_priced_overhead_monotone_in_message_prices(mesh, scales, seed):
         == low.control_messages_total
         == high.control_messages_total
     )
-    assert low.ledger.total_seconds <= high.ledger.total_seconds
-    assert free.ledger.total_seconds == 0.0
+    assert low.ledger.seconds() <= high.ledger.seconds()
+    assert free.ledger.seconds() == 0.0
     for f_rec, l_rec, h_rec in zip(free.records, low.records, high.records):
         assert f_rec.overhead_slots <= l_rec.overhead_slots <= h_rec.overhead_slots
         assert f_rec.control_slots == 0

@@ -30,7 +30,7 @@ from repro.phy.radio import RateTable
 from repro.phy.sparse import sparse_gain_model
 from repro.routing.forest import build_routing_forest_csr
 from repro.routing.gateways import planned_gateways
-from repro.scheduling.feasibility import feasible_alone, schedule_is_feasible
+from repro.scheduling.feasibility import feasible_alone, infeasible_slots
 from repro.scheduling.greedy_physical import greedy_physical
 from repro.scheduling.greedy_rate import greedy_rate
 from repro.scheduling.links import LinkSet
@@ -123,7 +123,7 @@ def test_patched_schedule_feasible_and_demand_exact(mesh, scale, flip_fraction, 
     patched = patch_schedule(cached, new_links, model)
     assert patched is not None  # unbounded length: patching cannot fail here
     assert np.array_equal(patched.allocations(), perturbed)
-    assert schedule_is_feasible(patched, model)
+    assert not infeasible_slots(patched, model)
     # No slot is left empty.
     assert all(len(slot) > 0 for slot in patched.slots)
 
@@ -154,7 +154,7 @@ def test_cache_hits_charge_zero_overhead_and_stay_feasible(mesh, rate, seed):
             assert record.overhead_slots == 0
     # The cache's final schedule is still feasible under the exact model.
     if scheduler._cached is not None:
-        assert schedule_is_feasible(scheduler._cached.schedule, mesh.network.model)
+        assert not infeasible_slots(scheduler._cached.schedule, mesh.network.model)
     assert scheduler.stats.requests == sum(
         1 for r in trace.records if r.demand_scheduled > 0
     )

@@ -134,7 +134,6 @@ def test_degenerate_table_is_the_beta_threshold(beta, sinrs, hysteresis):
     table = RateTable(
         thresholds=np.array([beta]), rates=np.array([1]), hysteresis=hysteresis
     )
-    assert table.is_degenerate
     expected = np.where(values >= beta, 1, 0)
     assert np.array_equal(table.rate_for(values), expected)
     for prev in (-1, 0):

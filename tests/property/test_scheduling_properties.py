@@ -26,7 +26,7 @@ from repro.scheduling.metrics import improvement_over_linear, verify_schedule
 from repro.scheduling.orderings import EDGE_ORDERINGS
 from repro.topology.commgraph import communication_adjacency, is_connected
 from repro.traffic.incremental import patch_schedule
-from tests.conftest import SlotState, interference_sums, slot_rows
+from tests.conftest import SlotState, interference_sums, open_slot, slot_members, slot_rows
 
 
 @st.composite
@@ -175,9 +175,9 @@ def assert_arenas_equal_states(arenas, states):
     """Same slots, same members in the same order, and — bit for bit — the
     same interference sums ``SlotState.add`` accumulated."""
     for arena in arenas:
-        assert len(arena) == len(states)
+        assert arena.n_slots == len(states)
         for j, state in enumerate(states):
-            snd, rcv = arena.members(j)
+            snd, rcv = slot_members(arena, j)
             assert snd.tolist() == state.senders
             assert rcv.tolist() == state.receivers
             rows = slot_rows(arena, j)
@@ -200,7 +200,7 @@ def admit_like_greedy(arenas, states, model, s, r, demand):
         states[j].add(s, r)
     for _ in range(demand - len(admitting)):
         for arena in arenas:
-            assert arena.open_slot(s, r) == len(states)
+            assert open_slot(arena, s, r) == len(states)
         states.append(SlotState(model))
         states[-1].add(s, r)
     assert_arenas_equal_states(arenas, states)
@@ -251,7 +251,7 @@ def test_arena_seeded_without_testing_then_patched_agrees_step_by_step(instance,
                 if len(states[-1]):
                     arena.add(len(states) - 1, s, r)
                 else:
-                    arena.open_slot(s, r)
+                    open_slot(arena, s, r)
             states[-1].add(s, r)
         assert_arenas_equal_states(arenas, states)
     for k in rng.permutation(len(links)).tolist():
@@ -329,12 +329,12 @@ def test_arena_regrows_both_axes_without_changing_a_verdict():
             sparse_arena.add(j, s, r)
             dense_arena.add(j, s, r)
         else:
-            j = sparse_arena.open_slot(s, r)
-            assert dense_arena.open_slot(s, r) == j
+            j = open_slot(sparse_arena, s, r)
+            assert open_slot(dense_arena, s, r) == j
             states.append(SlotState(dense_model))
         states[j].add(s, r)
     assert sparse_arena.n_slots > feasibility._SLOT_CAPACITY
-    assert sparse_arena.n_members > 4
+    assert sparse_arena._m > 4
 
 
 def test_sparse_arena_add_rejects_a_busy_endpoint():
@@ -343,15 +343,15 @@ def test_sparse_arena_add_rejects_a_busy_endpoint():
     tx = np.full(5, 10 ** (12.0 / 10.0))
     sparse = sparse_gain_model(positions, tx, LogDistancePathLoss(alpha=3.0), radio)
     arena = SlotArena(sparse.interference_model(radio))
-    slot = arena.open_slot(0, 1)
+    slot = open_slot(arena, 0, 1)
     for s, r in [(1, 2), (2, 1), (0, 2), (2, 0), (0, 1)]:
         with pytest.raises(ValueError, match="shares a node"):
             arena.add(slot, s, r)
-    assert arena.n_members == 1
+    assert arena._m == 1
     # The failed adds left no trace: a disjoint link still gets in.
     assert arena.can_add_all(3, 4).tolist() == [True]
     arena.add(slot, 3, 4)
-    assert [a.tolist() for a in arena.members(slot)] == [[0, 3], [1, 4]]
+    assert [a.tolist() for a in slot_members(arena, slot)] == [[0, 3], [1, 4]]
 
 
 @pytest.mark.parametrize("candidate", [(1, 2), (2, 0)])
@@ -372,5 +372,5 @@ def test_arena_vetoes_node_sharing_even_where_no_power_says_so(candidate):
     assert not state.can_add(s, r)
     for matrix in (power, dense):
         arena = SlotArena(PhysicalInterferenceModel(matrix, radio))
-        arena.open_slot(0, 1)
+        open_slot(arena, 0, 1)
         assert arena.can_add_all(s, r).tolist() == [False]

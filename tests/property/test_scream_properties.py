@@ -4,8 +4,9 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core.leader import leader_elect
-from repro.core.scream import scream_exact, scream_flood, scream_reach_exactly
+from repro.core.scream import scream_flood
 from repro.topology.diameter import hop_distance_matrix, interference_diameter
+from tests.conftest import scream_exact, scream_reach_exactly
 
 
 @st.composite

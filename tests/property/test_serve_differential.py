@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 from repro.scheduling.links import LinkSet
 from repro.traffic import LinkQueues
 from repro.util.ranges import join
-from tests.conftest import SlotwiseQueues
+from tests.conftest import SlotwiseQueues, serve_slot
 
 
 def random_forest(rng, n_nodes, n_gateways, reach):
@@ -142,7 +142,7 @@ def test_serve_slot_is_a_one_slot_round(seed, n_nodes, reach, rated):
         (slot,), rates = random_round(rng, links.n_links, 1, rated)
         rate = None if rates is None else rates[0]
         played = copy.deepcopy(slotted)
-        got = slotted.serve_slot(slot, time, rates=rate)
+        got = serve_slot(slotted, slot, time, rate)
         assert got == played.play(slot, [slot.size], time, 1, 0, rate)
         assert got == oracle.serve_slot(slot, time, rate)
         assert_same_state(slotted, played)

@@ -15,7 +15,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.experiments.common import grid_scenario
 from repro.traffic import (
-    ConstantBitRate,
     EpochConfig,
     EpochRecord,
     PoissonArrivals,
@@ -30,6 +29,7 @@ from repro.traffic import (
     summarize_trace,
 )
 from repro.traffic.stability import series_slope
+from tests.conftest import ConstantBitRate
 
 
 @pytest.fixture(scope="module")

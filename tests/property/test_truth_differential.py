@@ -22,7 +22,7 @@ from repro.phy.interference import PhysicalInterferenceModel
 from repro.phy.propagation import LogDistancePathLoss
 from repro.phy.radio import RadioConfig
 from repro.phy.sparse import SparsePowerMatrix, build_sparse_power, sparse_gain_model
-from repro.scheduling.feasibility import schedule_is_feasible
+from repro.scheduling.feasibility import infeasible_slots
 from repro.scheduling.greedy_physical import greedy_physical
 from repro.scheduling.links import LinkSet
 from repro.topology.commgraph import communication_csr
@@ -82,7 +82,7 @@ def test_kernel_equals_the_dense_oracle_bit_for_bit(instance):
     )
     assert np.array_equal(report.margins >= 1.0, decodes)
     assert report.violations == int((~decodes).sum())
-    assert report.margin_min == float(np.minimum(data, ack).min() / radio.beta)
+    assert float(report.margins.min()) == float(np.minimum(data, ack).min() / radio.beta)
     shared = np.isin(receivers, senders) | np.isin(senders, receivers)
     assert (report.margins[shared] == 0.0).all()  # deaf: always a violation
 
@@ -183,14 +183,14 @@ def test_every_truncated_schedule_decodes_under_the_dense_model(instance):
     exact = PhysicalInterferenceModel(
         received_power_matrix(positions, tx, propagation), radio
     )
-    assert schedule_is_feasible(schedule, exact)
+    assert not infeasible_slots(schedule, exact)
     assert np.array_equal(schedule.allocations(), links.demand)
     assert all(len(slot) for slot in schedule.slots)
 
     report = schedule.truth
     assert report is not None
     assert report.margins.size == links.total_demand
-    assert report.margin_min >= 1.0
+    assert report.margins.min() >= 1.0
     assert report.repaired_tx <= report.violations
     assert (report.repair_rounds == 0) == (report.repaired_tx == 0)
 
@@ -215,7 +215,7 @@ def test_no_far_field_needs_at_least_as_many_repairs_as_the_packing_floor():
     for far_field in ("packing", "none"):
         net, sgm, links = _smoke_mesh(far_field)
         schedule = greedy_physical(links, sgm.interference_model(net.radio))
-        assert schedule_is_feasible(schedule, net.model)
+        assert not infeasible_slots(schedule, net.model)
         repaired[far_field] = schedule.truth.repaired_tx
     # The negative control keeps its meaning: charging nothing for the far
     # field is at least as wrong as charging the mean field.

@@ -30,7 +30,7 @@ from repro.scheduling.feasibility import SlotArena, feasible_alone
 from repro.scheduling.greedy_physical import greedy_physical
 from repro.scheduling.links import LinkSet
 from repro.scheduling.orderings import EDGE_ORDERINGS
-from tests.conftest import interference_sums, serial_pack, slot_rows
+from tests.conftest import interference_sums, open_slot, serial_pack, slot_members, slot_rows
 
 # ``repro.scheduling.greedy_physical`` the attribute is the function.
 gp = importlib.import_module("repro.scheduling.greedy_physical")
@@ -110,7 +110,7 @@ def arena_state(arena):
     wave packer appends rows wave by wave, the loop link by link): members
     by (slot, sender) — a node sends once per slot — and the slot tables
     naming the listening link instead of its row."""
-    m, n = arena.n_members, arena.n_slots
+    m, n = arena._m, arena.n_slots
     rows = np.lexsort((arena._msnd[:m], arena._slot_id[:m]))
     link = arena._msnd * arena._power.n + arena._mrcv
     listener = arena._listener
@@ -158,14 +158,14 @@ def slot_sums(arena):
     data, ack = interference_sums(arena)
     rows = [slot_rows(arena, j) for j in range(arena.n_slots)]
     return [
-        (*(side.tolist() for side in arena.members(j)), bits(data[r]), bits(ack[r]))
+        (*(side.tolist() for side in slot_members(arena, j)), bits(data[r]), bits(ack[r]))
         for j, r in enumerate(rows)
     ]
 
 
 def neighbourhoods(power, heads, tails):
     return [
-        set(power.neighbors(h).tolist()) | set(power.neighbors(t).tolist())
+        set(power.rows([h, t])[1].tolist())
         for h, t in zip(heads.tolist(), tails.tolist())
     ]
 
@@ -221,7 +221,7 @@ def test_batched_kernel_rows_equal_the_one_candidate_kernel(instance):
         into.append(one.n_slots)  # and a fresh slot on top
         for j in into[:-1]:
             one.add(j, s, r)
-        assert one.open_slot(s, r) == into[-1]
+        assert open_slot(one, s, r) == into[-1]
         many.add_many(into, [s] * len(into), [r] * len(into))
         assert slot_sums(one) == slot_sums(many)
         verdicts = many.can_add_many(links.heads, links.tails)
@@ -239,5 +239,5 @@ def test_add_many_rejects_a_busy_endpoint_before_writing_anything():
         arena.add_many([0, 0, 1], [3, 2, 2], [4, 1, 1])
     assert arena_state(arena) == before and arena.n_slots == 1
     arena.add_many([0, 1], [3, 2], [4, 1])
-    assert [a.tolist() for a in arena.members(0)] == [[0, 3], [1, 4]]
-    assert [a.tolist() for a in arena.members(1)] == [[2], [1]]
+    assert [a.tolist() for a in slot_members(arena, 0)] == [[0, 3], [1, 4]]
+    assert [a.tolist() for a in slot_members(arena, 1)] == [[2], [1]]

@@ -1,54 +1,28 @@
-"""Every public function and method in ``src/`` has a caller outside tests,
-every name a ``src/`` module imports is read there, and no ``src/`` module
-imports another's ``_``-prefixed name.
+"""Every public function and method in ``src/`` has a caller outside tests
+or a stated reason to stay, every name a ``src/`` module imports is read
+there, and no ``src/`` module imports another's ``_``-prefixed name.
 
 A name-based AST check: each public top-level function and public method
 defined under ``src/`` must be *used* — named as an identifier, an
 attribute or an exact string — somewhere in ``src/``, ``bench/``,
 ``benchmarks/`` or ``examples/``.  Definitions, imports and ``__all__``
 entries do not count: a re-export is not a caller.  What only tests reach
-either leaves ``src`` or is listed below with the reason it stays.
+either leaves ``src`` or has an entry in ``tools/reach_allow.txt``, the one
+allow-list of code no entry point runs, which ``tools/reach.py --functions``
+enforces by trace; the entries themselves are linted here.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
 USERS = ("src", "bench", "benchmarks", "examples")
 
-KEPT = {
-    # Oracles the differential suites check the fast paths against.
-    "PhysicalInterferenceModel.sense_mask": "carrier-sense reference of the packet medium",
-    "schedule_is_feasible": "scalar feasibility oracle of the rate-path suites",
-    "schedule_rates": "scalar rate oracle of the rate-path suites",
-    "LinkQueues.serve_slot": "one-slot oracle of the serve differential",
-    "scream_reach_exactly": "closed-form oracle of the SCREAM flood",
-    # Test seams: the only handle a property suite has on a path.
-    "SlotArena.n_members": "arena ≡ SlotState after every step",
-    "ControlPlaneModel.is_free": "zero-price ≡ free-engine differentials",
-    "RateTable.is_degenerate": "degenerate table ≡ β-threshold differentials",
-    "SparsePowerMatrix.neighbors": "stored-row checks of the sparse builder",
-    # The paper's constructions, reproduced for their own sake.
-    "run_arbitrary_link_set": "paper construction: arbitrary link sets",
-    "ArbitraryResult.n_waves": "paper construction: arbitrary link sets",
-    "scream_exact": "paper construction: the exact SCREAM semantics",
-    "segment_augmentation": "paper construction: Theorem 2's lattice",
-    "lattice_path_hop_length": "paper construction: Theorem 2's lattice",
-    "is_square_grid_convex": "paper construction: Theorem 2's lattice",
-    # Read accessors of state the engines write.
-    "MetricsRegistry.counter_value": "registry accessor",
-    "MetricsRegistry.gauge_value": "registry accessor",
-    "MetricsRegistry.n_series": "registry accessor",
-    "FlowWorkload.sessions_admitted": "session-ledger accessor",
-    "FlowWorkload.mean_rate": "TrafficGenerator interface",
-    "TrafficGenerator.mean_rate": "TrafficGenerator interface",
-    # Library API exported from ``repro`` / ``repro.phy`` for users.
-    "patch_schedule": "the patch path's public entry point (README)",
-    "corner_gateways": "gateway placement API",
-    "mw_to_dbm": "unit conversion API",
-    "db_to_linear": "unit conversion API",
-    "linear_to_db": "unit conversion API",
-}
+spec = importlib.util.spec_from_file_location("reach", ROOT / "tools" / "reach.py")
+reach = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(reach)
+ALLOWED = reach.allow_list()
 
 
 def _public_definitions():
@@ -98,24 +72,39 @@ def _used_names():
 
 def test_every_public_entry_point_has_a_non_test_caller():
     used = _used_names()
+    allowed = {name for _file, name in ALLOWED}
     unreached = sorted(
         qualified
         for qualified, name in _public_definitions().items()
-        if name not in used and qualified not in KEPT
+        if name not in used and qualified not in allowed
     )
     assert not unreached, f"only tests reach: {unreached}"
 
 
-def test_every_kept_entry_is_still_defined_and_still_unreached():
-    """A stale allowlist entry hides nothing, but it lies: drop it."""
-    definitions = _public_definitions()
-    used = _used_names()
-    stale = sorted(
-        qualified
-        for qualified in KEPT
-        if qualified not in definitions or definitions[qualified] in used
+def test_every_allow_list_entry_names_a_function_under_src():
+    """A stale entry hides nothing, but it lies: drop it."""
+    missing = sorted(
+        f"{file}::{name}"
+        for file, name in ALLOWED
+        if not file.startswith("src/")
+        or not (ROOT / file).is_file()
+        or name not in {defined for defined, *_ in reach.functions(ROOT / file)}
     )
-    assert not stale, f"allowlisted but defined nowhere or reached: {stale}"
+    assert not missing, f"allow-listed but defined nowhere under src/: {missing}"
+
+
+def test_every_reason_is_one_kind_and_names_its_target():
+    """An oracle names a test file, a gate a bench file; both must exist."""
+    folders = {"oracle": ("tests/",), "gated": ("bench/", "benchmarks/")}
+    wrong = []
+    for (file, name), (kind, target) in sorted(ALLOWED.items()):
+        path = target.split()[0].split("::")[0]
+        if kind not in reach.KINDS or (
+            kind in folders
+            and not (path.startswith(folders[kind]) and (ROOT / path).is_file())
+        ):
+            wrong.append(f"{file}::{name}  {kind}: {target}")
+    assert not wrong, f"reasons of an unknown kind or naming no file: {wrong}"
 
 
 def test_every_imported_name_is_read():

@@ -39,13 +39,11 @@ def chain_links(n=5):
 class TestControlPlaneModel:
     def test_default_is_free_and_charges_exactly_zero(self):
         model = ControlPlaneModel()
-        assert model.is_free
         for cls in MESSAGE_CLASSES:
             assert model.price_of(cls) == 0.0
 
     def test_zero_byte_class_is_free_even_in_a_priced_model(self):
         model = ControlPlaneModel(patch_bytes=8.0, report_bytes=0.0)
-        assert not model.is_free
         assert model.price_of("patch") > 0.0
         assert model.price_of("report") == 0.0
 
@@ -66,7 +64,7 @@ class TestControlPlaneModel:
             assert doubled.payload_bytes(cls) == pytest.approx(
                 2.0 * model.payload_bytes(cls)
             )
-        assert model.scaled(0.0).is_free
+        assert all(model.scaled(0.0).price_of(cls) == 0.0 for cls in MESSAGE_CLASSES)
 
     def test_unknown_class_and_negative_bytes_raise(self):
         with pytest.raises(ValueError, match="unknown message class"):
@@ -91,26 +89,29 @@ class TestControlLedger:
         assert ledger.seconds_for(0) == pytest.approx(
             10 * ledger.model.price_of("patch") + 4 * ledger.model.price_of("signal")
         )
-        assert ledger.total_messages == 17
+        assert ledger.messages() == 17
         assert ledger.messages(layer="admission") == 4
         assert ledger.messages(message_class="patch") == 10
-        by_layer = ledger.by_layer()
-        assert set(by_layer) == {"incremental", "admission", "sharded"}
-        assert by_layer["sharded"][0] == 3
-        assert "msgs" in ledger.summary()
+        assert ledger.messages(layer="sharded") == 3
+        assert ledger.seconds(layer="sharded") == pytest.approx(
+            3 * ledger.model.price_of("reconcile")
+        )
+        assert ledger.seconds() == pytest.approx(
+            sum(ledger.seconds_for(epoch) for epoch in range(3))
+        )
 
     def test_free_model_counts_messages_but_charges_nothing(self):
         ledger = ControlLedger(ControlPlaneModel())
         ledger.charge(0, "admission", "report", 100)
         assert ledger.messages_for(0) == 100
         assert ledger.seconds_for(0) == 0.0
-        assert ledger.total_seconds == 0.0
+        assert ledger.seconds() == 0.0
 
     def test_zero_count_books_nothing(self):
         ledger = ControlLedger(ControlPlaneModel.default_priced())
         assert ledger.charge(0, "sharded", "report", 0) == 0.0
-        assert ledger.total_messages == 0
-        assert ledger.by_layer() == {}
+        assert ledger.messages() == 0
+        assert ledger.seconds() == 0.0
 
     def test_invalid_charges_raise(self):
         ledger = ControlLedger(ControlPlaneModel())
@@ -154,11 +155,11 @@ class TestBindingLifecycle:
         ledger = ControlLedger(ControlPlaneModel.default_priced())
         wl.bind_control(ledger)
         wl.arrivals(0, 100)
-        booked = ledger.total_messages
+        booked = ledger.messages()
         assert booked > 0
         wl.reset()
         wl.arrivals(0, 100)  # the rewound run must book nothing
-        assert ledger.total_messages == booked
+        assert ledger.messages() == booked
 
     def test_unpriced_engine_run_unbinds_a_stale_workload_binding(self):
         links = chain_links(6)
@@ -171,7 +172,7 @@ class TestBindingLifecycle:
             serialized_scheduler(),
             EpochConfig(epoch_slots=50, n_epochs=3),
         )
-        assert stale.total_messages == 0
+        assert stale.messages() == 0
 
     def test_priced_run_totals_survive_a_later_unpriced_rerun(self):
         links = chain_links(6)
@@ -184,14 +185,14 @@ class TestBindingLifecycle:
             config,
             control=ControlPlaneModel.default_priced(),
         )
-        before = (priced.ledger.total_messages, priced.ledger.total_seconds)
+        before = (priced.ledger.messages(), priced.ledger.seconds())
         assert before[0] > 0
         wl.reset()
         rerun = run_epochs(links, wl, serialized_scheduler(), config)
         assert rerun.ledger is None
         assert (
-            priced.ledger.total_messages,
-            priced.ledger.total_seconds,
+            priced.ledger.messages(),
+            priced.ledger.seconds(),
         ) == before
 
 

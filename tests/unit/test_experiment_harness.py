@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.tables import TextTable
+from repro.core.controlplane import MESSAGE_CLASSES
 from repro.core.fdd import fdd_on_network
 from repro.experiments.admission import admission_config
 from repro.experiments.common import (
@@ -244,7 +245,8 @@ class TestRenderers:
 def test_controlplane_variants_are_free_then_priced():
     (free_label, free), (priced_label, priced) = VARIANTS
     assert (free_label, priced_label) == ("free", "priced")
-    assert free.is_free and not priced.is_free
+    assert [free.price_of(cls) for cls in MESSAGE_CLASSES] == [0.0] * len(MESSAGE_CLASSES)
+    assert all(priced.price_of(cls) > 0.0 for cls in MESSAGE_CLASSES)
 
 
 def test_sharded_plan_uses_the_experiment_constants():

@@ -36,12 +36,6 @@ class TestAugmentation:
         )
         assert len(coarse) == 1 or len(coarse) == 2
 
-    def test_cell_corners(self):
-        corners = LatticeCell(2, 3).corners(step=2.0)
-        assert corners.shape == (4, 2)
-        assert [4.0, 6.0] in corners.tolist()
-        assert [6.0, 8.0] in corners.tolist()
-
 
 class TestLatticePaths:
     def test_paths_connect_endpoints_with_unit_hops(self):

@@ -18,6 +18,7 @@ from repro.obs.metrics import (
     StreamingHistogram,
     label_key,
 )
+from tests.conftest import counter_value, metric
 
 
 def _relerr(estimate: float, exact: float) -> float:
@@ -177,7 +178,8 @@ class TestStreamingHistogram:
         data = rng.lognormal(3.0, 0.5, 10000)
         hist = StreamingHistogram()
         hist.add_many(data)
-        assert _relerr(hist.quantile(0.99), float(np.quantile(data, 0.99))) < 0.05
+        estimate = hist.snapshot()["quantiles"]["p0.99"]
+        assert _relerr(estimate, float(np.quantile(data, 0.99))) < 0.05
 
     @pytest.mark.parametrize("seed", range(6))
     def test_held_batches_read_as_one_add_per_value(self, seed):
@@ -197,7 +199,7 @@ class TestStreamingHistogram:
                 hist.add_many(piece)
                 piece[:] = -1.0
             if i % 4 == 3:
-                hist.quantile(0.5)
+                hist.snapshot()
         for x in data.tolist():
             ref.add(x)
         assert repr(hist.snapshot()["quantiles"]) == repr(ref.snapshot()["quantiles"])
@@ -214,18 +216,14 @@ class TestMetricsRegistry:
         reg.counter("control.messages", 2, layer="sharded", cls="report")
         reg.counter("control.messages", 3, layer="sharded", cls="report")
         reg.counter("control.messages", 5, layer="admission", cls="signal")
-        assert (
-            reg.counter_value("control.messages", layer="sharded", cls="report") == 5
-        )
-        assert (
-            reg.counter_value("control.messages", layer="admission", cls="signal") == 5
-        )
+        assert counter_value(reg, "control.messages", layer="sharded", cls="report") == 5
+        assert counter_value(reg, "control.messages", layer="admission", cls="signal") == 5
 
     def test_gauge_overwrites(self):
         reg = MetricsRegistry()
         reg.gauge("traffic.backlog", 10.0, engine="epoch")
         reg.gauge("traffic.backlog", 4.0, engine="epoch")
-        assert reg.gauge_value("traffic.backlog", engine="epoch") == 4.0
+        assert metric(reg, "traffic.backlog", engine="epoch")["value"] == 4.0
 
     def test_label_key_order_insensitive(self):
         assert label_key({"a": 1, "b": 2}) == label_key({"b": 2, "a": 1})
@@ -233,8 +231,7 @@ class TestMetricsRegistry:
     def test_observe_routes_to_histogram(self):
         reg = MetricsRegistry()
         reg.observe_many("traffic.delay_slots", np.arange(1000.0), region="all")
-        hist = reg.histogram("traffic.delay_slots", region="all")
-        assert hist.count == 1000
+        assert metric(reg, "traffic.delay_slots", region="all")["count"] == 1000
 
     def test_rows_typed(self):
         reg = MetricsRegistry()
@@ -243,4 +240,3 @@ class TestMetricsRegistry:
         reg.observe("c", 3.0)
         kinds = {row["name"]: row["kind"] for row in reg.rows()}
         assert kinds == {"a": "counter", "b": "gauge", "c": "histogram"}
-        assert reg.n_series == 3

@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.obs import (
-    BufferRecorder,
     JsonlRecorder,
     NullRecorder,
     Obs,
@@ -18,6 +17,7 @@ from repro.obs import spans as obs_spans
 from repro.obs.export import SCHEMA_VERSION, load_run_file
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import NOOP_SPAN
+from tests.conftest import BufferRecorder
 
 
 class TestSpan:

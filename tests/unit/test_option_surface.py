@@ -15,6 +15,7 @@ import inspect
 import pytest
 
 from repro.core.afdd import afdd_on_network, run_afdd
+from repro.core.controlplane import ControlLedger
 from repro.core.fdd import fdd_on_network, run_fdd
 from repro.core.pdd import pdd_on_network, run_pdd
 from repro.core.protocol import run_by_theorem4, run_on_network, run_protocol
@@ -55,6 +56,7 @@ from repro.traffic import (
 )
 from repro.traffic.admission import flow_delay_percentile
 from repro.traffic.epoch import epoch_loop
+from repro.traffic.incremental import patch_schedule
 from repro.traffic.queues import LinkQueues
 
 CONFIG_FIELDS = {
@@ -177,6 +179,11 @@ KEYWORDS = {
     pdd_on_network: ("network", "links", "config", "faults", "rng", "model"),
     # One membership-rate rule: the grant at a member's min(data, ACK) SINR.
     RateTable.grant: ("self", "sinr"),
+    # One patch entry point; ScheduleCache passes the run's memo as sinrs.
+    patch_schedule: ("cached", "links", "model", "max_length", "table", "sinrs"),
+    # One filtered reader pair; unfiltered, the run's totals.
+    ControlLedger.messages: ("self", "layer", "message_class"),
+    ControlLedger.seconds: ("self", "layer", "message_class"),
     # The dense gain builders store float64 only.
     distance_matrix: ("positions",),
     gain_matrix: ("positions", "model"),

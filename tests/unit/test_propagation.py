@@ -75,12 +75,6 @@ class TestLogDistance:
         d = np.arange(12.0).reshape(3, 4) * 10.0
         assert LogDistancePathLoss().gain(d).shape == (3, 4)
 
-    def test_repr_rebuilds_an_equal_model(self):
-        model = LogDistancePathLoss(alpha=2.5, reference_distance=3.0, reference_loss_db=35.0)
-        again = eval(repr(model), {"LogDistancePathLoss": LogDistancePathLoss})
-        d = np.array([0.0, 1.0, 3.0, 10.0, 250.0])
-        np.testing.assert_array_equal(again.gain(d), model.gain(d))
-        assert repr(again) == repr(model)
 
 
 class TestPropagationProtocol:

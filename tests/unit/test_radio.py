@@ -69,16 +69,13 @@ class TestPowerVectors:
 class TestRateTableValidation:
     def test_degenerate_table(self):
         table = RateTable.degenerate(10.0)
-        assert table.is_degenerate
-        assert table.n_tiers == 1
-        assert table.base_rate == 1
-        assert table.beta == 10.0
+        np.testing.assert_array_equal(table.thresholds, [10.0])
+        np.testing.assert_array_equal(table.rates, [1])
 
     def test_geometric_defaults_calibrated_ladder(self):
         table = RateTable.geometric(10.0)
         np.testing.assert_allclose(table.thresholds, [10.0, 20.0, 40.0])
         np.testing.assert_array_equal(table.rates, [1, 2, 4])
-        assert not table.is_degenerate
 
     def test_thresholds_must_strictly_increase(self):
         with pytest.raises(ValueError, match="strictly increasing"):
@@ -140,11 +137,11 @@ class TestRateTableLookup:
         edges = table.thresholds
         mids = np.sqrt(edges[:-1] * edges[1:])
         sinr = np.concatenate(([0.0, edges[0] / 2], edges, mids, [edges[-1] * 1e3]))
-        expected = np.maximum(table.rate_for(sinr), table.base_rate)
+        expected = np.maximum(table.rate_for(sinr), table.rates[0])
         granted = table.grant(sinr)
         np.testing.assert_array_equal(granted, expected)
         assert granted.dtype == np.int64
-        assert (granted[:2] == table.base_rate).all()  # members never get 0
+        assert (granted[:2] == table.rates[0]).all()  # members never get 0
 
     def test_select_upgrade_needs_margin(self):
         table = self.make(hysteresis=1.25)

@@ -3,10 +3,18 @@
 import numpy as np
 import pytest
 
-from repro.routing.demand import aggregate_demand, total_demand, uniform_node_demand
+from repro.routing.demand import aggregate_demand, uniform_node_demand
 from repro.routing.forest import RoutingForest, build_routing_forest
-from repro.routing.gateways import corner_gateways, planned_gateways, random_gateways
+from repro.routing.gateways import planned_gateways, random_gateways
 from repro.topology.diameter import hop_distance_matrix
+
+
+def route(forest, source):
+    """The node sequence from ``source`` up its parents to its gateway."""
+    path = [source]
+    while forest.parent[path[-1]] >= 0:
+        path.append(int(forest.parent[path[-1]]))
+    return path
 
 
 class TestGateways:
@@ -17,9 +25,6 @@ class TestGateways:
     def test_planned_single_gateway_is_center(self):
         gws = planned_gateways(5, 5, 1)
         assert gws.tolist() == [2 * 5 + 2]
-
-    def test_corner_gateways(self):
-        assert corner_gateways(4, 4, 4).tolist() == [0, 3, 12, 15]
 
     def test_random_gateways_distinct_and_in_range(self):
         gws = random_gateways(20, 4, np.random.default_rng(0))
@@ -49,9 +54,9 @@ class TestForest:
         gws = planned_gateways(4, 4, 2)
         forest = build_routing_forest(grid16.comm_adj, gws, rng=3)
         for v in range(16):
-            route = forest.route(v)
-            assert route[-1] in set(gws.tolist())
-            assert len(route) == forest.depth[v] + 1
+            path = route(forest, v)
+            assert path[-1] in set(gws.tolist())
+            assert len(path) == forest.depth[v] + 1
 
     def test_tie_breaks_depend_on_rng(self, grid64):
         from repro.routing import planned_gateways as pg
@@ -103,7 +108,7 @@ class TestDemand:
         link_demand = aggregate_demand(forest, demand)
         manual = np.zeros(16, dtype=int)
         for v in range(16):
-            for hop in forest.route(v)[:-1]:
+            for hop in route(forest, v)[:-1]:
                 manual[hop] += demand[v]
         assert np.array_equal(link_demand, manual)
 
@@ -113,8 +118,3 @@ class TestDemand:
         demand = np.ones(16, dtype=int)
         with pytest.raises(ValueError, match="gateways"):
             aggregate_demand(forest, demand)
-
-    def test_total_demand(self):
-        assert total_demand(np.array([3, 0, 4])) == 7
-        with pytest.raises(ValueError):
-            total_demand(np.array([-1]))

@@ -107,7 +107,7 @@ class TestSparsePowerMatrix:
         sparse, _ = sparse_and_dense
         ref = sparse.toarray()
         for node in (0, 7, sparse.n - 1):
-            got = sparse.neighbors(node)
+            got = sparse.rows([node])[1]
             # Every stored power is positive here, so the row's nonzeros
             # are exactly its stored columns, ascending — diagonal included.
             np.testing.assert_array_equal(got, np.flatnonzero(ref[node]))

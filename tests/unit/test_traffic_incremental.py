@@ -12,11 +12,10 @@ import numpy as np
 import pytest
 
 from repro.experiments.common import grid_scenario
-from repro.obs import BufferRecorder, Obs, ObsConfig
-from repro.scheduling.feasibility import schedule_is_feasible
+from repro.obs import Obs, ObsConfig
+from repro.scheduling.feasibility import infeasible_slots
 from repro.scheduling.greedy_physical import greedy_physical
 from repro.traffic import (
-    ConstantBitRate,
     EpochConfig,
     EpochRecord,
     EpochSchedule,
@@ -34,6 +33,13 @@ from repro.traffic import (
     stability_sweep,
 )
 from repro.traffic.epoch import SLOT_SECONDS
+from tests.conftest import (
+    BufferRecorder,
+    ConstantBitRate,
+    counter_value,
+    open_slot,
+    schedule_rates,
+)
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +97,7 @@ class TestPatchSchedule:
         new_links = replace(links, demand=links.demand * 2)
         patched = patch_schedule(cached, new_links, model)
         assert patched is not None
-        assert schedule_is_feasible(patched, model)
+        assert not infeasible_slots(patched, model)
 
     def test_emptied_links_are_dropped_and_slots_pruned(self, mesh):
         links, model = mesh.links, mesh.network.model
@@ -305,7 +311,7 @@ class TestEpochLoopIntegration:
         registry = obs.registry
         requests = sum(1 for r in trace.records if r.demand_scheduled > 0)
         booked = {
-            outcome: registry.counter_value(f"cache.{outcome}", engine="epoch")
+            outcome: counter_value(registry, f"cache.{outcome}", engine="epoch")
             for outcome in ("requests", "hits", "patches", "recomputes")
         }
         assert booked == {
@@ -510,8 +516,25 @@ class TestPatchScheduleWithRateTable:
         assert bare is not None and rated is not None
         assert [s.links for s in bare.slots] == [s.links for s in rated.slots]
 
+    def test_a_shared_memo_patches_as_a_fresh_one(self, mesh):
+        """``sinrs=`` (how ``ScheduleCache`` hands in the run's memo) only
+        changes where SINRs are read from: one memo reused across patches
+        gives each patch the schedule a memo of its own gives."""
+        from repro.phy.interference import SlotSinrMemo
+
+        links, model = mesh.links, mesh.network.model
+        table = self.table(model)
+        cached = greedy_physical(links, model)
+        memo = SlotSinrMemo(model, links.heads, links.tails)
+        rng = np.random.default_rng(17)
+        for _ in range(3):
+            new_links = replace(links, demand=rng.integers(0, 6, size=links.n_links))
+            shared = patch_schedule(cached, new_links, model, table=table, sinrs=memo)
+            fresh = patch_schedule(cached, new_links, model, table=table)
+            assert shared is not None and fresh is not None
+            assert [s.links for s in shared.slots] == [s.links for s in fresh.slots]
+
     def test_packet_capacity_covers_new_demand(self, mesh):
-        from repro.scheduling.feasibility import schedule_rates
 
         links, model = mesh.links, mesh.network.model
         table = self.table(model)
@@ -522,7 +545,7 @@ class TestPatchScheduleWithRateTable:
 
         patched = patch_schedule(cached, new_links, model, table=table)
         assert patched is not None
-        assert schedule_is_feasible(patched, model)
+        assert not infeasible_slots(patched, model)
         capacity = np.zeros(links.n_links, dtype=np.int64)
         for slot, rates in zip(patched.slots, schedule_rates(patched, model, table)):
             for k, rate in zip(slot.links, rates):
@@ -563,7 +586,7 @@ class TestPatchScheduleWithRateTable:
         arena = SlotArena(model)
         for slot in cached.slots:
             first, *rest = slot.links
-            j = arena.open_slot(int(links.heads[first]), int(links.tails[first]))
+            j = open_slot(arena, int(links.heads[first]), int(links.tails[first]))
             for m in rest:
                 arena.add(j, int(links.heads[m]), int(links.tails[m]))
         assert int(arena.can_add_all(int(links.heads[k]), int(links.tails[k])).sum()) > 2
@@ -582,4 +605,4 @@ class TestPatchScheduleWithRateTable:
         assert patched is not None
         schedules = {tuple(s.links) for s in cached.slots + patched.slots}
         assert handed and set(handed) <= schedules
-        assert sum(k in slot for slot in patched.slots) == 1
+        assert sum(k in slot.links for slot in patched.slots) == 1

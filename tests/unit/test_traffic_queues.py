@@ -5,6 +5,7 @@ import pytest
 
 from repro.scheduling.links import LinkSet
 from repro.traffic import LinkQueues
+from tests.conftest import serve_slot
 
 
 def chain_links():
@@ -44,7 +45,7 @@ class TestServing:
     def test_single_hop_delivery_and_delay(self):
         queues = LinkQueues(chain_links())
         queues.arrive(np.array([0, 1, 0]), time=0)
-        served = queues.serve_slot(np.array([0]), time=0)
+        served = serve_slot(queues, np.array([0]), time=0)
         assert served == 1
         assert queues.delivered_total == 1
         assert queues.delays == [1]  # arrived slot 0, delivered slot 0
@@ -54,18 +55,18 @@ class TestServing:
         """Pops happen before pushes: a packet advances at most one hop/slot."""
         queues = LinkQueues(chain_links())
         queues.arrive(np.array([0, 0, 1]), time=0)
-        served = queues.serve_slot(np.array([0, 1]), time=0)
+        served = serve_slot(queues, np.array([0, 1]), time=0)
         assert served == 1  # only link 1 had backlog
         assert queues.delivered_total == 0
         np.testing.assert_array_equal(queues.backlog, [1, 0])
-        served = queues.serve_slot(np.array([0, 1]), time=1)
+        served = serve_slot(queues, np.array([0, 1]), time=1)
         assert served == 1 and queues.delivered_total == 1
         assert queues.delays == [2]  # two hops, two slots
         queues.check_conservation()
 
     def test_empty_links_serve_nothing(self):
         queues = LinkQueues(chain_links())
-        assert queues.serve_slot(np.array([0, 1]), time=0) == 0
+        assert serve_slot(queues, np.array([0, 1]), time=0) == 0
         assert queues.served_total == 0
 
     def test_fifo_order_by_queue_arrival(self):
@@ -73,8 +74,8 @@ class TestServing:
         queues = LinkQueues(chain_links())
         queues.arrive(np.array([0, 1, 0]), time=0)  # birth 0 at link 0
         queues.arrive(np.array([0, 1, 0]), time=5)  # birth 5 at link 0
-        queues.serve_slot(np.array([0]), time=10)
-        queues.serve_slot(np.array([0]), time=20)
+        serve_slot(queues, np.array([0]), time=10)
+        serve_slot(queues, np.array([0]), time=20)
         assert queues.delays == [11, 16]  # births 0 then 5, FIFO
 
     def test_same_birth_packets_leave_in_fifo_order(self):
@@ -85,7 +86,7 @@ class TestServing:
         queues.arrive(np.array([0, 1, 1]), time=3)
         assert queues.backlog[0] == 6
         for t in range(4, 10):
-            assert queues.serve_slot(np.array([0, 1]), time=t) == (2 if t == 4 else 1)
+            assert serve_slot(queues, np.array([0, 1]), time=t) == (2 if t == 4 else 1)
         assert queues.births == [0, 0, 0, 0, 0, 3]  # node 2's packet still queued
         assert queues.delays == [5, 6, 7, 8, 9, 7]
         assert queues.sources == [0] * 6
@@ -101,7 +102,7 @@ class TestConservation:
             queues.arrive(
                 np.array([0, rng.integers(0, 3), rng.integers(0, 3)]), time
             )
-            queues.serve_slot(rng.permutation(2)[: rng.integers(1, 3)], time)
+            serve_slot(queues, rng.permutation(2)[: rng.integers(1, 3)], time)
             time += 1
         queues.check_conservation()
         assert (
@@ -118,8 +119,8 @@ class TestConservation:
     def test_served_by_link_counts_each_transmission(self):
         queues = LinkQueues(chain_links())
         queues.arrive(np.array([0, 0, 2]), 0)  # 2 packets at node 2 (link 1)
-        queues.serve_slot(np.array([1]), 0)  # relay one hop
-        queues.serve_slot(np.array([0, 1]), 1)  # deliver one, relay the other
+        serve_slot(queues, np.array([1]), 0)  # relay one hop
+        serve_slot(queues, np.array([0, 1]), 1)  # deliver one, relay the other
         np.testing.assert_array_equal(queues.served_by_link, [1, 2])
         assert queues.served_total == 3
 
@@ -140,7 +141,7 @@ class TestRateServing:
     def test_rate_serves_multiple_packets_per_play(self):
         queues = LinkQueues(chain_links())
         queues.arrive(np.array([0, 0, 3]), time=0)
-        served = queues.serve_slot(np.array([1]), time=0, rates=np.array([2]))
+        served = serve_slot(queues, np.array([1]), time=0, rates=np.array([2]))
         assert served == 2
         np.testing.assert_array_equal(queues.backlog, [2, 1])
         assert queues.plays_total == 1
@@ -148,7 +149,7 @@ class TestRateServing:
     def test_rate_clamped_to_backlog(self):
         queues = LinkQueues(chain_links())
         queues.arrive(np.array([0, 0, 1]), time=0)
-        served = queues.serve_slot(np.array([1]), time=0, rates=np.array([4]))
+        served = serve_slot(queues, np.array([1]), time=0, rates=np.array([4]))
         assert served == 1
         assert queues.total_backlog() == 1  # relayed onto link 0
 
@@ -161,8 +162,8 @@ class TestRateServing:
             fixed.arrive(arrivals, t)
             rated.arrive(arrivals, t)
             members = rng.permutation(2)[: rng.integers(1, 3)]
-            s1 = fixed.serve_slot(members, t)
-            s2 = rated.serve_slot(members, t, rates=np.ones(members.size, np.int64))
+            s1 = serve_slot(fixed, members, t)
+            s2 = serve_slot(rated, members, t, rates=np.ones(members.size, np.int64))
             assert s1 == s2
         np.testing.assert_array_equal(fixed.backlog, rated.backlog)
         np.testing.assert_array_equal(fixed.delay_array(), rated.delay_array())
@@ -172,7 +173,7 @@ class TestRateServing:
     def test_zero_rate_member_is_not_a_play(self):
         queues = LinkQueues(chain_links())
         queues.arrive(np.array([0, 1, 1]), time=0)
-        served = queues.serve_slot(np.array([0, 1]), time=0, rates=np.array([0, 1]))
+        served = serve_slot(queues, np.array([0, 1]), time=0, rates=np.array([0, 1]))
         assert served == 1
         assert queues.plays_total == 1
 
@@ -185,7 +186,7 @@ class TestRateServing:
             queues.arrive(arrivals, t)
             members = rng.permutation(2)[: rng.integers(1, 3)]
             rates = rng.integers(0, 4, size=members.size)
-            queues.serve_slot(members, t, rates=rates)
+            serve_slot(queues, members, t, rates=rates)
         queues.check_conservation()
         assert queues.served_total >= queues.delivered_total
 
@@ -193,7 +194,7 @@ class TestRateServing:
         queues = LinkQueues(chain_links())
         queues.arrive(np.array([0, 2, 0]), time=0)
         queues.arrive(np.array([0, 2, 0]), time=5)
-        queues.serve_slot(np.array([0]), time=10, rates=np.array([3]))
+        serve_slot(queues, np.array([0]), time=10, rates=np.array([3]))
         # Three delivered: both t=0 packets before any t=5 packet
         # (delivery timestamps at slot end, time + 1).
         delays = np.sort(queues.delay_array())
@@ -203,13 +204,13 @@ class TestRateServing:
         queues = LinkQueues(chain_links())
         queues.arrive(np.array([0, 1, 0]), time=0)
         with pytest.raises(ValueError, match="align"):
-            queues.serve_slot(np.array([0]), time=0, rates=np.array([1, 2]))
+            serve_slot(queues, np.array([0]), time=0, rates=np.array([1, 2]))
 
     def test_negative_rates_rejected(self):
         queues = LinkQueues(chain_links())
         queues.arrive(np.array([0, 1, 0]), time=0)
         with pytest.raises(ValueError, match="negative"):
-            queues.serve_slot(np.array([0]), time=0, rates=np.array([-1]))
+            serve_slot(queues, np.array([0]), time=0, rates=np.array([-1]))
 
 
 class TestMalformedRoundsLeaveQueuesUntouched:
@@ -231,7 +232,7 @@ class TestMalformedRoundsLeaveQueuesUntouched:
         queues.arrive(np.array([0, backlog, backlog]), time=0)
         rates = None if rates is None else np.array(rates)
         with pytest.raises(error, match=match):
-            queues.serve_slot(np.array(slot), 0, rates=rates)
+            serve_slot(queues, np.array(slot), 0, rates=rates)
         with pytest.raises(error, match=match.replace("slot 0", "slot 1")):
             queues.play(
                 np.array([1, *slot]),
@@ -246,7 +247,7 @@ class TestMalformedRoundsLeaveQueuesUntouched:
         assert queues.served_total == queues.plays_total == queues.delivered_total == 0
         assert queues.delays == [] and queues.unusable_reason is None
         # ... and the queues still serve.
-        assert queues.serve_slot(np.array([0, 1]), 0) == 2
+        assert serve_slot(queues, np.array([0, 1]), 0) == 2
         queues.check_conservation()
 
     def test_duplicate_in_a_slot_the_window_never_reaches_is_not_played(self):

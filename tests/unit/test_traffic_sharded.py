@@ -189,7 +189,7 @@ def test_repair_keeps_feasible_slots_verbatim(mesh):
     kept, report = repair(combined, mesh.links, model, np.arange(mesh.links.n_links))
     assert report.repaired_tx == report.repair_rounds == report.violations == 0
     assert [k.tolist() for k in kept] == [[0], [1], [2], [3]]
-    assert report.margins.size == 4 and report.margin_min >= 1.0
+    assert report.margins.size == 4 and report.margins.min() >= 1.0
 
 
 def test_repair_drops_empty_slots(mesh):

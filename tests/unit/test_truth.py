@@ -18,6 +18,7 @@ from repro.scheduling.links import forest_link_set
 from repro.topology.commgraph import communication_csr
 from repro.topology.network import grid_network
 from repro.traffic import EpochConfig, PoissonArrivals, centralized_scheduler, run_epochs
+from tests.conftest import counter_value, metric
 
 RADIO = RadioConfig()
 
@@ -117,20 +118,13 @@ class TestTruthReport:
         )
         assert report.margins.size == 4
         assert report.violations == int((report.margins < 1.0).sum()) >= 1
-        assert report.margin_min == report.margins.min() < 1.0
+        assert report.margins.min() < 1.0
         assert report.repaired_tx == report.repair_rounds == 0
-
-    def test_histogram_bins_every_member(self):
-        report = truth.TruthReport(1, np.asarray([0.0, 0.7, 1.0, 1.3, 3.0, 50.0]))
-        counts = report.histogram()
-        assert counts.size == len(truth.MARGIN_EDGES) - 1
-        assert counts.sum() == 6
-        assert counts[:2].sum() == 2  # below 1: the violations' bins
 
     def test_empty_report(self):
         geometry, _, _ = _line([0.0, 30.0])
         report = truth.check_slots(geometry, [], RADIO.noise_mw, RADIO.beta)
-        assert report.violations == 0 and report.margin_min == float("inf")
+        assert report.violations == 0 and report.margins.size == 0
 
 
 class TestEpochLoopBooksTheReport:
@@ -162,13 +156,13 @@ class TestEpochLoopBooksTheReport:
         trace = self._run(sparse_mesh, obs)
         labels = {"engine": "epoch", "phase": "epoch.schedule"}
         registry = obs.registry
-        assert registry.counter_value("truth.violations", **labels) > 0
-        repaired = registry.counter_value("truth.repaired_tx", **labels)
-        assert 0 < repaired <= registry.counter_value("truth.violations", **labels)
-        assert registry.counter_value("truth.repair_rounds", **labels) >= 2
-        margins = registry.histogram("sinr.margin", **labels)
-        assert margins.count == sum(r.demand_scheduled for r in trace.records)
-        assert margins.min >= 1.0
+        assert counter_value(registry, "truth.violations", **labels) > 0
+        repaired = counter_value(registry, "truth.repaired_tx", **labels)
+        assert 0 < repaired <= counter_value(registry, "truth.violations", **labels)
+        assert counter_value(registry, "truth.repair_rounds", **labels) >= 2
+        margins = metric(registry, "sinr.margin", **labels)
+        assert margins["count"] == sum(r.demand_scheduled for r in trace.records)
+        assert margins["min"] >= 1.0
 
         text = summarize_run(obs.export())
         assert "Exact-model truth" in text
