@@ -227,6 +227,26 @@ def run_by_theorem4(
     election per construction step), AFDD's refresh SCREAMs otherwise (one
     election per round, then that many SCREAMs per later step).
     """
+    demanded = theorem4_order(links, runtime, config)
+    if demanded is None:
+        return None
+    [pack] = first_fit_dense(
+        SlotArena(runtime.theorem4_model),
+        [links.heads[demanded]],
+        [links.tails[demanded]],
+        [links.demand[demanded]],
+        count_vetoes=True,
+    )
+    return theorem4_result(links, runtime, config, refresh_screams, demanded, pack)
+
+
+def theorem4_order(
+    links: LinkSet, runtime: Runtime, config: ProtocolConfig
+) -> np.ndarray | None:
+    """The demanded links in the order :func:`run_by_theorem4` packs them
+    on ``runtime.theorem4_model``, or ``None`` where the run has no closed
+    form before packing (a substrate that does not saturate, a link that
+    does not decode alone, a head ID wider than ``id_bits``)."""
     model = runtime.theorem4_model
     if model is None:
         return None
@@ -239,9 +259,23 @@ def run_by_theorem4(
         and feasible_alone(model, heads, tails).all()  # FDD ends, the packer raises
     ):
         return None
-    slots, last, vetoes = first_fit_dense(
-        SlotArena(model), heads, tails, links.demand[demanded], count_vetoes=True
-    )
+    return demanded
+
+
+def theorem4_result(
+    links: LinkSet,
+    runtime: Runtime,
+    config: ProtocolConfig,
+    refresh_screams: int | None,
+    demanded: np.ndarray,
+    pack: tuple,
+) -> ProtocolResult | None:
+    """:func:`run_by_theorem4`'s run from the ``first_fit_dense`` pack of
+    the :func:`theorem4_order` links: the schedule, the round log and the
+    tally, booked on ``runtime``; ``None`` if it would exceed
+    ``max_rounds``."""
+    slots, last, vetoes, _ = pack
+    heads = links.heads[demanded]
     n_rounds = len(slots)
     if n_rounds >= _max_rounds(links, config):
         return None

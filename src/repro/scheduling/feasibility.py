@@ -272,9 +272,11 @@ class SlotArena:
         self._ai[new] = ai
         self._m = new.stop
 
-    def add(self, slot, sender: int, receiver: int) -> None:
-        """Admit the link to a slot, or to several distinct slots at once,
-        unconditionally (caller pre-approved).
+    def add(self, slot, sender, receiver) -> None:
+        """Admit a link to a slot, or links to several distinct slots at
+        once, unconditionally (caller pre-approved): ``sender`` /
+        ``receiver`` are one link for every slot, or one per slot of
+        ``slot`` (the lanes of a lockstep pack).
 
         The scalar per-slot fold, bit for bit: existing
         members' sums grow element-wise by the newcomer's contribution, and
@@ -288,42 +290,48 @@ class SlotArena:
         written, if an endpoint already sends or receives in a slot: the
         slot tables hold one member per node per slot.
         """
-        into = np.atleast_1d(slot).tolist()
+        into = np.atleast_1d(slot)
         if self._use_sparse:
-            self.add_many(into, [sender] * len(into), [receiver] * len(into))
+            self.add_many(into, [sender] * into.size, [receiver] * into.size)
             return
-        self._ensure_capacity(len(into))
+        self._ensure_capacity(into.size)
         # The target slots' member rows (ascending) and positions in ``into``.
         where = np.full(self.n_slots, -1)
-        where[into] = np.arange(len(into))
+        where[into] = np.arange(into.size)
         key = where[self._slot_id[: self._m]]
         r = np.flatnonzero(key >= 0)
         key = key[r]
         k = r.size
         ms = self._msnd[r]
         mr = self._mrcv[r]
+        cs, cr = sender, receiver
+        if isinstance(sender, np.ndarray):  # one link per slot
+            cs, cr = sender[key], receiver[key]
         # One fused gather for all four member/newcomer power reads — a
         # pure gather, so splitting it differently never changes a value,
         # and the bincount sums below keep their exact order.
         nodes = self._power.shape[0]
-        to_members = (mr + sender * nodes, ms + receiver * nodes)
-        from_members = (ms * nodes + receiver, mr * nodes + sender)
+        to_members = (mr + cs * nodes, ms + cr * nodes)
+        from_members = (ms * nodes + cr, mr * nodes + cs)
         vals = self._flat.take(np.concatenate(to_members + from_members))
         self._di[r] += vals[:k]
         self._ai[r] += vals[k : 2 * k]
-        new_di = np.bincount(key, weights=vals[2 * k : 3 * k], minlength=len(into))
-        new_ai = np.bincount(key, weights=vals[3 * k :], minlength=len(into))
+        new_di = np.bincount(key, weights=vals[2 * k : 3 * k], minlength=into.size)
+        new_ai = np.bincount(key, weights=vals[3 * k :], minlength=into.size)
         self._append(into, sender, receiver, new_di, new_ai)
 
-    def can_add_all(self, sender: int, receiver: int) -> np.ndarray:
+    def can_add_all(self, sender, receiver) -> np.ndarray:
         """One candidate against every slot: ``out[j] == slot j can admit``.
 
         Bit-identical, on either path, to the scalar per-slot test run
         slot by slot; sparse, it is :meth:`can_add_many` of one candidate.
+        Dense, ``sender`` / ``receiver`` may also give one candidate per
+        slot, slots with different candidates on node-disjoint blocks of
+        the power matrix (the lanes of a lockstep pack).
         """
         if self._use_sparse:
             return self.can_add_many([sender], [receiver])[0]
-        return self.admit_sinrs(sender, receiver)[0]
+        return self._dense_terms(sender, receiver)[0]
 
     def admit_sinrs(self, sender: int, receiver: int) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`can_add_all` and the candidate's ``min(data, ACK)`` SINR
@@ -341,22 +349,20 @@ class SlotArena:
             ok = self._verdicts(snd, rcv, reach)[0]
             own = sig, np.broadcast_to(self._noise + extra, 2), self._landing[listens, :n]
         else:
-            terms = self._dense_terms(sender, receiver)
-            sid, shared, cand_data, cand_ack, data_bad, ack_bad, own = terms
-            blocked = np.zeros(n, dtype=bool)
-            blocked[sid[shared | data_bad | ack_bad]] = True
-            ok = cand_data & cand_ack & ~blocked
+            ok, *_, own = self._dense_terms(sender, receiver)
         (sd, sa), (zd, za), (idata, iack) = own
         return ok, np.minimum(sd / (zd + ((idata + sd) - sd)), sa / (za + ((iack + sa) - sa)))
 
-    def _dense_terms(self, sender: int, receiver: int):
-        """The dense admission test of one candidate against every slot, in
-        pieces: per member ``sid`` (its slot), ``shared`` (an endpoint in
-        common with the candidate), ``data_bad`` / ``ack_bad`` (its data /
-        ACK below threshold with the candidate on the air); per slot
-        ``cand_data`` / ``cand_ack`` (the candidate's own data / ACK clear
-        it) and ``own`` (its data / ACK signals, noises and interference).
-        :meth:`admit_sinrs` and :meth:`handshake_verdicts` reduce them."""
+    def _dense_terms(self, sender, receiver):
+        """The dense admission test of one candidate against every slot —
+        or of candidate ``sender[j] -> receiver[j]`` against slot ``j``,
+        where slots with different candidates lie on node-disjoint blocks
+        of the power matrix (the lanes of a lockstep pack): per slot the
+        verdict, then per member ``sid`` (its slot), its candidate's
+        endpoints, ``data_bad`` / ``ack_bad`` (its data / ACK below
+        threshold with its candidate on the air), and per slot
+        ``cand_data`` (the candidate's own data clears it) and ``own`` (its
+        data / ACK signals, noises and interference)."""
         n = self.n_slots
         noise = self._noise
         beta = self._beta
@@ -369,8 +375,14 @@ class SlotArena:
         mrcv = self._mrcv[:m]
         di = self._di[:m]
         ai = self._ai[:m]
-
-        ends = np.zeros(self._power.shape[0], dtype=bool)
+        nodes = self._power.shape[0]
+        pair = [sender * nodes + receiver, receiver * nodes + sender]
+        if isinstance(sender, np.ndarray):  # one candidate per slot
+            cs, cr = sender[sid], receiver[sid]
+            pair = np.concatenate(pair)
+        else:
+            cs, cr = sender, receiver
+        ends = np.zeros(nodes, dtype=bool)
         ends[sender] = ends[receiver] = True
         shared = ends[msnd] | ends[mrcv]
 
@@ -379,31 +391,35 @@ class SlotArena:
         # lookups differently can never change a value, so the verdicts
         # below stay bit-identical to the unfused formula).
         k = sid.size
-        nodes = self._power.shape[0]
         srow, rrow = msnd * nodes, mrcv * nodes
-        pair = [sender * nodes + receiver, receiver * nodes + sender]
-        cross = (srow + receiver, rrow + sender, mrcv + sender * nodes, msnd + receiver * nodes)
+        cross = (srow + cr, rrow + cs, mrcv + cs * nodes, msnd + cr * nodes)
         vals = self._flat.take(np.concatenate((pair, *cross, srow + mrcv, rrow + msnd)))
-        seg = [slice(i * k + 2, (i + 1) * k + 2) for i in range(6)]
+        c = len(pair) // 2
+        own_data, own_ack = (vals[0], vals[1]) if c == 1 else (vals[:c], vals[c : 2 * c])
+        seg = [slice(2 * c + i * k, 2 * c + (i + 1) * k) for i in range(6)]
 
         new_data_interf = np.bincount(sid, weights=vals[seg[0]], minlength=n)
         new_ack_interf = np.bincount(sid, weights=vals[seg[1]], minlength=n)
-        cand_data = ~(vals[0] < beta * (data_noise + new_data_interf))
-        cand_ack = ~(vals[1] < beta * (ack_noise + new_ack_interf))
+        cand_data = ~(own_data < beta * (data_noise + new_data_interf))
+        cand_ack = ~(own_ack < beta * (ack_noise + new_ack_interf))
 
         member_data_noise = noise if budget is None else noise + budget[mrcv]
         member_ack_noise = noise if budget is None else noise + budget[msnd]
         data_bad = vals[seg[4]] < beta * (member_data_noise + (di + vals[seg[2]]))
         ack_bad = vals[seg[5]] < beta * (member_ack_noise + (ai + vals[seg[3]]))
-        own = vals[:2], (data_noise, ack_noise), (new_data_interf, new_ack_interf)
-        return sid, shared, cand_data, cand_ack, data_bad, ack_bad, own
+        blocked = np.zeros(n, dtype=bool)
+        blocked[sid[shared | data_bad | ack_bad]] = True
+        ok = cand_data & cand_ack & ~blocked & (sender != receiver)
+        own = (own_data, own_ack), (data_noise, ack_noise), (new_data_interf, new_ack_interf)
+        return ok, sid, (cs, cr), data_bad, ack_bad, cand_data, own
 
-    def handshake_verdicts(self, sender: int, receiver: int) -> tuple[np.ndarray, np.ndarray]:
+    def handshake_verdicts(self, sender, receiver) -> tuple[np.ndarray, np.ndarray]:
         """Dense arena: :meth:`can_add_all` plus, per slot, whether a
         member would *object* — fail its own two-way handshake with the
         candidate on the air, as FDD's construction step runs it (every
         member and the candidate send data; only receivers that decoded
-        answer with an ACK; a node that transmits is deaf).
+        answer with an ACK; a node that transmits is deaf).  ``sender`` /
+        ``receiver`` are one candidate, or one per slot.
 
         A member objects iff its receiver is the candidate's sender (deaf),
         or some member's data fails, or the candidate's data decodes and
@@ -416,7 +432,7 @@ class SlotArena:
         if self._use_sparse:
             raise ValueError("handshake_verdicts needs a dense power matrix")
         n = self.n_slots
-        sid, shared, cand_data, cand_ack, data_bad, ack_bad, _ = self._dense_terms(
+        admits, sid, (cs, cr), data_bad, ack_bad, cand_data, _ = self._dense_terms(
             sender, receiver
         )
 
@@ -425,9 +441,8 @@ class SlotArena:
 
         data_objects = per_slot(data_bad)
         ack_objects = per_slot(ack_bad)
-        admits = cand_data & cand_ack & ~per_slot(shared) & ~data_objects & ~ack_objects
-        deaf_member = per_slot(self._mrcv[: self._m] == sender)
-        deaf_candidate = per_slot(self._msnd[: self._m] == receiver)
+        deaf_member = per_slot(self._mrcv[: self._m] == cs)
+        deaf_candidate = per_slot(self._msnd[: self._m] == cr)
         objects = deaf_member | data_objects | (cand_data & ~deaf_candidate & ack_objects)
         return admits, objects
 

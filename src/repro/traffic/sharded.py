@@ -44,10 +44,14 @@ then reproduces :func:`~repro.traffic.epoch.run_epochs` epoch-for-epoch
 locks this down).
 
 The regions of a federated mesh compute concurrently in the field; the
-simulation schedules them one after another in the caller's thread and
-models that concurrency as the per-epoch critical path (the maximum of the
-shards' scheduling CPU).  Each shard's scheduler draws from its own RNG
-substream and the superposition is assembled in shard order.
+simulation schedules them in the caller's thread and models that
+concurrency as the per-epoch critical path (the maximum of the shards'
+scheduling CPU).  A shard whose scheduler is one dense first-fit pack in
+closed form (a :class:`ShardLane`) is a lane of one lockstep
+``first_fit_dense`` shared by all such shards, its share of that call's
+CPU its work's; the others run one after another.  Each shard's scheduler
+draws from its own RNG substream and the superposition is assembled in
+shard order.
 """
 
 from __future__ import annotations
@@ -62,8 +66,11 @@ import numpy as np
 from repro.core.controlplane import ControlLedger, ControlPlaneModel
 from repro.obs import Obs, phase
 from repro.phy.interference import PhysicalInterferenceModel
-from repro.scheduling.greedy_physical import repair
+from repro.scheduling.feasibility import SlotArena, feasible_alone
+from repro.scheduling.greedy_physical import first_fit_dense, repair
 from repro.scheduling.links import LinkSet
+from repro.scheduling.orderings import order_by_id
+from repro.scheduling.schedule import Schedule, Slot
 from repro.topology.regions import GridTiling
 from repro.traffic.epoch import (
     EpochConfig,
@@ -298,13 +305,59 @@ ShardSchedulerFactory = Callable[
 ]
 
 
+@dataclass(frozen=True)
+class ShardLane:
+    """A shard scheduler's closed form — one dense first-fit pack of
+    ``model``, its dense model cut to the shard's nodes, counting FDD's
+    vetoes or not — which the engine packs as a lane of one lockstep
+    ``first_fit_dense``.  ``open(links, epoch)`` returns the epoch's pack
+    (endpoints in ``model``'s numbering, demands) and the ``finish(pack)``
+    that makes the lane's ``first_fit_dense`` result the epoch's schedule,
+    each ``None`` where the closed form does not apply and the engine calls
+    the scheduler."""
+
+    model: PhysicalInterferenceModel
+    vetoes: bool
+    open: Callable
+
+
 def sharded_centralized_factory() -> ShardSchedulerFactory:
-    """Per-shard GreedyPhysical on the shard's budgeted oracle."""
+    """Per-shard GreedyPhysical on the shard's budgeted oracle; on a dense
+    model, each shard's pack is a lane of the engine's lockstep pack."""
 
     def factory(
         shard: LinkShard, shard_model: PhysicalInterferenceModel
     ) -> EpochSchedulerFn:
-        return centralized_scheduler(shard_model)
+        schedule = centralized_scheduler(shard_model)
+        if getattr(shard_model.power, "is_sparse_power", False):
+            return schedule
+        nodes = np.unique(np.concatenate([shard.links.heads, shard.links.tails]))
+        budget = shard_model.budget_mw
+
+        def open_lane(links: LinkSet, epoch: int):
+            # greedy_physical's dense pack; a link that cannot decode alone
+            # is the scheduler's to refuse.
+            order = order_by_id(links, shard_model)
+            demanded = order[links.demand[order] > 0]
+            heads, tails = links.heads[demanded], links.tails[demanded]
+            if not feasible_alone(shard_model, heads, tails).all():
+                return None
+
+            def finish(pack) -> EpochSchedule:
+                ids = demanded.tolist()
+                packed = [Slot(links=[ids[p] for p in members]) for members in pack[0]]
+                return EpochSchedule(Schedule(link_set=links, slots=packed))
+
+            ends = np.searchsorted(nodes, heads), np.searchsorted(nodes, tails)
+            return (*ends, links.demand[demanded], finish)
+
+        cut = replace(
+            shard_model,
+            power=shard_model.power[np.ix_(nodes, nodes)],
+            budget_mw=None if budget is None else budget[nodes],
+        )
+        schedule.lane = ShardLane(cut, False, open_lane)
+        return schedule
 
     return factory
 
@@ -343,10 +396,17 @@ def sharded_distributed_factory(
     ``("epoch", e)`` derivation on the full network, keeping the
     equivalence harness honest.
     """
+    from repro.core.afdd import AFDD_REFRESH_SCREAMS, afdd_on_network
     from repro.core.config import ProtocolConfig
+    from repro.core.fast_runtime import FastRuntime
+    from repro.core.fdd import fdd_on_network
+    from repro.core.protocol import theorem4_order, theorem4_result
     from repro.core.timing import TimingModel
     from repro.util.rng import freeze_root, spawn
 
+    # The protocols whose fault-free runs take Theorem 4's closed form, and
+    # their selection cost (``run_by_theorem4``'s ``refresh_screams``).
+    closed_forms = {fdd_on_network: None, afdd_on_network: AFDD_REFRESH_SCREAMS}
     cfg = config or ProtocolConfig()
     price = TimingModel(scream_bytes=cfg.smbytes)
     root = freeze_root(seed)
@@ -409,16 +469,18 @@ def sharded_distributed_factory(
         local_heads = local_of[shard.links.heads]
         local_tails = local_of[shard.links.tails]
 
-        def schedule(links: LinkSet, epoch: int) -> EpochSchedule:
-            local_links = LinkSet(
+        def local(links: LinkSet) -> LinkSet:
+            return LinkSet(
                 heads=local_heads,
                 tails=local_tails,
                 demand=links.demand,
                 ids=local_heads.astype(np.int64),
             )
+
+        def schedule(links: LinkSet, epoch: int) -> EpochSchedule:
             result = protocol(
                 subnet,
-                local_links,
+                local(links),
                 shard_cfg,
                 rng=spawn(root, "shard", shard.index, "epoch", epoch),
                 model=sub_model,
@@ -427,9 +489,47 @@ def sharded_distributed_factory(
             # order, which is exactly what the superposition expects.
             return EpochSchedule(result.schedule, price.execution_time(result.tally))
 
+        if protocol not in closed_forms:
+            return schedule
+
+        def open_lane(links: LinkSet, epoch: int):
+            # run_by_theorem4 on the substrate the protocol would build,
+            # its pack left to the engine.
+            links = local(links)
+            runtime = FastRuntime.for_network(subnet, shard_cfg, model=sub_model)
+            demanded = theorem4_order(links, runtime, shard_cfg)
+            if demanded is None:
+                return None
+
+            def finish(pack) -> EpochSchedule | None:
+                refresh = closed_forms[protocol]
+                result = theorem4_result(links, runtime, shard_cfg, refresh, demanded, pack)
+                if result is None:
+                    return None
+                return EpochSchedule(result.schedule, price.execution_time(result.tally))
+
+            ends = links.heads[demanded], links.tails[demanded]
+            return (*ends, links.demand[demanded], finish)
+
+        schedule.lane = ShardLane(sub_model, True, open_lane)
         return schedule
 
     return factory
+
+
+def _block_diagonal(models: list[PhysicalInterferenceModel]):
+    """One dense model (``models``' radio) whose power is the block-diagonal
+    of theirs, each block with its model's budget — an exact ``0.0`` where
+    a model has none, which moves no verdict — and each block's first node."""
+    ends = np.cumsum([0] + [m.n_nodes for m in models]).tolist()
+    power = np.zeros((ends[-1], ends[-1]))
+    budget = np.zeros(ends[-1])
+    for m, lo, hi in zip(models, ends, ends[1:]):
+        power[lo:hi, lo:hi] = m.power
+        if m.budget_mw is not None:
+            budget[lo:hi] = m.budget_mw
+    budget = budget if budget.any() else None
+    return PhysicalInterferenceModel(power, models[0].radio, budget), ends[:-1]
 
 
 class ShardScheduleError(RuntimeError):
@@ -480,14 +580,21 @@ def run_epochs_sharded(
     state of its own (a :class:`~repro.traffic.incremental.ScheduleCache`,
     say) is called like any other; its records carry no cache decisions.
 
+    Shards whose schedulers carry a :class:`ShardLane` are packed
+    together, as lanes of one lockstep ``first_fit_dense`` on an arena
+    over the block-diagonal of their models (built once per run), and
+    each lane's schedule is finished as its scheduler would; the others,
+    and lanes whose closed form does not apply, call their scheduler.
+
     ``max_workers`` and ``executor`` change nothing.  They are still
     validated (``max_workers >= 1``; ``executor`` is ``"thread"`` or
     ``"process"``) for the callers that pass them, such as the perf
     ledger's ``sharded_24x24`` workload.  The regions' concurrency is
-    modelled, not run: each shard's ``sharded.schedule`` span measures its
-    thread CPU, an epoch's compute is the sum and its critical path the
-    maximum (DESIGN.md §8), and ``scheduling_wall_seconds`` is the wall of
-    the serial fan-out.
+    modelled, not run: every ``sharded.schedule`` span (the lockstep call,
+    labelled ``lanes``, or one shard's call) measures its thread CPU, the
+    lockstep call's split over its lanes by their work; an epoch's compute
+    is the sum and its critical path the maximum over shards (DESIGN.md
+    §8), and ``scheduling_wall_seconds`` is the wall of the whole stage.
 
     *Overhead accounting*: shards compute in parallel in a federated
     deployment, so the epoch is charged the **maximum** of the shard
@@ -521,20 +628,71 @@ def run_epochs_sharded(
         scheduler_factory(shard, model.with_budget(shard.budget_mw))
         for shard in plan.shards
     ]
+    # The shards whose schedulers pack in closed form are lanes of one
+    # arena, over the block-diagonal of their models built once per run.
+    lanes = {
+        shard.index: scheduler.lane
+        for shard, scheduler in zip(plan.shards, schedulers)
+        if getattr(scheduler, "lane", None) is not None
+    }
+    if lanes:
+        arena_model, offsets = _block_diagonal([lane.model for lane in lanes.values()])
+        offset = dict(zip(lanes, offsets))
+
+    def pack_lanes(laned: list[int], demand: dict, epoch: int, planned: dict) -> dict:
+        """The ``laned`` shards' schedules from one lockstep pack, into
+        ``planned`` (``None`` where the closed form does not apply), and
+        each packed lane's work."""
+        opened = {}
+        for i in laned:
+            try:
+                opened[i] = lanes[i].open(demand[i], epoch)
+            except Exception as exc:
+                raise ShardScheduleError(i, epoch, exc) from exc
+        packed = [i for i in laned if opened[i] is not None]
+        results = first_fit_dense(
+            SlotArena(arena_model),
+            [opened[i][0] + offset[i] for i in packed],
+            [opened[i][1] + offset[i] for i in packed],
+            [opened[i][2] for i in packed],
+            any(lanes[i].vetoes for i in packed),
+        )
+        for i, pack in zip(packed, results):
+            try:
+                planned[i] = opened[i][3](pack)
+            except Exception as exc:
+                raise ShardScheduleError(i, epoch, exc) from exc
+        return {i: pack[3] for i, pack in zip(packed, results)}
+
     # Overflow slots are packed in ascending link order, whatever order the
     # violations surfaced in.
     ascending = np.arange(plan.links.n_links)
 
     def stage(snapshot: np.ndarray, epoch: int) -> ScheduledRound:
         asked = [s for s in plan.shards if snapshot[s.link_indices].sum() > 0]
-        planned: list[EpochSchedule] = []
+        demand = {s.index: replace(s.links, demand=snapshot[s.link_indices]) for s in asked}
+        planned: dict[int, EpochSchedule | None] = {}
         # Per-shard thread CPU.  Sum = compute the simulation performed;
         # max = the epoch's scheduling phase when every region runs on its
-        # own controller, as a federated deployment experiences it.
-        secs: list[float] = []
+        # own controller, as a federated deployment experiences it.  The
+        # lockstep pack's CPU is split over its lanes by their work.
+        secs: dict[int, float] = {}
         wall0 = time.perf_counter()
+        laned = [s.index for s in asked if s.index in lanes]
+        if laned:
+            with phase(
+                obs, "sharded.schedule", measure=True, engine="sharded", epoch=epoch,
+                lanes=laned,
+            ) as span:
+                work = pack_lanes(laned, demand, epoch, planned)
+            if span.cpu_s is not None:
+                if not any(work.values()):  # nothing packed: an even split
+                    work = dict.fromkeys(laned, 1)
+                total = sum(work.values())
+                secs.update((i, span.cpu_s * w / total) for i, w in work.items())
         for shard in asked:
-            demand_links = replace(shard.links, demand=snapshot[shard.link_indices])
+            if planned.get(shard.index) is not None:
+                continue
             with phase(
                 obs,
                 "sharded.schedule",
@@ -544,12 +702,14 @@ def run_epochs_sharded(
                 shard=shard.index,
             ) as span:
                 try:
-                    planned.append(schedulers[shard.index](demand_links, epoch))
+                    scheduler = schedulers[shard.index]
+                    planned[shard.index] = scheduler(demand[shard.index], epoch)
                 except Exception as exc:
                     raise ShardScheduleError(shard.index, epoch, exc) from exc
             if span.cpu_s is not None:
-                secs.append(span.cpu_s)
+                secs[shard.index] = secs.get(shard.index, 0.0) + span.cpu_s
         wall_s = time.perf_counter() - wall0
+        planned = [planned[s.index] for s in asked]
 
         # Superpose by slot index: combined slot t is every shard's slot t,
         # in shard order (shards shorter than the round contribute nothing
@@ -599,8 +759,8 @@ def run_epochs_sharded(
             # control messages serialize on shared air, so the loop's
             # pricing adds them on top of the slowest shard.
             overhead_seconds=max(p.overhead_seconds for p in planned),
-            cpu_s=sum(secs) if secs else None,
-            critical_s=max(secs) if secs else None,
+            cpu_s=sum(secs.values()) if secs else None,
+            critical_s=max(secs.values()) if secs else None,
             wall_s=wall_s,
             reconciled=reconciled,
             truth=truth,

@@ -17,7 +17,13 @@
   validated.
 * Multi-shard sanity: conservation, feasible reconciled rounds, and
   shard-aware accounting on a real 4-shard run.
-* Failure: a raising shard scheduler surfaces as
+* Lockstep lanes: the shards whose library schedulers pack in closed form
+  are packed as lanes of one lockstep pack.  On E9's 16x16 and 24x24 plans
+  every region's FDD books the tally and schedule it books alone on its
+  sub-network, and plans that mix laned shards with shards called alone
+  (PDD, a custom factory, lanes past ``max_rounds``) serve exactly what
+  calling every shard alone serves.
+* Failure: a raising shard scheduler — or shard lane — surfaces as
   :class:`ShardScheduleError` naming the shard and epoch and poisons the
   queues (the monolithic engine fails through the same loop, re-raising the
   scheduler's own exception).
@@ -32,9 +38,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.core import protocol as protocol_module
 from repro.core.controlplane import ControlPlaneModel
 from repro.core.fdd import fdd_on_network
-from repro.experiments.common import PAPER_PROTOCOL, grid_scenario
+from repro.core.pdd import pdd_on_network
+from repro.experiments.common import FULL, PAPER_PROTOCOL, grid_mesh, grid_scenario
+from repro.experiments.sharded import backbone_protocol, sharded_plan
 from repro.obs import Obs, ObsConfig
 from repro.phy.radio import RateTable
 from repro.traffic import (
@@ -499,3 +508,140 @@ def test_shard_scheduler_exception_is_annotated_and_poisons_queues(
         queues.arrive(np.zeros(network.n_nodes, dtype=np.int64), 0)
     with pytest.raises(RuntimeError, match="unusable"):
         serve_slot(queues, np.array([], dtype=np.intp), 0)
+
+
+@pytest.mark.parametrize("side, rate", [(16, 0.002), (24, 0.0012)], ids=["16x16", "24x24"])
+def test_lockstep_regions_book_what_each_region_books_alone(side, rate, monkeypatch):
+    """E9's plan: every region's FDD, packed as a lane of the lockstep pack,
+    books the StepTally (hence the overhead) and the schedule that
+    ``fdd_on_network`` books for it alone on its sub-network."""
+    network, gateways, links = grid_mesh(FULL, side, side, "sharded-forest", side)
+    plan = sharded_plan(links, network)
+    config = EpochConfig(epoch_slots=300, n_epochs=3)
+
+    def run(protocol):
+        factory = sharded_distributed_factory(
+            network, protocol, config=backbone_protocol(network), seed=3
+        )
+        generator = PoissonArrivals(network.n_nodes, rate, gateways=gateways, seed=5)
+        return run_epochs_sharded(plan, generator, factory, network.model, config)
+
+    alone, laned = [], []
+
+    def regional_fdd(*args, **kwargs):  # no library protocol: called alone
+        result = fdd_on_network(*args, **kwargs)
+        alone.append((result.tally, result.schedule.slots))
+        return result
+
+    reference = run(regional_fdd)
+    finish = protocol_module.theorem4_result
+
+    def recording(*args):
+        result = finish(*args)
+        laned.append((result.tally, result.schedule.slots))
+        return result
+
+    monkeypatch.setattr(protocol_module, "theorem4_result", recording)
+    assert_traces_identical(run(fdd_on_network), reference)
+    assert len(alone) >= plan.n_shards * config.n_epochs
+    assert laned == alone
+
+
+def _mixed_factory(first, rest, alone):
+    """Shard 0 from the library factory ``first``, the others from
+    ``rest``; with ``alone``, every scheduler is called on its own."""
+
+    def factory(shard, shard_model):
+        scheduler = (first if shard.index == 0 else rest)(shard, shard_model)
+        if alone:
+            return lambda links, epoch: scheduler(links, epoch)
+        return scheduler
+
+    return factory
+
+
+def _custom(shard, shard_model):
+    return centralized_scheduler(shard_model)
+
+
+@pytest.mark.parametrize("kind", ["fdd+pdd", "greedy+custom"])
+def test_mixed_lanes_and_shards_serve_what_every_shard_alone_serves(mesh, kind):
+    """One closed-form lane beside shards the engine calls one by one: the
+    run is the one in which every shard is called alone, and the lane ran
+    in a lockstep span of its own."""
+    plan = plan_for_network(mesh.links, mesh.network, n_shards=4,
+                            interference_radius_m=80.0)
+    config = EpochConfig(epoch_slots=150, n_epochs=4, divergence_factor=4.0)
+    if kind == "fdd+pdd":
+        first = sharded_distributed_factory(
+            mesh.network, fdd_on_network, config=PAPER_PROTOCOL, seed=29
+        )
+        rest = sharded_distributed_factory(
+            mesh.network, pdd_on_network, config=PAPER_PROTOCOL, seed=29
+        )
+    else:
+        first, rest = sharded_centralized_factory(), _custom
+
+    def run(alone):
+        obs = _spans_obs()
+        trace = run_epochs_sharded(
+            plan, _generator(mesh), _mixed_factory(first, rest, alone),
+            mesh.network.model, config, obs=obs,
+        )
+        return trace, [
+            span.labels for span in obs.recorder.spans if span.name == "sharded.schedule"
+        ]
+
+    (laned, spans), (reference, alone_spans) = run(False), run(True)
+    assert_traces_identical(laned, reference)
+    assert any(labels.get("lanes") == [0] for labels in spans)
+    assert not any(labels.get("shard") == 0 for labels in spans)
+    assert not any("lanes" in labels for labels in alone_spans)
+
+
+def test_a_raising_lane_is_annotated_with_its_shard(mesh):
+    def factory(shard, shard_model):
+        scheduler = sharded_centralized_factory()(shard, shard_model)
+        if shard.index == 1:
+
+            def melt(links, epoch):
+                raise ValueError("synthetic lane meltdown")
+
+            scheduler.lane = replace(scheduler.lane, open=melt)
+        return scheduler
+
+    plan = plan_for_network(mesh.links, mesh.network, n_shards=4,
+                            interference_radius_m=80.0)
+    config = EpochConfig(epoch_slots=150, n_epochs=3, divergence_factor=4.0)
+    with pytest.raises(ShardScheduleError) as err:
+        run_epochs_sharded(plan, _generator(mesh), factory, mesh.network.model, config)
+    assert err.value.shard_index == 1 and err.value.epoch == 0
+    assert "synthetic lane meltdown" in str(err.value)
+
+
+def test_a_lane_past_max_rounds_is_rescheduled_alone(mesh):
+    """A lane whose pack would exceed ``max_rounds`` has no closed form after
+    all: the engine calls its scheduler, which steps the protocol, and the
+    run is the one in which every region is called alone."""
+    plan = plan_for_network(mesh.links, mesh.network, n_shards=4,
+                            interference_radius_m=80.0)
+    config = EpochConfig(epoch_slots=150, n_epochs=3, divergence_factor=4.0)
+    capped = replace(PAPER_PROTOCOL, max_rounds=4)
+    factory = sharded_distributed_factory(
+        mesh.network, fdd_on_network, config=capped, seed=29
+    )
+
+    def run(alone):
+        obs = _spans_obs()
+        trace = run_epochs_sharded(
+            plan, _generator(mesh, rate=0.03), _mixed_factory(factory, factory, alone),
+            mesh.network.model, config, obs=obs,
+        )
+        return trace, [s.labels for s in obs.recorder.spans if s.name == "sharded.schedule"]
+
+    (laned, spans), (reference, _) = run(False), run(True)
+    assert_traces_identical(laned, reference)
+    # Lanes opened, and some fell back to their own call in the same epoch.
+    packed = {(l["epoch"], i) for l in spans if "lanes" in l for i in l["lanes"]}
+    alone = {(l["epoch"], l["shard"]) for l in spans if "shard" in l}
+    assert packed & alone
