@@ -199,9 +199,9 @@ def test_lockstep_lanes_pack_faster_than_serial_packs():
         )
 
     alone, together = serial(), lockstep()
-    for (slots, last, vetoes, work), got in zip(alone, together):
+    for (slots, last, vetoes), got in zip(alone, together):
         assert got[0] == slots and got[1].tolist() == last.tolist()
-        assert got[2:] == (vetoes, work)
+        assert got[2] == vetoes
     assert sum(len(slots) for slots, *_ in alone) > 4 * 10  # real packs
 
     best = {serial: float("inf"), lockstep: float("inf")}

@@ -274,7 +274,7 @@ def theorem4_result(
     the :func:`theorem4_order` links: the schedule, the round log and the
     tally, booked on ``runtime``; ``None`` if it would exceed
     ``max_rounds``."""
-    slots, last, vetoes, _ = pack
+    slots, last, vetoes = pack
     heads = links.heads[demanded]
     n_rounds = len(slots)
     if n_rounds >= _max_rounds(links, config):

@@ -262,6 +262,21 @@ class SlotArena:
             ai += ack[:, :, q]
         self._append(slots, snd, rcv, di[at, pos], ai[at, pos])
 
+    def insert(self, slots, senders, receivers) -> None:
+        """Dense: open one slot per link ``senders[i] -> receivers[i]``,
+        alone and untested, at ``slots`` — ascending positions in the
+        numbering after the insertion.  The existing slots fill the other
+        positions in their order, their members unchanged; appending (every
+        position past them) renumbers nothing, and is :meth:`seed` of
+        singletons."""
+        at = np.asarray(slots, dtype=np.intp)
+        if at[0] < self.n_slots:
+            kept = np.delete(np.arange(self.n_slots + at.size), at)
+            self._slot_id[: self._m] = kept[self._slot_id[: self._m]]
+        self.n_slots += at.size
+        self._ensure_capacity(at.size)
+        self._append(at, senders, receivers, 0.0, 0.0)
+
     def _append(self, slots: list[int], senders, receivers, di, ai) -> None:
         """Write one member row per entry of ``slots`` (capacity ensured)."""
         new = slice(self._m, self._m + len(slots))
@@ -409,7 +424,7 @@ class SlotArena:
         ack_bad = vals[seg[5]] < beta * (member_ack_noise + (ai + vals[seg[3]]))
         blocked = np.zeros(n, dtype=bool)
         blocked[sid[shared | data_bad | ack_bad]] = True
-        ok = cand_data & cand_ack & ~blocked & (sender != receiver)
+        ok = cand_data & cand_ack & ~blocked
         own = (own_data, own_ack), (data_noise, ack_noise), (new_data_interf, new_ack_interf)
         return ok, sid, (cs, cr), data_bad, ack_bad, cand_data, own
 

@@ -22,6 +22,7 @@ same pass the sharded engine runs on every superposed round.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -142,7 +143,7 @@ def first_fit_pack(
     want = demand[demanded]
     if getattr(model.power, "is_sparse_power", False):
         return _pack_waves(arena, model.power, demanded, heads, tails, want)
-    [(slots, _, _, _)] = first_fit_dense(arena, [heads], [tails], [want], count_vetoes=False)
+    [(slots, _, _)] = first_fit_dense(arena, [heads], [tails], [want], count_vetoes=False)
     ids = demanded.tolist()
     return [Slot(links=[ids[p] for p in members]) for members in slots]
 
@@ -153,7 +154,7 @@ def first_fit_dense(
     tails: list[np.ndarray],
     want: list[np.ndarray],
     count_vetoes: bool,
-) -> list[tuple[list[list[int]], np.ndarray, int, int]]:
+) -> list[tuple[list[list[int]], np.ndarray, int]]:
     """First-fit of ``want[s][p]`` memberships per link ``p`` of every
     *lane* ``s`` on a dense arena, each lane's links taken in the given
     order, each decoding alone.  Lanes are independent problems on
@@ -162,29 +163,21 @@ def first_fit_dense(
     only, and it reads only its own slots.  They run in lockstep, ending
     together, so one numpy pass tests the next link of every lane against
     every slot, each slot against its own lane's candidate, and one
-    ``add`` and one ``seed`` admit them all.
+    ``add`` and one ``insert`` admit them all; the arena keeps each lane's
+    slots together, in its order, so a lane reads its verdicts as a slice.
 
     Returns, per lane, each of its slots' members (positions in its order,
-    allocation order), each link's last slot (numbered within the lane),
-    the vetoes and the work: what the lane run alone returns, bit for bit,
-    whatever the other lanes.  With ``count_vetoes`` (else 0) the vetoes
-    are those FDD's construction steps would see on the way
+    allocation order), each link's last slot (numbered within the lane)
+    and the vetoes: what the lane run alone returns, bit for bit, whatever
+    the other lanes.  With ``count_vetoes`` (else 0) the vetoes are those
+    FDD's construction steps would see on the way
     (:func:`repro.core.protocol.run_by_theorem4`, Theorem 4): link ``p``
     is tried against every existing slot up to its last membership, and
     each one that refuses it because a member objects
     (:meth:`SlotArena.handshake_verdicts`) is one vetoed step.  Without
     the count, admission is :meth:`SlotArena.can_add_all`, the same
-    verdicts at fewer per-slot reductions.  The work is the lane's
-    candidate tests, each weighted by one plus the members it scanned: a
-    deterministic measure of the lane's share of a lockstep call.  One
-    lane runs the plain per-link loop, which the lockstep loop must equal:
-    the lane bookkeeping would cost it ~5 % (``fdd_8x8``'s packs, 2 vCPUs).
+    verdicts at fewer per-slot reductions.
     """
-    # Link p's test scans every membership of the links before it.
-    work = [len(w) + int(np.dot(w, np.arange(len(w))[::-1])) for w in want]
-    if len(heads) == 1:
-        slots, last, vetoes = _first_fit_lane(arena, heads[0], tails[0], want[0], count_vetoes)
-        return [(slots, last, vetoes, work[0])]
     lanes = range(len(heads))
     ws = [w.tolist() for w in want]
     steps = max(map(len, ws), default=0)
@@ -193,96 +186,60 @@ def first_fit_dense(
     # lane yet to start has no slots, and its candidate, node 0, is unread).
     start = [steps - len(w) for w in ws]
     every = [
-        np.stack([np.concatenate((np.zeros(lo, dtype=np.intp), e)) for e, lo in zip(ends, start)])
+        np.stack([np.concatenate((np.zeros(lo, dtype=np.intp), e)) for e, lo in zip(ends, start)], 1)
         for ends in (heads, tails)
     ]
     slots: list[list[list[int]]] = [[] for _ in lanes]  # every lane's, in its order
-    label = np.empty(0, dtype=np.intp)  # the lane of every slot of the arena
-    order = label  # the arena's slots lane by lane, each lane's in its order ...
-    bounds = [0 for _ in range(len(heads) + 1)]  # ... and where each lane starts
+    # The arena keeps each lane's slots together and in its order: lane s
+    # holds slots bounds[s] to bounds[s + 1] - 1, and label[j] is slot j's
+    # lane (kept for several lanes only).
+    bounds = [0 for _ in range(len(ws) + 1)]
+    label = np.empty(0, dtype=np.intp)
     last = [np.empty(len(w), dtype=np.intp) for w in ws]
     vetoes = [0 for _ in lanes]
-    for p in range(steps):
-        snd, rcv = every[0][:, p], every[1][:, p]  # every lane's candidate
-        if label.size:
-            # One pass tests every slot against its own lane's candidate;
-            # each lane then reads its own slots' verdicts, in its order.
+    one = len(ws) == 1
+    for p, (snd, rcv) in enumerate(zip(*every)):  # every lane's candidate
+        # Each slot's candidate is its lane's; a lone lane's is one for
+        # every slot, the arena's cheaper pass.
+        cand = (int(snd[0]), int(rcv[0])) if one else (snd[label], rcv[label])
+        if bounds[-1]:
+            # One pass tests every slot against its own lane's candidate.
             if count_vetoes:
-                admits, objects = arena.handshake_verdicts(snd[label], rcv[label])
-                objects = objects[order]
+                admits, objects = arena.handshake_verdicts(*cand)
             else:
-                admits = arena.can_add_all(snd[label], rcv[label])
-            admits = admits[order]
-        joins: list[np.ndarray] = []
-        fresh: list[int] = []
+                admits = arena.can_add_all(*cand)
+        joins: list[int] = []
+        fresh: list[tuple[int, int]] = []
         for s, (q, wants, mine, lo) in enumerate(zip(start, ws, slots, bounds)):
             q = p - q
             if q < 0:
                 continue
             need = wants[q]
             if mine:
-                hit = np.flatnonzero(admits[lo : lo + len(mine)])[:need]
-                got = hit.tolist()
+                got = admits[lo : lo + len(mine)].nonzero()[0][:need].tolist()
                 tried = got[-1] + 1 if len(got) == need else len(mine)
                 if count_vetoes:
                     vetoes[s] += int(np.count_nonzero(objects[lo : lo + tried]))
                 for i in got:
                     mine[i].append(q)
-                joins.append(order[lo + hit])
+                joins += [lo + i for i in got]
                 need -= len(got)
                 last[s][q] = tried - 1
             if need:
                 mine.extend([q] for _ in range(need))
-                fresh += [s] * need
+                fresh.append((s, need))
                 last[s][q] = len(mine) - 1
-        into = np.concatenate(joins or [label[:0]])
-        if into.size:
-            arena.add(into, snd[label[into]], rcv[label[into]])
+        if joins:
+            arena.add(joins, *(cand if one else (cand[0][joins], cand[1][joins])))
         if fresh:
-            arena.seed(label.size + np.arange(len(fresh)), snd[fresh], rcv[fresh])
-            label = np.concatenate((label, fresh))
-            order = np.argsort(label, kind="stable")
-            bounds = np.cumsum([0] + [len(mine) for mine in slots]).tolist()
-    return [(slots[s], last[s], vetoes[s], work[s]) for s in lanes]
-
-
-def _first_fit_lane(
-    arena: SlotArena,
-    heads: np.ndarray,
-    tails: np.ndarray,
-    want: np.ndarray,
-    count_vetoes: bool,
-) -> tuple[list[list[int]], np.ndarray, int]:
-    """:func:`first_fit_dense` of one lane: its slots, last slots and vetoes."""
-    slots: list[list[int]] = []
-    last = np.empty(want.size, dtype=np.intp)
-    vetoes = 0
-    for p, (sender, receiver, need) in enumerate(
-        zip(heads.tolist(), tails.tolist(), want.tolist())
-    ):
-        # One batched admission pass over the existing slots: adding this
-        # link to slot j never changes slot j' (slots are independent), so
-        # the precomputed verdicts match the incremental slot-by-slot scan.
-        if arena.n_slots:
-            if count_vetoes:
-                admits, objects = arena.handshake_verdicts(sender, receiver)
-            else:
-                admits = arena.can_add_all(sender, receiver)
-            joins = np.flatnonzero(admits)[:need]
-            tried = int(joins[-1]) + 1 if joins.size == need else arena.n_slots
-            if count_vetoes:
-                vetoes += int(np.count_nonzero(objects[:tried]))
-            if joins.size:
-                arena.add(joins, sender, receiver)
-                for j in joins.tolist():
-                    slots[j].append(p)
-                need -= joins.size
-            last[p] = tried - 1
-        if need:
-            arena.seed(len(slots) + np.arange(need), sender, receiver)
-            slots.extend([p] for _ in range(need))
-            last[p] = len(slots) - 1
-    return slots, last, vetoes
+            # Each lane's fresh slots open at the end of its block.
+            bounds = list(accumulate(map(len, slots), initial=0))
+            at = [j for s, k in fresh for j in range(bounds[s + 1] - k, bounds[s + 1])]
+            if not one:
+                label = np.repeat(lanes, np.diff(bounds))
+                cand = snd[label[at]], rcv[label[at]]
+            arena.insert(at, *cand)
+    return [(slots[s], last[s], vetoes[s]) for s in lanes]
 
 
 #: Candidates whose CSR rows :func:`_waves` gathers at a time (bounds the

@@ -642,7 +642,9 @@ def run_epochs_sharded(
     def pack_lanes(laned: list[int], demand: dict, epoch: int, planned: dict) -> dict:
         """The ``laned`` shards' schedules from one lockstep pack, into
         ``planned`` (``None`` where the closed form does not apply), and
-        each packed lane's work."""
+        each packed lane's work: its candidate tests, each weighted by one
+        plus the memberships it scans (all of the links' before it), a
+        deterministic measure of its share of the call."""
         opened = {}
         for i in laned:
             try:
@@ -650,6 +652,8 @@ def run_epochs_sharded(
             except Exception as exc:
                 raise ShardScheduleError(i, epoch, exc) from exc
         packed = [i for i in laned if opened[i] is not None]
+        if not packed:
+            return {}
         results = first_fit_dense(
             SlotArena(arena_model),
             [opened[i][0] + offset[i] for i in packed],
@@ -662,7 +666,8 @@ def run_epochs_sharded(
                 planned[i] = opened[i][3](pack)
             except Exception as exc:
                 raise ShardScheduleError(i, epoch, exc) from exc
-        return {i: pack[3] for i, pack in zip(packed, results)}
+        want = [opened[i][2] for i in packed]
+        return {i: len(w) + int(np.dot(w, np.arange(len(w))[::-1])) for i, w in zip(packed, want)}
 
     # Overflow slots are packed in ascending link order, whatever order the
     # violations surfaced in.
@@ -686,7 +691,7 @@ def run_epochs_sharded(
             ) as span:
                 work = pack_lanes(laned, demand, epoch, planned)
             if span.cpu_s is not None:
-                if not any(work.values()):  # nothing packed: an even split
+                if not work:  # nothing packed: the lanes opened, evenly
                     work = dict.fromkeys(laned, 1)
                 total = sum(work.values())
                 secs.update((i, span.cpu_s * w / total) for i, w in work.items())

@@ -45,7 +45,12 @@ from repro.core.pdd import pdd_on_network
 from repro.experiments.common import FULL, PAPER_PROTOCOL, grid_mesh, grid_scenario
 from repro.experiments.sharded import backbone_protocol, sharded_plan
 from repro.obs import Obs, ObsConfig
-from repro.phy.radio import RateTable
+from repro.phy.propagation import LogDistancePathLoss
+from repro.phy.radio import RadioConfig, RateTable, uniform_tx_power
+from repro.routing.forest import build_routing_forest
+from repro.scheduling.links import forest_link_set
+from repro.topology.network import Network
+from repro.topology.regions import SquareRegion
 from repro.traffic import (
     EpochConfig,
     PoissonArrivals,
@@ -645,3 +650,95 @@ def test_a_lane_past_max_rounds_is_rescheduled_alone(mesh):
     packed = {(l["epoch"], i) for l in spans if "lanes" in l for i in l["lanes"]}
     alone = {(l["epoch"], l["shard"]) for l in spans if "shard" in l}
     assert packed & alone
+
+
+def _split_region_mesh():
+    """Two tiles: the left one holds two 3x3 clusters 1.6 km apart, so the
+    left region's sensitivity sub-graph is split and no K saturates it
+    (its lane never opens); the right one holds one cluster."""
+    radio = RadioConfig()
+    grid = np.stack(np.meshgrid(np.arange(3), np.arange(3)), -1).reshape(-1, 2) * 30.0
+    corners = [(100.0, 100.0), (100.0, 1700.0), (1100.0, 100.0)]
+    positions = np.concatenate([grid + corner for corner in corners])
+    network = Network(
+        positions,
+        uniform_tx_power(positions.shape[0], 12.0),
+        radio,
+        LogDistancePathLoss(alpha=radio.alpha),
+        SquareRegion(2000.0),
+    )
+    gateways = np.array([0, 9, 18])
+    forest = build_routing_forest(network.comm_adj, gateways, rng=3)
+    links = forest_link_set(forest, np.zeros(network.n_nodes, dtype=np.int64))
+    return network, gateways, plan_for_network(links, network, n_shards=2,
+                                               interference_radius_m=80.0)
+
+
+@pytest.mark.parametrize("demanded", ["split-region-only", "both-regions"])
+def test_a_lane_that_never_opens_steps_its_protocol(demanded):
+    """A region whose sub-GS is not strongly connected has no closed form:
+    its lane opens ``None`` and the engine steps its protocol, also in
+    epochs where it is the only region asked (no lockstep pack runs).  The
+    run is the one in which every region is called alone, and the CPU of
+    every span, the lane's opening included, is booked."""
+    network, gateways, plan = _split_region_mesh()
+    [split] = [s.index for s in plan.shards if s.links.heads.min() < 9]
+    assert not np.isfinite(network.interference_diameter())
+    rate = np.full(network.n_nodes, 0.01)
+    if demanded == "split-region-only":
+        rate[network.positions[:, 0] >= 1000.0] = 0.0
+    factory = sharded_distributed_factory(
+        network, fdd_on_network, config=PAPER_PROTOCOL, seed=5
+    )
+    config = EpochConfig(epoch_slots=150, n_epochs=3, divergence_factor=4.0)
+
+    def run(alone):
+        obs = _spans_obs()
+        trace = run_epochs_sharded(
+            plan,
+            PoissonArrivals(network.n_nodes, rate, gateways=gateways, seed=2),
+            _mixed_factory(factory, factory, alone),
+            network.model,
+            config,
+            obs=obs,
+        )
+        return trace, [s for s in obs.recorder.spans if s.name == "sharded.schedule"]
+
+    (laned, spans), (reference, _) = run(False), run(True)
+    assert_traces_identical(laned, reference)
+    assert sum(r.demand_scheduled for r in laned.records) > 0
+    labels = [span.labels for span in spans]
+    opened = {(l["epoch"], i) for l in labels if "lanes" in l for i in l["lanes"]}
+    stepped = {(l["epoch"], l["shard"]) for l in labels if "shard" in l}
+    assert {(e, split) for e in range(config.n_epochs)} <= opened & stepped
+    assert all(shard == split for _, shard in stepped)
+    assert laned.scheduling_seconds == pytest.approx(sum(span.cpu_s for span in spans))
+    if demanded == "split-region-only":
+        assert all(l.get("lanes", [split]) == [split] for l in labels)
+        assert laned.critical_path_seconds == pytest.approx(laned.scheduling_seconds)
+
+
+def test_a_centralized_shard_with_an_undecodable_link_still_raises(mesh):
+    """A link that cannot decode alone keeps its shard out of the lockstep
+    pack; the shard's own GreedyPhysical refuses it, annotated with the
+    shard, while the other shards' lanes pack."""
+    heads, tails = mesh.links.heads, mesh.links.tails.copy()
+    far = np.linalg.norm(mesh.network.positions - mesh.network.positions[heads[0]], axis=1)
+    tails[0] = int(np.argmax(far))
+    links = replace(mesh.links, tails=tails)
+    plan = plan_for_network(links, mesh.network, n_shards=4, interference_radius_m=80.0)
+    [bad] = [s.index for s in plan.shards if 0 in s.link_indices]
+    rate = np.zeros(mesh.network.n_nodes)
+    rate[heads[0]] = 0.05
+    config = EpochConfig(epoch_slots=150, n_epochs=3, divergence_factor=4.0)
+    for generator in (
+        PoissonArrivals(mesh.network.n_nodes, rate, gateways=mesh.gateways, seed=1),
+        _generator(mesh, rate=0.03),
+    ):
+        with pytest.raises(ShardScheduleError) as err:
+            run_epochs_sharded(
+                plan, generator, sharded_centralized_factory(), mesh.network.model, config
+            )
+        assert err.value.shard_index == bad
+        assert "infeasible even alone" in str(err.value)
+        assert isinstance(err.value.__cause__, ValueError)
