@@ -411,17 +411,17 @@ class SlotArena:
         vals = self._flat.take(np.concatenate((pair, *cross, srow + mrcv, rrow + msnd)))
         c = len(pair) // 2
         own_data, own_ack = (vals[0], vals[1]) if c == 1 else (vals[:c], vals[c : 2 * c])
-        seg = [slice(2 * c + i * k, 2 * c + (i + 1) * k) for i in range(6)]
+        seg = vals[2 * c :].reshape(6, k)  # the member terms, one row each
 
-        new_data_interf = np.bincount(sid, weights=vals[seg[0]], minlength=n)
-        new_ack_interf = np.bincount(sid, weights=vals[seg[1]], minlength=n)
+        new_data_interf = np.bincount(sid, weights=seg[0], minlength=n)
+        new_ack_interf = np.bincount(sid, weights=seg[1], minlength=n)
         cand_data = ~(own_data < beta * (data_noise + new_data_interf))
         cand_ack = ~(own_ack < beta * (ack_noise + new_ack_interf))
 
         member_data_noise = noise if budget is None else noise + budget[mrcv]
         member_ack_noise = noise if budget is None else noise + budget[msnd]
-        data_bad = vals[seg[4]] < beta * (member_data_noise + (di + vals[seg[2]]))
-        ack_bad = vals[seg[5]] < beta * (member_ack_noise + (ai + vals[seg[3]]))
+        data_bad = seg[4] < beta * (member_data_noise + (di + seg[2]))
+        ack_bad = seg[5] < beta * (member_ack_noise + (ai + seg[3]))
         blocked = np.zeros(n, dtype=bool)
         blocked[sid[shared | data_bad | ack_bad]] = True
         ok = cand_data & cand_ack & ~blocked
@@ -454,11 +454,11 @@ class SlotArena:
         def per_slot(flags: np.ndarray) -> np.ndarray:
             return np.bincount(sid, weights=flags, minlength=n) > 0
 
-        data_objects = per_slot(data_bad)
+        # A deaf member or a failing data packet objects either way.
+        deaf_or_data = per_slot((self._mrcv[: self._m] == cs) | data_bad)
         ack_objects = per_slot(ack_bad)
-        deaf_member = per_slot(self._mrcv[: self._m] == cs)
         deaf_candidate = per_slot(self._msnd[: self._m] == cr)
-        objects = deaf_member | data_objects | (cand_data & ~deaf_candidate & ack_objects)
+        objects = deaf_or_data | (cand_data & ~deaf_candidate & ack_objects)
         return admits, objects
 
     def _reach(self, snd: np.ndarray, rcv: np.ndarray):
