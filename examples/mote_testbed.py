@@ -33,7 +33,7 @@ def main() -> None:
     print(table.render())
 
     # --- Figure "RSSI moving average" -------------------------------------
-    times, values = monitor_rssi_trace(smbytes=24, n_rounds=3, rng=SEED)
+    times, values = monitor_rssi_trace(n_rounds=3, rng=SEED)
     print("\nmonitor RSSI moving average (24-byte screams, 3 rounds):")
     print(f"  {len(times)} logged samples over {times[-1]*1000:.0f} ms")
     print(f"  baseline {np.median(values[values < -80]):.1f} dBm, "
@@ -46,7 +46,7 @@ def main() -> None:
         ["SMBytes", "per-slot miss prob", "schedule valid", "multi-winner elections"]
     )
     for smbytes in (8, 15, 24):
-        miss = miss_probability(smbytes, n_trials=300, rng=SEED)
+        miss = miss_probability(smbytes, rng=SEED)
         config = ProtocolConfig(
             smbytes=smbytes, max_rounds=4 * scenario.total_demand
         )

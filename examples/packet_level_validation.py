@@ -33,7 +33,7 @@ def make_demo_links(network):
     gws = planned_gateways(4, 4, 1)
     forest = build_routing_forest(network.comm_adj, gws, rng=spawn(5, "forest"))
     demand = uniform_node_demand(
-        network.n_nodes, spawn(5, "demand"), low=1, high=3, gateways=gws
+        network.n_nodes, spawn(5, "demand"), high=3, gateways=gws
     )
     return forest_link_set(forest, aggregate_demand(forest, demand))
 

@@ -50,28 +50,21 @@ def connectivity_range_uniform(n: int) -> float:
     return float(np.sqrt(np.log(n) / (np.pi * n)))
 
 
-def approximation_bound(
-    n: int, alpha: float = 3.0, eps: float = 0.01, psi: float | None = None
-) -> float:
-    """Theorem 4's approximation-factor bound for FDD.
+#: Theorem 4's ``psi(alpha) + eps`` at the paper's path-loss exponent
+#: ``alpha = 3``.  The paper defers ``psi`` to ref. [4]; we take
+#: ``psi(alpha) = alpha`` (the bound needs ``psi(alpha) + eps > 2``, the
+#: theorem's ``alpha > 2``) and ``eps = 0.01``.
+APPROXIMATION_EXPONENT = 3.0 + 0.01
 
-    ``n^{1 - 2/(psi(alpha) + eps)} * (log n)^{2/(psi(alpha) + eps)}``.
 
-    The paper defers the definition of ``psi(alpha)`` to ref. [4]; we expose
-    it as a parameter with the default ``psi(alpha) = alpha`` (the bound is
-    only meaningful for ``alpha > 2``, matching the theorem's hypothesis).
+def approximation_bound(n: int) -> float:
+    """Theorem 4's approximation-factor bound for FDD,
+    ``n^{1 - 2/(psi(alpha) + eps)} * (log n)^{2/(psi(alpha) + eps)}`` with
+    ``psi(alpha) + eps`` = :data:`APPROXIMATION_EXPONENT`.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    check_positive("alpha", alpha)
-    check_positive("eps", eps)
-    exponent_base = (psi if psi is not None else alpha) + eps
-    if exponent_base <= 2.0:
-        raise ValueError(
-            "psi(alpha) + eps must exceed 2 for the bound to be sublinear "
-            f"(got {exponent_base})"
-        )
-    frac = 2.0 / exponent_base
+    frac = 2.0 / APPROXIMATION_EXPONENT
     return float(n ** (1.0 - frac) * np.log(n) ** frac)
 
 

@@ -1,4 +1,4 @@
-"""Scheduling arbitrary link sets with the distributed protocols.
+"""Scheduling arbitrary link sets with FDD.
 
 The paper notes that "up to straightforward modifications, the protocols
 presented in this paper can be used to schedule an arbitrary link set (not
@@ -33,7 +33,6 @@ from repro.core.config import NO_FAULTS, FaultConfig, ProtocolConfig
 from repro.core.events import StepTally
 from repro.core.fast_runtime import FastRuntime
 from repro.core.fdd import run_fdd
-from repro.core.pdd import run_pdd
 from repro.core.protocol import ProtocolResult
 from repro.scheduling.links import LinkSet
 from repro.scheduling.schedule import Schedule, Slot
@@ -77,11 +76,10 @@ def run_arbitrary_link_set(
     network: Network,
     links: LinkSet,
     config: ProtocolConfig | None = None,
-    protocol: str = "fdd",
     faults: FaultConfig = NO_FAULTS,
     rng: np.random.Generator | int | None = None,
 ) -> ArbitraryResult:
-    """Schedule an arbitrary link set distributedly, in waves.
+    """Schedule an arbitrary link set distributedly, in waves of FDD.
 
     Parameters
     ----------
@@ -91,11 +89,7 @@ def run_arbitrary_link_set(
         Any :class:`~repro.scheduling.links.LinkSet` — heads may repeat
         (several links per node); link IDs must be unique (enforced by the
         LinkSet itself).
-    protocol:
-        ``"fdd"`` or ``"pdd"``.
     """
-    if protocol not in ("fdd", "pdd"):
-        raise ValueError(f"protocol must be 'fdd' or 'pdd', got {protocol!r}")
     cfg = config or ProtocolConfig()
     root = ensure_rng(rng)
 
@@ -128,10 +122,7 @@ def run_arbitrary_link_set(
             rng=spawn(root, "runtime", wave_idx),
             ids=node_ids,
         )
-        runner = run_fdd if protocol == "fdd" else run_pdd
-        result = runner(
-            wave, runtime, cfg, rng=spawn(root, "protocol", wave_idx)
-        )
+        result = run_fdd(wave, runtime, cfg, rng=spawn(root, "protocol", wave_idx))
         waves.append(result)
         for name, count in vars(result.tally).items():
             setattr(total_tally, name, getattr(total_tally, name) + count)

@@ -115,7 +115,7 @@ class ControlPlaneModel:
         )
 
     @classmethod
-    def default_priced(cls, timing: TimingModel | None = None) -> "ControlPlaneModel":
+    def default_priced(cls) -> "ControlPlaneModel":
         """The honest default prices E11 measures under.
 
         Sizes are SCREAM-scale control frames: a ``patch`` delta carries a
@@ -128,7 +128,7 @@ class ControlPlaneModel:
         counted honestly.
         """
         return cls(
-            timing=timing or TimingModel(),
+            timing=TimingModel(),
             patch_bytes=8.0,
             report_bytes=12.0,
             reconcile_bytes=10.0,

@@ -90,8 +90,8 @@ class ProtocolResult:
     #: runtime was asked to resolve construction steps, and how many steps
     #: it was shown in total (a step refused behind an admission is shown
     #: again, so this can exceed ``tally.steps``).
-    resolve_calls: int = 0
-    trials_evaluated: int = 0
+    resolve_calls: int = field(default=0, init=False)
+    trials_evaluated: int = field(default=0, init=False)
 
     @property
     def schedule_length(self) -> int:

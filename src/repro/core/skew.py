@@ -42,9 +42,11 @@ def degrade_sensitivity_graph(
     clock: ClockModel,
     burst_s: float,
     guard_s: float,
-    min_overlap: float = 1.0,
 ) -> SkewDegradation:
     """Remove sensitivity edges whose bursts slip out of the listen window.
+
+    An edge stays only if its burst lies wholly inside the window: the
+    reliability criterion of the compensated design.
 
     Parameters
     ----------
@@ -57,10 +59,6 @@ def degrade_sensitivity_graph(
     guard_s:
         The guard actually budgeted per step (an *uncompensated* system
         keeps this below the skew bound).
-    min_overlap:
-        Required fraction of the burst inside the window; 1.0 (default)
-        demands full containment, matching the reliability criterion of the
-        compensated design.
     """
     adj = np.asarray(sens_adj, dtype=bool)
     n = adj.shape[0]
@@ -69,7 +67,7 @@ def degrade_sensitivity_graph(
     senders, listeners = np.nonzero(adj)
     for u, v in zip(senders, listeners):
         overlap = clock.overlap_fraction(int(u), int(v), burst_s, guard_s)
-        if overlap < min_overlap:
+        if overlap < 1.0:
             degraded[u, v] = False
             lost += 1
     return SkewDegradation(

@@ -33,10 +33,16 @@ from repro.scheduling import (
 )
 from repro.util.rng import spawn
 
+#: Grid densities (nodes/km^2) of A1 (low, so ID(GS) leaves room below it
+#: for K), A4 and A3.
+TRUNCATED_K_DENSITY = 1000.0
+SKEW_DENSITY = 2500.0
+SEAL_RULE_DENSITY = 5000.0
+#: The guard A4 budgets per step, fixed while the actual skew grows past it.
+SKEW_GUARD_S = 4e-6
 
-def truncated_k_experiment(
-    profile: ExperimentProfile, density: float = 1000.0
-) -> TextTable:
+
+def truncated_k_experiment(profile: ExperimentProfile) -> TextTable:
     """A1 — protocol health as K drops below the interference diameter."""
     table = TextTable(
         [
@@ -49,7 +55,7 @@ def truncated_k_experiment(
         ],
         title="Truncated SCREAM: FDD under K < ID(GS) (grid, low density)",
     )
-    scenario = grid_scenario(density, 0, seed=profile.seed)
+    scenario = grid_scenario(TRUNCATED_K_DENSITY, 0, seed=profile.seed)
     net_id = int(scenario.network.interference_diameter())
     for k in range(1, max(net_id, 2) + 2):
         config = replace(PAPER_PROTOCOL, k=k, max_rounds=4 * scenario.total_demand)
@@ -92,9 +98,7 @@ def orderings_experiment(profile: ExperimentProfile) -> TextTable:
     return table
 
 
-def uncompensated_skew_experiment(
-    profile: ExperimentProfile, density: float = 2500.0, guard_s: float = 4e-6
-) -> TextTable:
+def uncompensated_skew_experiment(profile: ExperimentProfile) -> TextTable:
     """A4 — what uncompensated clock skew does to the computation.
 
     The compensated design (the paper's) stretches every step by 2x the
@@ -110,7 +114,7 @@ def uncompensated_skew_experiment(
 
     timing = TimingModel(scream_bytes=PAPER_PROTOCOL.smbytes)
     burst_s = 8.0 * PAPER_PROTOCOL.smbytes / timing.bitrate_bps
-    scenario = grid_scenario(density, 0, seed=profile.seed)
+    scenario = grid_scenario(SKEW_DENSITY, 0, seed=profile.seed)
     network = scenario.network
 
     table = TextTable(
@@ -121,16 +125,16 @@ def uncompensated_skew_experiment(
             "infeasible slots",
             "unmet-demand links",
         ],
-        title=f"Uncompensated skew (guard fixed at {guard_s:g} s; "
-        f"critical skew {critical_skew_estimate(guard_s):g} s)",
+        title=f"Uncompensated skew (guard fixed at {SKEW_GUARD_S:g} s; "
+        f"critical skew {critical_skew_estimate(SKEW_GUARD_S):g} s)",
     )
     for factor in (0.5, 1.0, 2.0, 8.0, 64.0):
-        skew = critical_skew_estimate(guard_s) * factor
+        skew = critical_skew_estimate(SKEW_GUARD_S) * factor
         clock = ClockModel(
             network.n_nodes, skew, spawn(profile.seed, "skew-clock", factor)
         )
         degraded = degrade_sensitivity_graph(
-            network.sens_adj, clock, burst_s, guard_s
+            network.sens_adj, clock, burst_s, SKEW_GUARD_S
         )
         config = replace(
             PAPER_PROTOCOL, max_rounds=4 * scenario.total_demand + 20
@@ -155,9 +159,7 @@ def uncompensated_skew_experiment(
     return table
 
 
-def seal_rule_experiment(
-    profile: ExperimentProfile, density: float = 5000.0
-) -> TextTable:
+def seal_rule_experiment(profile: ExperimentProfile) -> TextTable:
     """A3 — PDD under both readings of the slot-sealing pseudocode.
 
     ``drain`` (default): the slot seals once no DORMANT node remains.
@@ -177,7 +179,7 @@ def seal_rule_experiment(
         improvements: dict[bool, list[float]] = {False: [], True: []}
         steps: dict[bool, list[int]] = {False: [], True: []}
         for rep in range(profile.repetitions):
-            scenario = grid_scenario(density, rep, seed=profile.seed)
+            scenario = grid_scenario(SEAL_RULE_DENSITY, rep, seed=profile.seed)
             for idle_seal in (False, True):
                 config = replace(
                     PAPER_PROTOCOL, p_active=p, seal_on_idle_step=idle_seal

@@ -51,13 +51,12 @@ from repro.traffic import (
     run_epochs,
     summarize_trace,
 )
+from repro.traffic.flows import CBR_FRACTION
 from repro.util.rng import spawn
 
-#: The E10 flow-session population shape: mean transfer size (packets),
-#: CBR share of sessions, elastic sessions' per-slot rate, and the Pareto
-#: size cap as a multiple of the mean.
-ADMISSION_MEAN_FLOW_SIZE = 30
-ADMISSION_CBR_FRACTION = 0.3
+#: The E10 flow-session population shape: elastic sessions' per-slot rate
+#: and the Pareto size cap as a multiple of the mean (``MEAN_FLOW_SIZE``;
+#: sizes, CBR share and CBR rate are ``repro.traffic.flows``' constants).
 ADMISSION_ELASTIC_RATE = 0.08
 ADMISSION_MAX_SIZE_FACTOR = 10.0
 
@@ -68,8 +67,6 @@ def session_config(profile: ExperimentProfile, rate: float, n_sources: int) -> F
         rate,
         n_sources,
         profile.traffic_epoch_slots,
-        mean_size=ADMISSION_MEAN_FLOW_SIZE,
-        cbr_fraction=ADMISSION_CBR_FRACTION,
         elastic_rate=ADMISSION_ELASTIC_RATE,
         max_size_factor=ADMISSION_MAX_SIZE_FACTOR,
     )
@@ -164,7 +161,7 @@ def admission_experiment(profile: ExperimentProfile) -> TextTable:
         title="Admission control at the stability knee — FDD (overhead-priced) "
         f"on the 8x8 planned grid, density {TRAFFIC_DENSITY:g}/km^2, "
         f"flow sessions (Poisson churn, Pareto sizes, "
-        f"{ADMISSION_CBR_FRACTION:.0%} CBR), "
+        f"{CBR_FRACTION:.0%} CBR), "
         f"knee lambda*={knee:g} from E7, "
         f"T={profile.traffic_epoch_slots} slots/epoch, "
         f"{profile.admission_epochs} epochs",

@@ -43,7 +43,7 @@ def _instance(kind: str, rep: int, seed: int):
         network.comm_adj, gws, rng=spawn(seed, "forest", kind, rep)
     )
     demand = uniform_node_demand(
-        network.n_nodes, spawn(seed, "demand", kind, rep), low=1, high=3, gateways=gws
+        network.n_nodes, spawn(seed, "demand", kind, rep), high=3, gateways=gws
     )
     links = forest_link_set(forest, aggregate_demand(forest, demand))
     return network, links
@@ -78,6 +78,6 @@ def approximation_experiment(profile: ExperimentProfile) -> TextTable:
             reps,
             str(mean_ci(ratios)),
             f"{max(ratios):.3f}",
-            f"{approximation_bound(n_nodes, alpha=3.0):.1f}",
+            f"{approximation_bound(n_nodes):.1f}",
         )
     return table

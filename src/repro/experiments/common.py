@@ -216,9 +216,10 @@ def grid_scenario(
     rows: int = 8,
     cols: int = 8,
     n_gateways: int = 4,
-    demand_range: tuple[int, int] = (1, 10),
+    demand_high: int = 10,
 ) -> Scenario:
-    """The planned scenario: grid placement, planned gateways.
+    """The planned scenario: grid placement, planned gateways, per-node
+    demand ~ U[1, demand_high].
 
     The topology is deterministic given the density; routing tie-breaks and
     demands vary with the repetition index.
@@ -231,8 +232,7 @@ def grid_scenario(
     demand = uniform_node_demand(
         network.n_nodes,
         spawn(seed, "grid-demand", int(density_per_km2), rep),
-        low=demand_range[0],
-        high=demand_range[1],
+        high=demand_high,
         gateways=gws,
     )
     links = forest_link_set(forest, aggregate_demand(forest, demand))
@@ -266,7 +266,6 @@ def uniform_scenario(
     demand = uniform_node_demand(
         n_nodes,
         spawn(seed, "uniform-demand", int(density_per_km2), rep),
-        low=1,
         high=10,
         gateways=gws,
     )

@@ -51,7 +51,7 @@ from repro.experiments.common import (
 )
 from repro.traffic import (
     CONFIRM_SEEDS,
-    DEFAULT_DRIFT_THRESHOLD,
+    DRIFT_THRESHOLD,
     centralized_scheduler,
     run_epochs,
     serialized_scheduler,
@@ -141,7 +141,7 @@ def incremental_experiment(profile: ExperimentProfile) -> TextTable:
         title="Incremental epoch rescheduling — FDD on the 8x8 planned grid, "
         f"density {TRAFFIC_DENSITY:g}/km^2, Poisson arrivals, "
         f"T={profile.traffic_epoch_slots} slots/epoch, base drift threshold "
-        f"{DEFAULT_DRIFT_THRESHOLD:g} (headroom-scaled)",
+        f"{DRIFT_THRESHOLD:g} (headroom-scaled)",
     )
     knees = []
     for policy in TRAFFIC_POLICIES:

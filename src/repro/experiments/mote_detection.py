@@ -7,6 +7,7 @@ import numpy as np
 from repro.analysis.tables import TextTable
 from repro.experiments.common import ExperimentProfile
 from repro.mote import monitor_rssi_trace, run_detection_error_sweep
+from repro.mote.experiment import TRACE_SMBYTES
 from repro.util.rng import spawn
 
 
@@ -43,17 +44,15 @@ def mote_rssi_experiment(profile: ExperimentProfile) -> TextTable:
     noise floor between screams and rises cleanly above the -60 dBm
     threshold once per 100 ms period.
     """
-    smbytes, n_rounds = 24, 5
-    times, values = monitor_rssi_trace(
-        smbytes=smbytes, n_rounds=n_rounds, rng=spawn(profile.seed, "mote-rssi")
-    )
+    n_rounds = 5
+    times, values = monitor_rssi_trace(n_rounds=n_rounds, rng=spawn(profile.seed, "mote-rssi"))
     threshold = -60.0
     above = values >= threshold
     # Count contiguous above-threshold episodes (one expected per round).
     episodes = int(((above[1:] & ~above[:-1]).sum()) + int(above[0]))
     table = TextTable(
         ["quantity", "value"],
-        title=f"Monitor RSSI moving average, SMBytes={smbytes} "
+        title=f"Monitor RSSI moving average, SMBytes={TRACE_SMBYTES} "
         f"({n_rounds} scream rounds, logged every 3rd sample)",
     )
     table.add_row("samples logged", len(times))

@@ -46,18 +46,15 @@ from repro.experiments.common import (
     poisson_arrivals,
     sweep,
 )
-from repro.phy.radio import RateTable
+from repro.phy.radio import GEOMETRIC_RATE_STEP, GEOMETRIC_SINR_STEP, RateTable
 from repro.traffic import CONFIRM_SEEDS, rate_aware_scheduler, run_epochs
 
-#: The MCS ladder (repro.phy.radio.RateTable) swept against the seed's
-#: fixed-rate contract: 3 tiers, x2 SINR and x2 rate per tier, 1 dB
-#: hysteresis margin.  Calibrated to the 8x8 grid at density 1000/km^2,
-#: where standalone link margins span ~1.2-3.4x beta: tiers at
+#: The MCS ladder swept against the seed's fixed-rate contract is
+#: ``RateTable.geometric``'s (3 tiers, x2 SINR and x2 rate per tier) with a
+#: 1 dB hysteresis margin.  Calibrated to the 8x8 grid at density
+#: 1000/km^2, where standalone link margins span ~1.2-3.4x beta: tiers at
 #: beta/2beta/4beta give ~45% of links one tier of headroom while the
 #: classic 6 dB ladder would never engage.
-MULTIRATE_TIERS = 3
-MULTIRATE_SINR_STEP = 2.0
-MULTIRATE_RATE_STEP = 2.0
 MULTIRATE_HYSTERESIS = 1.25
 
 
@@ -65,18 +62,14 @@ def multirate_experiment(profile: ExperimentProfile) -> TextTable:
     """E12: stability sweep under fixed-rate vs multi-rate serving contracts."""
     network, gateways, links = grid_mesh(profile, 8, 8, "traffic-forest")
     table_mcs = RateTable.geometric(
-        network.model.radio.beta,
-        n_tiers=MULTIRATE_TIERS,
-        sinr_step=MULTIRATE_SINR_STEP,
-        rate_step=MULTIRATE_RATE_STEP,
-        hysteresis=MULTIRATE_HYSTERESIS,
+        network.model.radio.beta, hysteresis=MULTIRATE_HYSTERESIS
     )
     obs = obs_for(
         profile,
         "multirate",
         tiers=table_mcs.n_tiers,
-        sinr_step=MULTIRATE_SINR_STEP,
-        rate_step=MULTIRATE_RATE_STEP,
+        sinr_step=GEOMETRIC_SINR_STEP,
+        rate_step=GEOMETRIC_RATE_STEP,
         hysteresis=MULTIRATE_HYSTERESIS,
     )
     variants = [

@@ -252,7 +252,7 @@ def complexity_experiment(profile: ExperimentProfile) -> TextTable:
             rows=side,
             cols=side,
             n_gateways=min(4, max(1, side // 2)),
-            demand_range=(1, 3),
+            demand_high=3,
         )
         result = fdd_on_network(
             scenario.network,

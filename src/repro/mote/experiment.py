@@ -173,48 +173,46 @@ def run_detection_error_sweep(
     return results
 
 
-def miss_probability(
-    smbytes: int,
-    n_trials: int = 400,
-    rng: np.random.Generator | int | None = None,
-    **kwargs,
-) -> float:
-    """Estimated per-SCREAM monitor miss probability for a given size.
+#: Rounds :func:`miss_probability` runs per SCREAM size.
+MISS_TRIALS = 300
+#: :func:`monitor_rssi_trace`'s SCREAM size, in bytes, and how many RSSI
+#: samples pass between two logged moving averages ("owing to device and
+#: UART limitations").
+TRACE_SMBYTES = 24
+TRACE_LOG_EVERY = 3
+
+
+def miss_probability(smbytes: int, rng: np.random.Generator | int | None = None) -> float:
+    """Estimated per-SCREAM monitor miss probability for a given size,
+    over :data:`MISS_TRIALS` rounds.
 
     This is the coupling point to the protocol fault model: feed it into
     :class:`repro.core.config.FaultConfig(scream_miss_prob=...)` to study
     how physical detection reliability propagates into schedule validity.
     """
-    exp = ScreamExperiment(smbytes=smbytes, n_screams=max(2, n_trials), **kwargs)
+    exp = ScreamExperiment(smbytes=smbytes, n_screams=MISS_TRIALS)
     generator = ensure_rng(rng)
     misses = 0
-    for i in range(n_trials):
+    for i in range(MISS_TRIALS):
         if _round_detection_time(exp, spawn(generator, "trial", i)) is None:
             misses += 1
-    return misses / n_trials
+    return misses / MISS_TRIALS
 
 
 def monitor_rssi_trace(
-    smbytes: int = 24,
-    n_rounds: int = 5,
-    log_every: int = 3,
-    rng: np.random.Generator | int | None = None,
-    radio: CC1000 | None = None,
-    budget: MoteLinkBudget | None = None,
+    n_rounds: int = 5, rng: np.random.Generator | int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """The paper's RSSI-trace figure: (times, moving-average dBm) arrays.
 
-    Reproduces the logging conditions: moving average recorded every
-    ``log_every`` RSSI samples ("owing to device and UART limitations"),
-    default SCREAM size 24 bytes.
+    Reproduces the logging conditions: :data:`TRACE_SMBYTES`-byte SCREAMs,
+    moving average recorded every :data:`TRACE_LOG_EVERY` RSSI samples.
     """
-    cc = radio or CC1000()
-    lb = budget or MoteLinkBudget()
+    exp = ScreamExperiment(smbytes=TRACE_SMBYTES, n_screams=2)
+    cc, lb = exp.radio, exp.budget
     generator = ensure_rng(rng)
-    exp = ScreamExperiment(smbytes=smbytes, radio=cc, budget=lb, n_screams=2)
 
     ts = cc.rssi_sample_period_s
-    burst_s = cc.burst_duration_s(smbytes)
+    burst_s = cc.burst_duration_s(TRACE_SMBYTES)
     all_times: list[np.ndarray] = []
     all_values: list[np.ndarray] = []
     for round_idx in range(n_rounds):
@@ -236,6 +234,6 @@ def monitor_rssi_trace(
         averaged = moving_average(readings, window)
         keep = sample_times >= 0.0
         offset = round_idx * exp.period_s
-        all_times.append(sample_times[keep][::log_every] + offset)
-        all_values.append(averaged[keep][::log_every])
+        all_times.append(sample_times[keep][::TRACE_LOG_EVERY] + offset)
+        all_values.append(averaged[keep][::TRACE_LOG_EVERY])
     return np.concatenate(all_times), np.concatenate(all_values)

@@ -78,6 +78,13 @@ class RadioConfig:
         return self.decode_power_mw / (self.cs_gamma**self.alpha)
 
 
+#: :meth:`RateTable.geometric`'s ladder: tiers, and the SINR and rate
+#: factors from one tier to the next.
+GEOMETRIC_TIERS = 3
+GEOMETRIC_SINR_STEP = 2.0
+GEOMETRIC_RATE_STEP = 2.0
+
+
 @dataclass(frozen=True)
 class RateTable:
     """Monotone SINR-threshold -> packets-per-slot MCS tiers, with hysteresis.
@@ -146,33 +153,21 @@ class RateTable:
         return cls(thresholds=np.array([beta]), rates=np.array([1]))
 
     @classmethod
-    def geometric(
-        cls,
-        beta: float,
-        n_tiers: int = 3,
-        sinr_step: float = 2.0,
-        rate_step: float = 2.0,
-        hysteresis: float = 1.0,
-    ) -> "RateTable":
-        """Geometric MCS ladder: thresholds ``β·sinr_step^i``, rates
-        ``~rate_step^i``.
+    def geometric(cls, beta: float, hysteresis: float = 1.0) -> "RateTable":
+        """Geometric MCS ladder: :data:`GEOMETRIC_TIERS` tiers, thresholds
+        ``β·GEOMETRIC_SINR_STEP^i``, rates ``GEOMETRIC_RATE_STEP^i``.
 
-        The default (3 tiers, x2 SINR per tier, x2 rate per tier — tiers
-        at ``β, 2β, 4β`` carrying 1, 2, 4 packets per slot) is the 3
+        Tiers at ``β, 2β, 4β`` carrying 1, 2, 4 packets per slot: the 3
         dB-per-doubling ladder of coding-rate steps, calibrated to the
-        paper's 8x8 grid where standalone link margins reach ~2-3x ``β``:
+        paper's 8x8 grid where standalone link margins reach ~2-3x ``β``;
         the x4-per-tier (6 dB, constellation-doubling) ladder would never
         engage there.  Callers model a specific radio by passing its own
         thresholds to the constructor instead.
         """
-        if n_tiers <= 0:
-            raise ValueError(f"n_tiers must be positive, got {n_tiers}")
-        if sinr_step <= 1.0 or rate_step < 1.0:
-            raise ValueError("sinr_step must exceed 1 and rate_step be >= 1")
-        exponents = np.arange(n_tiers)
+        exponents = np.arange(GEOMETRIC_TIERS)
         return cls(
-            thresholds=beta * sinr_step**exponents,
-            rates=np.maximum(1, np.round(rate_step**exponents)).astype(np.int64),
+            thresholds=beta * GEOMETRIC_SINR_STEP**exponents,
+            rates=np.round(GEOMETRIC_RATE_STEP**exponents).astype(np.int64),
             hysteresis=hysteresis,
         )
 
@@ -246,20 +241,23 @@ class RateTable:
         return np.where((prev >= 0) & (raw > prev), upgraded, raw).astype(np.int64)
 
 
-def uniform_tx_power(n: int, power_dbm: float = 12.0) -> np.ndarray:
-    """Homogeneous transmit power vector (mW) for ``n`` nodes."""
+#: Transmit power of every node of a planned deployment, and the range
+#: an unplanned deployment's per-node powers are drawn from, in dBm.
+TX_POWER_DBM = 12.0
+TX_POWER_RANGE_DBM = (10.0, 14.0)
+
+
+def uniform_tx_power(n: int) -> np.ndarray:
+    """Homogeneous transmit power vector (mW) for ``n`` nodes, each at
+    :data:`TX_POWER_DBM`."""
     if n <= 0:
         raise ValueError(f"n must be positive, got {n}")
-    return np.full(n, dbm_to_mw(power_dbm), dtype=float)
+    return np.full(n, dbm_to_mw(TX_POWER_DBM), dtype=float)
 
 
-def heterogeneous_tx_power(
-    n: int,
-    rng: np.random.Generator,
-    low_dbm: float = 10.0,
-    high_dbm: float = 14.0,
-) -> np.ndarray:
-    """Per-node transmit powers drawn uniformly (in dBm) from a range.
+def heterogeneous_tx_power(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Per-node transmit powers drawn uniformly (in dBm) from
+    :data:`TX_POWER_RANGE_DBM`.
 
     Models the paper's "unplanned deployment with heterogeneous transmission
     power".  Powers are fixed for the lifetime of the network (the paper
@@ -267,6 +265,4 @@ def heterogeneous_tx_power(
     """
     if n <= 0:
         raise ValueError(f"n must be positive, got {n}")
-    if high_dbm < low_dbm:
-        raise ValueError(f"high_dbm ({high_dbm}) must be >= low_dbm ({low_dbm})")
-    return dbm_to_mw(rng.uniform(low_dbm, high_dbm, size=n))
+    return dbm_to_mw(rng.uniform(*TX_POWER_RANGE_DBM, size=n))

@@ -14,17 +14,20 @@ from repro.routing.forest import RoutingForest
 from repro.util.validation import check_integer_in_range
 
 
+#: The least demand a node generates (the paper's U[1, 10] draw).
+MIN_NODE_DEMAND = 1
+
+
 def uniform_node_demand(
     n_nodes: int,
     rng: np.random.Generator,
-    low: int = 1,
     high: int = 10,
     gateways: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Per-node integer demands ~ U[low, high]; gateways generate none."""
-    check_integer_in_range("low", low, minimum=0)
-    check_integer_in_range("high", high, minimum=low)
-    demand = rng.integers(low, high + 1, size=n_nodes).astype(np.int64)
+    """Per-node integer demands ~ U[MIN_NODE_DEMAND, high]; gateways
+    generate none."""
+    check_integer_in_range("high", high, minimum=MIN_NODE_DEMAND)
+    demand = rng.integers(MIN_NODE_DEMAND, high + 1, size=n_nodes).astype(np.int64)
     if gateways is not None:
         demand[np.asarray(gateways, dtype=np.intp)] = 0
     return demand

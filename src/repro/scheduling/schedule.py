@@ -43,7 +43,7 @@ class Schedule:
     slots: list[Slot] = field(default_factory=list)
     #: The exact-model report of the scheduler's verify-and-repair pass,
     #: when it ran one (``greedy_physical`` on a truncated power matrix).
-    truth: TruthReport | None = field(default=None, compare=False, repr=False)
+    truth: TruthReport | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def length(self) -> int:

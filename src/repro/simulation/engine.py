@@ -21,6 +21,11 @@ from repro.simulation.medium import Medium, SlotOutcome, Transmission
 NodeProgram = Generator["Transmission | None", SlotOutcome, Any]
 
 
+#: Slots a run's programs must all finish within (they are slot-synchronous
+#: protocols with deterministic horizons).
+MAX_SLOTS = 1_000_000
+
+
 class SyncEngine:
     """Runs one generator program per node in global lock-step."""
 
@@ -28,22 +33,17 @@ class SyncEngine:
         self.medium = medium
         self.slots_elapsed = 0
 
-    def run(
-        self,
-        programs: list[NodeProgram],
-        max_slots: int = 1_000_000,
-    ) -> list[Any]:
+    def run(self, programs: list[NodeProgram]) -> list[Any]:
         """Drive all programs to completion; return their return values.
 
         All programs are stepped once per slot; the slot's transmissions are
         resolved jointly by the medium and each program receives its own
-        outcome.  Programs must all finish within ``max_slots`` (they are
-        slot-synchronous protocols with deterministic horizons).
+        outcome.  Programs must all finish within :data:`MAX_SLOTS`.
 
         Raises
         ------
         RuntimeError
-            If some program is still running after ``max_slots`` or if
+            If some program is still running after :data:`MAX_SLOTS` or if
             programs finish at different slots (protocol desynchronization —
             a bug in the program, not a legal outcome).
         """
@@ -62,7 +62,7 @@ class SyncEngine:
                 finished[i] = True
                 results[i] = stop.value
 
-        for _ in range(max_slots):
+        for _ in range(MAX_SLOTS):
             if all(finished):
                 return results
             if any(finished):
@@ -83,5 +83,5 @@ class SyncEngine:
                     results[i] = stop.value
                     actions[i] = None
         if not all(finished):
-            raise RuntimeError(f"programs did not finish within {max_slots} slots")
+            raise RuntimeError(f"programs did not finish within {MAX_SLOTS} slots")
         return results

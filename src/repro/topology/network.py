@@ -113,63 +113,53 @@ class Network:
             raise ValueError("sensitivity graph is not strongly connected")
 
 
+#: Draws :func:`uniform_network` makes before it gives up on a connected one.
+MAX_DRAWS = 50
+
+
 def grid_network(
-    rows: int = 8,
-    cols: int = 8,
-    density_per_km2: float = 5000.0,
-    tx_power_dbm: float = 12.0,
-    radio: RadioConfig | None = None,
-    propagation: PropagationModel | None = None,
+    rows: int = 8, cols: int = 8, density_per_km2: float = 5000.0
 ) -> Network:
     """The planned scenario: ``rows x cols`` lattice, homogeneous power.
 
     The region is sized from the paper's density parameter (nodes/km²);
-    the default radio/propagation parameters give a ~54 m communication
+    the paper's radio (:class:`RadioConfig`, log-distance path loss, 12 dBm
+    at every node) gives a ~54 m communication
     range, which covers the lattice step across the paper's density sweep
     (36 m at 1000 nodes/km² down to 7 m at 25000 nodes/km²) while keeping
     the graph genuinely multihop at the sparse end.
     """
-    radio = radio or RadioConfig()
-    propagation = propagation or LogDistancePathLoss(alpha=radio.alpha)
+    radio = RadioConfig()
     n = rows * cols
     region = SquareRegion.for_density(n, density_per_km2)
     positions = grid_positions(rows, cols, region)
-    tx = uniform_tx_power(n, tx_power_dbm)
-    return Network(positions, tx, radio, propagation, region)
+    propagation = LogDistancePathLoss(alpha=radio.alpha)
+    return Network(positions, uniform_tx_power(n), radio, propagation, region)
 
 
 def uniform_network(
     n: int = 64,
     density_per_km2: float = 5000.0,
     rng: np.random.Generator | int | None = None,
-    power_range_dbm: tuple[float, float] = (10.0, 14.0),
-    radio: RadioConfig | None = None,
-    propagation: PropagationModel | None = None,
-    require_connected: bool = True,
-    max_retries: int = 50,
 ) -> Network:
     """The unplanned scenario: uniform placement, heterogeneous power.
 
     Placement is resampled (deterministically, from the supplied generator)
     until the communication graph is connected, mirroring how simulation
-    studies discard disconnected instances; set ``require_connected=False``
-    to keep the first draw regardless.
+    studies discard disconnected instances.
     """
     generator = ensure_rng(rng)
-    radio = radio or RadioConfig()
-    propagation = propagation or LogDistancePathLoss(alpha=radio.alpha)
+    radio = RadioConfig()
+    propagation = LogDistancePathLoss(alpha=radio.alpha)
     region = SquareRegion.for_density(n, density_per_km2)
-    low, high = power_range_dbm
-
-    last: Network | None = None
-    for _ in range(max_retries):
+    for _ in range(MAX_DRAWS):
         positions = uniform_positions(n, region, generator)
-        tx = heterogeneous_tx_power(n, generator, low_dbm=low, high_dbm=high)
-        last = Network(positions, tx, radio, propagation, region)
-        if not require_connected or last.is_connected():
-            return last
+        tx = heterogeneous_tx_power(n, generator)
+        network = Network(positions, tx, radio, propagation, region)
+        if network.is_connected():
+            return network
     raise RuntimeError(
-        f"could not draw a connected uniform network in {max_retries} tries "
+        f"could not draw a connected uniform network in {MAX_DRAWS} tries "
         f"(n={n}, density={density_per_km2}/km^2); the density is likely too "
         "low for the configured radio range"
     )

@@ -112,7 +112,7 @@ class EpochConfig:
         ``"always"`` re-runs the scheduler every epoch (the default);
         ``"drift-threshold"`` reuses the cached schedule while the backlog
         snapshot's drift stays at or under
-        :data:`~repro.traffic.incremental.DEFAULT_DRIFT_THRESHOLD` (scaled
+        :data:`~repro.traffic.incremental.DRIFT_THRESHOLD` (scaled
         by the schedule's service headroom); ``"patch"`` additionally
         repairs the cached schedule on a miss before falling back to a full
         re-run.  See :mod:`repro.traffic.incremental`.  The sharded engine
@@ -220,11 +220,11 @@ class TrafficTrace:
 
     config: EpochConfig
     records: list[EpochRecord] = field(default_factory=list)
-    diverged: bool = False
+    diverged: bool = field(default=False, init=False)
     queues: LinkQueues | None = None
-    scheduling_seconds: float | None = None
-    critical_path_seconds: float | None = None
-    scheduling_wall_seconds: float | None = None
+    scheduling_seconds: float | None = field(default=None, init=False)
+    critical_path_seconds: float | None = field(default=None, init=False)
+    scheduling_wall_seconds: float | None = field(default=None, init=False)
     #: In-band control-plane account of the run, or ``None`` when the
     #: engine ran unpriced (no ``control=`` model given).
     ledger: ControlLedger | None = None

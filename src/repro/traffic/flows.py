@@ -12,14 +12,14 @@ that population:
   when their *size* — a bounded-Pareto (heavy-tailed) packet count — has
   been fully emitted.  The active-flow population is therefore an M/G/∞-like
   churn process whose long-run offered load is
-  ``session_rate * mean_size`` packets per epoch.
+  ``session_rate * MEAN_FLOW_SIZE`` packets per epoch.
 * **Classes** — ``cbr`` flows (voice-like) emit at a fixed rate and are
   *inelastic*: an admission controller may block them at arrival but cannot
   slow them down.  ``elastic`` flows (bulk transfers) emit as fast as their
   token bucket allows and *do* respond to per-epoch throttling.
 * **Token-bucket policing** — every flow's emission is policed by its own
   token bucket (fill rate = the flow's admitted rate scaled by the current
-  throttle, depth = ``burst_slots`` worth of tokens), so a throttled flow's
+  throttle, depth = ``BURST_SLOTS`` worth of tokens), so a throttled flow's
   backlog of intent never bursts into the network when the throttle lifts.
 
 :class:`FlowWorkload` is a stateful :class:`~repro.traffic.generators.
@@ -44,6 +44,18 @@ from repro.traffic.generators import TrafficGenerator
 
 #: Flow classes: inelastic constant-bit-rate vs throttleable elastic.
 FLOW_CLASSES = ("cbr", "elastic")
+#: Mean session size, in packets.  Sizes are bounded Pareto with shape
+#: ``FLOW_SIZE_ALPHA`` (heavy tail, finite mean), truncated at
+#: ``max_size_factor * MEAN_FLOW_SIZE`` so a single elephant cannot dwarf a
+#: short run's statistics.
+MEAN_FLOW_SIZE = 30
+FLOW_SIZE_ALPHA = 1.8
+#: Probability a new session is ``cbr`` (the rest are ``elastic``), and the
+#: per-slot emission rate of cbr sessions.
+CBR_FRACTION = 0.3
+CBR_RATE = 0.02
+#: Token-bucket depth, in slots' worth of tokens at the flow's rate.
+BURST_SLOTS = 50.0
 
 
 def route_of(links: LinkSet, node: int) -> np.ndarray:
@@ -110,10 +122,10 @@ class Flow:
     born_epoch: int
     route: np.ndarray
     remaining: int = field(init=False)
-    tokens: float = 0.0
-    emitted: int = 0
-    throttled: int = 0
-    done_epoch: int | None = None
+    tokens: float = field(default=0.0, init=False)
+    emitted: int = field(default=0, init=False)
+    throttled: int = field(default=0, init=False)
+    done_epoch: int | None = field(default=None, init=False)
 
     def __post_init__(self) -> None:
         if self.klass not in FLOW_CLASSES:
@@ -133,48 +145,23 @@ class FlowConfig:
     ----------
     session_rate:
         Mean new sessions per epoch (Poisson).
-    mean_size:
-        Mean session size in packets; sizes are bounded Pareto with shape
-        ``size_alpha`` (heavy tail, finite mean) truncated at
-        ``max_size_factor * mean_size`` so a single elephant cannot dwarf a
-        short run's statistics.
-    size_alpha:
-        Pareto shape of the size distribution (> 1).
-    cbr_fraction:
-        Probability a new session is ``cbr`` (the rest are ``elastic``).
-    cbr_rate:
-        Per-slot emission rate of cbr sessions.
     elastic_rate:
         Per-slot *peak* emission rate of elastic sessions (their token
         bucket's fill rate at throttle 1).
-    burst_slots:
-        Token-bucket depth, in slots' worth of tokens at the flow's rate.
     max_size_factor:
-        Truncation of the size distribution, as a multiple of ``mean_size``.
+        Truncation of the size distribution, as a multiple of
+        :data:`MEAN_FLOW_SIZE`.
     """
 
     session_rate: float = 4.0
-    mean_size: int = 30
-    size_alpha: float = 1.8
-    cbr_fraction: float = 0.3
-    cbr_rate: float = 0.02
     elastic_rate: float = 0.05
-    burst_slots: float = 50.0
     max_size_factor: float = 20.0
 
     def __post_init__(self) -> None:
         if self.session_rate < 0:
             raise ValueError("session_rate must be non-negative")
-        if self.mean_size <= 0:
-            raise ValueError("mean_size must be positive")
-        if self.size_alpha <= 1.0:
-            raise ValueError("size_alpha must exceed 1 (finite-mean Pareto)")
-        if not 0.0 <= self.cbr_fraction <= 1.0:
-            raise ValueError("cbr_fraction must be in [0, 1]")
-        if self.cbr_rate <= 0 or self.elastic_rate <= 0:
+        if self.elastic_rate <= 0:
             raise ValueError("flow rates must be positive")
-        if self.burst_slots <= 0:
-            raise ValueError("burst_slots must be positive")
         if self.max_size_factor < 1.0:
             raise ValueError("max_size_factor must be >= 1")
 
@@ -183,34 +170,33 @@ class FlowConfig:
         rate: float, n_sources: int, epoch_slots: int, **kwargs
     ) -> "FlowConfig":
         """A config whose session churn offers ``rate`` pkt/node/slot."""
-        cfg = FlowConfig(session_rate=1.0, **kwargs)
         return FlowConfig(
-            session_rate=rate * n_sources * epoch_slots / cfg.mean_size,
-            **kwargs,
+            session_rate=rate * n_sources * epoch_slots / MEAN_FLOW_SIZE, **kwargs
         )
 
 
 def _calibrated_size_minimum(cfg: FlowConfig) -> float:
-    """Pareto minimum ``x_m`` whose *truncated* sizes average ``mean_size``.
+    """Pareto minimum ``x_m`` whose *truncated* sizes average
+    :data:`MEAN_FLOW_SIZE`.
 
     Sizes are drawn ``min(Pareto(x_m, alpha), cap)`` then ceil'd, with
-    ``cap = max_size_factor * mean_size``.  The closed-form truncated mean
+    ``cap = max_size_factor * MEAN_FLOW_SIZE``.  The closed-form truncated mean
 
         E[min(X, cap)] = x_m + x_m/(alpha-1) * (1 - (x_m/cap)^(alpha-1))
 
     is strictly increasing in ``x_m`` on (0, cap], so a bisection pins the
-    ``x_m`` whose truncated mean hits ``mean_size - 0.5`` (the half-packet
+    ``x_m`` whose truncated mean hits ``MEAN_FLOW_SIZE - 0.5`` (the half-packet
     discount cancels the ceil's upward bias).  The naive untruncated
     formula ``mean * (alpha-1)/alpha`` would under-offer every calibrated
     arrival rate by a few percent — enough to mislabel a sweep axis.
     """
-    alpha = cfg.size_alpha
-    cap = cfg.max_size_factor * cfg.mean_size
+    alpha = FLOW_SIZE_ALPHA
+    cap = cfg.max_size_factor * MEAN_FLOW_SIZE
 
     def truncated_mean(x_m: float) -> float:
         return x_m + x_m / (alpha - 1.0) * (1.0 - (x_m / cap) ** (alpha - 1.0))
 
-    target = max(cfg.mean_size - 0.5, 1e-9)
+    target = MEAN_FLOW_SIZE - 0.5
     lo, hi = 1e-12, float(cap)
     if truncated_mean(hi) <= target:
         return hi
@@ -431,7 +417,7 @@ class FlowWorkload(TrafficGenerator):
                     (int(self._routes[flow.source][0]), epoch), []
                 )
                 group.append((flow.fid, emit))
-            flow.tokens = min(allowance - emit, flow.rate * cfg.burst_slots)
+            flow.tokens = min(allowance - emit, flow.rate * BURST_SLOTS)
             withheld = max(intent - emit, 0)
             flow.throttled += withheld
             self.packets_throttled += withheld
@@ -537,14 +523,14 @@ class FlowWorkload(TrafficGenerator):
     def _draw_flow(self, rng: np.random.Generator, epoch: int) -> Flow:
         cfg = self.config
         source = int(self._sources[rng.integers(self._sources.size)])
-        klass = "cbr" if rng.random() < cfg.cbr_fraction else "elastic"
-        rate = cfg.cbr_rate if klass == "cbr" else cfg.elastic_rate
+        klass = "cbr" if rng.random() < CBR_FRACTION else "elastic"
+        rate = CBR_RATE if klass == "cbr" else cfg.elastic_rate
         # Bounded Pareto size: x_m * U^(-1/alpha) truncated at the cap,
         # with x_m calibrated so the *truncated* (and ceil'd) size really
-        # averages mean_size — the naive untruncated formula would offer a
+        # averages MEAN_FLOW_SIZE — the naive untruncated formula would offer a
         # few percent less than every swept lambda claims.
-        size = self._size_xm / np.power(rng.random(), 1.0 / cfg.size_alpha)
-        size = int(np.ceil(min(size, cfg.max_size_factor * cfg.mean_size)))
+        size = self._size_xm / np.power(rng.random(), 1.0 / FLOW_SIZE_ALPHA)
+        size = int(np.ceil(min(size, cfg.max_size_factor * MEAN_FLOW_SIZE)))
         fid = self._next_fid
         self._next_fid += 1
         return Flow(

@@ -78,13 +78,21 @@ class PoissonArrivals(TrafficGenerator):
         return self._rng(epoch).poisson(self.rates * n_slots).astype(np.int64)
 
 
+#: :class:`ParetoOnOff`'s sojourns: Pareto shape (heavy tail, finite mean)
+#: and the mean ON and OFF phase lengths, in slots.
+PARETO_ALPHA = 1.5
+MEAN_ON_SLOTS = 50.0
+MEAN_OFF_SLOTS = 150.0
+
+
 class ParetoOnOff(TrafficGenerator):
     """Bursty heavy-tailed on–off sources (Pareto sojourn times).
 
     Each node alternates between ON phases (emitting ``peak_rate`` packets
     per slot, fluid-accumulated) and silent OFF
-    phases; both sojourn durations are Pareto with shape ``alpha`` (heavy
-    tail, finite mean for ``alpha > 1``).  The ``rate`` constructor argument
+    phases; both sojourn durations are Pareto with shape
+    :data:`PARETO_ALPHA`, with means :data:`MEAN_ON_SLOTS` and
+    :data:`MEAN_OFF_SLOTS`.  The ``rate`` constructor argument
     is the *long-run average*: ``peak_rate = rate / duty_cycle`` where
     ``duty_cycle = mean_on / (mean_on + mean_off)``.
 
@@ -100,19 +108,9 @@ class ParetoOnOff(TrafficGenerator):
         rate: float | np.ndarray,
         gateways: np.ndarray | None = None,
         seed: int | np.random.Generator | None = None,
-        alpha: float = 1.5,
-        mean_on_slots: float = 50.0,
-        mean_off_slots: float = 150.0,
     ):
         super().__init__(n_nodes, rate, gateways, seed)
-        if alpha <= 1.0:
-            raise ValueError("alpha must exceed 1 (finite-mean Pareto)")
-        if mean_on_slots <= 0 or mean_off_slots <= 0:
-            raise ValueError("mean sojourn times must be positive")
-        self.alpha = float(alpha)
-        self.mean_on_slots = float(mean_on_slots)
-        self.mean_off_slots = float(mean_off_slots)
-        self.duty_cycle = mean_on_slots / (mean_on_slots + mean_off_slots)
+        self.duty_cycle = MEAN_ON_SLOTS / (MEAN_ON_SLOTS + MEAN_OFF_SLOTS)
         self.peak_rates = self.rates / self.duty_cycle
         self.reset()
 
@@ -128,10 +126,10 @@ class ParetoOnOff(TrafficGenerator):
 
     def _sojourn(self, on: np.ndarray) -> np.ndarray:
         """Pareto sojourn lengths (slots) for each node's *current* phase."""
-        mean = np.where(on, self.mean_on_slots, self.mean_off_slots)
-        scale = mean * (self.alpha - 1.0) / self.alpha  # Pareto minimum x_m
+        mean = np.where(on, MEAN_ON_SLOTS, MEAN_OFF_SLOTS)
+        scale = mean * (PARETO_ALPHA - 1.0) / PARETO_ALPHA  # Pareto minimum x_m
         u = self._state_rng.random(self.n_nodes)
-        return scale / np.power(u, 1.0 / self.alpha)
+        return scale / np.power(u, 1.0 / PARETO_ALPHA)
 
     def arrivals(self, epoch: int, n_slots: int) -> np.ndarray:
         if epoch != self._next_epoch:

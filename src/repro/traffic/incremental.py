@@ -42,7 +42,7 @@ re-run-every-epoch knee sits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,12 +54,14 @@ from repro.scheduling.schedule import Schedule, Slot
 from repro.traffic.epoch import EpochSchedule, EpochSchedulerFn
 from repro.util.ranges import join, split_at
 
-#: Default *base* drift threshold (normalized L1), before headroom scaling.
+#: The *base* drift threshold (normalized L1), before headroom scaling:
+#: :class:`ScheduleCache` reuses its schedule while :func:`drift_l1` stays
+#: at or under it (0 would reuse only byte-identical snapshots).
 #: Chosen from measured drift on the 8x8 grid: with the threshold scaled by
 #: the cached schedule's cycles-per-epoch headroom, 0.35 reuses schedules
 #: freely at light load (headroom 4-5x lifts it past the 0.8-1.1 Poisson
 #: wiggle) yet recomputes near the knee (headroom ~1 keeps it strict).
-DEFAULT_DRIFT_THRESHOLD = 0.35
+DRIFT_THRESHOLD = 0.35
 
 
 def drift_l1(current: np.ndarray, baseline: np.ndarray) -> float:
@@ -89,10 +91,10 @@ class CacheDecision:
 class CacheStats:
     """Cumulative cache accounting across an epoch-loop run."""
 
-    requests: int = 0
-    hits: int = 0
-    patches: int = 0
-    recomputes: int = 0
+    requests: int = field(default=0, init=False)
+    hits: int = field(default=0, init=False)
+    patches: int = field(default=0, init=False)
+    recomputes: int = field(default=0, init=False)
 
 
 def patch_schedule(
@@ -276,10 +278,6 @@ class ScheduleCache:
         ``"drift-threshold"`` or ``"patch"`` (see
         :data:`~repro.traffic.epoch.RESCHEDULE_POLICIES`; ``"always"`` is
         the epoch loop *not* using a cache).
-    drift_threshold:
-        Reuse the cached schedule while :func:`drift_l1` stays at or under
-        this value.  0 reuses only on byte-identical snapshots.  Only the
-        test suites set it; the epoch loop's own caches keep the default.
     model:
         Physical-interference model, required by the ``patch`` policy for
         its SINR feasibility checks.
@@ -290,7 +288,7 @@ class ScheduleCache:
         serves with (``EpochConfig.rate_table``) or patched schedules will
         be sized for the wrong contract.
     epoch_slots:
-        When given, two safeguards engage.  First, the drift threshold is
+        When given, two safeguards engage.  First, :data:`DRIFT_THRESHOLD` is
         scaled by the cached schedule's *service headroom* — the number of
         full cycles that fit in an epoch, ``epoch_slots / length`` (never
         scaled below the base threshold): a schedule cycling 4x per epoch
@@ -314,7 +312,6 @@ class ScheduleCache:
         self,
         base: EpochSchedulerFn,
         policy: str = "drift-threshold",
-        drift_threshold: float = DEFAULT_DRIFT_THRESHOLD,
         model: PhysicalInterferenceModel | None = None,
         epoch_slots: int | None = None,
         rate_table=None,
@@ -323,15 +320,12 @@ class ScheduleCache:
             raise ValueError(
                 f"policy must be 'drift-threshold' or 'patch', got {policy!r}"
             )
-        if drift_threshold < 0:
-            raise ValueError("drift_threshold must be non-negative")
         if policy == "patch" and model is None:
             raise ValueError("the 'patch' policy needs a PhysicalInterferenceModel")
         if epoch_slots is not None and epoch_slots <= 0:
             raise ValueError("epoch_slots must be positive when given")
         self._base = base
         self.policy = policy
-        self.drift_threshold = float(drift_threshold)
         self._model = model
         self._epoch_slots = epoch_slots
         self._rate_table = rate_table
@@ -385,9 +379,9 @@ class ScheduleCache:
             or self._cached is None
             or self._cached.schedule.length == 0
         ):
-            return self.drift_threshold
+            return DRIFT_THRESHOLD
         headroom = self._epoch_slots / self._cached.schedule.length
-        return self.drift_threshold * max(1.0, headroom)
+        return DRIFT_THRESHOLD * max(1.0, headroom)
 
     def bind_sinrs(self, memo: SlotSinrMemo | None) -> None:
         """Read patch SINRs through ``memo``, the run's, if it judges slots

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -16,9 +18,14 @@ from repro.routing import (
     uniform_node_demand,
 )
 from repro.scheduling.links import LinkSet, forest_link_set
+from repro.phy.propagation import LogDistancePathLoss
+from repro.phy.radio import RadioConfig, heterogeneous_tx_power
+from repro.topology.deployment import uniform_positions
 from repro.topology.network import Network, grid_network, uniform_network
+from repro.topology.regions import SquareRegion
+from repro.traffic import incremental
 from repro.traffic.generators import TrafficGenerator
-from repro.util.rng import spawn
+from repro.util.rng import ensure_rng, spawn
 
 
 @pytest.fixture(scope="session")
@@ -39,6 +46,17 @@ def uniform32() -> Network:
     return uniform_network(32, density_per_km2=3000, rng=101)
 
 
+def uniform_draw(n: int, density_per_km2: float, seed: int) -> Network:
+    """``uniform_network``'s first draw, kept whether it is connected or
+    not: the deployments whose links cannot all decode alone."""
+    generator = ensure_rng(seed)
+    radio = RadioConfig()
+    region = SquareRegion.for_density(n, density_per_km2)
+    positions = uniform_positions(n, region, generator)
+    tx = heterogeneous_tx_power(n, generator)
+    return Network(positions, tx, radio, LogDistancePathLoss(alpha=radio.alpha), region)
+
+
 def make_links(network: Network, n_gateways: int, seed: int, demand_high: int = 3):
     """Forest link set with small demands on a given network."""
     side = int(round(np.sqrt(network.n_nodes)))
@@ -50,7 +68,7 @@ def make_links(network: Network, n_gateways: int, seed: int, demand_high: int = 
         gws = random_gateways(network.n_nodes, n_gateways, spawn(seed, "gw"))
     forest = build_routing_forest(network.comm_adj, gws, rng=spawn(seed, "forest"))
     demand = uniform_node_demand(
-        network.n_nodes, spawn(seed, "demand"), low=1, high=demand_high, gateways=gws
+        network.n_nodes, spawn(seed, "demand"), high=demand_high, gateways=gws
     )
     return forest, forest_link_set(forest, aggregate_demand(forest, demand))
 
@@ -255,6 +273,16 @@ def scream_reach_exactly(sens_hop_distance, inputs, k):
     if not src.any():
         return np.zeros_like(src)
     return (dist[src].min(axis=0) <= k) | src
+
+
+@contextmanager
+def drift_threshold(value: float):
+    """``ScheduleCache``'s base drift threshold (``DRIFT_THRESHOLD``) set
+    to ``value`` inside the block: 0 makes a cache that reuses only
+    identical snapshots, a large value one that reuses every schedule."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(incremental, "DRIFT_THRESHOLD", value)
+        yield
 
 
 class ConstantBitRate(TrafficGenerator):

@@ -26,15 +26,8 @@ def multi_links(grid16):
     return links
 
 
-@pytest.mark.parametrize("protocol", ["fdd", "pdd"])
-def test_arbitrary_schedule_valid_and_complete(grid16, multi_links, protocol):
-    result = run_arbitrary_link_set(
-        grid16,
-        multi_links,
-        ProtocolConfig(k=5, id_bits=7),
-        protocol=protocol,
-        rng=3,
-    )
+def test_arbitrary_schedule_valid_and_complete(grid16, multi_links):
+    result = run_arbitrary_link_set(grid16, multi_links, ProtocolConfig(k=5, id_bits=7), rng=3)
     report = verify_schedule(result.schedule, grid16.model)
     assert report.ok
     assert np.array_equal(result.schedule.allocations(), multi_links.demand)
@@ -82,7 +75,3 @@ def test_id_bits_widened_automatically(grid16):
     )
     assert verify_schedule(result.schedule, grid16.model).ok
 
-
-def test_unknown_protocol_rejected(grid16, grid16_links):
-    with pytest.raises(ValueError, match="protocol"):
-        run_arbitrary_link_set(grid16, grid16_links, protocol="tdma")

@@ -38,7 +38,7 @@ from repro.traffic import (
     sharded_centralized_factory,
 )
 from repro.util.rng import spawn
-from tests.conftest import ledger_counts
+from tests.conftest import drift_threshold, ledger_counts
 
 #: Every behavioural field of an EpochRecord, the new control fields
 #: included — zero-priced runs must report 0 control slots everywhere.
@@ -225,14 +225,14 @@ def test_priced_cache_books_each_patch_edit_times_its_depth(mesh, policy):
     cache = _RecordingCache(
         centralized_scheduler(network.model, overhead_seconds=0.3),
         policy=policy,
-        drift_threshold=0.5,
         model=network.model,
         epoch_slots=config.epoch_slots,
     )
-    trace = run_epochs(
-        links, _poisson(network, gateways), cache, config, model=network.model,
-        control=ControlPlaneModel.default_priced(),
-    )
+    with drift_threshold(0.5):  # loose enough to hit as well as patch
+        trace = run_epochs(
+            links, _poisson(network, gateways), cache, config, model=network.model,
+            control=ControlPlaneModel.default_priced(),
+        )
     depths = forest_depths(links)
     assert depths.min() >= 1
 

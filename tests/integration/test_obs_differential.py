@@ -66,7 +66,7 @@ def _generator(mesh, rate=0.012):
 def _workload(mesh):
     return FlowWorkload(
         mesh.links,
-        FlowConfig.for_offered_rate(0.015, mesh.links.n_links, 120, mean_size=20),
+        FlowConfig.for_offered_rate(0.015, mesh.links.n_links, 120),
         controller=make_controller("knee-tracker"),
         seed=spawn(5, "obs-wl"),
     )

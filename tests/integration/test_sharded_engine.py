@@ -63,7 +63,14 @@ from repro.traffic import (
     sharded_centralized_factory,
     sharded_distributed_factory,
 )
-from tests.conftest import BufferRecorder, counter_value, ledger_counts, metric, serve_slot
+from tests.conftest import (
+    BufferRecorder,
+    counter_value,
+    drift_threshold,
+    ledger_counts,
+    metric,
+    serve_slot,
+)
 
 FUNCTIONAL_FIELDS = (
     "epoch",
@@ -204,9 +211,10 @@ def test_single_shard_equivalence(mesh, rate, diverges):
     assert any(name == "traffic.delivered" and value > 0 for _, name, _, value in metrics)
 
 
-#: Loose enough that the light-load runs below reuse schedules as well as
-#: recompute them (the default threshold recomputes every epoch here).
-DRIFT_THRESHOLD = 0.5
+#: A drift threshold loose enough that the light-load runs below reuse
+#: schedules as well as recompute them (``DRIFT_THRESHOLD`` recomputes
+#: every epoch here).
+LOOSE_DRIFT = 0.5
 
 
 def _caching_factory(policy, caches):
@@ -217,7 +225,6 @@ def _caching_factory(policy, caches):
         cache = ScheduleCache(
             centralized_scheduler(shard_model, overhead_seconds=0.3),
             policy=policy,
-            drift_threshold=DRIFT_THRESHOLD,
             model=shard_model,
             epoch_slots=150,
         )
@@ -237,10 +244,11 @@ def test_a_factorys_own_cache_is_just_a_scheduler(mesh, policy):
                             interference_radius_m=80.0)
     caches = []
     config = EpochConfig(epoch_slots=150, n_epochs=6, divergence_factor=4.0)
-    trace = run_epochs_sharded(
-        plan, _generator(mesh), _caching_factory(policy, caches),
-        mesh.network.model, config, control=ControlPlaneModel.default_priced(),
-    )
+    with drift_threshold(LOOSE_DRIFT):
+        trace = run_epochs_sharded(
+            plan, _generator(mesh), _caching_factory(policy, caches),
+            mesh.network.model, config, control=ControlPlaneModel.default_priced(),
+        )
     trace.queues.check_conservation()
     assert len(caches) == plan.n_shards
     assert sum(c.stats.hits + c.stats.patches for c in caches) > 0
@@ -266,17 +274,17 @@ def test_one_shard_with_its_own_cache_serves_the_monolithic_cached_rounds(
     mono_cache = ScheduleCache(
         centralized_scheduler(model, overhead_seconds=0.3),
         policy=policy,
-        drift_threshold=DRIFT_THRESHOLD,
         model=model,
         epoch_slots=150,
     )
-    mono = run_epochs(mesh.links, _generator(mesh), mono_cache, config, model=model)
     plan = plan_for_network(mesh.links, mesh.network, n_shards=1,
                             interference_radius_m=80.0)
     caches = []
-    shard = run_epochs_sharded(
-        plan, _generator(mesh), _caching_factory(policy, caches), model, config
-    )
+    with drift_threshold(LOOSE_DRIFT):
+        mono = run_epochs(mesh.links, _generator(mesh), mono_cache, config, model=model)
+        shard = run_epochs_sharded(
+            plan, _generator(mesh), _caching_factory(policy, caches), model, config
+        )
 
     decisions = ("cache_hit", "patched", "drift")
     assert mono_cache.stats.hits + mono_cache.stats.patches > 0
@@ -662,7 +670,7 @@ def _split_region_mesh():
     positions = np.concatenate([grid + corner for corner in corners])
     network = Network(
         positions,
-        uniform_tx_power(positions.shape[0], 12.0),
+        uniform_tx_power(positions.shape[0]),
         radio,
         LogDistancePathLoss(alpha=radio.alpha),
         SquareRegion(2000.0),

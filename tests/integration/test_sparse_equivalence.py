@@ -80,7 +80,7 @@ def _generator(mesh, rate=0.012):
 def _workload(mesh, controller=None, rate=0.015):
     return FlowWorkload(
         mesh.links,
-        FlowConfig.for_offered_rate(rate, mesh.links.n_links, 120, mean_size=20),
+        FlowConfig.for_offered_rate(rate, mesh.links.n_links, 120),
         controller=controller or make_controller("knee-tracker"),
         seed=spawn(5, "sparse-wl"),
     )

@@ -6,6 +6,8 @@ resulting schedules can be infeasible — all of which the independent
 verifier must detect.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -24,11 +26,8 @@ def sparse_grid():
     cs_gamma=1 keeps the sensitivity graph as thin as the communication
     graph, maximizing ID(GS) so there is room below it for truncated-K runs.
     """
-    from repro.phy.radio import RadioConfig
-
-    return grid_network(
-        6, 6, density_per_km2=800.0, radio=RadioConfig(cs_gamma=1.0)
-    )
+    grid = grid_network(6, 6, density_per_km2=800.0)
+    return replace(grid, radio=replace(grid.radio, cs_gamma=1.0))
 
 
 def test_sparse_grid_has_room_below_id(sparse_grid):

@@ -45,6 +45,7 @@ from repro.traffic import (
     run_epochs,
 )
 from repro.util.rng import spawn
+from tests.conftest import drift_threshold
 
 
 @pytest.fixture(scope="module")
@@ -82,9 +83,10 @@ def test_zero_threshold_drift_policy_is_equivalent_to_always(mesh, rate, seed):
         scheduler = centralized_scheduler(mesh.network.model)
         if policy != "always":
             scheduler = ScheduleCache(
-                scheduler, policy=policy, drift_threshold=0.0, epoch_slots=150
+                scheduler, policy=policy, epoch_slots=150
             )
-        return run_epochs(mesh.links, generator, scheduler, config)
+        with drift_threshold(0.0):
+            return run_epochs(mesh.links, generator, scheduler, config)
 
     always = trace_with("always")
     cached = trace_with("drift-threshold")
@@ -143,7 +145,6 @@ def test_cache_hits_charge_zero_overhead_and_stay_feasible(mesh, rate, seed):
     scheduler = ScheduleCache(
         centralized_scheduler(mesh.network.model, overhead_seconds=0.8),
         policy="patch",
-        drift_threshold=0.2,
         model=mesh.network.model,
         epoch_slots=config.epoch_slots,
     )

@@ -17,6 +17,7 @@ from repro.phy.interference import PhysicalInterferenceModel
 from repro.phy.sinr import sinr_for_link_sets, sinr_for_links
 from repro.phy.sparse import build_sparse_power
 from repro.topology.network import uniform_network
+from tests.conftest import uniform_draw
 
 
 @st.composite
@@ -33,9 +34,7 @@ def link_sets_case(draw):
     seed = draw(st.integers(0, 2**31 - 1))
     n = draw(st.integers(4, 16))
     density = draw(st.sampled_from([150.0, 500.0, 4000.0]))
-    network = uniform_network(
-        n, density_per_km2=density, rng=seed, require_connected=False
-    )
+    network = uniform_draw(n, density, seed)
     rng = np.random.default_rng(seed)
     dist = np.linalg.norm(
         network.positions[:, None, :] - network.positions[None, :, :], axis=2

@@ -31,10 +31,18 @@ from tests.conftest import (
     stepwise_standalone_rates,
 )
 
+def _ladder(beta, hysteresis):
+    """A 3-tier ladder at x1.5 SINR per tier, finer than
+    ``RateTable.geometric``'s x2 so that upgrades need the margin."""
+    return RateTable(
+        thresholds=beta * 1.5 ** np.arange(3), rates=np.array([1, 2, 4]), hysteresis=hysteresis
+    )
+
+
 TABLES = {
     "degenerate": lambda beta: RateTable.degenerate(beta),
     "geometric": lambda beta: RateTable.geometric(beta),
-    "hysteresis": lambda beta: RateTable.geometric(beta, sinr_step=1.5, hysteresis=1.3),
+    "hysteresis": lambda beta: _ladder(beta, 1.3),
     # A base tier above the radio's β: links admitted by the feasibility
     # screen can sit *below* tier 0 and ride the base-tier floor.
     "raised-base": lambda beta: RateTable(
@@ -237,7 +245,7 @@ def test_annotator_memory_advances_within_a_round(meshes):
     network, links = meshes[0]
     links = replace(links, demand=np.full(links.n_links, 20))
     for hysteresis in (1.15, 1.3):
-        table = RateTable.geometric(network.radio.beta, sinr_step=1.5, hysteresis=hysteresis)
+        table = _ladder(network.radio.beta, hysteresis)
         schedule = greedy_rate(links, network.model, table)
         slots = [slot.as_array() for slot in schedule.slots]
         assert np.bincount(np.concatenate(slots)).max() >= 3

@@ -29,7 +29,7 @@ from repro.routing import build_routing_forest, random_gateways
 from repro.scheduling.feasibility import SlotArena, feasible_alone
 from repro.scheduling.links import LinkSet
 from repro.topology.network import grid_network, uniform_network
-from tests.conftest import StepwiseRuntime, make_links
+from tests.conftest import StepwiseRuntime, make_links, uniform_draw
 
 
 @st.composite
@@ -44,9 +44,7 @@ def slot_case(draw):
     seed = draw(st.integers(0, 2**31 - 1))
     n = draw(st.integers(6, 18))
     density = draw(st.sampled_from([150.0, 500.0, 4000.0]))
-    network = uniform_network(
-        n, density_per_km2=density, rng=seed, require_connected=False
-    )
+    network = uniform_draw(n, density, seed)
     rng = np.random.default_rng(seed)
     dist = np.linalg.norm(
         network.positions[:, None, :] - network.positions[None, :, :], axis=2
@@ -313,12 +311,7 @@ def packed_arena(draw):
     converge on one receiver."""
     seed = draw(st.integers(0, 2**31 - 1))
     n = draw(st.integers(6, 18))
-    network = uniform_network(
-        n,
-        density_per_km2=draw(st.sampled_from([150.0, 500.0, 4000.0])),
-        rng=seed,
-        require_connected=False,
-    )
+    network = uniform_draw(n, draw(st.sampled_from([150.0, 500.0, 4000.0])), seed)
     rng = np.random.default_rng(seed)
     dist = np.linalg.norm(
         network.positions[:, None, :] - network.positions[None, :, :], axis=2

@@ -28,9 +28,10 @@ from repro.scheduling.greedy_rate import greedy_rate
 from repro.topology.network import uniform_network
 from repro.traffic.epoch import EpochConfig, EpochSchedule, RateAnnotator, run_epochs
 from repro.traffic.generators import PoissonArrivals
+from repro.traffic import incremental
 from repro.traffic.incremental import ScheduleCache, patch_schedule
 from repro.util.ranges import join
-from tests.conftest import make_links
+from tests.conftest import drift_threshold, make_links
 
 
 def bits(values):
@@ -180,7 +181,6 @@ def test_cache_patches_equal_fresh_patches_and_memo_stays_bounded(
     cache = ScheduleCache(
         scheduler,
         policy="patch",
-        drift_threshold=0.0,
         model=model,
         epoch_slots=max_length,
         rate_table=table,
@@ -188,7 +188,7 @@ def test_cache_patches_equal_fresh_patches_and_memo_stays_bounded(
     demand = np.minimum(links.demand, 4)
     asked = [0]  # distinct slots per memo call
     read = SlotSinrMemo.__call__
-    with pytest.MonkeyPatch.context() as patcher:
+    with pytest.MonkeyPatch.context() as patcher, drift_threshold(0.0):
         patcher.setattr(interference, "MEMO_SLOTS", memo_slots)
         patcher.setattr(
             SlotSinrMemo,
@@ -271,7 +271,6 @@ def test_a_run_shares_one_memo_between_annotator_and_patch_cache(mesh, monkeypat
         return ScheduleCache(
             scheduler,
             policy="patch",
-            drift_threshold=0.0,
             model=cache_model,
             epoch_slots=300,
             rate_table=table,
@@ -293,6 +292,7 @@ def test_a_run_shares_one_memo_between_annotator_and_patch_cache(mesh, monkeypat
         return flat(self, heads, tails, slots)
 
     monkeypatch.setattr(PhysicalInterferenceModel, "_slot_sinrs_flat", recording)
+    monkeypatch.setattr(incremental, "DRIFT_THRESHOLD", 0.0)
     shared = cache_over(model)
     trace = run(shared, table)
     assert trace.patched_epochs >= 3

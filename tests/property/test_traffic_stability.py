@@ -8,6 +8,7 @@ checks of the stability classifiers on synthetic traces.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -121,7 +122,9 @@ def _trace(backlogs, arrivals_per_epoch=100, diverged=False):
         )
         for e, b in enumerate(backlogs)
     ]
-    return TrafficTrace(config=EpochConfig(), records=records, diverged=diverged)
+    trace = TrafficTrace(config=EpochConfig(), records=records)
+    trace.diverged = diverged
+    return trace
 
 
 class TestStabilityClassifiers:
@@ -194,13 +197,18 @@ def _oracle_slope(y):
         max_size=120,
     )
 )
+@example(values=[0, 5e-324])
 def test_closed_form_slope_matches_the_polynomial_fit(values):
     """To 1e-12 relative, or 1e-12 of the series' magnitude where the slope
     is so near 0 that the fit's own rounding dominates (a symmetric series
-    fits ~1e-14 there, the closed form exactly 0.0)."""
+    fits ~1e-14 there, the closed form exactly 0.0).  Below the smallest
+    normal float the absolute tolerance stops shrinking: subnormals carry
+    no relative precision, so ``[0, 5e-324]`` (exact slope 5e-324) reads
+    0.0 in closed form and 1e-323 from the fit, both within rounding."""
     y = np.asarray(values, dtype=float)
     scale = float(np.abs(y).max())
-    assert math.isclose(series_slope(y), _oracle_slope(y), rel_tol=1e-12, abs_tol=1e-12 * scale)
+    tolerance = max(1e-12 * scale, sys.float_info.min)
+    assert math.isclose(series_slope(y), _oracle_slope(y), rel_tol=1e-12, abs_tol=tolerance)
 
 
 @given(

@@ -95,11 +95,7 @@ class TestBounds:
 
     def test_approximation_bound_sublinear(self):
         for n in (100, 1000, 10_000):
-            assert approximation_bound(n, alpha=3.0) < n
-
-    def test_approximation_bound_rejects_alpha_at_most_two(self):
-        with pytest.raises(ValueError):
-            approximation_bound(100, alpha=1.9, eps=0.01)
+            assert approximation_bound(n) < n
 
     def test_complexity_bound_formula(self):
         assert fdd_step_complexity_bound(10, 5.0, 64) == pytest.approx(

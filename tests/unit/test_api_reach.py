@@ -8,8 +8,9 @@ attribute or an exact string — somewhere in ``src/``, ``bench/``,
 ``benchmarks/`` or ``examples/``.  Definitions, imports and ``__all__``
 entries do not count: a re-export is not a caller.  What only tests reach
 either leaves ``src`` or has an entry in ``tools/reach_allow.txt``, the one
-allow-list of code no entry point runs, which ``tools/reach.py --functions``
-enforces by trace; the entries themselves are linted here.
+allow-list of code no entry point runs and of knobs every entry point binds
+to one value, which ``tools/reach.py --functions --knobs`` enforces by
+trace; the entries themselves are linted here.
 """
 
 import ast
@@ -86,11 +87,31 @@ def test_every_allow_list_entry_names_a_function_under_src():
     missing = sorted(
         f"{file}::{name}"
         for file, name in ALLOWED
-        if not file.startswith("src/")
-        or not (ROOT / file).is_file()
-        or name not in {defined for defined, *_ in reach.functions(ROOT / file)}
+        if not reach.is_knob(name)
+        and (
+            not file.startswith("src/")
+            or not (ROOT / file).is_file()
+            or name not in {defined for defined, *_ in reach.functions(ROOT / file)}
+        )
     )
     assert not missing, f"allow-listed but defined nowhere under src/: {missing}"
+
+
+def test_every_knob_entry_names_a_defaulted_parameter_or_field_under_src():
+    """A knob entry names ``QUALIFIED_NAME(PARAMETER=)``: a defaulted
+    parameter of a function, or a defaulted init field of a dataclass,
+    defined in its file; a knob that became a constant leaves the list."""
+    missing = sorted(
+        f"{file}::{name}"
+        for file, name in ALLOWED
+        if reach.is_knob(name)
+        and (
+            not file.startswith("src/")
+            or not (ROOT / file).is_file()
+            or name not in {knob for _key, knob, *_ in reach.defaulted(ROOT / file)}
+        )
+    )
+    assert not missing, f"knobs allow-listed but defined nowhere under src/: {missing}"
 
 
 def test_every_reason_is_one_kind_and_names_its_target():

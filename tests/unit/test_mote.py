@@ -102,8 +102,8 @@ class TestExperiment:
         assert np.allclose(result.intervals, 0.1, atol=0.005)
 
     def test_miss_probability_consistent_with_sweep(self):
-        assert miss_probability(24, n_trials=50, rng=3) == 0.0
-        assert miss_probability(5, n_trials=50, rng=3) > 0.8
+        assert miss_probability(24, rng=3) == 0.0
+        assert miss_probability(5, rng=3) > 0.8
 
     def test_experiment_reproducible(self):
         exp = ScreamExperiment(smbytes=10, n_screams=40)
@@ -121,15 +121,15 @@ class TestExperiment:
 
 class TestTrace:
     def test_trace_shows_one_episode_per_round(self):
-        times, values = monitor_rssi_trace(smbytes=24, n_rounds=4, rng=11)
+        times, values = monitor_rssi_trace(n_rounds=4, rng=11)
         above = values >= -60.0
         episodes = int((above[1:] & ~above[:-1]).sum() + int(above[0]))
         assert episodes == 4
 
     def test_trace_baseline_near_noise_floor(self):
-        _, values = monitor_rssi_trace(smbytes=24, n_rounds=2, rng=12)
+        _, values = monitor_rssi_trace(n_rounds=2, rng=12)
         assert np.median(values[values < -80]) == pytest.approx(-95.0, abs=2.0)
 
     def test_trace_times_monotone(self):
-        times, _ = monitor_rssi_trace(smbytes=24, n_rounds=3, rng=13)
+        times, _ = monitor_rssi_trace(n_rounds=3, rng=13)
         assert (np.diff(times) > 0).all()

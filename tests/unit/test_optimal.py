@@ -38,7 +38,7 @@ def sparse4x4():
 def sparse_links(sparse4x4):
     gws = planned_gateways(4, 4, 1)
     forest = build_routing_forest(sparse4x4.comm_adj, gws, rng=spawn(2, "f"))
-    demand = uniform_node_demand(16, spawn(2, "d"), low=1, high=3, gateways=gws)
+    demand = uniform_node_demand(16, spawn(2, "d"), high=3, gateways=gws)
     return forest_link_set(forest, aggregate_demand(forest, demand))
 
 

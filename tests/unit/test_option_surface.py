@@ -1,11 +1,11 @@
 """The run surface, spelled out: a new knob is a visible diff here.
 
 Every independently settable value of the engines and experiment harnesses
-doubles the configurations the differential suites must span.  A field or
-defaulted keyword that appears below needs a caller outside ``tests/`` that
-sets it to a second value, or an entry in ROADMAP's "Settled" list saying
-why it stays (the test seams); the experiment-harness, protocol and rate
-signatures are pinned too, so a keyword only tests would set cannot return
+doubles the configurations the differential suites must span.  Whether a
+knob is turned is the knob census's question: ``tools/reach.py --knobs``
+fails on a defaulted keyword or field that every entry point binds to one
+value and that has no reason to stay in ``tools/reach_allow.txt``.  This
+file pins the names, so that a keyword only tests would set cannot return
 unseen.
 """
 
@@ -70,16 +70,7 @@ CONFIG_FIELDS = {
         "retain_records",
     ),
     ObsConfig: ("level", "jsonl_path", "run_name", "config"),
-    FlowConfig: (
-        "session_rate",
-        "mean_size",
-        "size_alpha",
-        "cbr_fraction",
-        "cbr_rate",
-        "elastic_rate",
-        "burst_slots",
-        "max_size_factor",
-    ),
+    FlowConfig: ("session_rate", "elastic_rate", "max_size_factor"),
     # What differs between FULL, QUICK and the benchmark profile, or what
     # the runner's --seed / --obs / --obs-jsonl override; every other sweep
     # constant lives in the one experiment module that reads it.

@@ -6,6 +6,8 @@ import pytest
 from repro.phy.radio import (
     RadioConfig,
     RateTable,
+    TX_POWER_DBM,
+    TX_POWER_RANGE_DBM,
     heterogeneous_tx_power,
     uniform_tx_power,
 )
@@ -40,16 +42,17 @@ class TestRadioConfig:
 
 class TestPowerVectors:
     def test_uniform_power_value_and_shape(self):
-        tx = uniform_tx_power(5, power_dbm=12.0)
+        tx = uniform_tx_power(5)
         assert tx.shape == (5,)
-        assert np.allclose(tx, dbm_to_mw(12.0))
+        assert np.allclose(tx, dbm_to_mw(TX_POWER_DBM))
 
     def test_heterogeneous_power_within_range(self):
         rng = np.random.default_rng(3)
-        tx = heterogeneous_tx_power(100, rng, low_dbm=10.0, high_dbm=14.0)
+        tx = heterogeneous_tx_power(100, rng)
+        low, high = TX_POWER_RANGE_DBM
         assert tx.shape == (100,)
-        assert (tx >= dbm_to_mw(10.0) - 1e-12).all()
-        assert (tx <= dbm_to_mw(14.0) + 1e-12).all()
+        assert (tx >= dbm_to_mw(low) - 1e-12).all()
+        assert (tx <= dbm_to_mw(high) + 1e-12).all()
         # Heterogeneous means actually varied.
         assert np.std(tx) > 0
 
@@ -58,12 +61,6 @@ class TestPowerVectors:
             uniform_tx_power(0)
         with pytest.raises(ValueError):
             heterogeneous_tx_power(0, np.random.default_rng(0))
-
-    def test_inverted_power_range_rejected(self):
-        with pytest.raises(ValueError):
-            heterogeneous_tx_power(
-                4, np.random.default_rng(0), low_dbm=14.0, high_dbm=10.0
-            )
 
 
 class TestRateTableValidation:

@@ -82,7 +82,7 @@ class TestDemand:
     def test_uniform_demand_range_and_gateways(self):
         rng = np.random.default_rng(1)
         gws = np.array([0, 5])
-        demand = uniform_node_demand(10, rng, low=1, high=10, gateways=gws)
+        demand = uniform_node_demand(10, rng, high=10, gateways=gws)
         assert (demand[gws] == 0).all()
         others = np.delete(demand, gws)
         assert (others >= 1).all() and (others <= 10).all()

@@ -183,4 +183,4 @@ class TestNetwork:
 
     def test_impossible_uniform_density_raises(self):
         with pytest.raises(RuntimeError):
-            uniform_network(64, density_per_km2=5.0, rng=1, max_retries=3)
+            uniform_network(64, density_per_km2=5.0, rng=1)

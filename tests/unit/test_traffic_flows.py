@@ -25,6 +25,7 @@ from repro.traffic import (
 )
 from repro.traffic.admission import AIMD_DECREASE, CAP_FLOOR, HOT_SLOWDOWN
 from repro.traffic.epoch import EpochRecord
+from repro.traffic.flows import CBR_RATE, MEAN_FLOW_SIZE
 
 
 def chain_links(n=4):
@@ -63,15 +64,15 @@ class TestRoutes:
 class TestFlowConfig:
     def test_offered_rate_round_trips(self):
         cfg = FlowConfig.for_offered_rate(0.02, n_sources=10, epoch_slots=100)
-        assert cfg.session_rate * cfg.mean_size / (10 * 100) == pytest.approx(0.02)
+        assert cfg.session_rate * MEAN_FLOW_SIZE / (10 * 100) == pytest.approx(0.02)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             FlowConfig(session_rate=-1)
         with pytest.raises(ValueError):
-            FlowConfig(size_alpha=1.0)
+            FlowConfig(elastic_rate=0.0)
         with pytest.raises(ValueError):
-            FlowConfig(cbr_fraction=1.5)
+            FlowConfig(max_size_factor=0.5)
 
     def test_flow_validation(self):
         with pytest.raises(ValueError, match="klass"):
@@ -123,13 +124,12 @@ class TestFlowWorkload:
 
     def test_completed_flows_depart(self):
         links = chain_links(4)
-        cfg = FlowConfig(
-            session_rate=2.0, mean_size=3, elastic_rate=1.0, cbr_rate=1.0,
-            max_size_factor=1.0,
-        )
+        # Sizes are capped at MEAN_FLOW_SIZE and every bucket fills at
+        # least that many tokens per 2000-slot epoch (CBR_RATE x 2000).
+        cfg = FlowConfig(session_rate=2.0, elastic_rate=1.0, max_size_factor=1.0)
         wl = FlowWorkload(links, cfg, seed=5)
         for epoch in range(5):
-            wl.arrivals(epoch, 50)
+            wl.arrivals(epoch, 2000)
         done = [f for f in wl.flows if f.done_epoch is not None]
         assert done, "short flows at high rate should complete"
         for f in done:
@@ -152,7 +152,7 @@ class TestControllers:
         links = chain_links(6)
         wl = FlowWorkload(
             links,
-            FlowConfig(session_rate=8.0, cbr_fraction=0.0, elastic_rate=0.5),
+            FlowConfig(session_rate=8.0, elastic_rate=0.5),
             controller=StaticCap(cap=1.0),
             seed=5,
         )
@@ -299,7 +299,7 @@ class TestAdmittedRateAggregates:
         links = chain_links(8)
         wl = FlowWorkload(
             links,
-            FlowConfig(session_rate=6.0, mean_size=5, max_size_factor=2.0),
+            FlowConfig(session_rate=6.0, max_size_factor=2.0),
             controller=StaticCap(cap=0.4),
             seed=11,
         )
@@ -314,21 +314,20 @@ class TestAdmittedRateAggregates:
                 assert wl.admitted_rate(klass) == pytest.approx(scanned, abs=1e-9)
 
     def test_rate_clamped_at_zero_after_full_departure(self):
-        # Sizes are capped at 2 packets and each flow's bucket allows
-        # rate x 50 = 50 per epoch, so every admitted session emits fully
-        # and departs within its own arrival epoch — the active set is
-        # empty (and the aggregate exactly zero) after every epoch.
+        # Sizes are capped at MEAN_FLOW_SIZE (30) packets and each flow's
+        # bucket allows at least CBR_RATE x 2000 = 40 per epoch, so every
+        # admitted session emits fully and departs within its own arrival
+        # epoch — the active set is empty (and the aggregate exactly zero)
+        # after every epoch.
+        assert CBR_RATE * 2000 >= MEAN_FLOW_SIZE
         links = chain_links(4)
         wl = FlowWorkload(
             links,
-            FlowConfig(
-                session_rate=2.0, mean_size=2, max_size_factor=1.0,
-                cbr_rate=1.0, elastic_rate=1.0,
-            ),
+            FlowConfig(session_rate=2.0, max_size_factor=1.0, elastic_rate=1.0),
             seed=3,
         )
         for epoch in range(8):
-            wl.arrivals(epoch, 50)
+            wl.arrivals(epoch, 2000)
             assert wl.active == []
             assert wl.admitted_rate() == 0.0
             assert wl.admitted_rate("cbr") == 0.0
@@ -347,7 +346,7 @@ class TestFlowDelays:
         links = chain_links(6)
         wl = FlowWorkload(
             links,
-            FlowConfig(session_rate=4.0, mean_size=5, max_size_factor=2.0),
+            FlowConfig(session_rate=4.0, max_size_factor=2.0),
             seed=5,
         )
         # The serialized round-robin scheduler is enough to deliver packets.

@@ -8,6 +8,7 @@ from repro.traffic import (
     ParetoOnOff,
     PoissonArrivals,
 )
+from repro.traffic.generators import MEAN_OFF_SLOTS, MEAN_ON_SLOTS
 from tests.conftest import ConstantBitRate
 
 N = 16
@@ -138,19 +139,9 @@ class TestGatewaysAndValidation:
         for epoch, expected in enumerate(first):
             np.testing.assert_array_equal(gen.arrivals(epoch, 30), expected)
 
-    def test_pareto_alpha_validated(self):
-        with pytest.raises(ValueError):
-            ParetoOnOff(N, 0.1, alpha=1.0)
-
-    def test_pareto_sojourns_validated(self):
-        with pytest.raises(ValueError):
-            ParetoOnOff(N, 0.1, mean_on_slots=0.0)
-        with pytest.raises(ValueError):
-            ParetoOnOff(N, 0.1, mean_off_slots=-5.0)
-
     def test_pareto_peak_rate_is_mean_over_duty_cycle(self):
-        gen = ParetoOnOff(N, 0.05, seed=1, mean_on_slots=20.0, mean_off_slots=60.0)
-        assert gen.duty_cycle == pytest.approx(0.25)
+        gen = ParetoOnOff(N, 0.05, seed=1)
+        assert gen.duty_cycle == MEAN_ON_SLOTS / (MEAN_ON_SLOTS + MEAN_OFF_SLOTS) == 0.25
         np.testing.assert_allclose(gen.peak_rates, 0.2)
 
 

@@ -16,6 +16,7 @@ from repro.obs import Obs, ObsConfig
 from repro.scheduling.feasibility import infeasible_slots
 from repro.scheduling.greedy_physical import greedy_physical
 from repro.traffic import (
+    DRIFT_THRESHOLD,
     EpochConfig,
     EpochRecord,
     EpochSchedule,
@@ -37,6 +38,7 @@ from tests.conftest import (
     BufferRecorder,
     ConstantBitRate,
     counter_value,
+    drift_threshold,
     open_slot,
     schedule_rates,
 )
@@ -173,7 +175,7 @@ class TestScheduleCache:
 
     def test_drift_above_threshold_recomputes(self, mesh):
         base, calls = _counting_scheduler(mesh.network.model)
-        cache = ScheduleCache(base, drift_threshold=0.1)
+        cache = ScheduleCache(base)
         cache(mesh.links, 0)
         shifted = replace(mesh.links, demand=mesh.links.demand * 3)
         planned = cache(shifted, 1)
@@ -184,7 +186,7 @@ class TestScheduleCache:
     def test_patch_policy_repairs_instead_of_recomputing(self, mesh):
         base, calls = _counting_scheduler(mesh.network.model)
         cache = ScheduleCache(
-            base, policy="patch", drift_threshold=0.1, model=mesh.network.model
+            base, policy="patch", model=mesh.network.model
         )
         cache(mesh.links, 0)
         shifted = replace(mesh.links, demand=mesh.links.demand * 2)
@@ -197,7 +199,7 @@ class TestScheduleCache:
     def test_patch_rebases_the_drift_baseline(self, mesh):
         base, calls = _counting_scheduler(mesh.network.model)
         cache = ScheduleCache(
-            base, policy="patch", drift_threshold=0.1, model=mesh.network.model
+            base, policy="patch", model=mesh.network.model
         )
         cache(mesh.links, 0)
         shifted = replace(mesh.links, demand=mesh.links.demand * 2)
@@ -208,12 +210,12 @@ class TestScheduleCache:
 
     def test_headroom_scales_threshold(self, mesh):
         base, _ = _counting_scheduler(mesh.network.model)
-        tight = ScheduleCache(base, drift_threshold=0.2)
-        roomy = ScheduleCache(base, drift_threshold=0.2, epoch_slots=10_000)
+        tight = ScheduleCache(base)
+        roomy = ScheduleCache(base, epoch_slots=10_000)
         tight(mesh.links, 0)
         roomy(mesh.links, 0)
-        assert tight.effective_threshold() == pytest.approx(0.2)
-        assert roomy.effective_threshold() > 0.2  # many cycles fit: scaled up
+        assert tight.effective_threshold() == DRIFT_THRESHOLD
+        assert roomy.effective_threshold() > DRIFT_THRESHOLD  # many cycles fit: scaled up
 
     def test_patch_policy_requires_model(self, mesh):
         base, _ = _counting_scheduler(mesh.network.model)
@@ -243,10 +245,10 @@ class TestEpochLoopIntegration:
         config = EpochConfig(epoch_slots=200, n_epochs=6)
         scheduler = ScheduleCache(
             centralized_scheduler(mesh.network.model, overhead_seconds=1.0),
-            drift_threshold=10.0,  # everything after epoch 0 hits
             epoch_slots=200,
         )
-        trace = run_epochs(mesh.links, generator, scheduler, config)
+        with drift_threshold(10.0):  # everything after epoch 0 hits
+            trace = run_epochs(mesh.links, generator, scheduler, config)
         assert trace.records[0].cache_hit is False
         assert all(r.cache_hit for r in trace.records[1:])
         assert all(r.overhead_slots == 0 for r in trace.records[1:])
@@ -264,10 +266,10 @@ class TestEpochLoopIntegration:
         config = EpochConfig(epoch_slots=100, n_epochs=6)
         scheduler = ScheduleCache(
             centralized_scheduler(mesh.network.model),
-            drift_threshold=10.0,
             epoch_slots=100,
         )
-        trace = run_epochs(mesh.links, generator, scheduler, config)
+        with drift_threshold(10.0):
+            trace = run_epochs(mesh.links, generator, scheduler, config)
         requests = sum(1 for r in trace.records if r.demand_scheduled > 0)
         assert requests < trace.n_epochs_run  # some epochs asked for nothing
         assert trace.cache_hit_rate == pytest.approx(
@@ -282,11 +284,11 @@ class TestEpochLoopIntegration:
         scheduler = ScheduleCache(
             centralized_scheduler(mesh.network.model),
             policy="patch",
-            drift_threshold=0.0,  # never hit: always patch (or recompute)
             model=mesh.network.model,
             epoch_slots=200,
         )
-        trace = run_epochs(mesh.links, generator, scheduler, config)
+        with drift_threshold(0.0):  # never hit: always patch (or recompute)
+            trace = run_epochs(mesh.links, generator, scheduler, config)
         assert trace.patched_epochs > 0
         assert all(
             r.overhead_slots == 0 for r in trace.records if r.patched or r.cache_hit
@@ -380,7 +382,9 @@ def _trace(backlogs, arrivals_per_epoch=100, diverged=False):
         )
         for e, b in enumerate(backlogs)
     ]
-    return TrafficTrace(config=EpochConfig(), records=records, diverged=diverged)
+    trace = TrafficTrace(config=EpochConfig(), records=records)
+    trace.diverged = diverged
+    return trace
 
 
 class TestBacklogSlope:
