@@ -190,7 +190,9 @@ def test_every_truncated_schedule_decodes_under_the_dense_model(instance):
     report = schedule.truth
     assert report is not None
     assert report.margins.size == links.total_demand
-    assert report.margins.min() >= 1.0
+    # ``all`` rather than ``min``: a link set whose demands are all zero
+    # packs no slot and leaves no margin to take the minimum of.
+    assert (report.margins >= 1.0).all()
     assert report.repaired_tx <= report.violations
     assert (report.repair_rounds == 0) == (report.repaired_tx == 0)
 
@@ -208,6 +210,16 @@ def _smoke_mesh(far_field, **kwargs):
     heads = np.repeat(np.arange(net.n_nodes), np.diff(indptr))
     links = LinkSet(heads, indices, np.ones(heads.size, dtype=int), np.arange(heads.size))
     return net, sgm, links
+
+
+def test_zero_demand_on_a_truncated_model_packs_nothing_and_checks_nothing():
+    net, sgm, links = _smoke_mesh("packing")
+    idle = LinkSet(links.heads, links.tails, np.zeros(links.heads.size, dtype=int), links.ids)
+    schedule = greedy_physical(idle, sgm.interference_model(net.radio))
+    assert schedule.slots == []
+    report = schedule.truth
+    assert report is not None and report.margins.size == 0
+    assert report.violations == report.repaired_tx == report.repair_rounds == 0
 
 
 def test_no_far_field_needs_at_least_as_many_repairs_as_the_packing_floor():

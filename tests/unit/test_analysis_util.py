@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.bounds import (
+    APPROXIMATION_EXPONENT,
     approximation_bound,
     connectivity_range_uniform,
     fdd_step_complexity_bound,
@@ -96,6 +97,11 @@ class TestBounds:
     def test_approximation_bound_sublinear(self):
         for n in (100, 1000, 10_000):
             assert approximation_bound(n) < n
+
+    def test_approximation_exponent_exceeds_two(self):
+        # Theorem 4 needs psi(alpha) + eps > 2; at or below it the bound
+        # stops being sublinear.
+        assert APPROXIMATION_EXPONENT > 2.0
 
     def test_complexity_bound_formula(self):
         assert fdd_step_complexity_bound(10, 5.0, 64) == pytest.approx(

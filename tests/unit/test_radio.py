@@ -62,6 +62,10 @@ class TestPowerVectors:
         with pytest.raises(ValueError):
             heterogeneous_tx_power(0, np.random.default_rng(0))
 
+    def test_power_range_is_ordered_around_the_planned_power(self):
+        low, high = TX_POWER_RANGE_DBM
+        assert low < TX_POWER_DBM < high
+
 
 class TestRateTableValidation:
     def test_degenerate_table(self):

@@ -8,7 +8,7 @@ from repro.traffic import (
     ParetoOnOff,
     PoissonArrivals,
 )
-from repro.traffic.generators import MEAN_OFF_SLOTS, MEAN_ON_SLOTS
+from repro.traffic.generators import MEAN_OFF_SLOTS, MEAN_ON_SLOTS, PARETO_ALPHA
 from tests.conftest import ConstantBitRate
 
 N = 16
@@ -138,6 +138,14 @@ class TestGatewaysAndValidation:
         gen.reset()
         for epoch, expected in enumerate(first):
             np.testing.assert_array_equal(gen.arrivals(epoch, 30), expected)
+
+    def test_pareto_sojourns_have_finite_positive_means(self):
+        # A shape above 1 keeps the mean finite; every draw sits at or
+        # above the Pareto minimum of its phase's mean.
+        assert PARETO_ALPHA > 1.0 and MEAN_ON_SLOTS > 0.0 and MEAN_OFF_SLOTS > 0.0
+        gen = ParetoOnOff(N, 0.1, seed=2)
+        floor = MEAN_OFF_SLOTS * (PARETO_ALPHA - 1.0) / PARETO_ALPHA
+        assert not gen._on.any() and (gen._remaining >= floor).all()
 
     def test_pareto_peak_rate_is_mean_over_duty_cycle(self):
         gen = ParetoOnOff(N, 0.05, seed=1)
