@@ -42,7 +42,7 @@ from repro.traffic.sharded import (
     sharded_distributed_factory,
 )
 from repro.util.rng import spawn
-from tests.conftest import SlotState, serial_pack
+from tests.conftest import SlotState, e9_smoke_run, serial_pack
 
 
 @pytest.fixture(scope="module")
@@ -324,6 +324,41 @@ def test_sparse_packing_admits_waves_not_links(monkeypatch):
         assert sum(passes) == links.n_links + schedule.truth.repaired_tx
         if side == 60:
             assert 10 * len(passes) <= sum(passes), (len(passes), sum(passes))
+
+
+@pytest.mark.benchmark(group="micro")
+def test_reconcile_judges_rounds_not_slots(monkeypatch):
+    """The exact reconciliation pays per *round*, not per slot — as a count.
+
+    On the ledger's 12x12 smoke run (4 regional-FDD shards, seed 7) every
+    incidence build of the reconciliation's exact check is counted with
+    the slots it stacks, and every round peel with the slots it judges.
+    The check builds one incidence per chunk of slots per repair round;
+    a superposed round's slots are all narrow, so each round is one chunk:
+    one build per round, whatever its slot count (measured: 6 builds for
+    134 non-empty slots over 3 epochs).  A fall-back to one build per slot
+    fails here on any host, where a timer would flap.
+    """
+    packer = importlib.import_module("repro.scheduling.greedy_physical")
+    builds, rounds = [], []
+    power_incidence, peel_round = packer.power_incidence, packer.peel_round
+
+    def counted_build(model, senders, receivers, live):
+        builds.append(int(live.any(axis=1).sum()))
+        return power_incidence(model, senders, receivers, live)
+
+    def counted_peel(incidence, senders, receivers, ends, beta):
+        rounds.append(int(np.count_nonzero(np.diff(ends, prepend=0))))
+        return peel_round(incidence, senders, receivers, ends, beta)
+
+    monkeypatch.setattr(packer, "power_incidence", counted_build)
+    monkeypatch.setattr(packer, "peel_round", counted_peel)
+    trace = e9_smoke_run()
+    assert sum(r.reconciled for r in trace.records) > 0
+    assert len(rounds) > len(trace.records)  # re-packed slots were judged too
+    assert len(builds) == len(rounds)
+    assert sum(builds) == sum(rounds)  # every non-empty slot, stacked once
+    assert 10 * len(builds) <= sum(rounds), (len(builds), sum(rounds))
 
 
 @pytest.mark.benchmark(group="micro")

@@ -78,6 +78,7 @@ from repro.traffic import (
     centralized_scheduler,
     run_epochs,
 )
+from repro.util.ranges import join
 from repro.util.rng import spawn
 
 #: Deployment density (nodes/km^2) at side 100, epochs of the served
@@ -120,15 +121,13 @@ def _truth_checked(scheduler, network, tally: dict):
         planned = scheduler(links, epoch)
         t0 = time.perf_counter()
         slots = planned.schedule.slots
+        members, ends = join([slot.links for slot in slots])
+        link_set = planned.schedule.link_set
         report = truth.check_slots(
-            geometry,
-            (planned.schedule.slot_members(t) for t in range(len(slots))),
-            noise,
-            beta,
+            geometry, link_set.heads[members], link_set.tails[members], ends, noise, beta
         )
         if report.violations:
             tally["violations"] += report.violations
-            ends = np.cumsum([len(slot) for slot in slots])
             for slot, decodes in zip(slots, np.split(report.margins >= 1.0, ends)):
                 slot.links = slot.as_array()[decodes].tolist()
         if planned.schedule.truth is not None:

@@ -16,12 +16,15 @@ neighbourhoods are pairwise disjoint and :func:`_pack_waves` tests and
 admits a wave per pass — the schedule of the one-at-a-time loop, to the
 bit, at a fraction of its numpy calls (DESIGN.md §3, "The wave rule").
 On a *truncated* sparse matrix the packing is followed by verify-and-repair
-rounds under the exact model (:func:`repair`), O(members²) per slot — the
-same pass the sharded engine runs on every superposed round.
+rounds under the exact model (:func:`repair`): each round's slots are
+judged and peeled together, O(k²) member pairs per slot of ``k`` in a
+numpy pass per chunk of slots — the same pass the sharded engine runs on
+every superposed round.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import accumulate
 from typing import Callable
 
@@ -32,13 +35,14 @@ from repro.phy.truth import (
     Geometry,
     TruthReport,
     geometry_incidence,
-    peel_slot,
+    peel_round,
     power_incidence,
 )
 from repro.scheduling.feasibility import SlotArena, feasible_alone
 from repro.scheduling.links import LinkSet
 from repro.scheduling.orderings import EDGE_ORDERINGS
 from repro.scheduling.schedule import Schedule, Slot
+from repro.util.ranges import join, split_at
 
 
 OrderFn = Callable[[LinkSet, PhysicalInterferenceModel], np.ndarray]
@@ -102,10 +106,9 @@ def greedy_physical(
     if links.demand[order].any():
         schedule.slots = first_fit_pack(links, model, order, links.demand)
     if truncated:  # no demand: an empty report, still not ``None``
-        slots, schedule.truth = repair(
-            [slot.as_array() for slot in schedule.slots], links, model, order
-        )
-        schedule.slots = [Slot(links=members.tolist()) for members in slots]
+        members, ends = join([slot.links for slot in schedule.slots])
+        members, ends, schedule.truth = repair(members, ends, links, model, order)
+        schedule.slots = [Slot(links=piece.tolist()) for piece in split_at(members, ends)]
     return schedule
 
 
@@ -323,52 +326,61 @@ def _recipe(model: PhysicalInterferenceModel) -> Geometry | None:
 
 
 def repair(
-    slots: list[np.ndarray],
+    members: np.ndarray,
+    ends: list[int],
     links: LinkSet,
     model: PhysicalInterferenceModel,
     order: np.ndarray,
-) -> tuple[list[np.ndarray], TruthReport]:
-    """Make ``slots`` (link-index arrays) decode under the exact model.
+) -> tuple[np.ndarray, list[int], TruthReport]:
+    """Make the flat round ``members`` (link indices, slot ``t`` ending at
+    ``ends[t]``) decode under the exact model.
 
     Rounds of verify -> peel -> re-pack: every slot not yet verified is
-    evaluated by :func:`repro.phy.truth.peel_slot`, which removes members
-    lowest margin first until the rest decode; the removed memberships are
-    packed by :func:`first_fit_pack`, links in ``order``, under ``model``,
-    into *fresh* slots after the verified ones, which the next round
-    verifies.  The judge is the exact model: the geometry a truncated
-    sparse matrix was harvested from, or else ``model``'s own entries,
-    noise and budget.  A link that cannot decode even alone is peeled and
-    then refused by the packer (``ValueError``), so a verified slot keeps
-    at least one member, each round re-packs strictly fewer memberships
-    than the last, and the loop ends.  Empty slots are dropped.
+    judged by :func:`repro.phy.truth.peel_round`, the whole round at once,
+    which removes members lowest margin first until each slot decodes; the
+    removed memberships are packed by :func:`first_fit_pack`, links in
+    ``order``, under ``model``, into *fresh* slots after the verified ones,
+    which the next round verifies.  The judge is the exact model: the
+    geometry a truncated sparse matrix was harvested from, or else
+    ``model``'s own entries, noise and budget.  A link that cannot decode
+    even alone is peeled and then refused by the packer (``ValueError``),
+    so a verified slot keeps at least one member, each round re-packs
+    strictly fewer memberships than the last, and the loop ends.  Empty
+    slots are dropped.
 
-    Returns the verified slots, in order, and the :class:`TruthReport`.
+    Returns the verified round, in order, as ``(members, ends)``, and the
+    :class:`TruthReport`.
     """
     heads, tails = links.heads, links.tails
-    noise, beta = model.radio.noise_mw, model.radio.beta
+    beta = model.radio.beta
     geometry = _recipe(model)
+    if geometry is None:
+        incidence = partial(power_incidence, model)
+    else:
+        incidence = partial(geometry_incidence, geometry, model.radio.noise_mw)
     verified: list[np.ndarray] = []
+    sizes: list[np.ndarray] = []
     margins = [np.empty(0, dtype=float)]
-    violations = repaired = rounds = 0
+    violations = repaired = rounds = elements = 0
     while True:
-        peeled = np.zeros(links.n_links, dtype=np.int64)
-        for members in slots:
-            members = np.asarray(members, dtype=np.intp)
-            snd, rcv = heads[members], tails[members]
-            if geometry is None:
-                incidence = power_incidence(model, snd, rcv)
-            else:
-                incidence = geometry_incidence(geometry, snd, rcv, noise)
-            kept, margin, found = peel_slot(incidence, snd, rcv, beta)
-            violations += found
-            margins.append(margin)
-            if kept.size < members.size:
-                peeled[np.delete(members, kept)] += 1
-            if kept.size:
-                verified.append(members[kept])
+        members = np.asarray(members, dtype=np.intp)
+        verdict = peel_round(incidence, heads[members], tails[members], ends, beta)
+        violations += int(verdict.found.sum())
+        elements += verdict.elements
+        margins.append(verdict.margins)
+        widths = np.diff(ends, prepend=0).astype(np.intp)
+        kept = np.bincount(
+            np.repeat(np.arange(widths.size), widths)[verdict.keep], minlength=widths.size
+        )
+        verified.append(members[verdict.keep])
+        sizes.append(kept[kept > 0])
+        peeled = np.bincount(members[~verdict.keep], minlength=links.n_links)
         if not peeled.any():
-            report = TruthReport(violations, np.concatenate(margins), repaired, rounds)
-            return verified, report
+            report = TruthReport(
+                violations, np.concatenate(margins), elements, repaired, rounds
+            )
+            ends = np.cumsum(np.concatenate(sizes), dtype=np.intp).tolist()
+            return np.concatenate(verified), ends, report
         rounds += 1
         repaired += int(peeled.sum())
-        slots = [slot.as_array() for slot in first_fit_pack(links, model, order, peeled)]
+        members, ends = join([slot.links for slot in first_fit_pack(links, model, order, peeled)])

@@ -518,16 +518,19 @@ def book_truth_obs(obs: Obs | None, reports: list[TruthReport], engine: str) -> 
     """Book what the schedulers' exact-model verify-and-repair passes found.
 
     ``truth.violations`` (members that failed ``SINR >= β`` as packed),
-    ``truth.repaired_tx`` (memberships re-packed) and ``truth.repair_rounds``
-    counters under the engine's scheduling phase, and every kept member's
-    margin into the ``sinr.margin`` histogram.  The reports are what the
-    repair computed anyway; no-op with obs off, always passive.
+    ``truth.repaired_tx`` (memberships re-packed), ``truth.repair_rounds``
+    and ``truth.check_elements`` (member pairs the exact check evaluated,
+    a deterministic work count) counters under the engine's scheduling
+    phase, and every kept member's margin into the ``sinr.margin``
+    histogram.  The reports are what the repair computed anyway; no-op
+    with obs off, always passive.
     """
     if obs is None:
         return
     labels = {"engine": engine, "phase": f"{engine}.schedule"}
     for report in reports:
         obs.counter("truth.violations", report.violations, **labels)
+        obs.counter("truth.check_elements", report.check_elements, **labels)
         obs.counter("truth.repaired_tx", report.repaired_tx, **labels)
         obs.counter("truth.repair_rounds", report.repair_rounds, **labels)
         obs.observe_many("sinr.margin", report.margins, **labels)

@@ -85,7 +85,7 @@ from repro.traffic.epoch import (
 )
 from repro.traffic.generators import TrafficGenerator
 from repro.traffic.queues import LinkQueues
-from repro.util.ranges import join, split_at
+from repro.util.ranges import join
 
 #: Default guard margin: boundary nodes budget one extra noise floor of
 #: far-field interference (effective noise ``2N``, i.e. +3 dB).  Measured on
@@ -739,8 +739,7 @@ def run_epochs_sharded(
         # plan is the only one served verbatim.
         if plan.n_shards > 1:
             with phase(obs, "sharded.reconcile", engine="sharded", epoch=epoch):
-                slots, report = repair(split_at(members, ends), plan.links, model, ascending)
-                members, ends = join(slots)
+                members, ends, report = repair(members, ends, plan.links, model, ascending)
             reconciled = report.repaired_tx
             truth.append(report)
             if ledger is not None:

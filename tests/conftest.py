@@ -588,6 +588,175 @@ def serial_pack(links, model, demanded, demand, new_arena=None):
 
 
 # --------------------------------------------------------------------------
+# Per-slot oracle of the exact peel.  ``repro.phy.truth.peel_round`` judges
+# and peels every slot of a round in lockstep on a padded ``(S, L, L)``
+# stack; this is the one-slot loop it replaced — a ``(k, k)`` block per
+# sub-slot, survivors re-gathered each pass, the half-duplex mask rebuilt
+# over node ids — kept as the reference the round differential compares
+# kept members, margins and ``found`` counts against, bit for bit.
+# --------------------------------------------------------------------------
+
+
+def slot_incidence(incidence, senders, receivers):
+    """One slot's ``(data, ack, noise)`` blocks from a round incidence
+    builder (``truth.power_incidence`` / ``truth.geometry_incidence``
+    partially applied): a one-slot stack without padding."""
+    snd = np.asarray(senders, dtype=np.intp)[None]
+    rcv = np.asarray(receivers, dtype=np.intp)[None]
+    power, noise = incidence(snd, rcv, np.ones(snd.shape, dtype=bool))
+    return power[0, 0], power[0, 1], noise if np.ndim(noise) == 0 else noise[0]
+
+
+def exact_link_sinrs(geometry, senders, receivers, noise_mw):
+    """Per-member (data, ACK) SINRs of one slot under the exact kernel of
+    ``repro.phy.truth`` — the evaluation ``check_slots`` reduces to margins,
+    kept whole so the suites can difference each sub-slot against the dense
+    ``PhysicalInterferenceModel.link_sinrs``."""
+    from repro.phy import truth
+
+    snd = np.asarray(senders, dtype=np.intp)[None]
+    rcv = np.asarray(receivers, dtype=np.intp)[None]
+    live = np.ones(snd.shape, dtype=bool)
+    power, noise = truth.geometry_incidence(geometry, noise_mw, snd, rcv, live)
+    deaf = truth._deaf(truth._shared(snd, rcv, live), live)
+    sinr = truth._sinrs(*truth._on_air(power), deaf, noise)
+    return sinr[0, 0], sinr[0, 1]
+
+
+def _slot_deaf(snd, rcv, alive=slice(None)):
+    """``(2, k)`` half-duplex mask over the ``alive`` members' transmissions:
+    receivers that send (data sub-slot), senders that receive (ACK)."""
+    on = np.zeros((2, max(snd.max(initial=-1), rcv.max(initial=-1)) + 1), dtype=bool)
+    on[0, snd[alive]] = on[1, rcv[alive]] = True
+    deaf = np.empty((2, snd.size), dtype=bool)
+    deaf[0], deaf[1] = on[0, rcv], on[1, snd]
+    return deaf
+
+
+def _slot_on_air(data, ack, snd, rcv):
+    """``(signal, total, deaf)`` of a slot, each ``(2, k)``; ``total`` summed
+    transmitter after transmitter, in chunks of ``truth._CHUNK_ELEMENTS``,
+    each later chunk's reduction starting from the running total."""
+    from repro.phy import truth
+
+    k = data.shape[0]
+    step = max(1, truth._CHUNK_ELEMENTS // max(k, 1))
+    signal = np.empty((2, k), dtype=float)
+    total = np.empty((2, k), dtype=float)
+    for sub, block in enumerate((data, ack)):
+        signal[sub] = block.diagonal()
+        total[sub] = block[:step].sum(axis=0)
+        for lo in range(step, k, step):
+            total[sub] = np.vstack((total[sub], block[lo : lo + step])).sum(axis=0)
+    return signal, total, _slot_deaf(snd, rcv)
+
+
+def _slot_margins(signal, total, deaf, noise, beta):
+    sinr = signal / (noise + (total - signal))
+    sinr[deaf] = 0.0
+    return sinr.min(axis=0) / beta
+
+
+def peel_slot(incidence, senders, receivers, beta):
+    """Remove members, lowest margin first, until the slot decodes.
+
+    ``incidence`` is the slot's ``(data, ack, noise)`` (:func:`slot_incidence`).
+    Returns ``(kept, margin, found, elements)``: the ascending positions of
+    the members that stay, their ``min(data, ACK) SINR / β`` evaluated from
+    scratch on exactly that set, how many members failed before anything
+    was removed, and ``Σ k²`` over the from-scratch evaluations.  Ties go
+    to the earliest position; a member that cannot decode even alone is
+    removed too.
+    """
+    snd = np.asarray(senders, dtype=np.intp)
+    rcv = np.asarray(receivers, dtype=np.intp)
+    full_data, full_ack, full_noise = incidence
+    kept = np.arange(snd.size)
+    found = None
+    elements = 0
+    while True:
+        elements += kept.size * kept.size
+        data, ack, noise = full_data, full_ack, full_noise
+        if kept.size < snd.size:
+            data, ack = data[kept[:, None], kept], ack[kept[:, None], kept]
+            noise = noise if np.ndim(noise) == 0 else noise[:, kept]
+        s, r = snd[kept], rcv[kept]
+        signal, total, deaf = _slot_on_air(data, ack, s, r)
+        margin = _slot_margins(signal, total, deaf, noise, beta)
+        if found is None:
+            found = int((margin < 1.0).sum())
+        if not (margin < 1.0).any():
+            return kept, margin, found, elements
+        if kept.size == 1:
+            return kept[:0], margin[:0], found, elements
+        # O(k) per removal off the running totals; the survivors are then
+        # re-evaluated from scratch by the next pass of the outer loop.
+        shares = bool(deaf.any())
+        alive = np.ones(kept.size, dtype=bool)
+        for _ in range(kept.size - 1):
+            worst = int(margin.argmin())
+            if margin[worst] >= 1.0:
+                break
+            alive[worst] = False
+            total[0] -= data[worst]
+            total[1] -= ack[worst]
+            if shares:
+                deaf = _slot_deaf(s, r, alive)
+            margin = _slot_margins(signal, total, deaf, noise, beta)
+            margin[~alive] = np.inf
+        kept = kept[alive]
+
+
+def peel_slots(incidence, senders, receivers, ends, beta):
+    """:func:`peel_slot` over every slot of a flat round, in the shape of
+    ``truth.peel_round``'s verdict: ``(keep, margins, found, elements)``."""
+    keep = np.zeros(len(senders), dtype=bool)
+    margins, found, elements = [np.empty(0, dtype=float)], [], 0
+    for lo, hi in zip([0, *ends], ends):
+        snd, rcv = senders[lo:hi], receivers[lo:hi]
+        kept, margin, count, pairs = peel_slot(
+            slot_incidence(incidence, snd, rcv), snd, rcv, beta
+        )
+        keep[lo + kept] = True
+        margins.append(margin)
+        found.append(count)
+        elements += pairs
+    return keep, np.concatenate(margins), np.asarray(found, dtype=np.intp), elements
+
+
+def e9_smoke_run(obs=None, seed=7):
+    """The perf ledger's ``sharded_24x24 --smoke`` run (``bench/workloads.py``)
+    rebuilt from the library: E9's 12x12 grid in 4 regional-FDD shards, the
+    fixed deployment seed, traffic and protocol drawn from ``seed``, 1 + 2
+    epochs of 300 slots.  Returns the trace."""
+    from repro.core.fdd import fdd_on_network
+    from repro.experiments.sharded import backbone_protocol
+    from repro.traffic import (
+        EpochConfig,
+        PoissonArrivals,
+        plan_for_network,
+        run_epochs_sharded,
+        sharded_distributed_factory,
+    )
+
+    network = grid_network(12, 12, density_per_km2=1000.0)
+    gateways = planned_gateways(12, 12, 4)
+    forest = build_routing_forest(network.comm_adj, gateways, rng=spawn(20080617, "forest"))
+    links = forest_link_set(forest, np.zeros(network.n_nodes, dtype=np.int64))
+    plan = plan_for_network(
+        links, network, n_shards=4, interference_radius_m=80.0, guard_factor=1.0
+    )
+    factory = sharded_distributed_factory(
+        network, fdd_on_network, config=backbone_protocol(network), seed=spawn(seed, "protocol")
+    )
+    generator = PoissonArrivals(
+        network.n_nodes, 0.002, gateways=gateways, seed=spawn(seed, "arrivals")
+    )
+    config = EpochConfig(epoch_slots=300, n_epochs=3)
+    return run_epochs_sharded(plan, generator, factory, network.model, config, obs=obs)
+
+
+# --------------------------------------------------------------------------
 # Brute-force oracle of the serving kernel.  ``LinkQueues.play`` serves a
 # whole epoch level by level in closed form; this is the definition it must
 # equal: one deque of packets per link, one slot at a time, pop every

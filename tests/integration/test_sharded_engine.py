@@ -67,6 +67,7 @@ from tests.conftest import (
     BufferRecorder,
     counter_value,
     drift_threshold,
+    e9_smoke_run,
     ledger_counts,
     metric,
     serve_slot,
@@ -451,6 +452,30 @@ def test_multi_shard_run_books_what_its_repair_pass_verified(mesh):
     margins = metric(registry, "sinr.margin", **labels)
     assert margins["count"] == sum(r.demand_scheduled for r in trace.records)
     assert margins["min"] >= 1.0
+
+
+def test_reconciliation_of_the_e9_smoke_run_is_pinned():
+    """The ledger's 12x12 smoke run at seed 7 (4 regional-FDD shards): the
+    memberships each epoch's reconciliation serialized, the round lengths
+    it served and the violations its exact check found, as recorded before
+    the round peel replaced the per-slot one.  A change of peel order
+    (ties, the ``k - 1`` cap, the from-scratch re-evaluation) moves them.
+    The member pairs the check evaluated (``truth.check_elements``) are a
+    deterministic count: two runs book the same, and booking them changes
+    nothing a run serves."""
+    labels = {"engine": "sharded", "phase": "sharded.schedule"}
+    counts = []
+    for _ in range(2):
+        obs = Obs.create(ObsConfig(level="metrics"))
+        trace = e9_smoke_run(obs)
+        assert [r.reconciled for r in trace.records] == [19, 41, 36]
+        assert [r.schedule_length for r in trace.records] == [30, 54, 50]
+        assert counter_value(obs.registry, "truth.violations", **labels) == 152
+        counts.append(counter_value(obs.registry, "truth.check_elements", **labels))
+    assert counts[0] == counts[1] == 1969
+    unobserved = e9_smoke_run()
+    assert unobserved.records == trace.records
+    assert np.array_equal(unobserved.queues.backlog, trace.queues.backlog)
 
 
 def _exploding_factory(fail_epoch: int):

@@ -11,6 +11,7 @@ and the repair path is a property of the input — dense models, ``cutoff=∞``
 and hand-built sparse matrices never enter it.
 """
 
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -27,6 +28,7 @@ from repro.scheduling.greedy_physical import greedy_physical
 from repro.scheduling.links import LinkSet
 from repro.topology.commgraph import communication_csr
 from repro.topology.network import grid_network
+from tests.conftest import exact_link_sinrs
 
 
 def _judge(positions, tx, propagation, radio, senders, receivers):
@@ -37,6 +39,12 @@ def _judge(positions, tx, propagation, radio, senders, receivers):
     model = PhysicalInterferenceModel(power, radio)
     snd, rcv = local[: senders.size], local[senders.size :]
     return model.link_sinrs(snd, rcv), model.feasible_mask(snd, rcv)
+
+
+def _peel(incidence, senders, receivers, beta):
+    """``truth.peel_round`` on a one-slot round: ``(kept, margin, found)``."""
+    verdict = truth.peel_round(incidence, senders, receivers, [senders.size], beta)
+    return np.flatnonzero(verdict.keep), verdict.margins, int(verdict.found[0])
 
 
 @st.composite
@@ -69,7 +77,7 @@ def test_kernel_equals_the_dense_oracle_bit_for_bit(instance):
     geometry = truth.Geometry(positions, tx, propagation)
     # A slot wider than one chunk must not change a bit.
     with mock.patch.object(truth, "_CHUNK_ELEMENTS", chunk):
-        got_data, got_ack = truth.link_sinrs(
+        got_data, got_ack = exact_link_sinrs(
             geometry, senders, receivers, radio.noise_mw
         )
     # The issue's bar is 1e-12 relative; mirroring the oracle's operation
@@ -78,7 +86,7 @@ def test_kernel_equals_the_dense_oracle_bit_for_bit(instance):
     assert np.array_equal(got_ack, ack)
 
     report = truth.check_slots(
-        geometry, [(senders, receivers)], radio.noise_mw, radio.beta
+        geometry, senders, receivers, [senders.size], radio.noise_mw, radio.beta
     )
     assert np.array_equal(report.margins >= 1.0, decodes)
     assert report.violations == int((~decodes).sum())
@@ -95,8 +103,10 @@ def test_peeled_slot_decodes_under_the_dense_oracle(instance):
     radio = RadioConfig(alpha=alpha)
     geometry = truth.Geometry(positions, tx, propagation)
     with mock.patch.object(truth, "_CHUNK_ELEMENTS", chunk):
-        incidence = truth.geometry_incidence(geometry, senders, receivers, radio.noise_mw)
-        kept, margin, found = truth.peel_slot(incidence, senders, receivers, radio.beta)
+        kept, margin, found = _peel(
+            partial(truth.geometry_incidence, geometry, radio.noise_mw),
+            senders, receivers, radio.beta,
+        )
     (data, ack), decodes = _judge(
         positions, tx, propagation, radio, senders[kept], receivers[kept]
     )
@@ -126,16 +136,18 @@ def test_peel_on_the_model_entries_equals_the_peel_on_the_recipe(instance, spars
         power = received_power_matrix(positions, tx, propagation)
     model = PhysicalInterferenceModel(power, radio)
     with mock.patch.object(truth, "_CHUNK_ELEMENTS", chunk):
-        by_recipe = truth.peel_slot(
-            truth.geometry_incidence(
-                truth.Geometry(positions, tx, propagation), senders, receivers, radio.noise_mw
+        by_recipe = _peel(
+            partial(
+                truth.geometry_incidence,
+                truth.Geometry(positions, tx, propagation),
+                radio.noise_mw,
             ),
             senders, receivers, radio.beta,
         )
         if budgeted:
             model = model.with_budget(np.linspace(0.0, 2.0, positions.shape[0]) * radio.noise_mw)
-        kept, margin, found = truth.peel_slot(
-            truth.power_incidence(model, senders, receivers), senders, receivers, radio.beta
+        kept, margin, found = _peel(
+            partial(truth.power_incidence, model), senders, receivers, radio.beta
         )
     data, ack = model.link_sinrs(senders, receivers)
     assert found == int((np.minimum(data, ack) < radio.beta).sum())

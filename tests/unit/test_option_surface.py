@@ -36,7 +36,7 @@ from repro.obs import ObsConfig
 from repro.obs.metrics import MetricsRegistry, StreamingHistogram
 from repro.phy.gain import distance_matrix, gain_matrix, received_power_matrix
 from repro.phy.radio import RateTable
-from repro.phy.truth import peel_slot
+from repro.phy.truth import peel_round
 from repro.scheduling.greedy_physical import first_fit_pack, repair
 from repro.scheduling.links import forest_link_set
 from repro.traffic import (
@@ -154,8 +154,8 @@ KEYWORDS = {
     # One exact verify-and-repair: greedy_physical on a truncated matrix and
     # the sharded engine's reconciliation; the re-pack is the first-fit
     # packer, the judge whichever incidence the model has.
-    repair: ("slots", "links", "model", "order"),
-    peel_slot: ("incidence", "senders", "receivers", "beta"),
+    repair: ("members", "ends", "links", "model", "order"),
+    peel_round: ("incidence", "senders", "receivers", "ends", "beta"),
     first_fit_pack: ("links", "model", "demanded", "demand"),
     # The protocol entry points: every run keeps its round log, and the
     # observer is run_protocol's alone (the state-machine trace).

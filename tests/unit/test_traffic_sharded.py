@@ -33,6 +33,7 @@ from repro.traffic import (
 from repro.scheduling.greedy_physical import repair
 from repro.scheduling.schedule import Slot
 from repro.traffic.sharded import affordable_budget
+from repro.util.ranges import join, split_at
 from tests.conftest import SlotState
 
 
@@ -176,9 +177,17 @@ def test_budgeted_model_is_stricter_but_consistent(mesh):
 # ---------------------------------------------------------------------------
 
 
+def _repair(combined, links, model):
+    """The sharded stage's call on the flat round of ``combined`` slots:
+    overflow packed in ascending link order; the verified slots come back
+    cut apart."""
+    members, ends = join(combined)
+    members, ends, report = repair(members, ends, links, model, np.arange(links.n_links))
+    return split_at(members, ends), report
+
+
 def reconcile(combined, links, model):
-    """The sharded stage's call: overflow packed in ascending link order."""
-    slots, report = repair(combined, links, model, np.arange(links.n_links))
+    slots, report = _repair(combined, links, model)
     return slots, report.repaired_tx
 
 
@@ -186,7 +195,7 @@ def test_repair_keeps_feasible_slots_verbatim(mesh):
     model = mesh.network.model
     # Single-link slots are always feasible: nothing to do.
     combined = [np.array([k], dtype=np.intp) for k in range(4)]
-    kept, report = repair(combined, mesh.links, model, np.arange(mesh.links.n_links))
+    kept, report = _repair(combined, mesh.links, model)
     assert report.repaired_tx == report.repair_rounds == report.violations == 0
     assert [k.tolist() for k in kept] == [[0], [1], [2], [3]]
     assert report.margins.size == 4 and report.margins.min() >= 1.0

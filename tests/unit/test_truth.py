@@ -1,5 +1,7 @@
-"""Unit tests for the exact per-slot truth kernel, its peel and its report,
+"""Unit tests for the exact truth kernel, its round peel and its report,
 and for how the epoch loop books the report."""
+
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from repro.scheduling.links import forest_link_set
 from repro.topology.commgraph import communication_csr
 from repro.topology.network import grid_network
 from repro.traffic import EpochConfig, PoissonArrivals, centralized_scheduler, run_epochs
-from tests.conftest import counter_value, metric
+from tests.conftest import counter_value, exact_link_sinrs, metric
 
 RADIO = RadioConfig()
 
@@ -36,7 +38,7 @@ def _line(xs, tx=15.8):
 class TestLinkSinrs:
     def test_lone_link_sees_only_noise(self):
         geometry, snd, rcv = _line([0.0, 30.0])
-        data, ack = truth.link_sinrs(geometry, snd, rcv, RADIO.noise_mw)
+        data, ack = exact_link_sinrs(geometry, snd, rcv, RADIO.noise_mw)
         gain = geometry.propagation.gain(np.asarray([30.0]))
         assert data == pytest.approx(15.8 * gain / RADIO.noise_mw)
         assert np.array_equal(data, ack)  # equal powers, reciprocal channel
@@ -45,7 +47,7 @@ class TestLinkSinrs:
         # a -> b and b -> c share node b: b cannot receive while it sends.
         positions = np.asarray([[0.0, 0.0], [20.0, 0.0], [40.0, 0.0]])
         geometry = truth.Geometry(positions, np.full(3, 15.8), LogDistancePathLoss())
-        data, ack = truth.link_sinrs(
+        data, ack = exact_link_sinrs(
             geometry, np.asarray([0, 1]), np.asarray([1, 2]), RADIO.noise_mw
         )
         assert data[0] == 0.0  # b is sending link 1's data
@@ -54,13 +56,15 @@ class TestLinkSinrs:
     def test_empty_slot(self):
         geometry, _, _ = _line([0.0, 30.0])
         none = np.empty(0, dtype=np.intp)
-        data, ack = truth.link_sinrs(geometry, none, none, RADIO.noise_mw)
+        data, ack = exact_link_sinrs(geometry, none, none, RADIO.noise_mw)
         assert data.size == ack.size == 0
 
 
 def _peel(geometry, snd, rcv):
-    incidence = truth.geometry_incidence(geometry, snd, rcv, RADIO.noise_mw)
-    return truth.peel_slot(incidence, snd, rcv, RADIO.beta)
+    """The round peel on a one-slot round: ``(kept, margin, found)``."""
+    incidence = partial(truth.geometry_incidence, geometry, RADIO.noise_mw)
+    verdict = truth.peel_round(incidence, snd, rcv, [snd.size], RADIO.beta)
+    return np.flatnonzero(verdict.keep), verdict.margins, int(verdict.found[0])
 
 
 class TestPeelSlot:
@@ -75,20 +79,20 @@ class TestPeelSlot:
         # is enough for the short outer two.
         geometry, snd, rcv = _line([0.0, 10.0, 200.0, 250.0, 400.0, 410.0])
         as_packed = np.minimum(
-            *truth.link_sinrs(geometry, snd, rcv, RADIO.noise_mw)
+            *exact_link_sinrs(geometry, snd, rcv, RADIO.noise_mw)
         ) / RADIO.beta
         assert as_packed.argmin() == 1 and as_packed[1] < 1.0
         kept, margin, found = _peel(geometry, snd, rcv)
         assert kept.tolist() == [0, 2]
         assert found == int((as_packed < 1.0).sum()) >= 1
         # The kept margins are a from-scratch evaluation of exactly the kept set.
-        alone = truth.link_sinrs(geometry, snd[kept], rcv[kept], RADIO.noise_mw)
+        alone = exact_link_sinrs(geometry, snd[kept], rcv[kept], RADIO.noise_mw)
         assert np.array_equal(margin, np.minimum(*alone) / RADIO.beta)
 
     def test_ties_go_to_the_earliest_position(self):
         # Two mirror-image links facing each other: identical margins.
         geometry, snd, rcv = _line([0.0, 40.0, 90.0, 50.0])
-        as_packed = np.minimum(*truth.link_sinrs(geometry, snd, rcv, RADIO.noise_mw))
+        as_packed = np.minimum(*exact_link_sinrs(geometry, snd, rcv, RADIO.noise_mw))
         assert as_packed[0] == as_packed[1] < RADIO.beta
         kept, _, _ = _peel(geometry, snd, rcv)
         assert kept.tolist() == [1]
@@ -110,21 +114,61 @@ class TestPeelSlot:
         assert kept.tolist() == [1] and found == 2 and margin[0] >= 1.0
 
 
+class TestPeelRound:
+    def test_slots_are_peeled_apart_in_one_pass(self):
+        """A round of a clean slot, an empty one, a slot that loses its weak
+        middle link and a lone link that cannot decode: each slot gets what
+        peeling it alone gives, and ``elements`` counts ``k²`` per
+        from-scratch evaluation (the failing 3-member slot is evaluated
+        again with its 2 survivors; the lone link once)."""
+        xs = [0.0, 20.0, 5000.0, 5020.0]  # clean pair
+        xs += [10000.0, 10010.0, 10200.0, 10250.0, 10400.0, 10410.0]
+        xs += [20000.0, 25000.0]  # cannot decode alone
+        geometry, snd, rcv = _line(xs)
+        ends = [2, 2, 5, 6]
+        incidence = partial(truth.geometry_incidence, geometry, RADIO.noise_mw)
+        verdict = truth.peel_round(incidence, snd, rcv, ends, RADIO.beta)
+        assert verdict.keep.tolist() == [True, True, True, False, True, False]
+        assert verdict.found[0] == verdict.found[1] == 0
+        assert verdict.found[2] >= 1 and verdict.found[3] == 1
+        assert verdict.elements == 2 * 2 + 3 * 3 + 2 * 2 + 1
+        for lo, hi in ((0, 2), (2, 5)):
+            kept, margin, found = _peel(geometry, snd[lo:hi], rcv[lo:hi])
+            at = verdict.keep[:lo].sum()
+            assert np.array_equal(verdict.margins[at : at + kept.size], margin)
+
+    def test_empty_round(self):
+        geometry, _, _ = _line([0.0, 30.0])
+        none = np.empty(0, dtype=np.intp)
+        incidence = partial(truth.geometry_incidence, geometry, RADIO.noise_mw)
+        verdict = truth.peel_round(incidence, none, none, [], RADIO.beta)
+        assert verdict.keep.size == verdict.margins.size == verdict.found.size == 0
+        assert verdict.elements == 0
+
+
 class TestTruthReport:
     def test_check_slots_counts_and_orders(self):
         geometry, snd, rcv = _line([0.0, 10.0, 200.0, 250.0, 400.0, 410.0])
         report = truth.check_slots(
-            geometry, [(snd, rcv), (snd[:1], rcv[:1])], RADIO.noise_mw, RADIO.beta
+            geometry,
+            np.concatenate([snd, snd[:1]]),
+            np.concatenate([rcv, rcv[:1]]),
+            [3, 4],
+            RADIO.noise_mw,
+            RADIO.beta,
         )
         assert report.margins.size == 4
         assert report.violations == int((report.margins < 1.0).sum()) >= 1
         assert report.margins.min() < 1.0
+        assert report.check_elements == 3 * 3 + 1
         assert report.repaired_tx == report.repair_rounds == 0
 
     def test_empty_report(self):
         geometry, _, _ = _line([0.0, 30.0])
-        report = truth.check_slots(geometry, [], RADIO.noise_mw, RADIO.beta)
+        none = np.empty(0, dtype=np.intp)
+        report = truth.check_slots(geometry, none, none, [], RADIO.noise_mw, RADIO.beta)
         assert report.violations == 0 and report.margins.size == 0
+        assert report.check_elements == 0
 
 
 class TestEpochLoopBooksTheReport:
@@ -200,7 +244,7 @@ class TestE13StrikesWhatDoesNotDecode:
         for struck, packed in zip(planned.schedule.slots, unchecked.slots):
             snd, rcv = unchecked.link_set.heads, unchecked.link_set.tails
             members = packed.as_array()
-            data, ack = truth.link_sinrs(
+            data, ack = exact_link_sinrs(
                 truth.Geometry(net.positions, net.tx_power_mw, net.propagation),
                 snd[members], rcv[members], net.radio.noise_mw,
             )
