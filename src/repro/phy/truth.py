@@ -42,6 +42,7 @@ untruncated matrix, exact already), bit for bit alike on the same powers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -388,9 +389,6 @@ def check_slots(
 ) -> TruthReport:
     """Exact verdict on a flat round (see :func:`peel_round`), nothing
     repaired."""
-
-    def incidence(s, r, live):
-        return geometry_incidence(geometry, noise_mw, s, r, live)
-
+    incidence = partial(geometry_incidence, geometry, noise_mw)
     verdict = _judge_round(incidence, senders, receivers, ends, beta, False)
     return TruthReport(int(verdict.found.sum()), verdict.margins, verdict.elements)
