@@ -218,6 +218,39 @@ def test_lockstep_lanes_pack_faster_than_serial_packs():
     )
 
 
+def test_dense_first_fit_gathers_power_once_per_step(scenario):
+    """A dense first-fit step reads the power matrix once — as a count, not
+    a clock: the test's gather serves the ``add`` that follows it.  FDD's
+    vetoed steps, the plain pack and two lockstep lanes on a block-diagonal
+    model: one ``take`` of the flat power per step that has slots to test
+    (the add gathered again before, two per admitting step)."""
+
+    class CountedPower(np.ndarray):
+        gathers = 0
+
+        def take(self, *args, **kwargs):
+            CountedPower.gathers += 1
+            return np.asarray(self).take(*args, **kwargs)
+
+    links = scenario.links
+    model = scenario.network.model
+    heads, tails = links.heads, links.tails
+    want = np.random.default_rng(3).integers(1, 4, links.n_links)
+    twin, (_, lo) = _block_diagonal([model, model])
+    cases = [
+        (model, [heads], [tails], [want], True),
+        (model, [heads], [tails], [want], False),
+        (twin, [heads, heads[::-1] + lo], [tails, tails[::-1] + lo], [want, want[::-1]], True),
+    ]
+    for case_model, *lanes, count_vetoes in cases:
+        arena = SlotArena(case_model)
+        arena._flat = arena._flat.view(CountedPower)
+        CountedPower.gathers = 0
+        packed = first_fit_dense(arena, *lanes, count_vetoes)
+        assert any(len(members) > 1 for slots, *_ in packed for members in slots)
+        assert CountedPower.gathers == links.n_links - 1  # the first step tests nothing
+
+
 def _sparse_forest(side):
     """The E13 pipeline on a ``side`` x ``side`` grid: default (carrier-sense)
     cutoff and floor, demand 1 on every forest link."""

@@ -164,6 +164,7 @@ def test_batched_admission_kernels_match_incremental_scan():
         sender, receiver = int(heads[k]), int(tails[k])
         for j, st in enumerate(states):
             if st.try_add(sender, receiver):
+                arena.can_add_all(sender, receiver)
                 arena.add(j, sender, receiver)
                 break
         else:

@@ -30,7 +30,7 @@ from repro.phy.sinr import (
     sinr_for_link_sets,
     sinr_for_links,
 )
-from repro.util.ranges import join, split_at
+from repro.util.ranges import expand_ranges, join, split_at
 
 
 @dataclass(frozen=True)
@@ -283,16 +283,16 @@ MEMO_SLOTS = 4096
 
 
 class SlotSinrMemo:
-    """:meth:`PhysicalInterferenceModel.slot_sinrs` evaluating each distinct
-    slot once, keyed by its ordered member tuple (link indices into
-    ``heads`` / ``tails``).  A remembered entry is what a fresh call would
-    return, bit for bit: a slot's row of ``sinr_for_link_sets`` equals
-    ``sinr_for_links`` on that slot whatever else shares the batch.  A
-    one-member slot is never evaluated: it reads :attr:`alone`, every
-    link's standalone SINR, computed once with the memo.  Bound to one
-    ``model`` (a budgeted oracle gets its own memo).  Past
-    :data:`MEMO_SLOTS` entries it forgets the oldest, never a slot the
-    current call asks for.
+    """:meth:`PhysicalInterferenceModel.slot_sinrs` over a flat round,
+    evaluating each distinct slot once, keyed by its ordered member tuple
+    (link indices into ``heads`` / ``tails``).  A remembered entry is what
+    a fresh call would return, bit for bit: a slot's row of
+    ``sinr_for_link_sets`` equals ``sinr_for_links`` on that slot whatever
+    else shares the batch.  A one-member slot is never keyed nor
+    evaluated: it reads :attr:`alone`, every link's standalone SINR,
+    computed once with the memo.  Bound to one ``model`` (a budgeted oracle
+    gets its own memo).  Past :data:`MEMO_SLOTS` entries it forgets the
+    oldest, never a slot the current call asks for.
     """
 
     def __init__(self, model: PhysicalInterferenceModel, heads, tails):
@@ -302,16 +302,30 @@ class SlotSinrMemo:
         self.alone = model.alone_sinrs(heads, tails)
         self._seen: dict[tuple[int, ...], np.ndarray] = {}
 
-    def __call__(self, keys: list[tuple[int, ...]]) -> list[np.ndarray]:
-        """``min(data, ACK)`` SINR per member of every keyed slot, the
-        slots of two or more members not seen before evaluated in one batch."""
+    def __call__(self, members, ends) -> np.ndarray:
+        """``min(data, ACK)`` SINR of every membership of the flat round
+        ``members`` (slot ``t`` is ``members[ends[t - 1]:ends[t]]``): every
+        member read from :attr:`alone` in one gather, then the slots of two
+        or more members overwritten with their entries, those not seen
+        before evaluated in one batch."""
+        members = np.asarray(members, dtype=np.intp)
+        ends = np.asarray(ends, dtype=np.intp)
+        worst = self.alone[members]
+        sizes = np.diff(ends, prepend=0)
+        shared = sizes > 1
+        _, at = expand_ranges(ends[shared] - sizes[shared], ends[shared])
+        flat = members[at].tolist()
+        cuts = np.cumsum(sizes[shared]).tolist()
+        keys = [tuple(flat[a:b]) for a, b in zip([0, *cuts], cuts)]
         seen = self._seen
-        missing = list(dict.fromkeys(k for k in keys if len(k) > 1 and k not in seen))
+        missing = list(dict.fromkeys(k for k in keys if k not in seen))
         if missing:
-            worst, ends = self.model._slot_sinrs_flat(self._heads, self._tails, missing)
-            seen.update(zip(missing, split_at(worst, ends)))
+            values, cuts = self.model._slot_sinrs_flat(self._heads, self._tails, missing)
+            seen.update(zip(missing, split_at(values, cuts)))
         if len(seen) > MEMO_SLOTS:
             asked = set(keys)
             for key in [key for key in seen if key not in asked][: len(seen) - MEMO_SLOTS]:
                 del seen[key]
-        return [seen[key] if len(key) > 1 else self.alone[list(key)] for key in keys]
+        if keys:
+            worst[at] = np.concatenate([seen[key] for key in keys])
+        return worst

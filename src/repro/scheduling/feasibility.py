@@ -106,7 +106,8 @@ class SlotArena:
       fold over the others in admission order) over all member rows at
       once: the per-slot sums are ``np.bincount`` segment sums, whose C
       loop accumulates weights in input order — the member order the
-      scalar fold sums in, so the verdicts are bit-identical;
+      scalar fold sums in, so the verdicts are bit-identical.  The test
+      keeps what it gathered, and :meth:`add` of its candidate writes it;
     * sparse (auto-selected when the model's power is a
       :class:`~repro.phy.sparse.SparsePowerMatrix`) — per-node *slot
       tables* of shape ``(n, slot_capacity)``, the slot axis doubling on
@@ -153,6 +154,10 @@ class SlotArena:
         self._mrcv = np.empty(cap, dtype=np.intp)
         self._m = 0
         self.n_slots = 0
+        # The last dense test's candidate and terms (:meth:`add` writes
+        # them), and the slots admitted into since.
+        self._tested = None
+        self._admitted: set[int] = set()
         if self._use_sparse:
             n = model.power.n
             # Stacked storage, data side first: the kernel walks both sides
@@ -229,6 +234,7 @@ class SlotArena:
                 at = pos == p
                 self.add_many(slot[at], snd[at], rcv[at])
             return
+        self._tested = None
         slots = np.asarray(slot_of, dtype=np.intp).tolist()
         if not slots:
             return
@@ -269,6 +275,7 @@ class SlotArena:
         positions in their order, their members unchanged; appending (every
         position past them) renumbers nothing, and is :meth:`seed` of
         singletons."""
+        self._tested = None
         at = np.asarray(slots, dtype=np.intp)
         if at[0] < self.n_slots:
             kept = np.delete(np.arange(self.n_slots + at.size), at)
@@ -293,47 +300,47 @@ class SlotArena:
         ``receiver`` are one link for every slot, or one per slot of
         ``slot`` (the lanes of a lockstep pack).
 
-        The scalar per-slot fold, bit for bit: existing
-        members' sums grow element-wise by the newcomer's contribution, and
-        the newcomer's own sums accumulate over members in admission order
-        (a ``bincount`` keyed by slot — C-loop sequential per bin, the order
-        the scalar loop adds in; on the sparse path, one :meth:`add_many`,
-        the slot tables have been running that very sum since the slot
-        opened).
+        The scalar per-slot fold, bit for bit: existing members' sums grow
+        element-wise by the newcomer's contribution, and the newcomer's own
+        sums accumulate over members in admission order.  Dense, the add
+        writes what the test before it gathered (:meth:`can_add_all`,
+        :meth:`handshake_verdicts` or :meth:`admit_sinrs` of this
+        candidate): the members' cross terms, and the newcomer's per-slot
+        sums (a ``bincount`` keyed by slot — C-loop sequential per bin, the
+        order the scalar loop adds in).  Sparse, it is one
+        :meth:`add_many`: the slot tables have been running that very sum
+        since the slot opened.
 
-        Raises ``ValueError`` on the sparse path, before anything is
-        written, if an endpoint already sends or receives in a slot: the
-        slot tables hold one member per node per slot.
+        Raises ``ValueError``, before anything is written: dense, if the
+        candidate is not the one last tested, or a target slot was admitted
+        into, seeded or renumbered since (admitting the candidate into its
+        other tested slots is not a change); sparse, if an endpoint already
+        sends or receives in a slot (the slot tables hold one member per
+        node per slot).
         """
         into = np.atleast_1d(slot)
         if self._use_sparse:
             self.add_many(into, [sender] * into.size, [receiver] * into.size)
             return
+        if self._tested is None:
+            raise ValueError("a dense add needs a test of its candidate first")
+        cs, cr, sid, seg, new_di, new_ai = self._tested
+        if isinstance(cs, np.ndarray):  # one candidate per slot
+            cs, cr = cs[into], cr[into]
+        if not np.asarray((sender == cs) & (receiver == cr)).all():
+            raise ValueError("add's candidate is not the one last tested")
+        slots = into.tolist()
+        if not self._admitted.isdisjoint(slots):
+            raise ValueError("a target slot changed since the test")
+        self._admitted.update(slots)
         self._ensure_capacity(into.size)
-        # The target slots' member rows (ascending) and positions in ``into``.
-        where = np.full(self.n_slots, -1)
-        where[into] = np.arange(into.size)
-        key = where[self._slot_id[: self._m]]
-        r = np.flatnonzero(key >= 0)
-        key = key[r]
-        k = r.size
-        ms = self._msnd[r]
-        mr = self._mrcv[r]
-        cs, cr = sender, receiver
-        if isinstance(sender, np.ndarray):  # one link per slot
-            cs, cr = sender[key], receiver[key]
-        # One fused gather for all four member/newcomer power reads — a
-        # pure gather, so splitting it differently never changes a value,
-        # and the bincount sums below keep their exact order.
-        nodes = self._power.shape[0]
-        to_members = (mr + cs * nodes, ms + cr * nodes)
-        from_members = (ms * nodes + cr, mr * nodes + cs)
-        vals = self._flat.take(np.concatenate(to_members + from_members))
-        self._di[r] += vals[:k]
-        self._ai[r] += vals[k : 2 * k]
-        new_di = np.bincount(key, weights=vals[2 * k : 3 * k], minlength=into.size)
-        new_ai = np.bincount(key, weights=vals[3 * k :], minlength=into.size)
-        self._append(into, sender, receiver, new_di, new_ai)
+        target = np.zeros(new_di.size, dtype=bool)
+        target[into] = True
+        hit = target[sid]
+        di, ai = self._di[: sid.size], self._ai[: sid.size]
+        np.add(di, seg[2], out=di, where=hit)
+        np.add(ai, seg[3], out=ai, where=hit)
+        self._append(into, sender, receiver, new_di[into], new_ai[into])
 
     def can_add_all(self, sender, receiver) -> np.ndarray:
         """One candidate against every slot: ``out[j] == slot j can admit``.
@@ -425,6 +432,10 @@ class SlotArena:
         blocked = np.zeros(n, dtype=bool)
         blocked[sid[shared | data_bad | ack_bad]] = True
         ok = cand_data & cand_ack & ~blocked
+        # What an add of this candidate writes: its members' cross terms
+        # and its own per-slot sums, the slots as tested.
+        self._tested = sender, receiver, sid, seg, new_data_interf, new_ack_interf
+        self._admitted = set()
         own = (own_data, own_ack), (data_noise, ack_noise), (new_data_interf, new_ack_interf)
         return ok, sid, (cs, cr), data_bad, ack_bad, cand_data, own
 

@@ -58,7 +58,9 @@ def greedy_rate(
     Each admission is one :func:`~repro.scheduling.feasibility.what_if_sinrs`
     call over every candidate still ahead in the walk: the first row that
     passes is the next member, exactly the one a candidate-at-a-time walk
-    would reach, and its SINRs are the rates the test compares.
+    would reach, and its SINRs are the rates the test compares.  A
+    candidate whose what-if fails ``β`` leaves the walk: later members only
+    add interference, so it would fail every later what-if too.
 
     Which slot gets built depends on the residuals only through the
     *pending set* ``{k : residual[k] > 0}`` — the walk skips exhausted links
@@ -113,11 +115,14 @@ def _build_slot(links, model, table, worst, pending) -> tuple[list[int], np.ndar
         ahead, sinrs = what_if_sinrs(model, heads, tails, members, ahead)
         rates = table.grant(sinrs)
         totals = rates.sum(axis=1)
-        admits = (sinrs >= beta).all(axis=1) & (totals > total_rate)
+        fits = (sinrs >= beta).all(axis=1)
+        admits = fits & (totals > total_rate)
         if not admits.any():
             break
         i = int(admits.argmax())
         members.append(int(ahead[i]))
         granted, total_rate = rates[i], int(totals[i])
-        ahead = ahead[i + 1 :]
+        # A candidate that does not fit now never will: members only add
+        # interference, and every partial sum only grows.
+        ahead = ahead[i + 1 :][fits[i + 1 :]]
     return members, granted

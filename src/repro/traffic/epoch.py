@@ -438,10 +438,11 @@ class RateAnnotator:
         """(tiers, rates) of every membership of the round ``members`` (slot
         ``t`` is ``members[ends[t - 1]:ends[t]]``), updating state.
 
-        The round's SINRs come from one schedule-wide pass (slots are
-        independent) over the slots the memo (keyed by member tuple, shared
-        with the run's patch cache) does not hold, so a replayed or patched
-        schedule costs no SINR evaluation at all.  Hysteresis
+        The round's SINRs come from one memo read of the flat round (lone
+        members from the standalone SINRs, the shared slots the memo —
+        keyed by member tuple, shared with the run's patch cache — does
+        not hold in one batch), so a replayed or patched schedule costs no
+        SINR evaluation at all.  Hysteresis
         runs in slot order — a link that sits in
         several slots of the round carries the tier it was granted in one
         slot into the next — so tiers are selected by occurrence rank: every
@@ -450,8 +451,7 @@ class RateAnnotator:
         table without hysteresis never reads the memory, so one pass.
         """
         table = self.table
-        keys = list(map(tuple, split_at(members.tolist(), ends)))
-        worst = np.concatenate([np.empty(0), *self._sinrs(keys)])
+        worst = self._sinrs(members, ends)
         passes = [slice(None)]  # a repeated link keeps its last slot's tier
         if table.hysteresis != 1.0 and members.size:
             # nth[i]: how many earlier entries of the round list member i's link.

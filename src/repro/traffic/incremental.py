@@ -174,11 +174,11 @@ def patch_schedule(
             return np.ones(worst.size, dtype=np.int64)
         return table.grant(worst)
 
-    def rates(keys: list[tuple[int, ...]]) -> np.ndarray:
-        """:func:`grants` of every membership of ``keys``, flat."""
-        if table is None or not keys:
-            return np.ones(sum(map(len, keys)), dtype=np.int64)
-        return grants(np.concatenate(sinrs(keys)))
+    def rates(members: np.ndarray, ends: list[int]) -> np.ndarray:
+        """:func:`grants` of every membership of the flat round ``members``."""
+        if table is None:
+            return np.ones(members.size, dtype=np.int64)
+        return grants(sinrs(members, ends))
 
     # 1. Keep memberships until each link's demand is covered, earliest
     #    slots first (greedy packed the earliest slots densest; trimming
@@ -189,9 +189,8 @@ def patch_schedule(
     #    segmented cumsum.  The survivors seed the arena in one call —
     #    untested, in cached order, so every interference sum accumulates
     #    as it did when the slot was built.
-    keys = [tuple(slot.links) for slot in cached.slots]
-    member, _ = join(keys)
-    value = rates(keys)
+    member, ends = join([slot.links for slot in cached.slots])
+    value = rates(member, ends)
     by_link = np.argsort(member, kind="stable")
     before = np.cumsum(value[by_link]) - value[by_link]
     first = np.diff(member[by_link], prepend=-1) != 0
@@ -199,7 +198,7 @@ def patch_schedule(
     keep = np.empty(member.size, dtype=bool)
     keep[by_link] = before < demand[member[by_link]]
     allocated = np.bincount(member[keep], value[keep], links.n_links).astype(np.int64)
-    of_slot = np.repeat(np.arange(len(keys)), [len(key) for key in keys])
+    of_slot = np.repeat(np.arange(len(ends)), np.diff([0, *ends]))
     held = np.unique(of_slot[keep], return_counts=True)[1]  # per surviving slot
     kept = member[keep]
     arena = SlotArena(model)
@@ -252,9 +251,9 @@ def patch_schedule(
     #    from the final member sets; cover any shortfall with fresh slots
     #    (which degrade nothing), so a single round suffices.
     if table is not None:
-        keys = [tuple(slot.links) for slot in slots]
-        members, _ = join(keys)
-        shortfall = demand - np.bincount(members, rates(keys), links.n_links).astype(np.int64)
+        members, ends = join([slot.links for slot in slots])
+        capacity = np.bincount(members, rates(members, ends), links.n_links)
+        shortfall = demand - capacity.astype(np.int64)
         for k in sorted(
             np.flatnonzero(shortfall > 0).tolist(), key=lambda k: -int(shortfall[k])
         ):

@@ -24,6 +24,7 @@ import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.phy.interference import PhysicalInterferenceModel
@@ -85,6 +86,7 @@ def one_at_a_time(arena, slots):
     for (s, r), *rest in slots:
         j = open_slot(arena, s, r)
         for s, r in rest:
+            arena.can_add_all(s, r)
             arena.add(j, s, r)
 
 
@@ -164,6 +166,8 @@ def test_add_into_several_slots_equals_add_per_slot(instance, capacity):
     candidates = candidates_for(slots, rng, model.n_nodes)
     for s, r in candidates[: 2 * len(slots)]:
         into = rng.permutation(one.n_slots)[: rng.integers(1, one.n_slots + 1)].tolist()
+        one.can_add_all(s, r)
+        many.can_add_all(s, r)
         for j in into:
             one.add(j, s, r)
             states[j].add(s, r)
@@ -228,3 +232,66 @@ def test_sparse_bulk_entries_agree_with_dense_and_slotstate(instance, seed):
                 for arena in arenas:
                     arena.add(into, s, r)
                     assert_sums_equal_states(arena, states)
+
+
+TESTS = ("can_add_all", "handshake_verdicts", "admit_sinrs")
+
+
+def columns(arena):
+    return [bits(getattr(arena, name)[: arena._m]) for name in COLUMNS]
+
+
+@given(bulk_instance(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_dense_add_writes_what_its_test_gathered(instance, data):
+    """Dense: ``add`` after any of the three tests — one candidate, or one
+    per slot (lanes; ``admit_sinrs`` takes one) — into several slots in one
+    call or one call per slot leaves every column ≡ ``SlotState.add`` per
+    slot, bit for bit; an add of another candidate, into a slot admitted
+    into since the test, or after a ``seed`` / ``insert``, raises and
+    writes nothing."""
+    _, model, slots, rng = instance
+    arena = SlotArena(model)
+    arena.seed(*flat(slots, 0))
+    states = states_for(model, slots)
+    pool = [(s, r) for s, r in candidates_for(slots, rng, model.n_nodes) if s != r]
+
+    def refused(*args):
+        before = columns(arena)
+        with pytest.raises(ValueError):
+            arena.add(*args)
+        assert columns(arena) == before
+
+    refused(0, *pool[0])  # no test yet
+    for s, r in pool[: 2 * len(slots)]:
+        test = data.draw(st.sampled_from(TESTS))
+        n = arena.n_slots
+        snd, rcv = np.full(n, s), np.full(n, r)
+        if test != "admit_sinrs" and data.draw(st.booleans()):
+            picks = rng.integers(0, len(pool), size=n)
+            snd, rcv = (np.array([pool[i][side] for i in picks]) for side in (0, 1))
+            getattr(arena, test)(snd, rcv)
+        else:
+            getattr(arena, test)(s, r)
+        into = rng.permutation(n)[: rng.integers(1, n + 1)].tolist()
+        if data.draw(st.booleans()):
+            arena.add(into, snd[into], rcv[into])
+        else:
+            for j in into:
+                arena.add(j, int(snd[j]), int(rcv[j]))
+        for j in into:
+            states[j].add(int(snd[j]), int(rcv[j]))
+        assert_sums_equal_states(arena, states)
+        j = into[0]
+        refused(j, int(snd[j]), int(rcv[j]))  # admitted into since the test
+        rest = sorted(set(range(n)) - set(into))
+        if rest:
+            other = next(c for c in pool if c != (snd[rest[0]], rcv[rest[0]]))
+            refused(rest[0], *other)  # not the tested candidate
+    s, r = pool[0]
+    arena.can_add_all(s, r)
+    arena.insert([0], [s], [r])
+    refused(1, s, r)
+    arena.can_add_all(s, r)
+    open_slot(arena, s, r)
+    refused(1, s, r)

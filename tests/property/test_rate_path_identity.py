@@ -13,7 +13,7 @@ from itertools import groupby
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.phy.interference import SlotSinrMemo
 from repro.phy.radio import RateTable
@@ -103,6 +103,9 @@ def build(meshes, case):
 
 
 @given(demand_case())
+# On the grid, candidates that fail a what-if sit behind the one admitted
+# (greedy_rate drops 260 of their 1 828 later what-if rows).
+@example(case=(0, 1, "geometric", 3, 0.0, False))
 @settings(max_examples=60, deadline=None)
 def test_greedy_rate_slot_lists_match_the_slot_by_slot_build(meshes, case):
     _, model, links, table = build(meshes, case)

@@ -250,6 +250,7 @@ def test_arena_seeded_without_testing_then_patched_agrees_step_by_step(instance,
         for s, r in kept:
             for arena in arenas:
                 if len(states[-1]):
+                    arena.can_add_all(s, r)
                     arena.add(len(states) - 1, s, r)
                 else:
                     open_slot(arena, s, r)

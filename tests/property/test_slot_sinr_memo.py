@@ -1,15 +1,16 @@
 """SINR reuse: a remembered slot is a fresh evaluation, bit for bit.
 
-``SlotSinrMemo`` keys ``min(data, ACK)`` SINRs by a slot's ordered member
-tuple; a run builds one and hands it to its ``RateAnnotator`` and, when
-both judge slots under the same model, to its patch cache, so each
-distinct slot is evaluated once per run.  Reuse is exact because a slot's
-row of the batched kernel equals the one-slot kernel whatever else shares
-the batch — so an entry first computed in a wide batch must equal a fresh
-call on that slot alone; a one-member slot is its link's standalone SINR
-and never reaches the kernel; the key is the *ordered* tuple, the memo
-belongs to one model, and past ``MEMO_SLOTS`` entries it forgets the
-oldest.
+``SlotSinrMemo`` answers a flat round (``members``, ``ends``) and keys
+``min(data, ACK)`` SINRs by a shared slot's ordered member tuple; a run
+builds one and hands it to its ``RateAnnotator`` and, when both judge slots
+under the same model, to its patch cache, so each distinct slot is
+evaluated once per run.  Reuse is exact because a slot's row of the batched
+kernel equals the one-slot kernel whatever else shares the batch — so an
+entry first computed in a wide batch must equal a fresh call on that slot
+alone; a one-member slot is its link's standalone SINR and never reaches
+the kernel; the key is the *ordered* tuple, the memo belongs to one model,
+and past ``MEMO_SLOTS`` entries it forgets the oldest.  A whole round read
+through the memo is the concatenation of ``slot_sinrs`` over its slots.
 """
 
 import math
@@ -30,12 +31,18 @@ from repro.traffic.epoch import EpochConfig, EpochSchedule, RateAnnotator, run_e
 from repro.traffic.generators import PoissonArrivals
 from repro.traffic import incremental
 from repro.traffic.incremental import ScheduleCache, patch_schedule
-from repro.util.ranges import join
+from repro.util.ranges import join, split_at
 from tests.conftest import drift_threshold, make_links
 
 
 def bits(values):
     return np.ascontiguousarray(values, dtype=float).view(np.int64).tolist()
+
+
+def read(memo, slots):
+    """The memo's answer to the round ``slots``, cut back into slots."""
+    members, ends = join(slots)
+    return split_at(memo(members, ends), ends)
 
 
 class Counting:
@@ -97,12 +104,34 @@ def test_reused_entries_are_bitwise_fresh_evaluations(instance):
     different width) hold exactly what a one-slot call returns."""
     model, heads, tails, first, second = instance
     memo = SlotSinrMemo(model, heads, tails)
-    memo(first)
-    for key, worst in zip(second, memo(second)):
+    read(memo, first)
+    for key, worst in zip(second, read(memo, second)):
         fresh = model.slot_sinrs(heads, tails, [list(key)])[0]
         assert bits(worst) == bits(fresh)
         data, ack = model.link_sinrs(heads[list(key)], tails[list(key)])
         assert bits(worst) == bits(np.minimum(data, ack))
+
+
+@given(memo_instance(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_a_flat_round_reads_as_the_concatenated_slot_sinrs(instance, data):
+    """A round as the epoch loop hands it — lone, shared and empty slots,
+    a link in several slots, cut to a playable-window prefix of whole
+    slots — read in one call, some of its slots remembered from an earlier
+    round, is ``slot_sinrs`` over its slots concatenated, bit for bit."""
+    model, heads, tails, first, second = instance
+    slots = list(second) + [()] * data.draw(st.integers(min_value=1, max_value=3))
+    slots.append(tuple(dict.fromkeys((second[0][0], *first[0]))))  # repeats a link
+    order = data.draw(st.permutations(range(len(slots))))
+    slots = [slots[t] for t in order]
+    members, ends = join(slots)
+    playable = data.draw(st.integers(min_value=0, max_value=len(slots)))
+    ends = ends[:playable]
+    members = members[: ends[-1] if ends else 0]
+    memo = SlotSinrMemo(model, heads, tails)
+    read(memo, first)
+    fresh = model.slot_sinrs(heads, tails, [list(slot) for slot in slots[:playable]])
+    assert bits(memo(members, ends)) == bits(np.concatenate([np.empty(0), *fresh]))
 
 
 def test_each_distinct_slot_is_evaluated_once_and_reordering_misses(monkeypatch):
@@ -110,11 +139,11 @@ def test_each_distinct_slot_is_evaluated_once_and_reordering_misses(monkeypatch)
     _, links = make_links(network, 2, seed=23)
     counted = Counting(monkeypatch)
     memo = SlotSinrMemo(network.model, links.heads, links.tails)
-    memo([(0, 5), (0, 5), (7,)])
+    read(memo, [(0, 5), (0, 5), (7,)])
     assert (counted.slots, counted.members) == (1, 2)  # duplicates once, singletons never
-    memo([(7,), (0, 5)])
+    read(memo, [(7,), (0, 5)])
     assert (counted.slots, counted.members) == (1, 2)  # all remembered
-    reordered = memo([(5, 0)])[0]
+    reordered = read(memo, [(5, 0)])[0]
     assert (counted.slots, counted.members) == (2, 4)  # another key
     assert bits(reordered) == bits(network.model.slot_sinrs(links.heads, links.tails, [[5, 0]])[0])
 
@@ -130,7 +159,7 @@ def test_one_member_slots_read_the_standalone_sinrs(monkeypatch):
     mixed = lone + [(0, 5), (3, 9, 12)]  # singletons padded to width 3
     fresh = model.slot_sinrs(links.heads, links.tails, mixed)[: links.n_links]
     counted = Counting(monkeypatch)
-    assert [bits(v) for v in memo(lone)] == [bits(v) for v in fresh]
+    assert [bits(v) for v in read(memo, lone)] == [bits(v) for v in fresh]
     assert counted.slots == 0 and not memo._seen
 
 
@@ -141,10 +170,10 @@ def test_a_budgeted_model_never_reads_another_models_entries(monkeypatch):
     budgeted = network.model.with_budget(budget)
     keys = [(0, 5), (7, 2), (3, 9, 12)]
     exact = SlotSinrMemo(network.model, links.heads, links.tails)
-    first = exact(keys)
+    first = read(exact, keys)
     counted = Counting(monkeypatch)
     guarded = SlotSinrMemo(budgeted, links.heads, links.tails)
-    second = guarded(keys)
+    second = read(guarded, keys)
     assert counted.slots == len(keys)  # nothing shared between the two memos
     fresh = budgeted.slot_sinrs(links.heads, links.tails, [list(key) for key in keys])
     assert all(bits(a) == bits(b) for a, b in zip(second, fresh))
@@ -187,13 +216,18 @@ def test_cache_patches_equal_fresh_patches_and_memo_stays_bounded(
     )
     demand = np.minimum(links.demand, 4)
     asked = [0]  # distinct slots per memo call
-    read = SlotSinrMemo.__call__
+    call = SlotSinrMemo.__call__
+
+    def distinct(members, ends):
+        return len(set(map(tuple, split_at(np.asarray(members).tolist(), ends))))
+
     with pytest.MonkeyPatch.context() as patcher, drift_threshold(0.0):
         patcher.setattr(interference, "MEMO_SLOTS", memo_slots)
         patcher.setattr(
             SlotSinrMemo,
             "__call__",
-            lambda memo, keys: asked.append(len(set(keys))) or read(memo, keys),
+            lambda memo, members, ends: asked.append(distinct(members, ends))
+            or call(memo, members, ends),
         )
         for epoch in range(12):
             current = replace(links, demand=demand)
@@ -219,13 +253,13 @@ def test_memo_forgets_the_oldest_past_its_bound_never_a_slot_asked_for(
     monkeypatch.setattr(interference, "MEMO_SLOTS", 3)
     memo = SlotSinrMemo(network.model, links.heads, links.tails)
     pair = [(k, k + 20) for k in range(8)]
-    memo(pair[:3])
-    memo([pair[3], pair[1], (9,)])
+    read(memo, pair[:3])
+    read(memo, [pair[3], pair[1], (9,)])
     assert list(memo._seen) == pair[1:4]  # pair 0 was the oldest; (9,) is never kept
-    memo(pair[4:])
+    read(memo, pair[4:])
     assert list(memo._seen) == pair[4:]  # one call may overrun
     counted = Counting(monkeypatch)
-    memo([pair[7], pair[4]])
+    read(memo, [pair[7], pair[4]])
     assert counted.slots == 0
 
 

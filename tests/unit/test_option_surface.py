@@ -35,6 +35,7 @@ from repro.experiments.theory import impossibility_demo
 from repro.obs import ObsConfig
 from repro.obs.metrics import MetricsRegistry, StreamingHistogram
 from repro.phy.gain import distance_matrix, gain_matrix, received_power_matrix
+from repro.phy.interference import SlotSinrMemo
 from repro.phy.radio import RateTable
 from repro.phy.truth import peel_round
 from repro.scheduling.greedy_physical import first_fit_pack, repair
@@ -172,6 +173,8 @@ KEYWORDS = {
     RateTable.grant: ("self", "sinr"),
     # One patch entry point; ScheduleCache passes the run's memo as sinrs.
     patch_schedule: ("cached", "links", "model", "max_length", "table", "sinrs"),
+    # The memo reads a flat round, as the annotator and the patch passes hold it.
+    SlotSinrMemo.__call__: ("self", "members", "ends"),
     # One filtered reader pair; unfiltered, the run's totals.
     ControlLedger.messages: ("self", "layer", "message_class"),
     ControlLedger.seconds: ("self", "layer", "message_class"),

@@ -592,6 +592,7 @@ class TestPatchScheduleWithRateTable:
             first, *rest = slot.links
             j = open_slot(arena, int(links.heads[first]), int(links.tails[first]))
             for m in rest:
+                arena.can_add_all(int(links.heads[m]), int(links.tails[m]))
                 arena.add(j, int(links.heads[m]), int(links.tails[m]))
         assert int(arena.can_add_all(int(links.heads[k]), int(links.tails[k])).sum()) > 2
 
