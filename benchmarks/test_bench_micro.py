@@ -279,7 +279,8 @@ def test_sparse_packing_reads_rows_not_keys(monkeypatch):
     screens, one per ``first_fit_pack`` call (the packing and each repair
     round's re-pack): ``SlotArena.first_fit`` answers everything else
     from the candidates' CSR rows (one ``rows`` gather per pass, the signal
-    entries picked out of it) and the slot tables, so it adds **zero** —
+    entries picked out of it) and the arena's listener lists and landing
+    table, so it adds **zero** —
     and so does verifying on this truncated matrix, which works from
     positions, not from stored powers.  The count repeats exactly on any
     host, unlike a wall-clock ratio; and the packing must be the one the
@@ -357,6 +358,51 @@ def test_sparse_packing_admits_waves_not_links(monkeypatch):
         assert sum(passes) == links.n_links + schedule.truth.repaired_tx
         if side == 60:
             assert 10 * len(passes) <= sum(passes), (len(passes), sum(passes))
+
+
+@pytest.mark.benchmark(group="micro")
+def test_sparse_listener_lists_stay_as_wide_as_the_busiest_cell(monkeypatch):
+    """The sparse arena scans members per listener, not per slot — as a count.
+
+    On a 60x60 grid every arena ``greedy_physical`` packs in (the pack and
+    each repair round's re-pack) is recorded.  A test reads a reached
+    cell's listener list, so what it scans per cell is the list's width.
+    Each arena's width must be its own busiest cell's listener count (4, 3
+    and 1 measured), so at most the busiest cell's count in the schedule (a
+    node receives once per child link and sends once per own link; 4), and
+    for the pack of the whole forest below its slot count (27; the scan
+    used to read every open slot).  A list grown past its need (by
+    doubling, say), or a fall-back to one column per slot, fails here on
+    any host.  The schedule must be ``serial_pack``'s.
+    """
+    packer = importlib.import_module("repro.scheduling.greedy_physical")
+    links, model = _sparse_forest(60)
+    arenas = []
+
+    def recording(model):
+        arenas.append(SlotArena(model))
+        return arenas[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(packer, "SlotArena", recording)
+        schedule = greedy_physical(links, model)
+    with monkeypatch.context() as patch:
+        patch.setattr(packer, "first_fit_pack", serial_pack)
+        serial = greedy_physical(links, model)
+    assert [slot.links for slot in schedule.slots] == [slot.links for slot in serial.slots]
+    n = model.power.n
+    heard = np.zeros(2 * n, dtype=np.intp)
+    for slot in schedule.slots:
+        np.add.at(heard, links.tails[slot.links], 1)
+        np.add.at(heard, n + links.heads[slot.links], 1)
+    busiest = int(heard.max())
+    widths = [arena._lists.shape[1] for arena in arenas]
+    own = [
+        np.bincount(np.r_[a._mrcv[: a._m], n + a._msnd[: a._m]], minlength=2 * n).max()
+        for a in arenas
+    ]
+    assert widths == own and max(widths) <= busiest, (widths, own, busiest)
+    assert widths[0] < arenas[0].n_slots, (widths[0], arenas[0].n_slots)
 
 
 @pytest.mark.benchmark(group="micro")

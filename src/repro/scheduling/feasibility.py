@@ -14,9 +14,10 @@ Two implementations remain in the library:
   admissions, so a test is O(k) in the slot's members instead of the
   kernel's O(k²), one candidate against *every* slot of a schedule at
   once.  Dense power is read through flat member columns; a
-  ``SparsePowerMatrix`` through per-node slot tables.  Reading dense power
-  through the tables was measured (DESIGN.md §3): −32 % on
-  ``sessions_patch_8x8``'s ``decodable_tx_per_s``, so both branches stay.
+  ``SparsePowerMatrix`` through per-cell listener lists and a landing
+  table.  Reading dense power through the tables was measured (DESIGN.md
+  §3): −32 % on ``sessions_patch_8x8``'s ``decodable_tx_per_s``, so both
+  branches stay.
   One kernel reads the tables, a batch of candidates per pass
   (``can_add_many`` / ``add_many``; ``first_fit`` is the two on one
   gather), which ``greedy_physical`` feeds a *wave* of mutually
@@ -87,9 +88,12 @@ def what_if_sinrs(
     return free, model.set_sinrs(heads[sets], tails[sets], np.ones(sets.shape, dtype=bool))
 
 
-#: Initial slot-axis capacity of the sparse arena's per-node slot tables
-#: (doubles on demand, like the member-row columns).
+#: Initial slot-axis capacity of the sparse arena's landing table (doubles
+#: on demand, like the member-row columns).
 _SLOT_CAPACITY = 16
+#: Initial width of the sparse arena's per-cell listener lists (grows on
+#: demand to the busiest cell's listener count).
+_LIST_WIDTH = 1
 
 
 class SlotArena:
@@ -109,16 +113,20 @@ class SlotArena:
       scalar fold sums in, so the verdicts are bit-identical.  The test
       keeps what it gathered, and :meth:`add` of its candidate writes it;
     * sparse (auto-selected when the model's power is a
-      :class:`~repro.phy.sparse.SparsePowerMatrix`) — per-node *slot
-      tables* of shape ``(n, slot_capacity)``, the slot axis doubling on
-      demand.  For node ``v`` and slot ``j`` they hold the member row that
-      receives / transmits at ``v`` (``-1`` if none) and the running data /
-      ACK power landing on ``v`` from slot ``j``'s members, accumulated in
-      admission order as each member's CSR rows are folded in.  A test
-      then reads the candidate's two CSR rows and nothing else of the
-      power matrix: its own interference sums sit in the tables, node
-      sharing is a table lookup, and the only members rechecked are those
-      with an endpoint in the candidate's rows — O(degree × slots) per
+      :class:`~repro.phy.sparse.SparsePowerMatrix`) — tables over the
+      ``2n`` *listening cells* (cell ``v`` hears data at node ``v``, cell
+      ``n + v`` ACKs at node ``v``): a *landing* table ``(2n,
+      slot_capacity)``, the slot axis doubling on demand, holding the
+      running power landing on the cell from slot ``j``'s members,
+      accumulated in admission order as each member's CSR rows are folded
+      in; and a *listener list* ``(2n, width)`` per cell, the member rows
+      listening there in admission order (``-1`` past the end; one per
+      slot at most, so ``width`` — the busiest cell's count, grown on
+      demand — is fan-in × demand, not the slot count).  A test then
+      reads the candidate's two CSR rows and nothing else of the power
+      matrix: its own interference sums sit in the landing table, node
+      sharing is a list lookup, and the only members rechecked are those
+      listening in the candidate's rows — O(degree × width) per
       candidate, no key search.  Everything skipped is *exactly* ``0.0``
       in the dense sums, and a member the candidate's rows do not reach
       receives no contribution, so — because every admitted member is
@@ -129,7 +137,7 @@ class SlotArena:
       packing (its repair pass included) screens with
       :func:`feasible_alone`, and a patch seeds slots only with subsets of
       feasible cached slots (removals lower interference).
-      The tables assume one member per node per slot, which
+      The lists assume one member per node per slot, which
       :meth:`add_many` enforces.  One kernel reads them:
       :meth:`can_add_many` / :meth:`add_many` test and fold a batch of
       links in one pass (the tables stored stacked, data side over ACK
@@ -167,13 +175,12 @@ class SlotArena:
             self._interf = np.empty((2, cap), dtype=float)
             self._sig = np.empty((2, cap), dtype=float)
             self._columns = ["_slot_id", "_msnd", "_mrcv", "_interf", "_sig"]
-            # ... and slot tables over *listening cells*: cell v hears data
-            # at node v, cell n + v hears ACKs at node v.  Member row
-            # listening at [cell, j] ...
-            shape = (2 * n, _SLOT_CAPACITY)
-            self._listener = np.full(shape, -1, dtype=np.int32)
+            # ... and tables over *listening cells*: cell v hears data at
+            # node v, cell n + v hears ACKs at node v.  The member rows
+            # listening at a cell, in admission order ...
+            self._lists = np.full((2 * n, _LIST_WIDTH), -1, dtype=np.int32)
             # ... and power landing on the cell from slot j's members.
-            self._landing = np.zeros(shape, dtype=float)
+            self._landing = np.zeros((2 * n, _SLOT_CAPACITY), dtype=float)
             self._cell_budget = None if self._budget is None else np.tile(self._budget, 2)
         else:
             # Gathers read ``_flat[row * n + col]``, several-fold faster.
@@ -195,17 +202,15 @@ class SlotArena:
             setattr(self, name, new)
 
     def _ensure_slot_capacity(self, n_slots: int) -> None:
-        width = self._listener.shape[1]
+        width = self._landing.shape[1]
         if n_slots <= width:
             return
         grown = width
         while grown < n_slots:
             grown *= 2
-        for name, empty in (("_listener", -1), ("_landing", 0.0)):
-            old = getattr(self, name)
-            new = np.full((old.shape[0], grown), empty, dtype=old.dtype)
-            new[:, :width] = old
-            setattr(self, name, new)
+        landing = np.zeros((self._landing.shape[0], grown))
+        landing[:, :width] = self._landing
+        self._landing = landing
 
     def seed(self, slot_of, senders, receivers) -> None:
         """Append whole slots, untested: link ``senders[i] -> receivers[i]``
@@ -308,14 +313,14 @@ class SlotArena:
         candidate): the members' cross terms, and the newcomer's per-slot
         sums (a ``bincount`` keyed by slot — C-loop sequential per bin, the
         order the scalar loop adds in).  Sparse, it is one
-        :meth:`add_many`: the slot tables have been running that very sum
+        :meth:`add_many`: the landing table has been running that very sum
         since the slot opened.
 
         Raises ``ValueError``, before anything is written: dense, if the
         candidate is not the one last tested, or a target slot was admitted
         into, seeded or renumbered since (admitting the candidate into its
         other tested slots is not a change); sparse, if an endpoint already
-        sends or receives in a slot (the slot tables hold one member per
+        sends or receives in a slot (the listener lists hold one member per
         node per slot).
         """
         into = np.atleast_1d(slot)
@@ -368,8 +373,8 @@ class SlotArena:
             reach = self._reach(snd, rcv)
             listens, sig = reach[4:]
             extra = 0.0 if self._budget is None else self._cell_budget[listens]
-            ok = self._verdicts(snd, rcv, reach)[0]
-            own = sig, np.broadcast_to(self._noise + extra, 2), self._landing[listens, :n]
+            ok = self._verdicts(snd, rcv, reach)[0][0]
+            own = sig, np.broadcast_to(self._noise + extra, 2), self._landing_at(listens)
         else:
             ok, *_, own = self._dense_terms(sender, receiver)
         (sd, sa), (zd, za), (idata, iack) = own
@@ -504,11 +509,29 @@ class SlotArena:
         """
         snd = np.asarray(senders, dtype=np.intp)
         rcv = np.asarray(receivers, dtype=np.intp)
-        return self._verdicts(snd, rcv, self._reach(snd, rcv))
+        return self._verdicts(snd, rcv, self._reach(snd, rcv))[0]
 
-    def _verdicts(self, snd: np.ndarray, rcv: np.ndarray, reach) -> np.ndarray:
-        """:meth:`can_add_many` given the batch's :meth:`_reach`."""
-        n = self.n_slots
+    def _landing_at(self, cells: np.ndarray) -> np.ndarray:
+        """The power landing on ``cells`` from every open slot."""
+        return self._landing.take(cells, axis=0)[:, : self.n_slots]
+
+    def _listeners(self, snd: np.ndarray, rcv: np.ndarray, reach):
+        """Every member listening where the batch lands power or at one of
+        its endpoints, read from the lists (flat: one 1-D nonzero): per
+        member, ``at`` — an entry of the :meth:`_reach`, or ``E + k·B + i``
+        past its ``E`` entries for end cell ``k`` of link ``i`` (its
+        receiver's data, sender's ACK, sender's data, receiver's ACK cell)
+        — its row and its slot."""
+        cells = np.concatenate((reach[2], reach[4], snd, rcv + self._power.n))
+        heard = self._lists.take(cells, axis=0).ravel()
+        flat = (heard >= 0).nonzero()[0]
+        rows = heard[flat]
+        return flat // self._lists.shape[1], rows, self._slot_id[rows]
+
+    def _verdicts(self, snd: np.ndarray, rcv: np.ndarray, reach):
+        """:meth:`can_add_many` given the batch's :meth:`_reach`, and the
+        members it found (:meth:`_listeners`), which :meth:`_fold` of the
+        batch writes."""
         link, side, cell, vals, listens, sig = reach
         beta = self._beta
         noise = self._noise
@@ -516,28 +539,24 @@ class SlotArena:
             noise = (noise + self._cell_budget[listens])[:, None]
         # The candidates' own data / ACK SINR under what already lands on
         # their listening cells ...
-        own = ~(sig[:, None] < beta * (noise + self._landing[listens, :n]))
+        own = ~(sig[:, None] < beta * (noise + self._landing_at(listens)))
         ok = own[: snd.size] & own[snd.size :]
         ok &= (snd != rcv)[:, None]
         # ... no endpoint already sending or receiving in the slot ...
-        ends = np.concatenate((listens, snd, rcv + self._power.n))
-        ok &= self._listener[ends, :n].reshape(4, snd.size, n).max(axis=0) < 0
+        hits = at, rows, slot = self._listeners(snd, rcv, reach)
+        end = at >= link.size
+        ok[(at[end] - link.size) % snd.size, slot[end]] = False
         # ... and every member listening where a candidate lands power
-        # still above threshold with that power added, both sides at once
-        # (flat: a 1-D nonzero plus one divmod beats the 2-D nonzero
-        # several-fold).
-        near = self._listener[cell, :n].ravel()
-        flat = (near >= 0).nonzero()[0]
-        if flat.size:
-            rows = near[flat]
-            at, slot = np.divmod(flat, n)
-            noise = self._noise
-            if self._budget is not None:
-                noise = noise + self._cell_budget[cell[at]]
-            interf = self._interf[side[at], rows] + vals[at]
-            bad = self._sig[side[at], rows] < beta * (noise + interf)
-            ok[link[at[bad]], slot[bad]] = False
-        return ok
+        # still above threshold with that power added, both sides at once.
+        near = ~end
+        at, rows, slot = at[near], rows[near], slot[near]
+        noise = self._noise
+        if self._budget is not None:
+            noise = noise + self._cell_budget[cell[at]]
+        interf = self._interf[side[at], rows] + vals[at]
+        bad = self._sig[side[at], rows] < beta * (noise + interf)
+        ok[link[at[bad]], slot[bad]] = False
+        return ok, hits
 
     def add_many(self, slots, senders, receivers) -> None:
         """Sparse arena: admit link ``i`` to ``slots[i]`` unconditionally,
@@ -559,39 +578,66 @@ class SlotArena:
         rcv = np.asarray(receivers, dtype=np.intp)
         self._fold(slot, snd, rcv, self._reach(snd, rcv))
 
-    def _fold(self, slot: np.ndarray, snd: np.ndarray, rcv: np.ndarray, reach) -> None:
-        """:meth:`add_many` given the batch's :meth:`_reach`."""
-        top = max(int(slot.max(initial=-1)) + 1, self.n_slots)
-        self._ensure_slot_capacity(top)
+    def _fold(
+        self, slot: np.ndarray, snd: np.ndarray, rcv: np.ndarray, reach, hits=None
+    ) -> None:
+        """:meth:`add_many` given the batch's :meth:`_reach` and, when a
+        test of the batch came just before, the members it found
+        (:meth:`_verdicts`); without them they are read from the lists."""
         link, side, cell, vals, listens, sig = reach
-        ends = np.concatenate((listens, snd, rcv + self._power.n)).reshape(4, -1)
-        busy = self._listener[ends, slot] >= 0
+        b = snd.size
+        # The members in the target slots: at an endpoint, a busy node ...
+        at, rows, heard_in = self._listeners(snd, rcv, reach) if hits is None else hits
+        target = slot[link]
+        hit = heard_in == np.concatenate((target, np.tile(slot, 4)))[at]
+        busy = hit & (at >= link.size)
         if busy.any():
-            i = int(busy.any(axis=0).argmax())
+            i = int(((at[busy] - link.size) % b).min())
             raise ValueError(
                 f"link {snd[i]}->{rcv[i]} shares a node with a member of slot {slot[i]}"
             )
-        self._ensure_capacity(slot.size)
+        # ... none, so every one is where the batch lands power: a member
+        # whose sum grows by it.
+        at, rows = at[hit], rows[hit]
+        top = max(int(slot.max(initial=-1)) + 1, self.n_slots)
+        self._ensure_slot_capacity(top)
+        self._ensure_capacity(b)
         self.n_slots = top
-        rows = np.arange(self._m, self._m + slot.size)
-        new = slice(self._m, self._m + slot.size)
-        listens = listens.reshape(2, -1)
-        at = slot[link]
-        # The newcomers' own sums are what the tables hold at their cells;
-        # members listening where they land power grow by it (one member
-        # per cell and slot, so the targets are unique); the tables take
-        # their rows.
-        self._interf[:, new] = self._landing[listens, slot]
-        heard = self._listener[cell, at]
-        near = (heard >= 0).nonzero()[0]
-        self._interf[side[near], heard[near]] += vals[near]
-        self._landing[cell, at] += vals
-        self._listener[listens, slot] = rows
+        new = slice(self._m, self._m + b)
+        # The newcomers' own sums are what lands at their cells; members
+        # listening where they land power grow by it (one member per cell
+        # and slot, so the targets are unique); the lists take their rows.
+        width = self._landing.shape[1]
+        landing = self._landing.reshape(-1)
+        self._interf[:, new] = landing.take(listens.reshape(2, -1) * width + slot)
+        self._interf[side[at], rows] += vals[at]
+        landing[cell * width + target] += vals
+        self._listen(listens, np.arange(2 * b) % b + new.start)
         self._sig[:, new] = sig.reshape(2, -1)
         self._slot_id[new] = slot
         self._msnd[new] = snd
         self._mrcv[new] = rcv
         self._m = new.stop
+
+    def _listen(self, cells: np.ndarray, rows: np.ndarray) -> None:
+        """Append member ``rows[i]`` to the list of ``cells[i]``; a cell
+        the batch repeats (one link into several slots) takes successive
+        positions in batch order.  A list at full width widens to fit."""
+        pos = (self._lists.take(cells, axis=0) >= 0).sum(axis=1)
+        order = cells.argsort(kind="stable")
+        ranked = cells[order]
+        repeat = ranked[1:] == ranked[:-1]
+        if repeat.any():
+            step = np.arange(1, cells.size)
+            first = np.maximum.accumulate(np.where(repeat, 0, step))
+            pos[order[1:]] += step - first
+        width = self._lists.shape[1]
+        need = int(pos.max(initial=-1)) + 1
+        if need > width:
+            lists = np.full((self._lists.shape[0], need), -1, dtype=np.int32)
+            lists[:, :width] = self._lists
+            self._lists, width = lists, need
+        self._lists.reshape(-1)[cells * width + pos] = rows
 
     def first_fit(self, senders, receivers, need) -> tuple[np.ndarray, np.ndarray]:
         """Sparse arena: one greedy step for a whole batch — test it
@@ -607,7 +653,7 @@ class SlotArena:
         need = np.asarray(need, dtype=np.intp)
         n = self.n_slots
         reach = self._reach(snd, rcv)
-        ok = self._verdicts(snd, rcv, reach)
+        ok, hits = self._verdicts(snd, rcv, reach)
         ok &= ok.cumsum(axis=1) <= need[:, None]
         link, slot = ok.nonzero()
         short = need - np.bincount(link, minlength=snd.size)
@@ -617,9 +663,10 @@ class SlotArena:
             first = np.cumsum(short) - short
             slot = np.concatenate((slot, n + np.arange(fresh.size) - first[fresh]))
         if (need == 1).all():
-            # One membership each: the gather serves again.
+            # One membership each: the gather and the members found serve
+            # again.
             slot = slot[np.argsort(link)]
-            self._fold(slot, snd, rcv, reach)
+            self._fold(slot, snd, rcv, reach, hits)
             return np.arange(snd.size), slot
         self.add_many(slot, snd[link], rcv[link])
         return link, slot

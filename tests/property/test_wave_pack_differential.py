@@ -5,11 +5,11 @@ a time — links whose CSR neighbourhoods are pairwise disjoint — through
 ``SlotArena.can_add_many`` / ``add_many``.  That is an execution order, not
 an algorithm: the schedule must equal the serial loop's slot for slot and
 list for list, and the arena it leaves behind must hold the same members,
-interference sums and slot tables to the last bit.  The serial loop lives
-on in ``tests/conftest.py::serial_pack`` as the oracle: the same batched
-kernel one link per call, whose verdicts the arena suite pins to
-``SlotState``.  The kernel's rows are differenced here against the dense
-arena's one-candidate test too.
+interference sums, landing table and listener lists to the last bit.  The
+serial loop lives on in ``tests/conftest.py::serial_pack`` as the oracle:
+the same batched kernel one link per call, whose verdicts the arena suite
+pins to ``SlotState``.  The kernel's rows are differenced here against the
+dense arena's one-candidate test too.
 """
 
 import importlib
@@ -81,7 +81,7 @@ def packing_instance(draw):
     return model, links
 
 
-def packed(links, model, ordering, serial, capacity, slot_capacity):
+def packed(links, model, ordering, serial, capacity, slot_capacity, list_width):
     """``greedy_physical``'s schedule and every arena it packed in, with
     the packer swapped for the serial oracle when ``serial``."""
     arenas = []
@@ -90,7 +90,7 @@ def packed(links, model, ordering, serial, capacity, slot_capacity):
         arenas.append(SlotArena(model, capacity=capacity))
         return arenas[-1]
 
-    with mock.patch.object(feasibility, "_SLOT_CAPACITY", slot_capacity):
+    with mock.patch.multiple(feasibility, _SLOT_CAPACITY=slot_capacity, _LIST_WIDTH=list_width):
         with mock.patch.object(gp, "SlotArena", recording):
             if serial:
                 oracle = partial(serial_pack, new_arena=recording)
@@ -108,22 +108,35 @@ def bits(values):
 def arena_state(arena):
     """Everything a sparse arena holds, free of member-row numbering (the
     wave packer appends rows wave by wave, the loop link by link): members
-    by (slot, sender) — a node sends once per slot — and the slot tables
-    naming the listening link instead of its row."""
+    by (slot, sender) — a node sends once per slot — the landing table, and
+    every cell's listener in every open slot, read from the cell's list and
+    named by link instead of row."""
     m, n = arena._m, arena.n_slots
     rows = np.lexsort((arena._msnd[:m], arena._slot_id[:m]))
     link = arena._msnd * arena._power.n + arena._mrcv
-    listener = arena._listener
+    lists = arena._lists
+    listed = lists >= 0
+    # Each list holds its cell's members in admission order, packed to the
+    # front, one per slot.
+    assert (listed[:, :-1] >= listed[:, 1:]).all()
+    assert (np.diff(lists, axis=1)[listed[:, 1:]] > 0).all()
+    cell, pos = listed.nonzero()
+    heard = lists[cell, pos]
+    assert (arena._slot_id[heard] < n).all()
+    listener = np.full((lists.shape[0], n), -1)
+    listener[cell, arena._slot_id[heard]] = link[heard]
+    assert (listener >= 0).sum() == heard.size
     state = {
         "member": [arena._slot_id[rows].tolist(), link[rows].tolist()],
         "landing": bits(arena._landing[:, :n]),
-        "listener": np.where(listener >= 0, link[listener], -1)[:, :n].tolist(),
+        "listener": listener.tolist(),
+        "width": lists.shape[1],
     }
     for name in ("_interf", "_sig"):
         data, ack = getattr(arena, name)
         state[name] = [bits(data[rows]), bits(ack[rows])]
-    # Nothing past the open slots, whatever width the tables grew to.
-    assert (listener[:, n:] == -1).all() and not arena._landing[:, n:].any()
+    # Nothing past the open slots, whatever width the landing table grew to.
+    assert not arena._landing[:, n:].any()
     return state
 
 
@@ -138,8 +151,67 @@ def test_wave_pack_equals_serial_pack(instance, ordering, capacity, slot_capacit
     if instance is None:
         return
     model, links = instance
-    wave, wave_arenas = packed(links, model, ordering, False, capacity, slot_capacity)
-    serial, serial_arenas = packed(links, model, ordering, True, capacity, slot_capacity)
+    assert_wave_pack_equals_serial_pack(
+        model, links, ordering, capacity, slot_capacity, slot_capacity
+    )
+
+
+def placed_model(positions):
+    """A sparse model (default cutoff and floor) over ``positions``, 12 dBm
+    everywhere."""
+    radio = RadioConfig()
+    tx = np.full(len(positions), 10 ** (12.0 / 10.0))
+    sparse = sparse_gain_model(
+        np.asarray(positions, dtype=float), tx, LogDistancePathLoss(alpha=3.0), radio
+    )
+    return sparse.interference_model(radio)
+
+
+def test_wave_pack_folds_one_link_into_several_slots_in_one_pass():
+    """Two links kilometres apart share the first wave, and both need fresh
+    slots: link 0 -> 1 folds into three slots in that one pass, so its
+    cells repeat in the batch and must take three list positions."""
+    model = placed_model([[0, 0], [30, 0], [4000, 0], [4030, 0]])
+    links = LinkSet(
+        heads=np.array([0, 3]), tails=np.array([1, 2]), demand=np.array([3, 2]), ids=np.arange(2)
+    )
+    assert gp._waves(model.power, links.heads, links.tails).tolist() == [1, 1]
+    [arena] = assert_wave_pack_equals_serial_pack(
+        model, links, "id", 256, feasibility._SLOT_CAPACITY, feasibility._LIST_WIDTH
+    )
+    n = model.power.n
+    assert (arena._lists[[1, n + 0, 2, n + 3]] >= 0).sum(axis=1).tolist() == [3, 3, 2, 2]
+
+
+def test_wave_pack_grows_a_hub_list_past_its_initial_width():
+    """Six spokes into one hub, and three pairs of neighbouring spokes far
+    away: the hub's data cell hears one spoke per slot, six in all, and its
+    list widens from the initial width to exactly six."""
+    angles = np.arange(6) * np.pi / 3
+    spokes = 30.0 * np.column_stack((np.cos(angles), np.sin(angles)))
+    model = placed_model(np.vstack(([[0.0, 0.0]], spokes, spokes + 4000.0)))
+    links = LinkSet(
+        heads=np.r_[np.arange(1, 7), [7, 9, 11]],
+        tails=np.r_[np.zeros(6, dtype=int), [8, 10, 12]],
+        demand=np.ones(9, dtype=int),
+        ids=np.arange(9),
+    )
+    arenas = assert_wave_pack_equals_serial_pack(
+        model, links, "id", 256, feasibility._SLOT_CAPACITY, feasibility._LIST_WIDTH
+    )
+    lists = arenas[0]._lists
+    assert lists.shape[1] == 6 > feasibility._LIST_WIDTH
+    assert (lists[0] >= 0).sum() == 6
+
+
+def assert_wave_pack_equals_serial_pack(
+    model, links, ordering, capacity, slot_capacity, list_width
+):
+    """The wave pack ≡ ``serial_pack``: schedule, every arena, the repair's
+    report.  Returns the wave pack's arenas."""
+    sizes = capacity, slot_capacity, list_width
+    wave, wave_arenas = packed(links, model, ordering, False, *sizes)
+    serial, serial_arenas = packed(links, model, ordering, True, *sizes)
     assert [slot.links for slot in wave.slots] == [slot.links for slot in serial.slots]
     assert wave.satisfies_demand()
     # Repair rounds included: the same number of packs, arena for arena.
@@ -151,6 +223,7 @@ def test_wave_pack_equals_serial_pack(instance, ordering, capacity, slot_capacit
     if truth is not None:
         assert truth.repaired_tx == oracle_truth.repaired_tx
         assert bits(truth.margins) == bits(oracle_truth.margins)
+    return wave_arenas
 
 
 def slot_sums(arena):
