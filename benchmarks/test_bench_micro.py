@@ -101,26 +101,16 @@ def test_greedy_physical_64(benchmark, scenario):
 
 
 @pytest.mark.benchmark(group="micro")
-def test_sparse_sinr_kernel_agreement_and_speedup():
-    """The sparse scatter-add SINR kernel: exact-enough and genuinely faster.
-
-    On a 64x64 grid (4096 nodes): (1) at ``cutoff=inf`` the value-dense
-    sparse matrix reproduces the dense kernel *bit for bit* (same summation
-    order by construction); (2) at the default finite cutoff the scatter-add
-    fast path agrees with the reference mesh evaluated on the densified
-    sparse matrix to float64 round-off (only the summation order differs);
-    (3) on a full forest's worth of concurrent links the sparse kernel beats
-    the dense ``O(L^2)`` mesh by >= 5x wall-clock — the per-slot win the E13
-    sweep compounds across a whole schedule.
-    """
+def test_value_dense_sparse_sinrs_equal_dense():
+    """On a 64x64 grid (4096 nodes), a full forest's worth of concurrent
+    links: at ``cutoff=inf`` the value-dense sparse matrix reproduces the
+    dense kernel *bit for bit* (the same mesh, the same summation order)."""
     network = grid_network(64, 64, density_per_km2=1000.0)
     gateways = planned_gateways(64, 64, 16)
     forest = build_routing_forest(network.comm_adj, gateways, rng=spawn(17, "mk"))
     links = forest_link_set(forest, np.zeros(network.n_nodes, dtype=np.int64))
     snd, rcv = links.heads, links.tails
     noise = network.radio.noise_mw
-    dense_power = network.power
-
     sgm_inf = sparse_gain_model(
         network.positions,
         network.tx_power_mw,
@@ -128,35 +118,8 @@ def test_sparse_sinr_kernel_agreement_and_speedup():
         network.radio,
         cutoff_m=float("inf"),
     )
-    exact = sinr_for_links(dense_power, snd, rcv, noise)
+    exact = sinr_for_links(network.power, snd, rcv, noise)
     assert np.array_equal(sinr_for_links(sgm_inf.power, snd, rcv, noise), exact)
-
-    sgm = sparse_gain_model(
-        network.positions, network.tx_power_mw, network.propagation, network.radio
-    )
-    assert sgm.power.nnz < network.n_nodes**2 // 10
-    fast = sinr_for_links(sgm.power, snd, rcv, noise, budget_mw=sgm.floor_mw)
-    mesh = sinr_for_links(sgm.power.toarray(), snd, rcv, noise, budget_mw=sgm.floor_mw)
-    np.testing.assert_allclose(fast, mesh, rtol=1e-9)
-
-    def best_of(fn, repeats=5):
-        walls = []
-        for _ in range(repeats):
-            start = time.perf_counter()
-            fn()
-            walls.append(time.perf_counter() - start)
-        return min(walls)
-
-    dense_wall = best_of(lambda: sinr_for_links(dense_power, snd, rcv, noise))
-    sparse_wall = best_of(
-        lambda: sinr_for_links(sgm.power, snd, rcv, noise, budget_mw=sgm.floor_mw)
-    )
-    speedup = dense_wall / max(sparse_wall, 1e-9)
-    assert speedup >= 5.0, (
-        f"sparse SINR kernel should be >= 5x faster than the dense mesh on "
-        f"{snd.size} concurrent links at 4096 nodes, measured {speedup:.1f}x "
-        f"(dense {dense_wall * 1e3:.1f} ms vs sparse {sparse_wall * 1e3:.1f} ms)"
-    )
 
 
 @pytest.mark.benchmark(group="micro")

@@ -25,7 +25,7 @@ Properties:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -96,8 +96,6 @@ def run_arbitrary_link_set(
     max_id = int(links.ids.max()) if links.n_links else 0
     id_bits = max(cfg.id_bits, max_id.bit_length())
     if id_bits != cfg.id_bits:
-        from dataclasses import replace
-
         cfg = replace(cfg, id_bits=id_bits)
 
     remaining = links.demand.astype(np.int64).copy()

@@ -132,11 +132,7 @@ def _add_row(table, headline, variant, point_label, point, trace, blocking="-"):
     # Sum over the epochs the run actually charged, so the air and message
     # columns describe the same population (the final epoch's observable
     # reports are booked past the last record and consumed by nothing).
-    air_ms = (
-        1e3 * sum(trace.ledger.seconds_for(r.epoch) for r in trace.records) / epochs
-        if trace.ledger
-        else 0.0
-    )
+    air_ms = 1e3 * sum(trace.ledger.seconds_for(r.epoch) for r in trace.records) / epochs
     table.add_row(
         headline,
         variant,

@@ -34,9 +34,7 @@ __all__ = ["summarize_run"]
 
 
 def _labels_text(labels: dict) -> str:
-    if not labels:
-        return "-"
-    return ",".join(f"{k}={v}" for k, v in sorted(labels.items()))
+    return ",".join(f"{k}={v}" for k, v in sorted(labels.items())) or "-"
 
 
 def _phase_table(rows: list[dict]) -> TextTable:

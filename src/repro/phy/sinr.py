@@ -13,14 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def _sparse_fast(power) -> bool:
-    """Route to the scatter-add kernels? True only for genuinely sparse
-    matrices — a value-dense (``cutoff=inf``) sparse matrix must go through
-    the exact mesh path so its floating-point summation *order*, not just
-    its values, reproduces the dense pipeline bit-for-bit."""
-    return bool(getattr(power, "is_sparse_power", False)) and not power.value_dense
-
-
 def _checked_budget(power, budget_mw) -> np.ndarray | None:
     """``budget_mw`` as a float array with one entry per node, or ``None``.
 
@@ -90,21 +82,6 @@ def sinr_for_links(
     budget = _checked_budget(power, budget_mw)
     noise = noise_mw if budget is None else noise_mw + budget[rcv]
 
-    if _sparse_fast(power):
-        # Near-field path: total power landing on each receiver is a
-        # scatter-add over the senders' stored (near) entries —
-        # O(sum of sender neighborhoods) instead of the L x L mesh.
-        # Only taken for genuinely sparse matrices: the value-dense
-        # (cutoff=inf) case keeps the mesh below so its pairwise summation
-        # order — hence every bit of the result — matches the dense model.
-        signal = np.asarray(power[snd, rcv], dtype=float)
-        interference = power.column_sums(snd)[rcv] - signal
-        sinr = signal / (noise + interference)
-        transmitting = np.zeros(power.shape[0], dtype=bool)
-        transmitting[snd] = True
-        sinr[transmitting[rcv]] = 0.0
-        return sinr
-
     # incident[i, k]: power received at receiver of link k from sender of link i.
     incident = power[np.ix_(snd, rcv)]
     signal = np.diagonal(incident).astype(float, copy=True)
@@ -169,9 +146,9 @@ def sinr_for_link_sets(
     The gather is bounded: sets are evaluated at most
     ``GATHER_ELEMENTS // L**2`` at a time (a single set wider than that is
     gathered alone, exactly the mesh :func:`sinr_for_links` would build),
-    so a whole schedule can be handed in whatever its length.  A genuinely
-    sparse :class:`~repro.phy.sparse.SparsePowerMatrix` keeps the per-set
-    scatter-add kernel, whose summation order the mesh cannot reproduce.
+    so a whole schedule can be handed in whatever its length.  A
+    :class:`~repro.phy.sparse.SparsePowerMatrix` is read through the same
+    mesh: its absent entries gather as exact ``0.0``.
     """
     snd = np.asarray(senders, dtype=np.intp)
     rcv = np.asarray(receivers, dtype=np.intp)
@@ -184,13 +161,6 @@ def sinr_for_link_sets(
     n_sets, width = snd.shape
     if snd.size == 0:
         return np.zeros(snd.shape, dtype=float)
-
-    if _sparse_fast(power):
-        sinr = np.zeros(snd.shape, dtype=float)
-        for t in range(n_sets):
-            on = live[t]
-            sinr[t, on] = sinr_for_links(power, snd[t, on], rcv[t, on], noise_mw, budget)
-        return sinr
 
     step = max(1, GATHER_ELEMENTS // (width * width))
     return np.concatenate(
@@ -220,6 +190,4 @@ def carrier_sense_power(
     tx = np.asarray(transmitters, dtype=np.intp)
     if tx.size == 0:
         return np.zeros(n_nodes, dtype=float)
-    if _sparse_fast(power):
-        return power.column_sums(tx)
     return power[tx, :].sum(axis=0)

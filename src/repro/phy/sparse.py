@@ -103,11 +103,12 @@ class SparsePowerMatrix:
             raise ValueError(f"n must be positive, got {n}")
         if keys.ndim != 1 or keys.shape != vals.shape:
             raise ValueError("keys and vals must be equal-length 1-D arrays")
-        if keys.size:
-            if np.any(np.diff(keys) <= 0):
-                raise ValueError("keys must be strictly increasing (sorted, unique)")
-            if keys[0] < 0 or keys[-1] >= n * n:
-                raise ValueError("keys out of range for an (n, n) matrix")
+        if keys.size == 0:
+            raise ValueError("a power matrix stores at least one entry (its diagonal)")
+        if np.any(np.diff(keys) <= 0):
+            raise ValueError("keys must be strictly increasing (sorted, unique)")
+        if keys[0] < 0 or keys[-1] >= n * n:
+            raise ValueError("keys out of range for an (n, n) matrix")
         if np.any(vals < 0):
             raise ValueError("received powers must be non-negative")
         self.n = int(n)
@@ -119,8 +120,8 @@ class SparsePowerMatrix:
             keys, np.arange(self.n + 1, dtype=np.int64) * self.n
         )
         #: Column index per stored entry (the CSR ``indices`` array) —
-        #: precomputed so :meth:`rows` (and :meth:`neighbors` and
-        #: :meth:`column_sums` through it) is a gather, not per-call arithmetic.
+        #: precomputed so :meth:`rows` and :meth:`entries` gather it, not
+        #: per-call arithmetic.
         self._cols = (keys - (keys // self.n) * self.n).astype(np.intp)
         #: The recipe the entries were harvested from (a reference, set by
         #: :func:`build_sparse_power`): what lets :mod:`repro.phy.truth`
@@ -146,10 +147,11 @@ class SparsePowerMatrix:
     def value_dense(self) -> bool:
         """Every entry stored (``cutoff=inf``) — the bit-identity regime.
 
-        Kernels with a faster-but-reordered sparse summation path (e.g.
-        :func:`repro.phy.sinr.sinr_for_links`) must skip it when this is
-        true, so the value-dense matrix keeps reproducing the dense
-        pipeline's floating-point sums bit-for-bit.
+        Nothing is truncated, so the matrix is its own exact model:
+        ``greedy_physical`` does not re-check its slots against the
+        geometry.  Every SINR kernel reads a sparse matrix through the same
+        gathers as a dense one, so a value-dense matrix reproduces the dense
+        pipeline bit for bit.
         """
         return self._keys.size == self.n * self.n
 
@@ -170,28 +172,12 @@ class SparsePowerMatrix:
         owner, flat = expand_ranges(self.indptr[idx], self.indptr[idx + 1])
         return owner, self._cols[flat], self._vals[flat]
 
-    def column_sums(self, rows: np.ndarray) -> np.ndarray:
-        """``(n,)`` per-column sums over the listed rows' stored entries.
-
-        The sparse analogue of ``P[rows, :].sum(axis=0)`` in
-        ``O(sum of row populations)`` — the rows' CSR segments from
-        :meth:`rows` followed by one ``bincount`` scatter-add.
-        Repeated rows contribute repeatedly, exactly as the dense slice
-        would.  Summation order differs from the dense (pairwise) reduction,
-        so bit-identity-sensitive callers gate on :attr:`value_dense`.
-        """
-        _, cols, vals = self.rows(rows)
-        return np.bincount(cols, weights=vals, minlength=self.n)
-
     def _gather(self, rows, cols) -> np.ndarray | float:
         # The multiply broadcasts scalar/array/ix_-mesh combinations without
         # materializing broadcast_arrays' intermediate index pair.
         flat = np.asarray(rows, dtype=np.int64) * self.n + np.asarray(
             cols, dtype=np.int64
         )
-        if self._keys.size == 0:
-            out = np.zeros(flat.shape, dtype=float)
-            return float(out) if out.ndim == 0 else out
         f = flat.ravel()
         pos = self._keys.searchsorted(f)
         np.minimum(pos, self._keys.size - 1, out=pos)

@@ -131,8 +131,6 @@ def optimal_schedule(
 
     def lower_bound(remaining: np.ndarray) -> int:
         total = int(remaining.sum())
-        if total == 0:
-            return 0
         return max(int(remaining.max()), -(-total // max_cfg))
 
     order = np.argsort(-demand)  # branch on the most demanding link first

@@ -53,28 +53,10 @@ class SyncEngine:
 
         results: list[Any] = [None] * n
         finished = [False] * n
-        # Prime every generator to its first yield.
         actions: list[Transmission | None] = [None] * n
-        for i, prog in enumerate(programs):
-            try:
-                actions[i] = prog.send(None)
-            except StopIteration as stop:
-                finished[i] = True
-                results[i] = stop.value
-
-        for _ in range(MAX_SLOTS):
-            if all(finished):
-                return results
-            if any(finished):
-                running = [i for i, f in enumerate(finished) if not f]
-                done = [i for i, f in enumerate(finished) if f]
-                raise RuntimeError(
-                    f"programs desynchronized: {done[:5]} finished while "
-                    f"{running[:5]} still run"
-                )
-            transmissions = [a for a in actions if a is not None]
-            outcomes = self.medium.resolve(transmissions)
-            self.slots_elapsed += 1
+        # The first send primes every generator to its first yield.
+        outcomes: list[Any] = [None] * n
+        for _ in range(MAX_SLOTS + 1):
             for i, prog in enumerate(programs):
                 try:
                     actions[i] = prog.send(outcomes[i])
@@ -82,6 +64,15 @@ class SyncEngine:
                     finished[i] = True
                     results[i] = stop.value
                     actions[i] = None
-        if not all(finished):
-            raise RuntimeError(f"programs did not finish within {MAX_SLOTS} slots")
-        return results
+            if all(finished):
+                return results
+            if any(finished):
+                raise RuntimeError(
+                    f"programs desynchronized: "
+                    f"{[i for i, f in enumerate(finished) if f][:5]} finished while "
+                    f"{[i for i, f in enumerate(finished) if not f][:5]} still run"
+                )
+            transmissions = [a for a in actions if a is not None]
+            outcomes = self.medium.resolve(transmissions)
+            self.slots_elapsed += 1
+        raise RuntimeError(f"programs did not finish within {MAX_SLOTS} slots")

@@ -21,7 +21,6 @@ import numpy as np
 
 from repro.phy.interference import PhysicalInterferenceModel
 from repro.phy.sinr import carrier_sense_power
-from repro.simulation.clock import ClockModel
 
 
 @dataclass(frozen=True)
@@ -48,16 +47,10 @@ class SlotOutcome:
 class Medium:
     """Physical medium bound to a network's interference model.
 
-    Two optional degradation mechanisms mirror the protocol-level fault
-    models so the packet engine reproduces them *emergently*:
-
-    * ``cs_miss_prob`` — per-listener carrier-sense detection noise
-      (:class:`~repro.core.config.FaultConfig`);
-    * ``clock`` + ``guard_s`` + ``burst_s`` — uncompensated clock skew: a
-      transmitter's burst only overlaps a misaligned listener's window
-      partially, scaling the energy that listener integrates (zero overlap
-      = invisible burst).  See :mod:`repro.core.skew` for the vectorized
-      counterpart.
+    One optional degradation mirrors the protocol-level fault model so the
+    packet engine reproduces it *emergently*: ``cs_miss_prob``, per-listener
+    carrier-sense detection noise (:class:`~repro.core.config.FaultConfig`).
+    Clock skew is modelled at protocol level (:mod:`repro.core.skew`).
     """
 
     def __init__(
@@ -65,31 +58,12 @@ class Medium:
         model: PhysicalInterferenceModel,
         rng: np.random.Generator | None = None,
         cs_miss_prob: float = 0.0,
-        clock: ClockModel | None = None,
-        guard_s: float = 0.0,
-        burst_s: float = 0.0,
     ):
         if cs_miss_prob and rng is None:
             raise ValueError("rng is required when cs_miss_prob > 0")
-        if clock is not None and burst_s <= 0:
-            raise ValueError("burst_s must be positive when a clock is modelled")
         self._model = model
         self._rng = rng
         self.cs_miss_prob = float(cs_miss_prob)
-        self._clock = clock
-        self._guard_s = float(guard_s)
-        self._burst_s = float(burst_s)
-        self._overlap: np.ndarray | None = None
-        if clock is not None:
-            n = model.n_nodes
-            overlap = np.ones((n, n))
-            for u in range(n):
-                for v in range(n):
-                    if u != v:
-                        overlap[u, v] = clock.overlap_fraction(
-                            u, v, self._burst_s, self._guard_s
-                        )
-            self._overlap = overlap
         self.slots_resolved = 0
 
     @property
@@ -113,10 +87,7 @@ class Medium:
 
         power = self._model.power
         tx_idx = np.asarray(senders, dtype=np.intp)
-        if self._overlap is None:
-            total_power = carrier_sense_power(power, tx_idx, n)
-        else:
-            total_power = (power[tx_idx, :] * self._overlap[tx_idx, :]).sum(axis=0)
+        total_power = carrier_sense_power(power, tx_idx, n)
 
         sensed = total_power >= self._model.radio.cs_threshold_mw
         if self.cs_miss_prob:

@@ -110,7 +110,9 @@ class _GrowthWindow:
     per-epoch arrivals *and* the latest backlog clears the
     ``GROWTH_GATE_FRACTION`` magnitude gate — the same two-part test
     :func:`repro.traffic.stability.is_stable` applies to full traces,
-    evaluated online over the window.
+    evaluated online over the window.  Its verdicts are read only once it
+    is :attr:`filled` (the controller checks that first), so every read
+    follows a push.
     """
 
     def __init__(self, window: int = DEFAULT_WINDOW):
@@ -132,8 +134,6 @@ class _GrowthWindow:
 
     @property
     def mean_arrivals(self) -> float:
-        if not self._arrivals:
-            return 0.0
         return float(np.mean(self._arrivals))
 
     @property
@@ -151,8 +151,6 @@ class _GrowthWindow:
 
     @property
     def growing(self) -> bool:
-        if not self.filled:
-            return False
         slope_trips = self.slope > GROWTH_TOLERANCE * max(self.mean_arrivals, 1.0)
         return slope_trips and self.gated
 
@@ -160,10 +158,8 @@ class _GrowthWindow:
         """Is the gated backlog on course to clear the gate within
         ``horizon`` epochs at the window's measured slope?  (Trivially true
         when the gate is not tripped.)"""
-        if not self.filled or not self.gated:
-            return True
         needed = (self._backlog[-1] - self.gate_level) / max(horizon, 1.0)
-        return self.slope <= -needed
+        return not self.gated or self.slope <= -needed
 
 
 class AdmissionController:

@@ -44,16 +44,8 @@ def check_integer_in_range(
     maximum: int | None = None,
 ) -> int:
     """Raise unless ``value`` is an integer inside ``[minimum, maximum]``."""
-    if isinstance(value, bool) or not isinstance(value, (int,)):
-        try:
-            import numpy as np
-
-            if isinstance(value, np.integer):
-                value = int(value)
-            else:
-                raise TypeError
-        except TypeError:
-            raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
     if maximum is not None and value > maximum:
@@ -73,13 +65,7 @@ def check_finite_array(name: str, values: np.ndarray) -> None:
 
 
 def _check_finite_number(name: str, value: Any) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        try:
-            import numpy as np
-
-            if not isinstance(value, (np.integer, np.floating)):
-                raise TypeError
-        except TypeError:
-            raise TypeError(f"{name} must be a number, got {value!r}") from None
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise TypeError(f"{name} must be a number, got {value!r}")
     if not math.isfinite(float(value)):
         raise ValueError(f"{name} must be finite, got {value!r}")

@@ -159,11 +159,9 @@ def test_degenerate_shapes_and_validation():
 
 @given(link_sets_case())
 @settings(max_examples=60, deadline=None)
-def test_sparse_backends_take_their_own_path(case):
-    """Value-dense (``cutoff=inf``) sparse storage rides the mesh and never
-    calls the per-set kernel; a finite cutoff keeps the per-set scatter-add
-    path, one call per set.  Either way rows ≡ ``sinr_for_links`` on the
-    same matrix, and the value-dense rows ≡ the dense matrix's."""
+def test_sparse_backends_match_the_dense_and_per_set_kernels(case):
+    """Value-dense (``cutoff=inf``) sparse rows ≡ the dense matrix's, and a
+    finite cutoff's rows ≡ ``sinr_for_links`` on the same matrix."""
     network, senders, receivers, valid, budget = case
     noise = network.radio.noise_mw
     args = (network.positions, network.tx_power_mw, network.propagation)
@@ -171,22 +169,8 @@ def test_sparse_backends_take_their_own_path(case):
     cutoff = float(np.median(np.linalg.norm(network.positions - network.positions[0], axis=1)))
     near_field = build_sparse_power(*args, max(cutoff, 1.0))
 
-    calls = []
-    per_set = sinr_module.sinr_for_links
-
-    def counted(*a, **kw):
-        calls.append(1)
-        return per_set(*a, **kw)
-
-    sinr_module.sinr_for_links = counted
-    try:
-        on_value_dense = sinr_for_link_sets(value_dense, senders, receivers, valid, noise, budget)
-        assert not calls
-        on_near_field = sinr_for_link_sets(near_field, senders, receivers, valid, noise, budget)
-        if not near_field.value_dense and senders.size:
-            assert len(calls) == senders.shape[0]
-    finally:
-        sinr_module.sinr_for_links = per_set
+    on_value_dense = sinr_for_link_sets(value_dense, senders, receivers, valid, noise, budget)
+    on_near_field = sinr_for_link_sets(near_field, senders, receivers, valid, noise, budget)
     dense = sinr_for_link_sets(network.model.power, senders, receivers, valid, noise, budget)
     assert np.array_equal(on_value_dense, dense)
     assert_rows_match(near_field, senders, receivers, valid, noise, budget, on_near_field)

@@ -9,8 +9,9 @@ attribute or an exact string — somewhere in ``src/``, ``bench/``,
 entries do not count: a re-export is not a caller.  What only tests reach
 either leaves ``src`` or has an entry in ``tools/reach_allow.txt``, the one
 allow-list of code no entry point runs and of knobs every entry point binds
-to one value, which ``tools/reach.py --functions --knobs`` enforces by
-trace; the entries themselves are linted here.
+to one value, which ``tools/reach.py --functions --knobs --lines`` enforces by
+trace (``--lines`` also the unexecuted lines of called functions); the
+entries themselves are linted here.
 """
 
 import ast
@@ -83,7 +84,8 @@ def test_every_public_entry_point_has_a_non_test_caller():
 
 
 def test_every_allow_list_entry_names_a_function_under_src():
-    """A stale entry hides nothing, but it lies: drop it."""
+    """A stale entry hides nothing, but it lies: drop it.  A function entry
+    and a ``[lines]`` entry alike name a function defined in their file."""
     missing = sorted(
         f"{file}::{name}"
         for file, name in ALLOWED
@@ -91,7 +93,8 @@ def test_every_allow_list_entry_names_a_function_under_src():
         and (
             not file.startswith("src/")
             or not (ROOT / file).is_file()
-            or name not in {defined for defined, *_ in reach.functions(ROOT / file)}
+            or name.removesuffix(reach.LINES)
+            not in {defined for defined, *_ in reach.functions(ROOT / file)}
         )
     )
     assert not missing, f"allow-listed but defined nowhere under src/: {missing}"
@@ -115,8 +118,9 @@ def test_every_knob_entry_names_a_defaulted_parameter_or_field_under_src():
 
 
 def test_every_reason_is_one_kind_and_names_its_target():
-    """An oracle names a test file, a gate a bench file; both must exist."""
-    folders = {"oracle": ("tests/",), "gated": ("bench/", "benchmarks/")}
+    """An oracle or a guard names a test file, a gate a bench file; each
+    must exist."""
+    folders = {"oracle": ("tests/",), "guard": ("tests/",), "gated": ("bench/", "benchmarks/")}
     wrong = []
     for (file, name), (kind, target) in sorted(ALLOWED.items()):
         path = target.split()[0].split("::")[0]

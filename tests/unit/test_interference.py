@@ -85,3 +85,14 @@ def test_sense_mask_empty(model):
 def test_rejects_non_square_power():
     with pytest.raises(ValueError):
         PhysicalInterferenceModel(np.zeros((2, 3)), RadioConfig())
+
+
+def test_with_budget_keeps_the_model_on_a_zero_budget_and_stacks_budgets(model):
+    """An all-zero budget is no budget: the identical oracle comes back.  A
+    budget on a budgeted oracle (a shard's guard over a far-field floor)
+    adds to the one it has."""
+    assert model.with_budget(np.zeros(model.n_nodes)) is model
+    floor = np.full(model.n_nodes, model.radio.noise_mw)
+    guard = np.arange(model.n_nodes, dtype=float) * model.radio.noise_mw
+    stacked = model.with_budget(floor).with_budget(guard)
+    np.testing.assert_array_equal(stacked.budget_mw, floor + guard)

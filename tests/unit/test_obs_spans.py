@@ -101,6 +101,9 @@ class TestRecorders:
         assert Obs.create(ObsConfig(level="off")) is None
         assert Obs.create(None) is None
 
+    def test_export_without_a_run_file_writes_nothing(self):
+        assert Obs.create(ObsConfig(level="metrics")).export() is None
+
     def test_bad_level_rejected(self):
         with pytest.raises(ValueError):
             ObsConfig(level="verbose")

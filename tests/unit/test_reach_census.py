@@ -255,3 +255,99 @@ def test_check_knobs_counts_unlisted_knobs_and_stale_entries(capsys):
     assert "plain" not in out
     listed = dict.fromkeys(((file, knob) for file, knob, *_ in found), ("paper", "x"))
     assert reach.check_knobs(found, listed) == 0
+
+
+LINE_SOURCE = '''\
+def used(x):
+    if x is None:
+        raise ValueError(
+            "x is required"
+        )
+    if x < 0:
+        return -x
+    return x
+
+
+def listed():
+    return 1
+
+
+def outer(flag):
+    def never():
+        return 2
+
+    if flag:
+        return never
+    return None
+'''
+
+LINE_CALLS = "from repro.mod import outer, used\nused(1); outer(False)\n"
+
+
+def _trace_lines(clone, hits):
+    """``(executed, called)`` of ``LINE_CALLS`` run on ``clone`` through the
+    real tracer, lines on."""
+    hits.mkdir()
+    (hits / "trace.json").write_text(json.dumps({"lines": True, "knobs": {}}))
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join([str(reach.TRACER), str(clone / "src")]),
+        TRACE_ROOT=str(clone / "src" / "repro"),
+        TRACE_OUT=str(hits),
+    )
+    subprocess.run([sys.executable, "-c", LINE_CALLS], env=env, check=True)
+    return tuple({(name, int(line)) for name, line in reach._rows(hits, kind)} for kind in ("hits", "calls"))
+
+
+@pytest.fixture
+def line_clone(tmp_path):
+    module = tmp_path / "clone" / "src" / "repro" / "mod.py"
+    module.parent.mkdir(parents=True)
+    module.write_text(LINE_SOURCE)
+    return tmp_path / "clone"
+
+
+def test_line_census_skips_raise_statements(line_clone, tmp_path):
+    found = reach.line_census(line_clone, *_trace_lines(line_clone, tmp_path / "hits"))
+    used = {name: lines for _file, name, _first, lines in found}["used"]
+    # Lines 3-5 are one unexecuted raise statement; only the other branch counts.
+    assert used == [7]
+
+
+def test_line_census_leaves_uncalled_functions_to_the_function_census(line_clone, tmp_path):
+    found = reach.line_census(line_clone, *_trace_lines(line_clone, tmp_path / "hits"))
+    assert [(name, first, lines) for _file, name, first, lines in found] == [
+        ("used", 1, [7]),
+        ("outer", 15, [20]),  # the nested never()'s own line 17 is not outer's
+    ]
+    # listed() and outer.<locals>.never are the function census's, listed or not.
+    assert "listed" in {name for _file, name, *_ in reach.census(line_clone, set())}
+
+
+def test_check_lines_counts_unlisted_blocks_and_stale_entries(line_clone, tmp_path, capsys):
+    found = reach.line_census(line_clone, *_trace_lines(line_clone, tmp_path / "hits"))
+    allowed = {
+        ("src/repro/mod.py", "used[lines]"): ("guard", "tests/unit/test_mod.py"),
+        ("src/repro/mod.py", "listed[lines]"): ("oracle", "tests/unit/test_mod.py"),
+        ("src/repro/mod.py", "listed"): ("paper", "a function entry, not a block"),
+    }
+    assert reach.check_lines(found, allowed) == 1 + 1
+    out = capsys.readouterr().out
+    assert "src/repro/mod.py:1  used  lines 7  [guard: tests/unit/test_mod.py]" in out
+    assert "src/repro/mod.py:15  outer  lines 20  [UNLISTED" in out
+    assert "src/repro/mod.py::listed[lines]  [STALE" in out
+    assert "2 called functions with 2 lines" in out
+
+
+def test_a_lines_entry_survives_an_edit_that_shifts_the_file(line_clone, tmp_path):
+    allowed = {
+        ("src/repro/mod.py", "used[lines]"): ("guard", "tests/unit/test_mod.py"),
+        ("src/repro/mod.py", "outer[lines]"): ("guard", "tests/unit/test_mod.py"),
+    }
+    found = reach.line_census(line_clone, *_trace_lines(line_clone, tmp_path / "before"))
+    assert reach.check_lines(found, allowed) == 0
+    module = line_clone / "src" / "repro" / "mod.py"
+    module.write_text('"""A docstring added above."""\n\nimport math\n\n' + LINE_SOURCE)
+    shifted = reach.line_census(line_clone, *_trace_lines(line_clone, tmp_path / "after"))
+    assert [lines for *_, lines in shifted] == [[11], [24]]
+    assert reach.check_lines(shifted, allowed) == 0

@@ -117,51 +117,3 @@ class TestClockModel:
         assert full == 1.0
         assert 0.0 < partial < 1.0
         assert none == 0.0
-
-
-class TestMediumWithClockSkew:
-    """Emergent uncompensated-skew behaviour at the packet level."""
-
-    def test_aligned_clocks_change_nothing(self, grid16):
-        aligned = ClockModel(16, 0.0, np.random.default_rng(0))
-        plain = Medium(grid16.model)
-        skewed = Medium(grid16.model, clock=aligned, guard_s=0.0, burst_s=1e-5)
-        tx = [Transmission(sender=5)]
-        a = [o.sensed for o in plain.resolve(tx)]
-        b = [o.sensed for o in skewed.resolve(tx)]
-        assert a == b
-
-    def test_severe_skew_blinds_listeners(self, grid16):
-        clock = ClockModel(16, 1.0, np.random.default_rng(1))  # huge offsets
-        medium = Medium(grid16.model, clock=clock, guard_s=0.0, burst_s=1e-5)
-        outcomes = medium.resolve([Transmission(sender=5)])
-        sensed = [i for i, o in enumerate(outcomes) if o.sensed]
-        assert sensed == [5]  # only the transmitter itself
-
-    def test_adequate_guard_restores_detection(self, grid16):
-        skew = 1e-4
-        clock = ClockModel(16, skew, np.random.default_rng(2))
-        plain = Medium(grid16.model)
-        guarded = Medium(
-            grid16.model, clock=clock, guard_s=2 * skew, burst_s=1e-5
-        )
-        tx = [Transmission(sender=5)]
-        assert [o.sensed for o in plain.resolve(tx)] == [
-            o.sensed for o in guarded.resolve(tx)
-        ]
-
-    def test_clock_requires_burst_duration(self, grid16):
-        clock = ClockModel(16, 1e-4, np.random.default_rng(3))
-        with pytest.raises(ValueError, match="burst_s"):
-            Medium(grid16.model, clock=clock)
-
-    def test_scream_flood_truncates_under_skew(self, grid16):
-        """Engine-level effect: a flood that saturates with aligned clocks
-        stalls when offsets exceed the guard."""
-        k = int(grid16.interference_diameter()) + 1
-        clock = ClockModel(16, 0.5, np.random.default_rng(4))
-        medium = Medium(grid16.model, clock=clock, guard_s=1e-6, burst_s=1e-5)
-        engine = SyncEngine(medium)
-        programs = [scream_program(i, i == 0, k) for i in range(16)]
-        results = engine.run(programs)
-        assert sum(results) < 16

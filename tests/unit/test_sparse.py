@@ -91,18 +91,6 @@ class TestSparsePowerMatrix:
         np.testing.assert_array_equal(sparse[rows, :], ref[rows, :])
         np.testing.assert_array_equal(sparse[int(rows[0]), :], ref[rows[0], :])
 
-    def test_column_sums_matches_dense_row_slice_sum(self, sparse_and_dense):
-        sparse, _ = sparse_and_dense
-        ref = sparse.toarray()
-        rng = np.random.default_rng(5)
-        # Repeated rows must contribute repeatedly.
-        rows = rng.integers(0, sparse.n, size=9)
-        rows[3] = rows[0]
-        np.testing.assert_allclose(
-            sparse.column_sums(rows), ref[rows, :].sum(axis=0), rtol=1e-13
-        )
-        assert sparse.column_sums(np.empty(0, dtype=np.intp)).sum() == 0.0
-
     def test_neighbors_are_the_stored_columns(self, sparse_and_dense):
         sparse, _ = sparse_and_dense
         ref = sparse.toarray()

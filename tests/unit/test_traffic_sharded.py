@@ -27,9 +27,11 @@ from repro.traffic import (
     plan_for_network,
     run_epochs,
     run_epochs_sharded,
+    sharded_centralized_factory,
     stability_margin,
     summarize_trace,
 )
+from repro.phy.sparse import sparse_gain_model
 from repro.scheduling.greedy_physical import repair
 from repro.scheduling.schedule import Slot
 from repro.traffic.sharded import affordable_budget
@@ -132,6 +134,23 @@ def test_guard_budget_clamped_to_affordable(mesh):
             assert state.can_add(
                 int(shard.links.heads[k]), int(shard.links.tails[k])
             )
+
+
+def test_centralized_factory_leaves_a_sparse_shard_to_greedy_physical(mesh):
+    """A truncated sparse shard model takes no lockstep lane: the dense
+    lane pack could not repair against the model's geometry, so the shard
+    schedules through ``greedy_physical``, which does."""
+    net = mesh.network
+    sparse = sparse_gain_model(
+        net.positions, net.tx_power_mw, net.propagation, net.radio, far_field="none"
+    )
+    plan = plan_for_network(mesh.links, net, n_shards=4, interference_radius_m=60.0)
+    factory = sharded_centralized_factory()
+    assert getattr(factory(plan.shards[0], net.model), "lane", None) is not None
+    schedule = factory(plan.shards[0], sparse.interference_model(net.radio))
+    assert getattr(schedule, "lane", None) is None
+    shard = plan.shards[0]
+    assert schedule(shard.links, 0).schedule.satisfies_demand()
 
 
 def test_zero_guard_factor_installs_no_budget(mesh):

@@ -9,7 +9,7 @@ project's own entry points in a checkout under a line tracer — every
 each benchmark workload — and prints, per module, the lines of its
 functions that no run executed::
 
-    python tools/reach.py CLONE [--out DIR] [--functions] [--knobs]
+    python tools/reach.py CLONE [--out DIR] [--functions] [--knobs] [--lines]
 
 With ``--functions`` it prints instead every whole function that no run
 called, one a line with its qualified name, line span (first decorator to
@@ -21,12 +21,25 @@ counted.  The exit status is 1 when a listed function has no entry in the
 allow-list, or an entry names a function some run called: what stays
 uncalled has a stated reason, and the list names nothing else.
 
+With ``--lines`` it prints instead, per function some run called, the
+lines of its own no run executed, with the reason ``tools/reach_allow.txt``
+gives them to stay (an entry ``FILE::QUALIFIED_NAME[lines]``, which names
+no line numbers, so an edit elsewhere in the file does not stale it).  The
+lines of a ``raise`` statement are not counted: validation that no
+recorded input trips is code no run needs to execute.  Nor are the lines of
+a function no run called, nor those its nested functions own: the function
+census lists those.  The exit status is 1 when a function with such lines
+has no entry, or an entry names a function with none: a branch no run
+takes is deleted, or says why it stays.
+
 Run it on a ``git clone`` of the tree under study: the perf ledger rewrites
 ``bench/out`` in the tree it runs from.  The tracer is
 ``tools/reach_tracer/sitecustomize.py``; spawned children (E13's per-point
 processes) import it again through ``PYTHONPATH``.  Traced, the entry
-points take about 1.5 min on 2 vCPUs with the line trace; the censuses
-trace calls only and take under 1 min.
+points take about 50 s on 2 vCPUs, with the line trace (the default, and
+``--lines`` alone or with the other censuses) as with calls only
+(``--functions`` / ``--knobs`` without ``--lines``): only ``src/repro``
+frames are traced, and most of the time is numpy's.
 
 With ``--knobs`` it prints instead every *knob* that every run binds to one
 value: a defaulted parameter of a function, or a defaulted init field of a
@@ -39,8 +52,8 @@ value is booked to the code object that binds it, so a subclass that passes
 its own value through ``super().__init__`` counts for its base's keyword.
 The exit status is 1 when such a knob has no entry, or an entry names a knob
 that is not one: a knob no experiment turns is a constant, or has a stated
-reason to stay.  ``--functions --knobs`` takes both censuses from one traced
-run.
+reason to stay.  ``--functions --knobs --lines`` takes the three censuses from
+one line-traced run.
 
 A line trace cannot see a capability whose lines run while it never
 engages.  The sharded engine once wrapped every shard's scheduler for
@@ -70,10 +83,13 @@ from types import CodeType
 TRACER = Path(__file__).resolve().parent / "reach_tracer"
 ROOT = Path(__file__).resolve().parents[1]
 ALLOW_LIST = ROOT / "tools" / "reach_allow.txt"
-#: Why an uncalled function stays, each naming its target: the test that
-#: needs it, the paper section it reproduces, the fault or input it guards,
-#: or the bench file that reads it.
-KINDS = ("oracle", "paper", "validation", "gated")
+#: Why an uncalled function, a one-value knob or an unexecuted block stays,
+#: each naming its target: the test that needs it, the paper section it
+#: reproduces, the fault or input it guards, the bench file that reads it, or
+#: the test that reaches a correctness branch no recorded input does.
+KINDS = ("oracle", "paper", "validation", "gated", "guard")
+#: The suffix of an allow-list entry for a called function's unexecuted lines.
+LINES = "[lines]"
 WORKLOADS = ("fdd_8x8", "sessions_patch_8x8", "sharded_24x24", "sparse_10k")
 OBS_RUN = ("controlplane", "sharded")
 #: Parameter names that carry a run's randomness: inputs, never knobs.
@@ -149,18 +165,6 @@ def bound_values(hits: Path) -> dict[tuple[str, str, str], set[str]]:
     return bound
 
 
-def function_lines(path: Path) -> set[int]:
-    """Every line of every function (and class body) defined in ``path``."""
-    stack = [compile(path.read_text(), str(path), "exec")]
-    lines = set()
-    while stack:
-        for const in stack.pop().co_consts:
-            if isinstance(const, CodeType):
-                lines |= {line for *_, line in const.co_lines() if line is not None}
-                stack.append(const)
-    return lines
-
-
 def declares(function: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
     """Whether ``function`` only declares an interface: its body is a
     docstring, ``...``, ``pass`` or ``raise NotImplementedError``."""
@@ -200,6 +204,59 @@ def functions(path: Path) -> list[tuple[str, int, int]]:
                 visit(child, inner)
 
     visit(ast.parse(path.read_text()), "")
+    return found
+
+
+def own_lines(path: Path) -> dict[int, set[int]]:
+    """``first line -> lines`` of every function of ``path`` (see
+    :func:`functions`): the lines its own code object holds, and those of
+    the lambdas, comprehensions and generator expressions in it, but not
+    those of a function nested in it, which are that function's."""
+    starts = {(name.rpartition(".")[2], first) for name, first, _ in functions(path)}
+    top = compile(path.read_text(), str(path), "exec")
+    stack: list[tuple[CodeType, int | None]] = [(top, None)]
+    found: dict[int, set[int]] = {}
+    while stack:
+        code, owner = stack.pop()
+        if not code.co_name.startswith("<"):
+            where = (code.co_name, code.co_firstlineno)
+            owner = code.co_firstlineno if where in starts else None
+        if owner is not None:
+            lines = found.setdefault(owner, set())
+            lines |= {line for *_, line in code.co_lines() if line is not None}
+        stack.extend((const, owner) for const in code.co_consts if isinstance(const, CodeType))
+    return found
+
+
+def raise_lines(path: Path) -> set[int]:
+    """Every line of every ``raise`` statement in ``path``."""
+    return {
+        line
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Raise)
+        for line in range(node.lineno, node.end_lineno + 1)
+    }
+
+
+def line_census(clone: Path, executed, called) -> list[tuple[str, str, int, list[int]]]:
+    """``(file, qualified name, first line, lines)`` of every function of
+    ``src/repro`` some traced run called, with the lines of its own (see
+    :func:`own_lines`) no run executed, ``raise`` statements aside; ``file``
+    relative to ``clone``.  A function no run called is the function
+    census's: it is neither listed here nor are its lines its caller's."""
+    found = []
+    for path in sorted((clone / "src" / "repro").rglob("*.py")):
+        lines, raised = own_lines(path), raise_lines(path)
+        for name, first, _last in functions(path):
+            if (str(path), first) not in called:
+                continue
+            missed = sorted(
+                line
+                for line in lines.get(first, ())
+                if line not in raised and (str(path), line) not in executed
+            )
+            if missed:
+                found.append((path.relative_to(clone).as_posix(), name, first, missed))
     return found
 
 
@@ -301,9 +358,17 @@ def is_knob(name: str) -> bool:
     return name.endswith("=)")
 
 
+def is_lines(name: str) -> bool:
+    """Whether an allow-list name is a function's unexecuted lines,
+    ``QUALIFIED_NAME[lines]``."""
+    return name.endswith(LINES)
+
+
 def allow_list(path: Path = ALLOW_LIST) -> dict[tuple[str, str], tuple[str, str]]:
     """``(file, qualified name) -> (kind, target)`` of every entry of the
-    allow-list: one a line, ``FILE::NAME  KIND: TARGET``; ``#`` comments."""
+    allow-list: one a line, ``FILE::NAME  KIND: TARGET``; ``#`` comments.
+    ``NAME`` is a qualified function name, a knob (see :func:`is_knob`) or a
+    function's unexecuted lines (see :func:`is_lines`)."""
     entries = {}
     for number, line in enumerate(path.read_text().splitlines(), 1):
         if not line.strip() or line.lstrip().startswith("#"):
@@ -325,7 +390,7 @@ def check(found: list[tuple[str, str, int, int]], allowed) -> int:
     span = sum(last - first + 1 for *_, first, last in found)
     return _tally(
         [(file, name) for file, name, *_ in found],
-        {where for where in allowed if not is_knob(where[1])},
+        {where for where in allowed if not (is_knob(where[1]) or is_lines(where[1]))},
         f"{len(found)} functions spanning {span} source lines no entry point executed",
         "an entry point calls it, or it is gone",
     )
@@ -341,6 +406,23 @@ def check_knobs(found: list[tuple[str, str, int, str]], allowed) -> int:
         {where for where in allowed if is_knob(where[1])},
         f"{len(found)} knobs every entry point binds to one value",
         "a run binds it to a second value, or it is gone",
+    )
+
+
+def check_lines(found: list[tuple[str, str, int, list[int]]], allowed) -> int:
+    """Print ``found`` with each function's unexecuted lines and its reason to
+    keep them; return how many functions have no entry plus how many entries
+    name a function with no unexecuted line."""
+    for file, name, first, lines in found:
+        reason = _reason(allowed, file, name + LINES)
+        print(f"{file}:{first}  {name}  lines {spans(lines)}  [{reason}]")
+    total = sum(len(lines) for *_, lines in found)
+    return _tally(
+        [(file, name + LINES) for file, name, *_ in found],
+        {where for where in allowed if is_lines(where[1])},
+        f"{len(found)} called functions with {total} lines no entry point executed"
+        " (raise statements aside)",
+        "every line of it runs, or it is gone",
     )
 
 
@@ -383,24 +465,31 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="list the knobs every run binds to one value; fail on any not allow-listed",
     )
+    parser.add_argument(
+        "--lines",
+        action="store_true",
+        help="list each called function's unexecuted lines; fail on any not allow-listed",
+    )
     args = parser.parse_args(argv)
     clone = args.clone.resolve()
     out = (args.out or Path(tempfile.mkdtemp(prefix="reach-"))).resolve()
-    census_only = args.functions or args.knobs
+    census_only = args.functions or args.knobs or args.lines
     allowed = allow_list(clone / ALLOW_LIST.relative_to(ROOT)) if census_only else {}
-    executed, called, bound = trace(clone, out, lines=not census_only, knobs=args.knobs)
+    lines = args.lines or not census_only
+    executed, called, bound = trace(clone, out, lines=lines, knobs=args.knobs)
     if census_only:
         failures = 0
         if args.functions:
             failures += check(census(clone, called), allowed)
         if args.knobs:
             failures += check_knobs(knob_census(clone, bound), allowed)
+        if args.lines:
+            failures += check_lines(line_census(clone, executed, called), allowed)
         return 1 if failures else 0
     total = 0
     for path in sorted((clone / "src" / "repro").rglob("*.py")):
-        missed = sorted(
-            line for line in function_lines(path) if (str(path), line) not in executed
-        )
+        lines = set().union(*own_lines(path).values())
+        missed = sorted(line for line in lines if (str(path), line) not in executed)
         if missed:
             total += len(missed)
             print(f"{len(missed):5d}  {path.relative_to(clone)}: {spans(missed)}")
