@@ -101,10 +101,12 @@ def test_greedy_physical_64(benchmark, scenario):
 
 
 @pytest.mark.benchmark(group="micro")
-def test_value_dense_sparse_sinrs_equal_dense():
+def test_sparse_sinrs_equal_their_dense_copies():
     """On a 64x64 grid (4096 nodes), a full forest's worth of concurrent
-    links: at ``cutoff=inf`` the value-dense sparse matrix reproduces the
-    dense kernel *bit for bit* (the same mesh, the same summation order)."""
+    links: (1) at ``cutoff=inf`` the value-dense sparse matrix reproduces the
+    dense kernel *bit for bit* (the same mesh, the same summation order);
+    (2) at the default finite cutoff the truncated matrix, under its
+    far-field budget, agrees with the same call on its densified copy."""
     network = grid_network(64, 64, density_per_km2=1000.0)
     gateways = planned_gateways(64, 64, 16)
     forest = build_routing_forest(network.comm_adj, gateways, rng=spawn(17, "mk"))
@@ -120,6 +122,16 @@ def test_value_dense_sparse_sinrs_equal_dense():
     )
     exact = sinr_for_links(network.power, snd, rcv, noise)
     assert np.array_equal(sinr_for_links(sgm_inf.power, snd, rcv, noise), exact)
+
+    sgm = sparse_gain_model(
+        network.positions, network.tx_power_mw, network.propagation, network.radio
+    )
+    assert sgm.power.nnz < network.n_nodes**2 // 10
+    truncated = sinr_for_links(sgm.power, snd, rcv, noise, budget_mw=sgm.floor_mw)
+    densified = sinr_for_links(
+        sgm.power.toarray(), snd, rcv, noise, budget_mw=sgm.floor_mw
+    )
+    assert np.array_equal(truncated, densified)
 
 
 @pytest.mark.benchmark(group="micro")

@@ -144,6 +144,8 @@ def skew_tolerance(tally: StepTally) -> float:
     base = TimingModel(scream_bytes=scream_bytes, skew_bound_s=0.0).execution_time(
         tally
     )
+    if base >= budget:
+        return 0.0
     slope_model = TimingModel(scream_bytes=scream_bytes, skew_bound_s=1.0)
     slope = slope_model.execution_time(tally) - base  # seconds per skew-second
-    return max(0.0, (budget - base) / slope)
+    return (budget - base) / slope

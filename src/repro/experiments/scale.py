@@ -345,9 +345,10 @@ def scale_table(points: list[dict], profile: ExperimentProfile) -> TextTable:
         by_side.setdefault(point["side"], {})[point["backend"]] = point
     for side in sorted(by_side):
         group = by_side[side]
-        # A side past the dense cap has no dense point.
-        for backend in [b for b in ("dense", "sparse") if b in group]:
-            point = group[backend]
+        for backend in ("dense", "sparse"):
+            point = group.get(backend)
+            if point is None:
+                continue
             table.add_row(
                 str(point["n"]),
                 backend,

@@ -87,7 +87,11 @@ def _round_detection_time(
         sample_times = np.arange(phase, burst_s, ts)
         detected_at: float | None = None
         for t in sample_times:
-            reading = budget.initiator_at_relay_dbm + rng.normal(0.0, budget.noise_sigma_db)
+            reading = budget.initiator_at_relay_dbm + (
+                rng.normal(0.0, budget.noise_sigma_db)
+                if budget.noise_sigma_db
+                else 0.0
+            )
             if reading >= budget.threshold_dbm:
                 detected_at = float(t)
                 break

@@ -34,7 +34,9 @@ __all__ = ["summarize_run"]
 
 
 def _labels_text(labels: dict) -> str:
-    return ",".join(f"{k}={v}" for k, v in sorted(labels.items())) or "-"
+    if not labels:
+        return "-"
+    return ",".join(f"{k}={v}" for k, v in sorted(labels.items()))
 
 
 def _phase_table(rows: list[dict]) -> TextTable:

@@ -132,9 +132,8 @@ def build_routing_forest_csr(
         level += 1
         depth[frontier] = level
     if np.any(depth < 0):
-        raise ValueError(
-            f"nodes {np.flatnonzero(depth < 0).tolist()} cannot reach any gateway"
-        )
+        unreachable = np.flatnonzero(depth < 0).tolist()
+        raise ValueError(f"nodes {unreachable} cannot reach any gateway")
 
     # Parent candidates of every node at once: its neighbors one level up,
     # in neighbor (ascending) order.  One bounded draw per non-gateway node,

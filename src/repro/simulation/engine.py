@@ -67,10 +67,11 @@ class SyncEngine:
             if all(finished):
                 return results
             if any(finished):
+                running = [i for i, f in enumerate(finished) if not f]
+                done = [i for i, f in enumerate(finished) if f]
                 raise RuntimeError(
-                    f"programs desynchronized: "
-                    f"{[i for i, f in enumerate(finished) if f][:5]} finished while "
-                    f"{[i for i, f in enumerate(finished) if not f][:5]} still run"
+                    f"programs desynchronized: {done[:5]} finished while "
+                    f"{running[:5]} still run"
                 )
             transmissions = [a for a in actions if a is not None]
             outcomes = self.medium.resolve(transmissions)

@@ -158,8 +158,10 @@ class _GrowthWindow:
         """Is the gated backlog on course to clear the gate within
         ``horizon`` epochs at the window's measured slope?  (Trivially true
         when the gate is not tripped.)"""
+        if not self.gated:
+            return True
         needed = (self._backlog[-1] - self.gate_level) / max(horizon, 1.0)
-        return not self.gated or self.slope <= -needed
+        return self.slope <= -needed
 
 
 class AdmissionController:

@@ -55,6 +55,20 @@ def test_waves_process_links_in_decreasing_id_order(grid16, multi_links):
     assert 2 not in first_wave_globals
 
 
+def test_a_wave_past_its_round_cap_stops_the_wave_loop(grid16, multi_links):
+    # One round cannot serve the first wave's demand-3 link: the wave ends
+    # unterminated, no later wave runs, and what it scheduled is returned.
+    result = run_arbitrary_link_set(
+        grid16, multi_links, ProtocolConfig(k=5, id_bits=7, max_rounds=1), rng=3
+    )
+    assert len(result.waves) == 1
+    assert not result.waves[0].terminated
+    assert result.schedule.length == result.waves[0].schedule_length == 1
+    report = verify_schedule(result.schedule, grid16.model)
+    assert report.feasible and not report.demand_satisfied
+    assert np.all(result.schedule.allocations() <= multi_links.demand)
+
+
 def test_forest_link_set_degenerates_to_single_wave(grid16, grid16_links):
     result = run_arbitrary_link_set(
         grid16, grid16_links, ProtocolConfig(k=5, id_bits=5), rng=6

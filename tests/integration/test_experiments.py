@@ -22,6 +22,7 @@ from repro.experiments import (
     truncated_k_experiment,
     uniform_schedule_experiment,
 )
+from repro.core.events import StepTally
 from repro.experiments.common import ExperimentProfile
 from repro.experiments.exec_time import collect_tallies, skew_tolerance
 
@@ -85,6 +86,11 @@ class TestExecTime:
         fdd_tol = skew_tolerance(tallies.fdd[0])
         pdd_tol = skew_tolerance(tallies.pdd[0])
         assert pdd_tol > 2 * fdd_tol > 0
+
+    def test_skew_tolerance_is_zero_for_a_run_over_budget_without_skew(self):
+        # Ten million SCREAM slots take far more than 5% of a minute even at
+        # zero skew: no skew is tolerable, and the tolerance is not negative.
+        assert skew_tolerance(StepTally(scream_slots=10_000_000)) == 0.0
 
 
 class TestMote:
@@ -158,6 +164,18 @@ class TestCli:
 
         with pytest.raises(SystemExit):
             main(["no-such-thing"])
+
+    def test_obs_flag_overrides_the_level_the_jsonl_run_implies(self, tmp_path, capsys):
+        import json
+
+        from repro.experiments.runner import main
+
+        args = ["controlplane", "--profile", "quick", "--obs-jsonl", str(tmp_path)]
+        assert main(args + ["--obs", "metrics"]) == 0
+        rows = (tmp_path / "controlplane.jsonl").read_text().splitlines()
+        types = {json.loads(row)["type"] for row in rows}
+        # --obs-jsonl alone would record spans; --obs metrics records none.
+        assert "metric" in types and "span" not in types
 
 
 class TestCliSeed:

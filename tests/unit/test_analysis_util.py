@@ -117,6 +117,14 @@ class TestTables:
         text = table.render()
         assert "T" in text and "a" in text and "2.50" in text and "y" in text
 
+    def test_float_cells_are_formatted_by_magnitude(self):
+        table = TextTable(["zero", "big", "small", "plain"])
+        table.add_row(0.0, 12345.6, 0.001234, 3.14159)
+        row = table.render().splitlines()[-1]
+        assert [cell.strip() for cell in row.split("|")] == [
+            "0", "1.23e+04", "0.00123", "3.14"
+        ]
+
     def test_row_arity_checked(self):
         table = TextTable(["a", "b"])
         with pytest.raises(ValueError):

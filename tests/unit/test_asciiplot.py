@@ -67,3 +67,9 @@ class TestAsciiPlot:
         plot = AsciiPlot(width=10, height=4)
         plot.add_series("flat", [1, 2, 3], [5.0, 5.0, 5.0])
         assert "o" in plot.render()
+
+    def test_single_point_renders(self):
+        # One x value and one y value: both axes would have zero span.
+        plot = AsciiPlot(width=10, height=4)
+        plot.add_series("dot", [2.0], [3.0])
+        assert "o" in plot.render()

@@ -101,6 +101,16 @@ class TestExperiment:
         result = run_experiment(exp, rng=2)
         assert np.allclose(result.intervals, 0.1, atol=0.005)
 
+    def test_noiseless_relays_detect_every_large_scream(self):
+        # noise_sigma_db=0: each relay reads the initiator at its exact level,
+        # comfortably above threshold, and draws no measurement noise.
+        exp = ScreamExperiment(
+            smbytes=24, n_screams=30, budget=MoteLinkBudget(noise_sigma_db=0.0)
+        )
+        result = run_experiment(exp, rng=2)
+        assert result.error_percent == 0.0
+        assert np.allclose(result.intervals, 0.1, atol=0.005)
+
     def test_miss_probability_consistent_with_sweep(self):
         assert miss_probability(24, rng=3) == 0.0
         assert miss_probability(5, rng=3) > 0.8

@@ -42,6 +42,18 @@ class TestSummarizeRun:
         assert "traffic.delay_slots" in text
         assert "region=all" in text
 
+    def test_an_unlabelled_metric_reads_a_dash(self, tmp_path):
+        rec = JsonlRecorder(tmp_path / "bare.jsonl", "bare", config={})
+        reg = MetricsRegistry()
+        reg.counter("truth.violations", 3)
+        rec.export(reg)
+        row = next(
+            [cell.strip() for cell in line.split("|")]
+            for line in summarize_run(tmp_path / "bare.jsonl").splitlines()
+            if line.startswith("truth.violations")
+        )
+        assert row == ["truth.violations", "-", "3"]
+
     def test_nested_share_never_exceeds_100(self, run_file):
         shares = [
             int(tok.rstrip("%"))

@@ -327,22 +327,22 @@ def test_line_census_leaves_uncalled_functions_to_the_function_census(line_clone
 def test_check_lines_counts_unlisted_blocks_and_stale_entries(line_clone, tmp_path, capsys):
     found = reach.line_census(line_clone, *_trace_lines(line_clone, tmp_path / "hits"))
     allowed = {
-        ("src/repro/mod.py", "used[lines]"): ("guard", "tests/unit/test_mod.py"),
-        ("src/repro/mod.py", "listed[lines]"): ("oracle", "tests/unit/test_mod.py"),
+        ("src/repro/mod.py", "used[lines=1]"): ("guard", "tests/unit/test_mod.py"),
+        ("src/repro/mod.py", "listed[lines=1]"): ("oracle", "tests/unit/test_mod.py"),
         ("src/repro/mod.py", "listed"): ("paper", "a function entry, not a block"),
     }
     assert reach.check_lines(found, allowed) == 1 + 1
     out = capsys.readouterr().out
     assert "src/repro/mod.py:1  used  lines 7  [guard: tests/unit/test_mod.py]" in out
     assert "src/repro/mod.py:15  outer  lines 20  [UNLISTED" in out
-    assert "src/repro/mod.py::listed[lines]  [STALE" in out
+    assert "src/repro/mod.py::listed[lines=1]  [STALE" in out
     assert "2 called functions with 2 lines" in out
 
 
 def test_a_lines_entry_survives_an_edit_that_shifts_the_file(line_clone, tmp_path):
     allowed = {
-        ("src/repro/mod.py", "used[lines]"): ("guard", "tests/unit/test_mod.py"),
-        ("src/repro/mod.py", "outer[lines]"): ("guard", "tests/unit/test_mod.py"),
+        ("src/repro/mod.py", "used[lines=1]"): ("guard", "tests/unit/test_mod.py"),
+        ("src/repro/mod.py", "outer[lines=1]"): ("guard", "tests/unit/test_mod.py"),
     }
     found = reach.line_census(line_clone, *_trace_lines(line_clone, tmp_path / "before"))
     assert reach.check_lines(found, allowed) == 0
@@ -351,3 +351,39 @@ def test_a_lines_entry_survives_an_edit_that_shifts_the_file(line_clone, tmp_pat
     shifted = reach.line_census(line_clone, *_trace_lines(line_clone, tmp_path / "after"))
     assert [lines for *_, lines in shifted] == [[11], [24]]
     assert reach.check_lines(shifted, allowed) == 0
+
+
+def test_a_branch_added_to_a_listed_function_fails_its_entry(line_clone, tmp_path, capsys):
+    allowed = {
+        ("src/repro/mod.py", "used[lines=1]"): ("guard", "tests/unit/test_mod.py"),
+        ("src/repro/mod.py", "outer[lines=1]"): ("guard", "tests/unit/test_mod.py"),
+    }
+    module = line_clone / "src" / "repro" / "mod.py"
+    module.write_text(LINE_SOURCE.replace("    return x\n", "    if x == 99:\n        return 0\n    return x\n", 1))
+    found = reach.line_census(line_clone, *_trace_lines(line_clone, tmp_path / "hits"))
+    assert [(name, lines) for _file, name, _first, lines in found][0] == ("used", [7, 9])
+    # The function's count is not its entry's: the one is unlisted, the other stale.
+    assert reach.check_lines(found, allowed) == 1 + 1
+    out = capsys.readouterr().out
+    assert "used  lines 7 9  [MISCOUNTED: listed as used[lines=1]]" in out
+    assert "src/repro/mod.py::used[lines=1]  [STALE" in out
+
+
+def test_allow_list_reads_a_lines_count_and_rejects_a_function_listed_twice(tmp_path):
+    listing = tmp_path / "allow.txt"
+    entry = "src/repro/mod.py::used[lines=2]  guard: tests/a.py reaches it"
+    listing.write_text(entry + "\n")
+    assert reach.allow_list(listing) == {
+        ("src/repro/mod.py", "used[lines=2]"): ("guard", "tests/a.py reaches it")
+    }
+    assert reach.is_lines("used[lines=2]") and not reach.is_lines("used")
+    listing.write_text(entry + "\n" + entry.replace("=2", "=3") + "\n")
+    with pytest.raises(ValueError, match="allow.txt:2: .* is listed twice"):
+        reach.allow_list(listing)
+
+
+def test_main_names_a_census_or_runs_nothing(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exited:
+        reach.main([str(tmp_path)])
+    assert exited.value.code == 2
+    assert "name a census: --functions, --knobs or --lines" in capsys.readouterr().err

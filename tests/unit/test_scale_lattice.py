@@ -47,6 +47,22 @@ def test_diagonal_stays_outside_the_floored_range(side):
     assert step <= _floored_range(network) < math.sqrt(2) * step
 
 
+def test_a_side_past_the_dense_cap_gets_its_sparse_row_alone():
+    def point(side, backend):
+        return dict(
+            side=side, n=side * side, backend=backend, edges_per_node=4.0,
+            forest_depth=3, nnz=10, setup_s=1.0, engine_s=1.0, sched_wall_s=0.5,
+            epochs=2, rss_mib=10.0, schedule_len=5, delivered=7,
+            truth_violations=0, repaired_tx=0,
+        )
+
+    points = [point(20, "dense"), point(20, "sparse"), point(40, "sparse")]
+    rows = scale.scale_table(points, QUICK)._rows
+    assert [row[:2] for row in rows] == [
+        ["400", "dense"], ["400", "sparse"], ["400", "dense/sparse"], ["1600", "sparse"]
+    ]
+
+
 @pytest.mark.parametrize("side", QUICK.scale_grid_sides)
 def test_sparse_comm_graph_is_the_four_neighbour_lattice(side):
     network = _network(side)

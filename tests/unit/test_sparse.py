@@ -276,6 +276,16 @@ class TestCsrGraphAndForest:
                 np.flatnonzero(adj[node]),
             )
 
+    def test_csr_graph_of_a_deployment_without_an_edge_is_empty(self):
+        # Two nodes 50 km apart: neither decodes the other.
+        positions = np.array([[0.0, 0.0], [50_000.0, 0.0]])
+        tx = np.full(2, 25.0)
+        sparse = build_sparse_power(positions, tx, MODEL, float("inf"))
+        indptr, indices = communication_csr(sparse, RADIO.noise_mw, RADIO.beta)
+        np.testing.assert_array_equal(indptr, [0, 0, 0])
+        assert indices.size == 0
+        assert not is_connected_csr(indptr, indices)
+
     def test_budgeted_csr_graph_matches_budgeted_dense_predicate(self, deployment):
         """With the far-field floor, an edge needs both directions to clear
         ``beta`` against the *floored* noise at the receiving node."""

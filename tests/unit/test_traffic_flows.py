@@ -23,7 +23,13 @@ from repro.traffic import (
     run_epochs,
     serialized_scheduler,
 )
-from repro.traffic.admission import AIMD_DECREASE, CAP_FLOOR, HOT_SLOWDOWN
+from repro.traffic.admission import (
+    AIMD_DECREASE,
+    CAP_FLOOR,
+    DRAIN_HORIZON,
+    HOT_SLOWDOWN,
+    _GrowthWindow,
+)
 from repro.traffic.epoch import EpochRecord
 from repro.traffic.flows import CBR_RATE, MEAN_FLOW_SIZE
 
@@ -147,6 +153,17 @@ class TestControllers:
             make_controller("erlang")
         with pytest.raises(ValueError, match="needs cap"):
             make_controller("static-cap")
+
+    def test_a_window_under_its_gate_is_trivially_draining(self):
+        # The backlog rises, but stays under the gate (1.5x the mean
+        # arrivals of 100): not congestion, although the slope of 10 alone
+        # would miss the horizon test ((150 - 30) / 16 = 7.5 per epoch).
+        window = _GrowthWindow(window=4)
+        for backlog in (0.0, 10.0, 20.0, 30.0):
+            window.push(100.0, backlog)
+        assert window.filled and not window.gated
+        assert window.slope > (window.gate_level - 30.0) / DRAIN_HORIZON
+        assert window.draining_within(DRAIN_HORIZON)
 
     def test_static_cap_blocks_and_throttles(self):
         links = chain_links(6)

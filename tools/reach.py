@@ -2,16 +2,16 @@
 
 ``tests/unit/test_api_reach.py`` works per name: it cannot see a branch
 inside a used function that only tests take.  This script runs the
-project's own entry points in a checkout under a line tracer — every
+project's own entry points in a checkout under a tracer — every
 ``examples/*.py``, ``python -m repro.experiments all --profile quick``, one
 ``--obs-jsonl`` experiment run with ``python -m repro.obs validate`` and
 ``summarize`` on the files it writes, and the ``--smoke`` perf ledger of
-each benchmark workload — and prints, per module, the lines of its
-functions that no run executed::
+each benchmark workload — and takes one census or more of what they never
+ran::
 
     python tools/reach.py CLONE [--out DIR] [--functions] [--knobs] [--lines]
 
-With ``--functions`` it prints instead every whole function that no run
+With ``--functions`` it prints every whole function that no run
 called, one a line with its qualified name, line span (first decorator to
 last line; a function nested in one listed is not listed again) and the
 reason ``tools/reach_allow.txt`` gives it to stay, then their count and
@@ -21,27 +21,30 @@ counted.  The exit status is 1 when a listed function has no entry in the
 allow-list, or an entry names a function some run called: what stays
 uncalled has a stated reason, and the list names nothing else.
 
-With ``--lines`` it prints instead, per function some run called, the
-lines of its own no run executed, with the reason ``tools/reach_allow.txt``
-gives them to stay (an entry ``FILE::QUALIFIED_NAME[lines]``, which names
-no line numbers, so an edit elsewhere in the file does not stale it).  The
-lines of a ``raise`` statement are not counted: validation that no
-recorded input trips is code no run needs to execute.  Nor are the lines of
-a function no run called, nor those its nested functions own: the function
-census lists those.  The exit status is 1 when a function with such lines
-has no entry, or an entry names a function with none: a branch no run
-takes is deleted, or says why it stays.
+With ``--lines`` it prints, per function some run called, the lines of
+its own no run executed, with the reason ``tools/reach_allow.txt`` gives
+them to stay (an entry ``FILE::QUALIFIED_NAME[lines=N]``, where ``N`` is
+how many such lines the function has; a count, not line numbers, so an
+edit elsewhere in the file does not stale it, while a branch added to the
+function, or one that starts to run, does).  The lines of a ``raise``
+statement are not counted: validation that no recorded input trips is code
+no run needs to execute.  Nor are the lines of a function no run called,
+nor those its nested functions own: the function census lists those.  The
+exit status is 1 when a function with such lines has no entry of its count,
+or an entry names a function without that many: a branch no run takes is
+deleted, or says why it stays.
 
 Run it on a ``git clone`` of the tree under study: the perf ledger rewrites
 ``bench/out`` in the tree it runs from.  The tracer is
 ``tools/reach_tracer/sitecustomize.py``; spawned children (E13's per-point
 processes) import it again through ``PYTHONPATH``.  Traced, the entry
-points take about 50 s on 2 vCPUs, with the line trace (the default, and
-``--lines`` alone or with the other censuses) as with calls only
-(``--functions`` / ``--knobs`` without ``--lines``): only ``src/repro``
-frames are traced, and most of the time is numpy's.
+points take about 50 s on 2 vCPUs, with the line trace (``--lines``, alone
+or with the other censuses) as with calls only (``--functions`` /
+``--knobs`` without ``--lines``): only ``src/repro`` frames are traced, and
+most of the time is numpy's.  The line tables are the interpreter's, so
+the counts are taken, and checked, on one Python version (CI's 3.11 leg).
 
-With ``--knobs`` it prints instead every *knob* that every run binds to one
+With ``--knobs`` it prints every *knob* that every run binds to one
 value: a defaulted parameter of a function, or a defaulted init field of a
 dataclass, of ``src/repro`` whose calls all bound the same setting (``None``,
 a bool, an int, a float, a str, or a tuple of these), with the reason
@@ -73,6 +76,7 @@ import argparse
 import ast
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -88,8 +92,9 @@ ALLOW_LIST = ROOT / "tools" / "reach_allow.txt"
 #: reproduces, the fault or input it guards, the bench file that reads it, or
 #: the test that reaches a correctness branch no recorded input does.
 KINDS = ("oracle", "paper", "validation", "gated", "guard")
-#: The suffix of an allow-list entry for a called function's unexecuted lines.
-LINES = "[lines]"
+#: The suffix of an allow-list entry for a called function's unexecuted
+#: lines, ``[lines=N]``: ``N`` of them.
+LINES = re.compile(r"\[lines=(\d+)\]$")
 WORKLOADS = ("fdd_8x8", "sessions_patch_8x8", "sharded_24x24", "sparse_10k")
 OBS_RUN = ("controlplane", "sharded")
 #: Parameter names that carry a run's randomness: inputs, never knobs.
@@ -360,16 +365,23 @@ def is_knob(name: str) -> bool:
 
 def is_lines(name: str) -> bool:
     """Whether an allow-list name is a function's unexecuted lines,
-    ``QUALIFIED_NAME[lines]``."""
-    return name.endswith(LINES)
+    ``QUALIFIED_NAME[lines=N]``."""
+    return LINES.search(name) is not None
+
+
+def lines_name(name: str, lines: list[int]) -> str:
+    """The allow-list name of ``lines``, the unexecuted lines of function
+    ``name``: ``name[lines=N]``."""
+    return f"{name}[lines={len(lines)}]"
 
 
 def allow_list(path: Path = ALLOW_LIST) -> dict[tuple[str, str], tuple[str, str]]:
     """``(file, qualified name) -> (kind, target)`` of every entry of the
     allow-list: one a line, ``FILE::NAME  KIND: TARGET``; ``#`` comments.
     ``NAME`` is a qualified function name, a knob (see :func:`is_knob`) or a
-    function's unexecuted lines (see :func:`is_lines`)."""
+    function's unexecuted lines (see :func:`is_lines`), each listed once."""
     entries = {}
+    named = set()
     for number, line in enumerate(path.read_text().splitlines(), 1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
@@ -378,6 +390,9 @@ def allow_list(path: Path = ALLOW_LIST) -> dict[tuple[str, str], tuple[str, str]
         kind, _, target = reason.strip().partition(":")
         if not (file and name and kind and target.strip()):
             raise ValueError(f"{path}:{number}: expected FILE::NAME  KIND: TARGET")
+        if (file, LINES.sub("", name), is_lines(name)) in named:
+            raise ValueError(f"{path}:{number}: {where} is listed twice")
+        named.add((file, LINES.sub("", name), is_lines(name)))
         entries[file, name] = (kind, target.strip())
     return entries
 
@@ -411,18 +426,21 @@ def check_knobs(found: list[tuple[str, str, int, str]], allowed) -> int:
 
 def check_lines(found: list[tuple[str, str, int, list[int]]], allowed) -> int:
     """Print ``found`` with each function's unexecuted lines and its reason to
-    keep them; return how many functions have no entry plus how many entries
-    name a function with no unexecuted line."""
+    keep them; return how many functions have no entry of their count plus
+    how many entries name a function without that many unexecuted lines."""
+    counted = {(file, LINES.sub("", name)): name for file, name in allowed if is_lines(name)}
     for file, name, first, lines in found:
-        reason = _reason(allowed, file, name + LINES)
+        reason = _reason(allowed, file, lines_name(name, lines))
+        if (file, lines_name(name, lines)) not in allowed and (file, name) in counted:
+            reason = f"MISCOUNTED: listed as {counted[file, name]}"
         print(f"{file}:{first}  {name}  lines {spans(lines)}  [{reason}]")
     total = sum(len(lines) for *_, lines in found)
     return _tally(
-        [(file, name + LINES) for file, name, *_ in found],
+        [(file, lines_name(name, lines)) for file, name, *_, lines in found],
         {where for where in allowed if is_lines(where[1])},
         f"{len(found)} called functions with {total} lines no entry point executed"
         " (raise statements aside)",
-        "every line of it runs, or it is gone",
+        "it has not that many unexecuted lines, or it is gone",
     )
 
 
@@ -471,30 +489,20 @@ def main(argv: list[str] | None = None) -> int:
         help="list each called function's unexecuted lines; fail on any not allow-listed",
     )
     args = parser.parse_args(argv)
+    if not (args.functions or args.knobs or args.lines):
+        parser.error("name a census: --functions, --knobs or --lines")
     clone = args.clone.resolve()
     out = (args.out or Path(tempfile.mkdtemp(prefix="reach-"))).resolve()
-    census_only = args.functions or args.knobs or args.lines
-    allowed = allow_list(clone / ALLOW_LIST.relative_to(ROOT)) if census_only else {}
-    lines = args.lines or not census_only
-    executed, called, bound = trace(clone, out, lines=lines, knobs=args.knobs)
-    if census_only:
-        failures = 0
-        if args.functions:
-            failures += check(census(clone, called), allowed)
-        if args.knobs:
-            failures += check_knobs(knob_census(clone, bound), allowed)
-        if args.lines:
-            failures += check_lines(line_census(clone, executed, called), allowed)
-        return 1 if failures else 0
-    total = 0
-    for path in sorted((clone / "src" / "repro").rglob("*.py")):
-        lines = set().union(*own_lines(path).values())
-        missed = sorted(line for line in lines if (str(path), line) not in executed)
-        if missed:
-            total += len(missed)
-            print(f"{len(missed):5d}  {path.relative_to(clone)}: {spans(missed)}")
-    print(f"{total:5d}  function lines no entry point executed")
-    return 0
+    allowed = allow_list(clone / ALLOW_LIST.relative_to(ROOT))
+    executed, called, bound = trace(clone, out, lines=args.lines, knobs=args.knobs)
+    failures = 0
+    if args.functions:
+        failures += check(census(clone, called), allowed)
+    if args.knobs:
+        failures += check_knobs(knob_census(clone, bound), allowed)
+    if args.lines:
+        failures += check_lines(line_census(clone, executed, called), allowed)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
