@@ -317,9 +317,9 @@ def test_sparse_packing_admits_waves_not_links(monkeypatch):
         passes = []
         first_fit = SlotArena.first_fit
 
-        def counted(self, senders, receivers, need):
+        def counted(self, senders, receivers):
             passes.append(len(senders))
-            return first_fit(self, senders, receivers, need)
+            return first_fit(self, senders, receivers)
 
         with monkeypatch.context() as patch:
             patch.setattr(SlotArena, "first_fit", counted)

@@ -13,23 +13,19 @@ Two implementations remain in the library:
 * :class:`SlotArena` — per-member interference sums kept across
   admissions, so a test is O(k) in the slot's members instead of the
   kernel's O(k²), one candidate against *every* slot of a schedule at
-  once.  Dense power is read through flat member columns; a
-  ``SparsePowerMatrix`` through per-cell listener lists and a landing
-  table.  Reading dense power through the tables was measured (DESIGN.md
-  §3): −32 % on ``sessions_patch_8x8``'s ``decodable_tx_per_s``, so both
-  branches stay.
-  One kernel reads the tables, a batch of candidates per pass
-  (``can_add_many`` / ``add_many``; ``first_fit`` is the two on one
-  gather), which ``greedy_physical`` feeds a *wave* of mutually
-  unreachable links; the one-link entries (``can_add_all``, ``add``,
-  ``seed``) are batches of it.
+  once.  Dense power is read through flat member columns, and every entry
+  (``seed``, ``insert``, ``add``, ``can_add_all``, ``admit_sinrs``,
+  ``handshake_verdicts``) is dense.  A ``SparsePowerMatrix`` is read
+  through per-cell listener lists and a landing table by one entry,
+  ``first_fit``, which ``greedy_physical`` feeds a *wave* of mutually
+  unreachable links, one membership each (DESIGN.md §3).
 
 ``greedy_physical``'s first-fit packer (which its repair pass, and so the
-sharded engine's reconciliation, reuses) and ``patch_schedule`` build their
-slots in an arena; :func:`feasible_alone` is the standalone screen (a slot
-of one) they apply before opening a fresh slot.  The arena's verdicts are pinned, bit for bit, to a scalar per-slot
-oracle in the test suite, and its slots to the exact model by the schedule
-audits.
+sharded engine's reconciliation, reuses) and ``patch_schedule`` (dense
+models only) build their slots in an arena; :func:`feasible_alone` is the
+standalone screen (a slot of one) they apply before opening a fresh slot.
+The arena's verdicts are pinned, bit for bit, to a scalar per-slot oracle
+in the test suite, and its slots to the exact model by the schedule audits.
 """
 
 from __future__ import annotations
@@ -106,43 +102,40 @@ class SlotArena:
 
     Two test paths, one verdict:
 
-    * dense — the scalar per-slot test (each member's interference a left
-      fold over the others in admission order) over all member rows at
-      once: the per-slot sums are ``np.bincount`` segment sums, whose C
-      loop accumulates weights in input order — the member order the
-      scalar fold sums in, so the verdicts are bit-identical.  The test
-      keeps what it gathered, and :meth:`add` of its candidate writes it;
+    * dense (every entry but :meth:`first_fit`) — the scalar per-slot test
+      (each member's interference a left fold over the others in admission
+      order) over all member rows at once: the per-slot sums are
+      ``np.bincount`` segment sums, whose C loop accumulates weights in
+      input order — the member order the scalar fold sums in, so the
+      verdicts are bit-identical.  The test keeps what it gathered, and
+      :meth:`add` of its candidate writes it;
     * sparse (auto-selected when the model's power is a
-      :class:`~repro.phy.sparse.SparsePowerMatrix`) — tables over the
-      ``2n`` *listening cells* (cell ``v`` hears data at node ``v``, cell
-      ``n + v`` ACKs at node ``v``): a *landing* table ``(2n,
-      slot_capacity)``, the slot axis doubling on demand, holding the
+      :class:`~repro.phy.sparse.SparsePowerMatrix`; :meth:`first_fit` only)
+      — tables over the ``2n`` *listening cells* (cell ``v`` hears data at
+      node ``v``, cell ``n + v`` ACKs at node ``v``): a *landing* table
+      ``(2n, slot_capacity)``, the slot axis doubling on demand, holding the
       running power landing on the cell from slot ``j``'s members,
       accumulated in admission order as each member's CSR rows are folded
       in; and a *listener list* ``(2n, width)`` per cell, the member rows
-      listening there in admission order (``-1`` past the end; one per
-      slot at most, so ``width`` — the busiest cell's count, grown on
-      demand — is fan-in × demand, not the slot count).  A test then
-      reads the candidate's two CSR rows and nothing else of the power
-      matrix: its own interference sums sit in the landing table, node
-      sharing is a list lookup, and the only members rechecked are those
-      listening in the candidate's rows — O(degree × width) per
-      candidate, no key search.  Everything skipped is *exactly* ``0.0``
-      in the dense sums, and a member the candidate's rows do not reach
-      receives no contribution, so — because every admitted member is
-      feasible at admission time and additions only recheck — it cannot
-      flip: the verdict is bit-identical to the dense one.  That
-      member-feasibility invariant is the callers' to keep, since
-      :meth:`seed` and :meth:`add` insert unconditionally: greedy
-      packing (its repair pass included) screens with
-      :func:`feasible_alone`, and a patch seeds slots only with subsets of
-      feasible cached slots (removals lower interference).
-      The lists assume one member per node per slot, which
-      :meth:`add_many` enforces.  One kernel reads them:
-      :meth:`can_add_many` / :meth:`add_many` test and fold a batch of
-      links in one pass (the tables stored stacked, data side over ACK
-      side, so one gather of the batch's CSR rows serves both), and
-      :meth:`can_add_all`, :meth:`add` and :meth:`seed` are batches of it.
+      listening there in admission order (``-1`` past the end; one per slot
+      at most, so ``width`` — the busiest cell's count, grown on demand — is
+      fan-in × demand, not the slot count).  A test then reads the
+      candidate's two CSR rows and nothing else of the power matrix: its own
+      interference sums sit in the landing table, node sharing is a list
+      lookup, and the only members rechecked are those listening in the
+      candidate's rows — O(degree × width) per candidate, no key search.
+      Everything skipped is *exactly* ``0.0`` in the dense sums, and a
+      member the candidate's rows do not reach receives no contribution, so
+      — because every admitted member is feasible at admission time and
+      additions only recheck — it cannot flip: the verdict is bit-identical
+      to the dense one.  The tables are stored stacked, data side over ACK
+      side, so one gather of a wave's CSR rows serves both.
+
+    A fresh slot opens untested, and :meth:`seed`, :meth:`insert` and
+    :meth:`add` insert unconditionally, so the member-feasibility invariant
+    is the callers' to keep: greedy packing (its repair pass included)
+    screens with :func:`feasible_alone`, and a patch seeds slots only with
+    subsets of feasible cached slots (removals lower interference).
 
     All powers in mW; thresholds from the bound interference model.
     ``tests/property/test_scheduling_properties.py`` pins sparse-arena ≡
@@ -213,32 +206,20 @@ class SlotArena:
         self._landing = landing
 
     def seed(self, slot_of, senders, receivers) -> None:
-        """Append whole slots, untested: link ``senders[i] -> receivers[i]``
-        joins slot ``slot_of[i]``, which runs ``n_slots, n_slots + 1, ...``
-        without gaps, each slot's members in admission order.
+        """Dense: append whole slots, untested: link ``senders[i] ->
+        receivers[i]`` joins slot ``slot_of[i]``, which runs ``n_slots,
+        n_slots + 1, ...`` without gaps, each slot's members in admission
+        order.
 
         Bit for bit a slot opened with its first member alone and
         :meth:`add` of the rest, in turn.  There member ``p``'s sums are the
         left fold ``0.0 + x_0 + x_1 + ...`` of the other members' powers in
         admission order: the ``bincount`` at its admission, then one ``+=``
-        per later member.  Dense, that fold is one ``(slots, K, K)`` gather
+        per later member.  That fold is one ``(slots, K, K)`` gather
         with the diagonal and the padding set to an exact ``0.0``, summed
         column by column — ``x + 0.0 == x`` for the non-negative partial
-        sums.  Sparse, it is one :meth:`add_many` per member position ``p``
-        (the ``p``-th member of every slot), ``p`` ascending: members of
-        distinct slots never write the same ``(cell, slot)``, and each slot
-        folds its members in admission order.  Member rows are then
-        numbered position by position rather than slot by slot.
+        sums.
         """
-        if self._use_sparse:
-            slot = np.asarray(slot_of, dtype=np.intp)
-            snd = np.asarray(senders, dtype=np.intp)
-            rcv = np.asarray(receivers, dtype=np.intp)
-            pos = np.arange(slot.size) - slot.searchsorted(slot)
-            for p in range(int(pos.max(initial=-1)) + 1):
-                at = pos == p
-                self.add_many(slot[at], snd[at], rcv[at])
-            return
         self._tested = None
         slots = np.asarray(slot_of, dtype=np.intp).tolist()
         if not slots:
@@ -300,33 +281,26 @@ class SlotArena:
         self._m = new.stop
 
     def add(self, slot, sender, receiver) -> None:
-        """Admit a link to a slot, or links to several distinct slots at
-        once, unconditionally (caller pre-approved): ``sender`` /
+        """Dense: admit a link to a slot, or links to several distinct slots
+        at once, unconditionally (caller pre-approved): ``sender`` /
         ``receiver`` are one link for every slot, or one per slot of
         ``slot`` (the lanes of a lockstep pack).
 
         The scalar per-slot fold, bit for bit: existing members' sums grow
         element-wise by the newcomer's contribution, and the newcomer's own
-        sums accumulate over members in admission order.  Dense, the add
-        writes what the test before it gathered (:meth:`can_add_all`,
+        sums accumulate over members in admission order.  The add writes
+        what the test before it gathered (:meth:`can_add_all`,
         :meth:`handshake_verdicts` or :meth:`admit_sinrs` of this
         candidate): the members' cross terms, and the newcomer's per-slot
         sums (a ``bincount`` keyed by slot — C-loop sequential per bin, the
-        order the scalar loop adds in).  Sparse, it is one
-        :meth:`add_many`: the landing table has been running that very sum
-        since the slot opened.
+        order the scalar loop adds in).
 
-        Raises ``ValueError``, before anything is written: dense, if the
-        candidate is not the one last tested, or a target slot was admitted
-        into, seeded or renumbered since (admitting the candidate into its
-        other tested slots is not a change); sparse, if an endpoint already
-        sends or receives in a slot (the listener lists hold one member per
-        node per slot).
+        Raises ``ValueError``, before anything is written, if the candidate
+        is not the one last tested, or a target slot was admitted into,
+        seeded or renumbered since (admitting the candidate into its other
+        tested slots is not a change).
         """
         into = np.atleast_1d(slot)
-        if self._use_sparse:
-            self.add_many(into, [sender] * into.size, [receiver] * into.size)
-            return
         if self._tested is None:
             raise ValueError("a dense add needs a test of its candidate first")
         cs, cr, sid, seg, new_di, new_ai = self._tested
@@ -348,35 +322,23 @@ class SlotArena:
         self._append(into, sender, receiver, new_di[into], new_ai[into])
 
     def can_add_all(self, sender, receiver) -> np.ndarray:
-        """One candidate against every slot: ``out[j] == slot j can admit``.
-
-        Bit-identical, on either path, to the scalar per-slot test run
-        slot by slot; sparse, it is :meth:`can_add_many` of one candidate.
-        Dense, ``sender`` / ``receiver`` may also give one candidate per
-        slot, slots with different candidates on node-disjoint blocks of
-        the power matrix (the lanes of a lockstep pack).
+        """Dense: one candidate against every slot: ``out[j] == slot j can
+        admit``, bit-identical to the scalar per-slot test run slot by slot.
+        ``sender`` / ``receiver`` may also give one candidate per slot,
+        slots with different candidates on node-disjoint blocks of the
+        power matrix (the lanes of a lockstep pack).
         """
-        if self._use_sparse:
-            return self.can_add_many([sender], [receiver])[0]
         return self._dense_terms(sender, receiver)[0]
 
     def admit_sinrs(self, sender: int, receiver: int) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`can_add_all` and the candidate's ``min(data, ACK)`` SINR
-        in every slot: where it admits, bit for bit the last entry of
+        """Dense: :meth:`can_add_all` and the candidate's ``min(data, ACK)``
+        SINR in every slot: where it admits, bit for bit the last entry of
         :func:`what_if_sinrs` over ``members + [candidate]``, the test's sum
         written as the kernel writes it (own power added, then taken out)."""
         n = self.n_slots
         if n == 0 or sender == receiver:
             return np.zeros(n, dtype=bool), np.zeros(n)
-        if self._use_sparse:
-            snd, rcv = np.array([sender]), np.array([receiver])
-            reach = self._reach(snd, rcv)
-            listens, sig = reach[4:]
-            extra = 0.0 if self._budget is None else self._cell_budget[listens]
-            ok = self._verdicts(snd, rcv, reach)[0][0]
-            own = sig, np.broadcast_to(self._noise + extra, 2), self._landing_at(listens)
-        else:
-            ok, *_, own = self._dense_terms(sender, receiver)
+        ok, *_, own = self._dense_terms(sender, receiver)
         (sd, sa), (zd, za), (idata, iack) = own
         return ok, np.minimum(sd / (zd + ((idata + sd) - sd)), sa / (za + ((iack + sa) - sa)))
 
@@ -389,7 +351,12 @@ class SlotArena:
         endpoints, ``data_bad`` / ``ack_bad`` (its data / ACK below
         threshold with its candidate on the air), and per slot
         ``cand_data`` (the candidate's own data clears it) and ``own`` (its
-        data / ACK signals, noises and interference)."""
+        data / ACK signals, noises and interference).
+
+        Raises ``ValueError`` on a sparse arena, whose one entry is
+        :meth:`first_fit`."""
+        if self._use_sparse:
+            raise ValueError("the arena's dense tests need a dense power matrix")
         n = self.n_slots
         noise = self._noise
         beta = self._beta
@@ -460,8 +427,6 @@ class SlotArena:
         a member is no special case (both data terms are real).  Slots
         that admit have no objection.
         """
-        if self._use_sparse:
-            raise ValueError("handshake_verdicts needs a dense power matrix")
         n = self.n_slots
         admits, sid, (cs, cr), data_bad, ack_bad, cand_data, _ = self._dense_terms(
             sender, receiver
@@ -499,24 +464,8 @@ class SlotArena:
         sig[owner[hit]] = vals[hit]
         return link, side, cell, vals, listens, sig
 
-    def can_add_many(self, senders, receivers) -> np.ndarray:
-        """Sparse arena: ``B`` candidates against every slot in one pass;
-        ``out[b, j] == slot j can admit senders[b] -> receivers[b]``.
-
-        Every candidate is tested against the arena as it stands, not
-        against the other candidates: row ``b`` is
-        ``can_add_all(senders[b], receivers[b])``, bit for bit.
-        """
-        snd = np.asarray(senders, dtype=np.intp)
-        rcv = np.asarray(receivers, dtype=np.intp)
-        return self._verdicts(snd, rcv, self._reach(snd, rcv))[0]
-
-    def _landing_at(self, cells: np.ndarray) -> np.ndarray:
-        """The power landing on ``cells`` from every open slot."""
-        return self._landing.take(cells, axis=0)[:, : self.n_slots]
-
     def _listeners(self, snd: np.ndarray, rcv: np.ndarray, reach):
-        """Every member listening where the batch lands power or at one of
+        """Every member listening where the wave lands power or at one of
         its endpoints, read from the lists (flat: one 1-D nonzero): per
         member, ``at`` — an entry of the :meth:`_reach`, or ``E + k·B + i``
         past its ``E`` entries for end cell ``k`` of link ``i`` (its
@@ -529,9 +478,11 @@ class SlotArena:
         return flat // self._lists.shape[1], rows, self._slot_id[rows]
 
     def _verdicts(self, snd: np.ndarray, rcv: np.ndarray, reach):
-        """:meth:`can_add_many` given the batch's :meth:`_reach`, and the
-        members it found (:meth:`_listeners`), which :meth:`_fold` of the
-        batch writes."""
+        """The wave against every slot given its :meth:`_reach`:
+        ``ok[b, j] == slot j can admit senders[b] -> receivers[b]``, each
+        link tested against the arena as it stands, not against its
+        wave-mates.  With it, the members :meth:`_listeners` found where
+        the wave lands power, which :meth:`_fold` of the wave writes."""
         link, side, cell, vals, listens, sig = reach
         beta = self._beta
         noise = self._noise
@@ -539,11 +490,12 @@ class SlotArena:
             noise = (noise + self._cell_budget[listens])[:, None]
         # The candidates' own data / ACK SINR under what already lands on
         # their listening cells ...
-        own = ~(sig[:, None] < beta * (noise + self._landing_at(listens)))
+        landing = self._landing.take(listens, axis=0)[:, : self.n_slots]
+        own = ~(sig[:, None] < beta * (noise + landing))
         ok = own[: snd.size] & own[snd.size :]
         ok &= (snd != rcv)[:, None]
         # ... no endpoint already sending or receiving in the slot ...
-        hits = at, rows, slot = self._listeners(snd, rcv, reach)
+        at, rows, slot = self._listeners(snd, rcv, reach)
         end = at >= link.size
         ok[(at[end] - link.size) % snd.size, slot[end]] = False
         # ... and every member listening where a candidate lands power
@@ -556,48 +508,19 @@ class SlotArena:
         interf = self._interf[side[at], rows] + vals[at]
         bad = self._sig[side[at], rows] < beta * (noise + interf)
         ok[link[at[bad]], slot[bad]] = False
-        return ok, hits
+        return ok, (at, rows, slot)
 
-    def add_many(self, slots, senders, receivers) -> None:
-        """Sparse arena: admit link ``i`` to ``slots[i]`` unconditionally,
-        the whole batch in one pass — :meth:`add` of each in turn, bit for
-        bit, with member rows appended in batch order.
-
-        A slot index past the end opens that slot (and any before it).
-        The batch must write each ``(cell, slot)`` of the tables once:
-        links that share a slot need pairwise-disjoint CSR neighbourhoods
-        (the stored columns of their endpoints' rows).  One link into
-        several slots always qualifies; greedy packing admits a whole
-        *wave* of links (:mod:`repro.scheduling.greedy_physical`).
-
-        Raises ``ValueError``, before anything is written, if an endpoint
-        already sends or receives in its slot.
-        """
-        slot = np.asarray(slots, dtype=np.intp)
-        snd = np.asarray(senders, dtype=np.intp)
-        rcv = np.asarray(receivers, dtype=np.intp)
-        self._fold(slot, snd, rcv, self._reach(snd, rcv))
-
-    def _fold(
-        self, slot: np.ndarray, snd: np.ndarray, rcv: np.ndarray, reach, hits=None
-    ) -> None:
-        """:meth:`add_many` given the batch's :meth:`_reach` and, when a
-        test of the batch came just before, the members it found
-        (:meth:`_verdicts`); without them they are read from the lists."""
+    def _fold(self, slot: np.ndarray, snd: np.ndarray, rcv: np.ndarray, reach, near) -> None:
+        """Admit link ``i`` of the wave to ``slot[i]`` (``n_slots`` opens a
+        slot), given the wave's :meth:`_reach` and the members its
+        :meth:`_verdicts` found where the wave lands power.  The test vetoed
+        every slot where an endpoint is busy, so only those members can be
+        in a target slot, and each one's sum grows by what lands on it."""
         link, side, cell, vals, listens, sig = reach
         b = snd.size
-        # The members in the target slots: at an endpoint, a busy node ...
-        at, rows, heard_in = self._listeners(snd, rcv, reach) if hits is None else hits
+        at, rows, heard_in = near
         target = slot[link]
-        hit = heard_in == np.concatenate((target, np.tile(slot, 4)))[at]
-        busy = hit & (at >= link.size)
-        if busy.any():
-            i = int(((at[busy] - link.size) % b).min())
-            raise ValueError(
-                f"link {snd[i]}->{rcv[i]} shares a node with a member of slot {slot[i]}"
-            )
-        # ... none, so every one is where the batch lands power: a member
-        # whose sum grows by it.
+        hit = heard_in == target[at]
         at, rows = at[hit], rows[hit]
         top = max(int(slot.max(initial=-1)) + 1, self.n_slots)
         self._ensure_slot_capacity(top)
@@ -620,17 +543,10 @@ class SlotArena:
         self._m = new.stop
 
     def _listen(self, cells: np.ndarray, rows: np.ndarray) -> None:
-        """Append member ``rows[i]`` to the list of ``cells[i]``; a cell
-        the batch repeats (one link into several slots) takes successive
-        positions in batch order.  A list at full width widens to fit."""
+        """Append member ``rows[i]`` to the list of ``cells[i]`` (distinct:
+        wave-mates never share a cell).  A list at full width widens to
+        fit."""
         pos = (self._lists.take(cells, axis=0) >= 0).sum(axis=1)
-        order = cells.argsort(kind="stable")
-        ranked = cells[order]
-        repeat = ranked[1:] == ranked[:-1]
-        if repeat.any():
-            step = np.arange(1, cells.size)
-            first = np.maximum.accumulate(np.where(repeat, 0, step))
-            pos[order[1:]] += step - first
         width = self._lists.shape[1]
         need = int(pos.max(initial=-1)) + 1
         if need > width:
@@ -639,37 +555,23 @@ class SlotArena:
             self._lists, width = lists, need
         self._lists.reshape(-1)[cells * width + pos] = rows
 
-    def first_fit(self, senders, receivers, need) -> tuple[np.ndarray, np.ndarray]:
-        """Sparse arena: one greedy step for a whole batch — test it
-        (:meth:`can_add_many`), give link ``b`` its first ``need[b] >= 1``
-        admitting slots and, for what it is still short of, the fresh slots
-        ``n_slots, n_slots + 1, ...`` (shared by the batch), and admit
-        (:meth:`add_many`, whose precondition is the caller's to meet).
+    def first_fit(self, senders, receivers) -> np.ndarray:
+        """Sparse arena: one greedy step for a *wave* of links, each wanting
+        one membership — test it, give each link its first admitting slot,
+        or else the fresh slot ``n_slots`` (shared by the wave), and admit.
 
-        Returns the memberships made, ``(link, slot)`` arrays.
+        The links' CSR neighbourhoods must be pairwise disjoint
+        (:mod:`repro.scheduling.greedy_physical`).  Returns each link's slot.
         """
         snd = np.asarray(senders, dtype=np.intp)
         rcv = np.asarray(receivers, dtype=np.intp)
-        need = np.asarray(need, dtype=np.intp)
-        n = self.n_slots
         reach = self._reach(snd, rcv)
         ok, hits = self._verdicts(snd, rcv, reach)
-        ok &= ok.cumsum(axis=1) <= need[:, None]
-        link, slot = ok.nonzero()
-        short = need - np.bincount(link, minlength=snd.size)
-        if short.any():
-            fresh = np.repeat(np.arange(snd.size), short)
-            link = np.concatenate((link, fresh))
-            first = np.cumsum(short) - short
-            slot = np.concatenate((slot, n + np.arange(fresh.size) - first[fresh]))
-        if (need == 1).all():
-            # One membership each: the gather and the members found serve
-            # again.
-            slot = slot[np.argsort(link)]
-            self._fold(slot, snd, rcv, reach, hits)
-            return np.arange(snd.size), slot
-        self.add_many(slot, snd[link], rcv[link])
-        return link, slot
+        # A column of True past the open slots: argmax is the first
+        # admitting slot, or the fresh one.
+        slot = np.concatenate((ok, np.ones((snd.size, 1), dtype=bool)), axis=1).argmax(axis=1)
+        self._fold(slot, snd, rcv, reach, hits)
+        return slot
 
 
 def infeasible_slots(

@@ -285,34 +285,36 @@ def _pack_waves(
 ) -> list[Slot]:
     """:func:`first_fit_pack` on the sparse arena, a wave of candidates per pass.
 
-    What an admission test of link ``k`` reads of the arena (the slot
-    tables at ``N(k)`` and the sums of members listening there) and what
+    Demand becomes copies: link ``k`` is a candidate ``want[k]`` times, as
+    consecutive copies in allocation order, each wanting one membership.
+    What an admission test of a copy reads of the arena (the slot tables
+    at ``N(k)`` and the sums of members listening there) and what
     admitting it writes (the same cells) both lie inside ``N(k)``
-    (:func:`_waves`), so links with disjoint ``N`` neither see nor disturb
-    one another in any slot: tested together and admitted together they
-    get the verdicts, slots and interference sums the one-at-a-time loop
-    gives them, and waves taken in order respect every dependency that
-    loop has.  A fresh slot holds only wave-mates, so every member still
-    short joins the same fresh slots ``n, n+1, ...``, as it would have
-    found them opened by the wave-mate ahead of it.  A value-dense matrix
+    (:func:`_waves`), so candidates with disjoint ``N`` neither see nor
+    disturb one another in any slot: tested together and admitted together
+    they get the verdicts, slots and interference sums the one-at-a-time
+    loop gives them, and waves taken in order respect every dependency
+    that loop has.  Copies of a link share ``N(k)``, so they fall into
+    successive waves, and node sharing vetoes each from its earlier
+    copies' slots: it takes the next admitting slot, as the loop's
+    demand-``d`` step does.  A fresh slot holds only wave-mates, so every
+    candidate no slot admits joins the same fresh slot, as it would have
+    found it opened by the wave-mate ahead of it.  A value-dense matrix
     puts every node in every ``N``: one candidate per wave, the serial loop.
     """
+    copy = np.repeat(np.arange(demanded.size), want)
+    heads, tails = heads[copy], tails[copy]
     wave = _waves(power, heads, tails)
     turn = np.argsort(wave, kind="stable")
-    heads, tails, want = heads[turn], tails[turn], want[turn]
     ends = np.searchsorted(wave[turn], np.arange(1, wave.max() + 2)).tolist()
-    who: list[np.ndarray] = []
-    where: list[np.ndarray] = []
+    where = np.empty(copy.size, dtype=np.intp)
     for a, b in zip(ends, ends[1:]):
-        cand, slot = arena.first_fit(heads[a:b], tails[a:b], want[a:b])
-        who.append(cand + a)
-        where.append(slot)
+        mates = turn[a:b]
+        where[mates] = arena.first_fit(heads[mates], tails[mates])
     # Each slot lists its links in allocation order, as the serial loop
     # appends them.
-    who_all = turn[np.concatenate(who)]
-    where_all = np.concatenate(where)
-    ids = demanded[who_all[np.lexsort((who_all, where_all))]].tolist()
-    cuts = np.cumsum(np.bincount(where_all, minlength=arena.n_slots)).tolist()
+    ids = demanded[copy[np.argsort(where, kind="stable")]].tolist()
+    cuts = np.cumsum(np.bincount(where, minlength=arena.n_slots)).tolist()
     return [Slot(links=ids[a:b]) for a, b in zip([0] + cuts, cuts)]
 
 

@@ -115,8 +115,10 @@ class EpochConfig:
         :data:`~repro.traffic.incremental.DRIFT_THRESHOLD` (scaled
         by the schedule's service headroom); ``"patch"`` additionally
         repairs the cached schedule on a miss before falling back to a full
-        re-run.  See :mod:`repro.traffic.incremental`.  The sharded engine
-        runs ``"always"`` only.
+        re-run, on a dense model only (:func:`run_epochs` refuses it on a
+        sparse one before the first arrival).  See
+        :mod:`repro.traffic.incremental`.  The sharded engine runs
+        ``"always"`` only.
     rate_table:
         Optional :class:`~repro.phy.radio.RateTable` switching the serving
         contract from fixed-rate (every scheduled membership forwards one

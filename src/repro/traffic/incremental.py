@@ -156,7 +156,12 @@ def patch_schedule(
     Under a ``table`` every SINR is read through the memo ``sinrs`` (a
     fresh one when ``None``; :class:`ScheduleCache` passes the run's), and
     fresh-slot grants come from its standalone SINRs.
+
+    Raises ``ValueError`` on a ``SparsePowerMatrix`` model: the sparse
+    arena packs waves of fresh links only (DESIGN.md §3).
     """
+    if getattr(model.power, "is_sparse_power", False):
+        raise ValueError("patch_schedule needs a dense power matrix")
     if table is not None and sinrs is None:
         sinrs = SlotSinrMemo(model, links.heads, links.tails)
     if cached.link_set.n_links != links.n_links:
@@ -279,7 +284,8 @@ class ScheduleCache:
         the epoch loop *not* using a cache).
     model:
         Physical-interference model, required by the ``patch`` policy for
-        its SINR feasibility checks.
+        its SINR feasibility checks; a dense one, since
+        :func:`patch_schedule` refuses a ``SparsePowerMatrix``.
     rate_table:
         Optional :class:`~repro.phy.radio.RateTable`: patches then match
         demand in packet capacity instead of membership count (see
@@ -321,6 +327,8 @@ class ScheduleCache:
             )
         if policy == "patch" and model is None:
             raise ValueError("the 'patch' policy needs a PhysicalInterferenceModel")
+        if policy == "patch" and getattr(model.power, "is_sparse_power", False):
+            raise ValueError("the 'patch' policy needs a dense power matrix")
         if epoch_slots is not None and epoch_slots <= 0:
             raise ValueError("epoch_slots must be positive when given")
         self._base = base

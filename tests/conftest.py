@@ -244,9 +244,18 @@ def slot_members(arena, slot):
     return arena._msnd[rows], arena._mrcv[rows]
 
 
+def sparse_verdicts(arena, senders, receivers):
+    """A sparse ``SlotArena``'s verdicts for a batch of links against every
+    slot, each link against the arena as it stands, read through the test
+    :meth:`SlotArena.first_fit` runs: ``out[b, j] == slot j admits link b``."""
+    snd = np.asarray(senders, dtype=np.intp)
+    rcv = np.asarray(receivers, dtype=np.intp)
+    return arena._verdicts(snd, rcv, arena._reach(snd, rcv))[0]
+
+
 def open_slot(arena, sender, receiver):
-    """Append a fresh ``SlotArena`` slot holding one member; return its
-    index.  Untested, like :meth:`SlotArena.seed`: screen with
+    """Append a fresh dense ``SlotArena`` slot holding one member; return
+    its index.  Untested, like :meth:`SlotArena.seed`: screen with
     ``feasible_alone`` first."""
     j = arena.n_slots
     arena.seed([j], [sender], [receiver])
@@ -559,19 +568,29 @@ def loop_routing_forest_csr(indptr, indices, gateways, generator):
     return RoutingForest(parent=parent, depth=depth, gateways=np.sort(gws))
 
 
+def dense_twin(model):
+    """``model`` with its ``SparsePowerMatrix`` densified (``toarray()``,
+    same radio and budget); a dense model as it is.  The dense arena's
+    verdicts on the twin are the sparse arena's, bit for bit: every entry
+    the sparse matrix skips is an exact ``0.0`` there."""
+    if not getattr(model.power, "is_sparse_power", False):
+        return model
+    return PhysicalInterferenceModel(model.power.toarray(), model.radio, model.budget_mw)
+
+
 def serial_pack(links, model, demanded, demand, new_arena=None):
     """``greedy_physical.first_fit_pack`` one link at a time: a verdict per
     open slot, the first ``demand[k]`` admitting slots, fresh singletons for
     the rest.
     The loop the sparse packer ran before it admitted links a wave at a
-    time, kept as its oracle.  On a sparse model it runs the batched arena
-    kernel one link per call (``can_add_all`` / ``add`` / :func:`open_slot`),
-    whose verdicts ``tests/property/test_scheduling_properties.py`` pins to
-    ``SlotState`` (sparse ≡ dense ≡ ``SlotState`` after every step)."""
+    time, kept as its oracle.  It runs the dense arena (``can_add_all`` /
+    ``add`` / :func:`open_slot`), on the :func:`dense_twin` of a sparse
+    model, whose verdicts ``tests/property/test_scheduling_properties.py``
+    pins to ``SlotState`` and to the sparse arena's after every step."""
     from repro.scheduling.feasibility import SlotArena
     from repro.scheduling.schedule import Slot
 
-    arena = (new_arena or SlotArena)(model)
+    arena = (new_arena or SlotArena)(dense_twin(model))
     slots = []
     for k in np.asarray(demanded).tolist():
         remaining = int(demand[k])

@@ -8,9 +8,11 @@ unpriced, 1-shard == monolithic, instrumented == bare):
   matrix, so the monolithic, incremental-cached, sharded, and
   admission-controlled engines must produce ``EpochRecord``s, delay logs,
   and backlogs identical to the dense oracle's, for every reschedule
-  policy each runs (the sharded engine runs ``"always"`` only).  This is the anchor that lets the finite-cutoff configuration be
-  trusted as *the same code* with a physically-argued approximation, not a
-  parallel implementation.
+  policy each runs on a sparse model (``"always"`` and
+  ``"drift-threshold"``; the sharded engine runs ``"always"`` only, and
+  ``"patch"`` is refused before the first arrival).  This is the anchor
+  that lets the finite-cutoff configuration be trusted as *the same code*
+  with a physically-argued approximation, not a parallel implementation.
 * **streaming accounting** — ``retain_records="stream"`` keeps O(1) state
   instead of the per-epoch record list; every aggregate the experiments
   read must match the full-log run — and a trace assembled by hand from
@@ -18,18 +20,20 @@ unpriced, 1-shard == monolithic, instrumented == bare):
   answer (``backlog_series``) must fail loudly.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from repro.experiments.common import grid_scenario
 from repro.phy.sparse import sparse_gain_model
+from repro.scheduling.greedy_physical import greedy_physical
 from repro.traffic import (
     DEFAULT_GUARD_FACTOR,
     EpochConfig,
     FlowConfig,
     FlowWorkload,
     PoissonArrivals,
-    RESCHEDULE_POLICIES,
     TrafficTrace,
     centralized_scheduler,
     make_controller,
@@ -37,6 +41,7 @@ from repro.traffic import (
     run_epochs,
     run_epochs_sharded,
 )
+from repro.traffic.incremental import patch_schedule
 from repro.util.rng import spawn
 
 
@@ -93,7 +98,7 @@ def _assert_identical(base, other):
     assert np.array_equal(other.queues.backlog, base.queues.backlog)
 
 
-@pytest.mark.parametrize("policy", RESCHEDULE_POLICIES)
+@pytest.mark.parametrize("policy", ["always", "drift-threshold"])
 class TestCutoffInfBitIdentity:
     def test_monolithic_and_incremental(self, mesh, sparse_oracle, policy):
         """run_epochs (policy != always exercises the ScheduleCache path)."""
@@ -129,6 +134,25 @@ class TestCutoffInfBitIdentity:
         assert other_wl.blocking_probability == base_wl.blocking_probability
         assert other_wl.sessions_offered == base_wl.sessions_offered
         assert other_wl.sessions_blocked == base_wl.sessions_blocked
+
+
+def test_patch_policy_is_refused_on_a_sparse_model_before_any_arrival(mesh, sparse_oracle):
+    """The sparse arena packs waves only: ``run_epochs`` refuses the patch
+    policy when it builds its cache, before the generator is asked for a
+    single arrival, and ``patch_schedule`` refuses a sparse model itself."""
+    generator = _generator(mesh)
+    with mock.patch.object(generator, "arrivals", side_effect=AssertionError):
+        with pytest.raises(ValueError, match="dense power matrix"):
+            run_epochs(
+                mesh.links,
+                generator,
+                centralized_scheduler(sparse_oracle, overhead_seconds=0.3),
+                _config("patch"),
+                model=sparse_oracle,
+            )
+    cached = greedy_physical(mesh.links, mesh.network.model)
+    with pytest.raises(ValueError, match="dense power matrix"):
+        patch_schedule(cached, mesh.links, sparse_oracle)
 
 
 @pytest.mark.parametrize("guard", [DEFAULT_GUARD_FACTOR, 0.0],

@@ -5,10 +5,10 @@ admits one link into several slots at once.  Both are execution orders, not
 new arithmetic: the arena they leave must be the one ``open_slot`` + ``add``
 of every member in turn leaves — every dense column (slot id, sender,
 receiver, data / ACK interference sums) to the bit, every slot's member
-list, and every later admission verdict.  On a sparse power matrix the same
-entry points are batches of the arena's one sparse kernel (``add_many``:
-``seed`` one batch per member position, a multi-slot ``add`` one batch),
-and must agree with the dense arena and the scalar ``SlotState`` oracle.
+list, and every later admission verdict.  On a sparse power matrix the
+arena's one entry, ``first_fit``, admits a whole wave of links in one pass,
+and must agree with the dense arena and the scalar ``SlotState`` oracle
+taking the wave's links one at a time.
 
 The dense fold is only order-sensitive once a sum has eight terms (numpy
 sums shorter runs sequentially whatever the method), so slots here hold up
@@ -32,8 +32,18 @@ from repro.phy.propagation import LogDistancePathLoss
 from repro.phy.radio import RadioConfig
 from repro.phy.sparse import sparse_gain_model
 from repro.scheduling import feasibility
-from repro.scheduling.feasibility import SlotArena, feasible_alone
-from tests.conftest import SlotState, interference_sums, open_slot, slot_members, slot_rows
+from repro.scheduling.feasibility import SlotArena
+from repro.scheduling.greedy_physical import _waves
+from tests.conftest import (
+    SlotState,
+    interference_sums,
+    open_slot,
+    slot_members,
+    dense_twin,
+    slot_rows,
+    sparse_verdicts,
+)
+from tests.property.test_wave_pack_differential import packing_instance
 
 COLUMNS = ("_slot_id", "_msnd", "_mrcv", "_di", "_ai")
 
@@ -177,61 +187,66 @@ def test_add_into_several_slots_equals_add_per_slot(instance, capacity):
     assert_same_arena(many, one, candidates)
 
 
-def feasible_round(model, slots):
-    """``slots`` cut down to what first-fit packing under the scalar oracle
-    admits: every link that decodes alone, into the first slot that keeps
-    every member feasible — the kind of round a patch seeds from."""
-    links = [link for members in slots for link in members]
-    heads, tails = (np.array(side, dtype=np.intp) for side in zip(*links))
-    packed: list[SlotState] = []
-    for s, r, alone in zip(heads.tolist(), tails.tolist(), feasible_alone(model, heads, tails)):
-        if not alone:
-            continue
-        for state in packed:
-            if state.try_add(s, r):
-                break
-        else:
-            packed.append(SlotState(model))
-            packed[-1].add(s, r)
-    return packed
+def unordered_sums(arena):
+    """Every slot's members with their interference sums, free of the order
+    members joined it in (wave-mates in one slot join in wave order, not in
+    allocation order; their sums do not see each other)."""
+    data, ack = interference_sums(arena)
+    out = []
+    for j in range(arena.n_slots):
+        rows = slot_rows(arena, j)
+        members = zip(arena._msnd[rows].tolist(), arena._mrcv[rows].tolist())
+        out.append(sorted(zip(members, bits(data[rows]), bits(ack[rows]))))
+    return out
 
 
-@given(bulk_instance(), st.integers(min_value=0, max_value=2**31 - 1))
+@given(packing_instance())
 @settings(max_examples=100, deadline=None)
-def test_sparse_bulk_entries_agree_with_dense_and_slotstate(instance, seed):
-    """The patch access pattern through the bulk entries on all three arenas
-    (sparse, dense, sparse regrown from capacity 1 on both axes): feasible
-    slots thinned at random are seeded in one call, then links are admitted
-    into several admitting slots at once — sums ≡ ``SlotState`` after each."""
-    sparse_model, dense_model, slots, _ = instance
-    rng = np.random.default_rng(seed)
-    packed = feasible_round(dense_model, slots)
-    states = []
-    for state in packed:
-        kept = [m for m in zip(state.senders, state.receivers) if rng.random() < 0.7]
-        if kept:
-            states.append(SlotState(dense_model))
-            for s, r in kept:
-                states[-1].add(s, r)
+def test_sparse_waves_agree_with_dense_and_slotstate(instance):
+    """The sparse bulk entry: ``first_fit`` of a wave — links with pairwise
+    disjoint CSR neighbourhoods, grouped as ``greedy_physical`` groups
+    them, each wanting 0-3 slots as consecutive copies — on a sparse arena
+    and one regrown from capacity 1 on both axes ≡ the dense arena on the
+    dense twin and ``SlotState`` taking the copies one at a time in
+    allocation order: every verdict row, every copy's slot, and the sums
+    after every wave."""
+    if instance is None:
+        return
+    sparse_model, links = instance
+    dense_model = dense_twin(sparse_model)
+    heads = np.repeat(links.heads, links.demand)
+    tails = np.repeat(links.tails, links.demand)
+    wave = _waves(sparse_model.power, heads, tails)
     with mock.patch.object(feasibility, "_SLOT_CAPACITY", 1):
         regrown = SlotArena(sparse_model, capacity=1)
-    arenas = [SlotArena(sparse_model), SlotArena(dense_model), regrown]
-    seeded = [list(zip(state.senders, state.receivers)) for state in states]
-    for arena in arenas:
-        arena.seed(*flat(seeded, 0))
-        assert_sums_equal_states(arena, states)
-    for state in packed:
-        for s, r in zip(state.senders, state.receivers):
-            expected = [st.can_add(s, r) for st in states]
-            for arena in arenas:
-                assert arena.can_add_all(s, r).tolist() == expected
-            into = np.flatnonzero(expected)[: rng.integers(1, 4)].tolist()
-            if into:
-                for j in into:
-                    states[j].add(s, r)
-                for arena in arenas:
-                    arena.add(into, s, r)
-                    assert_sums_equal_states(arena, states)
+    sparse = [SlotArena(sparse_model), regrown]
+    dense = SlotArena(dense_model)
+    states: list[SlotState] = []
+    for w in range(1, int(wave.max(initial=0)) + 1):
+        mates = np.flatnonzero(wave == w)
+        opened = len(states)
+        rows = [sparse_verdicts(arena, heads[mates], tails[mates]) for arena in sparse]
+        got = [arena.first_fit(heads[mates], tails[mates]).tolist() for arena in sparse]
+        expected = []
+        for i, (s, r) in enumerate(zip(heads[mates].tolist(), tails[mates].tolist())):
+            admits = [state.can_add(s, r) for state in states]
+            # Wave-mates do not see each other: the slots open before the
+            # wave judge copy i as they judged it then.
+            for row in rows:
+                assert row[i].tolist() == admits[:opened]
+            assert dense.can_add_all(s, r).tolist() == admits
+            j = (admits + [True]).index(True)
+            if j < len(states):
+                dense.add(j, s, r)
+            else:
+                assert open_slot(dense, s, r) == j
+                states.append(SlotState(dense_model))
+            states[j].add(s, r)
+            expected.append(j)
+        assert got == [expected, expected]
+        assert_sums_equal_states(dense, states)
+        for arena in sparse:
+            assert unordered_sums(arena) == unordered_sums(dense)
 
 
 TESTS = ("can_add_all", "handshake_verdicts", "admit_sinrs")

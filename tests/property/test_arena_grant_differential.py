@@ -7,16 +7,19 @@ grants a joining link its rate tier from that value instead of building a
 what-if member list and handing it to the kernel, so the value must be the
 kernel's to the bit: the last entry of ``feasibility.what_if_sinrs`` over
 ``members + [candidate]``.  Checked on every slot that shares no node with
-the candidate (a superset of the slots that admit), dense and sparse
-(truncated and value-dense), with and without a ``budget_mw``, on slots of
-up to ten members — the kernel's sum is order-sensitive from eight terms.
-Writing the SINR as ``signal / (noise + interference)``, without the
-kernel's add-then-subtract of the signal, fails the dense cases.
+the candidate (a superset of the slots that admit), on the dense twins of
+truncated and value-dense sparse matrices, with and without a
+``budget_mw``, on slots of up to ten members — the kernel's sum is
+order-sensitive from eight terms.  Writing the SINR as ``signal / (noise +
+interference)``, without the kernel's add-then-subtract of the signal,
+fails here.  A patch is refused on a sparse model, and so is the sparse
+arena's every dense entry.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.phy.interference import PhysicalInterferenceModel
@@ -33,10 +36,11 @@ def bits(values):
 
 @st.composite
 def grant_instance(draw):
-    """A model (dense, sparse, value-dense sparse; budgeted or not), slots
-    of 1-10 node-disjoint links seeded into an arena, and candidates."""
+    """A dense model (the twin of a truncated or a value-dense sparse one;
+    budgeted or not), slots of 1-10 node-disjoint links seeded into an
+    arena, and candidates."""
     seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
-    kind = draw(st.sampled_from(["dense", "sparse", "value-dense"]))
+    kind = draw(st.sampled_from(["truncated", "value-dense"]))
     budgeted = draw(st.booleans())
     sizes = draw(st.lists(st.integers(min_value=1, max_value=10), min_size=1, max_size=6))
     rng = np.random.default_rng(seed)
@@ -49,7 +53,7 @@ def grant_instance(draw):
         radio,
         cutoff_m=math.inf if kind == "value-dense" else 150.0,
     )
-    power = sparse.power.toarray() if kind == "dense" else sparse.power
+    power = sparse.power.toarray()
     budget = rng.uniform(0.0, 2.0 * radio.noise_mw, size=n) if budgeted else None
     model = PhysicalInterferenceModel(power, radio, budget)
     slots = []
@@ -91,3 +95,20 @@ def test_an_empty_arena_and_a_self_loop_grant_nothing(grid64):
     open_slot(arena, 0, 1)
     ok, sinr = arena.admit_sinrs(5, 5)
     assert ok.tolist() == [False] and sinr.size == 1
+
+
+def test_a_sparse_arena_refuses_every_dense_entry(grid16):
+    """``first_fit`` is the sparse arena's one entry; the dense tests and
+    the untested inserts a patch makes are refused before anything is
+    written."""
+    sparse = sparse_gain_model(
+        grid16.positions, grid16.tx_power_mw, grid16.propagation, grid16.radio
+    )
+    arena = SlotArena(sparse.interference_model(grid16.radio))
+    assert arena.first_fit([0], [1]).tolist() == [0]
+    for test in (arena.can_add_all, arena.admit_sinrs, arena.handshake_verdicts):
+        with pytest.raises(ValueError, match="dense power matrix"):
+            test(5, 6)
+    with pytest.raises(ValueError, match="test of its candidate"):
+        arena.add(0, 5, 6)
+    assert (arena._m, arena.n_slots) == (1, 1)

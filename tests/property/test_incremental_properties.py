@@ -11,13 +11,10 @@ The two load-bearing guarantees:
    patched schedule never violates the exact physical-interference SINR
    model and always satisfies the new demand exactly.
 
-And the sparse backend's patch: ``patch_schedule`` over a
-``SparsePowerMatrix`` (its slot arena the batched sparse kernel) returns the
-slot lists, or the ``None``, the same call returns over the dense twin of
-the same entries and budget.
+Patching a sparse model is refused
+(``tests/integration/test_sparse_equivalence.py``).
 """
 
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -25,17 +22,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.experiments.common import grid_scenario
-from repro.phy.interference import PhysicalInterferenceModel
-from repro.phy.radio import RateTable
-from repro.phy.sparse import sparse_gain_model
-from repro.routing.forest import build_routing_forest_csr
-from repro.routing.gateways import planned_gateways
-from repro.scheduling.feasibility import feasible_alone, infeasible_slots
+from repro.scheduling.feasibility import infeasible_slots
 from repro.scheduling.greedy_physical import greedy_physical
-from repro.scheduling.greedy_rate import greedy_rate
-from repro.scheduling.links import LinkSet
-from repro.topology.commgraph import communication_csr
-from repro.topology.network import grid_network
 from repro.traffic import (
     EpochConfig,
     PoissonArrivals,
@@ -44,7 +32,6 @@ from repro.traffic import (
     patch_schedule,
     run_epochs,
 )
-from repro.util.rng import spawn
 from tests.conftest import drift_threshold
 
 
@@ -160,87 +147,3 @@ def test_cache_hits_charge_zero_overhead_and_stay_feasible(mesh, rate, seed):
         1 for r in trace.records if r.demand_scheduled > 0
     )
     trace.queues.check_conservation()
-
-
-def sparse_pipeline(side, cutoff, extra_budget):
-    """The ``sparse_10k`` set-up at ``side``² nodes (1 000 nodes/km²,
-    carrier-sense cutoff or ``inf``, far-field floor, CSR graph and forest),
-    optionally with a per-node budget on top of the floor; returns the
-    sparse model, its dense twin over the same entries and budget, and the
-    forest's links that decode alone under that budget (demand 0)."""
-    network = grid_network(side, side, density_per_km2=1000.0)
-    radio = network.radio
-    sparse = sparse_gain_model(
-        network.positions, network.tx_power_mw, network.propagation, radio, cutoff_m=cutoff
-    )
-    indptr, indices = communication_csr(
-        sparse.power, radio.noise_mw, radio.beta, budget_mw=sparse.floor_mw
-    )
-    gateways = planned_gateways(side, side, max((side // 10) ** 2, 1))
-    forest = build_routing_forest_csr(indptr, indices, gateways, rng=spawn(side, "forest"))
-    budget = sparse.floor_mw
-    if extra_budget:
-        extra = np.random.default_rng(side).uniform(0.0, 0.5 * radio.noise_mw, network.n_nodes)
-        budget = extra if budget is None else budget + extra
-    twins = [
-        PhysicalInterferenceModel(power, radio, budget)
-        for power in (sparse.power, sparse.power.toarray())
-    ]
-    heads = forest.edge_heads
-    tails = forest.parent[heads]
-    alone = feasible_alone(twins[1], heads, tails)
-    links = LinkSet(
-        heads=heads[alone],
-        tails=tails[alone],
-        demand=np.zeros(int(alone.sum()), dtype=np.int64),
-        ids=heads[alone].astype(np.int64),
-    )
-    return *twins, links
-
-
-@pytest.mark.parametrize("side", [12, 20])
-@pytest.mark.parametrize(
-    "cutoff, extra_budget, rated",
-    [
-        (None, False, False),
-        (None, True, False),
-        (math.inf, False, False),
-        (math.inf, True, False),
-        # Rate tiers only at cutoff=inf: at a finite cutoff the slot SINRs
-        # sum through the scatter-add kernel, in another order than the mesh.
-        (math.inf, False, True),
-        (math.inf, True, True),
-    ],
-)
-def test_patch_over_sparse_model_equals_patch_over_its_dense_twin(
-    side, cutoff, extra_budget, rated
-):
-    """Six demand vectors per case, each adding, dropping and growing links
-    against the cached round; every other patch under a length cap that
-    some of them cannot meet."""
-    sparse_model, dense_model, links = sparse_pipeline(side, cutoff, extra_budget)
-    rng = np.random.default_rng(side)
-    base = replace(links, demand=rng.integers(0, 3, links.n_links))
-    table = RateTable.geometric(dense_model.radio.beta) if rated else None
-    if rated:
-        cached = greedy_rate(base, sparse_model, table)
-    else:
-        cached = greedy_physical(base, sparse_model)
-    for patch in range(6):
-        demand = base.demand.copy()
-        drop = rng.random(links.n_links) < 0.2
-        grow = rng.random(links.n_links) < 0.3
-        demand[drop] = 0
-        demand[grow] += rng.integers(1, 4, int(grow.sum()))
-        moved = replace(links, demand=demand)
-        assert ((base.demand == 0) & (demand > 0)).any() and (drop & (base.demand > 0)).any()
-        max_length = None if patch % 2 == 0 else len(cached.slots) + patch
-        patched = [
-            patch_schedule(cached, moved, model, max_length=max_length, table=table)
-            for model in (sparse_model, dense_model)
-        ]
-        lists = [p if p is None else [slot.links for slot in p.slots] for p in patched]
-        assert lists[0] == lists[1]
-        if max_length is None:
-            assert lists[0] is not None
-            assert rated or np.array_equal(patched[0].allocations(), demand)

@@ -1,9 +1,7 @@
 """Property tests: greedy schedules, routing forests, demand conservation,
-the slot arena's dense / sparse / SlotState agreement, and the patcher's
-sparse / dense agreement on top of it."""
+and the slot arena's dense / sparse / SlotState agreement."""
 
 import math
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -13,20 +11,25 @@ from hypothesis import given, settings, strategies as st
 from repro.phy.gain import received_power_matrix
 from repro.phy.interference import PhysicalInterferenceModel
 from repro.phy.propagation import LogDistancePathLoss
-from repro.phy.radio import RadioConfig, RateTable
+from repro.phy.radio import RadioConfig
 from repro.routing.demand import aggregate_demand
 from repro.phy.sparse import SparsePowerMatrix, sparse_gain_model
 from repro.routing.forest import build_routing_forest
 from repro.scheduling import feasibility
 from repro.scheduling.feasibility import SlotArena, feasible_alone
 from repro.scheduling.greedy_physical import greedy_physical
-from repro.scheduling.greedy_rate import greedy_rate
-from repro.scheduling.links import LinkSet, forest_link_set
+from repro.scheduling.links import forest_link_set
 from repro.scheduling.metrics import improvement_over_linear, verify_schedule
 from repro.scheduling.orderings import EDGE_ORDERINGS
 from repro.topology.commgraph import communication_adjacency, is_connected
-from repro.traffic.incremental import patch_schedule
-from tests.conftest import SlotState, interference_sums, open_slot, slot_members, slot_rows
+from tests.conftest import (
+    SlotState,
+    interference_sums,
+    open_slot,
+    slot_members,
+    slot_rows,
+    sparse_verdicts,
+)
 
 
 @st.composite
@@ -187,24 +190,44 @@ def assert_arenas_equal_states(arenas, states):
             assert ack[rows].tolist() == state._ack_interf
 
 
+def verdicts(arena, s, r):
+    """One candidate's verdict per slot: the dense test, or the sparse
+    arena's row read through ``first_fit``'s own test."""
+    if arena._use_sparse:
+        return sparse_verdicts(arena, [s], [r])[0]
+    return arena.can_add_all(s, r)
+
+
+def admit(arena, j, s, r):
+    """Admit a link to slot ``j``, ``n_slots`` opening one: a one-link
+    wave on the sparse arena (which must choose ``j`` itself), ``add`` or
+    :func:`open_slot` on the dense one (right after its test)."""
+    if arena._use_sparse:
+        assert arena.first_fit([s], [r]).tolist() == [j]
+    elif j < arena.n_slots:
+        arena.add(j, s, r)
+    else:
+        assert open_slot(arena, s, r) == j
+
+
 def admit_like_greedy(arenas, states, model, s, r, demand):
-    """One link's greedy allocation: a verdict per slot, the first
-    ``demand`` admitting slots, fresh singletons for the rest — with the
-    arenas checked against the ``SlotState`` list before and after."""
-    expected = np.array([state.can_add(s, r) for state in states], dtype=bool)
-    for arena in arenas:
-        np.testing.assert_array_equal(arena.can_add_all(s, r), expected)
-    admitting = np.flatnonzero(expected)[:demand].tolist()
-    for j in admitting:
+    """One link's greedy allocation as ``demand`` copies, one membership
+    each, as the sparse packer takes it: per copy a verdict per slot, then
+    the first admitting slot or a fresh one — with the arenas checked
+    against the ``SlotState`` list before and after.  Its earlier copies
+    share a copy's nodes, so each takes the next admitting slot: the first
+    ``demand`` admitting slots of one test, fresh singletons for the rest."""
+    for _ in range(demand):
+        expected = np.array([state.can_add(s, r) for state in states], dtype=bool)
         for arena in arenas:
-            arena.add(j, s, r)
+            np.testing.assert_array_equal(verdicts(arena, s, r), expected)
+        j = int(np.append(expected, True).argmax())
+        if j == len(states):
+            states.append(SlotState(model))
         states[j].add(s, r)
-    for _ in range(demand - len(admitting)):
         for arena in arenas:
-            assert open_slot(arena, s, r) == len(states)
-        states.append(SlotState(model))
-        states[-1].add(s, r)
-    assert_arenas_equal_states(arenas, states)
+            admit(arena, j, s, r)
+        assert_arenas_equal_states(arenas, states)
 
 
 @given(admission_instance())
@@ -222,10 +245,12 @@ def test_arena_sparse_dense_slotstate_agree_step_by_step(instance):
 @given(admission_instance(), st.integers(min_value=0, max_value=2**31 - 1))
 @settings(max_examples=100, deadline=None)
 def test_arena_seeded_without_testing_then_patched_agrees_step_by_step(instance, seed):
-    """The access pattern of a patch: slots seeded *untested* with several
-    members each (``open_slot`` + ``add``, subsets of a feasible round in
-    its order, as pass 1 trims a cached schedule), then deficit links
-    tested, admitted and overflowed into fresh singletons."""
+    """The access pattern of a patch, on dense arenas (patching a sparse
+    model is refused), one regrowing from capacity 1: slots seeded
+    *untested* with several members each (``open_slot`` + ``add``, subsets
+    of a feasible round in its order, as pass 1 trims a cached schedule),
+    then deficit links tested, admitted and overflowed into fresh
+    singletons."""
     if instance is None:
         return
     sparse_model, dense_model, heads, tails, demands = instance
@@ -240,7 +265,7 @@ def test_arena_seeded_without_testing_then_patched_agrees_step_by_step(instance,
             state.add(s, r)
         cached += fresh
     # ... of which random memberships survive, in cached order.
-    arenas = three_arenas(sparse_model, dense_model)
+    arenas = [SlotArena(dense_model), SlotArena(dense_model, capacity=1)]
     states: list[SlotState] = []
     for slot in cached:
         kept = [m for m in zip(slot.senders, slot.receivers) if rng.random() < 0.7]
@@ -259,41 +284,6 @@ def test_arena_seeded_without_testing_then_patched_agrees_step_by_step(instance,
     for k in rng.permutation(len(links)).tolist():
         s, r, _ = links[k]
         admit_like_greedy(arenas, states, dense_model, s, r, int(rng.integers(1, 4)))
-
-
-@given(
-    admission_instance(),
-    st.integers(min_value=0, max_value=2**31 - 1),
-    st.booleans(),
-    st.sampled_from([None, 12, 60]),
-)
-@settings(max_examples=100, deadline=None)
-def test_patch_schedule_sparse_model_matches_dense_model(instance, seed, rated, max_length):
-    """``patch_schedule`` through the sparse arena ≡ through the dense one
-    (same power values via ``toarray()``, same budget), slot list for slot
-    list, rate-blind and under a ``RateTable``."""
-    if instance is None:
-        return
-    sparse_model, dense_model, heads, tails, demands = instance
-    links = LinkSet(heads=heads, tails=tails, demand=demands, ids=np.arange(heads.size))
-    table = RateTable.geometric(dense_model.radio.beta) if rated else None
-    if rated:
-        cached = greedy_rate(links, dense_model, table)
-    else:
-        cached = greedy_physical(links, dense_model)
-    # Demand drifts: some links empty, some shrink, some grow.
-    rng = np.random.default_rng(seed)
-    drift = rng.integers(-3, 6, links.n_links) * (rng.random(links.n_links) < 0.7)
-    moved = replace(links, demand=np.maximum(links.demand + drift, 0))
-    patched = [
-        patch_schedule(cached, moved, model, max_length=max_length, table=table)
-        for model in (sparse_model, dense_model)
-    ]
-    lists = [p if p is None else [slot.links for slot in p.slots] for p in patched]
-    assert lists[0] == lists[1]
-    if max_length is None:
-        assert lists[0] is not None  # every link decodes alone: nothing to abandon
-        assert rated or patched[0].satisfies_demand()
 
 
 def test_arena_regrows_both_axes_without_changing_a_verdict():
@@ -324,36 +314,16 @@ def test_arena_regrows_both_axes_without_changing_a_verdict():
     states: list[SlotState] = []
     for s, r in plays:
         expected = [state.can_add(s, r) for state in states]
-        assert sparse_arena.can_add_all(s, r).tolist() == expected
-        assert dense_arena.can_add_all(s, r).tolist() == expected
-        if any(expected):
-            j = expected.index(True)
-            sparse_arena.add(j, s, r)
-            dense_arena.add(j, s, r)
-        else:
-            j = open_slot(sparse_arena, s, r)
-            assert open_slot(dense_arena, s, r) == j
+        for arena in (sparse_arena, dense_arena):
+            assert verdicts(arena, s, r).tolist() == expected
+        j = (expected + [True]).index(True)
+        for arena in (sparse_arena, dense_arena):
+            admit(arena, j, s, r)
+        if j == len(states):
             states.append(SlotState(dense_model))
         states[j].add(s, r)
     assert sparse_arena.n_slots > feasibility._SLOT_CAPACITY
     assert sparse_arena._m > 4
-
-
-def test_sparse_arena_add_rejects_a_busy_endpoint():
-    radio = RadioConfig()
-    positions = np.array([[0.0, 0.0], [30.0, 0.0], [60.0, 0.0], [400.0, 0.0], [430.0, 0.0]])
-    tx = np.full(5, 10 ** (12.0 / 10.0))
-    sparse = sparse_gain_model(positions, tx, LogDistancePathLoss(alpha=3.0), radio)
-    arena = SlotArena(sparse.interference_model(radio))
-    slot = open_slot(arena, 0, 1)
-    for s, r in [(1, 2), (2, 1), (0, 2), (2, 0), (0, 1)]:
-        with pytest.raises(ValueError, match="shares a node"):
-            arena.add(slot, s, r)
-    assert arena._m == 1
-    # The failed adds left no trace: a disjoint link still gets in.
-    assert arena.can_add_all(3, 4).tolist() == [True]
-    arena.add(slot, 3, 4)
-    assert [a.tolist() for a in slot_members(arena, slot)] == [[0, 3], [1, 4]]
 
 
 @pytest.mark.parametrize("candidate", [(1, 2), (2, 0)])
@@ -374,5 +344,5 @@ def test_arena_vetoes_node_sharing_even_where_no_power_says_so(candidate):
     assert not state.can_add(s, r)
     for matrix in (power, dense):
         arena = SlotArena(PhysicalInterferenceModel(matrix, radio))
-        open_slot(arena, 0, 1)
-        assert arena.can_add_all(s, r).tolist() == [False]
+        admit(arena, 0, 0, 1)
+        assert verdicts(arena, s, r).tolist() == [False]

@@ -1,15 +1,16 @@
 """The wave packer against the one-link-at-a-time loop it replaced.
 
 On a sparse power matrix ``greedy_physical`` admits candidates a *wave* at
-a time — links whose CSR neighbourhoods are pairwise disjoint — through
-``SlotArena.can_add_many`` / ``add_many``.  That is an execution order, not
-an algorithm: the schedule must equal the serial loop's slot for slot and
-list for list, and the arena it leaves behind must hold the same members,
-interference sums, landing table and listener lists to the last bit.  The
-serial loop lives on in ``tests/conftest.py::serial_pack`` as the oracle:
-the same batched kernel one link per call, whose verdicts the arena suite
-pins to ``SlotState``.  The kernel's rows are differenced here against the
-dense arena's one-candidate test too.
+a time — links whose CSR neighbourhoods are pairwise disjoint, a link
+wanting ``d`` slots as ``d`` copies — through ``SlotArena.first_fit``.
+That is an execution order, not an algorithm: the schedule must equal the
+serial loop's slot for slot and list for list, and the arena it leaves
+behind must hold the members, interference sums, landing table and
+listener lists that loop implies, to the last bit.  The serial loop lives
+on in ``tests/conftest.py::serial_pack`` as the oracle: the dense arena one
+link per call on the dense twin of the sparse matrix, whose verdicts the
+arena suite pins to ``SlotState``; the tables it implies are folded here
+from its members, in admission order, over the twin's rows.
 """
 
 import importlib
@@ -18,7 +19,6 @@ from functools import partial
 from unittest import mock
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.phy.interference import PhysicalInterferenceModel
@@ -30,7 +30,7 @@ from repro.scheduling.feasibility import SlotArena, feasible_alone
 from repro.scheduling.greedy_physical import greedy_physical
 from repro.scheduling.links import LinkSet
 from repro.scheduling.orderings import EDGE_ORDERINGS
-from tests.conftest import interference_sums, open_slot, serial_pack, slot_members, slot_rows
+from tests.conftest import serial_pack
 
 # ``repro.scheduling.greedy_physical`` the attribute is the function.
 gp = importlib.import_module("repro.scheduling.greedy_physical")
@@ -105,14 +105,17 @@ def bits(values):
     return np.ascontiguousarray(values).view(np.int64).tolist()
 
 
-def arena_state(arena):
+def arena_state(arena, list_width):
     """Everything a sparse arena holds, free of member-row numbering (the
     wave packer appends rows wave by wave, the loop link by link): members
     by (slot, sender) — a node sends once per slot — the landing table, and
     every cell's listener in every open slot, read from the cell's list and
-    named by link instead of row."""
+    named by link instead of row.  Of a dense arena, the same tables as its
+    members imply them (:func:`implied_state`)."""
     m, n = arena._m, arena.n_slots
     rows = np.lexsort((arena._msnd[:m], arena._slot_id[:m]))
+    if not arena._use_sparse:
+        return implied_state(arena, rows, list_width)
     link = arena._msnd * arena._power.n + arena._mrcv
     lists = arena._lists
     listed = lists >= 0
@@ -138,6 +141,36 @@ def arena_state(arena):
     # Nothing past the open slots, whatever width the landing table grew to.
     assert not arena._landing[:, n:].any()
     return state
+
+
+def implied_state(arena, rows, list_width):
+    """:func:`arena_state` of the sparse arena that admits a dense arena's
+    members in its admission order: each ``(cell, slot)`` landing entry the
+    left fold of the members' rows of the power matrix (an entry the sparse
+    matrix skips adds an exact ``0.0``), each cell's listener the member
+    whose receiver (data cell) or sender (ACK cell) it is, the lists as
+    wide as the busiest cell or ``list_width``, and each member's signal
+    its own two entries."""
+    m, n = arena._m, arena.n_slots
+    power = arena._flat.reshape(-1, arena._power.shape[0])
+    nodes = power.shape[0]
+    sid, snd, rcv = arena._slot_id[:m], arena._msnd[:m], arena._mrcv[:m]
+    link = snd * nodes + rcv
+    landing = np.zeros((2 * nodes, n))
+    for row in range(m):  # admission order within every slot
+        landing[:nodes, sid[row]] += power[snd[row]]
+        landing[nodes:, sid[row]] += power[rcv[row]]
+    cells = np.concatenate((rcv, snd + nodes))
+    listener = np.full((2 * nodes, n), -1)
+    listener[cells, np.tile(sid, 2)] = np.tile(link, 2)
+    return {
+        "member": [sid[rows].tolist(), link[rows].tolist()],
+        "landing": bits(landing),
+        "listener": listener.tolist(),
+        "width": max(list_width, int(np.bincount(cells, minlength=1).max(initial=0))),
+        "_interf": [bits(arena._di[rows]), bits(arena._ai[rows])],
+        "_sig": [bits(power[snd, rcv][rows]), bits(power[rcv, snd][rows])],
+    }
 
 
 @given(
@@ -167,15 +200,17 @@ def placed_model(positions):
     return sparse.interference_model(radio)
 
 
-def test_wave_pack_folds_one_link_into_several_slots_in_one_pass():
+def test_wave_pack_spreads_a_link_over_several_slots_wave_by_wave():
     """Two links kilometres apart share the first wave, and both need fresh
-    slots: link 0 -> 1 folds into three slots in that one pass, so its
-    cells repeat in the batch and must take three list positions."""
+    slots: link 0 -> 1 wants three, so its copies take waves 1-3, one fresh
+    slot each, and its cells take three list positions."""
     model = placed_model([[0, 0], [30, 0], [4000, 0], [4030, 0]])
     links = LinkSet(
         heads=np.array([0, 3]), tails=np.array([1, 2]), demand=np.array([3, 2]), ids=np.arange(2)
     )
     assert gp._waves(model.power, links.heads, links.tails).tolist() == [1, 1]
+    copies = np.repeat(links.heads, links.demand), np.repeat(links.tails, links.demand)
+    assert gp._waves(model.power, *copies).tolist() == [1, 2, 3, 1, 2]
     [arena] = assert_wave_pack_equals_serial_pack(
         model, links, "id", 256, feasibility._SLOT_CAPACITY, feasibility._LIST_WIDTH
     )
@@ -217,23 +252,13 @@ def assert_wave_pack_equals_serial_pack(
     # Repair rounds included: the same number of packs, arena for arena.
     assert len(wave_arenas) == len(serial_arenas)
     for ours, theirs in zip(wave_arenas, serial_arenas):
-        assert arena_state(ours) == arena_state(theirs)
+        assert arena_state(ours, list_width) == arena_state(theirs, list_width)
     truth, oracle_truth = wave.truth, serial.truth
     assert (truth is None) == (oracle_truth is None)
     if truth is not None:
         assert truth.repaired_tx == oracle_truth.repaired_tx
         assert bits(truth.margins) == bits(oracle_truth.margins)
     return wave_arenas
-
-
-def slot_sums(arena):
-    """Every slot's members and their interference sums, dense or sparse."""
-    data, ack = interference_sums(arena)
-    rows = [slot_rows(arena, j) for j in range(arena.n_slots)]
-    return [
-        (*(side.tolist() for side in slot_members(arena, j)), bits(data[r]), bits(ack[r]))
-        for j, r in enumerate(rows)
-    ]
 
 
 def neighbourhoods(power, heads, tails):
@@ -260,57 +285,3 @@ def test_waves_are_disjoint_and_keep_the_order_of_every_conflict(instance, chunk
             # ... hence members of one wave are pairwise disjoint.
     if model.power.value_dense:
         assert wave.tolist() == list(range(1, links.n_links + 1))
-
-
-@given(packing_instance())
-@settings(max_examples=60, deadline=None)
-def test_batched_kernel_rows_equal_the_one_candidate_kernel(instance):
-    """``can_add_many`` row by row ≡ the dense arena's one-candidate
-    ``can_add_all`` over the same entries, and ``add_many`` of one link into
-    several slots ≡ dense ``add`` / ``open_slot`` of each in turn (members
-    and interference sums to the bit) — on arenas filled by a serial pack,
-    every link replayed as a candidate."""
-    if instance is None:
-        return
-    model, links = instance
-    dense = PhysicalInterferenceModel(model.power.toarray(), model.radio, model.budget_mw)
-    arenas = [SlotArena(dense, capacity=2), SlotArena(model, capacity=2)]
-    demanded = np.flatnonzero(links.demand > 0)
-    if demanded.size == 0:
-        return
-    for arena in arenas:
-        serial_pack(links, model, demanded, links.demand, new_arena=lambda _: arena)
-    one, many = arenas
-    assert slot_sums(one) == slot_sums(many)
-    verdicts = many.can_add_many(links.heads, links.tails)
-    assert verdicts.shape == (links.n_links, many.n_slots)
-    for k in range(links.n_links):
-        s, r = int(links.heads[k]), int(links.tails[k])
-        expected = one.can_add_all(s, r)
-        assert verdicts[k].tolist() == expected.tolist()
-        into = np.flatnonzero(expected)[:2].tolist()
-        if not into:
-            continue
-        into.append(one.n_slots)  # and a fresh slot on top
-        for j in into[:-1]:
-            one.add(j, s, r)
-        assert open_slot(one, s, r) == into[-1]
-        many.add_many(into, [s] * len(into), [r] * len(into))
-        assert slot_sums(one) == slot_sums(many)
-        verdicts = many.can_add_many(links.heads, links.tails)
-
-
-def test_add_many_rejects_a_busy_endpoint_before_writing_anything():
-    radio = RadioConfig()
-    positions = np.array([[0.0, 0.0], [30.0, 0.0], [60.0, 0.0], [4000.0, 0.0], [4030.0, 0.0]])
-    tx = np.full(5, 10 ** (12.0 / 10.0))
-    sparse = sparse_gain_model(positions, tx, LogDistancePathLoss(alpha=3.0), radio)
-    arena = SlotArena(sparse.interference_model(radio))
-    arena.add_many([0], [0], [1])
-    before = arena_state(arena)
-    with pytest.raises(ValueError, match="link 2->1 shares a node with a member of slot 0"):
-        arena.add_many([0, 0, 1], [3, 2, 2], [4, 1, 1])
-    assert arena_state(arena) == before and arena.n_slots == 1
-    arena.add_many([0, 1], [3, 2], [4, 1])
-    assert [a.tolist() for a in slot_members(arena, 0)] == [[0, 3], [1, 4]]
-    assert [a.tolist() for a in slot_members(arena, 1)] == [[2], [1]]

@@ -16,6 +16,7 @@ entries themselves are linted here.
 
 import ast
 import importlib.util
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -130,6 +131,24 @@ def test_every_reason_is_one_kind_and_names_its_target():
         ):
             wrong.append(f"{file}::{name}  {kind}: {target}")
     assert not wrong, f"reasons of an unknown kind or naming no file: {wrong}"
+
+
+def test_every_gate_names_what_it_gates():
+    """A gate's bench file names the function's last name, or the knob's
+    parameter (as a word or the head of one: ``obs_level`` names ``obs``):
+    a gate that stopped reading what it gates is stale."""
+    stale = []
+    for (file, name), (kind, target) in sorted(ALLOWED.items()):
+        if kind != "gated":
+            continue
+        if reach.is_knob(name):
+            word = name[name.index("(") + 1 : -2]
+        else:
+            word = reach.LINES.sub("", name).rpartition(".")[2]
+        text = (ROOT / target.split()[0]).read_text()
+        if not re.search(rf"\b{re.escape(word)}", text):
+            stale.append(f"{file}::{name}  gated: {target}")
+    assert not stale, f"gates that do not name what they gate: {stale}"
 
 
 def test_every_imported_name_is_read():

@@ -53,6 +53,17 @@ class TestSpan:
         assert row["labels"] == {"epoch": 3, "engine": "epoch"}
         assert set(row) >= {"name", "labels", "seq", "depth", "parent", "wall_s", "cpu_s"}
 
+    def test_exit_unwinds_children_left_open(self):
+        """A span that exits with children still open (entered, never
+        exited) takes them off the stack with it."""
+        outer = Span("outer").__enter__()
+        Span("inner").__enter__()
+        Span("innermost").__enter__()
+        outer.__exit__(None, None, None)
+        with Span("after") as span:
+            pass
+        assert (span.depth, span.parent) == (0, None)
+
     def test_exception_unwinds_stack(self):
         with pytest.raises(RuntimeError):
             with Span("outer"):
@@ -164,8 +175,73 @@ class TestJsonlSchema:
         path.write_text("\n".join(lines) + "\n")
         assert any("unknown line type" in p for p in validate_run_file(path))
 
+    @pytest.mark.parametrize(
+        "edit, problem",
+        [
+            (lambda rows: "{not json", "unreadable: "),
+            (lambda rows: [], "empty file"),
+            (lambda rows: rows[1:], "first line is not a run header"),
+            (lambda rows: _set(rows, 0, schema=99), "schema version 99, expected"),
+            (lambda rows: _drop(rows, 0, "fingerprint"), "run header missing 'fingerprint'"),
+            (lambda rows: _drop(rows, 1, "cpu_s"), "span missing ['cpu_s']"),
+            (lambda rows: _set(rows, 3, kind="timer"), "unknown metric kind 'timer'"),
+            (lambda rows: _drop(rows, 4, "quantiles"), "histogram missing count/quantiles"),
+            (lambda rows: _drop(rows, 3, "value"), "counter missing value"),
+            (lambda rows: _drop(rows, 3, "labels"), "metric missing name/labels"),
+            (lambda rows: rows + rows[-1:], "duplicate summary"),
+            (lambda rows: rows[:3] + rows[-1:] + rows[3:-1], "summary is not the last line"),
+            (lambda rows: rows[:1] + rows, "duplicate run header"),
+            (lambda rows: _set(rows, -1, n_spans=3), "summary claims 3 spans, file has 2"),
+            (lambda rows: _set(rows, -1, n_metrics=1), "summary claims 1 metrics, file has 2"),
+        ],
+        ids=[
+            "unreadable",
+            "empty",
+            "no-run-header",
+            "schema",
+            "header-key",
+            "span-keys",
+            "metric-kind",
+            "histogram-fields",
+            "missing-value",
+            "name-labels",
+            "duplicate-summary",
+            "summary-not-last",
+            "duplicate-header",
+            "span-count",
+            "metric-count",
+        ],
+    )
+    def test_each_malformation_names_its_problem(self, tmp_path, edit, problem):
+        """One malformed file per problem ``validate_run_file`` reports,
+        each made from a valid one (run header, two spans, a counter, a
+        histogram, the summary) by one edit."""
+        path = self._emit(tmp_path)
+        rows = load_run_file(path)
+        assert [row.get("kind", row["type"]) for row in rows] == [
+            "run", "span", "span", "counter", "histogram", "summary",
+        ]
+        edited = edit(rows)
+        if isinstance(edited, list):
+            edited = "".join(json.dumps(row) + "\n" for row in edited)
+        path.write_text(edited)
+        problems = validate_run_file(path)
+        assert any(problem in found for found in problems), problems
+
     def test_export_idempotent(self, tmp_path):
         rec = JsonlRecorder(tmp_path / "run.jsonl", "t")
         rec.export(None)
         rec.export(None)  # second call is a no-op, not a corrupted file
         assert validate_run_file(tmp_path / "run.jsonl") == []
+
+
+def _set(rows, i, **fields):
+    """``rows`` with row ``i`` updated by ``fields``."""
+    rows[i] = {**rows[i], **fields}
+    return rows
+
+
+def _drop(rows, i, key):
+    """``rows`` with ``key`` removed from row ``i``."""
+    rows[i] = {k: v for k, v in rows[i].items() if k != key}
+    return rows

@@ -178,6 +178,14 @@ class TestControllers:
         assert wl.sessions_blocked > 0
         assert wl.admitted_rate() <= 1.0 + 1e-9
 
+    def test_throttle_is_one_without_an_admitted_elastic_flow(self):
+        """Nothing elastic to slow: the factor is 1.0 whatever the cap,
+        even a cap the inelastic flows alone exhaust."""
+        cap = StaticCap(cap=0.0)
+        wl = FlowWorkload(chain_links(4), FlowConfig(), controller=cap, seed=5)
+        assert wl.admitted_rate("elastic") == 0.0
+        assert cap.throttle(None, wl) == 1.0
+
     def test_knee_tracker_caps_on_growth_and_probes_when_stable(self):
         tracker = KneeTracker(window=3)
         links = chain_links(4)
